@@ -1,0 +1,65 @@
+//! **Process mode**: run a `(p, t, d)` job as `p·t·d` real OS processes
+//! over the socket transport (Unix-domain by default, TCP loopback on
+//! request) instead of `p·t·d` threads over in-process mailboxes.
+//!
+//! The launcher ([`launch`]) forks/execs one worker per flat rank
+//! (re-invoking the current executable with `--proc-worker <dir> <rank>`),
+//! after writing the serialized [`JobSpec`] and its own heartbeat address
+//! into a rendezvous directory. Each worker binds its own
+//! [`SocketNode`], publishes `rank-R.addr` / `rank-R.pid` files
+//! (atomically: write-temp + rename), waits for every peer's address, and
+//! then runs the *unmodified* per-thread training loop
+//! ([`run_thread`](crate::trainer)) — its tensor and data groups are
+//! process-mode [`Group`]s over [`SocketChannel`]s, and its pipeline
+//! endpoints are fed by pump threads that bridge socket frames to the
+//! `mpsc` channels the worker already speaks.
+//!
+//! Determinism is the whole point: the collectives execute the exact same
+//! step programs with the exact same chunk routing as the mailbox
+//! transport, and the p2p pumps forward activations byte-for-byte, so an
+//! N-process run produces **bit-identical** losses, final parameters, and
+//! per-rank byte counts to the in-process run (proven in
+//! `tests/process_mode.rs`). Results cross the process boundary through
+//! `rank-R.out.json` files that encode every `f32` as its `u32` bit
+//! pattern — no decimal round-trip.
+//!
+//! ## Channel-id map
+//!
+//! Every logical communicator gets a stable channel id, so one listener
+//! per process serves all of them:
+//!
+//! | id | communicator |
+//! |----|--------------|
+//! | `1000 + pi·d + di` | tensor group of `(pi, di)`, members `ti ∈ 0..t` |
+//! | `2000 + pi·t + ti` | data group of `(pi, ti)`, members `di ∈ 0..d` |
+//! | `3000 + 2·s + dir` | pipeline boundary `s` lane (2 ranks: sender 0, receiver 1) |
+//! | `4000` | heartbeats (`world + 1` ranks; the launcher is rank `world`) |
+//!
+//! ## Failure semantics
+//!
+//! A dead peer *process* cannot be poisoned (no shared memory), so every
+//! stall surfaces as [`CommError::Timeout`](crate::comm::CommError) after
+//! the group timeout — with the peer's **pid and socket address** attached
+//! to the [`StallContext`](crate::comm::StallContext). Pipeline pumps use
+//! the same convention: a receive pump that sees no frame for the comm
+//! timeout assumes its stage neighbor died and hangs up, which the worker
+//! observes as `PipelineBroken`. Liveness is tracked out-of-band: each
+//! worker runs a beacon thread that sends a 1-element heartbeat frame to
+//! the launcher every [`JobSpec::hb_period`], and the per-iteration
+//! [`RunControl::on_beat`](crate::trainer::RunControl) hook beats too, so
+//! the launcher's [`HealthMonitor`] classifies a SIGKILLed rank as dead
+//! while stalled survivors keep beating.
+
+mod launch;
+mod rendezvous;
+mod spec;
+mod supervise;
+mod worker;
+
+pub use launch::{launch, launch_configured, LaunchHandle, ProcOutcome, RankOutput, WorkerExit};
+pub use spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
+pub use supervise::{
+    ElasticProcReport, IncidentCause, ProcIncident, ProcKill, ProcReport, ProcSegment,
+    ProcSupervisor,
+};
+pub use worker::{maybe_worker, worker_main};
