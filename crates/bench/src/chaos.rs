@@ -27,7 +27,7 @@ use megatron_cluster::ClusterSpec;
 use megatron_collective::{RetryPolicy, TransientFaults};
 use megatron_dist::{
     CheckpointStore, FaultProfile, HealthMonitor, KillSwitch, PtdpSpec, PtdpTrainer, RunControl,
-    Supervisor, SupervisorConfig, SupervisorReport, TransportConfig, WireKind,
+    Supervisor, SupervisorConfig, SupervisorReport, ThreadBackend, TransportConfig, WireKind,
 };
 use megatron_fault::{FaultKind, FaultPlan, FaultRates, GoodputModel, StragglerReport};
 use megatron_net::{LinkImpairment, Network};
@@ -206,9 +206,11 @@ fn supervised_run(
     let root = std::env::temp_dir().join(format!("megatron-chaos-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let store = CheckpointStore::open(&root).expect("checkpoint store");
+    let backend = ThreadBackend::new(master.clone(), spec, data)
+        .with_transport(transport)
+        .with_health(heartbeat);
     let sup = Supervisor::new(
-        master.clone(),
-        spec,
+        backend,
         store,
         SupervisorConfig {
             max_restarts: kills.len() + 2,
@@ -219,10 +221,8 @@ fn supervised_run(
             ..SupervisorConfig::default()
         },
     )
-    .with_telemetry(Arc::clone(&sink))
-    .with_transport(transport)
-    .with_health(heartbeat);
-    let report = sup.run(data, kills);
+    .with_telemetry(Arc::clone(&sink));
+    let report = sup.run(kills);
     let _ = std::fs::remove_dir_all(&root);
     (report, sink)
 }

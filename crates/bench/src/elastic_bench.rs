@@ -20,7 +20,7 @@
 
 use megatron_dist::{
     CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, ReconfigureDirection,
-    RunControl, Supervisor, SupervisorConfig,
+    RunControl, Supervisor, SupervisorConfig, ThreadBackend,
 };
 use megatron_fault::{ElasticGoodputModel, FaultPlan, FaultRates, RecoveryMeasurement};
 use megatron_sim::elastic::{price_schedule, CapacityWindow, CostModel};
@@ -134,17 +134,23 @@ pub fn elastic() -> String {
         backoff_max: Duration::from_millis(8),
         ..SupervisorConfig::default()
     };
-    let run_elastic_once = |tag: usize| {
-        let root =
-            std::env::temp_dir().join(format!("megatron-elastic-{tag}-{}", std::process::id()));
+    // One supervised run of the job over a fresh store: elastic (shrink on
+    // the death, grow on the return) or the restart-at-full baseline.
+    let supervised_once = |tag: &str, elastic: bool| {
+        let root = std::env::temp_dir().join(format!("megatron-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let store = CheckpointStore::open(&root).expect("checkpoint store");
-        let sup = Supervisor::new(master.clone(), spec, Arc::clone(&store), sup_cfg);
-        let report = sup.run_elastic(&data, &[kill], &capacity);
+        let backend = ThreadBackend::new(master.clone(), spec, &data);
+        let sup = Supervisor::new(backend, Arc::clone(&store), sup_cfg);
+        let report = if elastic {
+            sup.run_elastic(&[kill], &capacity)
+        } else {
+            sup.run(&[kill])
+        };
         (report, store, root)
     };
-    let (report_a, store_a, root_a) = run_elastic_once(0);
-    let (report_b, store_b, root_b) = run_elastic_once(1);
+    let (report_a, store_a, root_a) = supervised_once("elastic-0", true);
+    let (report_b, store_b, root_b) = supervised_once("elastic-1", true);
     assert_eq!(
         report_a.losses, report_b.losses,
         "the elastic trajectory must be deterministic"
@@ -307,25 +313,19 @@ pub fn elastic() -> String {
     // Measured overhead components of the elastic run.
     let windows = store.save_windows();
     let save_s_total: f64 = windows.iter().map(|(_, s)| s).sum();
-    let mean_save = save_s_total / windows.len().max(1) as f64;
-    let mut detect_s_total = 0.0;
-    let mut start = 0usize;
-    for inc in &report.incidents {
-        let executed = (inc.resumed_from + inc.lost_iterations).saturating_sub(start);
-        let saves = executed / ckpt_every;
-        let explained = (executed as f64 + 0.5) * clean_iter_s + saves as f64 * mean_save;
-        detect_s_total += (inc.attempt_wall_s - explained).max(0.0);
-        start = inc.resumed_from;
-    }
-    let lost_iterations: usize = report.incidents.iter().map(|i| i.lost_iterations).sum();
-    let restore_s_total: f64 = report.incidents.iter().map(|i| i.restore_s).sum();
-    let backoff_s_total: f64 = report.incidents.iter().map(|i| i.backoff_s).sum();
+    let meas = RecoveryMeasurement::from_report(
+        &report,
+        clean_iter_s,
+        save_s_total,
+        windows.len(),
+        ckpt_every,
+    );
     let elastic_overhead_s = save_s_total
-        + restore_s_total
-        + backoff_s_total
-        + detect_s_total
+        + meas.restore_s_total
+        + meas.backoff_s_total
+        + meas.detect_s_total
         + grow.restore_s
-        + lost_iterations as f64 * clean_iter_s;
+        + meas.lost_iterations as f64 * clean_iter_s;
     let elastic_wall_s =
         useful_s + degraded_work * (degraded_iter_s - clean_iter_s) + elastic_overhead_s;
 
@@ -333,19 +333,8 @@ pub fn elastic() -> String {
     // restores at (2,2,2) as soon as the job allows), but the real cluster
     // could not have run 8 ranks until the repair — it stalls for the
     // whole outage on top of its own measured recovery overheads.
-    let run_baseline_once = |tag: usize| {
-        let root = std::env::temp_dir().join(format!(
-            "megatron-elastic-base-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = CheckpointStore::open(&root).expect("baseline store");
-        let sup = Supervisor::new(master.clone(), spec, Arc::clone(&store), sup_cfg);
-        let report = sup.run(&data, &[kill]);
-        (report, store, root)
-    };
-    let (base_a, bstore_a, broot_a) = run_baseline_once(0);
-    let (base_b, bstore_b, broot_b) = run_baseline_once(1);
+    let (base_a, bstore_a, broot_a) = supervised_once("elastic-base-0", false);
+    let (base_b, bstore_b, broot_b) = supervised_once("elastic-base-1", false);
     let (base_report, base_store) = if base_a.wall_s <= base_b.wall_s {
         (base_a, bstore_a)
     } else {
@@ -399,18 +388,10 @@ pub fn elastic() -> String {
 
     // ---- Analytic prediction: ElasticGoodputModel fed with this run's
     // own measured costs. ----
+    // The wall the model is compared against is the assembled one.
     let meas = RecoveryMeasurement {
         wall_s: elastic_wall_s,
-        n_iterations: report.iterations,
-        clean_iter_s,
-        n_failures: report.incidents.len(),
-        lost_iterations,
-        restore_s_total,
-        backoff_s_total,
-        detect_s_total,
-        save_s_total,
-        n_checkpoints: windows.len(),
-        checkpoint_every_iters: ckpt_every,
+        ..meas
     };
     let em = ElasticGoodputModel {
         base: meas.to_model(),

@@ -1111,6 +1111,7 @@ pub fn ckpt_interval() -> String {
 pub fn recovery() -> String {
     use megatron_dist::{
         CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, Supervisor, SupervisorConfig,
+        ThreadBackend,
     };
     use megatron_fault::{FaultPlan, FaultRates, RecoveryMeasurement};
     use megatron_tensor::gpt::{GptModel, TinyGptConfig};
@@ -1209,8 +1210,7 @@ pub fn recovery() -> String {
     let _ = std::fs::remove_dir_all(&root);
     let store = CheckpointStore::open(&root).expect("checkpoint store");
     let sup = Supervisor::new(
-        master,
-        spec,
+        ThreadBackend::new(master, spec, &data),
         std::sync::Arc::clone(&store),
         SupervisorConfig {
             max_restarts: kills.len() + 2,
@@ -1220,7 +1220,7 @@ pub fn recovery() -> String {
             ..SupervisorConfig::default()
         },
     );
-    let report = sup.run(&data, &kills);
+    let report = sup.run(&kills);
     assert!(
         report.completed(),
         "supervisor gave up: {:?}",
@@ -1238,7 +1238,7 @@ pub fn recovery() -> String {
     for inc in &report.incidents {
         t.row([
             format!("attempt {}", inc.attempt),
-            format!("{}", inc.error),
+            format!("{}", inc.cause),
             format!("iter {}", inc.resumed_from),
             inc.lost_iterations.to_string(),
             format!("{:.1} ms", 1e3 * inc.restore_s),
@@ -1262,37 +1262,16 @@ pub fn recovery() -> String {
     ));
 
     // Empirical goodput vs the analytic model fed with the run's own
-    // measured MTBF, save cost, and restart cost. Detection/relaunch
-    // overhead per incident is the failed attempt's wall time not
-    // explained by executed iterations or checkpoint saves.
+    // measured MTBF, save cost, and restart cost.
     let windows = store.save_windows();
     let save_s_total: f64 = windows.iter().map(|(_, s)| s).sum();
-    let mean_save = save_s_total / windows.len().max(1) as f64;
-    let mut detect_s_total = 0.0;
-    let mut start = 0usize;
-    for inc in &report.incidents {
-        let executed = (inc.resumed_from + inc.lost_iterations).saturating_sub(start);
-        let saves = executed / ckpt_every;
-        // The dying rank gets through about half its op schedule, so each
-        // incident also burned ~half an iteration of work — that belongs
-        // to the model's τ/2 lost-work term, not to restart cost.
-        let explained = (executed as f64 + 0.5) * clean_iter_s + saves as f64 * mean_save;
-        detect_s_total += (inc.attempt_wall_s - explained).max(0.0);
-        start = inc.resumed_from;
-    }
-    let meas = RecoveryMeasurement {
-        wall_s: report.wall_s,
-        n_iterations: report.iterations,
+    let meas = RecoveryMeasurement::from_report(
+        &report,
         clean_iter_s,
-        n_failures: report.incidents.len(),
-        lost_iterations: report.incidents.iter().map(|i| i.lost_iterations).sum(),
-        restore_s_total: report.incidents.iter().map(|i| i.restore_s).sum(),
-        backoff_s_total: report.incidents.iter().map(|i| i.backoff_s).sum(),
-        detect_s_total,
         save_s_total,
-        n_checkpoints: windows.len(),
-        checkpoint_every_iters: ckpt_every,
-    };
+        windows.len(),
+        ckpt_every,
+    );
     let measured = meas.measured_goodput();
     let predicted = meas.predicted_goodput();
     let model = meas.to_model();
@@ -1304,7 +1283,7 @@ pub fn recovery() -> String {
          predicted goodput: {:.1}% (Young/Daly model at tau = {:.1} ms)\n\
          agreement: {:.1}% {}\n",
         1e3 * meas.clean_iter_s,
-        1e3 * mean_save,
+        1e3 * model.save_s,
         1e3 * model.mtbf_s,
         1e3 * model.restart_s,
         100.0 * measured,

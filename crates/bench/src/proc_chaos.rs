@@ -6,7 +6,7 @@
 //! worker OS processes mid-iteration (triggered by their own progress
 //! heartbeats), plus a seeded socket fault plan (mid-frame severs,
 //! connection refusals, per-link slowdowns) armed inside the workers.
-//! The launcher-side [`ProcSupervisor`] must notice each death, commit
+//! The [`Supervisor`] over a [`ProcBackend`] must notice each death, commit
 //! whatever durable shard generations the dead world left behind,
 //! restore the newest, and respawn — and the healed run's **final
 //! parameters must be bit-identical** to a fault-free process run of the
@@ -15,15 +15,21 @@
 //! The run is then priced: the measured goodput (useful work over
 //! supervised wall-clock) is compared against the Young/Daly
 //! [`GoodputModel`] parameterized by the *measured* MTBF, restore, and
-//! backoff costs, and an elastic shrink→grow cycle through the same
-//! durable store validates [`ElasticGoodputModel`] the same way. Both
-//! land in `BENCH_proc_chaos.json` for the perf-regression sentry.
+//! backoff costs, and the E35 scenario on the same backend — a real
+//! SIGKILL, the cost model's degraded layout, the rank returned, a grow at
+//! the next checkpoint boundary — validates [`ElasticGoodputModel`] the
+//! same way. Both land in `BENCH_proc_chaos.json` for the perf-regression
+//! sentry.
 
-use std::path::PathBuf;
-use std::time::Instant;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use megatron_dist::proc::{launch_configured, JobSpec, ProcKill, ProcSupervisor, SocketFaultPlan};
-use megatron_dist::CapacityEvent;
+use megatron_dist::proc::{launch_configured, JobSpec, ProcBackend, SocketFaultPlan};
+use megatron_dist::{
+    CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, ReconfigureDirection, Supervisor,
+    SupervisorConfig, SupervisorReport, ThreadKey,
+};
 use megatron_fault::{ElasticGoodputModel, RecoveryMeasurement};
 use megatron_sim::json::Json;
 use rand::rngs::StdRng;
@@ -119,18 +125,77 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Seeded kill schedule: `n` victims at progress triggers spread through
-/// the run, sorted so earlier kills fire first.
-fn kill_schedule(seed: u64, world: usize, iters: usize, n: usize) -> Vec<ProcKill> {
+/// Seeded kill schedule: `n` victims at iterations spread through the
+/// run, sorted so earlier kills fire first. Each is a real SIGKILL once
+/// the victim's progress beats report `iteration` completed.
+fn kill_schedule(seed: u64, spec: &PtdpSpec, iters: usize, n: usize) -> Vec<KillSwitch> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6b11_5eed);
-    let mut kills: Vec<ProcKill> = (0..n)
-        .map(|_| ProcKill {
-            rank: rng.gen_range(0..world),
-            after_iter: rng.gen_range(1..iters.max(2) - 1),
+    let mut kills: Vec<KillSwitch> = (0..n)
+        .map(|_| KillSwitch {
+            thread: spec.thread_key(rng.gen_range(0..spec.world())),
+            iteration: rng.gen_range(1..iters.max(2) - 1),
         })
         .collect();
-    kills.sort_by_key(|k| (k.after_iter, k.rank));
+    kills.sort_by_key(|k| (k.iteration, spec.flat_rank(k.thread)));
     kills
+}
+
+/// Supervise `job` as rank processes under `root`, durable store at
+/// `root/ckpt`.
+fn supervised(
+    job: &JobSpec,
+    root: &Path,
+    ckpt_every: usize,
+    faults: Option<SocketFaultPlan>,
+    kills: &[KillSwitch],
+    capacity: Option<&[CapacityEvent]>,
+) -> Result<SupervisorReport, String> {
+    let store = CheckpointStore::open(root.join("ckpt")).map_err(|e| e.to_string())?;
+    let sup = Supervisor::new(
+        ProcBackend::new(job, root, faults),
+        store,
+        SupervisorConfig {
+            checkpoint_every: ckpt_every,
+            // A freshly spawned world on a loaded host must not trip a
+            // halved collective timeout while it restores.
+            min_comm_timeout: Duration::from_secs(5),
+            ..SupervisorConfig::default()
+        },
+    );
+    let report = match capacity {
+        Some(events) => sup.run_elastic(kills, events),
+        None => sup.run(kills),
+    };
+    match &report.gave_up {
+        Some(cause) => Err(format!(
+            "supervisor gave up after {} incidents: {cause}",
+            report.incidents.len()
+        )),
+        None => Ok(report),
+    }
+}
+
+/// Launch `job` unsupervised (pinned at `job.resume_from`, durable store
+/// at `ckpt` when it checkpoints), wait for it, and time it: final
+/// parameters per rank and wall seconds.
+fn plain_run(
+    job: &JobSpec,
+    tag: &str,
+    ckpt: Option<&Path>,
+) -> Result<(HashMap<ThreadKey, Vec<f32>>, f64), String> {
+    let dir = scratch(tag);
+    let t0 = Instant::now();
+    let handle = launch_configured(job, &dir, ckpt, None).map_err(|e| e.to_string())?;
+    let out = handle.wait();
+    let wall = t0.elapsed().as_secs_f64();
+    let _ = std::fs::remove_dir_all(&dir);
+    if !out.ok() {
+        return Err(format!(
+            "{tag} run failed: missing {:?}, exits {:?}",
+            out.missing, out.exits
+        ));
+    }
+    Ok((out.into_params(), wall))
 }
 
 fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
@@ -145,148 +210,94 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
     job.model.seq = 8;
     job.model.hidden = 16;
     let world = job.world();
+    let spec = job.spec();
 
     // --- Fault-free reference run (no checkpointing): params + clean rate.
-    let dir_a = scratch("clean");
-    let t0 = Instant::now();
-    let handle = launch_configured(&job, &dir_a, None, None).map_err(|e| e.to_string())?;
-    let clean = handle.wait();
-    let clean_wall = t0.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&dir_a);
-    if !clean.ok() {
-        return Err(format!(
-            "fault-free run failed: missing {:?}, exits {:?}",
-            clean.missing, clean.exits
-        ));
-    }
+    let (clean, clean_wall) = plain_run(&job, "fault-free", None)?;
     let clean_iter_s = clean_wall / knobs.iters as f64;
 
     // --- Fault-free run *with* checkpointing: save cost, and proof that
     // durable shard writes don't perturb the numerics.
     let mut job_ck = job;
     job_ck.checkpoint_every = knobs.ckpt_every;
-    let dir_b = scratch("clean-ckpt");
-    let t0 = Instant::now();
-    let handle = launch_configured(&job_ck, &dir_b, Some(&dir_b.join("ckpt")), None)
-        .map_err(|e| e.to_string())?;
-    let clean_ck = handle.wait();
-    let ckpt_wall = t0.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&dir_b);
-    if !clean_ck.ok() {
-        return Err(format!(
-            "checkpointed fault-free run failed: missing {:?}, exits {:?}",
-            clean_ck.missing, clean_ck.exits
-        ));
-    }
-    let ckpt_params_ok = clean
-        .outputs
-        .iter()
-        .all(|(k, o)| clean_ck.outputs.get(k).map(|c| &c.params) == Some(&o.params));
+    let store_ck = scratch("fault-free-store");
+    let (clean_ck, ckpt_wall) = plain_run(&job_ck, "checkpointed fault-free", Some(&store_ck))?;
+    let _ = std::fs::remove_dir_all(&store_ck);
+    let ckpt_params_ok = clean_ck == clean;
     let n_gens = knobs.iters / knobs.ckpt_every;
     let save_s_total = (ckpt_wall - clean_wall).max(0.0);
 
     // --- The chaos run: seeded SIGKILLs + socket faults, supervised.
-    let kills = kill_schedule(knobs.seed, world, knobs.iters, knobs.kills);
+    let kills = kill_schedule(knobs.seed, &spec, knobs.iters, knobs.kills);
     let faults = SocketFaultPlan::seeded(knobs.seed, world);
     let root = scratch("chaos");
-    let sup = ProcSupervisor::new(&job_ck, &root);
-    let report = sup.run(&kills, Some(&faults)).map_err(|e| e.to_string())?;
+    let report = supervised(
+        &job,
+        &root,
+        knobs.ckpt_every,
+        Some(faults.clone()),
+        &kills,
+        None,
+    )?;
     let _ = std::fs::remove_dir_all(&root);
-    let chaos_params_ok = clean
-        .outputs
-        .iter()
-        .all(|(k, o)| report.outcome.outputs.get(k).map(|c| &c.params) == Some(&o.params));
+    let chaos_params_ok = report.final_params.as_ref() == Some(&clean);
 
-    // Lost (re-executed) iterations and detection overhead per incident.
-    let mut prev_gen = 0usize;
-    let mut lost_iters = 0usize;
-    let mut detect_s_total = 0.0f64;
-    let mut restore_s_total = 0.0f64;
-    let mut backoff_s_total = 0.0f64;
-    for inc in &report.incidents {
-        let executed = inc.at_progress.saturating_sub(prev_gen);
-        lost_iters += inc.at_progress.saturating_sub(inc.restored_generation);
-        detect_s_total += (inc.detect_s - executed as f64 * clean_iter_s).max(0.0);
-        restore_s_total += inc.restore_s;
-        backoff_s_total += inc.backoff_s;
-        prev_gen = inc.restored_generation;
-    }
-    let meas = RecoveryMeasurement {
-        wall_s: report.wall_s,
-        n_iterations: knobs.iters,
+    let meas = RecoveryMeasurement::from_report(
+        &report,
         clean_iter_s,
-        n_failures: report.incidents.len(),
-        lost_iterations: lost_iters,
-        restore_s_total,
-        backoff_s_total,
-        detect_s_total,
         save_s_total,
-        n_checkpoints: n_gens,
-        checkpoint_every_iters: knobs.ckpt_every,
-    };
+        n_gens,
+        knobs.ckpt_every,
+    );
     let measured = meas.measured_goodput();
     let predicted = meas.predicted_goodput();
     let young_daly_s = meas.to_model().young_daly_interval();
     let model_error = (measured - predicted).abs() / measured.max(1e-12);
 
-    // --- Elastic cycle through the same machinery: shrink on Lost,
-    // grow back on Returned, every hop over the canonical restore path.
+    // --- The elastic cycle (E35's scenario, real processes): SIGKILL one
+    // rank a third of the way in, run on at the degraded layout the cost
+    // model picks, get the rank back two thirds in, grow at the next
+    // checkpoint boundary.
     let lost_at = knobs.iters / 3;
     let back_at = 2 * knobs.iters / 3;
-    let events = [
-        CapacityEvent::Lost {
-            iteration: lost_at,
-            ranks: world / 4,
-        },
-        CapacityEvent::Returned {
-            iteration: back_at,
-            ranks: world / 4,
-        },
-    ];
+    let victim = StdRng::seed_from_u64(knobs.seed ^ 0xe1a5).gen_range(0..world);
+    let kill_e = KillSwitch {
+        thread: spec.thread_key(victim),
+        iteration: lost_at,
+    };
+    let events = [CapacityEvent::Returned {
+        iteration: back_at,
+        ranks: 1,
+    }];
     let root_e = scratch("elastic");
-    let sup_e = ProcSupervisor::new(&job_ck, &root_e);
-    let elastic = sup_e.run_elastic(&events).map_err(|e| e.to_string())?;
+    let elastic = supervised(
+        &job,
+        &root_e,
+        knobs.ckpt_every,
+        None,
+        &[kill_e],
+        Some(&events),
+    )?;
     // A degraded topology regroups the data-parallel gradient sum, so the
     // elastic run is *not* comparable bit-for-bit against the full-topology
     // run (same as E35). The determinism claim is per-segment: a fresh
     // process world launched from the grow-boundary generation must
     // reproduce the post-grow segment exactly.
-    let grow_gen = elastic
-        .reconfigurations
-        .iter()
-        .find(|r| r.direction == megatron_dist::ReconfigureDirection::Grow)
-        .map(|r| r.generation);
-    let elastic_params_ok = match grow_gen {
-        Some(gen) => {
-            let mut job_r = job_ck;
-            job_r.resume_from = gen;
-            let handle = launch_configured(
-                &job_r,
-                &root_e.join("replay"),
-                Some(&root_e.join("ckpt")),
-                None,
-            )
-            .map_err(|e| e.to_string())?;
-            let replay = handle.wait();
-            replay.ok()
-                && elastic
-                    .outcome
-                    .outputs
-                    .iter()
-                    .all(|(k, o)| replay.outputs.get(k).map(|c| &c.params) == Some(&o.params))
-        }
-        None => false,
+    let (shrink, grow) = match elastic.reconfigurations[..] {
+        [s, g] if g.direction == ReconfigureDirection::Grow => (s, g),
+        _ => return Err(format!("expected shrink then grow: {elastic:?}")),
     };
+    let mut job_r = job_ck;
+    job_r.resume_from = grow.generation;
+    let (replay, _) = plain_run(&job_r, "replay", Some(&root_e.join("ckpt")))?;
+    let elastic_params_ok = elastic.final_params.as_ref() == Some(&replay);
     let _ = std::fs::remove_dir_all(&root_e);
-    let elastic_wall: f64 = elastic.segments.iter().map(|s| s.wall_s).sum();
-    let degraded = elastic
-        .segments
-        .iter()
-        .find(|s| s.spec != knobs.ptd)
-        .copied();
-    let degraded_iter_s = degraded
-        .map(|s| s.wall_s / (s.to_iter - s.from_iter).max(1) as f64)
-        .unwrap_or(clean_iter_s);
+    // The degraded segment ran from the generation the shrink restored to
+    // the grow boundary; its wall is the outage the elastic policy worked
+    // through.
+    let outage_s = grow.segment_s;
+    let degraded_iters = grow.at_iter.saturating_sub(shrink.generation).max(1);
+    let degraded_iter_s = outage_s / degraded_iters as f64;
     let reconfigure_s: f64 = elastic.reconfigurations.iter().map(|r| r.restore_s).sum();
     let emodel = ElasticGoodputModel::from_measured(
         meas.to_model(),
@@ -295,8 +306,7 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
         reconfigure_s,
     );
     let useful_s = knobs.iters as f64 * clean_iter_s;
-    let outage_s = degraded.map(|s| s.wall_s).unwrap_or(0.0);
-    let elastic_measured = (useful_s / elastic_wall).clamp(0.0, 1.0);
+    let elastic_measured = (useful_s / elastic.wall_s).clamp(0.0, 1.0);
     let elastic_predicted = emodel.elastic_goodput(meas.interval_s(), useful_s, outage_s);
     let elastic_error = (elastic_measured - elastic_predicted).abs() / elastic_measured.max(1e-12);
 
@@ -313,7 +323,7 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
         kills.len(),
         kills
             .iter()
-            .map(|k| (k.rank, k.after_iter))
+            .map(|k| (spec.flat_rank(k.thread), k.iteration))
             .collect::<Vec<_>>(),
         faults.faults.len(),
     ));
@@ -325,12 +335,12 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
     for inc in &report.incidents {
         rep.push_str(&format!(
             "    attempt {}: {:?} at progress {} → restored gen {} \
-             (detect {:.3} s, restore {:.3} s, backoff {:.3} s)\n",
+             (attempt {:.3} s, restore {:.3} s, backoff {:.3} s)\n",
             inc.attempt,
             inc.dead_ranks,
-            inc.at_progress,
-            inc.restored_generation,
-            inc.detect_s,
+            inc.reached,
+            inc.resumed_from,
+            inc.attempt_wall_s,
             inc.restore_s,
             inc.backoff_s
         ));
@@ -352,19 +362,20 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
         model_error * 100.0,
         young_daly_s,
         meas.interval_s(),
-        lost_iters,
-        restore_s_total,
-        backoff_s_total,
+        meas.lost_iterations,
+        meas.restore_s_total,
+        meas.backoff_s_total,
     ));
     rep.push_str(&format!(
-        "\n  elastic: {} segments {:?}\n\
+        "\n  elastic: rank {victim} SIGKILLed at iteration {lost_at}, returned at {back_at}: \
+         {} incidents, reconfigurations {:?}\n\
          \x20 post-grow segment bit-identical to fresh launch from the grow generation: {}\n\
          \x20 elastic goodput: measured {:.4}, predicted {:.4} (error {:.1}%)\n",
-        elastic.segments.len(),
+        elastic.incidents.len(),
         elastic
-            .segments
+            .reconfigurations
             .iter()
-            .map(|s| (s.spec, s.from_iter, s.to_iter))
+            .map(|r| (r.from, r.to, r.at_iter, r.generation))
             .collect::<Vec<_>>(),
         yn(elastic_params_ok),
         elastic_measured,
@@ -395,8 +406,8 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
             // `lost_iterations` stays console-only: it races the 5 ms
             // supervisor poll (0 or 1 run-to-run), and a 0 baseline makes
             // any relative sentry delta explode.
-            ("restore_s_total".into(), restore_s_total),
-            ("backoff_s_total".into(), backoff_s_total),
+            ("restore_s_total".into(), meas.restore_s_total),
+            ("backoff_s_total".into(), meas.backoff_s_total),
             ("elastic_measured_goodput".into(), elastic_measured),
             ("elastic_predicted_goodput".into(), elastic_predicted),
             ("elastic_model_error".into(), elastic_error),
@@ -412,8 +423,8 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
     if !(chaos_params_ok && elastic_params_ok && ckpt_params_ok) {
         return Err(rep + "\nFAIL: a healed run diverged from the fault-free run");
     }
-    if report.incidents.is_empty() {
-        return Err(rep + "\nFAIL: chaos run saw no incidents — the kills never landed");
+    if report.incidents.is_empty() || elastic.incidents.is_empty() {
+        return Err(rep + "\nFAIL: a supervised leg saw no incidents — the kills never landed");
     }
     Ok(rep)
 }

@@ -788,11 +788,11 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
 
-    fn cfg() -> TinyGptConfig {
+    pub(crate) fn cfg() -> TinyGptConfig {
         TinyGptConfig {
             vocab: 16,
             seq: 6,
@@ -802,7 +802,7 @@ mod tests {
         }
     }
 
-    fn tmp_store(name: &str) -> (PathBuf, Arc<CheckpointStore>) {
+    pub(crate) fn tmp_store(name: &str) -> (PathBuf, Arc<CheckpointStore>) {
         let root = std::env::temp_dir().join(format!("mgckpt-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let store = CheckpointStore::open(&root).unwrap();
@@ -812,7 +812,7 @@ mod tests {
     /// Per-thread states derived from a seeded master model, with Adam
     /// moments that are simple functions of the parameters so resharding
     /// is independently checkable.
-    fn synthetic_states(
+    pub(crate) fn synthetic_states(
         cfg: TinyGptConfig,
         spec: &PtdpSpec,
         seed: u64,
@@ -843,7 +843,7 @@ mod tests {
         threads
     }
 
-    fn save_generation(
+    pub(crate) fn save_generation(
         store: &CheckpointStore,
         spec: &PtdpSpec,
         next_iter: usize,

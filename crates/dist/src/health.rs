@@ -9,7 +9,9 @@
 //! period), and [`HealthMonitor::classify`] splits the world into
 //!
 //! - **dead** — no beat within `dead_after` (default 4× the expected
-//!   period): only these justify the supervisor's fatal-incident path;
+//!   period): only these justify the supervisor's fatal-incident path
+//!   (both backends of `supervisor::Supervisor` report them as an
+//!   attempt's dead ranks);
 //! - **slow** — beating, but at an interval more than `threshold ×` the
 //!   median rank's: these feed straggler reporting
 //!   (`fault::StragglerReport`) and telemetry, never a restart.
@@ -167,20 +169,6 @@ impl HealthMonitor {
     /// Beats observed from `flat_rank` so far.
     pub fn beats(&self, flat_rank: usize) -> u64 {
         self.beacons[flat_rank].beats.load(Ordering::Relaxed)
-    }
-
-    /// How long `flat_rank` has been silent — time since its last beat,
-    /// or `None` if it never beat at all. The process-mode supervisor
-    /// stamps this into incident records (detection latency evidence)
-    /// and uses `None` to grant a startup grace period, since
-    /// [`HealthMonitor::classify`] counts a never-beaten rank as dead.
-    pub fn silence(&self, flat_rank: usize) -> Option<Duration> {
-        let last = self.beacons[flat_rank].last_ns.load(Ordering::Acquire);
-        if last == 0 {
-            return None;
-        }
-        let now_ns = self.started.elapsed().as_nanos() as u64;
-        Some(Duration::from_nanos(now_ns.saturating_sub(last)))
     }
 
     /// Classify every rank as healthy / slow / dead. `slow_threshold` is

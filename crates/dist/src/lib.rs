@@ -21,6 +21,11 @@
 //! integration tests: for any (p, t, d) and schedule, PTD-P training
 //! computes the *same* losses and the *same* final weights as serial
 //! single-process training (up to f32 reduction rounding).
+//!
+//! The same job also runs bit-identically as `p·t·d` OS processes over
+//! sockets ([`proc`]). Either way [`supervisor`] holds the one recovery loop,
+//! generic over a [`JobBackend`] that runs a single attempt:
+//! [`ThreadBackend`] for rank threads, [`ProcBackend`] for rank processes.
 
 pub mod assemble;
 pub mod block;
@@ -43,12 +48,13 @@ pub use comm::{
 };
 pub use health::{HealthMonitor, HealthReport, RankCondition, DEFAULT_SLOW_THRESHOLD};
 pub use proc::{
-    ElasticProcReport, JobSpec, LaunchHandle, ProcIncident, ProcKill, ProcOutcome, ProcReport,
-    ProcSupervisor, RankOutput, SocketFault, SocketFaultPlan, WorkerExit,
+    JobSpec, LaunchHandle, ProcBackend, ProcOutcome, RankOutput, SocketFault, SocketFaultPlan,
+    WorkerExit,
 };
 pub use supervisor::{
-    CapacityEvent, Incident, IncidentSeverity, Reconfiguration, ReconfigureDirection, Supervisor,
-    SupervisorConfig, SupervisorReport, TransientIncident,
+    Attempt, AttemptFailure, AttemptOutcome, CapacityEvent, Incident, IncidentCause, JobBackend,
+    JobShape, Reconfiguration, ReconfigureDirection, Supervisor, SupervisorConfig,
+    SupervisorReport, ThreadBackend,
 };
 pub use trainer::{
     KillSwitch, PtdpSpec, PtdpTrainer, RankCommOps, RankCommVolume, RunControl, StepSample,

@@ -68,19 +68,10 @@ pub enum WorkerExit {
 impl WorkerExit {
     fn of(status: std::process::ExitStatus) -> WorkerExit {
         use std::os::unix::process::ExitStatusExt;
-        if status.signal().is_some() {
-            WorkerExit::Killed
-        } else {
-            match status.code() {
-                Some(0) | None => {
-                    if status.success() {
-                        WorkerExit::Ok
-                    } else {
-                        WorkerExit::Failed(-1)
-                    }
-                }
-                Some(c) => WorkerExit::Failed(c),
-            }
+        match (status.signal(), status.code()) {
+            (Some(_), _) => WorkerExit::Killed,
+            (None, Some(0)) => WorkerExit::Ok,
+            (None, code) => WorkerExit::Failed(code.unwrap_or(-1)),
         }
     }
 }
@@ -99,6 +90,12 @@ pub struct ProcOutcome {
 }
 
 impl ProcOutcome {
+    /// Every reporting rank's final parameters, keyed by thread coordinate.
+    pub fn into_params(self) -> HashMap<ThreadKey, Vec<f32>> {
+        let params = self.outputs.into_iter().map(|(key, o)| (key, o.params));
+        params.collect()
+    }
+
     /// Did every rank finish cleanly?
     pub fn ok(&self) -> bool {
         self.missing.is_empty()
@@ -131,7 +128,7 @@ pub struct LaunchHandle {
 /// Launch `job` as `world` OS processes rendezvousing in `dir`
 /// (created if absent). The workers re-exec the **current executable**
 /// with `--proc-worker <dir> <rank>`, so the hosting binary must call
-/// [`maybe_worker`] before anything else.
+/// [`maybe_worker`](super::maybe_worker) before anything else.
 pub fn launch(job: &JobSpec, dir: &Path) -> std::io::Result<LaunchHandle> {
     launch_configured(job, dir, None, None)
 }

@@ -49,17 +49,19 @@
 //! [`RunControl::on_beat`](crate::trainer::RunControl) hook beats too, so
 //! the launcher's [`HealthMonitor`] classifies a SIGKILLed rank as dead
 //! while stalled survivors keep beating.
+//!
+//! [`SocketNode`]: megatron_collective::SocketNode
+//! [`SocketChannel`]: megatron_collective::SocketChannel
+//! [`Group`]: crate::comm::Group
+//! [`HealthMonitor`]: crate::health::HealthMonitor
 
+mod backend;
 mod launch;
 mod rendezvous;
 mod spec;
-mod supervise;
 mod worker;
 
+pub use backend::ProcBackend;
 pub use launch::{launch, launch_configured, LaunchHandle, ProcOutcome, RankOutput, WorkerExit};
 pub use spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
-pub use supervise::{
-    ElasticProcReport, IncidentCause, ProcIncident, ProcKill, ProcReport, ProcSegment,
-    ProcSupervisor,
-};
 pub use worker::{maybe_worker, worker_main};

@@ -1,6 +1,5 @@
-//! The rendezvous directory: channel ids, atomically published address /
-//! pid files, the stale-directory sweep, and the bit-exact `rank-R.out.json`
-//! field codecs shared by the worker (writer) and the launcher (reader).
+//! The rendezvous directory: channel ids, atomically published files, the
+//! stale-directory sweep, and the bit-exact `rank-R.out.json` field codecs.
 
 use std::fs;
 use std::path::Path;

@@ -1,6 +1,5 @@
-//! The serializable job description ([`JobSpec`], `job.json`) and the
-//! launcher-injected socket fault schedule ([`SocketFaultPlan`],
-//! `faults.json`) every worker reads at startup.
+//! What every worker reads at startup: the job ([`JobSpec`], `job.json`)
+//! and the socket fault schedule ([`SocketFaultPlan`], `faults.json`).
 
 use std::time::Duration;
 
@@ -62,7 +61,8 @@ pub struct JobSpec {
     pub hb_period: Duration,
     /// Durable checkpoint cadence in iterations (0 = no checkpointing).
     /// Workers write their own shards; the launcher commits complete
-    /// generations (see [`CheckpointStore::commit_complete_generations`]).
+    /// generations (see
+    /// [`commit_complete_generations`](crate::CheckpointStore::commit_complete_generations)).
     pub checkpoint_every: usize,
     /// Restore from this durable generation before training (0 = fresh
     /// start). The launcher pins the generation — rather than letting each
@@ -164,7 +164,9 @@ impl JobSpec {
     }
 
     /// Serialize to the `job.json` wire form. `f32` fields travel as
-    /// their `u32` bit patterns so the round trip is exact.
+    /// their `u32` bit patterns and the 64-bit seeds as decimal strings (a
+    /// JSON number is an `f64`: exact only below 2⁵³), so the round trip
+    /// is exact.
     pub fn to_json(&self) -> String {
         let n = |x: usize| Json::Num(x as f64);
         let schedule = match self.schedule {
@@ -192,8 +194,8 @@ impl JobSpec {
             ("hidden", n(self.model.hidden)),
             ("heads", n(self.model.heads)),
             ("layers", n(self.model.layers)),
-            ("model_seed", Json::Num(self.model_seed as f64)),
-            ("data_seed", Json::Num(self.data_seed as f64)),
+            ("model_seed", Json::Str(self.model_seed.to_string())),
+            ("data_seed", Json::Str(self.data_seed.to_string())),
             ("batch", n(self.batch)),
             ("iters", n(self.iters)),
             (
@@ -230,6 +232,16 @@ impl JobSpec {
         // (and hand-written ones) still parse.
         let us0 = |k: &str| j.get(k).as_f64().map(|v| v as usize).unwrap_or(0);
         let b = |k: &str| matches!(j.get(k), Json::Bool(true));
+        // Seeds are decimal strings; a job.json written before they were
+        // carries plain numbers (exact below 2⁵³), which still parse.
+        let seed = |k: &str| -> Result<u64, String> {
+            match j.get(k) {
+                Json::Str(s) => s.parse().ok(),
+                Json::Num(n) => Some(*n as u64),
+                _ => None,
+            }
+            .ok_or_else(|| format!("job.json: missing or malformed seed `{k}`"))
+        };
         let schedule = match j.get("schedule").as_str().unwrap_or("1f1b") {
             "gpipe" => ScheduleKind::GPipe,
             s if s.starts_with("interleaved:") => ScheduleKind::Interleaved {
@@ -263,8 +275,8 @@ impl JobSpec {
                 heads: us("heads")?,
                 layers: us("layers")?,
             },
-            model_seed: us("model_seed")? as u64,
-            data_seed: us("data_seed")? as u64,
+            model_seed: seed("model_seed")?,
+            data_seed: seed("data_seed")?,
             batch: us("batch")?,
             iters: us("iters")?,
             wire,
@@ -523,15 +535,19 @@ mod tests {
     #[test]
     fn resume_fields_default_to_zero_for_old_job_json() {
         // A job.json written before the self-healing fields existed must
-        // still parse (fresh run, no checkpointing).
+        // still parse (fresh run, no checkpointing) — and it carries its
+        // seeds as plain numbers.
         let job = JobSpec::canonical(2, 1, 1);
         let mut j = Json::parse(&job.to_json()).unwrap();
         if let Json::Obj(m) = &mut j {
             for k in ["checkpoint_every", "resume_from", "epoch"] {
                 m.remove(k);
             }
+            m.insert("model_seed".into(), Json::Num(job.model_seed as f64));
+            m.insert("data_seed".into(), Json::Num(job.data_seed as f64));
         }
         let back = JobSpec::from_json(&j.to_string()).unwrap();
+        assert_eq!((back.model_seed, back.data_seed), (7, 11));
         assert_eq!(back.checkpoint_every, 0);
         assert_eq!(back.resume_from, 0);
         assert_eq!(back.epoch, 0);

@@ -104,7 +104,7 @@ fn pump_recv(
 
 /// If the process was invoked as a rank worker (`--proc-worker <dir>
 /// <rank>` anywhere in argv), run the worker to completion and exit.
-/// Call this first thing in any binary that hosts [`launch`] — the
+/// Call this first thing in any binary that hosts [`launch`](super::launch) — the
 /// launcher re-execs the current executable with these arguments.
 pub fn maybe_worker() {
     let args: Vec<String> = std::env::args().collect();

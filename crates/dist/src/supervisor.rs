@@ -2,19 +2,26 @@
 //! without an operator in the loop.
 //!
 //! The paper's §5.10 prices checkpoint I/O but leaves restarts to a human;
-//! at large scale (MegaScale et al.) the control plane must notice the
-//! failure, restore the last durable checkpoint, and resume by itself. The
-//! [`Supervisor`] closes that loop around [`PtdpTrainer`]: it launches a
-//! run with durable checkpointing enabled, classifies any [`TrainError`],
-//! restores from the newest complete generation in its
-//! [`CheckpointStore`], and retries under a bounded exponential backoff
-//! and a max-restart budget. Transient errors (a killed rank, a failed
-//! collective, a broken pipeline) are retried; structural ones (missing
-//! snapshot state, a non-communicator panic, checkpoint I/O failure) stop
-//! the job immediately. Each recovery is recorded as an [`Incident`] —
-//! failed-attempt wall time, restore time, backoff, iterations of lost
-//! work — so measured recovery cost can be cross-checked against
-//! `megatron-fault`'s analytic goodput model.
+//! at large scale (MegaScale et al.) one driver-side recovery workflow
+//! notices the failure, restores the last durable checkpoint, and resumes
+//! over whatever executors it has. This module is that workflow, once: the
+//! [`Supervisor`] owns the *policy* — restart budget, exponential backoff,
+//! collective-timeout halving, restore points, the capacity ledger,
+//! shrink/grow, loss stitching, incident records — and a [`JobBackend`]
+//! owns the one *mechanism* it needs: run a single attempt at a given
+//! topology from a given durable generation and say how it ended.
+//! [`ThreadBackend`] runs rank threads via [`PtdpTrainer`];
+//! [`ProcBackend`](crate::proc::ProcBackend) runs rank OS processes over
+//! sockets with real SIGKILLs. The loop never asks which one it drives.
+//!
+//! Restartable failures (a killed rank, a failed collective, a dead or
+//! silent process) are retried from the newest durable generation in the
+//! [`CheckpointStore`]; structural ones (missing snapshot state, a
+//! non-communicator panic, checkpoint I/O failure, a world that cannot
+//! launch) stop the job immediately. Each recovery is recorded as an
+//! [`Incident`] — failed-attempt wall time, iteration reached, restore
+//! time, backoff, iterations of lost work — so measured recovery cost can
+//! be cross-checked against `megatron-fault`'s analytic goodput model.
 //!
 //! # Elastic reconfiguration
 //!
@@ -41,10 +48,10 @@
 //!
 //! Because training is deterministic and restores are exact-f32, the
 //! segment after a shrink or grow is bit-identical to a fresh run launched
-//! at that topology from the same generation (proven in
-//! `tests/recovery.rs`), and a supervised run that survives any number of
-//! mid-run kills produces bit-identical losses and final weights to a
-//! fault-free run of the same job.
+//! at that topology from the same generation (proven for both backends in
+//! `tests/recovery.rs` and `tests/process_mode.rs`), and a supervised run
+//! that survives any number of mid-run kills produces bit-identical final
+//! weights to a fault-free run of the same job.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,12 +61,11 @@ use megatron_sim::elastic::CostModel;
 use megatron_telemetry::{SpanArgs, SpanKind, TelemetrySink};
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
-use crate::checkpoint::{CheckpointError, CheckpointStore};
+use crate::checkpoint::{CheckpointError, CheckpointStore, Restored};
 use crate::comm::TransportConfig;
 use crate::health::{HealthMonitor, DEFAULT_SLOW_THRESHOLD};
-use crate::trainer::{
-    KillSwitch, PtdpSpec, PtdpTrainer, RunControl, ThreadKey, TrainError, TrainSnapshot,
-};
+use crate::proc::WorkerExit;
+use crate::trainer::{KillSwitch, PtdpSpec, PtdpTrainer, RunControl, ThreadKey, TrainError};
 
 /// Retry policy for a [`Supervisor`].
 #[derive(Debug, Clone, Copy)]
@@ -97,24 +103,6 @@ impl Default for SupervisorConfig {
             slow_threshold: DEFAULT_SLOW_THRESHOLD,
         }
     }
-}
-
-/// The fault taxonomy: what an incident *costs*.
-///
-/// The expensive question at scale is not "did something go wrong?" but
-/// "who pays?". Transient faults — dropped/duplicated/delayed messages, a
-/// briefly degraded link — are absorbed inside the transport's retry layer
-/// (`comm::TransportConfig`) and cost microseconds; the supervisor only
-/// logs them. Fatal faults — a dead rank, an exhausted retransmit budget —
-/// abort the attempt and cost a checkpoint restore plus the lost work
-/// since the last checkpoint (the Young/Daly term in
-/// `fault::GoodputModel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncidentSeverity {
-    /// Absorbed in-band; training continued, no restore was paid.
-    Transient,
-    /// Aborted the attempt; recovery required checkpoint restore.
-    Fatal,
 }
 
 /// A scheduled change in cluster capacity, mirroring [`KillSwitch`]: a
@@ -175,63 +163,83 @@ pub struct Reconfiguration {
     /// shrink's restore also appears in its [`Incident::restore_s`]; a
     /// grow's is recorded only here).
     pub restore_s: f64,
+    /// Wall-clock seconds of the attempt this change ended: the failed
+    /// attempt for a shrink, the truncated degraded segment for a grow
+    /// (what the outage cost at the degraded topology).
+    pub segment_s: f64,
 }
 
-/// A batch of transient faults one attempt absorbed without restarting,
-/// observed via the transport's telemetry counters. The existence of
-/// these entries alongside a zero restart count is the proof that
-/// transient faults no longer trigger the fatal path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransientIncident {
-    /// The attempt during which the faults were absorbed.
-    pub attempt: usize,
-    /// Poll retries the reliable transport performed.
-    pub retries: u64,
-    /// Frames recovered from the retransmit store.
-    pub retransmits: u64,
-    /// Duplicate frames discarded.
-    pub duplicates_dropped: u64,
+/// What ended a failed attempt, as its backend observed it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IncidentCause {
+    /// A rank of an in-process world returned this error.
+    Train(TrainError),
+    /// Rank processes ended abnormally: `(flat rank, how)`.
+    Exit(Vec<(usize, WorkerExit)>),
+    /// Rank processes still running but heartbeat-silent past the dead
+    /// window (flat ranks).
+    Silence(Vec<usize>),
+    /// No rank died, but the attempt overran its wall-clock limit.
+    Wedged,
+    /// The world could not be started at all.
+    Launch(String),
 }
 
-/// One failure → recovery cycle, as observed by the supervisor. Always
-/// [`IncidentSeverity::Fatal`]: transient faults are absorbed below the
-/// supervisor and logged as [`TransientIncident`]s instead.
+impl std::fmt::Display for IncidentCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IncidentCause::Train(e) => write!(f, "{e}"),
+            other => write!(f, "{other:?}"),
+        }
+    }
+}
+
+/// One failure → recovery cycle, as observed by the supervisor. Fatal by
+/// construction — the fault taxonomy is about who pays: transient faults
+/// (dropped/duplicated/delayed messages, a briefly degraded link) are
+/// absorbed inside the transport's retry layer (`comm::TransportConfig`),
+/// cost microseconds and show only in the `transport_*` telemetry
+/// counters; fatal ones (a dead rank, an exhausted retransmit budget)
+/// abort the attempt and cost a checkpoint restore plus the lost work since
+/// the last checkpoint (the Young/Daly term in `fault::GoodputModel`).
 #[derive(Debug, Clone)]
 pub struct Incident {
-    /// Severity under the fault taxonomy (fatal by construction — the
-    /// error reached the supervisor).
-    pub severity: IncidentSeverity,
     /// Which attempt failed (0 = the initial run).
     pub attempt: usize,
-    /// The error that ended the attempt.
-    pub error: TrainError,
-    /// Wall-clock seconds the failed attempt ran before the error
-    /// surfaced (work + detection).
+    /// What ended the attempt.
+    pub cause: IncidentCause,
+    /// Wall-clock seconds the failed attempt ran before the failure
+    /// surfaced (launch + work + detection + teardown).
     pub attempt_wall_s: f64,
-    /// Iteration the next attempt resumed from (0 = from scratch).
+    /// Iteration the attempt had reached when it failed (absolute).
+    pub reached: usize,
+    /// Iteration the next attempt resumed from (0 = from scratch) — the
+    /// durable generation restored.
     pub resumed_from: usize,
     /// Completed iterations that must be re-executed because they
     /// post-date the restored checkpoint — the Young/Daly "lost work".
     pub lost_iterations: usize,
-    /// Seconds spent validating and loading the durable checkpoint.
+    /// Seconds spent sealing, validating and loading the durable
+    /// checkpoint.
     pub restore_s: f64,
     /// Seconds slept in exponential backoff before the restart.
     pub backoff_s: f64,
     /// Whether the restore had to reshard a canonical layout because the
     /// stored topology differs from the running one.
     pub cross_topology: bool,
-    /// Ranks the health monitor declared dead when the attempt failed
-    /// (empty when health monitoring is off). For a single killed rank
-    /// this names the culprit directly, without log archaeology.
-    pub dead_ranks: Vec<ThreadKey>,
+    /// Flat ranks of the failed attempt's topology
+    /// ([`PtdpSpec::thread_key`] maps them back) the backend declared gone,
+    /// sorted. For a single killed rank this names the culprit directly.
+    pub dead_ranks: Vec<usize>,
 }
 
 /// Everything a supervised run produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SupervisorReport {
     /// Mean loss per iteration, stitched across attempts. Deterministic
     /// training + exact restores make these bit-identical to a fault-free
-    /// run's losses.
+    /// run's losses wherever the backend could report them (a SIGKILLed
+    /// process world leaves zeros for iterations only it executed).
     pub losses: Vec<f32>,
     /// Final per-thread parameters, if the job completed. Keyed by the
     /// topology the job *finished* at (the launch spec unless an elastic
@@ -239,31 +247,22 @@ pub struct SupervisorReport {
     pub final_params: Option<HashMap<ThreadKey, Vec<f32>>>,
     /// One entry per failure the supervisor recovered from (or died on).
     pub incidents: Vec<Incident>,
-    /// Transient faults absorbed below the supervisor, one entry per
-    /// attempt that absorbed any (observed via transport telemetry).
-    /// These cost retries, never restarts.
-    pub transient: Vec<TransientIncident>,
     /// Topology changes an elastic run performed, in order. Empty for
     /// [`Supervisor::run`].
     pub reconfigurations: Vec<Reconfiguration>,
     /// Attempts launched (1 = clean run, no failures). A grow boundary
-    /// counts as a launch (it starts a new trainer world) but not a
-    /// restart.
+    /// counts as a launch (it starts a new world) but not a restart.
     pub attempts: usize,
     /// Checkpoint restores actually paid. The chaos harness asserts this
     /// equals the number of *fatal* faults injected — transient faults
     /// must leave it untouched.
     pub restarts: usize,
-    /// The error that exhausted the budget or was classified as
-    /// non-retryable, if the job did not complete.
-    pub gave_up: Option<TrainError>,
+    /// The cause that exhausted the budget, was classified as
+    /// non-restartable, or left no capacity to run on, if the job did not
+    /// complete.
+    pub gave_up: Option<IncidentCause>,
     /// Total wall-clock seconds, including restores and backoff.
     pub wall_s: f64,
-    /// Mean per-iteration seconds over the final successful attempt
-    /// (max across threads per iteration) — the empirical "clean"
-    /// iteration cost for goodput accounting. 0 if the job never
-    /// completed.
-    pub clean_iter_s: f64,
     /// Iterations the job was asked to run.
     pub iterations: usize,
 }
@@ -275,30 +274,84 @@ impl SupervisorReport {
     }
 }
 
-/// The ranking cost model for a job (the simulator's elastic module),
-/// parameterized by the global batch the data carries. Shared by the
-/// thread-mode [`Supervisor`] and the process-mode
-/// [`ProcSupervisor`](crate::proc::ProcSupervisor).
-pub(crate) fn job_cost_model(
-    spec: &PtdpSpec,
-    model_cfg: TinyGptConfig,
-    global_batch: usize,
-) -> CostModel {
-    let mut cm = CostModel::for_job(
-        model_cfg.layers,
-        model_cfg.heads,
-        global_batch.max(1),
-        spec.microbatch,
-    );
-    cm.chunks = spec.chunks;
-    cm
+/// What the policy loop needs to know about the job it supervises.
+#[derive(Debug, Clone, Copy)]
+pub struct JobShape {
+    /// Launch topology and every non-topology training knob.
+    pub spec: PtdpSpec,
+    /// Model architecture.
+    pub model: TinyGptConfig,
+    /// Samples per iteration (what the cost model divides among `d`).
+    pub global_batch: usize,
+    /// Iterations the job runs.
+    pub iterations: usize,
+}
+
+/// One attempt the [`Supervisor`] asks a [`JobBackend`] to run.
+pub struct Attempt<'a> {
+    /// Topology to launch (every other knob is the launch spec's).
+    pub spec: PtdpSpec,
+    /// Durable state to resume from (`None` = scratch): the snapshot for a
+    /// backend that restores in memory, the generation for one that pins.
+    pub restore: Option<Restored>,
+    /// Run up to (not including) this absolute iteration.
+    pub stop: usize,
+    /// At most one armed kill, inside `[resume iteration, stop)`.
+    pub kill: Option<KillSwitch>,
+    /// Collective timeout for this attempt.
+    pub comm_timeout: Duration,
+    /// Incident epoch (the attempt index): tags step samples and spans, so
+    /// a resumed run's never interleave with the pre-failure ones.
+    pub epoch: usize,
+    /// Where the attempt's ranks write their checkpoint shards.
+    pub store: &'a Arc<CheckpointStore>,
+    /// Checkpoint cadence and straggler threshold.
+    pub cfg: &'a SupervisorConfig,
+    /// Sink the ranks trace into, when the backend can share one.
+    pub telemetry: Option<&'a Arc<TelemetrySink>>,
+}
+
+/// How a failed attempt ended.
+#[derive(Debug, Clone)]
+pub struct AttemptFailure {
+    /// What the backend saw.
+    pub cause: IncidentCause,
+    /// Flat ranks whose hardware is gone — not survivors that aborted
+    /// because a peer died. The elastic ledger is debited per distinct rank.
+    pub dead_ranks: Vec<usize>,
+    /// Absolute iteration the world had reached.
+    pub reached: usize,
+    /// Worth a checkpoint restore and a relaunch, or structurally broken?
+    pub restartable: bool,
+}
+
+/// What one attempt produced.
+#[derive(Debug, Default)]
+pub struct AttemptOutcome {
+    /// Mean loss per absolute iteration, one entry for every iteration
+    /// below `stop` (unless the world never launched); only those the
+    /// attempt executed and could report are meaningful.
+    pub losses: Vec<f32>,
+    /// Final parameters per thread (complete only on success).
+    pub final_params: HashMap<ThreadKey, Vec<f32>>,
+    /// `None` = every rank ran to `stop`.
+    pub failure: Option<AttemptFailure>,
+}
+
+/// The one mechanism the supervision policy is generic over.
+pub trait JobBackend {
+    /// The job this backend executes.
+    fn shape(&self) -> JobShape;
+    /// Launch `attempt.spec` from `attempt.restore`, run to `attempt.stop`
+    /// or failure, tear the world down completely, and report.
+    fn run_attempt(&self, attempt: Attempt<'_>) -> AttemptOutcome;
 }
 
 /// The best valid (p, t, d) fitting `capacity` ranks, as a full spec
 /// inheriting every non-topology knob from `base`. Respects the one
 /// constraint the cost model cannot see: vocab-parallel runs need
 /// `t | vocab`.
-pub(crate) fn pick_best_spec(
+fn pick_best_spec(
     cost: &CostModel,
     base: &PtdpSpec,
     model_cfg: TinyGptConfig,
@@ -322,180 +375,135 @@ pub(crate) fn pick_best_spec(
         })
 }
 
-/// Auto-recovery wrapper around [`PtdpTrainer`]: train, and on failure
-/// restore from the durable store and retry until the job completes or
-/// the restart budget runs out. [`Supervisor::run_elastic`] additionally
+fn dims(spec: &PtdpSpec) -> (usize, usize, usize) {
+    (spec.pipeline, spec.tensor, spec.data)
+}
+
+/// Carry fault-injection points across a topology change: a kill aimed
+/// at a rank of the old world lands on `flat % new_world` of the new.
+fn remap_kills(pending: &mut [KillSwitch], from: &PtdpSpec, to: &PtdpSpec) {
+    for kp in pending.iter_mut() {
+        let flat = from.flat_rank(kp.thread);
+        kp.thread = to.thread_key(flat % to.world());
+    }
+}
+
+/// Auto-recovery around a [`JobBackend`]: run the job, and on failure
+/// restore from the durable store and retry until it completes or the
+/// restart budget runs out. [`Supervisor::run_elastic`] additionally
 /// reshapes (p, t, d) to fit surviving capacity.
-pub struct Supervisor {
-    master: GptModel,
-    spec: PtdpSpec,
-    model_cfg: TinyGptConfig,
+pub struct Supervisor<B: JobBackend> {
+    backend: B,
     store: Arc<CheckpointStore>,
     cfg: SupervisorConfig,
     telemetry: Option<Arc<TelemetrySink>>,
-    transport: TransportConfig,
-    health_period: Option<Duration>,
 }
 
-impl Supervisor {
-    /// Build a supervisor for training `master` under `spec`, durably
-    /// checkpointing into `store`.
-    pub fn new(
-        master: GptModel,
-        spec: PtdpSpec,
-        store: Arc<CheckpointStore>,
-        cfg: SupervisorConfig,
-    ) -> Supervisor {
+impl<B: JobBackend> Supervisor<B> {
+    /// Supervise `backend`'s job, durably checkpointing into `store`.
+    pub fn new(backend: B, store: Arc<CheckpointStore>, cfg: SupervisorConfig) -> Self {
         assert!(cfg.checkpoint_every > 0, "checkpoint interval must be > 0");
-        // Validate the launch spec eagerly (same asserts a trainer build
-        // would raise, but at supervisor construction time).
-        let _ = PtdpTrainer::new(master.clone(), spec);
-        let model_cfg = master.cfg;
         Supervisor {
-            master,
-            spec,
-            model_cfg,
+            backend,
             store,
             cfg,
             telemetry: None,
-            transport: TransportConfig::default(),
-            health_period: None,
         }
     }
 
-    /// Attach a telemetry sink: every attempt's rank threads trace into it
-    /// (spans tagged with the attempt as their incident epoch), and the
-    /// supervisor itself publishes `supervisor_incidents` /
-    /// `supervisor_restarts` counters (plus `supervisor_reconfigurations`
-    /// / `supervisor_shrinks` / `supervisor_grows` and per-topology
-    /// `supervisor_iters_p*_t*_d*` iteration counters for elastic runs).
-    pub fn with_telemetry(mut self, sink: Arc<TelemetrySink>) -> Supervisor {
+    /// Attach a telemetry sink: every attempt's ranks trace into it when
+    /// the backend shares an address space with them (spans tagged with
+    /// the attempt as their incident epoch), and the supervisor publishes
+    /// `supervisor_incidents` / `supervisor_restarts` counters (plus
+    /// `supervisor_reconfigurations` / `_shrinks` / `_grows` and
+    /// per-topology `supervisor_iters_p*_t*_d*` counters when elastic).
+    pub fn with_telemetry(mut self, sink: Arc<TelemetrySink>) -> Self {
         self.telemetry = Some(sink);
         self
     }
 
-    /// Wire configuration for every attempt's communicator groups: the
-    /// reliable retry layer and/or seeded transient-fault injection (the
-    /// chaos harness's lever). Transient faults the retry layer absorbs
-    /// surface as [`TransientIncident`]s, not restarts.
-    pub fn with_transport(mut self, transport: TransportConfig) -> Supervisor {
-        self.transport = transport;
-        self
+    /// Collective timeout after `restarts` failures: halved per retry,
+    /// floored.
+    fn comm_timeout(&self, base: Duration, restarts: usize) -> Duration {
+        (base / (1u32 << restarts.min(31))).max(self.cfg.min_comm_timeout)
     }
 
-    /// Enable heartbeat health monitoring: each attempt gets a fresh
-    /// [`HealthMonitor`] with this expected beat period (one beat per
-    /// training iteration), and failed attempts record which ranks were
-    /// dead in [`Incident::dead_ranks`].
-    pub fn with_health(mut self, period: Duration) -> Supervisor {
-        self.health_period = Some(period);
-        self
+    /// Backoff before restart number `restarts` (0-based).
+    fn backoff(&self, restarts: usize) -> Duration {
+        self.cfg
+            .backoff_base
+            .saturating_mul(1u32 << restarts.min(20))
+            .min(self.cfg.backoff_max)
     }
 
-    /// Collective timeout for attempt `n`: halved per retry, floored.
-    fn comm_timeout(&self, attempt: usize) -> Duration {
-        let mut t = self.spec.comm_timeout;
-        for _ in 0..attempt {
-            t /= 2;
-        }
-        t.max(self.cfg.min_comm_timeout)
+    /// The restore point for a world of shape `want`: seal every complete
+    /// generation the previous world (`wrote`) left as loose shards (rank
+    /// processes cannot commit: each sees only its own), then load the
+    /// newest that validates — snapshot and generation number both.
+    fn restore_point(
+        &self,
+        wrote: &PtdpSpec,
+        want: &PtdpSpec,
+        model: TinyGptConfig,
+    ) -> Result<Restored, CheckpointError> {
+        // A failed seal only means an older generation is restored.
+        let _ = self.store.commit_complete_generations(wrote, model);
+        self.store.load_latest(want, model)
     }
 
-    /// Is this error worth a restart, or is the job structurally broken?
-    ///
-    /// Note the name: every error that reaches the supervisor is a *fatal*
-    /// fault under the [`IncidentSeverity`] taxonomy (transient faults are
-    /// absorbed by the transport's retry layer and never surface). This
-    /// predicate decides whether a fatal fault is *restartable* — worth
-    /// paying a checkpoint restore for — or structural.
-    fn is_restartable(e: &TrainError) -> bool {
-        matches!(
-            e,
-            TrainError::Killed(_) | TrainError::Comm(_) | TrainError::PipelineBroken(_)
-        )
-    }
-
-    /// Transient faults `sink` has tallied so far (retries, retransmits,
-    /// duplicates), for delta-ing around an attempt.
-    fn transient_tally(sink: &TelemetrySink) -> (u64, u64, u64) {
-        (
-            sink.metrics.counter("transport_retries").get(),
-            sink.metrics.counter("transport_retransmits").get(),
-            sink.metrics.counter("transport_duplicates_dropped").get(),
-        )
-    }
-
-    /// The ranking cost model for this job (the simulator's elastic
-    /// module), parameterized by the global batch the data carries.
-    fn cost_model(&self, global_batch: usize) -> CostModel {
-        job_cost_model(&self.spec, self.model_cfg, global_batch)
-    }
-
-    /// The best valid (p, t, d) fitting `capacity` ranks, as a full spec
-    /// inheriting every non-topology knob from the launch spec.
-    fn best_spec(&self, cost: &CostModel, capacity: usize) -> Option<PtdpSpec> {
-        pick_best_spec(cost, &self.spec, self.model_cfg, capacity)
-    }
-
-    /// Carry fault-injection points across a topology change: a kill aimed
-    /// at a rank of the old world lands on `flat % new_world` of the new.
-    fn remap_kills(pending: &mut [KillSwitch], from: &PtdpSpec, to: &PtdpSpec) {
-        for kp in pending.iter_mut() {
-            let flat = from.flat_rank(kp.thread);
-            kp.thread = to.thread_key(flat % to.world());
+    fn count(&self, counter: &str, by: u64) {
+        if let Some(sink) = &self.telemetry {
+            sink.metrics.counter(counter).add(by);
         }
     }
 
-    fn dims(spec: &PtdpSpec) -> (usize, usize, usize) {
-        (spec.pipeline, spec.tensor, spec.data)
-    }
-
-    /// Publish a reconfiguration to telemetry: counters plus a span on a
-    /// synthetic control-plane rank (one past the launch world, so it can
-    /// never collide with a real rank's trace).
-    fn trace_reconfiguration(&self, rc: &Reconfiguration, epoch: usize, start_ns: u64) {
-        let Some(sink) = &self.telemetry else { return };
-        sink.metrics.counter("supervisor_reconfigurations").inc();
-        sink.metrics
-            .counter(match rc.direction {
-                ReconfigureDirection::Shrink => "supervisor_shrinks",
-                ReconfigureDirection::Grow => "supervisor_grows",
-            })
-            .inc();
-        let mut tracer = sink.hub.tracer(self.spec.world(), (usize::MAX, 0, 0));
-        tracer.close(
-            SpanKind::Checkpoint,
-            match rc.direction {
-                ReconfigureDirection::Shrink => "reconfigure-shrink",
-                ReconfigureDirection::Grow => "reconfigure-grow",
-            },
-            start_ns,
-            rc.at_iter,
-            epoch,
-            SpanArgs::NONE,
-        );
+    /// Publish a reconfiguration: counters plus a span on a synthetic
+    /// control-plane rank (one past the launch world, so it can never
+    /// collide with a real rank's trace).
+    fn record_reconfiguration(
+        &self,
+        report: &mut SupervisorReport,
+        rc: Reconfiguration,
+        epoch: usize,
+        start_ns: u64,
+    ) {
+        let (counter, span) = match rc.direction {
+            ReconfigureDirection::Shrink => ("supervisor_shrinks", "reconfigure-shrink"),
+            ReconfigureDirection::Grow => ("supervisor_grows", "reconfigure-grow"),
+        };
+        self.count("supervisor_reconfigurations", 1);
+        self.count(counter, 1);
+        if let Some(sink) = &self.telemetry {
+            let control_rank = self.backend.shape().spec.world();
+            let mut tracer = sink.hub.tracer(control_rank, (usize::MAX, 0, 0));
+            tracer.close(
+                SpanKind::Checkpoint,
+                span,
+                start_ns,
+                rc.at_iter,
+                epoch,
+                SpanArgs::NONE,
+            );
+        }
+        report.reconfigurations.push(rc);
     }
 
     /// Count iterations executed under a topology (the per-topology-epoch
     /// counter: how much work each shape of the job did).
     fn count_topology_iters(&self, spec: &PtdpSpec, iters: usize) {
-        if iters == 0 {
-            return;
-        }
-        if let Some(sink) = &self.telemetry {
-            let (p, t, d) = Self::dims(spec);
-            sink.metrics
-                .counter(&format!("supervisor_iters_p{p}_t{t}_d{d}"))
-                .add(iters as u64);
+        if iters > 0 {
+            let (p, t, d) = dims(spec);
+            self.count(&format!("supervisor_iters_p{p}_t{t}_d{d}"), iters as u64);
         }
     }
 
-    /// Run the full `data` schedule to completion, restarting through
-    /// failures at a fixed topology. `kills` are fault-injection points
-    /// (at most one is armed per attempt — the earliest one at or after
-    /// the attempt's resume iteration, mirroring one GPU death at a time).
-    pub fn run(&self, data: &[(Vec<usize>, Vec<usize>)], kills: &[KillSwitch]) -> SupervisorReport {
-        self.run_inner(data, kills, &[], false)
+    /// Run the job to completion, restarting through failures at a fixed
+    /// topology. `kills` are fault-injection points (at most one is armed
+    /// per attempt — the earliest one at or after the attempt's resume
+    /// iteration, mirroring one GPU death at a time). Generations an
+    /// earlier run left in the store are resumed from, not recomputed.
+    pub fn run(&self, kills: &[KillSwitch]) -> SupervisorReport {
+        self.supervise(kills, &[], false)
     }
 
     /// Like [`Supervisor::run`], but elastic: fatal incidents shrink the
@@ -504,544 +512,630 @@ impl Supervisor {
     /// boundary. `capacity` is the seeded schedule of losses/repairs.
     pub fn run_elastic(
         &self,
-        data: &[(Vec<usize>, Vec<usize>)],
         kills: &[KillSwitch],
         capacity: &[CapacityEvent],
     ) -> SupervisorReport {
-        self.run_inner(data, kills, capacity, true)
+        self.supervise(kills, capacity, true)
     }
 
-    fn run_inner(
+    fn supervise(
         &self,
-        data: &[(Vec<usize>, Vec<usize>)],
         kills: &[KillSwitch],
         capacity_events: &[CapacityEvent],
         elastic: bool,
     ) -> SupervisorReport {
         let t0 = Instant::now();
+        let shape = self.backend.shape();
+        let (launch, model, iterations) = (shape.spec, shape.model, shape.iterations);
+        let k = self.cfg.checkpoint_every;
+        // The simulator's elastic cost model ranks candidate topologies.
+        let mut cost = CostModel::for_job(
+            model.layers,
+            model.heads,
+            shape.global_batch.max(1),
+            launch.microbatch,
+        );
+        cost.chunks = launch.chunks;
+        let now_ns = || self.telemetry.as_ref().map_or(0, |s| s.hub.now_ns());
+
         let mut pending: Vec<KillSwitch> = kills.to_vec();
         pending.sort_by_key(|k| k.iteration);
-        let mut lost: Vec<(usize, usize)> = capacity_events
-            .iter()
-            .filter_map(|e| match e {
-                CapacityEvent::Lost { iteration, ranks } => Some((*iteration, *ranks)),
-                _ => None,
-            })
-            .collect();
+        // The capacity schedule as ordered `(iteration, ranks)` queues.
+        let (mut lost, mut returns) = (Vec::new(), Vec::new());
+        for event in capacity_events {
+            match *event {
+                CapacityEvent::Lost { iteration, ranks } => lost.push((iteration, ranks)),
+                CapacityEvent::Returned { iteration, ranks } => returns.push((iteration, ranks)),
+            }
+        }
         lost.sort_unstable();
-        let mut returns: Vec<(usize, usize)> = capacity_events
-            .iter()
-            .filter_map(|e| match e {
-                CapacityEvent::Returned { iteration, ranks } => Some((*iteration, *ranks)),
-                _ => None,
-            })
-            .collect();
         returns.sort_unstable();
 
-        let launch = self.spec;
-        let mut cur_spec = launch;
+        let mut report = SupervisorReport {
+            losses: vec![0.0; iterations],
+            iterations,
+            ..SupervisorReport::default()
+        };
+        let mut cur = launch;
         let mut capacity = launch.world();
-        let global_batch = data
-            .first()
-            .map_or(1, |(toks, _)| toks.len() / self.model_cfg.seq);
-        let cost = self.cost_model(global_batch);
-
-        let mut losses = vec![0.0f32; data.len()];
-        let mut incidents: Vec<Incident> = Vec::new();
-        let mut transient: Vec<TransientIncident> = Vec::new();
-        let mut reconfigurations: Vec<Reconfiguration> = Vec::new();
-        let mut restarts = 0usize;
-        let mut restore: Option<TrainSnapshot> = None;
-        let mut final_params = None;
-        let mut gave_up = None;
-        let mut attempts;
-        let mut clean_iter_s = 0.0;
-        let mut last_error: Option<TrainError> = None;
-        // Two counters, one job: `attempt` numbers every world launched
-        // (it is the telemetry/incident epoch), `fatal_restarts` counts
-        // only failures — a planned grow launches a new world without
-        // consuming restart budget or escalating the backoff.
-        let mut attempt = 0usize;
-        let mut fatal_restarts = 0usize;
+        let mut restore = self.restore_point(&cur, &cur, model).ok();
 
         loop {
-            attempts = attempt + 1;
-            let start_iter = restore.as_ref().map_or(0, |s| s.next_iter);
-            let k = self.cfg.checkpoint_every;
+            // Two counters, one job: `attempt` numbers every world
+            // launched (it is the telemetry/incident epoch),
+            // `report.restarts` counts only failures — a planned grow
+            // launches a new world without consuming restart budget or
+            // escalating the backoff.
+            let attempt = report.attempts;
+            report.attempts += 1;
+            let start = restore.as_ref().map_or(0, |r| r.snapshot.next_iter);
             // Grow only at a checkpoint boundary: a degraded segment with
             // repaired capacity scheduled is truncated at the first
             // boundary at/after the return point, which durably commits
             // that generation for the grown world to reshard from.
-            let stop = if elastic && cur_spec.world() < launch.world() {
-                match returns.first() {
-                    Some(&(r_iter, _)) => {
-                        let boundary = r_iter.max(start_iter + 1).div_ceil(k) * k;
-                        boundary.min(data.len())
-                    }
-                    None => data.len(),
+            let stop = match returns.first() {
+                Some(&(r_iter, _)) if elastic && cur.world() < launch.world() => {
+                    (r_iter.max(start + 1).div_ceil(k) * k).min(iterations)
                 }
-            } else {
-                data.len()
+                _ => iterations,
             };
-
             let armed = pending
                 .iter()
-                .position(|kp| kp.iteration >= start_iter && kp.iteration < stop);
+                .position(|kp| kp.iteration >= start && kp.iteration < stop);
             let kill = armed.map(|i| pending[i]);
 
-            // Fresh monitor per attempt: a restarted world starts with a
-            // clean liveness slate.
-            let health = self.health_period.map(|p| HealthMonitor::new(&cur_spec, p));
-            // Transport counters are cumulative across attempts in the
-            // sink; delta around the attempt to attribute absorbed faults.
-            let tally_before = self.telemetry.as_deref().map(Self::transient_tally);
-
-            let trainer = PtdpTrainer::new(self.master.clone(), cur_spec);
-            let ctl = RunControl {
-                checkpoint_every: Some(k),
+            let attempt_t0 = Instant::now();
+            let out = self.backend.run_attempt(Attempt {
+                spec: cur,
                 restore: restore.take(),
+                stop,
                 kill,
-                comm_timeout: Some(self.comm_timeout(fatal_restarts)),
-                durable: Some(Arc::clone(&self.store)),
-                // The attempt index is the incident epoch: step samples and
-                // spans from a resumed run are distinguishable from the
-                // pre-failure ones even at the same iteration number.
+                comm_timeout: self.comm_timeout(launch.comm_timeout, report.restarts),
                 epoch: attempt,
-                telemetry: self.telemetry.clone(),
+                store: &self.store,
+                cfg: &self.cfg,
+                telemetry: self.telemetry.as_ref(),
+            });
+            let attempt_wall_s = attempt_t0.elapsed().as_secs_f64();
+
+            let Some(fail) = out.failure else {
+                report.losses[start..stop].copy_from_slice(&out.losses[start..stop]);
+                self.count_topology_iters(&cur, stop - start);
+                if stop == iterations {
+                    report.final_params = Some(out.final_params);
+                    break;
+                }
+                // Reached a grow boundary: generation `stop` is on disk.
+                // Credit the repaired capacity and reshard up — to the
+                // launch topology when everything is back, else to the
+                // best shape the ledger allows.
+                while returns.first().is_some_and(|&(ri, _)| ri <= stop) {
+                    capacity = (capacity + returns.remove(0).1).min(launch.world());
+                }
+                let target = if capacity >= launch.world() {
+                    Some(launch)
+                } else {
+                    pick_best_spec(&cost, &launch, model, capacity)
+                }
+                .filter(|t| dims(t) != dims(&cur));
+                let (span_t0, restore_t0) = (now_ns(), Instant::now());
+                let grown =
+                    target.and_then(|t| Some((t, self.restore_point(&cur, &t, model).ok()?)));
+                restore = match grown {
+                    Some((to, r)) => {
+                        let rc = Reconfiguration {
+                            at_iter: stop,
+                            generation: r.generation,
+                            from: dims(&cur),
+                            to: dims(&to),
+                            direction: ReconfigureDirection::Grow,
+                            capacity,
+                            restore_s: restore_t0.elapsed().as_secs_f64(),
+                            segment_s: attempt_wall_s,
+                        };
+                        self.record_reconfiguration(&mut report, rc, attempt, span_t0);
+                        remap_kills(&mut pending, &cur, &to);
+                        cur = to;
+                        Some(r)
+                    }
+                    None => {
+                        // Either the best shape is the one already running
+                        // (resume in place), or the store cannot reshard up
+                        // (only ZeRO-sharded generations): stay degraded
+                        // and stop trying to grow.
+                        if target.is_some() {
+                            returns.clear();
+                        }
+                        self.restore_point(&cur, &cur, model).ok()
+                    }
+                };
+                continue;
+            };
+
+            self.count("supervisor_incidents", 1);
+            let mut dead_ranks = fail.dead_ranks;
+            dead_ranks.sort_unstable();
+            dead_ranks.dedup();
+            let mut inc = Incident {
+                attempt,
+                cause: fail.cause,
+                attempt_wall_s,
+                reached: fail.reached,
+                resumed_from: 0,
+                lost_iterations: 0,
+                restore_s: 0.0,
+                backoff_s: 0.0,
+                cross_topology: false,
+                dead_ranks,
+            };
+
+            // Where the next attempt runs, if there is one: nowhere when
+            // the failure is structural or the budget is spent; shrunken
+            // when the survivors no longer fit the current world (nowhere
+            // again if nothing valid fits them — the job is out of
+            // cluster).
+            let target = if fail.restartable && report.restarts < self.cfg.max_restarts {
+                // The armed kill has fired; it must not re-arm.
+                if let Some(i) = armed {
+                    pending.remove(i);
+                }
+                if elastic {
+                    // Debit the ledger: the incident's own dead ranks (at
+                    // least one when a kill fired), plus any scheduled
+                    // losses up to the failure.
+                    let own = inc.dead_ranks.len().max(usize::from(kill.is_some()));
+                    capacity = capacity.saturating_sub(own);
+                    while lost.first().is_some_and(|&(li, _)| li <= inc.reached) {
+                        capacity = capacity.saturating_sub(lost.remove(0).1);
+                    }
+                }
+                if elastic && capacity < cur.world() {
+                    pick_best_spec(&cost, &launch, model, capacity)
+                } else {
+                    Some(cur)
+                }
+            } else {
+                None
+            };
+            let Some(target) = target else {
+                report.gave_up = Some(inc.cause.clone());
+                report.incidents.push(inc);
+                break;
+            };
+
+            let (span_t0, restore_t0) = (now_ns(), Instant::now());
+            let (restored, to) = match self.restore_point(&cur, &target, model) {
+                Ok(r) => (Some(r), target),
+                // No durable generation yet: restart from scratch, already
+                // at the target shape.
+                Err(CheckpointError::NoneAvailable) => (None, target),
+                // Reshard unavailable (ZeRO-sharded store): retry the
+                // current topology rather than aborting — the budget
+                // bounds how long that can go on.
+                Err(_) => (self.store.load_latest(&cur, model).ok(), cur),
+            };
+            inc.restore_s = restore_t0.elapsed().as_secs_f64();
+            inc.resumed_from = restored.as_ref().map_or(0, |r| r.snapshot.next_iter);
+            inc.cross_topology = restored.as_ref().is_some_and(|r| r.cross_topology);
+            inc.lost_iterations = inc.reached.saturating_sub(inc.resumed_from);
+
+            // Losses up to the resume point are final — the next attempt
+            // recomputes everything after it.
+            let safe = start..inc.resumed_from.max(start);
+            report.losses[safe.clone()].copy_from_slice(&out.losses[safe]);
+            self.count_topology_iters(&cur, inc.reached.saturating_sub(start));
+
+            if dims(&to) != dims(&cur) {
+                let rc = Reconfiguration {
+                    at_iter: inc.reached,
+                    generation: restored.as_ref().map_or(0, |r| r.generation),
+                    from: dims(&cur),
+                    to: dims(&to),
+                    direction: ReconfigureDirection::Shrink,
+                    capacity,
+                    restore_s: inc.restore_s,
+                    segment_s: attempt_wall_s,
+                };
+                self.record_reconfiguration(&mut report, rc, attempt, span_t0);
+                remap_kills(&mut pending, &cur, &to);
+                cur = to;
+            }
+
+            let backoff = self.backoff(report.restarts);
+            std::thread::sleep(backoff);
+            inc.backoff_s = backoff.as_secs_f64();
+            self.count("supervisor_restarts", 1);
+            report.restarts += 1;
+            report.incidents.push(inc);
+            restore = restored;
+        }
+
+        report.wall_s = t0.elapsed().as_secs_f64();
+        report
+    }
+}
+
+/// The in-process backend: every rank is a thread of this process, an
+/// attempt is one [`PtdpTrainer::train_with`] call, and a [`KillSwitch`]
+/// makes its thread poison its groups and exit mid-iteration.
+pub struct ThreadBackend<'a> {
+    master: GptModel,
+    spec: PtdpSpec,
+    data: &'a [(Vec<usize>, Vec<usize>)],
+    transport: TransportConfig,
+    health_period: Option<Duration>,
+}
+
+impl<'a> ThreadBackend<'a> {
+    /// Train `master` under `spec`, one iteration per element of `data`
+    /// (each the full global batch). Panics on an invalid spec: the
+    /// trainer's own asserts, raised before the first attempt.
+    pub fn new(master: GptModel, spec: PtdpSpec, data: &'a [(Vec<usize>, Vec<usize>)]) -> Self {
+        let _ = PtdpTrainer::new(master.clone(), spec);
+        ThreadBackend {
+            master,
+            spec,
+            data,
+            transport: TransportConfig::default(),
+            health_period: None,
+        }
+    }
+
+    /// Wire configuration for every attempt's communicator groups: the
+    /// reliable retry layer and/or seeded transient-fault injection (the
+    /// chaos harness's lever). Transient faults the retry layer absorbs
+    /// surface in the `transport_*` telemetry counters, not as restarts.
+    pub fn with_transport(mut self, transport: TransportConfig) -> Self {
+        self.transport = transport;
+        self
+    }
+
+    /// Enable heartbeat health monitoring: each attempt gets a fresh
+    /// [`HealthMonitor`] with this expected beat period (one beat per
+    /// training iteration), and failed attempts record which ranks were
+    /// dead in [`Incident::dead_ranks`].
+    pub fn with_health(mut self, period: Duration) -> Self {
+        self.health_period = Some(period);
+        self
+    }
+}
+
+impl JobBackend for ThreadBackend<'_> {
+    fn shape(&self) -> JobShape {
+        JobShape {
+            spec: self.spec,
+            model: self.master.cfg,
+            global_batch: self
+                .data
+                .first()
+                .map_or(1, |(toks, _)| toks.len() / self.master.cfg.seq),
+            iterations: self.data.len(),
+        }
+    }
+
+    fn run_attempt(&self, a: Attempt<'_>) -> AttemptOutcome {
+        let start = a.restore.as_ref().map_or(0, |r| r.snapshot.next_iter);
+        // Fresh monitor per attempt: a restarted world starts with a
+        // clean liveness slate.
+        let health = self.health_period.map(|p| HealthMonitor::new(&a.spec, p));
+        let out = PtdpTrainer::new(self.master.clone(), a.spec).train_with(
+            &self.data[..a.stop],
+            RunControl {
+                checkpoint_every: Some(a.cfg.checkpoint_every),
+                restore: a.restore.map(|r| r.snapshot),
+                kill: a.kill,
+                comm_timeout: Some(a.comm_timeout),
+                durable: Some(Arc::clone(a.store)),
+                epoch: a.epoch,
+                telemetry: a.telemetry.cloned(),
                 transport: self.transport,
                 health: health.clone(),
                 on_beat: None,
-            };
-            let attempt_t0 = Instant::now();
-            let out = trainer.train_with(&data[..stop], ctl);
-            let attempt_wall_s = attempt_t0.elapsed().as_secs_f64();
-
-            if let (Some(sink), Some((r0, x0, d0))) = (self.telemetry.as_deref(), tally_before) {
-                let (r1, x1, d1) = Self::transient_tally(sink);
-                if r1 > r0 || x1 > x0 || d1 > d0 {
-                    sink.metrics.counter("supervisor_transient_incidents").inc();
-                    transient.push(TransientIncident {
-                        attempt,
-                        retries: r1 - r0,
-                        retransmits: x1 - x0,
-                        duplicates_dropped: d1 - d0,
-                    });
-                }
-            }
-            let dead_ranks = match (&out.error, &health) {
-                (Some(_), Some(mon)) => mon.classify(self.cfg.slow_threshold).dead(),
-                _ => Vec::new(),
-            };
-
-            match out.error {
-                None if stop == data.len() => {
-                    // Completed: take the tail of the losses and the final
-                    // weights, and measure the clean iteration cost.
-                    losses[start_iter..].copy_from_slice(&out.log.losses[start_iter..]);
-                    let executed = data.len() - start_iter;
-                    if executed > 0 {
-                        // Samples are keyed by (epoch, iteration), so a
-                        // restarted attempt's timings land in the right
-                        // slot instead of zipping by push order (which
-                        // drifted after a mid-run restore).
-                        let mut per_iter = vec![0.0f64; executed];
-                        for samples in out.log.step_times.values() {
-                            for s in samples {
-                                if s.epoch == attempt && s.iteration >= start_iter {
-                                    let slot = &mut per_iter[s.iteration - start_iter];
-                                    *slot = slot.max(s.seconds);
-                                }
-                            }
-                        }
-                        clean_iter_s = per_iter.iter().sum::<f64>() / executed as f64;
-                    }
-                    self.count_topology_iters(&cur_spec, executed);
-                    final_params = Some(out.log.final_params);
-                    break;
-                }
-                None => {
-                    // Reached a grow boundary: generation `stop` is durably
-                    // committed. Credit the repaired capacity and reshard
-                    // up — to the launch topology when everything is back,
-                    // else to the best shape the ledger allows.
-                    losses[start_iter..stop].copy_from_slice(&out.log.losses[start_iter..stop]);
-                    self.count_topology_iters(&cur_spec, stop - start_iter);
-                    while returns.first().is_some_and(|&(ri, _)| ri <= stop) {
-                        let (_, ranks) = returns.remove(0);
-                        capacity = (capacity + ranks).min(launch.world());
-                    }
-                    let target = if capacity >= launch.world() {
-                        Some(launch)
-                    } else {
-                        self.best_spec(&cost, capacity)
-                    };
-                    match target {
-                        Some(tspec) if Self::dims(&tspec) != Self::dims(&cur_spec) => {
-                            let span_t0 = self.telemetry.as_ref().map_or(0, |s| s.hub.now_ns());
-                            let restore_t0 = Instant::now();
-                            match self.store.load_latest(&tspec, self.model_cfg) {
-                                Ok(r) => {
-                                    let rc = Reconfiguration {
-                                        at_iter: stop,
-                                        generation: r.generation,
-                                        from: Self::dims(&cur_spec),
-                                        to: Self::dims(&tspec),
-                                        direction: ReconfigureDirection::Grow,
-                                        capacity,
-                                        restore_s: restore_t0.elapsed().as_secs_f64(),
-                                    };
-                                    self.trace_reconfiguration(&rc, attempt, span_t0);
-                                    reconfigurations.push(rc);
-                                    Self::remap_kills(&mut pending, &cur_spec, &tspec);
-                                    cur_spec = tspec;
-                                    restore = Some(r.snapshot);
-                                }
-                                Err(_) => {
-                                    // Can't reshard up (e.g. the store only
-                                    // has ZeRO-sharded generations): stay
-                                    // degraded and stop trying to grow.
-                                    returns.clear();
-                                    restore = self
-                                        .store
-                                        .load_latest(&cur_spec, self.model_cfg)
-                                        .ok()
-                                        .map(|r| r.snapshot);
-                                }
-                            }
-                        }
-                        _ => {
-                            // Capacity came back but the best shape is the
-                            // one already running: resume in place.
-                            restore = self
-                                .store
-                                .load_latest(&cur_spec, self.model_cfg)
-                                .ok()
-                                .map(|r| r.snapshot);
-                        }
-                    }
-                    attempt += 1;
-                }
-                Some(e) if Self::is_restartable(&e) && fatal_restarts < self.cfg.max_restarts => {
-                    // The armed kill has fired; it must not re-arm after
-                    // the restart.
-                    if let Some(i) = armed {
-                        pending.remove(i);
-                    }
-                    // The kill iteration bounds what the attempt reached.
-                    let reached = kill.map_or(start_iter, |kp| kp.iteration);
-                    if elastic {
-                        // Debit the capacity ledger: the incident's own
-                        // dead ranks (at least one when a kill fired),
-                        // plus any scheduled losses up to the failure.
-                        if kill.is_some() || !dead_ranks.is_empty() {
-                            capacity = capacity.saturating_sub(dead_ranks.len().max(1));
-                        }
-                        while lost.first().is_some_and(|&(li, _)| li <= reached) {
-                            let (_, ranks) = lost.remove(0);
-                            capacity = capacity.saturating_sub(ranks);
-                        }
-                    }
-
-                    // Pick where the next attempt runs: shrunken when the
-                    // survivors no longer fit the current world.
-                    let shrink_to = if elastic && capacity < cur_spec.world() {
-                        match self.best_spec(&cost, capacity) {
-                            Some(t) => Some(t),
-                            None => {
-                                // Nothing valid fits the survivors: the
-                                // job is out of cluster.
-                                if let Some(sink) = &self.telemetry {
-                                    sink.metrics.counter("supervisor_incidents").inc();
-                                }
-                                incidents.push(Incident {
-                                    severity: IncidentSeverity::Fatal,
-                                    attempt,
-                                    error: e.clone(),
-                                    attempt_wall_s,
-                                    resumed_from: 0,
-                                    lost_iterations: 0,
-                                    restore_s: 0.0,
-                                    backoff_s: 0.0,
-                                    cross_topology: false,
-                                    dead_ranks,
-                                });
-                                gave_up = Some(e);
-                                break;
-                            }
-                        }
-                    } else {
-                        None
-                    };
-
-                    let restore_t0 = Instant::now();
-                    let span_t0 = self.telemetry.as_ref().map_or(0, |s| s.hub.now_ns());
-                    let (restored, to_spec) = match shrink_to {
-                        Some(tspec) => match self.store.load_latest(&tspec, self.model_cfg) {
-                            Ok(r) => (Some(r), tspec),
-                            // No durable generation yet: restart from
-                            // scratch, already at the shrunken shape.
-                            Err(CheckpointError::NoneAvailable) => (None, tspec),
-                            // Reshard unavailable (ZeRO-sharded store):
-                            // fall back to retrying the current topology
-                            // rather than aborting — the budget bounds how
-                            // long that can go on.
-                            Err(_) => (
-                                self.store.load_latest(&cur_spec, self.model_cfg).ok(),
-                                cur_spec,
-                            ),
-                        },
-                        None => match self.store.load_latest(&cur_spec, self.model_cfg) {
-                            Ok(r) => (Some(r), cur_spec),
-                            Err(_) => (None, cur_spec),
-                        },
-                    };
-                    let restore_s = restore_t0.elapsed().as_secs_f64();
-                    let resumed_from = restored.as_ref().map_or(0, |r| r.snapshot.next_iter);
-                    let cross_topology = restored.as_ref().is_some_and(|r| r.cross_topology);
-                    // Iterations completed in this attempt but after the
-                    // restored checkpoint will be re-executed: lost work.
-                    let lost_iterations = reached.saturating_sub(resumed_from);
-
-                    // Losses up to the resume point are final — the next
-                    // attempt recomputes everything after it.
-                    let safe = resumed_from.max(start_iter);
-                    losses[start_iter..safe].copy_from_slice(&out.log.losses[start_iter..safe]);
-                    self.count_topology_iters(&cur_spec, reached.saturating_sub(start_iter));
-
-                    if Self::dims(&to_spec) != Self::dims(&cur_spec) {
-                        let rc = Reconfiguration {
-                            at_iter: reached,
-                            generation: restored.as_ref().map_or(0, |r| r.generation),
-                            from: Self::dims(&cur_spec),
-                            to: Self::dims(&to_spec),
-                            direction: ReconfigureDirection::Shrink,
-                            capacity,
-                            restore_s,
-                        };
-                        self.trace_reconfiguration(&rc, attempt, span_t0);
-                        reconfigurations.push(rc);
-                        Self::remap_kills(&mut pending, &cur_spec, &to_spec);
-                        cur_spec = to_spec;
-                    }
-
-                    let backoff = self
-                        .cfg
-                        .backoff_base
-                        .saturating_mul(1u32 << fatal_restarts.min(20))
-                        .min(self.cfg.backoff_max);
-                    std::thread::sleep(backoff);
-
-                    if let Some(sink) = &self.telemetry {
-                        sink.metrics.counter("supervisor_incidents").inc();
-                        sink.metrics.counter("supervisor_restarts").inc();
-                    }
-                    restarts += 1;
-                    incidents.push(Incident {
-                        severity: IncidentSeverity::Fatal,
-                        attempt,
-                        error: e.clone(),
-                        attempt_wall_s,
-                        resumed_from,
-                        lost_iterations,
-                        restore_s,
-                        backoff_s: backoff.as_secs_f64(),
-                        cross_topology,
-                        dead_ranks,
-                    });
-                    last_error = Some(e);
-                    restore = restored.map(|r| r.snapshot);
-                    fatal_restarts += 1;
-                    attempt += 1;
-                }
-                Some(e) => {
-                    // Non-retryable, or the budget is spent.
-                    if let Some(sink) = &self.telemetry {
-                        sink.metrics.counter("supervisor_incidents").inc();
-                    }
-                    incidents.push(Incident {
-                        severity: IncidentSeverity::Fatal,
-                        attempt,
-                        error: e.clone(),
-                        attempt_wall_s,
-                        resumed_from: 0,
-                        lost_iterations: 0,
-                        restore_s: 0.0,
-                        backoff_s: 0.0,
-                        cross_topology: false,
-                        dead_ranks,
-                    });
-                    gave_up = Some(e);
-                    break;
-                }
-            }
-        }
-        if final_params.is_none() && gave_up.is_none() {
-            gave_up = last_error;
-        }
-
-        SupervisorReport {
-            losses,
-            final_params,
-            incidents,
-            transient,
-            reconfigurations,
-            attempts,
-            restarts,
-            gave_up,
-            wall_s: t0.elapsed().as_secs_f64(),
-            clean_iter_s,
-            iterations: data.len(),
+            },
+        );
+        let failure = out.error.map(|e| AttemptFailure {
+            dead_ranks: health.map_or_else(Vec::new, |mon| {
+                let dead = mon.classify(a.cfg.slow_threshold).dead();
+                dead.into_iter().map(|k| a.spec.flat_rank(k)).collect()
+            }),
+            // The kill iteration bounds what the attempt reached.
+            reached: a.kill.map_or(start, |kp| kp.iteration),
+            // Every error that reaches here is fatal (transient faults
+            // are absorbed by the transport's retry layer); this decides
+            // whether it is worth a checkpoint restore, or structural.
+            restartable: matches!(
+                e,
+                TrainError::Killed(_) | TrainError::Comm(_) | TrainError::PipelineBroken(_)
+            ),
+            cause: IncidentCause::Train(e),
+        });
+        AttemptOutcome {
+            losses: out.log.losses,
+            final_params: out.log.final_params,
+            failure,
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use rand::{Rng, SeedableRng};
-    use std::fs;
-    use std::path::PathBuf;
+    //! The policy, tested once against a scripted backend: no threads, no
+    //! processes, no sleeps (zero backoff). The fake writes real (tiny)
+    //! checkpoint generations, so restore points, resharding and pruning
+    //! are the production paths.
 
-    fn cfg() -> TinyGptConfig {
-        TinyGptConfig {
-            vocab: 13,
-            seq: 6,
-            hidden: 8,
-            heads: 4,
-            layers: 2,
+    use super::*;
+    use crate::checkpoint::tests::{cfg, save_generation, synthetic_states, tmp_store};
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+
+    /// What the policy asked for in one attempt.
+    #[derive(Debug)]
+    struct Asked {
+        dims: (usize, usize, usize),
+        span: (usize, usize),
+        kill: Option<(ThreadKey, usize)>,
+        comm_timeout: Duration,
+    }
+
+    /// Fails where told to, succeeds otherwise, and checkpoints like a real
+    /// world: a committed generation at every multiple of
+    /// `checkpoint_every` it gets past. An armed kill fails the attempt at
+    /// its iteration with the victim as the one dead rank; attempts with no
+    /// kill armed consume `script` (one failure each) until it is empty.
+    struct Scripted {
+        shape: JobShape,
+        script: RefCell<VecDeque<AttemptFailure>>,
+        asked: RefCell<Vec<Asked>>,
+    }
+
+    fn scripted(
+        (p, t, d): (usize, usize, usize),
+        iterations: usize,
+        script: impl IntoIterator<Item = AttemptFailure>,
+    ) -> Scripted {
+        let mut spec = PtdpSpec::new(p, t, d);
+        spec.comm_timeout = Duration::from_secs(8);
+        Scripted {
+            shape: JobShape {
+                spec,
+                model: cfg(),
+                global_batch: 8,
+                iterations,
+            },
+            script: RefCell::new(script.into_iter().collect()),
+            asked: RefCell::new(Vec::new()),
         }
     }
 
-    fn make_data(
-        c: TinyGptConfig,
-        batch: usize,
-        iters: usize,
-        seed: u64,
-    ) -> Vec<(Vec<usize>, Vec<usize>)> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..iters)
-            .map(|_| {
-                let toks: Vec<usize> = (0..batch * c.seq)
-                    .map(|_| rng.gen_range(0..c.vocab))
-                    .collect();
-                let tgts: Vec<usize> = (0..batch * c.seq)
-                    .map(|_| rng.gen_range(0..c.vocab))
-                    .collect();
-                (toks, tgts)
-            })
-            .collect()
+    fn wedged(reached: usize, dead_ranks: Vec<usize>, restartable: bool) -> AttemptFailure {
+        AttemptFailure {
+            cause: IncidentCause::Wedged,
+            dead_ranks,
+            reached,
+            restartable,
+        }
     }
 
-    fn tmp_root(name: &str) -> PathBuf {
-        let root = std::env::temp_dir().join(format!("mgsup-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        root
+    impl JobBackend for Scripted {
+        fn shape(&self) -> JobShape {
+            self.shape
+        }
+
+        fn run_attempt(&self, a: Attempt<'_>) -> AttemptOutcome {
+            let start = a.restore.as_ref().map_or(0, |r| r.generation);
+            self.asked.borrow_mut().push(Asked {
+                dims: dims(&a.spec),
+                span: (start, a.stop),
+                kill: a.kill.map(|k| (k.thread, k.iteration)),
+                comm_timeout: a.comm_timeout,
+            });
+            let failure = match a.kill {
+                Some(k) => Some(AttemptFailure {
+                    cause: IncidentCause::Train(TrainError::Killed(k.thread)),
+                    dead_ranks: vec![a.spec.flat_rank(k.thread)],
+                    reached: k.iteration,
+                    restartable: true,
+                }),
+                None => self.script.borrow_mut().pop_front(),
+            };
+            let reached = failure.as_ref().map_or(a.stop, |f| f.reached);
+            let every = a.cfg.checkpoint_every;
+            for generation in (start + 1..=reached).filter(|g| g % every == 0) {
+                let threads = synthetic_states(cfg(), &a.spec, generation as u64);
+                save_generation(a.store, &a.spec, generation, &threads);
+            }
+            AttemptOutcome {
+                losses: (0..a.stop).map(|i| (i + 1) as f32).collect(),
+                final_params: HashMap::from([((0, 0, 0), vec![reached as f32])]),
+                failure,
+            }
+        }
     }
 
-    fn fast_cfg() -> SupervisorConfig {
+    fn policy() -> SupervisorConfig {
         SupervisorConfig {
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(5),
+            backoff_base: Duration::ZERO,
+            min_comm_timeout: Duration::from_secs(3),
             ..SupervisorConfig::default()
         }
     }
 
-    #[test]
-    fn recovers_from_one_kill_bit_identically() {
-        let c = cfg();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let master = GptModel::new(c, &mut rng);
-        let data = make_data(c, 4, 8, 77);
-        let spec = PtdpSpec::new(2, 1, 2);
-
-        let clean = PtdpTrainer::new(master.clone(), spec).train(&data);
-
-        let root = tmp_root("onekill");
-        let store = CheckpointStore::open(&root).unwrap();
-        let sup = Supervisor::new(master, spec, store, fast_cfg());
-        let kills = [KillSwitch {
-            thread: (1, 0, 0),
-            iteration: 5,
-        }];
-        let report = sup.run(&data, &kills);
-
-        assert!(report.completed(), "gave up: {:?}", report.gave_up);
-        assert_eq!(report.attempts, 2);
-        assert_eq!(report.incidents.len(), 1);
-        assert_eq!(report.restarts, 1, "exactly one restore paid");
-        assert!(
-            report.reconfigurations.is_empty(),
-            "non-elastic runs never reshape"
-        );
-        let inc = &report.incidents[0];
-        assert!(Supervisor::is_restartable(&inc.error));
-        assert_eq!(inc.severity, IncidentSeverity::Fatal);
-        assert_eq!(inc.resumed_from, 4, "checkpoint_every=2, killed at 5");
-        assert_eq!(inc.lost_iterations, 1);
-        assert_eq!(report.losses, clean.losses, "losses must be bit-identical");
-        assert_eq!(
-            report.final_params.as_ref().unwrap(),
-            &clean.final_params,
-            "final weights must be bit-identical"
-        );
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn exhausts_restart_budget_and_gives_up() {
-        let c = cfg();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let master = GptModel::new(c, &mut rng);
-        let data = make_data(c, 2, 6, 99);
-        let spec = PtdpSpec::new(1, 1, 2);
-
-        let root = tmp_root("budget");
-        let store = CheckpointStore::open(&root).unwrap();
-        let sup = Supervisor::new(
-            master,
-            spec,
-            store,
-            SupervisorConfig {
-                max_restarts: 1,
-                ..fast_cfg()
-            },
-        );
-        // More kills than the budget allows.
-        let kills: Vec<KillSwitch> = (1..4)
-            .map(|i| KillSwitch {
-                thread: (0, 1, 0),
-                iteration: i,
-            })
+    /// Supervise `backend` over a fresh store (elastic when a capacity
+    /// schedule is given); returns the report and what each attempt was
+    /// asked.
+    fn run(
+        name: &str,
+        backend: Scripted,
+        cfg: SupervisorConfig,
+        kills: &[(ThreadKey, usize)],
+        capacity: Option<&[CapacityEvent]>,
+    ) -> (SupervisorReport, Vec<Asked>) {
+        let (root, store) = tmp_store(&format!("sup-{name}"));
+        let sup = Supervisor::new(backend, store, cfg);
+        let kills: Vec<KillSwitch> = kills
+            .iter()
+            .map(|&(thread, iteration)| KillSwitch { thread, iteration })
             .collect();
-        let report = sup.run(&data, &kills);
-        assert!(!report.completed());
-        assert_eq!(report.attempts, 2);
-        assert!(report.gave_up.is_some());
-        assert_eq!(report.incidents.len(), 2);
-        let _ = fs::remove_dir_all(root);
+        let report = match capacity {
+            Some(events) => sup.run_elastic(&kills, events),
+            None => sup.run(&kills),
+        };
+        let _ = std::fs::remove_dir_all(root);
+        (report, sup.backend.asked.into_inner())
     }
 
     #[test]
-    fn retry_shortens_comm_timeout_with_floor() {
-        let c = cfg();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let master = GptModel::new(c, &mut rng);
-        let mut spec = PtdpSpec::new(1, 1, 1);
-        spec.comm_timeout = Duration::from_secs(8);
-        let store = CheckpointStore::open(tmp_root("timeout")).unwrap();
-        let sup = Supervisor::new(
-            master,
-            spec,
-            store,
-            SupervisorConfig {
-                min_comm_timeout: Duration::from_secs(3),
-                ..SupervisorConfig::default()
-            },
+    fn one_kill_restores_the_boundary_before_it_and_stitches_losses() {
+        let backend = scripted((2, 1, 2), 8, []);
+        let (report, asked) = run("onekill", backend, policy(), &[((1, 0, 0), 5)], None);
+        assert!(report.completed(), "gave up: {:?}", report.gave_up);
+        assert_eq!((report.attempts, report.restarts), (2, 1));
+        assert!(report.reconfigurations.is_empty(), "never reshapes");
+        let inc = &report.incidents[0];
+        assert_eq!(
+            (inc.reached, inc.resumed_from, inc.lost_iterations),
+            (5, 4, 1)
         );
-        assert_eq!(sup.comm_timeout(0), Duration::from_secs(8));
-        assert_eq!(sup.comm_timeout(1), Duration::from_secs(4));
-        assert_eq!(sup.comm_timeout(2), Duration::from_secs(3), "floored");
-        let _ = fs::remove_dir_all(sup.store.root());
+        assert_eq!(inc.dead_ranks, vec![2], "the victim's flat rank");
+        assert!(!inc.cross_topology);
+        assert_eq!(report.losses, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert_eq!((asked[1].span, asked[1].kill), ((4, 8), None));
+    }
+
+    #[test]
+    fn retries_halve_the_comm_timeout_to_its_floor_and_double_the_backoff_to_its_cap() {
+        let backend = scripted((1, 1, 2), 4, (0..3).map(|_| wedged(1, vec![], true)));
+        let (report, asked) = run("retry", backend, policy(), &[], None);
+        assert!(report.completed());
+        let secs: Vec<u64> = asked.iter().map(|a| a.comm_timeout.as_secs()).collect();
+        assert_eq!(secs, [8, 4, 3, 3], "halved per failure, floored");
+
+        let cfg = SupervisorConfig {
+            backoff_base: Duration::from_millis(10),
+            backoff_max: Duration::from_millis(65),
+            ..policy()
+        };
+        let (root, store) = tmp_store("sup-backoff");
+        let sup = Supervisor::new(scripted((1, 1, 1), 2, []), store, cfg);
+        let ms: Vec<u128> = (0..5).map(|n| sup.backoff(n).as_millis()).collect();
+        assert_eq!(ms, [10, 20, 40, 65, 65]);
+        assert_eq!(sup.backoff(usize::MAX).as_millis(), 65, "no shift overflow");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn gives_up_when_the_budget_the_cause_or_the_capacity_says_so() {
+        // -> (attempts, incidents, restarts, reconfigurations, gave_up)
+        let verdict = |name, script, cfg, kills: &[_], capacity| {
+            let (r, _) = run(name, scripted((1, 1, 2), 10, script), cfg, kills, capacity);
+            assert!(!r.completed(), "{name}");
+            let counts = (r.attempts, r.incidents.len(), r.restarts);
+            (counts, r.reconfigurations.len(), r.gave_up)
+        };
+        let killed = |key| Some(IncidentCause::Train(TrainError::Killed(key)));
+        let one_restart = SupervisorConfig {
+            max_restarts: 1,
+            ..policy()
+        };
+        // More kills than the budget allows.
+        let kills = [((0, 1, 0), 1), ((0, 1, 0), 2), ((0, 1, 0), 3)];
+        let got = verdict("budget", None, one_restart, &kills, None);
+        assert_eq!(got, ((2, 2, 1), 0, killed((0, 1, 0))));
+        // A structural failure is not worth a single restore.
+        let script = Some(wedged(3, vec![], false));
+        let got = verdict("structural", script, policy(), &[], Some(&[]));
+        assert_eq!(got, ((1, 1, 0), 0, Some(IncidentCause::Wedged)));
+        // Failures eat the whole cluster: shrink once, then nothing fits.
+        let kills = [((0, 1, 0), 3), ((0, 0, 0), 6)];
+        let got = verdict("zero", None, policy(), &kills, Some(&[]));
+        assert_eq!(got, ((2, 2, 1), 1, killed((0, 0, 0))));
+    }
+
+    #[test]
+    fn kill_shrinks_to_the_best_fit_and_returned_capacity_grows_at_the_next_boundary() {
+        // The rank comes back at iteration 7; with checkpoints every 2 the
+        // grow must wait for the boundary at iteration 8. The second kill is
+        // aimed at the launch world and must land on a rank of whatever
+        // world is running when its iteration comes.
+        let returned = [CapacityEvent::Returned {
+            iteration: 7,
+            ranks: 1,
+        }];
+        let kills = [((0, 1, 0), 5), ((1, 1, 1), 10)];
+        let (report, asked) = run(
+            "grow",
+            scripted((2, 2, 2), 12, []),
+            policy(),
+            &kills,
+            Some(&returned),
+        );
+        assert!(report.completed(), "gave up: {:?}", report.gave_up);
+        let (shrink, grow) = (report.reconfigurations[0], report.reconfigurations[1]);
+        assert_eq!(shrink.direction, ReconfigureDirection::Shrink);
+        assert_eq!(
+            (
+                shrink.from,
+                shrink.capacity,
+                shrink.at_iter,
+                shrink.generation
+            ),
+            ((2, 2, 2), 7, 5, 4)
+        );
+        assert!(
+            shrink.to.0 * shrink.to.1 * shrink.to.2 <= 7,
+            "fits the survivors"
+        );
+        assert!(
+            report.incidents[0].cross_topology,
+            "resharded from canonical"
+        );
+        assert_eq!(asked[1].dims, shrink.to);
+        assert_eq!(grow.direction, ReconfigureDirection::Grow);
+        assert_eq!(
+            (grow.at_iter, grow.generation, grow.to, grow.capacity),
+            (8, 8, (2, 2, 2), 8)
+        );
+        let spans: Vec<(usize, usize)> = asked.iter().map(|a| a.span).collect();
+        assert_eq!(spans, [(0, 12), (4, 8), (8, 12), (10, 12)]);
+        assert_eq!(
+            asked[2].kill,
+            Some(((0, 1, 1), 10)),
+            "carried through both reshapes as flat % world: 7 -> 3 -> 3"
+        );
+        assert_eq!(
+            (report.attempts, report.restarts),
+            (4, 2),
+            "the grow is a launch, not a restart"
+        );
+        let every: Vec<f32> = (1..=12).map(|i| i as f32).collect();
+        assert_eq!(report.losses, every);
+    }
+
+    #[test]
+    fn ledger_debit_counts_each_dead_rank_once_plus_scheduled_losses() {
+        let backend = scripted((2, 2, 2), 8, [wedged(3, vec![5, 3, 5], true)]);
+        let lost =
+            [(3, 1), (6, 4)].map(|(iteration, ranks)| CapacityEvent::Lost { iteration, ranks });
+        let (report, _) = run("ledger", backend, policy(), &[], Some(&lost));
+        assert!(report.completed(), "gave up: {:?}", report.gave_up);
+        assert_eq!(report.incidents[0].dead_ranks, vec![3, 5]);
+        assert_eq!(
+            report.reconfigurations[0].capacity,
+            8 - 2 - 1,
+            "two distinct dead ranks + the loss scheduled by iteration 3, not the later one"
+        );
+    }
+
+    #[test]
+    fn resumes_from_generations_an_earlier_run_left_in_the_store() {
+        let (root, store) = tmp_store("sup-durable");
+        let first = Supervisor::new(scripted((1, 1, 2), 4, []), Arc::clone(&store), policy());
+        assert!(first.run(&[]).completed());
+        let second = Supervisor::new(scripted((1, 1, 2), 8, []), store, policy());
+        assert!(second.run(&[]).completed());
+        assert_eq!(second.backend.asked.borrow()[0].span, (4, 8));
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
@@ -1054,20 +1148,22 @@ mod tests {
 
     #[test]
     fn best_spec_fits_capacity_and_inherits_knobs() {
-        let c = cfg();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let master = GptModel::new(c, &mut rng);
         let mut spec = PtdpSpec::new(2, 2, 2);
         spec.microbatch = 2;
         spec.lr = 0.042;
-        let store = CheckpointStore::open(tmp_root("bestspec")).unwrap();
-        let sup = Supervisor::new(master, spec, store, SupervisorConfig::default());
-        let cost = sup.cost_model(16);
-        let best = sup.best_spec(&cost, 7).expect("a config fits 7 ranks");
-        assert!(best.world() <= 7);
-        assert_eq!(best.lr, 0.042, "non-topology knobs inherited");
-        assert_eq!(best.microbatch, 2);
-        assert!(sup.best_spec(&cost, 0).is_none(), "nothing fits zero GPUs");
-        let _ = fs::remove_dir_all(sup.store.root());
+        let global_batch = 16;
+        let cost = CostModel::for_job(cfg().layers, cfg().heads, global_batch, spec.microbatch);
+        for capacity in 1..=8 {
+            let best = pick_best_spec(&cost, &spec, cfg(), capacity).expect("a config fits");
+            assert!(best.world() <= capacity);
+            assert_eq!(best.lr, 0.042, "non-topology knobs inherited");
+            assert_eq!(best.microbatch, 2);
+            assert!(
+                global_batch.is_multiple_of(best.data * best.microbatch),
+                "the global batch stays divisible by d·b at {capacity} ranks"
+            );
+        }
+        let none = pick_best_spec(&cost, &spec, cfg(), 0);
+        assert!(none.is_none(), "nothing fits zero GPUs");
     }
 }

@@ -237,6 +237,46 @@ pub struct RecoveryMeasurement {
 }
 
 impl RecoveryMeasurement {
+    /// Fold a supervised run into its recovery accounting. The report
+    /// carries the per-incident costs; the caller supplies what only it can
+    /// measure: the clean per-iteration cost (from a fault-free reference),
+    /// the checkpoint-save seconds over `n_checkpoints` generations, and
+    /// the checkpoint interval. Detection/relaunch overhead per incident is
+    /// the failed attempt's wall time not explained by the iterations it
+    /// executed or the saves it made; the dying rank gets through about
+    /// half its iteration, which belongs to the model's τ/2 lost-work term.
+    pub fn from_report(
+        report: &megatron_dist::SupervisorReport,
+        clean_iter_s: f64,
+        save_s_total: f64,
+        n_checkpoints: usize,
+        checkpoint_every_iters: usize,
+    ) -> RecoveryMeasurement {
+        let mean_save = save_s_total / n_checkpoints.max(1) as f64;
+        let mut detect_s_total = 0.0;
+        let mut start = 0usize;
+        for inc in &report.incidents {
+            let executed = inc.reached.saturating_sub(start);
+            let saves = executed / checkpoint_every_iters.max(1);
+            let explained = (executed as f64 + 0.5) * clean_iter_s + saves as f64 * mean_save;
+            detect_s_total += (inc.attempt_wall_s - explained).max(0.0);
+            start = inc.resumed_from;
+        }
+        RecoveryMeasurement {
+            wall_s: report.wall_s,
+            n_iterations: report.iterations,
+            clean_iter_s,
+            n_failures: report.incidents.len(),
+            lost_iterations: report.incidents.iter().map(|i| i.lost_iterations).sum(),
+            restore_s_total: report.incidents.iter().map(|i| i.restore_s).sum(),
+            backoff_s_total: report.incidents.iter().map(|i| i.backoff_s).sum(),
+            detect_s_total,
+            save_s_total,
+            n_checkpoints,
+            checkpoint_every_iters,
+        }
+    }
+
     /// Measured goodput: the fraction of wall-clock that was irreducible
     /// useful work (`n_iterations` iterations at the clean per-iteration
     /// cost). Everything else — saves, re-executed work, detection,

@@ -10,16 +10,21 @@
 //!    process leaves it classified **dead** by the launcher-side
 //!    [`HealthMonitor`](megatron_repro::dist::HealthMonitor) while the
 //!    stalled survivors keep beating.
-//! 3. Self-healing: a SIGKILL mid-run is detected by the
-//!    [`ProcSupervisor`](megatron_repro::dist::ProcSupervisor), which
-//!    restores the latest durable generation and respawns; the healed
-//!    run's final parameters are bit-identical to a fault-free run.
+//! 3. Self-healing: the shared recovery table (`tests/common`, the rows
+//!    `tests/recovery.rs` runs over threads) with a `ProcBackend` — a real
+//!    SIGKILL is detected, the latest durable generation restored, the
+//!    world respawned, final parameters bit-identical to a fault-free run;
+//!    and SIGKILL → shrink → grow, the post-grow segment bit-identical to
+//!    a fresh launch pinned at the grow generation.
+
+mod common;
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use megatron_repro::dist::proc::{launch, maybe_worker, JobSpec, ProcKill, ProcSupervisor};
-use megatron_repro::dist::PtdpTrainer;
+use megatron_repro::dist::proc::{launch, launch_configured, maybe_worker, JobSpec, ProcOutcome};
+use megatron_repro::dist::{CheckpointStore, ProcBackend, PtdpTrainer, Supervisor};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("megatron-procmode-{tag}-{}", std::process::id()));
@@ -132,68 +137,66 @@ fn sigkilled_rank_process_classified_dead() {
     println!("ok - sigkilled_rank_process_classified_dead");
 }
 
-/// 3. Self-healing round-trip: SIGKILL a rank mid-run, the supervisor
-///    restores the latest durable generation, respawns the job pinned at
-///    it, and the healed run's final parameters are bit-identical to a
-///    fault-free process run of the same job.
-fn supervisor_respawn_round_trip_bit_identical() {
+fn params_of(out: ProcOutcome) -> common::Params {
+    assert!(
+        out.ok(),
+        "process run failed: missing={:?} exits={:?}",
+        out.missing,
+        out.exits
+    );
+    out.into_params()
+}
+
+/// 3. The shared recovery table over rank processes, plus what only a
+///    process world can show: the incident names the SIGKILLed rank.
+fn supervised_recovery_table_over_rank_processes() {
     let mut job = JobSpec::canonical(2, 2, 2);
-    job.iters = 6;
-    job.checkpoint_every = 2;
+    job.iters = common::ITERS;
     job.retry = true;
+    let world = job.world();
 
-    // Fault-free reference, as real processes.
-    let clean_dir = scratch("respawn-clean");
-    let clean = launch(&job, &clean_dir)
-        .expect("launch fault-free run")
-        .wait();
-    assert!(clean.ok(), "fault-free process run failed");
+    let clean_dir = scratch("table-clean");
+    let clean = params_of(launch(&job, &clean_dir).expect("launch").wait());
+    assert_eq!(clean.len(), world);
 
-    // Same job under supervision, rank 3 SIGKILLed after 2 iterations.
-    let root = scratch("respawn-chaos");
-    let sup = ProcSupervisor::new(&job, &root);
-    let report = sup
-        .run(
-            &[ProcKill {
-                rank: 3,
-                after_iter: 2,
-            }],
-            None,
-        )
-        .expect("supervised run must heal within its restart budget");
-
-    assert!(report.attempts >= 2, "the SIGKILL must force a respawn");
-    assert!(
-        !report.incidents.is_empty(),
-        "the SIGKILL must be recorded as an incident"
-    );
-    assert!(
-        report.incidents[0].dead_ranks.contains(&3),
-        "incident must name the SIGKILLed rank: {:?}",
-        report.incidents[0]
-    );
-    assert!(
-        report.outcome.ok(),
-        "healed run's final attempt was not clean"
-    );
-    assert_eq!(
-        report.outcome.losses.len(),
-        job.iters,
-        "healed run must report every iteration's loss"
+    let roots = std::cell::RefCell::new(vec![clean_dir]);
+    let (healed, elastic) = common::recovery_table(
+        |tag| {
+            let root = scratch(&format!("table-{tag}"));
+            let store = CheckpointStore::open(root.join("ckpt")).expect("store");
+            let backend = ProcBackend::new(&job, &root, None);
+            roots.borrow_mut().push(root);
+            (
+                Supervisor::new(backend, Arc::clone(&store), common::policy()),
+                store,
+            )
+        },
+        &clean,
+        |store, generation| {
+            let mut pinned = job;
+            pinned.checkpoint_every = common::CHECKPOINT_EVERY;
+            pinned.resume_from = generation;
+            let dir = scratch("table-fresh");
+            let handle = launch_configured(&pinned, &dir, Some(store.root()), None)
+                .expect("launch pinned at the grow generation");
+            roots.borrow_mut().push(dir);
+            params_of(handle.wait())
+        },
     );
 
-    let spec = job.spec();
-    assert_eq!(report.outcome.outputs.len(), spec.world());
-    for (key, o) in &report.outcome.outputs {
+    let victim = job.spec().flat_rank(common::KILL.thread);
+    for report in [&healed, &elastic] {
         assert_eq!(
-            o.params, clean.outputs[key].params,
-            "healed params differ from fault-free at {key:?}"
+            report.incidents[0].dead_ranks,
+            vec![victim],
+            "incident must name exactly the SIGKILLed rank: {:?}",
+            report.incidents[0]
         );
     }
-
-    let _ = std::fs::remove_dir_all(&clean_dir);
-    let _ = std::fs::remove_dir_all(&root);
-    println!("ok - supervisor_respawn_round_trip_bit_identical");
+    for root in roots.into_inner() {
+        let _ = std::fs::remove_dir_all(root);
+    }
+    println!("ok - supervised_recovery_table_over_rank_processes");
 }
 
 fn main() {
@@ -203,6 +206,6 @@ fn main() {
 
     eight_uds_processes_bit_identical_to_in_process();
     sigkilled_rank_process_classified_dead();
-    supervisor_respawn_round_trip_bit_identical();
+    supervised_recovery_table_over_rank_processes();
     println!("process_mode: all tests passed");
 }

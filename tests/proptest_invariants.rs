@@ -516,10 +516,17 @@ fn job_spec_json_round_trips_extreme_floats() {
         job.trace = coin(rng);
         job.comm_timeout = Duration::from_millis(rng.gen_range(1u64..120_000));
         job.hb_period = Duration::from_millis(rng.gen_range(1u64..1_000));
-        // Seeds ride the JSON number as f64: exact for < 2^53; draw well
-        // inside that.
-        job.model_seed = rng.gen_range(0u64..(1 << 48));
-        job.data_seed = rng.gen_range(0u64..(1 << 48));
+        // Seeds must survive over the full u64 range: the values an f64
+        // JSON number cannot hold (2^53 + 1 collapses to 2^53), the
+        // extremes, and random bits.
+        let seed = |rng: &mut StdRng| match rng.gen_range(0u32..4) {
+            0 => (1u64 << 53) + 1,
+            1 => u64::MAX,
+            2 => 0,
+            _ => rng.gen::<u64>(),
+        };
+        job.model_seed = seed(rng);
+        job.data_seed = seed(rng);
         job.batch = rng.gen_range(1usize..=64);
         job.iters = rng.gen_range(1usize..=100);
         job.wire = match rng.gen_range(0u32..3) {

@@ -6,11 +6,12 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+
+mod common;
 
 use megatron_repro::dist::{
-    CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, ReconfigureDirection,
-    RunControl, Supervisor, SupervisorConfig,
+    CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, ReconfigureDirection, RunControl,
+    Supervisor, ThreadBackend,
 };
 use megatron_repro::tensor::gpt::{GptModel, TinyGptConfig};
 use megatron_repro::tensor::Adam;
@@ -51,15 +52,6 @@ fn tmp_root(name: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("mgrec-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     root
-}
-
-fn fast_sup(checkpoint_every: usize) -> SupervisorConfig {
-    SupervisorConfig {
-        checkpoint_every,
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-        ..SupervisorConfig::default()
-    }
 }
 
 /// Save to disk, drop every piece of in-memory state, restore from the
@@ -129,7 +121,11 @@ fn supervisor_survives_two_kills_bit_for_bit() {
 
     let root = tmp_root("twokills");
     let store = CheckpointStore::open(&root).unwrap();
-    let sup = Supervisor::new(master, spec, store, fast_sup(2));
+    let sup = Supervisor::new(
+        ThreadBackend::new(master, spec, &data),
+        store,
+        common::policy(),
+    );
     let kills = [
         KillSwitch {
             thread: (1, 1, 0),
@@ -140,7 +136,7 @@ fn supervisor_survives_two_kills_bit_for_bit() {
             iteration: 7,
         },
     ];
-    let report = sup.run(&data, &kills);
+    let report = sup.run(&kills);
 
     assert!(report.completed(), "gave up: {:?}", report.gave_up);
     assert_eq!(report.attempts, 3, "one restart per kill");
@@ -252,8 +248,9 @@ fn elastic_shrink_is_bit_identical_to_fresh_degraded_launch() {
 
     let root = tmp_root("elshrink");
     let store = CheckpointStore::open(&root).unwrap();
-    let sup = Supervisor::new(master.clone(), spec, store, fast_sup(2));
-    let report = sup.run_elastic(&data, &[kill], &[]);
+    let backend = ThreadBackend::new(master.clone(), spec, &data);
+    let sup = Supervisor::new(backend, store, common::policy());
+    let report = sup.run_elastic(&[kill], &[]);
     assert!(report.completed(), "gave up: {:?}", report.gave_up);
     assert_eq!(report.reconfigurations.len(), 1, "one shrink, no grow");
     let rc = report.reconfigurations[0];
@@ -307,46 +304,63 @@ fn elastic_shrink_is_bit_identical_to_fresh_degraded_launch() {
     let _ = fs::remove_dir_all(root2);
 }
 
-/// Elastic shrink then grow: capacity returns mid-degraded-run and the
-/// supervisor grows back to the launch topology at the NEXT checkpoint
-/// boundary — never mid-interval — and the post-grow trajectory is
-/// bit-identical to a fresh full-topology launch from that boundary.
+/// The shared recovery table (`tests/common`, also run over rank processes
+/// by `tests/process_mode.rs`): one kill heals bit-identically; and elastic
+/// shrink then grow — capacity returns mid-degraded-run and the supervisor
+/// grows back to the launch topology at the NEXT checkpoint boundary, never
+/// mid-interval, the post-grow trajectory bit-identical to a fresh
+/// full-topology launch from that boundary. Then what only an in-process
+/// world can promise: the exact restore point and every loss, per segment.
 #[test]
 fn elastic_grows_back_at_checkpoint_boundary() {
     let c = cfg();
     let mut rng = StdRng::seed_from_u64(61);
     let master = GptModel::new(c, &mut rng);
-    let data = make_data(c, 4, 12, 610);
+    let data = make_data(c, 4, common::ITERS, 610);
     let spec = PtdpSpec::new(2, 2, 2);
-    let kill = KillSwitch {
-        thread: (0, 1, 0),
-        iteration: 5,
+    let clean = PtdpTrainer::new(master.clone(), spec).train(&data);
+    let resume = |spec: PtdpSpec, upto: usize, ctl: RunControl| {
+        let out = PtdpTrainer::new(master.clone(), spec).train_with(&data[..upto], ctl);
+        assert!(out.error.is_none(), "{:?}", out.error);
+        out.log
     };
-    // The rank comes back at iteration 7; with checkpoints every 2 the
-    // grow must wait for the boundary at iteration 8.
-    let returned = [CapacityEvent::Returned {
-        iteration: 7,
-        ranks: 1,
-    }];
 
-    let root = tmp_root("elgrow");
-    let store = CheckpointStore::open(&root).unwrap();
-    let sup = Supervisor::new(master.clone(), spec, store, fast_sup(2));
-    let report = sup.run_elastic(&data, &[kill], &returned);
-    assert!(report.completed(), "gave up: {:?}", report.gave_up);
-    assert_eq!(report.reconfigurations.len(), 2, "shrink then grow");
+    let roots = std::cell::RefCell::new(Vec::new());
+    let (healed, report) = common::recovery_table(
+        |tag| {
+            let root = tmp_root(&format!("table-{tag}"));
+            let store = CheckpointStore::open(&root).unwrap();
+            roots.borrow_mut().push(root);
+            let backend = ThreadBackend::new(master.clone(), spec, &data);
+            (
+                Supervisor::new(backend, Arc::clone(&store), common::policy()),
+                store,
+            )
+        },
+        &clean.final_params,
+        |store, generation| {
+            let restore = Some(store.load_pinned(&spec, c, generation).unwrap().snapshot);
+            let ctl = RunControl {
+                restore,
+                ..RunControl::default()
+            };
+            resume(spec, common::ITERS, ctl).final_params
+        },
+    );
+
+    let inc = &healed.incidents[0];
+    assert_eq!(
+        (inc.resumed_from, inc.lost_iterations),
+        (4, 1),
+        "checkpoint_every=2, killed at 5"
+    );
+    assert_eq!(healed.losses, clean.losses, "losses bit-identical");
+
+    // Replication of the elastic trajectory from an independent store:
+    // doomed full run -> fresh degraded launch over the degraded window ->
+    // fresh full launch from the grow boundary.
     let shrink = report.reconfigurations[0];
-    let grow = report.reconfigurations[1];
-    assert_eq!(shrink.direction, ReconfigureDirection::Shrink);
     assert_eq!(shrink.generation, 4);
-    assert_eq!(grow.direction, ReconfigureDirection::Grow);
-    assert_eq!(grow.at_iter, 8, "boundary after the iteration-7 return");
-    assert_eq!(grow.generation, 8);
-    assert_eq!(grow.to, (2, 2, 2), "back to the launch topology");
-    assert_eq!(report.restarts, 1, "the grow is a launch, not a restart");
-
-    // Replication: doomed full run -> fresh degraded launch over the
-    // degraded window -> fresh full launch from the grow boundary.
     let degraded = PtdpSpec {
         pipeline: shrink.to.0,
         tensor: shrink.to.1,
@@ -359,7 +373,7 @@ fn elastic_grows_back_at_checkpoint_boundary() {
         &data,
         RunControl {
             checkpoint_every: Some(2),
-            kill: Some(kill),
+            kill: Some(common::KILL),
             durable: Some(Arc::clone(&store2)),
             ..RunControl::default()
         },
@@ -367,8 +381,9 @@ fn elastic_grows_back_at_checkpoint_boundary() {
     assert!(doomed.error.is_some());
     let restored = store2.load_latest(&degraded, c).expect("canonical layout");
     assert_eq!(restored.generation, 4);
-    let mid = PtdpTrainer::new(master.clone(), degraded).train_with(
-        &data[..8],
+    let mid = resume(
+        degraded,
+        8,
         RunControl {
             checkpoint_every: Some(2),
             restore: Some(restored.snapshot),
@@ -376,26 +391,26 @@ fn elastic_grows_back_at_checkpoint_boundary() {
             ..RunControl::default()
         },
     );
-    assert!(mid.error.is_none(), "{:?}", mid.error);
-    assert_eq!(report.losses[4..8], mid.log.losses[4..8], "degraded window");
+    assert_eq!(report.losses[4..8], mid.losses[4..8], "degraded window");
     let regrown = store2.load_latest(&spec, c).expect("boundary generation");
     assert_eq!(regrown.generation, 8);
-    let tail = PtdpTrainer::new(master, spec).train_with(
-        &data,
+    let tail = resume(
+        spec,
+        common::ITERS,
         RunControl {
             restore: Some(regrown.snapshot),
             ..RunControl::default()
         },
     );
-    assert!(tail.error.is_none(), "{:?}", tail.error);
-    assert_eq!(report.losses[8..], tail.log.losses[8..], "post-grow tail");
+    assert_eq!(report.losses[8..], tail.losses[8..], "post-grow tail");
     assert_eq!(
         report.final_params.as_ref(),
-        Some(&tail.log.final_params),
+        Some(&tail.final_params),
         "final weights bit-for-bit after growing back"
     );
-    let _ = fs::remove_dir_all(root);
-    let _ = fs::remove_dir_all(root2);
+    for root in roots.into_inner().into_iter().chain([root2]) {
+        let _ = fs::remove_dir_all(root);
+    }
 }
 
 /// When failures eat the whole cluster, the elastic supervisor reports a
@@ -420,8 +435,12 @@ fn elastic_gives_up_cleanly_when_capacity_hits_zero() {
 
     let root = tmp_root("elzero");
     let store = CheckpointStore::open(&root).unwrap();
-    let sup = Supervisor::new(master, spec, store, fast_sup(2));
-    let report = sup.run_elastic(&data, &kills, &[]);
+    let sup = Supervisor::new(
+        ThreadBackend::new(master, spec, &data),
+        store,
+        common::policy(),
+    );
+    let report = sup.run_elastic(&kills, &[]);
     assert!(!report.completed(), "no capacity left to run on");
     assert!(report.gave_up.is_some());
     assert_eq!(report.reconfigurations.len(), 1, "shrank once, then died");
