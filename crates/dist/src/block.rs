@@ -235,8 +235,8 @@ impl ParallelBlock {
     /// are independent with a fixed k-order accumulation, LayerNorm /
     /// bias / GeLU / residual are row-local, the single-row attention
     /// below mirrors `AttentionCore::forward` (scores then scale, max-
-    /// subtracted softmax over the causal prefix, zero-prob skip in the
-    /// weighted sum), and a two-member all-reduce is a plain commutative
+    /// subtracted softmax over the causal prefix, weighted sum in position
+    /// order), and a two-member all-reduce is a plain commutative
     /// add. Hence for `t ∈ {1, 2}` decoding one token at a time produces
     /// the same bits as re-running the whole prefix.
     pub fn forward_decode(
@@ -288,13 +288,11 @@ impl ParallelBlock {
                     for item in &mut scores {
                         *item /= sum;
                     }
-                    // Weighted value sum with matmul's zero-coefficient
-                    // skip (masked probabilities are exactly 0.0 there).
+                    // Weighted value sum in position order (as matmul; the
+                    // masked probabilities there are exactly 0.0 and add
+                    // nothing to a finite sum).
                     let orow = &mut attn_out.row_mut(r)[hs..hs + self.head_dim];
                     for (j, &pj) in scores.iter().enumerate() {
-                        if pj == 0.0 {
-                            continue;
-                        }
                         let vh = &kv.v_row(j)[hs..hs + self.head_dim];
                         for (o, &bv) in orow.iter_mut().zip(vh) {
                             *o += pj * bv;

@@ -55,19 +55,22 @@ impl ProcBackend {
 
     /// Watch a launched world until it ends: `None` when every rank
     /// exited 0, else what was seen first and which ranks are gone.
-    fn watch(&self, handle: &LaunchHandle, a: &Attempt<'_>) -> Option<(IncidentCause, Vec<usize>)> {
+    fn watch(
+        &self,
+        handle: &LaunchHandle,
+        job: &JobSpec,
+        a: &Attempt<'_>,
+    ) -> Option<(IncidentCause, Vec<usize>)> {
         let spec = a.spec;
         let world = spec.world();
         let t0 = Instant::now();
         let limit = RENDEZVOUS_TIMEOUT + a.comm_timeout * 4 + Duration::from_secs(120);
-        let mut victim = a
-            .kill
-            .map(|k| (spec.flat_rank(k.thread), k.iteration.max(1)));
+        let mut victim = job.hold;
         let mut killed = Vec::new();
         loop {
             thread::sleep(WATCH_POLL);
             // Fire the armed kill once the victim reports `iteration`
-            // completed: it is then inside that iteration, after any
+            // completed: it holds there (`JobSpec::hold`), after any
             // checkpoint shard written at the boundary is on disk.
             if let Some((rank, after)) = victim {
                 if handle.progress(rank) >= after {
@@ -135,6 +138,9 @@ impl JobBackend for ProcBackend {
             checkpoint_every: a.cfg.checkpoint_every,
             resume_from: start,
             epoch: a.epoch,
+            hold: a
+                .kill
+                .map(|k| (a.spec.flat_rank(k.thread), k.iteration.max(1))),
             ..self.job
         };
         let launched = launch_configured(
@@ -157,7 +163,7 @@ impl JobBackend for ProcBackend {
                 }
             }
         };
-        let failure = self.watch(&handle, &a).map(|(cause, dead_ranks)| {
+        let failure = self.watch(&handle, &job, &a).map(|(cause, dead_ranks)| {
             let reached = handle.min_progress().max(start);
             handle.kill_all();
             AttemptFailure {

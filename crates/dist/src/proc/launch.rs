@@ -22,6 +22,10 @@ use super::rendezvous::{
 };
 use super::spec::{JobSpec, SocketFaultPlan};
 
+/// Heartbeat frames the launcher reads from one rank before it turns to the
+/// next.
+const FRAMES_PER_TURN: usize = 64;
+
 // ---------------------------------------------------------------------------
 // Launcher
 // ---------------------------------------------------------------------------
@@ -198,11 +202,17 @@ pub fn launch_configured(
                 let mut idle = true;
                 for r in 0..world {
                     chan.set_deadline(Instant::now() + Duration::from_millis(100));
-                    while let Ok(Some(frame)) = megatron_collective::PollTransport::recv_within(
-                        &mut chan,
-                        r,
-                        Duration::from_millis(1),
-                    ) {
+                    // A bounded turn per rank: one whose progress beats
+                    // arrive faster than the 1 ms wait below would otherwise
+                    // hold this loop and starve the rest into looking dead.
+                    for _ in 0..FRAMES_PER_TURN {
+                        let Ok(Some(frame)) = megatron_collective::PollTransport::recv_within(
+                            &mut chan,
+                            r,
+                            Duration::from_millis(1),
+                        ) else {
+                            break;
+                        };
                         if let Some(&f) = frame.first() {
                             let fr = f as usize;
                             monitor.beat(fr);

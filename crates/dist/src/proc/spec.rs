@@ -73,6 +73,13 @@ pub struct JobSpec {
     /// Incident epoch stamped into step samples and telemetry (attempt
     /// number − 1 under the supervisor; 0 for a plain launch).
     pub epoch: usize,
+    /// `(flat rank, completed iterations)`: that rank's worker parks right
+    /// after reporting this many completed iterations and waits to be
+    /// killed. Set by [`ProcBackend`](super::ProcBackend) for an armed
+    /// [`KillSwitch`](crate::KillSwitch), so that the launcher's SIGKILL
+    /// lands at that iteration however fast the job runs and however late
+    /// the watch loop polls.
+    pub(crate) hold: Option<(usize, usize)>,
 }
 
 impl JobSpec {
@@ -110,6 +117,7 @@ impl JobSpec {
             checkpoint_every: 0,
             resume_from: 0,
             epoch: 0,
+            hold: None,
         }
     }
 
@@ -215,6 +223,11 @@ impl JobSpec {
             ("checkpoint_every", n(self.checkpoint_every)),
             ("resume_from", n(self.resume_from)),
             ("epoch", n(self.epoch)),
+            (
+                "hold",
+                self.hold
+                    .map_or(Json::Null, |(r, after)| Json::Arr(vec![n(r), n(after)])),
+            ),
         ])
         .to_string()
     }
@@ -286,6 +299,10 @@ impl JobSpec {
             checkpoint_every: us0("checkpoint_every"),
             resume_from: us0("resume_from"),
             epoch: us0("epoch"),
+            hold: j
+                .get("hold")
+                .as_array()
+                .and_then(|v| Some((v.first()?.as_f64()? as usize, v.get(1)?.as_f64()? as usize))),
         })
     }
 }
@@ -513,6 +530,7 @@ mod tests {
         let inter = JobSpec {
             schedule: ScheduleKind::Interleaved { chunks: 2 },
             chunks: 2,
+            hold: Some((1, 5)),
             ..JobSpec::canonical(2, 1, 1)
         };
         assert_eq!(JobSpec::from_json(&inter.to_json()).unwrap(), inter);

@@ -346,9 +346,16 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
             // scheduler and the supervisor's grow boundary both key off
             // it. The plain beacon stays 1-element.
             let done = std::sync::atomic::AtomicUsize::new(job.resume_from);
+            let hold = job.hold;
             Arc::new(move |r: usize| {
                 let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let _ = send_heartbeat(&hb, world, &[r as f32, completed as f32]);
+                // The armed victim stops here, beacon still beating, until
+                // the launcher's SIGKILL: the kill lands at this iteration
+                // whatever the job's speed.
+                while hold.is_some_and(|(hr, after)| hr == r && completed >= after) {
+                    thread::park();
+                }
             }) as Arc<dyn Fn(usize) + Send + Sync>
         }),
         ..Default::default()

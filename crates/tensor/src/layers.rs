@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use crate::gemm;
+use crate::gemm::{self, View, ViewMut};
 use crate::Matrix;
 
 /// Fully-connected layer `y = x·W (+ b)`; `W` is `in × out`.
@@ -236,22 +236,14 @@ impl AttentionCore {
         assert_eq!(m.cols(), self.heads * self.head_dim);
     }
 
-    /// Extract the `s × head_dim` block for (batch `bi`, head `hi`).
-    fn head_block(&self, m: &Matrix, bi: usize, hi: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.seq, self.head_dim);
-        for srow in 0..self.seq {
-            let row = m.row(bi * self.seq + srow);
-            out.row_mut(srow)
-                .copy_from_slice(&row[hi * self.head_dim..(hi + 1) * self.head_dim]);
-        }
-        out
+    /// The `s × head_dim` block of (batch `bi`, head `hi`), multiplied where
+    /// it lies.
+    fn head<'a>(&self, m: &'a Matrix, bi: usize, hi: usize) -> View<'a> {
+        m.block(bi * self.seq, hi * self.head_dim, self.seq, self.head_dim)
     }
 
-    fn scatter_head_block(&self, target: &mut Matrix, block: &Matrix, bi: usize, hi: usize) {
-        for srow in 0..self.seq {
-            let dst = target.row_mut(bi * self.seq + srow);
-            dst[hi * self.head_dim..(hi + 1) * self.head_dim].copy_from_slice(block.row(srow));
-        }
+    fn head_mut<'a>(&self, m: &'a mut Matrix, bi: usize, hi: usize) -> ViewMut<'a> {
+        m.block_mut(bi * self.seq, hi * self.head_dim, self.seq, self.head_dim)
     }
 
     /// Forward pass: causal softmax(QKᵀ/√d)·V.
@@ -264,10 +256,7 @@ impl AttentionCore {
         let mut probs = Vec::with_capacity(self.batch * self.heads);
         for bi in 0..self.batch {
             for hi in 0..self.heads {
-                let qh = self.head_block(q, bi, hi);
-                let kh = self.head_block(k, bi, hi);
-                let vh = self.head_block(v, bi, hi);
-                let mut scores = gemm::matmul_nt(&qh, &kh);
+                let mut scores = gemm::matmul_view(self.head(q, bi, hi), self.head(k, bi, hi).t());
                 scores.scale(scale);
                 // Causal mask + row-wise softmax.
                 for r in 0..self.seq {
@@ -289,8 +278,11 @@ impl AttentionCore {
                         }
                     }
                 }
-                let oh = gemm::matmul(&scores, &vh);
-                self.scatter_head_block(&mut out, &oh, bi, hi);
+                gemm::matmul_into(
+                    scores.view(),
+                    self.head(v, bi, hi),
+                    self.head_mut(&mut out, bi, hi),
+                );
                 probs.push(scores);
             }
         }
@@ -313,12 +305,10 @@ impl AttentionCore {
         for bi in 0..self.batch {
             for hi in 0..self.heads {
                 let probs = &cache.probs[bi * self.heads + hi];
-                let kh = self.head_block(k, bi, hi);
-                let vh = self.head_block(v, bi, hi);
-                let doh = self.head_block(dout, bi, hi);
+                let doh = self.head(dout, bi, hi);
                 // dV = Pᵀ · dO ; dP = dO · Vᵀ.
-                let dvh = gemm::matmul_tn(probs, &doh);
-                let mut dscores = gemm::matmul_nt(&doh, &vh);
+                gemm::matmul_into(probs.view().t(), doh, self.head_mut(&mut dv, bi, hi));
+                let mut dscores = gemm::matmul_view(doh, self.head(v, bi, hi).t());
                 // Softmax backward row-wise: dS = P ⊙ (dP − Σ dP⊙P).
                 for r in 0..self.seq {
                     let prow = probs.row(r);
@@ -329,12 +319,9 @@ impl AttentionCore {
                     }
                 }
                 // dQ = dS · K ; dK = dSᵀ · Q.
-                let qh = self.head_block(q, bi, hi);
-                let dqh = gemm::matmul(&dscores, &kh);
-                let dkh = gemm::matmul_tn(&dscores, &qh);
-                self.scatter_head_block(&mut dq, &dqh, bi, hi);
-                self.scatter_head_block(&mut dk, &dkh, bi, hi);
-                self.scatter_head_block(&mut dv, &dvh, bi, hi);
+                let (ds, dst) = (dscores.view(), dscores.view().t());
+                gemm::matmul_into(ds, self.head(k, bi, hi), self.head_mut(&mut dq, bi, hi));
+                gemm::matmul_into(dst, self.head(q, bi, hi), self.head_mut(&mut dk, bi, hi));
             }
         }
         (dq, dk, dv)

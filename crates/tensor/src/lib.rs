@@ -2,13 +2,24 @@
 //!
 //! This crate is the numerical substrate for the thread-per-GPU distributed
 //! runtime (`megatron-dist`): it provides everything a GPT forward/backward
-//! pass needs — GEMM (thread-parallel, with a naive reference used in
-//! tests), GeLU, LayerNorm, causal multi-head attention, embeddings,
-//! cross-entropy — plus the Adam optimizer and a finite-difference gradient
-//! checker. Dropout is intentionally omitted: the reproduction's
-//! correctness claims (tensor/pipeline/data-parallel execution computes the
-//! same gradients as serial execution) require deterministic math, and
-//! dropout contributes nothing to the performance phenomena under study.
+//! pass needs — GEMM, GeLU, LayerNorm, causal multi-head attention,
+//! embeddings, cross-entropy — plus the Adam optimizer and a
+//! finite-difference gradient checker.
+//!
+//! [`gemm`] is one register-blocked kernel over strided views; the plain,
+//! `Aᵀ·B` and `A·Bᵀ` products and attention's per-head blocks are the same
+//! call with other strides. Its contract is the summation order: every
+//! output element is accumulated from `0.0` in ascending `k`, product
+//! rounded, then added, so results do not depend on tiling, row count,
+//! thread or instruction set and equal the naive triple loop bit for bit.
+//! Large products are shared with a process-wide set of parked helper
+//! threads (`pool`): the caller always takes blocks itself and never waits
+//! for one a helper has not already claimed; no thread is spawned per call.
+//!
+//! Dropout is intentionally omitted: the reproduction's correctness claims
+//! (tensor/pipeline/data-parallel execution computes the same gradients as
+//! serial execution) require deterministic math, and dropout contributes
+//! nothing to the performance phenomena under study.
 //!
 //! Everything is `f32`, row-major, and deliberately simple: shapes are
 //! explicit `(rows, cols)` pairs, layers own their parameters and gradient
@@ -21,6 +32,7 @@ pub mod gpt;
 pub mod gradcheck;
 pub mod layers;
 mod matrix;
+mod pool;
 
 pub use adam::{Adam, AdamState};
 pub use matrix::Matrix;
