@@ -2,11 +2,9 @@
 //! figure; `repro all` runs everything; `repro list` enumerates;
 //! `repro simulate ...` prices an arbitrary user configuration;
 //! `repro chaos ...` runs the seeded chaos sweep with tunable knobs;
-//! `repro serving ...` / `repro collective ...` take benchmark flags.
+//! `repro serving ...` takes benchmark flags.
 
-use megatron_bench::{
-    analyze, chaos, collective_bench, experiments, launch, sentry, serving, simulate_cli,
-};
+use megatron_bench::{analyze, chaos, experiments, launch, sentry, serving, simulate_cli};
 
 fn main() {
     // Process-mode rank workers re-exec this binary with `--proc-worker
@@ -25,7 +23,6 @@ fn main() {
             println!("\n{}", simulate_cli::USAGE);
             println!("\n{}", chaos::USAGE);
             println!("\n{}", serving::USAGE);
-            println!("\n{}", collective_bench::USAGE);
             println!("\n{}", launch::USAGE);
             println!("\n{}", analyze::USAGE);
             println!("\n{}", sentry::USAGE);
@@ -45,13 +42,6 @@ fn main() {
             }
         },
         Some("serving") if args.len() > 1 => match serving::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        Some("collective") if args.len() > 1 => match collective_bench::run(&args[1..]) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("{e}");

@@ -179,11 +179,6 @@ pub fn all() -> Vec<Experiment> {
             run: crate::timeline::timeline,
         },
         Experiment {
-            name: "collective",
-            paper_ref: "E32: blackboard vs ring all-reduce wall time on the real transport",
-            run: crate::collective_bench::collective,
-        },
-        Experiment {
             name: "chaos",
             paper_ref: "E33: seeded chaos sweep — transient faults retried, fatal ones restored",
             run: crate::chaos::chaos,

@@ -7,7 +7,6 @@
 
 pub mod analyze;
 pub mod chaos;
-pub mod collective_bench;
 pub mod elastic_bench;
 pub mod experiments;
 pub mod harness;

@@ -11,15 +11,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use megatron_collective::{SocketChannel, SocketNode, WireAddr};
-use megatron_sim::json::Json;
 
 use crate::comm::WireKind;
 use crate::health::HealthMonitor;
-use crate::trainer::{RankCommVolume, ThreadKey};
+use crate::trainer::{merge_losses, ThreadKey};
 
-use super::rendezvous::{
-    bits_from, clear_stale_rendezvous, publish, volume_from, HEARTBEAT_CHAN, RENDEZVOUS_TIMEOUT,
-};
+use super::rendezvous::{clear_stale_rendezvous, publish, HEARTBEAT_CHAN, RENDEZVOUS_TIMEOUT};
+use super::report::{self, RankOutput};
 use super::spec::{JobSpec, SocketFaultPlan};
 
 /// Heartbeat frames the launcher reads from one rank before it turns to the
@@ -29,32 +27,6 @@ const FRAMES_PER_TURN: usize = 64;
 // ---------------------------------------------------------------------------
 // Launcher
 // ---------------------------------------------------------------------------
-
-/// One rank's parsed `rank-R.out.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankOutput {
-    /// Thread coordinate.
-    pub key: ThreadKey,
-    /// OS pid of the rank process.
-    pub pid: u32,
-    /// Whether the process exited 0.
-    pub exit_ok: bool,
-    /// Display form of the rank's `TrainError`, if it failed.
-    pub error: Option<String>,
-    /// Per-iteration losses as this rank recorded them (only loss-owning
-    /// ranks fill these; others report zeros).
-    pub losses: Vec<f32>,
-    /// Flattened final parameters of this rank's shard (bit-exact).
-    pub params: Vec<f32>,
-    /// Transport-measured comm volume.
-    pub volume: RankCommVolume,
-    /// Bytes the rank's comm-op tape implies it sent.
-    pub tape_bytes: f64,
-    /// Peak stashed-activation floats.
-    pub peak_stash: usize,
-    /// Completed step samples.
-    pub steps: usize,
-}
 
 /// How one rank process ended, as the launcher observed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,19 +120,10 @@ pub fn launch_configured(
     faults: Option<&SocketFaultPlan>,
 ) -> std::io::Result<LaunchHandle> {
     assert!(job.wire.is_socket(), "process mode needs a socket wire");
-    if !job.batch.is_multiple_of(job.data * job.microbatch) {
-        // The in-process trainer asserts this; catch it here so an invalid
-        // job errors before any worker is spawned instead of the workers
-        // silently truncating the batch (`m` below rounds down).
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "batch {} must divide by d*b = {}",
-                job.batch,
-                job.data * job.microbatch
-            ),
-        ));
-    }
+    // Refuse a ragged batch here, before any worker is spawned.
+    job.spec()
+        .microbatches(job.batch)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     fs::create_dir_all(dir)?;
     clear_stale_rendezvous(dir)?;
     fs::write(dir.join("job.json"), job.to_json())?;
@@ -371,7 +334,6 @@ impl LaunchHandle {
             .iter()
             .map(|e| e.expect("all ranks resolved above"))
             .collect();
-        let exit_ok: Vec<bool> = exits.iter().map(|e| *e == WorkerExit::Ok).collect();
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.reader.take() {
             let _ = h.join();
@@ -379,46 +341,18 @@ impl LaunchHandle {
 
         let mut outputs = HashMap::new();
         let mut missing = Vec::new();
-        for (r, &rank_exit_ok) in exit_ok.iter().enumerate() {
+        for (r, exit) in exits.iter().enumerate() {
             let key = spec.thread_key(r);
-            let parsed = fs::read_to_string(self.dir.join(format!("rank-{r}.out.json")))
-                .ok()
-                .and_then(|s| Json::parse(&s).ok());
-            match parsed {
-                Some(j) => {
-                    outputs.insert(
-                        key,
-                        RankOutput {
-                            key,
-                            pid: j.get("pid").as_f64().unwrap_or(0.0) as u32,
-                            exit_ok: rank_exit_ok,
-                            error: j.get("error").as_str().map(str::to_string),
-                            losses: bits_from(j.get("losses_bits")),
-                            params: bits_from(j.get("params_bits")),
-                            volume: volume_from(j.get("volume")),
-                            tape_bytes: j.get("tape_bytes").as_f64().unwrap_or(0.0),
-                            peak_stash: j.get("peak_stash").as_f64().unwrap_or(0.0) as usize,
-                            steps: j.get("steps").as_f64().unwrap_or(0.0) as usize,
-                        },
-                    );
+            let text = fs::read_to_string(self.dir.join(report::file_name(r))).ok();
+            match text.and_then(|t| RankOutput::decode(t, *exit == WorkerExit::Ok)) {
+                Some(out) => {
+                    outputs.insert(key, out);
                 }
                 None => missing.push(key),
             }
         }
-
-        // Merge losses: every writer holds the same all-reduced value, so
-        // take the first nonzero per iteration in flat-rank order.
-        let mut losses = vec![0.0f32; self.job.iters];
-        for (i, slot) in losses.iter_mut().enumerate() {
-            for r in 0..world {
-                if let Some(o) = outputs.get(&spec.thread_key(r)) {
-                    if o.losses.get(i).copied().unwrap_or(0.0) != 0.0 {
-                        *slot = o.losses[i];
-                        break;
-                    }
-                }
-            }
-        }
+        let reporting = (0..world).filter_map(|r| outputs.get(&spec.thread_key(r)));
+        let losses = merge_losses(self.job.iters, reporting.map(|o| o.losses.as_slice()));
 
         ProcOutcome {
             outputs,

@@ -8,20 +8,21 @@
 //! into a rendezvous directory. Each worker binds its own
 //! [`SocketNode`], publishes `rank-R.addr` / `rank-R.pid` files
 //! (atomically: write-temp + rename), waits for every peer's address, and
-//! then runs the *unmodified* per-thread training loop
-//! ([`run_thread`](crate::trainer)) — its tensor and data groups are
-//! process-mode [`Group`]s over [`SocketChannel`]s, and its pipeline
-//! endpoints are fed by pump threads that bridge socket frames to the
-//! `mpsc` channels the worker already speaks.
+//! then calls the same per-rank function a rank thread runs
+//! (`trainer::run_rank`) — its tensor and data groups are process-mode
+//! [`Group`]s over [`SocketChannel`]s, and its pipeline endpoints are fed
+//! by pump threads that bridge socket frames to the `mpsc` channels the
+//! rank loop already speaks.
 //!
 //! Determinism is the whole point: the collectives execute the exact same
 //! step programs with the exact same chunk routing as the mailbox
 //! transport, and the p2p pumps forward activations byte-for-byte, so an
 //! N-process run produces **bit-identical** losses, final parameters, and
 //! per-rank byte counts to the in-process run (proven in
-//! `tests/process_mode.rs`). Results cross the process boundary through
-//! `rank-R.out.json` files that encode every `f32` as its `u32` bit
-//! pattern — no decimal round-trip.
+//! `tests/process_mode.rs`). What a rank measured crosses the process
+//! boundary as a `rank-R.out.json` report (`report.rs` owns the format)
+//! that encodes every `f32` as its `u32` bit pattern — no decimal
+//! round-trip.
 //!
 //! ## Channel-id map
 //!
@@ -58,10 +59,12 @@
 mod backend;
 mod launch;
 mod rendezvous;
+mod report;
 mod spec;
 mod worker;
 
 pub use backend::ProcBackend;
-pub use launch::{launch, launch_configured, LaunchHandle, ProcOutcome, RankOutput, WorkerExit};
+pub use launch::{launch, launch_configured, LaunchHandle, ProcOutcome, WorkerExit};
+pub use report::RankOutput;
 pub use spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
 pub use worker::{maybe_worker, worker_main};

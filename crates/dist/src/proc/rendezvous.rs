@@ -1,5 +1,5 @@
-//! The rendezvous directory: channel ids, atomically published files, the
-//! stale-directory sweep, and the bit-exact `rank-R.out.json` field codecs.
+//! The rendezvous directory: channel ids, atomically published files, and
+//! the stale-directory sweep.
 
 use std::fs;
 use std::path::Path;
@@ -7,10 +7,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use megatron_collective::WireAddr;
-use megatron_sim::json::Json;
 
-use crate::comm::CommVolume;
-use crate::trainer::RankCommVolume;
+use super::report;
 
 pub(super) const TENSOR_CHAN_BASE: u64 = 1000;
 pub(super) const DATA_CHAN_BASE: u64 = 2000;
@@ -94,7 +92,7 @@ pub(super) fn clear_stale_rendezvous(dir: &Path) -> std::io::Result<()> {
                 && (name.ends_with(".addr")
                     || name.ends_with(".pid")
                     || name.ends_with(".sock")
-                    || name.ends_with(".out.json")
+                    || name.ends_with(report::FILE_SUFFIX)
                     || name.ends_with(".trace.json")));
         if !is_rendezvous {
             continue;
@@ -127,53 +125,6 @@ pub(super) fn clear_stale_rendezvous(dir: &Path) -> std::io::Result<()> {
         let _ = fs::remove_file(p);
     }
     Ok(())
-}
-
-pub(super) fn bits_json(xs: &[f32]) -> Json {
-    Json::Arr(xs.iter().map(|v| Json::Num(v.to_bits() as f64)).collect())
-}
-
-pub(super) fn bits_from(j: &Json) -> Vec<f32> {
-    j.as_array()
-        .map(|a| {
-            a.iter()
-                .filter_map(|v| v.as_f64())
-                .map(|b| f32::from_bits(b as u32))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-pub(super) fn volume_json(v: &RankCommVolume) -> Json {
-    let c = |cv: &CommVolume| {
-        Json::obj([
-            ("all_reduce", Json::Num(cv.all_reduce_bytes)),
-            ("all_gather", Json::Num(cv.all_gather_bytes)),
-            ("reduce_scatter", Json::Num(cv.reduce_scatter_bytes)),
-            ("broadcast", Json::Num(cv.broadcast_bytes)),
-            ("ops", Json::Num(cv.ops as f64)),
-        ])
-    };
-    Json::obj([
-        ("tensor", c(&v.tensor)),
-        ("data", c(&v.data)),
-        ("p2p_send_bytes", Json::Num(v.p2p_send_bytes)),
-    ])
-}
-
-pub(super) fn volume_from(j: &Json) -> RankCommVolume {
-    let c = |j: &Json| CommVolume {
-        all_reduce_bytes: j.get("all_reduce").as_f64().unwrap_or(0.0),
-        all_gather_bytes: j.get("all_gather").as_f64().unwrap_or(0.0),
-        reduce_scatter_bytes: j.get("reduce_scatter").as_f64().unwrap_or(0.0),
-        broadcast_bytes: j.get("broadcast").as_f64().unwrap_or(0.0),
-        ops: j.get("ops").as_f64().unwrap_or(0.0) as u64,
-    };
-    RankCommVolume {
-        tensor: c(j.get("tensor")),
-        data: c(j.get("data")),
-        p2p_send_bytes: j.get("p2p_send_bytes").as_f64().unwrap_or(0.0),
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
-//! One rank process: bind, rendezvous, run the unmodified per-thread
-//! training loop over socket groups and pipeline pumps, report.
+//! One rank process: bind, rendezvous, wire socket groups and pipeline
+//! pumps, call the same `run_rank` a rank thread runs, report.
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -11,19 +10,16 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use megatron_collective::{SocketChannel, SocketNode, WireAddr};
-use megatron_sim::json::Json;
 use megatron_tensor::Matrix;
 
 use crate::comm::{Group, WireKind};
-use crate::trainer::{
-    classify_panic, run_thread, Endpoints, RankCommOps, RankCommVolume, RunControl, SharedMap,
-    StepSample, ThreadArgs, ThreadKey, ThreadState,
-};
+use crate::trainer::{run_rank, Dir, Endpoints, RunControl, Wiring};
 
 use super::rendezvous::{
-    await_addrs, bits_json, publish, read_addr, volume_json, DATA_CHAN_BASE, HEARTBEAT_CHAN,
-    P2P_CHAN_BASE, RENDEZVOUS_TIMEOUT, TENSOR_CHAN_BASE,
+    await_addrs, publish, read_addr, DATA_CHAN_BASE, HEARTBEAT_CHAN, P2P_CHAN_BASE,
+    RENDEZVOUS_TIMEOUT, TENSOR_CHAN_BASE,
 };
+use super::report::{self, RankOutput};
 use super::spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
 
 // ---------------------------------------------------------------------------
@@ -118,22 +114,28 @@ pub fn maybe_worker() {
 }
 
 /// The body of one rank process: bind, rendezvous, train, report.
-/// Returns the process exit code (0 = the rank finished its run).
+/// Returns the process exit code: 0 = the rank finished its run, 1 = it
+/// failed and reported why, 3 = it never got as far as training.
 pub fn worker_main(dir: &Path, rank: usize) -> i32 {
-    let job = match fs::read_to_string(dir.join("job.json"))
-        .map_err(|e| e.to_string())
-        .and_then(|s| JobSpec::from_json(&s))
-    {
-        Ok(j) => j,
+    match run_worker(dir, rank) {
+        Ok(finished) => i32::from(!finished),
         Err(e) => {
             eprintln!("rank {rank}: {e}");
-            return 3;
+            3
         }
-    };
+    }
+}
+
+/// `Ok(whether the rank finished its run)` once a report is published,
+/// `Err` with the reason if the job could not be set up.
+fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
+    let text = fs::read_to_string(dir.join("job.json")).map_err(|e| e.to_string())?;
+    let job = JobSpec::from_json(&text)?;
     assert!(job.wire.is_socket(), "process mode needs a socket wire");
     let spec = job.spec();
+    let microbatches = spec.microbatches(job.batch)?;
     let world = spec.world();
-    let (pi, di, ti) = spec.thread_key(rank);
+    let key @ (pi, di, ti) = spec.thread_key(rank);
     let (p, t, d, v) = (spec.pipeline, spec.tensor, spec.data, spec.chunks);
     let stages = p * v;
     let timeout = spec.comm_timeout;
@@ -196,13 +198,7 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
     );
 
     let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
-    let addrs = match await_addrs(dir, world, deadline) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("rank {rank}: {e}");
-            return 3;
-        }
-    };
+    let addrs = await_addrs(dir, world, deadline)?;
     let launcher_addr = read_addr(dir, "launcher.addr");
     let transport = job.transport();
 
@@ -234,31 +230,21 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
     let stop = Arc::new(AtomicBool::new(false));
     let mut pumps = Vec::new();
     let mut ep = Endpoints::default();
-    for s in 0..stages.saturating_sub(1) {
-        let from_dev = s % p;
-        let to_dev = (s + 1) % p;
-        // dir 0 = forward activations (from→to), 1 = backward gradients.
-        for (dir, tx_dev, rx_dev) in [(0u64, from_dev, to_dev), (1u64, to_dev, from_dev)] {
-            let chan_id = P2P_CHAN_BASE + (s as u64) * 2 + dir;
-            if pi == tx_dev {
-                let peers = vec![None, Some(addrs[flat(rx_dev, di, ti)].clone())];
+    for boundary in 0..stages.saturating_sub(1) {
+        for dir in Dir::BOTH {
+            let (from, to) = dir.ends(boundary);
+            let chan_id = P2P_CHAN_BASE + (boundary as u64) * 2 + u64::from(dir == Dir::Bwd);
+            if pi == from % p {
+                let peers = vec![None, Some(addrs[flat(to % p, di, ti)].clone())];
                 let chan = SocketChannel::new(Arc::clone(&node), chan_id, 0, peers);
                 let (mtx, mrx) = unbounded::<Matrix>();
-                if dir == 0 {
-                    ep.fwd_out.insert(s, mtx);
-                } else {
-                    ep.bwd_out.insert(s + 1, mtx);
-                }
+                ep.tx.insert((dir, from), mtx);
                 pumps.push(thread::spawn(move || pump_send(chan, mrx, timeout)));
             }
-            if pi == rx_dev {
+            if pi == to % p {
                 let chan = SocketChannel::new(Arc::clone(&node), chan_id, 1, vec![None, None]);
                 let (mtx, mrx) = unbounded::<Matrix>();
-                if dir == 0 {
-                    ep.fwd_in.insert(s + 1, mrx);
-                } else {
-                    ep.bwd_in.insert(s, mrx);
-                }
+                ep.rx.insert((dir, to), mrx);
                 let stop = Arc::clone(&stop);
                 pumps.push(thread::spawn(move || pump_recv(chan, mtx, stop, timeout)));
             }
@@ -310,26 +296,19 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
             .unwrap_or_else(|_| dir.join("ckpt"));
         crate::checkpoint::CheckpointStore::open(root).expect("open checkpoint store")
     });
-    let restore = if job.resume_from > 0 {
-        let Some(store) = &store else {
-            eprintln!("rank {rank}: resume_from set without checkpointing");
-            return 3;
-        };
-        // Restore the launcher-pinned generation *specifically*: restoring
-        // whatever happens to be latest would silently diverge across the
-        // ranks (and forbid replaying an older generation for audits).
-        match store.load_pinned(&spec, job.model, job.resume_from) {
-            Ok(r) => Some(r.snapshot),
-            Err(e) => {
-                eprintln!(
-                    "rank {rank}: restore of pinned generation {} failed: {e}",
-                    job.resume_from
-                );
-                return 3;
-            }
+    // Restore the launcher-pinned generation *specifically*: restoring
+    // whatever happens to be latest would silently diverge across the ranks
+    // (and forbid replaying an older generation for audits).
+    let restore = match job.resume_from {
+        0 => None,
+        pinned => {
+            let store = store.as_ref();
+            let store = store.ok_or("resume_from set without checkpointing")?;
+            let restored = store.load_pinned(&spec, job.model, pinned);
+            let restored = restored
+                .map_err(|e| format!("restore of pinned generation {pinned} failed: {e}"))?;
+            Some(restored.snapshot)
         }
-    } else {
-        None
     };
 
     let ctl = RunControl {
@@ -361,112 +340,32 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
         ..Default::default()
     };
 
-    // The unmodified per-thread training loop, exactly as the in-process
-    // trainer drives it — same ThreadArgs, same schedule, same seeds.
-    let master = job.master();
-    let dataset = job.dataset();
-    let m = job.batch / d / spec.microbatch;
-    let schedule = spec.schedule.build(p, m);
-    let losses = Arc::new(Mutex::new(vec![0.0f32; job.iters]));
-    let final_params: SharedMap<Vec<f32>> = Arc::new(Mutex::new(HashMap::new()));
-    let peak_stash: SharedMap<usize> = Arc::new(Mutex::new(HashMap::new()));
-    let step_times: SharedMap<Vec<StepSample>> = Arc::new(Mutex::new(HashMap::new()));
-    let comm_volumes: SharedMap<RankCommVolume> = Arc::new(Mutex::new(HashMap::new()));
-    let comm_ops: SharedMap<RankCommOps> = Arc::new(Mutex::new(HashMap::new()));
-    let ckpts: Mutex<HashMap<usize, HashMap<ThreadKey, ThreadState>>> = Mutex::new(HashMap::new());
-
-    let result: Result<(), crate::trainer::TrainError> = {
-        let args = ThreadArgs {
-            pi,
-            di,
-            ti,
-            spec,
-            master: &master,
-            schedule: &schedule,
-            data: &dataset,
-            ep,
-            tg,
-            dg,
-            losses: Arc::clone(&losses),
-            final_params: Arc::clone(&final_params),
-            peak_stash: Arc::clone(&peak_stash),
-            step_times: Arc::clone(&step_times),
-            comm_volumes: Arc::clone(&comm_volumes),
-            comm_ops: Arc::clone(&comm_ops),
-            ctl: &ctl,
-            ckpts: &ckpts,
-        };
-        thread::scope(|s| {
-            s.spawn(|| run_thread(args))
-                .join()
-                .unwrap_or_else(|e| Err(classify_panic(&e)))
-        })
+    // The same rank loop the in-process trainer runs on a thread — same
+    // schedule, same seeds. No generations to assemble: this process sees
+    // one rank's state, so it writes its shard and the launcher commits.
+    let wiring = Wiring {
+        tg,
+        dg,
+        ep,
+        generations: None,
     };
+    let schedule = spec.schedule.build(p, microbatches);
+    let outcome = run_rank(
+        key,
+        spec,
+        &job.master(),
+        &schedule,
+        &job.dataset(),
+        wiring,
+        &ctl,
+    );
     stop.store(true, Ordering::Relaxed);
     for h in pumps {
         let _ = h.join();
     }
 
-    // Report: every f32 as u32 bits, so the launcher's merge is exact.
-    let key = (pi, di, ti);
-    let lock = |m: &SharedMap<Vec<f32>>| {
-        m.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key)
-            .unwrap_or_default()
-    };
-    let vol = comm_volumes
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&key)
-        .unwrap_or_default();
-    let tape_bytes = comm_ops
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&key)
-        .map(|ops| ops.total_bytes(t, ti, d, di))
-        .unwrap_or(0.0);
-    let peak = peak_stash
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&key)
-        .unwrap_or(0);
-    let steps = step_times
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&key)
-        .map(|s| s.len())
-        .unwrap_or(0);
-    let losses = Arc::try_unwrap(losses)
-        .unwrap()
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    let doc = Json::obj([
-        ("rank", Json::Num(rank as f64)),
-        (
-            "key",
-            Json::Arr(vec![
-                Json::Num(pi as f64),
-                Json::Num(di as f64),
-                Json::Num(ti as f64),
-            ]),
-        ),
-        ("pid", Json::Num(std::process::id() as f64)),
-        (
-            "error",
-            match &result {
-                Ok(()) => Json::Null,
-                Err(e) => Json::Str(e.to_string()),
-            },
-        ),
-        ("losses_bits", bits_json(&losses)),
-        ("params_bits", bits_json(&lock(&final_params))),
-        ("volume", volume_json(&vol)),
-        ("tape_bytes", Json::Num(tape_bytes)),
-        ("peak_stash", Json::Num(peak as f64)),
-        ("steps", Json::Num(steps as f64)),
-    ]);
-    publish(dir, &format!("rank-{rank}.out.json"), &doc.to_string());
+    let report = RankOutput::of(outcome, &spec);
+    publish(dir, &report::file_name(rank), &report.encode());
     if let Some(sink) = &sink {
         publish(
             dir,
@@ -474,7 +373,7 @@ pub fn worker_main(dir: &Path, rank: usize) -> i32 {
             &megatron_telemetry::chrome_trace_json(&sink.hub, stages),
         );
     }
-    i32::from(result.is_err())
+    Ok(report.exit_ok)
 }
 
 /// Send one heartbeat frame to the launcher: `[flat]` for a bare liveness

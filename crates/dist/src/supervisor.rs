@@ -58,7 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use megatron_sim::elastic::CostModel;
-use megatron_telemetry::{SpanArgs, SpanKind, TelemetrySink};
+use megatron_telemetry::{Span, SpanArgs, SpanKind, TelemetrySink};
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, Restored};
@@ -475,15 +475,16 @@ impl<B: JobBackend> Supervisor<B> {
         self.count(counter, 1);
         if let Some(sink) = &self.telemetry {
             let control_rank = self.backend.shape().spec.world();
-            let mut tracer = sink.hub.tracer(control_rank, (usize::MAX, 0, 0));
-            tracer.close(
-                SpanKind::Checkpoint,
-                span,
+            let tracer = sink.hub.tracer(control_rank, (usize::MAX, 0, 0));
+            tracer.push(Span {
+                kind: SpanKind::Checkpoint,
+                name: span,
                 start_ns,
-                rc.at_iter,
+                dur_ns: tracer.now().saturating_sub(start_ns),
+                iteration: rc.at_iter,
                 epoch,
-                SpanArgs::NONE,
-            );
+                args: SpanArgs::NONE,
+            });
         }
         report.reconfigurations.push(rc);
     }

@@ -1,10 +1,11 @@
 //! Run inputs and outputs: the failure-handling knobs ([`RunControl`]),
-//! everything a run produces ([`TrainLog`], [`TrainOutcome`]), checkpoint
+//! what one rank returns ([`RankOutcome`]) and the fold of a world of them
+//! into what a run produces ([`TrainLog`], [`TrainOutcome`]), checkpoint
 //! state ([`TrainSnapshot`]), and the per-thread instrumentation records
 //! (step timings, comm volumes, and the replayable comm-op tape).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use megatron_telemetry::TelemetrySink;
@@ -15,9 +16,6 @@ use crate::comm::{CollectiveOp, CommError, CommVolume, StallContext, TransportCo
 use crate::health::HealthMonitor;
 
 use super::spec::ThreadKey;
-
-/// Shared per-thread output map.
-pub(crate) type SharedMap<V> = Arc<Mutex<HashMap<ThreadKey, V>>>;
 
 /// One timed training step of one thread. Samples are indexed by
 /// (incident `epoch`, absolute `iteration`), so a run resumed after a
@@ -99,7 +97,59 @@ impl RankCommOps {
     }
 }
 
+/// Everything one rank measured, returned by value from
+/// [`run_rank`](super::run_rank) whether the rank finished, returned an
+/// error or unwound: nothing here is shared with another rank.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RankOutcome {
+    pub(crate) key: ThreadKey,
+    /// Why the rank stopped early, if it did.
+    pub(crate) error: Option<TrainError>,
+    /// One slot per iteration of the run; non-zero where this rank owns the
+    /// reported loss (last stage, tensor rank 0, replica 0) and got there.
+    pub(crate) losses: Vec<f32>,
+    /// One sample per iteration completed.
+    pub(crate) steps: Vec<StepSample>,
+    /// Peak stashed-activation floats.
+    pub(crate) peak_stash: usize,
+    /// Transport-measured volume, comm-op tape and final parameters — read
+    /// off at the end of the run, so left empty by a rank that failed.
+    pub(crate) volume: RankCommVolume,
+    pub(crate) ops: RankCommOps,
+    pub(crate) params: Vec<f32>,
+}
+
+impl RankOutcome {
+    pub(crate) fn new(key: ThreadKey, iterations: usize) -> Self {
+        RankOutcome {
+            key,
+            losses: vec![0.0; iterations],
+            ..Default::default()
+        }
+    }
+}
+
+/// Merge per-rank loss vectors, given in flat-rank order, into the run's
+/// losses: every writer of an iteration holds the same all-reduced value,
+/// so the first non-zero one is taken. Thread mode and the process-mode
+/// launcher both report this.
+pub(crate) fn merge_losses<'a>(
+    iterations: usize,
+    ranks: impl IntoIterator<Item = &'a [f32]>,
+) -> Vec<f32> {
+    let mut merged = vec![0.0f32; iterations];
+    for losses in ranks {
+        for (slot, &loss) in merged.iter_mut().zip(losses) {
+            if *slot == 0.0 {
+                *slot = loss;
+            }
+        }
+    }
+    merged
+}
+
 /// Result of a training run.
+#[derive(Default)]
 pub struct TrainLog {
     /// Mean loss per iteration (averaged over microbatches and replicas).
     /// A resumed run only fills the entries it executed.
@@ -262,4 +312,43 @@ pub struct TrainOutcome {
     /// The most recent checkpoint completed by *every* thread, if
     /// checkpointing was enabled and one completed before the failure.
     pub snapshot: Option<TrainSnapshot>,
+}
+
+impl TrainOutcome {
+    /// Fold a world of rank outcomes, in flat-rank order, into the run's
+    /// outcome. Losses, step samples and peak stash are kept from every
+    /// rank, failed ones included — on a failed run they are the best
+    /// record there is; volumes, tapes and parameters only from ranks that
+    /// finished.
+    pub(crate) fn fold(
+        iterations: usize,
+        ranks: Vec<RankOutcome>,
+        snapshot: Option<TrainSnapshot>,
+    ) -> TrainOutcome {
+        // Prefer the deliberate kill as the headline error (the comm errors
+        // on the survivors are its consequences).
+        let errors = || ranks.iter().filter_map(|r| r.error.as_ref());
+        let error = errors()
+            .find(|e| matches!(e, TrainError::Killed(_)))
+            .or_else(|| errors().next())
+            .cloned();
+        let mut log = TrainLog {
+            losses: merge_losses(iterations, ranks.iter().map(|r| r.losses.as_slice())),
+            ..Default::default()
+        };
+        for r in ranks {
+            log.peak_stash_floats.insert(r.key, r.peak_stash);
+            log.step_times.insert(r.key, r.steps);
+            if r.error.is_none() {
+                log.final_params.insert(r.key, r.params);
+                log.comm_volumes.insert(r.key, r.volume);
+                log.comm_ops.insert(r.key, r.ops);
+            }
+        }
+        TrainOutcome {
+            log,
+            error,
+            snapshot,
+        }
+    }
 }

@@ -21,13 +21,19 @@
 //!
 //! The module is split by concern:
 //! - [`spec`](self) — [`PtdpSpec`], the parallelization plan;
-//! - [`logs`](self) — run knobs and outputs ([`RunControl`], [`TrainLog`],
-//!   [`TrainOutcome`], checkpoints, the comm tapes);
+//! - [`logs`](self) — run knobs and outputs ([`RunControl`], what a rank
+//!   returns and its fold into [`TrainLog`] / [`TrainOutcome`],
+//!   checkpoints, the comm tapes);
+//! - [`generations`](self) — the in-memory checkpoint generations the rank
+//!   threads assemble together;
 //! - [`model`](self) — the per-thread model shard and forward caches;
-//! - [`worker`](self) — the per-thread training loop;
+//! - [`worker`](self) — `run_rank`, the per-rank training loop, the same
+//!   function for a rank thread here and a rank process in
+//!   [`proc`](crate::proc);
 //! - this file — the orchestrator that wires groups, channels, and threads
 //!   together.
 
+mod generations;
 mod logs;
 mod model;
 mod spec;
@@ -46,14 +52,14 @@ pub(crate) use model::{build_thread_model, EmbedShard, HeadShard, ThreadModel};
 
 use std::collections::HashMap;
 use std::sync::mpsc::channel as unbounded;
-use std::sync::{Arc, Mutex};
 
 use megatron_tensor::gpt::GptModel;
 
 use crate::comm::Group;
 
-pub(crate) use logs::SharedMap;
-pub(crate) use worker::{classify_panic, run_thread, Endpoints, ThreadArgs};
+use generations::GenerationAssembler;
+pub(crate) use logs::{merge_losses, RankOutcome};
+pub(crate) use worker::{run_rank, Dir, Endpoints, Wiring};
 
 /// Real PTD-P training over threads.
 pub struct PtdpTrainer {
@@ -115,187 +121,80 @@ impl PtdpTrainer {
             assert_eq!(tok.len(), batch_total * seq, "uneven iteration batches");
             assert_eq!(tgt.len(), batch_total * seq);
         }
-        assert!(
-            batch_total.is_multiple_of(d * spec.microbatch),
-            "B={batch_total} must divide by d·b = {}",
-            d * spec.microbatch
-        );
-        let per_replica = batch_total / d;
-        let m = per_replica / spec.microbatch;
+        let m = spec
+            .microbatches(batch_total)
+            .unwrap_or_else(|e| panic!("{e}"));
         let schedule = spec.schedule.build(p, m);
         schedule.validate().expect("generated schedule is valid");
 
         // --- Process groups ---
         let timeout = ctl.comm_timeout.unwrap_or(spec.comm_timeout);
-        // Each group gets its own fault stream, derived deterministically
-        // from the base chaos seed and the group's coordinates (family
-        // word 1 = tensor, 2 = data), so two runs with the same seed see
-        // identical faults while no two groups share a stream.
+        // `count` groups of `size` members per pipeline device. Each gets
+        // its own fault stream, derived deterministically from the base
+        // chaos seed and the group's coordinates (family word 1 = tensor,
+        // 2 = data), so two runs with the same seed see identical faults
+        // while no two groups share a stream.
         let transport = ctl.transport;
-        let group_cfg = move |family: u64, a: usize, b: usize| {
-            let mut cfg = transport;
-            if let Some(fp) = &mut cfg.faults {
-                fp.seed = megatron_collective::mix_seed(
-                    fp.seed,
-                    family << 32 | (a as u64) << 16 | b as u64,
-                );
+        let groups = |family: u64, size: usize, count: usize| {
+            let mut groups = HashMap::new();
+            for (pi, i) in (0..p).flat_map(|pi| (0..count).map(move |i| (pi, i))) {
+                let mut cfg = transport;
+                if let Some(fp) = &mut cfg.faults {
+                    let coords = family << 32 | (pi as u64) << 16 | i as u64;
+                    fp.seed = megatron_collective::mix_seed(fp.seed, coords);
+                }
+                groups.insert((pi, i), Group::with_config(size, timeout, cfg));
             }
-            cfg
+            groups
         };
-        let tensor_groups: HashMap<(usize, usize), Arc<Group>> = (0..p)
-            .flat_map(|pi| {
-                (0..d).map(move |di| {
-                    (
-                        (pi, di),
-                        Group::with_config(t, timeout, group_cfg(1, pi, di)),
-                    )
-                })
-            })
-            .collect();
-        let data_groups: HashMap<(usize, usize), Arc<Group>> = (0..p)
-            .flat_map(|pi| {
-                (0..t).map(move |ti| {
-                    (
-                        (pi, ti),
-                        Group::with_config(d, timeout, group_cfg(2, pi, ti)),
-                    )
-                })
-            })
-            .collect();
+        let tensor_groups = groups(1, t, d);
+        let data_groups = groups(2, d, t);
 
-        // --- Channels (per (di, ti) lane, per stage boundary) ---
-        let mut endpoints: HashMap<(usize, usize, usize), Endpoints> = (0..p)
-            .flat_map(|pi| {
-                (0..d)
-                    .flat_map(move |di| (0..t).map(move |ti| ((pi, di, ti), Endpoints::default())))
-            })
+        // --- Channels: per (di, ti) lane, one each way over every stage
+        // boundary ---
+        let mut endpoints: HashMap<ThreadKey, Endpoints> = (0..spec.world())
+            .map(|rank| (spec.thread_key(rank), Endpoints::default()))
             .collect();
-        for di in 0..d {
-            for ti in 0..t {
-                for s in 0..stages.saturating_sub(1) {
-                    let from_dev = s % p;
-                    let to_dev = (s + 1) % p;
-                    let (ftx, frx) = unbounded();
-                    let (btx, brx) = unbounded();
-                    endpoints
-                        .get_mut(&(from_dev, di, ti))
-                        .unwrap()
-                        .fwd_out
-                        .insert(s, ftx);
-                    endpoints
-                        .get_mut(&(to_dev, di, ti))
-                        .unwrap()
-                        .fwd_in
-                        .insert(s + 1, frx);
-                    endpoints
-                        .get_mut(&(to_dev, di, ti))
-                        .unwrap()
-                        .bwd_out
-                        .insert(s + 1, btx);
-                    endpoints
-                        .get_mut(&(from_dev, di, ti))
-                        .unwrap()
-                        .bwd_in
-                        .insert(s, brx);
+        for (di, ti) in (0..d).flat_map(|di| (0..t).map(move |ti| (di, ti))) {
+            for boundary in 0..stages.saturating_sub(1) {
+                for dir in Dir::BOTH {
+                    let (from, to) = dir.ends(boundary);
+                    let (tx, rx) = unbounded();
+                    let sender = endpoints.get_mut(&(from % p, di, ti)).unwrap();
+                    sender.tx.insert((dir, from), tx);
+                    let receiver = endpoints.get_mut(&(to % p, di, ti)).unwrap();
+                    receiver.rx.insert((dir, to), rx);
                 }
             }
         }
 
-        let losses = Arc::new(Mutex::new(vec![0.0f32; data.len()]));
-        let final_params: SharedMap<Vec<f32>> = Arc::new(Mutex::new(HashMap::new()));
-        let peak_stash: SharedMap<usize> = Arc::new(Mutex::new(HashMap::new()));
-        let step_times: SharedMap<Vec<StepSample>> = Arc::new(Mutex::new(HashMap::new()));
-        let comm_volumes: SharedMap<RankCommVolume> = Arc::new(Mutex::new(HashMap::new()));
-        let comm_ops: SharedMap<RankCommOps> = Arc::new(Mutex::new(HashMap::new()));
-        // Checkpoints accumulate per iteration; threads may drift by up to
-        // a pipeline flush, so only an iteration every thread finished
-        // counts as a restorable snapshot.
-        let ckpts: Mutex<HashMap<usize, HashMap<ThreadKey, ThreadState>>> =
-            Mutex::new(HashMap::new());
+        let generations = GenerationAssembler::new(spec.world());
         let ctl = &ctl;
 
-        let results: Vec<(ThreadKey, Result<(), TrainError>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p * d * t);
-            for pi in 0..p {
-                for di in 0..d {
-                    for ti in 0..t {
-                        let ep = endpoints.remove(&(pi, di, ti)).unwrap();
-                        let tg = tensor_groups[&(pi, di)].member(ti);
-                        let dg = data_groups[&(pi, ti)].member(di);
-                        let losses = Arc::clone(&losses);
-                        let final_params = Arc::clone(&final_params);
-                        let peak_stash = Arc::clone(&peak_stash);
-                        let step_times = Arc::clone(&step_times);
-                        let comm_volumes = Arc::clone(&comm_volumes);
-                        let comm_ops = Arc::clone(&comm_ops);
-                        let master = &self.master;
-                        let schedule = &schedule;
-                        let ckpts = &ckpts;
-                        handles.push((
-                            (pi, di, ti),
-                            scope.spawn(move || {
-                                run_thread(ThreadArgs {
-                                    pi,
-                                    di,
-                                    ti,
-                                    spec,
-                                    master,
-                                    schedule,
-                                    data,
-                                    ep,
-                                    tg,
-                                    dg,
-                                    losses,
-                                    final_params,
-                                    peak_stash,
-                                    step_times,
-                                    comm_volumes,
-                                    comm_ops,
-                                    ctl,
-                                    ckpts,
-                                })
-                            }),
-                        ));
-                    }
-                }
-            }
+        let ranks: Vec<RankOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..spec.world())
+                .map(|rank| {
+                    let key @ (pi, di, ti) = spec.thread_key(rank);
+                    let wiring = Wiring {
+                        tg: tensor_groups[&(pi, di)].member(ti),
+                        dg: data_groups[&(pi, ti)].member(di),
+                        ep: endpoints.remove(&key).unwrap(),
+                        generations: Some(&generations),
+                    };
+                    let (master, schedule) = (&self.master, &schedule);
+                    scope.spawn(move || run_rank(key, spec, master, schedule, data, wiring, ctl))
+                })
+                .collect();
             handles
                 .into_iter()
-                .map(|(key, h)| (key, h.join().unwrap_or_else(|p| Err(classify_panic(&p)))))
+                .map(|h| h.join().expect("run_rank catches its own unwind"))
                 .collect()
         });
 
-        // Prefer the deliberate kill as the headline error (the comm errors
-        // on the survivors are its consequences).
-        let error = results
-            .iter()
-            .find_map(|(_, r)| match r {
-                Err(e @ TrainError::Killed(_)) => Some(e.clone()),
-                _ => None,
-            })
-            .or_else(|| results.iter().find_map(|(_, r)| r.as_ref().err().cloned()));
-
-        // Every worker has exited (joined above), so the log mutexes have
-        // no other holders — but a worker that panicked mid-update leaves
-        // them poisoned. The partial logs are still the best record of the
-        // run, and `error` already carries the classified failure, so take
-        // the data instead of propagating the panic.
-        let world = p * d * t;
-        let snapshot = ckpts
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_iter()
-            .filter(|(_, threads)| threads.len() == world)
-            .max_by_key(|(next_iter, _)| *next_iter)
-            .map(|(next_iter, threads)| TrainSnapshot { next_iter, threads });
-
-        let comm_volumes = Arc::try_unwrap(comm_volumes)
-            .unwrap()
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
+        let out = TrainOutcome::fold(data.len(), ranks, generations.into_newest_complete());
         if let Some(sink) = &ctl.telemetry {
             let mut total = 0.0f64;
-            for ((cpi, cdi, cti), vol) in &comm_volumes {
+            for ((cpi, cdi, cti), vol) in &out.log.comm_volumes {
                 let bytes = vol.total_bytes();
                 sink.metrics
                     .counter(&format!("comm_bytes.rank.p{cpi}d{cdi}t{cti}"))
@@ -304,33 +203,6 @@ impl PtdpTrainer {
             }
             sink.metrics.counter("comm_bytes_total").add(total as u64);
         }
-
-        TrainOutcome {
-            log: TrainLog {
-                losses: Arc::try_unwrap(losses)
-                    .unwrap()
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner()),
-                final_params: Arc::try_unwrap(final_params)
-                    .unwrap()
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner()),
-                peak_stash_floats: Arc::try_unwrap(peak_stash)
-                    .unwrap()
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner()),
-                step_times: Arc::try_unwrap(step_times)
-                    .unwrap()
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner()),
-                comm_volumes,
-                comm_ops: Arc::try_unwrap(comm_ops)
-                    .unwrap()
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner()),
-            },
-            error,
-            snapshot,
-        }
+        out
     }
 }

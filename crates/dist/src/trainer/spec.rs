@@ -72,6 +72,18 @@ impl PtdpSpec {
         self.pipeline * self.tensor * self.data
     }
 
+    /// Microbatches per replica and iteration, `m = B / (d·b)`, for a global
+    /// batch of `global_batch` samples — refused unless it divides evenly.
+    /// Thread mode, the process launcher and every rank worker all get `m`
+    /// here, so none of them can round a ragged batch down on its own.
+    pub fn microbatches(&self, global_batch: usize) -> Result<usize, String> {
+        let per_step = self.data * self.microbatch;
+        if per_step == 0 || !global_batch.is_multiple_of(per_step) {
+            return Err(format!("B={global_batch} must divide by d·b = {per_step}"));
+        }
+        Ok(global_batch / per_step)
+    }
+
     /// The thread coordinate of a flat rank index, in the trainer's spawn
     /// order: pipeline outermost, then data, tensor innermost.
     pub fn thread_key(&self, rank: usize) -> ThreadKey {

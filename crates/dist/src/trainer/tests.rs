@@ -381,6 +381,19 @@ fn kill_and_restart_bitwise(cfg: TinyGptConfig, spec: PtdpSpec, batch: usize) {
     };
     let b = PtdpTrainer::new(master.clone(), spec).train_with(&data, ctl);
     assert_eq!(b.error, Some(TrainError::Killed((0, 0, 0))));
+    // Every rank — the killed one and the survivors that failed after it —
+    // still hands over what it measured before dying.
+    assert_eq!(b.log.step_times.len(), spec.world());
+    for (k, v) in &b.log.step_times {
+        // A later stage may get through the kill iteration itself.
+        let iters: Vec<usize> = v.iter().map(|s| s.iteration).collect();
+        assert_eq!(iters[..4], [0, 1, 2, 3], "rank {k:?} kept its step samples");
+        assert!(iters.len() <= 5, "rank {k:?} ran past the kill: {iters:?}");
+    }
+    assert_eq!(b.log.losses[..4], a.losses[..4], "pre-kill losses kept");
+    assert_eq!(b.log.losses[5], 0.0, "no loss past the kill iteration");
+    assert_eq!(b.log.peak_stash_floats, a.peak_stash_floats);
+    assert!(b.log.final_params.is_empty() && b.log.comm_ops.is_empty());
     let snap = b.snapshot.expect("a checkpoint completed before the kill");
     assert_eq!(snap.next_iter, 4, "latest full checkpoint is after iter 3");
     assert_eq!(snap.threads.len(), spec.world());
@@ -472,13 +485,24 @@ fn rejects_uneven_layer_split() {
 }
 
 #[test]
-#[should_panic(expected = "must divide by d·b")]
 fn rejects_indivisible_batch() {
-    let cfg = tiny(2);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let master = GptModel::new(cfg, &mut rng);
-    let data = make_data(cfg, 3, 1, 5);
-    let mut spec = PtdpSpec::new(1, 1, 2);
-    spec.microbatch = 1;
-    PtdpTrainer::new(master, spec).train(&data);
+    // One rule, `PtdpSpec::microbatches`, and so one message, whichever
+    // mode is asked to run the ragged batch.
+    let mut job = crate::proc::JobSpec::canonical(1, 1, 2);
+    job.batch = 3;
+    let refusal = job.spec().microbatches(job.batch).unwrap_err();
+    assert!(refusal.contains("must divide by d·b"), "{refusal}");
+
+    let by_thread = std::panic::catch_unwind(|| {
+        PtdpTrainer::new(job.master(), job.spec()).train(&job.dataset());
+    });
+    let panic = by_thread.expect_err("thread mode must refuse");
+    assert_eq!(panic.downcast_ref::<String>(), Some(&refusal));
+
+    // Process mode refuses before it spawns or writes anything.
+    let dir = std::env::temp_dir().join(format!("mproc-ragged-{}", std::process::id()));
+    let by_process = crate::proc::launch(&job, &dir).err();
+    let by_process = by_process.expect("process mode must refuse");
+    assert_eq!(by_process.to_string(), refusal);
+    assert!(!dir.exists());
 }

@@ -1,30 +1,36 @@
-//! The per-thread training loop: one OS thread per (pipeline, data,
-//! tensor) coordinate executing its schedule ops — embedding/chunk
-//! forwards, p2p activation exchange, backwards, and the flush-time
-//! optimizer semantics — with telemetry spans and the comm-op tape
-//! recorded along the way.
+//! The per-rank training loop: one rank per (pipeline, data, tensor)
+//! coordinate executing its schedule ops — embedding/chunk forwards, p2p
+//! activation exchange, backwards, and the flush-time optimizer semantics —
+//! with telemetry spans and the comm-op tape recorded along the way.
+//!
+//! [`run_rank`] is a function of its inputs: a thread of
+//! [`PtdpTrainer`](super::PtdpTrainer) and a rank process of
+//! [`proc`](crate::proc) call it with different [`Wiring`] and get the same
+//! [`RankOutcome`] back by value.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use megatron_schedule::Pass;
+use megatron_schedule::{Pass, PipeOp, PipelineSchedule};
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
 use megatron_tensor::{Adam, Matrix};
 
-use megatron_telemetry::{RankTracer, SpanArgs, SpanKind, TelemetrySink};
+use megatron_telemetry::{OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
 
+use crate::checkpoint::CheckpointError;
 use crate::comm::{
     ring_all_gather_bytes, ring_all_reduce_bytes, ring_reduce_scatter_bytes, CommError, CommPanic,
     GroupMember, StallContext, BYTES_F32,
 };
 
+use super::generations::GenerationAssembler;
 use super::logs::{
-    RankCommOps, RankCommVolume, RunControl, SharedMap, StepSample, ThreadState, TrainError,
+    RankCommOps, RankCommVolume, RankOutcome, RunControl, StepSample, ThreadState, TrainError,
 };
-use super::model::{build_thread_model, ChunkCache, DLogits, HeadCache, HeadShard};
+use super::model::{build_thread_model, ChunkCache, DLogits, HeadCache, HeadShard, ThreadModel};
 use super::spec::{PtdpSpec, ThreadKey};
 
 /// Map a worker panic to a [`TrainError`]. The inner tensor/vocab
@@ -32,7 +38,7 @@ use super::spec::{PtdpSpec, ThreadKey};
 /// [`CommPanic`] payload; anything else is a genuine bug in the worker.
 /// No string matching: a reworded panic message can never flip the
 /// classification.
-pub(crate) fn classify_panic(payload: &(dyn std::any::Any + Send)) -> TrainError {
+fn classify_panic(payload: &(dyn std::any::Any + Send)) -> TrainError {
     if let Some(CommPanic(e)) = payload.downcast_ref::<CommPanic>() {
         return TrainError::Comm(e.clone());
     }
@@ -44,99 +50,108 @@ pub(crate) fn classify_panic(payload: &(dyn std::any::Any + Send)) -> TrainError
     TrainError::ThreadPanicked(msg)
 }
 
-/// Publishes the thread's transport retry/fault counters into the
-/// telemetry metrics on scope exit — including the error paths, so
-/// transient faults absorbed before a later fatal failure still show up
-/// (the supervisor reads these to log `Transient` incidents).
-struct TransportStatsFlush<'a> {
-    tg: &'a GroupMember,
-    dg: &'a GroupMember,
-    sink: Option<Arc<TelemetrySink>>,
-}
-
-impl Drop for TransportStatsFlush<'_> {
-    fn drop(&mut self) {
-        let Some(sink) = &self.sink else { return };
-        let rs = self.tg.retry_stats().plus(&self.dg.retry_stats());
-        let ft = self.tg.fault_tally().plus(&self.dg.fault_tally());
-        if rs.retries > 0 {
-            sink.metrics.counter("transport_retries").add(rs.retries);
-        }
-        if rs.retransmits > 0 {
-            sink.metrics
-                .counter("transport_retransmits")
-                .add(rs.retransmits);
-        }
-        if rs.duplicates_dropped > 0 {
-            sink.metrics
-                .counter("transport_duplicates_dropped")
-                .add(rs.duplicates_dropped);
-        }
-        if ft.total() > 0 {
-            sink.metrics
-                .counter("transport_faults_injected")
-                .add(ft.total());
+/// Publish the rank's transport retry/fault counters into the telemetry
+/// metrics — after a failed run too, so transient faults absorbed before a
+/// later fatal failure still show up.
+fn publish_transport_stats(tg: &GroupMember, dg: &GroupMember, sink: &TelemetrySink) {
+    let rs = tg.retry_stats().plus(&dg.retry_stats());
+    let ft = tg.fault_tally().plus(&dg.fault_tally());
+    for (name, n) in [
+        ("transport_retries", rs.retries),
+        ("transport_retransmits", rs.retransmits),
+        ("transport_duplicates_dropped", rs.duplicates_dropped),
+        ("transport_faults_injected", ft.total()),
+    ] {
+        if n > 0 {
+            sink.metrics.counter(name).add(n);
         }
     }
 }
 
-/// Channel endpoints for one thread.
+/// Which way a pipeline transfer goes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Dir {
+    /// Activations, to the next stage.
+    Fwd,
+    /// Gradients, to the previous stage.
+    Bwd,
+}
+
+impl Dir {
+    pub(crate) const BOTH: [Dir; 2] = [Dir::Fwd, Dir::Bwd];
+
+    /// The stage a transfer leaving `stage` this way arrives at.
+    fn next(self, stage: usize) -> usize {
+        match self {
+            Dir::Fwd => stage + 1,
+            Dir::Bwd => stage - 1,
+        }
+    }
+
+    /// The stage a transfer arriving at `stage` this way left.
+    fn prev(self, stage: usize) -> usize {
+        match self {
+            Dir::Fwd => stage - 1,
+            Dir::Bwd => stage + 1,
+        }
+    }
+
+    /// The (sending, receiving) stages of the lane that crosses the
+    /// boundary between stages `boundary` and `boundary + 1` this way.
+    pub(crate) fn ends(self, boundary: usize) -> (usize, usize) {
+        let from = boundary + usize::from(self == Dir::Bwd);
+        (from, self.next(from))
+    }
+
+    /// Names of this direction's wait span, receive failure, send span and
+    /// send failure.
+    fn names(self) -> [&'static str; 4] {
+        match self {
+            Dir::Fwd => [
+                "pipeline-wait-fwd",
+                "pipeline-recv-fwd",
+                "p2p-send-fwd",
+                "pipeline-send-fwd",
+            ],
+            Dir::Bwd => [
+                "pipeline-wait-bwd",
+                "pipeline-recv-bwd",
+                "p2p-send-bwd",
+                "pipeline-send-bwd",
+            ],
+        }
+    }
+}
+
+/// Pipeline channel endpoints of one rank, keyed by direction and by the
+/// stage of this rank the lane ends at.
 #[derive(Default)]
 pub(crate) struct Endpoints {
-    pub(crate) fwd_in: HashMap<usize, Receiver<Matrix>>,
-    pub(crate) fwd_out: HashMap<usize, Sender<Matrix>>,
-    pub(crate) bwd_in: HashMap<usize, Receiver<Matrix>>,
-    pub(crate) bwd_out: HashMap<usize, Sender<Matrix>>,
+    pub(crate) rx: HashMap<(Dir, usize), Receiver<Matrix>>,
+    pub(crate) tx: HashMap<(Dir, usize), Sender<Matrix>>,
 }
 
-pub(crate) struct ThreadArgs<'a> {
-    pub(crate) pi: usize,
-    pub(crate) di: usize,
-    pub(crate) ti: usize,
-    pub(crate) spec: PtdpSpec,
-    pub(crate) master: &'a GptModel,
-    pub(crate) schedule: &'a megatron_schedule::PipelineSchedule,
-    pub(crate) data: &'a [(Vec<usize>, Vec<usize>)],
-    pub(crate) ep: Endpoints,
+/// How one rank reaches the others: its tensor and data groups, its
+/// pipeline endpoints, and — where the world shares an address space — the
+/// checkpoint generations the ranks assemble together.
+pub(crate) struct Wiring<'a> {
     pub(crate) tg: GroupMember,
     pub(crate) dg: GroupMember,
-    pub(crate) losses: Arc<Mutex<Vec<f32>>>,
-    pub(crate) final_params: SharedMap<Vec<f32>>,
-    pub(crate) peak_stash: SharedMap<usize>,
-    pub(crate) step_times: SharedMap<Vec<StepSample>>,
-    pub(crate) comm_volumes: SharedMap<RankCommVolume>,
-    pub(crate) comm_ops: SharedMap<RankCommOps>,
-    pub(crate) ctl: &'a RunControl,
-    pub(crate) ckpts: &'a Mutex<HashMap<usize, HashMap<ThreadKey, ThreadState>>>,
+    pub(crate) ep: Endpoints,
+    /// `None` in a rank process: it writes its own durable shard and the
+    /// launcher, which sees every rank's, commits.
+    pub(crate) generations: Option<&'a GenerationAssembler>,
 }
 
-/// Per-iteration context every telemetry span is tagged with.
-#[derive(Clone, Copy)]
-struct SpanCtx {
-    iteration: usize,
-    epoch: usize,
-}
-
-/// Close a telemetry span opened at `start_ns`, if tracing is on. Returns
-/// the span duration in ns (0 when tracing is off), so call sites can
-/// accumulate e.g. bubble time for the metrics counters.
-fn emit(
-    tracer: &mut Option<RankTracer>,
-    ctx: SpanCtx,
+/// Open a telemetry span that ends when the guard is closed or dropped
+/// (a no-op guard when tracing is off).
+fn span<'t>(
+    tracer: &'t Option<RankTracer>,
     kind: SpanKind,
     name: &'static str,
-    start_ns: Option<u64>,
     args: SpanArgs,
-) -> u64 {
-    match (tracer.as_mut(), start_ns) {
-        (Some(tr), Some(t0)) => tr.close(kind, name, t0, ctx.iteration, ctx.epoch, args),
-        _ => 0,
-    }
-}
-
-/// Current hub time, if tracing is on (span-open helper).
-fn tnow(tracer: &Option<RankTracer>) -> Option<u64> {
-    tracer.as_ref().map(RankTracer::now)
+) -> OpenSpan<'t> {
+    OpenSpan::open(tracer.as_ref(), kind, name, args)
 }
 
 /// Final-LayerNorm → head → loss, for either head layout. Returns the
@@ -147,33 +162,24 @@ fn head_forward(
     targets: &[usize],
     tg: &GroupMember,
 ) -> (f32, HeadCache) {
-    match head {
-        HeadShard::Replicated(ln, lm) => {
-            let (hf, ln_cache) = ln.forward(x);
-            let logits = lm.forward(&hf);
-            let (loss, dlogits) = cross_entropy(&logits, targets);
-            (
-                loss,
-                HeadCache {
-                    ln: ln_cache,
-                    hidden_final: hf,
-                    dlogits: DLogits::Full(dlogits),
-                },
-            )
+    let (HeadShard::Replicated(ln, _) | HeadShard::VocabParallel(ln, _)) = head;
+    let (hidden_final, ln) = ln.forward(x);
+    let (loss, dlogits) = match head {
+        HeadShard::Replicated(_, lm) => {
+            let (loss, dlogits) = cross_entropy(&lm.forward(&hidden_final), targets);
+            (loss, DLogits::Full(dlogits))
         }
-        HeadShard::VocabParallel(ln, hd) => {
-            let (hf, ln_cache) = ln.forward(x);
-            let (loss, cache) = hd.forward_loss(&hf, targets, tg);
-            (
-                loss,
-                HeadCache {
-                    ln: ln_cache,
-                    hidden_final: hf,
-                    dlogits: DLogits::Shard(cache),
-                },
-            )
+        HeadShard::VocabParallel(_, hd) => {
+            let (loss, cache) = hd.forward_loss(&hidden_final, targets, tg);
+            (loss, DLogits::Shard(cache))
         }
-    }
+    };
+    let cache = HeadCache {
+        ln,
+        hidden_final,
+        dlogits,
+    };
+    (loss, cache)
 }
 
 /// Head backward for either layout; returns the gradient entering the
@@ -195,355 +201,425 @@ fn head_backward(head: &mut HeadShard, hc: &HeadCache, tg: &GroupMember) -> Matr
     }
 }
 
-pub(crate) fn run_thread(args: ThreadArgs<'_>) -> Result<(), TrainError> {
-    let ThreadArgs {
-        pi,
-        di,
-        ti,
-        spec,
-        master,
-        schedule,
-        data,
-        ep,
-        tg,
-        dg,
-        losses,
-        final_params,
-        peak_stash,
-        step_times,
-        comm_volumes,
-        comm_ops,
-        ctl,
-        ckpts,
-    } = args;
-    let cfg = master.cfg;
-    let (p, v) = (spec.pipeline, spec.chunks);
-    let stages = p * v;
-    let last_stage = stages - 1;
-    let layers_per_stage = cfg.layers / stages;
-    let seq = cfg.seq;
-    let b = spec.microbatch;
-    let per_replica = data[0].0.len() / seq / spec.data;
-    let m = per_replica / b;
-    let key: ThreadKey = (pi, di, ti);
-
-    // Any early return must poison both groups first, or peers blocked in
-    // a collective would sit out the full timeout instead of failing fast.
-    let fail = |e: CommError| {
-        tg.poison();
-        dg.poison();
-        TrainError::Comm(e)
+/// Train one rank of the job to the end of `data` and return everything it
+/// measured. A failure — an `Err`, or an unwind out of an inner collective
+/// — is caught here and reported in the outcome beside whatever the rank
+/// recorded before it; the rank's groups are then poisoned so that peers
+/// blocked in a collective fail fast instead of sitting out the timeout.
+pub(crate) fn run_rank(
+    key: ThreadKey,
+    spec: PtdpSpec,
+    master: &GptModel,
+    schedule: &PipelineSchedule,
+    data: &[(Vec<usize>, Vec<usize>)],
+    wiring: Wiring<'_>,
+    ctl: &RunControl,
+) -> RankOutcome {
+    let mut out = RankOutcome::new(key, data.len());
+    // The outcome is only ever appended to, so what an unwind leaves in it
+    // is valid.
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        train(&mut out, spec, master, schedule, data, &wiring, ctl)
+    }));
+    out.error = match run {
+        Ok(result) => result.err(),
+        Err(payload) => Some(classify_panic(&*payload)),
     };
-    // Pipeline p2p failures carry the same StallContext shape as group
-    // collectives: the boundary as a pseudo-collective, the schedule op
-    // as the step, and the stage peer's flat rank — so a stalled pipeline
-    // names exactly which neighbor died, not just "a peer".
-    let ops_total = schedule.ops[pi].len();
-    let broken = |boundary: &'static str, opi: usize, peer_pi: usize| {
-        tg.poison();
-        dg.poison();
-        TrainError::PipelineBroken(StallContext::new(
-            boundary,
-            opi,
-            ops_total,
-            Some(peer_pi * (spec.data * spec.tensor) + di * spec.tensor + ti),
-        ))
-    };
+    if out.error.is_some() {
+        wiring.tg.poison();
+        wiring.dg.poison();
+    }
+    if let Some(sink) = &ctl.telemetry {
+        publish_transport_stats(&wiring.tg, &wiring.dg, sink);
+    }
+    out
+}
 
+/// What one rank carries from iteration to iteration.
+struct Rank<'a> {
+    key: ThreadKey,
+    spec: PtdpSpec,
+    master: &'a GptModel,
+    schedule: &'a PipelineSchedule,
+    wiring: &'a Wiring<'a>,
+    ctl: &'a RunControl,
+    out: &'a mut RankOutcome,
+    /// Single-writer tracer: publishes into the hub on drop, so spans
+    /// survive the error paths too.
+    tracer: Option<RankTracer>,
+    model: ThreadModel,
+    adam: Adam,
+    p2p_send_bytes: f64,
+    p2p_sends: Vec<(ThreadKey, usize)>,
+}
+
+/// One iteration's pipeline state, from the first forward to the flush.
+struct Flush<'d> {
+    /// This replica's slice of the global batch.
+    tokens: &'d [usize],
+    targets: &'d [usize],
+    /// Samples × sequence length of one microbatch.
+    mb_len: usize,
+    stash: HashMap<(usize, usize), ChunkCache>,
+    stash_floats: usize,
+    loss_sum: f32,
+    bubble_ns: u64,
+}
+
+impl<'d> Flush<'d> {
+    fn tokens(&self, mb: usize) -> &'d [usize] {
+        &self.tokens[mb * self.mb_len..(mb + 1) * self.mb_len]
+    }
+
+    fn targets(&self, mb: usize) -> &'d [usize] {
+        &self.targets[mb * self.mb_len..(mb + 1) * self.mb_len]
+    }
+}
+
+/// The body of [`run_rank`]: everything that may fail or unwind.
+fn train(
+    out: &mut RankOutcome,
+    spec: PtdpSpec,
+    master: &GptModel,
+    schedule: &PipelineSchedule,
+    data: &[(Vec<usize>, Vec<usize>)],
+    wiring: &Wiring<'_>,
+    ctl: &RunControl,
+) -> Result<(), TrainError> {
+    let key @ (pi, _, ti) = out.key;
+    let flat_rank = spec.flat_rank(key);
     let mut model = build_thread_model(master, &spec, pi, ti);
     let mut adam = Adam::new(spec.lr);
-    let owns_last = model.head.is_some();
-
-    // Telemetry: one single-writer tracer per thread (publishes into the
-    // hub on drop, so spans survive the error paths too), plus cached
-    // handles to the shared bubble/step counters.
-    let flat_rank = pi * (spec.data * spec.tensor) + di * spec.tensor + ti;
-    let mut tracer = ctl.telemetry.as_ref().map(|s| {
+    let start_iter = match &ctl.restore {
+        Some(snap) => {
+            let st = snap.threads.get(&key);
+            let st = st.ok_or(TrainError::MissingThreadState(key))?;
+            model.set_flat_params(&st.params);
+            adam.import_state(st.adam.clone());
+            snap.next_iter
+        }
+        None => 0,
+    };
+    let tracer = ctl.telemetry.as_ref().map(|s| {
         s.hub
             .tracer(flat_rank, key)
             .with_drop_counter(s.metrics.counter(&format!("spans_dropped.rank{flat_rank}")))
     });
-    let _stats_flush = TransportStatsFlush {
-        tg: &tg,
-        dg: &dg,
-        sink: ctl.telemetry.clone(),
+    let rank = Rank {
+        key,
+        spec,
+        master,
+        schedule,
+        wiring,
+        ctl,
+        out,
+        tracer,
+        model,
+        adam,
+        p2p_send_bytes: 0.0,
+        p2p_sends: Vec::new(),
     };
-    let iter_counters = ctl.telemetry.as_ref().map(|s| {
-        (
-            s.metrics.counter(TelemetrySink::BUBBLE_NS),
-            s.metrics.counter(TelemetrySink::STEP_NS),
-        )
-    });
-    let mut p2p_send_bytes = 0.0f64;
-    let mut p2p_sends: Vec<(ThreadKey, usize)> = Vec::new();
+    rank.run(data, start_iter, flat_rank)
+}
 
-    let start_iter = if let Some(snap) = &ctl.restore {
-        let st = snap.threads.get(&key).ok_or_else(|| {
-            tg.poison();
-            dg.poison();
-            TrainError::MissingThreadState(key)
-        })?;
-        model.set_flat_params(&st.params);
-        adam.import_state(st.adam.clone());
-        snap.next_iter
-    } else {
-        0
-    };
-    let kill_iter = ctl.kill.filter(|k| k.thread == key).map(|k| k.iteration);
+impl Rank<'_> {
+    /// Run iterations `first..` of `data`.
+    fn run(
+        mut self,
+        data: &[(Vec<usize>, Vec<usize>)],
+        first: usize,
+        flat_rank: usize,
+    ) -> Result<(), TrainError> {
+        let (pi, di, ti) = self.key;
+        let (ctl, seq) = (self.ctl, self.master.cfg.seq);
+        let ops = &self.schedule.ops[pi];
+        let mb_len = self.spec.microbatch * seq;
+        let replica_len = self.schedule.microbatches * mb_len;
+        let kill_iter = ctl
+            .kill
+            .filter(|k| k.thread == self.key)
+            .map(|k| k.iteration);
+        let owns_loss = self.model.head.is_some() && ti == 0;
 
-    for (iter, (tokens, targets)) in data.iter().enumerate().skip(start_iter) {
-        let iter_start = Instant::now();
-        let ctx = SpanCtx {
-            iteration: iter,
-            epoch: ctl.epoch,
-        };
-        let mut bubble_ns = 0u64;
-        // This replica's slice.
-        let lo = di * per_replica * seq;
-        let replica_tokens = &tokens[lo..lo + per_replica * seq];
-        let replica_targets = &targets[lo..lo + per_replica * seq];
-        let mb_tokens = |mb: usize| &replica_tokens[mb * b * seq..(mb + 1) * b * seq];
-        let mb_targets = |mb: usize| &replica_targets[mb * b * seq..(mb + 1) * b * seq];
-
-        model.visit(&mut |_, g| g.fill(0.0));
-        let mut stash: HashMap<(usize, usize), ChunkCache> = HashMap::new();
-        let mut stash_floats = 0usize;
-        let mut loss_sum = 0.0f32;
-
-        for (opi, op) in schedule.ops[pi].iter().enumerate() {
-            // Fault-injection hook: die halfway through this iteration's
-            // op list, as if the GPU failed mid-step.
-            if kill_iter == Some(iter) && opi == schedule.ops[pi].len() / 2 {
-                tg.poison();
-                dg.poison();
-                return Err(TrainError::Killed(key));
+        for (iter, (tokens, targets)) in data.iter().enumerate().skip(first) {
+            let iter_start = Instant::now();
+            if let Some(tracer) = &self.tracer {
+                tracer.set_iteration(iter, ctl.epoch);
             }
-            let stage = schedule.stage_of(pi, op.chunk);
-            match op.pass {
-                Pass::Forward => {
-                    let toks = mb_tokens(op.microbatch);
-                    let mb_args = SpanArgs {
-                        bytes: None,
-                        microbatch: Some(op.microbatch),
-                        chunk: Some(op.chunk),
-                    };
-                    let t_in = tnow(&tracer);
-                    let input = if stage == 0 {
-                        model
-                            .embed
-                            .as_ref()
-                            .expect("stage 0 owns embed")
-                            .forward(toks, seq, &tg)
-                    } else {
-                        ep.fwd_in[&stage]
-                            .recv()
-                            .map_err(|_| broken("pipeline-recv-fwd", opi, (stage - 1) % p))?
-                    };
-                    // For stage 0 the time since t_in is embedding compute
-                    // (part of the forward span); everywhere else it is a
-                    // pipeline wait (bubble).
-                    let t_fwd = if stage == 0 {
-                        t_in
-                    } else {
-                        bubble_ns += emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Bubble,
-                            "pipeline-wait-fwd",
-                            t_in,
-                            mb_args,
-                        );
-                        tnow(&tracer)
-                    };
-                    let mut x = input.clone();
-                    let mut block_caches = Vec::with_capacity(layers_per_stage);
-                    for blk in &model.chunks[op.chunk] {
-                        let (nx, c) = blk.forward(&x, b, seq, &tg);
-                        x = nx;
-                        if !spec.recompute {
-                            block_caches.push(c);
-                        }
-                    }
-                    let mut cache = ChunkCache {
-                        block_caches,
-                        input: spec.recompute.then_some(input),
-                        head: None,
-                        tokens: (stage == 0).then(|| toks.to_vec()),
-                    };
-                    if stage == last_stage {
-                        let head = model.head.as_ref().expect("last stage owns head");
-                        let targets = mb_targets(op.microbatch);
-                        let (loss, head_cache) = head_forward(head, &x, targets, &tg);
-                        loss_sum += loss;
-                        if !spec.recompute {
-                            cache.head = Some(head_cache);
-                        }
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Forward,
-                            "forward",
-                            t_fwd,
-                            mb_args,
-                        );
-                    } else {
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Forward,
-                            "forward",
-                            t_fwd,
-                            mb_args,
-                        );
-                        let send_elems = x.len();
-                        let send_bytes = send_elems as f64 * BYTES_F32;
-                        let t_send = tnow(&tracer);
-                        ep.fwd_out[&stage]
-                            .send(x)
-                            .map_err(|_| broken("pipeline-send-fwd", opi, (stage + 1) % p))?;
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Comm,
-                            "p2p-send-fwd",
-                            t_send,
-                            SpanArgs {
-                                bytes: Some(send_bytes),
-                                ..mb_args
-                            },
-                        );
-                        p2p_send_bytes += send_bytes;
-                        p2p_sends.push((((stage + 1) % p, di, ti), send_elems));
-                    }
-                    stash_floats += cache.float_count();
-                    // Log mutexes tolerate poison: a peer that died holding
-                    // one must not crash the survivors (they report a clean
-                    // CommError instead).
-                    let mut peak = peak_stash.lock().unwrap_or_else(|e| e.into_inner());
-                    let e = peak.entry((pi, di, ti)).or_insert(0);
-                    *e = (*e).max(stash_floats);
-                    drop(peak);
-                    stash.insert((op.microbatch, op.chunk), cache);
+            let replica = di * replica_len..(di + 1) * replica_len;
+            let mut flush = Flush {
+                tokens: &tokens[replica.clone()],
+                targets: &targets[replica],
+                mb_len,
+                stash: HashMap::new(),
+                stash_floats: 0,
+                loss_sum: 0.0,
+                bubble_ns: 0,
+            };
+            self.model.visit(&mut |_, g| g.fill(0.0));
+
+            for (opi, op) in ops.iter().enumerate() {
+                // Fault-injection hook: die halfway through this iteration's
+                // op list, as if the GPU failed mid-step.
+                if kill_iter == Some(iter) && opi == ops.len() / 2 {
+                    return Err(TrainError::Killed(self.key));
                 }
-                Pass::Backward => {
-                    let mb_args = SpanArgs {
-                        bytes: None,
-                        microbatch: Some(op.microbatch),
-                        chunk: Some(op.chunk),
-                    };
-                    let mut cache = stash
-                        .remove(&(op.microbatch, op.chunk))
-                        .expect("backward before forward");
-                    stash_floats -= cache.float_count();
-                    if spec.recompute {
-                        // §3.5: rerun the forward pass from the stashed
-                        // input to rebuild all intermediate activations
-                        // (bit-identical to the discarded ones).
-                        let t_rc = tnow(&tracer);
-                        let mut x = cache.input.take().expect("recompute stash");
-                        let mut rebuilt = Vec::with_capacity(layers_per_stage);
-                        for blk in &model.chunks[op.chunk] {
-                            let (nx, c) = blk.forward(&x, b, seq, &tg);
-                            x = nx;
-                            rebuilt.push(c);
-                        }
-                        cache.block_caches = rebuilt;
-                        if stage == last_stage {
-                            let head = model.head.as_ref().expect("head");
-                            let (_, head_cache) =
-                                head_forward(head, &x, mb_targets(op.microbatch), &tg);
-                            cache.head = Some(head_cache);
-                        }
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Forward,
-                            "recompute-forward",
-                            t_rc,
-                            mb_args,
-                        );
-                    }
-                    let (mut dx, t_bwd) = if stage == last_stage {
-                        let t0 = tnow(&tracer);
-                        let hc = cache.head.as_ref().expect("head cache");
-                        let head = model.head.as_mut().expect("head");
-                        (head_backward(head, hc, &tg), t0)
-                    } else {
-                        let t_wait = tnow(&tracer);
-                        let dx = ep.bwd_in[&stage]
-                            .recv()
-                            .map_err(|_| broken("pipeline-recv-bwd", opi, (stage + 1) % p))?;
-                        bubble_ns += emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Bubble,
-                            "pipeline-wait-bwd",
-                            t_wait,
-                            mb_args,
-                        );
-                        (dx, tnow(&tracer))
-                    };
-                    for (blk, c) in model.chunks[op.chunk]
-                        .iter_mut()
-                        .zip(&cache.block_caches)
-                        .rev()
-                    {
-                        dx = blk.backward(c, &dx, b, seq, &tg);
-                    }
-                    if stage > 0 {
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Backward,
-                            "backward",
-                            t_bwd,
-                            mb_args,
-                        );
-                        let send_elems = dx.len();
-                        let send_bytes = send_elems as f64 * BYTES_F32;
-                        let t_send = tnow(&tracer);
-                        ep.bwd_out[&stage]
-                            .send(dx)
-                            .map_err(|_| broken("pipeline-send-bwd", opi, (stage - 1) % p))?;
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Comm,
-                            "p2p-send-bwd",
-                            t_send,
-                            SpanArgs {
-                                bytes: Some(send_bytes),
-                                ..mb_args
-                            },
-                        );
-                        p2p_send_bytes += send_bytes;
-                        p2p_sends.push((((stage - 1) % p, di, ti), send_elems));
-                    } else {
-                        let toks = cache.tokens.as_ref().expect("stage-0 tokens");
-                        model
-                            .embed
-                            .as_mut()
-                            .expect("stage 0 owns embed")
-                            .backward(toks, seq, &dx);
-                        emit(
-                            &mut tracer,
-                            ctx,
-                            SpanKind::Backward,
-                            "backward",
-                            t_bwd,
-                            mb_args,
-                        );
-                    }
+                match op.pass {
+                    Pass::Forward => self.forward(&mut flush, opi, op)?,
+                    Pass::Backward => self.backward(&mut flush, opi, op)?,
                 }
+            }
+            assert!(flush.stash.is_empty(), "flush left microbatches in flight");
+
+            if let Some(loss) = self.step(flush.loss_sum, owns_loss)? {
+                if di == 0 {
+                    self.out.losses[iter] = loss;
+                }
+            }
+            if ctl
+                .checkpoint_every
+                .is_some_and(|k| k > 0 && (iter + 1).is_multiple_of(k))
+            {
+                self.checkpoint(iter + 1)?;
+            }
+
+            let seconds = iter_start.elapsed().as_secs_f64();
+            if let Some(sink) = &ctl.telemetry {
+                let count = |name, ns| sink.metrics.counter(name).add(ns);
+                count(TelemetrySink::BUBBLE_NS, flush.bubble_ns);
+                count(TelemetrySink::STEP_NS, (seconds * 1e9).round() as u64);
+                if owns_loss && di == 0 {
+                    sink.record_iteration(ctl.epoch, iter, seconds);
+                }
+            }
+            // Samples carry (incident epoch, iteration) so a supervisor
+            // restart can't interleave its timings with the ones recorded
+            // before the fault.
+            self.out.steps.push(StepSample {
+                epoch: ctl.epoch,
+                iteration: iter,
+                seconds,
+            });
+            // Liveness beacon: one beat per completed iteration (the natural
+            // heartbeat period of a training rank).
+            if let Some(mon) = &ctl.health {
+                mon.beat(flat_rank);
+            }
+            if let Some(beat) = &ctl.on_beat {
+                beat(flat_rank);
             }
         }
-        assert!(stash.is_empty(), "flush left microbatches in flight");
 
-        // --- Pipeline flush complete: optimizer semantics ---
+        let (tg, dg) = (&self.wiring.tg, &self.wiring.dg);
+        self.out.volume = RankCommVolume {
+            tensor: tg.comm_volume(),
+            data: dg.comm_volume(),
+            p2p_send_bytes: self.p2p_send_bytes,
+        };
+        self.out.ops = RankCommOps {
+            tensor: tg.take_op_log(),
+            data: dg.take_op_log(),
+            p2p_sends: self.p2p_sends,
+        };
+        // The optimizer state is done with: release it before the copy of
+        // the parameters is made, so the end of the run is not its peak.
+        drop(self.adam);
+        self.out.params = self.model.flat_params();
+        Ok(())
+    }
+
+    /// A pipeline channel closed under this rank. The failure carries the
+    /// same [`StallContext`] shape as a group collective's: the boundary as
+    /// a pseudo-collective, the schedule op as the step, and the stage
+    /// peer's flat rank — so a stalled pipeline names exactly which
+    /// neighbor died, not just "a peer".
+    fn broken(&self, boundary: &'static str, opi: usize, peer_pi: usize) -> TrainError {
+        let (pi, di, ti) = self.key;
+        TrainError::PipelineBroken(StallContext::new(
+            boundary,
+            opi,
+            self.schedule.ops[pi].len(),
+            Some(self.spec.flat_rank((peer_pi, di, ti))),
+        ))
+    }
+
+    /// Wait for the neighbouring stage's activation or gradient; the wait
+    /// is pipeline bubble.
+    fn recv(
+        &self,
+        dir: Dir,
+        stage: usize,
+        opi: usize,
+        mb: SpanArgs,
+        bubble_ns: &mut u64,
+    ) -> Result<Matrix, TrainError> {
+        let [wait_name, boundary, ..] = dir.names();
+        let peer_pi = dir.prev(stage) % self.spec.pipeline;
+        let wait = span(&self.tracer, SpanKind::Bubble, wait_name, mb);
+        let x = self.wiring.ep.rx[&(dir, stage)]
+            .recv()
+            .map_err(|_| self.broken(boundary, opi, peer_pi))?;
+        *bubble_ns += wait.close();
+        Ok(x)
+    }
+
+    /// Hand an activation or gradient to the neighbouring stage.
+    fn send(
+        &mut self,
+        dir: Dir,
+        stage: usize,
+        opi: usize,
+        mb: SpanArgs,
+        x: Matrix,
+    ) -> Result<(), TrainError> {
+        let [.., send_name, boundary] = dir.names();
+        let peer_pi = dir.next(stage) % self.spec.pipeline;
+        let elems = x.len();
+        let bytes = elems as f64 * BYTES_F32;
+        let args = SpanArgs {
+            bytes: Some(bytes),
+            ..mb
+        };
+        let sending = span(&self.tracer, SpanKind::Comm, send_name, args);
+        self.wiring.ep.tx[&(dir, stage)]
+            .send(x)
+            .map_err(|_| self.broken(boundary, opi, peer_pi))?;
+        drop(sending);
+        self.p2p_send_bytes += bytes;
+        self.p2p_sends
+            .push(((peer_pi, self.key.1, self.key.2), elems));
+        Ok(())
+    }
+
+    fn forward(
+        &mut self,
+        flush: &mut Flush<'_>,
+        opi: usize,
+        op: &PipeOp,
+    ) -> Result<(), TrainError> {
+        let (spec, seq, tg) = (self.spec, self.master.cfg.seq, &self.wiring.tg);
+        let b = spec.microbatch;
+        let stage = self.schedule.stage_of(self.key.0, op.chunk);
+        let toks = flush.tokens(op.microbatch);
+        let mb = SpanArgs {
+            bytes: None,
+            microbatch: Some(op.microbatch),
+            chunk: Some(op.chunk),
+        };
+        // On stage 0 the forward span takes in the embedding; everywhere
+        // else what comes before it is a pipeline wait.
+        let (input, computing) = if stage == 0 {
+            let computing = span(&self.tracer, SpanKind::Forward, "forward", mb);
+            let embed = self.model.embed.as_ref().expect("stage 0 owns embed");
+            (embed.forward(toks, seq, tg), computing)
+        } else {
+            let input = self.recv(Dir::Fwd, stage, opi, mb, &mut flush.bubble_ns)?;
+            (input, span(&self.tracer, SpanKind::Forward, "forward", mb))
+        };
+        let blocks = &self.model.chunks[op.chunk];
+        let mut x = input.clone();
+        let mut block_caches = Vec::with_capacity(blocks.len());
+        for blk in blocks {
+            let (nx, c) = blk.forward(&x, b, seq, tg);
+            x = nx;
+            if !spec.recompute {
+                block_caches.push(c);
+            }
+        }
+        let mut cache = ChunkCache {
+            block_caches,
+            input: spec.recompute.then_some(input),
+            head: None,
+            tokens: (stage == 0).then(|| toks.to_vec()),
+        };
+        if stage == self.schedule.total_stages() - 1 {
+            let head = self.model.head.as_ref().expect("last stage owns head");
+            let (loss, head_cache) = head_forward(head, &x, flush.targets(op.microbatch), tg);
+            flush.loss_sum += loss;
+            if !spec.recompute {
+                cache.head = Some(head_cache);
+            }
+            drop(computing);
+        } else {
+            drop(computing);
+            self.send(Dir::Fwd, stage, opi, mb, x)?;
+        }
+        flush.stash_floats += cache.float_count();
+        self.out.peak_stash = self.out.peak_stash.max(flush.stash_floats);
+        flush.stash.insert((op.microbatch, op.chunk), cache);
+        Ok(())
+    }
+
+    fn backward(
+        &mut self,
+        flush: &mut Flush<'_>,
+        opi: usize,
+        op: &PipeOp,
+    ) -> Result<(), TrainError> {
+        let (spec, seq, tg) = (self.spec, self.master.cfg.seq, &self.wiring.tg);
+        let b = spec.microbatch;
+        let stage = self.schedule.stage_of(self.key.0, op.chunk);
+        let last_stage = self.schedule.total_stages() - 1;
+        let mb = SpanArgs {
+            bytes: None,
+            microbatch: Some(op.microbatch),
+            chunk: Some(op.chunk),
+        };
+        let mut cache = flush
+            .stash
+            .remove(&(op.microbatch, op.chunk))
+            .expect("backward before forward");
+        flush.stash_floats -= cache.float_count();
+        if spec.recompute {
+            // §3.5: rerun the forward pass from the stashed input to
+            // rebuild all intermediate activations (bit-identical to the
+            // discarded ones).
+            let _recomputing = span(&self.tracer, SpanKind::Forward, "recompute-forward", mb);
+            let mut x = cache.input.take().expect("recompute stash");
+            cache.block_caches = Vec::new();
+            for blk in &self.model.chunks[op.chunk] {
+                let (nx, c) = blk.forward(&x, b, seq, tg);
+                x = nx;
+                cache.block_caches.push(c);
+            }
+            if stage == last_stage {
+                let head = self.model.head.as_ref().expect("head");
+                let (_, head_cache) = head_forward(head, &x, flush.targets(op.microbatch), tg);
+                cache.head = Some(head_cache);
+            }
+        }
+        let (mut dx, computing) = if stage == last_stage {
+            let computing = span(&self.tracer, SpanKind::Backward, "backward", mb);
+            let hc = cache.head.as_ref().expect("head cache");
+            let head = self.model.head.as_mut().expect("head");
+            (head_backward(head, hc, tg), computing)
+        } else {
+            let dx = self.recv(Dir::Bwd, stage, opi, mb, &mut flush.bubble_ns)?;
+            (dx, span(&self.tracer, SpanKind::Backward, "backward", mb))
+        };
+        let blocks = self.model.chunks[op.chunk].iter_mut();
+        for (blk, c) in blocks.zip(&cache.block_caches).rev() {
+            dx = blk.backward(c, &dx, b, seq, tg);
+        }
+        if stage > 0 {
+            drop(computing);
+            self.send(Dir::Bwd, stage, opi, mb, dx)
+        } else {
+            let toks = cache.tokens.as_ref().expect("stage-0 tokens");
+            let embed = self.model.embed.as_mut().expect("stage 0 owns embed");
+            embed.backward(toks, seq, &dx);
+            Ok(())
+        }
+    }
+
+    /// The pipeline flush is complete: strict optimizer semantics. Returns
+    /// the iteration's loss on the ranks that own it (`owns_loss`).
+    fn step(&mut self, loss_sum: f32, owns_loss: bool) -> Result<Option<f32>, TrainError> {
+        let (d, di, dg) = (self.spec.data, self.key.1, &self.wiring.dg);
         // Gradients currently hold Σ over microbatches of per-microbatch
         // means; rescale to the replica mean, then average over replicas.
-        let inv_m = 1.0 / m as f32;
-        model.visit(&mut |_, g| {
+        let inv_m = 1.0 / self.schedule.microbatches as f32;
+        self.model.visit(&mut |_, g| {
             for x in g.iter_mut() {
                 *x *= inv_m;
             }
@@ -551,31 +627,23 @@ pub(crate) fn run_thread(args: ThreadArgs<'_>) -> Result<(), TrainError> {
 
         // Report loss (last stage, tensor rank 0): replica mean, then mean
         // over data-parallel replicas.
-        if owns_last && ti == 0 {
+        let loss = if owns_loss {
             let mut l = [loss_sum * inv_m];
-            let t_loss = tnow(&tracer);
-            dg.try_all_reduce_mean(&mut l).map_err(&fail)?;
-            emit(
-                &mut tracer,
-                ctx,
-                SpanKind::Comm,
-                "loss-allreduce",
-                t_loss,
-                SpanArgs::bytes(ring_all_reduce_bytes(spec.data, 1)),
-            );
-            if di == 0 {
-                losses.lock().unwrap_or_else(|e| e.into_inner())[iter] = l[0];
-            }
-        }
+            let bytes = SpanArgs::bytes(ring_all_reduce_bytes(d, 1));
+            let _reducing = span(&self.tracer, SpanKind::Comm, "loss-allreduce", bytes);
+            dg.try_all_reduce_mean(&mut l).map_err(TrainError::Comm)?;
+            Some(l[0])
+        } else {
+            None
+        };
 
-        if spec.data > 1 && spec.shard_optimizer {
+        if d > 1 && self.spec.shard_optimizer {
             // ZeRO-1 path: reduce-scatter gradients, step the owned slice,
             // all-gather updated parameters. The rank-ordered reductions
             // make this bit-identical to the replicated path.
-            let d = spec.data;
             let mut flat_p = Vec::new();
             let mut flat_g = Vec::new();
-            model.visit(&mut |pp, gg| {
+            self.model.visit(&mut |pp, gg| {
                 flat_p.extend_from_slice(pp);
                 flat_g.extend_from_slice(gg);
             });
@@ -584,184 +652,101 @@ pub(crate) fn run_thread(args: ThreadArgs<'_>) -> Result<(), TrainError> {
             flat_g.resize(n0 + pad, 0.0);
             flat_p.resize(n0 + pad, 0.0);
             let chunk = (n0 + pad) / d;
-            let t_rs = tnow(&tracer);
-            let mut gshard = dg.try_reduce_scatter_sum(&flat_g).map_err(&fail)?;
-            emit(
-                &mut tracer,
-                ctx,
-                SpanKind::Comm,
-                "grad-reduce-scatter",
-                t_rs,
-                SpanArgs::bytes(ring_reduce_scatter_bytes(d, flat_g.len())),
-            );
+            let bytes = SpanArgs::bytes(ring_reduce_scatter_bytes(d, flat_g.len()));
+            let scattering = span(&self.tracer, SpanKind::Comm, "grad-reduce-scatter", bytes);
+            let mut gshard = dg
+                .try_reduce_scatter_sum(&flat_g)
+                .map_err(TrainError::Comm)?;
+            drop(scattering);
             let inv_d = 1.0 / d as f32;
             for x in &mut gshard {
                 *x *= inv_d;
             }
             let lo = di * chunk;
             let mut pshard = flat_p[lo..lo + chunk].to_vec();
-            let t_opt = tnow(&tracer);
-            adam.step(&mut [(&mut pshard, &mut gshard)]);
-            emit(
-                &mut tracer,
-                ctx,
+            let stepping = span(
+                &self.tracer,
                 SpanKind::Optimizer,
                 "adam-step",
-                t_opt,
                 SpanArgs::NONE,
             );
-            let t_ag = tnow(&tracer);
-            let mut gathered = dg.try_all_gather(&pshard).map_err(&fail)?;
-            emit(
-                &mut tracer,
-                ctx,
-                SpanKind::Comm,
-                "param-allgather",
-                t_ag,
-                SpanArgs::bytes(ring_all_gather_bytes(d, pshard.len())),
-            );
+            self.adam.step(&mut [(&mut pshard, &mut gshard)]);
+            drop(stepping);
+            let bytes = SpanArgs::bytes(ring_all_gather_bytes(d, pshard.len()));
+            let gathering = span(&self.tracer, SpanKind::Comm, "param-allgather", bytes);
+            let mut gathered = dg.try_all_gather(&pshard).map_err(TrainError::Comm)?;
+            drop(gathering);
             gathered.truncate(n0);
             let mut off = 0;
-            model.visit(&mut |pp, _| {
+            self.model.visit(&mut |pp, _| {
                 pp.copy_from_slice(&gathered[off..off + pp.len()]);
                 off += pp.len();
             });
         } else {
             // Data-parallel gradient averaging, parameter by parameter
             // (same order on every member of the group).
-            if spec.data > 1 {
-                let t_ar = tnow(&tracer);
-                let ar_before = dg.comm_volume().all_reduce_bytes;
+            if d > 1 {
+                let mut reducing = span(
+                    &self.tracer,
+                    SpanKind::Comm,
+                    "grad-allreduce",
+                    SpanArgs::NONE,
+                );
+                let before = dg.comm_volume().all_reduce_bytes;
                 let mut comm_err: Option<CommError> = None;
-                model.visit(&mut |_, g| {
+                self.model.visit(&mut |_, g| {
                     if comm_err.is_none() {
-                        if let Err(e) = dg.try_all_reduce_mean(g) {
-                            comm_err = Some(e);
-                        }
+                        comm_err = dg.try_all_reduce_mean(g).err();
                     }
                 });
                 if let Some(e) = comm_err {
-                    return Err(fail(e));
+                    return Err(TrainError::Comm(e));
                 }
-                emit(
-                    &mut tracer,
-                    ctx,
-                    SpanKind::Comm,
-                    "grad-allreduce",
-                    t_ar,
-                    SpanArgs::bytes(dg.comm_volume().all_reduce_bytes - ar_before),
-                );
+                reducing.set_bytes(dg.comm_volume().all_reduce_bytes - before);
             }
-            let mut pairs = model.param_grad_pairs();
-            let t_opt = tnow(&tracer);
-            adam.step(&mut pairs);
-            emit(
-                &mut tracer,
-                ctx,
+            let mut pairs = self.model.param_grad_pairs();
+            let _stepping = span(
+                &self.tracer,
                 SpanKind::Optimizer,
                 "adam-step",
-                t_opt,
                 SpanArgs::NONE,
             );
+            self.adam.step(&mut pairs);
         }
-
-        // --- Optimizer step done: checkpoint + instrumentation ---
-        if let Some(k) = ctl.checkpoint_every {
-            if k > 0 && (iter + 1).is_multiple_of(k) {
-                let t_ck = tnow(&tracer);
-                let state = ThreadState {
-                    params: model.flat_params(),
-                    adam: adam.export_state(),
-                };
-                let ckpt_fail = |e: crate::checkpoint::CheckpointError| {
-                    tg.poison();
-                    dg.poison();
-                    TrainError::Checkpoint(e.to_string())
-                };
-                if let Some(store) = &ctl.durable {
-                    store
-                        .write_shard(&spec, key, iter + 1, &state)
-                        .map_err(ckpt_fail)?;
-                }
-                // The thread whose shard completes the generation commits
-                // it (canonical layout + manifest); peers may already be
-                // running the next iteration.
-                let complete = {
-                    let mut map = ckpts.lock().unwrap_or_else(|e| e.into_inner());
-                    let entry = map.entry(iter + 1).or_default();
-                    entry.insert(key, state);
-                    (entry.len() == spec.world()).then(|| entry.clone())
-                };
-                if let (Some(threads), Some(store)) = (complete, &ctl.durable) {
-                    store
-                        .commit_generation(&spec, cfg, iter + 1, &threads)
-                        .map_err(ckpt_fail)?;
-                }
-                emit(
-                    &mut tracer,
-                    ctx,
-                    SpanKind::Checkpoint,
-                    "checkpoint-save",
-                    t_ck,
-                    SpanArgs::NONE,
-                );
-            }
-        }
-        let seconds = iter_start.elapsed().as_secs_f64();
-        if let Some((bubble_ctr, step_ctr)) = &iter_counters {
-            bubble_ctr.add(bubble_ns);
-            step_ctr.add((seconds * 1e9).round() as u64);
-        }
-        // Satellite fix: samples carry (incident epoch, iteration) so a
-        // supervisor restart can't interleave its timings with the ones
-        // recorded before the fault (they used to be bare f64 pushes).
-        step_times
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_default()
-            .push(StepSample {
-                epoch: ctl.epoch,
-                iteration: iter,
-                seconds,
-            });
-        // Liveness beacon: one beat per completed iteration (the natural
-        // heartbeat period of a training rank).
-        if let Some(mon) = &ctl.health {
-            mon.beat(flat_rank);
-        }
-        if let Some(beat) = &ctl.on_beat {
-            beat(flat_rank);
-        }
-        if owns_last && ti == 0 && di == 0 {
-            if let Some(sink) = &ctl.telemetry {
-                sink.record_iteration(ctl.epoch, iter, seconds);
-            }
-        }
+        Ok(loss)
     }
 
-    comm_volumes
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(
-            key,
-            RankCommVolume {
-                tensor: tg.comm_volume(),
-                data: dg.comm_volume(),
-                p2p_send_bytes,
-            },
+    /// Snapshot this rank after the optimizer step that makes `generation`
+    /// the next iteration to run.
+    fn checkpoint(&mut self, generation: usize) -> Result<(), TrainError> {
+        let _saving = span(
+            &self.tracer,
+            SpanKind::Checkpoint,
+            "checkpoint-save",
+            SpanArgs::NONE,
         );
-    comm_ops.lock().unwrap_or_else(|e| e.into_inner()).insert(
-        key,
-        RankCommOps {
-            tensor: tg.take_op_log(),
-            data: dg.take_op_log(),
-            p2p_sends,
-        },
-    );
-    final_params
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key, model.flat_params());
-    Ok(())
+        let state = ThreadState {
+            params: self.model.flat_params(),
+            adam: self.adam.export_state(),
+        };
+        let failed = |e: CheckpointError| TrainError::Checkpoint(e.to_string());
+        if let Some(store) = &self.ctl.durable {
+            store
+                .write_shard(&self.spec, self.key, generation, &state)
+                .map_err(failed)?;
+        }
+        // The rank whose state completes the generation commits it
+        // (canonical layout + manifest); peers may already be running the
+        // next iteration.
+        let complete = self
+            .wiring
+            .generations
+            .and_then(|g| g.insert(generation, self.key, state));
+        if let (Some(threads), Some(store)) = (complete, &self.ctl.durable) {
+            store
+                .commit_generation(&self.spec, self.master.cfg, generation, &threads)
+                .map_err(failed)?;
+        }
+        Ok(())
+    }
 }

@@ -146,7 +146,7 @@ mod tests {
 
     fn hub_with_spans() -> std::sync::Arc<TraceHub> {
         let hub = TraceHub::new();
-        let mut tr = hub.tracer(2, (1, 0, 0));
+        let tr = hub.tracer(2, (1, 0, 0));
         for (kind, name, dur) in [
             (SpanKind::Forward, "forward", 6u64),
             (SpanKind::Comm, "p2p-send-fwd", 2),

@@ -34,7 +34,7 @@ pub use export::{
     chrome_trace_json, merge_chrome_traces, phase_shares, rank_pid, PhaseShares, REAL_PID_BASE,
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use span::{RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
+pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 
 // Re-exported so dependents can build a `SinkConfig` without naming
 // `megatron-cluster` directly.

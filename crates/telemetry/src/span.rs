@@ -4,9 +4,12 @@
 //! span log. Recording a span is a plain `Vec` write (no atomics, no lock);
 //! the only synchronized operation is publishing the finished buffer into
 //! the shared [`TraceHub`] once, when the thread ends (the tracer's `Drop`
-//! does this, so spans survive error unwinding too).
+//! does this, so spans survive error unwinding too). A span is open for as
+//! long as its [`OpenSpan`] guard lives, so one abandoned by `?` or by an
+//! unwind is recorded up to that moment rather than lost.
 
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -154,11 +157,11 @@ impl TraceHub {
             hub: Arc::clone(self),
             rank,
             key,
-            buf: Vec::new(),
-            head: 0,
-            dropped: 0,
+            spans: RefCell::default(),
+            dropped: Cell::new(0),
             cap: cap.max(1),
             drop_counter: None,
+            at: Cell::new((0, 0)),
         }
     }
 
@@ -184,17 +187,20 @@ impl TraceHub {
 }
 
 /// Single-writer span recorder for one GPU thread. Not `Sync` on purpose:
-/// exactly one thread writes, so `push` is lock-free by construction.
+/// exactly one thread writes, so `push` is lock-free by construction (the
+/// `RefCell` only lets open [`OpenSpan`] guards share the recorder).
 #[derive(Debug)]
 pub struct RankTracer {
     hub: Arc<TraceHub>,
     rank: usize,
     key: RankKey,
-    buf: Vec<Span>,
-    head: usize,
-    dropped: u64,
+    /// The ring, oldest span first, and how many it has overwritten.
+    spans: RefCell<VecDeque<Span>>,
+    dropped: Cell<u64>,
     cap: usize,
     drop_counter: Option<Arc<Counter>>,
+    /// (iteration, epoch) stamped on spans opened from now on.
+    at: Cell<(usize, usize)>,
 }
 
 impl RankTracer {
@@ -215,55 +221,30 @@ impl RankTracer {
     /// Record a span. When the ring is full the oldest span is overwritten
     /// and counted in `dropped` — recent history wins, recording never
     /// blocks or reallocates past capacity.
-    pub fn push(&mut self, span: Span) {
-        if self.buf.len() < self.cap {
-            self.buf.push(span);
-        } else {
-            self.buf[self.head] = span;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
+    pub fn push(&self, span: Span) {
+        let mut spans = self.spans.borrow_mut();
+        if spans.len() == self.cap {
+            spans.pop_front();
+            self.dropped.set(self.dropped.get() + 1);
             if let Some(c) = &self.drop_counter {
                 c.inc();
             }
         }
+        spans.push_back(span);
     }
 
-    /// Close a span that started at `start_ns` (from [`RankTracer::now`])
-    /// and ends now. Returns the duration in ns, so callers can accumulate
-    /// e.g. bubble time without re-reading the clock.
-    #[allow(clippy::too_many_arguments)]
-    pub fn close(
-        &mut self,
-        kind: SpanKind,
-        name: &'static str,
-        start_ns: u64,
-        iteration: usize,
-        epoch: usize,
-        args: SpanArgs,
-    ) -> u64 {
-        let dur_ns = self.now().saturating_sub(start_ns);
-        self.push(Span {
-            kind,
-            name,
-            start_ns,
-            dur_ns,
-            iteration,
-            epoch,
-            args,
-        });
-        dur_ns
+    /// Stamp every span opened from now on with this training iteration
+    /// and supervisor incident epoch.
+    pub fn set_iteration(&self, iteration: usize, epoch: usize) {
+        self.at.set((iteration, epoch));
     }
 
     fn take(&mut self) -> RankTrace {
-        // Rotate the ring so spans come out oldest-first.
-        let mut spans = self.buf.split_off(self.head);
-        spans.append(&mut self.buf);
-        self.head = 0;
         RankTrace {
             rank: self.rank,
             key: self.key,
-            spans,
-            dropped: std::mem::take(&mut self.dropped),
+            spans: self.spans.take().into(),
+            dropped: self.dropped.take(),
         }
     }
 }
@@ -274,6 +255,69 @@ impl Drop for RankTracer {
         if !trace.spans.is_empty() || trace.dropped > 0 {
             self.hub.publish(trace);
         }
+    }
+}
+
+/// A span that started when it was opened and ends when it is closed or
+/// dropped, whichever comes first — so every exit path of the code it
+/// brackets records it, the failing one included. Opened against no tracer
+/// (tracing off) it does nothing.
+#[derive(Debug)]
+#[must_use = "a span ends when its guard is dropped"]
+pub struct OpenSpan<'a> {
+    tracer: Option<&'a RankTracer>,
+    span: Span,
+}
+
+impl<'a> OpenSpan<'a> {
+    /// Start a span now, stamped with the tracer's current iteration.
+    pub fn open(
+        tracer: Option<&'a RankTracer>,
+        kind: SpanKind,
+        name: &'static str,
+        args: SpanArgs,
+    ) -> OpenSpan<'a> {
+        let (iteration, epoch) = tracer.map_or((0, 0), |t| t.at.get());
+        OpenSpan {
+            tracer,
+            span: Span {
+                kind,
+                name,
+                start_ns: tracer.map_or(0, RankTracer::now),
+                dur_ns: 0,
+                iteration,
+                epoch,
+                args,
+            },
+        }
+    }
+
+    /// Set the byte volume, for a transfer whose size is known only once
+    /// it is done.
+    pub fn set_bytes(&mut self, bytes: f64) {
+        self.span.args.bytes = Some(bytes);
+    }
+
+    /// End the span now. Returns its duration in ns (0 when tracing is
+    /// off), so callers can accumulate e.g. bubble time without re-reading
+    /// the clock.
+    pub fn close(mut self) -> u64 {
+        self.record()
+    }
+
+    fn record(&mut self) -> u64 {
+        let Some(tracer) = self.tracer.take() else {
+            return 0;
+        };
+        self.span.dur_ns = tracer.now().saturating_sub(self.span.start_ns);
+        tracer.push(self.span);
+        self.span.dur_ns
+    }
+}
+
+impl Drop for OpenSpan<'_> {
+    fn drop(&mut self) {
+        self.record();
     }
 }
 
@@ -297,7 +341,7 @@ mod tests {
     fn tracer_publishes_on_drop() {
         let hub = TraceHub::new();
         {
-            let mut tr = hub.tracer(3, (1, 0, 1));
+            let tr = hub.tracer(3, (1, 0, 1));
             tr.push(span(SpanKind::Forward, 10));
             tr.push(span(SpanKind::Backward, 20));
         }
@@ -313,7 +357,7 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_drops() {
         let hub = TraceHub::new();
         {
-            let mut tr = hub.tracer_with_capacity(0, (0, 0, 0), 3);
+            let tr = hub.tracer_with_capacity(0, (0, 0, 0), 3);
             for i in 0..5u64 {
                 tr.push(span(SpanKind::Comm, i));
             }
@@ -331,7 +375,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let counter = reg.counter("spans_dropped.rank0");
         {
-            let mut tr = hub
+            let tr = hub
                 .tracer_with_capacity(0, (0, 0, 0), 3)
                 .with_drop_counter(Arc::clone(&counter));
             for i in 0..5u64 {
@@ -348,11 +392,11 @@ mod tests {
     fn republish_after_restart_appends() {
         let hub = TraceHub::new();
         {
-            let mut tr = hub.tracer(1, (0, 0, 1));
+            let tr = hub.tracer(1, (0, 0, 1));
             tr.push(span(SpanKind::Forward, 1));
         }
         {
-            let mut tr = hub.tracer(1, (0, 0, 1));
+            let tr = hub.tracer(1, (0, 0, 1));
             tr.push(span(SpanKind::Forward, 2));
         }
         let ranks = hub.ranks();
@@ -361,25 +405,59 @@ mod tests {
     }
 
     #[test]
-    fn close_measures_nonnegative_duration() {
+    fn close_returns_the_recorded_duration() {
         let hub = TraceHub::new();
-        let mut tr = hub.tracer(0, (0, 0, 0));
-        let t0 = tr.now();
-        let dur = tr.close(
-            SpanKind::Optimizer,
-            "adam-step",
-            t0,
-            7,
-            2,
-            SpanArgs::bytes(64.0),
-        );
+        let tr = hub.tracer(0, (0, 0, 0));
+        tr.set_iteration(7, 2);
+        let mut open = OpenSpan::open(Some(&tr), SpanKind::Optimizer, "adam-step", SpanArgs::NONE);
+        open.set_bytes(64.0);
+        let dur = open.close();
         drop(tr);
         let ranks = hub.ranks();
+        assert_eq!(ranks[0].spans.len(), 1, "closing records exactly once");
         let s = ranks[0].spans[0];
         assert_eq!(s.iteration, 7);
         assert_eq!(s.epoch, 2);
         assert_eq!(s.args.bytes, Some(64.0));
         assert_eq!(s.dur_ns, dur);
+        assert_eq!(
+            OpenSpan::open(None, SpanKind::Comm, "off", SpanArgs::NONE).close(),
+            0,
+            "no tracer, no span"
+        );
+    }
+
+    /// A rank that opens a span and then fails: `unwind` chooses whether
+    /// the bracketed code leaves by panic or by `?`.
+    fn abandon(hub: &Arc<TraceHub>, unwind: bool) -> Result<(), ()> {
+        let tr = hub.tracer(0, (0, 0, 0));
+        tr.set_iteration(3, 0);
+        let args = SpanArgs {
+            microbatch: Some(5),
+            ..SpanArgs::NONE
+        };
+        let _wait = OpenSpan::open(Some(&tr), SpanKind::Bubble, "pipeline-wait-fwd", args);
+        if unwind {
+            panic!("peer died");
+        }
+        Err(())?;
+        unreachable!("the span above is never closed by hand");
+    }
+
+    #[test]
+    fn span_abandoned_by_early_return_or_unwind_is_recorded() {
+        for unwind in [false, true] {
+            let hub = TraceHub::new();
+            let left = std::panic::catch_unwind(|| abandon(&hub, unwind));
+            assert_eq!(left.is_err(), unwind);
+            let ranks = hub.ranks();
+            assert_eq!(ranks[0].spans.len(), 1, "unwind={unwind}");
+            let s = ranks[0].spans[0];
+            assert_eq!(s.kind, SpanKind::Bubble);
+            assert_eq!(s.name, "pipeline-wait-fwd");
+            assert_eq!(s.args.microbatch, Some(5));
+            assert_eq!(s.iteration, 3);
+        }
     }
 
     #[test]

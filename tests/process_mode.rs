@@ -2,10 +2,11 @@
 //! **itself** as the rank workers, so it must own `main`).
 //!
 //! 1. The seeded canonical (2,2,2) job launched as **8 OS processes over
-//!    Unix-domain sockets** produces bit-identical losses and final
-//!    parameters to the in-process mailbox run, with per-GPU socket byte
-//!    counts equal to the comm-tape's closed forms (the same §3 identities
-//!    `tests/real_vs_sim_bytes.rs` proves against the simulator).
+//!    Unix-domain sockets** reports, rank for rank, the record the
+//!    in-process mailbox run folds into its log — loss bits, parameter
+//!    bits, comm volume, tape bytes, peak stash, step count — with per-GPU
+//!    socket byte counts equal to the comm-tape's closed forms (the same §3
+//!    identities `tests/real_vs_sim_bytes.rs` proves against the simulator).
 //! 2. Heartbeats flow over the socket transport: SIGKILLing one rank
 //!    process leaves it classified **dead** by the launcher-side
 //!    [`HealthMonitor`](megatron_repro::dist::HealthMonitor) while the
@@ -51,12 +52,18 @@ fn eight_uds_processes_bit_identical_to_in_process() {
     let spec = job.spec();
     let log = PtdpTrainer::new(job.master(), spec).train(&job.dataset());
 
-    assert_eq!(out.losses, log.losses, "losses must be bit-identical");
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&out.losses),
+        bits(&log.losses),
+        "losses must be bit-identical"
+    );
     assert_eq!(out.outputs.len(), spec.world());
     let mut total_bytes = 0.0;
-    for (key, o) in &out.outputs {
+    for (key @ (_, di, ti), o) in &out.outputs {
         assert_eq!(
-            o.params, log.final_params[key],
+            bits(&o.params),
+            bits(&log.final_params[key]),
             "final params differ at {key:?}"
         );
         assert_eq!(
@@ -70,7 +77,17 @@ fn eight_uds_processes_bit_identical_to_in_process() {
             o.volume.total_bytes(),
             "closed-form bytes != socket bytes at {key:?}"
         );
-        assert!(o.steps >= job.iters, "rank {key:?} finished every step");
+        assert_eq!(
+            o.tape_bytes,
+            log.comm_ops[key].total_bytes(spec.tensor, *ti, spec.data, *di),
+            "comm tape differs at {key:?}"
+        );
+        assert_eq!(
+            o.peak_stash, log.peak_stash_floats[key],
+            "peak stash differs at {key:?}"
+        );
+        assert_eq!(o.steps, job.iters, "rank {key:?} finished every step");
+        assert_eq!(o.steps, log.step_times[key].len());
         total_bytes += o.volume.total_bytes();
     }
     assert!(total_bytes > 0.0, "run moved no bytes — vacuous identity");
