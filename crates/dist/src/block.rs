@@ -7,9 +7,10 @@
 //! at each block entry) — the communication pattern the paper's §3.2 cost
 //! model charges for.
 
+use megatron_tensor::elementwise::causal_softmax_row;
 use megatron_tensor::gpt::Block;
 use megatron_tensor::layers::{
-    gelu, gelu_backward, AttentionCache, AttentionCore, LayerNorm, LayerNormCache, Linear,
+    bias_residual, gelu_backward, AttentionCache, AttentionCore, LayerNorm, LayerNormCache, Linear,
 };
 use megatron_tensor::Matrix;
 
@@ -46,9 +47,7 @@ pub struct ParallelBlock {
 pub struct ParallelBlockCache {
     ln1: LayerNormCache,
     h1: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
+    qkv: Matrix,
     attn: AttentionCache,
     attn_out: Matrix,
     ln2: LayerNormCache,
@@ -62,9 +61,7 @@ impl ParallelBlockCache {
     /// instrumentation, §3.5).
     pub fn float_count(&self) -> usize {
         self.h1.len()
-            + self.q.len()
-            + self.k.len()
-            + self.v.len()
+            + self.qkv.len()
             + self.attn_out.len()
             + self.h2.len()
             + self.f.len()
@@ -173,43 +170,26 @@ impl ParallelBlock {
         seq: usize,
         comm: &GroupMember,
     ) -> (Matrix, ParallelBlockCache) {
-        let local = self.heads_local * self.head_dim;
         let (h1, ln1_cache) = self.ln1.forward(x);
         // f operator: identity in the forward pass.
         let qkv = self.qkv.forward(&h1);
-        let q = qkv.columns(0, local);
-        let k = qkv.columns(local, 2 * local);
-        let v = qkv.columns(2 * local, 3 * local);
-        let (attn_out, attn_cache) = self.core(batch, seq).forward(&q, &k, &v);
-        let mut proj = self.proj.forward(&attn_out);
-        // g operator: all-reduce partial sums across the tensor group.
-        comm.all_reduce_sum(proj.as_mut_slice());
-        for rr in 0..proj.rows() {
-            for (o, b) in proj.row_mut(rr).iter_mut().zip(&self.proj_bias) {
-                *o += b;
-            }
-        }
-        let mut x2 = proj;
-        x2.add_assign(x);
+        let (attn_out, attn_cache) = self.core(batch, seq).forward(&qkv);
+        let mut x2 = self.proj.forward(&attn_out);
+        // g operator: all-reduce partial sums across the tensor group; the
+        // replicated bias goes on once, after it, fused with the residual.
+        comm.all_reduce_sum(x2.as_mut_slice());
+        bias_residual(&mut x2, &self.proj_bias, x);
         let (h2, ln2_cache) = self.ln2.forward(&x2);
-        let f = self.fc1.forward(&h2);
-        let g = gelu(&f);
+        let (f, g) = self.fc1.forward_gelu(&h2);
         let mut o = self.fc2.forward(&g);
         comm.all_reduce_sum(o.as_mut_slice());
-        for rr in 0..o.rows() {
-            for (ov, b) in o.row_mut(rr).iter_mut().zip(&self.fc2_bias) {
-                *ov += b;
-            }
-        }
-        o.add_assign(&x2);
+        bias_residual(&mut o, &self.fc2_bias, &x2);
         (
             o,
             ParallelBlockCache {
                 ln1: ln1_cache,
                 h1,
-                q,
-                k,
-                v,
+                qkv,
                 attn: attn_cache,
                 attn_out,
                 ln2: ln2_cache,
@@ -234,9 +214,9 @@ impl ParallelBlock {
     /// replicates the training path's float-op order exactly — GEMM rows
     /// are independent with a fixed k-order accumulation, LayerNorm /
     /// bias / GeLU / residual are row-local, the single-row attention
-    /// below mirrors `AttentionCore::forward` (scores then scale, max-
-    /// subtracted softmax over the causal prefix, weighted sum in position
-    /// order), and a two-member all-reduce is a plain commutative
+    /// below mirrors `AttentionCore::forward` (scores, then the same
+    /// scale + softmax row kernel over the causal prefix, weighted sum in
+    /// position order), and a two-member all-reduce is a plain commutative
     /// add. Hence for `t ∈ {1, 2}` decoding one token at a time produces
     /// the same bits as re-running the whole prefix.
     pub fn forward_decode(
@@ -249,9 +229,6 @@ impl ParallelBlock {
         debug_assert_eq!(x.rows(), chunks.iter().map(|c| c.0).sum::<usize>());
         let (h1, _) = self.ln1.forward(x);
         let qkv = self.qkv.forward(&h1);
-        let q = qkv.columns(0, local);
-        let k = qkv.columns(local, 2 * local);
-        let v = qkv.columns(2 * local, 3 * local);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut attn_out = Matrix::zeros(x.rows(), local);
         let mut row0 = 0usize;
@@ -259,13 +236,15 @@ impl ParallelBlock {
             debug_assert_eq!(kv.cols, local, "cache shard width mismatch");
             for i in 0..*rows {
                 let r = row0 + i;
-                kv.push(k.row(r), v.row(r));
+                let (q, kv_new) = qkv.row(r).split_at(local);
+                let (k_new, v_new) = kv_new.split_at(local);
+                kv.push(k_new, v_new);
                 let p = kv.len() - 1; // absolute position of this row
                 for hi in 0..self.heads_local {
                     let hs = hi * self.head_dim;
-                    let qh = &q.row(r)[hs..hs + self.head_dim];
+                    let qh = &q[hs..hs + self.head_dim];
                     // Scores over the causal prefix: sequential dot per
-                    // position (as matmul_nt), then a separate scale pass.
+                    // position (as matmul_nt).
                     let mut scores = Vec::with_capacity(p + 1);
                     for j in 0..=p {
                         let kh = &kv.k_row(j)[hs..hs + self.head_dim];
@@ -275,19 +254,8 @@ impl ParallelBlock {
                         }
                         scores.push(acc);
                     }
-                    for s in &mut scores {
-                        *s *= scale;
-                    }
-                    // Max-subtracted softmax in position order.
-                    let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-                    let mut sum = 0.0f32;
-                    for item in &mut scores {
-                        *item = (*item - max).exp();
-                        sum += *item;
-                    }
-                    for item in &mut scores {
-                        *item /= sum;
-                    }
+                    // The training path's softmax row, all of it live.
+                    causal_softmax_row(&mut scores, p + 1, scale);
                     // Weighted value sum in position order (as matmul; the
                     // masked probabilities there are exactly 0.0 and add
                     // nothing to a finite sum).
@@ -302,26 +270,14 @@ impl ParallelBlock {
             }
             row0 += *rows;
         }
-        let mut proj = self.proj.forward(&attn_out);
-        comm.all_reduce_sum(proj.as_mut_slice());
-        for rr in 0..proj.rows() {
-            for (o, b) in proj.row_mut(rr).iter_mut().zip(&self.proj_bias) {
-                *o += b;
-            }
-        }
-        let mut x2 = proj;
-        x2.add_assign(x);
+        let mut x2 = self.proj.forward(&attn_out);
+        comm.all_reduce_sum(x2.as_mut_slice());
+        bias_residual(&mut x2, &self.proj_bias, x);
         let (h2, _) = self.ln2.forward(&x2);
-        let f = self.fc1.forward(&h2);
-        let g = gelu(&f);
+        let (_, g) = self.fc1.forward_gelu(&h2);
         let mut o = self.fc2.forward(&g);
         comm.all_reduce_sum(o.as_mut_slice());
-        for rr in 0..o.rows() {
-            for (ov, b) in o.row_mut(rr).iter_mut().zip(&self.fc2_bias) {
-                *ov += b;
-            }
-        }
-        o.add_assign(&x2);
+        bias_residual(&mut o, &self.fc2_bias, &x2);
         o
     }
 
@@ -341,8 +297,8 @@ impl ParallelBlock {
                 *gb += d;
             }
         }
-        let dg = self.fc2.backward(&cache.g, dout);
-        let df = gelu_backward(&cache.f, &dg);
+        let mut df = self.fc2.backward(&cache.g, dout);
+        gelu_backward(&cache.f, &mut df);
         let mut dh2 = self.fc1.backward(&cache.h2, &df);
         // f operator backward: all-reduce the partial input gradient.
         comm.all_reduce_sum(dh2.as_mut_slice());
@@ -356,10 +312,9 @@ impl ParallelBlock {
             }
         }
         let dattn = self.proj.backward(&cache.attn_out, &dx2);
-        let (dq, dk, dv) =
-            self.core(batch, seq)
-                .backward(&cache.q, &cache.k, &cache.v, &cache.attn, &dattn);
-        let dqkv = Matrix::concat_cols(&[dq, dk, dv]);
+        let dqkv = self
+            .core(batch, seq)
+            .backward(&cache.qkv, &cache.attn, &dattn);
         let mut dh1 = self.qkv.backward(&cache.h1, &dqkv);
         comm.all_reduce_sum(dh1.as_mut_slice());
         let mut dx = self.ln1.backward(&cache.ln1, &dh1);

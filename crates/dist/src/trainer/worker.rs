@@ -517,15 +517,18 @@ impl Rank<'_> {
             (input, span(&self.tracer, SpanKind::Forward, "forward", mb))
         };
         let blocks = &self.model.chunks[op.chunk];
-        let mut x = input.clone();
+        // The first block reads the stage input where it is; `input` itself
+        // goes into the stash below, and only on the recompute path.
+        let mut x: Option<Matrix> = None;
         let mut block_caches = Vec::with_capacity(blocks.len());
         for blk in blocks {
-            let (nx, c) = blk.forward(&x, b, seq, tg);
-            x = nx;
+            let (nx, c) = blk.forward(x.as_ref().unwrap_or(&input), b, seq, tg);
+            x = Some(nx);
             if !spec.recompute {
                 block_caches.push(c);
             }
         }
+        let x = x.expect("a chunk holds at least one block");
         let mut cache = ChunkCache {
             block_caches,
             input: spec.recompute.then_some(input),
@@ -618,12 +621,16 @@ impl Rank<'_> {
         let (d, di, dg) = (self.spec.data, self.key.1, &self.wiring.dg);
         // Gradients currently hold Σ over microbatches of per-microbatch
         // means; rescale to the replica mean, then average over replicas.
+        // With one microbatch the factor is exactly 1.0 and `x · 1.0` is
+        // `x` for every value: the pass over the gradients is skipped.
         let inv_m = 1.0 / self.schedule.microbatches as f32;
-        self.model.visit(&mut |_, g| {
-            for x in g.iter_mut() {
-                *x *= inv_m;
-            }
-        });
+        if self.schedule.microbatches > 1 {
+            self.model.visit(&mut |_, g| {
+                for x in g.iter_mut() {
+                    *x *= inv_m;
+                }
+            });
+        }
 
         // Report loss (last stage, tensor rank 0): replica mean, then mean
         // over data-parallel replicas.

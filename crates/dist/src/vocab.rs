@@ -4,6 +4,7 @@
 //! computed *without ever materializing the full logits* on any rank —
 //! max and sum-exp statistics travel through two small all-reduces.
 
+use megatron_tensor::elementwise::exp_minus;
 use megatron_tensor::layers::{Embedding, Linear};
 use megatron_tensor::Matrix;
 
@@ -55,10 +56,12 @@ impl VocabParallelEmbedding {
         }
         comm.all_reduce_sum(out.as_mut_slice());
         for row in 0..token_ids.len() {
-            let pos = row % seq;
-            let dst = out.row_mut(row);
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d += self.positions.get(pos, c);
+            for (d, &p) in out
+                .row_mut(row)
+                .iter_mut()
+                .zip(self.positions.row(row % seq))
+            {
+                *d += p;
             }
         }
         out
@@ -68,17 +71,15 @@ impl VocabParallelEmbedding {
     /// accumulate identically on every rank.
     pub fn backward(&mut self, token_ids: &[usize], seq: usize, dy: &Matrix) {
         for (row, &tok) in token_ids.iter().enumerate() {
-            let pos = row % seq;
-            let src = dy.row(row);
-            if tok >= self.vocab_start && tok < self.vocab_end {
-                let local = tok - self.vocab_start;
-                for (c, &g) in src.iter().enumerate() {
-                    self.gtokens.set(local, c, self.gtokens.get(local, c) + g);
+            let add = |table_row: &mut [f32]| {
+                for (t, &g) in table_row.iter_mut().zip(dy.row(row)) {
+                    *t += g;
                 }
+            };
+            if tok >= self.vocab_start && tok < self.vocab_end {
+                add(self.gtokens.row_mut(tok - self.vocab_start));
             }
-            for (c, &g) in src.iter().enumerate() {
-                self.gpositions.set(pos, c, self.gpositions.get(pos, c) + g);
-            }
+            add(self.gpositions.row_mut(row % seq));
         }
     }
 
@@ -150,11 +151,13 @@ impl VocabParallelHead {
         comm.all_reduce_max(&mut maxes);
 
         // Row Σexp over the full vocabulary, plus the target logit (owned
-        // by exactly one rank; others contribute zero).
+        // by exactly one rank; others contribute zero). The exponentials
+        // stay in `dlogits`: one `exp` per logit.
+        let mut dlogits = Matrix::zeros(n, logits.cols());
         let mut stats = vec![0.0f32; 2 * n];
         for r in 0..n {
-            let m = maxes[r];
-            stats[r] = logits.row(r).iter().map(|&l| (l - m).exp()).sum();
+            exp_minus(logits.row(r), maxes[r], dlogits.row_mut(r));
+            stats[r] = dlogits.row(r).iter().sum();
             let t = targets[r];
             if t >= self.vocab_start && t < self.vocab_end {
                 stats[n + r] = logits.get(r, t - self.vocab_start);
@@ -163,16 +166,20 @@ impl VocabParallelHead {
         comm.all_reduce_sum(&mut stats);
 
         let mut loss = 0.0f32;
-        let mut dlogits = Matrix::zeros(n, logits.cols());
         for r in 0..n {
             let (z, tl, m) = (stats[r], stats[n + r], maxes[r]);
             loss += z.ln() + m - tl;
             let drow = dlogits.row_mut(r);
-            for (c, d) in drow.iter_mut().enumerate() {
-                let p = (logits.get(r, c) - m).exp() / z;
-                let is_target =
-                    targets[r] >= self.vocab_start && targets[r] - self.vocab_start == c;
-                *d = (p - if is_target { 1.0 } else { 0.0 }) / n as f32;
+            // This rank's column of the target, if it owns it, and the
+            // target's probability.
+            let owned = (self.vocab_start..self.vocab_end).contains(&targets[r]);
+            let target = owned.then(|| targets[r] - self.vocab_start);
+            let target = target.map(|c| (c, drow[c] / z));
+            for d in drow.iter_mut() {
+                *d = *d / z / n as f32;
+            }
+            if let Some((c, p)) = target {
+                drow[c] = (p - 1.0) / n as f32;
             }
         }
         (loss / n as f32, VocabHeadCache { dlogits })

@@ -1,6 +1,8 @@
 //! Adam optimizer (the paper's models all train with mixed-precision Adam;
 //! here everything is f32).
 
+use crate::elementwise::{adam_update, AdamStep};
+
 /// Adam with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -43,22 +45,20 @@ impl Adam {
         }
         assert_eq!(self.m.len(), total, "parameter count changed mid-training");
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let mut off = 0;
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        let (mut m, mut v) = (&mut self.m[..], &mut self.v[..]);
         for (params, grads) in pairs.iter_mut() {
-            assert_eq!(params.len(), grads.len());
-            for i in 0..params.len() {
-                let g = grads[i];
-                let m = &mut self.m[off + i];
-                let v = &mut self.v[off + i];
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            off += params.len();
+            let (m_here, v_here);
+            (m_here, m) = m.split_at_mut(params.len());
+            (v_here, v) = v.split_at_mut(params.len());
+            adam_update(params, grads, m_here, v_here, step);
         }
     }
 
@@ -124,6 +124,77 @@ mod tests {
             assert!((v - 3.0).abs() < 0.05, "got {v}");
         }
         assert_eq!(adam.steps(), 500);
+    }
+
+    /// The loop `Adam::step` ran before the element-wise layer: indexed,
+    /// one parameter at a time. Kept as the definition of the update.
+    fn reference_step(adam: &mut Adam, pairs: &mut [(&mut [f32], &mut [f32])]) {
+        let total: usize = pairs.iter().map(|(p, _)| p.len()).sum();
+        if adam.m.is_empty() {
+            adam.m = vec![0.0; total];
+            adam.v = vec![0.0; total];
+        }
+        adam.t += 1;
+        let bc1 = 1.0 - adam.beta1.powi(adam.t as i32);
+        let bc2 = 1.0 - adam.beta2.powi(adam.t as i32);
+        let mut off = 0;
+        for (params, grads) in pairs.iter_mut() {
+            for i in 0..params.len() {
+                let g = grads[i];
+                let m = &mut adam.m[off + i];
+                let v = &mut adam.v[off + i];
+                *m = adam.beta1 * *m + (1.0 - adam.beta1) * g;
+                *v = adam.beta2 * *v + (1.0 - adam.beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                params[i] -= adam.lr * mhat / (vhat.sqrt() + adam.eps);
+            }
+            off += params.len();
+        }
+    }
+
+    fn pairs<'a>(
+        p: &'a mut [Vec<f32>],
+        g: &'a mut [Vec<f32>],
+    ) -> Vec<(&'a mut [f32], &'a mut [f32])> {
+        let zipped = p.iter_mut().zip(g.iter_mut());
+        zipped.map(|(p, g)| (&mut p[..], &mut g[..])).collect()
+    }
+
+    #[test]
+    fn step_equals_the_indexed_reference_loop_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        // Uneven pairs around the vector widths, empty ones among them.
+        let lens = [0usize, 1, 7, 8, 9, 0, 33, 100, 16, 259, 0];
+        let mut params: Vec<Vec<f32>> = lens
+            .iter()
+            .map(|&n| (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .collect();
+        let mut want = params.clone();
+        let (mut adam, mut reference) = (Adam::new(0.01), Adam::new(0.01));
+        for step in 0..25 {
+            let mut grads: Vec<Vec<f32>> = lens
+                .iter()
+                .map(|&n| {
+                    (0..n)
+                        .map(|i| match (i + step) % 9 {
+                            0 => 0.0,
+                            1 => 1e-30,
+                            _ => rng.gen_range(-3.0f32..3.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut grads_again = grads.clone();
+            adam.step(&mut pairs(&mut params, &mut grads));
+            reference_step(&mut reference, &mut pairs(&mut want, &mut grads_again));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&params.concat()), bits(&want.concat()), "step {step}");
+            assert_eq!(bits(&adam.m), bits(&reference.m), "step {step}");
+            assert_eq!(bits(&adam.v), bits(&reference.v), "step {step}");
+        }
+        assert_eq!(adam.export_state(), reference.export_state());
     }
 
     #[test]

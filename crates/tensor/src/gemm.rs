@@ -10,7 +10,7 @@
 //! its rows are contiguous and packed into `NR`-wide panels when they are
 //! not (a transposed view) or at the ragged right edge. The body is plain
 //! Rust; it is compiled a second time with AVX2 enabled and chosen at run
-//! time by `is_x86_feature_detected!`.
+//! time (`crate::simd`).
 //!
 //! **The summation-order contract.** Every output element is
 //! `((0.0 + a₀·b₀) + a₁·b₁) + …` in strictly ascending `k`, each product
@@ -27,6 +27,7 @@
 //! of `crate::pool` claim one at a time; no thread is spawned per call.
 
 use crate::pool::Pool;
+use crate::simd::dual_compiled;
 use crate::Matrix;
 
 /// Rows of `C` per register tile.
@@ -199,17 +200,6 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
-fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// One product as the kernel sees it: raw operands whose bounds the views
 /// checked, and `B`'s packed panels.
 struct Job {
@@ -229,11 +219,10 @@ struct Job {
     /// Panel `first_packed + p` as `k` rows of `NR` floats (zero beyond
     /// column `n`) at `p · k · NR`.
     packed: Vec<f32>,
-    simd: bool,
 }
 
 // SAFETY: `a`, `b` and `packed` are only read. `c` is written, by
-// `Job::rows`, only inside the row range a thread was given, and `gemm`
+// `rows`, only inside the row range a thread was given, and `gemm`
 // hands out disjoint ranges of non-overlapping rows (`ViewMut`'s invariant)
 // while it holds the `ViewMut`'s exclusive borrow.
 unsafe impl Sync for Job {}
@@ -285,62 +274,42 @@ fn gemm(a: View<'_>, b: View<'_>, c: ViewMut<'_>, portable_only: bool) {
         c_rs: c.rs,
         first_packed,
         packed,
-        simd: !portable_only && simd_available(),
     };
+    let rows: fn(&Job, usize, usize) = if portable_only { rows_portable } else { rows };
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     if flops < PAR_FLOPS {
-        return job.rows(0, m);
+        return rows(&job, 0, m);
     }
     let threads = Pool::global().threads();
     let tiles = m.div_ceil(MR);
     let blocks = tiles.min(BLOCKS_PER_THREAD * threads);
     if threads == 1 || blocks < 2 {
-        return job.rows(0, m);
+        return rows(&job, 0, m);
     }
     let block_rows = tiles.div_ceil(blocks) * MR;
     Pool::global().run(m.div_ceil(block_rows), &|i| {
-        job.rows(i * block_rows, ((i + 1) * block_rows).min(m));
+        rows(&job, i * block_rows, ((i + 1) * block_rows).min(m));
     });
 }
 
-impl Job {
-    /// Compute rows `i0..i1` of `C` with the widest instruction set found.
-    fn rows(&self, i0: usize, i1: usize) {
-        debug_assert!(i0 <= i1 && i1 <= self.m);
-        #[cfg(target_arch = "x86_64")]
-        if self.simd {
-            // SAFETY: `simd` is only set after AVX2 was detected; see
-            // `rows_portable` for the memory accesses.
-            unsafe { self.rows_avx2(i0, i1) };
-            return;
-        }
-        self.rows_portable(i0, i1);
-    }
-
-    /// The portable body compiled again with 256-bit vectors. Same source,
-    /// same operations in the same order, same bits.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn rows_avx2(&self, i0: usize, i1: usize) {
-        self.rows_portable(i0, i1);
-    }
-
-    #[inline(always)]
-    fn rows_portable(&self, i0: usize, i1: usize) {
-        for k0 in (0..self.k).step_by(KC) {
-            let kc = KC.min(self.k - k0);
-            for panel in 0..self.n.div_ceil(NR) {
+dual_compiled! {
+    /// Rows `i0..i1` of `C`, one `k` block and column panel at a time.
+    fn rows, rows_portable(job: &Job, i0: usize, i1: usize) {
+        debug_assert!(i0 <= i1 && i1 <= job.m);
+        for k0 in (0..job.k).step_by(KC) {
+            let kc = KC.min(job.k - k0);
+            for panel in 0..job.n.div_ceil(NR) {
                 let j0 = panel * NR;
-                let nr = NR.min(self.n - j0);
+                let nr = NR.min(job.n - j0);
                 // SAFETY (both arms): row `k0` of this panel, with `kc`
                 // rows of `NR` readable floats from there on — in `packed`
                 // by its layout, in place because an unpacked panel has
                 // `j0 + NR <= n` and unit column stride.
-                let (b, b_rs) = if panel >= self.first_packed {
-                    let at = (panel - self.first_packed) * self.k + k0;
-                    (unsafe { self.packed.as_ptr().add(at * NR) }, NR)
+                let (b, b_rs) = if panel >= job.first_packed {
+                    let at = (panel - job.first_packed) * job.k + k0;
+                    (unsafe { job.packed.as_ptr().add(at * NR) }, NR)
                 } else {
-                    (unsafe { self.b.add(k0 * self.b_rs + j0) }, self.b_rs)
+                    (unsafe { job.b.add(k0 * job.b_rs + j0) }, job.b_rs)
                 };
                 for i in (i0..i1).step_by(MR) {
                     // SAFETY: `i < m`, `k0 < k`, `j0 < n`: the first
@@ -348,11 +317,11 @@ impl Job {
                     // `mr × nr` block of `C` that lie inside their views.
                     let (a, c) = unsafe {
                         (
-                            self.a.add(i * self.a_rs + k0 * self.a_cs),
-                            self.c.add(i * self.c_rs + j0),
+                            job.a.add(i * job.a_rs + k0 * job.a_cs),
+                            job.c.add(i * job.c_rs + j0),
                         )
                     };
-                    let strides = (self.a_rs, self.a_cs, b_rs, self.c_rs);
+                    let strides = (job.a_rs, job.a_cs, b_rs, job.c_rs);
                     // SAFETY: as above; `tile::<R>` touches `R` rows.
                     unsafe {
                         match (i1 - i).min(MR) {
@@ -540,12 +509,7 @@ mod tests {
             let a = rand_matrix(m, k, seed);
             let b = rand_matrix(n, k, seed + 50);
             let mut portable = Matrix::zeros(m, n);
-            gemm(
-                a.view(),
-                b.view().t(),
-                portable.block_mut(0, 0, m, n),
-                false,
-            );
+            gemm(a.view(), b.view().t(), portable.block_mut(0, 0, m, n), true);
             assert_eq!(bits(&portable), bits(&matmul_nt(&a, &b)));
         }
     }

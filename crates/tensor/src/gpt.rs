@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::layers::{
-    cross_entropy, gelu, gelu_backward, AttentionCache, AttentionCore, Embedding, LayerNorm,
+    cross_entropy, gelu_backward, AttentionCache, AttentionCore, Embedding, LayerNorm,
     LayerNormCache, Linear,
 };
 use crate::Matrix;
@@ -63,9 +63,7 @@ pub struct BlockCache {
     x: Matrix,
     ln1: LayerNormCache,
     h1: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
+    qkv: Matrix,
     attn: AttentionCache,
     attn_out: Matrix,
     ln2: LayerNormCache,
@@ -127,27 +125,18 @@ impl Block {
         };
         let (h1, ln1_cache) = self.ln1.forward(x);
         let qkv = self.qkv.forward(&h1);
-        let q = qkv.columns(0, h);
-        let k = qkv.columns(h, 2 * h);
-        let v = qkv.columns(2 * h, 3 * h);
-        let (attn_raw, attn_cache) = core.forward(&q, &k, &v);
-        let proj = self.proj.forward(&attn_raw);
-        let mut x2 = proj;
-        x2.add_assign(x); // residual
+        let (attn_raw, attn_cache) = core.forward(&qkv);
+        let x2 = self.proj.forward_residual(&attn_raw, x);
         let (h2, ln2_cache) = self.ln2.forward(&x2);
-        let f = self.fc1.forward(&h2);
-        let g = gelu(&f);
-        let o = self.fc2.forward(&g);
-        let mut out = o;
-        out.add_assign(&x2); // residual (x2 itself is not needed at backward
-                             // time: the residual path re-injects `dout`)
+        let (f, g) = self.fc1.forward_gelu(&h2);
+        // `x2` itself is not needed at backward time: the residual path
+        // re-injects `dout`.
+        let out = self.fc2.forward_residual(&g, &x2);
         let cache = BlockCache {
             x: x.clone(),
             ln1: ln1_cache,
             h1,
-            q,
-            k,
-            v,
+            qkv,
             attn: attn_cache,
             attn_out: attn_raw,
             ln2: ln2_cache,
@@ -174,16 +163,15 @@ impl Block {
             head_dim: h / self.heads,
         };
         // MLP residual branch.
-        let dg = self.fc2.backward(&cache.g, dout);
-        let df = gelu_backward(&cache.f, &dg);
+        let mut df = self.fc2.backward(&cache.g, dout);
+        gelu_backward(&cache.f, &mut df);
         let dh2 = self.fc1.backward(&cache.h2, &df);
         let mut dx2 = self.ln2.backward(&cache.ln2, &dh2);
         dx2.add_assign(dout); // residual passthrough
 
         // Attention residual branch.
         let dattn_raw = self.proj.backward(&cache.attn_out, &dx2);
-        let (dq, dk, dv) = core.backward(&cache.q, &cache.k, &cache.v, &cache.attn, &dattn_raw);
-        let dqkv = Matrix::concat_cols(&[dq, dk, dv]);
+        let dqkv = core.backward(&cache.qkv, &cache.attn, &dattn_raw);
         let dh1 = self.qkv.backward(&cache.h1, &dqkv);
         let mut dx = self.ln1.backward(&cache.ln1, &dh1);
         dx.add_assign(&dx2); // residual passthrough

@@ -3,6 +3,7 @@
 
 use rand::Rng;
 
+use crate::elementwise;
 use crate::gemm::{self, View, ViewMut};
 use crate::Matrix;
 
@@ -35,11 +36,30 @@ impl Linear {
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = gemm::matmul(x, &self.w);
         if let Some(b) = &self.b {
-            for r in 0..y.rows() {
-                for (o, bv) in y.row_mut(r).iter_mut().zip(b) {
-                    *o += bv;
-                }
-            }
+            elementwise::bias_add(y.as_mut_slice(), b);
+        }
+        y
+    }
+
+    /// Forward fused with GeLU (the paper's bias+GeLU kernel, §4.2): returns
+    /// the pre-activation `f = x·W + b` and `g = gelu(f)`, both written in
+    /// one sweep over the product.
+    pub fn forward_gelu(&self, x: &Matrix) -> (Matrix, Matrix) {
+        let mut f = gemm::matmul(x, &self.w);
+        let mut g = Matrix::zeros(f.rows(), f.cols());
+        match &self.b {
+            Some(b) => elementwise::bias_gelu(f.as_mut_slice(), b, g.as_mut_slice()),
+            None => elementwise::gelu(f.as_slice(), g.as_mut_slice()),
+        }
+        (f, g)
+    }
+
+    /// Forward fused with the residual add: `x·W + b + residual`.
+    pub fn forward_residual(&self, x: &Matrix, residual: &Matrix) -> Matrix {
+        let mut y = gemm::matmul(x, &self.w);
+        match &self.b {
+            Some(b) => bias_residual(&mut y, b, residual),
+            None => y.add_assign(residual),
         }
         y
     }
@@ -71,37 +91,19 @@ impl Linear {
     }
 }
 
-/// GeLU non-linearity (tanh approximation, as in GPT).
-pub fn gelu(x: &Matrix) -> Matrix {
-    let mut y = x.clone();
-    for v in y.as_mut_slice() {
-        *v = gelu_scalar(*v);
-    }
-    y
+/// Fused bias + residual (the paper's bias+dropout+add kernel, §4.2, minus
+/// the dropout this repo omits): `o = (o + bias) + x` in one pass — what
+/// follows a row-parallel product once its partial sums are all-reduced.
+pub fn bias_residual(o: &mut Matrix, bias: &[f32], x: &Matrix) {
+    assert_eq!((o.rows(), o.cols()), (x.rows(), x.cols()));
+    assert_eq!(o.cols(), bias.len());
+    elementwise::bias_residual_add(o.as_mut_slice(), bias, x.as_slice());
 }
 
-#[inline]
-fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-#[inline]
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
-/// GeLU backward: `dx = dy ⊙ gelu'(x)`.
-pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = dy.clone();
-    for (d, &xv) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        *d *= gelu_grad_scalar(xv);
-    }
-    dx
+/// GeLU backward in place: `d ⊙= gelu'(x)` (tanh approximation, as in GPT).
+pub fn gelu_backward(x: &Matrix, d: &mut Matrix) {
+    assert_eq!((x.rows(), x.cols()), (d.rows(), d.cols()));
+    elementwise::gelu_backward(x.as_slice(), d.as_mut_slice());
 }
 
 /// LayerNorm over the last dimension with learned scale and shift.
@@ -150,10 +152,11 @@ impl LayerNorm {
             let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
             let istd = 1.0 / (var + self.eps).sqrt();
             inv_std.push(istd);
-            for (c, &rv) in row.iter().enumerate() {
-                let xh = (rv - mean) * istd;
-                xhat.set(r, c, xh);
-                y.set(r, c, xh * self.gamma[c] + self.beta[c]);
+            let params = self.gamma.iter().zip(&self.beta);
+            let outs = xhat.row_mut(r).iter_mut().zip(y.row_mut(r));
+            for (((xh, y), &rv), (&g, &b)) in outs.zip(row).zip(params) {
+                *xh = (rv - mean) * istd;
+                *y = *xh * g + b;
             }
         }
         (y, LayerNormCache { xhat, inv_std })
@@ -169,20 +172,18 @@ impl LayerNorm {
             let dyr = dy.row(r);
             let mut sum_dyg = 0.0f32;
             let mut sum_dyg_xhat = 0.0f32;
-            for c in 0..dy.cols() {
-                let dyg = dyr[c] * self.gamma[c];
+            let grads = self.ggamma.iter_mut().zip(&mut self.gbeta);
+            for (((&d, &xh), &g), (gg, gb)) in dyr.iter().zip(xhat).zip(&self.gamma).zip(grads) {
+                let dyg = d * g;
                 sum_dyg += dyg;
-                sum_dyg_xhat += dyg * xhat[c];
-                self.ggamma[c] += dyr[c] * xhat[c];
-                self.gbeta[c] += dyr[c];
+                sum_dyg_xhat += dyg * xh;
+                *gg += d * xh;
+                *gb += d;
             }
-            for c in 0..dy.cols() {
-                let dyg = dyr[c] * self.gamma[c];
-                dx.set(
-                    r,
-                    c,
-                    istd * (dyg - sum_dyg / h - xhat[c] * sum_dyg_xhat / h),
-                );
+            let ins = dyr.iter().zip(xhat).zip(&self.gamma);
+            for (dx, ((&d, &xh), &g)) in dx.row_mut(r).iter_mut().zip(ins) {
+                let dyg = d * g;
+                *dx = istd * (dyg - sum_dyg / h - xh * sum_dyg_xhat / h);
             }
         }
         dx
@@ -202,10 +203,13 @@ impl LayerNorm {
 
 /// Causal scaled-dot-product attention over locally-held heads.
 ///
-/// Inputs `q`, `k`, `v` have shape `[batch·seq, heads_local·head_dim]`
-/// (rows grouped by batch, then sequence position) — exactly the output
-/// layout of a column-parallel QKV projection, so tensor-parallel ranks can
-/// run this on their head shard without any communication (§2.3).
+/// The input is the `[batch·seq, 3·heads_local·head_dim]` output of a fused
+/// (column-parallel) QKV projection as it stands — columns `q | k | v`, rows
+/// grouped by batch, then sequence position — so tensor-parallel ranks run
+/// this on their head shard without any communication (§2.3) and, the
+/// layout point of §4.2, without copying q, k or v out of it: every
+/// per-(batch, head) product reads its block of `qkv` in place, and the
+/// backward pass writes dq, dk and dv into the blocks of one `dqkv`.
 #[derive(Debug, Clone, Copy)]
 pub struct AttentionCore {
     /// Samples in the batch.
@@ -230,58 +234,62 @@ impl AttentionCache {
     }
 }
 
+/// Which third of the fused QKV columns.
+#[derive(Clone, Copy)]
+enum Part {
+    Q,
+    K,
+    V,
+}
+
 impl AttentionCore {
-    fn check(&self, m: &Matrix) {
-        assert_eq!(m.rows(), self.batch * self.seq);
-        assert_eq!(m.cols(), self.heads * self.head_dim);
+    /// Columns of q (and of k, and of v) held locally.
+    fn local(&self) -> usize {
+        self.heads * self.head_dim
     }
 
-    /// The `s × head_dim` block of (batch `bi`, head `hi`), multiplied where
-    /// it lies.
-    fn head<'a>(&self, m: &'a Matrix, bi: usize, hi: usize) -> View<'a> {
-        m.block(bi * self.seq, hi * self.head_dim, self.seq, self.head_dim)
+    /// Top-left corner of the `s × head_dim` block of (batch `bi`, head
+    /// `hi`) in the given third of a fused QKV matrix.
+    fn corner(&self, part: Part, bi: usize, hi: usize) -> (usize, usize) {
+        (
+            bi * self.seq,
+            part as usize * self.local() + hi * self.head_dim,
+        )
     }
 
-    fn head_mut<'a>(&self, m: &'a mut Matrix, bi: usize, hi: usize) -> ViewMut<'a> {
-        m.block_mut(bi * self.seq, hi * self.head_dim, self.seq, self.head_dim)
+    /// One head's block of `qkv` (or of `dqkv`), multiplied where it lies.
+    fn head<'a>(&self, qkv: &'a Matrix, part: Part, bi: usize, hi: usize) -> View<'a> {
+        let (r0, c0) = self.corner(part, bi, hi);
+        qkv.block(r0, c0, self.seq, self.head_dim)
     }
 
-    /// Forward pass: causal softmax(QKᵀ/√d)·V.
-    pub fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, AttentionCache) {
-        self.check(q);
-        self.check(k);
-        self.check(v);
+    fn head_mut<'a>(&self, m: &'a mut Matrix, part: Part, bi: usize, hi: usize) -> ViewMut<'a> {
+        let (r0, c0) = self.corner(part, bi, hi);
+        m.block_mut(r0, c0, self.seq, self.head_dim)
+    }
+
+    /// Forward pass: causal softmax(QKᵀ/√d)·V, `[batch·seq, heads·head_dim]`.
+    pub fn forward(&self, qkv: &Matrix) -> (Matrix, AttentionCache) {
+        assert_eq!(qkv.rows(), self.batch * self.seq);
+        assert_eq!(qkv.cols(), 3 * self.local());
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut out = Matrix::zeros(q.rows(), q.cols());
+        let mut out = Matrix::zeros(qkv.rows(), self.local());
         let mut probs = Vec::with_capacity(self.batch * self.heads);
         for bi in 0..self.batch {
             for hi in 0..self.heads {
-                let mut scores = gemm::matmul_view(self.head(q, bi, hi), self.head(k, bi, hi).t());
-                scores.scale(scale);
-                // Causal mask + row-wise softmax.
+                let (q, k) = (
+                    self.head(qkv, Part::Q, bi, hi),
+                    self.head(qkv, Part::K, bi, hi),
+                );
+                let mut scores = gemm::matmul_view(q, k.t());
                 for r in 0..self.seq {
-                    let row = scores.row_mut(r);
-                    for cell in row.iter_mut().take(self.seq).skip(r + 1) {
-                        *cell = f32::NEG_INFINITY;
-                    }
-                    let max = row[..=r].iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-                    let mut sum = 0.0;
-                    for item in row.iter_mut().take(r + 1) {
-                        *item = (*item - max).exp();
-                        sum += *item;
-                    }
-                    for item in row.iter_mut() {
-                        if item.is_finite() {
-                            *item /= sum;
-                        } else {
-                            *item = 0.0;
-                        }
-                    }
+                    elementwise::causal_softmax_row(scores.row_mut(r), r + 1, scale);
                 }
+                // `out` has q's width: its head blocks sit where q's do.
                 gemm::matmul_into(
                     scores.view(),
-                    self.head(v, bi, hi),
-                    self.head_mut(&mut out, bi, hi),
+                    self.head(qkv, Part::V, bi, hi),
+                    self.head_mut(&mut out, Part::Q, bi, hi),
                 );
                 probs.push(scores);
             }
@@ -289,42 +297,36 @@ impl AttentionCore {
         (out, AttentionCache { probs })
     }
 
-    /// Backward pass: returns `(dq, dk, dv)`.
-    pub fn backward(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        cache: &AttentionCache,
-        dout: &Matrix,
-    ) -> (Matrix, Matrix, Matrix) {
+    /// Backward pass: returns `dqkv`, columns `dq | dk | dv`.
+    pub fn backward(&self, qkv: &Matrix, cache: &AttentionCache, dout: &Matrix) -> Matrix {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut dq = Matrix::zeros(q.rows(), q.cols());
-        let mut dk = dq.clone();
-        let mut dv = dq.clone();
+        let mut dqkv = Matrix::zeros(qkv.rows(), qkv.cols());
         for bi in 0..self.batch {
             for hi in 0..self.heads {
                 let probs = &cache.probs[bi * self.heads + hi];
-                let doh = self.head(dout, bi, hi);
+                let doh = self.head(dout, Part::Q, bi, hi);
                 // dV = Pᵀ · dO ; dP = dO · Vᵀ.
-                gemm::matmul_into(probs.view().t(), doh, self.head_mut(&mut dv, bi, hi));
-                let mut dscores = gemm::matmul_view(doh, self.head(v, bi, hi).t());
+                let dv = self.head_mut(&mut dqkv, Part::V, bi, hi);
+                gemm::matmul_into(probs.view().t(), doh, dv);
+                let mut dscores = gemm::matmul_view(doh, self.head(qkv, Part::V, bi, hi).t());
                 // Softmax backward row-wise: dS = P ⊙ (dP − Σ dP⊙P).
                 for r in 0..self.seq {
                     let prow = probs.row(r);
                     let drow = dscores.row_mut(r);
                     let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
-                    for c in 0..self.seq {
-                        drow[c] = prow[c] * (drow[c] - dot) * scale;
+                    for (d, &p) in drow.iter_mut().zip(prow) {
+                        *d = p * (*d - dot) * scale;
                     }
                 }
                 // dQ = dS · K ; dK = dSᵀ · Q.
                 let (ds, dst) = (dscores.view(), dscores.view().t());
-                gemm::matmul_into(ds, self.head(k, bi, hi), self.head_mut(&mut dq, bi, hi));
-                gemm::matmul_into(dst, self.head(q, bi, hi), self.head_mut(&mut dk, bi, hi));
+                let dq = self.head_mut(&mut dqkv, Part::Q, bi, hi);
+                gemm::matmul_into(ds, self.head(qkv, Part::K, bi, hi), dq);
+                let dk = self.head_mut(&mut dqkv, Part::K, bi, hi);
+                gemm::matmul_into(dst, self.head(qkv, Part::Q, bi, hi), dk);
             }
         }
-        (dq, dk, dv)
+        dqkv
     }
 }
 
@@ -358,10 +360,9 @@ impl Embedding {
         let h = self.tokens.cols();
         let mut out = Matrix::zeros(token_ids.len(), h);
         for (r, &tok) in token_ids.iter().enumerate() {
-            let pos = r % seq;
-            let dst = out.row_mut(r);
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d = self.tokens.get(tok, c) + self.positions.get(pos, c);
+            let rows = self.tokens.row(tok).iter().zip(self.positions.row(r % seq));
+            for (d, (&t, &p)) in out.row_mut(r).iter_mut().zip(rows) {
+                *d = t + p;
             }
         }
         out
@@ -370,11 +371,10 @@ impl Embedding {
     /// Scatter-add gradients back into the tables.
     pub fn backward(&mut self, token_ids: &[usize], seq: usize, dy: &Matrix) {
         for (r, &tok) in token_ids.iter().enumerate() {
-            let pos = r % seq;
-            let src = dy.row(r);
-            for (c, &g) in src.iter().enumerate() {
-                self.gtokens.set(tok, c, self.gtokens.get(tok, c) + g);
-                self.gpositions.set(pos, c, self.gpositions.get(pos, c) + g);
+            for table_row in [self.gtokens.row_mut(tok), self.gpositions.row_mut(r % seq)] {
+                for (t, &g) in table_row.iter_mut().zip(dy.row(r)) {
+                    *t += g;
+                }
             }
         }
     }
@@ -404,14 +404,17 @@ pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
     for (r, &t) in targets.iter().enumerate() {
         let row = logits.row(r);
         let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
-        let log_z = max + sum.ln();
-        loss += log_z - row[t];
+        // One `exp` per logit: the softmax numerators are kept in `drow`
+        // and divided by their sum below.
         let drow = dlogits.row_mut(r);
-        for (c, d) in drow.iter_mut().enumerate() {
-            let p = (row[c] - log_z).exp();
-            *d = (p - if c == t { 1.0 } else { 0.0 }) / n;
+        elementwise::exp_minus(row, max, drow);
+        let sum: f32 = drow.iter().sum();
+        loss += (max + sum.ln()) - row[t];
+        let p_target = drow[t] / sum;
+        for d in drow.iter_mut() {
+            *d = *d / sum / n;
         }
+        drow[t] = (p_target - 1.0) / n;
     }
     (loss / n, dlogits)
 }
@@ -493,26 +496,41 @@ mod tests {
     }
 
     #[test]
-    fn gelu_matches_reference_points() {
-        // gelu(0) = 0; gelu(large) ≈ x; gelu(-large) ≈ 0.
-        assert_eq!(gelu_scalar(0.0), 0.0);
-        assert!((gelu_scalar(10.0) - 10.0).abs() < 1e-3);
-        assert!(gelu_scalar(-10.0).abs() < 1e-3);
-        // Known value: gelu(1) ≈ 0.8412.
-        assert!((gelu_scalar(1.0) - 0.8412).abs() < 1e-3);
+    fn forward_gelu_and_backward_gradcheck() {
+        let mut r = rng();
+        let lin = Linear::new(3, 5, true, &mut r);
+        let x = Matrix::randn(2, 3, 1.0, &mut r);
+        let (f, g) = lin.forward_gelu(&x);
+        assert_eq!(f, lin.forward(&x));
+        let mut df = Matrix::from_vec(2, 5, vec![1.0; 10]);
+        gelu_backward(&f, &mut df);
+        let loss = |p: &[f32]| {
+            let mut y = vec![0.0; p.len()];
+            elementwise::gelu(p, &mut y);
+            y.iter().sum::<f32>()
+        };
+        assert_eq!(loss(f.as_slice()), g.as_slice().iter().sum::<f32>());
+        numeric_vs_analytic(&loss, f.as_slice(), df.as_slice(), 2e-2);
     }
 
     #[test]
-    fn gelu_gradcheck() {
-        let xs: Vec<f32> = vec![-2.0, -0.5, 0.0, 0.3, 1.7];
-        let x = Matrix::from_vec(1, 5, xs.clone());
-        let dy = Matrix::from_vec(1, 5, vec![1.0; 5]);
-        let dx = gelu_backward(&x, &dy);
-        let loss = |p: &[f32]| {
-            let m = Matrix::from_vec(1, 5, p.to_vec());
-            gelu(&m).as_slice().iter().sum::<f32>()
-        };
-        numeric_vs_analytic(&loss, &xs, dx.as_slice(), 2e-2);
+    fn fused_forwards_equal_their_unfused_compositions_bitwise() {
+        let mut r = rng();
+        let x = Matrix::randn(7, 6, 1.0, &mut r);
+        let res = Matrix::randn(7, 9, 1.0, &mut r);
+        for bias in [true, false] {
+            let mut lin = Linear::new(6, 9, bias, &mut r);
+            if let Some(b) = &mut lin.b {
+                b.copy_from_slice(Matrix::randn(1, 9, 1.0, &mut r).as_slice());
+            }
+            let f = lin.forward(&x);
+            let mut g = Matrix::zeros(7, 9);
+            elementwise::gelu(f.as_slice(), g.as_mut_slice());
+            assert_eq!(lin.forward_gelu(&x), (f.clone(), g), "bias {bias}");
+            let mut sum = f;
+            sum.add_assign(&res);
+            assert_eq!(lin.forward_residual(&x, &res), sum, "bias {bias}");
+        }
     }
 
     #[test]
@@ -555,6 +573,10 @@ mod tests {
         numeric_vs_analytic(&loss, x0.as_slice(), dx.as_slice(), 3e-2);
     }
 
+    fn qkv(q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        Matrix::concat_cols(&[q.clone(), k.clone(), v.clone()])
+    }
+
     #[test]
     fn attention_is_causal() {
         let mut r = rng();
@@ -567,7 +589,7 @@ mod tests {
         let q = Matrix::randn(6, 8, 1.0, &mut r);
         let k = Matrix::randn(6, 8, 1.0, &mut r);
         let v = Matrix::randn(6, 8, 1.0, &mut r);
-        let (y1, _) = core.forward(&q, &k, &v);
+        let (y1, _) = core.forward(&qkv(&q, &k, &v));
         // Perturb the LAST position of k/v: earlier outputs must not change.
         let mut k2 = k.clone();
         let mut v2 = v.clone();
@@ -575,7 +597,7 @@ mod tests {
             k2.set(5, c, 9.0);
             v2.set(5, c, -9.0);
         }
-        let (y2, _) = core.forward(&q, &k2, &v2);
+        let (y2, _) = core.forward(&qkv(&q, &k2, &v2));
         for rrow in 0..5 {
             for c in 0..8 {
                 assert!(
@@ -589,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn attention_probs_rows_sum_to_one() {
+    fn attention_probs_rows_sum_to_one_and_masked_are_exactly_zero() {
         let mut r = rng();
         let core = AttentionCore {
             batch: 2,
@@ -597,47 +619,52 @@ mod tests {
             heads: 1,
             head_dim: 3,
         };
-        let q = Matrix::randn(8, 3, 1.0, &mut r);
-        let k = Matrix::randn(8, 3, 1.0, &mut r);
-        let v = Matrix::randn(8, 3, 1.0, &mut r);
-        let (_, cache) = core.forward(&q, &k, &v);
+        let (_, cache) = core.forward(&Matrix::randn(8, 9, 1.0, &mut r));
         for p in &cache.probs {
             for row in 0..4 {
                 let s: f32 = p.row(row).iter().sum();
                 assert!((s - 1.0).abs() < 1e-5);
+                assert!(p.row(row)[row + 1..].iter().all(|m| m.to_bits() == 0));
             }
         }
     }
 
     #[test]
-    fn attention_gradcheck_q() {
+    fn attention_on_qkv_blocks_equals_attention_on_copies_bitwise() {
+        // The layout point: reading q/k/v where the fused projection left
+        // them changes no bit against the per-head textbook computation on
+        // copied-out matrices.
         let mut r = rng();
         let core = AttentionCore {
-            batch: 1,
-            seq: 3,
-            heads: 1,
-            head_dim: 2,
+            batch: 2,
+            seq: 5,
+            heads: 3,
+            head_dim: 4,
         };
-        let q0 = Matrix::randn(3, 2, 1.0, &mut r);
-        let k = Matrix::randn(3, 2, 1.0, &mut r);
-        let v = Matrix::randn(3, 2, 1.0, &mut r);
-        let dy = Matrix::randn(3, 2, 1.0, &mut r);
-        let loss = |qs: &[f32]| {
-            let q = Matrix::from_vec(3, 2, qs.to_vec());
-            let (y, _) = core.forward(&q, &k, &v);
-            y.as_slice()
-                .iter()
-                .zip(dy.as_slice())
-                .map(|(a, b)| a * b)
-                .sum::<f32>()
-        };
-        let (_, cache) = core.forward(&q0, &k, &v);
-        let (dq, _, _) = core.backward(&q0, &k, &v, &cache, &dy);
-        numeric_vs_analytic(&loss, q0.as_slice(), dq.as_slice(), 3e-2);
+        let fused = Matrix::randn(10, 36, 1.0, &mut r);
+        let (out, _) = core.forward(&fused);
+        let scale = 1.0 / (core.head_dim as f32).sqrt();
+        for bi in 0..core.batch {
+            for hi in 0..core.heads {
+                let head = |part: usize| {
+                    let c0 = part * 12 + hi * 4;
+                    fused.rows_slice(bi * 5, bi * 5 + 5).columns(c0, c0 + 4)
+                };
+                let mut p = gemm::matmul_naive(&head(0), &head(1).transpose());
+                for row in 0..5 {
+                    elementwise::causal_softmax_row(p.row_mut(row), row + 1, scale);
+                }
+                let want = gemm::matmul_naive(&p, &head(2));
+                let got = out
+                    .rows_slice(bi * 5, bi * 5 + 5)
+                    .columns(hi * 4, hi * 4 + 4);
+                assert_eq!(got, want, "batch {bi} head {hi}");
+            }
+        }
     }
 
     #[test]
-    fn attention_gradcheck_k_and_v() {
+    fn attention_gradcheck_q_k_and_v() {
         let mut r = rng();
         let core = AttentionCore {
             batch: 1,
@@ -645,32 +672,19 @@ mod tests {
             heads: 1,
             head_dim: 2,
         };
-        let q = Matrix::randn(3, 2, 1.0, &mut r);
-        let k0 = Matrix::randn(3, 2, 1.0, &mut r);
-        let v0 = Matrix::randn(3, 2, 1.0, &mut r);
+        let fused = Matrix::randn(3, 6, 1.0, &mut r);
         let dy = Matrix::randn(3, 2, 1.0, &mut r);
-        let (_, cache) = core.forward(&q, &k0, &v0);
-        let (_, dk, dv) = core.backward(&q, &k0, &v0, &cache, &dy);
-        let loss_k = |ks: &[f32]| {
-            let k = Matrix::from_vec(3, 2, ks.to_vec());
-            let (y, _) = core.forward(&q, &k, &v0);
+        let loss = |p: &[f32]| {
+            let (y, _) = core.forward(&Matrix::from_vec(3, 6, p.to_vec()));
             y.as_slice()
                 .iter()
                 .zip(dy.as_slice())
                 .map(|(a, b)| a * b)
                 .sum::<f32>()
         };
-        numeric_vs_analytic(&loss_k, k0.as_slice(), dk.as_slice(), 3e-2);
-        let loss_v = |vs: &[f32]| {
-            let v = Matrix::from_vec(3, 2, vs.to_vec());
-            let (y, _) = core.forward(&q, &k0, &v);
-            y.as_slice()
-                .iter()
-                .zip(dy.as_slice())
-                .map(|(a, b)| a * b)
-                .sum::<f32>()
-        };
-        numeric_vs_analytic(&loss_v, v0.as_slice(), dv.as_slice(), 3e-2);
+        let (_, cache) = core.forward(&fused);
+        let dqkv = core.backward(&fused, &cache, &dy);
+        numeric_vs_analytic(&loss, fused.as_slice(), dqkv.as_slice(), 3e-2);
     }
 
     #[test]

@@ -16,6 +16,16 @@
 //! threads (`pool`): the caller always takes blocks itself and never waits
 //! for one a helper has not already claimed; no thread is spawned per call.
 //!
+//! [`elementwise`] is the other half of a step, built the same way: GeLU,
+//! the Adam update, the causal softmax row, bias and residual adds and the
+//! in-crate `exp` they rest on are plain loops over zipped slices, compiled
+//! for the baseline instruction set and again for AVX2. Its contract is
+//! per-element IEEE arithmetic in source order — no fused multiply-add, no
+//! libm call — so an element's bits do not depend on lane, instruction set,
+//! slice length or thread. The layers apply the paper's §4.2 fusions through
+//! it (bias+GeLU, bias+residual, scale+mask+softmax) and attention reads
+//! q/k/v in place from the fused QKV product.
+//!
 //! Dropout is intentionally omitted: the reproduction's correctness claims
 //! (tensor/pipeline/data-parallel execution computes the same gradients as
 //! serial execution) require deterministic math, and dropout contributes
@@ -27,12 +37,14 @@
 
 pub mod adam;
 pub mod checkpoint;
+pub mod elementwise;
 pub mod gemm;
 pub mod gpt;
 pub mod gradcheck;
 pub mod layers;
 mod matrix;
 mod pool;
+mod simd;
 
 pub use adam::{Adam, AdamState};
 pub use matrix::Matrix;

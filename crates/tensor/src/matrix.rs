@@ -111,7 +111,16 @@ impl Matrix {
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        // Row `c` of the transpose is column `c` of `self`: every
+        // `cols`-th element from `c` on.
+        for (c, out_row) in out.data.chunks_exact_mut(self.rows.max(1)).enumerate() {
+            let column = self.data[c..].iter().step_by(self.cols);
+            for (o, &v) in out_row.iter_mut().zip(column) {
+                *o = v;
+            }
+        }
+        out
     }
 
     /// Element-wise in-place addition.
@@ -132,7 +141,11 @@ impl Matrix {
     /// Horizontal slice of columns `[c0, c1)` as a new matrix.
     pub fn columns(&self, c0: usize, c1: usize) -> Matrix {
         assert!(c0 <= c1 && c1 <= self.cols);
-        Matrix::from_fn(self.rows, c1 - c0, |r, c| self.get(r, c0 + c))
+        let mut data = Vec::with_capacity(self.rows * (c1 - c0));
+        for r in 0..self.rows {
+            data.extend_from_slice(&self.row(r)[c0..c1]);
+        }
+        Matrix::from_vec(self.rows, c1 - c0, data)
     }
 
     /// Vertical slice of rows `[r0, r1)` as a new matrix.
@@ -205,6 +218,8 @@ mod tests {
         let m = Matrix::from_fn(3, 4, |r, c| (r * 10 + c) as f32);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(2, 1), m.get(1, 2));
+        assert_eq!(Matrix::zeros(0, 3).transpose(), Matrix::zeros(3, 0));
+        assert_eq!(Matrix::zeros(3, 0).transpose(), Matrix::zeros(0, 3));
     }
 
     #[test]
