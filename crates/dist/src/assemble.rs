@@ -2,8 +2,10 @@
 //! leaves behind — the practical counterpart of §5.10's checkpointing:
 //! every thread's final parameters (as recorded in
 //! [`TrainLog::final_params`](crate::TrainLog)) are merged back into one
-//! [`GptModel`] that can be saved with `megatron_tensor::checkpoint`,
-//! evaluated, or used to seed a differently-parallelized continuation run.
+//! [`GptModel`] that can be evaluated or used to seed a
+//! differently-parallelized continuation run. The durable checkpoint layer
+//! ([`crate::checkpoint`]) runs the same merge over a generation's shard
+//! files when a restore asks for another (p, t, d).
 
 use megatron_tensor::gpt::{Block, GptModel, TinyGptConfig};
 use megatron_tensor::layers::Linear;
@@ -79,15 +81,16 @@ fn unshard_qkv(shards: &[&Linear]) -> Linear {
 }
 
 /// Merge per-thread flat parameter vectors (one per `(pi, ti)` shard, in
-/// each thread's canonical visit order) back into one serial [`GptModel`].
-/// The same machinery unshards *any* vector positionally aligned with the
-/// parameters — the durable checkpoint layer feeds it Adam moment vectors
-/// to build the canonical cross-topology layout.
-pub(crate) fn assemble_from_flat(
+/// each thread's visit order) back into one serial [`GptModel`]. The same
+/// machinery unshards *any* vector positionally aligned with the
+/// parameters — a cross-topology checkpoint restore feeds it the Adam
+/// moment vectors too. `Err` names a shard whose length is not what
+/// `cfg` under `spec` gives that thread.
+pub(crate) fn assemble_from_flat<'a>(
     cfg: TinyGptConfig,
     spec: &PtdpSpec,
-    flat_of: &mut dyn FnMut(usize, usize) -> Vec<f32>,
-) -> GptModel {
+    flat_of: &dyn Fn(usize, usize) -> &'a [f32],
+) -> Result<GptModel, String> {
     let (p, t, v) = (spec.pipeline, spec.tensor, spec.chunks);
     let stages = p * v;
     let layers_per_stage = cfg.layers / stages;
@@ -101,12 +104,15 @@ pub(crate) fn assemble_from_flat(
         for ti in 0..t {
             let flat = flat_of(pi, ti);
             let mut tm = crate::trainer::build_thread_model(&template, spec, pi, ti);
-            let mut off = 0usize;
-            tm.visit_params(&mut |params| {
-                params.copy_from_slice(&flat[off..off + params.len()]);
-                off += params.len();
-            });
-            assert_eq!(off, flat.len(), "thread ({pi},{ti}) shard size mismatch");
+            let mut want = 0usize;
+            tm.visit_params(&mut |params| want += params.len());
+            if want != flat.len() {
+                return Err(format!(
+                    "thread ({pi},{ti}) shard holds {} values, the model gives it {want}",
+                    flat.len()
+                ));
+            }
+            tm.set_flat_params(flat);
             thread_models.insert((pi, ti), tm);
         }
     }
@@ -151,13 +157,13 @@ pub(crate) fn assemble_from_flat(
         crate::trainer::HeadShard::assemble(&shards)
     };
 
-    GptModel {
+    Ok(GptModel {
         cfg,
         embed,
         blocks,
         final_ln,
         lm_head,
-    }
+    })
 }
 
 impl TrainLog {
@@ -165,13 +171,13 @@ impl TrainLog {
     /// [`GptModel`]. Uses the data-parallel replica 0 (all replicas are
     /// verified identical by the trainer's collectives).
     pub fn assemble(&self, cfg: TinyGptConfig, spec: &PtdpSpec) -> GptModel {
-        assemble_from_flat(cfg, spec, &mut |pi, ti| {
+        let assembled = assemble_from_flat(cfg, spec, &|pi, ti| {
             let key: ThreadKey = (pi, 0, ti);
             self.final_params
                 .get(&key)
                 .unwrap_or_else(|| panic!("missing shard for thread {key:?}"))
-                .clone()
-        })
+        });
+        assembled.unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -264,9 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn assembled_model_roundtrips_through_checkpoint_and_resumes() {
-        // Train under PTD-P, assemble, save/load with
-        // megatron_tensor::checkpoint, continue training serially: the end
+    fn assembled_model_resumes_serially() {
+        // Train under PTD-P, assemble, continue training serially: the end
         // state matches training serially all the way (within f32 drift).
         let c = cfg();
         let mut rng = rand::rngs::StdRng::seed_from_u64(90);
@@ -275,14 +280,11 @@ mod tests {
         let spec = PtdpSpec::new(2, 2, 1);
 
         let log = PtdpTrainer::new(master.clone(), spec).train(&d[..3]);
-        let mut assembled = log.assemble(c, &spec);
-        let mut buf = Vec::new();
-        megatron_tensor::checkpoint::save(&mut assembled, &mut buf).unwrap();
-        let restored = megatron_tensor::checkpoint::load(&mut buf.as_slice()).unwrap();
+        let assembled = log.assemble(c, &spec);
 
         // Resume serially (fresh Adam on both sides, so the comparison is
-        // fair — optimizer state is not checkpointed).
-        let mut resumed = serial_train(&restored, &d[3..], spec.lr);
+        // fair — the log carries no optimizer state).
+        let mut resumed = serial_train(&assembled, &d[3..], spec.lr);
         let half_serial = serial_train(&master, &d[..3], spec.lr);
         let mut full_serial = serial_train(&half_serial, &d[3..], spec.lr);
         let diff = max_param_diff(&mut resumed, &mut full_serial);

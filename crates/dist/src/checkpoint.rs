@@ -4,35 +4,38 @@
 //!
 //! Every rank serializes its [`ThreadState`] (parameters + Adam moments,
 //! exact f32 bits) to its own shard file under a *generation* directory
-//! `gen-<next_iter>`. Each file is written atomically: temp file → CRC-32
-//! footer → rename, so a crash mid-write leaves a temp file, never a torn
-//! shard. The rank whose shard completes the generation commits it by
-//! writing (1) a *canonical* full-model layout — parameters and both Adam
-//! moments assembled into serial visit order via [`crate::assemble`] — and
-//! (2) a manifest recording the (p, t, d) topology and iteration. The
-//! manifest is the commit record: a generation without one is invisible to
-//! the loader.
+//! `gen-<next_iter>`. Each file is written atomically: temp file with a
+//! CRC-32 footer → rename, so a crash mid-write leaves a temp file, never a
+//! torn shard. A generation *is* its shards: once every rank of the world
+//! has one in the directory, the rank whose shard completed the generation
+//! (or, in process mode, the launcher's sweep) commits it by writing a
+//! manifest that records the (p, t, d) topology, the model config and the
+//! iteration — and nothing else. The manifest is the commit record: a
+//! generation without one is invisible to the loader.
 //!
 //! Restore ([`CheckpointStore::load_latest`]) scans generations newest
-//! first, verifies every checksum, and falls back to the next older
-//! complete generation on any corruption — it returns clean errors, never
-//! panics. A run whose (p, t, d) matches the manifest restores from the
-//! shards bit-identically; a run with a *different* topology (e.g. a
-//! shrunken cluster after a failure) restores from the canonical layout,
-//! resharded on the fly for the new (p, t, d). ZeRO-1 runs
-//! (`shard_optimizer`) skip the canonical layout — their Adam moments
-//! cover only a 1/d slice, so only same-topology restore is possible and
-//! cross-topology attempts fail with a clean error.
+//! first, verifies every checksum it reads, and falls back to the next
+//! older complete generation on any corruption — it returns clean errors,
+//! never panics. A run whose (p, t, d) matches the manifest restores from
+//! the shards bit-identically. A run with a *different* topology (e.g. a
+//! shrunken cluster after a failure) reads the stored topology from the
+//! manifest, loads data-replica 0's `p·t` shards, unshards them into
+//! serial visit order via [`crate::assemble`] — the parameters, and each
+//! Adam moment vector riding in the parameter slots — and cuts the serial
+//! models for the new (p, t, d): the reshaping happens at the rare
+//! cross-topology load, never at a save. ZeRO-1 runs (`shard_optimizer`)
+//! hold only a 1/d slice of the moments per rank, so only same-topology
+//! restore is possible and cross-topology attempts fail with a clean error.
 //!
 //! The elastic supervisor ([`crate::supervisor::Supervisor::run_elastic`])
 //! is the main cross-topology consumer: a shrink restores the latest
 //! generation into the cost model's best degraded (p, t, d), and a grow
-//! waits for the next checkpoint boundary precisely because the boundary
-//! is where a fresh canonical layout is guaranteed on disk. Resharding is
-//! pure slicing of exact f32 bits — never arithmetic — which is what
-//! makes post-reconfiguration training bit-identical to a fresh launch at
-//! the new topology (see `tests/recovery.rs` and the round-trip property
-//! in `tests/proptest_invariants.rs`).
+//! waits for the next checkpoint boundary because the boundary is where a
+//! *committed* generation of the degraded run exists. Resharding is pure
+//! slicing of exact f32 bits — never arithmetic — which is what makes
+//! post-reconfiguration training bit-identical to a fresh launch at the
+//! new topology (see `tests/recovery.rs` and the round-trip property in
+//! `tests/proptest_invariants.rs`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,18 +44,18 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use megatron_tensor::gpt::{GptModel, TinyGptConfig};
+use megatron_tensor::gpt::TinyGptConfig;
 use megatron_tensor::AdamState;
-use rand::SeedableRng;
 
 use crate::assemble::assemble_from_flat;
 use crate::trainer::{build_thread_model, PtdpSpec, ThreadKey, ThreadState, TrainSnapshot};
 
 const SHARD_MAGIC: &[u8; 8] = b"MGSHARD1";
-const CANON_MAGIC: &[u8; 8] = b"MGCANON1";
-const MANIFEST_MAGIC: &[u8; 8] = b"MGMANIF1";
+/// `MGMANIF1` manifests also carried a canonical-layout flag and a shard
+/// count; a store written in that format fails the magic check and its
+/// generations are skipped with a note.
+const MANIFEST_MAGIC: &[u8; 8] = b"MGMANIF2";
 const MANIFEST_NAME: &str = "MANIFEST.bin";
-const CANONICAL_NAME: &str = "canonical.bin";
 
 /// Why a durable checkpoint operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +66,8 @@ pub enum CheckpointError {
     /// inconsistent with its manifest.
     Corrupt(String),
     /// The checkpoint cannot be restored into the requesting topology
-    /// (e.g. no canonical layout for a cross-topology restore).
+    /// (another model config, or ZeRO-1 optimizer slices on either side of
+    /// a cross-topology restore).
     TopologyMismatch(String),
     /// No complete generation survives validation.
     NoneAvailable,
@@ -89,11 +93,11 @@ pub struct Restored {
     pub snapshot: TrainSnapshot,
     /// Generation it came from (== `snapshot.next_iter`).
     pub generation: usize,
-    /// Whether it was resharded from the canonical layout because the
-    /// stored topology differs from the requesting spec.
+    /// Whether the shards were resharded because the stored topology
+    /// differs from the requesting spec.
     pub cross_topology: bool,
     /// Human-readable notes about generations that were skipped (corrupt,
-    /// wrong topology without canonical, ...), newest first.
+    /// ZeRO-1 slices under another topology, ...), newest first.
     pub notes: Vec<String>,
 }
 
@@ -190,11 +194,10 @@ impl CheckpointStore {
         write_atomic(&dir.join(shard_name(key)), &enc.finish())
     }
 
-    /// Commit generation `next_iter`: write the canonical full-model
-    /// layout (unless the run shards its optimizer state) and then the
-    /// manifest, both atomically. Called once, by the rank whose shard
-    /// completed the generation; prunes generations beyond the retention
-    /// count afterwards.
+    /// Commit generation `next_iter`, whose per-rank states are `threads`:
+    /// refuse unless `threads` covers the whole world and every rank's
+    /// shard file is in the directory, then write the manifest. Prunes
+    /// generations beyond the retention count afterwards.
     pub fn commit_generation(
         &self,
         spec: &PtdpSpec,
@@ -202,48 +205,35 @@ impl CheckpointStore {
         next_iter: usize,
         threads: &HashMap<ThreadKey, ThreadState>,
     ) -> Result<(), CheckpointError> {
-        let dir = self.gen_dir(next_iter);
-        fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io(e.to_string()))?;
-
-        // Canonical layout: parameters and Adam moments of data-replica 0,
-        // assembled into serial visit order. Moments are positional with
-        // the parameters, so the same unshard machinery applies; under
-        // ZeRO-1 each rank's moments cover only a 1/d slice, so no
-        // canonical layout is possible.
-        let full_moments = !spec.shard_optimizer
-            && (0..spec.pipeline).all(|pi| {
-                (0..spec.tensor).all(|ti| {
-                    threads
-                        .get(&(pi, 0, ti))
-                        .is_some_and(|st| st.adam.m.len() == st.params.len())
-                })
-            });
-        if full_moments {
-            let adam_t = threads[&(0, 0, 0)].adam.t;
-            let mut enc = Enc::new(CANON_MAGIC);
-            enc.config(cfg);
-            enc.u64(next_iter as u64);
-            enc.u64(adam_t);
-            for select in [
-                (|st: &ThreadState| st.params.clone()) as fn(&ThreadState) -> Vec<f32>,
-                |st| st.adam.m.clone(),
-                |st| st.adam.v.clone(),
-            ] {
-                let mut model =
-                    assemble_from_flat(cfg, spec, &mut |pi, ti| select(&threads[&(pi, 0, ti)]));
-                let mut flat = Vec::new();
-                model.visit(&mut |p, _| flat.extend_from_slice(p));
-                enc.f32s(&flat);
-            }
-            write_atomic(&dir.join(CANONICAL_NAME), &enc.finish())?;
+        if let Some(key) = world_keys(spec).find(|key| !threads.contains_key(key)) {
+            return Err(CheckpointError::Corrupt(format!(
+                "gen-{next_iter:08} cannot be committed: no state for rank {key:?}"
+            )));
         }
+        self.seal(spec, cfg, next_iter)
+    }
 
+    /// Write generation `next_iter`'s manifest — all a commit adds to the
+    /// shards — once every rank of the world has a shard file there. Called
+    /// once per generation: by the rank whose shard completed it, or by
+    /// the launcher's sweep.
+    pub(crate) fn seal(
+        &self,
+        spec: &PtdpSpec,
+        cfg: TinyGptConfig,
+        next_iter: usize,
+    ) -> Result<(), CheckpointError> {
+        let dir = self.gen_dir(next_iter);
+        if let Some(key) = missing_shard(&dir, spec) {
+            return Err(CheckpointError::Corrupt(format!(
+                "gen-{next_iter:08} cannot be committed: {} is missing",
+                shard_name(key)
+            )));
+        }
         let mut enc = Enc::new(MANIFEST_MAGIC);
         enc.topology(spec);
         enc.config(cfg);
         enc.u64(next_iter as u64);
-        enc.u8(full_moments as u8);
-        enc.u64(spec.world() as u64);
         write_atomic(&dir.join(MANIFEST_NAME), &enc.finish())?;
 
         let mut stats = self.stats.lock().unwrap();
@@ -259,15 +249,16 @@ impl CheckpointStore {
     }
 
     /// Launcher-side committer for process mode: scan *uncommitted*
-    /// generation directories and commit every one whose full world of
+    /// generation directories and seal every one whose full world of
     /// shard files is present and valid. In process mode each worker
-    /// writes only its own shard — no single worker ever holds the whole
-    /// world's thread states in memory, so the in-trainer commit path
-    /// can never fire; the launcher, the one process that sees every
-    /// shard on disk, performs the commit instead. Generations with
-    /// missing or invalid shards (a worker died mid-generation) are left
-    /// uncommitted for retention pruning to sweep. Returns the
-    /// generations committed by this call, oldest first.
+    /// writes only its own shard and cannot know when its peers' are on
+    /// disk; the launcher, the one process that sees every shard, commits
+    /// instead. A generation is looked at only once all `world` files are
+    /// there; then each file's CRC and header are checked, and nothing is
+    /// decoded or kept. Generations with missing or invalid shards (a
+    /// worker died mid-generation) are left uncommitted for retention
+    /// pruning to sweep. Returns the generations committed by this call,
+    /// oldest first.
     pub fn commit_complete_generations(
         &self,
         spec: &PtdpSpec,
@@ -277,38 +268,15 @@ impl CheckpointStore {
         dirs.sort_unstable_by_key(|d| d.0);
         let mut committed = Vec::new();
         for (generation, dir) in dirs {
-            if dir.join(MANIFEST_NAME).is_file() {
-                continue; // already committed
+            if dir.join(MANIFEST_NAME).is_file() || missing_shard(&dir, spec).is_some() {
+                continue; // already committed, or still being written
             }
-            let mut threads = HashMap::new();
-            let mut complete = true;
-            'load: for pi in 0..spec.pipeline {
-                for di in 0..spec.data {
-                    for ti in 0..spec.tensor {
-                        let key = (pi, di, ti);
-                        if !dir.join(shard_name(key)).is_file() {
-                            complete = false;
-                            break 'load;
-                        }
-                        // Shard writes are atomic (temp + rename), so a
-                        // present-but-invalid shard is corrupt, not
-                        // in-flight — skip the generation either way.
-                        match self.load_shard(&dir, spec, key, generation) {
-                            Ok(st) => {
-                                threads.insert(key, st);
-                            }
-                            Err(_) => {
-                                complete = false;
-                                break 'load;
-                            }
-                        }
-                    }
-                }
-            }
-            if !complete {
+            // Shard writes are atomic (temp + rename), so a present-but-
+            // invalid shard is corrupt, not in-flight — skip the generation.
+            if world_keys(spec).any(|key| open_shard(&dir, spec, key, generation).is_err()) {
                 continue;
             }
-            self.commit_generation(spec, cfg, generation, &threads)?;
+            self.seal(spec, cfg, generation)?;
             committed.push(generation);
         }
         Ok(committed)
@@ -326,7 +294,7 @@ impl CheckpointStore {
         dirs.sort_unstable_by_key(|d| std::cmp::Reverse(d.0));
         let mut notes = Vec::new();
         for (generation, dir) in dirs {
-            match self.load_generation(&dir, generation, spec, cfg) {
+            match load_generation(&dir, generation, spec, cfg) {
                 Ok((snapshot, cross_topology)) => {
                     return Ok(Restored {
                         snapshot,
@@ -359,128 +327,12 @@ impl CheckpointStore {
         if !dir.is_dir() {
             return Err(CheckpointError::NoneAvailable);
         }
-        let (snapshot, cross_topology) = self.load_generation(&dir, generation, spec, cfg)?;
+        let (snapshot, cross_topology) = load_generation(&dir, generation, spec, cfg)?;
         Ok(Restored {
             snapshot,
             generation,
             cross_topology,
             notes: Vec::new(),
-        })
-    }
-
-    fn load_generation(
-        &self,
-        dir: &Path,
-        generation: usize,
-        spec: &PtdpSpec,
-        cfg: TinyGptConfig,
-    ) -> Result<(TrainSnapshot, bool), CheckpointError> {
-        let manifest = Dec::read(&dir.join(MANIFEST_NAME), MANIFEST_MAGIC)?;
-        let mut dec = manifest;
-        let topo = dec.topology()?;
-        let stored_cfg = dec.config()?;
-        let next_iter = dec.u64()? as usize;
-        let has_canonical = dec.u8()? != 0;
-        let n_shards = dec.u64()? as usize;
-        dec.done()?;
-        if stored_cfg != cfg {
-            return Err(CheckpointError::TopologyMismatch(format!(
-                "stored model config {stored_cfg:?} != requested {cfg:?}"
-            )));
-        }
-        if next_iter != generation {
-            return Err(CheckpointError::Corrupt(format!(
-                "manifest iteration {next_iter} != directory generation {generation}"
-            )));
-        }
-
-        if topo == Topology::of(spec) {
-            // Same topology: bit-identical restore from the per-rank shards.
-            if n_shards != spec.world() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "manifest lists {n_shards} shards for a world of {}",
-                    spec.world()
-                )));
-            }
-            let mut threads = HashMap::new();
-            for pi in 0..spec.pipeline {
-                for di in 0..spec.data {
-                    for ti in 0..spec.tensor {
-                        let key = (pi, di, ti);
-                        let state = self.load_shard(dir, spec, key, next_iter)?;
-                        threads.insert(key, state);
-                    }
-                }
-            }
-            return Ok((TrainSnapshot { next_iter, threads }, false));
-        }
-
-        // Different topology: reshard the canonical layout.
-        if spec.shard_optimizer {
-            return Err(CheckpointError::TopologyMismatch(
-                "cannot reshard a checkpoint into a ZeRO-1 run: optimizer \
-                 slices depend on the data-parallel size"
-                    .into(),
-            ));
-        }
-        if !has_canonical {
-            return Err(CheckpointError::TopologyMismatch(format!(
-                "stored topology {topo:?} != requested {:?} and no canonical \
-                 layout is present",
-                Topology::of(spec)
-            )));
-        }
-        let mut dec = Dec::read(&dir.join(CANONICAL_NAME), CANON_MAGIC)?;
-        let stored_cfg = dec.config()?;
-        let canon_iter = dec.u64()? as usize;
-        let adam_t = dec.u64()?;
-        let params = dec.f32s()?;
-        let m = dec.f32s()?;
-        let v = dec.f32s()?;
-        dec.done()?;
-        if stored_cfg != cfg || canon_iter != next_iter {
-            return Err(CheckpointError::Corrupt(
-                "canonical layout disagrees with its manifest".into(),
-            ));
-        }
-        if m.len() != params.len() || v.len() != params.len() {
-            return Err(CheckpointError::Corrupt(
-                "canonical moment vectors not positional with parameters".into(),
-            ));
-        }
-        let snapshot = reshard_canonical(cfg, spec, next_iter, adam_t, &params, &m, &v)?;
-        Ok((snapshot, true))
-    }
-
-    fn load_shard(
-        &self,
-        dir: &Path,
-        spec: &PtdpSpec,
-        key: ThreadKey,
-        next_iter: usize,
-    ) -> Result<ThreadState, CheckpointError> {
-        let mut dec = Dec::read(&dir.join(shard_name(key)), SHARD_MAGIC)?;
-        let topo = dec.topology()?;
-        let stored_key = (
-            dec.u64()? as usize,
-            dec.u64()? as usize,
-            dec.u64()? as usize,
-        );
-        let stored_iter = dec.u64()? as usize;
-        let adam_t = dec.u64()?;
-        let params = dec.f32s()?;
-        let m = dec.f32s()?;
-        let v = dec.f32s()?;
-        dec.done()?;
-        if topo != Topology::of(spec) || stored_key != key || stored_iter != next_iter {
-            return Err(CheckpointError::Corrupt(format!(
-                "shard {} header disagrees with its manifest",
-                shard_name(key)
-            )));
-        }
-        Ok(ThreadState {
-            params,
-            adam: AdamState { t: adam_t, m, v },
         })
     }
 
@@ -513,71 +365,148 @@ impl CheckpointStore {
     }
 }
 
-/// Reshard the canonical serial layout into per-thread states for `spec`.
-fn reshard_canonical(
-    cfg: TinyGptConfig,
+/// Restore the generation in `dir` for `spec`; the flag says whether it had
+/// to be resharded from another topology.
+fn load_generation(
+    dir: &Path,
+    generation: usize,
     spec: &PtdpSpec,
+    cfg: TinyGptConfig,
+) -> Result<(TrainSnapshot, bool), CheckpointError> {
+    let mut dec = Dec::read(&dir.join(MANIFEST_NAME), MANIFEST_MAGIC)?;
+    let topo = dec.topology()?;
+    let stored_cfg = dec.config()?;
+    let next_iter = dec.u64()? as usize;
+    dec.done()?;
+    if stored_cfg != cfg {
+        return Err(CheckpointError::TopologyMismatch(format!(
+            "stored model config {stored_cfg:?} != requested {cfg:?}"
+        )));
+    }
+    if next_iter != generation {
+        return Err(CheckpointError::Corrupt(format!(
+            "manifest iteration {next_iter} != directory generation {generation}"
+        )));
+    }
+
+    if topo == Topology::of(spec) {
+        // Same topology: bit-identical restore from the per-rank shards.
+        let threads = world_keys(spec)
+            .map(|key| Ok((key, load_shard(dir, spec, key, next_iter)?)))
+            .collect::<Result<_, CheckpointError>>()?;
+        return Ok((TrainSnapshot { next_iter, threads }, false));
+    }
+
+    // Different topology: unshard replica 0, cut it for `spec`.
+    if topo.shard_optimizer || spec.shard_optimizer {
+        return Err(CheckpointError::TopologyMismatch(format!(
+            "stored topology {topo:?} != requested {:?} and ZeRO-1 \
+             optimizer slices depend on the data-parallel size",
+            Topology::of(spec)
+        )));
+    }
+    let threads = reshard(dir, &topo.spec(spec), spec, cfg, next_iter)?;
+    Ok((TrainSnapshot { next_iter, threads }, true))
+}
+
+/// Restore the generation in `dir`, written under the `stored` layout, into
+/// per-thread states for `spec`: data-replica 0's shards are merged into
+/// three serial models — the parameters, and the two moment vectors riding
+/// in the parameter slots, so they stay positional with the parameters
+/// through both directions of the trip — and each is cut into the new
+/// spec's per-thread vectors.
+fn reshard(
+    dir: &Path,
+    stored: &PtdpSpec,
+    spec: &PtdpSpec,
+    cfg: TinyGptConfig,
     next_iter: usize,
-    adam_t: u64,
-    params: &[f32],
-    m: &[f32],
-    v: &[f32],
-) -> Result<TrainSnapshot, CheckpointError> {
-    // Rebuild three serial models — parameters and the two moment vectors
-    // riding in the parameter slots — then cut each into the new spec's
-    // per-thread shards. Moments stay positional with parameters through
-    // both directions of the trip.
+) -> Result<HashMap<ThreadKey, ThreadState>, CheckpointError> {
+    let mut replica0 = HashMap::new();
+    for pi in 0..stored.pipeline {
+        for ti in 0..stored.tensor {
+            let state = load_shard(dir, stored, (pi, 0, ti), next_iter)?;
+            replica0.insert((pi, ti), state);
+        }
+    }
+    let adam_t = replica0[&(0, 0)].adam.t;
+    let keys: Vec<(usize, usize)> = (0..spec.pipeline)
+        .flat_map(|pi| (0..spec.tensor).map(move |ti| (pi, ti)))
+        .collect();
+    let cut = |vector: fn(&ThreadState) -> &[f32]| {
+        let serial = assemble_from_flat(cfg, stored, &|pi, ti| vector(&replica0[&(pi, ti)]))
+            .map_err(CheckpointError::Corrupt)?;
+        let pieces = keys
+            .iter()
+            .map(|&(pi, ti)| build_thread_model(&serial, spec, pi, ti).flat_params());
+        Ok::<Vec<Vec<f32>>, CheckpointError>(pieces.collect())
+    };
+    let params = cut(|st| &st.params)?;
+    let m = cut(|st| &st.adam.m)?;
+    let v = cut(|st| &st.adam.v)?;
     let mut threads = HashMap::new();
-    let mut per_vector: Vec<HashMap<(usize, usize), Vec<f32>>> = Vec::with_capacity(3);
-    for vals in [params, m, v] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut model = GptModel::new(cfg, &mut rng);
-        let mut off = 0usize;
-        let mut overrun = false;
-        model.visit(&mut |p, _| {
-            if off + p.len() <= vals.len() {
-                p.copy_from_slice(&vals[off..off + p.len()]);
-            } else {
-                overrun = true;
-            }
-            off += p.len();
-        });
-        if overrun || off != vals.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "canonical vector has {} values, model wants {off}",
-                vals.len()
-            )));
-        }
-        let mut shards = HashMap::new();
-        for pi in 0..spec.pipeline {
-            for ti in 0..spec.tensor {
-                let flat = build_thread_model(&model, spec, pi, ti).flat_params();
-                shards.insert((pi, ti), flat);
-            }
-        }
-        per_vector.push(shards);
-    }
-    for pi in 0..spec.pipeline {
-        for ti in 0..spec.tensor {
-            let p_flat = &per_vector[0][&(pi, ti)];
-            let m_flat = &per_vector[1][&(pi, ti)];
-            let v_flat = &per_vector[2][&(pi, ti)];
-            for di in 0..spec.data {
-                threads.insert(
-                    (pi, di, ti),
-                    ThreadState {
-                        params: p_flat.clone(),
-                        adam: AdamState {
-                            t: adam_t,
-                            m: m_flat.clone(),
-                            v: v_flat.clone(),
-                        },
-                    },
-                );
-            }
+    for (((&(pi, ti), params), m), v) in keys.iter().zip(params).zip(m).zip(v) {
+        let adam = AdamState { t: adam_t, m, v };
+        let state = ThreadState { params, adam };
+        for di in 0..spec.data {
+            threads.insert((pi, di, ti), state.clone());
         }
     }
-    Ok(TrainSnapshot { next_iter, threads })
+    Ok(threads)
+}
+
+/// Every rank of `spec`'s world, in flat-rank order.
+fn world_keys(spec: &PtdpSpec) -> impl Iterator<Item = ThreadKey> + '_ {
+    (0..spec.world()).map(|rank| spec.thread_key(rank))
+}
+
+/// The first rank of the world with no shard file in `dir`, if any.
+fn missing_shard(dir: &Path, spec: &PtdpSpec) -> Option<ThreadKey> {
+    world_keys(spec).find(|&key| !dir.join(shard_name(key)).is_file())
+}
+
+/// Read rank `key`'s shard file whole and check it: CRC-32 footer, magic,
+/// and a header that names this topology, rank and generation. The decoder
+/// is left at the Adam step count.
+fn open_shard(
+    dir: &Path,
+    spec: &PtdpSpec,
+    key: ThreadKey,
+    next_iter: usize,
+) -> Result<Dec, CheckpointError> {
+    let mut dec = Dec::read(&dir.join(shard_name(key)), SHARD_MAGIC)?;
+    let topo = dec.topology()?;
+    let stored_key = (
+        dec.u64()? as usize,
+        dec.u64()? as usize,
+        dec.u64()? as usize,
+    );
+    let stored_iter = dec.u64()? as usize;
+    if topo != Topology::of(spec) || stored_key != key || stored_iter != next_iter {
+        return Err(CheckpointError::Corrupt(format!(
+            "shard {} header disagrees with its manifest",
+            shard_name(key)
+        )));
+    }
+    Ok(dec)
+}
+
+fn load_shard(
+    dir: &Path,
+    spec: &PtdpSpec,
+    key: ThreadKey,
+    next_iter: usize,
+) -> Result<ThreadState, CheckpointError> {
+    let mut dec = open_shard(dir, spec, key, next_iter)?;
+    let adam_t = dec.u64()?;
+    let params = dec.f32s()?;
+    let m = dec.f32s()?;
+    let v = dec.f32s()?;
+    dec.done()?;
+    Ok(ThreadState {
+        params,
+        adam: AdamState { t: adam_t, m, v },
+    })
 }
 
 fn shard_name(key: ThreadKey) -> String {
@@ -596,6 +525,19 @@ struct Topology {
 }
 
 impl Topology {
+    /// `like` with its layout fields replaced by the stored ones.
+    fn spec(&self, like: &PtdpSpec) -> PtdpSpec {
+        PtdpSpec {
+            pipeline: self.p as usize,
+            tensor: self.t as usize,
+            data: self.d as usize,
+            chunks: self.chunks as usize,
+            vocab_parallel: self.vocab_parallel,
+            shard_optimizer: self.shard_optimizer,
+            ..*like
+        }
+    }
+
     fn of(spec: &PtdpSpec) -> Topology {
         Topology {
             p: spec.pipeline as u64,
@@ -608,16 +550,59 @@ impl Topology {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected), bitwise — plenty fast for toy-scale
-/// shards and dependency-free.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// One step of the bitwise CRC-32 (IEEE 802.3, reflected): eight shifts of
+/// `crc` with its low byte already folded in.
+const fn crc32_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        bit += 1;
+    }
+    crc
+}
+
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC state byte `b` leaves
+/// after `k` further zero bytes have gone through.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        t[0][b] = crc32_byte(b as u32);
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
         }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected), eight bytes per table round — the same
+/// value as the bit-at-a-time loop, dependency-free.
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -643,6 +628,7 @@ impl Enc {
     }
 
     fn f32s(&mut self, xs: &[f32]) {
+        self.buf.reserve(8 + 4 * xs.len());
         self.u64(xs.len() as u64);
         for x in xs {
             self.buf.extend_from_slice(&x.to_le_bytes());
@@ -685,7 +671,7 @@ impl Dec {
     /// cursor after the magic.
     fn read(path: &Path, magic: &[u8; 8]) -> Result<Dec, CheckpointError> {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-        let buf = fs::read(path).map_err(|e| {
+        let mut buf = fs::read(path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 CheckpointError::Corrupt(format!("{name} is missing"))
             } else {
@@ -698,18 +684,19 @@ impl Dec {
                 buf.len()
             )));
         }
-        let (body, footer) = buf.split_at(buf.len() - 4);
-        let want = u32::from_le_bytes(footer.try_into().unwrap());
-        if crc32(body) != want {
+        let body = buf.len() - 4;
+        let want = u32::from_le_bytes(buf[body..].try_into().unwrap());
+        buf.truncate(body);
+        if crc32(&buf) != want {
             return Err(CheckpointError::Corrupt(format!(
                 "{name} fails its CRC-32 check"
             )));
         }
-        if &body[..magic.len()] != magic {
+        if &buf[..magic.len()] != magic {
             return Err(CheckpointError::Corrupt(format!("{name} has a bad magic")));
         }
         Ok(Dec {
-            buf: body.to_vec(),
+            buf,
             pos: magic.len(),
         })
     }
@@ -790,7 +777,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use rand::Rng;
+    use megatron_tensor::gpt::GptModel;
+    use rand::{Rng, SeedableRng};
 
     pub(crate) fn cfg() -> TinyGptConfig {
         TinyGptConfig {
@@ -878,15 +866,26 @@ pub(crate) mod tests {
             assert_eq!(got.adam.m, want.adam.m, "{key:?} m");
             assert_eq!(got.adam.v, want.adam.v, "{key:?} v");
         }
-        // Atomic writes leave no temp files behind.
-        for entry in fs::read_dir(store.gen_dir(4)).unwrap().flatten() {
-            assert!(
-                !entry.file_name().to_string_lossy().ends_with(".tmp"),
-                "leftover temp file {:?}",
-                entry.file_name()
-            );
-        }
+        assert_generation_is_its_shards(&store, 4, &spec);
         let _ = fs::remove_dir_all(root);
+    }
+
+    /// A committed generation directory holds one shard per rank and the
+    /// manifest — no second copy of the model, no temp file left behind.
+    fn assert_generation_is_its_shards(
+        store: &CheckpointStore,
+        generation: usize,
+        spec: &PtdpSpec,
+    ) {
+        let mut found: Vec<String> = fs::read_dir(store.gen_dir(generation))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        found.sort();
+        let mut want: Vec<String> = world_keys(spec).map(shard_name).collect();
+        want.push(MANIFEST_NAME.to_string());
+        want.sort();
+        assert_eq!(found, want);
     }
 
     #[test]
@@ -896,15 +895,19 @@ pub(crate) mod tests {
         let threads = synthetic_states(cfg(), &spec, 31);
         // Generation 2: every shard present but no manifest (the process-
         // mode worker situation). Generation 4: one shard missing (its
-        // writer died mid-generation).
+        // writer died mid-generation). Generation 6: every shard present,
+        // one with a flipped bit.
         for (key, st) in &threads {
             store.write_shard(&spec, *key, 2, st).unwrap();
-        }
-        for (key, st) in &threads {
+            store.write_shard(&spec, *key, 6, st).unwrap();
             if *key != (1, 1, 1) {
                 store.write_shard(&spec, *key, 4, st).unwrap();
             }
         }
+        let flipped = store.gen_dir(6).join(shard_name((0, 1, 0)));
+        let mut bytes = fs::read(&flipped).unwrap();
+        bytes[100] ^= 2;
+        fs::write(&flipped, bytes).unwrap();
         assert!(store.generations().is_empty(), "nothing committed yet");
 
         let committed = store.commit_complete_generations(&spec, cfg()).unwrap();
@@ -917,49 +920,66 @@ pub(crate) mod tests {
         for (key, want) in &threads {
             assert_eq!(r.snapshot.threads[key].params, want.params, "{key:?}");
         }
-        // Idempotent: gen 2 already committed, gen 4 still incomplete.
+        // Idempotent: gen 2 already committed, gens 4 and 6 never will be.
         let again = store.commit_complete_generations(&spec, cfg()).unwrap();
         assert!(again.is_empty(), "{again:?}");
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn cross_topology_reshard_matches_direct_build() {
-        let (root, store) = tmp_store("cross");
-        let from = PtdpSpec::new(2, 2, 2);
-        let threads = synthetic_states(cfg(), &from, 23);
-        save_generation(&store, &from, 6, &threads);
-
-        // Restore into (p=1, t=2, d=2): shards must equal cutting the
-        // same master model directly for the new spec, and the moments
-        // must keep their elementwise relation to the parameters.
-        let to = PtdpSpec::new(1, 2, 2);
-        let r = store.load_latest(&to, cfg()).unwrap();
-        assert!(r.cross_topology);
-        assert_eq!(r.snapshot.threads.len(), to.world());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let master = GptModel::new(cfg(), &mut rng);
-        for pi in 0..to.pipeline {
-            for ti in 0..to.tensor {
-                let want = build_thread_model(&master, &to, pi, ti).flat_params();
-                for di in 0..to.data {
-                    let got = &r.snapshot.threads[&(pi, di, ti)];
-                    assert_eq!(got.params, want, "({pi},{di},{ti}) params");
-                    assert_eq!(got.adam.t, 7);
-                    for (mm, pp) in got.adam.m.iter().zip(&got.params) {
-                        assert_eq!(*mm, pp + 1.0, "moment lost positional alignment");
-                    }
-                    for (vv, pp) in got.adam.v.iter().zip(&got.params) {
-                        assert_eq!(*vv, pp * pp);
-                    }
-                }
+    fn cross_topology_restore_matches_cutting_the_serial_model() {
+        // Stored layout -> requested layout, as (p, t, d, chunks,
+        // vocab_parallel). The shards must come back equal to cutting the
+        // serial model directly for the new spec, and the moments must
+        // keep their elementwise relation to the parameters.
+        type Layout = (usize, usize, usize, usize, bool);
+        let table: [(Layout, Layout); 7] = [
+            ((2, 2, 2, 1, false), (1, 2, 2, 1, false)),
+            ((1, 2, 2, 1, false), (1, 2, 1, 1, false)),
+            ((1, 1, 1, 1, false), (4, 4, 1, 1, false)),
+            ((2, 2, 1, 2, false), (1, 4, 2, 1, false)),
+            ((4, 1, 2, 1, false), (1, 2, 1, 2, true)),
+            ((2, 4, 1, 1, true), (2, 2, 2, 1, false)),
+            ((1, 2, 2, 1, true), (2, 4, 1, 2, true)),
+        ];
+        let cfg = TinyGptConfig { layers: 4, ..cfg() };
+        let layout = |(p, t, d, chunks, vocab_parallel): Layout| PtdpSpec {
+            chunks,
+            vocab_parallel,
+            ..PtdpSpec::new(p, t, d)
+        };
+        for (case, (from, to)) in table.into_iter().enumerate() {
+            let (root, store) = tmp_store(&format!("cross-{case}"));
+            let (from, to) = (layout(from), layout(to));
+            let seed = 23 + case as u64;
+            let threads = synthetic_states(cfg, &from, seed);
+            for (key, st) in &threads {
+                store.write_shard(&from, *key, 6, st).unwrap();
             }
+            store.commit_generation(&from, cfg, 6, &threads).unwrap();
+
+            let r = store.load_latest(&to, cfg).unwrap();
+            assert!(r.cross_topology, "case {case}");
+            assert_eq!(r.snapshot.next_iter, 6);
+            assert_eq!(r.snapshot.threads.len(), to.world(), "case {case}");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let master = GptModel::new(cfg, &mut rng);
+            for (pi, di, ti) in world_keys(&to) {
+                let want = build_thread_model(&master, &to, pi, ti).flat_params();
+                let got = &r.snapshot.threads[&(pi, di, ti)];
+                assert_eq!(got.params, want, "case {case} ({pi},{di},{ti}) params");
+                assert_eq!(got.adam.t, 7);
+                let m: Vec<f32> = want.iter().map(|x| x + 1.0).collect();
+                let v: Vec<f32> = want.iter().map(|x| x * x).collect();
+                assert_eq!(got.adam.m, m, "case {case} ({pi},{di},{ti}) m");
+                assert_eq!(got.adam.v, v, "case {case} ({pi},{di},{ti}) v");
+            }
+            let _ = fs::remove_dir_all(root);
         }
-        let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn zero1_generations_skip_canonical_and_reject_resharding() {
+    fn zero1_generations_reject_resharding() {
         let (root, store) = tmp_store("zero1");
         let mut spec = PtdpSpec::new(1, 2, 2);
         spec.shard_optimizer = true;
@@ -971,10 +991,7 @@ pub(crate) mod tests {
             st.adam.v.truncate(half);
         }
         save_generation(&store, &spec, 2, &threads);
-        assert!(
-            !store.gen_dir(2).join(CANONICAL_NAME).exists(),
-            "ZeRO-1 runs must not write a canonical layout"
-        );
+        assert_generation_is_its_shards(&store, 2, &spec);
 
         // Same topology restores fine, slice moments and all.
         let same = store.load_latest(&spec, cfg()).unwrap();
@@ -983,10 +1000,72 @@ pub(crate) mod tests {
             threads[&(0, 1, 0)].adam.m
         );
 
-        // A different topology has nothing to reshard from.
-        let other = PtdpSpec::new(2, 2, 1);
-        let err = store.load_latest(&other, cfg()).unwrap_err();
-        assert_eq!(err, CheckpointError::NoneAvailable);
+        // A different topology cannot use the slices: with or without
+        // ZeRO-1 on the requesting side, a clean mismatch.
+        for shard_optimizer in [true, false] {
+            let other = PtdpSpec {
+                shard_optimizer,
+                ..PtdpSpec::new(2, 2, 1)
+            };
+            let err = store.load_latest(&other, cfg()).unwrap_err();
+            assert_eq!(err, CheckpointError::NoneAvailable);
+            let err = store.load_pinned(&other, cfg(), 2).unwrap_err();
+            assert!(matches!(err, CheckpointError::TopologyMismatch(_)), "{err}");
+        }
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn commit_refuses_an_incomplete_world() {
+        let (root, store) = tmp_store("incomplete");
+        let spec = PtdpSpec::new(2, 1, 2);
+        let mut threads = synthetic_states(cfg(), &spec, 37);
+        for (key, st) in &threads {
+            store.write_shard(&spec, *key, 2, st).unwrap();
+        }
+        // A shard file gone from the directory.
+        let gone = store.gen_dir(2).join(shard_name((1, 1, 0)));
+        let bytes = fs::read(&gone).unwrap();
+        fs::remove_file(&gone).unwrap();
+        let err = store
+            .commit_generation(&spec, cfg(), 2, &threads)
+            .unwrap_err();
+        assert!(matches!(&err, CheckpointError::Corrupt(m) if m.contains("shard-p1-d1-t0")));
+        fs::write(&gone, bytes).unwrap();
+        // A rank gone from the states the caller says it saved.
+        threads.remove(&(0, 0, 0));
+        let err = store
+            .commit_generation(&spec, cfg(), 2, &threads)
+            .unwrap_err();
+        assert!(matches!(&err, CheckpointError::Corrupt(m) if m.contains("(0, 0, 0)")));
+        assert!(store.generations().is_empty(), "nothing was committed");
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn parent_format_manifest_is_skipped_with_a_note() {
+        let (root, store) = tmp_store("oldmanifest");
+        let spec = PtdpSpec::new(2, 1, 1);
+        let threads = synthetic_states(cfg(), &spec, 41);
+        save_generation(&store, &spec, 2, &threads);
+        save_generation(&store, &spec, 4, &threads);
+        // The manifest as written before the canonical layout went: other
+        // magic, a has-canonical flag and a shard count after the iteration.
+        let mut enc = Enc::new(b"MGMANIF1");
+        enc.topology(&spec);
+        enc.config(cfg());
+        enc.u64(4);
+        enc.u8(1);
+        enc.u64(spec.world() as u64);
+        fs::write(store.gen_dir(4).join(MANIFEST_NAME), enc.finish()).unwrap();
+
+        for to in [spec, PtdpSpec::new(1, 1, 1)] {
+            let r = store.load_latest(&to, cfg()).unwrap();
+            assert_eq!(r.generation, 2);
+            assert_eq!(r.notes.len(), 1);
+            assert!(r.notes[0].contains("gen-00000004"), "{:?}", r.notes);
+            assert!(r.notes[0].contains("bad magic"), "{:?}", r.notes);
+        }
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1014,24 +1093,30 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fuzzed_corruption_never_panics() {
-        // Truncations and byte flips at arbitrary offsets, over every file
-        // of a generation: load_latest must always return Ok(older) — the
-        // intact gen-2 — or a clean error, and never panic.
+    fn fuzzed_corruption_falls_back_and_never_panics() {
+        // Truncations and bit flips at arbitrary offsets, over every file
+        // of a generation. The same-topology path reads every shard and
+        // the manifest, the cross-topology path replica 0's shards and the
+        // manifest; the CRC covers every byte of a file, so a restore that
+        // reads the mutated file must fall back to the intact gen-2 with a
+        // note, and one that does not must not notice.
         let (root, store) = tmp_store("fuzz");
-        let spec = PtdpSpec::new(2, 1, 1);
+        let spec = PtdpSpec::new(2, 1, 2);
+        let cross = PtdpSpec::new(1, 1, 1);
         let threads = synthetic_states(cfg(), &spec, 53);
         save_generation(&store, &spec, 2, &threads);
         save_generation(&store, &spec, 4, &threads);
 
+        let replica1: Vec<PathBuf> = [(0, 1, 0), (1, 1, 0)]
+            .map(|key| store.gen_dir(4).join(shard_name(key)))
+            .to_vec();
         let files: Vec<PathBuf> = fs::read_dir(store.gen_dir(4))
             .unwrap()
-            .flatten()
-            .map(|e| e.path())
+            .map(|e| e.unwrap().path())
             .collect();
-        assert!(files.len() >= 3, "shards + canonical + manifest");
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xbadc0de);
-        for round in 0..60 {
+        let mut unread = 0;
+        for round in 0..120 {
             let path = &files[rng.gen_range(0..files.len())];
             let pristine = fs::read(path).unwrap();
             let mut bytes = pristine.clone();
@@ -1042,30 +1127,25 @@ pub(crate) mod tests {
                 bytes[off] ^= 1 << rng.gen_range(0..8);
             }
             fs::write(path, &bytes).unwrap();
-            let is_canonical = path.file_name().unwrap() == CANONICAL_NAME;
-            match store.load_latest(&spec, cfg()) {
-                Ok(r) => {
-                    // Gen-4 may only survive if the mutation landed in the
-                    // canonical layout — the same-topology path reads just
-                    // the shards and manifest (CRC covers every byte of
-                    // those, so a flip anywhere in them is always caught).
-                    assert!(
-                        r.generation == 2 || is_canonical || bytes == pristine,
-                        "round {round}: corrupt gen-4 restored from {:?}",
-                        path.file_name()
-                    );
-                }
-                Err(e) => assert_eq!(e, CheckpointError::NoneAvailable, "round {round}"),
-            }
-            // And the cross-topology path (manifest + canonical) must be
-            // equally unpanickable under the same corruption.
-            let cross = PtdpSpec::new(1, 1, 1);
-            match store.load_latest(&cross, cfg()) {
-                Ok(_) => {}
-                Err(e) => assert_eq!(e, CheckpointError::NoneAvailable, "round {round} cross"),
+
+            let fell_back = |r: &Restored| {
+                assert_eq!(r.generation, 2, "round {round}: {path:?}");
+                assert_eq!(r.notes.len(), 1, "round {round}: {:?}", r.notes);
+                assert!(r.notes[0].contains("gen-00000004"), "{:?}", r.notes);
+            };
+            fell_back(&store.load_latest(&spec, cfg()).unwrap());
+            let r = store.load_latest(&cross, cfg()).unwrap();
+            assert!(r.cross_topology);
+            if replica1.contains(path) {
+                assert_eq!(r.generation, 4, "round {round}: {path:?}");
+                assert!(r.notes.is_empty(), "round {round}: {:?}", r.notes);
+                unread += 1;
+            } else {
+                fell_back(&r);
             }
             fs::write(path, &pristine).unwrap();
         }
+        assert!((20..100).contains(&unread), "{unread} of 120 rounds");
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1113,5 +1193,30 @@ pub(crate) mod tests {
         let err = store.load_latest(&spec, other).unwrap_err();
         assert_eq!(err, CheckpointError::NoneAvailable);
         let _ = fs::remove_dir_all(root);
+    }
+
+    /// The bit-at-a-time loop `crc32` replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_driven_crc_equals_the_bitwise_loop() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc4c);
+        // Every length around the 8-byte rounds, then one of several MiB
+        // that ends mid-round.
+        for len in (0..=64).chain([3 * 1024 * 1024 + 5]) {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "length {len}");
+        }
     }
 }

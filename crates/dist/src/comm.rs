@@ -17,10 +17,10 @@
 //! a structural identity with `megatron-net`'s lowering of the same
 //! programs, not a pair of formulas that happen to agree.
 //!
-//! Failure handling: mailboxes and the barrier are poisonable. When a
-//! member thread panics (its [`GroupMember`] is dropped mid-unwind) or a
-//! rank is deliberately killed via [`GroupMember::poison`], every peer
-//! blocked in — or later entering — a collective gets
+//! Failure handling: a group is poisonable. When a member thread panics
+//! (its [`GroupMember`] is dropped mid-unwind) or a rank is deliberately
+//! killed via [`GroupMember::poison`], every peer blocked in — or later
+//! entering — a collective gets
 //! [`CommError::Poisoned`] instead of hanging. A rank that simply stops
 //! communicating trips [`CommError::Timeout`] in its peers after the
 //! group's configured timeout — now carrying a [`StallContext`] naming the
@@ -239,14 +239,13 @@ pub const DEFAULT_COMM_TIMEOUT: Duration = Duration::from_secs(30);
 /// log alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallContext {
-    /// Collective name (`Program::kind`, or `"barrier"`).
+    /// Collective name (`Program::kind`).
     pub collective: &'static str,
     /// Zero-based step that stalled.
     pub round: usize,
     /// Total steps in the collective.
     pub rounds: usize,
-    /// The peer involved in the stalled step; `None` for a bare barrier,
-    /// where any absent rank stalls everyone.
+    /// The peer involved in the stalled step, where one can be named.
     pub peer: Option<usize>,
     /// The stalled peer's OS process id (process mode only, and only if
     /// the peer ever connected).
@@ -343,10 +342,6 @@ fn expect_comm<T>(r: Result<T, CommError>) -> T {
     }
 }
 
-/// A recorded collective's op tag plus the [`CommVolume`] field its byte
-/// tally accumulates into.
-type VolumeRecord = (CollectiveOp, fn(&mut CommVolume) -> &mut f64);
-
 /// Transport-level failure, before step context is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RawComm {
@@ -369,91 +364,6 @@ impl Mailbox {
     }
 }
 
-/// Condvar-based rendezvous barrier that can be poisoned and waited on
-/// with a timeout. Reusable across generations like [`std::sync::Barrier`].
-struct PoisonBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    size: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl PoisonBarrier {
-    fn new(size: usize) -> PoisonBarrier {
-        PoisonBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-            size,
-        }
-    }
-
-    fn wait(&self, timeout: Duration) -> Result<(), RawComm> {
-        // A peer that panicked while holding the barrier lock is a dead
-        // peer: surface it as a poisoned group, never a second panic.
-        let Ok(mut s) = self.state.lock() else {
-            return Err(RawComm::Poisoned);
-        };
-        if s.poisoned {
-            return Err(RawComm::Poisoned);
-        }
-        s.arrived += 1;
-        if s.arrived == self.size {
-            s.arrived = 0;
-            s.generation = s.generation.wrapping_add(1);
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = s.generation;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if s.generation != gen {
-                // The barrier completed for our generation; a poison flag
-                // raised afterwards belongs to a later collective.
-                return Ok(());
-            }
-            if s.poisoned {
-                return Err(RawComm::Poisoned);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // Give up, and poison so the stuck peers (and the late
-                // rank, if it ever shows up) fail fast instead of hanging.
-                s.poisoned = true;
-                self.cv.notify_all();
-                return Err(RawComm::Timeout);
-            }
-            s = match self.cv.wait_timeout(s, deadline - now) {
-                Ok(pair) => pair.0,
-                Err(_) => return Err(RawComm::Poisoned),
-            };
-        }
-    }
-
-    fn poison(&self) {
-        // Poisoning must succeed even if a dying thread poisoned the
-        // mutex first — that is exactly when waiters most need the wakeup.
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.poisoned = true;
-        self.cv.notify_all();
-    }
-
-    fn is_poisoned(&self) -> bool {
-        match self.state.lock() {
-            Ok(s) => s.poisoned,
-            Err(_) => true,
-        }
-    }
-}
-
 /// The socket side of a process-mode group: this process's one member
 /// executes its programs over this channel instead of the mailboxes.
 struct SocketState {
@@ -462,14 +372,13 @@ struct SocketState {
 }
 
 /// Shared state of one communicator group: one mailbox per directed rank
-/// pair plus a poisonable barrier for pure synchronization — or, in
-/// process mode ([`Group::with_socket`]), a kernel-socket channel carrying
-/// the same step programs to peer *processes*.
+/// pair and a poison flag — or, in process mode ([`Group::with_socket`]),
+/// a kernel-socket channel carrying the same step programs to peer
+/// *processes*.
 pub struct Group {
     size: usize,
     // mail[dst * size + src]: chunks in flight from src to dst.
     mail: Vec<Mailbox>,
-    barrier: PoisonBarrier,
     poisoned: AtomicBool,
     timeout: Duration,
     transport: TransportConfig,
@@ -501,7 +410,6 @@ impl Group {
         Arc::new(Group {
             size,
             mail: (0..size * size).map(|_| Mailbox::new()).collect(),
-            barrier: PoisonBarrier::new(size),
             poisoned: AtomicBool::new(false),
             timeout,
             retransmit: transport
@@ -514,11 +422,9 @@ impl Group {
 
     /// A *process-mode* group: this `Group` instance hosts exactly one
     /// member — `channel.rank()` — and every collective executes over the
-    /// socket channel to peer processes. Barriers ride the wire too (a
-    /// 1-element all-reduce), since no shared-memory barrier can span
-    /// processes. Peer death surfaces as [`CommError::Timeout`] once the
-    /// group timeout expires, never as `Poisoned` (poison cannot cross an
-    /// address space).
+    /// socket channel to peer processes. Peer death surfaces as
+    /// [`CommError::Timeout`] once the group timeout expires, never as
+    /// `Poisoned` (poison cannot cross an address space).
     pub fn with_socket(
         size: usize,
         timeout: Duration,
@@ -561,7 +467,6 @@ impl Group {
         Arc::new(Group {
             size,
             mail: Vec::new(),
-            barrier: PoisonBarrier::new(1),
             poisoned: AtomicBool::new(false),
             timeout,
             retransmit: store,
@@ -601,11 +506,10 @@ impl Group {
 
     /// Whether the group has been poisoned by a failure.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire) || self.barrier.is_poisoned()
+        self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Poison everything: flag, every mailbox (waking blocked receivers),
-    /// and the barrier.
+    /// Poison the group: raise the flag and wake every blocked receiver.
     fn poison_all(&self) {
         self.poisoned.store(true, Ordering::Release);
         for mb in &self.mail {
@@ -615,12 +519,11 @@ impl Group {
             let _q = mb.q.lock().unwrap_or_else(|e| e.into_inner());
             mb.cv.notify_all();
         }
-        self.barrier.poison();
     }
 
     /// Enqueue a chunk for `dst` (non-blocking; mailboxes are unbounded).
     fn post(&self, src: usize, dst: usize, payload: &[f32]) -> Result<(), RawComm> {
-        if self.poisoned.load(Ordering::Acquire) {
+        if self.is_poisoned() {
             return Err(RawComm::Poisoned);
         }
         let mb = &self.mail[dst * self.size + src];
@@ -634,44 +537,18 @@ impl Group {
 
     /// Dequeue the next chunk sent from `src` to `dst`, waiting until
     /// `deadline`. Queued data wins over poison (a completed send should
-    /// be consumable), and a deadline miss poisons the whole group.
-    fn fetch(&self, src: usize, dst: usize, deadline: Instant) -> Result<Vec<f32>, RawComm> {
-        let mb = &self.mail[dst * self.size + src];
-        let Ok(mut q) = mb.q.lock() else {
-            return Err(RawComm::Poisoned);
-        };
-        loop {
-            if let Some(data) = q.pop_front() {
-                return Ok(data);
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(RawComm::Poisoned);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(q);
-                self.poison_all();
-                return Err(RawComm::Timeout);
-            }
-            q = match mb.cv.wait_timeout(q, deadline - now) {
-                Ok(pair) => pair.0,
-                Err(_) => return Err(RawComm::Poisoned),
-            };
-        }
-    }
-
-    /// Like [`Group::fetch`], but give up *softly* after `wait`: `Ok(None)`
-    /// leaves the group healthy so the reliable layer can recover the
-    /// chunk from the retransmit store and poll again. Only the overall
-    /// `deadline` poisons, exactly as `fetch` would.
+    /// be consumable), and a deadline miss poisons the whole group. With a
+    /// `wait`, give up *softly* once it has passed: `Ok(None)` leaves the
+    /// group healthy so the reliable layer can recover the chunk from the
+    /// retransmit store and poll again.
     fn fetch_within(
         &self,
         src: usize,
         dst: usize,
-        wait: Duration,
+        wait: Option<Duration>,
         deadline: Instant,
     ) -> Result<Option<Vec<f32>>, RawComm> {
-        let attempt_end = (Instant::now() + wait).min(deadline);
+        let attempt_end = wait.map_or(deadline, |w| (Instant::now() + w).min(deadline));
         let mb = &self.mail[dst * self.size + src];
         let Ok(mut q) = mb.q.lock() else {
             return Err(RawComm::Poisoned);
@@ -680,7 +557,7 @@ impl Group {
             if let Some(data) = q.pop_front() {
                 return Ok(Some(data));
             }
-            if self.poisoned.load(Ordering::Acquire) {
+            if self.is_poisoned() {
                 return Err(RawComm::Poisoned);
             }
             let now = Instant::now();
@@ -715,14 +592,17 @@ impl Transport for MailTransport<'_> {
     }
 
     fn recv(&mut self, from: usize) -> Result<Vec<f32>, RawComm> {
-        self.group.fetch(from, self.rank, self.deadline)
+        let got = self
+            .group
+            .fetch_within(from, self.rank, None, self.deadline)?;
+        Ok(got.expect("an unbounded fetch ends with a chunk or an error"))
     }
 }
 
 impl PollTransport for MailTransport<'_> {
     fn recv_within(&mut self, from: usize, wait: Duration) -> Result<Option<Vec<f32>>, RawComm> {
         self.group
-            .fetch_within(from, self.rank, wait, self.deadline)
+            .fetch_within(from, self.rank, Some(wait), self.deadline)
     }
 }
 
@@ -818,24 +698,6 @@ impl GroupMember {
         self.fault_tally.get()
     }
 
-    /// Execute `prog` over the mailbox transport, tally the measured
-    /// egress into `slot`, and record `op` for replay.
-    ///
-    /// When the group carries a [`TransportConfig`], the mailbox is
-    /// wrapped accordingly: a seeded [`FaultyTransport`] plays adversary
-    /// on the wire and a [`ReliableTransport`] above it absorbs the
-    /// faults, so transient drops/duplicates/delays never surface as
-    /// [`CommError::Timeout`] while the retransmit budget lasts.
-    fn run_program(
-        &self,
-        prog: &Program,
-        buf: &mut [f32],
-        op: CollectiveOp,
-        slot: fn(&mut CommVolume) -> &mut f64,
-    ) -> Result<(), CommError> {
-        self.run_program_impl(prog, buf, Some((op, slot)))
-    }
-
     /// Wrap `tp` per the group's [`TransportConfig`] and execute `prog`.
     fn execute_wrapped<T: PollTransport<Error = RawComm>>(
         &self,
@@ -884,14 +746,20 @@ impl GroupMember {
     }
 
     /// Execute `prog` over the group's wire — mailboxes, or the socket
-    /// channel in process mode — recording volume and the op log only when
-    /// `record` is given (barriers ride unrecorded so tallies stay purely
-    /// algorithmic).
-    fn run_program_impl(
+    /// channel in process mode — tally the measured egress into `slot`,
+    /// and record `op` for replay.
+    ///
+    /// When the group carries a [`TransportConfig`], the wire is wrapped
+    /// accordingly: a seeded [`FaultyTransport`] plays adversary and a
+    /// [`ReliableTransport`] above it absorbs the faults, so transient
+    /// drops/duplicates/delays never surface as [`CommError::Timeout`]
+    /// while the retransmit budget lasts.
+    fn run_program(
         &self,
         prog: &Program,
         buf: &mut [f32],
-        record: Option<VolumeRecord>,
+        op: CollectiveOp,
+        slot: fn(&mut CommVolume) -> &mut f64,
     ) -> Result<(), CommError> {
         if self.group.is_poisoned() {
             return Err(CommError::Poisoned);
@@ -912,20 +780,18 @@ impl GroupMember {
         };
         match result {
             Ok(report) => {
-                if let Some((op, slot)) = record {
-                    let mut v = self.volume.get();
-                    *slot(&mut v) += report.sent_elems as f64 * BYTES_F32;
-                    v.ops += 1;
-                    self.volume.set(v);
-                    self.op_log.borrow_mut().push(op);
-                }
+                let mut v = self.volume.get();
+                *slot(&mut v) += report.sent_elems as f64 * BYTES_F32;
+                v.ops += 1;
+                self.volume.set(v);
+                self.op_log.borrow_mut().push(op);
                 Ok(())
             }
             Err(fail) => Err(match fail.error {
                 RawComm::Poisoned => CommError::Poisoned,
                 RawComm::Timeout => {
-                    // The mailbox path poisons inside `fetch`; the socket
-                    // path poisons here so later calls fail fast too.
+                    // The mailbox path poisons inside `fetch_within`; the
+                    // socket path poisons here so later calls fail fast too.
                     self.group.poison_all();
                     let mut ctx = StallContext::new(
                         fail.collective,
@@ -1082,33 +948,6 @@ impl GroupMember {
         Ok(work[lo..lo + chunk].to_vec())
     }
 
-    /// Fallible synchronization barrier. In process mode no shared-memory
-    /// barrier exists, so the ranks exchange a 1-element all-reduce over
-    /// the wire instead — unrecorded, so volume tallies stay purely
-    /// algorithmic.
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        if self.group.is_poisoned() {
-            return Err(CommError::Poisoned);
-        }
-        if self.group.socket.is_some() {
-            let g = self.group.size;
-            if g == 1 {
-                return Ok(());
-            }
-            let prog = coll::ring_all_reduce(g, 1, ReduceOp::Sum);
-            let mut buf = [0.0f32];
-            return self.run_program_impl(&prog, &mut buf, None);
-        }
-        match self.group.barrier.wait(self.group.timeout) {
-            Ok(()) => Ok(()),
-            Err(RawComm::Poisoned) => Err(CommError::Poisoned),
-            Err(RawComm::Timeout) => {
-                self.group.poison_all();
-                Err(CommError::Timeout(StallContext::new("barrier", 0, 1, None)))
-            }
-        }
-    }
-
     /// In-place sum all-reduce; panics with [`CommPanic`] on failure.
     pub fn all_reduce_sum(&self, buf: &mut [f32]) {
         expect_comm(self.try_all_reduce_sum(buf));
@@ -1138,11 +977,6 @@ impl GroupMember {
     /// Reduce-scatter; panics with [`CommPanic`] on failure.
     pub fn reduce_scatter_sum(&self, buf: &[f32]) -> Vec<f32> {
         expect_comm(self.try_reduce_scatter_sum(buf))
-    }
-
-    /// Pure synchronization barrier; panics with [`CommPanic`] on failure.
-    pub fn barrier(&self) {
-        expect_comm(self.try_barrier());
     }
 }
 
@@ -1396,13 +1230,15 @@ mod tests {
 
     #[test]
     fn explicit_poison_fails_later_collectives() {
+        // Orders the poison before either rank's second all-reduce.
+        let poisoned = std::sync::Barrier::new(2);
         let results = run_group(2, |m| {
             let mut buf = vec![1.0f32];
             m.try_all_reduce_sum(&mut buf).unwrap();
             if m.rank() == 0 {
                 m.poison();
             }
-            let _ = m.try_barrier();
+            poisoned.wait();
             m.try_all_reduce_sum(&mut buf)
         });
         for r in &results {
@@ -1439,7 +1275,6 @@ mod tests {
             let _ = m.all_gather(&buf[..2]);
             let _ = m.reduce_scatter_sum(&buf);
             m.broadcast(&mut buf, 0);
-            m.barrier(); // pure barriers don't count as volume ops
             (m.rank(), m.comm_volume())
         });
         for (rank, v) in &results {

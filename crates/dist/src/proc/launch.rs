@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use megatron_collective::{SocketChannel, SocketNode, WireAddr};
+use megatron_collective::{SocketChannel, SocketError, SocketNode, Transport, WireAddr};
 
 use crate::comm::WireKind;
 use crate::health::HealthMonitor;
@@ -20,9 +20,9 @@ use super::rendezvous::{clear_stale_rendezvous, publish, HEARTBEAT_CHAN, RENDEZV
 use super::report::{self, RankOutput};
 use super::spec::{JobSpec, SocketFaultPlan};
 
-/// Heartbeat frames the launcher reads from one rank before it turns to the
-/// next.
-const FRAMES_PER_TURN: usize = 64;
+/// How long a heartbeat reader blocks on its rank's stream before it looks
+/// at the stop flag again.
+const READER_STOP_POLL: Duration = Duration::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Launcher
@@ -91,9 +91,10 @@ pub struct LaunchHandle {
     children: Mutex<Vec<Option<Child>>>,
     monitor: Arc<HealthMonitor>,
     stop: Arc<AtomicBool>,
-    reader: Option<thread::JoinHandle<()>>,
+    /// One heartbeat reader per rank.
+    readers: Vec<thread::JoinHandle<()>>,
     /// Per-flat-rank completed-iteration counters, fed by the heartbeat
-    /// reader from `[flat, completed]` progress beats.
+    /// readers from `[flat, completed]` progress beats.
     progress: Arc<Vec<std::sync::atomic::AtomicUsize>>,
     /// Per-flat-rank exit status, filled lazily by [`LaunchHandle::poll_exits`].
     exits: Mutex<Vec<Option<WorkerExit>>>,
@@ -150,54 +151,46 @@ pub fn launch_configured(
             .map(|_| std::sync::atomic::AtomicUsize::new(0))
             .collect(),
     );
-    let reader = {
-        let mut chan = SocketChannel::new(
-            Arc::clone(&node),
-            HEARTBEAT_CHAN,
-            world,
-            vec![None; world + 1],
-        );
-        let monitor = Arc::clone(&monitor);
-        let stop = Arc::clone(&stop);
-        let progress = Arc::clone(&progress);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let mut idle = true;
-                for r in 0..world {
-                    chan.set_deadline(Instant::now() + Duration::from_millis(100));
-                    // A bounded turn per rank: one whose progress beats
-                    // arrive faster than the 1 ms wait below would otherwise
-                    // hold this loop and starve the rest into looking dead.
-                    for _ in 0..FRAMES_PER_TURN {
-                        let Ok(Some(frame)) = megatron_collective::PollTransport::recv_within(
-                            &mut chan,
-                            r,
-                            Duration::from_millis(1),
-                        ) else {
-                            break;
-                        };
-                        if let Some(&f) = frame.first() {
-                            let fr = f as usize;
-                            monitor.beat(fr);
+    // One blocking reader per rank's heartbeat stream (the node's inbound
+    // registry is keyed by (channel, source), so the channels share
+    // `HEARTBEAT_CHAN`): a beat is recorded when it arrives, however quiet
+    // or busy the other ranks are. One reader polling the streams in turn
+    // pays a read timeout — a scheduler tick — per idle rank and sweep,
+    // which is the monitor's whole dead-after window at 8 ranks.
+    let readers = (0..world)
+        .map(|r| {
+            let mut chan = SocketChannel::new(
+                Arc::clone(&node),
+                HEARTBEAT_CHAN,
+                world,
+                vec![None; world + 1],
+            );
+            chan.set_io_timeout(READER_STOP_POLL);
+            let monitor = Arc::clone(&monitor);
+            let stop = Arc::clone(&stop);
+            let progress = Arc::clone(&progress);
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    chan.set_deadline(Instant::now() + READER_STOP_POLL);
+                    match chan.recv(r) {
+                        Ok(frame) => {
+                            monitor.beat(r);
                             // Two-element frames are progress beats:
-                            // `[flat, completed_iters]`. `fetch_max`
-                            // because a late bare beacon must not be
-                            // confused with regressing progress.
+                            // `[flat, completed_iters]`. `fetch_max` because
+                            // a late bare beacon must not be confused with
+                            // regressing progress.
                             if let Some(&done) = frame.get(1) {
-                                if fr < world {
-                                    progress[fr].fetch_max(done as usize, Ordering::Relaxed);
-                                }
+                                progress[r].fetch_max(done as usize, Ordering::Relaxed);
                             }
-                            idle = false;
                         }
+                        Err(SocketError::Deadline) => {}
+                        // No spinning on a stream that keeps failing.
+                        Err(SocketError::Io(_)) => thread::sleep(READER_STOP_POLL),
                     }
                 }
-                if idle {
-                    thread::sleep(Duration::from_millis(2));
-                }
-            }
+            })
         })
-    };
+        .collect();
 
     let exe = std::env::current_exe()?;
     let mut children = Vec::with_capacity(world);
@@ -217,7 +210,7 @@ pub fn launch_configured(
         children: Mutex::new(children),
         monitor,
         stop,
-        reader: Some(reader),
+        readers,
         progress,
         exits: Mutex::new(vec![None; world]),
         _node: node,
@@ -289,6 +282,13 @@ impl LaunchHandle {
         exits.clone()
     }
 
+    fn stop_readers(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for h in self.readers.drain(..) {
+            let _ = h.join();
+        }
+    }
+
     /// Wait for every rank process to exit, then merge the per-rank
     /// output files into a [`ProcOutcome`]. Bounded: a worker that dies
     /// before rendezvous (or wedges past the comm deadline) no longer
@@ -334,10 +334,7 @@ impl LaunchHandle {
             .iter()
             .map(|e| e.expect("all ranks resolved above"))
             .collect();
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        self.stop_readers();
 
         let mut outputs = HashMap::new();
         let mut missing = Vec::new();
@@ -365,12 +362,9 @@ impl LaunchHandle {
 
 impl Drop for LaunchHandle {
     /// A dropped handle must not leak rank processes or the reader
-    /// thread (e.g. when a test assertion fails mid-run).
+    /// threads (e.g. when a test assertion fails mid-run).
     fn drop(&mut self) {
         self.kill_all();
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        self.stop_readers();
     }
 }

@@ -34,8 +34,8 @@
 //!   [`CapacityEvent::Lost`]); when the survivors no longer fit
 //!   `p·t·d`, the supervisor ranks every valid divisor configuration with
 //!   the simulator's cost model (`megatron_sim::elastic::CostModel`),
-//!   restores the best one from the canonical checkpoint layout via the
-//!   cross-topology path in [`CheckpointStore::load_latest`], and
+//!   restores the best one by resharding the newest generation's shards
+//!   (the cross-topology path in [`CheckpointStore::load_latest`]), and
 //!   continues training degraded.
 //! - **Grow** (only at a checkpoint boundary): when a
 //!   [`CapacityEvent::Returned`] arrives, the degraded run is truncated at
@@ -43,8 +43,8 @@
 //!   generation; the supervisor then reshards it back up to the launch
 //!   topology (or the best configuration the returned capacity allows)
 //!   and resumes. Growing mid-segment would need a generation that does
-//!   not exist yet — the boundary is where a canonical layout is
-//!   guaranteed on disk, which is why grow waits for it.
+//!   not exist yet — the boundary is where a *committed* generation of
+//!   the degraded run exists, which is why grow waits for it.
 //!
 //! Because training is deterministic and restores are exact-f32, the
 //! segment after a shrink or grow is bit-identical to a fresh run launched
@@ -224,7 +224,7 @@ pub struct Incident {
     pub restore_s: f64,
     /// Seconds slept in exponential backoff before the restart.
     pub backoff_s: f64,
-    /// Whether the restore had to reshard a canonical layout because the
+    /// Whether the restore had to reshard the generation because the
     /// stored topology differs from the running one.
     pub cross_topology: bool,
     /// Flat ranks of the failed attempt's topology
@@ -1089,7 +1089,7 @@ mod tests {
         );
         assert!(
             report.incidents[0].cross_topology,
-            "resharded from canonical"
+            "resharded from the (2,2,2) shards"
         );
         assert_eq!(asked[1].dims, shrink.to);
         assert_eq!(grow.direction, ReconfigureDirection::Grow);

@@ -27,26 +27,19 @@ impl GenerationAssembler {
         }
     }
 
-    /// Add one rank's state. Returns the whole generation if this state
-    /// completed it — to exactly one caller per generation, the one that
-    /// commits it.
-    pub(crate) fn insert(
-        &self,
-        generation: usize,
-        key: ThreadKey,
-        state: ThreadState,
-    ) -> Option<HashMap<ThreadKey, ThreadState>> {
+    /// Add one rank's state. `true` if this state completed the generation
+    /// — for exactly one caller per generation, the one that commits it.
+    pub(crate) fn insert(&self, generation: usize, key: ThreadKey, state: ThreadState) -> bool {
         // A rank that panicked inside this lock left whole entries behind
         // (an insert either happened or did not), so survivors carry on.
         let mut generations = self.generations.lock().unwrap_or_else(|e| e.into_inner());
         let entry = generations.entry(generation).or_default();
         entry.insert(key, state);
         if entry.len() < self.world {
-            return None;
+            return false;
         }
-        let complete = entry.clone();
         generations.retain(|&g, _| g >= generation);
-        Some(complete)
+        true
     }
 
     /// The newest generation every rank reached, if any.
@@ -78,15 +71,17 @@ mod tests {
         let asm = GenerationAssembler::new(2);
         for g in 1..=50 {
             // Rank 0 runs a generation ahead of rank 1, as after a flush.
-            assert!(asm.insert(g + 1, (0, 0, 0), state(g as f32)).is_none());
+            assert!(!asm.insert(g + 1, (0, 0, 0), state(g as f32)));
             if g == 1 {
                 continue;
             }
-            let done = asm.insert(g, (0, 1, 0), state(-(g as f32)));
-            let done = done.expect("rank 1 completes the generation rank 0 left");
-            assert_eq!(done.len(), 2);
-            assert_eq!(done[&(0, 0, 0)].params, vec![(g - 1) as f32]);
-            let held: Vec<usize> = asm.generations.lock().unwrap().keys().copied().collect();
+            assert!(
+                asm.insert(g, (0, 1, 0), state(-(g as f32))),
+                "rank 1 completes the generation rank 0 left"
+            );
+            let held = asm.generations.lock().unwrap();
+            assert_eq!(held[&g][&(0, 0, 0)].params, vec![(g - 1) as f32]);
+            let held: Vec<usize> = held.keys().copied().collect();
             assert_eq!(held, vec![g, g + 1], "newest complete + one in flight");
         }
         let snap = asm.into_newest_complete().expect("a complete generation");
@@ -97,7 +92,7 @@ mod tests {
     #[test]
     fn a_generation_some_rank_never_reached_is_not_a_snapshot() {
         let asm = GenerationAssembler::new(2);
-        assert!(asm.insert(2, (0, 0, 0), state(1.0)).is_none());
+        assert!(!asm.insert(2, (0, 0, 0), state(1.0)));
         assert!(asm.into_newest_complete().is_none());
     }
 }

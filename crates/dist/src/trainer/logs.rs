@@ -221,7 +221,7 @@ pub struct RunControl {
     pub comm_timeout: Option<Duration>,
     /// Persist every in-memory checkpoint to this store as well: each
     /// thread writes its own shard and the thread completing a generation
-    /// commits it (canonical layout + manifest).
+    /// commits it (writes the manifest).
     pub durable: Option<Arc<CheckpointStore>>,
     /// Incident epoch this run belongs to (the supervisor's attempt
     /// counter). Tags every [`StepSample`] and telemetry span, so samples

@@ -742,16 +742,16 @@ impl Rank<'_> {
                 .write_shard(&self.spec, self.key, generation, &state)
                 .map_err(failed)?;
         }
-        // The rank whose state completes the generation commits it
-        // (canonical layout + manifest); peers may already be running the
-        // next iteration.
+        // The rank whose state completes the generation commits it (every
+        // shard is on disk by then, so that is the manifest alone); peers
+        // may already be running the next iteration.
         let complete = self
             .wiring
             .generations
-            .and_then(|g| g.insert(generation, self.key, state));
-        if let (Some(threads), Some(store)) = (complete, &self.ctl.durable) {
+            .is_some_and(|g| g.insert(generation, self.key, state));
+        if let (true, Some(store)) = (complete, &self.ctl.durable) {
             store
-                .commit_generation(&self.spec, self.master.cfg, generation, &threads)
+                .seal(&self.spec, self.master.cfg, generation)
                 .map_err(failed)?;
         }
         Ok(())

@@ -36,7 +36,6 @@
 //! buffers, and every `forward` returns the cache its `backward` needs.
 
 pub mod adam;
-pub mod checkpoint;
 pub mod elementwise;
 pub mod gemm;
 pub mod gpt;

@@ -123,16 +123,22 @@ fn sigkilled_rank_process_classified_dead() {
 
     let victim = 3; // thread (0, 1, 1)
     assert!(handle.kill_rank(victim), "SIGKILL rank {victim}");
-    // dead-after is 4 heartbeat periods (80 ms); give it 5×.
-    std::thread::sleep(Duration::from_millis(400));
-
-    let report = monitor.classify(25.0);
+    // dead-after is 4 heartbeat periods (80 ms) of silence: poll until the
+    // monitor says so, then look at the survivors in that same report.
     let victim_key = spec.thread_key(victim);
-    assert!(
-        report.dead().contains(&victim_key),
-        "SIGKILLed rank {victim_key:?} not classified dead: {:?}",
-        report.ranks
-    );
+    let killed = Instant::now();
+    let report = loop {
+        let report = monitor.classify(25.0);
+        if report.dead().contains(&victim_key) {
+            break report;
+        }
+        assert!(
+            killed.elapsed() < Duration::from_secs(5),
+            "SIGKILLed rank {victim_key:?} not classified dead: {:?}",
+            report.ranks
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
     for r in 0..world {
         if r != victim {
             let key = spec.thread_key(r);

@@ -231,7 +231,7 @@ fn analysis_identities() {
     });
 }
 
-/// Elastic invariant: the canonical checkpoint layout round-trips across
+/// Elastic invariant: a checkpoint generation round-trips across
 /// every divisor (p, t, d) topology of worlds 4, 8, and 12 — restore a
 /// source checkpoint into any target topology, re-save it there, restore
 /// back at the source topology, and every thread's parameters and Adam
@@ -343,8 +343,8 @@ fn canonical_restore_round_trips_across_topologies() {
     }
 }
 
-/// A ZeRO-sharded run never writes the canonical layout, so a
-/// cross-topology restore must fail with a clean `CheckpointError` — not
+/// A ZeRO-sharded run's shards hold only 1/d of the Adam moments each, so
+/// a cross-topology restore must fail with a clean `CheckpointError` — not
 /// panic, and not reshard per-replica optimizer fragments into garbage.
 /// Same-topology restore keeps working.
 #[test]

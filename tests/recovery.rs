@@ -152,8 +152,8 @@ fn supervisor_survives_two_kills_bit_for_bit() {
 }
 
 /// Elastic restart on a shrunken cluster: a checkpoint taken at
-/// (p=2, t=2, d=2) restores into (p=1, t=2, d=2) via the canonical
-/// layout, and the resumed run tracks serial training end-to-end.
+/// (p=2, t=2, d=2) restores into (p=1, t=2, d=2) by resharding its
+/// shards, and the resumed run tracks serial training end-to-end.
 #[test]
 fn cross_topology_restore_resumes_on_shrunken_cluster() {
     let c = cfg();
@@ -180,7 +180,7 @@ fn cross_topology_restore_resumes_on_shrunken_cluster() {
 
     // "Two GPUs never came back": resume at half the pipeline depth.
     let to = PtdpSpec::new(1, 2, 2);
-    let restored = store.load_latest(&to, c).expect("canonical layout");
+    let restored = store.load_latest(&to, c).expect("resharded shards");
     assert!(restored.cross_topology);
     assert_eq!(restored.snapshot.next_iter, 4);
     let resumed = PtdpTrainer::new(master.clone(), to).train_with(
@@ -283,7 +283,7 @@ fn elastic_shrink_is_bit_identical_to_fresh_degraded_launch() {
         },
     );
     assert!(doomed.error.is_some());
-    let restored = store2.load_latest(&to, c).expect("canonical layout");
+    let restored = store2.load_latest(&to, c).expect("resharded shards");
     assert_eq!(restored.generation, 4);
     assert!(restored.cross_topology);
     let fresh = PtdpTrainer::new(master, to).train_with(
@@ -379,7 +379,7 @@ fn elastic_grows_back_at_checkpoint_boundary() {
         },
     );
     assert!(doomed.error.is_some());
-    let restored = store2.load_latest(&degraded, c).expect("canonical layout");
+    let restored = store2.load_latest(&degraded, c).expect("resharded shards");
     assert_eq!(restored.generation, 4);
     let mid = resume(
         degraded,
