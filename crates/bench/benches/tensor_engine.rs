@@ -7,7 +7,7 @@ use megatron_tensor::elementwise as ew;
 use megatron_tensor::gemm;
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 use megatron_tensor::layers::LayerNorm;
-use megatron_tensor::Matrix;
+use megatron_tensor::{Isa, Matrix};
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
@@ -24,14 +24,79 @@ fn gemm_scaling() {
     }
 }
 
+/// This host's multiply-then-add ceiling on the build for `isa`, in GFLOP/s:
+/// `threads` threads each running the GEMM micro-kernel on operands that
+/// stay in L1 (`gemm::tile_peak_with`, 24 KiB of coefficients). Best of 30.
+fn tile_peak(isa: Isa, threads: usize) -> f64 {
+    let coeffs: Vec<f32> = (0..6 * 1024)
+        .map(|i| (i % 13) as f32 * 0.01 - 0.06)
+        .collect();
+    let calls = 2000;
+    let gate = std::sync::Barrier::new(threads + 1);
+    (0..30)
+        .map(|_| {
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            gate.wait();
+                            (0..calls)
+                                .map(|_| black_box(gemm::tile_peak_with(isa, black_box(&coeffs))).0)
+                                .sum::<usize>()
+                        })
+                    })
+                    .collect();
+                gate.wait();
+                let t0 = Instant::now();
+                let flops: usize = workers
+                    .into_iter()
+                    .map(|w| w.join().expect("peak loop panicked"))
+                    .sum();
+                flops as f64 / t0.elapsed().as_secs_f64() / 1e9
+            })
+        })
+        .fold(0.0, f64::max)
+}
+
 /// GFLOP/s of the three variants at shapes the benchmark workloads issue
-/// (`benchmark/src/shapes.rs`), each as the `m×k · k×n` product it computes.
+/// (`benchmark/src/shapes.rs`), each as the `m×k · k×n` product it computes,
+/// on every build of the kernel this host runs; then the widest build's
+/// rates as a share of this host's multiply-then-add peak.
 fn gemm_workload_shapes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let builds: Vec<Isa> = Isa::available().collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("group gemm_shapes (GFLOP/s, best of 30 after warm-up)");
+    println!("  multiply-then-add peak (no FMA: the contract rounds the product), GFLOP/s:");
+    // (one thread, every core) per build; the products below are read
+    // against the widest build's, the last.
+    let peaks: Vec<(f64, f64)> = builds
+        .iter()
+        .map(|&isa| (tile_peak(isa, 1), tile_peak(isa, cores)))
+        .collect();
+    for (isa, (one, all)) in builds.iter().zip(&peaks) {
+        println!(
+            "    {:<8} {one:>6.1} on one thread, {all:>6.1} on {cores}",
+            isa.name()
+        );
+    }
+    let peak = peaks[peaks.len() - 1].1;
+    let columns = |cell: &dyn Fn(Isa) -> String| -> String {
+        let cells: Vec<String> = builds.iter().map(|&isa| cell(isa)).collect();
+        cells.join(" |")
+    };
     println!(
-        "  {:<34} {:>8} {:>8} {:>8}",
-        "m x k x n", "matmul", "_tn", "_nt"
+        "  {:<18}{} | % of the {cores}-thread peak",
+        "",
+        columns(&|isa| format!(" {:<21}", isa.name()))
+    );
+    println!(
+        "  {:<18}{} | {:>6} {:>4} {:>4}",
+        "m x k x n",
+        columns(&|_| format!(" {:>7}{:>7}{:>7}", "matmul", "_tn", "_nt")),
+        "matmul",
+        "_tn",
+        "_nt"
     );
     for (what, m, k, n) in [
         (
@@ -52,14 +117,16 @@ fn gemm_workload_shapes() {
     ] {
         let mut rand = |r, c| Matrix::randn(r, c, 1.0, &mut rng);
         let (a, at, b, bt) = (rand(m, k), rand(k, m), rand(k, n), rand(n, k));
-        let rate = |f: &dyn Fn() -> Matrix| {
+        let rate = |isa: Isa, a: gemm::View<'_>, b: gemm::View<'_>| {
             let flops = 2.0 * (m * k * n) as f64;
             let reps = ((2e7 / flops) as usize).clamp(1, 200);
             let best = (0..31)
                 .map(|_| {
                     let t0 = Instant::now();
                     for _ in 0..reps {
-                        black_box(f());
+                        let mut c = Matrix::zeros(m, n);
+                        gemm::matmul_into_with(isa, a, b, c.block_mut(0, 0, m, n));
+                        black_box(c);
                     }
                     t0.elapsed().as_secs_f64() / reps as f64
                 })
@@ -67,12 +134,25 @@ fn gemm_workload_shapes() {
                 .fold(f64::INFINITY, f64::min);
             flops / best / 1e9
         };
+        let rates: Vec<[f64; 3]> = builds
+            .iter()
+            .map(|&isa| {
+                [
+                    rate(isa, a.view(), b.view()),
+                    rate(isa, at.view().t(), b.view()),
+                    rate(isa, a.view(), bt.view().t()),
+                ]
+            })
+            .collect();
+        let cells: Vec<String> = rates
+            .iter()
+            .map(|[nn, tn, nt]| format!(" {nn:>7.1}{tn:>7.1}{nt:>7.1}"))
+            .collect();
+        let [nn, tn, nt] = rates[rates.len() - 1].map(|r| 100.0 * r / peak);
         println!(
-            "  {:<34} {:>8.1} {:>8.1} {:>8.1}   {what}",
+            "  {:<18}{} | {nn:>6.0} {tn:>4.0} {nt:>4.0}   {what}",
             format!("{m} x {k} x {n}"),
-            rate(&|| gemm::matmul(&a, &b)),
-            rate(&|| gemm::matmul_tn(&at, &b)),
-            rate(&|| gemm::matmul_nt(&a, &bt)),
+            cells.join(" |"),
         );
     }
 }
@@ -99,22 +179,26 @@ fn ns_per_element<S>(
 }
 
 /// The element-wise kernels at the shapes the benchmark workloads run them
-/// at: each body as compiled for the baseline instruction set and as
-/// dispatched on this machine. LayerNorm is not compiled twice (its time is
-/// its sequential row sums), so it has one column.
+/// at, on every build this host runs. LayerNorm is not compiled per
+/// instruction set (its time is its sequential row sums), so it has one
+/// number, under the build the rest of the crate dispatches to.
 fn elementwise_workload_shapes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let builds: Vec<Isa> = Isa::available().collect();
     println!("group elementwise_shapes (ns per element, best of 60 after warm-up)");
-    println!(
-        "  {:<22} {:<10} {:>9} {:>11}",
-        "kernel", "shape", "portable", "dispatched"
-    );
-    let row =
-        |kernel: &str, shape: String, [portable, dispatched]: [Option<f64>; 2], what: &str| {
-            let ns = |t: Option<f64>| t.map_or("-".to_string(), |ns| format!("{ns:.2}"));
-            let (portable, dispatched) = (ns(portable), ns(dispatched));
-            println!("  {kernel:<22} {shape:<10} {portable:>9} {dispatched:>11}   {what}");
-        };
+    let header: Vec<String> = builds.iter().map(|b| format!("{:>9}", b.name())).collect();
+    println!("  {:<22} {:<10} {}", "kernel", "shape", header.join(" "));
+    let row = |kernel: &str, shape: String, ns: &dyn Fn(Isa) -> Option<f64>, what: &str| {
+        let cells: Vec<String> = builds
+            .iter()
+            .map(|&isa| match ns(isa) {
+                Some(ns) => format!("{ns:>9.2}"),
+                None => format!("{:>9}", "-"),
+            })
+            .collect();
+        println!("  {kernel:<22} {shape:<10} {}   {what}", cells.join(" "));
+    };
+    let dispatched_only = |ns: f64| move |isa: Isa| (isa == Isa::active()).then_some(ns);
     // (workload, rows of a microbatch, hidden, local MLP width, sequence).
     for (what, rows, h, mlp, seq) in [
         ("serial_wide", 192usize, 256usize, 1024usize, 64usize),
@@ -127,34 +211,36 @@ fn elementwise_workload_shapes() {
         let scores0 = Matrix::randn(seq, seq, 1.0, &mut rng);
         let (f0, x0, bias) = (f0.as_slice(), x0.as_slice(), bias.as_slice());
 
-        let mut fg = (f0.to_vec(), f0.to_vec());
-        let bias_gelu = [ew::bias_gelu_portable, ew::bias_gelu].map(|kernel| {
+        let bias_gelu = |isa| {
+            let mut fg = (f0.to_vec(), f0.to_vec());
             let reset = |(f, _): &mut (Vec<f32>, Vec<f32>)| f.copy_from_slice(f0);
             Some(ns_per_element(f0.len(), &mut fg, reset, |(f, g)| {
-                kernel(f, bias, g)
+                ew::bias_gelu_with(isa, f, bias, g)
             }))
-        });
+        };
         row(
             "bias+GeLU forward",
             format!("{rows} x {mlp}"),
-            bias_gelu,
+            &bias_gelu,
             what,
         );
 
-        let mut d = f0.to_vec();
-        let gelu_backward = [ew::gelu_backward_portable, ew::gelu_backward].map(|kernel| {
+        let gelu_backward = |isa| {
+            let mut d = f0.to_vec();
             let reset = |d: &mut Vec<f32>| d.copy_from_slice(f0);
-            Some(ns_per_element(f0.len(), &mut d, reset, |d| kernel(f0, d)))
-        });
+            Some(ns_per_element(f0.len(), &mut d, reset, |d| {
+                ew::gelu_backward_with(isa, f0, d)
+            }))
+        };
         row(
             "GeLU backward",
             format!("{rows} x {mlp}"),
-            gelu_backward,
+            &gelu_backward,
             what,
         );
 
-        let mut scores = scores0.clone();
-        let softmax = [ew::causal_softmax_row_portable, ew::causal_softmax_row].map(|kernel| {
+        let softmax = |isa| {
+            let mut scores = scores0.clone();
             let reset = |s: &mut Matrix| s.as_mut_slice().copy_from_slice(scores0.as_slice());
             // Per live element: row `r` keeps `r + 1` scores.
             Some(ns_per_element(
@@ -163,29 +249,29 @@ fn elementwise_workload_shapes() {
                 reset,
                 |s| {
                     for r in 0..seq {
-                        kernel(s.row_mut(r), r + 1, 0.125);
+                        ew::causal_softmax_row_with(isa, s.row_mut(r), r + 1, 0.125);
                     }
                 },
             ))
-        });
+        };
         row(
             "causal softmax rows",
             format!("{seq} x {seq}"),
-            softmax,
+            &softmax,
             what,
         );
 
-        let mut o = x0.to_vec();
-        let bias_residual = [ew::bias_residual_add_portable, ew::bias_residual_add].map(|kernel| {
+        let bias_residual = |isa| {
+            let mut o = x0.to_vec();
             let reset = |o: &mut Vec<f32>| o.copy_from_slice(x0);
             Some(ns_per_element(x0.len(), &mut o, reset, |o| {
-                kernel(o, &bias[..h], x0)
+                ew::bias_residual_add_with(isa, o, &bias[..h], x0)
             }))
-        });
+        };
         row(
             "bias+residual",
             format!("{rows} x {h}"),
-            bias_residual,
+            &bias_residual,
             what,
         );
 
@@ -203,7 +289,7 @@ fn elementwise_workload_shapes() {
         row(
             "LayerNorm forward",
             format!("{rows} x {h}"),
-            [None, Some(forward)],
+            &dispatched_only(forward),
             what,
         );
         let backward = ns_per_element(
@@ -217,7 +303,7 @@ fn elementwise_workload_shapes() {
         row(
             "LayerNorm backward",
             format!("{rows} x {h}"),
-            [None, Some(backward)],
+            &dispatched_only(backward),
             what,
         );
     }
@@ -229,7 +315,6 @@ fn elementwise_workload_shapes() {
         ("ptd222_thread, proc222_uds", 210_000),
     ] {
         let grads = Matrix::randn(1, n, 0.01, &mut rng);
-        let mut state = (vec![0.1f32; n], vec![0.0f32; n], vec![0.0f32; n]);
         let step = ew::AdamStep {
             lr: 1e-3,
             beta1: 0.9,
@@ -238,15 +323,16 @@ fn elementwise_workload_shapes() {
             bc1: 0.1,
             bc2: 0.001,
         };
-        let adam = [ew::adam_update_portable, ew::adam_update].map(|kernel| {
+        let adam = |isa| {
+            let mut state = (vec![0.1f32; n], vec![0.0f32; n], vec![0.0f32; n]);
             Some(ns_per_element(
                 n,
                 &mut state,
                 |_| (),
-                |(p, m, v)| kernel(p, grads.as_slice(), m, v, step),
+                |(p, m, v)| ew::adam_update_with(isa, p, grads.as_slice(), m, v, step),
             ))
-        });
-        row("Adam (per parameter)", format!("{n}"), adam, what);
+        };
+        row("Adam (per parameter)", format!("{n}"), &adam, what);
     }
 }
 
@@ -270,6 +356,7 @@ fn gpt_step() {
 }
 
 fn main() {
+    println!("tensor engine build on this host: {}", gemm::active_build());
     gemm_scaling();
     gemm_workload_shapes();
     elementwise_workload_shapes();

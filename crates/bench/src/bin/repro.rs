@@ -16,7 +16,12 @@ fn main() {
     let registry = experiments::all();
     match args.first().map(String::as_str) {
         None | Some("list") => {
-            println!("usage: repro <experiment>|all|list|simulate\n\navailable experiments:");
+            println!("usage: repro <experiment>|all|list|simulate");
+            println!(
+                "tensor engine build on this host: {}",
+                megatron_tensor::gemm::active_build()
+            );
+            println!("\navailable experiments:");
             for e in &registry {
                 println!("  {:<12} {}", e.name, e.paper_ref);
             }

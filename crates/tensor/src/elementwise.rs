@@ -3,9 +3,9 @@
 //! update.
 //!
 //! **How a kernel is built.** Like [`gemm`](crate::gemm): a plain-Rust body
-//! over zipped slices, compiled a second time under AVX2 and picked at run
-//! time (`crate::simd`). `name` is the dispatched kernel, `name_portable`
-//! the same body at the baseline instruction set.
+//! over zipped slices, compiled once per instruction set — baseline, AVX2,
+//! AVX-512 (`crate::simd`). `name` runs the widest build this processor
+//! runs, `name_with(isa, ..)` the build for one [`Isa`](crate::Isa).
 //!
 //! **The arithmetic contract.** Every operation is an `f32` add, subtract,
 //! multiply, divide, square root, compare-and-select or bit operation,
@@ -26,7 +26,7 @@
 //! 6e-7 (forward) and 3e-7 (derivative) of the f64 values on `|x| ≤ 12`;
 //! the `tanhf` forms they replace measure 4.3e-7 and 5.6e-7 there.
 
-use crate::simd::dual_compiled;
+use crate::simd::per_isa;
 
 /// The largest argument [`exp`] maps to a finite value; above it the result
 /// is `+inf` (the exact `e^x` of the next `f32` up exceeds `f32::MAX`).
@@ -137,9 +137,9 @@ pub struct AdamStep {
     pub bc2: f32,
 }
 
-dual_compiled! {
+per_isa! {
     /// `y[i] = gelu(x[i])`.
-    pub fn gelu, gelu_portable(x: &[f32], y: &mut [f32]) {
+    pub fn gelu, gelu_with(x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), y.len());
         for (y, &x) in y.iter_mut().zip(x) {
             *y = gelu_scalar(x);
@@ -148,7 +148,7 @@ dual_compiled! {
 
     /// Fused bias + GeLU over the rows of `f` (each `bias.len()` wide): in
     /// one sweep `f += bias` in place and `g = gelu(f)`.
-    pub fn bias_gelu, bias_gelu_portable(f: &mut [f32], bias: &[f32], g: &mut [f32]) {
+    pub fn bias_gelu, bias_gelu_with(f: &mut [f32], bias: &[f32], g: &mut [f32]) {
         assert_eq!(f.len(), g.len());
         for (f, g) in rows_mut(f, bias.len()).zip(rows_mut(g, bias.len())) {
             for ((f, g), &b) in f.iter_mut().zip(g).zip(bias) {
@@ -159,7 +159,7 @@ dual_compiled! {
     }
 
     /// GeLU backward in place: `d[i] *= gelu'(x[i])`.
-    pub fn gelu_backward, gelu_backward_portable(x: &[f32], d: &mut [f32]) {
+    pub fn gelu_backward, gelu_backward_with(x: &[f32], d: &mut [f32]) {
         assert_eq!(x.len(), d.len());
         for (d, &x) in d.iter_mut().zip(x) {
             *d *= gelu_grad_scalar(x);
@@ -167,7 +167,7 @@ dual_compiled! {
     }
 
     /// `y += bias` on every row of `y` (each `bias.len()` wide).
-    pub fn bias_add, bias_add_portable(y: &mut [f32], bias: &[f32]) {
+    pub fn bias_add, bias_add_with(y: &mut [f32], bias: &[f32]) {
         for y in rows_mut(y, bias.len()) {
             for (y, &b) in y.iter_mut().zip(bias) {
                 *y += b;
@@ -177,7 +177,7 @@ dual_compiled! {
 
     /// Fused bias + residual: `o = (o + bias) + x` on every row, the bias
     /// first, as [`bias_add`] followed by an element-wise add would.
-    pub fn bias_residual_add, bias_residual_add_portable(o: &mut [f32], bias: &[f32], x: &[f32]) {
+    pub fn bias_residual_add, bias_residual_add_with(o: &mut [f32], bias: &[f32], x: &[f32]) {
         assert_eq!(o.len(), x.len());
         for (o, x) in rows_mut(o, bias.len()).zip(x.chunks_exact(bias.len().max(1))) {
             for ((o, &b), &x) in o.iter_mut().zip(bias).zip(x) {
@@ -190,7 +190,7 @@ dual_compiled! {
     /// the first `n` entries become `softmax(scale · row[..n])`, the rest
     /// exactly `0.0`. The maximum is subtracted before [`exp`]; the
     /// denominator is summed sequentially from `0.0` in index order.
-    pub fn causal_softmax_row, causal_softmax_row_portable(row: &mut [f32], n: usize, scale: f32) {
+    pub fn causal_softmax_row, causal_softmax_row_with(row: &mut [f32], n: usize, scale: f32) {
         let (live, masked) = row.split_at_mut(n);
         for x in live.iter_mut() {
             *x *= scale;
@@ -211,7 +211,7 @@ dual_compiled! {
 
     /// `dst[i] = exp(src[i] − shift)`: the numerators of a max-shifted
     /// softmax, kept so that a cross-entropy takes `exp` once per logit.
-    pub fn exp_minus, exp_minus_portable(src: &[f32], shift: f32, dst: &mut [f32]) {
+    pub fn exp_minus, exp_minus_with(src: &[f32], shift: f32, dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len());
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = exp(s - shift);
@@ -219,7 +219,7 @@ dual_compiled! {
     }
 
     /// One Adam step on one parameter slice and its gradient and moments.
-    pub fn adam_update, adam_update_portable(
+    pub fn adam_update, adam_update_with(
         p: &mut [f32],
         g: &[f32],
         m: &mut [f32],
@@ -241,10 +241,12 @@ dual_compiled! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{builds_exercised, Isa};
     use rand::{Rng, SeedableRng};
 
-    /// 0, 1, both sides of the 8- and 16-lane widths, and non-multiples of 16.
-    const LENGTHS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 100, 259];
+    /// 0, 1, both sides of the 8-, 16- and 32-element widths, and
+    /// non-multiples of 32.
+    const LENGTHS: [usize; 13] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 259];
 
     /// Seeded values in ±6 with zeros of both signs, a subnormal and
     /// arguments that saturate GeLU's gate sprinkled in.
@@ -275,102 +277,73 @@ mod tests {
         bc2: 0.003_994,
     };
 
-    /// Both builds of one kernel, run by `run(kernel, rows, width, seed)` on
-    /// seeded inputs of `rows` rows of every width in `LENGTHS`, must return
-    /// the same bits.
-    fn assert_builds_agree<K: Copy>(
-        name: &str,
-        [dispatched, portable]: [K; 2],
-        run: impl Fn(K, usize, usize, u64) -> Vec<f32>,
-    ) {
+    /// Every build of one kernel this host runs, run by
+    /// `run(build, rows, width, seed)` on seeded inputs of `rows` rows of
+    /// every width in `LENGTHS`, must return the bits of the baseline build.
+    /// (The dispatched `name` is `name_with(Isa::active(), ..)`; the tests
+    /// below hold it to the scalar definitions.)
+    fn assert_builds_agree(name: &str, run: impl Fn(Isa, usize, usize, u64) -> Vec<f32>) {
         for (case, &n) in LENGTHS.iter().enumerate() {
             for rows in [1, 3] {
                 let seed = 100 * case as u64 + rows as u64;
-                assert_eq!(
-                    bits(&run(dispatched, rows, n, seed)),
-                    bits(&run(portable, rows, n, seed)),
-                    "{name}: {rows} rows of {n}"
-                );
+                let want = bits(&run(Isa::Baseline, rows, n, seed));
+                for isa in builds_exercised() {
+                    let got = bits(&run(isa, rows, n, seed));
+                    assert_eq!(got, want, "{name} on {}: {rows} rows of {n}", isa.name());
+                }
             }
         }
     }
 
     #[test]
-    fn portable_and_dispatched_bodies_agree_bitwise() {
-        assert_builds_agree("gelu", [gelu, gelu_portable], |k, rows, n, seed| {
+    fn every_build_agrees_with_the_baseline_build_bitwise() {
+        assert_builds_agree("gelu", |isa, rows, n, seed| {
             let mut y = vec![9.0; rows * n];
-            k(&values(rows * n, seed), &mut y);
+            gelu_with(isa, &values(rows * n, seed), &mut y);
             y
         });
-        assert_builds_agree(
-            "bias_gelu",
-            [bias_gelu, bias_gelu_portable],
-            |k, rows, n, seed| {
-                let (mut f, mut g) = (values(rows * n, seed), vec![9.0; rows * n]);
-                k(&mut f, &values(n, seed + 1), &mut g);
-                [f, g].concat()
-            },
-        );
-        assert_builds_agree(
-            "gelu_backward",
-            [gelu_backward, gelu_backward_portable],
-            |k, rows, n, seed| {
-                let mut d = values(rows * n, seed + 1);
-                k(&values(rows * n, seed), &mut d);
-                d
-            },
-        );
-        assert_builds_agree(
-            "bias_add",
-            [bias_add, bias_add_portable],
-            |k, rows, n, seed| {
-                let mut y = values(rows * n, seed);
-                k(&mut y, &values(n, seed + 1));
-                y
-            },
-        );
-        assert_builds_agree(
-            "bias_residual_add",
-            [bias_residual_add, bias_residual_add_portable],
-            |k, rows, n, seed| {
-                let mut o = values(rows * n, seed);
-                k(&mut o, &values(n, seed + 1), &values(rows * n, seed + 2));
-                o
-            },
-        );
-        assert_builds_agree(
-            "causal_softmax_row",
-            [causal_softmax_row, causal_softmax_row_portable],
-            |k, rows, n, seed| {
-                // Row `r` of `rows` keeps a prefix that grows with `r`, the last
-                // row all of it.
-                let mut all = values(rows * n, seed);
-                for (r, row) in all.chunks_exact_mut(n.max(1)).enumerate() {
-                    k(row, ((r + 1) * n).div_ceil(rows), 0.25);
-                }
-                all
-            },
-        );
-        assert_builds_agree(
-            "exp_minus",
-            [exp_minus, exp_minus_portable],
-            |k, rows, n, seed| {
-                let mut y = vec![9.0; rows * n];
-                k(&values(rows * n, seed), 1.5, &mut y);
-                y
-            },
-        );
-        assert_builds_agree(
-            "adam_update",
-            [adam_update, adam_update_portable],
-            |k, rows, n, seed| {
-                let n = rows * n;
-                let (mut p, mut m) = (values(n, seed), values(n, seed + 2));
-                let mut v: Vec<f32> = values(n, seed + 3).iter().map(|x| x.abs()).collect();
-                k(&mut p, &values(n, seed + 1), &mut m, &mut v, STEP);
-                [p, m, v].concat()
-            },
-        );
+        assert_builds_agree("bias_gelu", |isa, rows, n, seed| {
+            let (mut f, mut g) = (values(rows * n, seed), vec![9.0; rows * n]);
+            bias_gelu_with(isa, &mut f, &values(n, seed + 1), &mut g);
+            [f, g].concat()
+        });
+        assert_builds_agree("gelu_backward", |isa, rows, n, seed| {
+            let mut d = values(rows * n, seed + 1);
+            gelu_backward_with(isa, &values(rows * n, seed), &mut d);
+            d
+        });
+        assert_builds_agree("bias_add", |isa, rows, n, seed| {
+            let mut y = values(rows * n, seed);
+            bias_add_with(isa, &mut y, &values(n, seed + 1));
+            y
+        });
+        assert_builds_agree("bias_residual_add", |isa, rows, n, seed| {
+            let mut o = values(rows * n, seed);
+            let (bias, x) = (values(n, seed + 1), values(rows * n, seed + 2));
+            bias_residual_add_with(isa, &mut o, &bias, &x);
+            o
+        });
+        assert_builds_agree("causal_softmax_row", |isa, rows, n, seed| {
+            // Row `r` of `rows` keeps a prefix that grows with `r`, the last
+            // row all of it.
+            let mut all = values(rows * n, seed);
+            for (r, row) in all.chunks_exact_mut(n.max(1)).enumerate() {
+                causal_softmax_row_with(isa, row, ((r + 1) * n).div_ceil(rows), 0.25);
+            }
+            all
+        });
+        assert_builds_agree("exp_minus", |isa, rows, n, seed| {
+            let mut y = vec![9.0; rows * n];
+            exp_minus_with(isa, &values(rows * n, seed), 1.5, &mut y);
+            y
+        });
+        assert_builds_agree("adam_update", |isa, rows, n, seed| {
+            let n = rows * n;
+            let (mut p, mut m) = (values(n, seed), values(n, seed + 2));
+            let mut v: Vec<f32> = values(n, seed + 3).iter().map(|x| x.abs()).collect();
+            adam_update_with(isa, &mut p, &values(n, seed + 1), &mut m, &mut v, STEP);
+            [p, m, v].concat()
+        });
     }
 
     /// An element's bits depend on neither its lane nor the slice length:

@@ -9,8 +9,11 @@
 //! in cache across the row tiles that reuse it. `B` is read in place when
 //! its rows are contiguous and packed into `NR`-wide panels when they are
 //! not (a transposed view) or at the ragged right edge. The body is plain
-//! Rust; it is compiled a second time with AVX2 enabled and chosen at run
-//! time (`crate::simd`).
+//! Rust, compiled once per instruction set (`crate::simd`: baseline, AVX2,
+//! AVX-512) with the tile width as a constant of each build — 6×16 for the
+//! first two, 6×32 under AVX-512, whose twelve 16-lane accumulators fit its
+//! 32 registers — and the widest build the processor runs is chosen at run
+//! time. [`matmul_into_with`] runs a named build.
 //!
 //! **The summation-order contract.** Every output element is
 //! `((0.0 + a₀·b₀) + a₁·b₁) + …` in strictly ascending `k`, each product
@@ -27,19 +30,42 @@
 //! of `crate::pool` claim one at a time; no thread is spawned per call.
 
 use crate::pool::Pool;
-use crate::simd::dual_compiled;
+use crate::simd::{per_isa, Isa};
 use crate::Matrix;
 
 /// Rows of `C` per register tile.
 const MR: usize = 6;
-/// Columns of `C` per register tile: two 8-lane vectors.
-const NR: usize = 16;
-/// Depth of one `k` block: an `MR × KC` strip of `A` and a `KC × NR` panel
-/// of `B` (16 KiB) stay in L1 under it.
+/// Columns of `C` per register tile: two vectors of the build's width. Six
+/// rows of two are twelve accumulators, which with two vectors of `B` and
+/// one broadcast of `A` fill the 16 registers of AVX2 and fit twice over in
+/// the 32 of AVX-512. Measured end to end on the AVX-512 build (`serial_wide`,
+/// 3 alternated pairs each): the same 16 columns in half the vectors — six
+/// add chains for two ports — run at 0.84 of 6×32, the speed of the AVX2
+/// build; eight rows of 32 are indistinguishable from six (×1.02, 2 of 3).
+const fn tile_width(isa: Isa) -> usize {
+    match isa {
+        Isa::Baseline | Isa::Avx2 => 16,
+        Isa::Avx512 => 32,
+    }
+}
+/// Depth of one `k` block: an `MR × KC` strip of `A` (6 KiB) and a
+/// `KC × NR` panel of `B` stay in L1 under it. The panel is 16 KiB for the
+/// baseline and AVX2 builds (half of a 32 KiB L1d) and 32 KiB for the
+/// AVX-512 build: two thirds of the 48 KiB L1d of the processors this was
+/// sized on (Sapphire Rapids), all of the 32 KiB of the first AVX-512
+/// generation. `KC = 128` under the wide tile was measured here and is
+/// inside the noise of 256 (`serial_wide`, 4 alternated pairs: 2 of 4,
+/// median ×0.99), so one depth serves every build.
 const KC: usize = 256;
 /// Products of fewer floating-point operations run on the caller alone:
-/// waking a parked thread costs tens of microseconds, this much arithmetic
-/// a few hundred.
+/// waking a parked thread costs tens of microseconds, and this much
+/// arithmetic takes one thread about 100 µs on the AVX-512 build (about 140
+/// on AVX2, 280 at the baseline). Twice the threshold was measured on the
+/// AVX-512 build over 8 alternated pairs and resolved nothing: `serial_wide`,
+/// which issues no product between the two values, won 3 of 8 (median
+/// ×0.99); `ptd222_thread`, whose 64×128×512 LM-head products sit exactly
+/// on this one, won 6 of 8 at a median of ×1.03, three of them at ×1.15–1.21
+/// in one session and five within ±5% in the next. So it stays.
 const PAR_FLOPS: usize = 1 << 23;
 /// Floats per page of memory, for touching an allocation once per page.
 const PAGE_FLOATS: usize = 4096 / std::mem::size_of::<f32>();
@@ -152,7 +178,14 @@ impl Matrix {
 /// `C += A · B` under the summation-order contract of this module; with `C`
 /// zeroed beforehand, `C = A · B`.
 pub fn matmul_into(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
-    gemm(a, b, c, false);
+    matmul_into_with(Isa::active(), a, b, c);
+}
+
+/// The build the dispatched kernels of this crate run on this processor and
+/// its `gemm` tile, as `"avx512, 6x32"`.
+pub fn active_build() -> String {
+    let isa = Isa::active();
+    format!("{}, {MR}x{}", isa.name(), tile_width(isa))
 }
 
 /// `A · B` of two views as a new matrix.
@@ -160,9 +193,10 @@ pub fn matmul_view(a: View<'_>, b: View<'_>) -> Matrix {
     let mut out = Matrix::zeros(a.rows, b.cols);
     // Fresh zeroed memory is mapped page by page on first touch. Two threads
     // of one process taking those faults at the same time pay several times
-    // what one thread pays for them in a row (a 192-row training step here:
-    // 139 ms with the helper faulting its blocks in, 115 ms without), so the
-    // caller maps all of `C` before a helper can see it.
+    // what one thread pays for them in a row (a 192-row training step on the
+    // AVX-512 build, 4 alternated pairs: 89 ms with the helper faulting its
+    // blocks in, 72 ms without, and 1.4 times the CPU), so the caller maps
+    // all of `C` before a helper can see it.
     for page in out.as_mut_slice().chunks_mut(PAGE_FLOATS) {
         page[0] = std::hint::black_box(0.0);
     }
@@ -213,11 +247,13 @@ struct Job {
     b_rs: usize,
     c: *mut f32,
     c_rs: usize,
+    /// Columns per panel: the tile width of the build that will run.
+    nr: usize,
     /// Column panels from this one on are read from `packed`, the ones
     /// before it in place.
     first_packed: usize,
-    /// Panel `first_packed + p` as `k` rows of `NR` floats (zero beyond
-    /// column `n`) at `p · k · NR`.
+    /// Panel `first_packed + p` as `k` rows of `nr` floats (zero beyond
+    /// column `n`) at `p · k · nr`.
     packed: Vec<f32>,
 }
 
@@ -227,32 +263,33 @@ struct Job {
 // while it holds the `ViewMut`'s exclusive borrow.
 unsafe impl Sync for Job {}
 
-/// `portable_only` keeps the run-time dispatch off (tests compare the two
-/// compilations of the body).
-fn gemm(a: View<'_>, b: View<'_>, c: ViewMut<'_>, portable_only: bool) {
+/// [`matmul_into`] on the build of the kernel for `isa`, which this
+/// processor must run, with `B`'s panels as wide as that build's tile: the
+/// same bits from every build.
+pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!((c.rows, c.cols), (a.rows, b.cols), "output shape");
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let panels = n.div_ceil(NR);
+    let nr = tile_width(isa);
+    let panels = n.div_ceil(nr);
     let first_packed = if b.cs != 1 {
         0
-    } else if n % NR != 0 {
+    } else if n % nr != 0 {
         panels - 1
     } else {
         panels
     };
-    let mut packed = vec![0.0f32; (panels - first_packed) * k * NR];
-    for (panel, dst) in (first_packed..panels).zip(packed.chunks_exact_mut(k * NR)) {
-        let j0 = panel * NR;
-        let nr = NR.min(n - j0);
+    let mut packed = vec![0.0f32; (panels - first_packed) * k * nr];
+    for (panel, dst) in (first_packed..panels).zip(packed.chunks_exact_mut(k * nr)) {
+        let j0 = panel * nr;
         // Walk `b` along its unit stride; a depth of `KC` keeps the rows
         // being filled in L1 meanwhile.
-        for (p0, chunk) in (0..k).step_by(KC).zip(dst.chunks_mut(KC * NR)) {
-            for jj in 0..nr {
-                for (p, row) in chunk.chunks_exact_mut(NR).enumerate() {
+        for (p0, chunk) in (0..k).step_by(KC).zip(dst.chunks_mut(KC * nr)) {
+            for jj in 0..nr.min(n - j0) {
+                for (p, row) in chunk.chunks_exact_mut(nr).enumerate() {
                     // SAFETY: element `(p0 + p, j0 + jj)` of `b`, inside
                     // `b.data` by `View`'s invariant: `p0 + p < k` and
                     // `j0 + jj < n`.
@@ -272,29 +309,33 @@ fn gemm(a: View<'_>, b: View<'_>, c: ViewMut<'_>, portable_only: bool) {
         b_rs: b.rs,
         c: c.data.as_mut_ptr(),
         c_rs: c.rs,
+        nr,
         first_packed,
         packed,
     };
-    let rows: fn(&Job, usize, usize) = if portable_only { rows_portable } else { rows };
+    let rows = |i0, i1| rows_with(isa, &job, i0, i1);
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     if flops < PAR_FLOPS {
-        return rows(&job, 0, m);
+        return rows(0, m);
     }
     let threads = Pool::global().threads();
     let tiles = m.div_ceil(MR);
     let blocks = tiles.min(BLOCKS_PER_THREAD * threads);
     if threads == 1 || blocks < 2 {
-        return rows(&job, 0, m);
+        return rows(0, m);
     }
     let block_rows = tiles.div_ceil(blocks) * MR;
     Pool::global().run(m.div_ceil(block_rows), &|i| {
-        rows(&job, i * block_rows, ((i + 1) * block_rows).min(m));
+        rows(i * block_rows, ((i + 1) * block_rows).min(m));
     });
 }
 
-dual_compiled! {
+per_isa! {
     /// Rows `i0..i1` of `C`, one `k` block and column panel at a time.
-    fn rows, rows_portable(job: &Job, i0: usize, i1: usize) {
+    fn rows_with[ISA](job: &Job, i0: usize, i1: usize) {
+        const NR: usize = tile_width(ISA);
+        // The reads of `packed` and of `b` below rest on this layout.
+        assert_eq!(job.nr, NR, "panels packed for another build");
         debug_assert!(i0 <= i1 && i1 <= job.m);
         for k0 in (0..job.k).step_by(KC) {
             let kc = KC.min(job.k - k0);
@@ -325,17 +366,43 @@ dual_compiled! {
                     // SAFETY: as above; `tile::<R>` touches `R` rows.
                     unsafe {
                         match (i1 - i).min(MR) {
-                            1 => tile::<1>(kc, nr, a, b, c, strides),
-                            2 => tile::<2>(kc, nr, a, b, c, strides),
-                            3 => tile::<3>(kc, nr, a, b, c, strides),
-                            4 => tile::<4>(kc, nr, a, b, c, strides),
-                            5 => tile::<5>(kc, nr, a, b, c, strides),
-                            _ => tile::<MR>(kc, nr, a, b, c, strides),
+                            1 => tile::<1, NR>(kc, nr, a, b, c, strides),
+                            2 => tile::<2, NR>(kc, nr, a, b, c, strides),
+                            3 => tile::<3, NR>(kc, nr, a, b, c, strides),
+                            4 => tile::<4, NR>(kc, nr, a, b, c, strides),
+                            5 => tile::<5, NR>(kc, nr, a, b, c, strides),
+                            _ => tile::<MR, NR>(kc, nr, a, b, c, strides),
                         }
                     }
                 }
             }
         }
+    }
+}
+
+per_isa! {
+    /// The micro-kernel with nothing around it, as the ceiling to read a
+    /// product's rate against: one full tile whose `A` is `a`, `MR`
+    /// coefficients per `k`, and whose `B` is the first `NR` of them at
+    /// every `k` — operands that never leave L1 if `a` fits it. Each step
+    /// advances the build's `MR × NR` sums by one rounded product —
+    /// multiply, then add, as the contract has it. Returns the
+    /// floating-point operations performed and the sum of the tile. `a`
+    /// holds at least 32 coefficients.
+    pub fn tile_peak_with[ISA](a: &[f32]) -> (usize, f32) {
+        const NR: usize = tile_width(ISA);
+        assert!(a.len() >= NR, "fewer coefficients than a row of `B`");
+        let mut c = [[0.0f32; NR]; MR];
+        let kc = a.len() / MR;
+        // Strides the compiler cannot see through, as in `rows_with`, so
+        // that this is the loop a product runs.
+        let strides = std::hint::black_box((1, MR, 0, NR));
+        // SAFETY: `A` is `a` as `MR` rows of `kc` with strides `(1, MR)`,
+        // whose last element `MR - 1 + (kc - 1)·MR` is inside `a`; every row
+        // of `B` is the first `NR` floats of `a` (row stride 0); `c` is `MR`
+        // rows of `NR` floats, `NR` apart.
+        unsafe { full_tile::<MR, NR>(kc, a.as_ptr(), a.as_ptr(), c.as_mut_ptr().cast(), strides) };
+        (2 * MR * NR * kc, c.iter().flatten().sum())
     }
 }
 
@@ -348,7 +415,7 @@ dual_compiled! {
 /// and `c[r·c_rs .. r·c_rs + nr]` readable and writable for `r < R`, with
 /// `nr <= NR`.
 #[inline(always)]
-unsafe fn tile<const R: usize>(
+unsafe fn tile<const R: usize, const NR: usize>(
     kc: usize,
     nr: usize,
     a: *const f32,
@@ -357,7 +424,7 @@ unsafe fn tile<const R: usize>(
     (a_rs, a_cs, b_rs, c_rs): (usize, usize, usize, usize),
 ) {
     if nr == NR {
-        return full_tile::<R>(kc, a, b, c, (a_rs, a_cs, b_rs, c_rs));
+        return full_tile::<R, NR>(kc, a, b, c, (a_rs, a_cs, b_rs, c_rs));
     }
     // The columns beyond `nr` start at zero, collect products with the
     // zero padding of the packed panel, and are dropped.
@@ -365,7 +432,7 @@ unsafe fn tile<const R: usize>(
     for (r, row) in wide.iter_mut().enumerate() {
         std::ptr::copy_nonoverlapping(c.add(r * c_rs), row.as_mut_ptr(), nr);
     }
-    full_tile::<R>(kc, a, b, wide.as_mut_ptr().cast(), (a_rs, a_cs, b_rs, NR));
+    full_tile::<R, NR>(kc, a, b, wide.as_mut_ptr().cast(), (a_rs, a_cs, b_rs, NR));
     for (r, row) in wide.iter().enumerate() {
         std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * c_rs), nr);
     }
@@ -377,7 +444,7 @@ unsafe fn tile<const R: usize>(
 /// # Safety
 /// As [`tile`] with `nr = NR`.
 #[inline(always)]
-unsafe fn full_tile<const R: usize>(
+unsafe fn full_tile<const R: usize, const NR: usize>(
     kc: usize,
     a: *const f32,
     b: *const f32,
@@ -405,6 +472,7 @@ unsafe fn full_tile<const R: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::builds_exercised;
     use rand::{Rng, SeedableRng};
 
     fn rand_matrix(r: usize, c: usize, seed: u64) -> Matrix {
@@ -416,41 +484,66 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// All three variants of the `m×k · k×n` product against the naive
-    /// definition, bit for bit.
+    /// [`matmul_view`] on the build for `isa`.
+    fn product(isa: Isa, a: View<'_>, b: View<'_>) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        matmul_into_with(isa, a, b, out.block_mut(0, 0, a.rows, b.cols));
+        out
+    }
+
+    /// All three variants of the `m×k · k×n` product — as dispatched and on
+    /// every build this host runs — against the naive definition, bit for
+    /// bit.
     fn assert_variants_match_naive(m: usize, k: usize, n: usize, seed: u64) {
         let a = rand_matrix(m, k, seed);
         let b = rand_matrix(k, n, seed + 1);
+        let (at, bt) = (a.transpose(), b.transpose());
         let want = bits(&matmul_naive(&a, &b));
         let shape = format!("{m}x{k}x{n}");
         assert_eq!(bits(&matmul(&a, &b)), want, "matmul {shape}");
-        assert_eq!(
-            bits(&matmul_tn(&a.transpose(), &b)),
-            want,
-            "matmul_tn {shape}"
-        );
-        assert_eq!(
-            bits(&matmul_nt(&a, &b.transpose())),
-            want,
-            "matmul_nt {shape}"
-        );
+        assert_eq!(bits(&matmul_tn(&at, &b)), want, "matmul_tn {shape}");
+        assert_eq!(bits(&matmul_nt(&a, &bt)), want, "matmul_nt {shape}");
+        for isa in builds_exercised() {
+            let on = format!("{shape} on {}", isa.name());
+            let nn = product(isa, a.view(), b.view());
+            assert_eq!(bits(&nn), want, "matmul {on}");
+            let tn = product(isa, at.view().t(), b.view());
+            assert_eq!(bits(&tn), want, "matmul_tn {on}");
+            let nt = product(isa, a.view(), bt.view().t());
+            assert_eq!(bits(&nt), want, "matmul_nt {on}");
+        }
     }
 
-    /// Dimensions around every blocking constant, and 0 and 1.
-    const EDGES: [usize; 12] = [
+    /// Dimensions around every blocking constant — both tile widths — and 0
+    /// and 1.
+    const EDGES: [usize; 16] = [
         0,
         1,
         2,
         MR - 1,
         MR,
         MR + 1,
-        NR - 1,
-        NR,
-        NR + 1,
-        2 * NR + 3,
+        15,
+        16,
+        17,
+        31,
+        32,
+        33,
+        2 * 16 + 3,
+        2 * 32 + 3,
         KC - 1,
         KC + 1,
     ];
+
+    #[test]
+    fn edges_straddle_the_tile_of_every_build() {
+        for isa in Isa::ALL {
+            let nr = tile_width(isa);
+            for edge in [nr - 1, nr, nr + 1, 2 * nr + 3] {
+                assert!(EDGES.contains(&edge), "{edge} for {}", isa.name());
+            }
+        }
+    }
 
     #[test]
     fn all_variants_equal_naive_bitwise() {
@@ -504,14 +597,43 @@ mod tests {
     }
 
     #[test]
-    fn portable_body_equals_dispatched_body() {
-        for (m, k, n, seed) in [(37, 300, 45, 1), (6, 16, 16, 2), (64, 32, 64, 3)] {
+    fn every_build_equals_the_baseline_build() {
+        for (m, k, n, seed) in [
+            (37, 300, 45, 1),
+            (6, 16, 16, 2),
+            (6, 32, 32, 3),
+            (64, 32, 64, 4),
+        ] {
             let a = rand_matrix(m, k, seed);
             let b = rand_matrix(n, k, seed + 50);
-            let mut portable = Matrix::zeros(m, n);
-            gemm(a.view(), b.view().t(), portable.block_mut(0, 0, m, n), true);
-            assert_eq!(bits(&portable), bits(&matmul_nt(&a, &b)));
+            let baseline = bits(&product(Isa::Baseline, a.view(), b.view().t()));
+            assert_eq!(bits(&matmul_nt(&a, &b)), baseline, "dispatched");
+            for isa in builds_exercised() {
+                let got = product(isa, a.view(), b.view().t());
+                assert_eq!(bits(&got), baseline, "{}", isa.name());
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "another build")]
+    fn panels_packed_for_another_build_are_refused() {
+        let job = Job {
+            m: 1,
+            k: 1,
+            n: 1,
+            a: std::ptr::null(),
+            a_rs: 1,
+            a_cs: 1,
+            b: std::ptr::null(),
+            b_rs: 1,
+            c: std::ptr::null_mut(),
+            c_rs: 1,
+            nr: tile_width(Isa::Baseline) + 1,
+            first_packed: 0,
+            packed: Vec::new(),
+        };
+        rows_with(Isa::Baseline, &job, 0, 1);
     }
 
     #[test]
@@ -520,10 +642,13 @@ mod tests {
         // full-prefix recompute rests on.
         let a = rand_matrix(23, 70, 5);
         let b = rand_matrix(70, 50, 6);
-        let full = matmul(&a, &b);
-        for i in 0..a.rows() {
-            let one = matmul(&a.rows_slice(i, i + 1), &b);
-            assert_eq!(bits(&one), bits(&full.rows_slice(i, i + 1)), "row {i}");
+        for isa in builds_exercised() {
+            let full = product(isa, a.view(), b.view());
+            for i in 0..a.rows() {
+                let one = product(isa, a.block(i, 0, 1, 70), b.view());
+                let want = full.rows_slice(i, i + 1);
+                assert_eq!(bits(&one), bits(&want), "row {i} on {}", isa.name());
+            }
         }
     }
 
@@ -535,22 +660,24 @@ mod tests {
         let q = rand_matrix(2 * s, heads * hd, 7);
         let k = rand_matrix(2 * s, heads * hd, 8);
         let (qh, kh) = (q.block(s, hd, s, hd), k.block(s, hd, s, hd));
-        let scores = matmul_view(qh, kh.t());
         let copy = |m: &Matrix| m.rows_slice(s, 2 * s).columns(hd, 2 * hd);
-        let want = matmul_naive(&copy(&q), &copy(&k).transpose());
-        assert_eq!(bits(&scores), bits(&want));
-
-        let mut out = Matrix::zeros(2 * s, heads * hd);
-        matmul_into(scores.view(), kh, out.block_mut(s, hd, s, hd));
-        let block = matmul_naive(&scores, &copy(&k));
-        let want = Matrix::from_fn(2 * s, heads * hd, |r, c| {
+        let want_scores = matmul_naive(&copy(&q), &copy(&k).transpose());
+        let block = matmul_naive(&want_scores, &copy(&k));
+        let want_out = Matrix::from_fn(2 * s, heads * hd, |r, c| {
             if r >= s && (hd..2 * hd).contains(&c) {
                 block.get(r - s, c - hd)
             } else {
                 0.0
             }
         });
-        assert_eq!(bits(&out), bits(&want));
+        assert_eq!(bits(&matmul_view(qh, kh.t())), bits(&want_scores));
+        for isa in builds_exercised() {
+            let scores = product(isa, qh, kh.t());
+            assert_eq!(bits(&scores), bits(&want_scores), "{}", isa.name());
+            let mut out = Matrix::zeros(2 * s, heads * hd);
+            matmul_into_with(isa, scores.view(), kh, out.block_mut(s, hd, s, hd));
+            assert_eq!(bits(&out), bits(&want_out), "{}", isa.name());
+        }
     }
 
     #[test]
@@ -564,15 +691,27 @@ mod tests {
         a.set(4, 11, 0.0);
         b.set(11, 17, f32::NAN);
         a.set(6, 0, f32::NEG_INFINITY);
-        let nn = matmul(&a, &b);
-        let tn = matmul_tn(&a.transpose(), &b);
-        let nt = matmul_nt(&a, &b.transpose());
+        let (at, bt) = (a.transpose(), b.transpose());
         let poisoned =
             |m: &Matrix| -> Vec<bool> { m.as_slice().iter().map(|v| v.is_nan()).collect() };
-        assert!(nn.get(2, 5).is_nan() && nn.get(4, 17).is_nan());
-        assert_eq!(poisoned(&nn), poisoned(&tn));
-        assert_eq!(poisoned(&nn), poisoned(&nt));
-        assert_eq!(poisoned(&nn), poisoned(&matmul_naive(&a, &b)));
+        let want = poisoned(&matmul_naive(&a, &b));
+        for isa in builds_exercised() {
+            let nn = product(isa, a.view(), b.view());
+            assert!(nn.get(2, 5).is_nan() && nn.get(4, 17).is_nan());
+            assert_eq!(poisoned(&nn), want, "{}", isa.name());
+            let tn = product(isa, at.view().t(), b.view());
+            assert_eq!(poisoned(&tn), want, "{}", isa.name());
+            let nt = product(isa, a.view(), bt.view().t());
+            assert_eq!(poisoned(&nt), want, "{}", isa.name());
+        }
+    }
+
+    #[test]
+    fn active_build_names_the_instruction_set_and_its_tile() {
+        let known = ["baseline, 6x16", "avx2, 6x16", "avx512, 6x32"];
+        let build = active_build();
+        assert!(known.contains(&build.as_str()), "{build}");
+        assert!(build.starts_with(Isa::active().name()), "{build}");
     }
 
     #[test]

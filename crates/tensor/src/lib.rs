@@ -12,6 +12,10 @@
 //! output element is accumulated from `0.0` in ascending `k`, product
 //! rounded, then added, so results do not depend on tiling, row count,
 //! thread or instruction set and equal the naive triple loop bit for bit.
+//! The body is compiled once per instruction set ([`Isa`]: baseline, AVX2,
+//! AVX-512) with a tile sized for each — 6×16, 6×16, 6×32 — and the widest
+//! build the processor runs is picked at run time; [`gemm::active_build`]
+//! names it, [`gemm::matmul_into_with`] runs a named one.
 //! Large products are shared with a process-wide set of parked helper
 //! threads (`pool`): the caller always takes blocks itself and never waits
 //! for one a helper has not already claimed; no thread is spawned per call.
@@ -19,12 +23,13 @@
 //! [`elementwise`] is the other half of a step, built the same way: GeLU,
 //! the Adam update, the causal softmax row, bias and residual adds and the
 //! in-crate `exp` they rest on are plain loops over zipped slices, compiled
-//! for the baseline instruction set and again for AVX2. Its contract is
-//! per-element IEEE arithmetic in source order — no fused multiply-add, no
-//! libm call — so an element's bits do not depend on lane, instruction set,
-//! slice length or thread. The layers apply the paper's §4.2 fusions through
-//! it (bias+GeLU, bias+residual, scale+mask+softmax) and attention reads
-//! q/k/v in place from the fused QKV product.
+//! for the same three instruction sets (`name` dispatches, `name_with` runs
+//! a named build). Its contract is per-element IEEE arithmetic in source
+//! order — no fused multiply-add, no libm call — so an element's bits do
+//! not depend on lane, instruction set, slice length or thread. The layers
+//! apply the paper's §4.2 fusions through it (bias+GeLU, bias+residual,
+//! scale+mask+softmax) and attention reads q/k/v in place from the fused
+//! QKV product.
 //!
 //! Dropout is intentionally omitted: the reproduction's correctness claims
 //! (tensor/pipeline/data-parallel execution computes the same gradients as
@@ -47,3 +52,4 @@ mod simd;
 
 pub use adam::{Adam, AdamState};
 pub use matrix::Matrix;
+pub use simd::Isa;
