@@ -238,7 +238,7 @@ fn report(knobs: &ChaosKnobs) -> String {
     let iters = 12usize;
     let batch = 32usize;
     let spec = PtdpSpec::new(2, 2, 2);
-    let mut rng = StdRng::seed_from_u64(0x5eed_e33);
+    let mut rng = StdRng::seed_from_u64(0x5ee_de33);
     let master = GptModel::new(cfg, &mut rng);
     let data: Vec<(Vec<usize>, Vec<usize>)> = (0..iters)
         .map(|_| {

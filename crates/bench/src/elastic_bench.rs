@@ -57,7 +57,7 @@ pub fn elastic() -> String {
     let iters = 24usize;
     let ckpt_every = 2usize;
     let spec = PtdpSpec::new(2, 2, 2);
-    let mut rng = StdRng::seed_from_u64(0x5eed_e35);
+    let mut rng = StdRng::seed_from_u64(0x5ee_de35);
     let master = GptModel::new(cfg, &mut rng);
     let batch = 64usize;
     let data: Vec<(Vec<usize>, Vec<usize>)> = (0..iters)

@@ -1125,7 +1125,7 @@ pub fn recovery() -> String {
     let iters = 24usize;
     let ckpt_every = 2usize;
     let spec = PtdpSpec::new(2, 2, 2);
-    let mut rng = StdRng::seed_from_u64(0x5eed_e30);
+    let mut rng = StdRng::seed_from_u64(0x5ee_de30);
     let master = GptModel::new(cfg, &mut rng);
     let batch = 64usize;
     let data: Vec<(Vec<usize>, Vec<usize>)> = (0..iters)

@@ -581,12 +581,11 @@ mod tests {
     /// Build one ChanTransport per rank (full mesh) with a shared deadline.
     fn mesh(r: usize, deadline: Duration) -> Vec<ChanTransport> {
         let deadline = Instant::now() + deadline;
-        let mut cells: Vec<
-            Vec<(
-                Option<mpsc::Sender<Vec<f32>>>,
-                Option<mpsc::Receiver<Vec<f32>>>,
-            )>,
-        > = (0..r)
+        type Cell = (
+            Option<mpsc::Sender<Vec<f32>>>,
+            Option<mpsc::Receiver<Vec<f32>>>,
+        );
+        let mut cells: Vec<Vec<Cell>> = (0..r)
             .map(|_| {
                 (0..r)
                     .map(|_| {

@@ -1,55 +1,120 @@
 //! Real-socket [`Transport`]: length-prefixed f32 frames over Unix-domain
 //! or TCP-loopback sockets.
 //!
-//! This is the third wire under the step [`Program`]s, after the in-process
-//! mailbox and the seeded lossy channel: the same collectives now cross a
-//! genuine kernel socket, with everything that implies — partial reads,
-//! `EAGAIN`, torn frames on a severed connection, and peers that are whole
-//! other OS processes. The frame format is deliberately tiny:
+//! This is the third wire under the step [`Program`](crate::Program)s, after
+//! the in-process mailbox and the seeded lossy channel: the same collectives
+//! cross a genuine kernel socket, with everything that implies — partial
+//! reads and writes, full socket buffers, torn frames on a severed
+//! connection, and peers that are whole other OS processes. The frame format
+//! is deliberately tiny:
 //!
 //! ```text
 //! data frame  :=  elem_count : u32 LE  |  elem_count × f32 LE
 //! hello frame :=  MAGIC : u64 LE | channel : u64 LE | src : u64 LE | pid : u64 LE
 //! ```
 //!
-//! One [`SocketNode`] per process owns the listener; every inbound
-//! connection announces `(channel, src rank, pid)` in a hello frame and is
-//! filed into a registry keyed by `(channel, src)`. A [`SocketChannel`] is
-//! one group's view: it lazily dials its peers (connect-retry until the
-//! deadline, so rendezvous order doesn't matter), buffers per-source bytes
-//! until complete frames drain out, and — crucially — treats a peer's EOF
-//! as "discard the torn tail, wait for a re-accepted connection", not as
-//! instant death. A *dead process* therefore surfaces as a deadline
-//! timeout, while a transient disconnect heals invisibly.
+//! One [`SocketNode`] per process owns the listener and every connection of
+//! every [`SocketChannel`] in the process; no thread runs behind it. All
+//! sockets are non-blocking. A `send` appends its frame to the peer's queue
+//! and writes what the kernel accepts at once; what the kernel does not take
+//! stays queued in user space, so a send never waits for its receiver, at any
+//! frame size. Whatever call the thread blocks in next — a `recv`, a
+//! `recv_within`, a channel's drop, on *any* channel of the node — waits in
+//! one `poll(2)` over the whole node, and while it waits it accepts and
+//! identifies new connections, writes every queued byte toward every peer,
+//! and reads every readable stream into its channel's frame queue. Flushing
+//! has to span the node: a pipeline stage that sends a large activation on
+//! one lane and then blocks on another lane, or two devices exchanging
+//! activations over two stage boundaries at once, would deadlock if a wait
+//! only flushed its own channel.
+//!
+//! One thread at a time waits on a node (a rank process's training thread,
+//! the launcher's heartbeat reader). A thread that only sends — the
+//! heartbeat beacon — never waits behind that thread's `poll(2)`: the node's
+//! lock is held for non-blocking calls only, never across the poll.
+//!
+//! Every inbound connection announces `(channel, src rank, pid)` in a hello
+//! frame and is filed under `(channel, src)`. Connections for one key are
+//! read in accept order, and a peer's EOF means "discard the torn tail, read
+//! the next connection", not instant death: a *dead process* surfaces as a
+//! deadline expiry, while a transient disconnect heals invisibly.
 //!
 //! Failure-injection hooks ([`SocketChannel::sever_outbound_after`],
 //! [`SocketChannel::sever_outbound_after_lossy`]) cut a connection
 //! mid-frame so the retransmission machinery of
-//! [`ReliableTransport`](crate::ReliableTransport) can finally be tested
-//! against a real short write instead of a simulated one.
+//! [`ReliableTransport`](crate::ReliableTransport) is tested against a real
+//! short write instead of a simulated one.
 
 use crate::reliable::PollTransport;
 use crate::Transport;
 use std::collections::{HashMap, VecDeque};
+use std::ffi::{c_int, c_short, c_ulong};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// First u64 of every hello frame; connections that don't present it are
-/// dropped by the acceptor.
+/// dropped.
 const HELLO_MAGIC: u64 = 0x4d45_4741_534f_434b; // "MEGASOCK"
 
-/// How long the acceptor waits for a hello before dropping a connection.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Bytes of a hello frame.
+const HELLO_LEN: usize = 32;
 
 /// Backoff between connect attempts while a peer's listener isn't up yet.
 const DIAL_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Least free room a read gets in a stream's receive buffer; the buffer
+/// doubles when less is left.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Frames the sender-side replay log keeps per peer (matches the reliable
+/// layer's retransmit window: round-synchronous collectives keep at most a
+/// handful of frames in flight per edge).
+const REPLAY_WINDOW: usize = 64;
+
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Sleep until one of `fds` is ready (errors and hang-ups count) or
+/// `timeout` passes. An interrupted call just returns early.
+fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
+    let ms = timeout
+        .as_nanos()
+        .div_ceil(1_000_000)
+        .min(c_int::MAX as u128) as c_int;
+    // SAFETY: `fds` is a valid, writable array of `pollfd` records for the
+    // duration of the call, and its length is passed with it.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+}
+
+/// The first `N` bytes of `b`, for a little-endian decode.
+fn le<const N: usize>(b: &[u8]) -> [u8; N] {
+    b[..N].try_into().expect("a slice of exactly N bytes")
+}
+
+fn retryable(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+    )
+}
 
 /// Where a peer's listener lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,77 +149,44 @@ impl WireAddr {
 
 /// Hard socket-transport failure. Kept `Copy + Eq` so
 /// [`StepFailure`](crate::StepFailure) keeps its derives over this error.
+/// A broken connection is not one: the sender redials and resends, so a
+/// peer that is gone for good surfaces as the deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SocketError {
     /// The channel's overall deadline expired (peer dead or wedged).
     Deadline,
-    /// An I/O failure that isn't survivable by reconnecting.
-    Io(io::ErrorKind),
 }
 
 impl fmt::Display for SocketError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SocketError::Deadline => write!(f, "socket deadline exceeded"),
-            SocketError::Io(k) => write!(f, "socket i/o error: {k:?}"),
-        }
+        write!(f, "socket deadline exceeded")
     }
 }
 
-/// A connected stream of either family, unified behind the few calls the
-/// channel needs.
-#[derive(Debug)]
-enum Stream {
-    Uds(UnixStream),
-    Tcp(TcpStream),
-}
+/// What the node needs of a connected stream of either family; every one
+/// is non-blocking.
+trait Conn: Read + Write + AsRawFd + Send + fmt::Debug {}
+impl<T: Read + Write + AsRawFd + Send + fmt::Debug> Conn for T {}
+type Stream = Box<dyn Conn>;
 
-impl Stream {
-    fn connect(addr: &WireAddr) -> io::Result<Stream> {
-        match addr {
-            WireAddr::Uds(p) => UnixStream::connect(p).map(Stream::Uds),
-            WireAddr::Tcp(a) => {
-                let s = TcpStream::connect(a)?;
-                s.set_nodelay(true)?;
-                Ok(Stream::Tcp(s))
-            }
+/// Connect to `addr` and announce `hello`.
+fn dial(addr: &WireAddr, hello: &[u8]) -> io::Result<Stream> {
+    let mut s: Stream = match addr {
+        WireAddr::Uds(p) => {
+            let s = UnixStream::connect(p)?;
+            s.set_nonblocking(true)?;
+            Box::new(s)
         }
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Uds(s) => s.set_read_timeout(t),
-            Stream::Tcp(s) => s.set_read_timeout(t),
+        WireAddr::Tcp(a) => {
+            let s = TcpStream::connect(a)?;
+            s.set_nodelay(true)?;
+            s.set_nonblocking(true)?;
+            Box::new(s)
         }
-    }
-
-    fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Uds(s) => s.set_write_timeout(t),
-            Stream::Tcp(s) => s.set_write_timeout(t),
-        }
-    }
-
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Stream::Uds(s) => s.write_all(buf),
-            Stream::Tcp(s) => s.write_all(buf),
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Uds(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Stream::Uds(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
+    };
+    // A fresh connection's send buffer is empty: 32 bytes go at once.
+    s.write_all(hello)?;
+    Ok(s)
 }
 
 #[derive(Debug)]
@@ -165,79 +197,338 @@ enum Listener {
 
 impl Listener {
     fn accept(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Uds(l) => {
+                let s = l.accept()?.0;
+                s.set_nonblocking(true)?;
+                Box::new(s)
+            }
+            Listener::Tcp(l) => {
+                let s = l.accept()?.0;
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)?;
+                Box::new(s)
+            }
+        })
+    }
+
+    fn fd(&self) -> RawFd {
         match self {
-            Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }),
+            Listener::Uds(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
         }
     }
 }
 
-/// Accepted-and-identified inbound connections for one `(channel, src)`.
-///
-/// Connections are queued in accept order and must be drained in that
-/// order: a sender writes sequentially and closes its old connection
-/// before (or while) dialing a new one, so every frame on connection `k`
-/// precedes every frame on connection `k+1`. Taking the newest eagerly
-/// would silently skip frames still buffered in an older socket.
+/// One step of an outbound queue.
+#[derive(Debug)]
+enum Chunk {
+    /// Bytes to write: a frame, or the head of one an injected sever cuts.
+    Bytes(Vec<u8>),
+    /// Injected sever: shut the connection down here; what follows goes on
+    /// a fresh one.
+    Sever,
+}
+
+/// Everything bound for one peer of one channel.
+#[derive(Debug)]
+struct Outbound {
+    addr: WireAddr,
+    hello: [u8; HELLO_LEN],
+    /// `None` until dialled, and again after the connection broke.
+    stream: Option<Stream>,
+    /// Chunks not yet written, the front one up to `offset`.
+    queue: VecDeque<Chunk>,
+    offset: usize,
+    /// The last [`REPLAY_WINDOW`] frames queued, once the replay log is
+    /// armed ([`SocketChannel::enable_replay`]).
+    replay: Option<VecDeque<Vec<u8>>>,
+}
+
+impl Outbound {
+    /// Write queued chunks until the queue is empty, the kernel stops
+    /// taking bytes, or the connection breaks. Dials first when there is no
+    /// connection; a failed dial leaves everything queued for a later try.
+    fn flush(&mut self) {
+        loop {
+            let bytes = match self.queue.front() {
+                None => return,
+                Some(Chunk::Sever) => {
+                    self.stream = None;
+                    self.queue.pop_front();
+                    continue;
+                }
+                Some(Chunk::Bytes(b)) => b,
+            };
+            if self.stream.is_none() {
+                match dial(&self.addr, &self.hello) {
+                    Ok(s) => self.stream = Some(s),
+                    Err(_) => return,
+                }
+            }
+            let stream = self.stream.as_mut().expect("dialled above");
+            match stream.write(&bytes[self.offset..]) {
+                Ok(n) if self.offset + n == bytes.len() => {
+                    self.offset = 0;
+                    self.queue.pop_front();
+                }
+                // The kernel buffer is full.
+                Ok(n) => {
+                    self.offset += n;
+                    return;
+                }
+                Err(e) if retryable(&e) => return,
+                Err(_) => return self.tear(),
+            }
+        }
+    }
+
+    /// The connection broke: drop it and resend from the front chunk,
+    /// whole, on the next one — or, with the replay log armed, the whole
+    /// log, which covers frames the broken connection took but never
+    /// delivered. (The log holds the newest frames, so it covers the queue
+    /// unless the queue is the longer of the two.)
+    fn tear(&mut self) {
+        self.stream = None;
+        self.offset = 0;
+        if let Some(log) = &self.replay {
+            if self.queue.len() <= log.len() {
+                self.queue = log.iter().cloned().map(Chunk::Bytes).collect();
+            }
+        }
+    }
+}
+
+/// Everything received from one peer of one channel.
 #[derive(Debug, Default)]
-struct InboundSlot {
-    /// Un-taken connections with their per-key accept epochs, oldest first.
-    streams: VecDeque<(Stream, u64)>,
-    /// Accept counter for this key (epoch of the most recent connection).
-    next_epoch: u64,
-    /// Peer's OS process id, from the hello frame.
+struct Inbound {
+    /// Accepted connections, read front first, in accept order: a sender
+    /// writes its frames on one connection before it dials the next.
+    conns: VecDeque<Stream>,
+    /// Bytes of the frame being assembled: `buf[..filled]`.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Complete frames not yet taken.
+    ready: VecDeque<Vec<f32>>,
+    /// Peer's OS process id, from its hello.
     pid: u32,
 }
 
-#[derive(Debug, Default)]
-struct Inbound {
-    slots: Mutex<HashMap<(u64, usize), InboundSlot>>,
-    cv: Condvar,
+impl Inbound {
+    /// One read from the front connection; complete frames move to `ready`.
+    fn read(&mut self) {
+        let Some(stream) = self.conns.front_mut() else {
+            return;
+        };
+        // Grow with the bytes that arrived, never with a length header.
+        if self.buf.len() - self.filled < READ_CHUNK {
+            let grown = (2 * self.buf.len()).max(self.filled + READ_CHUNK);
+            self.buf.resize(grown, 0);
+        }
+        match stream.read(&mut self.buf[self.filled..]) {
+            Ok(0) => self.next_connection(),
+            Ok(n) => {
+                self.filled += n;
+                self.split_frames();
+            }
+            Err(e) if retryable(&e) => {}
+            Err(_) => self.next_connection(),
+        }
+    }
+
+    /// Move complete `len | payload` frames out of the assembly buffer.
+    fn split_frames(&mut self) {
+        let mut at = 0;
+        while self.filled - at >= 4 {
+            let n = u32::from_le_bytes(le(&self.buf[at..])) as usize;
+            let end = at + 4 + 4 * n;
+            if end > self.filled {
+                break;
+            }
+            let payload = self.buf[at + 4..end].chunks_exact(4);
+            let frame = payload.map(|b| f32::from_le_bytes(le(b)));
+            self.ready.push_back(frame.collect());
+            at = end;
+        }
+        self.buf.copy_within(at..self.filled, 0);
+        self.filled -= at;
+    }
+
+    /// The front connection ended (EOF, reset, or any other read error).
+    /// Complete frames are already out; the tail is a torn frame its sender
+    /// resends whole on its next connection.
+    fn next_connection(&mut self) {
+        self.filled = 0;
+        self.conns.pop_front();
+    }
 }
 
-/// Per-process socket endpoint: one listener plus the registry of
-/// identified inbound connections, shared by every [`SocketChannel`] in
-/// the process.
+/// An accepted connection still reading its hello.
+#[derive(Debug)]
+struct Greeting {
+    stream: Stream,
+    hello: [u8; HELLO_LEN],
+    got: usize,
+}
+
+/// What one entry of the poll set stands for.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    Listener,
+    Greeting,
+    In((u64, usize)),
+    Out((u64, usize)),
+}
+
+/// Every connection of a node, keyed by `(channel, peer rank)`.
+#[derive(Debug)]
+struct Io {
+    listener: Listener,
+    greeting: Vec<Greeting>,
+    inbound: HashMap<(u64, usize), Inbound>,
+    out: HashMap<(u64, usize), Outbound>,
+}
+
+impl Io {
+    /// The next frame from `key`, if one is there.
+    fn take_frame(&mut self, key: (u64, usize)) -> Option<Vec<f32>> {
+        self.inbound.get_mut(&key)?.ready.pop_front()
+    }
+
+    /// Read hellos; file complete ones, drop garbage.
+    fn greet(&mut self) {
+        for mut g in std::mem::take(&mut self.greeting) {
+            match g.stream.read(&mut g.hello[g.got..]) {
+                Ok(0) => continue,
+                Ok(n) => g.got += n,
+                Err(e) if retryable(&e) => {}
+                Err(_) => continue,
+            }
+            if g.got < HELLO_LEN {
+                self.greeting.push(g);
+                continue;
+            }
+            let word = |i: usize| u64::from_le_bytes(le(&g.hello[i * 8..]));
+            if word(0) != HELLO_MAGIC {
+                continue;
+            }
+            let slot = self.inbound.entry((word(1), word(2) as usize)).or_default();
+            slot.pid = word(3) as u32;
+            slot.conns.push_back(g.stream);
+        }
+    }
+
+    /// The poll set: the listener, hellos in progress, every connection
+    /// being read, and every connection with bytes to write. Returns
+    /// whether some queue is waiting for a connection to be dialled.
+    fn poll_set(&self, fds: &mut Vec<PollFd>, ends: &mut Vec<End>) -> bool {
+        fds.clear();
+        ends.clear();
+        let mut add = |fd, events, end| {
+            fds.push(PollFd {
+                fd,
+                events,
+                revents: 0,
+            });
+            ends.push(end);
+        };
+        add(self.listener.fd(), POLLIN, End::Listener);
+        for g in &self.greeting {
+            add(g.stream.as_raw_fd(), POLLIN, End::Greeting);
+        }
+        for (key, i) in &self.inbound {
+            if let Some(s) = i.conns.front() {
+                add(s.as_raw_fd(), POLLIN, End::In(*key));
+            }
+        }
+        let mut redial = false;
+        for (key, o) in self.out.iter().filter(|(_, o)| !o.queue.is_empty()) {
+            match &o.stream {
+                Some(s) => add(s.as_raw_fd(), POLLOUT, End::Out(*key)),
+                None => redial = true,
+            }
+        }
+        redial
+    }
+
+    /// Act on what the last poll reported, and retry pending dials.
+    fn service(&mut self, fds: &[PollFd], ends: &[End]) {
+        for (pfd, end) in fds.iter().zip(ends) {
+            if pfd.revents == 0 {
+                continue;
+            }
+            match *end {
+                End::Listener => {
+                    while let Ok(stream) = self.listener.accept() {
+                        self.greeting.push(Greeting {
+                            stream,
+                            hello: [0; HELLO_LEN],
+                            got: 0,
+                        });
+                    }
+                }
+                End::Greeting => {}
+                End::In(key) => {
+                    if let Some(i) = self.inbound.get_mut(&key) {
+                        i.read();
+                    }
+                }
+                End::Out(key) => {
+                    if let Some(o) = self.out.get_mut(&key) {
+                        o.flush();
+                    }
+                }
+            }
+        }
+        if !self.greeting.is_empty() {
+            self.greet();
+        }
+        for o in self.out.values_mut() {
+            if o.stream.is_none() && !o.queue.is_empty() {
+                o.flush();
+            }
+        }
+    }
+}
+
+/// Per-process socket endpoint: one listener plus every connection of
+/// every [`SocketChannel`] in the process.
 #[derive(Debug)]
 pub struct SocketNode {
     addr: WireAddr,
-    inbound: Arc<Inbound>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    io: Mutex<Io>,
 }
 
 impl SocketNode {
-    /// Bind a listener at `addr` and start the acceptor thread. For
-    /// `Tcp` with port 0 the returned node's [`SocketNode::addr`] carries
-    /// the actual bound port.
+    /// Bind a listener at `addr`. For `Tcp` with port 0 the returned node's
+    /// [`SocketNode::addr`] carries the actual bound port. Connections are
+    /// accepted by whichever thread waits on the node next; until then they
+    /// queue in the listener's backlog, and their bytes in the kernel.
     pub fn bind(addr: &WireAddr) -> io::Result<SocketNode> {
         let (listener, actual) = match addr {
             WireAddr::Uds(p) => {
                 // A stale socket file from a crashed run blocks bind.
                 let _ = std::fs::remove_file(p);
-                (Listener::Uds(UnixListener::bind(p)?), addr.clone())
+                let l = UnixListener::bind(p)?;
+                l.set_nonblocking(true)?;
+                (Listener::Uds(l), addr.clone())
             }
             WireAddr::Tcp(a) => {
                 let l = TcpListener::bind(a)?;
+                l.set_nonblocking(true)?;
                 let actual = WireAddr::Tcp(l.local_addr()?);
                 (Listener::Tcp(l), actual)
             }
         };
-        let inbound = Arc::new(Inbound::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let inbound = Arc::clone(&inbound);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, &inbound, &stop))
+        let io = Io {
+            listener,
+            greeting: Vec::new(),
+            inbound: HashMap::new(),
+            out: HashMap::new(),
         };
         Ok(SocketNode {
             addr: actual,
-            inbound,
-            stop,
-            acceptor: Some(acceptor),
+            io: Mutex::new(io),
         })
     }
 
@@ -246,130 +537,47 @@ impl SocketNode {
         &self.addr
     }
 
-    /// Take the oldest un-taken inbound stream for `(chan, src)` with an
-    /// epoch strictly newer than `than_epoch`, waiting until `deadline`.
-    fn take_newer(
-        &self,
-        chan: u64,
-        src: usize,
-        than_epoch: u64,
-        deadline: Instant,
-    ) -> Option<(Stream, u64, u32)> {
-        let mut slots = self.inbound.slots.lock().unwrap();
+    fn io(&self) -> MutexGuard<'_, Io> {
+        self.io.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Move the node's bytes until `ready` finds what the caller waits for,
+    /// or `deadline` passes (`None`). Between looks the thread sleeps in one
+    /// `poll(2)` over the whole node and services whatever it reports; the
+    /// node's lock is never held across the poll.
+    fn wait<T>(&self, deadline: Instant, mut ready: impl FnMut(&mut Io) -> Option<T>) -> Option<T> {
+        let (mut fds, mut ends) = (Vec::new(), Vec::new());
         loop {
-            if let Some(slot) = slots.get_mut(&(chan, src)) {
-                while let Some(&(_, epoch)) = slot.streams.front() {
-                    if epoch > than_epoch {
-                        let (s, epoch) = slot.streams.pop_front().unwrap();
-                        return Some((s, epoch, slot.pid));
-                    }
-                    slot.streams.pop_front(); // stale (already superseded)
-                }
+            let mut io = self.io();
+            io.service(&fds, &ends);
+            if let Some(v) = ready(&mut io) {
+                return Some(v);
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (guard, _) = self.inbound.cv.wait_timeout(slots, deadline - now).unwrap();
-            slots = guard;
+            let redial = io.poll_set(&mut fds, &mut ends);
+            drop(io);
+            let sleep = deadline - now;
+            poll_fds(
+                &mut fds,
+                if redial {
+                    sleep.min(DIAL_BACKOFF)
+                } else {
+                    sleep
+                },
+            );
         }
     }
 }
 
 impl Drop for SocketNode {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection; it sees the
-        // stop flag and exits. If the dial fails (say the UDS socket file
-        // was already unlinked), `accept` may never return — detach the
-        // acceptor instead of joining a thread that can't wake.
-        match Stream::connect(&self.addr) {
-            Ok(_) => {
-                if let Some(h) = self.acceptor.take() {
-                    let _ = h.join();
-                }
-            }
-            Err(_) => drop(self.acceptor.take()),
-        }
         if let WireAddr::Uds(p) = &self.addr {
             let _ = std::fs::remove_file(p);
         }
     }
-}
-
-fn accept_loop(listener: Listener, inbound: &Inbound, stop: &AtomicBool) {
-    loop {
-        let mut stream = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // Identify the connection: 32-byte hello, bounded wait.
-        let _ = stream.set_read_timeout(Some(HELLO_TIMEOUT));
-        let mut hello = [0u8; 32];
-        if read_exact(&mut stream, &mut hello).is_err() {
-            continue; // garbage / probe connection
-        }
-        let word = |i: usize| u64::from_le_bytes(hello[i * 8..(i + 1) * 8].try_into().unwrap());
-        if word(0) != HELLO_MAGIC {
-            continue;
-        }
-        let (chan, src, pid) = (word(1), word(2) as usize, word(3) as u32);
-        let mut slots = inbound.slots.lock().unwrap();
-        let slot = slots.entry((chan, src)).or_default();
-        slot.next_epoch += 1;
-        let epoch = slot.next_epoch;
-        slot.streams.push_back((stream, epoch));
-        slot.pid = pid;
-        drop(slots);
-        inbound.cv.notify_all();
-    }
-}
-
-fn read_exact(stream: &mut Stream, buf: &mut [u8]) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Outbound connection state toward one peer.
-#[derive(Debug)]
-struct OutState {
-    stream: Stream,
-    /// Cumulative payload bytes written toward this peer (drives the
-    /// byte-indexed sever plan).
-    sent_bytes: u64,
-}
-
-/// Inbound state from one peer.
-#[derive(Debug, Default)]
-struct InState {
-    /// The stream currently being read, with the registry epoch it came
-    /// from (`None` between a disconnect and the re-accept).
-    held: Option<Stream>,
-    /// Registry epoch of the newest stream we've consumed; we only accept
-    /// strictly newer ones after a disconnect.
-    epoch_seen: u64,
-    /// Complete frames parsed but not yet returned.
-    ready: VecDeque<Vec<f32>>,
-    /// Raw byte tail of a partially received frame.
-    rx_buf: Vec<u8>,
-    /// Peer pid from the hello (0 until first connection).
-    pid: u32,
 }
 
 /// One-shot injected failure: cut the connection to `to` once cumulative
@@ -381,45 +589,61 @@ struct SeverPlan {
     /// Resend the severed frame on the new connection? `false` models a
     /// genuinely lost frame and is only sound under `ReliableTransport`.
     resend: bool,
+    /// Bytes queued toward `to` so far.
+    sent: u64,
     done: bool,
 }
 
-/// Frames the sender-side replay log keeps per peer (matches the reliable
-/// layer's retransmit window: round-synchronous collectives keep at most a
-/// handful of frames in flight per edge).
-const REPLAY_WINDOW: usize = 64;
+impl SeverPlan {
+    fn new(to: usize, after_bytes: u64, resend: bool) -> SeverPlan {
+        SeverPlan {
+            to,
+            after_bytes,
+            resend,
+            sent: 0,
+            done: false,
+        }
+    }
+
+    /// Account a `len`-byte frame: `Some((cut, resend))` when this is the
+    /// frame the plan cuts, `cut` bytes in.
+    fn cut(&mut self, len: usize) -> Option<(usize, bool)> {
+        let sent = self.sent;
+        self.sent += len as u64;
+        if self.done || self.sent <= self.after_bytes {
+            return None;
+        }
+        self.done = true;
+        let cut = (self.after_bytes - sent) as usize;
+        Some((cut.min(len - 1), self.resend))
+    }
+}
 
 /// A group's socket endpoint: [`Transport`] + [`PollTransport`] over one
 /// logical channel of a [`SocketNode`].
 ///
-/// `peers[r]` is where group rank `r` listens (`None` for self). Outbound
-/// connections are dialed lazily with retry until the deadline, so no
-/// global connect ordering is needed. Exactly one channel id must map to
-/// one (group, member) pair per process.
+/// `peers[r]` is where group rank `r` listens (`None` for self, and for a
+/// peer this member never sends to). Outbound connections are dialed on
+/// first use and redialed while queued frames wait, so no global connect
+/// ordering is needed. Exactly one channel id must map to one (group,
+/// member) pair per process.
+///
+/// Dropping a channel lets its queued frames out first — waiting until the
+/// deadline, unless a peer's connection breaks — then closes its
+/// connections.
 #[derive(Debug)]
 pub struct SocketChannel {
     node: Arc<SocketNode>,
     chan: u64,
     rank: usize,
     peers: Vec<Option<WireAddr>>,
-    out: Vec<Option<OutState>>,
-    inbox: Vec<InState>,
     deadline: Instant,
-    io_timeout: Duration,
     sever: Option<SeverPlan>,
     /// Per-peer log of recently sent frames, armed by
-    /// [`SocketChannel::enable_replay`]. When a connection tears, the next
-    /// reconnect resends the whole log — covering frames that were only
-    /// partially written (or never written at all) when the wire broke.
-    /// Replaying necessarily re-delivers frames the peer already consumed,
-    /// so this is only sound under `ReliableTransport`, whose sequence
-    /// numbers absorb the duplicates.
-    replay: Option<Vec<VecDeque<Vec<u8>>>>,
-    /// Peers whose outbound connection was lost after bytes were sent
-    /// (next reconnect must replay the log when one is armed).
-    torn: Vec<bool>,
+    /// [`SocketChannel::enable_replay`].
+    replay: bool,
     /// Injected per-frame send delay (models a slow link from a fault
-    /// plan; applied before every write).
+    /// plan; applied before every send).
     send_delay: Option<Duration>,
 }
 
@@ -432,19 +656,14 @@ impl SocketChannel {
         rank: usize,
         peers: Vec<Option<WireAddr>>,
     ) -> SocketChannel {
-        let n = peers.len();
         SocketChannel {
             node,
             chan,
             rank,
             peers,
-            out: (0..n).map(|_| None).collect(),
-            inbox: (0..n).map(|_| InState::default()).collect(),
             deadline: Instant::now() + Duration::from_secs(30),
-            io_timeout: Duration::from_millis(10),
             sever: None,
-            replay: None,
-            torn: vec![false; n],
+            replay: false,
             send_delay: None,
         }
     }
@@ -460,14 +679,10 @@ impl SocketChannel {
         self.deadline = deadline;
     }
 
-    /// Per-syscall poll granularity (read timeout slices).
-    pub fn set_io_timeout(&mut self, t: Duration) {
-        self.io_timeout = t;
-    }
-
     /// Peer pid learned from the hello frame, if `from` ever connected.
     pub fn peer_pid(&self, from: usize) -> Option<u32> {
-        let pid = self.inbox[from].pid;
+        let io = self.node.io();
+        let pid = io.inbound.get(&(self.chan, from)).map_or(0, |i| i.pid);
         (pid != 0).then_some(pid)
     }
 
@@ -481,42 +696,26 @@ impl SocketChannel {
     /// down, reconnect, and resend the whole frame. The receiver sees a
     /// genuine torn frame + EOF; no data is lost.
     pub fn sever_outbound_after(&mut self, to: usize, after_bytes: u64) {
-        self.sever = Some(SeverPlan {
-            to,
-            after_bytes,
-            resend: true,
-            done: false,
-        });
+        self.sever = Some(SeverPlan::new(to, after_bytes, true));
     }
 
     /// Test hook: like [`SocketChannel::sever_outbound_after`] but the
     /// severed frame is *not* resent — it is genuinely lost mid-wire.
     /// Only sound when a `ReliableTransport` sits on top to recover it.
     pub fn sever_outbound_after_lossy(&mut self, to: usize, after_bytes: u64) {
-        self.sever = Some(SeverPlan {
-            to,
-            after_bytes,
-            resend: false,
-            done: false,
-        });
+        self.sever = Some(SeverPlan::new(to, after_bytes, false));
     }
 
     /// Arm the sender-side replay log: every outbound frame is logged (last
-    /// [`REPLAY_WINDOW`] per peer) *before* the write attempt, and the
-    /// first write after a torn connection resends the whole log on the
-    /// fresh stream. This makes recovery from a mid-frame sever correct
-    /// even when sender and receiver are in different OS processes, where
-    /// the shared [`RetransmitStore`](crate::RetransmitStore) is inert —
-    /// the cost is duplicate delivery of already-consumed frames, so only
-    /// arm this under a `ReliableTransport` whose sequence numbers discard
-    /// them. Replay fires on the *next* send to the torn peer; a frame
-    /// severed after the final send on an edge stays lost, which
-    /// round-synchronous training traffic (every edge carries frames every
-    /// iteration) never hits mid-stream.
+    /// [`REPLAY_WINDOW`] per peer) when it is queued, and the connection
+    /// that replaces a torn one starts by resending the whole log. This
+    /// makes recovery from a mid-frame sever correct even when sender and
+    /// receiver are in different OS processes, where the shared
+    /// [`RetransmitStore`](crate::RetransmitStore) is inert — the cost is
+    /// duplicate delivery of already-consumed frames, so only arm this
+    /// under a `ReliableTransport` whose sequence numbers discard them.
     pub fn enable_replay(&mut self) {
-        if self.replay.is_none() {
-            self.replay = Some((0..self.peers.len()).map(|_| VecDeque::new()).collect());
-        }
+        self.replay = true;
     }
 
     /// Inject a per-frame send delay (a fault plan's slow-link model);
@@ -525,245 +724,97 @@ impl SocketChannel {
         self.send_delay = delay;
     }
 
-    fn dial(&self, to: usize) -> Result<Stream, SocketError> {
-        let addr = self.peers[to]
-            .as_ref()
-            .expect("dialing a peer with no address");
-        loop {
-            // Connect may fail (listener not up yet — rendezvous in
-            // progress) and the hello write may fail (raced a dying
-            // listener); both just retry until the deadline.
-            if let Ok(mut s) = Stream::connect(addr) {
-                let mut hello = [0u8; 32];
-                hello[0..8].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
-                hello[8..16].copy_from_slice(&self.chan.to_le_bytes());
-                hello[16..24].copy_from_slice(&(self.rank as u64).to_le_bytes());
-                hello[24..32].copy_from_slice(&u64::from(std::process::id()).to_le_bytes());
-                let _ = s.set_write_timeout(Some(HELLO_TIMEOUT));
-                if s.write_all(&hello).is_ok() {
-                    return Ok(s);
-                }
-            }
-            if Instant::now() >= self.deadline {
-                return Err(SocketError::Deadline);
-            }
-            std::thread::sleep(DIAL_BACKOFF);
-        }
-    }
-
-    fn ensure_out(&mut self, to: usize) -> Result<(), SocketError> {
-        if self.out[to].is_none() {
-            let stream = self.dial(to)?;
-            self.out[to] = Some(OutState {
-                stream,
-                sent_bytes: 0,
-            });
-        }
-        Ok(())
-    }
-
-    /// Write `frame` to `to`, honoring the sever plan and reconnecting
-    /// once on a write failure (the whole frame is resent — at-least-once;
-    /// in plain mode a delivered-then-resent frame would duplicate, which
-    /// the reliable layer's sequence numbers absorb). With the replay log
-    /// armed, the first write after a torn connection resends the entire
-    /// log, so frames lost or half-written when the wire broke reach the
-    /// peer bit-exactly even across process boundaries.
-    fn write_frame(&mut self, to: usize, frame: &[u8]) -> Result<(), SocketError> {
-        if let Some(d) = self.send_delay {
-            std::thread::sleep(d);
-        }
-        // Log before any write attempt so a torn, lost, or half-written
-        // frame is covered by the replay on the next reconnect.
-        if let Some(log) = self.replay.as_mut() {
-            let q = &mut log[to];
-            q.push_back(frame.to_vec());
-            while q.len() > REPLAY_WINDOW {
-                q.pop_front();
-            }
-        }
-        self.ensure_out(to)?;
-
-        // Injected failure: cut the connection mid-frame.
-        let sever_now = match &self.sever {
-            Some(p) if !p.done && p.to == to => {
-                let sent = self.out[to].as_ref().unwrap().sent_bytes;
-                sent + frame.len() as u64 > p.after_bytes
-            }
-            _ => false,
-        };
-        if sever_now {
-            let plan = self.sever.as_mut().unwrap();
-            plan.done = true;
-            let resend = plan.resend;
-            let out = self.out[to].as_mut().unwrap();
-            let partial = (plan.after_bytes.saturating_sub(out.sent_bytes)) as usize;
-            let partial = partial.min(frame.len().saturating_sub(1));
-            let _ = out.stream.write_all(&frame[..partial]);
-            out.stream.shutdown();
-            self.out[to] = None;
-            self.torn[to] = true;
-            if !resend && self.replay.is_none() {
-                return Ok(()); // frame genuinely lost mid-wire
-            }
-            // With replay armed even a "lossy" sever heals: the frame is
-            // in the log, so fall through and let the reconnect resend it.
-            self.ensure_out(to)?;
-        }
-
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        let wt = remaining.max(Duration::from_millis(1));
-        for attempt in 0..2 {
-            // After a torn connection with the log armed, resend the whole
-            // window (duplicates are the reliable layer's problem);
-            // otherwise just this frame.
-            let burst: Vec<&[u8]> = match (&self.replay, self.torn[to]) {
-                (Some(log), true) => log[to].iter().map(|f| f.as_slice()).collect(),
-                _ => vec![frame],
-            };
-            let out = self.out[to].as_mut().unwrap();
-            let _ = out.stream.set_write_timeout(Some(wt));
-            let mut failed = None;
-            for f in &burst {
-                match out.stream.write_all(f) {
-                    Ok(()) => out.sent_bytes += f.len() as u64,
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failed {
-                None => {
-                    self.torn[to] = false;
-                    return Ok(());
-                }
-                Some(e) => {
-                    out.stream.shutdown();
-                    self.out[to] = None;
-                    self.torn[to] = true;
-                    if attempt == 1 {
-                        return Err(SocketError::Io(e.kind()));
-                    }
-                    self.ensure_out(to)?; // reconnect, resend whole frame
-                }
-            }
-        }
-        unreachable!("write loop returns within two attempts");
-    }
-
-    /// Pull bytes from `from` until at least one complete frame is ready
-    /// or `attempt_deadline` passes. EOF ⇒ discard the torn tail and wait
-    /// for a re-accepted connection.
-    fn pump(&mut self, from: usize, attempt_deadline: Instant) -> Result<bool, SocketError> {
-        let mut scratch = [0u8; 64 * 1024];
-        loop {
-            if !self.inbox[from].ready.is_empty() {
-                return Ok(true);
-            }
-            let now = Instant::now();
-            if now >= attempt_deadline {
-                return Ok(false);
-            }
-            if self.inbox[from].held.is_none() {
-                let epoch_seen = self.inbox[from].epoch_seen;
-                match self
-                    .node
-                    .take_newer(self.chan, from, epoch_seen, attempt_deadline)
-                {
-                    Some((s, epoch, pid)) => {
-                        let st = &mut self.inbox[from];
-                        st.held = Some(s);
-                        st.epoch_seen = epoch;
-                        st.pid = pid;
-                    }
-                    None => return Ok(false),
-                }
-            }
-            let slice = self
-                .io_timeout
-                .min(attempt_deadline - now)
-                .max(Duration::from_millis(1));
-            let st = &mut self.inbox[from];
-            let held = st.held.as_mut().unwrap();
-            let _ = held.set_read_timeout(Some(slice));
-            match held.read(&mut scratch) {
-                Ok(0) => {
-                    // Peer closed: complete frames already drained; the
-                    // byte tail is a torn frame the peer will resend whole
-                    // on its next connection.
-                    st.rx_buf.clear();
-                    if let Some(s) = st.held.take() {
-                        s.shutdown();
-                    }
-                }
-                Ok(n) => {
-                    st.rx_buf.extend_from_slice(&scratch[..n]);
-                    drain_frames(&mut st.rx_buf, &mut st.ready);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::ConnectionReset
-                        || e.kind() == io::ErrorKind::BrokenPipe =>
-                {
-                    st.rx_buf.clear();
-                    if let Some(s) = st.held.take() {
-                        s.shutdown();
-                    }
-                }
-                Err(e) => return Err(SocketError::Io(e.kind())),
-            }
-        }
+    /// The next frame from whichever peer has one first, as `(peer,
+    /// frame)`, waiting until the deadline.
+    pub fn recv_any(&mut self) -> Result<(usize, Vec<f32>), SocketError> {
+        let (chan, peers) = (self.chan, self.peers.len());
+        let any = |io: &mut Io| (0..peers).find_map(|p| Some((p, io.take_frame((chan, p))?)));
+        self.node
+            .wait(self.deadline, any)
+            .ok_or(SocketError::Deadline)
     }
 }
 
-/// Split complete `len | payload` frames off the front of `rx_buf`.
-fn drain_frames(rx_buf: &mut Vec<u8>, ready: &mut VecDeque<Vec<f32>>) {
-    loop {
-        if rx_buf.len() < 4 {
-            return;
-        }
-        let n = u32::from_le_bytes(rx_buf[0..4].try_into().unwrap()) as usize;
-        let total = 4 + 4 * n;
-        if rx_buf.len() < total {
-            return;
-        }
-        let mut frame = Vec::with_capacity(n);
-        for i in 0..n {
-            let o = 4 + 4 * i;
-            frame.push(f32::from_le_bytes(rx_buf[o..o + 4].try_into().unwrap()));
-        }
-        rx_buf.drain(..total);
-        ready.push_back(frame);
+impl Drop for SocketChannel {
+    fn drop(&mut self) {
+        let (chan, rank) = (self.chan, self.rank);
+        let mine = move |&(c, p): &(u64, usize)| c == chan && p != rank;
+        self.node.wait(self.deadline, |io| {
+            let mut queues = io.out.iter().filter(|(key, _)| mine(key));
+            queues
+                .all(|(_, o)| o.queue.is_empty() || o.stream.is_none())
+                .then_some(())
+        });
+        let mut io = self.node.io();
+        io.out.retain(|key, _| !mine(key));
+        io.inbound.retain(|key, _| !mine(key));
     }
 }
 
 impl Transport for SocketChannel {
     type Error = SocketError;
 
+    /// Queue the frame and write what the kernel takes now; the rest goes
+    /// out during the next wait on the node. Never blocks on the receiver.
     fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), Self::Error> {
         assert!(payload.len() <= u32::MAX as usize, "frame too large");
+        if let Some(d) = self.send_delay {
+            std::thread::sleep(d);
+        }
         let mut frame = Vec::with_capacity(4 + 4 * payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         for v in payload {
             frame.extend_from_slice(&v.to_le_bytes());
         }
-        self.write_frame(to, &frame)
+        let cut = self.sever.as_mut().filter(|p| p.to == to);
+        let cut = cut.and_then(|p| p.cut(frame.len()));
+        let mut io = self.node.io();
+        let out = io.out.entry((self.chan, to)).or_insert_with(|| {
+            let addr = self.peers[to].clone();
+            let mut hello = [0u8; HELLO_LEN];
+            hello[0..8].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
+            hello[8..16].copy_from_slice(&self.chan.to_le_bytes());
+            hello[16..24].copy_from_slice(&(self.rank as u64).to_le_bytes());
+            hello[24..32].copy_from_slice(&u64::from(std::process::id()).to_le_bytes());
+            Outbound {
+                addr: addr.expect("sending to a peer with no address"),
+                hello,
+                stream: None,
+                queue: VecDeque::new(),
+                offset: 0,
+                replay: None,
+            }
+        });
+        if self.replay {
+            let log = out.replay.get_or_insert_with(VecDeque::new);
+            log.push_back(frame.clone());
+            if log.len() > REPLAY_WINDOW {
+                log.pop_front();
+            }
+        }
+        match cut {
+            None => out.queue.push_back(Chunk::Bytes(frame)),
+            Some((cut, resend)) => {
+                out.queue.push_back(Chunk::Bytes(frame[..cut].to_vec()));
+                out.queue.push_back(Chunk::Sever);
+                // With replay armed even a lossy sever heals: the frame is
+                // in the log the fresh connection starts with.
+                match &out.replay {
+                    Some(log) => out.queue.extend(log.iter().cloned().map(Chunk::Bytes)),
+                    None if resend => out.queue.push_back(Chunk::Bytes(frame)),
+                    None => {} // lost mid-wire
+                }
+            }
+        }
+        out.flush();
+        Ok(())
     }
 
     fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error> {
-        loop {
-            if let Some(f) = self.inbox[from].ready.pop_front() {
-                return Ok(f);
-            }
-            if self.pump(from, self.deadline)? {
-                continue;
-            }
-            return Err(SocketError::Deadline);
-        }
+        let key = (self.chan, from);
+        self.node
+            .wait(self.deadline, |io| io.take_frame(key))
+            .ok_or(SocketError::Deadline)
     }
 }
 
@@ -773,17 +824,12 @@ impl PollTransport for SocketChannel {
         from: usize,
         wait: Duration,
     ) -> Result<Option<Vec<f32>>, Self::Error> {
-        if let Some(f) = self.inbox[from].ready.pop_front() {
-            return Ok(Some(f));
+        let key = (self.chan, from);
+        let attempt = (Instant::now() + wait).min(self.deadline);
+        match self.node.wait(attempt, |io| io.take_frame(key)) {
+            None if Instant::now() >= self.deadline => Err(SocketError::Deadline),
+            got => Ok(got),
         }
-        let attempt_deadline = (Instant::now() + wait).min(self.deadline);
-        if self.pump(from, attempt_deadline)? {
-            return Ok(Some(self.inbox[from].ready.pop_front().unwrap()));
-        }
-        if Instant::now() >= self.deadline {
-            return Err(SocketError::Deadline);
-        }
-        Ok(None)
     }
 }
 
@@ -892,6 +938,41 @@ mod tests {
     }
 
     #[test]
+    fn a_wait_on_one_channel_flushes_every_channel_of_the_node() {
+        // Each side sends a frame far larger than the kernel socket buffer
+        // on its own channel, then blocks receiving on the other one — the
+        // 1F1B pattern of a stage that sends an activation and then waits
+        // for a gradient. Only a wait that also flushes the *other*
+        // channel's queue lets both frames through.
+        let (nodes, addrs) = uds_world("cross", 2);
+        let big = seeded(5, 1 << 20);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|rank| {
+                    let node = Arc::clone(&nodes[rank]);
+                    let peers = peers_for(rank, &addrs);
+                    let big = &big;
+                    s.spawn(move || {
+                        let lane = |chan| {
+                            let mut ch =
+                                SocketChannel::new(Arc::clone(&node), chan, rank, peers.clone());
+                            ch.set_deadline(Instant::now() + Duration::from_secs(20));
+                            ch
+                        };
+                        let (mut send_on, mut recv_on) =
+                            (lane(20 + rank as u64), lane(21 - rank as u64));
+                        send_on.send(1 - rank, big).unwrap();
+                        recv_on.recv(1 - rank).unwrap()
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert!(h.join().unwrap() == big);
+            }
+        });
+    }
+
+    #[test]
     fn torn_frame_on_severed_connection_is_resent_whole() {
         // Rank 0 sends three frames to rank 1; the connection is cut in
         // the middle of the second frame's bytes. The receiver must see
@@ -962,7 +1043,7 @@ mod tests {
                         }
                         let mut rel =
                             ReliableTransport::new(ch, store, rank, RetryPolicy::default());
-                        let report = execute(&prog, rank, buf, &mut rel).unwrap();
+                        let report = execute(prog, rank, buf, &mut rel).unwrap();
                         (report, rel.stats())
                     })
                 })

@@ -245,8 +245,8 @@ pub struct StallContext {
     pub round: usize,
     /// Total steps in the collective.
     pub rounds: usize,
-    /// The peer involved in the stalled step, where one can be named.
-    pub peer: Option<usize>,
+    /// The peer involved in the stalled step.
+    pub peer: usize,
     /// The stalled peer's OS process id (process mode only, and only if
     /// the peer ever connected).
     pub peer_pid: Option<u32>,
@@ -257,12 +257,7 @@ pub struct StallContext {
 impl StallContext {
     /// A context with no process-mode identity (thread mode, or the peer
     /// never connected).
-    pub fn new(
-        collective: &'static str,
-        round: usize,
-        rounds: usize,
-        peer: Option<usize>,
-    ) -> StallContext {
+    pub fn new(collective: &'static str, round: usize, rounds: usize, peer: usize) -> StallContext {
         StallContext {
             collective,
             round,
@@ -272,29 +267,36 @@ impl StallContext {
             peer_addr: None,
         }
     }
+
+    /// Name the peer by what `chan` knows of group rank `peer`: its pid
+    /// (if it ever connected) and its listener address.
+    pub(crate) fn identify(&mut self, chan: &SocketChannel, peer: usize) {
+        self.peer_pid = chan.peer_pid(peer);
+        self.peer_addr = chan.peer_addr(peer).map(|a| a.to_string());
+    }
+
+    /// ` (pid P, addr)`, or as much of it as is known.
+    pub(crate) fn write_identity(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (&self.peer_pid, &self.peer_addr) {
+            (Some(pid), Some(addr)) => write!(f, " (pid {pid}, {addr})"),
+            (Some(pid), None) => write!(f, " (pid {pid})"),
+            (None, Some(addr)) => write!(f, " ({addr})"),
+            (None, None) => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for StallContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.peer {
-            Some(p) => {
-                write!(
-                    f,
-                    "{} timed out at step {}/{} waiting on rank {}",
-                    self.collective,
-                    self.round + 1,
-                    self.rounds,
-                    p
-                )?;
-                match (&self.peer_pid, &self.peer_addr) {
-                    (Some(pid), Some(addr)) => write!(f, " (pid {pid}, {addr})"),
-                    (Some(pid), None) => write!(f, " (pid {pid})"),
-                    (None, Some(addr)) => write!(f, " ({addr})"),
-                    (None, None) => Ok(()),
-                }
-            }
-            None => write!(f, "{} timed out waiting for a peer", self.collective),
-        }
+        write!(
+            f,
+            "{} timed out at step {}/{} waiting on rank {}",
+            self.collective,
+            self.round + 1,
+            self.rounds,
+            self.peer
+        )?;
+        self.write_identity(f)
     }
 }
 
@@ -382,10 +384,9 @@ pub struct Group {
     poisoned: AtomicBool,
     timeout: Duration,
     transport: TransportConfig,
-    // Shared sender-side frame log, allocated only when retry is armed.
-    // `Arc` so thread-per-rank socket rigs can share one store across
-    // their per-rank groups (recovery reads the *sender's* log).
-    retransmit: Option<Arc<RetransmitStore>>,
+    // Shared sender-side frame log, allocated only when retry is armed
+    // (recovery reads the *sender's* log).
+    retransmit: Option<RetransmitStore>,
     // Process mode: the socket channel this process's member speaks over.
     socket: Option<SocketState>,
 }
@@ -412,9 +413,7 @@ impl Group {
             mail: (0..size * size).map(|_| Mailbox::new()).collect(),
             poisoned: AtomicBool::new(false),
             timeout,
-            retransmit: transport
-                .retry
-                .map(|_| Arc::new(RetransmitStore::new(size))),
+            retransmit: transport.retry.map(|_| RetransmitStore::new(size)),
             transport,
             socket: None,
         })
@@ -425,43 +424,23 @@ impl Group {
     /// socket channel to peer processes. Peer death surfaces as
     /// [`CommError::Timeout`] once the group timeout expires, never as
     /// `Poisoned` (poison cannot cross an address space).
+    ///
+    /// A process's retransmit store only ever sees its own sends, so
+    /// store-based recovery is inert across processes. Instead, whenever
+    /// retry is armed the socket channel's sender-side *replay log* is
+    /// enabled: after a torn connection the reconnect resends the whole
+    /// recent frame window (covering frames lost or only partially written
+    /// when the wire broke), and the reliable layer's sequence numbers
+    /// discard the duplicates. Cross-process delivery is therefore
+    /// bit-exact under mid-frame severs too.
     pub fn with_socket(
         size: usize,
         timeout: Duration,
         transport: TransportConfig,
-        channel: SocketChannel,
+        mut channel: SocketChannel,
     ) -> Arc<Group> {
-        let store = transport
-            .retry
-            .map(|_| Arc::new(RetransmitStore::new(size)));
-        Group::with_socket_shared_store(size, timeout, transport, channel, store)
-    }
-
-    /// Like [`Group::with_socket`], with an explicit (possibly shared)
-    /// retransmit store. Thread-per-rank rigs that run *real sockets
-    /// within one process* pass one `Arc` to every rank's group so the
-    /// reliable layer can recover lost frames from the sender's log. In
-    /// true multi-process mode each process's store only ever sees its own
-    /// sends, so store-based recovery is inert — instead, whenever retry is
-    /// armed the socket channel's sender-side *replay log* is enabled:
-    /// after a torn connection the reconnect resends the whole recent
-    /// frame window (covering frames lost or only partially written when
-    /// the wire broke), and the reliable layer's sequence numbers discard
-    /// the duplicates. Cross-process delivery is therefore bit-exact under
-    /// mid-frame severs too.
-    pub fn with_socket_shared_store(
-        size: usize,
-        timeout: Duration,
-        transport: TransportConfig,
-        channel: SocketChannel,
-        store: Option<Arc<RetransmitStore>>,
-    ) -> Arc<Group> {
-        assert!(size > 0);
         assert!(channel.rank() < size, "channel rank outside the group");
-        let mut channel = channel;
         if transport.retry.is_some() {
-            // Sound only under the reliable layer (replay duplicates
-            // already-delivered frames; seq numbers absorb them).
             channel.enable_replay();
         }
         Arc::new(Group {
@@ -469,7 +448,7 @@ impl Group {
             mail: Vec::new(),
             poisoned: AtomicBool::new(false),
             timeout,
-            retransmit: store,
+            retransmit: transport.retry.map(|_| RetransmitStore::new(size)),
             transport,
             socket: Some(SocketState {
                 rank: channel.rank(),
@@ -793,16 +772,10 @@ impl GroupMember {
                     // The mailbox path poisons inside `fetch_within`; the
                     // socket path poisons here so later calls fail fast too.
                     self.group.poison_all();
-                    let mut ctx = StallContext::new(
-                        fail.collective,
-                        fail.round,
-                        fail.rounds,
-                        Some(fail.peer),
-                    );
+                    let mut ctx =
+                        StallContext::new(fail.collective, fail.round, fail.rounds, fail.peer);
                     if let Some(sock) = &self.group.socket {
-                        let chan = sock.chan.lock().unwrap();
-                        ctx.peer_pid = chan.peer_pid(fail.peer);
-                        ctx.peer_addr = chan.peer_addr(fail.peer).map(|a| a.to_string());
+                        ctx.identify(&sock.chan.lock().unwrap(), fail.peer);
                     }
                     CommError::Timeout(ctx)
                 }
@@ -1165,8 +1138,8 @@ mod tests {
         }
         let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         assert!(results[2].is_err(), "rank 2 should have panicked");
-        for r in 0..2 {
-            let got = results[r].as_ref().expect("survivor must not panic");
+        for (r, result) in results.iter().take(2).enumerate() {
+            let got = result.as_ref().expect("survivor must not panic");
             assert_eq!(got, &Err(CommError::Poisoned), "rank {r}");
         }
         assert!(
@@ -1202,14 +1175,13 @@ mod tests {
                 .map(|h| h.join().unwrap())
                 .collect::<Vec<_>>()
         });
-        for r in 0..2 {
+        for (r, result) in results.iter().take(2).enumerate() {
             assert!(
                 matches!(
-                    results[r],
+                    result,
                     Err(CommError::Timeout(_)) | Err(CommError::Poisoned)
                 ),
-                "rank {r}: {:?}",
-                results[r]
+                "rank {r}: {result:?}"
             );
         }
         // Whichever rank timed out (rather than being poisoned by the
@@ -1224,7 +1196,6 @@ mod tests {
         assert_eq!(ctx.collective, "ring-all-reduce");
         assert_eq!(ctx.rounds, 4); // 2(r−1) rounds at r = 3
         assert!(ctx.round < ctx.rounds);
-        assert!(ctx.peer.is_some());
         assert!(group.is_poisoned());
     }
 
@@ -1346,7 +1317,7 @@ mod tests {
 
     #[test]
     fn comm_error_displays() {
-        let ctx = StallContext::new("ring-all-reduce", 2, 4, Some(1));
+        let ctx = StallContext::new("ring-all-reduce", 2, 4, 1);
         let msg = CommError::Timeout(ctx).to_string();
         assert!(msg.contains("timed out"), "{msg}");
         assert!(msg.contains("ring-all-reduce"), "{msg}");
@@ -1358,13 +1329,19 @@ mod tests {
 
     #[test]
     fn comm_error_displays_process_identity() {
-        let mut ctx = StallContext::new("ring-all-reduce", 0, 4, Some(2));
+        let mut ctx = StallContext::new("ring-all-reduce", 0, 4, 2);
         ctx.peer_pid = Some(4242);
         ctx.peer_addr = Some("uds:/tmp/rv/r2.sock".to_string());
-        let msg = CommError::Timeout(ctx).to_string();
+        let msg = CommError::Timeout(ctx.clone()).to_string();
         assert!(msg.contains("rank 2"), "{msg}");
         assert!(msg.contains("pid 4242"), "{msg}");
         assert!(msg.contains("uds:/tmp/rv/r2.sock"), "{msg}");
+        // A process-mode pipeline lane names its stage peer the same way.
+        let msg = crate::TrainError::PipelineBroken(ctx).to_string();
+        assert!(
+            msg.contains("stage peer rank 2 (pid 4242, uds:/tmp/rv/r2.sock)"),
+            "{msg}"
+        );
     }
 
     #[test]

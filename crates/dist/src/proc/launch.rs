@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use megatron_collective::{SocketChannel, SocketError, SocketNode, Transport, WireAddr};
+use megatron_collective::{SocketChannel, SocketNode, WireAddr};
 
 use crate::comm::WireKind;
 use crate::health::HealthMonitor;
@@ -19,10 +19,6 @@ use crate::trainer::{merge_losses, ThreadKey};
 use super::rendezvous::{clear_stale_rendezvous, publish, HEARTBEAT_CHAN, RENDEZVOUS_TIMEOUT};
 use super::report::{self, RankOutput};
 use super::spec::{JobSpec, SocketFaultPlan};
-
-/// How long a heartbeat reader blocks on its rank's stream before it looks
-/// at the stop flag again.
-const READER_STOP_POLL: Duration = Duration::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Launcher
@@ -91,15 +87,13 @@ pub struct LaunchHandle {
     children: Mutex<Vec<Option<Child>>>,
     monitor: Arc<HealthMonitor>,
     stop: Arc<AtomicBool>,
-    /// One heartbeat reader per rank.
-    readers: Vec<thread::JoinHandle<()>>,
+    /// The heartbeat reader.
+    reader: Option<thread::JoinHandle<()>>,
     /// Per-flat-rank completed-iteration counters, fed by the heartbeat
-    /// readers from `[flat, completed]` progress beats.
+    /// reader from `[flat, completed]` progress beats.
     progress: Arc<Vec<std::sync::atomic::AtomicUsize>>,
     /// Per-flat-rank exit status, filled lazily by [`LaunchHandle::poll_exits`].
     exits: Mutex<Vec<Option<WorkerExit>>>,
-    // Keeps the launcher's listener (and its acceptor thread) alive.
-    _node: Arc<SocketNode>,
 }
 
 /// Launch `job` as `world` OS processes rendezvousing in `dir`
@@ -151,46 +145,34 @@ pub fn launch_configured(
             .map(|_| std::sync::atomic::AtomicUsize::new(0))
             .collect(),
     );
-    // One blocking reader per rank's heartbeat stream (the node's inbound
-    // registry is keyed by (channel, source), so the channels share
-    // `HEARTBEAT_CHAN`): a beat is recorded when it arrives, however quiet
-    // or busy the other ranks are. One reader polling the streams in turn
-    // pays a read timeout — a scheduler tick — per idle rank and sweep,
-    // which is the monitor's whole dead-after window at 8 ranks.
-    let readers = (0..world)
-        .map(|r| {
-            let mut chan = SocketChannel::new(
-                Arc::clone(&node),
-                HEARTBEAT_CHAN,
-                world,
-                vec![None; world + 1],
-            );
-            chan.set_io_timeout(READER_STOP_POLL);
-            let monitor = Arc::clone(&monitor);
-            let stop = Arc::clone(&stop);
-            let progress = Arc::clone(&progress);
-            thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    chan.set_deadline(Instant::now() + READER_STOP_POLL);
-                    match chan.recv(r) {
-                        Ok(frame) => {
-                            monitor.beat(r);
-                            // Two-element frames are progress beats:
-                            // `[flat, completed_iters]`. `fetch_max` because
-                            // a late bare beacon must not be confused with
-                            // regressing progress.
-                            if let Some(&done) = frame.get(1) {
-                                progress[r].fetch_max(done as usize, Ordering::Relaxed);
-                            }
-                        }
-                        Err(SocketError::Deadline) => {}
-                        // No spinning on a stream that keeps failing.
-                        Err(SocketError::Io(_)) => thread::sleep(READER_STOP_POLL),
+    // One reader waits on every rank's heartbeat stream at once (one
+    // `poll(2)` behind the channel) and records each beat as it arrives,
+    // however quiet or busy the other ranks are. It looks at the stop flag
+    // whenever a beat arrives and at least once per heartbeat period. Its
+    // channel holds the launcher's listener for as long as it runs.
+    let reader = {
+        let mut chan = SocketChannel::new(node, HEARTBEAT_CHAN, world, vec![None; world + 1]);
+        let (monitor, stop, progress) = (
+            Arc::clone(&monitor),
+            Arc::clone(&stop),
+            Arc::clone(&progress),
+        );
+        let period = job.hb_period;
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                chan.set_deadline(Instant::now() + period);
+                if let Ok((r, frame)) = chan.recv_any() {
+                    monitor.beat(r);
+                    // Two-element frames are progress beats: `[flat,
+                    // completed_iters]`. `fetch_max` because a late bare
+                    // beacon must not be confused with regressing progress.
+                    if let Some(&done) = frame.get(1) {
+                        progress[r].fetch_max(done as usize, Ordering::Relaxed);
                     }
                 }
-            })
+            }
         })
-        .collect();
+    };
 
     let exe = std::env::current_exe()?;
     let mut children = Vec::with_capacity(world);
@@ -210,10 +192,9 @@ pub fn launch_configured(
         children: Mutex::new(children),
         monitor,
         stop,
-        readers,
+        reader: Some(reader),
         progress,
         exits: Mutex::new(vec![None; world]),
-        _node: node,
     })
 }
 
@@ -282,9 +263,9 @@ impl LaunchHandle {
         exits.clone()
     }
 
-    fn stop_readers(&mut self) {
+    fn stop_reader(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for h in self.readers.drain(..) {
+        if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
     }
@@ -334,7 +315,7 @@ impl LaunchHandle {
             .iter()
             .map(|e| e.expect("all ranks resolved above"))
             .collect();
-        self.stop_readers();
+        self.stop_reader();
 
         let mut outputs = HashMap::new();
         let mut missing = Vec::new();
@@ -362,9 +343,9 @@ impl LaunchHandle {
 
 impl Drop for LaunchHandle {
     /// A dropped handle must not leak rank processes or the reader
-    /// threads (e.g. when a test assertion fails mid-run).
+    /// thread (e.g. when a test assertion fails mid-run).
     fn drop(&mut self) {
         self.kill_all();
-        self.stop_readers();
+        self.stop_reader();
     }
 }

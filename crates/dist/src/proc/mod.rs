@@ -10,13 +10,15 @@
 //! (atomically: write-temp + rename), waits for every peer's address, and
 //! then calls the same per-rank function a rank thread runs
 //! (`trainer::run_rank`) — its tensor and data groups are process-mode
-//! [`Group`]s over [`SocketChannel`]s, and its pipeline endpoints are fed
-//! by pump threads that bridge socket frames to the `mpsc` channels the
-//! rank loop already speaks.
+//! [`Group`]s over [`SocketChannel`]s, and each of its pipeline lane ends
+//! is a [`SocketChannel`] the rank loop sends on and receives from on its
+//! own thread. All of a process's channels share its [`SocketNode`], so
+//! whichever socket call the training thread waits in also writes what
+//! every other channel queued (see `megatron_collective::socket`).
 //!
 //! Determinism is the whole point: the collectives execute the exact same
 //! step programs with the exact same chunk routing as the mailbox
-//! transport, and the p2p pumps forward activations byte-for-byte, so an
+//! transport, and the lanes carry activations byte-for-byte, so an
 //! N-process run produces **bit-identical** losses, final parameters, and
 //! per-rank byte counts to the in-process run (proven in
 //! `tests/process_mode.rs`). What a rank measured crosses the process
@@ -41,15 +43,17 @@
 //! A dead peer *process* cannot be poisoned (no shared memory), so every
 //! stall surfaces as [`CommError::Timeout`](crate::comm::CommError) after
 //! the group timeout — with the peer's **pid and socket address** attached
-//! to the [`StallContext`](crate::comm::StallContext). Pipeline pumps use
-//! the same convention: a receive pump that sees no frame for the comm
-//! timeout assumes its stage neighbor died and hangs up, which the worker
-//! observes as `PipelineBroken`. Liveness is tracked out-of-band: each
+//! to the [`StallContext`](crate::comm::StallContext). A pipeline lane
+//! uses the same convention: a receive that sees no frame for the comm
+//! timeout ends the rank with `PipelineBroken`, naming the stage neighbor
+//! with the same pid and address. Liveness is tracked out-of-band: each
 //! worker runs a beacon thread that sends a 1-element heartbeat frame to
 //! the launcher every [`JobSpec::hb_period`], and the per-iteration
 //! [`RunControl::on_beat`](crate::trainer::RunControl) hook beats too, so
-//! the launcher's [`HealthMonitor`] classifies a SIGKILLed rank as dead
-//! while stalled survivors keep beating.
+//! the launcher's [`HealthMonitor`] — fed by one reader thread waiting on
+//! every rank's heartbeat stream at once — classifies a SIGKILLed rank as
+//! dead while stalled survivors keep beating. A send never waits, so a
+//! beat never queues behind the training thread's socket waits.
 //!
 //! [`SocketNode`]: megatron_collective::SocketNode
 //! [`SocketChannel`]: megatron_collective::SocketChannel

@@ -39,7 +39,7 @@ pub struct JobSpec {
     pub recompute: bool,
     /// Vocab-parallel embedding + LM head.
     pub vocab_parallel: bool,
-    /// Collective (and pipeline-pump) timeout.
+    /// Collective (and pipeline-lane) timeout.
     pub comm_timeout: Duration,
     /// Model architecture; every worker rebuilds the same master.
     pub model: TinyGptConfig,

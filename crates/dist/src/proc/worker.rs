@@ -1,19 +1,18 @@
 //! One rank process: bind, rendezvous, wire socket groups and pipeline
-//! pumps, call the same `run_rank` a rank thread runs, report.
+//! lanes, call the same `run_rank` a rank thread runs, report.
 
+use std::cell::RefCell;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel as unbounded, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use megatron_collective::{SocketChannel, SocketNode, WireAddr};
-use megatron_tensor::Matrix;
 
 use crate::comm::{Group, WireKind};
-use crate::trainer::{run_rank, Dir, Endpoints, RunControl, Wiring};
+use crate::trainer::{run_rank, Dir, Endpoints, Lane, RunControl, Wiring};
 
 use super::rendezvous::{
     await_addrs, publish, read_addr, DATA_CHAN_BASE, HEARTBEAT_CHAN, P2P_CHAN_BASE,
@@ -21,78 +20,6 @@ use super::rendezvous::{
 };
 use super::report::{self, RankOutput};
 use super::spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
-
-// ---------------------------------------------------------------------------
-// Pipeline p2p pumps
-// ---------------------------------------------------------------------------
-
-/// Matrix wire frame: `[rows, cols, data…]` as f32 (dimensions are exact
-/// below 2²⁴). Serialization is lossless, so pumped activations are
-/// bit-identical to in-process channel sends.
-fn matrix_frame(m: &Matrix) -> Vec<f32> {
-    let mut frame = Vec::with_capacity(m.rows() * m.cols() + 2);
-    frame.push(m.rows() as f32);
-    frame.push(m.cols() as f32);
-    frame.extend_from_slice(m.as_slice());
-    frame
-}
-
-fn frame_matrix(frame: &[f32]) -> Option<Matrix> {
-    let (rows, cols) = (*frame.first()? as usize, *frame.get(1)? as usize);
-    if frame.len() != rows * cols + 2 {
-        return None;
-    }
-    Some(Matrix::from_vec(rows, cols, frame[2..].to_vec()))
-}
-
-/// Forward matrices from the worker's `mpsc` sender into the socket lane.
-/// Exits when the worker drops its sender (normal completion) or a send
-/// fails; the dropped receiver then surfaces to the worker as
-/// `PipelineBroken` on its next send.
-fn pump_send(mut chan: SocketChannel, rx: Receiver<Matrix>, timeout: Duration) {
-    for m in rx {
-        chan.set_deadline(Instant::now() + timeout);
-        if megatron_collective::Transport::send(&mut chan, 1, &matrix_frame(&m)).is_err() {
-            return;
-        }
-    }
-}
-
-/// Forward socket frames into the worker's `mpsc` receiver. Hangs up —
-/// dropping the sender, which the worker observes as `PipelineBroken` —
-/// after `timeout` of silence (the same dead-peer convention as group
-/// collectives) or when `stop` is raised after the worker exits.
-fn pump_recv(
-    mut chan: SocketChannel,
-    tx: Sender<Matrix>,
-    stop: Arc<AtomicBool>,
-    timeout: Duration,
-) {
-    let mut last_frame = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
-        chan.set_deadline(Instant::now() + Duration::from_millis(200));
-        match megatron_collective::PollTransport::recv_within(
-            &mut chan,
-            0,
-            Duration::from_millis(50),
-        ) {
-            Ok(Some(frame)) => {
-                last_frame = Instant::now();
-                let Some(m) = frame_matrix(&frame) else {
-                    return;
-                };
-                if tx.send(m).is_err() {
-                    return;
-                }
-            }
-            Ok(None) | Err(_) => {
-                if last_frame.elapsed() > timeout {
-                    return;
-                }
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Worker process
@@ -225,28 +152,23 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     };
 
     // Pipeline lanes: for every stage boundary this device touches, a
-    // dedicated 2-rank channel per direction (sender = lane rank 0) and a
-    // pump thread bridging it to the mpsc endpoints the worker expects.
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut pumps = Vec::new();
+    // dedicated 2-rank channel per direction (sender = lane rank 0) that
+    // the rank loop sends on and receives from directly.
     let mut ep = Endpoints::default();
     for boundary in 0..stages.saturating_sub(1) {
         for dir in Dir::BOTH {
             let (from, to) = dir.ends(boundary);
             let chan_id = P2P_CHAN_BASE + (boundary as u64) * 2 + u64::from(dir == Dir::Bwd);
+            let ends = [from, to].map(|stage| Some(addrs[flat(stage % p, di, ti)].clone()));
+            let lane = |lane_rank| {
+                let chan = SocketChannel::new(Arc::clone(&node), chan_id, lane_rank, ends.to_vec());
+                RefCell::new(chan)
+            };
             if pi == from % p {
-                let peers = vec![None, Some(addrs[flat(to % p, di, ti)].clone())];
-                let chan = SocketChannel::new(Arc::clone(&node), chan_id, 0, peers);
-                let (mtx, mrx) = unbounded::<Matrix>();
-                ep.tx.insert((dir, from), mtx);
-                pumps.push(thread::spawn(move || pump_send(chan, mrx, timeout)));
+                ep.tx.insert((dir, from), Lane::Socket(lane(0)));
             }
             if pi == to % p {
-                let chan = SocketChannel::new(Arc::clone(&node), chan_id, 1, vec![None, None]);
-                let (mtx, mrx) = unbounded::<Matrix>();
-                ep.rx.insert((dir, to), mrx);
-                let stop = Arc::clone(&stop);
-                pumps.push(thread::spawn(move || pump_recv(chan, mtx, stop, timeout)));
+                ep.rx.insert((dir, to), Lane::Socket(lane(1)));
             }
         }
     }
@@ -255,25 +177,24 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     // launcher. A beacon thread pulses process liveness every hb_period
     // (independent of training progress, so stalled-but-alive survivors
     // keep beating), and the per-iteration on_beat hook pulses progress.
+    // Sends never wait, so a beat never queues behind the training
+    // thread's socket waits.
     let hb = launcher_addr.map(|la| {
         let mut peers: Vec<Option<WireAddr>> = vec![None; world + 1];
         peers[world] = Some(la);
         let chan = SocketChannel::new(Arc::clone(&node), HEARTBEAT_CHAN, rank, peers);
         Arc::new(Mutex::new(chan))
     });
-    if let Some(hb) = &hb {
-        let hb = Arc::clone(hb);
-        let stop = Arc::clone(&stop);
-        let period = job.hb_period;
-        pumps.push(thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if send_heartbeat(&hb, world, &[rank as f32]).is_err() {
-                    return;
-                }
+    let beating = Arc::new(AtomicBool::new(true));
+    let beacon = hb.as_ref().map(|hb| {
+        let (hb, beating, period) = (Arc::clone(hb), Arc::clone(&beating), job.hb_period);
+        thread::spawn(move || {
+            while beating.load(Ordering::Relaxed) {
+                send_heartbeat(&hb, world, &[rank as f32]);
                 thread::sleep(period);
             }
-        }));
-    }
+        })
+    });
 
     // Telemetry: per-process sink; the trace file is merged by the
     // launcher side (`repro analyze --merge-traces`).
@@ -328,7 +249,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
             let hold = job.hold;
             Arc::new(move |r: usize| {
                 let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let _ = send_heartbeat(&hb, world, &[r as f32, completed as f32]);
+                send_heartbeat(&hb, world, &[r as f32, completed as f32]);
                 // The armed victim stops here, beacon still beating, until
                 // the launcher's SIGKILL: the kill lands at this iteration
                 // whatever the job's speed.
@@ -359,8 +280,8 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
         wiring,
         &ctl,
     );
-    stop.store(true, Ordering::Relaxed);
-    for h in pumps {
+    beating.store(false, Ordering::Relaxed);
+    if let Some(h) = beacon {
         let _ = h.join();
     }
 
@@ -378,30 +299,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
 
 /// Send one heartbeat frame to the launcher: `[flat]` for a bare liveness
 /// beacon, `[flat, completed_iters]` for a progress beat.
-fn send_heartbeat(
-    hb: &Mutex<SocketChannel>,
-    launcher_rank: usize,
-    frame: &[f32],
-) -> Result<(), megatron_collective::SocketError> {
+fn send_heartbeat(hb: &Mutex<SocketChannel>, launcher_rank: usize, frame: &[f32]) {
     let mut chan = hb.lock().unwrap_or_else(|e| e.into_inner());
-    chan.set_deadline(Instant::now() + Duration::from_secs(5));
-    megatron_collective::Transport::send(&mut *chan, launcher_rank, frame)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matrix_frames_round_trip_bit_exactly() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32 * 0.1 - 0.7);
-        let back = frame_matrix(&matrix_frame(&m)).unwrap();
-        assert_eq!(back.rows(), 3);
-        assert_eq!(back.cols(), 5);
-        assert_eq!(m.as_slice(), back.as_slice());
-        assert!(
-            frame_matrix(&[2.0, 2.0, 1.0]).is_none(),
-            "torn frame rejected"
-        );
-    }
+    let _ = megatron_collective::Transport::send(&mut *chan, launcher_rank, frame);
 }

@@ -253,9 +253,11 @@ pub enum TrainError {
     Killed(ThreadKey),
     /// A collective failed (peer died or timed out).
     Comm(CommError),
-    /// A pipeline channel closed because a peer exited early. The
-    /// [`StallContext`] names the boundary (as a pseudo-collective) and
-    /// the stage peer's flat rank, mirroring group-collective stalls.
+    /// A pipeline lane broke: the stage peer's thread exited early, or its
+    /// process fell silent for the comm timeout. The [`StallContext`] names
+    /// the boundary (as a pseudo-collective), the stage peer's flat rank
+    /// and, over a socket lane, its pid and address — mirroring
+    /// group-collective stalls.
     PipelineBroken(StallContext),
     /// The restore snapshot has no state for this thread.
     MissingThreadState(ThreadKey),
@@ -272,21 +274,17 @@ impl std::fmt::Display for TrainError {
         match self {
             TrainError::Killed(k) => write!(f, "rank {k:?} was killed"),
             TrainError::Comm(e) => write!(f, "collective failed: {e}"),
-            TrainError::PipelineBroken(ctx) => match ctx.peer {
-                Some(p) => write!(
+            TrainError::PipelineBroken(ctx) => {
+                write!(
                     f,
                     "pipeline channel closed by a dead peer: {} at op {}/{}, stage peer rank {}",
                     ctx.collective,
                     ctx.round + 1,
                     ctx.rounds,
-                    p
-                ),
-                None => write!(
-                    f,
-                    "pipeline channel closed by a dead peer: {}",
-                    ctx.collective
-                ),
-            },
+                    ctx.peer
+                )?;
+                ctx.write_identity(f)
+            }
             TrainError::MissingThreadState(k) => {
                 write!(f, "snapshot has no state for thread {k:?}")
             }

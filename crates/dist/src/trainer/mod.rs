@@ -59,7 +59,7 @@ use crate::comm::Group;
 
 use generations::GenerationAssembler;
 pub(crate) use logs::{merge_losses, RankOutcome};
-pub(crate) use worker::{run_rank, Dir, Endpoints, Wiring};
+pub(crate) use worker::{run_rank, Dir, Endpoints, Lane, Wiring};
 
 /// Real PTD-P training over threads.
 pub struct PtdpTrainer {
@@ -161,9 +161,9 @@ impl PtdpTrainer {
                     let (from, to) = dir.ends(boundary);
                     let (tx, rx) = unbounded();
                     let sender = endpoints.get_mut(&(from % p, di, ti)).unwrap();
-                    sender.tx.insert((dir, from), tx);
+                    sender.tx.insert((dir, from), Lane::Thread(tx));
                     let receiver = endpoints.get_mut(&(to % p, di, ti)).unwrap();
-                    receiver.rx.insert((dir, to), rx);
+                    receiver.rx.insert((dir, to), Lane::Thread(rx));
                 }
             }
         }

@@ -8,11 +8,13 @@
 //! [`proc`](crate::proc) call it with different [`Wiring`] and get the same
 //! [`RankOutcome`] back by value.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
+use megatron_collective::{SocketChannel, Transport};
 use megatron_schedule::{Pass, PipeOp, PipelineSchedule};
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
@@ -123,12 +125,23 @@ impl Dir {
     }
 }
 
-/// Pipeline channel endpoints of one rank, keyed by direction and by the
-/// stage of this rank the lane ends at.
+/// One end of a pipeline lane. Rank threads hand each other matrices over
+/// an in-process channel; a rank process sends on, and receives from, the
+/// lane's socket channel (sender lane rank 0, receiver lane rank 1)
+/// itself, and rebuilds the matrix from the activation shape both ends
+/// know. The wiring picks the variant; nothing else in the rank loop
+/// differs between the two modes.
+pub(crate) enum Lane<T> {
+    Thread(T),
+    Socket(RefCell<SocketChannel>),
+}
+
+/// Pipeline lane ends of one rank, keyed by direction and by the stage of
+/// this rank the lane ends at.
 #[derive(Default)]
 pub(crate) struct Endpoints {
-    pub(crate) rx: HashMap<(Dir, usize), Receiver<Matrix>>,
-    pub(crate) tx: HashMap<(Dir, usize), Sender<Matrix>>,
+    pub(crate) rx: HashMap<(Dir, usize), Lane<Receiver<Matrix>>>,
+    pub(crate) tx: HashMap<(Dir, usize), Lane<Sender<Matrix>>>,
 }
 
 /// How one rank reaches the others: its tensor and data groups, its
@@ -428,19 +441,32 @@ impl Rank<'_> {
         Ok(())
     }
 
-    /// A pipeline channel closed under this rank. The failure carries the
+    /// A pipeline lane broke under this rank. The failure carries the
     /// same [`StallContext`] shape as a group collective's: the boundary as
     /// a pseudo-collective, the schedule op as the step, and the stage
-    /// peer's flat rank — so a stalled pipeline names exactly which
-    /// neighbor died, not just "a peer".
-    fn broken(&self, boundary: &'static str, opi: usize, peer_pi: usize) -> TrainError {
+    /// peer's flat rank — plus, over a socket lane (`(channel, lane rank of
+    /// the peer)`), its pid and address — so a stalled pipeline names
+    /// exactly which neighbor died, not just "a peer".
+    fn broken(
+        &self,
+        boundary: &'static str,
+        opi: usize,
+        peer_pi: usize,
+        socket: Option<(&SocketChannel, usize)>,
+    ) -> TrainError {
         let (pi, di, ti) = self.key;
-        TrainError::PipelineBroken(StallContext::new(
-            boundary,
-            opi,
-            self.schedule.ops[pi].len(),
-            Some(self.spec.flat_rank((peer_pi, di, ti))),
-        ))
+        let peer = self.spec.flat_rank((peer_pi, di, ti));
+        let mut ctx = StallContext::new(boundary, opi, self.schedule.ops[pi].len(), peer);
+        if let Some((chan, lane_peer)) = socket {
+            ctx.identify(chan, lane_peer);
+        }
+        TrainError::PipelineBroken(ctx)
+    }
+
+    /// The deadline a socket lane operation started now gives up at: the
+    /// same timeout the rank's groups run under.
+    fn lane_deadline(&self) -> Instant {
+        Instant::now() + self.ctl.comm_timeout.unwrap_or(self.spec.comm_timeout)
     }
 
     /// Wait for the neighbouring stage's activation or gradient; the wait
@@ -456,9 +482,25 @@ impl Rank<'_> {
         let [wait_name, boundary, ..] = dir.names();
         let peer_pi = dir.prev(stage) % self.spec.pipeline;
         let wait = span(&self.tracer, SpanKind::Bubble, wait_name, mb);
-        let x = self.wiring.ep.rx[&(dir, stage)]
-            .recv()
-            .map_err(|_| self.broken(boundary, opi, peer_pi))?;
+        let x = match &self.wiring.ep.rx[&(dir, stage)] {
+            Lane::Thread(rx) => rx
+                .recv()
+                .map_err(|_| self.broken(boundary, opi, peer_pi, None))?,
+            Lane::Socket(chan) => {
+                let mut chan = chan.borrow_mut();
+                chan.set_deadline(self.lane_deadline());
+                let shape = (
+                    self.spec.microbatch * self.master.cfg.seq,
+                    self.master.cfg.hidden,
+                );
+                match chan.recv(0) {
+                    Ok(data) if data.len() == shape.0 * shape.1 => {
+                        Matrix::from_vec(shape.0, shape.1, data)
+                    }
+                    _ => return Err(self.broken(boundary, opi, peer_pi, Some((&chan, 0)))),
+                }
+            }
+        };
         *bubble_ns += wait.close();
         Ok(x)
     }
@@ -481,9 +523,18 @@ impl Rank<'_> {
             ..mb
         };
         let sending = span(&self.tracer, SpanKind::Comm, send_name, args);
-        self.wiring.ep.tx[&(dir, stage)]
-            .send(x)
-            .map_err(|_| self.broken(boundary, opi, peer_pi))?;
+        match &self.wiring.ep.tx[&(dir, stage)] {
+            Lane::Thread(tx) => tx
+                .send(x)
+                .map_err(|_| self.broken(boundary, opi, peer_pi, None))?,
+            Lane::Socket(chan) => {
+                let mut chan = chan.borrow_mut();
+                chan.set_deadline(self.lane_deadline());
+                if chan.send(1, x.as_slice()).is_err() {
+                    return Err(self.broken(boundary, opi, peer_pi, Some((&chan, 1))));
+                }
+            }
+        }
         drop(sending);
         self.p2p_send_bytes += bytes;
         self.p2p_sends

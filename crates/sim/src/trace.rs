@@ -291,7 +291,7 @@ mod tests {
         let ev = TraceEvent::span("fwd", "fwd", 1.5, 2.5)
             .at(3, 4)
             .arg("microbatch", Json::from(7usize));
-        let v = Json::parse(&events_json(&[ev.clone()])).unwrap();
+        let v = Json::parse(&events_json(std::slice::from_ref(&ev))).unwrap();
         assert_eq!(v[0]["name"].as_str(), Some("fwd"));
         assert_eq!(v[0]["ts"].as_f64(), Some(1.5));
         assert_eq!(v[0]["dur"].as_f64(), Some(2.5));

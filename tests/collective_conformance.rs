@@ -12,7 +12,9 @@
 //! - **Reliable** — mailbox wrapped in the sequence-numbered retry layer;
 //! - **Socket** — real Unix-domain sockets, one listener per rank, the
 //!   same process-mode wiring `repro launch` uses (length-prefixed
-//!   frames, reconnects, barriers riding the wire).
+//!   frames, reconnects, barriers riding the wire);
+//! - **Tcp** — the same wiring over loopback TCP, exercised by the
+//!   large-message test (ring chunks far beyond the kernel socket buffer).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,6 +36,7 @@ enum Mode {
     Mailbox,
     Reliable,
     Socket,
+    Tcp,
 }
 
 const MODES: [Mode; 3] = [Mode::Mailbox, Mode::Reliable, Mode::Socket];
@@ -61,7 +64,7 @@ fn with_group<R: Send>(mode: Mode, g: usize, f: impl Fn(GroupMember) -> R + Sync
             let group = Group::with_config(g, DEFAULT_COMM_TIMEOUT, cfg);
             run_threads(g, &f, move |_| Arc::clone(&group))
         }
-        Mode::Socket => {
+        Mode::Socket | Mode::Tcp => {
             // One listener + one single-member group per rank: exactly the
             // wiring of a real N-process job, minus the fork/exec.
             static WORLD: AtomicUsize = AtomicUsize::new(0);
@@ -73,15 +76,21 @@ fn with_group<R: Send>(mode: Mode, g: usize, f: impl Fn(GroupMember) -> R + Sync
             std::fs::create_dir_all(&dir).unwrap();
             let nodes: Vec<Arc<SocketNode>> = (0..g)
                 .map(|r| {
-                    Arc::new(
-                        SocketNode::bind(&WireAddr::Uds(dir.join(format!("r{r}.sock")))).unwrap(),
-                    )
+                    let addr = match mode {
+                        Mode::Tcp => WireAddr::Tcp("127.0.0.1:0".parse().unwrap()),
+                        _ => WireAddr::Uds(dir.join(format!("r{r}.sock"))),
+                    };
+                    Arc::new(SocketNode::bind(&addr).unwrap())
                 })
                 .collect();
             let addrs: Vec<Option<WireAddr>> =
                 nodes.iter().map(|n| Some(n.addr().clone())).collect();
             let cfg = TransportConfig {
-                wire: WireKind::Uds,
+                wire: if mode == Mode::Tcp {
+                    WireKind::Tcp
+                } else {
+                    WireKind::Uds
+                },
                 ..TransportConfig::default()
             };
             let out = run_threads(g, &f, move |r| {
@@ -343,6 +352,32 @@ fn size_two_all_reduce_is_exact_at_every_length() {
             for vol in vols {
                 assert_eq!(vol.all_reduce_bytes, n as f64 * BYTES_F32, "{mode:?} n={n}");
             }
+        }
+    }
+}
+
+#[test]
+fn large_socket_all_reduce_matches_reference_bitwise() {
+    // 2 M floats: every ring chunk (4 MiB at g = 2) is many times the
+    // kernel socket buffer, so each rank's send cannot complete until its
+    // neighbour — itself mid-send — reads. A transport whose send waits
+    // for the receiver stalls both until the deadline.
+    let n = 2_097_152;
+    for mode in [Mode::Socket, Mode::Tcp] {
+        for g in [2, 3] {
+            let prog = coll::ring_all_reduce(g, n, ReduceOp::Sum);
+            let mut reference: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
+            reference_run(&prog, &mut reference);
+            let real: Vec<bool> = with_group(mode, g, |m| {
+                let mut buf = seeded(m.rank(), n);
+                m.try_all_reduce_sum(&mut buf).unwrap();
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                bits(&buf) == bits(&reference[m.rank()])
+            });
+            assert!(
+                real.iter().all(|&same| same),
+                "{mode:?} g={g}: transport diverged from reference"
+            );
         }
     }
 }

@@ -7,6 +7,8 @@
 //!    bits, comm volume, tape bytes, peak stash, step count — with per-GPU
 //!    socket byte counts equal to the comm-tape's closed forms (the same §3
 //!    identities `tests/real_vs_sim_bytes.rs` proves against the simulator).
+//!    The same holds for an interleaved (2,2,1) job whose every pipeline
+//!    message is 1 MiB, several times the kernel socket buffer.
 //! 2. Heartbeats flow over the socket transport: SIGKILLing one rank
 //!    process leaves it classified **dead** by the launcher-side
 //!    [`HealthMonitor`](megatron_repro::dist::HealthMonitor) while the
@@ -26,6 +28,8 @@ use std::time::{Duration, Instant};
 
 use megatron_repro::dist::proc::{launch, launch_configured, maybe_worker, JobSpec, ProcOutcome};
 use megatron_repro::dist::{CheckpointStore, ProcBackend, PtdpTrainer, Supervisor};
+use megatron_repro::schedule::ScheduleKind;
+use megatron_repro::tensor::gpt::TinyGptConfig;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("megatron-procmode-{tag}-{}", std::process::id()));
@@ -33,10 +37,11 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn eight_uds_processes_bit_identical_to_in_process() {
-    let job = JobSpec::canonical(2, 2, 2);
-    let dir = scratch("bitident");
-    let handle = launch(&job, &dir).expect("launch 8 rank processes");
+/// Launch `job` as rank processes and compare every rank's record with the
+/// same job trained on threads.
+fn processes_match_threads(job: &JobSpec, tag: &str) {
+    let dir = scratch(tag);
+    let handle = launch(job, &dir).expect("launch rank processes");
     let out = handle.wait();
     assert!(
         out.ok(),
@@ -91,9 +96,37 @@ fn eight_uds_processes_bit_identical_to_in_process() {
         total_bytes += o.volume.total_bytes();
     }
     assert!(total_bytes > 0.0, "run moved no bytes — vacuous identity");
-
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn eight_uds_processes_bit_identical_to_in_process() {
+    processes_match_threads(&JobSpec::canonical(2, 2, 2), "bitident");
     println!("ok - eight_uds_processes_bit_identical_to_in_process");
+}
+
+/// Two devices with two model chunks each: the stage boundaries 0|1, 1|2
+/// and 2|3 all join the same pair of processes, which exchange activations
+/// over several lanes at once, between tensor-group all-reduces. Every
+/// pipeline message is `microbatch·seq × hidden` = 64·64 × 64 floats =
+/// 1 MiB, so no send fits the kernel socket buffer: a rank that waited on
+/// one lane without writing what it queued on another would deadlock.
+fn interleaved_megabyte_lanes_bit_identical_to_in_process() {
+    let mut job = JobSpec::canonical(2, 2, 1);
+    job.chunks = 2;
+    job.schedule = ScheduleKind::Interleaved { chunks: 2 };
+    job.model = TinyGptConfig {
+        vocab: 13,
+        seq: 64,
+        hidden: 64,
+        heads: 2,
+        layers: 4,
+    };
+    job.microbatch = 64;
+    job.batch = 2 * job.microbatch;
+    let (seq, hidden) = (job.model.seq, job.model.hidden);
+    assert!(job.microbatch * seq * hidden * 4 >= 1 << 20);
+    processes_match_threads(&job, "interleaved");
+    println!("ok - interleaved_megabyte_lanes_bit_identical_to_in_process");
 }
 
 fn sigkilled_rank_process_classified_dead() {
@@ -228,6 +261,7 @@ fn main() {
     maybe_worker();
 
     eight_uds_processes_bit_identical_to_in_process();
+    interleaved_megabyte_lanes_bit_identical_to_in_process();
     sigkilled_rank_process_classified_dead();
     supervised_recovery_table_over_rank_processes();
     println!("process_mode: all tests passed");
