@@ -21,11 +21,9 @@
 //! `repro sentry` regression gate, and surfaces the per-rank
 //! `spans_dropped` counters so silent ring-buffer overflow is visible.
 
-use megatron_cluster::ClusterSpec;
-use megatron_core::TrainingRun;
 use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl};
 use megatron_model::BYTES_FP16;
-use megatron_parallel::{analysis, ParallelConfig};
+use megatron_parallel::analysis;
 use megatron_sim::json::Json;
 use megatron_telemetry::{
     chrome_trace_json, critical_path, parse_chrome_trace, what_if, Attribution, GpuSpec, Phase,
@@ -38,7 +36,7 @@ use rand::SeedableRng;
 
 use crate::perf::{bench_json, write_bench_json};
 use crate::table::Table;
-use crate::timeline::{make_data, mirror_cfg, REAL_CFG};
+use crate::timeline::{make_data, twin, REAL_CFG};
 
 /// Acceptance gate: attribution categories must sum to the measured
 /// iteration time within this fraction.
@@ -139,7 +137,8 @@ pub fn analyze() -> String {
     let batch = 8usize;
     let spec = PtdpSpec::new(p, t, d);
     let m = batch / d / spec.microbatch;
-    let mirror = mirror_cfg();
+    let run = twin(REAL_CFG, &spec, batch);
+    let mirror = &run.model;
 
     // --- Real run, telemetry attached (same seeds as E31) ---
     let sink = TelemetrySink::new(SinkConfig {
@@ -160,10 +159,6 @@ pub fn analyze() -> String {
     let log = out.log;
 
     // --- Simulated twin ---
-    let pc = ParallelConfig::new(p as u64, t as u64, d as u64, 1, batch as u64);
-    let mut run = TrainingRun::ptdp(mirror.clone(), ClusterSpec::selene(p * t * d), pc);
-    run.options.enforce_memory = false;
-    run.options.recompute = spec.recompute;
     let (report, sim_trace) = run.simulate_traced().expect("sim twin failed");
 
     // --- One analyzer, both traces ---
@@ -303,7 +298,7 @@ pub fn analyze() -> String {
         n == "grad-allreduce" || n == "grad-reduce-scatter" || n == "param-allgather"
     }) / iters as f64;
     let expected_p2p =
-        2.0 * m as f64 * analysis::pipeline_p2p_bytes(&mirror, spec.microbatch as u64) as f64;
+        2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;
     let grad_bytes_fp16 = log.final_params[&(0, 0, 0)].len() as u64 * BYTES_FP16;
     let expected_dp = 2.0 * analysis::data_parallel_bytes(grad_bytes_fp16, d as u64);
     // Sim spans carry the fp16 volumes the CostModel actually priced.
@@ -311,7 +306,7 @@ pub fn analyze() -> String {
         .map(|r| bytes_where(&sim_dag, r, |n| n == "pipeline-p2p"))
         .sum();
     let sim_expected_p2p =
-        2.0 * m as f64 * analysis::pipeline_p2p_bytes(&mirror, spec.microbatch as u64) as f64;
+        2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;
     let sim_dp_per_dev = bytes_where(&sim_dag, 0, |n| n == "grad-allreduce");
     let mut t3 = Table::new(["volume", "analyzer (B)", "§3 formula (B)"]);
     for (label, counted, expected) in [

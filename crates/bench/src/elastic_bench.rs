@@ -2,10 +2,11 @@
 //!
 //! A seeded `FaultPlan` kills a rank mid-job and a seeded
 //! `CapacityEvent::Returned` repairs it a few iterations later. The
-//! elastic supervisor shrinks to the best degraded topology the
-//! simulator's cost model picks, keeps training, and grows back at the
-//! next checkpoint boundary — while the restart-at-full baseline must
-//! stall until the capacity returns. The experiment proves three things:
+//! elastic supervisor shrinks to the cheapest degraded layout the job's
+//! simulator twin ranks (`megatron_core::elastic::rank_layouts`), keeps
+//! training, and grows back at the next checkpoint boundary — while the
+//! restart-at-full baseline must stall until the capacity returns. The
+//! experiment proves three things:
 //!
 //! 1. **Bit-identity**: every post-reconfiguration segment of the elastic
 //!    run equals a fresh launch at that topology restored from the same
@@ -14,16 +15,16 @@
 //!    goodput than restart-at-full under the same fault plan, and the
 //!    analytic `ElasticGoodputModel` predicts the measured elastic
 //!    goodput within the acceptance band.
-//! 3. **Sim pricing**: `megatron_sim::elastic::price_schedule` prices
-//!    capacity-loss schedules the real engine never runs, anchored by the
-//!    one point the real run measured.
+//! 3. **Sim pricing**: `megatron_core::elastic::price_schedule` prices
+//!    capacity-loss schedules the real engine never runs with the same
+//!    twin, anchored by the one point the real run measured.
 
+use megatron_core::elastic::{iteration_s, price_schedule, rank_layouts, CapacityWindow};
 use megatron_dist::{
     CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, ReconfigureDirection,
     RunControl, Supervisor, SupervisorConfig, ThreadBackend,
 };
 use megatron_fault::{ElasticGoodputModel, FaultPlan, FaultRates, RecoveryMeasurement};
-use megatron_sim::elastic::{price_schedule, CapacityWindow, CostModel};
 use megatron_sim::json::Json;
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 use rand::rngs::StdRng;
@@ -33,6 +34,7 @@ use std::time::Duration;
 
 use crate::perf;
 use crate::table::Table;
+use crate::timeline::twin;
 
 /// Wall-clock seconds per iteration of a clean (fault-free, no-durable)
 /// run. Wall-clock — not per-thread step times summed up — because
@@ -134,6 +136,10 @@ pub fn elastic() -> String {
         backoff_max: Duration::from_millis(8),
         ..SupervisorConfig::default()
     };
+    // The job's simulator twin prices every layout the supervisor may
+    // shrink to, and the degraded iterations below.
+    let twin_run = twin(cfg, &spec, batch);
+    let rank = |capacity| rank_layouts(&twin_run, capacity);
     // One supervised run of the job over a fresh store: elastic (shrink on
     // the death, grow on the return) or the restart-at-full baseline.
     let supervised_once = |tag: &str, elastic: bool| {
@@ -143,7 +149,7 @@ pub fn elastic() -> String {
         let backend = ThreadBackend::new(master.clone(), spec, &data);
         let sup = Supervisor::new(backend, Arc::clone(&store), sup_cfg);
         let report = if elastic {
-            sup.run_elastic(&[kill], &capacity)
+            sup.run_elastic(&[kill], &capacity, &rank)
         } else {
             sup.run(&[kill])
         };
@@ -288,20 +294,22 @@ pub fn elastic() -> String {
     // so shrinking the topology does NOT slow it down the way losing GPUs
     // slows a real job (fewer threads can even run faster per iteration
     // on a contended host). Degraded iterations are therefore priced by
-    // the simulator's cost model — the same model the supervisor used to
-    // pick the degraded configuration — calibrated so one full-topology
-    // model iteration costs the measured `clean_iter_s`. Checkpoint
-    // saves, restores, detection, and backoff stay measured wall-clock,
-    // and each policy's wall is assembled from those components: the
-    // end-to-end raw walls of runs this size are dominated by host
-    // scheduler jitter, which would drown the ~10% overhead signal the
-    // experiment exists to measure.
-    let cost = CostModel::for_job(cfg.layers, cfg.heads, batch, spec.microbatch);
+    // the twin — the same simulation the supervisor ranked layouts with —
+    // calibrated so one full-topology iteration costs the measured
+    // `clean_iter_s`. The twin prices an A100 node, where this tiny job is
+    // bound by its all-reduces and the degraded layout can come out
+    // *faster*; like `ElasticGoodputModel::from_measured`, rho is capped at
+    // 1, so a degraded iteration is never priced below a clean one.
+    // Checkpoint saves, restores, detection, and backoff stay measured
+    // wall-clock, and each policy's wall is assembled from those
+    // components: the end-to-end raw walls of runs this size are dominated
+    // by host scheduler jitter, which would drown the ~10% overhead signal
+    // the experiment exists to measure.
     let full = (spec.pipeline, spec.tensor, spec.data);
-    let unit_s = clean_iter_s / cost.iteration_s(full.0, full.1, full.2);
-    let degraded_iter_s =
-        unit_s * cost.iteration_s(degraded.pipeline, degraded.tensor, degraded.data);
-    let rho = (clean_iter_s / degraded_iter_s).clamp(1e-3, 1.0);
+    let twin_s = |layout| iteration_s(&twin_run, layout).expect("a ranked layout simulates");
+    let twin_rho = twin_s(full) / twin_s(shrink.to);
+    let rho = twin_rho.clamp(1e-3, 1.0);
+    let degraded_iter_s = clean_iter_s / rho;
 
     // The outage: the degraded window's work at degraded speed. Elastic
     // pays only the slowdown (outage · (1 − rho) extra wall); the restart
@@ -367,7 +375,7 @@ pub fn elastic() -> String {
     let restart_goodput = useful_s / restart_wall_s;
     out.push_str(&format!(
         "measured goodput under the same fault plan ({:.0}-iteration outage priced at {:.1} ms,\n\
-         degraded iterations priced {:.1} ms by the cost model vs {:.1} ms clean):\n\
+         degraded iterations priced {:.1} ms by the twin vs {:.1} ms clean):\n\
            elastic shrink-and-continue: {:.1}%  ({:.1} ms wall, {:.1} ms measured overheads, works through the outage)\n\
            restart-at-full baseline:    {:.1}%  ({:.1} ms wall, {:.1} ms measured overheads + the full stall)\n",
         degraded_work,
@@ -401,13 +409,14 @@ pub fn elastic() -> String {
     let predicted = em.elastic_goodput(meas.interval_s(), useful_s, outage_s);
     let err = (elastic_goodput - predicted).abs() / predicted.max(1e-12);
     out.push_str(&format!(
-        "\nanalytic elastic mode (rho = {:.2}, cost model's relative throughput of {:?}):\n\
+        "\nanalytic elastic mode (rho = {:.2}: the twin's relative throughput of {:?}, {:.3}, capped at 1):\n\
            predicted elastic goodput: {:.1}%\n\
            measured elastic goodput:  {:.1}%\n\
            agreement: {:.1}% {}\n\
            break-even outage for one reconfiguration ({:.2} ms): {:.2} ms\n",
         rho,
         shrink.to,
+        twin_rho,
         100.0 * predicted,
         100.0 * elastic_goodput,
         100.0 * err,
@@ -422,7 +431,7 @@ pub fn elastic() -> String {
 
     // ---- Sim mirror: price capacity-loss schedules the real engine
     // never ran. ----
-    let unit = cost.iteration_s(full.0, full.1, full.2);
+    let unit = twin_s(full);
     let mut t = Table::new([
         "outage (iters of model time)",
         "elastic goodput",
@@ -447,7 +456,7 @@ pub fn elastic() -> String {
                 },
             ]
         };
-        let cmp = price_schedule(&cost, full, &windows, horizon, 0.5 * unit, 0.5 * unit);
+        let cmp = price_schedule(&twin_run, full, &windows, horizon, 0.5 * unit, 0.5 * unit);
         t.row([
             outage_iters.to_string(),
             format!("{:.1}%", 100.0 * cmp.elastic_goodput()),
@@ -456,7 +465,7 @@ pub fn elastic() -> String {
         ]);
     }
     out.push_str(&format!(
-        "\nsim-priced capacity schedules (cost-model units, one mid-job loss of 1 GPU,\n\
+        "\nsim-priced capacity schedules (twin iterations, one mid-job loss of 1 GPU,\n\
          reconfigure/restore each 0.5 iterations):\n{}\n",
         t.render()
     ));

@@ -3,9 +3,9 @@
 //! comparison).
 
 use megatron_cluster::ClusterSpec;
-use megatron_core::{CheckpointIo, FilesystemSpec, TrainingRun};
+use megatron_core::{heuristics, CheckpointIo, FilesystemSpec, TrainingRun};
 use megatron_model::{zoo, GptConfig};
-use megatron_parallel::{analysis, heuristics, ParallelConfig};
+use megatron_parallel::{analysis, ParallelConfig};
 use megatron_schedule::ScheduleKind;
 
 use crate::table::Table;
@@ -299,7 +299,7 @@ pub fn fig7() -> String {
     let mut t = Table::new(["microbatch b", "teraFLOP/s per GPU", "vs b=1"]);
     let mut base = 0.0;
     for b in [1u64, 2, 4, 8, 16] {
-        let (tf, tb) = heuristics::stage_times(&model, &cluster, 1, 1, b, true, true);
+        let (tf, tb) = heuristics::device_times(&model, &cluster, 1, 1, b, true);
         // One microbatch of b samples forward+backward; FLOPs per Eq. 3.
         let flops = model.flops_per_iteration_eq3(b);
         let tput = flops / (tf + tb) / 1e12;
@@ -328,7 +328,7 @@ pub fn fig8() -> String {
             .iter()
             .filter(|&&b| b_prime % b == 0)
             .map(|&b| {
-                let (tf, tb) = heuristics::stage_times(&model, &cluster, p, t, b, true, true);
+                let (tf, tb) = heuristics::device_times(&model, &cluster, p, t, b, true);
                 let time = analysis::eq1_batch_time(b_prime, b, p, |_| tf, |_| tb);
                 (b, batch as f64 / time)
             })
@@ -402,7 +402,10 @@ pub fn table1() -> String {
 
 /// Microbatch sizes for Table 1 rows: the paper doesn't list them; large
 /// models used b=1, smaller models larger b (§5.4.3 and Table 2 use b=1 at
-/// scale). We use the heuristic's Eq.-1-optimal choice among {1,2,4,8}.
+/// scale). We use the heuristic's Eq.-1-optimal choice among {1,2,4,8} at
+/// the paper's (t, p). This is not `heuristics::suggest_config`'s
+/// microbatch loop: that one also tries b = 16, which would move Table 1
+/// rows 1–4 from b = 8 to b = 16.
 fn microbatch_for(row: &zoo::Table1Row) -> u64 {
     let cluster = ClusterSpec::selene(row.n_gpus as usize);
     let d = row.n_gpus / (row.tensor_parallel * row.pipeline_parallel);
@@ -425,13 +428,12 @@ fn microbatch_for(row: &zoo::Table1Row) -> u64 {
         {
             continue;
         }
-        let (tf, tb) = heuristics::stage_times(
+        let (tf, tb) = heuristics::device_times(
             &row.config,
             &cluster,
             row.pipeline_parallel,
             row.tensor_parallel,
             b,
-            true,
             true,
         );
         let time = analysis::eq1_batch_time(b_prime, b, row.pipeline_parallel, |_| tf, |_| tb);
@@ -444,7 +446,7 @@ fn microbatch_for(row: &zoo::Table1Row) -> u64 {
 
 /// Table 2 / Figure 10: PTD-P vs ZeRO-3.
 pub fn table2() -> String {
-    use megatron_zero::ZeroRun;
+    use megatron_core::zero::ZeroRun;
     let mut t = Table::new([
         "scheme",
         "model",
@@ -680,12 +682,11 @@ pub fn fig16() -> String {
 /// Figure 17: throughput with and without activation recomputation,
 /// 145B model, (t,p)=(8,16), 128 GPUs. Memory is judged against the
 /// practically usable fraction of the 80 GB device (see
-/// `megatron_parallel::heuristics::USABLE_MEMORY_FRACTION`), which is what
+/// `heuristics::USABLE_MEMORY_FRACTION`), which is what
 /// makes the paper's non-recompute line stop at moderate batch sizes.
 pub fn fig17() -> String {
     let model = zoo::gpt_145b();
-    let usable =
-        (80.0 * (1u64 << 30) as f64 * megatron_parallel::heuristics::USABLE_MEMORY_FRACTION) as u64;
+    let usable = (80.0 * (1u64 << 30) as f64 * heuristics::USABLE_MEMORY_FRACTION) as u64;
     let mut t = Table::new(["batch", "recompute", "seq/s", "memory GiB/GPU"]);
     for batch in [1u64, 2, 4, 8, 16, 32, 64, 128] {
         for recompute in [false, true] {
@@ -895,7 +896,7 @@ pub fn v100_years() -> String {
     let cluster = ClusterSpec::custom(GpuSpec::v100_32gb(), NodeSpec::dgx_a100(), 1);
     // Per-sample compute throughput of one V100 (ignoring the impossibility
     // of fitting the model — the paper's thought experiment does too).
-    let (tf, tb) = heuristics::stage_times(&model, &cluster, 1, 1, 1, true, true);
+    let (tf, tb) = heuristics::device_times(&model, &cluster, 1, 1, 1, true);
     let x = model.flops_per_iteration_eq3(1) / (tf + tb);
     let secs = model.training_time_exact(300e9, 1, 1.0, x);
     format!(
@@ -1300,7 +1301,7 @@ pub fn recovery() -> String {
 /// §6 "Sharded Data Parallelism" related work, quantified: the
 /// memory-vs-communication ladder of ZeRO stages for GPT-3 on 384 GPUs.
 pub fn zero_stages() -> String {
-    use megatron_zero::{ZeroRun, ZeroStage};
+    use megatron_core::zero::{ZeroRun, ZeroStage};
     let model = zoo::gpt3_175b();
     let cluster = ClusterSpec::selene(384);
     let mut t = Table::new([

@@ -16,7 +16,7 @@
 //! supervised wall-clock) is compared against the Young/Daly
 //! [`GoodputModel`] parameterized by the *measured* MTBF, restore, and
 //! backoff costs, and the E35 scenario on the same backend — a real
-//! SIGKILL, the cost model's degraded layout, the rank returned, a grow at
+//! SIGKILL, the twin's cheapest degraded layout, the rank returned, a grow at
 //! the next checkpoint boundary — validates [`ElasticGoodputModel`] the
 //! same way. Both land in `BENCH_proc_chaos.json` for the perf-regression
 //! sentry.
@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use megatron_core::elastic::rank_layouts;
 use megatron_dist::proc::{launch_configured, JobSpec, ProcBackend, SocketFaultPlan};
 use megatron_dist::{
     CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, ReconfigureDirection, Supervisor,
@@ -141,7 +142,8 @@ fn kill_schedule(seed: u64, spec: &PtdpSpec, iters: usize, n: usize) -> Vec<Kill
 }
 
 /// Supervise `job` as rank processes under `root`, durable store at
-/// `root/ckpt`.
+/// `root/ckpt` — elastic over the layouts its simulator twin ranks when a
+/// capacity schedule is given.
 fn supervised(
     job: &JobSpec,
     root: &Path,
@@ -162,8 +164,10 @@ fn supervised(
             ..SupervisorConfig::default()
         },
     );
+    let twin_run = crate::timeline::twin(job.model, &job.spec(), job.batch);
+    let rank = |capacity| rank_layouts(&twin_run, capacity);
     let report = match capacity {
-        Some(events) => sup.run_elastic(kills, events),
+        Some(events) => sup.run_elastic(kills, events, &rank),
         None => sup.run(kills),
     };
     match &report.gave_up {
@@ -255,8 +259,8 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
     let model_error = (measured - predicted).abs() / measured.max(1e-12);
 
     // --- The elastic cycle (E35's scenario, real processes): SIGKILL one
-    // rank a third of the way in, run on at the degraded layout the cost
-    // model picks, get the rank back two thirds in, grow at the next
+    // rank a third of the way in, run on at the degraded layout the twin
+    // ranks first, get the rank back two thirds in, grow at the next
     // checkpoint boundary.
     let lost_at = knobs.iters / 3;
     let back_at = 2 * knobs.iters / 3;

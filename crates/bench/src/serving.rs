@@ -26,7 +26,7 @@
 //! A simulated policy sweep (admission caps × chunked prefill) closes the
 //! report: the mirror explores schedules the real run didn't execute.
 
-use megatron_dist::Group;
+use megatron_dist::{Group, PtdpSpec};
 use megatron_model::GptConfig;
 use megatron_serve::{generate, TrafficConfig};
 use megatron_serve::{serve, RankEngine, SeqBatchEntry, ServeConfig, ServeRequest};
@@ -39,6 +39,7 @@ use rand::SeedableRng;
 
 use crate::perf;
 use crate::table::Table;
+use crate::timeline::twin;
 
 /// CLI-tunable serving knobs (`repro serving [flags]`).
 #[derive(Debug, Clone, PartialEq)]
@@ -257,14 +258,8 @@ fn report(knobs: &ServingKnobs) -> String {
         max_live_tokens: knobs.max_live_tokens,
         prefill_chunk: knobs.prefill_chunk,
     };
-    let gcfg = GptConfig {
-        name: "serving-bench".to_string(),
-        num_layers: tiny.layers as u64,
-        hidden_size: tiny.hidden as u64,
-        num_heads: tiny.heads as u64,
-        seq_len: tiny.seq as u64,
-        vocab_size: tiny.vocab as u64,
-    };
+    // The model-crate description of the served model, for its FLOP formulas.
+    let gcfg = twin(tiny, &PtdpSpec::new(1, knobs.tensor_parallel, 1), 1).model;
     gcfg.validate();
 
     let mut out = String::new();

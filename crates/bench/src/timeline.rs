@@ -16,8 +16,8 @@
 //! Schema violations, formula mismatches, or gross phase drift panic, which
 //! is what the CI `timeline-smoke` job keys off.
 
-use megatron_cluster::ClusterSpec;
-use megatron_core::TrainingRun;
+use megatron_cluster::{ClusterSpec, NodeSpec};
+use megatron_core::{TrainingOptions, TrainingRun};
 use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl};
 use megatron_model::{GptConfig, BYTES_FP16};
 use megatron_parallel::{analysis, ParallelConfig};
@@ -42,16 +42,37 @@ pub(crate) const REAL_CFG: TinyGptConfig = TinyGptConfig {
     layers: 2,
 };
 
-/// The simulator twin of [`REAL_CFG`] — same `l`, `h`, `a`, `s`, `V`.
-pub(crate) fn mirror_cfg() -> GptConfig {
-    GptConfig {
-        name: "timeline-twin".to_string(),
-        num_layers: REAL_CFG.layers as u64,
-        hidden_size: REAL_CFG.hidden as u64,
-        num_heads: REAL_CFG.heads as u64,
-        seq_len: REAL_CFG.seq as u64,
-        vocab_size: REAL_CFG.vocab as u64,
-    }
+/// The simulator twin of a real job: the same `l`, `h`, `a`, `s`, `V`,
+/// `(p, t, d)`, `b`, `v`, schedule and recomputation at global batch
+/// `batch`, on one A100 node of exactly `p·t·d` GPUs — the one mapping from
+/// a trainer's job to what `megatron-core` prices.
+pub(crate) fn twin(cfg: TinyGptConfig, spec: &PtdpSpec, batch: usize) -> TrainingRun {
+    let model = GptConfig {
+        name: "twin".to_string(),
+        num_layers: cfg.layers as u64,
+        hidden_size: cfg.hidden as u64,
+        num_heads: cfg.heads as u64,
+        seq_len: cfg.seq as u64,
+        vocab_size: cfg.vocab as u64,
+    };
+    let (p, t, d) = (spec.pipeline as u64, spec.tensor as u64, spec.data as u64);
+    let pc = ParallelConfig::new(p, t, d, spec.microbatch as u64, batch as u64)
+        .with_chunks(spec.chunks as u64);
+    let node = NodeSpec {
+        gpus_per_node: spec.world(),
+        ..NodeSpec::dgx_a100()
+    };
+    let options = TrainingOptions {
+        schedule: spec.schedule,
+        recompute: spec.recompute,
+        ..TrainingOptions::default()
+    };
+    TrainingRun::new(
+        model,
+        ClusterSpec::custom(GpuSpec::a100_80gb(), node, 1),
+        pc,
+        options,
+    )
 }
 
 pub(crate) fn make_data(batch: usize, iters: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
@@ -110,7 +131,8 @@ pub fn timeline() -> String {
     let batch = 8usize; // per replica 4 → m = 4 microbatches of b = 1
     let spec = PtdpSpec::new(p, t, d);
     let m = batch / d / spec.microbatch;
-    let mirror = mirror_cfg();
+    let run = twin(REAL_CFG, &spec, batch);
+    let mirror = &run.model;
 
     // --- Real run, telemetry attached ---
     let sink = TelemetrySink::new(SinkConfig {
@@ -131,10 +153,6 @@ pub fn timeline() -> String {
     let log = out.log;
 
     // --- Simulated twin ---
-    let pc = ParallelConfig::new(p as u64, t as u64, d as u64, 1, batch as u64);
-    let mut run = TrainingRun::ptdp(mirror.clone(), ClusterSpec::selene(p * t * d), pc);
-    run.options.enforce_memory = false;
-    run.options.recompute = spec.recompute;
     let (report, sim_trace) = run.simulate_traced().expect("sim twin failed");
 
     // --- Export both traces + the metrics JSONL ---
@@ -184,9 +202,9 @@ pub fn timeline() -> String {
     let expected_tensor = 2.0
         * m as f64
         * layers_per_stage as f64
-        * analysis::tensor_parallel_bytes_per_layer(&mirror, spec.microbatch as u64, t as u64);
+        * analysis::tensor_parallel_bytes_per_layer(mirror, spec.microbatch as u64, t as u64);
     let expected_p2p =
-        2.0 * m as f64 * analysis::pipeline_p2p_bytes(&mirror, spec.microbatch as u64) as f64;
+        2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;
     let grad_bytes_fp16 = log.final_params[&key].len() as u64 * BYTES_FP16;
     let expected_data = 2.0 * analysis::data_parallel_bytes(grad_bytes_fp16, d as u64);
     let mut t2 = Table::new(["volume (rank p0,d0,t0)", "counted (B)", "2x §3 formula (B)"]);

@@ -1,10 +1,55 @@
-//! Per-stage compute-cost pricing.
+//! Per-layer and per-stage compute-cost pricing: the one place a
+//! transformer layer's forward and backward are priced.
 
 use megatron_cluster::ClusterSpec;
 use megatron_model::ops::{self, OpListParams};
 use megatron_model::GptConfig;
 use megatron_net::analytical;
 use megatron_parallel::{ParallelConfig, RankMapper};
+
+/// Priced cost of one transformer layer on one rank of a tensor group, for
+/// a single microbatch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCost {
+    /// Forward seconds: local kernels + the tensor-parallel all-reduces.
+    pub forward: f64,
+    /// Backward seconds, same terms (no recomputation forward).
+    pub backward: f64,
+    /// GEMM FLOPs of the forward pass.
+    pub forward_flops: f64,
+    /// Tensor-parallel all-reduce bytes of the forward pass.
+    pub forward_ar_bytes: u64,
+    /// Tensor-parallel all-reduce bytes of the backward pass.
+    pub backward_ar_bytes: u64,
+}
+
+/// Price one transformer layer at microbatch `microbatch` on a rank of the
+/// tensor group `group` (global GPU ranks; `t = group.len()`), its
+/// all-reduces ring-priced over the group's real placement:
+/// `2(t−1)·(λ + bytes/(t·β))`, NVLink inside a node, InfiniBand across.
+pub fn price_layer(
+    model: &GptConfig,
+    cluster: &ClusterSpec,
+    group: &[usize],
+    microbatch: u64,
+    fused: bool,
+) -> LayerCost {
+    let params = OpListParams {
+        microbatch,
+        tensor_parallel: group.len() as u64,
+        fused,
+    };
+    let (f, f_ar) = ops::price_local(&ops::layer_forward(model, params), &cluster.gpu);
+    let (b, b_ar) = ops::price_local(&ops::layer_backward(model, params), &cluster.gpu);
+    let ar_time = |bytes: u64| analytical::ring_all_reduce_time(cluster, group, bytes as f64);
+    LayerCost {
+        forward: f.seconds + ar_time(f_ar),
+        backward: b.seconds + ar_time(b_ar),
+        forward_flops: f.flops,
+        forward_ar_bytes: f_ar,
+        backward_ar_bytes: b_ar,
+    }
+}
 
 /// Priced cost of one pipeline stage (one model chunk on one device) for a
 /// single microbatch.
@@ -47,22 +92,19 @@ pub fn price_stages(
     let mapper = RankMapper::new(p, pc.tensor, pc.data);
     let gpu = &cluster.gpu;
 
-    let layer_f = ops::layer_forward(model, params);
-    let layer_b = ops::layer_backward(model, params);
-    let (lf_cost, lf_ar) = ops::price_local(&layer_f, gpu);
-    let (lb_cost, lb_ar) = ops::price_local(&layer_b, gpu);
-
     (0..total_stages)
         .map(|stage| {
             let device = stage % p; // chunk·p + device layout
             let group = mapper.tensor_group(device, 0);
             let ar_time =
                 |bytes: u64| analytical::ring_all_reduce_time(cluster, &group, bytes as f64);
+            let layer = price_layer(model, cluster, &group, pc.microbatch, fused);
 
-            let mut fwd = layers_per_stage as f64 * (lf_cost.seconds + ar_time(lf_ar));
-            let mut bwd = layers_per_stage as f64 * (lb_cost.seconds + ar_time(lb_ar));
-            let mut fwd_flops = layers_per_stage as f64 * lf_cost.flops;
-            let mut ar_bytes = layers_per_stage * (lf_ar + lb_ar);
+            let mut fwd = layers_per_stage as f64 * layer.forward;
+            let mut bwd = layers_per_stage as f64 * layer.backward;
+            let mut fwd_flops = layers_per_stage as f64 * layer.forward_flops;
+            let mut ar_bytes =
+                layers_per_stage * (layer.forward_ar_bytes + layer.backward_ar_bytes);
 
             if stage == 0 {
                 let (c, ar) = ops::price_local(&ops::embedding_forward(model, params), gpu);
@@ -83,8 +125,8 @@ pub fn price_stages(
                 // §3.5: run the forward pass again just before the backward
                 // pass (transformer layers only; the logit layer keeps its
                 // activations).
-                bwd += layers_per_stage as f64 * (lf_cost.seconds + ar_time(lf_ar));
-                ar_bytes += layers_per_stage * lf_ar;
+                bwd += layers_per_stage as f64 * layer.forward;
+                ar_bytes += layers_per_stage * layer.forward_ar_bytes;
             }
             StageCost {
                 forward: fwd,

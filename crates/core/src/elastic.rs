@@ -1,0 +1,313 @@
+//! Layout choice under lost capacity, priced by the simulator.
+//!
+//! When a cluster loses GPUs mid-job, an elastic control plane must answer
+//! two questions: *which* degraded (p, t, d) should the survivors run, and
+//! *is* shrink-and-continue worth it against restart-at-full? Both are
+//! answered with [`TrainingRun::simulate`] — the twin E31/E36 check against
+//! the real trainer — and nothing else:
+//!
+//! - [`rank_layouts`] lists every valid layout fitting a capacity, cheapest
+//!   first. `megatron_dist`'s elastic supervisor takes this list from its
+//!   caller and runs the first layout its trainer accepts.
+//! - [`price_schedule`] walks a capacity timeline and prices both policies
+//!   over schedules the real engine never runs: arbitrary outage lengths,
+//!   repeated losses, partial recoveries. The real elastic run (E35)
+//!   measures one point of that space.
+//!
+//! A layout is priced on one node of exactly `p·t·d` GPUs of the template's
+//! kind, so a smaller world never pays for GPUs it does not use.
+
+use megatron_cluster::{ClusterSpec, NodeSpec};
+use megatron_parallel::layouts;
+
+use crate::{RunError, TrainingRun};
+
+/// A `(p, t, d)` layout.
+pub type Layout = (usize, usize, usize);
+
+/// `template` re-laid-out at `(p, t, d)` on one node of exactly `p·t·d`
+/// GPUs (the template's GPU and link specs); every other knob — model,
+/// microbatch, global batch, chunks, options — is the template's.
+fn at_layout(template: &TrainingRun, (p, t, d): Layout) -> TrainingRun {
+    let mut run = template.clone();
+    run.parallel.pipeline = p as u64;
+    run.parallel.tensor = t as u64;
+    run.parallel.data = d as u64;
+    let node = NodeSpec {
+        gpus_per_node: p * t * d,
+        ..template.cluster.node.clone()
+    };
+    run.cluster = ClusterSpec::custom(template.cluster.gpu.clone(), node, 1);
+    run
+}
+
+/// Simulated seconds per iteration of `template` at `layout`.
+pub fn iteration_s(template: &TrainingRun, layout: Layout) -> Result<f64, RunError> {
+    Ok(at_layout(template, layout).simulate()?.iteration_time)
+}
+
+/// Every layout with `p·t·d ≤ capacity` that
+/// [`ParallelConfig::validate_for_model`](megatron_parallel::ParallelConfig::validate_for_model)
+/// accepts for `template`, cheapest simulated iteration first; ties break
+/// toward the smallest `(p, t, d)`. Empty when nothing fits.
+pub fn rank_layouts(template: &TrainingRun, capacity: usize) -> Vec<Layout> {
+    let mut priced: Vec<(Layout, f64)> = (1..=capacity as u64)
+        .flat_map(layouts)
+        .map(|(p, t, d)| (p as usize, t as usize, d as usize))
+        .filter_map(|layout| {
+            let run = at_layout(template, layout);
+            let n = run.cluster.total_gpus() as u64;
+            let capacity = run.cluster.gpu.mem_capacity;
+            let recompute = run.options.recompute;
+            run.parallel
+                .validate_for_model(&run.model, n, capacity, recompute)
+                .ok()?;
+            Some((layout, run.simulate().ok()?.iteration_time))
+        })
+        .collect();
+    priced.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    priced.into_iter().map(|(layout, _)| layout).collect()
+}
+
+/// One step of a capacity timeline: from `at_s` on, `gpus` ranks are live.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CapacityWindow {
+    /// Start of the window, seconds into the schedule.
+    pub at_s: f64,
+    /// Live GPUs from this instant until the next window (or the horizon).
+    pub gpus: usize,
+}
+
+/// What [`price_schedule`] computed for the two recovery policies over one
+/// capacity timeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PolicyComparison {
+    /// Schedule horizon priced, seconds.
+    pub horizon_s: f64,
+    /// Full-topology-equivalent useful seconds the elastic policy
+    /// completes (degraded windows contribute at their relative
+    /// throughput; reconfigurations cost dead time).
+    pub elastic_useful_s: f64,
+    /// Same for restart-at-full: windows that cannot hold the full
+    /// topology contribute nothing, and the return to full capacity costs
+    /// one restore.
+    pub restart_useful_s: f64,
+    /// Topology changes the elastic policy paid for.
+    pub reconfigurations: usize,
+}
+
+impl PolicyComparison {
+    /// Elastic goodput over the horizon (useful fraction of wall-clock).
+    pub fn elastic_goodput(&self) -> f64 {
+        (self.elastic_useful_s / self.horizon_s).clamp(0.0, 1.0)
+    }
+
+    /// Restart-at-full goodput over the horizon.
+    pub fn restart_goodput(&self) -> f64 {
+        (self.restart_useful_s / self.horizon_s).clamp(0.0, 1.0)
+    }
+}
+
+/// Price one capacity timeline under both recovery policies. `windows`
+/// must be sorted by `at_s` and start at the job launch; `full` is the
+/// job's launch layout of `template`; `reconfigure_s` is the cost of one
+/// topology change (a cross-topology checkpoint restore); `restore_s` is
+/// the restart policy's restore after capacity returns.
+///
+/// The elastic policy runs the first layout [`rank_layouts`] lists for
+/// each window's capacity (idling only when none fits) at its simulated
+/// throughput relative to `full`, capped at 1 — a degraded layout never
+/// counts as faster than the launch one, as `fault::ElasticGoodputModel`
+/// assumes; restart-at-full makes progress only in windows that hold the
+/// full world. Both charge their restores as dead time.
+///
+/// # Panics
+/// If `full` does not simulate.
+pub fn price_schedule(
+    template: &TrainingRun,
+    full: Layout,
+    windows: &[CapacityWindow],
+    horizon_s: f64,
+    reconfigure_s: f64,
+    restore_s: f64,
+) -> PolicyComparison {
+    assert!(horizon_s > 0.0, "horizon must be positive");
+    assert!(!windows.is_empty(), "need at least one capacity window");
+    let full_world = full.0 * full.1 * full.2;
+    let full_s = iteration_s(template, full).expect("the launch layout simulates");
+    let mut elastic_useful = 0.0f64;
+    let mut restart_useful = 0.0f64;
+    let mut reconfigs = 0usize;
+    let mut elastic_cfg = Some(full);
+    let mut restart_live = true;
+
+    for (i, w) in windows.iter().enumerate() {
+        let end = windows.get(i + 1).map_or(horizon_s, |n| n.at_s);
+        let mut span = (end.min(horizon_s) - w.at_s).max(0.0);
+        if span == 0.0 {
+            continue;
+        }
+        // Elastic: run the launch topology whenever it fits (the grow
+        // target is always the operator's chosen configuration), the
+        // cheapest degraded one otherwise; reconfigure when the target
+        // differs from what is currently running.
+        let target = if w.gpus >= full_world {
+            Some(full)
+        } else {
+            rank_layouts(template, w.gpus).first().copied()
+        };
+        if target != elastic_cfg {
+            if target.is_some() {
+                reconfigs += 1;
+                let pay = reconfigure_s.min(span);
+                span -= pay;
+            }
+            elastic_cfg = target;
+        }
+        if let Some(cfg) = elastic_cfg {
+            let cfg_s = iteration_s(template, cfg).expect("a ranked layout simulates");
+            elastic_useful += span * (full_s / cfg_s).min(1.0);
+        }
+        // Restart-at-full: progress only with the full world live; pay one
+        // restore on each return to capacity.
+        let mut rspan = (end.min(horizon_s) - w.at_s).max(0.0);
+        let full_fits = w.gpus >= full_world;
+        if full_fits && !restart_live {
+            rspan = (rspan - restore_s).max(0.0);
+        }
+        if full_fits {
+            restart_useful += rspan;
+        }
+        restart_live = full_fits;
+    }
+
+    PolicyComparison {
+        horizon_s,
+        elastic_useful_s: elastic_useful,
+        restart_useful_s: restart_useful,
+        reconfigurations: reconfigs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use megatron_cluster::GpuSpec;
+    use megatron_model::GptConfig;
+    use megatron_parallel::ParallelConfig;
+
+    /// The twin of a supervised tiny job launched at (2, 2, 2): 2 layers,
+    /// 4 heads, vocabulary 13, microbatch 1, no recomputation — the
+    /// trainer's defaults.
+    fn twin(hidden: u64, seq: u64, batch: u64) -> TrainingRun {
+        let model = GptConfig {
+            name: "twin".to_string(),
+            num_layers: 2,
+            hidden_size: hidden,
+            num_heads: 4,
+            seq_len: seq,
+            vocab_size: 13,
+        };
+        let node = NodeSpec {
+            gpus_per_node: 8,
+            ..NodeSpec::dgx_a100()
+        };
+        let cluster = ClusterSpec::custom(GpuSpec::a100_80gb(), node, 1);
+        let mut run = TrainingRun::ptdp(model, cluster, ParallelConfig::new(2, 2, 2, 1, batch));
+        run.options.recompute = false;
+        run
+    }
+
+    /// The jobs the supervisor runs on: E35, E38, and the recovery table.
+    fn jobs() -> [TrainingRun; 3] {
+        [twin(32, 8, 64), twin(16, 8, 32), twin(8, 6, 4)]
+    }
+
+    #[test]
+    fn the_cheapest_layout_per_capacity_is_pinned_and_deterministic() {
+        for job in jobs() {
+            let firsts: Vec<Layout> = [7, 3, 1].map(|c| rank_layouts(&job, c)[0]).to_vec();
+            assert_eq!(
+                firsts,
+                [(1, 1, 4), (1, 1, 2), (1, 1, 1)],
+                "h {}",
+                job.model.hidden_size
+            );
+            assert_eq!(rank_layouts(&job, 7), rank_layouts(&job, 7));
+        }
+    }
+
+    #[test]
+    fn ranking_lists_only_valid_layouts_that_fit() {
+        let job = &jobs()[0];
+        let ranked = rank_layouts(job, 8);
+        assert!(ranked.contains(&(2, 2, 2)) && ranked.contains(&(1, 4, 2)));
+        for &(p, t, d) in &ranked {
+            assert!(p * t * d <= 8);
+            assert!(4 % t == 0 && 2 % p == 0 && 64 % d == 0, "({p}, {t}, {d})");
+        }
+        let mut sorted = ranked.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), ranked.len(), "each layout listed once");
+        assert!(rank_layouts(job, 0).is_empty(), "nothing fits zero GPUs");
+    }
+
+    #[test]
+    fn a_layout_is_priced_on_exactly_its_own_gpus() {
+        let run = at_layout(&jobs()[0], (1, 1, 4));
+        assert_eq!(run.cluster.total_gpus(), 4);
+        assert_eq!(run.cluster.n_nodes, 1);
+        assert_eq!(run.parallel.n_gpus(), 4);
+        assert_eq!(run.parallel.microbatch, 1);
+    }
+
+    #[test]
+    fn pricing_no_outage_means_equal_policies() {
+        let windows = [CapacityWindow { at_s: 0.0, gpus: 8 }];
+        let c = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
+        assert_eq!(c.reconfigurations, 0);
+        assert!((c.elastic_goodput() - 1.0).abs() < 1e-12);
+        assert!((c.restart_goodput() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pricing_long_outage_favors_elastic() {
+        // Lose a GPU for 60 of 100 seconds.
+        let windows = [
+            CapacityWindow { at_s: 0.0, gpus: 8 },
+            CapacityWindow {
+                at_s: 20.0,
+                gpus: 7,
+            },
+            CapacityWindow {
+                at_s: 80.0,
+                gpus: 8,
+            },
+        ];
+        let c = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
+        assert_eq!(c.reconfigurations, 2, "shrink then grow");
+        assert!(
+            c.elastic_goodput() > c.restart_goodput(),
+            "elastic {} vs restart {}",
+            c.elastic_goodput(),
+            c.restart_goodput()
+        );
+        // The restart policy idles through the whole outage.
+        assert!(c.restart_goodput() < 0.45);
+    }
+
+    #[test]
+    fn pricing_total_loss_stalls_both_policies() {
+        let windows = [
+            CapacityWindow { at_s: 0.0, gpus: 8 },
+            CapacityWindow {
+                at_s: 50.0,
+                gpus: 0,
+            },
+        ];
+        let c = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
+        assert!((c.elastic_goodput() - 0.5).abs() < 1e-9);
+        assert!((c.restart_goodput() - 0.5).abs() < 1e-9);
+    }
+}

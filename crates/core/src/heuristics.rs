@@ -2,7 +2,9 @@
 //!
 //! The paper deliberately does not search the full strategy space (unlike
 //! FlexFlow/PipeDream/DAPPLE); it offers heuristics "that we found work well
-//! in practice". This module encodes them:
+//! in practice". This module encodes them as filters over the one layout
+//! list ([`megatron_parallel::layouts`]), priced by the one layer pricer
+//! (`costs::price_layer`):
 //!
 //! - **Takeaway #1**: tensor parallelism up to the node size `g`, pipeline
 //!   parallelism beyond that.
@@ -12,12 +14,13 @@
 //! - **Takeaway #3**: microbatch size chosen per problem by balancing
 //!   arithmetic intensity against pipeline-bubble growth (Eq. 1).
 
-use megatron_cluster::ClusterSpec;
-use megatron_model::ops::{self, OpListParams};
-use megatron_model::GptConfig;
+use std::cmp::Reverse;
 
-use crate::analysis;
-use crate::ParallelConfig;
+use megatron_cluster::ClusterSpec;
+use megatron_model::GptConfig;
+use megatron_parallel::{analysis, layouts, ParallelConfig};
+
+use crate::costs;
 
 /// Fraction of device memory the heuristic treats as usable for model state
 /// and stashed activations. The rest is the practical overhead a real run
@@ -27,51 +30,32 @@ use crate::ParallelConfig;
 /// paper's Table 1.
 pub const USABLE_MEMORY_FRACTION: f64 = 0.62;
 
-/// Per-device, per-microbatch forward and backward times (all layers a
-/// device owns), including tensor-parallel all-reduces and the
-/// recomputation forward pass if enabled. This is the `t_f(b)` / `t_b(b)`
-/// pair Eq. 1 consumes.
-pub fn stage_times(
+/// Eq. 1's per-microbatch `t_f(b)` / `t_b(b)` on one device holding `L/p`
+/// transformer layers of a tensor group of `t` GPUs inside one node:
+/// `costs::price_layer`'s fused forward and backward (tensor-parallel
+/// all-reduces included), the backward carrying the recomputation forward
+/// when `recompute` is set. Embedding and logits are left out, as Eq. 1
+/// does.
+pub fn device_times(
     model: &GptConfig,
     cluster: &ClusterSpec,
     p: u64,
     t: u64,
     b: u64,
-    fused: bool,
     recompute: bool,
 ) -> (f64, f64) {
-    let params = OpListParams {
-        microbatch: b,
-        tensor_parallel: t,
-        fused,
+    let group: Vec<usize> = (0..t as usize).collect();
+    let layer = costs::price_layer(model, cluster, &group, b, true);
+    let backward = if recompute {
+        layer.backward + layer.forward
+    } else {
+        layer.backward
     };
-    let layers_per_device = (model.num_layers as f64) / (p as f64);
-    let gpu = &cluster.gpu;
-
-    let (fwd_cost, fwd_ar) = ops::price_local(&ops::layer_forward(model, params), gpu);
-    let (bwd_cost, bwd_ar) = ops::price_local(&ops::layer_backward(model, params), gpu);
-    let ar = |bytes: u64| intra_node_all_reduce_time(cluster, t, bytes as f64);
-
-    let mut t_f = fwd_cost.seconds + ar(fwd_ar);
-    let mut t_b = bwd_cost.seconds + ar(bwd_ar);
-    if recompute {
-        t_b += t_f;
-    }
-    t_f *= layers_per_device;
-    t_b *= layers_per_device;
-    (t_f, t_b)
-}
-
-/// Ring all-reduce time over `t` ranks inside one node (NVLink):
-/// `2(t−1)·(λ + bytes/(t·β))`. Matches `megatron_net::analytical` for
-/// intra-node groups; duplicated here so the configuration layer stays free
-/// of the event-simulation stack.
-fn intra_node_all_reduce_time(cluster: &ClusterSpec, t: u64, bytes: f64) -> f64 {
-    if t <= 1 {
-        return 0.0;
-    }
-    let steps = 2.0 * (t as f64 - 1.0);
-    steps * (cluster.node.nvlink_latency + bytes / (t as f64 * cluster.node.nvlink_bandwidth))
+    let layers_per_device = model.num_layers as f64 / p as f64;
+    (
+        layer.forward * layers_per_device,
+        backward * layers_per_device,
+    )
 }
 
 /// Why no configuration could be suggested.
@@ -102,49 +86,25 @@ pub fn suggest_config(
     let g = cluster.node.gpus_per_node as u64;
     let capacity = (cluster.gpu.mem_capacity as f64 * USABLE_MEMORY_FRACTION) as u64;
 
-    // Candidate tensor sizes: powers of two up to the node size that divide
-    // the attention heads (Takeaway #1 keeps t inside a node).
-    let t_candidates: Vec<u64> = (0..)
-        .map(|i| 1u64 << i)
-        .take_while(|&t| t <= g)
-        .filter(|&t| model.num_heads.is_multiple_of(t) && (4 * model.hidden_size).is_multiple_of(t))
-        .collect();
-
-    // Enumerate (t, p) by increasing model-parallel size, larger t first
-    // (Takeaway #1), and take the first that fits in memory with b = 1
-    // (Takeaway #2).
-    let mut candidates: Vec<(u64, u64)> = Vec::new();
-    for &t in &t_candidates {
-        for p in 1..=(n / t) {
-            if !model.num_layers.is_multiple_of(p) || (t * p > n) || !n.is_multiple_of(t * p) {
-                continue;
-            }
-            let d = n / (t * p);
-            if !batch.is_multiple_of(d) {
-                continue;
-            }
-            candidates.push((t, p));
-        }
-    }
-    candidates.sort_by_key(|&(t, p)| (t * p, std::cmp::Reverse(t)));
-
-    let chosen = candidates
-        .iter()
-        .find(|&&(t, p)| {
-            let d = n / (t * p);
+    // Takeaway #1 keeps t a power of two inside a node (dividing the MLP's
+    // 4h); Takeaway #2 takes the smallest model-parallel size t·p that fits
+    // at b = 1, larger t first.
+    let (p, t, d) = layouts(n)
+        .into_iter()
+        .filter(|&(_, t, _)| {
+            t.is_power_of_two() && t <= g && (4 * model.hidden_size).is_multiple_of(t)
+        })
+        .filter(|&(p, t, d)| {
             let c = ParallelConfig::new(p, t, d, 1, batch);
             c.validate_for_model(model, n, capacity, true).is_ok()
         })
-        .copied()
+        .min_by_key(|&(p, t, _)| (t * p, Reverse(t)))
         .ok_or_else(|| NoValidConfig {
             reason: format!(
                 "model {} does not fit on {n} GPUs at any (t ≤ {g}, p ≤ {n}) combination",
                 model.name
             ),
         })?;
-
-    let (t, p) = chosen;
-    let d = n / (t * p);
 
     // Takeaway #3: pick b minimizing Eq. 1 among microbatch sizes that keep
     // the batch divisible and the memory within capacity.
@@ -158,7 +118,7 @@ pub fn suggest_config(
         if c.validate_for_model(model, n, capacity, true).is_err() {
             continue;
         }
-        let (tf, tb) = stage_times(model, cluster, p, t, b, true, true);
+        let (tf, tb) = device_times(model, cluster, p, t, b, true);
         let time = analysis::eq1_batch_time(b_prime, b, p, |_| tf, |_| tb);
         if best.is_none_or(|(_, t0)| time < t0) {
             best = Some((b, time));
@@ -169,35 +129,6 @@ pub fn suggest_config(
     })?;
 
     Ok(ParallelConfig::new(p, t, d, b, batch))
-}
-
-/// Exhaustively enumerate all valid configurations (for the ablation that
-/// checks the heuristic against brute force). Returns configs with b = 1;
-/// microbatch refinement is orthogonal.
-pub fn enumerate_configs(
-    model: &GptConfig,
-    cluster: &ClusterSpec,
-    batch: u64,
-) -> Vec<ParallelConfig> {
-    let n = cluster.total_gpus() as u64;
-    let capacity = cluster.gpu.mem_capacity;
-    let mut out = Vec::new();
-    for t in 1..=n {
-        if !n.is_multiple_of(t) {
-            continue;
-        }
-        for p in 1..=(n / t) {
-            if !(n / t).is_multiple_of(p) {
-                continue;
-            }
-            let d = n / (t * p);
-            let c = ParallelConfig::new(p, t, d, 1, batch);
-            if c.validate_for_model(model, n, capacity, true).is_ok() {
-                out.push(c);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -261,11 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn stage_times_scale_with_microbatch() {
+    fn device_times_scale_with_microbatch() {
         let cluster = ClusterSpec::selene(64);
         let model = zoo::gpt_5p9b();
-        let (f1, b1) = stage_times(&model, &cluster, 2, 2, 1, true, true);
-        let (f4, b4) = stage_times(&model, &cluster, 2, 2, 4, true, true);
+        let (f1, b1) = device_times(&model, &cluster, 2, 2, 1, true);
+        let (f4, b4) = device_times(&model, &cluster, 2, 2, 4, true);
         // 4× the samples in less than 4× the time (better utilization).
         assert!(f4 < 4.0 * f1 && f4 > f1);
         assert!(b4 < 4.0 * b1 && b4 > b1);
@@ -275,7 +206,7 @@ mod tests {
     fn backward_slower_than_forward() {
         let cluster = ClusterSpec::selene(64);
         let model = zoo::gpt_5p9b();
-        let (f, b) = stage_times(&model, &cluster, 2, 2, 2, true, false);
+        let (f, b) = device_times(&model, &cluster, 2, 2, 2, false);
         assert!(b > 1.5 * f && b < 3.0 * f, "t_b/t_f = {}", b / f);
     }
 
@@ -283,20 +214,37 @@ mod tests {
     fn recompute_adds_a_forward_to_backward() {
         let cluster = ClusterSpec::selene(64);
         let model = zoo::gpt_5p9b();
-        let (f, b_no) = stage_times(&model, &cluster, 2, 2, 2, true, false);
-        let (_, b_yes) = stage_times(&model, &cluster, 2, 2, 2, true, true);
+        let (f, b_no) = device_times(&model, &cluster, 2, 2, 2, false);
+        let (_, b_yes) = device_times(&model, &cluster, 2, 2, 2, true);
         assert!((b_yes - b_no - f).abs() / f < 1e-9);
     }
 
     #[test]
-    fn enumerate_includes_heuristic_choice() {
+    fn device_times_are_a_middle_stage_of_the_simulator() {
+        // Eq. 1's per-device time and the simulator's price of a stage
+        // with no embedding or logits come from the same layer price.
+        let cluster = ClusterSpec::selene(64);
+        let model = zoo::gpt_5p9b(); // 32 layers
+        let pc = ParallelConfig::new(4, 8, 2, 2, 64);
+        let stages = costs::price_stages(&model, &cluster, &pc, true, false);
+        let (f, b) = device_times(&model, &cluster, 4, 8, 2, false);
+        assert_eq!((stages[1].forward, stages[1].backward), (f, b));
+    }
+
+    #[test]
+    fn the_heuristic_choice_is_one_of_the_valid_layouts() {
         let cluster = ClusterSpec::selene(64);
         let model = zoo::gpt_5p9b();
-        let all = enumerate_configs(&model, &cluster, 128);
+        let capacity = cluster.gpu.mem_capacity;
+        let valid: Vec<_> = layouts(64)
+            .into_iter()
+            .filter(|&(p, t, d)| {
+                let c = ParallelConfig::new(p, t, d, 1, 128);
+                c.validate_for_model(&model, 64, capacity, true).is_ok()
+            })
+            .collect();
         let pick = suggest_config(&model, &cluster, 128).unwrap();
-        assert!(all
-            .iter()
-            .any(|c| (c.pipeline, c.tensor, c.data) == (pick.pipeline, pick.tensor, pick.data)));
-        assert!(all.len() > 5, "5.9B model should admit many configs");
+        assert!(valid.contains(&(pick.pipeline, pick.tensor, pick.data)));
+        assert!(valid.len() > 5, "5.9B model should admit many configs");
     }
 }

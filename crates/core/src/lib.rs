@@ -21,11 +21,19 @@
 //!    [`IterationReport`]: iteration time, achieved FLOP/s per GPU, percent
 //!    of peak, aggregate FLOP/s, bubble fraction, communication volumes,
 //!    and per-GPU memory.
+//!
+//! Every question of the form "how long does this layout take" is answered
+//! here, from one layer price (`costs::price_layer`): the simulator, the
+//! §3 configuration [`heuristics`], the [`zero`] baseline, and the
+//! [`elastic`] layout ranking a supervisor shrinks to.
 
 mod checkpoint;
 mod costs;
+pub mod elastic;
+pub mod heuristics;
 mod report;
 mod simulate;
+pub mod zero;
 
 pub use checkpoint::{CheckpointIo, FilesystemSpec};
 pub use costs::StageCost;

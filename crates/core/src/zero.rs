@@ -16,10 +16,15 @@
 //! (Figure 10's diverging curves). Communication partially overlaps with
 //! compute via bucket prefetching: the larger of the two terms governs and
 //! roughly half of the smaller one stays exposed.
+//!
+//! Compute is priced by the same stage pricer as PTD-P: one stage at
+//! `p = t = 1` carrying embedding, logits and the recomputation forward.
 
 use megatron_cluster::ClusterSpec;
-use megatron_model::ops::{self, OpListParams};
 use megatron_model::{memory, GptConfig, BYTES_FP16};
+use megatron_parallel::ParallelConfig;
+
+use crate::costs;
 
 /// Which ZeRO optimization stage to model (Rajbhandari et al., the paper's
 /// §6 "Sharded Data Parallelism" related work).
@@ -121,28 +126,12 @@ impl ZeroRun {
         let n = self.n_ranks();
         let k = self.accumulation_steps();
         let gpu = &self.cluster.gpu;
-        let params = OpListParams {
-            microbatch: self.microbatch,
-            tensor_parallel: 1,
-            fused: true,
-        };
         let l = self.model.num_layers;
 
-        // Compute per microbatch: full model forward / backward(+recompute).
-        let (lf, _) = ops::price_local(&ops::layer_forward(&self.model, params), gpu);
-        let (lb, _) = ops::price_local(&ops::layer_backward(&self.model, params), gpu);
-        let (ef, _) = ops::price_local(&ops::embedding_forward(&self.model, params), gpu);
-        let (eb, _) = ops::price_local(&ops::embedding_backward(&self.model, params), gpu);
-        let (gf, _) = ops::price_local(&ops::logit_forward(&self.model, params), gpu);
-        let (gb, _) = ops::price_local(&ops::logit_backward(&self.model, params), gpu);
-        let mut fwd = l as f64 * lf.seconds + ef.seconds + gf.seconds;
-        let mut bwd = l as f64 * lb.seconds + eb.seconds + gb.seconds;
-        if self.recompute {
-            bwd += l as f64 * lf.seconds;
-        }
-        fwd *= k as f64;
-        bwd *= k as f64;
-        let compute_time = fwd + bwd;
+        // Compute per microbatch: the full model as one stage on one GPU.
+        let pc = ParallelConfig::new(1, 1, n, self.microbatch, self.batch);
+        let stage = costs::price_stages(&self.model, &self.cluster, &pc, true, self.recompute)[0];
+        let compute_time = stage.forward * k as f64 + stage.backward * k as f64;
 
         // Communication per iteration per rank: each parameter-gather moves
         // (n−1)/n of the fp16 model through the rank's own network port;
@@ -177,7 +166,7 @@ impl ZeroRun {
             ZeroStage::Two => 2.0,
             ZeroStage::Three | ZeroStage::Infinity => 3.0,
         };
-        let latency_time = calls * l as f64 * (n as f64 - 1.0).min(2.0 * n as f64) * lat;
+        let latency_time = calls * l as f64 * (n as f64 - 1.0) * lat;
         let mut comm_time = volume_time + latency_time;
         if self.stage == ZeroStage::Infinity {
             // Parameters stream from NVMe twice per iteration (fwd + bwd)
@@ -237,7 +226,34 @@ impl ZeroRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use megatron_model::ops::{self, OpListParams};
     use megatron_model::zoo;
+
+    #[test]
+    fn compute_is_the_sum_of_op_prices_bit_for_bit() {
+        // The stage pricer at p = t = 1 adds the same terms in the same
+        // order as summing the op lists by hand: L layers, embedding,
+        // logits, then the recomputation forward.
+        let (model, cluster) = (zoo::gpt3_175b(), ClusterSpec::selene(384));
+        let (b, k) = (4, 1536 / (384 * 4));
+        let params = OpListParams {
+            microbatch: b,
+            tensor_parallel: 1,
+            fused: true,
+        };
+        let price = |ops: Vec<ops::Op>| ops::price_local(&ops, &cluster.gpu).0.seconds;
+        let l = model.num_layers as f64;
+        let lf = price(ops::layer_forward(&model, params));
+        let fwd = l * lf
+            + price(ops::embedding_forward(&model, params))
+            + price(ops::logit_forward(&model, params));
+        let bwd = l * price(ops::layer_backward(&model, params))
+            + price(ops::embedding_backward(&model, params))
+            + price(ops::logit_backward(&model, params))
+            + l * lf;
+        let r = ZeroRun::new(model, cluster, 1536, b).simulate();
+        assert_eq!(r.compute_time, fwd * k as f64 + bwd * k as f64);
+    }
 
     fn run(gpus: usize, batch: u64, b: u64) -> ZeroReport {
         ZeroRun::new(zoo::gpt3_175b(), ClusterSpec::selene(gpus), batch, b).simulate()

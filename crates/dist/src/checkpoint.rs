@@ -29,8 +29,8 @@
 //!
 //! The elastic supervisor ([`crate::supervisor::Supervisor::run_elastic`])
 //! is the main cross-topology consumer: a shrink restores the latest
-//! generation into the cost model's best degraded (p, t, d), and a grow
-//! waits for the next checkpoint boundary because the boundary is where a
+//! generation into the cheapest degraded (p, t, d) its caller ranks, and a
+//! grow waits for the next checkpoint boundary because the boundary is where a
 //! *committed* generation of the degraded run exists. Resharding is pure
 //! slicing of exact f32 bits — never arithmetic — which is what makes
 //! post-reconfiguration training bit-identical to a fresh launch at the

@@ -90,7 +90,8 @@ pub struct TransportConfig {
     pub wire: WireKind,
     /// Arm the reliable delivery layer with this policy.
     pub retry: Option<RetryPolicy>,
-    /// Inject seeded transient faults under the reliable layer.
+    /// Inject seeded transient faults under the reliable layer (a group
+    /// refuses faults without `retry`).
     pub faults: Option<FaultProfile>,
 }
 
@@ -383,10 +384,11 @@ pub struct Group {
     mail: Vec<Mailbox>,
     poisoned: AtomicBool,
     timeout: Duration,
-    transport: TransportConfig,
-    // Shared sender-side frame log, allocated only when retry is armed
-    // (recovery reads the *sender's* log).
-    retransmit: Option<RetransmitStore>,
+    // The reliable layer: its policy and the shared sender-side frame log
+    // it recovers from (recovery reads the *sender's* log), armed together.
+    reliable: Option<(RetryPolicy, RetransmitStore)>,
+    // Seeded transient faults, injected only under the reliable layer.
+    faults: Option<FaultProfile>,
     // Process mode: the socket channel this process's member speaks over.
     socket: Option<SocketState>,
 }
@@ -405,7 +407,11 @@ impl Group {
     }
 
     /// Like [`Group::with_timeout`] with an explicit wire configuration
-    /// (fault injection and/or the reliable retry layer).
+    /// (the reliable retry layer, and fault injection under it).
+    ///
+    /// # Panics
+    /// If `transport` injects faults without the retry layer to absorb
+    /// them.
     pub fn with_config(size: usize, timeout: Duration, transport: TransportConfig) -> Arc<Group> {
         assert!(size > 0);
         Arc::new(Group {
@@ -413,8 +419,8 @@ impl Group {
             mail: (0..size * size).map(|_| Mailbox::new()).collect(),
             poisoned: AtomicBool::new(false),
             timeout,
-            retransmit: transport.retry.map(|_| RetransmitStore::new(size)),
-            transport,
+            reliable: reliable_layer(size, &transport),
+            faults: transport.faults,
             socket: None,
         })
     }
@@ -433,6 +439,9 @@ impl Group {
     /// when the wire broke), and the reliable layer's sequence numbers
     /// discard the duplicates. Cross-process delivery is therefore
     /// bit-exact under mid-frame severs too.
+    ///
+    /// # Panics
+    /// As [`Group::with_config`].
     pub fn with_socket(
         size: usize,
         timeout: Duration,
@@ -448,8 +457,8 @@ impl Group {
             mail: Vec::new(),
             poisoned: AtomicBool::new(false),
             timeout,
-            retransmit: transport.retry.map(|_| RetransmitStore::new(size)),
-            transport,
+            reliable: reliable_layer(size, &transport),
+            faults: transport.faults,
             socket: Some(SocketState {
                 rank: channel.rank(),
                 chan: Mutex::new(channel),
@@ -554,6 +563,21 @@ impl Group {
             };
         }
     }
+}
+
+/// The reliable layer `transport` arms for a group of `size`: its policy
+/// and a retransmit store, allocated together so neither exists alone.
+fn reliable_layer(
+    size: usize,
+    transport: &TransportConfig,
+) -> Option<(RetryPolicy, RetransmitStore)> {
+    assert!(
+        transport.faults.is_none() || transport.retry.is_some(),
+        "injected faults need the retry layer: set `retry` with `faults`"
+    );
+    transport
+        .retry
+        .map(|policy| (policy, RetransmitStore::new(size)))
 }
 
 /// The mailbox-backed [`Transport`] one rank executes step programs over.
@@ -683,45 +707,28 @@ impl GroupMember {
         prog: &Program,
         buf: &mut [f32],
         op_index: u64,
-        tp: T,
+        mut tp: T,
     ) -> Result<coll::ExecReport, coll::StepFailure<RawComm>> {
-        let per_op_seed = |p: &FaultProfile| mix_seed(p.seed, (self.rank as u64) << 32 | op_index);
-        // A retry policy is only usable with its retransmit store; a group
-        // rebuilt without one (e.g. after a topology change) degrades to
-        // the plain transport instead of aborting the worker.
-        let retry = self
+        let Some((policy, store)) = &self.group.reliable else {
+            return coll::execute(prog, self.rank, buf, &mut tp);
+        };
+        let (faults, seed) = self
             .group
-            .transport
-            .retry
-            .and_then(|policy| self.group.retransmit.as_ref().map(|store| (policy, store)));
-        match (retry, self.group.transport.faults) {
-            (Some((policy, store)), profile) => {
-                let seed = profile.as_ref().map_or(0, per_op_seed);
-                let faults = profile.map(|p| p.faults).unwrap_or_default();
-                let faulty = FaultyTransport::new(tp, faults, seed);
-                let mut rel = ReliableTransport::new(faulty, store, self.rank, policy);
-                let result = coll::execute(prog, self.rank, buf, &mut rel);
-                let (faulty, stats) = rel.into_parts();
-                let (_, tally) = faulty.into_parts();
-                self.retry_stats.set(self.retry_stats.get().plus(&stats));
-                self.fault_tally.set(self.fault_tally.get().plus(&tally));
-                result
-            }
-            (None, Some(profile)) => {
-                // Faults without the reliable layer: every injected drop
-                // becomes a real stall (useful to demonstrate the cost of
-                // *not* having the retry layer).
-                let mut faulty = FaultyTransport::new(tp, profile.faults, per_op_seed(&profile));
-                let result = coll::execute(prog, self.rank, buf, &mut faulty);
-                let (_, tally) = faulty.into_parts();
-                self.fault_tally.set(self.fault_tally.get().plus(&tally));
-                result
-            }
-            (None, None) => {
-                let mut tp = tp;
-                coll::execute(prog, self.rank, buf, &mut tp)
-            }
-        }
+            .faults
+            .map_or((TransientFaults::default(), 0), |p| {
+                (
+                    p.faults,
+                    mix_seed(p.seed, (self.rank as u64) << 32 | op_index),
+                )
+            });
+        let faulty = FaultyTransport::new(tp, faults, seed);
+        let mut rel = ReliableTransport::new(faulty, store, self.rank, *policy);
+        let result = coll::execute(prog, self.rank, buf, &mut rel);
+        let (faulty, stats) = rel.into_parts();
+        let (_, tally) = faulty.into_parts();
+        self.retry_stats.set(self.retry_stats.get().plus(&stats));
+        self.fault_tally.set(self.fault_tally.get().plus(&tally));
+        result
     }
 
     /// Execute `prog` over the group's wire — mailboxes, or the socket
@@ -1392,6 +1399,16 @@ mod tests {
                 },
             }),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "injected faults need the retry layer")]
+    fn faults_without_the_retry_layer_are_refused() {
+        let cfg = TransportConfig {
+            retry: None,
+            ..lossy_cfg(1, 0.5)
+        };
+        Group::with_config(2, Duration::from_secs(1), cfg);
     }
 
     #[test]

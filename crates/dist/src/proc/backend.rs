@@ -122,7 +122,6 @@ impl JobBackend for ProcBackend {
         JobShape {
             spec: self.job.spec(),
             model: self.job.model,
-            global_batch: self.job.batch,
             iterations: self.job.iters,
         }
     }

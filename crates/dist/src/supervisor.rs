@@ -32,16 +32,18 @@
 //! - **Shrink** (immediately on a fatal incident): the capacity ledger
 //!   drops by the dead ranks (plus any scheduled
 //!   [`CapacityEvent::Lost`]); when the survivors no longer fit
-//!   `p·t·d`, the supervisor ranks every valid divisor configuration with
-//!   the simulator's cost model (`megatron_sim::elastic::CostModel`),
-//!   restores the best one by resharding the newest generation's shards
+//!   `p·t·d`, the supervisor asks its caller's ranking for the layouts
+//!   fitting the survivors, cheapest first — `megatron_core::elastic::
+//!   rank_layouts` prices them with the same per-iteration simulation E31
+//!   checks against the real trainer — takes the first its trainer
+//!   accepts, restores it by resharding the newest generation's shards
 //!   (the cross-topology path in [`CheckpointStore::load_latest`]), and
 //!   continues training degraded.
 //! - **Grow** (only at a checkpoint boundary): when a
 //!   [`CapacityEvent::Returned`] arrives, the degraded run is truncated at
 //!   the next multiple of `checkpoint_every`, which durably commits that
 //!   generation; the supervisor then reshards it back up to the launch
-//!   topology (or the best configuration the returned capacity allows)
+//!   topology (or the first ranked layout the returned capacity allows)
 //!   and resumes. Growing mid-segment would need a generation that does
 //!   not exist yet — the boundary is where a *committed* generation of
 //!   the degraded run exists, which is why grow waits for it.
@@ -57,7 +59,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use megatron_sim::elastic::CostModel;
 use megatron_telemetry::{Span, SpanArgs, SpanKind, TelemetrySink};
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
@@ -281,8 +282,6 @@ pub struct JobShape {
     pub spec: PtdpSpec,
     /// Model architecture.
     pub model: TinyGptConfig,
-    /// Samples per iteration (what the cost model divides among `d`).
-    pub global_batch: usize,
     /// Iterations the job runs.
     pub iterations: usize,
 }
@@ -347,26 +346,21 @@ pub trait JobBackend {
     fn run_attempt(&self, attempt: Attempt<'_>) -> AttemptOutcome;
 }
 
-/// The best valid (p, t, d) fitting `capacity` ranks, as a full spec
-/// inheriting every non-topology knob from `base`. Respects the one
-/// constraint the cost model cannot see: vocab-parallel runs need
-/// `t | vocab`.
-fn pick_best_spec(
-    cost: &CostModel,
+/// The layouts fitting a capacity, cheapest first: what
+/// [`Supervisor::run_elastic`] takes from its caller.
+type LayoutRanking<'a> = &'a dyn Fn(usize) -> Vec<(usize, usize, usize)>;
+
+/// The first of `ranked` the trainer accepts, as a full spec inheriting
+/// every non-topology knob from `base`. The trainer's one rule a pricer
+/// cannot see: vocab-parallel runs need `t | vocab`.
+fn first_accepted(
+    ranked: Vec<(usize, usize, usize)>,
     base: &PtdpSpec,
     model_cfg: TinyGptConfig,
-    capacity: usize,
 ) -> Option<PtdpSpec> {
-    cost.enumerate(capacity)
+    ranked
         .into_iter()
-        .filter(|&(_, t, _)| !base.vocab_parallel || model_cfg.vocab.is_multiple_of(t))
-        .min_by(|&a, &b| {
-            let (ca, cb) = (
-                cost.iteration_s(a.0, a.1, a.2),
-                cost.iteration_s(b.0, b.1, b.2),
-            );
-            ca.partial_cmp(&cb).unwrap().then(a.cmp(&b))
-        })
+        .find(|&(_, t, _)| !base.vocab_parallel || model_cfg.vocab.is_multiple_of(t))
         .map(|(p, t, d)| PtdpSpec {
             pipeline: p,
             tensor: t,
@@ -504,39 +498,38 @@ impl<B: JobBackend> Supervisor<B> {
     /// iteration, mirroring one GPU death at a time). Generations an
     /// earlier run left in the store are resumed from, not recomputed.
     pub fn run(&self, kills: &[KillSwitch]) -> SupervisorReport {
-        self.supervise(kills, &[], false)
+        self.supervise(kills, &[], None)
     }
 
     /// Like [`Supervisor::run`], but elastic: fatal incidents shrink the
-    /// topology to the best configuration fitting surviving capacity, and
-    /// [`CapacityEvent::Returned`] grows it back at the next checkpoint
-    /// boundary. `capacity` is the seeded schedule of losses/repairs.
+    /// topology to the first layout of `rank(surviving capacity)` the
+    /// trainer accepts, and [`CapacityEvent::Returned`] grows it back at the
+    /// next checkpoint boundary. `capacity` is the seeded schedule of
+    /// losses/repairs; `rank` lists the layouts fitting a capacity,
+    /// cheapest first (`megatron_core::elastic::rank_layouts` over the
+    /// job's simulator twin).
     pub fn run_elastic(
         &self,
         kills: &[KillSwitch],
         capacity: &[CapacityEvent],
+        rank: LayoutRanking<'_>,
     ) -> SupervisorReport {
-        self.supervise(kills, capacity, true)
+        self.supervise(kills, capacity, Some(rank))
     }
 
     fn supervise(
         &self,
         kills: &[KillSwitch],
         capacity_events: &[CapacityEvent],
-        elastic: bool,
+        rank: Option<LayoutRanking<'_>>,
     ) -> SupervisorReport {
         let t0 = Instant::now();
         let shape = self.backend.shape();
         let (launch, model, iterations) = (shape.spec, shape.model, shape.iterations);
         let k = self.cfg.checkpoint_every;
-        // The simulator's elastic cost model ranks candidate topologies.
-        let mut cost = CostModel::for_job(
-            model.layers,
-            model.heads,
-            shape.global_batch.max(1),
-            launch.microbatch,
-        );
-        cost.chunks = launch.chunks;
+        let elastic = rank.is_some();
+        let best_fit =
+            |capacity: usize| rank.and_then(|rank| first_accepted(rank(capacity), &launch, model));
         let now_ns = || self.telemetry.as_ref().map_or(0, |s| s.hub.now_ns());
 
         let mut pending: Vec<KillSwitch> = kills.to_vec();
@@ -616,7 +609,7 @@ impl<B: JobBackend> Supervisor<B> {
                 let target = if capacity >= launch.world() {
                     Some(launch)
                 } else {
-                    pick_best_spec(&cost, &launch, model, capacity)
+                    best_fit(capacity)
                 }
                 .filter(|t| dims(t) != dims(&cur));
                 let (span_t0, restore_t0) = (now_ns(), Instant::now());
@@ -691,7 +684,7 @@ impl<B: JobBackend> Supervisor<B> {
                     }
                 }
                 if elastic && capacity < cur.world() {
-                    pick_best_spec(&cost, &launch, model, capacity)
+                    best_fit(capacity)
                 } else {
                     Some(cur)
                 }
@@ -806,10 +799,6 @@ impl JobBackend for ThreadBackend<'_> {
         JobShape {
             spec: self.spec,
             model: self.master.cfg,
-            global_batch: self
-                .data
-                .first()
-                .map_or(1, |(toks, _)| toks.len() / self.master.cfg.seq),
             iterations: self.data.len(),
         }
     }
@@ -901,7 +890,6 @@ mod tests {
             shape: JobShape {
                 spec,
                 model: cfg(),
-                global_batch: 8,
                 iterations,
             },
             script: RefCell::new(script.into_iter().collect()),
@@ -962,9 +950,20 @@ mod tests {
         }
     }
 
-    /// Supervise `backend` over a fresh store (elastic when a capacity
-    /// schedule is given); returns the report and what each attempt was
-    /// asked.
+    /// A fake pricer: pure data parallelism at every power-of-two world
+    /// that fits, widest first — the shapes the simulator twin ranks first
+    /// for the jobs this supervisor runs.
+    fn widest_data_parallel(capacity: usize) -> Vec<(usize, usize, usize)> {
+        (1..=capacity)
+            .rev()
+            .filter(|w| w.is_power_of_two())
+            .map(|w| (1, 1, w))
+            .collect()
+    }
+
+    /// Supervise `backend` over a fresh store (elastic over
+    /// [`widest_data_parallel`] when a capacity schedule is given); returns
+    /// the report and what each attempt was asked.
     fn run(
         name: &str,
         backend: Scripted,
@@ -979,7 +978,7 @@ mod tests {
             .map(|&(thread, iteration)| KillSwitch { thread, iteration })
             .collect();
         let report = match capacity {
-            Some(events) => sup.run_elastic(&kills, events),
+            Some(events) => sup.run_elastic(&kills, events, &widest_data_parallel),
             None => sup.run(&kills),
         };
         let _ = std::fs::remove_dir_all(root);
@@ -1083,10 +1082,7 @@ mod tests {
             ),
             ((2, 2, 2), 7, 5, 4)
         );
-        assert!(
-            shrink.to.0 * shrink.to.1 * shrink.to.2 <= 7,
-            "fits the survivors"
-        );
+        assert_eq!(shrink.to, (1, 1, 4), "the first ranked layout");
         assert!(
             report.incidents[0].cross_topology,
             "resharded from the (2,2,2) shards"
@@ -1148,23 +1144,31 @@ mod tests {
     }
 
     #[test]
-    fn best_spec_fits_capacity_and_inherits_knobs() {
+    fn first_accepted_skips_what_the_trainer_refuses_and_inherits_knobs() {
         let mut spec = PtdpSpec::new(2, 2, 2);
         spec.microbatch = 2;
         spec.lr = 0.042;
-        let global_batch = 16;
-        let cost = CostModel::for_job(cfg().layers, cfg().heads, global_batch, spec.microbatch);
-        for capacity in 1..=8 {
-            let best = pick_best_spec(&cost, &spec, cfg(), capacity).expect("a config fits");
-            assert!(best.world() <= capacity);
-            assert_eq!(best.lr, 0.042, "non-topology knobs inherited");
-            assert_eq!(best.microbatch, 2);
-            assert!(
-                global_batch.is_multiple_of(best.data * best.microbatch),
-                "the global batch stays divisible by d·b at {capacity} ranks"
-            );
-        }
-        let none = pick_best_spec(&cost, &spec, cfg(), 0);
-        assert!(none.is_none(), "nothing fits zero GPUs");
+        spec.vocab_parallel = true;
+        let vocab = cfg().vocab;
+        let refused = (1..=8).find(|t| !vocab.is_multiple_of(*t)).unwrap();
+        // Ranked first by the pricer, but a vocab-parallel trainer cannot
+        // shard the vocabulary `refused` ways.
+        let ranked = vec![(1, refused, 2), (1, 1, 4), (2, 1, 2)];
+        let best = first_accepted(ranked.clone(), &spec, cfg()).expect("a layout is accepted");
+        assert_eq!(dims(&best), (1, 1, 4), "the first the trainer accepts");
+        assert_eq!(best.lr, 0.042, "non-topology knobs inherited");
+        assert_eq!(best.microbatch, 2);
+        assert!(best.vocab_parallel);
+        spec.vocab_parallel = false;
+        let best = first_accepted(ranked, &spec, cfg()).unwrap();
+        assert_eq!(
+            dims(&best),
+            (1, refused, 2),
+            "without the rule, the ranking decides"
+        );
+        assert!(
+            first_accepted(Vec::new(), &spec, cfg()).is_none(),
+            "nothing ranked"
+        );
     }
 }

@@ -116,8 +116,9 @@ impl GoodputModel {
 pub struct ElasticGoodputModel {
     /// The underlying checkpoint/failure model (saves, restores, MTBF).
     pub base: GoodputModel,
-    /// Degraded-topology throughput relative to full, in (0, 1]. The sim
-    /// cost model (`megatron_sim::elastic::CostModel`) predicts it; a real
+    /// Degraded-topology throughput relative to full, in (0, 1]. The
+    /// simulator twin predicts it (`megatron_core::elastic::iteration_s`
+    /// of the full layout over the degraded one, capped at 1); a real
     /// elastic run measures it as `clean_iter_s / degraded_iter_s`.
     pub relative_throughput: f64,
     /// Extra reconfiguration seconds the elastic policy pays beyond the

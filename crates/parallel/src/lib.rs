@@ -12,14 +12,27 @@
 //!   land on different nodes;
 //! - the §3 analytical models ([`analysis`]): bubble fraction, Eq. 1
 //!   processing time, and per-dimension communication volumes;
-//! - the paper's configuration heuristics, Takeaways #1–#3
-//!   ([`heuristics`]).
+//! - the one list of layouts ([`layouts`]) every search filters.
+//!
+//! This crate says what a layout is and whether it is valid; what a layout
+//! costs, and the §3 heuristics that pick one, live in `megatron-core`.
 
 pub mod analysis;
-pub mod heuristics;
 mod mapping;
 
 pub use mapping::{Coord, RankMapper};
+
+/// Every `(p, t, d)` with `p·t·d = n`, in ascending `(p, t, d)` order — the
+/// one enumeration of layouts. It asserts nothing: a caller keeps the
+/// triples [`ParallelConfig::validate`] or
+/// [`ParallelConfig::validate_for_model`] accept, plus any filters of its
+/// own. A search over `p·t·d ≤ capacity` calls it once per world size.
+pub fn layouts(n: u64) -> Vec<(u64, u64, u64)> {
+    let divisors = |k: u64| (1..=k).filter(move |x| k.is_multiple_of(*x));
+    divisors(n)
+        .flat_map(|p| divisors(n / p).map(move |t| (p, t, n / (p * t))))
+        .collect()
+}
 
 /// A full PTD-P parallelization choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,6 +316,17 @@ mod tests {
             c.validate_for_model(&model, 1, 80 * (1 << 30), true),
             Err(ConfigError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn layouts_list_every_factorization_once_in_order() {
+        assert_eq!(layouts(1), [(1, 1, 1)]);
+        let twelve = layouts(12);
+        assert!(twelve.iter().all(|&(p, t, d)| p * t * d == 12));
+        assert!(twelve.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        // Ordered factorizations of 2²·3 into three factors: C(4,2)·C(3,2).
+        assert_eq!(twelve.len(), 18);
+        assert!(layouts(0).is_empty(), "no layout has zero GPUs");
     }
 
     #[test]

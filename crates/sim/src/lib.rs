@@ -14,13 +14,8 @@
 //!
 //! The [`serving`] module holds the continuous-batching scheduler shared
 //! by the real inference engine (`megatron-serve`) and its discrete-event
-//! mirror, plus the calibrated step-cost model the mirror runs on. The
-//! [`elastic`] module is the training-side analog: the (p, t, d) cost
-//! model the elastic supervisor ranks degraded topologies with, and the
-//! capacity-schedule pricer that compares shrink-and-continue against
-//! restart-at-full over schedules the real engine never runs.
+//! mirror, plus the calibrated step-cost model the mirror runs on.
 
-pub mod elastic;
 mod engine;
 pub mod json;
 pub mod serving;

@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release --example autotune`
 
 use megatron_repro::cluster::ClusterSpec;
-use megatron_repro::core::TrainingRun;
+use megatron_repro::core::{heuristics, TrainingRun};
 use megatron_repro::model::zoo;
-use megatron_repro::parallel::{heuristics, ParallelConfig};
+use megatron_repro::parallel::{layouts, ParallelConfig};
 
 fn main() {
     let model = zoo::gpt_5p9b();
@@ -19,13 +19,18 @@ fn main() {
         model.name
     );
 
+    let (n, capacity) = (n_gpus as u64, cluster.gpu.mem_capacity);
     let mut results: Vec<(ParallelConfig, f64)> = Vec::new();
-    for base in heuristics::enumerate_configs(&model, &cluster, batch as u64) {
+    for (p, t, d) in layouts(n) {
+        let base = ParallelConfig::new(p, t, d, 1, batch as u64);
+        if base.validate_for_model(&model, n, capacity, true).is_err() {
+            continue;
+        }
         for b in [1u64, 2, 4, 8] {
-            if !(batch as u64 / base.data).is_multiple_of(b) {
+            if !(batch as u64 / d).is_multiple_of(b) {
                 continue;
             }
-            let pc = ParallelConfig::new(base.pipeline, base.tensor, base.data, b, batch as u64);
+            let pc = ParallelConfig::new(p, t, d, b, batch as u64);
             let run = TrainingRun::ptdp(model.clone(), cluster.clone(), pc);
             if let Ok(report) = run.simulate() {
                 results.push((pc, report.tflops_per_gpu));

@@ -19,13 +19,14 @@
 //! - [`model`]: GPT model descriptions — parameter counts (paper Eq. 2),
 //!   FLOPs (Eq. 3), per-layer op lists, memory model.
 //! - [`parallel`]: PTD-P `(p, t, d)` configurations, rank mapping,
-//!   analytical performance models (§3), and the configuration heuristics.
+//!   analytical performance models (§3), and the one layout enumerator.
 //! - [`schedule`]: pipeline schedules — GPipe, 1F1B, interleaved 1F1B.
 //! - [`data`]: synthetic corpus generation, document packing, sharded
 //!   data loading.
 //! - [`core`]: end-to-end training-iteration simulation producing the
-//!   paper's reported metrics.
-//! - [`zero`]: ZeRO-3 baseline cost simulator (§5.2).
+//!   paper's reported metrics, and everything priced with it: the §3
+//!   configuration heuristics, the ZeRO-3 baseline (§5.2), and the layout
+//!   ranking the elastic supervisor shrinks to.
 //! - [`tensor`]: real CPU tensor engine with hand-written backward passes.
 //! - [`dist`]: thread-per-GPU distributed runtime running real tensor /
 //!   pipeline / data parallel training, durable sharded checkpoints, and
@@ -52,4 +53,3 @@ pub use megatron_serve as serve;
 pub use megatron_sim as sim;
 pub use megatron_telemetry as telemetry;
 pub use megatron_tensor as tensor;
-pub use megatron_zero as zero;

@@ -7,10 +7,16 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use megatron_repro::cluster::{ClusterSpec, GpuSpec, NodeSpec};
+use megatron_repro::core::elastic::rank_layouts;
+use megatron_repro::core::{TrainingOptions, TrainingRun};
 use megatron_repro::dist::{
-    CapacityEvent, CheckpointStore, JobBackend, KillSwitch, ReconfigureDirection, Supervisor,
-    SupervisorConfig, SupervisorReport, ThreadKey,
+    CapacityEvent, CheckpointStore, JobBackend, KillSwitch, PtdpSpec, ReconfigureDirection,
+    Supervisor, SupervisorConfig, SupervisorReport, ThreadKey,
 };
+use megatron_repro::model::GptConfig;
+use megatron_repro::parallel::ParallelConfig;
+use megatron_repro::tensor::gpt::TinyGptConfig;
 
 /// Final parameters per rank.
 pub type Params = HashMap<ThreadKey, Vec<f32>>;
@@ -42,14 +48,59 @@ pub fn policy() -> SupervisorConfig {
     }
 }
 
+/// The simulator twin of a job: the same `l`, `h`, `a`, `s`, `V`,
+/// `(p, t, d)`, `b`, `v`, schedule and recomputation at global batch
+/// `batch`, on one A100 node of exactly `p·t·d` GPUs. A copy of
+/// `megatron-bench`'s twin: the root package does not depend on that crate.
+pub fn twin(cfg: TinyGptConfig, spec: &PtdpSpec, batch: usize) -> TrainingRun {
+    let model = GptConfig {
+        name: "twin".to_string(),
+        num_layers: cfg.layers as u64,
+        hidden_size: cfg.hidden as u64,
+        num_heads: cfg.heads as u64,
+        seq_len: cfg.seq as u64,
+        vocab_size: cfg.vocab as u64,
+    };
+    let (p, t, d) = (spec.pipeline as u64, spec.tensor as u64, spec.data as u64);
+    let pc = ParallelConfig::new(p, t, d, spec.microbatch as u64, batch as u64)
+        .with_chunks(spec.chunks as u64);
+    let node = NodeSpec {
+        gpus_per_node: spec.world(),
+        ..NodeSpec::dgx_a100()
+    };
+    let options = TrainingOptions {
+        schedule: spec.schedule,
+        recompute: spec.recompute,
+        ..TrainingOptions::default()
+    };
+    TrainingRun::new(
+        model,
+        ClusterSpec::custom(GpuSpec::a100_80gb(), node, 1),
+        pc,
+        options,
+    )
+}
+
+/// What an elastic supervisor of the job shrinks by: the layouts its twin
+/// ranks for a capacity, cheapest first.
+pub fn ranking(
+    cfg: TinyGptConfig,
+    spec: &PtdpSpec,
+    batch: usize,
+) -> impl Fn(usize) -> Vec<(usize, usize, usize)> {
+    let twin = twin(cfg, spec, batch);
+    move |capacity| rank_layouts(&twin, capacity)
+}
+
 /// Run the table. `supervise(tag)` builds a supervisor of the job over a
 /// fresh store; `fault_free` is the job's final parameters run plainly;
 /// `fresh_from(store, g)` runs it unsupervised at the full topology from
 /// generation `g` of `store` and returns its final parameters. Returns the
 /// two rows' reports — (one kill, shrink→grow) — for backend-specific
-/// follow-up assertions.
+/// follow-up assertions. `rank` is the job's [`ranking`].
 pub fn recovery_table<B: JobBackend>(
     supervise: impl Fn(&str) -> (Supervisor<B>, Arc<CheckpointStore>),
+    rank: &dyn Fn(usize) -> Vec<(usize, usize, usize)>,
     fault_free: &Params,
     fresh_from: impl Fn(&CheckpointStore, usize) -> Params,
 ) -> (SupervisorReport, SupervisorReport) {
@@ -86,7 +137,7 @@ pub fn recovery_table<B: JobBackend>(
     // Row 2: kill → shrink → returned → grow; the post-grow segment is
     // bit-identical to a fresh launch pinned at the grow generation.
     let (sup, store) = supervise("shrink-grow");
-    let elastic = sup.run_elastic(&[KILL], &[RETURNED]);
+    let elastic = sup.run_elastic(&[KILL], &[RETURNED], rank);
     assert!(elastic.completed(), "gave up: {:?}", elastic.gave_up);
     assert_eq!(elastic.reconfigurations.len(), 2, "shrink then grow");
     let (shrink, grow) = (elastic.reconfigurations[0], elastic.reconfigurations[1]);

@@ -227,6 +227,7 @@ fn supervised_recovery_table_over_rank_processes() {
                 store,
             )
         },
+        &common::ranking(job.model, &job.spec(), job.batch),
         &clean,
         |store, generation| {
             let mut pinned = job;

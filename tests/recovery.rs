@@ -231,7 +231,7 @@ fn cross_topology_restore_resumes_on_shrunken_cluster() {
 }
 
 /// Elastic shrink with no capacity return: the supervisor drops to the
-/// cost model's best degraded (p, t, d), finishes there, and the
+/// twin's cheapest degraded (p, t, d), finishes there, and the
 /// post-shrink trajectory is bit-identical to a FRESH launch at that
 /// degraded topology restored from the same checkpoint generation.
 #[test]
@@ -250,7 +250,7 @@ fn elastic_shrink_is_bit_identical_to_fresh_degraded_launch() {
     let store = CheckpointStore::open(&root).unwrap();
     let backend = ThreadBackend::new(master.clone(), spec, &data);
     let sup = Supervisor::new(backend, store, common::policy());
-    let report = sup.run_elastic(&[kill], &[]);
+    let report = sup.run_elastic(&[kill], &[], &common::ranking(c, &spec, 4));
     assert!(report.completed(), "gave up: {:?}", report.gave_up);
     assert_eq!(report.reconfigurations.len(), 1, "one shrink, no grow");
     let rc = report.reconfigurations[0];
@@ -267,6 +267,7 @@ fn elastic_shrink_is_bit_identical_to_fresh_degraded_launch() {
         ..spec
     };
     assert!(to.world() <= 7, "must fit the surviving capacity");
+    assert_eq!(rc.to, (1, 1, 4), "the twin's cheapest layout on 7 GPUs");
 
     // Replication: a fresh doomed full-topology run writes the same
     // generations, then a FRESH degraded launch restores generation 4 and
@@ -337,6 +338,7 @@ fn elastic_grows_back_at_checkpoint_boundary() {
                 store,
             )
         },
+        &common::ranking(c, &spec, 4),
         &clean.final_params,
         |store, generation| {
             let restore = Some(store.load_pinned(&spec, c, generation).unwrap().snapshot);
@@ -440,7 +442,7 @@ fn elastic_gives_up_cleanly_when_capacity_hits_zero() {
         store,
         common::policy(),
     );
-    let report = sup.run_elastic(&kills, &[]);
+    let report = sup.run_elastic(&kills, &[], &common::ranking(c, &spec, 4));
     assert!(!report.completed(), "no capacity left to run on");
     assert!(report.gave_up.is_some());
     assert_eq!(report.reconfigurations.len(), 1, "shrank once, then died");
