@@ -294,8 +294,10 @@ pub fn analyze() -> String {
     // The analyzer re-derives comm volumes from span args; they must equal
     // the paper's formulas exactly (f32 wire = 2× fp16).
     let p2p_counted = bytes_where(&real_dag, 0, |n| n.starts_with("p2p-send")) / iters as f64;
+    // The gradient sync is the reduce-scatter before the optimizer and the
+    // parameter all-gather after it: §3.3.1's all-reduce in two halves.
     let dp_counted = bytes_where(&real_dag, 0, |n| {
-        n == "grad-allreduce" || n == "grad-reduce-scatter" || n == "param-allgather"
+        n == "grad-reduce-scatter" || n == "param-allgather"
     }) / iters as f64;
     let expected_p2p =
         2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;

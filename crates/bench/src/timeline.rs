@@ -207,6 +207,22 @@ pub fn timeline() -> String {
         2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;
     let grad_bytes_fp16 = log.final_params[&key].len() as u64 * BYTES_FP16;
     let expected_data = 2.0 * analysis::data_parallel_bytes(grad_bytes_fp16, d as u64);
+    // The gradient sync is the data group's reduce-scatter and all-gather
+    // (the two halves of §3.3.1's all-reduce); the same all-gather counter
+    // also holds the moments each checkpoint gathers, which the
+    // `moment-allgather` spans carry. This rank owns no loss, so its data
+    // group runs no all-reduce at all.
+    assert_eq!(vol.data.all_reduce_bytes, 0.0, "stage 0 all-reduced over d");
+    let moment_bytes: f64 = sink
+        .hub
+        .ranks()
+        .iter()
+        .filter(|r| r.key == key)
+        .flat_map(|r| &r.spans)
+        .filter(|s| s.name == "moment-allgather")
+        .filter_map(|s| s.args.bytes)
+        .sum();
+    let grad_sync = vol.data.reduce_scatter_bytes + vol.data.all_gather_bytes - moment_bytes;
     let mut t2 = Table::new(["volume (rank p0,d0,t0)", "counted (B)", "2x §3 formula (B)"]);
     for (label, counted, expected) in [
         (
@@ -221,7 +237,7 @@ pub fn timeline() -> String {
         ),
         (
             "data-parallel grad sync",
-            vol.data.all_reduce_bytes / iters as f64,
+            grad_sync / iters as f64,
             expected_data,
         ),
     ] {

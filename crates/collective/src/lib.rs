@@ -8,9 +8,10 @@
 //! local-combine) steps over an abstract rank space. Two consumers lower
 //! the same programs onto very different substrates:
 //!
-//! - `megatron-dist` executes them over an in-process mailbox
-//!   [`Transport`] moving real `f32` chunks between rank threads
-//!   ([`execute`]);
+//! - `megatron-dist` executes them over an in-process mailbox or a socket
+//!   [`Transport`] moving real `f32` chunks between ranks ([`execute`];
+//!   [`execute_segments`] runs one program per segment of a list of
+//!   buffers as one collective, one message per round);
 //! - `megatron-net` lowers each send step onto simulated NVLink/IB links
 //!   as discrete-event tasks.
 //!
@@ -278,27 +279,22 @@ pub fn ring_reduce_scatter(r: usize, n: usize, op: ReduceOp) -> Program {
     }
 }
 
-/// Ring all-gather where each rank contributes `part` elements: the
-/// buffer is `r·part` long, rank `j` starts owning `[j·part, (j+1)·part)`,
-/// and after `r−1` forwarding rounds every rank holds all contributions in
-/// rank order.
-pub fn ring_all_gather(r: usize, part: usize) -> Program {
-    let n = r * part;
-    let chunk = |i: usize| ChunkRange {
-        lo: i * part,
-        hi: (i + 1) * part,
-    };
+/// Ring all-gather of `n` elements over `r` ranks: rank `j` starts owning
+/// chunk `j` (the ceil-partition chunk — what [`ring_reduce_scatter`]
+/// leaves it with), and after `r−1` forwarding rounds every rank holds
+/// every chunk. With `n = r·part` each rank contributes exactly `part`.
+pub fn ring_all_gather(r: usize, n: usize) -> Program {
     let mut rounds = empty_rounds(r, r.saturating_sub(1));
     for (s, round) in rounds.iter_mut().enumerate() {
         for j in 0..r {
             round.steps[j] = RankStep {
                 send: Some(SendStep {
                     to: (j + 1) % r,
-                    range: chunk((j + r - s) % r),
+                    range: chunk_of(n, r, (j + r - s) % r),
                 }),
                 recv: Some(RecvStep {
                     from: (j + r - 1) % r,
-                    range: chunk((j + 2 * r - 1 - s) % r),
+                    range: chunk_of(n, r, (j + 2 * r - 1 - s) % r),
                     combine: Combine::Replace,
                 }),
             };
@@ -312,40 +308,14 @@ pub fn ring_all_gather(r: usize, part: usize) -> Program {
     }
 }
 
-/// Ring all-reduce of `n` elements over `r` ranks: a reduce-scatter phase
-/// followed by an all-gather phase, `2(r−1)` rounds total. Per-rank
-/// egress is exactly the paper's `2(r−1)/r · n` for divisible `n` (§3.2's
-/// `(t−1)/t` factor) and emerges exactly from the chunk ranges otherwise.
+/// Ring all-reduce of `n` elements over `r` ranks: the rounds of
+/// [`ring_reduce_scatter`] followed by those of [`ring_all_gather`],
+/// `2(r−1)` in all. Per-rank egress is exactly the paper's `2(r−1)/r · n`
+/// for divisible `n` (§3.2's `(t−1)/t` factor) and emerges exactly from
+/// the chunk ranges otherwise.
 pub fn ring_all_reduce(r: usize, n: usize, op: ReduceOp) -> Program {
-    let mut rounds = empty_rounds(r, 2 * r.saturating_sub(1));
-    let rs_rounds = r.saturating_sub(1);
-    for (s, round) in rounds.iter_mut().enumerate() {
-        for j in 0..r {
-            let (send_chunk, recv_chunk, combine) = if s < rs_rounds {
-                // Reduce-scatter phase (see `ring_reduce_scatter`).
-                (
-                    (j + r - 1 - s) % r,
-                    (j + 2 * r - 2 - s) % r,
-                    Combine::Reduce(op),
-                )
-            } else {
-                // All-gather phase: rank j just finished reducing chunk j.
-                let ag = s - rs_rounds;
-                ((j + r - ag) % r, (j + 2 * r - 1 - ag) % r, Combine::Replace)
-            };
-            round.steps[j] = RankStep {
-                send: Some(SendStep {
-                    to: (j + 1) % r,
-                    range: chunk_of(n, r, send_chunk),
-                }),
-                recv: Some(RecvStep {
-                    from: (j + r - 1) % r,
-                    range: chunk_of(n, r, recv_chunk),
-                    combine,
-                }),
-            };
-        }
-    }
+    let mut rounds = ring_reduce_scatter(r, n, op).rounds;
+    rounds.extend(ring_all_gather(r, n).rounds);
     Program {
         kind: "ring-all-reduce",
         ranks: r,
@@ -522,9 +492,11 @@ pub fn hierarchical_all_reduce(r: usize, n: usize, local: usize, op: ReduceOp) -
 pub trait Transport {
     /// Transport failure (timeout, poisoned peer, closed channel, ...).
     type Error;
-    /// Enqueue `payload` for `to`.
-    fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), Self::Error>;
-    /// Dequeue the next chunk from `from`.
+    /// Enqueue one message for `to`: the concatenation of `parts` (a
+    /// segmented collective's chunks of every segment, copied once, into
+    /// the message itself).
+    fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error>;
+    /// Dequeue the next message from `from`.
     fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error>;
 }
 
@@ -566,50 +538,94 @@ pub struct ExecReport {
     pub sent_elems: usize,
 }
 
-/// Run `prog` as rank `rank` over `transport`, mutating `buf` in place.
-///
-/// Within each round the rank first posts its send (non-blocking), then
-/// blocks on its recv and applies the combine rule. On a transport error
-/// the failing round and peer are reported via [`StepFailure`].
+/// Run `prog` as rank `rank` over `transport`, mutating `buf` in place:
+/// [`execute_segments`] with one segment.
 pub fn execute<T: Transport>(
     prog: &Program,
     rank: usize,
     buf: &mut [f32],
     transport: &mut T,
 ) -> Result<ExecReport, StepFailure<T::Error>> {
-    assert!(rank < prog.ranks, "rank out of range");
-    assert_eq!(buf.len(), prog.len, "buffer/program length mismatch");
-    let rounds = prog.rounds.len();
+    execute_segments(std::slice::from_ref(prog), rank, &mut [buf], transport)
+}
+
+/// Run `progs[k]` over segment `segs[k]`, every segment at once, as rank
+/// `rank` over `transport`. The programs must share their round structure
+/// (the same peers in every round — ring programs of any lengths do), so
+/// each round is **one** message: chunk `k`'s send range of every segment,
+/// concatenated, and one receive split back by the recv ranges. Every
+/// element is combined exactly as running `progs[k]` over `segs[k]` alone
+/// would combine it, so the result equals the per-segment
+/// [`reference_run`]s bit for bit, and egress is their summed `sent_elems`.
+///
+/// Within each round the rank first posts its send (non-blocking), then
+/// blocks on its recv and applies the combine rule. On a transport error
+/// the failing round and peer are reported via [`StepFailure`].
+pub fn execute_segments<T: Transport>(
+    progs: &[Program],
+    rank: usize,
+    segs: &mut [&mut [f32]],
+    transport: &mut T,
+) -> Result<ExecReport, StepFailure<T::Error>> {
+    assert_eq!(progs.len(), segs.len(), "one program per segment");
     let mut report = ExecReport::default();
-    for (s, round) in prog.rounds.iter().enumerate() {
-        let step = &round.steps[rank];
-        if let Some(snd) = step.send {
-            transport
-                .send(snd.to, &buf[snd.range.lo..snd.range.hi])
-                .map_err(|error| StepFailure {
-                    collective: prog.kind,
-                    round: s,
-                    rounds,
-                    peer: snd.to,
-                    error,
-                })?;
-            report.sent_elems += snd.range.len();
+    let Some(lead) = progs.first() else {
+        return Ok(report);
+    };
+    assert!(rank < lead.ranks, "rank out of range");
+    let peers = |round: &Round| {
+        let step = round.steps[rank];
+        (step.send.map(|x| x.to), step.recv.map(|x| x.from))
+    };
+    for (prog, seg) in progs.iter().zip(segs.iter()) {
+        assert_eq!(seg.len(), prog.len, "buffer/program length mismatch");
+        let same = prog.rounds.len() == lead.rounds.len()
+            && prog
+                .rounds
+                .iter()
+                .zip(&lead.rounds)
+                .all(|(a, b)| peers(a) == peers(b));
+        assert!(same, "segment programs disagree on their peers");
+    }
+    let rounds = lead.rounds.len();
+    let fail = |round, peer| {
+        move |error| StepFailure {
+            collective: lead.kind,
+            round,
+            rounds,
+            peer,
+            error,
         }
-        if let Some(rcv) = step.recv {
-            let data = transport.recv(rcv.from).map_err(|error| StepFailure {
-                collective: prog.kind,
-                round: s,
-                rounds,
-                peer: rcv.from,
-                error,
-            })?;
-            assert_eq!(
-                data.len(),
-                rcv.range.len(),
-                "transport delivered a wrong-sized chunk"
-            );
-            rcv.combine
-                .apply(&mut buf[rcv.range.lo..rcv.range.hi], &data);
+    };
+    for s in 0..rounds {
+        // Peers agree, so every program has this step iff the lead does.
+        let step = |prog: &Program| prog.rounds[s].steps[rank];
+        if let Some(snd) = step(lead).send {
+            let parts: Vec<&[f32]> = progs
+                .iter()
+                .zip(segs.iter())
+                .map(|(prog, seg)| {
+                    let range = step(prog).send.expect("peers agree").range;
+                    &seg[range.lo..range.hi]
+                })
+                .collect();
+            report.sent_elems += parts.iter().map(|part| part.len()).sum::<usize>();
+            transport.send(snd.to, &parts).map_err(fail(s, snd.to))?;
+        }
+        if let Some(rcv) = step(lead).recv {
+            let data = transport.recv(rcv.from).map_err(fail(s, rcv.from))?;
+            let mut rest = &data[..];
+            for (prog, seg) in progs.iter().zip(segs.iter_mut()) {
+                let r = step(prog).recv.expect("peers agree");
+                assert!(
+                    rest.len() >= r.range.len(),
+                    "transport delivered a short message"
+                );
+                let chunk;
+                (chunk, rest) = rest.split_at(r.range.len());
+                r.combine.apply(&mut seg[r.range.lo..r.range.hi], chunk);
+            }
+            assert!(rest.is_empty(), "transport delivered a long message");
         }
     }
     Ok(report)
@@ -724,7 +740,7 @@ mod tests {
     #[test]
     fn all_gather_replicates_in_rank_order() {
         let (r, part) = (5, 3);
-        let prog = ring_all_gather(r, part);
+        let prog = ring_all_gather(r, r * part);
         let mut bufs: Vec<Vec<f32>> = (0..r)
             .map(|j| {
                 let mut b = vec![0.0; r * part];
@@ -789,7 +805,7 @@ mod tests {
         let (r, n) = (4usize, 16usize);
         let ar = ring_all_reduce(r, n, ReduceOp::Sum);
         let rs = ring_reduce_scatter(r, n, ReduceOp::Sum);
-        let ag = ring_all_gather(r, n / r);
+        let ag = ring_all_gather(r, n);
         for j in 0..r {
             assert_eq!(ar.sent_elems(j), 2 * (r - 1) * n / r);
             assert_eq!(rs.sent_elems(j), (r - 1) * n / r);
@@ -824,12 +840,14 @@ mod tests {
             rank: usize,
             edges: &'a [Edge], // dst*r + src
             r: usize,
+            messages: usize,
         }
         impl Transport for Mailboxes<'_> {
             type Error = ();
-            fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), ()> {
+            fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), ()> {
+                self.messages += 1;
                 let edge = &self.edges[to * self.r + self.rank];
-                edge.q.lock().unwrap().push_back(payload.to_vec());
+                edge.q.lock().unwrap().push_back(parts.concat());
                 edge.cv.notify_all();
                 Ok(())
             }
@@ -845,10 +863,29 @@ mod tests {
             }
         }
 
-        let (r, n) = (3usize, 8usize);
-        let prog = ring_all_reduce(r, n, ReduceOp::Sum);
-        let mut reference: Vec<Vec<f32>> = (0..r).map(|j| seeded(j, n)).collect();
-        reference_run(&prog, &mut reference);
+        // Each rank's segments, run as one segmented program per phase;
+        // one segment is a whole all-reduce run through plain `execute`.
+        let r = 3usize;
+        let lens = [8usize, 0, 1, 2, 4, 11];
+        let rs: Vec<Program> = lens
+            .iter()
+            .map(|&n| ring_reduce_scatter(r, n, ReduceOp::Sum))
+            .collect();
+        let ag: Vec<Program> = lens.iter().map(|&n| ring_all_gather(r, n)).collect();
+        let start = |j: usize| -> Vec<Vec<f32>> {
+            lens.iter()
+                .enumerate()
+                .map(|(k, &n)| seeded(j + 7 * k, n))
+                .collect()
+        };
+        let mut reference: Vec<Vec<Vec<f32>>> = (0..r).map(start).collect();
+        for (k, &n) in lens.iter().enumerate() {
+            let mut bufs: Vec<Vec<f32>> = reference.iter().map(|b| b[k].clone()).collect();
+            reference_run(&ring_all_reduce(r, n, ReduceOp::Sum), &mut bufs);
+            for (j, b) in bufs.into_iter().enumerate() {
+                reference[j][k] = b;
+            }
+        }
 
         let edges: Vec<Edge> = (0..r * r)
             .map(|_| Edge {
@@ -856,17 +893,32 @@ mod tests {
                 cv: Condvar::new(),
             })
             .collect();
-        let bufs: Vec<Vec<f32>> = std::thread::scope(|scope| {
+        let bufs: Vec<Vec<Vec<f32>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..r)
                 .map(|j| {
-                    let prog = &prog;
-                    let edges = &edges;
+                    let (rs, ag, edges) = (&rs, &ag, &edges);
                     scope.spawn(move || {
-                        let mut buf = seeded(j, n);
-                        let mut tp = Mailboxes { rank: j, edges, r };
-                        let report = execute(prog, j, &mut buf, &mut tp).unwrap();
+                        let mut bufs = start(j);
+                        let mut tp = Mailboxes {
+                            rank: j,
+                            edges,
+                            r,
+                            messages: 0,
+                        };
+                        let (head, tail) = bufs.split_at_mut(1);
+                        let prog = ring_all_reduce(r, lens[0], ReduceOp::Sum);
+                        let report = execute(&prog, j, &mut head[0], &mut tp).unwrap();
                         assert_eq!(report.sent_elems, prog.sent_elems(j));
-                        buf
+                        let mut segs: Vec<&mut [f32]> =
+                            tail.iter_mut().map(|b| &mut b[..]).collect();
+                        for phase in [&rs[1..], &ag[1..]] {
+                            let report = execute_segments(phase, j, &mut segs, &mut tp).unwrap();
+                            let want: usize = phase.iter().map(|p| p.sent_elems(j)).sum();
+                            assert_eq!(report.sent_elems, want);
+                        }
+                        // One message per round, whatever the segment count.
+                        assert_eq!(tp.messages, 4 * (r - 1));
+                        bufs
                     })
                 })
                 .collect();

@@ -68,13 +68,17 @@ pub const FRAME_HEADER_ELEMS: usize = 2;
 /// integers up to 2^24 exactly), bounding a single edge to 2^48 frames.
 const SEQ_HALF_BITS: u32 = 24;
 
-/// Prepend `seq` to `payload` as two exactly-representable f32 words.
-fn encode_frame(seq: u64, payload: &[f32]) -> Vec<f32> {
+/// Prepend `seq` to the concatenated `parts` as two exactly-representable
+/// f32 words.
+fn encode_frame(seq: u64, parts: &[&[f32]]) -> Vec<f32> {
     assert!(seq < 1 << (2 * SEQ_HALF_BITS), "per-edge sequence overflow");
-    let mut frame = Vec::with_capacity(FRAME_HEADER_ELEMS + payload.len());
+    let elems: usize = parts.iter().map(|p| p.len()).sum();
+    let mut frame = Vec::with_capacity(FRAME_HEADER_ELEMS + elems);
     frame.push((seq >> SEQ_HALF_BITS) as f32);
     frame.push((seq & ((1 << SEQ_HALF_BITS) - 1)) as f32);
-    frame.extend_from_slice(payload);
+    for part in parts {
+        frame.extend_from_slice(part);
+    }
     frame
 }
 
@@ -231,16 +235,16 @@ impl<T> FaultyTransport<T> {
 impl<T: Transport> Transport for FaultyTransport<T> {
     type Error = T::Error;
 
-    fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), Self::Error> {
+    fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error> {
         let (r_drop, r_dup, r_delay) = (
             self.rng.next_f64(),
             self.rng.next_f64(),
             self.rng.next_f64(),
         );
         if self.faults.degrade_factor > 1.0 {
-            let extra_ns = self.faults.wire_ns_per_elem
-                * payload.len() as f64
-                * (self.faults.degrade_factor - 1.0);
+            let elems: usize = parts.iter().map(|p| p.len()).sum();
+            let extra_ns =
+                self.faults.wire_ns_per_elem * elems as f64 * (self.faults.degrade_factor - 1.0);
             std::thread::sleep(Duration::from_nanos(extra_ns as u64));
             self.tally.degraded += 1;
         }
@@ -252,10 +256,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.tally.delayed += 1;
             std::thread::sleep(self.faults.delay);
         }
-        self.inner.send(to, payload)?;
+        self.inner.send(to, parts)?;
         if r_dup < self.faults.duplicate_prob {
             self.tally.duplicated += 1;
-            self.inner.send(to, payload)?;
+            self.inner.send(to, parts)?;
         }
         Ok(())
     }
@@ -438,12 +442,12 @@ impl<'s, T: PollTransport> ReliableTransport<'s, T> {
 impl<T: PollTransport> Transport for ReliableTransport<'_, T> {
     type Error = T::Error;
 
-    fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), Self::Error> {
+    fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error> {
         let frame = {
             let mut edge = self.store.edge(self.rank, to).lock().unwrap();
             let seq = edge.next_seq;
             edge.next_seq += 1;
-            edge.log.push_back((seq, payload.to_vec()));
+            edge.log.push_back((seq, parts.concat()));
             // Prune consumed frames and bound the window.
             let consumed = edge.next_expected;
             while edge
@@ -453,9 +457,9 @@ impl<T: PollTransport> Transport for ReliableTransport<'_, T> {
             {
                 edge.log.pop_front();
             }
-            encode_frame(seq, payload)
+            encode_frame(seq, parts)
         };
-        self.inner.send(to, &frame)
+        self.inner.send(to, &[&frame])
     }
 
     fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error> {
@@ -529,11 +533,11 @@ mod tests {
     impl Transport for ChanTransport {
         type Error = ChanError;
 
-        fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), ChanError> {
+        fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), ChanError> {
             // A send to a peer that already finished its program lands in
             // the void — like the real mailbox (owned by the group, not
             // the peer thread), the sender must never block or fail on it.
-            let _ = self.txs[to].as_ref().unwrap().send(payload.to_vec());
+            let _ = self.txs[to].as_ref().unwrap().send(parts.concat());
             Ok(())
         }
 
@@ -652,7 +656,7 @@ mod tests {
     fn frame_round_trip_preserves_seq_and_payload() {
         for seq in [0u64, 1, 12345, (1 << 24) - 1, 1 << 24, (1 << 40) + 17] {
             let payload = [1.5f32, -2.25, 0.0];
-            let frame = encode_frame(seq, &payload);
+            let frame = encode_frame(seq, &[&payload[..]]);
             assert_eq!(frame.len(), FRAME_HEADER_ELEMS + payload.len());
             let (got_seq, got) = decode_frame(&frame);
             assert_eq!(got_seq, seq);
@@ -824,7 +828,7 @@ mod tests {
         struct Sink;
         impl Transport for Sink {
             type Error = ();
-            fn send(&mut self, _to: usize, _p: &[f32]) -> Result<(), ()> {
+            fn send(&mut self, _to: usize, _p: &[&[f32]]) -> Result<(), ()> {
                 Ok(())
             }
             fn recv(&mut self, _from: usize) -> Result<Vec<f32>, ()> {
@@ -839,7 +843,7 @@ mod tests {
         let tally_of = |seed: u64| {
             let mut t = FaultyTransport::new(Sink, faults, seed);
             for i in 0..200 {
-                t.send(i % 4, &[0.0; 8]).unwrap();
+                t.send(i % 4, &[&[0.0; 8]]).unwrap();
             }
             t.tally()
         };

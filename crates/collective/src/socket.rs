@@ -754,17 +754,21 @@ impl Drop for SocketChannel {
 impl Transport for SocketChannel {
     type Error = SocketError;
 
-    /// Queue the frame and write what the kernel takes now; the rest goes
-    /// out during the next wait on the node. Never blocks on the receiver.
-    fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), Self::Error> {
-        assert!(payload.len() <= u32::MAX as usize, "frame too large");
+    /// Frame the parts as one message — encoded straight into the frame —
+    /// queue it and write what the kernel takes now; the rest goes out
+    /// during the next wait on the node. Never blocks on the receiver.
+    fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error> {
+        let elems: usize = parts.iter().map(|p| p.len()).sum();
+        assert!(elems <= u32::MAX as usize, "frame too large");
         if let Some(d) = self.send_delay {
             std::thread::sleep(d);
         }
-        let mut frame = Vec::with_capacity(4 + 4 * payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        for v in payload {
-            frame.extend_from_slice(&v.to_le_bytes());
+        let mut frame = Vec::with_capacity(4 + 4 * elems);
+        frame.extend_from_slice(&(elems as u32).to_le_bytes());
+        for part in parts {
+            for v in *part {
+                frame.extend_from_slice(&v.to_le_bytes());
+            }
         }
         let cut = self.sever.as_mut().filter(|p| p.to == to);
         let cut = cut.and_then(|p| p.cut(frame.len()));
@@ -923,7 +927,7 @@ mod tests {
     fn ring_all_gather_over_tcp_loopback_matches_reference() {
         let g = 3;
         let n = 10;
-        let prog = ring_all_gather(g, n);
+        let prog = ring_all_gather(g, g * n);
         let nodes: Vec<Arc<SocketNode>> = (0..g)
             .map(|_| {
                 let addr = WireAddr::Tcp("127.0.0.1:0".parse().unwrap());
@@ -961,7 +965,7 @@ mod tests {
                         };
                         let (mut send_on, mut recv_on) =
                             (lane(20 + rank as u64), lane(21 - rank as u64));
-                        send_on.send(1 - rank, big).unwrap();
+                        send_on.send(1 - rank, &[big]).unwrap();
                         recv_on.recv(1 - rank).unwrap()
                     })
                 })
@@ -990,7 +994,7 @@ mod tests {
                     // Frame = 4 + 64·4 = 260 bytes; sever mid-second-frame.
                     ch.sever_outbound_after(1, 260 + 100);
                     for p in &payloads {
-                        ch.send(1, p).unwrap();
+                        ch.send(1, &[p]).unwrap();
                     }
                 })
             };
@@ -1139,7 +1143,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(40));
                     let mut ch = SocketChannel::new(node, 6, 0, peers);
                     ch.set_deadline(Instant::now() + Duration::from_secs(10));
-                    ch.send(1, &[1.0, 2.0, 3.0]).unwrap();
+                    ch.send(1, &[&[1.0, 2.0, 3.0]]).unwrap();
                 })
             };
             sender.join().unwrap();

@@ -23,9 +23,10 @@
 //! serial visit order via [`crate::assemble`] — the parameters, and each
 //! Adam moment vector riding in the parameter slots — and cuts the serial
 //! models for the new (p, t, d): the reshaping happens at the rare
-//! cross-topology load, never at a save. ZeRO-1 runs (`shard_optimizer`)
-//! hold only a 1/d slice of the moments per rank, so only same-topology
-//! restore is possible and cross-topology attempts fail with a clean error.
+//! cross-topology load, never at a save. A rank's optimizer steps only its
+//! `1/d` chunk of every parameter, but it gathers the full moments over its
+//! data group before it writes, so every shard holds full moments and any
+//! generation restores into any topology.
 //!
 //! The elastic supervisor ([`crate::supervisor::Supervisor::run_elastic`])
 //! is the main cross-topology consumer: a shrink restores the latest
@@ -51,10 +52,16 @@ use crate::assemble::assemble_from_flat;
 use crate::trainer::{build_thread_model, PtdpSpec, ThreadKey, ThreadState, TrainSnapshot};
 
 const SHARD_MAGIC: &[u8; 8] = b"MGSHARD1";
+/// The shard header byte after the topology: it flagged shards holding a
+/// `1/d` slice of the moments. Every shard now holds full moments and
+/// writes 0 there — the shard format is unchanged — and a shard with
+/// anything else is refused.
+const FULL_MOMENTS: u8 = 0;
 /// `MGMANIF1` manifests also carried a canonical-layout flag and a shard
-/// count; a store written in that format fails the magic check and its
-/// generations are skipped with a note.
-const MANIFEST_MAGIC: &[u8; 8] = b"MGMANIF2";
+/// count, `MGMANIF2` ones a flag for optimizer slices; a store written in
+/// either format fails the magic check and its generations are skipped with
+/// a note.
+const MANIFEST_MAGIC: &[u8; 8] = b"MGMANIF3";
 const MANIFEST_NAME: &str = "MANIFEST.bin";
 
 /// Why a durable checkpoint operation failed.
@@ -65,9 +72,8 @@ pub enum CheckpointError {
     /// A file failed validation: bad magic, bad checksum, truncated, or
     /// inconsistent with its manifest.
     Corrupt(String),
-    /// The checkpoint cannot be restored into the requesting topology
-    /// (another model config, or ZeRO-1 optimizer slices on either side of
-    /// a cross-topology restore).
+    /// The checkpoint cannot be restored into the requesting job: it was
+    /// written for another model config.
     TopologyMismatch(String),
     /// No complete generation survives validation.
     NoneAvailable,
@@ -97,7 +103,7 @@ pub struct Restored {
     /// differs from the requesting spec.
     pub cross_topology: bool,
     /// Human-readable notes about generations that were skipped (corrupt,
-    /// ZeRO-1 slices under another topology, ...), newest first.
+    /// another model config, ...), newest first.
     pub notes: Vec<String>,
 }
 
@@ -183,6 +189,7 @@ impl CheckpointStore {
         fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io(e.to_string()))?;
         let mut enc = Enc::new(SHARD_MAGIC);
         enc.topology(spec);
+        enc.u8(FULL_MOMENTS);
         enc.u64(key.0 as u64);
         enc.u64(key.1 as u64);
         enc.u64(key.2 as u64);
@@ -398,13 +405,6 @@ fn load_generation(
     }
 
     // Different topology: unshard replica 0, cut it for `spec`.
-    if topo.shard_optimizer || spec.shard_optimizer {
-        return Err(CheckpointError::TopologyMismatch(format!(
-            "stored topology {topo:?} != requested {:?} and ZeRO-1 \
-             optimizer slices depend on the data-parallel size",
-            Topology::of(spec)
-        )));
-    }
     let threads = reshard(dir, &topo.spec(spec), spec, cfg, next_iter)?;
     Ok((TrainSnapshot { next_iter, threads }, true))
 }
@@ -466,8 +466,8 @@ fn missing_shard(dir: &Path, spec: &PtdpSpec) -> Option<ThreadKey> {
 }
 
 /// Read rank `key`'s shard file whole and check it: CRC-32 footer, magic,
-/// and a header that names this topology, rank and generation. The decoder
-/// is left at the Adam step count.
+/// and a header that names this topology, full moments, rank and
+/// generation. The decoder is left at the Adam step count.
 fn open_shard(
     dir: &Path,
     spec: &PtdpSpec,
@@ -476,13 +476,15 @@ fn open_shard(
 ) -> Result<Dec, CheckpointError> {
     let mut dec = Dec::read(&dir.join(shard_name(key)), SHARD_MAGIC)?;
     let topo = dec.topology()?;
+    let full_moments = dec.u8()? == FULL_MOMENTS;
     let stored_key = (
         dec.u64()? as usize,
         dec.u64()? as usize,
         dec.u64()? as usize,
     );
     let stored_iter = dec.u64()? as usize;
-    if topo != Topology::of(spec) || stored_key != key || stored_iter != next_iter {
+    let header = (topo, full_moments, stored_key, stored_iter);
+    if header != (Topology::of(spec), true, key, next_iter) {
         return Err(CheckpointError::Corrupt(format!(
             "shard {} header disagrees with its manifest",
             shard_name(key)
@@ -521,7 +523,6 @@ struct Topology {
     d: u64,
     chunks: u64,
     vocab_parallel: bool,
-    shard_optimizer: bool,
 }
 
 impl Topology {
@@ -533,7 +534,6 @@ impl Topology {
             data: self.d as usize,
             chunks: self.chunks as usize,
             vocab_parallel: self.vocab_parallel,
-            shard_optimizer: self.shard_optimizer,
             ..*like
         }
     }
@@ -545,7 +545,6 @@ impl Topology {
             d: spec.data as u64,
             chunks: spec.chunks as u64,
             vocab_parallel: spec.vocab_parallel,
-            shard_optimizer: spec.shard_optimizer,
         }
     }
 }
@@ -642,7 +641,6 @@ impl Enc {
         self.u64(t.d);
         self.u64(t.chunks);
         self.u8(t.vocab_parallel as u8);
-        self.u8(t.shard_optimizer as u8);
     }
 
     fn config(&mut self, cfg: TinyGptConfig) {
@@ -741,7 +739,6 @@ impl Dec {
             d: self.u64()?,
             chunks: self.u64()?,
             vocab_parallel: self.u8()? != 0,
-            shard_optimizer: self.u8()? != 0,
         })
     }
 
@@ -979,39 +976,30 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn zero1_generations_reject_resharding() {
-        let (root, store) = tmp_store("zero1");
-        let mut spec = PtdpSpec::new(1, 2, 2);
-        spec.shard_optimizer = true;
-        let mut threads = synthetic_states(cfg(), &spec, 31);
-        // ZeRO-1 moments cover a 1/d slice.
-        for st in threads.values_mut() {
-            let half = st.params.len().div_ceil(2);
-            st.adam.m.truncate(half);
-            st.adam.v.truncate(half);
-        }
+    fn a_shard_flagged_as_holding_moment_slices_is_refused() {
+        let (root, store) = tmp_store("slices");
+        let spec = PtdpSpec::new(1, 1, 2);
+        let threads = synthetic_states(cfg(), &spec, 71);
         save_generation(&store, &spec, 2, &threads);
-        assert_generation_is_its_shards(&store, 2, &spec);
+        // Set the byte after the topology and re-seal the CRC: a valid
+        // file whose header says its moments are a `1/d` slice.
+        let path = store.gen_dir(2).join(shard_name((0, 1, 0)));
+        let mut bytes = fs::read(&path).unwrap();
+        let flag = SHARD_MAGIC.len() + 4 * 8 + 1;
+        assert_eq!(bytes[flag], FULL_MOMENTS);
+        bytes[flag] = 1;
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
 
-        // Same topology restores fine, slice moments and all.
-        let same = store.load_latest(&spec, cfg()).unwrap();
-        assert_eq!(
-            same.snapshot.threads[&(0, 1, 0)].adam.m,
-            threads[&(0, 1, 0)].adam.m
+        let err = store.load_pinned(&spec, cfg(), 2).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Corrupt(m) if m.contains("header")),
+            "{err}"
         );
-
-        // A different topology cannot use the slices: with or without
-        // ZeRO-1 on the requesting side, a clean mismatch.
-        for shard_optimizer in [true, false] {
-            let other = PtdpSpec {
-                shard_optimizer,
-                ..PtdpSpec::new(2, 2, 1)
-            };
-            let err = store.load_latest(&other, cfg()).unwrap_err();
-            assert_eq!(err, CheckpointError::NoneAvailable);
-            let err = store.load_pinned(&other, cfg(), 2).unwrap_err();
-            assert!(matches!(err, CheckpointError::TopologyMismatch(_)), "{err}");
-        }
+        let err = store.load_latest(&spec, cfg()).unwrap_err();
+        assert_eq!(err, CheckpointError::NoneAvailable);
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1049,14 +1037,13 @@ pub(crate) mod tests {
         let threads = synthetic_states(cfg(), &spec, 41);
         save_generation(&store, &spec, 2, &threads);
         save_generation(&store, &spec, 4, &threads);
-        // The manifest as written before the canonical layout went: other
-        // magic, a has-canonical flag and a shard count after the iteration.
-        let mut enc = Enc::new(b"MGMANIF1");
+        // The manifest as written while optimizer slices had a flag: other
+        // magic, the flag after the topology.
+        let mut enc = Enc::new(b"MGMANIF2");
         enc.topology(&spec);
+        enc.u8(0);
         enc.config(cfg());
         enc.u64(4);
-        enc.u8(1);
-        enc.u64(spec.world() as u64);
         fs::write(store.gen_dir(4).join(MANIFEST_NAME), enc.finish()).unwrap();
 
         for to in [spec, PtdpSpec::new(1, 1, 1)] {

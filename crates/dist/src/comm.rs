@@ -111,22 +111,17 @@ pub fn ring_all_reduce_bytes(g: usize, n: usize) -> f64 {
     2.0 * (g as f64 - 1.0) / g as f64 * n as f64 * BYTES_F32
 }
 
-/// Per-rank bytes a ring all-gather moves when each rank contributes
-/// `part` f32 elements: `(g−1) · part`.
-pub fn ring_all_gather_bytes(g: usize, part: usize) -> f64 {
-    if g <= 1 {
-        return 0.0;
-    }
-    (g as f64 - 1.0) * part as f64 * BYTES_F32
+/// Per-rank bytes a ring all-gather of `n` f32 elements moves: `(g−1)/g ·
+/// n`, the all-gather half of [`ring_all_reduce_bytes`] (with `n = g·part`,
+/// `(g−1) · part`).
+pub fn ring_all_gather_bytes(g: usize, n: usize) -> f64 {
+    ring_all_reduce_bytes(g, n) / 2.0
 }
 
 /// Per-rank bytes a ring reduce-scatter of `n` f32 elements moves:
-/// `(g−1)/g · n`.
+/// `(g−1)/g · n`, the reduce-scatter half of [`ring_all_reduce_bytes`].
 pub fn ring_reduce_scatter_bytes(g: usize, n: usize) -> f64 {
-    if g <= 1 {
-        return 0.0;
-    }
-    (g as f64 - 1.0) / g as f64 * n as f64 * BYTES_F32
+    ring_all_reduce_bytes(g, n) / 2.0
 }
 
 /// Bytes the *root* sends in a pipelined ring broadcast of `n` f32
@@ -180,14 +175,16 @@ impl CommVolume {
 }
 
 /// One collective this member completed, recorded for replay: feeding the
-/// same ops through `megatron-net`'s lowering reproduces, task for task,
-/// the byte flow the real transport just moved (the real-vs-sim identity
-/// test drives exactly this).
+/// same ops through `megatron-net`'s lowering reproduces the byte flow the
+/// real transport just moved (the real-vs-sim identity test drives exactly
+/// this). A segmented collective is recorded as one op per segment: the
+/// same bytes per rank and per round as the one message per round that
+/// carried them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectiveOp {
     /// Which algorithm ran.
     pub kind: CollectiveKind,
-    /// Buffer elements (for all-gather: the per-rank contribution).
+    /// Buffer (or segment) elements.
     pub elems: usize,
 }
 
@@ -196,7 +193,7 @@ pub struct CollectiveOp {
 pub enum CollectiveKind {
     /// Flat ring all-reduce (sum, max, and mean all share the wire shape).
     AllReduce,
-    /// Ring all-gather (`elems` = per-rank contribution).
+    /// Ring all-gather: rank `j` starts owning chunk `j`.
     AllGather,
     /// Ring reduce-scatter.
     ReduceScatter,
@@ -509,8 +506,9 @@ impl Group {
         }
     }
 
-    /// Enqueue a chunk for `dst` (non-blocking; mailboxes are unbounded).
-    fn post(&self, src: usize, dst: usize, payload: &[f32]) -> Result<(), RawComm> {
+    /// Enqueue one message — the concatenated `parts` — for `dst`
+    /// (non-blocking; mailboxes are unbounded).
+    fn post(&self, src: usize, dst: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
         if self.is_poisoned() {
             return Err(RawComm::Poisoned);
         }
@@ -518,7 +516,7 @@ impl Group {
         let Ok(mut q) = mb.q.lock() else {
             return Err(RawComm::Poisoned);
         };
-        q.push_back(payload.to_vec());
+        q.push_back(parts.concat());
         mb.cv.notify_all();
         Ok(())
     }
@@ -590,8 +588,8 @@ struct MailTransport<'a> {
 impl Transport for MailTransport<'_> {
     type Error = RawComm;
 
-    fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), RawComm> {
-        self.group.post(self.rank, to, payload)
+    fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
+        self.group.post(self.rank, to, parts)
     }
 
     fn recv(&mut self, from: usize) -> Result<Vec<f32>, RawComm> {
@@ -624,8 +622,8 @@ fn raw_from_socket(_: SocketError) -> RawComm {
 impl Transport for SockTransport<'_> {
     type Error = RawComm;
 
-    fn send(&mut self, to: usize, payload: &[f32]) -> Result<(), RawComm> {
-        self.chan.send(to, payload).map_err(raw_from_socket)
+    fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
+        self.chan.send(to, parts).map_err(raw_from_socket)
     }
 
     fn recv(&mut self, from: usize) -> Result<Vec<f32>, RawComm> {
@@ -701,16 +699,17 @@ impl GroupMember {
         self.fault_tally.get()
     }
 
-    /// Wrap `tp` per the group's [`TransportConfig`] and execute `prog`.
+    /// Wrap `tp` per the group's [`TransportConfig`] and execute `progs`
+    /// over `segs`.
     fn execute_wrapped<T: PollTransport<Error = RawComm>>(
         &self,
-        prog: &Program,
-        buf: &mut [f32],
+        progs: &[Program],
+        segs: &mut [&mut [f32]],
         op_index: u64,
         mut tp: T,
     ) -> Result<coll::ExecReport, coll::StepFailure<RawComm>> {
         let Some((policy, store)) = &self.group.reliable else {
-            return coll::execute(prog, self.rank, buf, &mut tp);
+            return coll::execute_segments(progs, self.rank, segs, &mut tp);
         };
         let (faults, seed) = self
             .group
@@ -723,7 +722,7 @@ impl GroupMember {
             });
         let faulty = FaultyTransport::new(tp, faults, seed);
         let mut rel = ReliableTransport::new(faulty, store, self.rank, *policy);
-        let result = coll::execute(prog, self.rank, buf, &mut rel);
+        let result = coll::execute_segments(progs, self.rank, segs, &mut rel);
         let (faulty, stats) = rel.into_parts();
         let (_, tally) = faulty.into_parts();
         self.retry_stats.set(self.retry_stats.get().plus(&stats));
@@ -731,20 +730,22 @@ impl GroupMember {
         result
     }
 
-    /// Execute `prog` over the group's wire — mailboxes, or the socket
-    /// channel in process mode — tally the measured egress into `slot`,
-    /// and record `op` for replay.
+    /// Execute `progs[k]` over segment `segs[k]`, all segments as one
+    /// collective (one message per round), over the group's wire —
+    /// mailboxes, or the socket channel in process mode — tally the
+    /// measured egress into `slot`, count one collective and record `ops`
+    /// (one per segment) for replay.
     ///
     /// When the group carries a [`TransportConfig`], the wire is wrapped
     /// accordingly: a seeded [`FaultyTransport`] plays adversary and a
     /// [`ReliableTransport`] above it absorbs the faults, so transient
     /// drops/duplicates/delays never surface as [`CommError::Timeout`]
     /// while the retransmit budget lasts.
-    fn run_program(
+    fn run_programs(
         &self,
-        prog: &Program,
-        buf: &mut [f32],
-        op: CollectiveOp,
+        progs: &[Program],
+        segs: &mut [&mut [f32]],
+        ops: &[CollectiveOp],
         slot: fn(&mut CommVolume) -> &mut f64,
     ) -> Result<(), CommError> {
         if self.group.is_poisoned() {
@@ -755,14 +756,14 @@ impl GroupMember {
         let result = if let Some(sock) = &self.group.socket {
             let mut chan = sock.chan.lock().unwrap();
             chan.set_deadline(Instant::now() + self.group.timeout);
-            self.execute_wrapped(prog, buf, op_index, SockTransport { chan: &mut chan })
+            self.execute_wrapped(progs, segs, op_index, SockTransport { chan: &mut chan })
         } else {
             let tp = MailTransport {
                 group: &self.group,
                 rank: self.rank,
                 deadline: Instant::now() + self.group.timeout,
             };
-            self.execute_wrapped(prog, buf, op_index, tp)
+            self.execute_wrapped(progs, segs, op_index, tp)
         };
         match result {
             Ok(report) => {
@@ -770,7 +771,7 @@ impl GroupMember {
                 *slot(&mut v) += report.sent_elems as f64 * BYTES_F32;
                 v.ops += 1;
                 self.volume.set(v);
-                self.op_log.borrow_mut().push(op);
+                self.op_log.borrow_mut().extend_from_slice(ops);
                 Ok(())
             }
             Err(fail) => Err(match fail.error {
@@ -790,6 +791,44 @@ impl GroupMember {
         }
     }
 
+    /// Run `prog` over the whole of `buf` as one collective of `kind`.
+    fn run_one(
+        &self,
+        prog: Program,
+        buf: &mut [f32],
+        kind: CollectiveKind,
+        slot: fn(&mut CommVolume) -> &mut f64,
+    ) -> Result<(), CommError> {
+        let op = CollectiveOp {
+            kind,
+            elems: buf.len(),
+        };
+        self.run_programs(&[prog], &mut [buf], &[op], slot)
+    }
+
+    /// Run `kind`'s ring program over every segment of `segs` as one
+    /// collective: one message per round carries every segment's chunk.
+    fn run_segmented(
+        &self,
+        kind: CollectiveKind,
+        segs: &mut [&mut [f32]],
+        slot: fn(&mut CommVolume) -> &mut f64,
+    ) -> Result<(), CommError> {
+        let g = self.group.size;
+        if g == 1 {
+            return Ok(());
+        }
+        let ops: Vec<CollectiveOp> = segs
+            .iter()
+            .map(|seg| CollectiveOp {
+                kind,
+                elems: seg.len(),
+            })
+            .collect();
+        let progs: Vec<Program> = ops.iter().map(|op| op.program(g)).collect();
+        self.run_programs(&progs, segs, &ops, slot)
+    }
+
     /// Fallible in-place sum all-reduce (ring). Every member ends with a
     /// bit-identical buffer: the all-gather phase replicates the reduced
     /// chunks themselves.
@@ -799,15 +838,9 @@ impl GroupMember {
             return Ok(());
         }
         let prog = coll::ring_all_reduce(g, buf.len(), ReduceOp::Sum);
-        self.run_program(
-            &prog,
-            buf,
-            CollectiveOp {
-                kind: CollectiveKind::AllReduce,
-                elems: buf.len(),
-            },
-            |v| &mut v.all_reduce_bytes,
-        )
+        self.run_one(prog, buf, CollectiveKind::AllReduce, |v| {
+            &mut v.all_reduce_bytes
+        })
     }
 
     /// Fallible in-place element-wise max all-reduce.
@@ -817,15 +850,9 @@ impl GroupMember {
             return Ok(());
         }
         let prog = coll::ring_all_reduce(g, buf.len(), ReduceOp::Max);
-        self.run_program(
-            &prog,
-            buf,
-            CollectiveOp {
-                kind: CollectiveKind::AllReduce,
-                elems: buf.len(),
-            },
-            |v| &mut v.all_reduce_bytes,
-        )
+        self.run_one(prog, buf, CollectiveKind::AllReduce, |v| {
+            &mut v.all_reduce_bytes
+        })
     }
 
     /// Fallible in-place mean all-reduce (sum, then scale by `1/size`).
@@ -852,37 +879,29 @@ impl GroupMember {
             return Ok(());
         }
         let prog = coll::hierarchical_all_reduce(g, buf.len(), local, ReduceOp::Sum);
-        self.run_program(
-            &prog,
-            buf,
-            CollectiveOp {
-                kind: CollectiveKind::HierarchicalAllReduce { local },
-                elems: buf.len(),
-            },
-            |v| &mut v.all_reduce_bytes,
-        )
+        let kind = CollectiveKind::HierarchicalAllReduce { local };
+        self.run_one(prog, buf, kind, |v| &mut v.all_reduce_bytes)
     }
 
-    /// Fallible all-gather: every rank contributes `part`; returns the
-    /// rank-ordered concatenation.
-    pub fn try_all_gather(&self, part: &[f32]) -> Result<Vec<f32>, CommError> {
-        let g = self.group.size;
-        if g == 1 {
-            return Ok(part.to_vec());
-        }
-        let mut buf = vec![0.0f32; part.len() * g];
-        buf[self.rank * part.len()..(self.rank + 1) * part.len()].copy_from_slice(part);
-        let prog = coll::ring_all_gather(g, part.len());
-        self.run_program(
-            &prog,
-            &mut buf,
-            CollectiveOp {
-                kind: CollectiveKind::AllGather,
-                elems: part.len(),
-            },
-            |v| &mut v.all_gather_bytes,
-        )?;
-        Ok(buf)
+    /// Fallible in-place segmented reduce-scatter: each segment is summed
+    /// over the group by its own ring reduce-scatter, and this rank ends
+    /// owning chunk `rank` ([`chunk_of`](coll::chunk_of)) of every segment
+    /// — summed in exactly the order [`GroupMember::try_all_reduce_sum`]
+    /// of that segment sums it. The rest of each segment is left partially
+    /// reduced. All segments ride one message per round.
+    pub fn try_reduce_scatter_sum(&self, segs: &mut [&mut [f32]]) -> Result<(), CommError> {
+        self.run_segmented(CollectiveKind::ReduceScatter, segs, |v| {
+            &mut v.reduce_scatter_bytes
+        })
+    }
+
+    /// Fallible in-place segmented all-gather, the inverse shape of
+    /// [`GroupMember::try_reduce_scatter_sum`]: each rank's chunk `rank` of
+    /// every segment replaces that chunk on every other rank, so all ranks
+    /// end with bit-identical segments. All segments ride one message per
+    /// round.
+    pub fn try_all_gather(&self, segs: &mut [&mut [f32]]) -> Result<(), CommError> {
+        self.run_segmented(CollectiveKind::AllGather, segs, |v| &mut v.all_gather_bytes)
     }
 
     /// Fallible broadcast of `buf` from `root` to every rank, in place
@@ -893,39 +912,9 @@ impl GroupMember {
             return Ok(());
         }
         let prog = coll::ring_broadcast(g, buf.len(), root);
-        self.run_program(
-            &prog,
-            buf,
-            CollectiveOp {
-                kind: CollectiveKind::Broadcast { root },
-                elems: buf.len(),
-            },
-            |v| &mut v.broadcast_bytes,
-        )
-    }
-
-    /// Fallible reduce-scatter: sum contributions, return this rank's
-    /// `1/size` shard (buffer length must divide evenly).
-    pub fn try_reduce_scatter_sum(&self, buf: &[f32]) -> Result<Vec<f32>, CommError> {
-        let g = self.group.size;
-        assert!(buf.len().is_multiple_of(g), "uneven reduce-scatter");
-        if g == 1 {
-            return Ok(buf.to_vec());
-        }
-        let chunk = buf.len() / g;
-        let mut work = buf.to_vec();
-        let prog = coll::ring_reduce_scatter(g, buf.len(), ReduceOp::Sum);
-        self.run_program(
-            &prog,
-            &mut work,
-            CollectiveOp {
-                kind: CollectiveKind::ReduceScatter,
-                elems: buf.len(),
-            },
-            |v| &mut v.reduce_scatter_bytes,
-        )?;
-        let lo = self.rank * chunk;
-        Ok(work[lo..lo + chunk].to_vec())
+        self.run_one(prog, buf, CollectiveKind::Broadcast { root }, |v| {
+            &mut v.broadcast_bytes
+        })
     }
 
     /// In-place sum all-reduce; panics with [`CommPanic`] on failure.
@@ -944,19 +933,9 @@ impl GroupMember {
         expect_comm(self.try_all_reduce_mean(buf));
     }
 
-    /// All-gather; panics with [`CommPanic`] on failure.
-    pub fn all_gather(&self, part: &[f32]) -> Vec<f32> {
-        expect_comm(self.try_all_gather(part))
-    }
-
     /// Broadcast from `root`; panics with [`CommPanic`] on failure.
     pub fn broadcast(&self, buf: &mut [f32], root: usize) {
         expect_comm(self.try_broadcast(buf, root));
-    }
-
-    /// Reduce-scatter; panics with [`CommPanic`] on failure.
-    pub fn reduce_scatter_sum(&self, buf: &[f32]) -> Vec<f32> {
-        expect_comm(self.try_reduce_scatter_sum(buf))
     }
 }
 
@@ -974,6 +953,15 @@ impl Drop for GroupMember {
 mod tests {
     use super::*;
     use std::thread;
+
+    /// All-gather `part` from every rank into the rank-ordered
+    /// concatenation (one segment, each rank's part its chunk).
+    fn gather(m: &GroupMember, part: &[f32]) -> Vec<f32> {
+        let mut buf = vec![0.0f32; part.len() * m.size()];
+        buf[m.rank() * part.len()..(m.rank() + 1) * part.len()].copy_from_slice(part);
+        m.try_all_gather(&mut [&mut buf]).unwrap();
+        buf
+    }
 
     fn run_group<T: Send>(size: usize, f: impl Fn(GroupMember) -> T + Sync) -> Vec<T> {
         let group = Group::new(size);
@@ -1024,7 +1012,7 @@ mod tests {
 
     #[test]
     fn all_gather_orders_by_rank() {
-        let results = run_group(3, |m| m.all_gather(&[m.rank() as f32 * 10.0]));
+        let results = run_group(3, |m| gather(&m, &[m.rank() as f32 * 10.0]));
         for r in &results {
             assert_eq!(r, &vec![0.0, 10.0, 20.0]);
         }
@@ -1047,14 +1035,20 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_shards() {
+    fn reduce_scatter_leaves_each_rank_its_chunk_of_every_segment() {
         let results = run_group(2, |m| {
-            // rank r contributes [r, r, r, r].
-            let buf = vec![m.rank() as f32; 4];
-            (m.rank(), m.reduce_scatter_sum(&buf))
+            // rank r contributes [r, r, r, r] and [r, r, r].
+            let (mut a, mut b) = (vec![m.rank() as f32; 4], vec![m.rank() as f32; 3]);
+            m.try_reduce_scatter_sum(&mut [&mut a, &mut b]).unwrap();
+            let (ca, cb) = (
+                coll::chunk_of(4, 2, m.rank()),
+                coll::chunk_of(3, 2, m.rank()),
+            );
+            (m.rank(), a[ca.lo..ca.hi].to_vec(), b[cb.lo..cb.hi].to_vec())
         });
-        for (rank, shard) in results {
-            assert_eq!(shard, vec![1.0, 1.0], "rank {rank}");
+        for (rank, a, b) in results {
+            assert_eq!(a, vec![1.0, 1.0], "rank {rank}");
+            assert_eq!(b, vec![1.0; 2 - rank], "rank {rank}");
         }
     }
 
@@ -1076,7 +1070,7 @@ mod tests {
             let mut buf = vec![3.0];
             m.all_reduce_sum(&mut buf);
             m.all_reduce_mean(&mut buf);
-            let g = m.all_gather(&buf);
+            let g = gather(&m, &buf);
             (buf[0], g)
         });
         assert_eq!(results[0], (3.0, vec![3.0]));
@@ -1250,8 +1244,8 @@ mod tests {
         let results = run_group(4, |m| {
             let mut buf = vec![1.0f32; 8];
             m.all_reduce_sum(&mut buf);
-            let _ = m.all_gather(&buf[..2]);
-            let _ = m.reduce_scatter_sum(&buf);
+            let _ = gather(&m, &buf[..2]);
+            m.try_reduce_scatter_sum(&mut [&mut buf]).unwrap();
             m.broadcast(&mut buf, 0);
             (m.rank(), m.comm_volume())
         });
@@ -1291,7 +1285,10 @@ mod tests {
         let results = run_group(3, |m| {
             let mut buf = vec![1.0f32; 7];
             m.all_reduce_sum(&mut buf);
-            let _ = m.all_gather(&buf[..2]);
+            let _ = gather(&m, &buf[..2]);
+            let (head, tail) = buf.split_at_mut(3);
+            m.try_reduce_scatter_sum(&mut [head, &mut [], tail])
+                .unwrap();
             m.broadcast(&mut buf, 1);
             (m.comm_volume(), m.take_op_log(), m.rank())
         });
@@ -1305,7 +1302,20 @@ mod tests {
                     },
                     CollectiveOp {
                         kind: CollectiveKind::AllGather,
-                        elems: 2
+                        elems: 6
+                    },
+                    // One segmented collective, one op per segment.
+                    CollectiveOp {
+                        kind: CollectiveKind::ReduceScatter,
+                        elems: 3
+                    },
+                    CollectiveOp {
+                        kind: CollectiveKind::ReduceScatter,
+                        elems: 0
+                    },
+                    CollectiveOp {
+                        kind: CollectiveKind::ReduceScatter,
+                        elems: 4
                     },
                     CollectiveOp {
                         kind: CollectiveKind::Broadcast { root: 1 },
@@ -1313,6 +1323,7 @@ mod tests {
                     },
                 ]
             );
+            assert_eq!(vol.ops, 4, "the segmented reduce-scatter is one collective");
             // Replaying the logged programs yields exactly the bytes the
             // transport counted — the identity the sim comparison uses.
             let replayed: usize = ops.iter().map(|op| op.program(3).sent_elems(*rank)).sum();
@@ -1459,7 +1470,7 @@ mod tests {
         let clean = run_group(3, |m| {
             let mut buf = vec![(m.rank() as f32) * 0.25 - 1.0; 11];
             m.all_reduce_sum(&mut buf);
-            let gathered = m.all_gather(&buf[..3]);
+            let gathered = gather(&m, &buf[..3]);
             m.broadcast(&mut buf, 2);
             (buf, gathered)
         });
@@ -1483,7 +1494,7 @@ mod tests {
         let lossy = run_group_cfg(3, cfg, |m| {
             let mut buf = vec![(m.rank() as f32) * 0.25 - 1.0; 11];
             m.all_reduce_sum(&mut buf);
-            let gathered = m.all_gather(&buf[..3]);
+            let gathered = gather(&m, &buf[..3]);
             m.broadcast(&mut buf, 2);
             (buf, gathered)
         });

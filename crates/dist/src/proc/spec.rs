@@ -33,8 +33,6 @@ pub struct JobSpec {
     pub schedule: ScheduleKind,
     /// Adam learning rate.
     pub lr: f32,
-    /// ZeRO-1 optimizer sharding.
-    pub shard_optimizer: bool,
     /// §3.5 activation recomputation.
     pub recompute: bool,
     /// Vocab-parallel embedding + LM head.
@@ -95,7 +93,6 @@ impl JobSpec {
             microbatch: spec.microbatch,
             schedule: spec.schedule,
             lr: spec.lr,
-            shard_optimizer: spec.shard_optimizer,
             recompute: spec.recompute,
             vocab_parallel: spec.vocab_parallel,
             comm_timeout: spec.comm_timeout,
@@ -128,7 +125,6 @@ impl JobSpec {
         s.microbatch = self.microbatch;
         s.schedule = self.schedule;
         s.lr = self.lr;
-        s.shard_optimizer = self.shard_optimizer;
         s.recompute = self.recompute;
         s.vocab_parallel = self.vocab_parallel;
         s.comm_timeout = self.comm_timeout;
@@ -190,7 +186,6 @@ impl JobSpec {
             ("microbatch", n(self.microbatch)),
             ("schedule", Json::Str(schedule)),
             ("lr_bits", Json::Num(self.lr.to_bits() as f64)),
-            ("shard_optimizer", Json::Bool(self.shard_optimizer)),
             ("recompute", Json::Bool(self.recompute)),
             ("vocab_parallel", Json::Bool(self.vocab_parallel)),
             (
@@ -277,7 +272,6 @@ impl JobSpec {
             microbatch: us("microbatch")?,
             schedule,
             lr: f32::from_bits(us("lr_bits")? as u32),
-            shard_optimizer: b("shard_optimizer"),
             recompute: b("recompute"),
             vocab_parallel: b("vocab_parallel"),
             comm_timeout: Duration::from_millis(us("comm_timeout_ms")? as u64),

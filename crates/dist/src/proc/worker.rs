@@ -301,5 +301,5 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
 /// beacon, `[flat, completed_iters]` for a progress beat.
 fn send_heartbeat(hb: &Mutex<SocketChannel>, launcher_rank: usize, frame: &[f32]) {
     let mut chan = hb.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = megatron_collective::Transport::send(&mut *chan, launcher_rank, frame);
+    let _ = megatron_collective::Transport::send(&mut *chan, launcher_rank, &[frame]);
 }

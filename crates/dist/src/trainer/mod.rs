@@ -10,9 +10,11 @@
 //! - the batch is sharded over `d` replicas and each replica's share is cut
 //!   into `m = B/(d·b)` microbatches driven by a
 //!   [`megatron_schedule::ScheduleKind`] program;
-//! - after the flush, gradients are scaled by `1/m`, mean-all-reduced
-//!   across the data group, and stepped with per-thread Adam (identical
-//!   state on every replica — verified in tests).
+//! - after the flush, gradients are scaled by `1/m` and averaged across
+//!   the data group by a distributed optimizer: one reduce-scatter, Adam
+//!   on the rank's `1/d` chunk of every parameter, one all-gather of the
+//!   parameters — the parameters a mean all-reduce and a replicated Adam
+//!   compute, bit for bit, on every replica (verified in tests).
 //!
 //! The first stage owns the (replicated-across-`t`) embedding; the last
 //! stage owns the final LayerNorm + LM head. That matches Megatron's

@@ -27,12 +27,6 @@ pub struct PtdpSpec {
     pub schedule: ScheduleKind,
     /// Adam learning rate.
     pub lr: f32,
-    /// Shard optimizer state across data-parallel ranks (the "sharded data
-    /// parallelism" of the paper's related work / ZeRO stage 1): gradients
-    /// arrive by reduce-scatter, each rank Adam-steps its 1/d slice, and
-    /// updated parameters return by all-gather. Numerically identical to
-    /// replicated Adam; optimizer memory drops by d.
-    pub shard_optimizer: bool,
     /// §3.5 activation recomputation: stash only each chunk's input during
     /// the forward pass and rerun the forward just before the backward.
     /// Numerically identical (the rebuilt caches are bit-equal); activation
@@ -60,7 +54,6 @@ impl PtdpSpec {
             microbatch: 1,
             schedule: ScheduleKind::OneFOneB,
             lr: 0.01,
-            shard_optimizer: false,
             recompute: false,
             vocab_parallel: false,
             comm_timeout: DEFAULT_COMM_TIMEOUT,

@@ -14,18 +14,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
-use megatron_collective::{SocketChannel, Transport};
+use megatron_collective::{chunk_of, SocketChannel, Transport};
 use megatron_schedule::{Pass, PipeOp, PipelineSchedule};
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
-use megatron_tensor::{Adam, Matrix};
+use megatron_tensor::{Adam, AdamState, Matrix};
 
 use megatron_telemetry::{OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
 
 use crate::checkpoint::CheckpointError;
 use crate::comm::{
-    ring_all_gather_bytes, ring_all_reduce_bytes, ring_reduce_scatter_bytes, CommError, CommPanic,
-    GroupMember, StallContext, BYTES_F32,
+    ring_all_reduce_bytes, CommPanic, CommVolume, GroupMember, StallContext, BYTES_F32,
 };
 
 use super::generations::GenerationAssembler;
@@ -261,6 +260,10 @@ struct Rank<'a> {
     /// survive the error paths too.
     tracer: Option<RankTracer>,
     model: ThreadModel,
+    /// Parameter lengths in visit order: the segments of the data-parallel
+    /// collectives and of the moment vectors.
+    lens: Vec<usize>,
+    /// Adam over this rank's chunk of every parameter ([`own_chunks`]).
     adam: Adam,
     p2p_send_bytes: f64,
     p2p_sends: Vec<(ThreadKey, usize)>,
@@ -299,16 +302,23 @@ fn train(
     wiring: &Wiring<'_>,
     ctl: &RunControl,
 ) -> Result<(), TrainError> {
-    let key @ (pi, _, ti) = out.key;
+    let key @ (pi, di, ti) = out.key;
     let flat_rank = spec.flat_rank(key);
     let mut model = build_thread_model(master, &spec, pi, ti);
+    let mut lens = Vec::new();
+    model.visit_params(&mut |p| lens.push(p.len()));
     let mut adam = Adam::new(spec.lr);
     let start_iter = match &ctl.restore {
         Some(snap) => {
             let st = snap.threads.get(&key);
             let st = st.ok_or(TrainError::MissingThreadState(key))?;
             model.set_flat_params(&st.params);
-            adam.import_state(st.adam.clone());
+            let own = |full: &[f32]| own_chunks(full, &lens, spec.data, di);
+            adam.import_state(AdamState {
+                t: st.adam.t,
+                m: own(&st.adam.m),
+                v: own(&st.adam.v),
+            });
             snap.next_iter
         }
         None => 0,
@@ -328,6 +338,7 @@ fn train(
         out,
         tracer,
         model,
+        lens,
         adam,
         p2p_send_bytes: 0.0,
         p2p_sends: Vec::new(),
@@ -530,7 +541,7 @@ impl Rank<'_> {
             Lane::Socket(chan) => {
                 let mut chan = chan.borrow_mut();
                 chan.set_deadline(self.lane_deadline());
-                if chan.send(1, x.as_slice()).is_err() {
+                if chan.send(1, &[x.as_slice()]).is_err() {
                     return Err(self.broken(boundary, opi, peer_pi, Some((&chan, 1))));
                 }
             }
@@ -666,8 +677,16 @@ impl Rank<'_> {
         }
     }
 
-    /// The pipeline flush is complete: strict optimizer semantics. Returns
-    /// the iteration's loss on the ranks that own it (`owns_loss`).
+    /// The pipeline flush is complete: strict optimizer semantics, with the
+    /// data-parallel step as a distributed optimizer — §3.3.1's gradient
+    /// all-reduce split into its two halves around the update. Reduce-
+    /// scatter the gradients, scale this rank's chunk of each to the
+    /// replica mean, Adam-step that chunk of every parameter, all-gather
+    /// the parameters. The chunk is summed in exactly the order a ring
+    /// all-reduce of its parameter sums it, so every replica ends with the
+    /// parameters a replicated optimizer computes, bit for bit, at `1/d` of
+    /// its optimizer work. Returns the iteration's loss on the ranks that
+    /// own it (`owns_loss`).
     fn step(&mut self, loss_sum: f32, owns_loss: bool) -> Result<Option<f32>, TrainError> {
         let (d, di, dg) = (self.spec.data, self.key.1, &self.wiring.dg);
         // Gradients currently hold Σ over microbatches of per-microbatch
@@ -695,88 +714,96 @@ impl Rank<'_> {
             None
         };
 
-        if d > 1 && self.spec.shard_optimizer {
-            // ZeRO-1 path: reduce-scatter gradients, step the owned slice,
-            // all-gather updated parameters. The rank-ordered reductions
-            // make this bit-identical to the replicated path.
-            let mut flat_p = Vec::new();
-            let mut flat_g = Vec::new();
-            self.model.visit(&mut |pp, gg| {
-                flat_p.extend_from_slice(pp);
-                flat_g.extend_from_slice(gg);
-            });
-            let n0 = flat_g.len();
-            let pad = (d - n0 % d) % d;
-            flat_g.resize(n0 + pad, 0.0);
-            flat_p.resize(n0 + pad, 0.0);
-            let chunk = (n0 + pad) / d;
-            let bytes = SpanArgs::bytes(ring_reduce_scatter_bytes(d, flat_g.len()));
-            let scattering = span(&self.tracer, SpanKind::Comm, "grad-reduce-scatter", bytes);
-            let mut gshard = dg
-                .try_reduce_scatter_sum(&flat_g)
+        let mut pairs = self.model.param_grad_pairs();
+        if d > 1 {
+            let mut grads: Vec<&mut [f32]> = pairs.iter_mut().map(|(_, g)| &mut **g).collect();
+            let mut reducing = span(
+                &self.tracer,
+                SpanKind::Comm,
+                "grad-reduce-scatter",
+                SpanArgs::NONE,
+            );
+            let before = dg.comm_volume();
+            dg.try_reduce_scatter_sum(&mut grads)
                 .map_err(TrainError::Comm)?;
-            drop(scattering);
+            // `x · (1/d)`, as the mean all-reduce scales.
             let inv_d = 1.0 / d as f32;
-            for x in &mut gshard {
-                *x *= inv_d;
-            }
-            let lo = di * chunk;
-            let mut pshard = flat_p[lo..lo + chunk].to_vec();
-            let stepping = span(
-                &self.tracer,
-                SpanKind::Optimizer,
-                "adam-step",
-                SpanArgs::NONE,
-            );
-            self.adam.step(&mut [(&mut pshard, &mut gshard)]);
-            drop(stepping);
-            let bytes = SpanArgs::bytes(ring_all_gather_bytes(d, pshard.len()));
-            let gathering = span(&self.tracer, SpanKind::Comm, "param-allgather", bytes);
-            let mut gathered = dg.try_all_gather(&pshard).map_err(TrainError::Comm)?;
-            drop(gathering);
-            gathered.truncate(n0);
-            let mut off = 0;
-            self.model.visit(&mut |pp, _| {
-                pp.copy_from_slice(&gathered[off..off + pp.len()]);
-                off += pp.len();
-            });
-        } else {
-            // Data-parallel gradient averaging, parameter by parameter
-            // (same order on every member of the group).
-            if d > 1 {
-                let mut reducing = span(
-                    &self.tracer,
-                    SpanKind::Comm,
-                    "grad-allreduce",
-                    SpanArgs::NONE,
-                );
-                let before = dg.comm_volume().all_reduce_bytes;
-                let mut comm_err: Option<CommError> = None;
-                self.model.visit(&mut |_, g| {
-                    if comm_err.is_none() {
-                        comm_err = dg.try_all_reduce_mean(g).err();
-                    }
-                });
-                if let Some(e) = comm_err {
-                    return Err(TrainError::Comm(e));
+            for g in grads {
+                let c = chunk_of(g.len(), d, di);
+                for x in &mut g[c.lo..c.hi] {
+                    *x *= inv_d;
                 }
-                reducing.set_bytes(dg.comm_volume().all_reduce_bytes - before);
             }
-            let mut pairs = self.model.param_grad_pairs();
-            let _stepping = span(
+            reducing.set_bytes(bytes_since(dg, before));
+        }
+        let mut owned: Vec<(&mut [f32], &mut [f32])> = pairs
+            .iter_mut()
+            .map(|(p, g)| {
+                let c = chunk_of(p.len(), d, di);
+                (&mut p[c.lo..c.hi], &mut g[c.lo..c.hi])
+            })
+            .collect();
+        let stepping = span(
+            &self.tracer,
+            SpanKind::Optimizer,
+            "adam-step",
+            SpanArgs::NONE,
+        );
+        self.adam.step(&mut owned);
+        drop(stepping);
+        if d > 1 {
+            let mut params: Vec<&mut [f32]> = pairs.iter_mut().map(|(p, _)| &mut **p).collect();
+            let mut gathering = span(
                 &self.tracer,
-                SpanKind::Optimizer,
-                "adam-step",
+                SpanKind::Comm,
+                "param-allgather",
                 SpanArgs::NONE,
             );
-            self.adam.step(&mut pairs);
+            let before = dg.comm_volume();
+            dg.try_all_gather(&mut params).map_err(TrainError::Comm)?;
+            gathering.set_bytes(bytes_since(dg, before));
         }
         Ok(loss)
+    }
+
+    /// The optimizer state a replicated step would hold — the full `m` and
+    /// `v` — from this rank's chunks of them, all-gathered over the data
+    /// group. Checkpoints keep this form, so any topology can restore them.
+    fn full_moments(&self) -> Result<AdamState, TrainError> {
+        let (d, di, dg) = (self.spec.data, self.key.1, &self.wiring.dg);
+        let own = self.adam.export_state();
+        let mut gathering = (d > 1).then(|| {
+            span(
+                &self.tracer,
+                SpanKind::Comm,
+                "moment-allgather",
+                SpanArgs::NONE,
+            )
+        });
+        let before = dg.comm_volume();
+        let gather = |chunks: &[f32]| {
+            let mut full = vec![0.0f32; self.lens.iter().sum()];
+            let mut segs = segments(&mut full, &self.lens);
+            let mut from = 0;
+            for seg in &mut segs {
+                let c = chunk_of(seg.len(), d, di);
+                seg[c.lo..c.hi].copy_from_slice(&chunks[from..from + c.len()]);
+                from += c.len();
+            }
+            dg.try_all_gather(&mut segs).map_err(TrainError::Comm)?;
+            Ok::<_, TrainError>(full)
+        };
+        let (m, v) = (gather(&own.m)?, gather(&own.v)?);
+        if let Some(span) = &mut gathering {
+            span.set_bytes(bytes_since(dg, before));
+        }
+        Ok(AdamState { t: own.t, m, v })
     }
 
     /// Snapshot this rank after the optimizer step that makes `generation`
     /// the next iteration to run.
     fn checkpoint(&mut self, generation: usize) -> Result<(), TrainError> {
+        let adam = self.full_moments()?;
         let _saving = span(
             &self.tracer,
             SpanKind::Checkpoint,
@@ -785,7 +812,7 @@ impl Rank<'_> {
         );
         let state = ThreadState {
             params: self.model.flat_params(),
-            adam: self.adam.export_state(),
+            adam,
         };
         let failed = |e: CheckpointError| TrainError::Checkpoint(e.to_string());
         if let Some(store) = &self.ctl.durable {
@@ -807,4 +834,34 @@ impl Rank<'_> {
         }
         Ok(())
     }
+}
+
+/// Bytes `dg` sent since its volume read `before`.
+fn bytes_since(dg: &GroupMember, before: CommVolume) -> f64 {
+    dg.comm_volume().total_bytes() - before.total_bytes()
+}
+
+/// `buf` cut into consecutive segments of `lens` elements.
+fn segments<'b>(mut buf: &'b mut [f32], lens: &[usize]) -> Vec<&'b mut [f32]> {
+    lens.iter()
+        .map(|&n| {
+            let (seg, rest) = std::mem::take(&mut buf).split_at_mut(n);
+            buf = rest;
+            seg
+        })
+        .collect()
+}
+
+/// Rank `di` of `d`'s chunk ([`chunk_of`]) of every parameter-length
+/// segment of `full` (segments of `lens` elements), concatenated: the part
+/// of a full moment vector this rank's optimizer holds.
+fn own_chunks(full: &[f32], lens: &[usize], d: usize, di: usize) -> Vec<f32> {
+    let mut own = Vec::with_capacity(full.len().div_ceil(d));
+    let mut off = 0;
+    for &n in lens {
+        let c = chunk_of(n, d, di);
+        own.extend_from_slice(&full[off + c.lo..off + c.hi]);
+        off += n;
+    }
+    own
 }

@@ -266,7 +266,7 @@ impl Network {
         deps: &[TaskId],
         kind: u32,
     ) -> Vec<TaskId> {
-        let prog = coll::ring_all_gather(ranks.len(), bytes_per_rank as usize);
+        let prog = coll::ring_all_gather(ranks.len(), ranks.len() * bytes_per_rank as usize);
         self.lower_program(sim, &prog, ranks, deps, kind)
     }
 

@@ -14,14 +14,15 @@
 //!   the sim trace a `pipeline-p2p` net-row span gates the compute span
 //!   with the same (pass, microbatch) on the adjacent device row;
 //! * **collectives**: the k-th `grad-allreduce` / `grad-reduce-scatter` /
-//!   `param-allgather` / `loss-allreduce` span of an iteration is matched
-//!   across the data-parallel group (ranks sharing `(pi, ti)`). The claim
-//!   that the *last-arriving* member gates every member's completion is
-//!   not assumed — it is derived from the round structure of the
-//!   `megatron-collective` step [`Program`]: [`dependency_closure`]
-//!   propagates contributor sets through each round's send/recv dataflow,
-//!   and the ring programs the trainer runs yield the full closure (every
-//!   rank's output depends on every rank's input).
+//!   `param-allgather` / `loss-allreduce` / `moment-allgather` span of an
+//!   iteration is matched across the data-parallel group (ranks sharing
+//!   `(pi, ti)`). The claim that the *last-arriving* member gates every
+//!   member's completion is not assumed — it is derived from the round
+//!   structure of the `megatron-collective` step [`Program`]:
+//!   [`dependency_closure`] propagates contributor sets through each
+//!   round's send/recv dataflow, and the ring programs the trainer runs
+//!   yield the full closure (every rank's output depends on every rank's
+//!   input).
 //!
 //! The joined DAG is what [`critical_path`](crate::critical_path) walks.
 
@@ -147,11 +148,12 @@ pub struct TraceDag {
 }
 
 /// Collective span names the trainer emits over the data-parallel group.
-const COLLECTIVE_NAMES: [&str; 4] = [
+const COLLECTIVE_NAMES: [&str; 5] = [
     "grad-allreduce",
     "grad-reduce-scatter",
     "param-allgather",
     "loss-allreduce",
+    "moment-allgather",
 ];
 
 fn phase_of(cat: &str, name: &str) -> Phase {
@@ -484,7 +486,7 @@ fn ring_closure_is_full(name: &str, g: usize) -> bool {
     let prog = match name {
         "grad-allreduce" | "loss-allreduce" => coll::ring_all_reduce(g, g, coll::ReduceOp::Sum),
         "grad-reduce-scatter" => coll::ring_reduce_scatter(g, g, coll::ReduceOp::Sum),
-        "param-allgather" => coll::ring_all_gather(g, 1),
+        "param-allgather" | "moment-allgather" => coll::ring_all_gather(g, g),
         _ => return false,
     };
     dependency_closure(&prog)
@@ -509,7 +511,7 @@ mod tests {
             let rs_deps = dependency_closure(&rs);
             // Each rank's owned chunk is fully reduced: depends on everyone.
             assert!(rs_deps.iter().all(|r| r.iter().all(|&d| d)));
-            let ag = coll::ring_all_gather(g, 1);
+            let ag = coll::ring_all_gather(g, g);
             assert!(dependency_closure(&ag).iter().all(|r| r.iter().all(|&d| d)));
         }
     }

@@ -14,17 +14,21 @@
 //!   same process-mode wiring `repro launch` uses (length-prefixed
 //!   frames, reconnects, barriers riding the wire);
 //! - **Tcp** — the same wiring over loopback TCP, exercised by the
-//!   large-message test (ring chunks far beyond the kernel socket buffer).
+//!   large-message test (ring chunks far beyond the kernel socket buffer);
+//! - **Lossy** — the reliable layer over a wire that drops and duplicates,
+//!   exercised by the segmented data-parallel step.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use megatron_repro::collective::{
-    self as coll, reference_run, ReduceOp, SocketChannel, SocketNode, WireAddr,
+    self as coll, chunk_of, reference_run, ReduceOp, RetryPolicy, SocketChannel, SocketNode,
+    TransientFaults, WireAddr,
 };
 use megatron_repro::dist::{
     broadcast_bytes, ring_all_gather_bytes, ring_all_reduce_bytes, ring_reduce_scatter_bytes,
-    CommVolume, Group, GroupMember, TransportConfig, WireKind, BYTES_F32, DEFAULT_COMM_TIMEOUT,
+    CommVolume, FaultProfile, Group, GroupMember, TransportConfig, WireKind, BYTES_F32,
+    DEFAULT_COMM_TIMEOUT,
 };
 
 /// Odd group sizes exercised everywhere below.
@@ -37,6 +41,7 @@ enum Mode {
     Reliable,
     Socket,
     Tcp,
+    Lossy,
 }
 
 const MODES: [Mode; 3] = [Mode::Mailbox, Mode::Reliable, Mode::Socket];
@@ -59,6 +64,25 @@ fn with_group<R: Send>(mode: Mode, g: usize, f: impl Fn(GroupMember) -> R + Sync
         Mode::Reliable => {
             let cfg = TransportConfig {
                 retry: Some(Default::default()),
+                ..TransportConfig::default()
+            };
+            let group = Group::with_config(g, DEFAULT_COMM_TIMEOUT, cfg);
+            run_threads(g, &f, move |_| Arc::clone(&group))
+        }
+        Mode::Lossy => {
+            let cfg = TransportConfig {
+                retry: Some(RetryPolicy {
+                    base_backoff: std::time::Duration::from_micros(200),
+                    ..RetryPolicy::default()
+                }),
+                faults: Some(FaultProfile {
+                    seed: 0x5e9,
+                    faults: TransientFaults {
+                        drop_prob: 0.1,
+                        duplicate_prob: 0.1,
+                        ..TransientFaults::default()
+                    },
+                }),
                 ..TransportConfig::default()
             };
             let group = Group::with_config(g, DEFAULT_COMM_TIMEOUT, cfg);
@@ -177,37 +201,42 @@ fn all_reduce_max_matches_reference_bitwise() {
     }
 }
 
+/// Rank `r`'s starting buffer for an all-gather of `n`: its own chunk
+/// seeded, zeros elsewhere.
+fn own_chunk_only(r: usize, g: usize, n: usize) -> Vec<f32> {
+    let mut buf = vec![0.0f32; n];
+    let c = chunk_of(n, g, r);
+    buf[c.lo..c.hi].copy_from_slice(&seeded(r, c.len()));
+    buf
+}
+
 #[test]
 fn all_gather_matches_reference_bitwise() {
     for mode in MODES {
         for g in SIZES {
-            for part in [1, 5, 9] {
-                let prog = coll::ring_all_gather(g, part);
-                let mut reference: Vec<Vec<f32>> = (0..g)
-                    .map(|r| {
-                        let mut buf = vec![0.0f32; part * g];
-                        buf[r * part..(r + 1) * part].copy_from_slice(&seeded(r, part));
-                        buf
-                    })
-                    .collect();
+            // Divisible lengths (each rank contributes `n / g`), a
+            // non-divisible one and one shorter than the group.
+            for n in [g, 5 * g, 9 * g, 4 * g + 1, 2] {
+                let prog = coll::ring_all_gather(g, n);
+                let mut reference: Vec<Vec<f32>> =
+                    (0..g).map(|r| own_chunk_only(r, g, n)).collect();
                 reference_run(&prog, &mut reference);
 
                 let real: Vec<(Vec<f32>, CommVolume)> = with_group(mode, g, |m| {
-                    let own = seeded(m.rank(), part);
-                    (m.try_all_gather(&own).unwrap(), m.comm_volume())
+                    let mut buf = own_chunk_only(m.rank(), g, n);
+                    m.try_all_gather(&mut [&mut buf]).unwrap();
+                    (buf, m.comm_volume())
                 });
                 for (rank, (buf, vol)) in real.iter().enumerate() {
-                    assert_eq!(
-                        buf, &reference[rank],
-                        "{mode:?} g={g} part={part} rank {rank}"
-                    );
-                    // All-gather egress is exact at every length: g−1 rounds of
-                    // one `part`-sized chunk each.
-                    assert_eq!(vol.all_gather_bytes, ring_all_gather_bytes(g, part));
+                    assert_eq!(buf, &reference[rank], "{mode:?} g={g} n={n} rank {rank}");
                     assert_eq!(
                         vol.all_gather_bytes,
                         prog.sent_elems(rank) as f64 * BYTES_F32
                     );
+                    if n.is_multiple_of(g) {
+                        // g−1 rounds of one `n/g`-sized chunk each.
+                        assert_eq!(vol.all_gather_bytes, ring_all_gather_bytes(g, n));
+                    }
                 }
             }
         }
@@ -216,32 +245,106 @@ fn all_gather_matches_reference_bitwise() {
 
 #[test]
 fn reduce_scatter_matches_reference_bitwise() {
-    // The group API requires divisible lengths (each rank owns an equal
-    // shard); non-divisible chunking is exercised via all-reduce above,
-    // whose program embeds the same reduce-scatter rounds.
+    // Every rank's whole buffer — its fully reduced own chunk and the
+    // partial sums it forwarded — must match the reference.
     for mode in MODES {
         for g in SIZES {
-            let n = 6 * g;
-            let prog = coll::ring_reduce_scatter(g, n, ReduceOp::Sum);
-            let mut reference: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
-            reference_run(&prog, &mut reference);
+            for n in [6 * g, 6 * g + 1] {
+                let prog = coll::ring_reduce_scatter(g, n, ReduceOp::Sum);
+                let mut reference: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
+                reference_run(&prog, &mut reference);
 
-            let chunk = n / g;
-            let real: Vec<(Vec<f32>, CommVolume)> = with_group(mode, g, |m| {
-                let buf = seeded(m.rank(), n);
-                (m.try_reduce_scatter_sum(&buf).unwrap(), m.comm_volume())
+                let real: Vec<(Vec<f32>, CommVolume)> = with_group(mode, g, |m| {
+                    let mut buf = seeded(m.rank(), n);
+                    m.try_reduce_scatter_sum(&mut [&mut buf]).unwrap();
+                    (buf, m.comm_volume())
+                });
+                for (rank, (buf, vol)) in real.iter().enumerate() {
+                    assert_eq!(
+                        buf, &reference[rank],
+                        "{mode:?} g={g} n={n} rank {rank}: reduce-scatter diverged"
+                    );
+                    assert_eq!(
+                        vol.reduce_scatter_bytes,
+                        prog.sent_elems(rank) as f64 * BYTES_F32
+                    );
+                    if n.is_multiple_of(g) {
+                        assert_eq!(vol.reduce_scatter_bytes, ring_reduce_scatter_bytes(g, n));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn segmented_data_parallel_step_matches_reference_bitwise() {
+    // The trainer's data-parallel step on every wire: one segmented
+    // reduce-scatter, each rank scaling its own chunk of every segment by
+    // 1/g, one segmented all-gather. Segments include empty ones, ones
+    // shorter and just longer than the group, and one above 64 KiB.
+    let bits = |v: &[Vec<f32>]| -> Vec<Vec<u32>> {
+        v.iter()
+            .map(|s| s.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    for mode in [Mode::Mailbox, Mode::Lossy, Mode::Socket] {
+        for g in [2, 3, 5, 7] {
+            let lens = [0, 1, g - 1, g + 1, 3 * g + 2, 16_411];
+            let start = |r: usize| -> Vec<Vec<f32>> {
+                lens.iter()
+                    .enumerate()
+                    .map(|(k, &n)| seeded(r + 11 * k, n))
+                    .collect()
+            };
+            let inv = 1.0 / g as f32;
+            // Reference: the per-segment programs, phase by phase.
+            let mut reference: Vec<Vec<Vec<f32>>> = (0..g).map(start).collect();
+            let mut egress = vec![0usize; g];
+            for (k, &n) in lens.iter().enumerate() {
+                let rs = coll::ring_reduce_scatter(g, n, ReduceOp::Sum);
+                let ag = coll::ring_all_gather(g, n);
+                let mut bufs: Vec<Vec<f32>> = reference.iter().map(|b| b[k].clone()).collect();
+                reference_run(&rs, &mut bufs);
+                for (r, buf) in bufs.iter_mut().enumerate() {
+                    let c = chunk_of(n, g, r);
+                    buf[c.lo..c.hi].iter_mut().for_each(|x| *x *= inv);
+                    egress[r] += rs.sent_elems(r) + ag.sent_elems(r);
+                }
+                reference_run(&ag, &mut bufs);
+                for (r, buf) in bufs.into_iter().enumerate() {
+                    reference[r][k] = buf;
+                }
+            }
+
+            let real = with_group(mode, g, |m| {
+                let rank = m.rank();
+                let mut segs = start(rank);
+                let mut views: Vec<&mut [f32]> = segs.iter_mut().map(|s| &mut s[..]).collect();
+                m.try_reduce_scatter_sum(&mut views).unwrap();
+                for view in views.iter_mut() {
+                    let c = chunk_of(view.len(), g, rank);
+                    view[c.lo..c.hi].iter_mut().for_each(|x| *x *= inv);
+                }
+                m.try_all_gather(&mut views).unwrap();
+                let step = m.comm_volume();
+                // The same segments through the per-segment mean all-reduce.
+                let mut means = start(rank);
+                for seg in &mut means {
+                    m.try_all_reduce_mean(seg).unwrap();
+                }
+                (segs, means, step)
             });
-            for (rank, (shard, vol)) in real.iter().enumerate() {
+            for (rank, (segs, means, vol)) in real.iter().enumerate() {
+                let at = format!("{mode:?} g={g} rank {rank}");
+                assert_eq!(bits(segs), bits(&reference[rank]), "{at}: vs reference");
+                assert_eq!(bits(segs), bits(means), "{at}: vs all-reduce mean");
                 assert_eq!(
-                    shard,
-                    &reference[rank][rank * chunk..(rank + 1) * chunk],
-                    "{mode:?} g={g} rank {rank}: owned shard diverged"
+                    vol.reduce_scatter_bytes + vol.all_gather_bytes,
+                    egress[rank] as f64 * BYTES_F32,
+                    "{at}: egress"
                 );
-                assert_eq!(vol.reduce_scatter_bytes, ring_reduce_scatter_bytes(g, n));
-                assert_eq!(
-                    vol.reduce_scatter_bytes,
-                    prog.sent_elems(rank) as f64 * BYTES_F32
-                );
+                assert_eq!(vol.ops, 2, "{at}: one collective per phase");
             }
         }
     }

@@ -41,13 +41,20 @@ fn gpu_of(spec: &PtdpSpec, key: ThreadKey) -> usize {
 }
 
 /// Rebuild a recorded op's step program with lengths in wire bytes (the
-/// net-side convention: one program element = one byte).
+/// net-side convention: one program element = one byte): every chunk range
+/// scaled by the f32 width. (Rebuilding the program over `4·elems` would
+/// cut other chunks wherever `elems` does not divide by the group size.)
 fn program_in_bytes(op: &CollectiveOp, ranks: usize) -> Program {
-    CollectiveOp {
-        kind: op.kind,
-        elems: op.elems * 4, // f32 elements → bytes
+    let mut prog = op.program(ranks);
+    prog.len *= 4;
+    for step in prog.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+        let ranges = step.send.as_mut().map(|s| &mut s.range).into_iter();
+        for range in ranges.chain(step.recv.as_mut().map(|r| &mut r.range)) {
+            range.lo *= 4;
+            range.hi *= 4;
+        }
     }
-    .program(ranks)
+    prog
 }
 
 /// Replay every thread's tape onto a fresh simulated cluster and assert
@@ -127,7 +134,7 @@ fn assert_real_equals_sim(spec: &PtdpSpec, log: &TrainLog) {
     assert!(total > 0.0, "run moved no bytes — vacuous identity");
 }
 
-fn run(spec: PtdpSpec) -> TrainLog {
+fn run(spec: PtdpSpec, batch: usize) -> TrainLog {
     let cfg = TinyGptConfig {
         vocab: 13,
         seq: 6,
@@ -137,7 +144,7 @@ fn run(spec: PtdpSpec) -> TrainLog {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let master = GptModel::new(cfg, &mut rng);
-    let data = make_data(cfg, 8, 2);
+    let data = make_data(cfg, batch, 2);
     PtdpTrainer::new(master, spec).train(&data)
 }
 
@@ -145,7 +152,7 @@ fn run(spec: PtdpSpec) -> TrainLog {
 fn ptdp_222_bytes_match_simulator_exactly() {
     let mut spec = PtdpSpec::new(2, 2, 2);
     spec.microbatch = 1;
-    let log = run(spec);
+    let log = run(spec, 8);
     // Sanity: the tape is not empty on any axis.
     let ops: &RankCommOps = &log.comm_ops[&(0, 0, 0)];
     assert!(!ops.tensor.is_empty(), "no tensor collectives recorded");
@@ -155,13 +162,14 @@ fn ptdp_222_bytes_match_simulator_exactly() {
 }
 
 #[test]
-fn ptdp_222_sharded_optimizer_bytes_match_simulator_exactly() {
-    // ZeRO-1 adds reduce-scatter + all-gather to the data-group tape; the
-    // identity must survive the richer op mix.
-    let mut spec = PtdpSpec::new(2, 2, 2);
+fn ptdp_213_bytes_match_simulator_exactly() {
+    // Three replicas: the data group's segmented reduce-scatter and
+    // all-gather cut parameters whose lengths do not divide by 3 into
+    // uneven chunks, and the tape — one op per segment — must still
+    // replay to every byte the one message per round carried.
+    let mut spec = PtdpSpec::new(2, 1, 3);
     spec.microbatch = 1;
-    spec.shard_optimizer = true;
-    let log = run(spec);
+    let log = run(spec, 6);
     assert_real_equals_sim(&spec, &log);
 }
 
@@ -172,7 +180,7 @@ fn comm_op_tape_is_internally_consistent() {
     // accounts for every byte the transport counted.
     let mut spec = PtdpSpec::new(2, 2, 2);
     spec.microbatch = 1;
-    let log = run(spec);
+    let log = run(spec, 8);
     let mut by_thread: HashMap<ThreadKey, f64> = HashMap::new();
     for (key @ (_, di, ti), ops) in &log.comm_ops {
         by_thread.insert(*key, ops.total_bytes(spec.tensor, *ti, spec.data, *di));

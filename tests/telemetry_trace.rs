@@ -198,24 +198,31 @@ fn comm_counters_match_section3_formulas() {
         vol.p2p_send_bytes
     );
 
-    // §3.3.1 data-parallel ring all-reduce over this rank's gradients.
+    // §3.3.1 data-parallel ring all-reduce over this rank's gradients, run
+    // as its two halves: a reduce-scatter before the optimizer and an
+    // all-gather of the parameters after it. This rank owns no loss, so
+    // its data group all-reduces nothing.
+    let grad_sync = |v: &megatron_dist::CommVolume| v.reduce_scatter_bytes + v.all_gather_bytes;
     let grad_bytes_fp16 = log.final_params[&(0, 0, 0)].len() as u64 * BYTES_FP16;
     let want_data = 2.0 * iters as f64 * analysis::data_parallel_bytes(grad_bytes_fp16, d);
     assert!(
-        (vol.data.all_reduce_bytes - want_data).abs() < 1e-6,
-        "data AR: counted {} want {want_data}",
-        vol.data.all_reduce_bytes
+        (grad_sync(&vol.data) - want_data).abs() < 1e-6,
+        "data RS + AG: counted {} want {want_data}",
+        grad_sync(&vol.data)
     );
+    assert_eq!(vol.data.all_reduce_bytes, 0.0);
 
-    // A last-stage loss-owning rank additionally all-reduces the scalar
-    // loss over the data group: exactly 2·(d−1)/d·1·4 B per iteration more.
+    // A last-stage loss-owning rank syncs its own gradients the same way,
+    // and the scalar loss is the one data-group all-reduce left: exactly
+    // 2·(d−1)/d·1·4 B per iteration.
     let vol_last = log.comm_volumes[&(1, 0, 0)];
     let grad_last_fp16 = log.final_params[&(1, 0, 0)].len() as u64 * BYTES_FP16;
-    let want_last = 2.0 * iters as f64 * analysis::data_parallel_bytes(grad_last_fp16, d)
-        + iters as f64 * megatron_dist::ring_all_reduce_bytes(d as usize, 1);
+    let want_last = 2.0 * iters as f64 * analysis::data_parallel_bytes(grad_last_fp16, d);
     assert!(
-        (vol_last.data.all_reduce_bytes - want_last).abs() < 1e-6,
-        "last-stage data AR: counted {} want {want_last}",
-        vol_last.data.all_reduce_bytes
+        (grad_sync(&vol_last.data) - want_last).abs() < 1e-6,
+        "last-stage data RS + AG: counted {} want {want_last}",
+        grad_sync(&vol_last.data)
     );
+    let want_loss = iters as f64 * megatron_dist::ring_all_reduce_bytes(d as usize, 1);
+    assert_eq!(vol_last.data.all_reduce_bytes, want_loss, "loss all-reduce");
 }
