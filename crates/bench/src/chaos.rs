@@ -391,7 +391,10 @@ fn report(knobs: &ChaosKnobs) -> String {
     let outcome = PtdpTrainer::new(master.clone(), spec).train_with(
         &data,
         RunControl {
-            health: Some(Arc::clone(&monitor)),
+            on_beat: Some({
+                let monitor = Arc::clone(&monitor);
+                Arc::new(move |r| monitor.beat(r))
+            }),
             ..RunControl::default()
         },
     );

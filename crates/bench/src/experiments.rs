@@ -174,11 +174,6 @@ pub fn all() -> Vec<Experiment> {
             run: recovery,
         },
         Experiment {
-            name: "timeline",
-            paper_ref: "E31: sim-vs-real per-rank timeline, traces + per-phase drift table",
-            run: crate::timeline::timeline,
-        },
-        Experiment {
             name: "chaos",
             paper_ref: "E33: seeded chaos sweep — transient faults retried, fatal ones restored",
             run: crate::chaos::chaos,

@@ -3,7 +3,7 @@
 //! When a cluster loses GPUs mid-job, an elastic control plane must answer
 //! two questions: *which* degraded (p, t, d) should the survivors run, and
 //! *is* shrink-and-continue worth it against restart-at-full? Both are
-//! answered with [`TrainingRun::simulate`] — the twin E31/E36 check against
+//! answered with [`TrainingRun::simulate`] — the twin E36 checks against
 //! the real trainer — and nothing else:
 //!
 //! - [`rank_layouts`] lists every valid layout fitting a capacity, cheapest

@@ -8,24 +8,57 @@ use megatron_model::{memory, GptConfig, BYTES_FP16};
 use megatron_net::analytical;
 use megatron_parallel::{analysis, ConfigError, ParallelConfig, RankMapper};
 use megatron_schedule::{Pass, PipelineSchedule, ScheduleKind};
-use megatron_sim::json::Json;
-use megatron_sim::{secs_to_time, DagSim, TaskId};
+use megatron_sim::{secs_to_time, DagSim, ResourceId, SimResult, TaskId, Time};
+use megatron_telemetry::{RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 
 use crate::costs::{self, StageCost};
 use crate::report::{CommVolumes, IterationReport, TimeBreakdown};
 
-/// Task-kind codes used in simulation spans.
-pub mod kind {
-    /// Forward compute.
-    pub const FORWARD: u32 = 1;
-    /// Backward compute.
-    pub const BACKWARD: u32 = 2;
-    /// Pipeline point-to-point transfer.
-    pub const P2P: u32 = 3;
-    /// Optimizer step.
-    pub const OPTIMIZER: u32 = 4;
-    /// Data-parallel gradient all-reduce.
-    pub const DATA_PARALLEL: u32 = 5;
+/// One simulated task in the trainer's span vocabulary (the names and args
+/// `Rank::forward`/`backward`/`send`/`recv`/`step` record), placed on the
+/// pipeline device that runs it.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    dev: usize,
+    kind: SpanKind,
+    name: &'static str,
+    args: SpanArgs,
+    /// A compute gated by a transfer first waits for it, as the trainer
+    /// waits in `recv`: the wait span's name and the device's previous task,
+    /// whose end the wait starts at (`None`: the device's first task).
+    wait: Option<(&'static str, Option<TaskId>)>,
+}
+
+/// Record every simulated task as a span on its device's tracer — keyed
+/// `(dev, 0, 0)` at iteration 0, epoch 0 — and export them with the real
+/// trainer's exporter. `labels[i]` describes task `i`.
+fn twin_trace(result: &SimResult, labels: &[Label], pipeline_stages: usize) -> String {
+    let mut when: Vec<(Time, Time)> = vec![(0, 0); labels.len()];
+    for s in &result.spans {
+        when[s.task.index()] = (s.start, s.end);
+    }
+    let span = |kind, name, start_ns: Time, end_ns: Time, args| Span {
+        kind,
+        name,
+        start_ns,
+        dur_ns: end_ns - start_ns,
+        iteration: 0,
+        epoch: 0,
+        args,
+    };
+    let hub = TraceHub::new();
+    let tracers: Vec<RankTracer> = (0..pipeline_stages)
+        .map(|d| hub.tracer(d, (d, 0, 0)))
+        .collect();
+    for (l, &(start, end)) in labels.iter().zip(&when) {
+        if let Some((name, prev)) = l.wait {
+            let from = prev.map_or(0, |t| when[t.index()].1);
+            tracers[l.dev].push(span(SpanKind::Bubble, name, from, start, l.args));
+        }
+        tracers[l.dev].push(span(l.kind, l.name, start, end, l.args));
+    }
+    drop(tracers);
+    megatron_telemetry::chrome_trace_json(&hub, pipeline_stages)
 }
 
 /// Execution options (§4's optimizations and §2.2's schedule choice).
@@ -211,19 +244,23 @@ impl TrainingRun {
 
     /// Simulate one training iteration.
     pub fn simulate(&self) -> Result<IterationReport, RunError> {
-        self.simulate_traced().map(|(report, _)| report)
-    }
-
-    /// Simulate and also return the full task-span trace in Chrome
-    /// `about:tracing` JSON format (rows = pipeline devices' compute and
-    /// network ports).
-    pub fn chrome_trace(&self) -> Result<String, RunError> {
-        self.simulate_traced().map(|(_, trace)| trace)
+        self.run_dag().map(|(report, ..)| report)
     }
 
     /// Simulate one training iteration, returning the report and the
-    /// Chrome-trace JSON of every simulated task.
+    /// Chrome-trace JSON of every simulated task, recorded as the real
+    /// trainer records its spans: pipeline device `d` is rank `d` at
+    /// `(d, 0, 0)`, with one `pipeline-wait-*` span before each compute a
+    /// transfer gates, so one analyzer reads the twin and the real run.
     pub fn simulate_traced(&self) -> Result<(IterationReport, String), RunError> {
+        let (report, result, labels) = self.run_dag()?;
+        let trace = twin_trace(&result, &labels, self.parallel.pipeline as usize);
+        Ok((report, trace))
+    }
+
+    /// Build and run the iteration's task DAG: the report, the simulator's
+    /// result and one [`Label`] per task.
+    fn run_dag(&self) -> Result<(IterationReport, SimResult, Vec<Label>), RunError> {
         self.check()?;
         let pc = &self.parallel;
         let p = pc.pipeline as usize;
@@ -265,64 +302,95 @@ impl TrainingRun {
             })
             .collect();
 
+        // Communication accounting.
+        let bytes_full = analysis::pipeline_p2p_bytes(&self.model, pc.microbatch) as f64;
+        let per_link = if self.options.scatter_gather && pc.tensor > 1 {
+            bytes_full / pc.tensor as f64
+        } else {
+            bytes_full
+        };
+        // Wire bytes per boundary per direction per microbatch, aggregated
+        // over the t parallel links.
+        let wire_per_boundary = per_link * pc.tensor as f64;
+        let grad_params = (0..pc.pipeline)
+            .map(|s| memory::params_per_gpu(&self.model, pc.pipeline, pc.tensor, s))
+            .max()
+            .unwrap_or(0);
+        // Gradients are all-reduced in fp16 (the 2021 Megatron recipe).
+        let data_parallel_bytes_per_gpu =
+            analysis::data_parallel_bytes(grad_params * BYTES_FP16, pc.data);
+
+        // Task `i` is `labels[i]`: every task goes through `add`.
+        let mut labels: Vec<Label> = Vec::new();
+        let mut add = |res: ResourceId, secs: f64, deps: &[TaskId], label: Label| {
+            labels.push(label);
+            sim.add_task(res, secs_to_time(secs), deps, 0)
+        };
         let mut prev_on_device: Vec<Option<TaskId>> = vec![None; p];
         let mut arrival: HashMap<(Pass, usize, usize), TaskId> = HashMap::new();
-        // (pass, microbatch) per task, so the exported trace carries the
-        // same matching keys the real-trainer spans do and the telemetry
-        // DAG analyzer can join a transfer to the compute it gates.
-        let mut task_meta: HashMap<TaskId, (Pass, usize)> = HashMap::new();
 
         for span in &replay.spans {
             let d = span.device;
             let op = span.op;
             let stage = sched.stage_of(d, op.chunk);
             let cost = &stage_costs[stage];
-            let (dur, k) = match op.pass {
-                Pass::Forward => (cost.forward, kind::FORWARD),
-                Pass::Backward => (cost.backward, kind::BACKWARD),
+            let mb = SpanArgs {
+                bytes: None,
+                microbatch: Some(op.microbatch),
+                chunk: Some(op.chunk),
+            };
+            let (dur, kind, name, wait_name, send_name) = match op.pass {
+                Pass::Forward => (
+                    cost.forward,
+                    SpanKind::Forward,
+                    "forward",
+                    "pipeline-wait-fwd",
+                    "p2p-send-fwd",
+                ),
+                Pass::Backward => (
+                    cost.backward,
+                    SpanKind::Backward,
+                    "backward",
+                    "pipeline-wait-bwd",
+                    "p2p-send-bwd",
+                ),
             };
             let mut deps = Vec::with_capacity(2);
             if let Some(t) = prev_on_device[d] {
                 deps.push(t);
             }
-            if let Some(&t) = arrival.get(&(op.pass, op.microbatch, stage)) {
-                deps.push(t);
-            }
-            let task = sim.add_task(compute[d], secs_to_time(dur), &deps, k);
-            task_meta.insert(task, (op.pass, op.microbatch));
+            let gate = arrival.get(&(op.pass, op.microbatch, stage)).copied();
+            deps.extend(gate);
+            let label = Label {
+                dev: d,
+                kind,
+                name,
+                args: mb,
+                wait: gate.map(|_| (wait_name, prev_on_device[d])),
+            };
+            let task = add(compute[d], dur, &deps, label);
             prev_on_device[d] = Some(task);
 
             // Emit the outbound transfer feeding the adjacent stage.
-            match op.pass {
-                Pass::Forward if stage + 1 < stages => {
-                    let to_dev = (stage + 1) % p;
-                    let tx = sim.add_task(
-                        netport[d],
-                        secs_to_time(boundary[stage]),
-                        &[task],
-                        kind::P2P,
-                    );
-                    task_meta.insert(tx, (Pass::Forward, op.microbatch));
-                    arrival.insert((Pass::Forward, op.microbatch, stage + 1), tx);
-                    if self.options.blocking_p2p {
-                        prev_on_device[d] = Some(tx);
-                    }
-                    debug_assert_ne!(to_dev, d);
-                }
-                Pass::Backward if stage > 0 => {
-                    let tx = sim.add_task(
-                        netport[d],
-                        secs_to_time(boundary[stage - 1]),
-                        &[task],
-                        kind::P2P,
-                    );
-                    task_meta.insert(tx, (Pass::Backward, op.microbatch));
-                    arrival.insert((Pass::Backward, op.microbatch, stage - 1), tx);
-                    if self.options.blocking_p2p {
-                        prev_on_device[d] = Some(tx);
-                    }
-                }
-                _ => {}
+            let to = match op.pass {
+                Pass::Forward if stage + 1 < stages => stage + 1,
+                Pass::Backward if stage > 0 => stage - 1,
+                _ => continue,
+            };
+            let send = Label {
+                kind: SpanKind::Comm,
+                name: send_name,
+                args: SpanArgs {
+                    bytes: Some(wire_per_boundary),
+                    ..mb
+                },
+                wait: None,
+                ..label
+            };
+            let tx = add(netport[d], boundary[stage.min(to)], &[task], send);
+            arrival.insert((op.pass, op.microbatch, to), tx);
+            if self.options.blocking_p2p {
+                prev_on_device[d] = Some(tx);
             }
         }
 
@@ -333,13 +401,21 @@ impl TrainingRun {
         let opt_time = costs::optimizer_step_time(&self.model, &self.cluster, pc);
         for d in 0..p {
             let deps: Vec<TaskId> = prev_on_device[d].into_iter().collect();
-            let ar = sim.add_task(
-                compute[d],
-                secs_to_time(dp_time),
-                &deps,
-                kind::DATA_PARALLEL,
+            let step = |kind, name, args| Label {
+                dev: d,
+                kind,
+                name,
+                args,
+                wait: None,
+            };
+            let comm = step(
+                SpanKind::Comm,
+                "grad-allreduce",
+                SpanArgs::bytes(data_parallel_bytes_per_gpu),
             );
-            sim.add_task(compute[d], secs_to_time(opt_time), &[ar], kind::OPTIMIZER);
+            let ar = add(compute[d], dp_time, &deps, comm);
+            let adam = step(SpanKind::Optimizer, "adam-step", SpanArgs::NONE);
+            add(compute[d], opt_time, &[ar], adam);
         }
 
         let result = sim
@@ -366,16 +442,6 @@ impl TrainingRun {
             .sum::<f64>()
             / p as f64;
 
-        // Communication accounting.
-        let bytes_full = analysis::pipeline_p2p_bytes(&self.model, pc.microbatch) as f64;
-        let per_link = if self.options.scatter_gather && pc.tensor > 1 {
-            bytes_full / pc.tensor as f64
-        } else {
-            bytes_full
-        };
-        // Wire bytes per boundary per direction per microbatch, aggregated
-        // over the t parallel links.
-        let wire_per_boundary = per_link * pc.tensor as f64;
         let crossings = boundary.len() as f64; // stage boundaries
         let pipeline_total_per_replica = 2.0 * m as f64 * crossings * wire_per_boundary;
         let pipeline_p2p_bytes_per_gpu =
@@ -392,14 +458,6 @@ impl TrainingRun {
         } else {
             0.0
         };
-
-        let grad_params = (0..pc.pipeline)
-            .map(|s| memory::params_per_gpu(&self.model, pc.pipeline, pc.tensor, s))
-            .max()
-            .unwrap_or(0);
-        // Gradients are all-reduced in fp16 (the 2021 Megatron recipe).
-        let data_parallel_bytes_per_gpu =
-            analysis::data_parallel_bytes(grad_params * BYTES_FP16, pc.data);
 
         // Bisection accounting: total inter-node traffic (in a leaf/spine/
         // core fat tree nearly all of it transits the upper switch tiers).
@@ -433,44 +491,6 @@ impl TrainingRun {
                 + peak_chunks * per_chunk_stash
                 + memory::activation_bytes_full(&self.model, pc.microbatch, pc.tensor);
 
-        let trace = megatron_sim::chrome_trace_json_with_args(
-            &result,
-            &|k| {
-                match k {
-                    kind::FORWARD => "forward",
-                    kind::BACKWARD => "backward",
-                    kind::P2P => "pipeline-p2p",
-                    kind::OPTIMIZER => "optimizer",
-                    kind::DATA_PARALLEL => "grad-allreduce",
-                    _ => "other",
-                }
-                .to_string()
-            },
-            &|s| {
-                // Attach modeled byte volumes and the (pass, microbatch)
-                // matching keys so the sim trace carries the same `args`
-                // payload as the real-trainer exporter and the telemetry
-                // DAG analyzer can join transfers to the compute they gate.
-                let mut out = match s.kind {
-                    kind::P2P => vec![("bytes".to_string(), Json::Num(wire_per_boundary))],
-                    kind::DATA_PARALLEL => {
-                        vec![("bytes".to_string(), Json::Num(data_parallel_bytes_per_gpu))]
-                    }
-                    _ => Vec::new(),
-                };
-                if let Some(&(pass, mb)) = task_meta.get(&s.task) {
-                    let pass = match pass {
-                        Pass::Forward => "fwd",
-                        Pass::Backward => "bwd",
-                    };
-                    out.push(("pass".to_string(), Json::Str(pass.to_string())));
-                    out.push(("microbatch".to_string(), Json::Num(mb as f64)));
-                }
-                out
-            },
-            &[],
-        );
-
         let report = IterationReport {
             iteration_time,
             tflops_per_gpu,
@@ -495,7 +515,7 @@ impl TrainingRun {
             memory_bytes_per_gpu,
             n_gpus: n,
         };
-        Ok((report, trace))
+        Ok((report, result, labels))
     }
 
     /// Render the idealized (zero-communication) pipeline timeline of this
@@ -639,30 +659,95 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_json_with_all_kinds() {
-        let trace = small_run().chrome_trace().unwrap();
+    fn chrome_trace_uses_the_trainers_span_names() {
+        let (_, trace) = small_run().simulate_traced().unwrap();
         let v = megatron_sim::json::Json::parse(&trace).unwrap();
         let events = v.as_array().unwrap();
-        assert!(!events.is_empty());
         let names: std::collections::HashSet<&str> =
             events.iter().map(|e| e["name"].as_str().unwrap()).collect();
         for want in [
             "forward",
             "backward",
-            "pipeline-p2p",
+            "p2p-send-fwd",
+            "p2p-send-bwd",
+            "pipeline-wait-fwd",
+            "pipeline-wait-bwd",
             "grad-allreduce",
-            "optimizer",
+            "adam-step",
         ] {
             assert!(names.contains(want), "missing {want} in {names:?}");
         }
-        // Compute and transfer spans carry the (pass, microbatch) keys the
-        // telemetry DAG analyzer joins on.
-        let fwd = events
+        // Transfers carry the keys the analyzer joins a send to its wait on.
+        let send = events
             .iter()
-            .find(|e| e["name"].as_str() == Some("pipeline-p2p"))
+            .find(|e| e["name"].as_str() == Some("p2p-send-fwd"))
             .unwrap();
-        assert_eq!(fwd["args"]["pass"].as_str(), Some("fwd"));
-        assert!(fwd["args"]["microbatch"].as_f64().is_some());
+        assert_eq!(send["cat"].as_str(), Some("comm"));
+        assert!(send["args"]["bytes"].as_f64().unwrap() > 0.0);
+        assert!(send["args"]["microbatch"].as_f64().is_some());
+        assert_eq!(send["args"]["chunk"].as_f64(), Some(0.0));
+        assert_eq!(send["args"]["iteration"].as_f64(), Some(0.0));
+    }
+
+    /// The twin of a tiny real job, as `repro analyze` builds it: one A100
+    /// node of exactly p·t·d GPUs.
+    fn tiny_twin(layers: u64, pc: ParallelConfig, schedule: ScheduleKind) -> TrainingRun {
+        let model = GptConfig {
+            name: "twin".to_string(),
+            num_layers: layers,
+            hidden_size: 32,
+            num_heads: 4,
+            seq_len: 8,
+            vocab_size: 13,
+        };
+        let node = megatron_cluster::NodeSpec {
+            gpus_per_node: (pc.pipeline * pc.tensor * pc.data) as usize,
+            ..megatron_cluster::NodeSpec::dgx_a100()
+        };
+        let gpu = megatron_cluster::GpuSpec::a100_80gb();
+        let options = TrainingOptions {
+            schedule,
+            recompute: false,
+            ..TrainingOptions::default()
+        };
+        TrainingRun::new(model, ClusterSpec::custom(gpu, node, 1), pc, options)
+    }
+
+    /// The twin's trace walks like a real one: every wait joins its send,
+    /// so the critical path tiles the simulated iteration with no `other`.
+    #[test]
+    fn twin_critical_path_has_no_unexplained_time() {
+        use megatron_telemetry::{critical_path, parse_chrome_trace, Attribution, PathCat, Window};
+        let twins = [
+            tiny_twin(
+                2,
+                ParallelConfig::new(2, 2, 2, 1, 8),
+                ScheduleKind::OneFOneB,
+            ),
+            tiny_twin(
+                4,
+                ParallelConfig::new(4, 1, 2, 1, 16),
+                ScheduleKind::OneFOneB,
+            ),
+            tiny_twin(4, ParallelConfig::new(4, 1, 2, 1, 16), ScheduleKind::GPipe),
+        ];
+        for (i, run) in twins.iter().enumerate() {
+            let (report, trace) = run.simulate_traced().unwrap();
+            let p = run.parallel.pipeline as usize;
+            let dag = parse_chrome_trace(&trace, p).unwrap();
+            let path = critical_path(&dag, Window::iteration(0)).unwrap();
+            assert!(!path.truncated, "twin {i}");
+            let ns = |s: f64| (s * 1e9).round() as u64;
+            let a = Attribution::from_path(&path);
+            assert_eq!(a.other_s, 0.0, "twin {i}: {a:?}");
+            assert_eq!(ns(a.measured_s), ns(report.iteration_time), "twin {i}");
+            if i == 0 {
+                // `repro analyze`'s twin, in ns of its 980548 ns iteration.
+                assert_eq!(path.length_ns(), 980_548);
+                assert_eq!(path.total_ns(PathCat::Compute), 938_380);
+                assert_eq!(path.total_ns(PathCat::ExposedComm), 24_065);
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   [`CapacityEvent::Lost`]); when the survivors no longer fit
 //!   `p·t·d`, the supervisor asks its caller's ranking for the layouts
 //!   fitting the survivors, cheapest first — `megatron_core::elastic::
-//!   rank_layouts` prices them with the same per-iteration simulation E31
+//!   rank_layouts` prices them with the same per-iteration simulation E36
 //!   checks against the real trainer — takes the first its trainer
 //!   accepts, restores it by resharding the newest generation's shards
 //!   (the cross-topology path in [`CheckpointStore::load_latest`]), and
@@ -819,8 +819,11 @@ impl JobBackend for ThreadBackend<'_> {
                 epoch: a.epoch,
                 telemetry: a.telemetry.cloned(),
                 transport: self.transport,
-                health: health.clone(),
-                on_beat: None,
+                on_beat: health
+                    .clone()
+                    .map(|mon| -> Arc<dyn Fn(usize) + Send + Sync> {
+                        Arc::new(move |r| mon.beat(r))
+                    }),
             },
         );
         let failure = out.error.map(|e| AttemptFailure {

@@ -13,7 +13,6 @@ use megatron_tensor::AdamState;
 
 use crate::checkpoint::CheckpointStore;
 use crate::comm::{CollectiveOp, CommError, CommVolume, StallContext, TransportConfig};
-use crate::health::HealthMonitor;
 
 use super::spec::ThreadKey;
 
@@ -236,13 +235,11 @@ pub struct RunControl {
     /// (see `comm::TransportConfig`). Each group derives its own fault
     /// stream from the base seed, so runs stay deterministic.
     pub transport: TransportConfig,
-    /// Heartbeat collector: when set, every rank thread beats once per
-    /// iteration, enabling dead-vs-slow classification.
-    pub health: Option<Arc<HealthMonitor>>,
-    /// Extra per-iteration beat hook, invoked with the flat rank at the
-    /// same site as [`RunControl::health`]. Process mode uses it to push a
-    /// heartbeat frame over the launcher socket so a monitor in *another*
-    /// process can classify this rank.
+    /// Per-iteration beat hook, invoked with the flat rank once per
+    /// completed iteration: a [`HealthMonitor`](crate::HealthMonitor)'s
+    /// `beat` in thread mode (dead-vs-slow classification), a heartbeat
+    /// frame over the launcher socket in process mode, so a monitor in
+    /// *another* process can classify this rank.
     pub on_beat: Option<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 

@@ -426,9 +426,6 @@ impl Rank<'_> {
             });
             // Liveness beacon: one beat per completed iteration (the natural
             // heartbeat period of a training rank).
-            if let Some(mon) = &ctl.health {
-                mon.beat(flat_rank);
-            }
             if let Some(beat) = &ctl.on_beat {
                 beat(flat_rank);
             }

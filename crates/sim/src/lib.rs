@@ -23,8 +23,8 @@ mod trace;
 
 pub use engine::{DagSim, ResourceId, ResourceStats, SimError, SimResult, TaskId, TaskSpan};
 pub use trace::{
-    chrome_trace_json, chrome_trace_json_with_args, chrome_trace_json_with_instants, events_json,
-    render_gantt, TraceEvent, TraceInstant,
+    chrome_trace_json, chrome_trace_json_with_instants, events_json, render_gantt, TraceEvent,
+    TraceInstant,
 };
 
 /// Simulated time in nanoseconds.

@@ -1,9 +1,10 @@
 //! Trace export and ASCII visualization of simulation results.
 //!
-//! The Chrome `about:tracing` / Perfetto JSON event format is shared by the
-//! simulator and the real trainer (`megatron-telemetry`): both lower their
-//! spans to [`TraceEvent`] and serialize with [`events_json`], so a real run
-//! and its simulated twin can be loaded side by side in one viewer.
+//! The Chrome `about:tracing` / Perfetto JSON event format: a generic task
+//! DAG exports here ([`chrome_trace_json`], with fault instants overlaid by
+//! [`chrome_trace_json_with_instants`]), and `megatron-telemetry` lowers the
+//! trainer's spans — and the `megatron-core` twin's — to the same
+//! [`TraceEvent`] and serializes them with [`events_json`].
 
 use crate::engine::{SimResult, TaskSpan};
 use crate::json::Json;
@@ -158,30 +159,17 @@ pub fn chrome_trace_json_with_instants(
     names: &dyn Fn(u32) -> String,
     instants: &[TraceInstant],
 ) -> String {
-    chrome_trace_json_with_args(result, names, &|_| Vec::new(), instants)
-}
-
-/// Full-control sim export: `args` attaches per-event payload (byte
-/// volumes, microbatch ids, ...) to each task span, keyed off the span
-/// itself. Both the simulator (`megatron-core`) and the real-trainer
-/// exporter (`megatron-telemetry`) feed the same [`TraceEvent`] format.
-pub fn chrome_trace_json_with_args(
-    result: &SimResult,
-    names: &dyn Fn(u32) -> String,
-    args: &dyn Fn(&TaskSpan) -> Vec<(String, Json)>,
-    instants: &[TraceInstant],
-) -> String {
     let mut events = Vec::with_capacity(result.spans.len() + instants.len());
     for s in &result.spans {
-        let mut ev = TraceEvent::span(
-            names(s.kind),
-            "sim",
-            s.start as f64 / 1e3, // chrome trace wants microseconds
-            (s.end - s.start) as f64 / 1e3,
-        )
-        .at(0, s.resource.index());
-        ev.args = args(s);
-        events.push(ev);
+        events.push(
+            TraceEvent::span(
+                names(s.kind),
+                "sim",
+                s.start as f64 / 1e3, // chrome trace wants microseconds
+                (s.end - s.start) as f64 / 1e3,
+            )
+            .at(0, s.resource.index()),
+        );
     }
     for i in instants {
         events.push(
@@ -270,20 +258,6 @@ mod tests {
         assert_eq!(inst["ts"].as_f64(), Some(0.075));
         // Span events keep the "sim" category.
         assert_eq!(events[0]["cat"].as_str(), Some("sim"));
-    }
-
-    #[test]
-    fn span_args_reach_the_json() {
-        let r = two_task_result();
-        let s = chrome_trace_json_with_args(
-            &r,
-            &|k| format!("k{k}"),
-            &|span| vec![("bytes".to_string(), Json::from(span.kind as usize * 100))],
-            &[],
-        );
-        let v = Json::parse(&s).unwrap();
-        assert_eq!(v[0]["args"]["bytes"].as_f64(), Some(100.0));
-        assert_eq!(v[1]["args"]["bytes"].as_f64(), Some(200.0));
     }
 
     #[test]

@@ -204,7 +204,6 @@ mod tests {
             iteration: Some(0),
             microbatch: Some(0),
             chunk: Some(0),
-            pass: None,
             bytes: None,
         }
     }
@@ -229,7 +228,7 @@ mod tests {
                 sp("adam-step", Phase::Optimizer, 260, 40),
             ],
         };
-        let dag = build_dag(vec![r0, r1], 2, false);
+        let dag = build_dag(vec![r0, r1], 2);
         let w = Window::iteration(0);
         let path = critical_path(&dag, w).unwrap();
         let attr = Attribution::from_path(&path);

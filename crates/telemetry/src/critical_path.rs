@@ -109,8 +109,7 @@ impl CriticalPath {
 pub struct Window {
     /// Keep only spans with this supervisor epoch (None = any).
     pub epoch: Option<u64>,
-    /// Keep only spans with this iteration (None = any — sim traces carry
-    /// no iteration arg, so a sim analysis passes None).
+    /// Keep only spans with this iteration (None = any).
     pub iteration: Option<u64>,
 }
 
@@ -223,9 +222,6 @@ pub fn critical_path(dag: &TraceDag, window: Window) -> Option<CriticalPath> {
     let mut truncated = false;
     let mut rank = start_rank;
     let mut t = t1;
-    // Edge gating the start of the span just processed (sim semantics):
-    // consulted when the preceding interval turns out to be a gap.
-    let mut pending: Option<crate::dag::Edge> = None;
 
     while t > t0 {
         steps += 1;
@@ -240,27 +236,10 @@ pub fn critical_path(dag: &TraceDag, window: Window) -> Option<CriticalPath> {
             break;
         };
         if reach < t {
-            // Gap [reach, t]. If the span that starts at `t` was gated by a
-            // cross-rank arrival (sim compute gating), the tail of the gap
-            // was spent waiting for it — attribute it as bubble and hop to
-            // the transfer; the head of the gap (before the arrival) stays
-            // on this rank's earlier timeline.
+            // Gap [reach, t]: untraced time on this rank.
             let gap_lo = reach.max(t0);
-            match pending.take() {
-                Some(e) => {
-                    let se = w.span(e.from).end_ns();
-                    let lo = se.clamp(gap_lo, t);
-                    w.push(rank, lo, t, PathCat::Bubble);
-                    if se > gap_lo {
-                        rank = e.from.0;
-                    }
-                    t = lo;
-                }
-                None => {
-                    w.push(rank, gap_lo, t, PathCat::Other);
-                    t = gap_lo;
-                }
-            }
+            w.push(rank, gap_lo, t, PathCat::Other);
+            t = gap_lo;
             continue;
         }
         // Inside recorded activity: the span with the greatest start whose
@@ -279,7 +258,6 @@ pub fn critical_path(dag: &TraceDag, window: Window) -> Option<CriticalPath> {
         let s = &spans[pick];
         let node = (rank, pick);
         let lo_base = s.start_ns.max(t0);
-        pending = None;
         if let Some(&ci) = dag.member_of.get(&node) {
             // Collective: the last-arriving member gates every member's
             // completion (full dependency closure). The tail of the
@@ -333,7 +311,6 @@ pub fn critical_path(dag: &TraceDag, window: Window) -> Option<CriticalPath> {
             },
             Phase::Comm => {
                 w.push(rank, lo_base, t, PathCat::ExposedComm);
-                pending = dag.incoming.get(&node).copied();
                 t = lo_base;
             }
             phase => {
@@ -344,7 +321,6 @@ pub fn critical_path(dag: &TraceDag, window: Window) -> Option<CriticalPath> {
                     _ => PathCat::Other,
                 };
                 w.push(rank, lo_base, t, cat);
-                pending = dag.incoming.get(&node).copied();
                 t = lo_base;
             }
         }
@@ -381,7 +357,6 @@ mod tests {
             iteration: Some(0),
             microbatch: Some(0),
             chunk: Some(0),
-            pass: None,
             bytes: None,
         }
     }
@@ -407,7 +382,7 @@ mod tests {
                 sp("forward", Phase::Compute, 110, 100),
             ],
         };
-        let dag = build_dag(vec![r0, r1], 2, false);
+        let dag = build_dag(vec![r0, r1], 2);
         assert_eq!(dag.incoming.len(), 1, "send matched to wait");
         let path = critical_path(&dag, Window::iteration(0)).unwrap();
         assert_eq!(path.length_ns(), 210);
@@ -440,7 +415,7 @@ mod tests {
                 sp("forward", Phase::Compute, 160, 100),
             ],
         };
-        let dag = build_dag(vec![r0, r1], 2, false);
+        let dag = build_dag(vec![r0, r1], 2);
         let path = critical_path(&dag, Window::iteration(0)).unwrap();
         assert_eq!(path.length_ns(), 260);
         assert_eq!(path.total_ns(PathCat::Compute), 200);
@@ -472,7 +447,7 @@ mod tests {
                 sp("grad-allreduce", Phase::Comm, 100, 20), // pure transfer
             ],
         };
-        let dag = build_dag(vec![r0, r1], 1, false);
+        let dag = build_dag(vec![r0, r1], 1);
         assert_eq!(dag.collectives.len(), 1);
         assert!(dag.collectives[0].full_closure);
         let path = critical_path(&dag, Window::iteration(0)).unwrap();

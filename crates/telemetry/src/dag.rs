@@ -1,18 +1,16 @@
 //! Cross-rank happens-before DAG built from trace spans.
 //!
-//! Input is the Chrome-trace JSON both exporters already emit — the real
-//! trainer's [`chrome_trace_json`](crate::chrome_trace_json) (`pid = 1 +
-//! rank`) and the simulator's `simulate_traced` (`pid 0`, rows = device
-//! compute/net ports) — so one analyzer runs unchanged on either trace.
-//! Nodes are spans; edges are:
+//! Input is the Chrome-trace JSON of
+//! [`chrome_trace_json`](crate::chrome_trace_json) (`pid = 1 + rank`): the
+//! real trainer's spans, or the simulator twin's (`simulate_traced` records
+//! each pipeline device as rank `(dev, 0, 0)` with the trainer's span
+//! names), so one analyzer reads both. Nodes are spans; edges are:
 //!
 //! * **program order**: spans on one rank happen in recorded order;
 //! * **pipeline p2p**: a `p2p-send-{fwd,bwd}` span on stage `pi` matches
 //!   the `pipeline-wait-{fwd,bwd}` span with the same (epoch, iteration,
 //!   microbatch, chunk) on the stage neighbour with the same `(di, ti)` —
-//!   the boundary/peer identification `StallContext` names at runtime; in
-//!   the sim trace a `pipeline-p2p` net-row span gates the compute span
-//!   with the same (pass, microbatch) on the adjacent device row;
+//!   the boundary/peer identification `StallContext` names at runtime;
 //! * **collectives**: the k-th `grad-allreduce` / `grad-reduce-scatter` /
 //!   `param-allgather` / `loss-allreduce` / `moment-allgather` span of an
 //!   iteration is matched across the data-parallel group (ranks sharing
@@ -31,6 +29,7 @@ use std::collections::HashMap;
 use megatron_collective::{Combine, Program};
 use megatron_sim::json::Json;
 
+use crate::export::rank_pid;
 use crate::span::RankKey;
 
 /// Analyzer phase taxonomy: the span categories plus `Other` for anything
@@ -51,30 +50,28 @@ pub enum Phase {
     Other,
 }
 
-/// One span as the analyzer sees it — exporter-independent: names and
-/// categories are owned strings, timestamps are hub-relative nanoseconds,
-/// and the matching keys (`iteration`, `microbatch`, ...) are optional
-/// because the sim trace only carries the subset it needs.
+/// One span as the analyzer sees it: names are owned strings, timestamps
+/// are hub-relative nanoseconds, and the matching keys (`iteration`,
+/// `microbatch`, ...) are optional because a span kind carries only the
+/// ones it needs.
 #[derive(Debug, Clone)]
 pub struct ASpan {
-    /// Display name (`"forward"`, `"p2p-send-fwd"`, `"pipeline-p2p"`...).
+    /// Display name (`"forward"`, `"p2p-send-fwd"`, ...).
     pub name: String,
-    /// Phase bucket, derived from the trace `cat` (real) or name (sim).
+    /// Phase bucket, derived from the trace `cat`.
     pub phase: Phase,
     /// Start, ns.
     pub start_ns: u64,
     /// Duration, ns.
     pub dur_ns: u64,
-    /// Supervisor epoch (real traces).
+    /// Supervisor epoch.
     pub epoch: Option<u64>,
-    /// Training iteration (real traces).
+    /// Training iteration.
     pub iteration: Option<u64>,
     /// Microbatch matching key.
     pub microbatch: Option<u64>,
     /// Virtual-pipeline chunk matching key.
     pub chunk: Option<u64>,
-    /// `"fwd"` / `"bwd"` direction (sim p2p / compute spans).
-    pub pass: Option<String>,
     /// Bytes moved (comm spans).
     pub bytes: Option<f64>,
 }
@@ -86,12 +83,12 @@ impl ASpan {
     }
 }
 
-/// One rank's (or sim device row pair's) span timeline, sorted by start.
+/// One rank's span timeline, sorted by start.
 #[derive(Debug, Clone)]
 pub struct ARank {
-    /// Flat rank id (real) or pipeline device index (sim).
+    /// Flat rank id.
     pub rank: usize,
-    /// `(pi, di, ti)` coordinates; sim devices map to `(dev, 0, 0)`.
+    /// `(pi, di, ti)` coordinates.
     pub key: RankKey,
     /// Spans sorted by `start_ns`.
     pub spans: Vec<ASpan>,
@@ -107,9 +104,8 @@ pub enum EdgeKind {
     P2p,
 }
 
-/// A cross-rank happens-before edge. For real traces the target is the
-/// *wait* span whose end the source's completion gates; for sim traces
-/// the target is the *compute* span whose start the transfer gates.
+/// A cross-rank happens-before edge: the target is the *wait* span whose
+/// end the source's completion gates.
 #[derive(Debug, Clone, Copy)]
 pub struct Edge {
     /// Source node (the send/transfer span).
@@ -137,8 +133,6 @@ pub struct TraceDag {
     pub ranks: Vec<ARank>,
     /// Pipeline stage count the trace was exported with.
     pub pipeline_stages: usize,
-    /// True when the spans came from the simulator (`pid 0`).
-    pub sim: bool,
     /// Cross-rank edge gating each target node, if any.
     pub incoming: HashMap<Node, Edge>,
     /// Matched collective instances.
@@ -156,21 +150,13 @@ const COLLECTIVE_NAMES: [&str; 5] = [
     "moment-allgather",
 ];
 
-fn phase_of(cat: &str, name: &str) -> Phase {
+fn phase_of(cat: &str) -> Phase {
     match cat {
         "fwd" | "bwd" => Phase::Compute,
         "comm" => Phase::Comm,
         "bubble" => Phase::Bubble,
         "opt" => Phase::Optimizer,
         "ckpt" => Phase::Checkpoint,
-        // Sim traces classify by task name: the exporter tags everything
-        // with cat "sim".
-        "sim" => match name {
-            "forward" | "backward" => Phase::Compute,
-            "pipeline-p2p" | "grad-allreduce" => Phase::Comm,
-            "optimizer" => Phase::Optimizer,
-            _ => Phase::Other,
-        },
         _ => Phase::Other,
     }
 }
@@ -191,19 +177,15 @@ fn opt_u64(v: &Json) -> Option<u64> {
     v.as_f64().map(|x| x as u64)
 }
 
-/// Parse a Chrome-trace JSON string (either exporter) into per-rank
-/// timelines and build the cross-rank DAG. `pipeline_stages` is the
-/// schedule's `p` — the same value both exporters were given, needed to
-/// tell sim compute rows (`tid < p`) from net rows (`tid >= p`).
-///
-/// A trace mixing sim (`pid 0`) and real (`pid >= 1`) spans is rejected:
-/// the two describe different executions and must be analyzed separately.
+/// Parse a Chrome-trace JSON string into per-rank timelines and build the
+/// cross-rank DAG. `pipeline_stages` is the schedule's `p`, the value the
+/// trace was exported with.
 pub fn parse_chrome_trace(json: &str, pipeline_stages: usize) -> Result<TraceDag, String> {
     let v = Json::parse(json).map_err(|e| format!("trace does not parse as JSON: {e:?}"))?;
     let events = v.as_array().ok_or("Chrome trace must be a JSON array")?;
     let p = pipeline_stages.max(1);
 
-    // pid -> (pi, di, ti) from process_name metadata (real ranks only).
+    // pid -> (pi, di, ti) from process_name metadata.
     let mut keys: HashMap<usize, RankKey> = HashMap::new();
     for ev in events {
         if ev["ph"].as_str() == Some("M") && ev["name"].as_str() == Some("process_name") {
@@ -216,31 +198,23 @@ pub fn parse_chrome_trace(json: &str, pipeline_stages: usize) -> Result<TraceDag
     }
 
     let mut ranks: HashMap<usize, ARank> = HashMap::new();
-    let (mut saw_sim, mut saw_real) = (false, false);
     for ev in events {
         if ev["ph"].as_str() != Some("X") {
             continue;
         }
         let pid = ev["pid"].as_f64().ok_or("span without pid")? as usize;
-        let tid = ev["tid"].as_f64().unwrap_or(0.0) as usize;
         let name = ev["name"].as_str().unwrap_or("").to_string();
         let cat = ev["cat"].as_str().unwrap_or("");
         let start_ns = (ev["ts"].as_f64().unwrap_or(0.0) * 1e3).round() as u64;
         let dur_ns = (ev["dur"].as_f64().unwrap_or(0.0) * 1e3).round() as u64;
-        let (rank, key) = if pid == 0 {
-            saw_sim = true;
-            let dev = tid % p;
-            (dev, (dev, 0, 0))
-        } else {
-            saw_real = true;
-            let r = pid - 1;
-            let key = *keys
-                .get(&pid)
-                .ok_or_else(|| format!("pid {pid} has spans but no process_name metadata"))?;
-            (r, key)
-        };
+        let rank = pid
+            .checked_sub(rank_pid(0))
+            .ok_or_else(|| format!("span on pid {pid}, below the first rank's"))?;
+        let key = *keys
+            .get(&pid)
+            .ok_or_else(|| format!("pid {pid} has spans but no process_name metadata"))?;
         let span = ASpan {
-            phase: phase_of(cat, &name),
+            phase: phase_of(cat),
             name,
             start_ns,
             dur_ns,
@@ -248,7 +222,6 @@ pub fn parse_chrome_trace(json: &str, pipeline_stages: usize) -> Result<TraceDag
             iteration: opt_u64(&ev["args"]["iteration"]),
             microbatch: opt_u64(&ev["args"]["microbatch"]),
             chunk: opt_u64(&ev["args"]["chunk"]),
-            pass: ev["args"]["pass"].as_str().map(str::to_string),
             bytes: ev["args"]["bytes"].as_f64(),
         };
         ranks
@@ -261,40 +234,32 @@ pub fn parse_chrome_trace(json: &str, pipeline_stages: usize) -> Result<TraceDag
             .spans
             .push(span);
     }
-    if saw_sim && saw_real {
-        return Err("trace mixes sim (pid 0) and real (pid >= 1) spans".into());
-    }
     let mut ranks: Vec<ARank> = ranks.into_values().collect();
     ranks.sort_by_key(|r| r.rank);
     for r in &mut ranks {
         r.spans.sort_by_key(|s| (s.start_ns, s.dur_ns));
     }
-    Ok(build_dag(ranks, p, saw_sim))
+    Ok(build_dag(ranks, p))
 }
 
 /// Build the DAG from already-parsed timelines (the JSON-free entry point
 /// tests and synthetic-trace proptests use).
-pub fn build_dag(ranks: Vec<ARank>, pipeline_stages: usize, sim: bool) -> TraceDag {
+pub fn build_dag(ranks: Vec<ARank>, pipeline_stages: usize) -> TraceDag {
     let mut dag = TraceDag {
         ranks,
         pipeline_stages,
-        sim,
         incoming: HashMap::new(),
         collectives: Vec::new(),
         member_of: HashMap::new(),
     };
-    if sim {
-        join_sim_p2p(&mut dag);
-    } else {
-        join_real_p2p(&mut dag);
-        join_collectives(&mut dag);
-    }
+    join_p2p(&mut dag);
+    join_collectives(&mut dag);
     dag
 }
 
-/// Real traces: `p2p-send-{fwd,bwd}` on `(pi, di, ti)` gates the matching
+/// `p2p-send-{fwd,bwd}` on `(pi, di, ti)` gates the matching
 /// `pipeline-wait-{fwd,bwd}` on `(pi±1, di, ti)`.
-fn join_real_p2p(dag: &mut TraceDag) {
+fn join_p2p(dag: &mut TraceDag) {
     type WaitKey = (
         bool,
         Option<u64>,
@@ -334,55 +299,6 @@ fn join_real_p2p(dag: &mut TraceDag) {
                 (peer, di, ti),
             );
             if let Some(&to) = waits.get(&k) {
-                dag.incoming.insert(
-                    to,
-                    Edge {
-                        from: (ri, si),
-                        kind: EdgeKind::P2p,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// Sim traces: a `pipeline-p2p` net-row span with `(pass, microbatch)`
-/// gates the `forward`/`backward` compute span with the same microbatch on
-/// the adjacent device row. (Scope: the non-interleaved schedule, where
-/// device index == stage index — the interleaved mapping is ambiguous
-/// without a chunk arg, and unmatched transfers degrade gracefully to
-/// unattributed gaps.)
-fn join_sim_p2p(dag: &mut TraceDag) {
-    let mut compute: HashMap<(bool, Option<u64>, usize), Node> = HashMap::new();
-    for (ri, r) in dag.ranks.iter().enumerate() {
-        for (si, s) in r.spans.iter().enumerate() {
-            let fwd = match s.name.as_str() {
-                "forward" => true,
-                "backward" => false,
-                _ => continue,
-            };
-            compute.insert((fwd, s.microbatch, r.rank), (ri, si));
-        }
-    }
-    for (ri, r) in dag.ranks.iter().enumerate() {
-        for (si, s) in r.spans.iter().enumerate() {
-            if s.name != "pipeline-p2p" {
-                continue;
-            }
-            let fwd = match s.pass.as_deref() {
-                Some("fwd") => true,
-                Some("bwd") => false,
-                _ => continue,
-            };
-            let dev = r.rank;
-            let peer = if fwd {
-                dev + 1
-            } else if dev > 0 {
-                dev - 1
-            } else {
-                continue;
-            };
-            if let Some(&to) = compute.get(&(fwd, s.microbatch, peer)) {
                 dag.incoming.insert(
                     to,
                     Edge {

@@ -1,28 +1,21 @@
-//! Exporters: Chrome/Perfetto trace JSON and phase-share aggregation.
+//! Exporter: Chrome/Perfetto trace JSON.
 //!
-//! The real trainer's trace reuses the simulator's [`TraceEvent`] format so
-//! both open side by side in one viewer. Placement convention:
-//!
-//! * simulator: `pid 0`, `tid = p` index for `dev{p}.compute`, `tid = P + p`
-//!   for `dev{p}.net` (resource insertion order in `megatron-core`);
-//! * real run: `pid = 1 + flat rank`, `tid = p` for compute/optimizer/
-//!   checkpoint/bubble spans and `tid = P + p` for communication spans,
-//!   where `p` is the rank's pipeline-stage index.
-//!
-//! So each real rank's rows line up under the simulated device with the same
-//! pipeline stage, and comm rows sit where the sim's net-port rows sit.
+//! Spans lower to `megatron-sim`'s [`TraceEvent`] format. Placement: `pid =
+//! 1 + flat rank`, `tid = p` for compute/optimizer/checkpoint/bubble spans
+//! and `tid = P + p` for communication spans, where `p` is the rank's
+//! pipeline-stage index and `P` the stage count — so every rank's compute
+//! and comm rows line up by stage. The simulator twin records its devices
+//! as ranks `(dev, 0, 0)` through the same exporter, so a real run and its
+//! twin open side by side and one analyzer reads both.
 
 use megatron_sim::json::Json;
 use megatron_sim::{events_json, TraceEvent};
 
 use crate::span::{RankTrace, SpanKind, TraceHub};
 
-/// Pid offset for real ranks (`pid 0` is the simulator's process row).
-pub const REAL_PID_BASE: usize = 1;
-
-/// Chrome trace pid for a flat rank.
+/// Chrome trace pid for a flat rank (pids count from 1).
 pub fn rank_pid(rank: usize) -> usize {
-    REAL_PID_BASE + rank
+    1 + rank
 }
 
 /// Lower one rank's spans to trace events.
@@ -88,57 +81,6 @@ pub fn merge_chrome_traces<'a>(parts: impl IntoIterator<Item = &'a str>) -> Resu
     Ok(Json::Arr(events).to_string())
 }
 
-/// Where a run's rank-time went, as fractions of `1.0`. Shares are over
-/// total rank-seconds (sum over ranks of wall time), so a phase that all
-/// ranks spend half their time in has share 0.5.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseShares {
-    /// Forward + backward compute (includes nested tensor-parallel
-    /// all-reduces, matching the simulator's stage pricing).
-    pub compute: f64,
-    /// Explicit communication spans (p2p sends, gradient collectives).
-    pub comm: f64,
-    /// Pipeline wait (bubble) time.
-    pub bubble: f64,
-    /// Optimizer step.
-    pub optimizer: f64,
-    /// Checkpoint saves.
-    pub checkpoint: f64,
-}
-
-impl PhaseShares {
-    /// Sum of all accounted shares (the rest is untraced overhead).
-    pub fn accounted(&self) -> f64 {
-        self.compute + self.comm + self.bubble + self.optimizer + self.checkpoint
-    }
-}
-
-/// Aggregate span durations by phase across all ranks, normalized by
-/// `total_rank_seconds` (e.g. Σ over ranks of Σ per-iteration step time).
-pub fn phase_shares(hub: &TraceHub, total_rank_seconds: f64) -> PhaseShares {
-    let mut sums = PhaseShares::default();
-    for trace in hub.ranks() {
-        for s in &trace.spans {
-            let secs = s.dur_ns as f64 / 1e9;
-            match s.kind {
-                SpanKind::Forward | SpanKind::Backward => sums.compute += secs,
-                SpanKind::Comm => sums.comm += secs,
-                SpanKind::Bubble => sums.bubble += secs,
-                SpanKind::Optimizer => sums.optimizer += secs,
-                SpanKind::Checkpoint => sums.checkpoint += secs,
-            }
-        }
-    }
-    if total_rank_seconds > 0.0 {
-        sums.compute /= total_rank_seconds;
-        sums.comm /= total_rank_seconds;
-        sums.bubble /= total_rank_seconds;
-        sums.optimizer /= total_rank_seconds;
-        sums.checkpoint /= total_rank_seconds;
-    }
-    sums
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,16 +125,5 @@ mod tests {
         assert_eq!(fwd["args"]["bytes"].as_f64(), Some(128.0));
         let comm = &events[2];
         assert_eq!(comm["tid"].as_f64(), Some(3.0)); // comm row = P + pi
-    }
-
-    #[test]
-    fn phase_shares_normalize() {
-        let hub = hub_with_spans();
-        // One rank, 10 rank-seconds of wall time.
-        let sh = phase_shares(&hub, 10.0);
-        assert!((sh.compute - 0.6).abs() < 1e-12);
-        assert!((sh.comm - 0.2).abs() < 1e-12);
-        assert!((sh.bubble - 0.2).abs() < 1e-12);
-        assert!((sh.accounted() - 1.0).abs() < 1e-12);
     }
 }

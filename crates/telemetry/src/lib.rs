@@ -30,9 +30,7 @@ pub use dag::{
     build_dag, dependency_closure, parse_chrome_trace, ARank, ASpan, CollInstance, Edge, EdgeKind,
     Node, Phase, TraceDag,
 };
-pub use export::{
-    chrome_trace_json, merge_chrome_traces, phase_shares, rank_pid, PhaseShares, REAL_PID_BASE,
-};
+pub use export::{chrome_trace_json, merge_chrome_traces, rank_pid};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 

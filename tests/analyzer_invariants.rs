@@ -53,7 +53,6 @@ fn random_spans(rng: &mut StdRng) -> Vec<ASpan> {
             iteration: Some(0),
             microbatch: Some(rng.gen_range(0u64..3)),
             chunk: Some(0),
-            pass: None,
             bytes: None,
         });
         cursor += dur;
@@ -73,7 +72,7 @@ fn random_dag(rng: &mut StdRng) -> megatron_repro::telemetry::TraceDag {
             spans: random_spans(rng),
         })
         .collect();
-    build_dag(ranks, if pipeline { n } else { 1 }, false)
+    build_dag(ranks, if pipeline { n } else { 1 })
 }
 
 /// The critical path tiles the window exactly: segments are contiguous,

@@ -78,7 +78,7 @@ fn real_222_trace_has_every_category_on_every_rank() {
     let v = Json::parse(&trace).expect("trace is valid JSON");
     let events = v.as_array().expect("trace is a JSON array");
 
-    // Per-rank category coverage, pids offset past the sim's pid 0.
+    // Per-rank category coverage; rank r's spans sit on pid rank_pid(r).
     let mut cats: Vec<BTreeSet<String>> = vec![BTreeSet::new(); spec.world()];
     let mut meta = 0usize;
     for ev in events {
@@ -86,7 +86,7 @@ fn real_222_trace_has_every_category_on_every_rank() {
             Some("M") => meta += 1,
             Some("X") => {
                 let pid = ev["pid"].as_f64().unwrap() as usize;
-                assert!(pid >= rank_pid(0), "real spans must not use the sim pid 0");
+                assert!(pid >= rank_pid(0), "span on pid {pid}, below rank 0's");
                 let rank = pid - rank_pid(0);
                 assert!(rank < spec.world());
                 cats[rank].insert(ev["cat"].as_str().unwrap().to_string());
@@ -122,7 +122,7 @@ fn comm_spans_sit_on_the_net_row_with_byte_args() {
         }
         let tid = ev["tid"].as_f64().unwrap() as usize;
         if ev["cat"].as_str() == Some("comm") {
-            // Comm rows sit at tid = p + stage, like the sim's net ports;
+            // Comm rows sit at tid = p + stage, below the compute rows;
             // p2p/collective spans all carry their algorithmic byte volume.
             assert!((2..4).contains(&tid), "comm tid {tid} outside net rows");
             assert!(
