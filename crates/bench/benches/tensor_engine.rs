@@ -24,15 +24,9 @@ fn gemm_scaling() {
     }
 }
 
-/// This host's fused multiply-add ceiling on the build for `isa`, in GFLOP/s
-/// (one FMA counted as two operations, as the paper's peaks count them):
-/// `threads` threads each running the GEMM micro-kernel on operands that
-/// stay in L1 (`gemm::tile_peak_with`, 24 KiB of coefficients). Best of 30.
-fn tile_peak(isa: Isa, threads: usize) -> f64 {
-    let coeffs: Vec<f32> = (0..6 * 1024)
-        .map(|i| (i % 13) as f32 * 0.01 - 0.06)
-        .collect();
-    let calls = 2000;
+/// Best of 30 of `threads` threads each running `work` `calls` times, in
+/// GFLOP/s of the floating-point operations `work` reports.
+fn peak_of(threads: usize, calls: usize, work: &(dyn Fn() -> usize + Sync)) -> f64 {
     let gate = std::sync::Barrier::new(threads + 1);
     (0..30)
         .map(|_| {
@@ -42,9 +36,7 @@ fn tile_peak(isa: Isa, threads: usize) -> f64 {
                         s.spawn(|| {
                             gate.wait();
                             gate.wait();
-                            (0..calls)
-                                .map(|_| black_box(gemm::tile_peak_with(isa, black_box(&coeffs))).0)
-                                .sum::<usize>()
+                            (0..calls).map(|_| work()).sum::<usize>()
                         })
                     })
                     .collect();
@@ -64,16 +56,38 @@ fn tile_peak(isa: Isa, threads: usize) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// This host's ceiling on the build for `isa`, in GFLOP/s, on `threads`
+/// threads: for an FMA build its micro-kernel on operands that stay in L1
+/// (`gemm::tile_peak_with`, 24 KiB of coefficients; one FMA counted as two
+/// operations, as the paper's peaks count them), for the AMX build the
+/// matrix unit's `TDPBF16PS` on tiles that never leave it
+/// (`gemm::amx_tile_peak`, one instruction counted as 16·16·32·2).
+fn tile_peak(isa: Isa, threads: usize) -> f64 {
+    if isa == Isa::Amx {
+        return peak_of(threads, 20, &|| {
+            black_box(gemm::amx_tile_peak(black_box(500)))
+        });
+    }
+    let coeffs: Vec<f32> = (0..6 * 1024)
+        .map(|i| (i % 13) as f32 * 0.01 - 0.06)
+        .collect();
+    peak_of(threads, 2000, &|| {
+        black_box(gemm::tile_peak_with(isa, black_box(&coeffs))).0
+    })
+}
+
 /// GFLOP/s of the three variants at shapes the benchmark workloads issue
 /// (`benchmark/src/shapes.rs`), each as the `m×k · k×n` product it computes,
 /// on every build of the kernel this host runs; then the widest build's
-/// rates as a share of this host's fused multiply-add peak.
+/// rates as a share of that build's peak — for the AMX build, the share of
+/// the matrix unit's bf16 peak, this table's analogue of the paper's Table 1
+/// share of the tensor-core peak.
 fn gemm_workload_shapes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let builds: Vec<Isa> = Isa::available().collect();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("group gemm_shapes (GFLOP/s, best of 30 after warm-up)");
-    println!("  fused multiply-add peak (one FMA per term, counted as 2 flops), GFLOP/s:");
+    println!("  peak per build, GFLOP/s (fused multiply-add builds: one FMA per term, counted as 2 flops; amx: one TDPBF16PS counted as 16*16*32*2):");
     // (one thread, every core) per build; the products below are read
     // against the widest build's, the last.
     let peaks: Vec<(f64, f64)> = builds
@@ -82,7 +96,7 @@ fn gemm_workload_shapes() {
         .collect();
     for (isa, (one, all)) in builds.iter().zip(&peaks) {
         println!(
-            "    {:<8} {one:>6.1} on one thread, {all:>6.1} on {cores}",
+            "    {:<8} {one:>7.1} on one thread, {all:>7.1} on {cores}",
             isa.name()
         );
     }
@@ -92,9 +106,10 @@ fn gemm_workload_shapes() {
         cells.join(" |")
     };
     println!(
-        "  {:<18}{} | % of the {cores}-thread peak",
+        "  {:<18}{} | % of the {cores}-thread {} peak",
         "",
-        columns(&|isa| format!(" {:<21}", isa.name()))
+        columns(&|isa| format!(" {:<21}", isa.name())),
+        builds[builds.len() - 1].name()
     );
     println!(
         "  {:<18}{} | {:>6} {:>4} {:>4}",

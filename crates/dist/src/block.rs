@@ -425,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_decode_rounds_each_attention_term_once() {
+    fn cached_decode_rounds_each_attention_operand_to_bf16() {
         // One head of width 2, every weight zero but the projection's
         // identity: the new row's q, k and v are the QKV bias (LayerNorm
         // with γ = 0 maps it to zero), and its output is its attention row.
@@ -438,21 +438,23 @@ mod tests {
         }
         block.proj.w = Matrix::from_fn(2, 2, |i, j| f32::from(i == j));
         block.proj.b.as_mut().expect("bias").fill(0.0);
-        // Scores: q·k₀ is the probe of `gemm`'s fusion test times 2²⁴ — 1.0
-        // fused, 0.0 rounded — and the other two keys score 1.0 either way,
-        // so fused, the three positions weigh ⅓ (rounded) each. Values:
-        // ⅓·(−6) + ⅓·6 + ⅓·0 is 2⁻²⁴ fused (6·⅓ is 2 + 2⁻²⁴) and 0.0
-        // rounded.
-        let (a, big) = (1.0 + 2f32.powi(-12), 2f32.powi(24));
-        let (q, k) = ([-big, big * a], [-1.0 / big, 0.0]);
-        block.qkv.b = Some([q, k, [0.0; 2]].concat());
+        // Scores: q and the three keys are ties that round to even — q to
+        // 2¹⁰, every key to 1 — so rounded, the three positions weigh ⅓
+        // each; in f32 they would score 1032, 1028 and 1026 before scaling.
+        // Values: ⅓ in bf16 is 171/512, so the attention row is
+        // 171/512 · (1 + 2⁻⁷ + 1 + 1) = 1 + 299/65536, exact in f32 and
+        // past the tie at 1 + 2⁻⁸ that the projection rounds it to 1 + 2⁻⁷;
+        // with ⅓ in f32 it would be 1.0026, rounded to 1.
+        let tie = 1.0 + 2f32.powi(-8);
+        let q = [1024.0 * tie, 0.0];
+        block.qkv.b = Some([q, [1.0 - 2f32.powi(-9), 0.0], [1.0, 0.0]].concat());
         let mut kv = BlockKv::new(2);
-        kv.push(&[1.0 + 2f32.powi(-11), a], &[-6.0, 0.0]);
-        kv.push(&k, &[6.0, 0.0]);
+        kv.push(&[tie, 0.0], &[1.0 + 2f32.powi(-7), 0.0]);
+        kv.push(&[1.0, 0.0], &[1.0, 0.0]);
         let m = Group::new(1).member(0);
         let pb = ParallelBlock::from_serial(&block, 1, 1, 0);
         let out = pb.forward_decode(&Matrix::zeros(1, 2), &mut [(1, &mut kv)], &m);
-        assert_eq!(out.as_slice(), [2f32.powi(-24), 0.0]);
+        assert_eq!(out.as_slice(), [1.0 + 2f32.powi(-7), 0.0]);
     }
 
     #[test]

@@ -1,9 +1,41 @@
-//! Matrix multiplication: one register-blocked kernel over strided views.
+//! Matrix multiplication: bf16 operands, f32 sums, over strided views — on
+//! the matrix unit where the processor has one, otherwise one
+//! register-blocked FMA kernel.
 //!
-//! **The kernel.** [`matmul_into`] computes `C += A·B` for views given as
-//! `(data, row stride, column stride)`, so a transposed operand or one
+//! **The contract.** Every operand is rounded once to bf16 by
+//! [`bf16_round`] (round-to-nearest-even, a NaN stays a NaN — exactly what
+//! `VCVTNE2PS2BF16` computes), and every sum is f32: the mixed precision the
+//! paper's tensor cores multiply in. A product of two bf16 values is exact
+//! in f32, so a term costs one rounding, where it is added. Storage, wires,
+//! master weights and Adam stay f32. Two engines compute it:
+//! - **The FMA builds** (baseline, AVX2, AVX-512) compute every output
+//!   element as `fma(bf16(aₖ), bf16(bₖ), … fma(bf16(a₀), bf16(b₀), 0.0))` in
+//!   strictly ascending `k`: no split-`k`, no per-thread partial sums, no
+//!   skipped zero terms. [`matmul_naive`] is that definition written as a
+//!   triple loop, and all three builds equal it bit for bit — whatever the
+//!   tile an element falls in, the number of rows, the thread that computes
+//!   it or which operand the kernel holds (`fma(a, b, c) == fma(b, a, c)`).
+//!   IEEE fixes an `fma`'s result exactly, so `vfmadd` and libm `fmaf` agree.
+//! - **The AMX build** (`crate::amx`) runs `TDPBF16PS`: `k` is cut into
+//!   chunks of 32 from 0, zero-padded, and each chunk is summed in the
+//!   hardware's order, which no sequential model reproduces (with one pair
+//!   per lane it is `c + round(a₀b₀ + a₁b₁)`). An element's bits are a
+//!   function of its row of `A`, its column of `B` and its initial value
+//!   only — not of the tiling of `m` and `n`, the view, the thread, the
+//!   helper split, concurrent callers or where a sub-view sits — and stay
+//!   within `2·k·2⁻²⁴·Σ|terms|` of [`matmul_naive`].
+//!
+//! Every gate that compares two runs on one host therefore holds on either
+//! engine (pipelined == serial, process == thread, chaos == fault-free,
+//! incremental decode == recompute); bits differ between a host with AMX
+//! and one without, and only there. No flag picks the engine: CPUID and the
+//! operating system's grant of tile state do ([`crate::Isa::active`]).
+//!
+//! **The FMA kernel.** [`matmul_into`] computes `C += A·B` for views given
+//! as `(data, row stride, column stride)`, so a transposed operand or one
 //! head's columns of a wider matrix is just another view: [`matmul`],
 //! [`matmul_tn`] and [`matmul_nt`] are the same call with strides swapped.
+//! The FMA builds first copy both operands rounded (per thread, reused).
 //! Work is cut into `MR × NR` tiles of `C` whose accumulators stay in
 //! registers while `k` runs; `k` is blocked by `KC` so a panel of `B` stays
 //! in cache across the row tiles that reuse it. `B` is read in place when
@@ -12,24 +44,10 @@
 //! deep product of a few rows by a transposed `B` is computed as
 //! `Cᵀ += Bᵀ·Aᵀ`, which reads `B` in place and packs only the few rows of
 //! `A`. The body is plain Rust, compiled once per instruction set
-//! (`crate::simd`: baseline, AVX2, AVX-512) with the tile width as a
-//! constant of each build — 6×16 for the first two, 6×32 under AVX-512,
-//! whose twelve 16-lane accumulators fit its 32 registers — and the widest
-//! build the processor runs is chosen at run time. [`matmul_into_with`]
-//! runs a named build.
-//!
-//! **The summation-order contract.** Every output element is
-//! `fma(aₖ, bₖ, … fma(a₁, b₁, fma(a₀, b₀, 0.0)))` in strictly ascending `k`:
-//! one fused multiply-add per term, the product never rounded on its own,
-//! and no split-`k`, no per-thread partial sums, no skipped zero terms.
-//! [`matmul_naive`] is that definition written as a triple loop, and every
-//! path here equals it bit for bit — whatever the tile an element falls in,
-//! the number of rows, the thread that computes it, the instruction set or
-//! which operand the kernel holds (`fma(a, b, c) == fma(b, a, c)`). IEEE
-//! fixes an `fma`'s result exactly, so `vfmadd` in the AVX2 and AVX-512
-//! builds and libm `fmaf` in the baseline build agree. The repo's
-//! bit-identity gates (pipelined == serial, process == thread, incremental
-//! decode == recompute) rest on this.
+//! (`crate::simd`) with the tile width as a constant of each build — 6×16
+//! for the baseline and AVX2, 6×32 under AVX-512, whose twelve 16-lane
+//! accumulators fit its 32 registers — and the widest build the processor
+//! runs is chosen at run time. [`matmul_into_with`] runs a named build.
 //!
 //! **The cost of the contract.** An x86-64 processor without FMA runs the
 //! baseline build, where each term is a call to libm `fmaf`: correct, and
@@ -38,9 +56,10 @@
 //! judged or CI machine is such a processor; the AVX2 build (which requires
 //! FMA) is the floor there.
 //!
-//! **Threads.** A product below `PAR_FLOPS` runs on the caller. A larger
-//! one is cut into row blocks that the caller and the parked helper threads
-//! of `crate::pool` claim one at a time; no thread is spawned per call.
+//! **Threads.** A product below `PAR_FLOPS` (the AMX build: its own, higher
+//! threshold) runs on the caller. A larger one is cut into row blocks that
+//! the caller and the parked helper threads of `crate::pool` claim one at a
+//! time; no thread is spawned per call.
 
 use crate::pool::Pool;
 use crate::simd::{per_isa, Isa};
@@ -61,7 +80,9 @@ const MR: usize = 6;
 const fn tile_width(isa: Isa) -> usize {
     match isa {
         Isa::Baseline | Isa::Avx2 => 16,
-        Isa::Avx512 => 32,
+        // The AMX build's element-wise kernels are AVX-512's; its products
+        // never reach this kernel.
+        Isa::Avx512 | Isa::Amx => 32,
     }
 }
 /// Depth of one `k` block: an `MR × KC` strip of `A` (6 KiB) and a
@@ -147,6 +168,12 @@ impl<'a> View<'a> {
         }
     }
 
+    /// `(data, rows, cols, row stride, column stride)`, every element
+    /// inside `data` (checked by [`View::new`]).
+    pub(crate) fn parts(self) -> (&'a [f32], usize, usize, usize, usize) {
+        (self.data, self.rows, self.cols, self.rs, self.cs)
+    }
+
     /// The transposed view of the same memory.
     pub fn t(self) -> Self {
         View {
@@ -170,6 +197,12 @@ pub struct ViewMut<'a> {
 }
 
 impl<'a> ViewMut<'a> {
+    /// `(data, rows, cols, row stride)`: rows of `cols` floats, `row stride`
+    /// apart, not overlapping, inside `data` (checked by `ViewMut::new`).
+    pub(crate) fn into_parts(self) -> (&'a mut [f32], usize, usize, usize) {
+        (self.data, self.rows, self.cols, self.rs)
+    }
+
     /// A view over `data`; panics unless every element lies inside it and
     /// rows do not overlap.
     fn new(data: &'a mut [f32], rows: usize, cols: usize, row_stride: usize) -> Self {
@@ -218,10 +251,35 @@ pub fn matmul_into(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
 }
 
 /// The build the dispatched kernels of this crate run on this processor and
-/// its `gemm` tile, as `"avx512, 6x32"`.
+/// its `gemm` tile, as `"avx512, 6x32"` — or `"amx, 32x32"`, the block of
+/// `C` the matrix unit's 2×2 accumulator tiles hold.
 pub fn active_build() -> String {
-    let isa = Isa::active();
-    format!("{}, {MR}x{}", isa.name(), tile_width(isa))
+    match Isa::active() {
+        Isa::Amx => "amx, 32x32".to_string(),
+        isa => format!("{}, {MR}x{}", isa.name(), tile_width(isa)),
+    }
+}
+
+/// `x` rounded to bfloat16 — its upper 16 bits after round-to-nearest-even —
+/// and returned as the `f32` of the same value: exactly what
+/// `VCVTNE2PS2BF16` computes. A subnormal becomes a zero of its sign, a NaN
+/// stays a NaN (quieted, its payload cut to the upper bits), and a finite
+/// value past bf16's largest rounds to infinity. Every operand of every
+/// product is rounded once by this.
+#[inline(always)]
+pub fn bf16_round(x: f32) -> f32 {
+    let bits = x.to_bits();
+    // Computed whatever `x` is, so that the choice below is a select and a
+    // loop of these vectorises.
+    let nearest_even = bits.wrapping_add(0x7fff + ((bits >> 16) & 1));
+    let rounded = if bits & 0x7f80_0000 == 0 {
+        bits & 0x8000_0000
+    } else if x.is_nan() {
+        bits | 0x0040_0000
+    } else {
+        nearest_even
+    };
+    f32::from_bits(rounded & 0xffff_0000)
 }
 
 /// `A · B` of two views as a new matrix.
@@ -258,14 +316,15 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     matmul_view(a.view(), b.view().t())
 }
 
-/// Textbook triple loop, one fused multiply-add per term: the definition
-/// the kernel is tested against.
+/// Textbook triple loop over operands rounded to bf16, one fused
+/// multiply-add per term: the definition the FMA builds equal bit for bit
+/// and the AMX build is tested against.
 pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows());
     Matrix::from_fn(a.rows(), b.cols(), |i, j| {
         let mut acc = 0.0f32;
         for kk in 0..a.cols() {
-            acc = a.get(i, kk).mul_add(b.get(kk, j), acc);
+            acc = bf16_round(a.get(i, kk)).mul_add(bf16_round(b.get(kk, j)), acc);
         }
         acc
     })
@@ -300,16 +359,75 @@ struct Job {
 // while it holds the `ViewMut`'s exclusive borrow.
 unsafe impl Sync for Job {}
 
-/// [`matmul_into`] on the build of the kernel for `isa`, which this
-/// processor must run, with `B`'s panels as wide as that build's tile: the
-/// same bits from every build.
+thread_local! {
+    /// The FMA builds' rounded copies of `A` and `B`, kept for the next
+    /// product on this thread.
+    static ROUNDED: std::cell::Cell<(Vec<f32>, Vec<f32>)> =
+        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
+}
+
+/// [`matmul_into`] on the build for `isa`, which this processor must run:
+/// the matrix unit under [`Isa::Amx`], otherwise the FMA kernel of that
+/// instruction set with `B`'s panels as wide as its tile — the same bits
+/// from every FMA build.
 pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!((c.rows, c.cols), (a.rows, b.cols), "output shape");
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    if m == 0 || n == 0 || k == 0 {
+    assert!(
+        isa <= Isa::active(),
+        "this processor does not run {}",
+        isa.name()
+    );
+    if a.rows == 0 || b.cols == 0 || a.cols == 0 {
         return;
     }
+    if isa == Isa::Amx {
+        // SAFETY: `Isa::Amx` is active (asserted above).
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { crate::amx::matmul_into(a, b, c) };
+    }
+    let (mut ra, mut rb) = ROUNDED.take();
+    fma_product(isa, rounded(isa, a, &mut ra), rounded(isa, b, &mut rb), c);
+    ROUNDED.set((ra, rb));
+}
+
+/// `v` with every element through [`bf16_round`], copied into `buf` along
+/// `v`'s unit stride (its columns when only its rows are adjacent), as a
+/// view of the same orientation.
+fn rounded<'b>(isa: Isa, v: View<'_>, buf: &'b mut Vec<f32>) -> View<'b> {
+    let turned = v.cs != 1 && v.rs == 1;
+    let w = if turned { v.t() } else { v };
+    // Every element is written below; only growth is zero-filled first.
+    buf.resize(w.rows * w.cols, 0.0);
+    for (i, out) in buf.chunks_exact_mut(w.cols).enumerate() {
+        if w.cs == 1 {
+            round_into_with(isa, &w.data[i * w.rs..][..w.cols], out);
+        } else {
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = bf16_round(w.data[i * w.rs + j * w.cs]);
+            }
+        }
+    }
+    let copy = View::new(buf, w.rows, w.cols, w.cols, 1);
+    if turned {
+        copy.t()
+    } else {
+        copy
+    }
+}
+
+per_isa! {
+    /// `out[i] = bf16_round(src[i])`, at the build's vector width.
+    fn round_into_with[_ISA](src: &[f32], out: &mut [f32]) {
+        for (o, &x) in out.iter_mut().zip(src) {
+            *o = bf16_round(x);
+        }
+    }
+}
+
+/// The FMA kernel on operands already rounded.
+fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
     if b.cs != 1 && m <= FEW_ROWS && n > m && k >= KC {
         return matmul_transposed(isa, a, b, c);
     }
@@ -377,7 +495,7 @@ pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
 fn matmul_transposed(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
     let (m, n) = (a.rows, b.cols);
     let mut ct = Matrix::from_fn(n, m, |j, i| c.data[i * c.rs + j]);
-    matmul_into_with(isa, b.t(), a.t(), ct.block_mut(0, 0, n, m));
+    fma_product(isa, b.t(), a.t(), ct.block_mut(0, 0, n, m));
     for (i, row) in c.data.chunks_mut(c.rs).take(m).enumerate() {
         for (j, out) in row[..n].iter_mut().enumerate() {
             *out = ct.get(j, i);
@@ -433,6 +551,22 @@ per_isa! {
             }
         }
     }
+}
+
+/// The AMX build's ceiling, as [`tile_peak_with`] is the FMA builds': `reps`
+/// rounds of the four `TDPBF16PS` of a 2×2 tile block on operands that never
+/// leave the matrix unit, each counted as 16·16·32·2 floating-point
+/// operations. Returns the operations performed.
+///
+/// # Panics
+/// If this processor does not run [`Isa::Amx`].
+pub fn amx_tile_peak(reps: usize) -> usize {
+    assert_eq!(Isa::active(), Isa::Amx, "this processor does not run amx");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `Isa::Amx` is active.
+    return unsafe { crate::amx::tile_peak(reps) };
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!()
 }
 
 per_isa! {
@@ -546,31 +680,62 @@ mod tests {
         out
     }
 
-    /// All three variants of the `m×k · k×n` product — as dispatched and on
-    /// every build this host runs — against the naive definition, bit for
-    /// bit.
+    /// `got` is within `2·k·2⁻²⁴·Σ|terms|` of [`matmul_naive`] of `a` and
+    /// `b`, element by element: the AMX build's accuracy contract.
+    fn assert_close_to_naive(got: &Matrix, a: &Matrix, b: &Matrix, what: &str) {
+        let want = matmul_naive(a, b);
+        let k = a.cols();
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let terms: f64 = (0..k)
+                    .map(|p| f64::from(bf16_round(a.get(i, p)) * bf16_round(b.get(p, j))).abs())
+                    .sum();
+                let bound = 2.0 * k as f64 * 2f64.powi(-24) * terms;
+                let err = f64::from(got.get(i, j) - want.get(i, j)).abs();
+                assert!(
+                    err <= bound,
+                    "{what} ({i}, {j}): off by {err:e}, bound {bound:e}"
+                );
+            }
+        }
+    }
+
+    /// The three variants of the `m×k · k×n` product — as dispatched and on
+    /// every build this host runs — under the contract: the FMA builds equal
+    /// the naive definition bit for bit; the AMX build gives every view the
+    /// same bits, each row the bits of that row alone, and stays within its
+    /// bound of the naive definition; dispatch runs the active build.
     fn assert_variants_match_naive(m: usize, k: usize, n: usize, seed: u64) {
         let a = rand_matrix(m, k, seed);
         let b = rand_matrix(k, n, seed + 1);
         let (at, bt) = (a.transpose(), b.transpose());
         let want = bits(&matmul_naive(&a, &b));
         let shape = format!("{m}x{k}x{n}");
-        assert_eq!(bits(&matmul(&a, &b)), want, "matmul {shape}");
-        assert_eq!(bits(&matmul_tn(&at, &b)), want, "matmul_tn {shape}");
-        assert_eq!(bits(&matmul_nt(&a, &bt)), want, "matmul_nt {shape}");
+        let active = bits(&product(Isa::active(), a.view(), b.view()));
+        assert_eq!(bits(&matmul(&a, &b)), active, "matmul {shape}");
+        assert_eq!(bits(&matmul_tn(&at, &b)), active, "matmul_tn {shape}");
+        assert_eq!(bits(&matmul_nt(&a, &bt)), active, "matmul_nt {shape}");
         for isa in builds_exercised() {
             let on = format!("{shape} on {}", isa.name());
             let nn = product(isa, a.view(), b.view());
-            assert_eq!(bits(&nn), want, "matmul {on}");
             let tn = product(isa, at.view().t(), b.view());
-            assert_eq!(bits(&tn), want, "matmul_tn {on}");
+            assert_eq!(bits(&tn), bits(&nn), "matmul_tn {on}");
             let nt = product(isa, a.view(), bt.view().t());
-            assert_eq!(bits(&nt), want, "matmul_nt {on}");
+            assert_eq!(bits(&nt), bits(&nn), "matmul_nt {on}");
+            if isa != Isa::Amx {
+                assert_eq!(bits(&nn), want, "matmul {on}");
+                continue;
+            }
+            assert_close_to_naive(&nn, &a, &b, &on);
+            for i in (0..m).step_by(7) {
+                let one = product(isa, a.block(i, 0, 1, k), b.view());
+                assert_eq!(bits(&one), bits(&nn.rows_slice(i, i + 1)), "row {i} {on}");
+            }
         }
     }
 
-    /// Dimensions around every blocking constant — both tile widths — and 0
-    /// and 1.
+    /// Dimensions around every blocking constant — both tile widths, the
+    /// AMX tile, block and chunk — and 0 and 1.
     const EDGES: [usize; 16] = [
         0,
         1,
@@ -632,64 +797,158 @@ mod tests {
     }
 
     #[test]
-    fn every_path_rounds_each_term_once() {
-        // a² − 1 − 2⁻¹¹ is exactly 2⁻²⁴; rounding a² to a float first
-        // (multiply, then add) loses it to a tie broken to even.
+    fn every_path_rounds_each_operand_to_bf16_once() {
+        // 1 + 2⁻⁸ is a tie between bf16's 1 and 1 + 2⁻⁷ and rounds to even,
+        // 1; 1 + 3·2⁻⁸ is a tie that rounds to even, 1 + 2⁻⁶; 1 + 2⁻⁸ + 2⁻²⁰
+        // is past the tie and rounds up to 1 + 2⁻⁷. The sum of the rounded
+        // products, 1·(1 + 2⁻⁶) + (1 + 2⁻⁶)(1 + 2⁻⁷), is exact in f32, so
+        // every build must return it; f32 operands would give another value.
         // Zero terms after it add nothing; `KC` of them make the depth at
         // which `matmul_nt` takes its few-row path.
-        let a = 1.0 + 2f32.powi(-12);
-        let (lhs, col) = ([-1.0, a], [1.0 + 2f32.powi(-11), a]);
-        let fused = 2f32.powi(-24);
-        assert_eq!(lhs[0] * col[0] + lhs[1] * col[1], 0.0, "the probe");
+        let (tie_down, tie_up, past) = (
+            1.0 + 2f32.powi(-8),
+            1.0 + 3.0 * 2f32.powi(-8),
+            1.0 + 2f32.powi(-8) + 2f32.powi(-20),
+        );
+        assert_eq!(bf16_round(tie_down), 1.0);
+        assert_eq!(bf16_round(tie_up), 1.0 + 2f32.powi(-6));
+        assert_eq!(bf16_round(past), 1.0 + 2f32.powi(-7));
+        let (lhs, col) = ([tie_down, tie_up], [tie_up, past]);
+        let want = 2.0 + 2f32.powi(-5) + 2f32.powi(-7) + 2f32.powi(-13);
+        assert_ne!(lhs[0].mul_add(col[0], lhs[1] * col[1]), want, "the probe");
         let padded = |v: [f32; 2]| (0..KC).map(|p| v.get(p).copied().unwrap_or(0.0)).collect();
         let lhs = Matrix::from_vec(1, KC, padded(lhs));
         let rhs = Matrix::from_vec(KC, 1, padded(col));
-        assert_eq!(matmul_naive(&lhs, &rhs).as_slice(), [fused]);
+        assert_eq!(matmul_naive(&lhs, &rhs).as_slice(), [want]);
         // Three rows of `B` as `matmul_nt` takes it: the few-row path.
         let rows = Matrix::from_fn(3, KC, |_, p| rhs.get(p, 0));
-        assert_eq!(matmul_nt(&lhs, &rows).as_slice(), [fused; 3], "matmul_nt");
+        assert_eq!(matmul_nt(&lhs, &rows).as_slice(), [want; 3], "matmul_nt");
         for isa in builds_exercised() {
             let one = product(isa, lhs.view(), rhs.view());
-            assert_eq!(one.as_slice(), [fused], "matmul on {}", isa.name());
+            assert_eq!(one.as_slice(), [want], "matmul on {}", isa.name());
             let nt = product(isa, lhs.view(), rows.view().t());
-            assert_eq!(nt.as_slice(), [fused; 3], "matmul_nt on {}", isa.name());
+            assert_eq!(nt.as_slice(), [want; 3], "matmul_nt on {}", isa.name());
         }
+    }
+
+    #[test]
+    fn bf16_round_is_the_processors_conversion() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512bf16") {
+            // Every 251st bit pattern, then the cases between: ties of both
+            // parities, the values around them, subnormals, infinities and
+            // NaN payloads of both signs.
+            let mut probes: Vec<u32> = (0..=u32::MAX).step_by(251).collect();
+            for hi in (0u32..0x1_0000).step_by(3) {
+                for lo in [0, 1, 0x7fff, 0x8000, 0x8001, 0xffff] {
+                    probes.push(hi << 16 | lo);
+                }
+            }
+            probes.extend([
+                0x0000_0001,
+                0x007f_ffff,
+                0x8040_0000,
+                0x7f80_0000,
+                0xff80_0000,
+            ]);
+            probes.extend([
+                0x7f80_0001,
+                0x7fbf_ffff,
+                0x7fc0_0000,
+                0xffff_ffff,
+                0xff80_8001,
+            ]);
+            for chunk in probes.chunks(32) {
+                let xs: Vec<f32> = chunk.iter().map(|&b| f32::from_bits(b)).collect();
+                // SAFETY: the processor has `avx512bf16` (checked above).
+                let hw = unsafe { hardware_bf16(&xs) };
+                for (&x, h) in xs.iter().zip(hw) {
+                    let ours = bf16_round(x).to_bits() >> 16;
+                    assert_eq!(ours, u32::from(h), "{:#010x}", x.to_bits());
+                }
+            }
+            return;
+        }
+        println!("bf16_round not checked against VCVTNE2PS2BF16: no avx512bf16 here");
+    }
+
+    /// `VCVTNE2PS2BF16` of up to 32 floats.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bf16")]
+    unsafe fn hardware_bf16(xs: &[f32]) -> Vec<u16> {
+        use std::arch::x86_64::*;
+        let mut src = [0.0f32; 32];
+        src[..xs.len()].copy_from_slice(xs);
+        let (lo, hi) = (
+            _mm512_loadu_ps(src.as_ptr()),
+            _mm512_loadu_ps(src[16..].as_ptr()),
+        );
+        let out: [u16; 32] = std::mem::transmute(_mm512_cvtne2ps_pbh(hi, lo));
+        out[..xs.len()].to_vec()
     }
 
     #[test]
     fn helper_threads_do_not_change_bits() {
         // Large enough to be cut into row blocks (and, on a machine with
-        // more than one core, shared with the helpers).
+        // more than one core, shared with the helpers) by the FMA builds,
+        // then by the AMX build, whose rows a row at a time compute alone.
         let (m, k, n) = (203, KC + 37, 131);
         assert!(2 * m * k * n >= PAR_FLOPS);
         assert_variants_match_naive(m, k, n, 21);
+        let (m, k, n) = (320, 4 * KC, 416);
+        #[cfg(target_arch = "x86_64")]
+        assert!(2 * m * k * n >= crate::amx::PAR_FLOPS);
+        let (a, b) = (rand_matrix(m, k, 22), rand_matrix(k, n, 23));
+        for isa in builds_exercised().into_iter().filter(|&i| i == Isa::Amx) {
+            let whole = product(isa, a.view(), b.view());
+            for i in 0..m {
+                let one = product(isa, a.block(i, 0, 1, k), b.view());
+                assert_eq!(bits(&one), bits(&whole.rows_slice(i, i + 1)), "row {i}");
+            }
+        }
     }
 
     #[test]
-    fn eight_concurrent_callers_equal_naive_bitwise() {
+    fn eight_concurrent_callers_get_the_bits_of_one_caller() {
         // One job slot: most of these find it taken and run serially, one
-        // at a time shares its blocks with the helpers.
+        // at a time shares its blocks with the helpers; each thread packs
+        // into buffers and configures tiles of its own. Each caller's
+        // products must have the bits they have alone.
         let gate = std::sync::Barrier::new(8);
+        let case = |t: u64, rep: u64| {
+            let seed = 40 + 8 * rep + t;
+            let a = rand_matrix(150 + t as usize, KC + 9, seed);
+            let b = rand_matrix(KC + 9, 140, seed + 1);
+            let (at, bt) = (a.transpose(), b.transpose());
+            builds_exercised()
+                .into_iter()
+                .map(|isa| {
+                    let nn = product(isa, a.view(), b.view());
+                    let tn = product(isa, at.view().t(), b.view());
+                    let nt = product(isa, a.view(), bt.view().t());
+                    [bits(&nn), bits(&tn), bits(&nt)]
+                })
+                .collect::<Vec<_>>()
+        };
+        let alone: Vec<Vec<_>> = (0..8)
+            .map(|t| (0..3).map(|rep| case(t, rep)).collect())
+            .collect();
         std::thread::scope(|s| {
-            for t in 0..8u64 {
+            for (t, want) in alone.iter().enumerate() {
                 let gate = &gate;
                 s.spawn(move || {
                     gate.wait();
-                    for rep in 0..3 {
-                        assert_variants_match_naive(
-                            150 + t as usize,
-                            KC + 9,
-                            140,
-                            40 + 8 * rep + t,
-                        );
+                    for (rep, want) in want.iter().enumerate() {
+                        assert!(case(t as u64, rep as u64) == *want, "caller {t} rep {rep}");
                     }
                 });
             }
         });
+        assert_variants_match_naive(157, KC + 9, 140, 61);
     }
 
     #[test]
-    fn every_build_equals_the_baseline_build() {
+    fn every_fma_build_equals_the_baseline_build() {
         for (m, k, n, seed) in [
             (37, 300, 45, 1),
             (6, 16, 16, 2),
@@ -699,10 +958,25 @@ mod tests {
             let a = rand_matrix(m, k, seed);
             let b = rand_matrix(n, k, seed + 50);
             let baseline = bits(&product(Isa::Baseline, a.view(), b.view().t()));
-            assert_eq!(bits(&matmul_nt(&a, &b)), baseline, "dispatched");
-            for isa in builds_exercised() {
+            for isa in builds_exercised().into_iter().filter(|&i| i != Isa::Amx) {
                 let got = product(isa, a.view(), b.view().t());
                 assert_eq!(bits(&got), baseline, "{}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn integer_products_equal_naive_bitwise_on_every_build() {
+        // Small integers are exact in bf16 and every partial sum of these
+        // is exact in f32, whatever order a build adds them in.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        for (m, k, n) in [(33, 300, 47), (16, 32, 16), (1, 65, 3), (70, 7, 33)] {
+            let mut int = |r, c| Matrix::from_fn(r, c, |_, _| rng.gen_range(-8i32..=8) as f32);
+            let (a, b) = (int(m, k), int(k, n));
+            let want = bits(&matmul_naive(&a, &b));
+            for isa in builds_exercised() {
+                let got = product(isa, a.view(), b.view());
+                assert_eq!(bits(&got), want, "{m}x{k}x{n} on {}", isa.name());
             }
         }
     }
@@ -747,28 +1021,34 @@ mod tests {
     #[test]
     fn blocks_multiply_in_place() {
         // One head's columns of wider matrices, written into one head's
-        // columns of the output.
+        // columns of the output: the bits of the same product on copies.
         let (s, hd, heads) = (9, 5, 3);
         let q = rand_matrix(2 * s, heads * hd, 7);
         let k = rand_matrix(2 * s, heads * hd, 8);
         let (qh, kh) = (q.block(s, hd, s, hd), k.block(s, hd, s, hd));
         let copy = |m: &Matrix| m.rows_slice(s, 2 * s).columns(hd, 2 * hd);
-        let want_scores = matmul_naive(&copy(&q), &copy(&k).transpose());
-        let block = matmul_naive(&want_scores, &copy(&k));
-        let want_out = Matrix::from_fn(2 * s, heads * hd, |r, c| {
-            if r >= s && (hd..2 * hd).contains(&c) {
-                block.get(r - s, c - hd)
-            } else {
-                0.0
-            }
-        });
-        assert_eq!(bits(&matmul_view(qh, kh.t())), bits(&want_scores));
         for isa in builds_exercised() {
+            let (qc, kc) = (copy(&q), copy(&k));
+            let want_scores = product(isa, qc.view(), kc.view().t());
+            let block = product(isa, want_scores.view(), kc.view());
+            let want_out = Matrix::from_fn(2 * s, heads * hd, |r, c| {
+                if r >= s && (hd..2 * hd).contains(&c) {
+                    block.get(r - s, c - hd)
+                } else {
+                    0.0
+                }
+            });
             let scores = product(isa, qh, kh.t());
             assert_eq!(bits(&scores), bits(&want_scores), "{}", isa.name());
             let mut out = Matrix::zeros(2 * s, heads * hd);
             matmul_into_with(isa, scores.view(), kh, out.block_mut(s, hd, s, hd));
             assert_eq!(bits(&out), bits(&want_out), "{}", isa.name());
+            if isa != Isa::Amx {
+                assert_eq!(
+                    bits(&want_scores),
+                    bits(&matmul_naive(&qc, &kc.transpose()))
+                );
+            }
         }
     }
 
@@ -799,19 +1079,53 @@ mod tests {
     }
 
     #[test]
+    fn views_with_no_unit_stride_equal_the_product_of_copies() {
+        // Every other row and column of a wider buffer: neither operand is
+        // contiguous along either axis, the packers' general path.
+        let (m, k, n) = (19, 45, 37);
+        let wide_a = rand_matrix(2 * m, 2 * k, 13);
+        let wide_b = rand_matrix(2 * k, 2 * n, 14);
+        let a = View::new(wide_a.as_slice(), m, k, 4 * k, 2);
+        let b = View::new(wide_b.as_slice(), k, n, 4 * n, 2);
+        let a_copy = Matrix::from_fn(m, k, |i, p| wide_a.get(2 * i, 2 * p));
+        let b_copy = Matrix::from_fn(k, n, |p, j| wide_b.get(2 * p, 2 * j));
+        for isa in builds_exercised() {
+            let want = product(isa, a_copy.view(), b_copy.view());
+            assert_eq!(bits(&product(isa, a, b)), bits(&want), "{}", isa.name());
+            let (at, bt) = (a_copy.transpose(), b_copy.transpose());
+            let strided_t = product(isa, b.t(), a.t());
+            assert_eq!(bits(&strided_t), bits(&product(isa, bt.view(), at.view())));
+        }
+    }
+
+    #[test]
     fn active_build_names_the_instruction_set_and_its_tile() {
-        let known = ["baseline, 6x16", "avx2, 6x16", "avx512, 6x32"];
+        let known = ["baseline, 6x16", "avx2, 6x16", "avx512, 6x32", "amx, 32x32"];
         let build = active_build();
         assert!(known.contains(&build.as_str()), "{build}");
         assert!(build.starts_with(Isa::active().name()), "{build}");
     }
 
     #[test]
-    fn identity_is_neutral() {
+    fn identity_returns_the_rounded_operand() {
         let a = rand_matrix(6, 6, 7);
+        let rounded = Matrix::from_fn(6, 6, |r, c| bf16_round(a.get(r, c)));
+        assert_ne!(rounded, a);
         let eye = Matrix::from_fn(6, 6, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert_eq!(matmul(&a, &eye), a);
-        assert_eq!(matmul(&eye, &a), a);
+        for isa in builds_exercised() {
+            assert_eq!(
+                product(isa, a.view(), eye.view()),
+                rounded,
+                "{}",
+                isa.name()
+            );
+            assert_eq!(
+                product(isa, eye.view(), a.view()),
+                rounded,
+                "{}",
+                isa.name()
+            );
+        }
     }
 
     #[test]

@@ -22,8 +22,22 @@ pub fn numeric_grad(f: &dyn Fn(&[f32]) -> f32, x: &[f32], eps: f32) -> Vec<f32> 
 /// # Panics
 /// On mismatch, with the offending index and values.
 pub fn numeric_vs_analytic(f: &dyn Fn(&[f32]) -> f32, x: &[f32], analytic: &[f32], tol: f32) {
+    numeric_vs_analytic_with_step(f, x, analytic, 1e-2, tol);
+}
+
+/// [`numeric_vs_analytic`] with central differences of step `eps`.
+///
+/// # Panics
+/// On mismatch, with the offending index and values.
+pub fn numeric_vs_analytic_with_step(
+    f: &dyn Fn(&[f32]) -> f32,
+    x: &[f32],
+    analytic: &[f32],
+    eps: f32,
+    tol: f32,
+) {
     assert_eq!(x.len(), analytic.len());
-    let numeric = numeric_grad(f, x, 1e-2);
+    let numeric = numeric_grad(f, x, eps);
     for (i, (&n, &a)) in numeric.iter().zip(analytic).enumerate() {
         let scale = n.abs().max(a.abs()).max(1.0);
         assert!(

@@ -422,7 +422,7 @@ pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::numeric_vs_analytic;
+    use crate::gradcheck::{numeric_vs_analytic, numeric_vs_analytic_with_step};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -632,8 +632,8 @@ mod tests {
     #[test]
     fn attention_on_qkv_blocks_equals_attention_on_copies_bitwise() {
         // The layout point: reading q/k/v where the fused projection left
-        // them changes no bit against the per-head textbook computation on
-        // copied-out matrices.
+        // them changes no bit against the per-head computation, on the same
+        // engine, of copied-out matrices.
         let mut r = rng();
         let core = AttentionCore {
             batch: 2,
@@ -650,11 +650,11 @@ mod tests {
                     let c0 = part * 12 + hi * 4;
                     fused.rows_slice(bi * 5, bi * 5 + 5).columns(c0, c0 + 4)
                 };
-                let mut p = gemm::matmul_naive(&head(0), &head(1).transpose());
+                let mut p = gemm::matmul(&head(0), &head(1).transpose());
                 for row in 0..5 {
                     elementwise::causal_softmax_row(p.row_mut(row), row + 1, scale);
                 }
-                let want = gemm::matmul_naive(&p, &head(2));
+                let want = gemm::matmul(&p, &head(2));
                 let got = out
                     .rows_slice(bi * 5, bi * 5 + 5)
                     .columns(hi * 4, hi * 4 + 4);
@@ -684,7 +684,11 @@ mod tests {
         };
         let (_, cache) = core.forward(&fused);
         let dqkv = core.backward(&fused, &cache, &dy);
-        numeric_vs_analytic(&loss, fused.as_slice(), dqkv.as_slice(), 3e-2);
+        // Every product rounds its operands to bf16 (relative step 2⁻⁸), so
+        // the loss moves in steps a 1e-2 difference resolves badly: the
+        // worst relative error measured on the AMX build was 0.057 at a step
+        // of 1e-2, 0.029 at 2e-2, 0.011 at 5e-2 and 0.0088 at 0.1.
+        numeric_vs_analytic_with_step(&loss, fused.as_slice(), dqkv.as_slice(), 0.1, 3e-2);
     }
 
     #[test]

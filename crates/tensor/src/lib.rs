@@ -6,16 +6,19 @@
 //! embeddings, cross-entropy — plus the Adam optimizer and a
 //! finite-difference gradient checker.
 //!
-//! [`gemm`] is one register-blocked kernel over strided views; the plain,
-//! `Aᵀ·B` and `A·Bᵀ` products and attention's per-head blocks are the same
-//! call with other strides. Its contract is the summation order: every
-//! output element is accumulated from `0.0` in ascending `k`, one fused
-//! multiply-add per term, so results do not depend on tiling, row count,
-//! thread or instruction set and equal the naive triple loop bit for bit.
-//! The body is compiled once per instruction set ([`Isa`]: baseline, AVX2,
-//! AVX-512) with a tile sized for each — 6×16, 6×16, 6×32 — and the widest
-//! build the processor runs is picked at run time; [`gemm::active_build`]
-//! names it, [`gemm::matmul_into_with`] runs a named one.
+//! [`gemm`] multiplies in the paper's mixed precision: every operand is
+//! rounded once to bf16 and every sum is f32. On a processor with AMX it
+//! runs on the matrix unit (`TDPBF16PS` over 32-term chunks of `k`); other
+//! processors run one register-blocked FMA kernel over strided views,
+//! compiled once per instruction set ([`Isa`]: baseline, AVX2, AVX-512)
+//! with a tile sized for each — 6×16, 6×16, 6×32 — whose builds all equal
+//! the naive loop on rounded operands bit for bit. On either engine an
+//! element's bits depend only on its row of `A`, its column of `B` and its
+//! initial value — not on tiling, row count, view, thread or helper split.
+//! The plain, `Aᵀ·B` and `A·Bᵀ` products and attention's per-head blocks
+//! are the same call with other strides. The widest build the processor
+//! runs is picked at run time; [`gemm::active_build`] names it,
+//! [`gemm::matmul_into_with`] runs a named one.
 //! Large products are shared with a process-wide set of parked helper
 //! threads (`pool`): the caller always takes blocks itself and never waits
 //! for one a helper has not already claimed; no thread is spawned per call.
@@ -24,7 +27,7 @@
 //! the Adam update, the causal softmax row, bias and residual adds and the
 //! in-crate `exp` they rest on are plain loops over zipped slices, compiled
 //! for the same three instruction sets (`name` dispatches, `name_with` runs
-//! a named build). Its contract is per-element IEEE arithmetic in source
+//! a named build; the AMX build runs the AVX-512 one). Its contract is per-element IEEE arithmetic in source
 //! order — no fused multiply-add (Rust emits one only for an explicit
 //! `mul_add`), no libm call — so an element's bits do not depend on lane,
 //! instruction set, slice length or thread. The layers
@@ -37,11 +40,13 @@
 //! serial execution) require deterministic math, and dropout contributes
 //! nothing to the performance phenomena under study.
 //!
-//! Everything is `f32`, row-major, and deliberately simple: shapes are
+//! Everything is stored as `f32`, row-major, and deliberately simple: shapes are
 //! explicit `(rows, cols)` pairs, layers own their parameters and gradient
 //! buffers, and every `forward` returns the cache its `backward` needs.
 
 pub mod adam;
+#[cfg(target_arch = "x86_64")]
+mod amx;
 pub mod elementwise;
 pub mod gemm;
 pub mod gpt;

@@ -1,19 +1,21 @@
 //! One source, three compilations: how `gemm` and `elementwise` run at the
-//! host's vector width without a build flag.
+//! host's vector width without a build flag — and a fourth build, AMX, whose
+//! `gemm` is the matrix unit's and whose element-wise kernels are AVX-512's.
 //!
-//! A kernel is a plain-Rust body. [`per_isa!`] emits it once per [`Isa`] —
-//! for the baseline instruction set, under `#[target_feature(enable =
-//! "avx2,fma")]` and under the AVX-512 features plus `fma` — and the
+//! A kernel is a plain-Rust body. [`per_isa!`] emits it once per FMA
+//! [`Isa`] — for the baseline instruction set, under `#[target_feature(enable
+//! = "avx2,fma")]` and under the AVX-512 features plus `fma` — and the
 //! dispatched function runs the widest build [`Isa::active`] found on this
-//! processor. Rust never contracts `a * b + c` into a fused multiply-add and
-//! never reassociates float arithmetic: enabling `fma` makes the instruction
-//! available, and only an explicit `f32::mul_add` emits it (the `gemm`
-//! kernel, whose contract is one fused multiply-add per term). IEEE
-//! specifies both exactly — `a * b + c` rounded twice, `mul_add` once, in
-//! the baseline build through libm `fmaf` — so all three compilations
-//! perform the same operations in the same order and agree bit for bit;
-//! each kernel's tests assert it, one build at a time, through
-//! `name_with(isa, ..)`.
+//! processor; under [`Isa::Amx`] that is the AVX-512 copy, and only `gemm`
+//! does anything else (the matrix unit, `crate::amx`). Rust never contracts
+//! `a * b + c` into a fused multiply-add and never reassociates float
+//! arithmetic: enabling `fma` makes the instruction available, and only an
+//! explicit `f32::mul_add` emits it (the FMA `gemm` kernel, whose contract is
+//! one fused multiply-add per bf16-rounded term). IEEE specifies both
+//! exactly — `a * b + c` rounded twice, `mul_add` once, in the baseline
+//! build through libm `fmaf` — so all three compilations perform the same
+//! operations in the same order and agree bit for bit; each kernel's tests
+//! assert it, one build at a time, through `name_with(isa, ..)`.
 
 use std::sync::OnceLock;
 
@@ -29,11 +31,15 @@ pub enum Isa {
     /// 16-lane vectors, 32 vector registers (`avx512f`, `vl`, `dq`, `bw`,
     /// and `fma`).
     Avx512,
+    /// AVX-512 plus `avx512bf16` and the matrix unit (AMX-TILE, AMX-BF16),
+    /// with the operating system's leave to use its tile registers. `gemm`
+    /// runs `TDPBF16PS` on it; every other kernel runs the AVX-512 build.
+    Amx,
 }
 
 impl Isa {
     /// Every instruction set, narrowest first.
-    pub const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512];
+    pub const ALL: [Isa; 4] = [Isa::Baseline, Isa::Avx2, Isa::Avx512, Isa::Amx];
 
     /// The widest instruction set this processor runs: the one the
     /// dispatched kernels use. Detected once.
@@ -47,6 +53,9 @@ impl Isa {
                 let avx2 = has!("avx2") && has!("fma");
                 let avx512 =
                     has!("avx512f") && has!("avx512vl") && has!("avx512dq") && has!("avx512bw");
+                if avx2 && avx512 && has!("avx512bf16") && amx_granted() {
+                    return Isa::Amx;
+                }
                 if avx2 && avx512 {
                     return Isa::Avx512;
                 }
@@ -63,14 +72,51 @@ impl Isa {
         Isa::ALL.into_iter().filter(|&isa| isa <= Isa::active())
     }
 
-    /// `"baseline"`, `"avx2"` or `"avx512"`.
+    /// `"baseline"`, `"avx2"`, `"avx512"` or `"amx"`.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Baseline => "baseline",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
+            Isa::Amx => "amx",
         }
     }
+}
+
+/// Whether this processor has the matrix unit's tiles and bf16 products
+/// (CPUID leaf 7: EDX bits 24 and 22), the operating system saves tile
+/// state (XCR0 bits 17 and 18), and Linux has granted this process the
+/// tile data (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`). The
+/// grant is per process and asked for once, before the build is chosen;
+/// without it the first tile instruction would kill the process.
+#[cfg(target_arch = "x86_64")]
+fn amx_granted() -> bool {
+    use std::arch::x86_64::__cpuid_count;
+    extern "C" {
+        fn syscall(number: std::ffi::c_long, ...) -> std::ffi::c_long;
+    }
+    const SYS_ARCH_PRCTL: std::ffi::c_long = 158;
+    const ARCH_REQ_XCOMP_PERM: std::ffi::c_long = 0x1023;
+    const XFEATURE_XTILEDATA: std::ffi::c_long = 18;
+    let leaf7 = __cpuid_count(7, 0);
+    let (bf16, tile) = (leaf7.edx & (1 << 22) != 0, leaf7.edx & (1 << 24) != 0);
+    let osxsave = __cpuid_count(1, 0).ecx & (1 << 27) != 0;
+    if !(bf16 && tile && osxsave) {
+        return false;
+    }
+    let (lo, _hi): (u32, u32);
+    // SAFETY: `xgetbv` with ECX = 0 reads XCR0, which OSXSAVE (checked
+    // above) makes readable; it touches no memory.
+    unsafe {
+        std::arch::asm!("xgetbv", in("ecx") 0, out("eax") lo, out("edx") _hi,
+            options(nomem, nostack, preserves_flags));
+    }
+    if lo & (3 << 17) != 3 << 17 {
+        return false;
+    }
+    // SAFETY: `arch_prctl` with this request reads and writes no memory of
+    // this process; it returns 0 once the tile data may be used.
+    unsafe { syscall(SYS_ARCH_PRCTL, ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA) == 0 }
 }
 
 /// Declares kernels whose body is compiled once per [`Isa`].
@@ -138,10 +184,11 @@ macro_rules! per_isa {
                 }
                 // SAFETY (both arms): `isa` is no wider than `Isa::active()`,
                 // which detected on this processor every feature the build
-                // enables; that is all the build requires of its caller, and
-                // its body is safe code, inlined.
+                // enables (the AMX build is a superset of the AVX-512 one);
+                // that is all the build requires of its caller, and its body
+                // is safe code, inlined.
                 match isa {
-                    Isa::Avx512 => return unsafe { avx512($($arg),*) },
+                    Isa::Amx | Isa::Avx512 => return unsafe { avx512($($arg),*) },
                     Isa::Avx2 => return unsafe { avx2($($arg),*) },
                     Isa::Baseline => {}
                 }

@@ -128,7 +128,10 @@ fn eq3_equals_appendix() {
     });
 }
 
-/// GEMM agrees with the naive triple loop on arbitrary shapes.
+/// GEMM agrees with the naive triple loop over bf16-rounded operands on
+/// arbitrary shapes: bit for bit on the FMA builds, and within
+/// `2·k·2⁻²⁴·Σ|terms|` per element on the AMX build, which sums each
+/// 32-term chunk as the matrix unit does.
 #[test]
 fn gemm_matches_naive() {
     for_cases("gemm_matches_naive", |rng| {
@@ -139,7 +142,20 @@ fn gemm_matches_naive() {
         let b = Matrix::randn(k, n, 1.0, rng);
         let fast = gemm::matmul(&a, &b);
         let slow = gemm::matmul_naive(&a, &b);
-        assert!(fast.max_abs_diff(&slow) < 1e-4);
+        let round = gemm::bf16_round;
+        for i in 0..m {
+            for j in 0..n {
+                let terms: f32 = (0..k)
+                    .map(|p| (round(a.get(i, p)) * round(b.get(p, j))).abs())
+                    .sum();
+                let bound = 2.0 * k as f32 * 2f32.powi(-24) * terms;
+                let err = (fast.get(i, j) - slow.get(i, j)).abs();
+                assert!(
+                    err <= bound,
+                    "({i}, {j}) of {m}x{k}x{n}: {err:e} > {bound:e}"
+                );
+            }
+        }
     });
 }
 
