@@ -27,8 +27,8 @@ use megatron_model::BYTES_FP16;
 use megatron_parallel::analysis;
 use megatron_sim::json::Json;
 use megatron_telemetry::{
-    chrome_trace_json, critical_path, parse_chrome_trace, what_if, Attribution, GpuSpec, Phase,
-    SinkConfig, TelemetrySink, TraceDag, WhatIf, Window,
+    chrome_trace_json, critical_path, parse_chrome_trace, rank_faults, what_if, Attribution,
+    GpuSpec, Phase, RankFaults, SinkConfig, TelemetrySink, TraceDag, WhatIf, Window,
 };
 use megatron_tensor::gpt::GptModel;
 
@@ -71,12 +71,32 @@ fn bytes_where(dag: &TraceDag, rank: usize, pred: impl Fn(&str) -> bool) -> f64 
         .sum()
 }
 
+/// Minor page faults on each rank's thread per steady-state iteration (all
+/// but a launch's first), from the ranks' telemetry counters.
+fn faults_report(faults: &[RankFaults]) -> String {
+    let mut table = Table::new(["rank", "iterations", "minor faults", "per iteration"]);
+    for f in faults {
+        table.row([
+            f.rank.to_string(),
+            f.iterations.to_string(),
+            f.faults.to_string(),
+            format!("{:.1}", f.per_iteration()),
+        ]);
+    }
+    format!(
+        "minor page faults per steady-state iteration, by rank (every iteration\n\
+         after a launch's first):\n{}\n",
+        table.render()
+    )
+}
+
 /// `repro analyze` (flagged form) usage string. Bare `repro analyze`
 /// runs the E36 attribution experiment.
 pub const USAGE: &str = "repro analyze --merge-traces DIR [--out PATH]
   merge a process-mode run's per-rank rank-R.trace.json files (written by
   `repro launch --trace`) into one Chrome trace; default output is
-  DIR/merged.trace.json";
+  DIR/merged.trace.json, and print each rank's page faults per iteration
+  from its rank-R.metrics.json";
 
 /// CLI entry: `repro analyze --merge-traces DIR [--out PATH]`.
 pub fn run(args: &[String]) -> Result<String, String> {
@@ -102,22 +122,30 @@ pub fn run(args: &[String]) -> Result<String, String> {
     }
     let dir = dir.ok_or_else(|| format!("--merge-traces is required\n{USAGE}"))?;
 
-    // Collect rank-R.trace.json in flat-rank order; ranks without a trace
-    // (e.g. killed mid-run) are simply absent from the merge.
+    // Collect rank-R.trace.json in flat-rank order, and each rank's fault
+    // counters from rank-R.metrics.json; ranks without them (e.g. killed
+    // mid-run) are simply absent.
     let mut parts: Vec<(usize, String)> = Vec::new();
+    let mut faults: Vec<RankFaults> = Vec::new();
     let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| e.to_string())?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(rank) = name
-            .strip_prefix("rank-")
-            .and_then(|s| s.strip_suffix(".trace.json"))
+        let text = || std::fs::read_to_string(entry.path()).map_err(|e| format!("{name}: {e}"));
+        let Some(rest) = name.strip_prefix("rank-") else {
+            continue;
+        };
+        if let Some(rank) = rest
+            .strip_suffix(".trace.json")
             .and_then(|s| s.parse::<usize>().ok())
         {
-            let text = std::fs::read_to_string(entry.path()).map_err(|e| format!("{name}: {e}"))?;
-            parts.push((rank, text));
+            parts.push((rank, text()?));
+        } else if rest.ends_with(".metrics.json") {
+            let snapshot = Json::parse(&text()?).map_err(|e| format!("{name}: {e:?}"))?;
+            faults.extend(rank_faults(&snapshot));
         }
     }
+    faults.sort_by_key(|f| f.rank);
     if parts.is_empty() {
         return Err(format!(
             "no rank-R.trace.json files in {} (run `repro launch --trace`?)",
@@ -129,11 +157,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let out = out.unwrap_or_else(|| dir.join("merged.trace.json"));
     std::fs::write(&out, &merged).map_err(|e| format!("{}: {e}", out.display()))?;
     Ok(format!(
-        "merged {} rank traces (ranks {:?}) into {} ({} bytes)",
+        "merged {} rank traces (ranks {:?}) into {} ({} bytes)\n{}",
         parts.len(),
         parts.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
         out.display(),
-        merged.len()
+        merged.len(),
+        faults_report(&faults)
     ))
 }
 
@@ -411,8 +440,11 @@ pub fn analyze() -> String {
         "ring buffers overflowed ({dropped} spans dropped) — attribution would be built on a truncated trace"
     );
     out_s.push_str(&format!(
-        "spans dropped across {} rank ring buffers: {dropped:.0} (attribution is exact)\n\n",
-        spec.world()
+        "spans dropped across {} rank ring buffers: {dropped:.0} (attribution is exact)\n\n{}\
+         (this run checkpoints every 2 iterations; a save copies the state into\n\
+         fresh memory)\n\n",
+        spec.world(),
+        faults_report(&rank_faults(&snap))
     ));
 
     // --- Export traces, the metrics JSONL + the BENCH record ---

@@ -93,7 +93,8 @@ pub(super) fn clear_stale_rendezvous(dir: &Path) -> std::io::Result<()> {
                     || name.ends_with(".pid")
                     || name.ends_with(".sock")
                     || name.ends_with(report::FILE_SUFFIX)
-                    || name.ends_with(".trace.json")));
+                    || name.ends_with(".trace.json")
+                    || name.ends_with(".metrics.json")));
         if !is_rendezvous {
             continue;
         }

@@ -53,7 +53,8 @@ pub struct JobSpec {
     pub wire: WireKind,
     /// Arm the reliable retry layer on every group.
     pub retry: bool,
-    /// Write a per-rank Chrome trace (`rank-R.trace.json`).
+    /// Write a per-rank Chrome trace (`rank-R.trace.json`) and metrics
+    /// snapshot (`rank-R.metrics.json`).
     pub trace: bool,
     /// Heartbeat beacon period.
     pub hb_period: Duration,

@@ -196,8 +196,8 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
         })
     });
 
-    // Telemetry: per-process sink; the trace file is merged by the
-    // launcher side (`repro analyze --merge-traces`).
+    // Telemetry: per-process sink; the trace and metrics files are read
+    // by the launcher side (`repro analyze --merge-traces`).
     let sink = job.trace.then(|| {
         megatron_telemetry::TelemetrySink::new(megatron_telemetry::SinkConfig {
             world,
@@ -292,6 +292,11 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
             dir,
             &format!("rank-{rank}.trace.json"),
             &megatron_telemetry::chrome_trace_json(&sink.hub, stages),
+        );
+        publish(
+            dir,
+            &format!("rank-{rank}.metrics.json"),
+            &sink.metrics.snapshot().to_string(),
         );
     }
     Ok(report.exit_ok)

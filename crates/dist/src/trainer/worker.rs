@@ -20,7 +20,9 @@ use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
 use megatron_tensor::{Adam, AdamState, Matrix};
 
-use megatron_telemetry::{OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
+use megatron_telemetry::{
+    thread_minor_faults, OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink,
+};
 
 use crate::checkpoint::CheckpointError;
 use crate::comm::{
@@ -367,6 +369,7 @@ impl Rank<'_> {
 
         for (iter, (tokens, targets)) in data.iter().enumerate().skip(first) {
             let iter_start = Instant::now();
+            let faults_at_start = ctl.telemetry.as_ref().and_then(|_| thread_minor_faults());
             if let Some(tracer) = &self.tracer {
                 tracer.set_iteration(iter, ctl.epoch);
             }
@@ -412,6 +415,13 @@ impl Rank<'_> {
                 let count = |name, ns| sink.metrics.counter(name).add(ns);
                 count(TelemetrySink::BUBBLE_NS, flush.bubble_ns);
                 count(TelemetrySink::STEP_NS, (seconds * 1e9).round() as u64);
+                // The launch's first iteration touches every buffer for the
+                // first time; the ones after it should take no fresh pages.
+                if iter > first {
+                    if let (Some(a), Some(b)) = (faults_at_start, thread_minor_faults()) {
+                        sink.record_rank_faults(flat_rank, b - a);
+                    }
+                }
                 if owns_loss && di == 0 {
                     sink.record_iteration(ctl.epoch, iter, seconds);
                 }

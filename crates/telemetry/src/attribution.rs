@@ -8,10 +8,10 @@
 //! categories sum to the measured iteration time with zero residue (the
 //! analyzer invariant the proptests pin down).
 //!
-//! [`WhatIf`] turns the same breakdown into the three bounds ROADMAP item
-//! 4 (comm overlap) needs before any overlap work exists: the iteration
-//! time with communication free, with communication perfectly overlapped,
-//! and with no stragglers.
+//! [`WhatIf`] turns the same breakdown into the three bounds that
+//! communication overlap (under "Parked" in ROADMAP.md) needs before any
+//! overlap work exists: the iteration time with communication free, with
+//! communication perfectly overlapped, and with no stragglers.
 
 use crate::critical_path::{CriticalPath, PathCat, Window};
 use crate::dag::{Phase, TraceDag};

@@ -8,7 +8,9 @@
 //!   forward/backward microbatch, collective (with byte volume), optimizer
 //!   step, checkpoint save, and pipeline-wait bubble;
 //! * **metrics** ([`MetricsRegistry`]): atomic counters / gauges /
-//!   log-bucket histograms with deterministic JSON snapshots;
+//!   log-bucket histograms with deterministic JSON snapshots — among them
+//!   each rank's minor page faults per steady-state iteration
+//!   ([`thread_minor_faults`], [`rank_faults`]);
 //! * **exporters** ([`chrome_trace_json`], [`TelemetrySink::metrics_jsonl`]):
 //!   Chrome/Perfetto trace JSON sharing `megatron-sim`'s event format so a
 //!   real run and its simulated twin open side by side, plus per-iteration
@@ -21,6 +23,7 @@ mod attribution;
 mod critical_path;
 mod dag;
 mod export;
+mod faults;
 mod metrics;
 mod span;
 
@@ -31,6 +34,7 @@ pub use dag::{
     Node, Phase, TraceDag,
 };
 pub use export::{chrome_trace_json, merge_chrome_traces, rank_pid};
+pub use faults::{rank_faults, thread_minor_faults, RankFaults};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 
@@ -81,6 +85,14 @@ impl TelemetrySink {
     pub const BUBBLE_NS: &'static str = "bubble_ns_total";
     /// Counter name: cumulative per-rank step nanoseconds across ranks.
     pub const STEP_NS: &'static str = "step_ns_total";
+    /// Counter name prefix: minor page faults on a rank's thread over its
+    /// steady-state iterations — every iteration of a launch but the first,
+    /// which touches the rank's buffers for the first time. Flat rank `r`'s
+    /// counter is `minor_faults.rank{r}` ([`rank_faults`] reads them back).
+    pub const MINOR_FAULTS: &'static str = "minor_faults";
+    /// Counter name prefix: the steady-state iterations behind
+    /// [`TelemetrySink::MINOR_FAULTS`] (`steady_iterations.rank{r}`).
+    pub const STEADY_ITERATIONS: &'static str = "steady_iterations";
 
     /// A fresh sink.
     pub fn new(cfg: SinkConfig) -> Arc<TelemetrySink> {
@@ -105,6 +117,14 @@ impl TelemetrySink {
             return 0.0;
         }
         self.metrics.counter(Self::BUBBLE_NS).get() as f64 / step as f64
+    }
+
+    /// Add one steady-state iteration of flat rank `rank`, which took
+    /// `faults` minor page faults on the rank's thread.
+    pub fn record_rank_faults(&self, rank: usize, faults: u64) {
+        let counter = |prefix: &str| self.metrics.counter(&format!("{prefix}.rank{rank}"));
+        counter(Self::MINOR_FAULTS).add(faults);
+        counter(Self::STEADY_ITERATIONS).inc();
     }
 
     /// Called once per iteration by the loss-owning rank: updates the

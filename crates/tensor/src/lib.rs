@@ -22,6 +22,10 @@
 //! Large products are shared with a process-wide set of parked helper
 //! threads (`pool`): the caller always takes blocks itself and never waits
 //! for one a helper has not already claimed; no thread is spawned per call.
+//! The first dispatch also sets up the process (`Isa::active`): besides the
+//! matrix unit's tile grant it tells glibc to keep freed memory in the
+//! heap, so a steady-state training step reuses the pages the previous step
+//! freed instead of faulting fresh ones in.
 //!
 //! [`elementwise`] is the other half of a step, built the same way: GeLU,
 //! the Adam update, the causal softmax row, bias and residual adds and the

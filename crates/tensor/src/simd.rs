@@ -42,10 +42,13 @@ impl Isa {
     pub const ALL: [Isa; 4] = [Isa::Baseline, Isa::Avx2, Isa::Avx512, Isa::Amx];
 
     /// The widest instruction set this processor runs: the one the
-    /// dispatched kernels use. Detected once.
+    /// dispatched kernels use. Detected once, and the engine's process
+    /// setup with it: the allocator policy (`keep_heap`) and, on a host
+    /// with a matrix unit, the tile grant.
     pub fn active() -> Isa {
         static ACTIVE: OnceLock<Isa> = OnceLock::new();
         *ACTIVE.get_or_init(|| {
+            keep_heap();
             #[cfg(target_arch = "x86_64")]
             {
                 use std::arch::is_x86_feature_detected as has;
@@ -82,6 +85,37 @@ impl Isa {
         }
     }
 }
+
+/// Tells glibc's allocator to keep what the process frees: never give the
+/// top of the heap back to the operating system, and never serve a large
+/// block from an `mmap` of its own, which `free` would unmap. A training
+/// step frees its activations and gradients and the next one allocates the
+/// same sizes again; with the default policy the kernel hands those pages
+/// back zeroed on first touch, one minor fault per page, thousands per
+/// step. Kept, the freed blocks serve any later allocation, so a
+/// steady-state step touches only pages the process already has. The cost
+/// is that a process keeps its peak heap for the rest of its life: memory
+/// freed mid-run (after a checkpoint save, say) is reused by the process,
+/// not returned.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn keep_heap() {
+    use std::ffi::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    const M_TRIM_THRESHOLD: c_int = -1;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    // SAFETY: `mallopt` only sets allocator parameters; it is thread-safe
+    // and touches no memory of the caller.
+    unsafe {
+        mallopt(M_TRIM_THRESHOLD, c_int::MAX);
+        mallopt(M_MMAP_THRESHOLD, c_int::MAX);
+    }
+}
+
+/// Other allocators keep their own policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn keep_heap() {}
 
 /// Whether this processor has the matrix unit's tiles and bf16 products
 /// (CPUID leaf 7: EDX bits 24 and 22), the operating system saves tile

@@ -1,7 +1,8 @@
 //! Golden-file style checks on the telemetry exporters: a real `(2,2,2)`
 //! run must produce a valid Chrome trace with every expected span category
-//! on every rank, per-iteration JSONL metric snapshots, and comm-volume
-//! counters that match the paper's §3 formulas exactly.
+//! on every rank, per-iteration JSONL metric snapshots, per-rank fault
+//! counters, and comm-volume counters that match the paper's §3 formulas
+//! exactly.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use megatron_model::{GptConfig, BYTES_FP16};
 use megatron_parallel::analysis;
 use megatron_sim::json::Json;
 use megatron_telemetry::{
-    chrome_trace_json, rank_pid, GpuSpec, SinkConfig, SpanKind, TelemetrySink,
+    chrome_trace_json, rank_faults, rank_pid, GpuSpec, SinkConfig, SpanKind, TelemetrySink,
 };
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
@@ -159,6 +160,21 @@ fn jsonl_snapshots_report_throughput_and_bubble() {
     // The aggregate comm counters landed in the registry after the run.
     assert!(sink.metrics.counter("comm_bytes_total").get() > 0);
     assert!(sink.metrics.counter("comm_bytes.rank.p0d0t0").get() > 0);
+}
+
+#[test]
+fn every_rank_counts_faults_over_its_steady_state_iterations() {
+    let iters = 3;
+    let (sink, _log, spec) = run_222(iters, 8, None);
+    let faults = rank_faults(&sink.metrics.snapshot());
+    // One row per rank; the first iteration is warm-up and not counted.
+    // The counts themselves are the allocator's business, not asserted.
+    let ranks: Vec<usize> = faults.iter().map(|f| f.rank).collect();
+    assert_eq!(ranks, (0..spec.world()).collect::<Vec<_>>());
+    assert!(
+        faults.iter().all(|f| f.iterations == iters as u64 - 1),
+        "{faults:?}"
+    );
 }
 
 #[test]
