@@ -27,8 +27,8 @@ use megatron_model::BYTES_FP16;
 use megatron_parallel::analysis;
 use megatron_sim::json::Json;
 use megatron_telemetry::{
-    chrome_trace_json, critical_path, parse_chrome_trace, rank_faults, what_if, Attribution,
-    GpuSpec, Phase, RankFaults, SinkConfig, TelemetrySink, TraceDag, WhatIf, Window,
+    chrome_trace_json, critical_path, parse_chrome_trace, rank_usage, what_if, Attribution,
+    GpuSpec, Phase, RankUsage, SinkConfig, TelemetrySink, TraceDag, WhatIf, Window,
 };
 use megatron_tensor::gpt::GptModel;
 
@@ -71,21 +71,29 @@ fn bytes_where(dag: &TraceDag, rank: usize, pred: impl Fn(&str) -> bool) -> f64 
         .sum()
 }
 
-/// Minor page faults on each rank's thread per steady-state iteration (all
-/// but a launch's first), from the ranks' telemetry counters.
-fn faults_report(faults: &[RankFaults]) -> String {
-    let mut table = Table::new(["rank", "iterations", "minor faults", "per iteration"]);
-    for f in faults {
+/// Minor page faults and CPU time on each rank's thread per steady-state
+/// iteration (all but a launch's first), from the ranks' telemetry
+/// counters.
+fn usage_report(usage: &[RankUsage]) -> String {
+    let mut table = Table::new([
+        "rank",
+        "iterations",
+        "minor faults",
+        "faults / iter",
+        "CPU ms / iter",
+    ]);
+    for u in usage {
         table.row([
-            f.rank.to_string(),
-            f.iterations.to_string(),
-            f.faults.to_string(),
-            format!("{:.1}", f.per_iteration()),
+            u.rank.to_string(),
+            u.iterations.to_string(),
+            u.faults.to_string(),
+            format!("{:.1}", u.faults_per_iteration()),
+            format!("{:.2}", u.cpu_ms_per_iteration()),
         ]);
     }
     format!(
-        "minor page faults per steady-state iteration, by rank (every iteration\n\
-         after a launch's first):\n{}\n",
+        "minor page faults and CPU time (user + kernel) per steady-state\n\
+         iteration, by rank (every iteration after a launch's first):\n{}\n",
         table.render()
     )
 }
@@ -95,8 +103,8 @@ fn faults_report(faults: &[RankFaults]) -> String {
 pub const USAGE: &str = "repro analyze --merge-traces DIR [--out PATH]
   merge a process-mode run's per-rank rank-R.trace.json files (written by
   `repro launch --trace`) into one Chrome trace; default output is
-  DIR/merged.trace.json, and print each rank's page faults per iteration
-  from its rank-R.metrics.json";
+  DIR/merged.trace.json, and print each rank's page faults and CPU ms per
+  iteration from its rank-R.metrics.json";
 
 /// CLI entry: `repro analyze --merge-traces DIR [--out PATH]`.
 pub fn run(args: &[String]) -> Result<String, String> {
@@ -123,10 +131,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let dir = dir.ok_or_else(|| format!("--merge-traces is required\n{USAGE}"))?;
 
     // Collect rank-R.trace.json in flat-rank order, and each rank's fault
-    // counters from rank-R.metrics.json; ranks without them (e.g. killed
-    // mid-run) are simply absent.
+    // and CPU counters from rank-R.metrics.json; ranks without them (e.g.
+    // killed mid-run) are simply absent.
     let mut parts: Vec<(usize, String)> = Vec::new();
-    let mut faults: Vec<RankFaults> = Vec::new();
+    let mut usage: Vec<RankUsage> = Vec::new();
     let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| e.to_string())?;
@@ -142,10 +150,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
             parts.push((rank, text()?));
         } else if rest.ends_with(".metrics.json") {
             let snapshot = Json::parse(&text()?).map_err(|e| format!("{name}: {e:?}"))?;
-            faults.extend(rank_faults(&snapshot));
+            usage.extend(rank_usage(&snapshot));
         }
     }
-    faults.sort_by_key(|f| f.rank);
+    usage.sort_by_key(|u| u.rank);
     if parts.is_empty() {
         return Err(format!(
             "no rank-R.trace.json files in {} (run `repro launch --trace`?)",
@@ -162,7 +170,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         parts.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
         out.display(),
         merged.len(),
-        faults_report(&faults)
+        usage_report(&usage)
     ))
 }
 
@@ -444,7 +452,7 @@ pub fn analyze() -> String {
          (this run checkpoints every 2 iterations; a save copies the state into\n\
          fresh memory)\n\n",
         spec.world(),
-        faults_report(&rank_faults(&snap))
+        usage_report(&rank_usage(&snap))
     ));
 
     // --- Export traces, the metrics JSONL + the BENCH record ---

@@ -20,9 +20,7 @@ use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
 use megatron_tensor::{Adam, AdamState, Matrix};
 
-use megatron_telemetry::{
-    thread_minor_faults, OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink,
-};
+use megatron_telemetry::{thread_usage, OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
 
 use crate::checkpoint::CheckpointError;
 use crate::comm::{
@@ -369,7 +367,7 @@ impl Rank<'_> {
 
         for (iter, (tokens, targets)) in data.iter().enumerate().skip(first) {
             let iter_start = Instant::now();
-            let faults_at_start = ctl.telemetry.as_ref().and_then(|_| thread_minor_faults());
+            let usage_at_start = ctl.telemetry.as_ref().and_then(|_| thread_usage());
             if let Some(tracer) = &self.tracer {
                 tracer.set_iteration(iter, ctl.epoch);
             }
@@ -418,8 +416,8 @@ impl Rank<'_> {
                 // The launch's first iteration touches every buffer for the
                 // first time; the ones after it should take no fresh pages.
                 if iter > first {
-                    if let (Some(a), Some(b)) = (faults_at_start, thread_minor_faults()) {
-                        sink.record_rank_faults(flat_rank, b - a);
+                    if let (Some(a), Some(b)) = (usage_at_start, thread_usage()) {
+                        sink.record_rank_usage(flat_rank, b.since(a));
                     }
                 }
                 if owns_loss && di == 0 {

@@ -9,8 +9,8 @@
 //!   step, checkpoint save, and pipeline-wait bubble;
 //! * **metrics** ([`MetricsRegistry`]): atomic counters / gauges /
 //!   log-bucket histograms with deterministic JSON snapshots — among them
-//!   each rank's minor page faults per steady-state iteration
-//!   ([`thread_minor_faults`], [`rank_faults`]);
+//!   each rank's minor page faults and CPU time per steady-state iteration
+//!   ([`thread_usage`], [`rank_usage`]);
 //! * **exporters** ([`chrome_trace_json`], [`TelemetrySink::metrics_jsonl`]):
 //!   Chrome/Perfetto trace JSON sharing `megatron-sim`'s event format so a
 //!   real run and its simulated twin open side by side, plus per-iteration
@@ -23,9 +23,9 @@ mod attribution;
 mod critical_path;
 mod dag;
 mod export;
-mod faults;
 mod metrics;
 mod span;
+mod usage;
 
 pub use attribution::{what_if, Attribution, WhatIf};
 pub use critical_path::{critical_path, CriticalPath, PathCat, PathSegment, Window};
@@ -34,9 +34,9 @@ pub use dag::{
     Node, Phase, TraceDag,
 };
 pub use export::{chrome_trace_json, merge_chrome_traces, rank_pid};
-pub use faults::{rank_faults, thread_minor_faults, RankFaults};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
+pub use usage::{rank_usage, thread_usage, RankUsage, ThreadUsage};
 
 // Re-exported so dependents can build a `SinkConfig` without naming
 // `megatron-cluster` directly.
@@ -88,10 +88,14 @@ impl TelemetrySink {
     /// Counter name prefix: minor page faults on a rank's thread over its
     /// steady-state iterations — every iteration of a launch but the first,
     /// which touches the rank's buffers for the first time. Flat rank `r`'s
-    /// counter is `minor_faults.rank{r}` ([`rank_faults`] reads them back).
+    /// counter is `minor_faults.rank{r}` ([`rank_usage`] reads them back).
     pub const MINOR_FAULTS: &'static str = "minor_faults";
+    /// Counter name prefix: CPU microseconds (user + kernel) of a rank's
+    /// thread over the same iterations (`cpu_us.rank{r}`).
+    pub const CPU_US: &'static str = "cpu_us";
     /// Counter name prefix: the steady-state iterations behind
-    /// [`TelemetrySink::MINOR_FAULTS`] (`steady_iterations.rank{r}`).
+    /// [`TelemetrySink::MINOR_FAULTS`] and [`TelemetrySink::CPU_US`]
+    /// (`steady_iterations.rank{r}`).
     pub const STEADY_ITERATIONS: &'static str = "steady_iterations";
 
     /// A fresh sink.
@@ -120,10 +124,11 @@ impl TelemetrySink {
     }
 
     /// Add one steady-state iteration of flat rank `rank`, which took
-    /// `faults` minor page faults on the rank's thread.
-    pub fn record_rank_faults(&self, rank: usize, faults: u64) {
+    /// `used` faults and CPU time on the rank's thread.
+    pub fn record_rank_usage(&self, rank: usize, used: ThreadUsage) {
         let counter = |prefix: &str| self.metrics.counter(&format!("{prefix}.rank{rank}"));
-        counter(Self::MINOR_FAULTS).add(faults);
+        counter(Self::MINOR_FAULTS).add(used.minor_faults);
+        counter(Self::CPU_US).add(used.cpu_us);
         counter(Self::STEADY_ITERATIONS).inc();
     }
 

@@ -229,6 +229,12 @@ impl Matrix {
         View::new(self.as_slice(), self.rows(), self.cols(), self.cols(), 1)
     }
 
+    /// The whole matrix as a writable view.
+    pub fn view_mut(&mut self) -> ViewMut<'_> {
+        let (rows, cols) = (self.rows(), self.cols());
+        ViewMut::new(self.as_mut_slice(), rows, cols, cols)
+    }
+
     /// The `rows × cols` block whose top-left element is `(r0, c0)`.
     pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> View<'_> {
         assert!(r0 + rows <= self.rows() && c0 + cols <= self.cols());

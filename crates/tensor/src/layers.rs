@@ -65,8 +65,17 @@ impl Linear {
     }
 
     /// Backward: accumulates `gw`/`gb`, returns `dx`.
+    ///
+    /// `gw` is the weight-gradient product's `C`: `xᵀ·dy` is summed onto it
+    /// where it lies (`gemm::matmul_into`), with no product matrix of its
+    /// own and no second pass adding one in. Into a `gw` of `+0.0` that is
+    /// exactly the product alone — the bits of `gw += xᵀ·dy` on a fresh,
+    /// zeroed `C`. Over several calls between zeroings (one per
+    /// microbatch) each call's terms continue the running sums, so `gw` is
+    /// one summation per element across the microbatches, not a sum of
+    /// per-microbatch products.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
-        self.gw.add_assign(&gemm::matmul_tn(x, dy));
+        gemm::matmul_into(x.view().t(), dy.view(), self.gw.view_mut());
         if self.b.is_some() {
             for r in 0..dy.rows() {
                 for (g, d) in self.gb.iter_mut().zip(dy.row(r)) {
@@ -145,47 +154,32 @@ impl LayerNorm {
         assert_eq!(h, self.gamma.len());
         let mut y = Matrix::zeros(x.rows(), h);
         let mut xhat = Matrix::zeros(x.rows(), h);
-        let mut inv_std = Vec::with_capacity(x.rows());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / h as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            inv_std.push(istd);
-            let params = self.gamma.iter().zip(&self.beta);
-            let outs = xhat.row_mut(r).iter_mut().zip(y.row_mut(r));
-            for (((xh, y), &rv), (&g, &b)) in outs.zip(row).zip(params) {
-                *xh = (rv - mean) * istd;
-                *y = *xh * g + b;
-            }
-        }
+        let mut inv_std = vec![0.0; x.rows()];
+        elementwise::layer_norm(
+            x.as_slice(),
+            (&self.gamma, &self.beta, self.eps),
+            xhat.as_mut_slice(),
+            y.as_mut_slice(),
+            &mut inv_std,
+        );
         (y, LayerNormCache { xhat, inv_std })
     }
 
     /// Backward; accumulates `ggamma`/`gbeta` and returns `dx`.
     pub fn backward(&mut self, cache: &LayerNormCache, dy: &Matrix) -> Matrix {
-        let h = dy.cols() as f32;
+        assert_eq!(
+            (dy.rows(), dy.cols()),
+            (cache.xhat.rows(), cache.xhat.cols())
+        );
         let mut dx = Matrix::zeros(dy.rows(), dy.cols());
-        for r in 0..dy.rows() {
-            let istd = cache.inv_std[r];
-            let xhat = cache.xhat.row(r);
-            let dyr = dy.row(r);
-            let mut sum_dyg = 0.0f32;
-            let mut sum_dyg_xhat = 0.0f32;
-            let grads = self.ggamma.iter_mut().zip(&mut self.gbeta);
-            for (((&d, &xh), &g), (gg, gb)) in dyr.iter().zip(xhat).zip(&self.gamma).zip(grads) {
-                let dyg = d * g;
-                sum_dyg += dyg;
-                sum_dyg_xhat += dyg * xh;
-                *gg += d * xh;
-                *gb += d;
-            }
-            let ins = dyr.iter().zip(xhat).zip(&self.gamma);
-            for (dx, ((&d, &xh), &g)) in dx.row_mut(r).iter_mut().zip(ins) {
-                let dyg = d * g;
-                *dx = istd * (dyg - sum_dyg / h - xh * sum_dyg_xhat / h);
-            }
-        }
+        elementwise::layer_norm_backward(
+            dy.as_slice(),
+            cache.xhat.as_slice(),
+            &cache.inv_std,
+            &self.gamma,
+            (&mut self.ggamma, &mut self.gbeta),
+            dx.as_mut_slice(),
+        );
         dx
     }
 
@@ -493,6 +487,68 @@ mod tests {
         let mut lin2 = lin.clone();
         let dx = lin2.backward(&x0, &dy);
         numeric_vs_analytic(&loss, x0.as_slice(), dx.as_slice(), 2e-2);
+    }
+
+    /// Summing `xᵀ·dy` into a zeroed `gw` where it lies gives the bits of
+    /// `gw += matmul_tn(x, dy)` — a product into a fresh `C`, then a second
+    /// pass — on every build: shapes of `gw` that 16 does and does not
+    /// divide (the matrix unit sums those in a staged copy of `C`), depths
+    /// past one 32-term chunk, one token, and a product big enough to be
+    /// cut across threads. `Linear::backward` is the active build's.
+    #[test]
+    fn weight_gradient_in_place_equals_a_fresh_product_added_on() {
+        let mut r = rng();
+        let shapes = [
+            (1, 32, 32),
+            (1, 7, 12),
+            (48, 17, 40),
+            (40, 32, 48),
+            (70, 64, 16),
+            (256, 256, 640),
+        ];
+        for (k, m, n) in shapes {
+            let (x, dy) = (
+                Matrix::randn(k, m, 1.0, &mut r),
+                Matrix::randn(k, n, 1.0, &mut r),
+            );
+            let bits = |a: &Matrix| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for isa in crate::simd::builds_exercised() {
+                let mut fresh = Matrix::zeros(m, n);
+                gemm::matmul_into_with(isa, x.view().t(), dy.view(), fresh.view_mut());
+                let mut want = Matrix::zeros(m, n);
+                want.add_assign(&fresh);
+                let mut gw = Matrix::zeros(m, n);
+                gemm::matmul_into_with(isa, x.view().t(), dy.view(), gw.view_mut());
+                assert_eq!(bits(&gw), bits(&want), "{k}x{m}ᵀ·{k}x{n} on {}", isa.name());
+                if isa == crate::Isa::active() {
+                    let mut lin = Linear::new(m, n, false, &mut r);
+                    lin.backward(&x, &dy);
+                    assert_eq!(bits(&lin.gw), bits(&want), "{k}x{m}ᵀ·{k}x{n}: Linear");
+                }
+            }
+        }
+    }
+
+    /// Two microbatches' backward passes sum into `gw` as one product over
+    /// both microbatches' tokens, when the first ends on a 32-term chunk
+    /// (every build's sums agree with one product there).
+    #[test]
+    fn microbatches_continue_the_weight_gradient_sums() {
+        let mut r = rng();
+        let (x1, dy1) = (
+            Matrix::randn(32, 12, 1.0, &mut r),
+            Matrix::randn(32, 20, 1.0, &mut r),
+        );
+        let (x2, dy2) = (
+            Matrix::randn(9, 12, 1.0, &mut r),
+            Matrix::randn(9, 20, 1.0, &mut r),
+        );
+        let mut lin = Linear::new(12, 20, true, &mut r);
+        lin.backward(&x1, &dy1);
+        lin.backward(&x2, &dy2);
+        let x = Matrix::concat_rows(&[x1, x2]);
+        let dy = Matrix::concat_rows(&[dy1, dy2]);
+        assert_eq!(lin.gw, gemm::matmul_tn(&x, &dy));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `cargo test --release --test no_fresh_pages -- --nocapture` prints the
 //! faults of every step.
 
-use megatron_repro::telemetry::thread_minor_faults;
+use megatron_repro::telemetry::thread_usage;
 use megatron_repro::tensor::gpt::{GptModel, TinyGptConfig};
 use megatron_repro::tensor::Adam;
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ const MEASURED: usize = 3;
 
 #[test]
 fn steady_state_steps_fault_in_no_fresh_pages() {
-    let Some(_) = thread_minor_faults() else {
+    let Some(_) = thread_usage() else {
         eprintln!("no per-thread fault counter on this platform: nothing to check");
         return;
     };
@@ -44,12 +44,12 @@ fn steady_state_steps_fault_in_no_fresh_pages() {
 
     let faults: Vec<u64> = (0..WARM_UP + MEASURED)
         .map(|_| {
-            let before = thread_minor_faults().unwrap();
+            let before = thread_usage().unwrap();
             model.zero_grads();
             let loss = model.loss_and_grad(&tokens, &targets, BATCH);
             adam.step(&mut model.param_grad_pairs());
             assert!(loss.is_finite());
-            thread_minor_faults().unwrap() - before
+            thread_usage().unwrap().since(before).minor_faults
         })
         .collect();
     println!("minor faults per step (first {WARM_UP} warm up): {faults:?}");

@@ -12,7 +12,7 @@ use megatron_model::{GptConfig, BYTES_FP16};
 use megatron_parallel::analysis;
 use megatron_sim::json::Json;
 use megatron_telemetry::{
-    chrome_trace_json, rank_faults, rank_pid, GpuSpec, SinkConfig, SpanKind, TelemetrySink,
+    chrome_trace_json, rank_pid, rank_usage, GpuSpec, SinkConfig, SpanKind, TelemetrySink,
 };
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
@@ -166,14 +166,17 @@ fn jsonl_snapshots_report_throughput_and_bubble() {
 fn every_rank_counts_faults_over_its_steady_state_iterations() {
     let iters = 3;
     let (sink, _log, spec) = run_222(iters, 8, None);
-    let faults = rank_faults(&sink.metrics.snapshot());
+    let usage = rank_usage(&sink.metrics.snapshot());
     // One row per rank; the first iteration is warm-up and not counted.
-    // The counts themselves are the allocator's business, not asserted.
-    let ranks: Vec<usize> = faults.iter().map(|f| f.rank).collect();
+    // The fault counts are the allocator's business, not asserted; every
+    // rank computes, so every rank's thread used CPU time.
+    let ranks: Vec<usize> = usage.iter().map(|u| u.rank).collect();
     assert_eq!(ranks, (0..spec.world()).collect::<Vec<_>>());
     assert!(
-        faults.iter().all(|f| f.iterations == iters as u64 - 1),
-        "{faults:?}"
+        usage
+            .iter()
+            .all(|u| u.iterations == iters as u64 - 1 && u.cpu_us > 0),
+        "{usage:?}"
     );
 }
 
