@@ -435,6 +435,8 @@ impl<'s, T: PollTransport> ReliableTransport<'s, T> {
         edge.next_expected += 1;
         drop(edge);
         self.stats.retransmits += 1;
+        #[cfg(test)]
+        tests::note(tests::Seen::Recovered(from, expected));
         Some(data)
     }
 }
@@ -513,16 +515,39 @@ impl<T: PollTransport> Transport for ReliableTransport<'_, T> {
 mod tests {
     use super::*;
     use crate::{execute, reference_run, ring_all_reduce, ReduceOp};
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
     use std::sync::mpsc;
     use std::time::Instant;
 
+    /// A frame a rank's thread got, as `(source, sequence number)`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Seen {
+        /// Taken off the wire.
+        Read(usize, u64),
+        /// Recovered from the store.
+        Recovered(usize, u64),
+    }
+
+    thread_local! {
+        /// The frames this thread got, in the order it got them.
+        static SEEN: RefCell<Vec<Seen>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note(seen: Seen) {
+        SEEN.with_borrow_mut(|log| log.push(seen));
+    }
+
     /// Minimal pollable transport: one mpsc channel per directed edge,
     /// with an overall hard deadline standing in for `dist::comm`'s group
-    /// timeout.
+    /// timeout. It logs every frame it puts on the wire, and notes every
+    /// frame its owner takes off it ([`Seen::Read`]).
     struct ChanTransport {
         txs: Vec<Option<mpsc::Sender<Vec<f32>>>>,
         rxs: Vec<Option<mpsc::Receiver<Vec<f32>>>>,
         deadline: Instant,
+        /// `(destination, sequence number)` of each frame sent.
+        sent: Vec<(usize, u64)>,
     }
 
     #[derive(Debug, PartialEq, Eq)]
@@ -537,7 +562,9 @@ mod tests {
             // A send to a peer that already finished its program lands in
             // the void — like the real mailbox (owned by the group, not
             // the peer thread), the sender must never block or fail on it.
-            let _ = self.txs[to].as_ref().unwrap().send(parts.concat());
+            let frame = parts.concat();
+            self.sent.push((to, decode_frame(&frame).0));
+            let _ = self.txs[to].as_ref().unwrap().send(frame);
             Ok(())
         }
 
@@ -562,7 +589,10 @@ mod tests {
             }
             let wait = wait.min(self.deadline - now);
             match self.rxs[from].as_ref().unwrap().recv_timeout(wait) {
-                Ok(data) => Ok(Some(data)),
+                Ok(data) => {
+                    note(Seen::Read(from, decode_frame(&data).0));
+                    Ok(Some(data))
+                }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if Instant::now() >= self.deadline {
                         Err(ChanError::Deadline)
@@ -604,6 +634,7 @@ mod tests {
                 txs: (0..r).map(|dst| cells[dst][j].0.take()).collect(),
                 rxs: (0..r).map(|src| cells[j][src].1.take()).collect(),
                 deadline,
+                sent: Vec::new(),
             })
             .collect()
     }
@@ -619,9 +650,36 @@ mod tests {
         deadline: Duration,
         seed: u64,
     ) -> Vec<Result<(RetryStats, FaultTally), String>> {
+        let (ranks, _) = run_logged(prog, bufs, faults, policy, deadline, seed);
+        let stats = |r: RankLog| (r.stats, r.tally);
+        ranks.into_iter().map(|r| r.map(stats)).collect()
+    }
+
+    /// What one rank of [`run_logged`] did and saw.
+    struct RankLog {
+        stats: RetryStats,
+        tally: FaultTally,
+        /// `(destination, sequence number)` of the frames it put on the
+        /// wire.
+        sent: Vec<(usize, u64)>,
+        /// The frames it got, in order.
+        seen: Vec<Seen>,
+    }
+
+    /// [`run_with_faults`] with each rank's frame logs, and the frames the
+    /// reliable layer stamped on each edge (`[src][dst]`).
+    #[allow(clippy::type_complexity)]
+    fn run_logged(
+        prog: &crate::Program,
+        bufs: &mut [Vec<f32>],
+        faults: TransientFaults,
+        policy: RetryPolicy,
+        deadline: Duration,
+        seed: u64,
+    ) -> (Vec<Result<RankLog, String>>, Vec<Vec<u64>>) {
         let store = RetransmitStore::new(prog.ranks);
         let transports = mesh(prog.ranks, deadline);
-        std::thread::scope(|scope| {
+        let ranks = std::thread::scope(|scope| {
             let store = &store;
             let handles: Vec<_> = transports
                 .into_iter()
@@ -633,13 +691,27 @@ mod tests {
                         let mut rel = ReliableTransport::new(faulty, store, j, policy);
                         let run = execute(prog, j, buf, &mut rel);
                         let (faulty, stats) = rel.into_parts();
-                        let (_, tally) = faulty.into_parts();
-                        run.map(|_| (stats, tally)).map_err(|e| format!("{e:?}"))
+                        let (wire, tally) = faulty.into_parts();
+                        run.map_err(|e| format!("{e:?}"))?;
+                        Ok(RankLog {
+                            stats,
+                            tally,
+                            sent: wire.sent,
+                            seen: SEEN.take(),
+                        })
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
+        });
+        let stamped = (0..prog.ranks)
+            .map(|src| {
+                (0..prog.ranks)
+                    .map(|dst| store.edge(src, dst).lock().unwrap().next_seq)
+                    .collect()
+            })
+            .collect();
+        (ranks, stamped)
     }
 
     fn seeded_bufs(r: usize, n: usize) -> Vec<Vec<f32>> {
@@ -693,6 +765,11 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Every frame the wire dropped is recovered from the store exactly
+    /// once, and any other recovery is of a frame its receiver had not yet
+    /// taken off the wire: a poll may expire after the sender logged a
+    /// frame and before the frame reached the wire, and the receiver then
+    /// rightly recovers it. No frame is recovered twice.
     #[test]
     fn dropped_messages_are_recovered_bit_identically() {
         let prog = ring_all_reduce(4, 101, ReduceOp::Sum);
@@ -707,19 +784,50 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut got = seeded_bufs(4, 101);
-        let results = run_with_faults(&prog, &mut got, faults, policy, Duration::from_secs(10), 42);
-        let mut recovered = 0;
-        let mut dropped = 0;
-        for r in &results {
-            let (stats, tally) = r.as_ref().unwrap();
-            recovered += stats.retransmits;
-            dropped += tally.dropped;
+        let (ranks, stamped) =
+            run_logged(&prog, &mut got, faults, policy, Duration::from_secs(10), 42);
+        let ranks: Vec<RankLog> = ranks.into_iter().map(Result::unwrap).collect();
+
+        // (src, dst, seq) of every frame stamped and never put on the wire.
+        let on_wire: BTreeSet<(usize, usize, u64)> = (ranks.iter().enumerate())
+            .flat_map(|(src, r)| r.sent.iter().map(move |&(dst, seq)| (src, dst, seq)))
+            .collect();
+        let dropped: BTreeSet<(usize, usize, u64)> = (stamped.iter().enumerate())
+            .flat_map(|(src, row)| {
+                let edges = row.iter().enumerate();
+                edges.flat_map(move |(dst, &n)| (0..n).map(move |seq| (src, dst, seq)))
+            })
+            .filter(|frame| !on_wire.contains(frame))
+            .collect();
+        let tallied: u64 = ranks.iter().map(|r| r.tally.dropped).sum();
+        assert!(tallied > 0, "a 30% drop rate must hit at least one send");
+        assert_eq!(dropped.len() as u64, tallied, "dropped frames: {dropped:?}");
+
+        let mut recovered = BTreeSet::new();
+        for (dst, r) in ranks.iter().enumerate() {
+            let mut read = BTreeSet::new();
+            for &seen in &r.seen {
+                let (src, seq) = match seen {
+                    Seen::Read(src, seq) => {
+                        read.insert((src, seq));
+                        continue;
+                    }
+                    Seen::Recovered(src, seq) => (src, seq),
+                };
+                assert!(
+                    recovered.insert((src, dst, seq)),
+                    "frame {seq} of {src} -> {dst} recovered twice"
+                );
+                assert!(
+                    !read.contains(&(src, seq)),
+                    "frame {seq} of {src} -> {dst} recovered after the wire delivered it"
+                );
+            }
         }
-        assert!(dropped > 0, "a 30% drop rate must hit at least one send");
-        assert_eq!(
-            recovered, dropped,
-            "every dropped frame must be recovered exactly once"
-        );
+        let count: u64 = ranks.iter().map(|r| r.stats.retransmits).sum();
+        assert_eq!(count, recovered.len() as u64, "recoveries the stats count");
+        let lost: Vec<_> = dropped.difference(&recovered).collect();
+        assert!(lost.is_empty(), "dropped frames never recovered: {lost:?}");
         assert_eq!(got, want, "recovery must be bit-identical");
     }
 

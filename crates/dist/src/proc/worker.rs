@@ -10,6 +10,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use megatron_collective::{SocketChannel, SocketNode, WireAddr};
+use megatron_tensor::RankGuard;
 
 use crate::comm::{Group, WireKind};
 use crate::trainer::{run_rank, Dir, Endpoints, Lane, RunControl, Wiring};
@@ -62,6 +63,9 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     let spec = job.spec();
     let microbatches = spec.microbatches(job.batch)?;
     let world = spec.world();
+    // This rank's peers are processes on the same host: the job's ranks
+    // share its cores.
+    let _ranks = RankGuard::declare(world);
     let key @ (pi, di, ti) = spec.thread_key(rank);
     let (p, t, d, v) = (spec.pipeline, spec.tensor, spec.data, spec.chunks);
     let stages = p * v;

@@ -56,6 +56,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::channel as unbounded;
 
 use megatron_tensor::gpt::GptModel;
+use megatron_tensor::RankGuard;
 
 use crate::comm::Group;
 
@@ -172,6 +173,8 @@ impl PtdpTrainer {
 
         let generations = GenerationAssembler::new(spec.world());
         let ctl = &ctl;
+        // The ranks share this host's cores for as long as they run.
+        let _ranks = RankGuard::declare(spec.world());
 
         let ranks: Vec<RankOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..spec.world())

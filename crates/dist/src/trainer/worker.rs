@@ -381,7 +381,11 @@ impl Rank<'_> {
                 loss_sum: 0.0,
                 bubble_ns: 0,
             };
-            self.model.visit(&mut |_, g| g.fill(0.0));
+            // Pair by pair as the model visits them: collecting the pairs
+            // into a fresh `Vec` every iteration measured +0.8 MB of peak
+            // memory on eight rank threads (`ptd222_thread`, 10 pairs).
+            self.model
+                .visit(&mut |p, g| megatron_tensor::zero_grads(&mut [(p, g)]));
 
             for (opi, op) in ops.iter().enumerate() {
                 // Fault-injection hook: die halfway through this iteration's

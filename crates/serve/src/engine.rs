@@ -23,6 +23,7 @@ use megatron_telemetry::MetricsRegistry;
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::{Embedding, LayerNorm, Linear};
 use megatron_tensor::Matrix;
+use megatron_tensor::RankGuard;
 
 use crate::traffic::ServeRequest;
 
@@ -184,6 +185,8 @@ pub fn serve(
         .collect();
 
     let group = Group::new(t);
+    // The `t` rank threads share this host's cores while they serve.
+    let _ranks = RankGuard::declare(t);
     let mut outcomes: Vec<ServeOutcome> = thread::scope(|s| {
         let handles: Vec<_> = (0..t)
             .map(|rank| {

@@ -10,7 +10,7 @@
 //! * **metrics** ([`MetricsRegistry`]): atomic counters / gauges /
 //!   log-bucket histograms with deterministic JSON snapshots — among them
 //!   each rank's minor page faults and CPU time per steady-state iteration
-//!   ([`thread_usage`], [`rank_usage`]);
+//!   ([`thread_usage`], [`process_usage`], [`rank_usage`]);
 //! * **exporters** ([`chrome_trace_json`], [`TelemetrySink::metrics_jsonl`]):
 //!   Chrome/Perfetto trace JSON sharing `megatron-sim`'s event format so a
 //!   real run and its simulated twin open side by side, plus per-iteration
@@ -36,7 +36,7 @@ pub use dag::{
 pub use export::{chrome_trace_json, merge_chrome_traces, rank_pid};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
-pub use usage::{rank_usage, thread_usage, RankUsage, ThreadUsage};
+pub use usage::{process_usage, rank_usage, thread_usage, RankUsage, ThreadUsage};
 
 // Re-exported so dependents can build a `SinkConfig` without naming
 // `megatron-cluster` directly.

@@ -11,8 +11,8 @@ use megatron_sim::json::Json;
 
 use crate::TelemetrySink;
 
-/// What the calling thread has used since it started, from one
-/// `getrusage(RUSAGE_THREAD)` call.
+/// What the calling thread (or the process) has used since it started,
+/// from one `getrusage` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadUsage {
     /// Minor page faults (`ru_minflt`).
@@ -33,8 +33,21 @@ impl ThreadUsage {
 
 /// The calling thread's faults and CPU time since it started
 /// (`getrusage(RUSAGE_THREAD)`), or `None` where that is not available.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 pub fn thread_usage() -> Option<ThreadUsage> {
+    getrusage(1)
+}
+
+/// The faults and CPU time of every thread of this process, live or
+/// finished, since it started (`getrusage(RUSAGE_SELF)`), or `None` where
+/// that is not available: what a step costs when helper threads run parts
+/// of it.
+pub fn process_usage() -> Option<ThreadUsage> {
+    getrusage(0)
+}
+
+/// One `getrusage(who)` call.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn getrusage(who: std::ffi::c_int) -> Option<ThreadUsage> {
     use std::ffi::{c_int, c_long};
     /// `struct rusage` on 64-bit Linux: two `timeval`s (`ru_utime`,
     /// `ru_stime`: seconds, then microseconds), then fourteen longs, the
@@ -47,14 +60,13 @@ pub fn thread_usage() -> Option<ThreadUsage> {
     extern "C" {
         fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
     }
-    const RUSAGE_THREAD: c_int = 1;
     let mut usage = Rusage {
         times: [0; 4],
         counts: [0; 14],
     };
     // SAFETY: `usage` is a valid, writable `struct rusage` for the
     // duration of the call.
-    let rc = unsafe { getrusage(RUSAGE_THREAD, &mut usage) };
+    let rc = unsafe { getrusage(who, &mut usage) };
     let [user_s, user_us, sys_s, sys_us] = usage.times.map(|t| t as u64);
     (rc == 0).then_some(ThreadUsage {
         minor_faults: usage.counts[4] as u64,
@@ -62,10 +74,8 @@ pub fn thread_usage() -> Option<ThreadUsage> {
     })
 }
 
-/// The calling thread's faults and CPU time since it started
-/// (`getrusage(RUSAGE_THREAD)`), or `None` where that is not available.
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-pub fn thread_usage() -> Option<ThreadUsage> {
+fn getrusage(_who: std::ffi::c_int) -> Option<ThreadUsage> {
     None
 }
 
@@ -188,6 +198,28 @@ mod tests {
         std::hint::black_box(&pages);
         let used = thread_usage().unwrap().since(before);
         assert!(used.minor_faults > 0, "{before:?} -> {used:?}");
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn the_process_count_sees_another_threads_faults() {
+        let (before, mine) = (
+            process_usage().expect("getrusage works"),
+            thread_usage().unwrap(),
+        );
+        // As above, on a thread of its own.
+        std::thread::spawn(|| {
+            let mut pages = vec![0u8; 64 << 20];
+            for page in pages.chunks_mut(4096) {
+                page[0] = 1;
+            }
+            std::hint::black_box(&pages);
+        })
+        .join()
+        .unwrap();
+        let (process, thread) = (process_usage().unwrap(), thread_usage().unwrap());
+        let faults = process.since(before).minor_faults - thread.since(mine).minor_faults;
+        assert!(faults > 0, "{before:?} -> {process:?}");
     }
 
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]

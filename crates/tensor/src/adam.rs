@@ -2,6 +2,7 @@
 //! here everything is f32).
 
 use crate::elementwise::{adam_update, AdamStep};
+use crate::pool::{self, PIECE};
 
 /// Adam with bias correction.
 #[derive(Debug, Clone)]
@@ -35,8 +36,9 @@ impl Adam {
 
     /// Apply one Adam step over the concatenation of (param, grad) pairs.
     /// The total parameter count must be identical across calls (state is
-    /// positional). Gradients are left untouched; zero them via
-    /// [`Adam::zero_grads`] or the owner's visitor.
+    /// positional). Gradients are left untouched; zero them with
+    /// [`zero_grads`]. Each parameter and its moments are updated in pieces
+    /// on the pool.
     pub fn step(&mut self, pairs: &mut [(&mut [f32], &mut [f32])]) {
         let total: usize = pairs.iter().map(|(p, _)| p.len()).sum();
         if self.m.is_empty() {
@@ -53,20 +55,21 @@ impl Adam {
             bc1: 1.0 - self.beta1.powi(self.t as i32),
             bc2: 1.0 - self.beta2.powi(self.t as i32),
         };
+        let count = pairs.iter().map(|(p, _)| p.len().div_ceil(PIECE)).sum();
         let (mut m, mut v) = (&mut self.m[..], &mut self.v[..]);
-        for (params, grads) in pairs.iter_mut() {
+        let pieces = pairs.iter_mut().flat_map(|(params, grads)| {
             let (m_here, v_here);
-            (m_here, m) = m.split_at_mut(params.len());
-            (v_here, v) = v.split_at_mut(params.len());
-            adam_update(params, grads, m_here, v_here, step);
-        }
-    }
-
-    /// Zero every gradient buffer.
-    pub fn zero_grads(pairs: &mut [(&mut [f32], &mut [f32])]) {
-        for (_, grads) in pairs.iter_mut() {
-            grads.fill(0.0);
-        }
+            (m_here, m) = std::mem::take(&mut m).split_at_mut(params.len());
+            (v_here, v) = std::mem::take(&mut v).split_at_mut(params.len());
+            let moments = m_here.chunks_mut(PIECE).zip(v_here.chunks_mut(PIECE));
+            params
+                .chunks_mut(PIECE)
+                .zip(grads.chunks(PIECE))
+                .zip(moments)
+        });
+        pool::each(total, count, pieces, |((p, g), (m, v))| {
+            adam_update(p, g, m, v, step)
+        });
     }
 
     /// Steps taken so far.
@@ -94,6 +97,15 @@ impl Adam {
         self.m = state.m;
         self.v = state.v;
     }
+}
+
+/// Zero every gradient of `pairs` — the one zeroing pass of a step, in
+/// pieces on the pool.
+pub fn zero_grads(pairs: &mut [(&mut [f32], &mut [f32])]) {
+    let values = pairs.iter().map(|(_, g)| g.len()).sum();
+    let count = pairs.iter().map(|(_, g)| g.len().div_ceil(PIECE)).sum();
+    let pieces = pairs.iter_mut().flat_map(|(_, g)| g.chunks_mut(PIECE));
+    pool::each(values, count, pieces, |g| g.fill(0.0));
 }
 
 /// Serializable Adam state: step count and first/second moment vectors.
@@ -197,6 +209,45 @@ mod tests {
         assert_eq!(adam.export_state(), reference.export_state());
     }
 
+    /// Adam and the zeroing pass cut into pieces on the pool have the bits
+    /// of the same passes on the caller alone: ragged parameters, several
+    /// of them many pieces long.
+    #[test]
+    fn pooled_step_and_zeroing_equal_the_caller_only_run_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let lens = [0usize, 1, 70_001, PIECE, 2 * PIECE + 1, 17, 200_003];
+        let mut values = |n: usize| {
+            (0..n)
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect::<Vec<_>>()
+        };
+        let init: Vec<Vec<f32>> = lens.iter().map(|&n| values(n)).collect();
+        let (mut shared, mut alone) = ((init.clone(), Adam::new(0.01)), (init, Adam::new(0.01)));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for step in 0..3 {
+            let mut grads: Vec<Vec<f32>> = lens.iter().map(|&n| values(n)).collect();
+            let mut grads_again = grads.clone();
+            pool::with_helpers(|| shared.1.step(&mut pairs(&mut shared.0, &mut grads)));
+            pool::on_the_caller(|| alone.1.step(&mut pairs(&mut alone.0, &mut grads_again)));
+            assert_eq!(
+                bits(&shared.0.concat()),
+                bits(&alone.0.concat()),
+                "step {step}"
+            );
+            assert_eq!(
+                shared.1.export_state(),
+                alone.1.export_state(),
+                "step {step}"
+            );
+            pool::with_helpers(|| zero_grads(&mut pairs(&mut shared.0, &mut grads)));
+            assert!(
+                grads.concat().iter().all(|g| g.to_bits() == 0),
+                "step {step}"
+            );
+        }
+    }
+
     #[test]
     fn first_step_size_is_lr() {
         // With bias correction, the first update magnitude ≈ lr·sign(g).
@@ -217,14 +268,5 @@ mod tests {
         let mut b = vec![0.0f32; 3];
         let mut gb = vec![0.0f32; 3];
         adam.step(&mut [(&mut b, &mut gb)]);
-    }
-
-    #[test]
-    fn zero_grads_clears() {
-        let mut p = vec![1.0f32; 3];
-        let mut g = vec![2.0f32; 3];
-        Adam::zero_grads(&mut [(&mut p, &mut g)]);
-        assert_eq!(g, vec![0.0; 3]);
-        assert_eq!(p, vec![1.0; 3]);
     }
 }

@@ -49,7 +49,11 @@ const BLOCK: usize = 2 * TILE;
 /// median `tokens_per_s` ×1.07, `cpu_s_per_ktok` ×1.03. The products timed
 /// alone (best of 200) favoured 2²⁸ in one hour and 2²⁶ in the next: the
 /// guest's matrix unit read 2014 GFLOP/s on one thread and 1790 on two in
-/// the first, 936 and 1830 in the second.
+/// the first, 936 and 1830 in the second. Re-measured once a shared
+/// product's operand packing ran on the pool too: sharing from 2²⁴ (which
+/// adds `serial_wide`'s 25–50 MFLOP attention-projection and LM-head
+/// products) read `iter_ms_p50` ×1.005 and `cpu_s_per_ktok` ×1.013 against
+/// 2²⁶ over 10 alternated pairs, so the threshold stays.
 pub(crate) const PAR_FLOPS: usize = 1 << 26;
 /// `u16`s per tile row: 64 bytes.
 const ROW: usize = 32;
@@ -141,11 +145,11 @@ unsafe impl Sync for Job {}
 ///
 /// # Safety
 /// `Isa::Amx` must be active.
-pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
+pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
     let ((_, m, k, _, _), (_, _, n, _, _)) = (a.parts(), b.parts());
-    let (c_data, _, _, c_rs) = c.into_parts();
     let (mt, nt, chunks) = (m.div_ceil(TILE), n.div_ceil(TILE), k.div_ceil(CHUNK));
     let kp = chunks * CHUNK;
+    let shared = crate::gemm::flops(m, k, n) >= PAR_FLOPS;
     let mut pa = PACKED_A.take();
     let mut pb = PACKED_B.take();
     let mut staged = STAGED_C.take();
@@ -153,19 +157,23 @@ pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         lines(&mut pa, mt * TILE * kp),
         lines(&mut pb, nt * TILE * kp),
     );
-    pack_a(a, kp, a_packed);
-    pack_b(b, kp, b_packed);
+    if shared {
+        pack_shared(a, b, kp, (&mut *a_packed, &mut *b_packed));
+    } else {
+        pack_a(a, kp, a_packed);
+        pack_b(b, kp, b_packed);
+    }
     let in_place = m % TILE == 0 && n % TILE == 0;
     let (cp, cp_rs) = if in_place {
-        (c_data.as_mut_ptr(), c_rs)
+        c.as_mut_ptr()
     } else {
         // Padding rows and columns hold whatever the last product left:
         // an element's sum reads only its own row and column, and these
         // are never copied back.
         let w = nt * TILE;
         staged.resize(mt * TILE * w, 0.0);
-        for (dst, src) in staged.chunks_exact_mut(w).zip(c_data.chunks(c_rs)).take(m) {
-            dst[..n].copy_from_slice(&src[..n]);
+        for (i, dst) in staged.chunks_exact_mut(w).take(m).enumerate() {
+            dst[..n].copy_from_slice(c.row(i));
         }
         (staged.as_mut_ptr(), w)
     };
@@ -179,24 +187,48 @@ pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         c_stride: 4 * cp_rs,
     };
     let blocks = m.div_ceil(BLOCK);
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    let pool = Pool::global();
-    if flops < PAR_FLOPS || blocks < 2 || pool.threads() == 1 {
+    if shared {
+        // SAFETY: each block once, disjoint rows of `C`.
+        Pool::global().run(blocks, &|i| unsafe { blocks_of(&job, i, i + 1) });
+    } else {
         // SAFETY: every block of this product, on this thread.
         unsafe { blocks_of(&job, 0, blocks) };
-    } else {
-        // SAFETY: each block once, disjoint rows of `C`.
-        pool.run(blocks, &|i| unsafe { blocks_of(&job, i, i + 1) });
     }
     if !in_place {
         let w = nt * TILE;
-        for (src, dst) in staged.chunks_exact(w).zip(c_data.chunks_mut(c_rs)).take(m) {
-            dst[..n].copy_from_slice(&src[..n]);
+        for (i, src) in staged.chunks_exact(w).take(m).enumerate() {
+            c.row_mut(i).copy_from_slice(&src[..n]);
         }
     }
     PACKED_A.set(pa);
     PACKED_B.set(pb);
     STAGED_C.set(staged);
+}
+
+/// Packs `a` into `a_dst` and `b` into `b_dst` ([`pack_a`], [`pack_b`]) in
+/// pieces of whole row tiles of `A` and whole panels of `B` on the pool, for
+/// a shared product. A piece packs the sub-view its tiles or panels come
+/// from, into the lines the whole operand's packing puts them in. (A
+/// product that is not shared packs each operand whole: cut into pieces on
+/// one thread, `dp2_fat`'s products took ×1.02–1.03 the CPU.)
+fn pack_shared(a: View<'_>, b: View<'_>, kp: usize, (a_dst, b_dst): (&mut [u16], &mut [u16])) {
+    // Tiles (of `A`) or panels (of `B`) per piece: `16·kp` values each.
+    let group = (crate::pool::PIECE / (TILE * kp)).max(1);
+    let values = a_dst.len() + b_dst.len();
+    let a_pieces = a_dst.chunks_mut(group * TILE * kp).enumerate();
+    let b_pieces = b_dst.chunks_mut(group * TILE * kp).enumerate();
+    let count = a_pieces.len() + b_pieces.len();
+    let pieces = a_pieces
+        .map(|(g, d)| (true, g, d))
+        .chain(b_pieces.map(|(g, d)| (false, g, d)));
+    crate::pool::each(values, count, pieces, |(of_a, g, dst)| {
+        let first = g * group * TILE;
+        if of_a {
+            pack_a(a.rows_from(first, group * TILE), kp, dst);
+        } else {
+            pack_b(b.t().rows_from(first, group * TILE).t(), kp, dst);
+        }
+    });
 }
 
 /// Row blocks `b0..b1` of `job`, under a tile configuration of their own.

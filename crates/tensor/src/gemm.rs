@@ -57,13 +57,19 @@
 //! FMA) is the floor there.
 //!
 //! **Threads.** A product below `PAR_FLOPS` (the AMX build: its own, higher
-//! threshold) runs on the caller. A larger one is cut into row blocks that
-//! the caller and the parked helper threads of `crate::pool` claim one at a
-//! time; no thread is spawned per call.
+//! threshold) runs on the caller. A larger one is shared: its operand
+//! packing (the AMX build: groups of row tiles of `A` and of panels of `B`;
+//! the FMA builds: rows of the rounded copies) and then its row blocks are
+//! pieces that the caller and the parked helper threads of `crate::pool`
+//! claim one at a time, while no [`crate::RankGuard`] says the host's cores
+//! are taken; no thread is spawned per call. A piece writes only its own
+//! part of a buffer the caller holds, and an element's bits depend on
+//! neither, so a shared product has the bits of one on the caller alone.
 
-use crate::pool::Pool;
+use crate::pool::{self, Pool};
 use crate::simd::{per_isa, Isa};
 use crate::Matrix;
+use std::marker::PhantomData;
 
 /// Rows of `C` per register tile.
 const MR: usize = 6;
@@ -174,6 +180,16 @@ impl<'a> View<'a> {
         (self.data, self.rows, self.cols, self.rs, self.cs)
     }
 
+    /// Rows `r0..` of the view, at most `rows` of them; `r0` must be a row.
+    pub(crate) fn rows_from(self, r0: usize, rows: usize) -> Self {
+        assert!(r0 < self.rows, "row {r0} of {}", self.rows);
+        View {
+            data: &self.data[r0 * self.rs..],
+            rows: rows.min(self.rows - r0),
+            ..self
+        }
+    }
+
     /// The transposed view of the same memory.
     pub fn t(self) -> Self {
         View {
@@ -187,20 +203,59 @@ impl<'a> View<'a> {
 }
 
 /// A writable `rows × cols` view with contiguous, non-overlapping rows:
-/// element `(i, j)` is `data[i·row_stride + j]`.
+/// element `(i, j)` is `data[i·row_stride + j]`. It holds its elements as a
+/// pointer, not as a slice, because views of one matrix made together —
+/// attention's head blocks — interleave: each owns only the `cols` floats
+/// of each of its rows, and a slice over its span would overlap the others'.
 #[derive(Debug)]
 pub struct ViewMut<'a> {
-    data: &'a mut [f32],
+    data: *mut f32,
     rows: usize,
     cols: usize,
     rs: usize,
+    _elements: PhantomData<&'a mut [f32]>,
 }
 
+// SAFETY: a view is made from an exclusive borrow and is the only handle to
+// its elements while it lives (views made together cover disjoint
+// elements), so it moves between threads as that borrow would.
+unsafe impl Send for ViewMut<'_> {}
+
 impl<'a> ViewMut<'a> {
-    /// `(data, rows, cols, row stride)`: rows of `cols` floats, `row stride`
-    /// apart, not overlapping, inside `data` (checked by `ViewMut::new`).
-    pub(crate) fn into_parts(self) -> (&'a mut [f32], usize, usize, usize) {
-        (self.data, self.rows, self.cols, self.rs)
+    /// `(first element, row stride)`: rows of `cols` floats, `row stride`
+    /// apart, not overlapping, which only this view writes.
+    pub(crate) fn as_mut_ptr(&mut self) -> (*mut f32, usize) {
+        (self.data, self.rs)
+    }
+
+    /// Row `i`'s `cols` floats.
+    pub(crate) fn row(&self, i: usize) -> &[f32] {
+        assert!(i < self.rows, "row {i} of {}", self.rows);
+        // SAFETY: row `i` of the view, owned by it (`ViewMut::new`).
+        unsafe { std::slice::from_raw_parts(self.data.add(i * self.rs), self.cols) }
+    }
+
+    /// Row `i`'s `cols` floats, writable.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f32] {
+        assert!(i < self.rows, "row {i} of {}", self.rows);
+        // SAFETY: as `row`, borrowed exclusively through `self`.
+        unsafe { std::slice::from_raw_parts_mut(self.data.add(i * self.rs), self.cols) }
+    }
+
+    /// The `rows × cols` block of this view whose top-left element is
+    /// `(r0, c0)`.
+    ///
+    /// # Safety
+    /// The block lies inside the view, and while it lives nothing else
+    /// reads or writes its elements.
+    unsafe fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> ViewMut<'a> {
+        ViewMut {
+            data: self.data.add(r0 * self.rs + c0),
+            rows,
+            cols,
+            rs: self.rs,
+            _elements: PhantomData,
+        }
     }
 
     /// A view over `data`; panics unless every element lies inside it and
@@ -215,10 +270,11 @@ impl<'a> ViewMut<'a> {
             );
         }
         ViewMut {
-            data,
+            data: data.as_mut_ptr(),
             rows,
             cols,
             rs: row_stride,
+            _elements: PhantomData,
         }
     }
 }
@@ -247,6 +303,32 @@ impl Matrix {
         assert!(r0 + rows <= self.rows() && c0 + cols <= self.cols());
         let (stride, start) = (self.cols(), (r0 * self.cols() + c0).min(self.len()));
         ViewMut::new(&mut self.as_mut_slice()[start..], rows, cols, stride)
+    }
+
+    /// Every `rows × cols` block of the matrix at once, for attention's
+    /// heads: the matrix is `N` parts of equal width side by side, each a
+    /// grid of blocks, and item `r·g + c` (`g` blocks across a part) holds
+    /// block `(r, c)` of every part — `[q]` of one (batch, head) pair of an
+    /// attention output, `[dq, dk, dv]` of a fused QKV gradient. No two
+    /// views share an element, so the items may be written at once on
+    /// different threads.
+    pub(crate) fn blocks_mut<const N: usize>(
+        &mut self,
+        rows: usize,
+        cols: usize,
+    ) -> impl ExactSizeIterator<Item = [ViewMut<'_>; N]> {
+        let (stride, part) = (self.cols(), self.cols() / N);
+        assert!(rows > 0 && cols > 0 && part % cols == 0 && part * N == stride);
+        assert_eq!(self.rows() % rows, 0, "rows of whole blocks");
+        let across = part / cols;
+        let height = self.rows();
+        let whole = ViewMut::new(self.as_mut_slice(), height, stride, stride);
+        (0..height / rows * across).map(move |i| {
+            let (r0, c0) = (i / across * rows, i % across * cols);
+            // SAFETY: block `(r0, c0)` of part `p` lies inside `whole`
+            // (asserted above), and no other item's block meets it.
+            std::array::from_fn(|p| unsafe { whole.block(r0, p * part + c0, rows, cols) })
+        })
     }
 }
 
@@ -356,7 +438,7 @@ struct Job {
     first_packed: usize,
     /// Panel `first_packed + p` as `k` rows of `nr` floats (zero beyond
     /// column `n`) at `p · k · nr`.
-    packed: Vec<f32>,
+    packed: *const f32,
 }
 
 // SAFETY: `a`, `b` and `packed` are only read. `c` is written, by
@@ -366,10 +448,12 @@ struct Job {
 unsafe impl Sync for Job {}
 
 thread_local! {
-    /// The FMA builds' rounded copies of `A` and `B`, kept for the next
-    /// product on this thread.
+    /// The FMA builds' rounded copies of `A` and `B`, and the packed panels
+    /// of `B`, kept for the next product on this thread: a product run
+    /// inside a pool piece allocates nothing once its thread has warmed up.
     static ROUNDED: std::cell::Cell<(Vec<f32>, Vec<f32>)> =
         const { std::cell::Cell::new((Vec::new(), Vec::new())) };
+    static PANELS: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// [`matmul_into`] on the build for `isa`, which this processor must run:
@@ -392,28 +476,44 @@ pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         #[cfg(target_arch = "x86_64")]
         return unsafe { crate::amx::matmul_into(a, b, c) };
     }
+    let shared = flops(a.rows, a.cols, b.cols) >= PAR_FLOPS;
     let (mut ra, mut rb) = ROUNDED.take();
-    fma_product(isa, rounded(isa, a, &mut ra), rounded(isa, b, &mut rb), c);
+    let (a, b) = (
+        rounded(isa, a, &mut ra, shared),
+        rounded(isa, b, &mut rb, shared),
+    );
+    fma_product(isa, a, b, c);
     ROUNDED.set((ra, rb));
+}
+
+/// Floating-point operations of an `m × k` by `k × n` product.
+pub(crate) fn flops(m: usize, k: usize, n: usize) -> usize {
+    2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k)
 }
 
 /// `v` with every element through [`bf16_round`], copied into `buf` along
 /// `v`'s unit stride (its columns when only its rows are adjacent), as a
-/// view of the same orientation.
-fn rounded<'b>(isa: Isa, v: View<'_>, buf: &'b mut Vec<f32>) -> View<'b> {
+/// view of the same orientation; for a `shared` product, in pieces of rows
+/// on the pool.
+fn rounded<'b>(isa: Isa, v: View<'_>, buf: &'b mut Vec<f32>, shared: bool) -> View<'b> {
     let turned = v.cs != 1 && v.rs == 1;
     let w = if turned { v.t() } else { v };
     // Every element is written below; only growth is zero-filled first.
     buf.resize(w.rows * w.cols, 0.0);
-    for (i, out) in buf.chunks_exact_mut(w.cols).enumerate() {
-        if w.cs == 1 {
-            round_into_with(isa, &w.data[i * w.rs..][..w.cols], out);
-        } else {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = bf16_round(w.data[i * w.rs + j * w.cs]);
+    let rows = (pool::PIECE / w.cols).max(1);
+    let pieces = buf.chunks_mut(rows * w.cols);
+    let values = if shared { w.rows * w.cols } else { 0 };
+    pool::each(values, pieces.len(), pieces.enumerate(), |(p, piece)| {
+        for (i, out) in (p * rows..).zip(piece.chunks_exact_mut(w.cols)) {
+            if w.cs == 1 {
+                round_into_with(isa, &w.data[i * w.rs..][..w.cols], out);
+            } else {
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = bf16_round(w.data[i * w.rs + j * w.cs]);
+                }
             }
         }
-    }
+    });
     let copy = View::new(buf, w.rows, w.cols, w.cols, 1);
     if turned {
         copy.t()
@@ -446,7 +546,9 @@ fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
     } else {
         panels
     };
-    let mut packed = vec![0.0f32; (panels - first_packed) * k * nr];
+    let mut packed = PANELS.take();
+    packed.clear();
+    packed.resize((panels - first_packed) * k * nr, 0.0);
     for (panel, dst) in (first_packed..panels).zip(packed.chunks_exact_mut(k * nr)) {
         let j0 = panel * nr;
         // Walk `b` along its unit stride; a depth of `KC` keeps the rows
@@ -471,39 +573,37 @@ fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         a_cs: a.cs,
         b: b.data.as_ptr(),
         b_rs: b.rs,
-        c: c.data.as_mut_ptr(),
+        c: c.data,
         c_rs: c.rs,
         nr,
         first_packed,
-        packed,
+        packed: packed.as_ptr(),
     };
     let rows = |i0, i1| rows_with(isa, &job, i0, i1);
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if flops < PAR_FLOPS {
-        return rows(0, m);
-    }
     let threads = Pool::global().threads();
     let tiles = m.div_ceil(MR);
     let blocks = tiles.min(BLOCKS_PER_THREAD * threads);
-    if threads == 1 || blocks < 2 {
-        return rows(0, m);
+    if flops(m, k, n) < PAR_FLOPS || threads == 1 || blocks < 2 {
+        rows(0, m);
+    } else {
+        let block_rows = tiles.div_ceil(blocks) * MR;
+        Pool::global().run(m.div_ceil(block_rows), &|i| {
+            rows(i * block_rows, ((i + 1) * block_rows).min(m));
+        });
     }
-    let block_rows = tiles.div_ceil(blocks) * MR;
-    Pool::global().run(m.div_ceil(block_rows), &|i| {
-        rows(i * block_rows, ((i + 1) * block_rows).min(m));
-    });
+    PANELS.set(packed);
 }
 
 /// `C += A·B` computed as `Cᵀ += Bᵀ·Aᵀ`, for `A` of few rows and a
 /// transposed `B`: `Bᵀ` becomes the kernel's `A`, read in place, and only
 /// `Aᵀ` is packed. Each term is the same `fma` with its factors swapped, in
 /// the same order, so every element has the same bits.
-fn matmul_transposed(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
+fn matmul_transposed(isa: Isa, a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
     let (m, n) = (a.rows, b.cols);
-    let mut ct = Matrix::from_fn(n, m, |j, i| c.data[i * c.rs + j]);
+    let mut ct = Matrix::from_fn(n, m, |j, i| c.row(i)[j]);
     fma_product(isa, b.t(), a.t(), ct.block_mut(0, 0, n, m));
-    for (i, row) in c.data.chunks_mut(c.rs).take(m).enumerate() {
-        for (j, out) in row[..n].iter_mut().enumerate() {
+    for i in 0..m {
+        for (j, out) in c.row_mut(i).iter_mut().enumerate() {
             *out = ct.get(j, i);
         }
     }
@@ -527,7 +627,7 @@ per_isa! {
                 // `j0 + NR <= n` and unit column stride.
                 let (b, b_rs) = if panel >= job.first_packed {
                     let at = (panel - job.first_packed) * job.k + k0;
-                    (unsafe { job.packed.as_ptr().add(at * NR) }, NR)
+                    (unsafe { job.packed.add(at * NR) }, NR)
                 } else {
                     (unsafe { job.b.add(k0 * job.b_rs + j0) }, job.b_rs)
                 };
@@ -914,6 +1014,32 @@ mod tests {
         }
     }
 
+    /// A shared product — its operand packing (AMX) or rounded copies (FMA)
+    /// and its tile blocks cut into pieces on the pool — has the bits of
+    /// the same product with every piece on the caller, on every build:
+    /// plain, `_tn` and `_nt` views, `m` and `n` that 16 does not divide.
+    #[test]
+    fn shared_products_equal_their_caller_only_run_bitwise() {
+        let (m, k, n) = (200, 600, 300);
+        assert!(flops(m, k, n) >= PAR_FLOPS);
+        #[cfg(target_arch = "x86_64")]
+        assert!(flops(m, k, n) >= crate::amx::PAR_FLOPS);
+        let (a, b) = (rand_matrix(m, k, 31), rand_matrix(k, n, 32));
+        let (at, bt) = (a.transpose(), b.transpose());
+        for isa in builds_exercised() {
+            let views = [
+                ("A·B", a.view(), b.view()),
+                ("Aᵀ·B", at.view().t(), b.view()),
+                ("A·Bᵀ", a.view(), bt.view().t()),
+            ];
+            for (what, av, bv) in views {
+                let shared = crate::pool::with_helpers(|| product(isa, av, bv));
+                let alone = crate::pool::on_the_caller(|| product(isa, av, bv));
+                assert_eq!(bits(&shared), bits(&alone), "{what} on {}", isa.name());
+            }
+        }
+    }
+
     #[test]
     fn eight_concurrent_callers_get_the_bits_of_one_caller() {
         // One job slot: most of these find it taken and run serially, one
@@ -1003,7 +1129,7 @@ mod tests {
             c_rs: 1,
             nr: tile_width(Isa::Baseline) + 1,
             first_packed: 0,
-            packed: Vec::new(),
+            packed: std::ptr::null(),
         };
         rows_with(Isa::Baseline, &job, 0, 1);
     }

@@ -302,9 +302,9 @@ impl GptModel {
             .collect()
     }
 
-    /// Zero all gradient accumulators.
+    /// Zero all gradient accumulators ([`crate::zero_grads`]).
     pub fn zero_grads(&mut self) {
-        self.visit(&mut |_, g| g.fill(0.0));
+        crate::zero_grads(&mut self.param_grad_pairs());
     }
 
     /// Total parameter count.

@@ -1,11 +1,20 @@
 //! Neural-network layers with explicit forward caches and hand-written
 //! backward passes.
 
+use std::sync::Mutex;
+
 use rand::Rng;
 
 use crate::elementwise;
-use crate::gemm::{self, View, ViewMut};
+use crate::gemm::{self, View};
+use crate::pool::{self, PIECE};
 use crate::Matrix;
+
+/// Floats of whole rows `width` wide in one piece of a row pass.
+fn piece_len(width: usize) -> usize {
+    let width = width.max(1);
+    (PIECE / width).max(1) * width
+}
 
 /// Fully-connected layer `y = x·W (+ b)`; `W` is `in × out`.
 #[derive(Debug, Clone)]
@@ -48,7 +57,16 @@ impl Linear {
         let mut f = gemm::matmul(x, &self.w);
         let mut g = Matrix::zeros(f.rows(), f.cols());
         match &self.b {
-            Some(b) => elementwise::bias_gelu(f.as_mut_slice(), b, g.as_mut_slice()),
+            Some(b) => {
+                let (n, values) = (piece_len(b.len()), g.len());
+                let pieces = f
+                    .as_mut_slice()
+                    .chunks_mut(n)
+                    .zip(g.as_mut_slice().chunks_mut(n));
+                pool::each(values, pieces.len(), pieces, |(f, g)| {
+                    elementwise::bias_gelu(f, b, g)
+                });
+            }
             None => elementwise::gelu(f.as_slice(), g.as_mut_slice()),
         }
         (f, g)
@@ -106,13 +124,23 @@ impl Linear {
 pub fn bias_residual(o: &mut Matrix, bias: &[f32], x: &Matrix) {
     assert_eq!((o.rows(), o.cols()), (x.rows(), x.cols()));
     assert_eq!(o.cols(), bias.len());
-    elementwise::bias_residual_add(o.as_mut_slice(), bias, x.as_slice());
+    let n = piece_len(bias.len());
+    let pieces = o.as_mut_slice().chunks_mut(n).zip(x.as_slice().chunks(n));
+    pool::each(x.len(), pieces.len(), pieces, |(o, x)| {
+        elementwise::bias_residual_add(o, bias, x)
+    });
 }
 
 /// GeLU backward in place: `d ⊙= gelu'(x)` (tanh approximation, as in GPT).
 pub fn gelu_backward(x: &Matrix, d: &mut Matrix) {
     assert_eq!((x.rows(), x.cols()), (d.rows(), d.cols()));
-    elementwise::gelu_backward(x.as_slice(), d.as_mut_slice());
+    let pieces = x
+        .as_slice()
+        .chunks(PIECE)
+        .zip(d.as_mut_slice().chunks_mut(PIECE));
+    pool::each(x.len(), pieces.len(), pieces, |(x, d)| {
+        elementwise::gelu_backward(x, d)
+    });
 }
 
 /// LayerNorm over the last dimension with learned scale and shift.
@@ -155,12 +183,22 @@ impl LayerNorm {
         let mut y = Matrix::zeros(x.rows(), h);
         let mut xhat = Matrix::zeros(x.rows(), h);
         let mut inv_std = vec![0.0; x.rows()];
-        elementwise::layer_norm(
-            x.as_slice(),
-            (&self.gamma, &self.beta, self.eps),
-            xhat.as_mut_slice(),
-            y.as_mut_slice(),
-            &mut inv_std,
+        let n = piece_len(h);
+        let outs = xhat
+            .as_mut_slice()
+            .chunks_mut(n)
+            .zip(y.as_mut_slice().chunks_mut(n));
+        let pieces = x
+            .as_slice()
+            .chunks(n)
+            .zip(outs)
+            .zip(inv_std.chunks_mut(n / h));
+        let params = (&self.gamma[..], &self.beta[..], self.eps);
+        pool::each(
+            x.len(),
+            pieces.len(),
+            pieces,
+            |((x, (xhat, y)), inv_std)| elementwise::layer_norm(x, params, xhat, y, inv_std),
         );
         (y, LayerNormCache { xhat, inv_std })
     }
@@ -251,75 +289,85 @@ impl AttentionCore {
         )
     }
 
-    /// One head's block of `qkv` (or of `dqkv`), multiplied where it lies.
+    /// One head's block of `qkv` (or of `dout`), multiplied where it lies.
     fn head<'a>(&self, qkv: &'a Matrix, part: Part, bi: usize, hi: usize) -> View<'a> {
         let (r0, c0) = self.corner(part, bi, hi);
         qkv.block(r0, c0, self.seq, self.head_dim)
     }
 
-    fn head_mut<'a>(&self, m: &'a mut Matrix, part: Part, bi: usize, hi: usize) -> ViewMut<'a> {
-        let (r0, c0) = self.corner(part, bi, hi);
-        m.block_mut(r0, c0, self.seq, self.head_dim)
-    }
-
     /// Forward pass: causal softmax(QKᵀ/√d)·V, `[batch·seq, heads·head_dim]`.
+    /// Each (batch, head) pair is one piece on the pool, writing its own
+    /// probabilities and its own block of the output.
     pub fn forward(&self, qkv: &Matrix) -> (Matrix, AttentionCache) {
         assert_eq!(qkv.rows(), self.batch * self.seq);
         assert_eq!(qkv.cols(), 3 * self.local());
         let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let (s, pairs) = (self.seq, self.batch * self.heads);
         let mut out = Matrix::zeros(qkv.rows(), self.local());
-        let mut probs = Vec::with_capacity(self.batch * self.heads);
-        for bi in 0..self.batch {
-            for hi in 0..self.heads {
+        let mut probs: Vec<Matrix> = (0..pairs).map(|_| Matrix::zeros(s, s)).collect();
+        // `out` has q's width: its head blocks sit where q's do.
+        let items = probs.iter_mut().zip(out.blocks_mut(s, self.head_dim));
+        pool::each(
+            pairs * s * s,
+            pairs,
+            items.enumerate(),
+            |(i, (p, [out]))| {
+                let (bi, hi) = (i / self.heads, i % self.heads);
                 let (q, k) = (
                     self.head(qkv, Part::Q, bi, hi),
                     self.head(qkv, Part::K, bi, hi),
                 );
-                let mut scores = gemm::matmul_view(q, k.t());
-                for r in 0..self.seq {
-                    elementwise::causal_softmax_row(scores.row_mut(r), r + 1, scale);
+                gemm::matmul_into(q, k.t(), p.view_mut());
+                for r in 0..s {
+                    elementwise::causal_softmax_row(p.row_mut(r), r + 1, scale);
                 }
-                // `out` has q's width: its head blocks sit where q's do.
-                gemm::matmul_into(
-                    scores.view(),
-                    self.head(qkv, Part::V, bi, hi),
-                    self.head_mut(&mut out, Part::Q, bi, hi),
-                );
-                probs.push(scores);
-            }
-        }
+                gemm::matmul_into(p.view(), self.head(qkv, Part::V, bi, hi), out);
+            },
+        );
         (out, AttentionCache { probs })
     }
 
-    /// Backward pass: returns `dqkv`, columns `dq | dk | dv`.
+    /// Backward pass: returns `dqkv`, columns `dq | dk | dv`. Each (batch,
+    /// head) pair is one piece on the pool, writing its own blocks of
+    /// `dqkv`; its score gradients go to a scratch matrix of the caller's,
+    /// one for each thread that can run a piece at once.
     pub fn backward(&self, qkv: &Matrix, cache: &AttentionCache, dout: &Matrix) -> Matrix {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let (s, pairs) = (self.seq, self.batch * self.heads);
         let mut dqkv = Matrix::zeros(qkv.rows(), qkv.cols());
-        for bi in 0..self.batch {
-            for hi in 0..self.heads {
-                let probs = &cache.probs[bi * self.heads + hi];
+        let threads = pool::threads_for(pairs * s * s, pairs);
+        let scratch: Vec<Mutex<Matrix>> = (0..threads)
+            .map(|_| Mutex::new(Matrix::zeros(s, s)))
+            .collect();
+        let items = cache.probs.iter().zip(dqkv.blocks_mut(s, self.head_dim));
+        pool::each(
+            pairs * s * s,
+            pairs,
+            items.enumerate(),
+            |(i, (probs, [dq, dk, dv]))| {
+                let (bi, hi) = (i / self.heads, i % self.heads);
+                let mut ds = (scratch.iter().find_map(|m| m.try_lock().ok()))
+                    .expect("no more pieces run at once than there are scratch matrices");
+                ds.as_mut_slice().fill(0.0);
                 let doh = self.head(dout, Part::Q, bi, hi);
                 // dV = Pᵀ · dO ; dP = dO · Vᵀ.
-                let dv = self.head_mut(&mut dqkv, Part::V, bi, hi);
                 gemm::matmul_into(probs.view().t(), doh, dv);
-                let mut dscores = gemm::matmul_view(doh, self.head(qkv, Part::V, bi, hi).t());
+                let v = self.head(qkv, Part::V, bi, hi);
+                gemm::matmul_into(doh, v.t(), ds.view_mut());
                 // Softmax backward row-wise: dS = P ⊙ (dP − Σ dP⊙P).
-                for r in 0..self.seq {
+                for r in 0..s {
                     let prow = probs.row(r);
-                    let drow = dscores.row_mut(r);
+                    let drow = ds.row_mut(r);
                     let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
                     for (d, &p) in drow.iter_mut().zip(prow) {
                         *d = p * (*d - dot) * scale;
                     }
                 }
                 // dQ = dS · K ; dK = dSᵀ · Q.
-                let (ds, dst) = (dscores.view(), dscores.view().t());
-                let dq = self.head_mut(&mut dqkv, Part::Q, bi, hi);
-                gemm::matmul_into(ds, self.head(qkv, Part::K, bi, hi), dq);
-                let dk = self.head_mut(&mut dqkv, Part::K, bi, hi);
-                gemm::matmul_into(dst, self.head(qkv, Part::Q, bi, hi), dk);
-            }
-        }
+                gemm::matmul_into(ds.view(), self.head(qkv, Part::K, bi, hi), dq);
+                gemm::matmul_into(ds.view().t(), self.head(qkv, Part::Q, bi, hi), dk);
+            },
+        );
         dqkv
     }
 }
@@ -392,24 +440,38 @@ impl Embedding {
 /// `dlogits`.
 pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
     assert_eq!(logits.rows(), targets.len());
-    let n = targets.len() as f32;
+    let (n, v) = (targets.len() as f32, logits.cols().max(1));
     let mut dlogits = Matrix::zeros(logits.rows(), logits.cols());
-    let mut loss = 0.0f32;
-    for (r, &t) in targets.iter().enumerate() {
-        let row = logits.row(r);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        // One `exp` per logit: the softmax numerators are kept in `drow`
-        // and divided by their sum below.
-        let drow = dlogits.row_mut(r);
-        elementwise::exp_minus(row, max, drow);
-        let sum: f32 = drow.iter().sum();
-        loss += (max + sum.ln()) - row[t];
-        let p_target = drow[t] / sum;
-        for d in drow.iter_mut() {
-            *d = *d / sum / n;
-        }
-        drow[t] = (p_target - 1.0) / n;
-    }
+    // Each row's loss term, summed in row order below.
+    let mut terms = vec![0.0f32; targets.len()];
+    let len = piece_len(v);
+    let rows = logits
+        .as_slice()
+        .chunks(len)
+        .zip(dlogits.as_mut_slice().chunks_mut(len));
+    let pieces = rows.zip(terms.chunks_mut(len / v).zip(targets.chunks(len / v)));
+    pool::each(
+        logits.len(),
+        pieces.len(),
+        pieces,
+        |((l, d), (terms, targets))| {
+            let rows = l.chunks_exact(v).zip(d.chunks_exact_mut(v));
+            for ((row, drow), (term, &t)) in rows.zip(terms.iter_mut().zip(targets)) {
+                let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+                // One `exp` per logit: the softmax numerators are kept in
+                // `drow` and divided by their sum below.
+                elementwise::exp_minus(row, max, drow);
+                let sum: f32 = drow.iter().sum();
+                *term = (max + sum.ln()) - row[t];
+                let p_target = drow[t] / sum;
+                for d in drow.iter_mut() {
+                    *d = *d / sum / n;
+                }
+                drow[t] = (p_target - 1.0) / n;
+            }
+        },
+    );
+    let loss = terms.iter().fold(0.0f32, |loss, t| loss + t);
     (loss / n, dlogits)
 }
 
@@ -745,6 +807,69 @@ mod tests {
         // worst relative error measured on the AMX build was 0.057 at a step
         // of 1e-2, 0.029 at 2e-2, 0.011 at 5e-2 and 0.0088 at 0.1.
         numeric_vs_analytic_with_step(&loss, fused.as_slice(), dqkv.as_slice(), 0.1, 3e-2);
+    }
+
+    /// The row passes cut into pieces on the pool — bias+GeLU, its
+    /// backward, bias+residual, LayerNorm forward and cross-entropy — have
+    /// the bits of the same passes on the caller alone, loss included.
+    #[test]
+    fn pooled_row_passes_equal_their_caller_only_run_bitwise() {
+        let mut r = rng();
+        let (rows, h, vocab) = (300, 512, 1000);
+        let x = Matrix::randn(rows, h, 1.0, &mut r);
+        let res = Matrix::randn(rows, h, 1.0, &mut r);
+        let logits = Matrix::randn(rows, vocab, 3.0, &mut r);
+        let targets: Vec<usize> = (0..rows).map(|i| (i * 37) % vocab).collect();
+        let mut lin = Linear::new(h, h, true, &mut r);
+        lin.b = Some(Matrix::randn(1, h, 1.0, &mut r).as_slice().to_vec());
+        let mut ln = LayerNorm::new(h);
+        ln.gamma = Matrix::randn(1, h, 1.0, &mut r).as_slice().to_vec();
+        ln.beta = Matrix::randn(1, h, 1.0, &mut r).as_slice().to_vec();
+        let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = || {
+            let (f, g) = lin.forward_gelu(&x);
+            let mut d = res.clone();
+            gelu_backward(&f, &mut d);
+            let mut o = x.clone();
+            bias_residual(&mut o, lin.b.as_ref().unwrap(), &res);
+            let (y, cache) = ln.forward(&x);
+            let (loss, dlogits) = cross_entropy(&logits, &targets);
+            let all = [&f, &g, &d, &o, &y, &cache.xhat, &dlogits].map(|m| bits(m.as_slice()));
+            (all, bits(&cache.inv_std), loss.to_bits())
+        };
+        let shared = pool::with_helpers(run);
+        assert!(
+            shared == pool::on_the_caller(run),
+            "a pooled row pass moved a bit"
+        );
+    }
+
+    /// Attention at `serial_wide`'s shape, each (batch, head) pair a piece
+    /// on the pool, has the bits of the same passes on the caller alone:
+    /// output, probabilities and all three input gradients.
+    #[test]
+    fn pooled_attention_equals_its_caller_only_run_bitwise() {
+        let mut r = rng();
+        let core = AttentionCore {
+            batch: 3,
+            seq: 64,
+            heads: 8,
+            head_dim: 32,
+        };
+        let qkv = Matrix::randn(192, 768, 1.0, &mut r);
+        let dout = Matrix::randn(192, 256, 1.0, &mut r);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = || {
+            let (out, cache) = core.forward(&qkv);
+            let dqkv = core.backward(&qkv, &cache, &dout);
+            let probs: Vec<_> = cache.probs.iter().map(bits).collect();
+            (bits(&out), probs, bits(&dqkv))
+        };
+        let shared = pool::with_helpers(run);
+        assert!(
+            shared == pool::on_the_caller(run),
+            "pooled attention moved a bit"
+        );
     }
 
     #[test]

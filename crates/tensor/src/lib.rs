@@ -19,9 +19,17 @@
 //! are the same call with other strides. The widest build the processor
 //! runs is picked at run time; [`gemm::active_build`] names it,
 //! [`gemm::matmul_into_with`] runs a named one.
-//! Large products are shared with a process-wide set of parked helper
-//! threads (`pool`): the caller always takes blocks itself and never waits
-//! for one a helper has not already claimed; no thread is spawned per call.
+//! Every pass of a step whose bits cannot depend on the thread is shared
+//! with a process-wide set of parked helper threads (`pool`): the tile
+//! blocks and operand packing of large products, Adam, gradient zeroing
+//! ([`zero_grads`]), attention's (batch, head) pairs and the row passes
+//! (bias+GeLU, its backward, bias+residual, LayerNorm forward,
+//! cross-entropy's rows). Each piece computes per element or per row
+//! exactly what the whole pass computes, into buffers the caller made. The
+//! caller always takes pieces itself and never waits for one a helper has
+//! not already claimed; no thread is spawned per call. A job whose ranks
+//! fill the host's cores holds a [`RankGuard`], and its passes never wake a
+//! helper.
 //! The first dispatch also sets up the process (`Isa::active`): besides the
 //! matrix unit's tile grant it tells glibc to keep freed memory in the
 //! heap, so a steady-state training step reuses the pages the previous step
@@ -60,6 +68,7 @@ mod matrix;
 mod pool;
 mod simd;
 
-pub use adam::{Adam, AdamState};
+pub use adam::{zero_grads, Adam, AdamState};
 pub use matrix::Matrix;
+pub use pool::{helper_blocks, RankGuard};
 pub use simd::Isa;

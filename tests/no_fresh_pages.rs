@@ -1,19 +1,24 @@
-//! A steady-state training step takes no page faults.
+//! A steady-state training step takes no page faults, on any thread of the
+//! process.
 //!
 //! The tensor engine's process setup tells the allocator to keep what a
 //! step frees, so the next step reuses those pages instead of having the
 //! kernel fault fresh zeroed ones in. This test trains the serial
 //! baseline's model (`serial_wide` in the benchmark: 4 layers, hidden 256,
 //! 3 × 64 tokens) on its own thread, lets three steps warm up, and counts
-//! the minor faults of the three after them. It is a test binary of its
-//! own so that no other test's allocations share its heap.
+//! the minor faults of the three after them. Helper threads of the tensor
+//! engine's pool run parts of every step, so the count is the whole
+//! process's (`getrusage(RUSAGE_SELF)`), and on a host of two or more cores
+//! the test also requires that helpers ran some of the step — it cannot
+//! pass by not sharing. It is a test binary of its own so that no other
+//! test's allocations share its heap.
 //!
 //! `cargo test --release --test no_fresh_pages -- --nocapture` prints the
-//! faults of every step.
+//! faults of every step and the blocks helpers ran.
 
-use megatron_repro::telemetry::thread_usage;
+use megatron_repro::telemetry::process_usage;
 use megatron_repro::tensor::gpt::{GptModel, TinyGptConfig};
-use megatron_repro::tensor::Adam;
+use megatron_repro::tensor::{helper_blocks, Adam};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,8 +35,8 @@ const MEASURED: usize = 3;
 
 #[test]
 fn steady_state_steps_fault_in_no_fresh_pages() {
-    let Some(_) = thread_usage() else {
-        eprintln!("no per-thread fault counter on this platform: nothing to check");
+    let Some(_) = process_usage() else {
+        eprintln!("no process fault counter on this platform: nothing to check");
         return;
     };
     let mut rng = StdRng::seed_from_u64(0x5eed);
@@ -42,17 +47,20 @@ fn steady_state_steps_fault_in_no_fresh_pages() {
         .collect();
     let targets: Vec<usize> = tokens[1..].iter().chain(&tokens[..1]).copied().collect();
 
+    let helped_before = helper_blocks();
     let faults: Vec<u64> = (0..WARM_UP + MEASURED)
         .map(|_| {
-            let before = thread_usage().unwrap();
+            let before = process_usage().unwrap();
             model.zero_grads();
             let loss = model.loss_and_grad(&tokens, &targets, BATCH);
             adam.step(&mut model.param_grad_pairs());
             assert!(loss.is_finite());
-            thread_usage().unwrap().since(before).minor_faults
+            process_usage().unwrap().since(before).minor_faults
         })
         .collect();
-    println!("minor faults per step (first {WARM_UP} warm up): {faults:?}");
+    let helped = helper_blocks() - helped_before;
+    println!("minor faults per step, process-wide (first {WARM_UP} warm up): {faults:?}");
+    println!("blocks run by helper threads: {helped}");
 
     // The first step touches every activation and the optimizer's moments
     // for the first time: if it took no faults, the counter counts nothing.
@@ -62,4 +70,11 @@ fn steady_state_steps_fault_in_no_fresh_pages() {
         steady, 0,
         "steady-state steps faulted in fresh pages: {faults:?} (first {WARM_UP} warm up)"
     );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 2 {
+        assert!(
+            helped > 0,
+            "{cores} cores, and no helper ran a block of the step"
+        );
+    }
 }
