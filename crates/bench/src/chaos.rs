@@ -28,6 +28,7 @@ use megatron_collective::{RetryPolicy, TransientFaults};
 use megatron_dist::{
     CheckpointStore, FaultProfile, HealthMonitor, KillSwitch, PtdpSpec, PtdpTrainer, RunControl,
     Supervisor, SupervisorConfig, SupervisorReport, ThreadBackend, TransportConfig, WireKind,
+    DEFAULT_SLOW_THRESHOLD,
 };
 use megatron_fault::{FaultKind, FaultPlan, FaultRates, GoodputModel, StragglerReport};
 use megatron_net::{LinkImpairment, Network};
@@ -40,93 +41,48 @@ use rand::{Rng, SeedableRng};
 
 use crate::table::Table;
 
-/// CLI-tunable chaos knobs (`repro chaos [flags]`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosKnobs {
-    /// Number of seeds to sweep.
-    pub seeds: usize,
-    /// First seed; seed `i` of the sweep is `seed_base + i`.
-    pub seed_base: u64,
-    /// Per-send probability a frame is dropped on the faulty wire.
-    pub drop_prob: f64,
-    /// Per-send probability a frame is delivered twice.
-    pub duplicate_prob: f64,
-    /// Per-send probability a frame is delayed.
-    pub delay_prob: f64,
-    /// Straggler flagging threshold (mean-vs-median ratio), fed to both
-    /// [`StragglerReport::analyze`] and [`HealthMonitor::classify`].
-    pub straggler_threshold: f64,
-    /// Expected heartbeat period for the rank health monitor.
-    pub heartbeat_ms: u64,
-}
-
-impl Default for ChaosKnobs {
-    fn default() -> Self {
-        ChaosKnobs {
-            seeds: 5,
-            seed_base: 0xe33,
-            drop_prob: 0.02,
-            duplicate_prob: 0.01,
-            delay_prob: 0.02,
-            straggler_threshold: 1.5,
-            heartbeat_ms: 25,
-        }
-    }
-}
+/// Seeds the sweep runs unless `--seeds` says otherwise.
+const DEFAULT_SEEDS: usize = 5;
+/// First seed; seed `i` of the sweep is `SEED_BASE + i`.
+const SEED_BASE: u64 = 0xe33;
+/// Per-send probability a frame is dropped on the faulty wire.
+const DROP_PROB: f64 = 0.02;
+/// Per-send probability a frame is delivered twice.
+const DUPLICATE_PROB: f64 = 0.01;
+/// Per-send probability a frame is delayed.
+const DELAY_PROB: f64 = 0.02;
+/// Expected heartbeat period for the rank health monitor.
+const HEARTBEAT_MS: u64 = 25;
 
 /// `repro chaos` usage string.
-pub const USAGE: &str = "repro chaos [--seeds N] [--seed-base N] [--drop P] [--duplicate P]
-            [--delay P] [--straggler-threshold X] [--heartbeat-ms N]
-  seeded chaos sweep: transient+fatal fault plans through real (2,2,2)
-  training, asserting bit-identical recovery and restarts == fatal faults
+pub const USAGE: &str = "repro chaos [--seeds N]
+  seeded chaos sweep (5 seeds by default): transient+fatal fault plans through
+  real (2,2,2) training, asserting bit-identical recovery and restarts == fatal faults
 repro chaos --process [...]   E38: the same idea with real OS processes —
   seeded SIGKILLs + socket faults healed by the launcher supervisor
   (see `repro chaos --process --help` flags in proc_chaos)";
 
-/// Parse CLI flags into [`ChaosKnobs`].
-pub fn parse_knobs(args: &[String]) -> Result<ChaosKnobs, String> {
-    let mut knobs = ChaosKnobs::default();
-    fn val<'a>(flag: &str, v: Option<&'a String>) -> Result<&'a String, String> {
-        v.ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-    }
+/// Parse `repro chaos` flags into the number of seeds to sweep.
+pub fn parse_seeds(args: &[String]) -> Result<usize, String> {
+    let mut seeds = DEFAULT_SEEDS;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let val = |v| val(flag, v);
         match flag.as_str() {
-            "--seeds" => knobs.seeds = parse(val(it.next())?)?,
-            "--seed-base" => knobs.seed_base = parse(val(it.next())?)?,
-            "--drop" => knobs.drop_prob = parse(val(it.next())?)?,
-            "--duplicate" => knobs.duplicate_prob = parse(val(it.next())?)?,
-            "--delay" => knobs.delay_prob = parse(val(it.next())?)?,
-            "--straggler-threshold" => knobs.straggler_threshold = parse(val(it.next())?)?,
-            "--heartbeat-ms" => knobs.heartbeat_ms = parse(val(it.next())?)?,
+            "--seeds" => {
+                let v = it
+                    .next()
+                    .ok_or_else(|| format!("--seeds needs a value\n{USAGE}"))?;
+                seeds = v
+                    .parse()
+                    .map_err(|_| format!("could not parse '{v}'\n{USAGE}"))?;
+            }
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
-    if knobs.seeds == 0 {
+    if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    for (name, p) in [
-        ("--drop", knobs.drop_prob),
-        ("--duplicate", knobs.duplicate_prob),
-        ("--delay", knobs.delay_prob),
-    ] {
-        if !(0.0..1.0).contains(&p) {
-            return Err(format!("{name} must be a probability in [0, 1)"));
-        }
-    }
-    if knobs.straggler_threshold < 1.0 {
-        return Err("--straggler-threshold must be >= 1".into());
-    }
-    if knobs.heartbeat_ms == 0 {
-        return Err("--heartbeat-ms must be at least 1".into());
-    }
-    Ok(knobs)
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("could not parse '{s}'\n{USAGE}"))
+    Ok(seeds)
 }
 
 /// CLI entry: parse flags, run the sweep. `--process` switches to E38,
@@ -136,12 +92,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
     if args.iter().any(|a| a == "--process") {
         return crate::proc_chaos::run(args);
     }
-    parse_knobs(args).map(|knobs| report(&knobs))
+    parse_seeds(args).map(report)
 }
 
 /// E33 registry entry: the default sweep.
 pub fn chaos() -> String {
-    report(&ChaosKnobs::default())
+    report(DEFAULT_SEEDS)
 }
 
 struct Scenario {
@@ -227,7 +183,7 @@ fn supervised_run(
     (report, sink)
 }
 
-fn report(knobs: &ChaosKnobs) -> String {
+fn report(seeds: usize) -> String {
     let cfg = TinyGptConfig {
         vocab: 13,
         seq: 8,
@@ -262,17 +218,17 @@ fn report(knobs: &ChaosKnobs) -> String {
 
     // Fault-free baseline: the bit-identity reference for every scenario.
     let baseline = PtdpTrainer::new(master.clone(), spec).train(&data);
-    let heartbeat = Duration::from_millis(knobs.heartbeat_ms);
+    let heartbeat = Duration::from_millis(HEARTBEAT_MS);
 
     let mut out = String::new();
     out.push_str(&format!(
         "chaos sweep: {} seeds from {:#x}, (p,t,d)=(2,2,2), {iters} iterations, B={batch}\n\
          transient wire: drop {:.1}%, duplicate {:.1}%, delay {:.1}%, degrade from plan\n\n",
-        knobs.seeds,
-        knobs.seed_base,
-        100.0 * knobs.drop_prob,
-        100.0 * knobs.duplicate_prob,
-        100.0 * knobs.delay_prob,
+        seeds,
+        SEED_BASE,
+        100.0 * DROP_PROB,
+        100.0 * DUPLICATE_PROB,
+        100.0 * DELAY_PROB,
     ));
 
     let mut t = Table::new([
@@ -289,8 +245,8 @@ fn report(knobs: &ChaosKnobs) -> String {
     ]);
     let (mut total_transient, mut total_fatal) = (0usize, 0usize);
     let mut degrade_used = 1.0f64;
-    for i in 0..knobs.seeds {
-        let sc = scenario(knobs.seed_base + i as u64, &spec, iters, &rates);
+    for i in 0..seeds {
+        let sc = scenario(SEED_BASE + i as u64, &spec, iters, &rates);
         total_transient += sc.transient_events;
         total_fatal += sc.kills.len();
         degrade_used = degrade_used.max(sc.degrade_factor);
@@ -300,9 +256,9 @@ fn report(knobs: &ChaosKnobs) -> String {
             faults: Some(FaultProfile {
                 seed: sc.seed,
                 faults: TransientFaults {
-                    drop_prob: knobs.drop_prob,
-                    duplicate_prob: knobs.duplicate_prob,
-                    delay_prob: knobs.delay_prob,
+                    drop_prob: DROP_PROB,
+                    duplicate_prob: DUPLICATE_PROB,
+                    delay_prob: DELAY_PROB,
                     delay: Duration::from_micros(200),
                     degrade_factor: sc.degrade_factor,
                     ..TransientFaults::default()
@@ -385,8 +341,9 @@ fn report(knobs: &ChaosKnobs) -> String {
          fault-free baseline, and only fatal faults paid a checkpoint restore\n\n",
     );
 
-    // Health + straggler classification at the CLI-configured threshold
-    // and heartbeat period, on one instrumented clean run.
+    // Health + straggler classification at the supervisor's slow
+    // threshold and the sweep's heartbeat period, on one instrumented
+    // clean run.
     let monitor = HealthMonitor::new(&spec, heartbeat);
     let outcome = PtdpTrainer::new(master.clone(), spec).train_with(
         &data,
@@ -399,14 +356,14 @@ fn report(knobs: &ChaosKnobs) -> String {
         },
     );
     assert!(outcome.error.is_none(), "clean run failed");
-    let health = monitor.classify(knobs.straggler_threshold);
-    let stragglers = StragglerReport::analyze(&outcome.log.step_times, knobs.straggler_threshold)
+    let health = monitor.classify(DEFAULT_SLOW_THRESHOLD);
+    let stragglers = StragglerReport::analyze(&outcome.log.step_times, DEFAULT_SLOW_THRESHOLD)
         .with_liveness(&health);
     out.push_str(&format!(
         "health monitor (period {} ms, threshold {:.2}x): {} ranks beat {} times each;\n\
          dead: {}, slow: {}, stragglers flagged: {}\n\n",
-        knobs.heartbeat_ms,
-        knobs.straggler_threshold,
+        HEARTBEAT_MS,
+        DEFAULT_SLOW_THRESHOLD,
         spec.world(),
         monitor.beats(0),
         stragglers.dead.len(),
@@ -418,7 +375,7 @@ fn report(knobs: &ChaosKnobs) -> String {
     // discrete-event links must inflate a cross-node ring all-reduce by
     // exactly factor/(1−p) — the closed-form retransmit expectation.
     let imp = LinkImpairment {
-        loss_prob: knobs.drop_prob,
+        loss_prob: DROP_PROB,
         degrade_factor: degrade_used,
     };
     let ranks: Vec<usize> = vec![0, 4, 8, 12];
@@ -513,30 +470,29 @@ mod tests {
     fn cli_flags_parse_and_validate() {
         let to_args =
             |flags: &[&str]| -> Vec<String> { flags.iter().map(|s| s.to_string()).collect() };
-        let knobs = parse_knobs(&to_args(&[
-            "--seeds",
-            "2",
-            "--straggler-threshold",
-            "1.3",
-            "--heartbeat-ms",
-            "10",
-            "--drop",
-            "0.05",
-        ]))
-        .unwrap();
-        assert_eq!(knobs.seeds, 2);
-        assert_eq!(knobs.straggler_threshold, 1.3);
-        assert_eq!(knobs.heartbeat_ms, 10);
-        assert_eq!(knobs.drop_prob, 0.05);
+        assert_eq!(parse_seeds(&to_args(&["--seeds", "2"])), Ok(2));
         assert_eq!(
-            parse_knobs(&[]).unwrap(),
-            ChaosKnobs::default(),
+            parse_seeds(&[]),
+            Ok(DEFAULT_SEEDS),
             "no flags means defaults"
         );
-        assert!(parse_knobs(&to_args(&["--drop", "1.5"])).is_err());
-        assert!(parse_knobs(&to_args(&["--seeds", "0"])).is_err());
-        assert!(parse_knobs(&to_args(&["--seeds"])).is_err());
-        assert!(parse_knobs(&to_args(&["--gremlins"])).is_err());
+        assert!(parse_seeds(&to_args(&["--seeds", "0"])).is_err());
+        assert!(parse_seeds(&to_args(&["--seeds"])).is_err());
+        assert!(parse_seeds(&to_args(&["--gremlins"])).is_err());
+        // `--seeds` is the only flag: the wire probabilities, seed base,
+        // threshold and heartbeat are constants.
+        for removed in [
+            "--drop",
+            "--seed-base",
+            "--straggler-threshold",
+            "--heartbeat-ms",
+        ] {
+            let err = parse_seeds(&to_args(&[removed, "0.05"])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag '{removed}'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -544,10 +500,7 @@ mod tests {
         // One full scenario end-to-end (the 5-seed sweep is `repro chaos`
         // and the CI chaos-smoke job). The invariant asserts live inside
         // report() — reaching the final summary means they all held.
-        let out = report(&ChaosKnobs {
-            seeds: 1,
-            ..ChaosKnobs::default()
-        });
+        let out = report(1);
         assert!(out.contains("bit-identical"));
         assert!(out.contains("self-healing"));
     }

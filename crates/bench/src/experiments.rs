@@ -1334,13 +1334,16 @@ pub fn zero_stages() -> String {
 
 /// The flush-vs-no-flush tradeoff the paper defers to future work (§2.2):
 /// PipeDream-2BW eliminates the pipeline bubble at the cost of 1-stale
-/// weight updates. Steady-state speedup over a flushed schedule is
-/// `1 + (p−1)/(v·m)`; the real-engine implementation (`dist::two_bw`)
-/// demonstrates the semantics (bounded staleness, convergence) in tests.
+/// weight updates, so its steady-state speedup over a flushed 1F1B
+/// schedule is `1 + bubble`, the bubble read off a replay of that schedule.
 pub fn twobw() -> String {
     let mut t = Table::new(["p", "m", "flushed bubble", "2BW steady-state speedup"]);
-    for (p, m) in [(8u64, 8u64), (8, 32), (8, 128), (64, 512)] {
-        let bubble = (p as f64 - 1.0) / m as f64;
+    for (p, m) in [(8, 8), (8, 32), (8, 128), (64, 512)] {
+        let bubble = ScheduleKind::OneFOneB
+            .build(p, m)
+            .replay(1.0, 2.0)
+            .expect("valid schedule")
+            .bubble_fraction;
         t.row([
             p.to_string(),
             m.to_string(),
@@ -1349,9 +1352,8 @@ pub fn twobw() -> String {
         ]);
     }
     t.render()
-        + "the real thread-parallel 2BW implementation lives in megatron-dist::two_bw;\n\
-           its tests verify staleness <= 1 batch, cross-batch overlap (no flush), and\n\
-           convergence — the semantics/throughput tradeoff the paper cites for\n\
+        + "the paper trains only flushed schedules (strict optimizer semantics);\n\
+           no-flush pipelining is the semantics/throughput tradeoff it cites for\n\
            PipeDream-2BW and PipeMare\n"
 }
 

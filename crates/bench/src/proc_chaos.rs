@@ -101,8 +101,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
-    if knobs.ckpt_every == 0 || knobs.iters < 2 * knobs.ckpt_every {
-        return Err("need --ckpt-every >= 1 and --iters >= 2*ckpt-every".into());
+    // Two checkpoint generations, and room for the kill schedule (triggers
+    // drawn from 1..iters-1) and the elastic leg's kill at iters/3 >= 1.
+    if knobs.ckpt_every == 0 || knobs.iters < (2 * knobs.ckpt_every).max(3) {
+        return Err("need --ckpt-every >= 1 and --iters >= max(3, 2*ckpt-every)".into());
     }
     report(&knobs, out.as_deref().unwrap_or("BENCH_proc_chaos.json"))
 }
@@ -134,7 +136,7 @@ fn kill_schedule(seed: u64, spec: &PtdpSpec, iters: usize, n: usize) -> Vec<Kill
     let mut kills: Vec<KillSwitch> = (0..n)
         .map(|_| KillSwitch {
             thread: spec.thread_key(rng.gen_range(0..spec.world())),
-            iteration: rng.gen_range(1..iters.max(2) - 1),
+            iteration: rng.gen_range(1..iters - 1),
         })
         .collect();
     kills.sort_by_key(|k| (k.iteration, spec.flat_rank(k.thread)));
@@ -431,4 +433,19 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
         return Err(rep + "\nFAIL: a supervised leg saw no incidents — the kills never landed");
     }
     Ok(rep)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn too_few_iterations_are_rejected_before_any_launch() {
+        let args: Vec<String> = ["--process", "--iters", "2", "--ckpt-every", "1"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("--iters >= max(3, 2*ckpt-every)"), "{err}");
+    }
 }

@@ -36,7 +36,6 @@ pub mod proc;
 pub mod shard;
 pub mod supervisor;
 pub mod trainer;
-pub mod two_bw;
 pub mod vocab;
 
 pub use block::{BlockKv, ParallelBlock, ParallelBlockCache};

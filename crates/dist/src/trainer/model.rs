@@ -152,11 +152,6 @@ impl ThreadModel {
         self.visit(&mut |p, _| f(p));
     }
 
-    /// Visit gradient slices only (2BW helper).
-    pub(crate) fn visit_grads(&mut self, f: &mut impl FnMut(&mut [f32])) {
-        self.visit(&mut |_, g| f(g));
-    }
-
     pub(super) fn param_grad_pairs(&mut self) -> Vec<(&mut [f32], &mut [f32])> {
         let mut raw: Vec<(*mut [f32], *mut [f32])> = Vec::new();
         self.visit(&mut |p, g| raw.push((p as *mut [f32], g as *mut [f32])));
