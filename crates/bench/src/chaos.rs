@@ -17,20 +17,21 @@
 //! The same lossy/degraded behaviour is mirrored onto the discrete-event
 //! simulator links ([`megatron_net::LinkImpairment`]) and cross-checked
 //! against the closed-form retransmit expectation, and the observed
-//! transient:fatal mix is priced with the [`GoodputModel`] to show what
-//! the severity taxonomy is worth at production scale.
+//! transient:fatal mix is priced with the steady-state goodput ledger
+//! ([`SteadyState`]) to show what the severity taxonomy is worth at
+//! production scale.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use megatron_cluster::ClusterSpec;
 use megatron_collective::{RetryPolicy, TransientFaults};
+use megatron_core::goodput::SteadyState;
 use megatron_dist::{
     CheckpointStore, FaultProfile, HealthMonitor, KillSwitch, PtdpSpec, PtdpTrainer, RunControl,
-    Supervisor, SupervisorConfig, SupervisorReport, ThreadBackend, TransportConfig, WireKind,
-    DEFAULT_SLOW_THRESHOLD,
+    StragglerReport, Supervisor, SupervisorConfig, SupervisorReport, ThreadBackend,
+    TransportConfig, WireKind, DEFAULT_SLOW_THRESHOLD,
 };
-use megatron_fault::{FaultKind, FaultPlan, FaultRates, GoodputModel, StragglerReport};
 use megatron_net::{LinkImpairment, Network};
 use megatron_sim::json::Json;
 use megatron_sim::{time_to_secs, DagSim};
@@ -39,6 +40,7 @@ use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fault_plan::{FaultKind, FaultPlan, FaultRates};
 use crate::table::Table;
 
 /// Seeds the sweep runs unless `--seeds` says otherwise.
@@ -406,7 +408,7 @@ fn report(seeds: usize) -> String {
         imp.inflation()
     ));
 
-    // GoodputModel cross-check: what the taxonomy is worth. With the
+    // Steady-state goodput cross-check: what the taxonomy is worth. With the
     // sweep's observed transient:fatal mix at a production-scale fatal
     // MTBF of 4 h (§5.10 1T-model checkpoint costs), restarting on
     // *every* fault would shrink the effective MTBF by
@@ -414,12 +416,12 @@ fn report(seeds: usize) -> String {
     let fatal_mtbf_s = 4.0 * 3600.0;
     let naive_mtbf_s =
         fatal_mtbf_s * total_fatal.max(1) as f64 / (total_fatal.max(1) + total_transient) as f64;
-    let healing = GoodputModel {
+    let healing = SteadyState {
         mtbf_s: fatal_mtbf_s,
         save_s: 50.0,
         restart_s: 134.0,
     };
-    let naive = GoodputModel {
+    let naive = SteadyState {
         mtbf_s: naive_mtbf_s,
         ..healing
     };
@@ -430,8 +432,8 @@ fn report(seeds: usize) -> String {
          naive (restart on every fault):       {:.1}% goodput at MTBF {:.0} s\n",
         total_transient,
         total_fatal,
-        100.0 * healing.goodput(healing.young_daly_interval()),
-        100.0 * naive.goodput(naive.young_daly_interval()),
+        100.0 * healing.ledger(healing.young_daly_interval()).goodput(),
+        100.0 * naive.ledger(naive.young_daly_interval()).goodput(),
         naive_mtbf_s,
     ));
     out

@@ -12,19 +12,19 @@
 //!    run equals a fresh launch at that topology restored from the same
 //!    checkpoint generation, loss-for-loss and weight-for-weight.
 //! 2. **Goodput**: elastic shrink-and-continue measures strictly higher
-//!    goodput than restart-at-full under the same fault plan, and the
-//!    analytic `ElasticGoodputModel` predicts the measured elastic
-//!    goodput within the acceptance band.
+//!    goodput than restart-at-full under the same fault plan, and its
+//!    goodput ledger is printed term by term beside the finite-run ledger
+//!    its own measured costs predict.
 //! 3. **Sim pricing**: `megatron_core::elastic::price_schedule` prices
 //!    capacity-loss schedules the real engine never runs with the same
 //!    twin, anchored by the one point the real run measured.
 
 use megatron_core::elastic::{iteration_s, price_schedule, rank_layouts, CapacityWindow};
+use megatron_core::goodput::{break_even_outage_s, Ledger};
 use megatron_dist::{
     CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, ReconfigureDirection,
-    RunControl, Supervisor, SupervisorConfig, ThreadBackend,
+    RunControl, Supervisor, SupervisorConfig, SupervisorReport, ThreadBackend,
 };
-use megatron_fault::{ElasticGoodputModel, FaultPlan, FaultRates, RecoveryMeasurement};
 use megatron_sim::json::Json;
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 use rand::rngs::StdRng;
@@ -32,6 +32,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::fault_plan::{FaultPlan, FaultRates};
+use crate::ledger;
 use crate::perf;
 use crate::table::Table;
 use crate::timeline::twin;
@@ -298,49 +300,34 @@ pub fn elastic() -> String {
     // calibrated so one full-topology iteration costs the measured
     // `clean_iter_s`. The twin prices an A100 node, where this tiny job is
     // bound by its all-reduces and the degraded layout can come out
-    // *faster*; like `ElasticGoodputModel::from_measured`, rho is capped at
-    // 1, so a degraded iteration is never priced below a clean one.
-    // Checkpoint saves, restores, detection, and backoff stay measured
-    // wall-clock, and each policy's wall is assembled from those
-    // components: the end-to-end raw walls of runs this size are dominated
-    // by host scheduler jitter, which would drown the ~10% overhead signal
-    // the experiment exists to measure.
+    // *faster*: a rho above 1 stands, as a negative degraded term. Every
+    // other term of both ledgers is folded from the runs' own reports, so
+    // host scheduler jitter in their walls shows as `unexplained`.
     let full = (spec.pipeline, spec.tensor, spec.data);
     let twin_s = |layout| iteration_s(&twin_run, layout).expect("a ranked layout simulates");
-    let twin_rho = twin_s(full) / twin_s(shrink.to);
-    let rho = twin_rho.clamp(1e-3, 1.0);
+    let rho = twin_s(full) / twin_s(shrink.to);
     let degraded_iter_s = clean_iter_s / rho;
 
     // The outage: the degraded window's work at degraded speed. Elastic
-    // pays only the slowdown (outage · (1 − rho) extra wall); the restart
-    // baseline stalls for the whole outage.
+    // works through it at rho; the restart baseline stalls for all of it.
     let degraded_work = (grow_stop - shrink.generation) as f64;
     let outage_s = degraded_work * degraded_iter_s;
-    let useful_s = iters as f64 * clean_iter_s;
-
-    // Measured overhead components of the elastic run.
-    let windows = store.save_windows();
-    let save_s_total: f64 = windows.iter().map(|(_, s)| s).sum();
-    let meas = RecoveryMeasurement::from_report(
-        &report,
-        clean_iter_s,
-        save_s_total,
-        windows.len(),
-        ckpt_every,
-    );
-    let elastic_overhead_s = save_s_total
-        + meas.restore_s_total
-        + meas.backoff_s_total
-        + meas.detect_s_total
-        + grow.restore_s
-        + meas.lost_iterations as f64 * clean_iter_s;
-    let elastic_wall_s =
-        useful_s + degraded_work * (degraded_iter_s - clean_iter_s) + elastic_overhead_s;
+    let folded = |report: &SupervisorReport, store: &CheckpointStore| {
+        let windows = store.save_windows();
+        let save_s: f64 = windows.iter().map(|(_, s)| s).sum();
+        let l = ledger::measured(report, clean_iter_s, save_s, windows.len(), ckpt_every);
+        (l, save_s / windows.len().max(1) as f64)
+    };
+    let (measured, mean_save) = folded(&report, &store);
+    let elastic = Ledger {
+        degraded: Ledger::outage(outage_s, rho, 0.0).degraded,
+        ..measured
+    };
 
     // Restart-at-full baseline: same kill, non-elastic supervisor (it
     // restores at (2,2,2) as soon as the job allows), but the real cluster
     // could not have run 8 ranks until the repair — it stalls for the
-    // whole outage on top of its own measured recovery overheads.
+    // whole outage on top of its own measured ledger.
     let (base_a, bstore_a, broot_a) = supervised_once("elastic-base-0", false);
     let (base_b, bstore_b, broot_b) = supervised_once("elastic-base-1", false);
     let (base_report, base_store) = if base_a.wall_s <= base_b.wall_s {
@@ -354,79 +341,55 @@ pub fn elastic() -> String {
         base_report.gave_up
     );
     assert_eq!(base_report.losses, clean.losses, "baseline bit-identity");
-    let base_save_s: f64 = base_store.save_windows().iter().map(|(_, s)| s).sum();
-    let base_overhead_s = base_save_s
-        + base_report
-            .incidents
-            .iter()
-            .map(|i| i.restore_s + i.backoff_s)
-            .sum::<f64>()
-        + base_report
-            .incidents
-            .iter()
-            .map(|i| i.lost_iterations)
-            .sum::<usize>() as f64
-            * clean_iter_s;
-    let restart_wall_s = useful_s + outage_s + base_overhead_s;
+    let restart = folded(&base_report, &base_store).0 + Ledger::outage(outage_s, 0.0, 0.0);
     let _ = std::fs::remove_dir_all(&broot_a);
     let _ = std::fs::remove_dir_all(&broot_b);
 
-    let elastic_goodput = useful_s / elastic_wall_s;
-    let restart_goodput = useful_s / restart_wall_s;
+    let (elastic_goodput, restart_goodput) = (elastic.goodput(), restart.goodput());
     out.push_str(&format!(
         "measured goodput under the same fault plan ({:.0}-iteration outage priced at {:.1} ms,\n\
          degraded iterations priced {:.1} ms by the twin vs {:.1} ms clean):\n\
-           elastic shrink-and-continue: {:.1}%  ({:.1} ms wall, {:.1} ms measured overheads, works through the outage)\n\
-           restart-at-full baseline:    {:.1}%  ({:.1} ms wall, {:.1} ms measured overheads + the full stall)\n",
+           elastic shrink-and-continue: {:.1}%  ({:.1} ms wall, works through the outage)\n\
+           restart-at-full baseline:    {:.1}%  ({:.1} ms wall, stalls for the whole outage)\n",
         degraded_work,
         1e3 * outage_s,
         1e3 * degraded_iter_s,
         1e3 * clean_iter_s,
         100.0 * elastic_goodput,
-        1e3 * elastic_wall_s,
-        1e3 * elastic_overhead_s,
+        1e3 * elastic.wall_s(),
         100.0 * restart_goodput,
-        1e3 * restart_wall_s,
-        1e3 * base_overhead_s,
+        1e3 * restart.wall_s(),
     ));
     assert!(
         elastic_goodput > restart_goodput,
         "elastic ({elastic_goodput:.3}) must beat restart-at-full ({restart_goodput:.3})"
     );
 
-    // ---- Analytic prediction: ElasticGoodputModel fed with this run's
-    // own measured costs. ----
-    // The wall the model is compared against is the assembled one.
-    let meas = RecoveryMeasurement {
-        wall_s: elastic_wall_s,
-        ..meas
-    };
-    let em = ElasticGoodputModel {
-        base: meas.to_model(),
-        relative_throughput: rho,
-        reconfigure_s: grow.restore_s,
-    };
-    let predicted = em.elastic_goodput(meas.interval_s(), useful_s, outage_s);
-    let err = (elastic_goodput - predicted).abs() / predicted.max(1e-12);
+    // ---- Prediction: the finite run this run's own costs predict, plus
+    // the outage worked through at rho after the grow's reconfiguration.
+    let predicted = ledger::predicted(
+        &measured,
+        report.incidents.len(),
+        ckpt_every as f64 * clean_iter_s,
+        mean_save,
+    ) + Ledger::outage(outage_s, rho, measured.reconfigure);
+    let err = (elastic_goodput - predicted.goodput()).abs() / predicted.goodput();
     out.push_str(&format!(
-        "\nanalytic elastic mode (rho = {:.2}: the twin's relative throughput of {:?}, {:.3}, capped at 1):\n\
-           predicted elastic goodput: {:.1}%\n\
-           measured elastic goodput:  {:.1}%\n\
-           agreement: {:.1}% {}\n\
-           break-even outage for one reconfiguration ({:.2} ms): {:.2} ms\n",
+        "\nelastic ledger (rho = {:.3}: the twin's relative throughput of {:?}) beside the\n\
+         finite run its own costs predict:\n{}\
+         agreement: {:.1}% {}\n\
+         break-even outage for one reconfiguration ({:.2} ms): {:.2} ms\n",
         rho,
         shrink.to,
-        twin_rho,
-        100.0 * predicted,
-        100.0 * elastic_goodput,
+        ledger::table(&predicted, &elastic),
         100.0 * err,
         if err <= 0.10 {
             "(within the 10% acceptance band)"
         } else {
             "(OUTSIDE the 10% acceptance band)"
         },
-        1e3 * em.reconfigure_s,
-        1e3 * em.break_even_outage_s(),
+        1e3 * measured.reconfigure,
+        1e3 * break_even_outage_s(measured.reconfigure, rho),
     ));
 
     // ---- Sim mirror: price capacity-loss schedules the real engine
@@ -436,7 +399,7 @@ pub fn elastic() -> String {
         "outage (iters of model time)",
         "elastic goodput",
         "restart goodput",
-        "reconfigs",
+        "reconfigure (iters)",
     ]);
     for outage_iters in [0usize, 4, 8, 16, 32] {
         let horizon = 64.0 * unit;
@@ -456,12 +419,12 @@ pub fn elastic() -> String {
                 },
             ]
         };
-        let cmp = price_schedule(&twin_run, full, &windows, horizon, 0.5 * unit, 0.5 * unit);
+        let (e, r) = price_schedule(&twin_run, full, &windows, horizon, 0.5 * unit, 0.5 * unit);
         t.row([
             outage_iters.to_string(),
-            format!("{:.1}%", 100.0 * cmp.elastic_goodput()),
-            format!("{:.1}%", 100.0 * cmp.restart_goodput()),
-            cmp.reconfigurations.to_string(),
+            format!("{:.1}%", 100.0 * e.goodput()),
+            format!("{:.1}%", 100.0 * r.goodput()),
+            format!("{:.1}", e.reconfigure / unit),
         ]);
     }
     out.push_str(&format!(
@@ -486,19 +449,19 @@ pub fn elastic() -> String {
         vec![
             ("elastic_goodput".into(), elastic_goodput),
             ("restart_goodput".into(), restart_goodput),
-            ("predicted_elastic_goodput".into(), predicted),
+            ("predicted_elastic_goodput".into(), predicted.goodput()),
             ("model_error".into(), err),
             ("relative_throughput".into(), rho),
             ("clean_iter_s".into(), clean_iter_s),
             ("degraded_iter_s".into(), degraded_iter_s),
             ("outage_s".into(), outage_s),
-            ("elastic_wall_s".into(), elastic_wall_s),
-            ("restart_wall_s".into(), restart_wall_s),
+            ("elastic_wall_s".into(), elastic.wall_s()),
+            ("restart_wall_s".into(), restart.wall_s()),
             (
                 "reconfigurations".into(),
                 report.reconfigurations.len() as f64,
             ),
-            ("reconfigure_s".into(), grow.restore_s),
+            ("reconfigure_s".into(), measured.reconfigure),
         ],
     );
     out.push_str(&perf::write_bench_json("BENCH_elastic.json", &record));

@@ -995,7 +995,8 @@ pub fn trace() -> String {
 /// row's Young/Daly checkpoint interval. A second section shows what a
 /// seeded week of faults on the 1T run's 3072 GPUs actually looks like.
 pub fn faults() -> String {
-    use megatron_fault::{FaultPlan, FaultRates, GoodputModel};
+    use crate::fault_plan::{FaultPlan, FaultRates};
+    use megatron_core::goodput::SteadyState;
     let fs = FilesystemSpec::selene();
     let relaunch_s = 120.0; // job requeue + process launch on top of §5.10 load
     let mut t = Table::new([
@@ -1010,17 +1011,19 @@ pub fn faults() -> String {
     ]);
     for row in zoo::table1() {
         for (label, mtbf_h) in [("6h", 6.0), ("24h", 24.0), ("1wk", 168.0)] {
-            let m = GoodputModel::for_table1_row(&row, &fs, mtbf_h * 3600.0, relaunch_s);
+            let m = SteadyState::for_table1_row(&row, &fs, mtbf_h * 3600.0, relaunch_s);
             let tau = m.young_daly_interval();
+            let l = m.ledger(tau);
             t.row([
                 row.config.name.clone(),
                 row.n_gpus.to_string(),
                 format!("{:.1}", m.save_s),
                 label.to_string(),
                 format!("{:.1} min", tau / 60.0),
-                format!("{:.1}%", 100.0 * m.goodput(tau)),
-                format!("{:.2}%", 100.0 * m.checkpoint_overhead_fraction(tau)),
-                format!("{:.2}%", 100.0 * m.lost_work_fraction(tau)),
+                format!("{:.1}%", 100.0 * l.goodput()),
+                // Saves' share of the time the job runs between failures.
+                format!("{:.2}%", 100.0 * l.save / (l.useful + l.save)),
+                format!("{:.2}%", 100.0 * (l.lost + l.restore) / l.wall_s()),
             ]);
         }
     }
@@ -1031,7 +1034,7 @@ pub fn faults() -> String {
     );
 
     // One concrete week on the trillion-parameter run: a seeded plan of
-    // every fault class, as the injector would lower it into the simulator.
+    // every fault class, counted by class.
     let week = 7.0 * 24.0 * 3600.0;
     let rates = FaultRates {
         gpu_death_mtbf_s: 24.0 * 3600.0,
@@ -1062,7 +1065,7 @@ pub fn faults() -> String {
 /// Young/Daly √(2δM) checkpoint interval vs the brute-force optimum for
 /// the trillion-parameter run at §5.10 checkpoint costs.
 pub fn ckpt_interval() -> String {
-    use megatron_fault::GoodputModel;
+    use megatron_core::goodput::SteadyState;
     let rows = zoo::table1();
     let row = rows.last().expect("Table 1 is non-empty"); // 1T, 3072 GPUs
     let fs = FilesystemSpec::selene();
@@ -1075,7 +1078,7 @@ pub fn ckpt_interval() -> String {
         "goodput (BF)",
     ]);
     for (label, mtbf_h) in [("1h", 1.0), ("4h", 4.0), ("24h", 24.0), ("1wk", 168.0)] {
-        let m = GoodputModel::for_table1_row(row, &fs, mtbf_h * 3600.0, 120.0);
+        let m = SteadyState::for_table1_row(row, &fs, mtbf_h * 3600.0, 120.0);
         let yd = m.young_daly_interval();
         let bf = m.optimal_interval_brute_force(10.0, m.mtbf_s, 20_000);
         t.row([
@@ -1083,8 +1086,8 @@ pub fn ckpt_interval() -> String {
             format!("{:.1} min", yd / 60.0),
             format!("{:.1} min", bf / 60.0),
             format!("{:+.1}%", 100.0 * (yd / bf - 1.0)),
-            format!("{:.3}%", 100.0 * m.goodput(yd)),
-            format!("{:.3}%", 100.0 * m.goodput(bf)),
+            format!("{:.3}%", 100.0 * m.ledger(yd).goodput()),
+            format!("{:.3}%", 100.0 * m.ledger(bf).goodput()),
         ]);
     }
     t.render()
@@ -1096,15 +1099,16 @@ pub fn ckpt_interval() -> String {
 /// E30: the reliability loop, end-to-end on the real trainer. A seeded
 /// `FaultPlan` kills ranks mid-iteration; the `Supervisor` restores each
 /// time from the durable sharded checkpoint store and resumes; the final
-/// losses must match a fault-free run bit-for-bit; and the *measured*
-/// goodput is cross-checked against the Young/Daly `GoodputModel`
-/// parameterized by the run's own measured MTBF / save / restart costs.
+/// losses must match a fault-free run bit-for-bit; and the run's measured
+/// goodput ledger is printed term by term beside the finite-run ledger
+/// its own measured costs predict.
 pub fn recovery() -> String {
+    use crate::fault_plan::{FaultPlan, FaultRates};
+    use crate::ledger;
     use megatron_dist::{
         CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, Supervisor, SupervisorConfig,
         ThreadBackend,
     };
-    use megatron_fault::{FaultPlan, FaultRates, RecoveryMeasurement};
     use megatron_tensor::gpt::{GptModel, TinyGptConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1252,36 +1256,30 @@ pub fn recovery() -> String {
         if params_ok { "yes" } else { "NO" },
     ));
 
-    // Empirical goodput vs the analytic model fed with the run's own
-    // measured MTBF, save cost, and restart cost.
+    // The run's goodput ledger, term by term, beside the finite-run
+    // ledger its own measured costs predict.
     let windows = store.save_windows();
     let save_s_total: f64 = windows.iter().map(|(_, s)| s).sum();
-    let meas = RecoveryMeasurement::from_report(
+    let measured = ledger::measured(
         &report,
         clean_iter_s,
         save_s_total,
         windows.len(),
         ckpt_every,
     );
-    let measured = meas.measured_goodput();
-    let predicted = meas.predicted_goodput();
-    let model = meas.to_model();
-    let err = (measured - predicted).abs() / predicted.max(1e-12);
+    let tau = ckpt_every as f64 * clean_iter_s;
+    let mean_save = save_s_total / windows.len().max(1) as f64;
+    let failures = report.incidents.len();
+    let predicted = ledger::predicted(&measured, failures, tau, mean_save);
+    let err = (measured.goodput() - predicted.goodput()).abs() / predicted.goodput();
     out.push_str(&format!(
-        "measured on this run: clean iteration {:.2} ms, save {:.2} ms,\n\
-         MTBF {:.1} ms, restart {:.2} ms (restore + backoff + detection)\n\
-         measured goodput:  {:.1}% ({} iterations of useful work in {:.1} ms wall)\n\
-         predicted goodput: {:.1}% (Young/Daly model at tau = {:.1} ms)\n\
+        "goodput ledger: this run (clean iteration {:.2} ms, mean save {:.2} ms) beside\n\
+         the finite run its own costs predict ({failures} failures, tau = {:.1} ms):\n{}\
          agreement: {:.1}% {}\n",
-        1e3 * meas.clean_iter_s,
-        1e3 * model.save_s,
-        1e3 * model.mtbf_s,
-        1e3 * model.restart_s,
-        100.0 * measured,
-        meas.n_iterations,
-        1e3 * meas.wall_s,
-        100.0 * predicted,
-        1e3 * meas.interval_s(),
+        1e3 * clean_iter_s,
+        1e3 * mean_save,
+        1e3 * tau,
+        ledger::table(&predicted, &measured),
         100.0 * err,
         if err <= 0.10 {
             "(within the 10% acceptance band)"
@@ -1381,4 +1379,49 @@ pub fn batchscale() -> String {
         }
     }
     t.render() + "throughput rises monotonically with batch size (bubble amortization +\nless frequent gradient all-reduce)\n"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn assert_rows(out: &str, rows: &[&str]) {
+        for row in rows {
+            assert!(
+                out.lines().any(|l| l == *row),
+                "missing row {row:?} in\n{out}"
+            );
+        }
+    }
+
+    /// E28 (`repro faults`): the trillion-parameter rows at each MTBF and the
+    /// seeded week of faults, exactly as printed.
+    #[test]
+    fn faults_prints_its_pinned_rows() {
+        assert_rows(
+            &faults(),
+            &[
+                "GPT 1008B   3072  51.7    6h    24.9 min    92.7%    3.34%     4.08%",
+                "GPT 1008B   3072  51.7    24h   49.8 min    96.4%    1.70%     1.88%",
+                "GPT 1008B   3072  51.7    1wk   131.7 min   98.7%    0.65%     0.68%",
+                "58 events total: 10 gpu-death, 16 link-degrade, 5 link-flap, 1 node-death, \
+                 26 straggler",
+            ],
+        );
+    }
+
+    /// E29 (`repro ckpt-interval`): every MTBF row of the interval table,
+    /// exactly as printed.
+    #[test]
+    fn ckpt_interval_prints_its_pinned_rows() {
+        assert_rows(
+            &ckpt_interval(),
+            &[
+                "1h    10.2 min    9.1 min      +11.1%        80.948%       81.026%",
+                "4h    20.3 min    19.4 min     +4.8%         90.980%       90.989%",
+                "24h   49.8 min    48.9 min     +1.8%         96.448%       96.449%",
+                "1wk   131.7 min   130.9 min    +0.7%         98.679%       98.679%",
+            ],
+        );
+    }
 }

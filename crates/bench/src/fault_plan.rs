@@ -1,26 +1,15 @@
-//! Seeded fault plans and their injection into the discrete-event world.
+//! Seeded fault plans: the schedules the chaos and recovery experiments
+//! (E30, E33, E35) draw their rank kills and wire faults from.
 //!
 //! A [`FaultPlan`] is a reproducible (seeded) list of timed fault events —
 //! GPU deaths, whole-node deaths, link degradations and flaps, compute
 //! stragglers — drawn from independent exponential inter-arrival processes,
-//! one per fault class. A [`FaultInjector`] lowers the plan onto a
-//! [`DagSim`]: deaths and stragglers become slowdown windows on compute
-//! resources, link events become slowdown windows on the victim GPU's
-//! network egress ports (`megatron-net` registers one NVLink and one IB
-//! port per GPU). Every event is also exported as a Chrome-trace instant
-//! (category `fault`) so injected runs can be inspected in Perfetto next
-//! to the ordinary task spans.
+//! one per fault class. Plans archive losslessly as JSON, so a chaos run
+//! can be replayed from the plan it saved.
 
-use megatron_net::Network;
 use megatron_sim::json::Json;
-use megatron_sim::{secs_to_time, DagSim, ResourceId, Time, TraceInstant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A resource stays effectively frozen under this slowdown factor; the
-/// engine requires finite factors, so "dead" is modeled as "10⁶× slower
-/// for the repair window".
-pub const DEATH_FACTOR: f64 = 1e6;
 
 /// What failed and how.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,10 +133,9 @@ impl FaultKind {
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
-    /// Onset time, seconds since simulation start.
+    /// Onset time, seconds since the start of the plan.
     pub at_s: f64,
-    /// The victim GPU (for node faults: any GPU of the node — the injector
-    /// expands to the whole node).
+    /// The victim GPU (for node faults: any GPU of the node).
     pub gpu: usize,
     /// What happens.
     pub kind: FaultKind,
@@ -291,150 +279,11 @@ impl FaultPlan {
             .collect::<Option<Vec<_>>>()?;
         Some(FaultPlan { horizon_s, events })
     }
-
-    /// The plan's events as Chrome-trace instants (category `fault`), for
-    /// overlay on a simulated timeline via
-    /// [`megatron_sim::chrome_trace_json_with_instants`].
-    pub fn instants(&self) -> Vec<TraceInstant> {
-        self.events
-            .iter()
-            .map(|e| TraceInstant {
-                time: secs_to_time(e.at_s),
-                name: format!("gpu{}.{}", e.gpu, e.kind.label()),
-                category: "fault".to_string(),
-            })
-            .collect()
-    }
-}
-
-/// One slowdown window destined for one resource.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    resource: ResourceId,
-    from: Time,
-    to: Time,
-    factor: f64,
-}
-
-/// Lowers a [`FaultPlan`] onto a [`DagSim`].
-pub struct FaultInjector<'a> {
-    /// Compute resource per GPU, in GPU order (as registered by the
-    /// caller's DAG builder).
-    pub gpu_compute: &'a [ResourceId],
-    /// Network ports to degrade on link faults and deaths (optional — a
-    /// compute-only simulation passes `None`).
-    pub network: Option<&'a Network>,
-    /// GPUs per node, for expanding node deaths (8 on Selene).
-    pub gpus_per_node: usize,
-}
-
-impl FaultInjector<'_> {
-    /// Apply every event of `plan` as slowdown windows. Windows that would
-    /// overlap an already-applied window on the same resource are clipped
-    /// to start after it (the engine rejects overlaps); windows swallowed
-    /// whole are dropped. Returns the number of windows actually applied.
-    pub fn apply(&self, sim: &mut DagSim, plan: &FaultPlan) -> usize {
-        let mut windows = Vec::new();
-        for ev in &plan.events {
-            self.expand(ev, &mut windows);
-        }
-        // Per-resource overlap resolution: sort by (resource, start) and
-        // push each window's start past the previous end.
-        windows.sort_by_key(|w| (w.resource, w.from));
-        let mut applied = 0;
-        let mut last_end: Option<(ResourceId, Time)> = None;
-        for mut w in windows {
-            if let Some((res, end)) = last_end {
-                if res == w.resource && w.from < end {
-                    w.from = end;
-                }
-            }
-            if w.from >= w.to {
-                continue;
-            }
-            sim.add_slowdown(w.resource, w.from, w.to, w.factor);
-            last_end = Some((w.resource, w.to));
-            applied += 1;
-        }
-        applied
-    }
-
-    fn expand(&self, ev: &FaultEvent, out: &mut Vec<Window>) {
-        let from = secs_to_time(ev.at_s);
-        let mut push = |resource: ResourceId, from: Time, to: Time, factor: f64| {
-            out.push(Window {
-                resource,
-                from,
-                to,
-                factor,
-            });
-        };
-        match ev.kind {
-            FaultKind::GpuDeath { repair_s } => {
-                let to = secs_to_time(ev.at_s + repair_s);
-                push(self.gpu_compute[ev.gpu], from, to, DEATH_FACTOR);
-                if let Some(net) = self.network {
-                    push(net.nv_port(ev.gpu), from, to, DEATH_FACTOR);
-                    push(net.ib_port(ev.gpu), from, to, DEATH_FACTOR);
-                }
-            }
-            FaultKind::NodeDeath { repair_s } => {
-                let to = secs_to_time(ev.at_s + repair_s);
-                let node = ev.gpu / self.gpus_per_node;
-                for g in node * self.gpus_per_node..(node + 1) * self.gpus_per_node {
-                    if g >= self.gpu_compute.len() {
-                        break;
-                    }
-                    push(self.gpu_compute[g], from, to, DEATH_FACTOR);
-                    if let Some(net) = self.network {
-                        push(net.nv_port(g), from, to, DEATH_FACTOR);
-                        push(net.ib_port(g), from, to, DEATH_FACTOR);
-                    }
-                }
-            }
-            FaultKind::LinkDegrade { factor, duration_s } => {
-                let to = secs_to_time(ev.at_s + duration_s);
-                if let Some(net) = self.network {
-                    push(net.ib_port(ev.gpu), from, to, factor);
-                } else {
-                    // Compute-only world: charge the victim's compute
-                    // resource so the fault is still visible.
-                    push(self.gpu_compute[ev.gpu], from, to, factor);
-                }
-            }
-            FaultKind::LinkFlap {
-                factor,
-                burst_s,
-                period_s,
-                count,
-            } => {
-                for i in 0..count {
-                    let start = ev.at_s + i as f64 * period_s;
-                    let (f, t) = (secs_to_time(start), secs_to_time(start + burst_s));
-                    if let Some(net) = self.network {
-                        push(net.ib_port(ev.gpu), f, t, factor);
-                    } else {
-                        push(self.gpu_compute[ev.gpu], f, t, factor);
-                    }
-                }
-            }
-            FaultKind::Straggler { factor, duration_s } => {
-                push(
-                    self.gpu_compute[ev.gpu],
-                    from,
-                    secs_to_time(ev.at_s + duration_s),
-                    factor,
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_cluster::ClusterSpec;
-    use megatron_sim::time_to_secs;
 
     fn demo_rates() -> FaultRates {
         FaultRates {
@@ -563,163 +412,5 @@ mod tests {
         let bad_kind =
             r#"{"horizon_s":1,"events":[{"at_s":0,"gpu":0,"fault":{"kind":"gremlin"}}]}"#;
         assert!(FaultPlan::from_json(&Json::parse(bad_kind).unwrap()).is_none());
-    }
-
-    #[test]
-    fn straggler_window_stretches_victim_only() {
-        let mut sim = DagSim::new();
-        let g0 = sim.add_resource("gpu0");
-        let g1 = sim.add_resource("gpu1");
-        let work = secs_to_time(10.0);
-        let a = sim.add_task(g0, work, &[], 1);
-        let b = sim.add_task(g1, work, &[], 1);
-        let plan = FaultPlan {
-            horizon_s: 100.0,
-            events: vec![FaultEvent {
-                at_s: 0.0,
-                gpu: 0,
-                kind: FaultKind::Straggler {
-                    factor: 2.0,
-                    duration_s: 100.0,
-                },
-            }],
-        };
-        let inj = FaultInjector {
-            gpu_compute: &[g0, g1],
-            network: None,
-            gpus_per_node: 8,
-        };
-        assert_eq!(inj.apply(&mut sim, &plan), 1);
-        let result = sim.run().unwrap();
-        let fa = time_to_secs(result.finish_of(a).unwrap());
-        let fb = time_to_secs(result.finish_of(b).unwrap());
-        assert!((fa - 20.0).abs() < 1e-6, "victim took {fa}");
-        assert!((fb - 10.0).abs() < 1e-6, "bystander took {fb}");
-    }
-
-    #[test]
-    fn node_death_freezes_every_gpu_of_the_node() {
-        let mut sim = DagSim::new();
-        let gpus: Vec<_> = (0..4)
-            .map(|g| sim.add_resource(format!("gpu{g}")))
-            .collect();
-        let tasks: Vec<_> = gpus
-            .iter()
-            .map(|&g| sim.add_task(g, secs_to_time(1.0), &[], 1))
-            .collect();
-        // 2 GPUs per node; kill node 0 (gpus 0-1) for 50 s at t=0.
-        let plan = FaultPlan {
-            horizon_s: 100.0,
-            events: vec![FaultEvent {
-                at_s: 0.0,
-                gpu: 1,
-                kind: FaultKind::NodeDeath { repair_s: 50.0 },
-            }],
-        };
-        let inj = FaultInjector {
-            gpu_compute: &gpus,
-            network: None,
-            gpus_per_node: 2,
-        };
-        inj.apply(&mut sim, &plan);
-        let result = sim.run().unwrap();
-        for (g, &t) in tasks.iter().enumerate() {
-            let f = time_to_secs(result.finish_of(t).unwrap());
-            if g < 2 {
-                // Dead until repair; the 1 s of work completes right after.
-                assert!(f >= 50.0, "gpu{g} finished at {f}, node was dead");
-            } else {
-                assert!((f - 1.0).abs() < 1e-6, "gpu{g} finished at {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn link_faults_hit_network_ports() {
-        let mut sim = DagSim::new();
-        let cluster = ClusterSpec::selene(16);
-        let gpus: Vec<_> = (0..16)
-            .map(|g| sim.add_resource(format!("gpu{g}")))
-            .collect();
-        let net = Network::new(&mut sim, cluster);
-        // Degrade gpu 3's IB port 4× for the whole run, then send
-        // cross-node traffic from gpu 3 and from gpu 4 (both node 0, peers
-        // on node 1).
-        let plan = FaultPlan {
-            horizon_s: 1e4,
-            events: vec![FaultEvent {
-                at_s: 0.0,
-                gpu: 3,
-                kind: FaultKind::LinkDegrade {
-                    factor: 4.0,
-                    duration_s: 1e4,
-                },
-            }],
-        };
-        let inj = FaultInjector {
-            gpu_compute: &gpus,
-            network: Some(&net),
-            gpus_per_node: 8,
-        };
-        inj.apply(&mut sim, &plan);
-        let bytes = 1 << 30;
-        let slow = net.send(&mut sim, 3, 8, bytes, &[], 3);
-        let fine = net.send(&mut sim, 4, 9, bytes, &[], 3);
-        let result = sim.run().unwrap();
-        let ts = time_to_secs(result.finish_of(slow).unwrap());
-        let tf = time_to_secs(result.finish_of(fine).unwrap());
-        assert!(
-            (ts / tf - 4.0).abs() < 0.05,
-            "degraded link {ts} s vs healthy {tf} s"
-        );
-    }
-
-    #[test]
-    fn overlapping_generated_windows_are_resolved() {
-        // Two stragglers overlapping on the same GPU must not panic the
-        // engine (which rejects overlapping windows): the second is
-        // clipped to start where the first ends.
-        let mut sim = DagSim::new();
-        let g0 = sim.add_resource("gpu0");
-        let plan = FaultPlan {
-            horizon_s: 100.0,
-            events: vec![
-                FaultEvent {
-                    at_s: 0.0,
-                    gpu: 0,
-                    kind: FaultKind::Straggler {
-                        factor: 2.0,
-                        duration_s: 50.0,
-                    },
-                },
-                FaultEvent {
-                    at_s: 25.0,
-                    gpu: 0,
-                    kind: FaultKind::Straggler {
-                        factor: 3.0,
-                        duration_s: 50.0,
-                    },
-                },
-            ],
-        };
-        let inj = FaultInjector {
-            gpu_compute: &[g0],
-            network: None,
-            gpus_per_node: 8,
-        };
-        assert_eq!(inj.apply(&mut sim, &plan), 2);
-        sim.add_task(g0, secs_to_time(100.0), &[], 1);
-        sim.run().unwrap(); // must not panic
-    }
-
-    #[test]
-    fn instants_carry_fault_category() {
-        let plan = FaultPlan::generate(11, 8, 3600.0, &demo_rates());
-        let instants = plan.instants();
-        assert_eq!(instants.len(), plan.events.len());
-        for (i, e) in instants.iter().zip(&plan.events) {
-            assert_eq!(i.category, "fault");
-            assert!(i.name.starts_with(&format!("gpu{}", e.gpu)));
-        }
     }
 }

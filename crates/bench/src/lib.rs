@@ -9,8 +9,10 @@ pub mod analyze;
 pub mod chaos;
 pub mod elastic_bench;
 pub mod experiments;
+pub mod fault_plan;
 pub mod harness;
 pub mod launch;
+pub mod ledger;
 pub mod perf;
 pub mod proc_chaos;
 pub mod sentry;

@@ -12,29 +12,31 @@
 //! parameters must be bit-identical** to a fault-free process run of the
 //! same job.
 //!
-//! The run is then priced: the measured goodput (useful work over
-//! supervised wall-clock) is compared against the Young/Daly
-//! [`GoodputModel`] parameterized by the *measured* MTBF, restore, and
-//! backoff costs, and the E35 scenario on the same backend — a real
-//! SIGKILL, the twin's cheapest degraded layout, the rank returned, a grow at
-//! the next checkpoint boundary — validates [`ElasticGoodputModel`] the
-//! same way. Both land in `BENCH_proc_chaos.json` for the perf-regression
-//! sentry.
+//! The run is then priced: its measured goodput ledger (useful work,
+//! saves, lost work, detection, restore, backoff and what none of them
+//! explains) is printed term by term beside the finite-run [`Ledger`] its
+//! own measured costs predict. The E35 scenario on the same backend — a
+//! real SIGKILL, the twin's cheapest degraded layout, the rank returned, a
+//! grow at the next checkpoint boundary — is priced the same way, its
+//! degraded segment and reconfiguration as two more terms. Both land in
+//! `BENCH_proc_chaos.json` for the perf-regression sentry.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use megatron_core::elastic::rank_layouts;
+use megatron_core::goodput::{Ledger, SteadyState};
 use megatron_dist::proc::{launch_configured, JobSpec, ProcBackend, SocketFaultPlan};
 use megatron_dist::{
     CapacityEvent, CheckpointStore, KillSwitch, PtdpSpec, ReconfigureDirection, Supervisor,
     SupervisorConfig, SupervisorReport, ThreadKey,
 };
-use megatron_fault::{ElasticGoodputModel, RecoveryMeasurement};
 use megatron_sim::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::ledger;
 
 /// `repro chaos --process` usage string.
 pub const USAGE: &str = "repro chaos --process [--seed N] [--iters N] [--ckpt-every N] [--kills N]
@@ -120,6 +122,11 @@ fn yn(b: bool) -> &'static str {
     } else {
         "no"
     }
+}
+
+/// `text` with every line indented under the report's two-space margin.
+fn indented(text: &str) -> String {
+    text.lines().map(|l| format!("    {l}\n")).collect()
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -248,17 +255,24 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
     let _ = std::fs::remove_dir_all(&root);
     let chaos_params_ok = report.final_params.as_ref() == Some(&clean);
 
-    let meas = RecoveryMeasurement::from_report(
+    let measured = ledger::measured(
         &report,
         clean_iter_s,
         save_s_total,
         n_gens,
         knobs.ckpt_every,
     );
-    let measured = meas.measured_goodput();
-    let predicted = meas.predicted_goodput();
-    let young_daly_s = meas.to_model().young_daly_interval();
-    let model_error = (measured - predicted).abs() / measured.max(1e-12);
+    let failures = report.incidents.len();
+    let tau = knobs.ckpt_every as f64 * clean_iter_s;
+    let mean_save = save_s_total / n_gens as f64;
+    let predicted = ledger::predicted(&measured, failures, tau, mean_save);
+    let model_error = (measured.goodput() - predicted.goodput()).abs() / measured.goodput();
+    let young_daly_s = SteadyState {
+        mtbf_s: measured.useful / failures.max(1) as f64,
+        save_s: mean_save,
+        restart_s: 0.0,
+    }
+    .young_daly_interval();
 
     // --- The elastic cycle (E35's scenario, real processes): SIGKILL one
     // rank a third of the way in, run on at the degraded layout the twin
@@ -299,22 +313,24 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
     let elastic_params_ok = elastic.final_params.as_ref() == Some(&replay);
     let _ = std::fs::remove_dir_all(&root_e);
     // The degraded segment ran from the generation the shrink restored to
-    // the grow boundary; its wall is the outage the elastic policy worked
-    // through.
-    let outage_s = grow.segment_s;
+    // the grow boundary; its wall less its saves (the ledger's `save` term
+    // holds those) is the outage the elastic policy worked through.
     let degraded_iters = grow.at_iter.saturating_sub(shrink.generation).max(1);
+    let outage_s = grow.segment_s - (degraded_iters / knobs.ckpt_every) as f64 * mean_save;
     let degraded_iter_s = outage_s / degraded_iters as f64;
-    let reconfigure_s: f64 = elastic.reconfigurations.iter().map(|r| r.restore_s).sum();
-    let emodel = ElasticGoodputModel::from_measured(
-        meas.to_model(),
+    let rho = clean_iter_s / degraded_iter_s;
+    let elastic_measured = ledger::measured(
+        &elastic,
         clean_iter_s,
-        degraded_iter_s,
-        reconfigure_s,
+        save_s_total,
+        n_gens,
+        knobs.ckpt_every,
     );
-    let useful_s = knobs.iters as f64 * clean_iter_s;
-    let elastic_measured = (useful_s / elastic.wall_s).clamp(0.0, 1.0);
-    let elastic_predicted = emodel.elastic_goodput(meas.interval_s(), useful_s, outage_s);
-    let elastic_error = (elastic_measured - elastic_predicted).abs() / elastic_measured.max(1e-12);
+    let elastic_predicted =
+        ledger::predicted(&elastic_measured, elastic.incidents.len(), tau, mean_save)
+            + Ledger::outage(outage_s, rho, elastic_measured.reconfigure);
+    let elastic_error = (elastic_measured.goodput() - elastic_predicted.goodput()).abs()
+        / elastic_measured.goodput();
 
     // --- Report.
     let mut rep = String::new();
@@ -360,22 +376,33 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
         yn(chaos_params_ok)
     ));
     rep.push_str(&format!(
-        "\n  goodput: measured {:.4}, Young/Daly-predicted {:.4} (error {:.1}%)\n\
+        "\n  goodput ledger (clean iteration {:.1} ms, mean save {:.1} ms, tau = {:.1} ms),\n\
+         \x20 predicted as a finite run from the run's own costs:\n{}\
+         \x20 goodput: measured {:.4}, predicted {:.4} (error {:.1}%)\n\
          \x20 young/daly interval: {:.2} s (run used {:.2} s)\n\
          \x20 lost iterations: {}, restore {:.3} s, backoff {:.3} s\n",
-        measured,
-        predicted,
+        1e3 * clean_iter_s,
+        1e3 * mean_save,
+        1e3 * tau,
+        indented(&ledger::table(&predicted, &measured)),
+        measured.goodput(),
+        predicted.goodput(),
         model_error * 100.0,
         young_daly_s,
-        meas.interval_s(),
-        meas.lost_iterations,
-        meas.restore_s_total,
-        meas.backoff_s_total,
+        tau,
+        report
+            .incidents
+            .iter()
+            .map(|i| i.lost_iterations)
+            .sum::<usize>(),
+        measured.restore,
+        measured.backoff,
     ));
     rep.push_str(&format!(
         "\n  elastic: rank {victim} SIGKILLed at iteration {lost_at}, returned at {back_at}: \
          {} incidents, reconfigurations {:?}\n\
          \x20 post-grow segment bit-identical to fresh launch from the grow generation: {}\n\
+         \x20 degraded segment: {degraded_iters} iterations in {:.1} ms (rho = {rho:.3})\n{}\
          \x20 elastic goodput: measured {:.4}, predicted {:.4} (error {:.1}%)\n",
         elastic.incidents.len(),
         elastic
@@ -384,8 +411,10 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
             .map(|r| (r.from, r.to, r.at_iter, r.generation))
             .collect::<Vec<_>>(),
         yn(elastic_params_ok),
-        elastic_measured,
-        elastic_predicted,
+        1e3 * outage_s,
+        indented(&ledger::table(&elastic_predicted, &elastic_measured)),
+        elastic_measured.goodput(),
+        elastic_predicted.goodput(),
         elastic_error * 100.0,
     ));
 
@@ -402,8 +431,8 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
             ("seed".into(), Json::Num(knobs.seed as f64)),
         ],
         vec![
-            ("measured_goodput".into(), measured),
-            ("predicted_goodput".into(), predicted),
+            ("measured_goodput".into(), measured.goodput()),
+            ("predicted_goodput".into(), predicted.goodput()),
             // Named to dodge the sentry's "goodput → higher-better"
             // keyword: a model error is lower-better.
             ("model_error".into(), model_error),
@@ -412,13 +441,19 @@ fn report(knobs: &ProcChaosKnobs, out_path: &str) -> Result<String, String> {
             // `lost_iterations` stays console-only: it races the 5 ms
             // supervisor poll (0 or 1 run-to-run), and a 0 baseline makes
             // any relative sentry delta explode.
-            ("restore_s_total".into(), meas.restore_s_total),
-            ("backoff_s_total".into(), meas.backoff_s_total),
-            ("elastic_measured_goodput".into(), elastic_measured),
-            ("elastic_predicted_goodput".into(), elastic_predicted),
+            ("restore_s_total".into(), measured.restore),
+            ("backoff_s_total".into(), measured.backoff),
+            (
+                "elastic_measured_goodput".into(),
+                elastic_measured.goodput(),
+            ),
+            (
+                "elastic_predicted_goodput".into(),
+                elastic_predicted.goodput(),
+            ),
             ("elastic_model_error".into(), elastic_error),
             ("degraded_iter_s".into(), degraded_iter_s),
-            ("relative_throughput".into(), emodel.relative_throughput),
+            ("relative_throughput".into(), rho),
         ],
     );
     rep.push_str(&format!(

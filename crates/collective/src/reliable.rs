@@ -123,8 +123,9 @@ pub fn mix_seed(a: u64, b: u64) -> u64 {
 /// Transient-fault profile injected by [`FaultyTransport`].
 ///
 /// Probabilities are per send. `degrade_factor` models a degraded link
-/// (`FaultKind::LinkDegrade`): every send is slowed to `factor ×` its
-/// nominal wire time of `wire_ns_per_elem · elems` nanoseconds.
+/// (a fault plan's `LinkDegrade`, `megatron_bench::fault_plan`): every
+/// send is slowed to `factor ×` its nominal wire time of
+/// `wire_ns_per_elem · elems` nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientFaults {
     /// Probability a send never reaches the wire.

@@ -10,9 +10,9 @@
 //!   first. `megatron_dist`'s elastic supervisor takes this list from its
 //!   caller and runs the first layout its trainer accepts.
 //! - [`price_schedule`] walks a capacity timeline and prices both policies
-//!   over schedules the real engine never runs: arbitrary outage lengths,
-//!   repeated losses, partial recoveries. The real elastic run (E35)
-//!   measures one point of that space.
+//!   as one [`Ledger`] each, over schedules the real engine never runs:
+//!   arbitrary outage lengths, repeated losses, partial recoveries. The
+//!   real elastic run (E35) measures one point of that space.
 //!
 //! A layout is priced on one node of exactly `p·t·d` GPUs of the template's
 //! kind, so a smaller world never pays for GPUs it does not use.
@@ -20,6 +20,7 @@
 use megatron_cluster::{ClusterSpec, NodeSpec};
 use megatron_parallel::layouts;
 
+use crate::goodput::Ledger;
 use crate::{RunError, TrainingRun};
 
 /// A `(p, t, d)` layout.
@@ -78,48 +79,21 @@ pub struct CapacityWindow {
     pub gpus: usize,
 }
 
-/// What [`price_schedule`] computed for the two recovery policies over one
-/// capacity timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyComparison {
-    /// Schedule horizon priced, seconds.
-    pub horizon_s: f64,
-    /// Full-topology-equivalent useful seconds the elastic policy
-    /// completes (degraded windows contribute at their relative
-    /// throughput; reconfigurations cost dead time).
-    pub elastic_useful_s: f64,
-    /// Same for restart-at-full: windows that cannot hold the full
-    /// topology contribute nothing, and the return to full capacity costs
-    /// one restore.
-    pub restart_useful_s: f64,
-    /// Topology changes the elastic policy paid for.
-    pub reconfigurations: usize,
-}
-
-impl PolicyComparison {
-    /// Elastic goodput over the horizon (useful fraction of wall-clock).
-    pub fn elastic_goodput(&self) -> f64 {
-        (self.elastic_useful_s / self.horizon_s).clamp(0.0, 1.0)
-    }
-
-    /// Restart-at-full goodput over the horizon.
-    pub fn restart_goodput(&self) -> f64 {
-        (self.restart_useful_s / self.horizon_s).clamp(0.0, 1.0)
-    }
-}
-
-/// Price one capacity timeline under both recovery policies. `windows`
-/// must be sorted by `at_s` and start at the job launch; `full` is the
-/// job's launch layout of `template`; `reconfigure_s` is the cost of one
-/// topology change (a cross-topology checkpoint restore); `restore_s` is
-/// the restart policy's restore after capacity returns.
+/// Price one capacity timeline under both recovery policies: the ledgers
+/// of shrink-and-continue and of restart-at-full, in that order, each
+/// summing to `horizon_s`. `windows` must be sorted by `at_s` and start at
+/// the job launch; `full` is the job's launch layout of `template`;
+/// `reconfigure_s` is the cost of one topology change (a cross-topology
+/// checkpoint restore); `restore_s` is the restart policy's restore after
+/// capacity returns.
 ///
 /// The elastic policy runs the first layout [`rank_layouts`] lists for
-/// each window's capacity (idling only when none fits) at its simulated
-/// throughput relative to `full`, capped at 1 — a degraded layout never
-/// counts as faster than the launch one, as `fault::ElasticGoodputModel`
-/// assumes; restart-at-full makes progress only in windows that hold the
-/// full world. Both charge their restores as dead time.
+/// each window's capacity (stalling only when none fits) at its simulated
+/// throughput `ρ` relative to `full`: useful work `span·ρ`, degraded
+/// `span·(1 − ρ)` — negative, and reported, when the twin prices the
+/// degraded layout faster. Restart-at-full makes progress only in windows
+/// that hold the full world and stalls through the rest. Both charge their
+/// restores as dead time.
 ///
 /// # Panics
 /// If `full` does not simulate.
@@ -130,63 +104,61 @@ pub fn price_schedule(
     horizon_s: f64,
     reconfigure_s: f64,
     restore_s: f64,
-) -> PolicyComparison {
+) -> (Ledger, Ledger) {
     assert!(horizon_s > 0.0, "horizon must be positive");
     assert!(!windows.is_empty(), "need at least one capacity window");
     let full_world = full.0 * full.1 * full.2;
     let full_s = iteration_s(template, full).expect("the launch layout simulates");
-    let mut elastic_useful = 0.0f64;
-    let mut restart_useful = 0.0f64;
-    let mut reconfigs = 0usize;
+    let (mut elastic, mut restart) = (Ledger::default(), Ledger::default());
     let mut elastic_cfg = Some(full);
     let mut restart_live = true;
 
     for (i, w) in windows.iter().enumerate() {
         let end = windows.get(i + 1).map_or(horizon_s, |n| n.at_s);
-        let mut span = (end.min(horizon_s) - w.at_s).max(0.0);
-        if span == 0.0 {
+        let window = (end.min(horizon_s) - w.at_s).max(0.0);
+        if window == 0.0 {
             continue;
         }
         // Elastic: run the launch topology whenever it fits (the grow
         // target is always the operator's chosen configuration), the
         // cheapest degraded one otherwise; reconfigure when the target
         // differs from what is currently running.
-        let target = if w.gpus >= full_world {
+        let full_fits = w.gpus >= full_world;
+        let target = if full_fits {
             Some(full)
         } else {
             rank_layouts(template, w.gpus).first().copied()
         };
+        let mut span = window;
         if target != elastic_cfg {
             if target.is_some() {
-                reconfigs += 1;
                 let pay = reconfigure_s.min(span);
+                elastic.reconfigure += pay;
                 span -= pay;
             }
             elastic_cfg = target;
         }
-        if let Some(cfg) = elastic_cfg {
-            let cfg_s = iteration_s(template, cfg).expect("a ranked layout simulates");
-            elastic_useful += span * (full_s / cfg_s).min(1.0);
-        }
+        let rho = elastic_cfg.map_or(0.0, |cfg| {
+            full_s / iteration_s(template, cfg).expect("a ranked layout simulates")
+        });
+        elastic.useful += span * rho;
+        elastic.degraded += span * (1.0 - rho);
         // Restart-at-full: progress only with the full world live; pay one
         // restore on each return to capacity.
-        let mut rspan = (end.min(horizon_s) - w.at_s).max(0.0);
-        let full_fits = w.gpus >= full_world;
+        let mut rspan = window;
         if full_fits && !restart_live {
-            rspan = (rspan - restore_s).max(0.0);
+            let pay = restore_s.min(rspan);
+            restart.restore += pay;
+            rspan -= pay;
         }
         if full_fits {
-            restart_useful += rspan;
+            restart.useful += rspan;
+        } else {
+            restart.degraded += rspan;
         }
         restart_live = full_fits;
     }
-
-    PolicyComparison {
-        horizon_s,
-        elastic_useful_s: elastic_useful,
-        restart_useful_s: restart_useful,
-        reconfigurations: reconfigs,
-    }
+    (elastic, restart)
 }
 
 #[cfg(test)]
@@ -265,10 +237,10 @@ mod tests {
     #[test]
     fn pricing_no_outage_means_equal_policies() {
         let windows = [CapacityWindow { at_s: 0.0, gpus: 8 }];
-        let c = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
-        assert_eq!(c.reconfigurations, 0);
-        assert!((c.elastic_goodput() - 1.0).abs() < 1e-12);
-        assert!((c.restart_goodput() - 1.0).abs() < 1e-12);
+        let (e, r) = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
+        assert_eq!(e.reconfigure, 0.0);
+        assert!((e.goodput() - 1.0).abs() < 1e-12);
+        assert!((r.goodput() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -285,16 +257,20 @@ mod tests {
                 gpus: 8,
             },
         ];
-        let c = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
-        assert_eq!(c.reconfigurations, 2, "shrink then grow");
+        let (e, r) = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
+        assert_eq!(e.reconfigure, 2.0, "shrink then grow, 1 s each");
         assert!(
-            c.elastic_goodput() > c.restart_goodput(),
+            e.goodput() > r.goodput(),
             "elastic {} vs restart {}",
-            c.elastic_goodput(),
-            c.restart_goodput()
+            e.goodput(),
+            r.goodput()
         );
         // The restart policy idles through the whole outage.
-        assert!(c.restart_goodput() < 0.45);
+        assert!(r.goodput() < 0.45);
+        assert_eq!((r.degraded, r.restore), (60.0, 1.0));
+        for l in [e, r] {
+            assert!((l.wall_s() - 100.0).abs() < 1e-9, "{l:?}");
+        }
     }
 
     #[test]
@@ -306,8 +282,9 @@ mod tests {
                 gpus: 0,
             },
         ];
-        let c = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
-        assert!((c.elastic_goodput() - 0.5).abs() < 1e-9);
-        assert!((c.restart_goodput() - 0.5).abs() < 1e-9);
+        let (e, r) = price_schedule(&jobs()[0], (2, 2, 2), &windows, 100.0, 1.0, 1.0);
+        assert!((e.goodput() - 0.5).abs() < 1e-9);
+        assert!((r.goodput() - 0.5).abs() < 1e-9);
+        assert_eq!((e.degraded, r.degraded), (50.0, 50.0));
     }
 }

@@ -25,11 +25,13 @@
 //! Every question of the form "how long does this layout take" is answered
 //! here, from one layer price (`costs::price_layer`): the simulator, the
 //! §3 configuration [`heuristics`], the [`zero`] baseline, and the
-//! [`elastic`] layout ranking a supervisor shrinks to.
+//! [`elastic`] layout ranking a supervisor shrinks to. Where a job's wall
+//! time goes once failures enter is one [`goodput::Ledger`].
 
 mod checkpoint;
 mod costs;
 pub mod elastic;
+pub mod goodput;
 pub mod heuristics;
 mod report;
 mod simulate;

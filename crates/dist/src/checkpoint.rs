@@ -165,7 +165,7 @@ impl CheckpointStore {
 
     /// Per-generation save wall-clock windows `(generation, seconds)`,
     /// measured from the first shard write to the manifest commit. The
-    /// empirical `δ` for [`megatron_fault`]'s goodput model.
+    /// empirical `δ`: the `save` term of `megatron_core::goodput::Ledger`.
     pub fn save_windows(&self) -> Vec<(usize, f64)> {
         self.stats.lock().unwrap().committed.clone()
     }

@@ -3,7 +3,7 @@
 //! At PTD-P scale the expensive failure-handling question is not "did
 //! something go wrong?" but "is this rank *dead* or merely *slow*?" — the
 //! answers demand responses three orders of magnitude apart in cost
-//! (checkpoint-restore vs. nothing, see `fault::GoodputModel`). The
+//! (checkpoint-restore vs. nothing, see `megatron_core::goodput`). The
 //! [`HealthMonitor`] answers it from per-rank liveness beacons: every rank
 //! thread beats once per training iteration (its natural heartbeat
 //! period), and [`HealthMonitor::classify`] splits the world into
@@ -14,15 +14,19 @@
 //!   attempt's dead ranks);
 //! - **slow** — beating, but at an interval more than `threshold ×` the
 //!   median rank's: these feed straggler reporting
-//!   (`fault::StragglerReport`) and telemetry, never a restart.
+//!   ([`StragglerReport`]) and telemetry, never a restart.
 //!
 //! The monitor is wait-free on the hot path: a beat is two atomic stores.
+//! [`StragglerReport`] reads the trainer's per-rank step times instead and
+//! flags ranks whose mean step sits well above the job-wide median: in a
+//! synchronous PTD-P job one slow rank drags the whole iteration.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::trainer::{PtdpSpec, ThreadKey};
+use crate::trainer::{PtdpSpec, StepSample, ThreadKey};
 
 /// Default multiple of the expected beat period after which a silent rank
 /// is declared dead rather than slow.
@@ -30,7 +34,7 @@ pub const DEAD_AFTER_PERIODS: u32 = 4;
 
 /// Default `slow_threshold` for [`HealthMonitor::classify`]: a living rank
 /// whose mean beat interval exceeds 1.5× the median rank's counts as slow.
-/// The value matches `fault::StragglerReport`'s convention (1.2–2.0 is the
+/// The value matches [`StragglerReport`]'s convention (1.2–2.0 is the
 /// usual straggler-detection band; 1.5 tolerates scheduler jitter without
 /// hiding a genuinely lagging rank). Configured via
 /// `SupervisorConfig::slow_threshold` rather than repeated at call sites.
@@ -173,7 +177,7 @@ impl HealthMonitor {
 
     /// Classify every rank as healthy / slow / dead. `slow_threshold` is
     /// the multiple of the median mean-beat-interval beyond which a living
-    /// rank counts as slow (same convention as `StragglerReport::analyze`;
+    /// rank counts as slow (same convention as [`StragglerReport::analyze`];
     /// must be ≥ 1).
     pub fn classify(&self, slow_threshold: f64) -> HealthReport {
         assert!(slow_threshold >= 1.0, "a straggler is ≥ 1× the median");
@@ -230,6 +234,112 @@ impl HealthMonitor {
             ranks,
             median_interval_s: median,
         }
+    }
+}
+
+/// Summary statistics of one rank's step times.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankStats {
+    /// Rank coordinate `(pipeline, data, tensor)`.
+    pub thread: ThreadKey,
+    /// Executed iterations.
+    pub steps: usize,
+    /// Mean step time, seconds.
+    pub mean_s: f64,
+    /// Maximum step time, seconds.
+    pub max_s: f64,
+    /// Mean step time relative to the job-wide median of rank means.
+    pub vs_median: f64,
+}
+
+/// Straggler analysis of a whole job.
+#[derive(Debug, Clone)]
+pub struct StragglerReport {
+    /// Per-rank statistics, slowest (by `vs_median`) first.
+    pub ranks: Vec<RankStats>,
+    /// Median of per-rank mean step times, seconds.
+    pub median_mean_s: f64,
+    /// Flagging threshold: ranks with `mean > threshold · median` are
+    /// stragglers.
+    pub threshold: f64,
+    /// Ranks the heartbeat monitor declared dead (see
+    /// [`StragglerReport::with_liveness`]). Dead ranks are removed from
+    /// the straggler ranking — they need a restart, not a slow-rank
+    /// diagnosis. Empty when no liveness data was fused.
+    pub dead: Vec<ThreadKey>,
+}
+
+impl StragglerReport {
+    /// Analyze per-rank step times (as produced by
+    /// `TrainLog::step_times`). `threshold` is the mean-vs-median ratio
+    /// above which a rank is flagged (1.2 = 20 % slower than typical).
+    pub fn analyze(step_times: &HashMap<ThreadKey, Vec<StepSample>>, threshold: f64) -> Self {
+        assert!(
+            threshold >= 1.0,
+            "threshold below 1 flags the median itself"
+        );
+        let mut ranks: Vec<RankStats> = step_times
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(&thread, v)| RankStats {
+                thread,
+                steps: v.len(),
+                mean_s: v.iter().map(|s| s.seconds).sum::<f64>() / v.len() as f64,
+                max_s: v.iter().map(|s| s.seconds).fold(0.0f64, f64::max),
+                vs_median: 1.0,
+            })
+            .collect();
+        ranks.sort_by(|a, b| b.mean_s.total_cmp(&a.mean_s).then(a.thread.cmp(&b.thread)));
+        let mut report = StragglerReport {
+            ranks,
+            median_mean_s: 0.0,
+            threshold,
+            dead: Vec::new(),
+        };
+        report.rebase();
+        report
+    }
+
+    /// Fuse a heartbeat-based liveness classification
+    /// ([`HealthMonitor::classify`]) into the report: ranks the monitor
+    /// declared *dead* move out of the straggler ranking into
+    /// [`StragglerReport::dead`] — the two conditions demand responses
+    /// three orders of magnitude apart in cost (checkpoint restore vs.
+    /// nothing), so conflating them in one "slow" list would mislead the
+    /// operator the report exists to inform.
+    pub fn with_liveness(mut self, health: &HealthReport) -> Self {
+        let dead = health.dead();
+        self.ranks.retain(|r| !dead.contains(&r.thread));
+        // A dead rank's garbage timings must not skew the baseline either.
+        self.rebase();
+        self.dead = dead;
+        self
+    }
+
+    /// Recompute the median of rank means and every rank's ratio to it.
+    fn rebase(&mut self) {
+        let mut means: Vec<f64> = self.ranks.iter().map(|r| r.mean_s).collect();
+        means.sort_by(f64::total_cmp);
+        self.median_mean_s = match means.len() {
+            0 => 0.0,
+            n if n % 2 == 1 => means[n / 2],
+            n => (means[n / 2 - 1] + means[n / 2]) / 2.0,
+        };
+        for r in &mut self.ranks {
+            r.vs_median = if self.median_mean_s > 0.0 {
+                r.mean_s / self.median_mean_s
+            } else {
+                1.0
+            };
+        }
+    }
+
+    /// The flagged stragglers (slowest first).
+    pub fn stragglers(&self) -> Vec<&RankStats> {
+        self.ranks
+            .iter()
+            .filter(|r| r.vs_median > self.threshold)
+            .collect()
     }
 }
 
@@ -322,5 +432,138 @@ mod tests {
         let slow = report.slow();
         assert!(slow.contains(&spec.thread_key(0)), "{report:?}");
         assert!(report.dead().is_empty());
+    }
+
+    fn times(pairs: &[(ThreadKey, &[f64])]) -> HashMap<ThreadKey, Vec<StepSample>> {
+        pairs
+            .iter()
+            .map(|&(k, v)| {
+                let samples = v
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &seconds)| StepSample {
+                        epoch: 0,
+                        iteration: i,
+                        seconds,
+                    })
+                    .collect();
+                (k, samples)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn straggler_report_flags_the_slow_rank() {
+        let st = times(&[
+            ((0, 0, 0), &[1.0, 1.1, 0.9]),
+            ((0, 0, 1), &[1.0, 1.0, 1.0]),
+            ((1, 0, 0), &[2.5, 2.6, 2.4]),
+            ((1, 0, 1), &[1.1, 0.9, 1.0]),
+        ]);
+        let report = StragglerReport::analyze(&st, 1.5);
+        let flagged = report.stragglers();
+        assert_eq!(flagged.len(), 1);
+        assert_eq!(flagged[0].thread, (1, 0, 0));
+        assert!(flagged[0].vs_median > 2.0);
+        // Slowest first in the full ranking too.
+        assert_eq!(report.ranks[0].thread, (1, 0, 0));
+    }
+
+    #[test]
+    fn uniform_job_has_no_stragglers() {
+        let st = times(&[
+            ((0, 0, 0), &[1.0, 1.0]),
+            ((0, 0, 1), &[1.01, 0.99]),
+            ((1, 0, 0), &[1.0, 1.02]),
+        ]);
+        let report = StragglerReport::analyze(&st, 1.2);
+        assert!(report.stragglers().is_empty());
+        assert!((report.median_mean_s - 1.0).abs() < 0.02);
+    }
+
+    #[test]
+    fn liveness_fusion_separates_dead_from_slow() {
+        // Rank (1,0,0) records huge step times AND stops beating: after
+        // fusion it must be reported dead, not merely slow — while the
+        // genuinely slow-but-alive rank (1,0,1) stays a straggler.
+        let st = times(&[
+            ((0, 0, 0), &[1.0, 1.0]),
+            ((0, 0, 1), &[1.0, 1.0]),
+            ((1, 0, 0), &[9.0, 9.0]),
+            ((1, 0, 1), &[2.0, 2.1]),
+        ]);
+        let spec = PtdpSpec::new(2, 1, 2);
+        let mon = HealthMonitor::with_dead_after(
+            &spec,
+            Duration::from_millis(1),
+            Duration::from_millis(10),
+        );
+        // Flat rank order for (p,d,t)=(2,1,2): (0,0,0)=0, (0,0,1)=1,
+        // (1,0,0)=2, (1,0,1)=3. Everyone but rank 2 keeps beating.
+        for _ in 0..3 {
+            for r in [0usize, 1, 3] {
+                mon.beat(r);
+            }
+            std::thread::sleep(Duration::from_millis(4));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        for r in [0usize, 1, 3] {
+            mon.beat(r);
+        }
+        let report = StragglerReport::analyze(&st, DEFAULT_SLOW_THRESHOLD)
+            .with_liveness(&mon.classify(DEFAULT_SLOW_THRESHOLD));
+        assert_eq!(report.dead, vec![(1, 0, 0)]);
+        let flagged: Vec<ThreadKey> = report.stragglers().iter().map(|r| r.thread).collect();
+        assert_eq!(flagged, vec![(1, 0, 1)], "dead rank must not be ranked");
+    }
+
+    #[test]
+    fn empty_and_partial_logs_are_tolerated() {
+        let st = times(&[((0, 0, 0), &[]), ((0, 0, 1), &[1.0])]);
+        let report = StragglerReport::analyze(&st, 1.2);
+        assert_eq!(report.ranks.len(), 1, "empty logs are skipped");
+        let report = StragglerReport::analyze(&HashMap::new(), 1.2);
+        assert!(report.ranks.is_empty());
+        assert_eq!(report.median_mean_s, 0.0);
+    }
+
+    #[test]
+    fn real_trainer_step_times_feed_straggler_report() {
+        // Train a tiny model on threads, then run the step-time log
+        // through the analyzer.
+        use crate::PtdpTrainer;
+        use megatron_tensor::gpt::{GptModel, TinyGptConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let cfg = TinyGptConfig {
+            vocab: 13,
+            seq: 6,
+            hidden: 8,
+            heads: 4,
+            layers: 2,
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        let master = GptModel::new(cfg, &mut rng);
+        let data: Vec<(Vec<usize>, Vec<usize>)> = (0..3)
+            .map(|_| {
+                let mut draw = || {
+                    (0..4 * cfg.seq)
+                        .map(|_| rng.gen_range(0..cfg.vocab))
+                        .collect()
+                };
+                (draw(), draw())
+            })
+            .collect();
+        let mut spec = PtdpSpec::new(2, 1, 2);
+        spec.microbatch = 1;
+        let log = PtdpTrainer::new(master, spec).train(&data);
+        let report = StragglerReport::analyze(&log.step_times, 1.2);
+        assert_eq!(report.ranks.len(), 4, "one stats row per thread");
+        for r in &report.ranks {
+            assert_eq!(r.steps, 3);
+            assert!(r.mean_s > 0.0 && r.max_s >= r.mean_s);
+        }
+        assert!(report.median_mean_s > 0.0);
     }
 }

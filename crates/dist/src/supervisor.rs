@@ -20,8 +20,9 @@
 //! non-communicator panic, checkpoint I/O failure, a world that cannot
 //! launch) stop the job immediately. Each recovery is recorded as an
 //! [`Incident`] — failed-attempt wall time, iteration reached, restore
-//! time, backoff, iterations of lost work — so measured recovery cost can
-//! be cross-checked against `megatron-fault`'s analytic goodput model.
+//! time, backoff, iterations of lost work — which `megatron-bench` folds
+//! into a measured `megatron_core::goodput::Ledger`, term by term beside
+//! the ledger the run's own costs predict.
 //!
 //! # Elastic reconfiguration
 //!
@@ -202,7 +203,8 @@ impl std::fmt::Display for IncidentCause {
 /// cost microseconds and show only in the `transport_*` telemetry
 /// counters; fatal ones (a dead rank, an exhausted retransmit budget)
 /// abort the attempt and cost a checkpoint restore plus the lost work since
-/// the last checkpoint (the Young/Daly term in `fault::GoodputModel`).
+/// the last checkpoint (the `lost` and `restore` terms of
+/// `megatron_core::goodput::Ledger`).
 #[derive(Debug, Clone)]
 pub struct Incident {
     /// Which attempt failed (0 = the initial run).

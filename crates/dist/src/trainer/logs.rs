@@ -162,8 +162,8 @@ pub struct TrainLog {
     /// chunk inputs).
     pub peak_stash_floats: HashMap<ThreadKey, usize>,
     /// Wall-clock step samples per thread, tagged (epoch, iteration) — the
-    /// raw material for straggler detection (`megatron-fault`) and the
-    /// supervisor's goodput accounting.
+    /// raw material for straggler detection ([`crate::StragglerReport`])
+    /// and the supervisor's goodput accounting.
     pub step_times: HashMap<ThreadKey, Vec<StepSample>>,
     /// Communication volume per thread (threads that completed the run).
     pub comm_volumes: HashMap<ThreadKey, RankCommVolume>,

@@ -16,11 +16,11 @@ use megatron_sim::{secs_to_time, DagSim, ResourceId, TaskId};
 /// simulator's mirror of the real transport's fault injection
 /// (`megatron_collective::TransientFaults`). A lossy wire forces
 /// retransmits: at drop probability `p` the expected transmissions per
-/// frame are `1/(1−p)`; a degraded link (`FaultKind::LinkDegrade`)
-/// multiplies wire time by `degrade_factor`. Both compose into a single
-/// work-time inflation on the victim's sends, so simulated goodput under
-/// transient faults can be cross-checked against `GoodputModel`: absorbed
-/// faults stretch communication time but never add a restart term.
+/// frame are `1/(1−p)`; a degraded link (a fault plan's `LinkDegrade`,
+/// `megatron_bench::fault_plan`) multiplies wire time by `degrade_factor`.
+/// Both compose into a single work-time inflation on the victim's sends:
+/// absorbed faults stretch communication time but never add a restart
+/// term to the goodput ledger (`megatron_core::goodput`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkImpairment {
     /// Probability a frame is dropped and must be retransmitted (< 1).

@@ -39,16 +39,6 @@ struct Task {
     kind: u32,
 }
 
-/// A window during which a resource runs slower than nominal.
-#[derive(Debug, Clone, Copy)]
-struct Slowdown {
-    from: Time,
-    to: Time,
-    /// Work-time multiplier (≥ 1): nominal work `w` takes `w·factor` inside
-    /// the window.
-    factor: f64,
-}
-
 struct Resource {
     name: String,
     /// Tasks ready to run, FIFO in readiness order (deterministic: events are
@@ -58,45 +48,6 @@ struct Resource {
     busy: Option<(TaskId, Time)>,
     busy_total: Time,
     tasks_run: u64,
-    /// Fault-injection slowdown windows, sorted by start, non-overlapping.
-    slowdowns: Vec<Slowdown>,
-}
-
-impl Resource {
-    /// Completion time of `work` nominal time units dispatched at `now`,
-    /// integrating over the slowdown profile. Deterministic: pure integer
-    /// walk with the same f64 rounding on every run.
-    fn finish_time(&self, now: Time, work: Time) -> Time {
-        let mut t = now;
-        let mut remaining = work;
-        for w in &self.slowdowns {
-            if w.to <= t {
-                continue;
-            }
-            // Full-speed stretch before this window.
-            if t < w.from {
-                let span = w.from - t;
-                if remaining <= span {
-                    return t + remaining;
-                }
-                remaining -= span;
-                t = w.from;
-            }
-            // Slowed stretch inside the window.
-            let span = w.to - t;
-            let needed = (remaining as f64 * w.factor).ceil() as Time;
-            if needed <= span {
-                return t + needed;
-            }
-            let done = (span as f64 / w.factor).floor() as Time;
-            remaining -= done.min(remaining);
-            t = w.to;
-            if remaining == 0 {
-                return t;
-            }
-        }
-        t + remaining
-    }
 }
 
 /// Start/end record for one executed task.
@@ -249,29 +200,8 @@ impl DagSim {
             busy: None,
             busy_total: 0,
             tasks_run: 0,
-            slowdowns: Vec::new(),
         });
         id
-    }
-
-    /// Register a slowdown window on `resource`: any work executing inside
-    /// `[from, to)` proceeds at `1/factor` of nominal speed. This is the
-    /// fault-injection hook — stragglers and degraded links are windows with
-    /// moderate factors, a flapping link is a window with a very large one.
-    /// Windows on one resource must not overlap; `factor` must be ≥ 1 and
-    /// finite.
-    pub fn add_slowdown(&mut self, resource: ResourceId, from: Time, to: Time, factor: f64) {
-        assert!(from < to, "empty slowdown window");
-        assert!(
-            factor >= 1.0 && factor.is_finite(),
-            "slowdown factor must be finite and ≥ 1, got {factor}"
-        );
-        let res = &mut self.resources[resource.index()];
-        let pos = res.slowdowns.partition_point(|w| w.from < from);
-        let no_overlap = (pos == 0 || res.slowdowns[pos - 1].to <= from)
-            && (pos == res.slowdowns.len() || to <= res.slowdowns[pos].from);
-        assert!(no_overlap, "overlapping slowdown windows on one resource");
-        res.slowdowns.insert(pos, Slowdown { from, to, factor });
     }
 
     /// Register a task occupying `resource` for `duration`, runnable once all
@@ -417,7 +347,7 @@ impl DagSim {
         let res = &mut resources[rid.index()];
         debug_assert!(res.busy.is_none());
         if let Some(tid) = res.ready.pop_front() {
-            let end = res.finish_time(now, tasks[tid.index()].duration);
+            let end = now + tasks[tid.index()].duration;
             res.busy = Some((tid, now));
             res.tasks_run += 1;
             push(end, Event::Finished(rid, tid));
@@ -559,78 +489,6 @@ mod tests {
         assert_eq!(res.makespan, 15);
         let u = res.utilization(&[a, b]);
         assert!((u - (10.0 + 5.0) / 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slowdown_window_stretches_overlapping_task() {
-        // Task of 10 dispatched at 0; window [4, 100) at 2×: 4 units at full
-        // speed, remaining 6 units cost 12 → finishes at 16.
-        let mut sim = DagSim::new();
-        let r = sim.add_resource("r");
-        sim.add_slowdown(r, 4, 100, 2.0);
-        let t = sim.add_task(r, 10, &[], 0);
-        let res = sim.run().unwrap();
-        assert_eq!(res.finish_of(t), Some(16));
-        assert_eq!(res.resources[0].busy, 16);
-    }
-
-    #[test]
-    fn slowdown_before_dispatch_is_free() {
-        // Window [0, 5) at 10×, but the task only becomes ready at 5 via a
-        // dependency on another resource: unaffected.
-        let mut sim = DagSim::new();
-        let a = sim.add_resource("a");
-        let b = sim.add_resource("b");
-        sim.add_slowdown(b, 0, 5, 10.0);
-        let feeder = sim.add_task(a, 5, &[], 0);
-        let t = sim.add_task(b, 7, &[feeder], 0);
-        let res = sim.run().unwrap();
-        assert_eq!(res.finish_of(t), Some(12));
-    }
-
-    #[test]
-    fn task_spanning_entire_window_pays_full_factor() {
-        // Task of 4 dispatched at 0 inside window [0, 100) at 3× → ends 12.
-        let mut sim = DagSim::new();
-        let r = sim.add_resource("r");
-        sim.add_slowdown(r, 0, 100, 3.0);
-        let t = sim.add_task(r, 4, &[], 0);
-        let res = sim.run().unwrap();
-        assert_eq!(res.finish_of(t), Some(12));
-    }
-
-    #[test]
-    fn task_outliving_window_resumes_full_speed() {
-        // Window [0, 6) at 3×: does 2 units of work by t=6, remaining 8 at
-        // full speed → ends at 14.
-        let mut sim = DagSim::new();
-        let r = sim.add_resource("r");
-        sim.add_slowdown(r, 0, 6, 3.0);
-        let t = sim.add_task(r, 10, &[], 0);
-        let res = sim.run().unwrap();
-        assert_eq!(res.finish_of(t), Some(14));
-    }
-
-    #[test]
-    fn multiple_windows_compose() {
-        let mut sim = DagSim::new();
-        let r = sim.add_resource("r");
-        sim.add_slowdown(r, 2, 4, 2.0);
-        sim.add_slowdown(r, 10, 12, 2.0);
-        // 10 units: [0,2) 2 done, [2,4) 1 done, [4,10) 6 done, 1 left →
-        // [10,12) costs 2 → ends 12.
-        let t = sim.add_task(r, 10, &[], 0);
-        let res = sim.run().unwrap();
-        assert_eq!(res.finish_of(t), Some(12));
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping slowdown")]
-    fn overlapping_windows_rejected() {
-        let mut sim = DagSim::new();
-        let r = sim.add_resource("r");
-        sim.add_slowdown(r, 0, 10, 2.0);
-        sim.add_slowdown(r, 5, 15, 2.0);
     }
 
     #[test]

@@ -22,10 +22,7 @@ pub mod serving;
 mod trace;
 
 pub use engine::{DagSim, ResourceId, ResourceStats, SimError, SimResult, TaskId, TaskSpan};
-pub use trace::{
-    chrome_trace_json, chrome_trace_json_with_instants, events_json, render_gantt, TraceEvent,
-    TraceInstant,
-};
+pub use trace::{chrome_trace_json, events_json, render_gantt, TraceEvent};
 
 /// Simulated time in nanoseconds.
 pub type Time = u64;

@@ -1,39 +1,25 @@
 //! Trace export and ASCII visualization of simulation results.
 //!
 //! The Chrome `about:tracing` / Perfetto JSON event format: a generic task
-//! DAG exports here ([`chrome_trace_json`], with fault instants overlaid by
-//! [`chrome_trace_json_with_instants`]), and `megatron-telemetry` lowers the
-//! trainer's spans — and the `megatron-core` twin's — to the same
-//! [`TraceEvent`] and serializes them with [`events_json`].
+//! DAG exports here ([`chrome_trace_json`]), and `megatron-telemetry`
+//! lowers the trainer's spans — and the `megatron-core` twin's — to the
+//! same [`TraceEvent`] and serializes them with [`events_json`].
 
 use crate::engine::{SimResult, TaskSpan};
 use crate::json::Json;
-use crate::{time_to_secs, Time};
+use crate::time_to_secs;
 
-/// A point event to overlay on the trace timeline (e.g. an injected fault).
-/// Rendered as a Chrome-trace instant event (`"ph": "i"`) with its own
-/// category, so it is visually distinct from compute/comm spans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceInstant {
-    /// When the event fires.
-    pub time: Time,
-    /// Display name (e.g. `"gpu-death node3/gpu1"`).
-    pub name: String,
-    /// Trace category (e.g. `"fault"`); span events use `"sim"`.
-    pub category: String,
-}
-
-/// One Chrome-trace event: a complete span (`ph = "X"`), an instant
-/// (`ph = "i"`), or process metadata (`ph = "M"`). The unified event type
-/// both exporters (simulated and real) serialize through, including
-/// per-event `args` (byte volumes, microbatch ids, ...).
+/// One Chrome-trace event: a complete span (`ph = "X"`) or process
+/// metadata (`ph = "M"`). The unified event type both exporters (simulated
+/// and real) serialize through, including per-event `args` (byte volumes,
+/// microbatch ids, ...).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Display name.
     pub name: String,
-    /// Category (`"sim"`, `"fwd"`, `"comm"`, `"fault"`, ...).
+    /// Category (`"sim"`, `"fwd"`, `"comm"`, ...).
     pub cat: String,
-    /// Chrome phase: `"X"` complete span, `"i"` instant, `"M"` metadata.
+    /// Chrome phase: `"X"` complete span, `"M"` metadata.
     pub ph: &'static str,
     /// Start timestamp in microseconds.
     pub ts_us: f64,
@@ -56,20 +42,6 @@ impl TraceEvent {
             ph: "X",
             ts_us,
             dur_us: Some(dur_us),
-            pid: 0,
-            tid: 0,
-            args: Vec::new(),
-        }
-    }
-
-    /// A process-scoped instant event (`ph = "i"`).
-    pub fn instant(name: impl Into<String>, cat: impl Into<String>, ts_us: f64) -> Self {
-        TraceEvent {
-            name: name.into(),
-            cat: cat.into(),
-            ph: "i",
-            ts_us,
-            dur_us: None,
             pid: 0,
             tid: 0,
             args: Vec::new(),
@@ -118,9 +90,6 @@ impl TraceEvent {
         if let Some(d) = self.dur_us {
             obj.push(("dur", Json::from(d)));
         }
-        if self.ph == "i" {
-            obj.push(("s", Json::from("p"))); // process-scoped instant
-        }
         if !self.args.is_empty() {
             obj.push((
                 "args",
@@ -149,33 +118,19 @@ pub fn events_json(events: &[TraceEvent]) -> String {
 /// format. `names` maps each task `kind` code to a display name; unknown
 /// kinds render as `kind-N`.
 pub fn chrome_trace_json(result: &SimResult, names: &dyn Fn(u32) -> String) -> String {
-    chrome_trace_json_with_instants(result, names, &[])
-}
-
-/// Like [`chrome_trace_json`], additionally emitting `instants` as
-/// process-scoped instant events interleaved with the spans.
-pub fn chrome_trace_json_with_instants(
-    result: &SimResult,
-    names: &dyn Fn(u32) -> String,
-    instants: &[TraceInstant],
-) -> String {
-    let mut events = Vec::with_capacity(result.spans.len() + instants.len());
-    for s in &result.spans {
-        events.push(
+    let events: Vec<TraceEvent> = result
+        .spans
+        .iter()
+        .map(|s| {
             TraceEvent::span(
                 names(s.kind),
                 "sim",
                 s.start as f64 / 1e3, // chrome trace wants microseconds
                 (s.end - s.start) as f64 / 1e3,
             )
-            .at(0, s.resource.index()),
-        );
-    }
-    for i in instants {
-        events.push(
-            TraceEvent::instant(i.name.as_str(), i.category.as_str(), i.time as f64 / 1e3).at(0, 0),
-        );
-    }
+            .at(0, s.resource.index())
+        })
+        .collect();
     events_json(&events)
 }
 
@@ -237,27 +192,6 @@ mod tests {
         assert_eq!(v.as_array().unwrap().len(), 2);
         assert_eq!(v[0]["name"].as_str(), Some("k1"));
         assert_eq!(v[0]["ph"].as_str(), Some("X"));
-    }
-
-    #[test]
-    fn instants_emitted_with_distinct_category() {
-        let r = two_task_result();
-        let instants = vec![TraceInstant {
-            time: 75,
-            name: "gpu-death gpu1".to_string(),
-            category: "fault".to_string(),
-        }];
-        let s = chrome_trace_json_with_instants(&r, &|k| format!("k{k}"), &instants);
-        let v = Json::parse(&s).unwrap();
-        let events = v.as_array().unwrap();
-        assert_eq!(events.len(), 3);
-        let inst = &events[2];
-        assert_eq!(inst["ph"].as_str(), Some("i"));
-        assert_eq!(inst["cat"].as_str(), Some("fault"));
-        assert_eq!(inst["name"].as_str(), Some("gpu-death gpu1"));
-        assert_eq!(inst["ts"].as_f64(), Some(0.075));
-        // Span events keep the "sim" category.
-        assert_eq!(events[0]["cat"].as_str(), Some("sim"));
     }
 
     #[test]

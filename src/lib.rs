@@ -31,8 +31,6 @@
 //! - [`dist`]: thread-per-GPU distributed runtime running real tensor /
 //!   pipeline / data parallel training, durable sharded checkpoints, and
 //!   the auto-recovery supervisor.
-//! - [`fault`]: fault injection plans, straggler detection, and the
-//!   Young/Daly goodput model with its empirical cross-check.
 //! - [`serve`]: tensor-parallel autoregressive inference — KV-cached
 //!   decoding over the real runtime with continuous batching, seeded
 //!   Poisson traffic, and a discrete-event scheduler mirror.
@@ -44,7 +42,6 @@ pub use megatron_collective as collective;
 pub use megatron_core as core;
 pub use megatron_data as data;
 pub use megatron_dist as dist;
-pub use megatron_fault as fault;
 pub use megatron_model as model;
 pub use megatron_net as net;
 pub use megatron_parallel as parallel;
