@@ -178,6 +178,61 @@ fn gemm_workload_shapes() {
     }
 }
 
+/// GFLOP/s of `dp2_fat`'s weight-gradient products `xᵀ·dy` (8 tokens per
+/// rank, so `k` = 8: `C` is most of the traffic) on the active build, each
+/// way a step can run them: a zero pass over `gw` and then the product
+/// summed onto it (`fill + into`, the step before `gemm::matmul_to`), the
+/// sum onto a `C` already there (`into`), and the product written over `C`
+/// (`matmul_to`, what a fresh `gw` takes).
+fn weight_grad_shapes() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    println!(
+        "group weight_grad_shapes (GFLOP/s on {}, best of 30 after warm-up; dp2_fat's x^T.dy)",
+        gemm::active_build()
+    );
+    println!(
+        "  {:<18} {:>12} {:>8} {:>10}",
+        "m x k x n", "fill + into", "into", "matmul_to"
+    );
+    for (what, m, k, n) in [
+        ("qkv dW", 256usize, 8usize, 768usize),
+        ("proj dW", 256, 8, 256),
+        ("MLP up dW", 256, 8, 1024),
+        ("MLP down dW", 1024, 8, 256),
+    ] {
+        let x = Matrix::randn(k, m, 1.0, &mut rng);
+        let dy = Matrix::randn(k, n, 1.0, &mut rng);
+        let mut c = Matrix::zeros(m, n);
+        let flops = 2.0 * (m * k * n) as f64;
+        let reps = ((2e7 / flops) as usize).clamp(1, 200);
+        let mut rate = |run: &dyn Fn(&mut Matrix)| {
+            let best = (0..31)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..reps {
+                        run(&mut c);
+                    }
+                    black_box(&c);
+                    t0.elapsed().as_secs_f64() / reps as f64
+                })
+                .skip(1)
+                .fold(f64::INFINITY, f64::min);
+            flops / best / 1e9
+        };
+        let (xt, dy) = (x.view().t(), dy.view());
+        let fill_into = rate(&|c| {
+            c.as_mut_slice().fill(0.0);
+            gemm::matmul_into(xt, dy, c.view_mut());
+        });
+        let into = rate(&|c| gemm::matmul_into(xt, dy, c.view_mut()));
+        let to = rate(&|c| gemm::matmul_to(xt, dy, c.view_mut()));
+        println!(
+            "  {:<18} {fill_into:>12.1} {into:>8.1} {to:>10.1}   {what}",
+            format!("{m} x {k} x {n}")
+        );
+    }
+}
+
 /// Nanoseconds per element of `run`, best of 60 after a warm-up; `reset`
 /// restores the buffers outside the timed part, so that a kernel working in
 /// place sees the same values every time.
@@ -343,6 +398,7 @@ fn elementwise_workload_shapes() {
             eps: 1e-8,
             bc1: 0.1,
             bc2: 0.001,
+            scale: 1.0,
         };
         let adam = |isa| {
             let mut state = (vec![0.1f32; n], vec![0.0f32; n], vec![0.0f32; n]);
@@ -380,6 +436,7 @@ fn main() {
     println!("tensor engine build on this host: {}", gemm::active_build());
     gemm_scaling();
     gemm_workload_shapes();
+    weight_grad_shapes();
     elementwise_workload_shapes();
     gpt_step();
 }

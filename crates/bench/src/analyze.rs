@@ -71,9 +71,9 @@ fn bytes_where(dag: &TraceDag, rank: usize, pred: impl Fn(&str) -> bool) -> f64 
         .sum()
 }
 
-/// Minor page faults and CPU time on each rank's thread per steady-state
-/// iteration (all but a launch's first), from the ranks' telemetry
-/// counters.
+/// Minor page faults, CPU time and context switches on each rank's thread
+/// per steady-state iteration (all but a launch's first), from the ranks'
+/// telemetry counters.
 fn usage_report(usage: &[RankUsage]) -> String {
     let mut table = Table::new([
         "rank",
@@ -81,6 +81,8 @@ fn usage_report(usage: &[RankUsage]) -> String {
         "minor faults",
         "faults / iter",
         "CPU ms / iter",
+        "vol. switches / iter",
+        "invol. switches / iter",
     ]);
     for u in usage {
         table.row([
@@ -89,11 +91,15 @@ fn usage_report(usage: &[RankUsage]) -> String {
             u.faults.to_string(),
             format!("{:.1}", u.faults_per_iteration()),
             format!("{:.2}", u.cpu_ms_per_iteration()),
+            format!("{:.1}", u.switches_per_iteration().0),
+            format!("{:.1}", u.switches_per_iteration().1),
         ]);
     }
     format!(
-        "minor page faults and CPU time (user + kernel) per steady-state\n\
-         iteration, by rank (every iteration after a launch's first):\n{}\n",
+        "minor page faults, CPU time (user + kernel) and context switches\n\
+         (voluntary: the thread blocked; involuntary: it was preempted) per\n\
+         steady-state iteration, by rank (every iteration after a launch's\n\
+         first):\n{}\n",
         table.render()
     )
 }
@@ -103,8 +109,8 @@ fn usage_report(usage: &[RankUsage]) -> String {
 pub const USAGE: &str = "repro analyze --merge-traces DIR [--out PATH]
   merge a process-mode run's per-rank rank-R.trace.json files (written by
   `repro launch --trace`) into one Chrome trace; default output is
-  DIR/merged.trace.json, and print each rank's page faults and CPU ms per
-  iteration from its rank-R.metrics.json";
+  DIR/merged.trace.json, and print each rank's page faults, CPU ms and
+  context switches per iteration from its rank-R.metrics.json";
 
 /// CLI entry: `repro analyze --merge-traces DIR [--out PATH]`.
 pub fn run(args: &[String]) -> Result<String, String> {

@@ -24,13 +24,7 @@ fn unshard_columns(shards: &[&Linear]) -> Linear {
             .flat_map(|l| l.b.as_ref().expect("consistent bias").clone())
             .collect::<Vec<f32>>()
     });
-    let (rows, cols) = (w.rows(), w.cols());
-    Linear {
-        w,
-        b,
-        gw: Matrix::zeros(rows, cols),
-        gb: vec![0.0; cols],
-    }
+    Linear::from_parts(w, b)
 }
 
 /// Inverse of `shard::shard_rows` / `shard_proj`: stack row shards; the
@@ -38,13 +32,7 @@ fn unshard_columns(shards: &[&Linear]) -> Linear {
 fn unshard_rows(shards: &[&Linear], bias: Option<Vec<f32>>) -> Linear {
     let ws: Vec<Matrix> = shards.iter().map(|l| l.w.clone()).collect();
     let w = Matrix::concat_rows(&ws);
-    let (rows, cols) = (w.rows(), w.cols());
-    Linear {
-        w,
-        b: bias,
-        gw: Matrix::zeros(rows, cols),
-        gb: vec![0.0; cols],
-    }
+    Linear::from_parts(w, bias)
 }
 
 /// Inverse of `shard::shard_qkv`: each rank's `[q_r | k_r | v_r]` shard is
@@ -71,13 +59,7 @@ fn unshard_qkv(shards: &[&Linear]) -> Linear {
         .b
         .is_some()
         .then(|| bias_sections.into_iter().flatten().collect::<Vec<f32>>());
-    let (rows, cols) = (w.rows(), w.cols());
-    Linear {
-        w,
-        b,
-        gw: Matrix::zeros(rows, cols),
-        gb: vec![0.0; cols],
-    }
+    Linear::from_parts(w, b)
 }
 
 /// Merge per-thread flat parameter vectors (one per `(pi, ti)` shard, in

@@ -12,6 +12,7 @@ use megatron_tensor::gemm::{self, View};
 use megatron_tensor::gpt::Block;
 use megatron_tensor::layers::{
     bias_residual, gelu_backward, AttentionCache, AttentionCore, LayerNorm, LayerNormCache, Linear,
+    Visitor,
 };
 use megatron_tensor::Matrix;
 
@@ -253,7 +254,7 @@ impl ParallelBlock {
                     causal_softmax_row(scores.row_mut(i), first + i + 1, scale);
                 }
                 let out = attn_out.block_mut(row0, hs, rows, self.head_dim);
-                gemm::matmul_into(scores.view(), values, out);
+                gemm::matmul_to(scores.view(), values, out);
             }
             row0 += rows;
         }
@@ -310,15 +311,15 @@ impl ParallelBlock {
     }
 
     /// Visit (param, grad) pairs (shards and replicated parameters alike).
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
+    pub fn visit(&mut self, f: &mut impl Visitor) {
         self.ln1.visit(f);
         self.qkv.visit(f);
         self.proj.visit(f);
-        f(&mut self.proj_bias, &mut self.proj_gbias);
+        f.pair(&mut self.proj_bias, &mut self.proj_gbias);
         self.ln2.visit(f);
         self.fc1.visit(f);
         self.fc2.visit(f);
-        f(&mut self.fc2_bias, &mut self.fc2_gbias);
+        f.pair(&mut self.fc2_bias, &mut self.fc2_gbias);
     }
 }
 
@@ -510,18 +511,18 @@ mod tests {
             pb.backward(&cache, &dout, batch, seq, &m);
             (
                 m.rank(),
-                pb.fc1.gw.clone(),
-                pb.qkv.gw.clone(),
+                pb.fc1.gw().clone(),
+                pb.qkv.gw().clone(),
                 pb.ln1.ggamma.clone(),
             )
         });
         for (rank, fc1_gw, qkv_gw, ln1_gg) in shards {
             // fc1 gradient shard = serial gradient's column slice.
-            let want_fc1 = serial.fc1.gw.columns(rank * 2 * h, (rank + 1) * 2 * h);
+            let want_fc1 = serial.fc1.gw().columns(rank * 2 * h, (rank + 1) * 2 * h);
             assert!(fc1_gw.max_abs_diff(&want_fc1) < 1e-4, "rank {rank} fc1");
             // qkv gradient shard: check the q-section columns.
             let local = h / 2;
-            let want_q = serial.qkv.gw.columns(rank * local, (rank + 1) * local);
+            let want_q = serial.qkv.gw().columns(rank * local, (rank + 1) * local);
             assert!(
                 qkv_gw.columns(0, local).max_abs_diff(&want_q) < 1e-4,
                 "rank {rank} qkv"

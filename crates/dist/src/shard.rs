@@ -10,12 +10,10 @@ pub fn shard_columns(lin: &Linear, t: usize, r: usize) -> Linear {
     assert!(lin.w.cols().is_multiple_of(t), "columns must divide by t");
     let chunk = lin.w.cols() / t;
     let (c0, c1) = (r * chunk, (r + 1) * chunk);
-    Linear {
-        w: lin.w.columns(c0, c1),
-        b: lin.b.as_ref().map(|b| b[c0..c1].to_vec()),
-        gw: Matrix::zeros(lin.w.rows(), chunk),
-        gb: vec![0.0; chunk],
-    }
+    Linear::from_parts(
+        lin.w.columns(c0, c1),
+        lin.b.as_ref().map(|b| b[c0..c1].to_vec()),
+    )
 }
 
 /// Row-parallel shard `r` of `t`: contiguous input-row range. The bias (if
@@ -25,12 +23,7 @@ pub fn shard_rows(lin: &Linear, t: usize, r: usize) -> Linear {
     assert!(lin.w.rows().is_multiple_of(t), "rows must divide by t");
     let chunk = lin.w.rows() / t;
     let (r0, r1) = (r * chunk, (r + 1) * chunk);
-    Linear {
-        w: lin.w.rows_slice(r0, r1),
-        b: None,
-        gw: Matrix::zeros(chunk, lin.w.cols()),
-        gb: vec![0.0; lin.w.cols()],
-    }
+    Linear::from_parts(lin.w.rows_slice(r0, r1), None)
 }
 
 /// Head-aware column shard of a fused QKV projection (`h × 3h`): rank `r`
@@ -56,13 +49,7 @@ pub fn shard_qkv(lin: &Linear, heads: usize, t: usize, r: usize) -> Linear {
         }
         out
     });
-    let (rows, cols) = (w.rows(), w.cols());
-    Linear {
-        w,
-        b,
-        gw: Matrix::zeros(rows, cols),
-        gb: vec![0.0; cols],
-    }
+    Linear::from_parts(w, b)
 }
 
 /// Row-parallel shard of the attention output projection (`h × h`): rank
@@ -72,12 +59,7 @@ pub fn shard_proj(lin: &Linear, heads: usize, t: usize, r: usize) -> Linear {
     assert!(heads.is_multiple_of(t) && h.is_multiple_of(heads));
     let span = (heads / t) * (h / heads);
     let (r0, r1) = (r * span, (r + 1) * span);
-    Linear {
-        w: lin.w.rows_slice(r0, r1),
-        b: None,
-        gw: Matrix::zeros(span, lin.w.cols()),
-        gb: vec![0.0; lin.w.cols()],
-    }
+    Linear::from_parts(lin.w.rows_slice(r0, r1), None)
 }
 
 #[cfg(test)]

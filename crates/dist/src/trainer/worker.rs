@@ -381,11 +381,9 @@ impl Rank<'_> {
                 loss_sum: 0.0,
                 bubble_ns: 0,
             };
-            // Pair by pair as the model visits them: collecting the pairs
-            // into a fresh `Vec` every iteration measured +0.8 MB of peak
-            // memory on eight rank threads (`ptd222_thread`, 10 pairs).
-            self.model
-                .visit(&mut |p, g| megatron_tensor::zero_grads(&mut [(p, g)]));
+            // The weight gradients are only marked fresh: each one's first
+            // microbatch writes it.
+            self.model.zero_grads();
 
             for (opi, op) in ops.iter().enumerate() {
                 // Fault-injection hook: die halfway through this iteration's
@@ -689,19 +687,23 @@ impl Rank<'_> {
     /// The pipeline flush is complete: strict optimizer semantics, with the
     /// data-parallel step as a distributed optimizer — §3.3.1's gradient
     /// all-reduce split into its two halves around the update. Reduce-
-    /// scatter the gradients, scale this rank's chunk of each to the
-    /// replica mean, Adam-step that chunk of every parameter, all-gather
+    /// scatter the gradients, Adam-step this rank's chunk of every
+    /// parameter on its gradient scaled to the replica mean, all-gather
     /// the parameters. The chunk is summed in exactly the order a ring
-    /// all-reduce of its parameter sums it, so every replica ends with the
-    /// parameters a replicated optimizer computes, bit for bit, at `1/d` of
-    /// its optimizer work. Returns the iteration's loss on the ranks that
-    /// own it (`owns_loss`).
+    /// all-reduce of its parameter sums it, and scaled by `1/d` as the mean
+    /// all-reduce scales (in Adam's registers, `Adam::step_scaled`: no pass
+    /// over memory), so every replica ends with the parameters a replicated
+    /// optimizer computes, bit for bit, at `1/d` of its optimizer work.
+    /// Returns the iteration's loss on the ranks that own it (`owns_loss`).
     fn step(&mut self, loss_sum: f32, owns_loss: bool) -> Result<Option<f32>, TrainError> {
         let (d, di, dg) = (self.spec.data, self.key.1, &self.wiring.dg);
         // Gradients currently hold Σ over microbatches of per-microbatch
         // means; rescale to the replica mean, then average over replicas.
         // With one microbatch the factor is exactly 1.0 and `x · 1.0` is
-        // `x` for every value: the pass over the gradients is skipped.
+        // `x` for every value: the pass over the gradients is skipped. It
+        // cannot fold into Adam as `1/d` does: the reduce-scatter sums the
+        // scaled values, and `Σ(x/m)` is not `(Σx)/m` unless `m` is a power
+        // of two.
         let inv_m = 1.0 / self.schedule.microbatches as f32;
         if self.schedule.microbatches > 1 {
             self.model.visit(&mut |_, g| {
@@ -735,14 +737,6 @@ impl Rank<'_> {
             let before = dg.comm_volume();
             dg.try_reduce_scatter_sum(&mut grads)
                 .map_err(TrainError::Comm)?;
-            // `x · (1/d)`, as the mean all-reduce scales.
-            let inv_d = 1.0 / d as f32;
-            for g in grads {
-                let c = chunk_of(g.len(), d, di);
-                for x in &mut g[c.lo..c.hi] {
-                    *x *= inv_d;
-                }
-            }
             reducing.set_bytes(bytes_since(dg, before));
         }
         let mut owned: Vec<(&mut [f32], &mut [f32])> = pairs
@@ -758,7 +752,8 @@ impl Rank<'_> {
             "adam-step",
             SpanArgs::NONE,
         );
-        self.adam.step(&mut owned);
+        // `x · (1/d)`, as the mean all-reduce scales; exactly `x` at d = 1.
+        self.adam.step_scaled(&mut owned, 1.0 / d as f32);
         drop(stepping);
         if d > 1 {
             let mut params: Vec<&mut [f32]> = pairs.iter_mut().map(|(p, _)| &mut **p).collect();

@@ -5,7 +5,7 @@
 //! max and sum-exp statistics travel through two small all-reduces.
 
 use megatron_tensor::elementwise::exp_minus;
-use megatron_tensor::layers::{Embedding, Linear};
+use megatron_tensor::layers::{Embedding, Linear, Visitor};
 use megatron_tensor::Matrix;
 
 use crate::comm::GroupMember;
@@ -84,9 +84,9 @@ impl VocabParallelEmbedding {
     }
 
     /// Visit (param, grad) pairs.
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
-        f(self.tokens.as_mut_slice(), self.gtokens.as_mut_slice());
-        f(
+    pub fn visit(&mut self, f: &mut impl Visitor) {
+        f.pair(self.tokens.as_mut_slice(), self.gtokens.as_mut_slice());
+        f.pair(
             self.positions.as_mut_slice(),
             self.gpositions.as_mut_slice(),
         );
@@ -116,12 +116,7 @@ impl VocabParallelHead {
         let chunk = vocab / t;
         let (lo, hi) = (r * chunk, (r + 1) * chunk);
         VocabParallelHead {
-            w: Linear {
-                w: head.w.columns(lo, hi),
-                b: None,
-                gw: Matrix::zeros(head.w.rows(), chunk),
-                gb: vec![0.0; chunk],
-            },
+            w: Linear::from_parts(head.w.columns(lo, hi), None),
             vocab_start: lo,
             vocab_end: hi,
         }
@@ -193,7 +188,7 @@ impl VocabParallelHead {
     }
 
     /// Visit (param, grad) pairs.
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
+    pub fn visit(&mut self, f: &mut impl Visitor) {
         self.w.visit(f);
     }
 }
@@ -299,11 +294,11 @@ mod tests {
             let (_, cache) = hd.forward_loss(&hidden, &targets, &m);
             let mut dh = hd.backward_partial(&hidden, &cache);
             m.all_reduce_sum(dh.as_mut_slice());
-            (m.rank(), dh, hd.w.gw.clone())
+            (m.rank(), dh, hd.w.gw().clone())
         });
         for (rank, dh, gw) in results {
             assert!(dh.max_abs_diff(&want_dhidden) < 1e-5, "rank {rank} dhidden");
-            let want_gw = serial.gw.columns(rank * 4, (rank + 1) * 4);
+            let want_gw = serial.gw().columns(rank * 4, (rank + 1) * 4);
             assert!(gw.max_abs_diff(&want_gw) < 1e-5, "rank {rank} gw");
         }
     }

@@ -9,8 +9,9 @@
 //!   step, checkpoint save, and pipeline-wait bubble;
 //! * **metrics** ([`MetricsRegistry`]): atomic counters / gauges /
 //!   log-bucket histograms with deterministic JSON snapshots — among them
-//!   each rank's minor page faults and CPU time per steady-state iteration
-//!   ([`thread_usage`], [`process_usage`], [`rank_usage`]);
+//!   each rank's minor page faults, CPU time and context switches per
+//!   steady-state iteration ([`thread_usage`], [`process_usage`],
+//!   [`rank_usage`]);
 //! * **exporters** ([`chrome_trace_json`], [`TelemetrySink::metrics_jsonl`]):
 //!   Chrome/Perfetto trace JSON sharing `megatron-sim`'s event format so a
 //!   real run and its simulated twin open side by side, plus per-iteration
@@ -93,9 +94,15 @@ impl TelemetrySink {
     /// Counter name prefix: CPU microseconds (user + kernel) of a rank's
     /// thread over the same iterations (`cpu_us.rank{r}`).
     pub const CPU_US: &'static str = "cpu_us";
+    /// Counter name prefix: voluntary context switches of a rank's thread
+    /// over the same iterations (`vcsw.rank{r}`).
+    pub const VOLUNTARY_SWITCHES: &'static str = "vcsw";
+    /// Counter name prefix: involuntary context switches of a rank's
+    /// thread over the same iterations (`ivcsw.rank{r}`).
+    pub const INVOLUNTARY_SWITCHES: &'static str = "ivcsw";
     /// Counter name prefix: the steady-state iterations behind
-    /// [`TelemetrySink::MINOR_FAULTS`] and [`TelemetrySink::CPU_US`]
-    /// (`steady_iterations.rank{r}`).
+    /// [`TelemetrySink::MINOR_FAULTS`], [`TelemetrySink::CPU_US`] and the
+    /// switch counters (`steady_iterations.rank{r}`).
     pub const STEADY_ITERATIONS: &'static str = "steady_iterations";
 
     /// A fresh sink.
@@ -124,11 +131,13 @@ impl TelemetrySink {
     }
 
     /// Add one steady-state iteration of flat rank `rank`, which took
-    /// `used` faults and CPU time on the rank's thread.
+    /// `used` faults, CPU time and context switches on the rank's thread.
     pub fn record_rank_usage(&self, rank: usize, used: ThreadUsage) {
         let counter = |prefix: &str| self.metrics.counter(&format!("{prefix}.rank{rank}"));
         counter(Self::MINOR_FAULTS).add(used.minor_faults);
         counter(Self::CPU_US).add(used.cpu_us);
+        counter(Self::VOLUNTARY_SWITCHES).add(used.voluntary_switches);
+        counter(Self::INVOLUNTARY_SWITCHES).add(used.involuntary_switches);
         counter(Self::STEADY_ITERATIONS).inc();
     }
 

@@ -1,6 +1,7 @@
-//! Page faults and CPU time per rank iteration: how much of a step the
-//! kernel spent handing the process fresh memory, and how much CPU the
-//! rank's thread burned on it.
+//! Page faults, CPU time and context switches per rank iteration: how much
+//! of a step the kernel spent handing the process fresh memory, how much
+//! CPU the rank's thread burned on it, and how often the thread gave up
+//! its core (to wait) or had it taken away.
 //!
 //! A rank thread reads [`thread_usage`] around each iteration and adds the
 //! difference with [`TelemetrySink::record_rank_usage`]; the counters live
@@ -19,6 +20,11 @@ pub struct ThreadUsage {
     pub minor_faults: u64,
     /// CPU time in user and kernel mode (`ru_utime + ru_stime`), µs.
     pub cpu_us: u64,
+    /// Voluntary context switches (`ru_nvcsw`): the thread blocked.
+    pub voluntary_switches: u64,
+    /// Involuntary context switches (`ru_nivcsw`): the scheduler took the
+    /// core from the thread.
+    pub involuntary_switches: u64,
 }
 
 impl ThreadUsage {
@@ -27,20 +33,22 @@ impl ThreadUsage {
         ThreadUsage {
             minor_faults: self.minor_faults - earlier.minor_faults,
             cpu_us: self.cpu_us - earlier.cpu_us,
+            voluntary_switches: self.voluntary_switches - earlier.voluntary_switches,
+            involuntary_switches: self.involuntary_switches - earlier.involuntary_switches,
         }
     }
 }
 
-/// The calling thread's faults and CPU time since it started
+/// The calling thread's faults, CPU time and switches since it started
 /// (`getrusage(RUSAGE_THREAD)`), or `None` where that is not available.
 pub fn thread_usage() -> Option<ThreadUsage> {
     getrusage(1)
 }
 
-/// The faults and CPU time of every thread of this process, live or
-/// finished, since it started (`getrusage(RUSAGE_SELF)`), or `None` where
-/// that is not available: what a step costs when helper threads run parts
-/// of it.
+/// The faults, CPU time and switches of every thread of this process, live
+/// or finished, since it started (`getrusage(RUSAGE_SELF)`), or `None`
+/// where that is not available: what a step costs when helper threads run
+/// parts of it.
 pub fn process_usage() -> Option<ThreadUsage> {
     getrusage(0)
 }
@@ -50,8 +58,9 @@ pub fn process_usage() -> Option<ThreadUsage> {
 fn getrusage(who: std::ffi::c_int) -> Option<ThreadUsage> {
     use std::ffi::{c_int, c_long};
     /// `struct rusage` on 64-bit Linux: two `timeval`s (`ru_utime`,
-    /// `ru_stime`: seconds, then microseconds), then fourteen longs, the
-    /// fifth of which is `ru_minflt`.
+    /// `ru_stime`: seconds, then microseconds), then fourteen longs, of
+    /// which the fifth is `ru_minflt` and the last two `ru_nvcsw` and
+    /// `ru_nivcsw`.
     #[repr(C)]
     struct Rusage {
         times: [c_long; 4],
@@ -71,6 +80,8 @@ fn getrusage(who: std::ffi::c_int) -> Option<ThreadUsage> {
     (rc == 0).then_some(ThreadUsage {
         minor_faults: usage.counts[4] as u64,
         cpu_us: (user_s + sys_s) * 1_000_000 + user_us + sys_us,
+        voluntary_switches: usage.counts[12] as u64,
+        involuntary_switches: usage.counts[13] as u64,
     })
 }
 
@@ -79,8 +90,8 @@ fn getrusage(_who: std::ffi::c_int) -> Option<ThreadUsage> {
     None
 }
 
-/// One rank's steady-state page faults and CPU time, as its counters
-/// recorded them.
+/// One rank's steady-state page faults, CPU time and context switches, as
+/// its counters recorded them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankUsage {
     /// Flat rank.
@@ -89,6 +100,10 @@ pub struct RankUsage {
     pub faults: u64,
     /// CPU time of the rank's thread over them, µs.
     pub cpu_us: u64,
+    /// Voluntary context switches of the rank's thread over them.
+    pub voluntary_switches: u64,
+    /// Involuntary context switches of the rank's thread over them.
+    pub involuntary_switches: u64,
     /// Steady-state iterations the rank ran.
     pub iterations: u64,
 }
@@ -103,10 +118,20 @@ impl RankUsage {
     pub fn cpu_ms_per_iteration(&self) -> f64 {
         self.cpu_us as f64 / 1e3 / self.iterations.max(1) as f64
     }
+
+    /// Voluntary and involuntary context switches per steady-state
+    /// iteration.
+    pub fn switches_per_iteration(&self) -> (f64, f64) {
+        let n = self.iterations.max(1) as f64;
+        (
+            self.voluntary_switches as f64 / n,
+            self.involuntary_switches as f64 / n,
+        )
+    }
 }
 
-/// Every rank's steady-state faults and CPU time in a metrics snapshot
-/// ([`crate::MetricsRegistry::snapshot`]), by flat rank.
+/// Every rank's steady-state faults, CPU time and switches in a metrics
+/// snapshot ([`crate::MetricsRegistry::snapshot`]), by flat rank.
 pub fn rank_usage(snapshot: &Json) -> Vec<RankUsage> {
     let Json::Obj(counters) = &snapshot["counters"] else {
         return Vec::new();
@@ -129,6 +154,8 @@ pub fn rank_usage(snapshot: &Json) -> Vec<RankUsage> {
             rank,
             faults: of(TelemetrySink::MINOR_FAULTS, rank),
             cpu_us: of(TelemetrySink::CPU_US, rank),
+            voluntary_switches: of(TelemetrySink::VOLUNTARY_SWITCHES, rank),
+            involuntary_switches: of(TelemetrySink::INVOLUNTARY_SWITCHES, rank),
             iterations: of(TelemetrySink::STEADY_ITERATIONS, rank),
         })
         .collect()
@@ -142,18 +169,20 @@ mod tests {
     #[test]
     fn rank_usage_reads_back_what_ranks_recorded() {
         let sink = TelemetrySink::new(SinkConfig::default());
-        for (rank, faults, cpu_us) in [
-            (10, 3, 900),
-            (2, 0, 50),
-            (10, 5, 2100),
-            (2, 0, 0),
-            (2, 1, 10),
+        for (rank, faults, cpu_us, vcsw, ivcsw) in [
+            (10, 3, 900, 4, 1),
+            (2, 0, 50, 0, 0),
+            (10, 5, 2100, 6, 0),
+            (2, 0, 0, 2, 7),
+            (2, 1, 10, 1, 2),
         ] {
             sink.record_rank_usage(
                 rank,
                 ThreadUsage {
                     minor_faults: faults,
                     cpu_us,
+                    voluntary_switches: vcsw,
+                    involuntary_switches: ivcsw,
                 },
             );
         }
@@ -166,12 +195,16 @@ mod tests {
                     rank: 2,
                     faults: 1,
                     cpu_us: 60,
+                    voluntary_switches: 3,
+                    involuntary_switches: 9,
                     iterations: 3
                 },
                 RankUsage {
                     rank: 10,
                     faults: 8,
                     cpu_us: 3000,
+                    voluntary_switches: 10,
+                    involuntary_switches: 1,
                     iterations: 2
                 },
             ]
@@ -179,6 +212,8 @@ mod tests {
         assert_eq!(read[1].faults_per_iteration(), 4.0);
         assert_eq!(read[1].cpu_ms_per_iteration(), 1.5);
         assert_eq!(read[0].cpu_ms_per_iteration(), 0.02);
+        assert_eq!(read[0].switches_per_iteration(), (1.0, 3.0));
+        assert_eq!(read[1].switches_per_iteration(), (5.0, 0.5));
         assert!(
             rank_usage(&TelemetrySink::new(SinkConfig::default()).metrics.snapshot()).is_empty()
         );
@@ -220,6 +255,23 @@ mod tests {
         let (process, thread) = (process_usage().unwrap(), thread_usage().unwrap());
         let faults = process.since(before).minor_faults - thread.since(mine).minor_faults;
         assert!(faults > 0, "{before:?} -> {process:?}");
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn sleeping_counts_voluntary_switches_on_this_thread() {
+        // A thread of its own, so that only its sleeps count: each one
+        // blocks the thread, which gives up its core.
+        let used = std::thread::spawn(|| {
+            let before = thread_usage().expect("getrusage works on Linux");
+            for _ in 0..3 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            thread_usage().unwrap().since(before)
+        })
+        .join()
+        .unwrap();
+        assert!(used.voluntary_switches >= 3, "{used:?}");
     }
 
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]

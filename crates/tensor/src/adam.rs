@@ -36,10 +36,18 @@ impl Adam {
 
     /// Apply one Adam step over the concatenation of (param, grad) pairs.
     /// The total parameter count must be identical across calls (state is
-    /// positional). Gradients are left untouched; zero them with
-    /// [`zero_grads`]. Each parameter and its moments are updated in pieces
-    /// on the pool.
+    /// positional). Gradients are left untouched; zero them with the
+    /// model's `zero_grads` ([`crate::layers::Zeroing`]). Each parameter
+    /// and its moments are updated in pieces on the pool.
     pub fn step(&mut self, pairs: &mut [(&mut [f32], &mut [f32])]) {
+        self.step_scaled(pairs, 1.0);
+    }
+
+    /// [`Adam::step`] on every gradient times `scale`: each `g · scale` is
+    /// computed in register as the update reads it, one rounding, so the
+    /// step has the bits of a pass `g *= scale` followed by [`Adam::step`]
+    /// without that pass over memory. The gradients are left untouched.
+    pub fn step_scaled(&mut self, pairs: &mut [(&mut [f32], &mut [f32])], scale: f32) {
         let total: usize = pairs.iter().map(|(p, _)| p.len()).sum();
         if self.m.is_empty() {
             self.m = vec![0.0; total];
@@ -54,6 +62,7 @@ impl Adam {
             eps: self.eps,
             bc1: 1.0 - self.beta1.powi(self.t as i32),
             bc2: 1.0 - self.beta2.powi(self.t as i32),
+            scale,
         };
         let count = pairs.iter().map(|(p, _)| p.len().div_ceil(PIECE)).sum();
         let (mut m, mut v) = (&mut self.m[..], &mut self.v[..]);
@@ -99,8 +108,10 @@ impl Adam {
     }
 }
 
-/// Zero every gradient of `pairs` — the one zeroing pass of a step, in
-/// pieces on the pool.
+/// Zero every gradient of `pairs`, in pieces on the pool: the one zeroing
+/// pass of a step, over the gradients a model's [`crate::layers::Zeroing`]
+/// walk hands it — every one but the [`crate::layers::Linear`] weight
+/// gradients, which their first product writes.
 pub fn zero_grads(pairs: &mut [(&mut [f32], &mut [f32])]) {
     let values = pairs.iter().map(|(_, g)| g.len()).sum();
     let count = pairs.iter().map(|(_, g)| g.len().div_ceil(PIECE)).sum();
@@ -245,6 +256,53 @@ mod tests {
                 grads.concat().iter().all(|g| g.to_bits() == 0),
                 "step {step}"
             );
+        }
+    }
+
+    /// A scaled step has the bits of a pass `g *= s` and then a step, with
+    /// zeros of both signs among the gradients, over the scales the trainer
+    /// passes (`1/d`, and 1.0 at `d = 1`) and one that rounds every
+    /// product; and it leaves the gradients as they were.
+    #[test]
+    fn a_scaled_step_equals_scaling_the_gradients_first_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let lens = [1usize, 31, 1000];
+        for s in [1.0f32, 0.5, 1.0 / 3.0, 0.1] {
+            let init: Vec<Vec<f32>> = lens
+                .iter()
+                .map(|&n| (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect();
+            let (mut scaled, mut passed) =
+                ((init.clone(), Adam::new(0.01)), (init, Adam::new(0.01)));
+            for step in 0..4 {
+                let grads: Vec<Vec<f32>> = lens
+                    .iter()
+                    .map(|&n| {
+                        (0..n)
+                            .map(|i| match (i + step) % 5 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => rng.gen_range(-3.0f32..3.0),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut kept = grads.clone();
+                scaled
+                    .1
+                    .step_scaled(&mut pairs(&mut scaled.0, &mut kept), s);
+                assert_eq!(kept, grads, "the gradients are left untouched");
+                let mut times_s: Vec<Vec<f32>> = grads
+                    .iter()
+                    .map(|g| g.iter().map(|&x| x * s).collect())
+                    .collect();
+                passed.1.step(&mut pairs(&mut passed.0, &mut times_s));
+                let bits =
+                    |v: &[Vec<f32>]| v.concat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scaled.0), bits(&passed.0), "scale {s}, step {step}");
+                assert_eq!(scaled.1.export_state(), passed.1.export_state());
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! The AMX build of `gemm`: `C += A·B` on the matrix unit, `TDPBF16PS` over
-//! bf16 operands with f32 sums.
+//! The AMX build of `gemm`: `C += A·B` and `C = A·B` on the matrix unit,
+//! `TDPBF16PS` over bf16 operands with f32 sums.
 //!
 //! **Layout.** `A` is packed as bf16 rows of `kp` elements — `k` rounded up
 //! to a chunk of 32, zero beyond `k` — and `16·⌈m/16⌉` rows. `B` is packed
@@ -20,8 +20,10 @@
 //! (`tmm6`, `tmm7`) per chunk; a block or panel pair with one tile of rows
 //! or columns uses the 1×2, 2×1 or 1×1 subset. `C` is loaded into the tiles
 //! in place when 16 divides `m` and `n`, and through a staged copy
-//! otherwise. Every run of blocks configures the tiles on entry and
-//! releases them before it returns, so a thread — the caller or a pool
+//! otherwise; a product that writes `C` (`gemm::matmul_to`) zeroes the
+//! tiles instead (`tilezero`) and reads nothing of `C`, copying nothing
+//! into the staged copy. Every run of blocks configures the tiles on entry
+//! and releases them before it returns, so a thread — the caller or a pool
 //! helper — holds no tile state between products.
 //!
 //! The tile instructions are written in `asm!`: rustc has no stable AMX
@@ -121,7 +123,8 @@ impl Drop for Tiles {
     }
 }
 
-/// One product as the blocks see it: packed operands and where `C` is.
+/// One product as the blocks see it: packed operands, where `C` is and
+/// whether it is written or summed onto.
 struct Job {
     /// Row tiles and column panels.
     mt: usize,
@@ -133,19 +136,21 @@ struct Job {
     c: *mut f32,
     /// `C`'s row stride in bytes.
     c_stride: usize,
+    /// `C = A·B`: the accumulator tiles start at `+0.0`, not at `C`.
+    write: bool,
 }
 
 // SAFETY: `a` and `b` are only read. `c` is written by `block` only in the
-// rows of the block it was given, and `matmul_into` hands out disjoint
+// rows of the block it was given, and `product` hands out disjoint
 // blocks of a `C` whose rows do not overlap while it holds its exclusive
 // borrow.
 unsafe impl Sync for Job {}
 
-/// `C += A·B` on the matrix unit.
+/// `C = A·B` (`write`) or `C += A·B` on the matrix unit.
 ///
 /// # Safety
 /// `Isa::Amx` must be active.
-pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
+pub(crate) unsafe fn product(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write: bool) {
     let ((_, m, k, _, _), (_, _, n, _, _)) = (a.parts(), b.parts());
     let (mt, nt, chunks) = (m.div_ceil(TILE), n.div_ceil(TILE), k.div_ceil(CHUNK));
     let kp = chunks * CHUNK;
@@ -172,8 +177,10 @@ pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
         // are never copied back.
         let w = nt * TILE;
         staged.resize(mt * TILE * w, 0.0);
-        for (i, dst) in staged.chunks_exact_mut(w).take(m).enumerate() {
-            dst[..n].copy_from_slice(c.row(i));
+        if !write {
+            for (i, dst) in staged.chunks_exact_mut(w).take(m).enumerate() {
+                dst[..n].copy_from_slice(c.row(i));
+            }
         }
         (staged.as_mut_ptr(), w)
     };
@@ -185,6 +192,7 @@ pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
         b: b_packed.as_ptr(),
         c: cp,
         c_stride: 4 * cp_rs,
+        write,
     };
     let blocks = m.div_ceil(BLOCK);
     if shared {
@@ -197,7 +205,7 @@ pub(crate) unsafe fn matmul_into(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
     if !in_place {
         let w = nt * TILE;
         for (i, src) in staged.chunks_exact(w).take(m).enumerate() {
-            c.row_mut(i).copy_from_slice(&src[..n]);
+            c.write_row(i, &src[..n]);
         }
     }
     PACKED_A.set(pa);
@@ -234,7 +242,7 @@ fn pack_shared(a: View<'_>, b: View<'_>, kp: usize, (a_dst, b_dst): (&mut [u16],
 /// Row blocks `b0..b1` of `job`, under a tile configuration of their own.
 ///
 /// # Safety
-/// As [`matmul_into`], with `job` describing live buffers; no other thread
+/// As [`product`], with `job` describing live buffers; no other thread
 /// writes these rows of `C` meanwhile.
 unsafe fn blocks_of(job: &Job, b0: usize, b1: usize) {
     let _tiles = Tiles::configure();
@@ -253,6 +261,7 @@ unsafe fn blocks_of(job: &Job, b0: usize, b1: usize) {
                 a_stride,
                 b_next: panel,
                 c_stride: job.c_stride,
+                write: job.write,
             };
             match (rt, ct) {
                 (2, 2) => tile_block::<2, 2>(a, b, c, job.chunks, shape),
@@ -265,22 +274,24 @@ unsafe fn blocks_of(job: &Job, b0: usize, b1: usize) {
 }
 
 /// Strides of one tile block: `A`'s rows in bytes, the `u16`s from one
-/// panel of `B` to the next, `C`'s rows in bytes.
+/// panel of `B` to the next, `C`'s rows in bytes; and whether the block
+/// writes `C` rather than summing onto it.
 #[derive(Clone, Copy)]
 struct Shape {
     a_stride: usize,
     b_next: usize,
     c_stride: usize,
+    write: bool,
 }
 
 /// `C[..16·RT, ..16·CT] += A[..16·RT, ..] · B[.., ..16·CT]` over `chunks`
-/// chunks: `A` from `a` (rows `a_stride` bytes apart), `B`'s panels from `b`
-/// (`b_next` apart), `C` at `c`.
+/// chunks — `=` if `write` — : `A` from `a` (rows `a_stride` bytes apart),
+/// `B`'s panels from `b` (`b_next` apart), `C` at `c`.
 ///
 /// # Safety
 /// Tiles configured; `16·RT` packed rows of `A` and `CT` packed panels of
 /// `chunks` chunks readable there; `16·RT` rows of `16·CT` floats of `C`,
-/// `c_stride` bytes apart, readable and writable.
+/// `c_stride` bytes apart, writable, and readable unless `write`.
 #[inline(always)]
 unsafe fn tile_block<const RT: usize, const CT: usize>(
     a: *const u16,
@@ -291,6 +302,7 @@ unsafe fn tile_block<const RT: usize, const CT: usize>(
         a_stride,
         b_next,
         c_stride,
+        write,
     }: Shape,
 ) {
     let a1 = a.byte_add(TILE * a_stride);
@@ -298,19 +310,28 @@ unsafe fn tile_block<const RT: usize, const CT: usize>(
     let c01 = c.add(TILE);
     let c10 = c.byte_add(TILE * c_stride);
     let c11 = c10.add(TILE);
-    asm!(
-        "tileloadd tmm0, [{c00} + {cs}]",
-        c00 = in(reg) c, cs = in(reg) c_stride, options(nostack, readonly)
-    );
-    if CT == 2 {
+    // The accumulators start at `+0.0` for a written `C`, at `C` otherwise.
+    if write {
+        asm!("tilezero tmm0", options(nostack, nomem));
+    } else {
+        asm!("tileloadd tmm0, [{c} + {cs}]", c = in(reg) c, cs = in(reg) c_stride,
+            options(nostack, readonly));
+    }
+    if CT == 2 && write {
+        asm!("tilezero tmm1", options(nostack, nomem));
+    } else if CT == 2 {
         asm!("tileloadd tmm1, [{c} + {cs}]", c = in(reg) c01, cs = in(reg) c_stride,
             options(nostack, readonly));
     }
-    if RT == 2 {
+    if RT == 2 && write {
+        asm!("tilezero tmm2", options(nostack, nomem));
+    } else if RT == 2 {
         asm!("tileloadd tmm2, [{c} + {cs}]", c = in(reg) c10, cs = in(reg) c_stride,
             options(nostack, readonly));
     }
-    if RT == 2 && CT == 2 {
+    if RT == 2 && CT == 2 && write {
+        asm!("tilezero tmm3", options(nostack, nomem));
+    } else if RT == 2 && CT == 2 {
         asm!("tileloadd tmm3, [{c} + {cs}]", c = in(reg) c11, cs = in(reg) c_stride,
             options(nostack, readonly));
     }

@@ -281,8 +281,8 @@ fn layer_norm_backward_group(
     }
 }
 
-/// The constants of one Adam step: the hyper-parameters and the two bias
-/// corrections `1 − βᵗ`.
+/// The constants of one Adam step: the hyper-parameters, the two bias
+/// corrections `1 − βᵗ` and the factor the gradients are scaled by.
 #[derive(Debug, Clone, Copy)]
 pub struct AdamStep {
     /// Learning rate.
@@ -297,6 +297,10 @@ pub struct AdamStep {
     pub bc1: f32,
     /// `1 − β₂ᵗ`.
     pub bc2: f32,
+    /// The gradient the step uses is `g · scale`, rounded once: the bits a
+    /// pass `g *= scale` before the step would leave (and `g` itself at
+    /// 1.0).
+    pub scale: f32,
 }
 
 per_isa! {
@@ -439,6 +443,7 @@ per_isa! {
         assert!(p.len() == g.len() && p.len() == m.len() && p.len() == v.len());
         let (c1, c2) = (1.0 - k.beta1, 1.0 - k.beta2);
         for (((p, &g), m), v) in p.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+            let g = g * k.scale;
             *m = k.beta1 * *m + c1 * g;
             *v = k.beta2 * *v + c2 * g * g;
             let mhat = *m / k.bc1;
@@ -485,6 +490,7 @@ mod tests {
         eps: 1e-8,
         bc1: 0.271,
         bc2: 0.003_994,
+        scale: 1.0 / 3.0,
     };
 
     /// Every build of one kernel this host runs, run by

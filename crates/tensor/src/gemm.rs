@@ -31,18 +31,27 @@
 //! and one without, and only there. No flag picks the engine: CPUID and the
 //! operating system's grant of tile state do ([`crate::Isa::active`]).
 //!
-//! **The FMA kernel.** [`matmul_into`] computes `C += A·B` for views given
-//! as `(data, row stride, column stride)`, so a transposed operand or one
-//! head's columns of a wider matrix is just another view: [`matmul`],
-//! [`matmul_tn`] and [`matmul_nt`] are the same call with strides swapped.
+//! **Two modes.** [`matmul_into`] computes `C += A·B` and [`matmul_to`]
+//! computes `C = A·B`, reading nothing of `C`: the FMA builds start each
+//! sum at `+0.0` in a register and the matrix unit zeroes its tiles, where
+//! the first mode loads `C`. An element's arithmetic is the same either
+//! way, so `matmul_to` has the bits of `matmul_into` onto a `C` of `+0.0`.
+//! A product whose `C` would otherwise be zeroed first — a fresh output, a
+//! weight gradient's first microbatch — is written, not summed onto zeros.
+//!
+//! **The FMA kernel.** Both modes take views given as `(data, row stride,
+//! column stride)`, so a transposed operand or one head's columns of a
+//! wider matrix is just another view: [`matmul`], [`matmul_tn`] and
+//! [`matmul_nt`] are the same call with strides swapped.
 //! The FMA builds first copy both operands rounded (per thread, reused).
 //! Work is cut into `MR × NR` tiles of `C` whose accumulators stay in
-//! registers while `k` runs; `k` is blocked by `KC` so a panel of `B` stays
-//! in cache across the row tiles that reuse it. `B` is read in place when
-//! its rows are contiguous and packed into `NR`-wide panels when they are
-//! not (a transposed view) or at the ragged right edge — except that a
-//! deep product of a few rows by a transposed `B` is computed as
-//! `Cᵀ += Bᵀ·Aᵀ`, which reads `B` in place and packs only the few rows of
+//! registers while `k` runs (in the write mode, from `+0.0` for the first
+//! `k` block and from `C` for the rest); `k` is blocked by `KC` so a panel
+//! of `B` stays in cache across the row tiles that reuse it. `B` is read in
+//! place when its rows are contiguous and packed into `NR`-wide panels when
+//! they are not (a transposed view) or at the ragged right edge — except
+//! that a deep product of a few rows by a transposed `B` is computed as
+//! `Cᵀ = Bᵀ·Aᵀ`, which reads `B` in place and packs only the few rows of
 //! `A`. The body is plain Rust, compiled once per instruction set
 //! (`crate::simd`) with the tile width as a constant of each build — 6×16
 //! for the baseline and AVX2, 6×32 under AVX-512, whose twelve 16-lane
@@ -235,11 +244,24 @@ impl<'a> ViewMut<'a> {
         unsafe { std::slice::from_raw_parts(self.data.add(i * self.rs), self.cols) }
     }
 
-    /// Row `i`'s `cols` floats, writable.
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f32] {
+    /// Writes `src` over row `i`, whose elements need hold no value yet:
+    /// they are written, not read.
+    pub(crate) fn write_row(&mut self, i: usize, src: &[f32]) {
         assert!(i < self.rows, "row {i} of {}", self.rows);
-        // SAFETY: as `row`, borrowed exclusively through `self`.
-        unsafe { std::slice::from_raw_parts_mut(self.data.add(i * self.rs), self.cols) }
+        assert_eq!(src.len(), self.cols, "row width");
+        // SAFETY: row `i` of the view, owned by it (`ViewMut::new`).
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), self.data.add(i * self.rs), self.cols)
+        }
+    }
+
+    /// Writes `+0.0` over every element.
+    fn write_zeros(&mut self) {
+        for i in 0..self.rows {
+            // SAFETY: row `i` of the view, owned by it; all-zero bits are
+            // `+0.0`.
+            unsafe { std::ptr::write_bytes(self.data.add(i * self.rs), 0, self.cols) }
+        }
     }
 
     /// The `rows × cols` block of this view whose top-left element is
@@ -277,6 +299,73 @@ impl<'a> ViewMut<'a> {
             _elements: PhantomData,
         }
     }
+
+    /// Every `rows × cols` block of the view at once, for attention's
+    /// heads: the view is `N` parts of equal width side by side, each a
+    /// grid of blocks, and item `r·g + c` (`g` blocks across a part) holds
+    /// block `(r, c)` of every part — `[q]` of one (batch, head) pair of an
+    /// attention output, `[dq, dk, dv]` of a fused QKV gradient. No two
+    /// views share an element, so the items may be written at once on
+    /// different threads.
+    pub(crate) fn blocks<const N: usize>(
+        self,
+        rows: usize,
+        cols: usize,
+    ) -> impl ExactSizeIterator<Item = [ViewMut<'a>; N]> {
+        let part = self.cols / N;
+        assert!(rows > 0 && cols > 0 && part.is_multiple_of(cols) && part * N == self.cols);
+        assert_eq!(self.rows % rows, 0, "rows of whole blocks");
+        let across = part / cols;
+        (0..self.rows / rows * across).map(move |i| {
+            let (r0, c0) = (i / across * rows, i % across * cols);
+            // SAFETY: block `(r0, c0)` of part `p` lies inside the view
+            // (asserted above), and no other item's block meets it.
+            std::array::from_fn(|p| unsafe { self.block(r0, p * part + c0, rows, cols) })
+        })
+    }
+}
+
+/// An empty buffer with room for `len` floats, each page of which this
+/// thread has touched once: fresh pages are mapped on first touch, and two
+/// threads of one process taking those faults at the same time pay several
+/// times what one thread pays for them in a row (a 192-row training step on
+/// the AVX-512 build, 4 alternated pairs: 89 ms with the helper faulting its
+/// blocks in, 72 ms without, and 1.4 times the CPU). So the caller maps a
+/// product's output before a helper can see it.
+pub(crate) fn room(len: usize) -> Vec<f32> {
+    let mut buf = Vec::with_capacity(len);
+    for page in buf.spare_capacity_mut()[..len].chunks_mut(PAGE_FLOATS) {
+        page[0].write(std::hint::black_box(0.0));
+    }
+    buf
+}
+
+/// `buf`, cleared, becomes a `rows × cols` matrix, row by row, whose
+/// elements `write` stores through the view of the whole of it that it is
+/// given: nothing fills them first. `buf` grows if it must; with room
+/// enough ([`room`]) nothing is allocated.
+///
+/// # Safety
+/// `write` writes every element of the view and reads none it has not
+/// written.
+pub(crate) unsafe fn write_vec(
+    buf: &mut Vec<f32>,
+    rows: usize,
+    cols: usize,
+    write: impl FnOnce(ViewMut<'_>),
+) {
+    let len = rows * cols;
+    buf.clear();
+    buf.reserve(len);
+    write(ViewMut {
+        data: buf.as_mut_ptr(),
+        rows,
+        cols,
+        rs: cols,
+        _elements: PhantomData,
+    });
+    // SAFETY: `write` wrote all `len` elements (the caller's contract).
+    buf.set_len(len);
 }
 
 impl Matrix {
@@ -304,38 +393,17 @@ impl Matrix {
         let (stride, start) = (self.cols(), (r0 * self.cols() + c0).min(self.len()));
         ViewMut::new(&mut self.as_mut_slice()[start..], rows, cols, stride)
     }
-
-    /// Every `rows × cols` block of the matrix at once, for attention's
-    /// heads: the matrix is `N` parts of equal width side by side, each a
-    /// grid of blocks, and item `r·g + c` (`g` blocks across a part) holds
-    /// block `(r, c)` of every part — `[q]` of one (batch, head) pair of an
-    /// attention output, `[dq, dk, dv]` of a fused QKV gradient. No two
-    /// views share an element, so the items may be written at once on
-    /// different threads.
-    pub(crate) fn blocks_mut<const N: usize>(
-        &mut self,
-        rows: usize,
-        cols: usize,
-    ) -> impl ExactSizeIterator<Item = [ViewMut<'_>; N]> {
-        let (stride, part) = (self.cols(), self.cols() / N);
-        assert!(rows > 0 && cols > 0 && part % cols == 0 && part * N == stride);
-        assert_eq!(self.rows() % rows, 0, "rows of whole blocks");
-        let across = part / cols;
-        let height = self.rows();
-        let whole = ViewMut::new(self.as_mut_slice(), height, stride, stride);
-        (0..height / rows * across).map(move |i| {
-            let (r0, c0) = (i / across * rows, i % across * cols);
-            // SAFETY: block `(r0, c0)` of part `p` lies inside `whole`
-            // (asserted above), and no other item's block meets it.
-            std::array::from_fn(|p| unsafe { whole.block(r0, p * part + c0, rows, cols) })
-        })
-    }
 }
 
-/// `C += A · B` under the summation-order contract of this module; with `C`
-/// zeroed beforehand, `C = A · B`.
+/// `C += A · B` under the summation-order contract of this module.
 pub fn matmul_into(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
     matmul_into_with(Isa::active(), a, b, c);
+}
+
+/// `C = A · B` under the same contract: `C` is written and never read, and
+/// gets the bits [`matmul_into`] would leave in a `C` of `+0.0`.
+pub fn matmul_to(a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
+    product(Isa::active(), a, b, c, true);
 }
 
 /// The build the dispatched kernels of this crate run on this processor and
@@ -370,20 +438,13 @@ pub fn bf16_round(x: f32) -> f32 {
     f32::from_bits(rounded & 0xffff_0000)
 }
 
-/// `A · B` of two views as a new matrix.
+/// `A · B` of two views as a new matrix, written by [`matmul_to`] into
+/// memory nothing fills first ([`room`]).
 pub fn matmul_view(a: View<'_>, b: View<'_>) -> Matrix {
-    let mut out = Matrix::zeros(a.rows, b.cols);
-    // Fresh zeroed memory is mapped page by page on first touch. Two threads
-    // of one process taking those faults at the same time pay several times
-    // what one thread pays for them in a row (a 192-row training step on the
-    // AVX-512 build, 4 alternated pairs: 89 ms with the helper faulting its
-    // blocks in, 72 ms without, and 1.4 times the CPU), so the caller maps
-    // all of `C` before a helper can see it.
-    for page in out.as_mut_slice().chunks_mut(PAGE_FLOATS) {
-        page[0] = std::hint::black_box(0.0);
-    }
-    matmul_into(a, b, out.block_mut(0, 0, a.rows, b.cols));
-    out
+    let mut c = room(a.rows * b.cols);
+    // SAFETY: `matmul_to` writes every element of `C` and reads none.
+    unsafe { write_vec(&mut c, a.rows, b.cols, |c| matmul_to(a, b, c)) };
+    Matrix::from_vec(a.rows, b.cols, c)
 }
 
 /// `C = A · B` (`m×k` times `k×n`).
@@ -419,7 +480,7 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// One product as the kernel sees it: raw operands whose bounds the views
-/// checked, and `B`'s packed panels.
+/// checked, `B`'s packed panels, and whether `C` is written or summed onto.
 struct Job {
     m: usize,
     k: usize,
@@ -439,6 +500,9 @@ struct Job {
     /// Panel `first_packed + p` as `k` rows of `nr` floats (zero beyond
     /// column `n`) at `p · k · nr`.
     packed: *const f32,
+    /// `C = A·B` ([`matmul_to`]): the first `k` block starts its sums at
+    /// `+0.0` instead of loading `C`.
+    write: bool,
 }
 
 // SAFETY: `a`, `b` and `packed` are only read. `c` is written, by
@@ -461,6 +525,11 @@ thread_local! {
 /// instruction set with `B`'s panels as wide as its tile — the same bits
 /// from every FMA build.
 pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
+    product(isa, a, b, c, false);
+}
+
+/// `C = A·B` (`write`, [`matmul_to`]) or `C += A·B` on the build for `isa`.
+fn product(isa: Isa, a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write: bool) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!((c.rows, c.cols), (a.rows, b.cols), "output shape");
     assert!(
@@ -469,12 +538,16 @@ pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         isa.name()
     );
     if a.rows == 0 || b.cols == 0 || a.cols == 0 {
+        // A sum of no terms.
+        if write {
+            c.write_zeros();
+        }
         return;
     }
     if isa == Isa::Amx {
         // SAFETY: `Isa::Amx` is active (asserted above).
         #[cfg(target_arch = "x86_64")]
-        return unsafe { crate::amx::matmul_into(a, b, c) };
+        return unsafe { crate::amx::product(a, b, c, write) };
     }
     let shared = flops(a.rows, a.cols, b.cols) >= PAR_FLOPS;
     let (mut ra, mut rb) = ROUNDED.take();
@@ -482,7 +555,7 @@ pub fn matmul_into_with(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         rounded(isa, a, &mut ra, shared),
         rounded(isa, b, &mut rb, shared),
     );
-    fma_product(isa, a, b, c);
+    fma_product(isa, a, b, c, write);
     ROUNDED.set((ra, rb));
 }
 
@@ -532,10 +605,10 @@ per_isa! {
 }
 
 /// The FMA kernel on operands already rounded.
-fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
+fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>, write: bool) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     if b.cs != 1 && m <= FEW_ROWS && n > m && k >= KC {
-        return matmul_transposed(isa, a, b, c);
+        return matmul_transposed(isa, a, b, c, write);
     }
     let nr = tile_width(isa);
     let panels = n.div_ceil(nr);
@@ -578,6 +651,7 @@ fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
         nr,
         first_packed,
         packed: packed.as_ptr(),
+        write,
     };
     let rows = |i0, i1| rows_with(isa, &job, i0, i1);
     let threads = Pool::global().threads();
@@ -594,17 +668,24 @@ fn fma_product(isa: Isa, a: View<'_>, b: View<'_>, c: ViewMut<'_>) {
     PANELS.set(packed);
 }
 
-/// `C += A·B` computed as `Cᵀ += Bᵀ·Aᵀ`, for `A` of few rows and a
-/// transposed `B`: `Bᵀ` becomes the kernel's `A`, read in place, and only
-/// `Aᵀ` is packed. Each term is the same `fma` with its factors swapped, in
-/// the same order, so every element has the same bits.
-fn matmul_transposed(isa: Isa, a: View<'_>, b: View<'_>, mut c: ViewMut<'_>) {
+/// `C += A·B` (or `C = A·B`) computed as `Cᵀ += Bᵀ·Aᵀ` (`Cᵀ = Bᵀ·Aᵀ` from a
+/// `Cᵀ` of zeros), for `A` of few rows and a transposed `B`: `Bᵀ` becomes
+/// the kernel's `A`, read in place, and only `Aᵀ` is packed. Each term is
+/// the same `fma` with its factors swapped, in the same order, so every
+/// element has the same bits.
+fn matmul_transposed(isa: Isa, a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write: bool) {
     let (m, n) = (a.rows, b.cols);
-    let mut ct = Matrix::from_fn(n, m, |j, i| c.row(i)[j]);
-    fma_product(isa, b.t(), a.t(), ct.block_mut(0, 0, n, m));
+    let mut ct = if write {
+        Matrix::zeros(n, m)
+    } else {
+        Matrix::from_fn(n, m, |j, i| c.row(i)[j])
+    };
+    fma_product(isa, b.t(), a.t(), ct.block_mut(0, 0, n, m), write);
+    let (out, rs) = c.as_mut_ptr();
     for i in 0..m {
-        for (j, out) in c.row_mut(i).iter_mut().enumerate() {
-            *out = ct.get(j, i);
+        for j in 0..n {
+            // SAFETY: element `(i, j)` of `c`, which only this view writes.
+            unsafe { out.add(i * rs + j).write(ct.get(j, i)) };
         }
     }
 }
@@ -618,6 +699,8 @@ per_isa! {
         debug_assert!(i0 <= i1 && i1 <= job.m);
         for k0 in (0..job.k).step_by(KC) {
             let kc = KC.min(job.k - k0);
+            // Only the first `k` block of a written product starts from zero.
+            let fresh = job.write && k0 == 0;
             for panel in 0..job.n.div_ceil(NR) {
                 let j0 = panel * NR;
                 let nr = NR.min(job.n - j0);
@@ -645,12 +728,12 @@ per_isa! {
                     // SAFETY: as above; `tile::<R>` touches `R` rows.
                     unsafe {
                         match (i1 - i).min(MR) {
-                            1 => tile::<1, NR>(kc, nr, a, b, c, strides),
-                            2 => tile::<2, NR>(kc, nr, a, b, c, strides),
-                            3 => tile::<3, NR>(kc, nr, a, b, c, strides),
-                            4 => tile::<4, NR>(kc, nr, a, b, c, strides),
-                            5 => tile::<5, NR>(kc, nr, a, b, c, strides),
-                            _ => tile::<MR, NR>(kc, nr, a, b, c, strides),
+                            1 => tile::<1, NR>(kc, nr, a, b, c, strides, fresh),
+                            2 => tile::<2, NR>(kc, nr, a, b, c, strides, fresh),
+                            3 => tile::<3, NR>(kc, nr, a, b, c, strides, fresh),
+                            4 => tile::<4, NR>(kc, nr, a, b, c, strides, fresh),
+                            5 => tile::<5, NR>(kc, nr, a, b, c, strides, fresh),
+                            _ => tile::<MR, NR>(kc, nr, a, b, c, strides, fresh),
                         }
                     }
                 }
@@ -696,19 +779,22 @@ per_isa! {
         // whose last element `MR - 1 + (kc - 1)·MR` is inside `a`; every row
         // of `B` is the first `NR` floats of `a` (row stride 0); `c` is `MR`
         // rows of `NR` floats, `NR` apart.
-        unsafe { full_tile::<MR, NR>(kc, a.as_ptr(), a.as_ptr(), c.as_mut_ptr().cast(), strides) };
+        unsafe {
+            full_tile::<MR, NR>(kc, a.as_ptr(), a.as_ptr(), c.as_mut_ptr().cast(), strides, false)
+        };
         (2 * MR * NR * kc, c.iter().flatten().sum())
     }
 }
 
-/// `C[..R, ..nr] += A[..R, ..kc] · B[..kc, ..NR]`; a ragged tile
-/// (`nr < NR`) goes through a full-width copy of its part of `C`.
+/// `C[..R, ..nr] += A[..R, ..kc] · B[..kc, ..NR]`, or `=` if `fresh`; a
+/// ragged tile (`nr < NR`) goes through a full-width copy of its part of
+/// `C`, or of zeros.
 ///
 /// # Safety
 /// With `(a_rs, a_cs, b_rs, c_rs) = strides`: `a[r·a_rs + p·a_cs]` must be
 /// readable for `r < R`, `p < kc`; `b[p·b_rs .. p·b_rs + NR]` for `p < kc`;
-/// and `c[r·c_rs .. r·c_rs + nr]` readable and writable for `r < R`, with
-/// `nr <= NR`.
+/// and `c[r·c_rs .. r·c_rs + nr]` writable, and readable unless `fresh`,
+/// for `r < R`, with `nr <= NR`.
 #[inline(always)]
 unsafe fn tile<const R: usize, const NR: usize>(
     kc: usize,
@@ -717,24 +803,29 @@ unsafe fn tile<const R: usize, const NR: usize>(
     b: *const f32,
     c: *mut f32,
     (a_rs, a_cs, b_rs, c_rs): (usize, usize, usize, usize),
+    fresh: bool,
 ) {
     if nr == NR {
-        return full_tile::<R, NR>(kc, a, b, c, (a_rs, a_cs, b_rs, c_rs));
+        return full_tile::<R, NR>(kc, a, b, c, (a_rs, a_cs, b_rs, c_rs), fresh);
     }
     // The columns beyond `nr` start at zero, collect products with the
     // zero padding of the packed panel, and are dropped.
     let mut wide = [[0.0f32; NR]; R];
-    for (r, row) in wide.iter_mut().enumerate() {
-        std::ptr::copy_nonoverlapping(c.add(r * c_rs), row.as_mut_ptr(), nr);
+    if !fresh {
+        for (r, row) in wide.iter_mut().enumerate() {
+            std::ptr::copy_nonoverlapping(c.add(r * c_rs), row.as_mut_ptr(), nr);
+        }
     }
-    full_tile::<R, NR>(kc, a, b, wide.as_mut_ptr().cast(), (a_rs, a_cs, b_rs, NR));
+    let strides = (a_rs, a_cs, b_rs, NR);
+    full_tile::<R, NR>(kc, a, b, wide.as_mut_ptr().cast(), strides, fresh);
     for (r, row) in wide.iter().enumerate() {
         std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * c_rs), nr);
     }
 }
 
-/// The micro-kernel: `R × NR` sums of `C` held in registers across the `kc`
-/// loop, each advanced by one fused multiply-add per `k`.
+/// The micro-kernel: `R × NR` sums held in registers across the `kc` loop,
+/// each advanced by one fused multiply-add per `k`, from `C` — or from
+/// `+0.0` if `fresh` — and stored to `C`.
 ///
 /// # Safety
 /// As [`tile`] with `nr = NR`.
@@ -745,10 +836,13 @@ unsafe fn full_tile<const R: usize, const NR: usize>(
     b: *const f32,
     c: *mut f32,
     (a_rs, a_cs, b_rs, c_rs): (usize, usize, usize, usize),
+    fresh: bool,
 ) {
     let mut acc = [[0.0f32; NR]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        *row = c.add(r * c_rs).cast::<[f32; NR]>().read_unaligned();
+    if !fresh {
+        for (r, row) in acc.iter_mut().enumerate() {
+            *row = c.add(r * c_rs).cast::<[f32; NR]>().read_unaligned();
+        }
     }
     for p in 0..kc {
         let brow = b.add(p * b_rs).cast::<[f32; NR]>().read_unaligned();
@@ -888,6 +982,56 @@ mod tests {
         for &e in &EDGES {
             assert_variants_match_naive(e, e, e, e as u64);
         }
+    }
+
+    /// `C` full of NaN, infinities and `-0.0`: a product that reads any of
+    /// it shows.
+    fn garbage(m: usize, n: usize) -> Matrix {
+        let values = [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY];
+        Matrix::from_fn(m, n, |i, j| values[(i + j) % 4])
+    }
+
+    /// The three views of an `m×k · k×n` product, on every build: written
+    /// over [`garbage`] (`matmul_to`), each has the bits of the product
+    /// summed onto `+0.0` (`matmul_into`).
+    fn assert_written_equals_summed_onto_zeros(m: usize, k: usize, n: usize, seed: u64) {
+        let (a, b) = (rand_matrix(m, k, seed), rand_matrix(k, n, seed + 1));
+        let (at, bt) = (a.transpose(), b.transpose());
+        for isa in builds_exercised() {
+            let views = [
+                ("A·B", a.view(), b.view()),
+                ("Aᵀ·B", at.view().t(), b.view()),
+                ("A·Bᵀ", a.view(), bt.view().t()),
+            ];
+            for (what, av, bv) in views {
+                let mut c = garbage(m, n);
+                super::product(isa, av, bv, c.block_mut(0, 0, m, n), true);
+                let want = bits(&product(isa, av, bv));
+                assert_eq!(bits(&c), want, "{what} {m}x{k}x{n} on {}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn written_products_equal_products_summed_onto_zeros_bitwise() {
+        // Every edge as `m`, against widths 16 does and does not divide and
+        // depths of none, one ragged chunk and two `k` blocks; `m <= 32`
+        // below `n` at `k > KC` is the FMA builds' transposed path for
+        // `A·Bᵀ`.
+        for (seed, &m) in EDGES.iter().enumerate() {
+            for n in [1, 17, 32, 45] {
+                for k in [0, 31, KC + 1] {
+                    assert_written_equals_summed_onto_zeros(m, k, n, 500 + seed as u64);
+                }
+            }
+        }
+        // Shared with the helpers and on the caller alone: the same bits.
+        let (m, k, n) = (200, 600, 300);
+        assert!(flops(m, k, n) >= PAR_FLOPS);
+        #[cfg(target_arch = "x86_64")]
+        assert!(flops(m, k, n) >= crate::amx::PAR_FLOPS);
+        crate::pool::with_helpers(|| assert_written_equals_summed_onto_zeros(m, k, n, 600));
+        crate::pool::on_the_caller(|| assert_written_equals_summed_onto_zeros(m, k, n, 600));
     }
 
     #[test]
@@ -1130,6 +1274,7 @@ mod tests {
             nr: tile_width(Isa::Baseline) + 1,
             first_packed: 0,
             packed: std::ptr::null(),
+            write: false,
         };
         rows_with(Isa::Baseline, &job, 0, 1);
     }

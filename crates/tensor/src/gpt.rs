@@ -10,7 +10,7 @@ use rand::Rng;
 
 use crate::layers::{
     cross_entropy, gelu_backward, AttentionCache, AttentionCore, Embedding, LayerNorm,
-    LayerNormCache, Linear,
+    LayerNormCache, Linear, Visitor, Zeroing,
 };
 use crate::Matrix;
 
@@ -177,7 +177,7 @@ impl Block {
     }
 
     /// Visit (param, grad) pairs in a stable order.
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
+    pub fn visit(&mut self, f: &mut impl Visitor) {
         self.ln1.visit(f);
         self.qkv.visit(f);
         self.proj.visit(f);
@@ -281,6 +281,11 @@ impl GptModel {
 
     /// Visit all (param, grad) pairs in a stable order.
     pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
+        self.walk(f);
+    }
+
+    /// [`GptModel::visit`] with any [`Visitor`].
+    fn walk(&mut self, f: &mut impl Visitor) {
         self.embed.visit(f);
         for b in &mut self.blocks {
             b.visit(f);
@@ -302,9 +307,11 @@ impl GptModel {
             .collect()
     }
 
-    /// Zero all gradient accumulators ([`crate::zero_grads`]).
+    /// Zero all gradient accumulators: the step's one zeroing pass, over
+    /// the gradients that are not a [`Linear`]'s weight gradient; those are
+    /// marked fresh instead, for their first product to write ([`Zeroing`]).
     pub fn zero_grads(&mut self) {
-        crate::zero_grads(&mut self.param_grad_pairs());
+        self.walk(&mut Zeroing);
     }
 
     /// Total parameter count.

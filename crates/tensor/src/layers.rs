@@ -23,21 +23,34 @@ pub struct Linear {
     pub w: Matrix,
     /// Optional bias, length `out`.
     pub b: Option<Vec<f32>>,
-    /// Weight gradient accumulator.
-    pub gw: Matrix,
+    /// Weight gradient accumulator; while `fresh`, zeros in all but memory.
+    gw: Matrix,
     /// Bias gradient accumulator.
     pub gb: Vec<f32>,
+    /// `gw` has taken no term since it was last zeroed ([`Zeroing`]): the
+    /// next [`Linear::backward`] writes it instead of summing onto it, and
+    /// whatever it holds now is never read.
+    fresh: bool,
 }
 
 impl Linear {
     /// Gaussian-initialized layer.
     pub fn new(inputs: usize, outputs: usize, bias: bool, rng: &mut impl Rng) -> Self {
         let std = 0.02f32;
+        Linear::from_parts(
+            Matrix::randn(inputs, outputs, std, rng),
+            bias.then(|| vec![0.0; outputs]),
+        )
+    }
+
+    /// A layer of the given weight and bias, its gradients zero.
+    pub fn from_parts(w: Matrix, b: Option<Vec<f32>>) -> Self {
         Linear {
-            w: Matrix::randn(inputs, outputs, std, rng),
-            b: bias.then(|| vec![0.0; outputs]),
-            gw: Matrix::zeros(inputs, outputs),
-            gb: vec![0.0; outputs],
+            gw: Matrix::zeros(w.rows(), w.cols()),
+            gb: vec![0.0; w.cols()],
+            w,
+            b,
+            fresh: false,
         }
     }
 
@@ -84,16 +97,22 @@ impl Linear {
 
     /// Backward: accumulates `gw`/`gb`, returns `dx`.
     ///
-    /// `gw` is the weight-gradient product's `C`: `xᵀ·dy` is summed onto it
-    /// where it lies (`gemm::matmul_into`), with no product matrix of its
-    /// own and no second pass adding one in. Into a `gw` of `+0.0` that is
-    /// exactly the product alone — the bits of `gw += xᵀ·dy` on a fresh,
-    /// zeroed `C`. Over several calls between zeroings (one per
-    /// microbatch) each call's terms continue the running sums, so `gw` is
-    /// one summation per element across the microbatches, not a sum of
-    /// per-microbatch products.
+    /// `gw` is the weight-gradient product's `C`, with no product matrix of
+    /// its own and no second pass adding one in. The first call after
+    /// [`Zeroing`] marked it fresh writes `xᵀ·dy` over it
+    /// (`gemm::matmul_to`): no pass zeroes it first and the product reads
+    /// nothing of it, with the bits of `xᵀ·dy` summed onto `+0.0`. Each
+    /// later call (one per microbatch) sums its terms onto the running sums
+    /// where they lie (`gemm::matmul_into`), so `gw` is one summation per
+    /// element across the microbatches, not a sum of per-microbatch
+    /// products.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
-        gemm::matmul_into(x.view().t(), dy.view(), self.gw.view_mut());
+        let (xt, gw) = (x.view().t(), self.gw.view_mut());
+        if std::mem::take(&mut self.fresh) {
+            gemm::matmul_to(xt, dy.view(), gw);
+        } else {
+            gemm::matmul_into(xt, dy.view(), gw);
+        }
         if self.b.is_some() {
             for r in 0..dy.rows() {
                 for (g, d) in self.gb.iter_mut().zip(dy.row(r)) {
@@ -104,17 +123,71 @@ impl Linear {
         gemm::matmul_nt(dy, &self.w)
     }
 
-    /// Visit (param, grad) slice pairs.
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
-        f(self.w.as_mut_slice(), self.gw.as_mut_slice());
-        if let Some(b) = &mut self.b {
-            f(b, &mut self.gb);
+    /// The weight gradient, zeros if it is fresh.
+    pub fn gw(&mut self) -> &Matrix {
+        self.settle();
+        &self.gw
+    }
+
+    /// Zeroes a fresh `gw` in memory, so that it can be read and summed
+    /// onto like any other gradient.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.fresh) {
+            self.gw.as_mut_slice().fill(0.0);
         }
+    }
+
+    /// Visit (param, grad) slice pairs.
+    pub fn visit(&mut self, f: &mut impl Visitor) {
+        f.linear(self);
     }
 
     /// Parameter count.
     pub fn param_count(&self) -> usize {
         self.w.len() + self.b.as_ref().map_or(0, Vec::len)
+    }
+}
+
+/// What a walk over a model's (param, grad) pairs does at each: every
+/// `visit` of this crate's layers takes one. A closure `|p, g|` sees every
+/// pair, a fresh weight gradient as the zeros it stands for.
+pub trait Visitor {
+    /// One parameter and its gradient.
+    fn pair(&mut self, p: &mut [f32], g: &mut [f32]);
+
+    /// A [`Linear`]'s pairs: its weight and gradient (zeroed in memory
+    /// first if fresh), then its bias and gradient.
+    fn linear(&mut self, lin: &mut Linear) {
+        lin.settle();
+        self.pair(lin.w.as_mut_slice(), lin.gw.as_mut_slice());
+        if let Some(b) = &mut lin.b {
+            self.pair(b, &mut lin.gb);
+        }
+    }
+}
+
+impl<F: FnMut(&mut [f32], &mut [f32])> Visitor for F {
+    fn pair(&mut self, p: &mut [f32], g: &mut [f32]) {
+        self(p, g)
+    }
+}
+
+/// The walk that zeroes a step's gradients: every [`Linear`]'s weight
+/// gradient is marked fresh, with no pass over it, and the rest — biases,
+/// LayerNorm and embedding gradients — are filled with zeros
+/// ([`crate::zero_grads`], one pair at a time).
+pub struct Zeroing;
+
+impl Visitor for Zeroing {
+    fn pair(&mut self, p: &mut [f32], g: &mut [f32]) {
+        crate::zero_grads(&mut [(p, g)]);
+    }
+
+    fn linear(&mut self, lin: &mut Linear) {
+        lin.fresh = true;
+        if let Some(b) = &mut lin.b {
+            self.pair(b, &mut lin.gb);
+        }
     }
 }
 
@@ -222,9 +295,9 @@ impl LayerNorm {
     }
 
     /// Visit (param, grad) slice pairs.
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
-        f(&mut self.gamma, &mut self.ggamma);
-        f(&mut self.beta, &mut self.gbeta);
+    pub fn visit(&mut self, f: &mut impl Visitor) {
+        f.pair(&mut self.gamma, &mut self.ggamma);
+        f.pair(&mut self.beta, &mut self.gbeta);
     }
 
     /// Parameter count.
@@ -297,78 +370,97 @@ impl AttentionCore {
 
     /// Forward pass: causal softmax(QKᵀ/√d)·V, `[batch·seq, heads·head_dim]`.
     /// Each (batch, head) pair is one piece on the pool, writing its own
-    /// probabilities and its own block of the output.
+    /// probabilities and its own block of the output; both are written by
+    /// their products (`gemm::matmul_to`), with no zero fill before.
     pub fn forward(&self, qkv: &Matrix) -> (Matrix, AttentionCache) {
         assert_eq!(qkv.rows(), self.batch * self.seq);
         assert_eq!(qkv.cols(), 3 * self.local());
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let (s, pairs) = (self.seq, self.batch * self.heads);
-        let mut out = Matrix::zeros(qkv.rows(), self.local());
-        let mut probs: Vec<Matrix> = (0..pairs).map(|_| Matrix::zeros(s, s)).collect();
-        // `out` has q's width: its head blocks sit where q's do.
-        let items = probs.iter_mut().zip(out.blocks_mut(s, self.head_dim));
-        pool::each(
-            pairs * s * s,
-            pairs,
-            items.enumerate(),
-            |(i, (p, [out]))| {
-                let (bi, hi) = (i / self.heads, i % self.heads);
-                let (q, k) = (
-                    self.head(qkv, Part::Q, bi, hi),
-                    self.head(qkv, Part::K, bi, hi),
-                );
-                gemm::matmul_into(q, k.t(), p.view_mut());
-                for r in 0..s {
-                    elementwise::causal_softmax_row(p.row_mut(r), r + 1, scale);
-                }
-                gemm::matmul_into(p.view(), self.head(qkv, Part::V, bi, hi), out);
+        let mut probs: Vec<Vec<f32>> = (0..pairs).map(|_| gemm::room(s * s)).collect();
+        let mut out = gemm::room(qkv.rows() * self.local());
+        let write = |out: gemm::ViewMut<'_>| {
+            // `out` has q's width: its head blocks sit where q's do.
+            let items = probs.iter_mut().zip(out.blocks(s, self.head_dim));
+            pool::each(
+                pairs * s * s,
+                pairs,
+                items.enumerate(),
+                |(i, (p, [out]))| {
+                    let (bi, hi) = (i / self.heads, i % self.heads);
+                    let (q, k) = (
+                        self.head(qkv, Part::Q, bi, hi),
+                        self.head(qkv, Part::K, bi, hi),
+                    );
+                    // SAFETY: `matmul_to` writes every element and reads none.
+                    unsafe { gemm::write_vec(p, s, s, |p| gemm::matmul_to(q, k.t(), p)) };
+                    for (r, row) in p.chunks_exact_mut(s).enumerate() {
+                        elementwise::causal_softmax_row(row, r + 1, scale);
+                    }
+                    let p = View::new(p, s, s, s, 1);
+                    gemm::matmul_to(p, self.head(qkv, Part::V, bi, hi), out);
+                },
+            );
+        };
+        // SAFETY: the head blocks cover `out`, and `matmul_to` writes every
+        // element of each and reads none.
+        unsafe { gemm::write_vec(&mut out, qkv.rows(), self.local(), write) };
+        let probs = probs.into_iter().map(|p| Matrix::from_vec(s, s, p));
+        (
+            Matrix::from_vec(qkv.rows(), self.local(), out),
+            AttentionCache {
+                probs: probs.collect(),
             },
-        );
-        (out, AttentionCache { probs })
+        )
     }
 
     /// Backward pass: returns `dqkv`, columns `dq | dk | dv`. Each (batch,
     /// head) pair is one piece on the pool, writing its own blocks of
-    /// `dqkv`; its score gradients go to a scratch matrix of the caller's,
-    /// one for each thread that can run a piece at once.
+    /// `dqkv` by their products (`gemm::matmul_to`, no zero fill before);
+    /// its score gradients go to a scratch matrix of the caller's, one for
+    /// each thread that can run a piece at once.
     pub fn backward(&self, qkv: &Matrix, cache: &AttentionCache, dout: &Matrix) -> Matrix {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let (s, pairs) = (self.seq, self.batch * self.heads);
-        let mut dqkv = Matrix::zeros(qkv.rows(), qkv.cols());
         let threads = pool::threads_for(pairs * s * s, pairs);
         let scratch: Vec<Mutex<Matrix>> = (0..threads)
             .map(|_| Mutex::new(Matrix::zeros(s, s)))
             .collect();
-        let items = cache.probs.iter().zip(dqkv.blocks_mut(s, self.head_dim));
-        pool::each(
-            pairs * s * s,
-            pairs,
-            items.enumerate(),
-            |(i, (probs, [dq, dk, dv]))| {
-                let (bi, hi) = (i / self.heads, i % self.heads);
-                let mut ds = (scratch.iter().find_map(|m| m.try_lock().ok()))
-                    .expect("no more pieces run at once than there are scratch matrices");
-                ds.as_mut_slice().fill(0.0);
-                let doh = self.head(dout, Part::Q, bi, hi);
-                // dV = Pᵀ · dO ; dP = dO · Vᵀ.
-                gemm::matmul_into(probs.view().t(), doh, dv);
-                let v = self.head(qkv, Part::V, bi, hi);
-                gemm::matmul_into(doh, v.t(), ds.view_mut());
-                // Softmax backward row-wise: dS = P ⊙ (dP − Σ dP⊙P).
-                for r in 0..s {
-                    let prow = probs.row(r);
-                    let drow = ds.row_mut(r);
-                    let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
-                    for (d, &p) in drow.iter_mut().zip(prow) {
-                        *d = p * (*d - dot) * scale;
+        let mut dqkv = gemm::room(qkv.len());
+        let write = |dqkv: gemm::ViewMut<'_>| {
+            let items = cache.probs.iter().zip(dqkv.blocks(s, self.head_dim));
+            pool::each(
+                pairs * s * s,
+                pairs,
+                items.enumerate(),
+                |(i, (probs, [dq, dk, dv]))| {
+                    let (bi, hi) = (i / self.heads, i % self.heads);
+                    let mut ds = (scratch.iter().find_map(|m| m.try_lock().ok()))
+                        .expect("no more pieces run at once than there are scratch matrices");
+                    let doh = self.head(dout, Part::Q, bi, hi);
+                    // dV = Pᵀ · dO ; dP = dO · Vᵀ.
+                    gemm::matmul_to(probs.view().t(), doh, dv);
+                    let v = self.head(qkv, Part::V, bi, hi);
+                    gemm::matmul_to(doh, v.t(), ds.view_mut());
+                    // Softmax backward row-wise: dS = P ⊙ (dP − Σ dP⊙P).
+                    for r in 0..s {
+                        let prow = probs.row(r);
+                        let drow = ds.row_mut(r);
+                        let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
+                        for (d, &p) in drow.iter_mut().zip(prow) {
+                            *d = p * (*d - dot) * scale;
+                        }
                     }
-                }
-                // dQ = dS · K ; dK = dSᵀ · Q.
-                gemm::matmul_into(ds.view(), self.head(qkv, Part::K, bi, hi), dq);
-                gemm::matmul_into(ds.view().t(), self.head(qkv, Part::Q, bi, hi), dk);
-            },
-        );
-        dqkv
+                    // dQ = dS · K ; dK = dSᵀ · Q.
+                    gemm::matmul_to(ds.view(), self.head(qkv, Part::K, bi, hi), dq);
+                    gemm::matmul_to(ds.view().t(), self.head(qkv, Part::Q, bi, hi), dk);
+                },
+            );
+        };
+        // SAFETY: the `[dq, dk, dv]` blocks cover `dqkv`, and `matmul_to`
+        // writes every element of each and reads none.
+        unsafe { gemm::write_vec(&mut dqkv, qkv.rows(), qkv.cols(), write) };
+        Matrix::from_vec(qkv.rows(), qkv.cols(), dqkv)
     }
 }
 
@@ -422,9 +514,9 @@ impl Embedding {
     }
 
     /// Visit (param, grad) slice pairs.
-    pub fn visit(&mut self, f: &mut impl FnMut(&mut [f32], &mut [f32])) {
-        f(self.tokens.as_mut_slice(), self.gtokens.as_mut_slice());
-        f(
+    pub fn visit(&mut self, f: &mut impl Visitor) {
+        f.pair(self.tokens.as_mut_slice(), self.gtokens.as_mut_slice());
+        f.pair(
             self.positions.as_mut_slice(),
             self.gpositions.as_mut_slice(),
         );
@@ -526,7 +618,7 @@ mod tests {
         let mut lin = build(&p0);
         lin.forward(&x);
         let _ = lin.backward(&x, &dy);
-        let mut analytic = lin.gw.as_slice().to_vec();
+        let mut analytic = lin.gw().as_slice().to_vec();
         analytic.extend_from_slice(&lin.gb);
         numeric_vs_analytic(&loss, &p0, &analytic, 2e-2);
     }
@@ -585,7 +677,7 @@ mod tests {
                 if isa == crate::Isa::active() {
                     let mut lin = Linear::new(m, n, false, &mut r);
                     lin.backward(&x, &dy);
-                    assert_eq!(bits(&lin.gw), bits(&want), "{k}x{m}ᵀ·{k}x{n}: Linear");
+                    assert_eq!(bits(lin.gw()), bits(&want), "{k}x{m}ᵀ·{k}x{n}: Linear");
                 }
             }
         }
@@ -610,7 +702,49 @@ mod tests {
         lin.backward(&x2, &dy2);
         let x = Matrix::concat_rows(&[x1, x2]);
         let dy = Matrix::concat_rows(&[dy1, dy2]);
-        assert_eq!(lin.gw, gemm::matmul_tn(&x, &dy));
+        assert_eq!(*lin.gw(), gemm::matmul_tn(&x, &dy));
+    }
+
+    /// Every gradient of `lin`, weight then bias, as bits.
+    fn grad_bits(lin: &mut Linear) -> Vec<u32> {
+        let mut out = Vec::new();
+        lin.visit(&mut |_: &mut [f32], g: &mut [f32]| out.extend(g.iter().map(|v| v.to_bits())));
+        out
+    }
+
+    /// [`Zeroing`] then two microbatches' backward passes — the first
+    /// writing `gw` over whatever it held, the second summing onto it —
+    /// leave the bits of gradients filled with zeros and then summed onto
+    /// twice; and a fresh `gw` reads as zeros, whatever its memory holds.
+    #[test]
+    fn zeroing_marks_the_weight_gradient_fresh_for_its_first_product_to_write() {
+        let mut r = rng();
+        let mb = |rows| {
+            let mut r = rand::rngs::StdRng::seed_from_u64(rows as u64);
+            (
+                Matrix::randn(rows, 40, 1.0, &mut r),
+                Matrix::randn(rows, 24, 1.0, &mut r),
+            )
+        };
+        let ((x1, dy1), (x2, dy2)) = (mb(9), mb(33));
+        let mut lin = Linear::new(40, 24, true, &mut r);
+        lin.visit(&mut |_: &mut [f32], g: &mut [f32]| g.fill(f32::NAN));
+        let mut filled = lin.clone();
+        filled.visit(&mut |_: &mut [f32], g: &mut [f32]| g.fill(0.0));
+        lin.visit(&mut Zeroing);
+        assert!(lin.fresh && lin.gw.as_slice().iter().all(|g| g.is_nan()));
+        assert!(lin.gb.iter().all(|g| g.to_bits() == 0), "biases are filled");
+        let mut read = lin.clone();
+        assert!(
+            grad_bits(&mut read).iter().all(|&g| g == 0),
+            "fresh reads 0"
+        );
+        for (x, dy) in [(&x1, &dy1), (&x2, &dy2)] {
+            let (dx, want_dx) = (lin.backward(x, dy), filled.backward(x, dy));
+            assert_eq!(dx, want_dx);
+        }
+        assert!(!lin.fresh);
+        assert_eq!(grad_bits(&mut lin), grad_bits(&mut filled));
     }
 
     #[test]
