@@ -24,7 +24,7 @@ fn main() {
             .into_iter()
             .find(|e| e.name == name)
             .expect("registered experiment");
-        g.run(name, || (exp.run)().len());
+        g.run(name, || (exp.run)().map_or(0, |out| out.len()));
     }
 
     // One-shot smoke of the heavy sweeps (not statistically sampled).
@@ -33,7 +33,7 @@ fn main() {
             .into_iter()
             .find(|e| e.name == name)
             .expect("registered experiment");
-        let out = (exp.run)();
+        let out = (exp.run)().unwrap_or_else(|e| panic!("{name} failed:\n{e}"));
         assert!(!out.contains("ERR"), "{name} produced an error:\n{out}");
     }
 }

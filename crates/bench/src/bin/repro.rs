@@ -1,15 +1,26 @@
 //! Experiment driver: `repro <experiment>` regenerates one paper table or
 //! figure; `repro all` runs everything; `repro list` enumerates;
 //! `repro simulate ...` prices an arbitrary user configuration;
-//! `repro chaos ...` runs the seeded chaos sweep with tunable knobs;
-//! `repro serving ...` takes benchmark flags.
+//! `repro serving ...`, `launch`, `analyze` and `sentry` take flags.
+//! A registry experiment takes none: an extra argument is an error.
 
-use megatron_bench::{analyze, chaos, experiments, launch, sentry, serving, simulate_cli};
+use megatron_bench::{analyze, experiments, launch, sentry, serving, simulate_cli};
+
+/// Print a report, or the error on stderr and exit 1.
+fn emit(result: Result<String, String>) {
+    match result {
+        Ok(report) => println!("{report}"),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     // Process-mode rank workers re-exec this binary with `--proc-worker
-    // <dir> <rank>` (`repro launch` spawns them); run the worker and exit
-    // before any experiment parsing.
+    // <dir> <rank>` (`repro launch` and `repro recovery` spawn them); run
+    // the worker and exit before any experiment parsing.
     megatron_dist::proc::maybe_worker();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,64 +37,45 @@ fn main() {
                 println!("  {:<12} {}", e.name, e.paper_ref);
             }
             println!("\n{}", simulate_cli::USAGE);
-            println!("\n{}", chaos::USAGE);
             println!("\n{}", serving::USAGE);
             println!("\n{}", launch::USAGE);
             println!("\n{}", analyze::USAGE);
             println!("\n{}", sentry::USAGE);
         }
-        Some("sentry") => match sentry::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        Some("chaos") if args.len() > 1 => match chaos::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        Some("serving") if args.len() > 1 => match serving::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        Some("launch") => match launch::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        Some("analyze") if args.len() > 1 => match analyze::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        Some("simulate") => match simulate_cli::run(&args[1..]) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
+        Some("sentry") => emit(sentry::run(&args[1..])),
+        Some("serving") if args.len() > 1 => emit(serving::run(&args[1..])),
+        Some("launch") => emit(launch::run(&args[1..])),
+        Some("analyze") if args.len() > 1 => emit(analyze::run(&args[1..])),
+        Some("simulate") => emit(simulate_cli::run(&args[1..])),
+        Some(name)
+            if args.len() > 1 && (name == "all" || registry.iter().any(|e| e.name == name)) =>
+        {
+            eprintln!(
+                "repro {name} takes no arguments, got {:?}; try `repro list`",
+                &args[1..]
+            );
+            std::process::exit(1);
+        }
         Some("all") => {
+            let mut failed = false;
             for e in &registry {
                 println!("=== {} — {} ===", e.name, e.paper_ref);
-                println!("{}", (e.run)());
+                match (e.run)() {
+                    Ok(report) => println!("{report}"),
+                    Err(report) => {
+                        println!("{report}");
+                        failed = true;
+                    }
+                }
+            }
+            if failed {
+                std::process::exit(1);
             }
         }
         Some(name) => match registry.iter().find(|e| e.name == name) {
             Some(e) => {
                 println!("=== {} — {} ===", e.name, e.paper_ref);
-                println!("{}", (e.run)());
+                emit((e.run)());
             }
             None => {
                 eprintln!("unknown experiment '{name}'; try `repro list`");

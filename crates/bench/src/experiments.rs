@@ -16,8 +16,9 @@ pub struct Experiment {
     pub name: &'static str,
     /// What it reproduces.
     pub paper_ref: &'static str,
-    /// Run it, returning printable output.
-    pub run: fn() -> String,
+    /// Run it, returning printable output (`Err`: an invariant failed,
+    /// and the output says which).
+    pub run: fn() -> Result<String, String>,
 }
 
 /// All registered experiments, in paper order.
@@ -26,172 +27,162 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             name: "fig1",
             paper_ref: "Figure 1: model size / compute trend",
-            run: fig1,
+            run: || Ok(fig1()),
         },
         Experiment {
             name: "formulas",
             paper_ref: "Eqs. 2-3: parameter and FLOP formulas vs exact counts",
-            run: formulas,
+            run: || Ok(formulas()),
         },
         Experiment {
             name: "gantt",
             paper_ref: "Figures 3-4: pipeline schedule timelines",
-            run: gantt,
+            run: || Ok(gantt()),
         },
         Experiment {
             name: "fig6",
             paper_ref: "Figure 6: bubble fraction vs data-parallel size",
-            run: fig6,
+            run: || Ok(fig6()),
         },
         Experiment {
             name: "fig7",
             paper_ref: "Figure 7: per-GPU throughput vs microbatch size",
-            run: fig7,
+            run: || Ok(fig7()),
         },
         Experiment {
             name: "fig8",
             paper_ref: "Figure 8: Eq. 1 estimated throughput vs microbatch size",
-            run: fig8,
+            run: || Ok(fig8()),
         },
         Experiment {
             name: "table1",
             paper_ref: "Table 1: weak scaling 1.7B - 1T",
-            run: table1,
+            run: || Ok(table1()),
         },
         Experiment {
             name: "table2",
             paper_ref: "Table 2 / Figure 10: PTD-P vs ZeRO-3",
-            run: table2,
+            run: || Ok(table2()),
         },
         Experiment {
             name: "fig11",
             paper_ref: "Figure 11: pipeline-parallel weak scaling",
-            run: fig11,
+            run: || Ok(fig11()),
         },
         Experiment {
             name: "fig12",
             paper_ref: "Figure 12: interleaved vs non-interleaved schedule",
-            run: fig12,
+            run: || Ok(fig12()),
         },
         Experiment {
             name: "fig13",
             paper_ref: "Figure 13: tensor vs pipeline parallelism",
-            run: fig13,
+            run: || Ok(fig13()),
         },
         Experiment {
             name: "fig14",
             paper_ref: "Figure 14: pipeline vs data parallelism",
-            run: fig14,
+            run: || Ok(fig14()),
         },
         Experiment {
             name: "fig15",
             paper_ref: "Figure 15: tensor vs data parallelism",
-            run: fig15,
+            run: || Ok(fig15()),
         },
         Experiment {
             name: "fig16",
             paper_ref: "Figure 16: microbatch size at (t,p)=(8,8)",
-            run: fig16,
+            run: || Ok(fig16()),
         },
         Experiment {
             name: "fig17",
             paper_ref: "Figure 17: activation recomputation",
-            run: fig17,
+            run: || Ok(fig17()),
         },
         Experiment {
             name: "fig18",
             paper_ref: "Figure 18: scatter/gather optimization",
-            run: fig18,
+            run: || Ok(fig18()),
         },
         Experiment {
             name: "fusion",
             paper_ref: "Section 5.8: fused operators",
-            run: fusion,
+            run: || Ok(fusion()),
         },
         Experiment {
             name: "bisection",
             paper_ref: "Section 5.9: inter-node communication bandwidth",
-            run: bisection,
+            run: || Ok(bisection()),
         },
         Experiment {
             name: "checkpoint",
             paper_ref: "Section 5.10: checkpoint loading and saving",
-            run: checkpoint,
+            run: || Ok(checkpoint()),
         },
         Experiment {
             name: "traintime",
             paper_ref: "Section 5.1: end-to-end training time estimates",
-            run: traintime,
+            run: || Ok(traintime()),
         },
         Experiment {
             name: "heuristics",
             paper_ref: "Section 3 takeaways: auto-configuration vs Table 1",
-            run: heuristics_exp,
+            run: || Ok(heuristics_exp()),
         },
         Experiment {
             name: "v100",
             paper_ref: "Section 1: GPT-3 on a single V100 takes ~288 years",
-            run: v100_years,
+            run: || Ok(v100_years()),
         },
         Experiment {
             name: "ablations",
             paper_ref: "DESIGN.md section 5: design-choice ablations",
-            run: ablations,
+            run: || Ok(ablations()),
         },
         Experiment {
             name: "batchscale",
             paper_ref: "Section 3.3.1: throughput rises with global batch size",
-            run: batchscale,
+            run: || Ok(batchscale()),
         },
         Experiment {
             name: "twobw",
             paper_ref: "Section 2.2/6 future work: PipeDream-2BW no-flush schedule",
-            run: twobw,
+            run: || Ok(twobw()),
         },
         Experiment {
             name: "zero-stages",
             paper_ref: "Section 6 related work: ZeRO stages 1/2/3/Infinity tradeoffs",
-            run: zero_stages,
+            run: || Ok(zero_stages()),
         },
         Experiment {
             name: "trace",
             paper_ref: "tooling: Chrome-trace export of a simulated iteration",
-            run: trace,
+            run: || Ok(trace()),
         },
         Experiment {
             name: "faults",
             paper_ref: "Section 5.10 extension: goodput vs MTBF for the Table 1 zoo",
-            run: faults,
+            run: || Ok(faults()),
         },
         Experiment {
             name: "ckpt-interval",
             paper_ref: "Section 5.10 extension: Young/Daly optimal checkpoint interval",
-            run: ckpt_interval,
+            run: || Ok(ckpt_interval()),
         },
         Experiment {
             name: "recovery",
-            paper_ref: "Section 5.10 extension: auto-recovery through a seeded fault plan",
-            run: recovery,
-        },
-        Experiment {
-            name: "chaos",
-            paper_ref: "E33: seeded chaos sweep — transient faults retried, fatal ones restored",
-            run: crate::chaos::chaos,
+            paper_ref: "Section 5.10 extension: one fault scenario on threads and processes",
+            run: crate::recovery::recovery,
         },
         Experiment {
             name: "serving",
             paper_ref: "E34: continuous-batched KV-cached serving over a real tensor group",
-            run: crate::serving::serving,
-        },
-        Experiment {
-            name: "elastic",
-            paper_ref: "E35: elastic (p,t,d) shrink-and-continue vs restart-at-full goodput",
-            run: crate::elastic_bench::elastic,
+            run: || Ok(crate::serving::serving()),
         },
         Experiment {
             name: "analyze",
             paper_ref: "E36: cross-rank critical path, time attribution, what-if bounds",
-            run: crate::analyze::analyze,
+            run: || Ok(crate::analyze::analyze()),
         },
     ]
 }
@@ -1094,201 +1085,6 @@ pub fn ckpt_interval() -> String {
         + "the analytic interval lands within a few percent of the sweep and its\n\
            goodput within 0.2% — the optimum is flat, which is why √(2δM) is the\n\
            operational rule of thumb\n"
-}
-
-/// E30: the reliability loop, end-to-end on the real trainer. A seeded
-/// `FaultPlan` kills ranks mid-iteration; the `Supervisor` restores each
-/// time from the durable sharded checkpoint store and resumes; the final
-/// losses must match a fault-free run bit-for-bit; and the run's measured
-/// goodput ledger is printed term by term beside the finite-run ledger
-/// its own measured costs predict.
-pub fn recovery() -> String {
-    use crate::fault_plan::{FaultPlan, FaultRates};
-    use crate::ledger;
-    use megatron_dist::{
-        CheckpointStore, KillSwitch, PtdpSpec, PtdpTrainer, Supervisor, SupervisorConfig,
-        ThreadBackend,
-    };
-    use megatron_tensor::gpt::{GptModel, TinyGptConfig};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::Duration;
-
-    // A tiny but non-trivial job: 8 "GPUs" as (p=2, t=2, d=2) threads.
-    let cfg = TinyGptConfig {
-        vocab: 13,
-        seq: 8,
-        hidden: 32,
-        heads: 4,
-        layers: 2,
-    };
-    let iters = 24usize;
-    let ckpt_every = 2usize;
-    let spec = PtdpSpec::new(2, 2, 2);
-    let mut rng = StdRng::seed_from_u64(0x5ee_de30);
-    let master = GptModel::new(cfg, &mut rng);
-    let batch = 64usize;
-    let data: Vec<(Vec<usize>, Vec<usize>)> = (0..iters)
-        .map(|_| {
-            let toks = (0..batch * cfg.seq)
-                .map(|_| rng.gen_range(0..cfg.vocab))
-                .collect();
-            let tgts = (0..batch * cfg.seq)
-                .map(|_| rng.gen_range(0..cfg.vocab))
-                .collect();
-            (toks, tgts)
-        })
-        .collect();
-
-    // Seeded fault plan: only GPU deaths, one fictional second per
-    // iteration, cluster-wide MTBF of 8 "seconds" over a 24-iteration
-    // horizon → ~3 expected deaths. Each death maps onto the rank whose
-    // flat index matches the dead GPU, killed mid-iteration.
-    let mut rates = FaultRates::none();
-    rates.gpu_death_mtbf_s = 8.0;
-    let (seed, plan) = (0u64..64)
-        .map(|i| {
-            let s = 0xe30 + i;
-            (
-                s,
-                FaultPlan::generate(s, spec.world(), iters as f64, &rates),
-            )
-        })
-        .find(|(_, p)| p.events.len() >= 2)
-        .expect("some seed in [0xe30, 0xe30+64) draws >= 2 deaths");
-    let kills: Vec<KillSwitch> = plan
-        .events
-        .iter()
-        .map(|ev| KillSwitch {
-            thread: spec.thread_key(ev.gpu % spec.world()),
-            iteration: (ev.at_s as usize).clamp(1, iters - 1),
-        })
-        .collect();
-
-    let mut out = String::new();
-    let mut t = Table::new(["event", "at", "gpu", "kills thread", "at iteration"]);
-    for (ev, k) in plan.events.iter().zip(&kills) {
-        t.row([
-            ev.kind.label().to_string(),
-            format!("{:.1} s", ev.at_s),
-            ev.gpu.to_string(),
-            format!("{:?}", k.thread),
-            k.iteration.to_string(),
-        ]);
-    }
-    out.push_str(&format!(
-        "seeded fault plan (seed {seed:#x}) on {} threads (p=2, t=2, d=2), {} iterations,\n\
-         durable checkpoint every {} iterations:\n{}\n",
-        spec.world(),
-        iters,
-        ckpt_every,
-        t.render()
-    ));
-
-    // Reference: the same job, fault-free. Its step times give the clean
-    // per-iteration cost over all 24 iterations (the supervisor's own
-    // estimate only sees the iterations of the final attempt).
-    let clean = PtdpTrainer::new(master.clone(), spec).train(&data);
-    let clean_iter_s = {
-        let mut per_iter = vec![0.0f64; iters];
-        for samples in clean.step_times.values() {
-            for s in samples {
-                let slot = &mut per_iter[s.iteration];
-                *slot = slot.max(s.seconds);
-            }
-        }
-        per_iter.iter().sum::<f64>() / iters as f64
-    };
-
-    // The supervised run, through every kill.
-    let root = std::env::temp_dir().join(format!("megatron-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let store = CheckpointStore::open(&root).expect("checkpoint store");
-    let sup = Supervisor::new(
-        ThreadBackend::new(master, spec, &data),
-        std::sync::Arc::clone(&store),
-        SupervisorConfig {
-            max_restarts: kills.len() + 2,
-            checkpoint_every: ckpt_every,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(8),
-            ..SupervisorConfig::default()
-        },
-    );
-    let report = sup.run(&kills);
-    assert!(
-        report.completed(),
-        "supervisor gave up: {:?}",
-        report.gave_up
-    );
-
-    let mut t = Table::new([
-        "incident",
-        "error",
-        "resumed from",
-        "lost iters",
-        "restore",
-        "backoff",
-    ]);
-    for inc in &report.incidents {
-        t.row([
-            format!("attempt {}", inc.attempt),
-            format!("{}", inc.cause),
-            format!("iter {}", inc.resumed_from),
-            inc.lost_iterations.to_string(),
-            format!("{:.1} ms", 1e3 * inc.restore_s),
-            format!("{:.1} ms", 1e3 * inc.backoff_s),
-        ]);
-    }
-    out.push_str(&format!(
-        "recovery timeline ({} attempts, zero manual intervention):\n{}\n",
-        report.attempts,
-        t.render()
-    ));
-
-    // Bit-identity against the fault-free run.
-    let losses_ok = report.losses == clean.losses;
-    let params_ok = report.final_params.as_ref() == Some(&clean.final_params);
-    out.push_str(&format!(
-        "final losses bit-identical to fault-free run: {}\n\
-         final weights bit-identical to fault-free run: {}\n\n",
-        if losses_ok { "yes" } else { "NO" },
-        if params_ok { "yes" } else { "NO" },
-    ));
-
-    // The run's goodput ledger, term by term, beside the finite-run
-    // ledger its own measured costs predict.
-    let windows = store.save_windows();
-    let save_s_total: f64 = windows.iter().map(|(_, s)| s).sum();
-    let measured = ledger::measured(
-        &report,
-        clean_iter_s,
-        save_s_total,
-        windows.len(),
-        ckpt_every,
-    );
-    let tau = ckpt_every as f64 * clean_iter_s;
-    let mean_save = save_s_total / windows.len().max(1) as f64;
-    let failures = report.incidents.len();
-    let predicted = ledger::predicted(&measured, failures, tau, mean_save);
-    let err = (measured.goodput() - predicted.goodput()).abs() / predicted.goodput();
-    out.push_str(&format!(
-        "goodput ledger: this run (clean iteration {:.2} ms, mean save {:.2} ms) beside\n\
-         the finite run its own costs predict ({failures} failures, tau = {:.1} ms):\n{}\
-         agreement: {:.1}% {}\n",
-        1e3 * clean_iter_s,
-        1e3 * mean_save,
-        1e3 * tau,
-        ledger::table(&predicted, &measured),
-        100.0 * err,
-        if err <= 0.10 {
-            "(within the 10% acceptance band)"
-        } else {
-            "(OUTSIDE the 10% acceptance band)"
-        },
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    out
 }
 
 /// §6 "Sharded Data Parallelism" related work, quantified: the

@@ -1,5 +1,5 @@
-//! Seeded fault plans: the schedules the chaos and recovery experiments
-//! (E30, E33, E35) draw their rank kills and wire faults from.
+//! Seeded fault plans: the schedules the recovery experiment (E30) draws
+//! its rank kills and wire faults from, and E28 prices a week of.
 //!
 //! A [`FaultPlan`] is a reproducible (seeded) list of timed fault events —
 //! GPU deaths, whole-node deaths, link degradations and flaps, compute

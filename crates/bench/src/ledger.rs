@@ -1,7 +1,7 @@
 //! The measured side of [`megatron_core::goodput::Ledger`]: a supervised
 //! run's report folded term by term, the finite-run ledger the run's own
-//! costs predict, and the table that prints the two side by side. E30,
-//! E35 and E38 all go through here. It lives in this crate because this
+//! costs predict, and the table that prints the two side by side. E30
+//! goes through here on both backends. It lives in this crate because this
 //! is the one crate that sees both the trainer (`megatron-dist`) and the
 //! ledger (`megatron-core`).
 

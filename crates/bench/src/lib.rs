@@ -6,15 +6,13 @@
 //! runs the full sweep (used to fill `EXPERIMENTS.md`).
 
 pub mod analyze;
-pub mod chaos;
-pub mod elastic_bench;
 pub mod experiments;
 pub mod fault_plan;
 pub mod harness;
 pub mod launch;
 pub mod ledger;
 pub mod perf;
-pub mod proc_chaos;
+pub mod recovery;
 pub mod sentry;
 pub mod serving;
 pub mod simulate_cli;

@@ -17,3 +17,25 @@ fn unknown_experiment_exits_nonzero_with_a_message() {
         "stderr: {stderr}"
     );
 }
+
+/// A registry experiment takes no arguments: a trailing one is an error,
+/// so a removed flag fails instead of passing vacuously.
+#[test]
+fn trailing_arguments_after_an_experiment_exit_nonzero() {
+    for args in [
+        &["formulas", "--gremlins"][..],
+        &["recovery", "--seeds", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro");
+        assert!(
+            !out.status.success(),
+            "{args:?}: exit status {:?}",
+            out.status
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("takes no arguments"), "{args:?}: {stderr}");
+    }
+}

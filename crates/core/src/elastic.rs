@@ -12,7 +12,7 @@
 //! - [`price_schedule`] walks a capacity timeline and prices both policies
 //!   as one [`Ledger`] each, over schedules the real engine never runs:
 //!   arbitrary outage lengths, repeated losses, partial recoveries. The
-//!   real elastic run (E35) measures one point of that space.
+//!   real elastic run (E30's elastic leg) measures one point of that space.
 //!
 //! A layout is priced on one node of exactly `p·t·d` GPUs of the template's
 //! kind, so a smaller world never pays for GPUs it does not use.
@@ -190,7 +190,8 @@ mod tests {
         run
     }
 
-    /// The jobs the supervisor runs on: E35, E38, and the recovery table.
+    /// The jobs the supervisor runs on: E30's, a wider one (hidden 32,
+    /// batch 64), and the recovery table's.
     fn jobs() -> [TrainingRun; 3] {
         [twin(32, 8, 64), twin(16, 8, 32), twin(8, 6, 4)]
     }

@@ -17,7 +17,7 @@
 //!   wall (E28, E29);
 //! - [`Ledger::finite_run`]: a run of known length with a failure count and
 //!   per-failure costs, plus [`Ledger::outage`] for a stretch run degraded
-//!   or stalled (E30, E35, E38);
+//!   or stalled (E30);
 //! - [`crate::elastic::price_schedule`]: one ledger per recovery policy over
 //!   a capacity timeline priced by the simulator twin;
 //! - the measured side, folded from a supervised run's report by
@@ -411,7 +411,7 @@ mod tests {
         assert!((l.wall_s() - 1.0).abs() < 1e-12);
     }
 
-    /// E38 on a 2-vCPU host: 12 iterations of 10.6 ms, a checkpoint every
+    /// E30's process leg on a 2-vCPU host: 12 iterations of 10.6 ms, a checkpoint every
     /// 2, 2 failures, ≈ 0.1 s of detection each. The steady-state form
     /// reads `(τ/2 + R)/M` ≈ 1.7 for that run and has no useful work left;
     /// a finite run of known length does.

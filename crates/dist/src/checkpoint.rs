@@ -343,7 +343,10 @@ impl CheckpointStore {
         })
     }
 
-    fn gen_dir(&self, next_iter: usize) -> PathBuf {
+    /// The directory generation `next_iter` lives in, committed or not:
+    /// copying it into another store's root hands that store the
+    /// generation.
+    pub fn gen_dir(&self, next_iter: usize) -> PathBuf {
         self.root.join(format!("gen-{next_iter:08}"))
     }
 

@@ -256,7 +256,7 @@ pub struct SupervisorReport {
     /// Attempts launched (1 = clean run, no failures). A grow boundary
     /// counts as a launch (it starts a new world) but not a restart.
     pub attempts: usize,
-    /// Checkpoint restores actually paid. The chaos harness asserts this
+    /// Checkpoint restores actually paid. `repro recovery` asserts this
     /// equals the number of *fatal* faults injected — transient faults
     /// must leave it untouched.
     pub restarts: usize,
@@ -779,7 +779,7 @@ impl<'a> ThreadBackend<'a> {
 
     /// Wire configuration for every attempt's communicator groups: the
     /// reliable retry layer and/or seeded transient-fault injection (the
-    /// chaos harness's lever). Transient faults the retry layer absorbs
+    /// recovery experiment's transient wire). Transient faults the retry layer absorbs
     /// surface in the `transport_*` telemetry counters, not as restarts.
     pub fn with_transport(mut self, transport: TransportConfig) -> Self {
         self.transport = transport;

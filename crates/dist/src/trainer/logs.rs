@@ -175,7 +175,7 @@ pub struct TrainLog {
 /// One thread's share of an in-memory checkpoint: its flattened parameters
 /// plus the full Adam state. Exact f32 copies, so a restore resumes
 /// bit-identically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadState {
     /// Flattened parameters in canonical visit order.
     pub params: Vec<f32>,

@@ -95,7 +95,7 @@ impl Network {
     }
 
     /// Impair every egress send of `gpu` (steady-state loss/degrade, the
-    /// chaos harness's sim mirror). Subsequent sends from `gpu` take
+    /// sim mirror of the transport's transient faults). Subsequent sends from `gpu` take
     /// [`LinkImpairment::inflation`] times longer; pass
     /// [`LinkImpairment::none`] to heal.
     pub fn impair(&self, gpu: usize, imp: LinkImpairment) {
