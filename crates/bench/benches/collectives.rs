@@ -4,7 +4,7 @@
 
 use megatron_bench::harness::Bench;
 use megatron_cluster::ClusterSpec;
-use megatron_net::Network;
+use megatron_core::net::Network;
 use megatron_sim::DagSim;
 
 fn ring_collectives() {

@@ -3,9 +3,9 @@
 
 use megatron_bench::harness::Bench;
 use megatron_cluster::ClusterSpec;
+use megatron_core::model::zoo;
+use megatron_core::parallel::ParallelConfig;
 use megatron_core::TrainingRun;
-use megatron_model::zoo;
-use megatron_parallel::ParallelConfig;
 use megatron_sim::DagSim;
 
 fn dag_engine() {

@@ -22,9 +22,9 @@
 //! the `repro sentry` regression gate, and surfaces the per-rank
 //! `spans_dropped` counters so silent ring-buffer overflow is visible.
 
+use megatron_core::model::BYTES_FP16;
+use megatron_core::parallel::analysis;
 use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl};
-use megatron_model::BYTES_FP16;
-use megatron_parallel::analysis;
 use megatron_sim::json::Json;
 use megatron_telemetry::{
     chrome_trace_json, critical_path, parse_chrome_trace, rank_usage, what_if, Attribution,

@@ -3,9 +3,9 @@
 //! comparison).
 
 use megatron_cluster::ClusterSpec;
+use megatron_core::model::{zoo, GptConfig};
+use megatron_core::parallel::{analysis, ParallelConfig};
 use megatron_core::{heuristics, CheckpointIo, FilesystemSpec, TrainingRun};
-use megatron_model::{zoo, GptConfig};
-use megatron_parallel::{analysis, ParallelConfig};
 use megatron_schedule::ScheduleKind;
 
 use crate::table::Table;

@@ -26,8 +26,8 @@
 //! A simulated policy sweep (admission caps × chunked prefill) closes the
 //! report: the mirror explores schedules the real run didn't execute.
 
+use megatron_core::model::GptConfig;
 use megatron_dist::{Group, PtdpSpec};
-use megatron_model::GptConfig;
 use megatron_serve::{generate, TrafficConfig};
 use megatron_serve::{serve, RankEngine, SeqBatchEntry, ServeConfig, ServeRequest};
 use megatron_sim::json::Json;

@@ -2,9 +2,9 @@
 //! PTD-P configuration and print the full iteration report.
 
 use megatron_cluster::ClusterSpec;
+use megatron_core::model::{zoo, GptConfig};
+use megatron_core::parallel::ParallelConfig;
 use megatron_core::TrainingRun;
-use megatron_model::{zoo, GptConfig};
-use megatron_parallel::ParallelConfig;
 
 /// Usage text for `repro simulate`.
 pub const USAGE: &str = "\

@@ -3,10 +3,10 @@
 //! `megatron-core` prices (also used by E30 and serving).
 
 use megatron_cluster::{ClusterSpec, GpuSpec, NodeSpec};
+use megatron_core::model::GptConfig;
+use megatron_core::parallel::ParallelConfig;
 use megatron_core::{TrainingOptions, TrainingRun};
 use megatron_dist::PtdpSpec;
-use megatron_model::GptConfig;
-use megatron_parallel::ParallelConfig;
 use megatron_tensor::gpt::TinyGptConfig;
 
 use rand::rngs::StdRng;

@@ -12,8 +12,8 @@
 //!   [`Transport`] moving real `f32` chunks between ranks ([`execute`];
 //!   [`execute_segments`] runs one program per segment of a list of
 //!   buffers as one collective, one message per round);
-//! - `megatron-net` lowers each send step onto simulated NVLink/IB links
-//!   as discrete-event tasks.
+//! - `megatron-core`'s `net::Network` lowers each send step onto simulated
+//!   NVLink/IB links as discrete-event tasks.
 //!
 //! Because both worlds consume the identical step sequence, "real
 //! communication volume == simulated communication volume" is a structural

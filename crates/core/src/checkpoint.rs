@@ -6,7 +6,7 @@
 //! bandwidth (the paper observed 40 %, 273 GB/s) because write traffic
 //! funnels through fewer concurrent streams.
 
-use megatron_model::{memory, GptConfig};
+use crate::model::{memory, GptConfig};
 
 /// Shared parallel filesystem characteristics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +69,7 @@ impl CheckpointIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
 
     #[test]
     fn trillion_model_matches_section_5_10() {

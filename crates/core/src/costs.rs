@@ -2,10 +2,11 @@
 //! transformer layer's forward and backward are priced.
 
 use megatron_cluster::ClusterSpec;
-use megatron_model::ops::{self, OpListParams};
-use megatron_model::GptConfig;
-use megatron_net::analytical;
-use megatron_parallel::{ParallelConfig, RankMapper};
+
+use crate::model::ops::{self, OpListParams};
+use crate::model::GptConfig;
+use crate::net::analytical;
+use crate::parallel::{ParallelConfig, RankMapper};
 
 /// Priced cost of one transformer layer on one rank of a tensor group, for
 /// a single microbatch.
@@ -144,7 +145,7 @@ pub fn price_stages(
 /// traffic), purely memory-bound.
 pub fn optimizer_step_time(model: &GptConfig, cluster: &ClusterSpec, pc: &ParallelConfig) -> f64 {
     let params = (0..pc.pipeline)
-        .map(|s| megatron_model::memory::params_per_gpu(model, pc.pipeline, pc.tensor, s))
+        .map(|s| crate::model::memory::params_per_gpu(model, pc.pipeline, pc.tensor, s))
         .max()
         .unwrap_or(0);
     let bytes = params * 30;
@@ -165,10 +166,10 @@ pub fn data_parallel_all_reduce_time(
     }
     let mapper = RankMapper::new(pc.pipeline, pc.tensor, pc.data);
     let params = (0..pc.pipeline)
-        .map(|s| megatron_model::memory::params_per_gpu(model, pc.pipeline, pc.tensor, s))
+        .map(|s| crate::model::memory::params_per_gpu(model, pc.pipeline, pc.tensor, s))
         .max()
         .unwrap_or(0);
-    let bytes = (params * megatron_model::BYTES_FP16) as f64;
+    let bytes = (params * crate::model::BYTES_FP16) as f64;
     let group = mapper.data_group(0, 0);
     analytical::ring_all_reduce_time(cluster, &group, bytes)
 }
@@ -176,7 +177,7 @@ pub fn data_parallel_all_reduce_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
 
     fn pc(p: u64, t: u64, d: u64, b: u64, batch: u64) -> ParallelConfig {
         ParallelConfig::new(p, t, d, b, batch)

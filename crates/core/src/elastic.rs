@@ -18,9 +18,9 @@
 //! kind, so a smaller world never pays for GPUs it does not use.
 
 use megatron_cluster::{ClusterSpec, NodeSpec};
-use megatron_parallel::layouts;
 
 use crate::goodput::Ledger;
+use crate::parallel::layouts;
 use crate::{RunError, TrainingRun};
 
 /// A `(p, t, d)` layout.
@@ -48,7 +48,7 @@ pub fn iteration_s(template: &TrainingRun, layout: Layout) -> Result<f64, RunErr
 }
 
 /// Every layout with `p·t·d ≤ capacity` that
-/// [`ParallelConfig::validate_for_model`](megatron_parallel::ParallelConfig::validate_for_model)
+/// [`ParallelConfig::validate_for_model`](crate::parallel::ParallelConfig::validate_for_model)
 /// accepts for `template`, cheapest simulated iteration first; ties break
 /// toward the smallest `(p, t, d)`. Empty when nothing fits.
 pub fn rank_layouts(template: &TrainingRun, capacity: usize) -> Vec<Layout> {
@@ -164,9 +164,9 @@ pub fn price_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::GptConfig;
+    use crate::parallel::ParallelConfig;
     use megatron_cluster::GpuSpec;
-    use megatron_model::GptConfig;
-    use megatron_parallel::ParallelConfig;
 
     /// The twin of a supervised tiny job launched at (2, 2, 2): 2 layers,
     /// 4 heads, vocabulary 13, microbatch 1, no recomputation — the

@@ -26,7 +26,7 @@
 
 use std::ops::Add;
 
-use megatron_model::zoo::Table1Row;
+use crate::model::zoo::Table1Row;
 
 use crate::{CheckpointIo, FilesystemSpec};
 
@@ -246,7 +246,7 @@ impl SteadyState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

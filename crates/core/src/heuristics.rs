@@ -3,7 +3,7 @@
 //! The paper deliberately does not search the full strategy space (unlike
 //! FlexFlow/PipeDream/DAPPLE); it offers heuristics "that we found work well
 //! in practice". This module encodes them as filters over the one layout
-//! list ([`megatron_parallel::layouts`]), priced by the one layer pricer
+//! list ([`crate::parallel::layouts`]), priced by the one layer pricer
 //! (`costs::price_layer`):
 //!
 //! - **Takeaway #1**: tensor parallelism up to the node size `g`, pipeline
@@ -17,10 +17,10 @@
 use std::cmp::Reverse;
 
 use megatron_cluster::ClusterSpec;
-use megatron_model::GptConfig;
-use megatron_parallel::{analysis, layouts, ParallelConfig};
 
 use crate::costs;
+use crate::model::GptConfig;
+use crate::parallel::{analysis, layouts, ParallelConfig};
 
 /// Fraction of device memory the heuristic treats as usable for model state
 /// and stashed activations. The rest is the practical overhead a real run
@@ -134,7 +134,7 @@ pub fn suggest_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
 
     #[test]
     fn small_model_gets_pure_data_parallelism() {

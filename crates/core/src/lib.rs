@@ -1,15 +1,27 @@
 //! End-to-end PTD-P training-iteration simulation — the paper's primary
-//! contribution, composed from the substrate crates.
+//! contribution — and the §3 description of a job it prices.
+//!
+//! The description is three modules:
+//!
+//! - [`model`]: GPT model descriptions — parameter counts (paper Eq. 2),
+//!   FLOPs (Eq. 3), per-layer op lists and the memory model;
+//! - [`parallel`]: PTD-P `(p, t, d)` configurations, the rank mapping, the
+//!   one layout enumerator, and [`parallel::analysis`], the one home of the
+//!   §3 closed forms (bubble fraction, Eq. 1, and every communication
+//!   volume, all from one ring factor `2(g−1)/g`);
+//! - [`net`]: the simulated NVLink / InfiniBand network that lowers the
+//!   shared `megatron-collective` step programs onto discrete-event tasks,
+//!   plus closed-form collective times ([`net::analytical`]).
 //!
 //! A [`TrainingRun`] pairs a GPT model with a cluster, a
-//! [`ParallelConfig`](megatron_parallel::ParallelConfig), and
+//! [`ParallelConfig`](parallel::ParallelConfig), and
 //! [`TrainingOptions`] (schedule, scatter/gather, fusion, recomputation).
 //! [`TrainingRun::simulate`] then:
 //!
 //! 1. prices every pipeline stage's forward/backward work from the op lists
-//!    (`megatron-model`) on the roofline GPU model (`megatron-cluster`),
+//!    ([`model::ops`]) on the roofline GPU model (`megatron-cluster`),
 //!    including tensor-parallel all-reduces over the *actual* rank placement
-//!    (`megatron-parallel` + `megatron-net` cost models) — so a tensor group
+//!    ([`parallel::RankMapper`] + [`net::analytical`]) — so a tensor group
 //!    spilling out of a node automatically pays InfiniBand prices;
 //! 2. builds the pipeline schedule (`megatron-schedule`) and lowers it to a
 //!    task DAG: compute tasks per (device, microbatch, chunk) and
@@ -33,6 +45,9 @@ mod costs;
 pub mod elastic;
 pub mod goodput;
 pub mod heuristics;
+pub mod model;
+pub mod net;
+pub mod parallel;
 mod report;
 mod simulate;
 pub mod zero;

@@ -133,9 +133,10 @@ impl GptConfig {
 
     /// Inference FLOPs for a full prefill of `prompt` tokens followed by
     /// sampling one token from the last position: the sum of
-    /// [`flops_per_decode_token`] over each position's context — causal
-    /// attention makes prefill exactly the batched union of the per-token
-    /// decodes, except only one logit row is computed.
+    /// [`flops_per_decode_token`](Self::flops_per_decode_token) over each
+    /// position's context — causal attention makes prefill exactly the
+    /// batched union of the per-token decodes, except only one logit row is
+    /// computed.
     pub fn flops_prefill(&self, prompt: u64) -> f64 {
         let (l, h, v) = (
             self.num_layers as f64,

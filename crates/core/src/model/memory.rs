@@ -9,7 +9,7 @@
 //!    layer inputs (or `c` checkpoints per stage) are stashed, at the cost of
 //!    one extra forward pass.
 
-use crate::{GptConfig, BYTES_FP16, BYTES_FP32};
+use crate::model::{GptConfig, BYTES_FP16, BYTES_FP32};
 
 /// Bytes of model state per parameter with mixed-precision Adam:
 /// fp16 weight (2) + fp16 gradient (2) + fp32 master weight (4) +
@@ -140,7 +140,7 @@ pub fn checkpoint_bytes(cfg: &GptConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::model::zoo;
 
     #[test]
     fn shards_sum_to_whole_model() {

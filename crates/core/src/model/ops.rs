@@ -8,7 +8,7 @@
 
 use megatron_cluster::{GpuSpec, KernelCost};
 
-use crate::{GptConfig, BYTES_FP16};
+use crate::model::{GptConfig, BYTES_FP16};
 
 /// One device-level operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,7 +340,7 @@ pub fn price_local(ops: &[Op], gpu: &GpuSpec) -> (KernelCost, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::model::zoo;
 
     fn cfg() -> GptConfig {
         GptConfig::paper("test", 4, 3072, 32)

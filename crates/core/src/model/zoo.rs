@@ -1,6 +1,6 @@
 //! Every named model configuration in the paper's evaluation.
 
-use crate::GptConfig;
+use crate::model::GptConfig;
 
 /// One row of the paper's Table 1 (weak-scaling study), together with the
 /// parallelization the paper used and the throughput it reported.

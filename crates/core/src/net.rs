@@ -1,59 +1,31 @@
-//! Point-to-point transfers and collective algorithms over simulated links.
+//! Network topology and collective communication over simulated links.
 //!
-//! The collective *algorithms* live in `megatron-collective` as
-//! transport-agnostic step programs; this module only lowers those programs
-//! onto simulated NVLink/InfiniBand links. Each program send step becomes a
-//! discrete-event task on the sender's egress port, so per-rank volumes and
-//! timings emerge from the identical schedule the real runtime executes.
+//! Selene's fat tree is full-bisection, so inter-node contention arises at
+//! the endpoints: each GPU owns one NVLink egress port (intra-node traffic)
+//! and one InfiniBand HCA share (inter-node traffic; a DGX A100 has 8 GPUs
+//! and 8 HCAs, so GPU *i* of a node injects through HCA *i*). [`Network`]
+//! registers those ports as simulation resources and provides:
+//!
+//! - point-to-point sends ([`Network::send`]) routed over the right link
+//!   class, including the paper's §4.1 scatter/gather-optimized pipeline
+//!   boundary transfer ([`Network::pipeline_p2p`]);
+//! - collective algorithms lowered *step by step* from the shared
+//!   `megatron-collective` programs onto the simulated links
+//!   ([`Network::lower_program`]: ring all-reduce, all-gather,
+//!   reduce-scatter, broadcast, hierarchical all-reduce), so communication
+//!   volumes such as the `(t−1)/t` ring factor emerge from the same step
+//!   sequence the real runtime executes rather than being asserted — each
+//!   GPU's exact egress is [`Network::sent_bytes`];
+//! - closed-form cost models ([`analytical`]) for the same collectives' times,
+//!   used where full event-level simulation would be wastefully fine-grained
+//!   and validated against the simulated versions in tests. Their byte
+//!   volumes are [`parallel::analysis`](crate::parallel::analysis)'s.
 
 use std::cell::Cell;
 
 use megatron_cluster::{ClusterSpec, LinkClass};
 use megatron_collective::{self as coll, Program, ReduceOp};
 use megatron_sim::{secs_to_time, DagSim, ResourceId, TaskId};
-
-/// Steady-state transient impairment of one GPU's egress links — the
-/// simulator's mirror of the real transport's fault injection
-/// (`megatron_collective::TransientFaults`). A lossy wire forces
-/// retransmits: at drop probability `p` the expected transmissions per
-/// frame are `1/(1−p)`; a degraded link (a fault plan's `LinkDegrade`,
-/// `megatron_bench::fault_plan`) multiplies wire time by `degrade_factor`.
-/// Both compose into a single work-time inflation on the victim's sends:
-/// absorbed faults stretch communication time but never add a restart
-/// term to the goodput ledger (`megatron_core::goodput`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkImpairment {
-    /// Probability a frame is dropped and must be retransmitted (< 1).
-    pub loss_prob: f64,
-    /// Wire-time multiplier while degraded (≥ 1).
-    pub degrade_factor: f64,
-}
-
-impl LinkImpairment {
-    /// A healthy link.
-    pub fn none() -> Self {
-        LinkImpairment {
-            loss_prob: 0.0,
-            degrade_factor: 1.0,
-        }
-    }
-
-    /// Expected wire-time multiplier: `degrade_factor / (1 − loss_prob)`.
-    pub fn inflation(&self) -> f64 {
-        assert!(
-            (0.0..1.0).contains(&self.loss_prob),
-            "loss probability must be in [0, 1)"
-        );
-        assert!(self.degrade_factor >= 1.0, "degrade factor must be ≥ 1");
-        self.degrade_factor / (1.0 - self.loss_prob)
-    }
-}
-
-impl Default for LinkImpairment {
-    fn default() -> Self {
-        Self::none()
-    }
-}
 
 /// Per-GPU network ports registered as simulation resources.
 ///
@@ -68,11 +40,6 @@ pub struct Network {
     // Exact egress bytes per GPU across every send lowered through this
     // network — the simulator-side half of the real-vs-sim byte identity.
     egress_bytes: Vec<Cell<u64>>,
-    // Per-GPU transient link impairment (loss → retransmit expectation,
-    // degrade → wire-time multiplier). Inflates send *time* only: logical
-    // egress bytes stay exact, mirroring the real transport where
-    // retransmits are below the byte-accounting layer.
-    impairments: Vec<Cell<LinkImpairment>>,
 }
 
 impl Network {
@@ -90,37 +57,7 @@ impl Network {
             nv_egress,
             ib_egress,
             egress_bytes: (0..n).map(|_| Cell::new(0)).collect(),
-            impairments: (0..n).map(|_| Cell::new(LinkImpairment::none())).collect(),
         }
-    }
-
-    /// Impair every egress send of `gpu` (steady-state loss/degrade, the
-    /// sim mirror of the transport's transient faults). Subsequent sends from `gpu` take
-    /// [`LinkImpairment::inflation`] times longer; pass
-    /// [`LinkImpairment::none`] to heal.
-    pub fn impair(&self, gpu: usize, imp: LinkImpairment) {
-        imp.inflation(); // validate eagerly
-        self.impairments[gpu].set(imp);
-    }
-
-    /// The current impairment of `gpu`'s egress links.
-    pub fn impairment(&self, gpu: usize) -> LinkImpairment {
-        self.impairments[gpu].get()
-    }
-
-    /// The cluster this network was built for.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
-    }
-
-    /// The NVLink egress resource of one GPU (fault-injection target).
-    pub fn nv_port(&self, gpu: usize) -> ResourceId {
-        self.nv_egress[gpu]
-    }
-
-    /// The InfiniBand egress resource of one GPU (fault-injection target).
-    pub fn ib_port(&self, gpu: usize) -> ResourceId {
-        self.ib_egress[gpu]
     }
 
     /// Total bytes GPU `gpu` has sent through this network so far (every
@@ -153,8 +90,7 @@ impl Network {
         kind: u32,
     ) -> TaskId {
         let class = self.cluster.link_class(from, to);
-        let secs =
-            self.cluster.p2p_time(class, bytes as f64) * self.impairments[from].get().inflation();
+        let secs = self.cluster.p2p_time(class, bytes as f64);
         let resource = self.egress_for(from, to).unwrap_or(self.nv_egress[from]);
         self.egress_bytes[from].set(self.egress_bytes[from].get() + bytes);
         sim.add_task(resource, secs_to_time(secs), deps, kind)
@@ -407,7 +343,7 @@ impl Network {
 }
 
 /// Closed-form collective cost models, validated against the simulated
-/// algorithms (see crate tests). Used by higher layers where event-level
+/// algorithms (see this module's tests). Used by higher layers where event-level
 /// simulation of every all-reduce chunk would be needlessly fine-grained
 /// (e.g. tensor-parallel all-reduces inside an aggregated stage time).
 pub mod analytical {
@@ -489,20 +425,12 @@ pub mod analytical {
         let inter = ring_all_reduce_time(cluster, &rail, shard);
         rs + inter + ag
     }
-
-    /// Bytes each device moves in a ring all-reduce: `2·bytes·(r−1)/r`,
-    /// the paper's `(t−1)/t` factor (§3.2).
-    pub fn ring_all_reduce_volume(r: usize, bytes: f64) -> f64 {
-        if r <= 1 {
-            return 0.0;
-        }
-        2.0 * bytes * (r as f64 - 1.0) / r as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::analysis::ring_all_reduce_bytes;
     use megatron_sim::time_to_secs;
 
     fn cluster16() -> ClusterSpec {
@@ -511,6 +439,25 @@ mod tests {
 
     fn run_secs(sim: DagSim) -> f64 {
         time_to_secs(sim.run().unwrap().makespan)
+    }
+
+    /// The DES ring all-reduce and the closed-form model must agree.
+    #[test]
+    fn simulated_all_reduce_matches_analytical() {
+        let cluster = cluster16();
+        for ranks in [vec![0usize, 1, 2, 3], vec![0, 8], vec![0, 4, 8, 12]] {
+            let bytes = 64 * 1024 * 1024u64;
+            let mut sim = DagSim::new();
+            let net = Network::new(&mut sim, cluster.clone());
+            net.ring_all_reduce(&mut sim, &ranks, bytes, &[], 0);
+            let got = run_secs(sim);
+            let want = analytical::ring_all_reduce_time(&cluster, &ranks, bytes as f64);
+            let rel = (got - want).abs() / want;
+            assert!(
+                rel < 0.05,
+                "ranks {ranks:?}: sim {got:.6}s vs analytical {want:.6}s"
+            );
+        }
     }
 
     #[test]
@@ -606,7 +553,7 @@ mod tests {
             assert_eq!(stats.tasks_run, 6);
         }
         let per_device = 6.0 * (bytes as f64 / 4.0);
-        let expected = analytical::ring_all_reduce_volume(4, bytes as f64);
+        let expected = ring_all_reduce_bytes(bytes as f64, 4);
         assert!((per_device - expected).abs() < 1.0);
         // The message-level byte tally agrees with both.
         for rank in ranks {
@@ -767,84 +714,6 @@ mod tests {
         let net = Network::new(&mut sim, c);
         // 3 GPUs on node 0, 1 on node 1.
         net.hierarchical_all_reduce(&mut sim, &[0, 1, 2, 8], 1 << 20, &[], 0);
-    }
-
-    #[test]
-    fn impaired_link_inflates_send_time_by_expected_retransmits() {
-        let c = cluster16();
-        let bytes = 8 * 1024 * 1024u64;
-        let imp = LinkImpairment {
-            loss_prob: 0.2,
-            degrade_factor: 3.0,
-        };
-
-        let mut sim = DagSim::new();
-        let net = Network::new(&mut sim, c.clone());
-        net.send(&mut sim, 0, 8, bytes, &[], 0);
-        let clean = run_secs(sim);
-
-        let mut sim = DagSim::new();
-        let net = Network::new(&mut sim, c);
-        net.impair(0, imp);
-        assert_eq!(net.impairment(0), imp);
-        net.send(&mut sim, 0, 8, bytes, &[], 0);
-        let lossy = run_secs(sim);
-
-        // factor / (1 − p) = 3 / 0.8 = 3.75 (up to clock quantization).
-        assert!(
-            (lossy / clean - imp.inflation()).abs() < 1e-4,
-            "inflation {} expected {}",
-            lossy / clean,
-            imp.inflation()
-        );
-    }
-
-    #[test]
-    fn impairment_slows_time_but_never_logical_bytes() {
-        // Retransmits live below the byte-accounting layer, exactly like
-        // the real transport: CommVolume stays the clean-wire volume.
-        let bytes = 4 * 1024 * 1024u64;
-        let ranks = [0usize, 1, 2, 3];
-
-        let mut sim = DagSim::new();
-        let net = Network::new(&mut sim, cluster16());
-        net.ring_all_reduce(&mut sim, &ranks, bytes, &[], 0);
-        let clean_t = run_secs(sim);
-
-        let mut sim = DagSim::new();
-        let net = Network::new(&mut sim, cluster16());
-        net.impair(
-            2,
-            LinkImpairment {
-                loss_prob: 0.5,
-                degrade_factor: 1.0,
-            },
-        );
-        net.ring_all_reduce(&mut sim, &ranks, bytes, &[], 0);
-        let lossy_t = run_secs(sim);
-
-        for rank in ranks {
-            assert_eq!(
-                net.sent_bytes(rank) as f64,
-                analytical::ring_all_reduce_volume(4, bytes as f64)
-            );
-        }
-        // One rank retransmitting 2× stretches the synchronous ring.
-        assert!(lossy_t > clean_t * 1.5, "clean {clean_t} lossy {lossy_t}");
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability")]
-    fn impairment_rejects_certain_loss() {
-        let mut sim = DagSim::new();
-        let net = Network::new(&mut sim, cluster16());
-        net.impair(
-            0,
-            LinkImpairment {
-                loss_prob: 1.0,
-                degrade_factor: 1.0,
-            },
-        );
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Analytical performance models from §3 of the paper.
+//!
+//! Every communication volume here is stated through one ring factor,
+//! [`ring_all_reduce_bytes`]: each of `g` ranks sends `2(g−1)/g` of the
+//! buffer in a ring all-reduce (§3.2–§3.3).
 
-use megatron_model::{GptConfig, BYTES_FP16};
+use crate::model::{GptConfig, BYTES_FP16};
 
 /// Pipeline-bubble fraction `(p−1)/(v·m)` (§2.2.1–§2.2.2).
 pub fn bubble_fraction(p: u64, m: u64, v: u64) -> f64 {
@@ -28,6 +32,18 @@ pub fn eq1_batch_time(
     ((b_prime / b + p - 1) as f64) * (t_f(b) + t_b(b))
 }
 
+/// Bytes each of `g` ranks sends in a ring all-reduce of a `bytes`-byte
+/// buffer: `2·bytes·(g−1)/g`, the ring factor of §3.2–§3.3. Its
+/// reduce-scatter and all-gather phases each send half. Exact when `g`
+/// divides the buffer (and at `g = 2` for any size); the simulated and real
+/// collectives count the actual chunk ranges.
+pub fn ring_all_reduce_bytes(bytes: f64, g: u64) -> f64 {
+    if g <= 1 {
+        return 0.0;
+    }
+    2.0 * bytes * (g as f64 - 1.0) / g as f64
+}
+
 /// §3.2: bytes exchanged point-to-point between consecutive pipeline stages
 /// per microbatch (per direction): `b·s·h` fp16 elements.
 pub fn pipeline_p2p_bytes(cfg: &GptConfig, b: u64) -> u64 {
@@ -44,20 +60,14 @@ pub fn pipeline_p2p_bytes_scatter_gather(cfg: &GptConfig, b: u64, t: u64) -> u64
 /// `8·b·s·h·(t−1)/t` fp16 elements (four ring all-reduces of `b·s·h`, two in
 /// the forward and two in the backward pass), in bytes.
 pub fn tensor_parallel_bytes_per_layer(cfg: &GptConfig, b: u64, t: u64) -> f64 {
-    if t <= 1 {
-        return 0.0;
-    }
-    let elems = 8.0 * (b * cfg.seq_len * cfg.hidden_size) as f64 * (t as f64 - 1.0) / t as f64;
-    elems * BYTES_FP16 as f64
+    let activation = (b * cfg.seq_len * cfg.hidden_size * BYTES_FP16) as f64;
+    4.0 * ring_all_reduce_bytes(activation, t)
 }
 
 /// §3.3.1: data-parallel gradient all-reduce traffic per device per
 /// iteration: `2 · grad_bytes · (d−1)/d` (ring).
 pub fn data_parallel_bytes(grad_bytes: u64, d: u64) -> f64 {
-    if d <= 1 {
-        return 0.0;
-    }
-    2.0 * grad_bytes as f64 * (d as f64 - 1.0) / d as f64
+    ring_all_reduce_bytes(grad_bytes as f64, d)
 }
 
 /// The §1/§5.4.1 "sub-optimal combinations can be 2× worse" probe: ratio of
@@ -88,7 +98,7 @@ pub fn model_parallel_bytes_per_microbatch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
 
     #[test]
     fn bubble_shrinks_with_more_microbatches() {

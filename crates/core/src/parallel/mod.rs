@@ -2,7 +2,7 @@
 //!
 //! A [`ParallelConfig`] fixes the parallelization dimensions `(p, t, d)`,
 //! the microbatch size `b`, the global batch size `B`, and the interleaving
-//! degree `v`. This crate provides:
+//! degree `v`. This module provides:
 //!
 //! - validation of the §3.1 constraints (`p·t·d = n`, `m = B/(b·d)`
 //!   integral, interleaving divisibility);
@@ -11,11 +11,13 @@
 //!   groups land inside a node, pipeline outermost so consecutive stages
 //!   land on different nodes;
 //! - the §3 analytical models ([`analysis`]): bubble fraction, Eq. 1
-//!   processing time, and per-dimension communication volumes;
+//!   processing time, and per-dimension communication volumes, all from
+//!   the one ring factor [`analysis::ring_all_reduce_bytes`];
 //! - the one list of layouts ([`layouts`]) every search filters.
 //!
-//! This crate says what a layout is and whether it is valid; what a layout
-//! costs, and the §3 heuristics that pick one, live in `megatron-core`.
+//! This module says what a layout is and whether it is valid; what a layout
+//! costs, and the §3 heuristics that pick one, live in the rest of the
+//! crate ([`TrainingRun`](crate::TrainingRun), [`heuristics`](crate::heuristics)).
 
 pub mod analysis;
 mod mapping;
@@ -207,7 +209,7 @@ impl ParallelConfig {
     /// selectable).
     pub fn validate_for_model(
         &self,
-        model: &megatron_model::GptConfig,
+        model: &crate::model::GptConfig,
         n_gpus: u64,
         mem_capacity: u64,
         recompute: bool,
@@ -227,7 +229,7 @@ impl ParallelConfig {
             });
         }
         let in_flight = self.pipeline.min(self.microbatches()) * self.chunks;
-        let required = megatron_model::memory::total_bytes_per_gpu(
+        let required = crate::model::memory::total_bytes_per_gpu(
             model,
             self.pipeline,
             self.tensor,
@@ -248,7 +250,7 @@ impl ParallelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
 
     #[test]
     fn microbatch_count() {

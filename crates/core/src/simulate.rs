@@ -4,14 +4,14 @@
 use std::collections::HashMap;
 
 use megatron_cluster::ClusterSpec;
-use megatron_model::{memory, GptConfig, BYTES_FP16};
-use megatron_net::analytical;
-use megatron_parallel::{analysis, ConfigError, ParallelConfig, RankMapper};
 use megatron_schedule::{Pass, PipelineSchedule, ScheduleKind};
 use megatron_sim::{secs_to_time, DagSim, ResourceId, SimResult, TaskId, Time};
 use megatron_telemetry::{RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 
 use crate::costs::{self, StageCost};
+use crate::model::{memory, GptConfig, BYTES_FP16};
+use crate::net::analytical;
+use crate::parallel::{analysis, ConfigError, ParallelConfig, RankMapper};
 use crate::report::{CommVolumes, IterationReport, TimeBreakdown};
 
 /// One simulated task in the trainer's span vocabulary (the names and args
@@ -447,17 +447,12 @@ impl TrainingRun {
         let pipeline_p2p_bytes_per_gpu =
             pipeline_total_per_replica / (pc.pipeline * pc.tensor) as f64;
 
-        let tensor_ar_bytes_per_gpu: f64 = if pc.tensor > 1 {
-            let factor = (pc.tensor as f64 - 1.0) / pc.tensor as f64;
-            stage_costs
-                .iter()
-                .map(|c| c.tensor_ar_bytes as f64 * factor)
-                .sum::<f64>()
-                / p as f64
-                * m as f64
-        } else {
-            0.0
-        };
+        let tensor_ar_bytes_per_gpu: f64 = stage_costs
+            .iter()
+            .map(|c| analysis::ring_all_reduce_bytes(c.tensor_ar_bytes as f64, pc.tensor))
+            .sum::<f64>()
+            / p as f64
+            * m as f64;
 
         // Bisection accounting: total inter-node traffic (in a leaf/spine/
         // core fat tree nearly all of it transits the upper switch tiers).
@@ -547,7 +542,7 @@ impl TrainingRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::zoo;
+    use crate::model::zoo;
 
     fn small_run() -> TrainingRun {
         let model = zoo::gpt_5p9b();
@@ -563,6 +558,23 @@ mod tests {
         assert!(report.tflops_per_gpu > 20.0 && report.tflops_per_gpu < 312.0);
         assert!(report.pct_of_peak > 5.0 && report.pct_of_peak < 100.0);
         assert!(report.memory_bytes_per_gpu < 80 * (1 << 30));
+    }
+
+    #[test]
+    fn tensor_all_reduce_volume_is_the_section_3_ring_volume() {
+        // §3.2: four ring all-reduces of `b·s·h` per layer, each rank
+        // sending `2(t−1)/t` of the buffer. Beyond the layers, only the
+        // last stage's per-token loss statistics ride the tensor group.
+        let mut run = small_run();
+        run.options.recompute = false;
+        let report = run.simulate().unwrap();
+        let pc = run.parallel;
+        let layers = (run.model.num_layers / pc.pipeline) as f64;
+        let want = pc.microbatches() as f64
+            * layers
+            * analysis::tensor_parallel_bytes_per_layer(&run.model, pc.microbatch, pc.tensor);
+        let got = report.comm.tensor_ar_bytes_per_gpu;
+        assert!(got >= want && got < want * 1.001, "got {got} want {want}");
     }
 
     #[test]

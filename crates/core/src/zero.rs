@@ -21,10 +21,10 @@
 //! `p = t = 1` carrying embedding, logits and the recomputation forward.
 
 use megatron_cluster::ClusterSpec;
-use megatron_model::{memory, GptConfig, BYTES_FP16};
-use megatron_parallel::ParallelConfig;
 
 use crate::costs;
+use crate::model::{memory, GptConfig, BYTES_FP16};
+use crate::parallel::ParallelConfig;
 
 /// Which ZeRO optimization stage to model (Rajbhandari et al., the paper's
 /// §6 "Sharded Data Parallelism" related work).
@@ -226,8 +226,8 @@ impl ZeroRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megatron_model::ops::{self, OpListParams};
-    use megatron_model::zoo;
+    use crate::model::ops::{self, OpListParams};
+    use crate::model::zoo;
 
     #[test]
     fn compute_is_the_sum_of_op_prices_bit_for_bit() {

@@ -14,8 +14,9 @@
 //!
 //! Per-member [`CommVolume`] tallies accumulate from the transport-level
 //! messages this rank actually sent, so "real bytes == simulated bytes" is
-//! a structural identity with `megatron-net`'s lowering of the same
-//! programs, not a pair of formulas that happen to agree.
+//! a structural identity with the simulated network's lowering of the same
+//! programs (`megatron_core::net`), not a pair of formulas that happen to
+//! agree.
 //!
 //! Failure handling: a group is poisonable. When a member thread panics
 //! (its [`GroupMember`] is dropped mid-unwind) or a rank is deliberately
@@ -95,44 +96,11 @@ pub struct TransportConfig {
     pub faults: Option<FaultProfile>,
 }
 
-/// Bytes per element of the real engine's `f32` payloads. (The paper's
-/// analytical formulas in `megatron-parallel` assume fp16, i.e. 2 bytes —
-/// counted volumes are exactly `4 / 2 = 2×` those formulas.)
+/// Bytes per element of the real engine's `f32` payloads: counted
+/// elements times this are the bytes a rank really sent. (The paper's
+/// analytical formulas in `megatron_core::parallel::analysis` assume fp16,
+/// i.e. 2 bytes — counted volumes are exactly `4 / 2 = 2×` those formulas.)
 pub const BYTES_F32: f64 = 4.0;
-
-/// Per-rank bytes a ring all-reduce of `n` f32 elements moves over `g`
-/// ranks: `2 · (g−1)/g · n` elements (reduce-scatter + all-gather phases,
-/// paper §3.2's `(t−1)/t` factor). Exact for divisible `n` and for `g = 2`
-/// at any `n`; the measured tallies use the actual chunk ranges.
-pub fn ring_all_reduce_bytes(g: usize, n: usize) -> f64 {
-    if g <= 1 {
-        return 0.0;
-    }
-    2.0 * (g as f64 - 1.0) / g as f64 * n as f64 * BYTES_F32
-}
-
-/// Per-rank bytes a ring all-gather of `n` f32 elements moves: `(g−1)/g ·
-/// n`, the all-gather half of [`ring_all_reduce_bytes`] (with `n = g·part`,
-/// `(g−1) · part`).
-pub fn ring_all_gather_bytes(g: usize, n: usize) -> f64 {
-    ring_all_reduce_bytes(g, n) / 2.0
-}
-
-/// Per-rank bytes a ring reduce-scatter of `n` f32 elements moves:
-/// `(g−1)/g · n`, the reduce-scatter half of [`ring_all_reduce_bytes`].
-pub fn ring_reduce_scatter_bytes(g: usize, n: usize) -> f64 {
-    ring_all_reduce_bytes(g, n) / 2.0
-}
-
-/// Bytes the *root* sends in a pipelined ring broadcast of `n` f32
-/// elements (the whole buffer streams through the ring once; the last
-/// position sends nothing).
-pub fn broadcast_bytes(g: usize, n: usize) -> f64 {
-    if g <= 1 {
-        return 0.0;
-    }
-    n as f64 * BYTES_F32
-}
 
 /// Running per-member tally of algorithmic communication volume, split by
 /// collective type. Volumes are the bytes this rank's transport actually
@@ -175,9 +143,9 @@ impl CommVolume {
 }
 
 /// One collective this member completed, recorded for replay: feeding the
-/// same ops through `megatron-net`'s lowering reproduces the byte flow the
-/// real transport just moved (the real-vs-sim identity test drives exactly
-/// this). A segmented collective is recorded as one op per segment: the
+/// same ops through `megatron_core::net::Network`'s lowering reproduces the
+/// byte flow the real transport just moved (the real-vs-sim identity test
+/// drives exactly this). A segmented collective is recorded as one op per segment: the
 /// same bytes per rank and per round as the one message per round that
 /// carried them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,7 +41,6 @@ pub mod vocab;
 pub use block::{BlockKv, ParallelBlock, ParallelBlockCache};
 pub use checkpoint::{CheckpointError, CheckpointStore, Restored};
 pub use comm::{
-    broadcast_bytes, ring_all_gather_bytes, ring_all_reduce_bytes, ring_reduce_scatter_bytes,
     CollectiveKind, CollectiveOp, CommError, CommPanic, CommVolume, FaultProfile, Group,
     GroupMember, StallContext, TransportConfig, WireKind, BYTES_F32, DEFAULT_COMM_TIMEOUT,
 };

@@ -23,9 +23,7 @@ use megatron_tensor::{Adam, AdamState, Matrix};
 use megatron_telemetry::{thread_usage, OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
 
 use crate::checkpoint::CheckpointError;
-use crate::comm::{
-    ring_all_reduce_bytes, CommPanic, CommVolume, GroupMember, StallContext, BYTES_F32,
-};
+use crate::comm::{CommPanic, CommVolume, GroupMember, StallContext, BYTES_F32};
 
 use super::generations::GenerationAssembler;
 use super::logs::{
@@ -717,9 +715,15 @@ impl Rank<'_> {
         // over data-parallel replicas.
         let loss = if owns_loss {
             let mut l = [loss_sum * inv_m];
-            let bytes = SpanArgs::bytes(ring_all_reduce_bytes(d, 1));
-            let _reducing = span(&self.tracer, SpanKind::Comm, "loss-allreduce", bytes);
+            let mut reducing = span(
+                &self.tracer,
+                SpanKind::Comm,
+                "loss-allreduce",
+                SpanArgs::NONE,
+            );
+            let before = dg.comm_volume();
             dg.try_all_reduce_mean(&mut l).map_err(TrainError::Comm)?;
+            reducing.set_bytes(bytes_since(dg, before));
             Some(l[0])
         } else {
             None

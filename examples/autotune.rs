@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release --example autotune`
 
 use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::model::zoo;
+use megatron_repro::core::parallel::{layouts, ParallelConfig};
 use megatron_repro::core::{heuristics, TrainingRun};
-use megatron_repro::model::zoo;
-use megatron_repro::parallel::{layouts, ParallelConfig};
 
 fn main() {
     let model = zoo::gpt_5p9b();

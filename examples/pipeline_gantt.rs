@@ -8,9 +8,9 @@
 //! Run with: `cargo run --release --example pipeline_gantt`
 
 use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::model::zoo;
+use megatron_repro::core::parallel::ParallelConfig;
 use megatron_repro::core::TrainingRun;
-use megatron_repro::model::zoo;
-use megatron_repro::parallel::ParallelConfig;
 use megatron_repro::schedule::{render_replay, ScheduleKind};
 
 fn main() {

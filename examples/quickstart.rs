@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::model::zoo;
+use megatron_repro::core::parallel::ParallelConfig;
 use megatron_repro::core::TrainingRun;
-use megatron_repro::model::zoo;
-use megatron_repro::parallel::ParallelConfig;
 
 fn main() {
     // GPT-3: 96 layers, hidden 12288, 96 heads (174.6B parameters).

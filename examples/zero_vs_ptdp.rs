@@ -5,10 +5,10 @@
 //! Run with: `cargo run --release --example zero_vs_ptdp`
 
 use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::model::zoo;
+use megatron_repro::core::parallel::ParallelConfig;
 use megatron_repro::core::zero::ZeroRun;
 use megatron_repro::core::TrainingRun;
-use megatron_repro::model::zoo;
-use megatron_repro::parallel::ParallelConfig;
 
 fn main() {
     let model = zoo::gpt3_175b();

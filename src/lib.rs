@@ -13,20 +13,19 @@
 //! - [`collective`]: transport-agnostic ring/hierarchical collective step
 //!   programs — the single definition both the real runtime and the
 //!   simulator execute.
-//! - [`net`]: network topology and collective algorithms over simulated
-//!   NVLink / InfiniBand links (lowers [`collective`] programs onto
-//!   discrete-event tasks).
-//! - [`model`]: GPT model descriptions — parameter counts (paper Eq. 2),
-//!   FLOPs (Eq. 3), per-layer op lists, memory model.
-//! - [`parallel`]: PTD-P `(p, t, d)` configurations, rank mapping,
-//!   analytical performance models (§3), and the one layout enumerator.
 //! - [`schedule`]: pipeline schedules — GPipe, 1F1B, interleaved 1F1B.
 //! - [`data`]: synthetic corpus generation, document packing, sharded
 //!   data loading.
-//! - [`core`]: end-to-end training-iteration simulation producing the
-//!   paper's reported metrics, and everything priced with it: the §3
-//!   configuration heuristics, the ZeRO-3 baseline (§5.2), and the layout
-//!   ranking the elastic supervisor shrinks to.
+//! - [`core`]: the §3 description of a job — GPT model descriptions
+//!   ([`core::model`]: Eq. 2 parameters, Eq. 3 FLOPs, per-layer op lists,
+//!   memory model), PTD-P `(p, t, d)` configurations with the rank
+//!   mapping, the one layout enumerator and the §3 closed forms
+//!   ([`core::parallel`]), and the simulated NVLink / InfiniBand network
+//!   that lowers [`collective`] programs onto discrete-event tasks
+//!   ([`core::net`]) — plus the end-to-end training-iteration simulation
+//!   producing the paper's reported metrics, and everything priced with
+//!   it: the §3 configuration heuristics, the ZeRO-3 baseline (§5.2), and
+//!   the layout ranking the elastic supervisor shrinks to.
 //! - [`tensor`]: real CPU tensor engine with hand-written backward passes.
 //! - [`dist`]: thread-per-GPU distributed runtime running real tensor /
 //!   pipeline / data parallel training, durable sharded checkpoints, and
@@ -42,9 +41,6 @@ pub use megatron_collective as collective;
 pub use megatron_core as core;
 pub use megatron_data as data;
 pub use megatron_dist as dist;
-pub use megatron_model as model;
-pub use megatron_net as net;
-pub use megatron_parallel as parallel;
 pub use megatron_schedule as schedule;
 pub use megatron_serve as serve;
 pub use megatron_sim as sim;

@@ -4,8 +4,8 @@
 //! through the serial `reference_run` interpreter — and must agree **bit
 //! for bit** at awkward group sizes and non-divisible buffer lengths.
 //! Measured transport egress must simultaneously equal the program's
-//! `sent_elems` and, at divisible lengths, the closed-form volume
-//! functions the simulator side publishes.
+//! `sent_elems` and, at divisible lengths, the §3 ring volume
+//! (`core::parallel::analysis::ring_all_reduce_bytes`).
 //!
 //! The transport axis ([`Mode`]) covers:
 //! - **Mailbox** — the in-process per-edge mailboxes;
@@ -25,11 +25,17 @@ use megatron_repro::collective::{
     self as coll, chunk_of, reference_run, ReduceOp, RetryPolicy, SocketChannel, SocketNode,
     TransientFaults, WireAddr,
 };
+use megatron_repro::core::parallel::analysis::ring_all_reduce_bytes;
 use megatron_repro::dist::{
-    broadcast_bytes, ring_all_gather_bytes, ring_all_reduce_bytes, ring_reduce_scatter_bytes,
     CommVolume, FaultProfile, Group, GroupMember, TransportConfig, WireKind, BYTES_F32,
     DEFAULT_COMM_TIMEOUT,
 };
+
+/// Per-rank bytes a ring all-reduce of `n` f32 elements sends over `g`
+/// ranks, by the §3 ring volume.
+fn ring_bytes(g: usize, n: usize) -> f64 {
+    ring_all_reduce_bytes(n as f64 * BYTES_F32, g as u64)
+}
 
 /// Odd group sizes exercised everywhere below.
 const SIZES: [usize; 3] = [3, 5, 7];
@@ -234,8 +240,9 @@ fn all_gather_matches_reference_bitwise() {
                         prog.sent_elems(rank) as f64 * BYTES_F32
                     );
                     if n.is_multiple_of(g) {
-                        // g−1 rounds of one `n/g`-sized chunk each.
-                        assert_eq!(vol.all_gather_bytes, ring_all_gather_bytes(g, n));
+                        // g−1 rounds of one `n/g`-sized chunk each: the
+                        // all-gather half of the ring volume.
+                        assert_eq!(vol.all_gather_bytes, ring_bytes(g, n) / 2.0);
                     }
                 }
             }
@@ -269,7 +276,7 @@ fn reduce_scatter_matches_reference_bitwise() {
                         prog.sent_elems(rank) as f64 * BYTES_F32
                     );
                     if n.is_multiple_of(g) {
-                        assert_eq!(vol.reduce_scatter_bytes, ring_reduce_scatter_bytes(g, n));
+                        assert_eq!(vol.reduce_scatter_bytes, ring_bytes(g, n) / 2.0);
                     }
                 }
             }
@@ -381,7 +388,7 @@ fn broadcast_matches_reference_bitwise() {
                 // every middle position) forwards the whole buffer; the last
                 // ring position sends nothing.
                 let tail = (root + g - 1) % g;
-                assert_eq!(real[root].1.broadcast_bytes, broadcast_bytes(g, n));
+                assert_eq!(real[root].1.broadcast_bytes, n as f64 * BYTES_F32);
                 assert_eq!(real[tail].1.broadcast_bytes, 0.0);
             }
         }
@@ -419,8 +426,8 @@ fn hierarchical_all_reduce_matches_reference_bitwise() {
 #[test]
 fn divisible_lengths_match_closed_form_volumes() {
     // At divisible lengths the measured egress collapses to the familiar
-    // 2(g−1)/g · n closed forms — the same functions the simulator's
-    // analytical model publishes.
+    // 2(g−1)/g · n ring volume — the one the §3 analysis prices layouts
+    // with.
     for mode in MODES {
         for g in SIZES {
             let n = 8 * g;
@@ -430,11 +437,7 @@ fn divisible_lengths_match_closed_form_volumes() {
                 m.comm_volume()
             });
             for vol in vols {
-                assert_eq!(
-                    vol.all_reduce_bytes,
-                    ring_all_reduce_bytes(g, n),
-                    "{mode:?} g={g}"
-                );
+                assert_eq!(vol.all_reduce_bytes, ring_bytes(g, n), "{mode:?} g={g}");
             }
         }
     }

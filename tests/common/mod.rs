@@ -9,13 +9,13 @@ use std::time::Duration;
 
 use megatron_repro::cluster::{ClusterSpec, GpuSpec, NodeSpec};
 use megatron_repro::core::elastic::rank_layouts;
+use megatron_repro::core::model::GptConfig;
+use megatron_repro::core::parallel::ParallelConfig;
 use megatron_repro::core::{TrainingOptions, TrainingRun};
 use megatron_repro::dist::{
     CapacityEvent, CheckpointStore, JobBackend, KillSwitch, PtdpSpec, ReconfigureDirection,
     Supervisor, SupervisorConfig, SupervisorReport, ThreadKey,
 };
-use megatron_repro::model::GptConfig;
-use megatron_repro::parallel::ParallelConfig;
 use megatron_repro::tensor::gpt::TinyGptConfig;
 
 /// Final parameters per rank.

@@ -3,9 +3,9 @@
 //! fixed number of cases, so failures are exactly reproducible.
 
 use megatron_repro::cluster::ClusterSpec;
-use megatron_repro::model::{memory, GptConfig};
-use megatron_repro::net::{analytical, Network};
-use megatron_repro::parallel::RankMapper;
+use megatron_repro::core::model::{memory, GptConfig};
+use megatron_repro::core::net::{analytical, Network};
+use megatron_repro::core::parallel::{analysis, RankMapper};
 use megatron_repro::schedule::ScheduleKind;
 use megatron_repro::sim::{time_to_secs, DagSim};
 use megatron_repro::tensor::gemm;
@@ -182,11 +182,11 @@ fn simulated_all_reduce_matches_analytical() {
 #[test]
 fn ring_volume_factor() {
     for_cases("ring_volume_factor", |rng| {
-        let r = rng.gen_range(1usize..=4096);
-        let v = analytical::ring_all_reduce_volume(r, 1.0);
+        let r = rng.gen_range(1u64..=4096);
+        let v = analysis::ring_all_reduce_bytes(1.0, r);
         assert!((0.0..2.0).contains(&v));
         if r > 1 {
-            assert!(v > analytical::ring_all_reduce_volume(r - 1, 1.0) - 1e-12);
+            assert!(v > analysis::ring_all_reduce_bytes(1.0, r - 1) - 1e-12);
         }
     });
 }
@@ -231,7 +231,7 @@ fn memory_model_invariants() {
 #[test]
 fn analysis_identities() {
     for_cases("analysis_identities", |rng| {
-        use megatron_repro::parallel::analysis;
+        use megatron_repro::core::parallel::analysis;
         let p = rng.gen_range(2u64..=64);
         let m = p * rng.gen_range(1u64..=8);
         let v = rng.gen_range(1u64..=4);

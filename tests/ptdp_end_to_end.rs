@@ -2,9 +2,9 @@
 //! iteration → paper-band assertions.
 
 use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::model::zoo;
+use megatron_repro::core::parallel::{ConfigError, ParallelConfig};
 use megatron_repro::core::{heuristics, RunError, TrainingOptions, TrainingRun};
-use megatron_repro::model::zoo;
-use megatron_repro::parallel::{ConfigError, ParallelConfig};
 use megatron_repro::schedule::ScheduleKind;
 
 /// Every Table 1 row, simulated with the paper's (t, p) and our heuristic

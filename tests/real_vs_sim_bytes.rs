@@ -3,18 +3,18 @@
 //!
 //! A real (2,2,2) training run records, per thread, both the transport-
 //! measured egress ([`RankCommVolume`]) and a replayable comm-op tape
-//! ([`RankCommOps`]). Replaying that tape onto `megatron-net`'s
-//! discrete-event links — the *same* `megatron-collective` step programs,
-//! lowered instead of executed — must reproduce every GPU's byte total
-//! exactly, because both sides count the identical transport-level
-//! messages.
+//! ([`RankCommOps`]). Replaying that tape onto the simulated network's
+//! discrete-event links (`core::net::Network`) — the *same*
+//! `megatron-collective` step programs, lowered instead of executed — must
+//! reproduce every GPU's byte total exactly, because both sides count the
+//! identical transport-level messages.
 
 use std::collections::HashMap;
 
 use megatron_repro::cluster::ClusterSpec;
 use megatron_repro::collective::Program;
+use megatron_repro::core::net::Network;
 use megatron_repro::dist::{CollectiveOp, PtdpSpec, PtdpTrainer, RankCommOps, ThreadKey, TrainLog};
-use megatron_repro::net::Network;
 use megatron_repro::sim::DagSim;
 use megatron_repro::tensor::gpt::{GptModel, TinyGptConfig};
 use rand::{Rng, SeedableRng};

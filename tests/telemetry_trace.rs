@@ -2,14 +2,15 @@
 //! run must produce a valid Chrome trace with every expected span category
 //! on every rank, per-iteration JSONL metric snapshots, per-rank fault
 //! counters, and comm-volume counters that match the paper's §3 formulas
-//! exactly.
+//! exactly; a `(1,1,4)` run's loss all-reduce spans carry the bytes each
+//! rank sent.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl};
-use megatron_model::{GptConfig, BYTES_FP16};
-use megatron_parallel::analysis;
+use megatron_core::model::{GptConfig, BYTES_FP16};
+use megatron_core::parallel::analysis;
+use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl, BYTES_F32};
 use megatron_sim::json::Json;
 use megatron_telemetry::{
     chrome_trace_json, rank_pid, rank_usage, GpuSpec, SinkConfig, SpanKind, TelemetrySink,
@@ -38,12 +39,13 @@ fn mirror() -> GptConfig {
     }
 }
 
-fn run_222(
+/// A traced run of `spec`'s layout for `iters` iterations of `batch`.
+fn run(
+    spec: PtdpSpec,
     iters: usize,
     batch: usize,
     checkpoint_every: Option<usize>,
 ) -> (Arc<TelemetrySink>, megatron_dist::TrainLog, PtdpSpec) {
-    let spec = PtdpSpec::new(2, 2, 2);
     let sink = TelemetrySink::new(SinkConfig {
         world: spec.world(),
         flops_per_iteration: mirror().flops_per_iteration_eq3(batch as u64),
@@ -74,7 +76,7 @@ fn run_222(
 
 #[test]
 fn real_222_trace_has_every_category_on_every_rank() {
-    let (sink, _log, spec) = run_222(3, 8, Some(2));
+    let (sink, _log, spec) = run(PtdpSpec::new(2, 2, 2), 3, 8, Some(2));
     let trace = chrome_trace_json(&sink.hub, 2);
     let v = Json::parse(&trace).expect("trace is valid JSON");
     let events = v.as_array().expect("trace is a JSON array");
@@ -114,7 +116,7 @@ fn real_222_trace_has_every_category_on_every_rank() {
 
 #[test]
 fn comm_spans_sit_on_the_net_row_with_byte_args() {
-    let (sink, _log, _spec) = run_222(2, 8, None);
+    let (sink, _log, _spec) = run(PtdpSpec::new(2, 2, 2), 2, 8, None);
     let trace = chrome_trace_json(&sink.hub, 2);
     let v = Json::parse(&trace).unwrap();
     for ev in v.as_array().unwrap() {
@@ -139,7 +141,7 @@ fn comm_spans_sit_on_the_net_row_with_byte_args() {
 #[test]
 fn jsonl_snapshots_report_throughput_and_bubble() {
     let iters = 3;
-    let (sink, _log, _spec) = run_222(iters, 8, None);
+    let (sink, _log, _spec) = run(PtdpSpec::new(2, 2, 2), iters, 8, None);
     let jsonl = sink.metrics_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), iters, "one snapshot per iteration");
@@ -165,7 +167,7 @@ fn jsonl_snapshots_report_throughput_and_bubble() {
 #[test]
 fn every_rank_counts_faults_over_its_steady_state_iterations() {
     let iters = 3;
-    let (sink, _log, spec) = run_222(iters, 8, None);
+    let (sink, _log, spec) = run(PtdpSpec::new(2, 2, 2), iters, 8, None);
     let usage = rank_usage(&sink.metrics.snapshot());
     // One row per rank; the first iteration is warm-up and not counted.
     // The fault counts are the allocator's business, not asserted; every
@@ -184,7 +186,7 @@ fn every_rank_counts_faults_over_its_steady_state_iterations() {
 fn comm_counters_match_section3_formulas() {
     let iters = 2;
     let batch = 8; // per replica 4 → m = 4 microbatches of b = 1
-    let (_sink, log, spec) = run_222(iters, batch, None);
+    let (_sink, log, spec) = run(PtdpSpec::new(2, 2, 2), iters, batch, None);
     let mirror = mirror();
     let (p, t, d) = (2u64, 2u64, 2u64);
     let m = (batch / 2 / spec.microbatch) as f64;
@@ -232,8 +234,8 @@ fn comm_counters_match_section3_formulas() {
     assert_eq!(vol.data.all_reduce_bytes, 0.0);
 
     // A last-stage loss-owning rank syncs its own gradients the same way,
-    // and the scalar loss is the one data-group all-reduce left: exactly
-    // 2·(d−1)/d·1·4 B per iteration.
+    // and the scalar loss is the one data-group all-reduce left: at d = 2
+    // exactly the ring volume of one f32, 2·(d−1)/d·4 B, per iteration.
     let vol_last = log.comm_volumes[&(1, 0, 0)];
     let grad_last_fp16 = log.final_params[&(1, 0, 0)].len() as u64 * BYTES_FP16;
     let want_last = 2.0 * iters as f64 * analysis::data_parallel_bytes(grad_last_fp16, d);
@@ -242,6 +244,35 @@ fn comm_counters_match_section3_formulas() {
         "last-stage data RS + AG: counted {} want {want_last}",
         grad_sync(&vol_last.data)
     );
-    let want_loss = iters as f64 * megatron_dist::ring_all_reduce_bytes(d as usize, 1);
+    let want_loss = iters as f64 * analysis::ring_all_reduce_bytes(BYTES_F32, d);
     assert_eq!(vol_last.data.all_reduce_bytes, want_loss, "loss all-reduce");
+}
+
+#[test]
+fn loss_allreduce_spans_record_the_bytes_each_rank_sent() {
+    // At d = 4 the one-float loss all-reduce is not the ring volume
+    // 2·(d−1)/d·4 B = 6 B: only chunk 0 of a one-element buffer is
+    // non-empty, so a rank sends 4 B or 8 B. Each rank's spans must
+    // carry what its transport counted.
+    let iters = 3;
+    let (sink, log, spec) = run(PtdpSpec::new(1, 1, 4), iters, 8, None);
+    let ranks = sink.hub.ranks();
+    assert_eq!(ranks.len(), spec.world());
+    let mut sent = Vec::new();
+    for trace in ranks {
+        let spans: Vec<f64> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "loss-allreduce")
+            .map(|s| s.args.bytes.expect("loss span without bytes"))
+            .collect();
+        assert_eq!(spans.len(), iters, "rank {}", trace.rank);
+        let counted = log.comm_volumes[&trace.key].data.all_reduce_bytes;
+        assert_eq!(spans.iter().sum::<f64>(), counted, "rank {}", trace.rank);
+        sent.push(counted / iters as f64);
+    }
+    assert!(
+        sent.iter().all(|&b| b == BYTES_F32 || b == 2.0 * BYTES_F32),
+        "bytes per rank per iteration {sent:?}"
+    );
 }
