@@ -3,7 +3,7 @@
 //! the no-contention ablation called out in DESIGN.md §5.
 
 use megatron_bench::harness::Bench;
-use megatron_cluster::ClusterSpec;
+use megatron_core::cluster::ClusterSpec;
 use megatron_core::net::Network;
 use megatron_sim::DagSim;
 

@@ -2,7 +2,7 @@
 //! throughput and full PTD-P iteration simulations at three scales.
 
 use megatron_bench::harness::Bench;
-use megatron_cluster::ClusterSpec;
+use megatron_core::cluster::ClusterSpec;
 use megatron_core::model::zoo;
 use megatron_core::parallel::ParallelConfig;
 use megatron_core::TrainingRun;

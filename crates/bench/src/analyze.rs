@@ -27,8 +27,8 @@ use megatron_core::parallel::analysis;
 use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl};
 use megatron_sim::json::Json;
 use megatron_telemetry::{
-    chrome_trace_json, critical_path, parse_chrome_trace, rank_usage, what_if, Attribution,
-    GpuSpec, Phase, RankUsage, SinkConfig, TelemetrySink, TraceDag, WhatIf, Window,
+    chrome_trace_json, critical_path, parse_chrome_trace, rank_usage, what_if, Attribution, Phase,
+    RankUsage, SinkConfig, TelemetrySink, TraceDag, WhatIf, Window,
 };
 use megatron_tensor::gpt::GptModel;
 
@@ -194,7 +194,6 @@ pub fn analyze() -> String {
     let sink = TelemetrySink::new(SinkConfig {
         world: spec.world(),
         flops_per_iteration: mirror.flops_per_iteration_eq3(batch as u64),
-        gpu: Some(GpuSpec::a100_80gb()),
     });
     let mut rng = StdRng::seed_from_u64(0x7137);
     let master = GptModel::new(REAL_CFG, &mut rng);

@@ -2,7 +2,7 @@
 //! reproduction (and, where the paper gives numbers, a side-by-side
 //! comparison).
 
-use megatron_cluster::ClusterSpec;
+use megatron_core::cluster::ClusterSpec;
 use megatron_core::model::{zoo, GptConfig};
 use megatron_core::parallel::{analysis, ParallelConfig};
 use megatron_core::{heuristics, CheckpointIo, FilesystemSpec, TrainingRun};
@@ -177,7 +177,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             name: "serving",
             paper_ref: "E34: continuous-batched KV-cached serving over a real tensor group",
-            run: || Ok(crate::serving::serving()),
+            run: crate::serving::serving,
         },
         Experiment {
             name: "analyze",
@@ -877,7 +877,7 @@ pub fn heuristics_exp() -> String {
 /// §1's motivating claim: "training GPT-3 with 175 billion parameters would
 /// require approximately 288 years with a single V100 NVIDIA GPU".
 pub fn v100_years() -> String {
-    use megatron_cluster::{GpuSpec, NodeSpec};
+    use megatron_core::cluster::{GpuSpec, NodeSpec};
     let model = zoo::gpt3_175b();
     let cluster = ClusterSpec::custom(GpuSpec::v100_32gb(), NodeSpec::dgx_a100(), 1);
     // Per-sample compute throughput of one V100 (ignoring the impossibility

@@ -4,10 +4,8 @@
 //! A [`FaultPlan`] is a reproducible (seeded) list of timed fault events —
 //! GPU deaths, whole-node deaths, link degradations and flaps, compute
 //! stragglers — drawn from independent exponential inter-arrival processes,
-//! one per fault class. Plans archive losslessly as JSON, so a chaos run
-//! can be replayed from the plan it saved.
+//! one per fault class.
 
-use megatron_sim::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,70 +61,6 @@ impl FaultKind {
             FaultKind::LinkFlap { .. } => "link-flap",
             FaultKind::Straggler { .. } => "straggler",
         }
-    }
-
-    /// Serialize as a tagged JSON object (`{"kind": label, ...params}`).
-    pub fn to_json(&self) -> Json {
-        match *self {
-            FaultKind::GpuDeath { repair_s } => Json::obj([
-                ("kind", Json::Str(self.label().into())),
-                ("repair_s", Json::Num(repair_s)),
-            ]),
-            FaultKind::NodeDeath { repair_s } => Json::obj([
-                ("kind", Json::Str(self.label().into())),
-                ("repair_s", Json::Num(repair_s)),
-            ]),
-            FaultKind::LinkDegrade { factor, duration_s } => Json::obj([
-                ("kind", Json::Str(self.label().into())),
-                ("factor", Json::Num(factor)),
-                ("duration_s", Json::Num(duration_s)),
-            ]),
-            FaultKind::LinkFlap {
-                factor,
-                burst_s,
-                period_s,
-                count,
-            } => Json::obj([
-                ("kind", Json::Str(self.label().into())),
-                ("factor", Json::Num(factor)),
-                ("burst_s", Json::Num(burst_s)),
-                ("period_s", Json::Num(period_s)),
-                ("count", Json::Num(count as f64)),
-            ]),
-            FaultKind::Straggler { factor, duration_s } => Json::obj([
-                ("kind", Json::Str(self.label().into())),
-                ("factor", Json::Num(factor)),
-                ("duration_s", Json::Num(duration_s)),
-            ]),
-        }
-    }
-
-    /// Parse a [`FaultKind::to_json`] object back.
-    pub fn from_json(j: &Json) -> Option<FaultKind> {
-        let num = |key: &str| j.get(key).as_f64();
-        Some(match j.get("kind").as_str()? {
-            "gpu-death" => FaultKind::GpuDeath {
-                repair_s: num("repair_s")?,
-            },
-            "node-death" => FaultKind::NodeDeath {
-                repair_s: num("repair_s")?,
-            },
-            "link-degrade" => FaultKind::LinkDegrade {
-                factor: num("factor")?,
-                duration_s: num("duration_s")?,
-            },
-            "link-flap" => FaultKind::LinkFlap {
-                factor: num("factor")?,
-                burst_s: num("burst_s")?,
-                period_s: num("period_s")?,
-                count: num("count")? as u32,
-            },
-            "straggler" => FaultKind::Straggler {
-                factor: num("factor")?,
-                duration_s: num("duration_s")?,
-            },
-            _ => return None,
-        })
     }
 }
 
@@ -237,48 +171,6 @@ impl FaultPlan {
         events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
         FaultPlan { horizon_s, events }
     }
-
-    /// Serialize the whole plan (horizon + events) as JSON, so a chaos
-    /// scenario can be archived next to its results and replayed exactly.
-    /// f64s survive the round-trip bit-exactly (shortest-repr printing).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("horizon_s", Json::Num(self.horizon_s)),
-            (
-                "events",
-                Json::Arr(
-                    self.events
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("at_s", Json::Num(e.at_s)),
-                                ("gpu", Json::Num(e.gpu as f64)),
-                                ("fault", e.kind.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parse a [`FaultPlan::to_json`] document back.
-    pub fn from_json(j: &Json) -> Option<FaultPlan> {
-        let horizon_s = j.get("horizon_s").as_f64()?;
-        let events = j
-            .get("events")
-            .as_array()?
-            .iter()
-            .map(|e| {
-                Some(FaultEvent {
-                    at_s: e.get("at_s").as_f64()?,
-                    gpu: e.get("gpu").as_f64()? as usize,
-                    kind: FaultKind::from_json(e.get("fault"))?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(FaultPlan { horizon_s, events })
-    }
 }
 
 #[cfg(test)]
@@ -367,50 +259,5 @@ mod tests {
     fn disabled_classes_never_fire() {
         let plan = FaultPlan::generate(5, 16, 1e6, &FaultRates::none());
         assert!(plan.events.is_empty());
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        // Every fault class survives serialize → parse bit-exactly,
-        // including the generated plans the chaos harness archives.
-        let plan = FaultPlan::generate(42, 16, 24.0 * 3600.0, &demo_rates());
-        assert!(!plan.events.is_empty());
-        let text = plan.to_json().to_string();
-        let back = FaultPlan::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.horizon_s, plan.horizon_s);
-        assert_eq!(back.events, plan.events);
-
-        // Hand-built events cover the classes a random draw might miss.
-        let hand = FaultPlan {
-            horizon_s: 10.0,
-            events: vec![
-                FaultEvent {
-                    at_s: 0.125,
-                    gpu: 3,
-                    kind: FaultKind::LinkFlap {
-                        factor: 7.5,
-                        burst_s: 1.5,
-                        period_s: 30.0,
-                        count: 4,
-                    },
-                },
-                FaultEvent {
-                    at_s: 2.0,
-                    gpu: 0,
-                    kind: FaultKind::NodeDeath { repair_s: 600.0 },
-                },
-            ],
-        };
-        let back =
-            FaultPlan::from_json(&Json::parse(&hand.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back.events, hand.events);
-    }
-
-    #[test]
-    fn json_rejects_malformed_plans() {
-        assert!(FaultPlan::from_json(&Json::parse("{}").unwrap()).is_none());
-        let bad_kind =
-            r#"{"horizon_s":1,"events":[{"at_s":0,"gpu":0,"fault":{"kind":"gremlin"}}]}"#;
-        assert!(FaultPlan::from_json(&Json::parse(bad_kind).unwrap()).is_none());
     }
 }

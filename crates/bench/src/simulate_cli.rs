@@ -1,7 +1,7 @@
 //! The `repro simulate` subcommand: simulate an arbitrary user-specified
 //! PTD-P configuration and print the full iteration report.
 
-use megatron_cluster::ClusterSpec;
+use megatron_core::cluster::ClusterSpec;
 use megatron_core::model::{zoo, GptConfig};
 use megatron_core::parallel::ParallelConfig;
 use megatron_core::TrainingRun;

@@ -2,7 +2,7 @@
 //! its simulator twin, and the one mapping from a trainer's job to the twin
 //! `megatron-core` prices (also used by E30 and serving).
 
-use megatron_cluster::{ClusterSpec, GpuSpec, NodeSpec};
+use megatron_core::cluster::{ClusterSpec, GpuSpec, NodeSpec};
 use megatron_core::model::GptConfig;
 use megatron_core::parallel::ParallelConfig;
 use megatron_core::{TrainingOptions, TrainingRun};

@@ -145,26 +145,6 @@ impl GpuSpec {
         }
     }
 
-    /// Achieved TFLOP/s of one device that executed `flops` floating-point
-    /// operations in `seconds` of wall clock. This is the "achieved
-    /// teraFLOP/s per GPU" column of the paper's Table 1.
-    pub fn achieved_tflops(&self, flops: f64, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            return 0.0;
-        }
-        flops / seconds / 1e12
-    }
-
-    /// Model FLOPs utilization: achieved throughput as a fraction of this
-    /// device's `peak_matmul_flops` (the paper's "percentage of peak"
-    /// column). `flops` and `seconds` are per device.
-    pub fn mfu(&self, flops: f64, seconds: f64) -> f64 {
-        if seconds <= 0.0 || self.peak_matmul_flops <= 0.0 {
-            return 0.0;
-        }
-        flops / seconds / self.peak_matmul_flops
-    }
-
     /// Cost of element-wise work moving `bytes` to/from HBM across `kernels`
     /// kernel launches. Fusion (§4.2) reduces both `kernels` and `bytes`
     /// (fewer intermediate round trips).
@@ -267,17 +247,6 @@ mod tests {
         let unfused = g.elementwise(4 * 1_000_000, 2);
         let fused = g.elementwise(2 * 1_000_000, 1);
         assert!(fused.seconds < unfused.seconds);
-    }
-
-    #[test]
-    fn mfu_and_achieved_tflops_consistent() {
-        let g = a100();
-        // 156e12 FLOPs in 1 s = 156 TFLOP/s = 50 % of the A100's 312e12 peak.
-        assert!((g.achieved_tflops(156e12, 1.0) - 156.0).abs() < 1e-9);
-        assert!((g.mfu(156e12, 1.0) - 0.5).abs() < 1e-12);
-        // Degenerate inputs are safe.
-        assert_eq!(g.achieved_tflops(1e12, 0.0), 0.0);
-        assert_eq!(g.mfu(1e12, 0.0), 0.0);
     }
 
     #[test]

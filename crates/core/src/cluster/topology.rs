@@ -1,6 +1,6 @@
 //! Node and cluster interconnect description.
 
-use crate::GpuSpec;
+use super::GpuSpec;
 
 /// Which physical link class a transfer between two GPUs rides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

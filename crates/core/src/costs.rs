@@ -1,7 +1,7 @@
 //! Per-layer and per-stage compute-cost pricing: the one place a
 //! transformer layer's forward and backward are priced.
 
-use megatron_cluster::ClusterSpec;
+use crate::cluster::ClusterSpec;
 
 use crate::model::ops::{self, OpListParams};
 use crate::model::GptConfig;

@@ -17,7 +17,7 @@
 //! A layout is priced on one node of exactly `p·t·d` GPUs of the template's
 //! kind, so a smaller world never pays for GPUs it does not use.
 
-use megatron_cluster::{ClusterSpec, NodeSpec};
+use crate::cluster::{ClusterSpec, NodeSpec};
 
 use crate::goodput::Ledger;
 use crate::parallel::layouts;
@@ -164,9 +164,9 @@ pub fn price_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::GpuSpec;
     use crate::model::GptConfig;
     use crate::parallel::ParallelConfig;
-    use megatron_cluster::GpuSpec;
 
     /// The twin of a supervised tiny job launched at (2, 2, 2): 2 layers,
     /// 4 heads, vocabulary 13, microbatch 1, no recomputation — the

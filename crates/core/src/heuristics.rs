@@ -16,7 +16,7 @@
 
 use std::cmp::Reverse;
 
-use megatron_cluster::ClusterSpec;
+use crate::cluster::ClusterSpec;
 
 use crate::costs;
 use crate::model::GptConfig;

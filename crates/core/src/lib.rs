@@ -1,8 +1,10 @@
 //! End-to-end PTD-P training-iteration simulation — the paper's primary
 //! contribution — and the §3 description of a job it prices.
 //!
-//! The description is three modules:
+//! The description is four modules:
 //!
+//! - [`cluster`]: the hardware — GPU presets with a roofline compute-time
+//!   model, and the node / fat-tree interconnect the ranks are placed on;
 //! - [`model`]: GPT model descriptions — parameter counts (paper Eq. 2),
 //!   FLOPs (Eq. 3), per-layer op lists and the memory model;
 //! - [`parallel`]: PTD-P `(p, t, d)` configurations, the rank mapping, the
@@ -13,13 +15,14 @@
 //!   shared `megatron-collective` step programs onto discrete-event tasks,
 //!   plus closed-form collective times ([`net::analytical`]).
 //!
-//! A [`TrainingRun`] pairs a GPT model with a cluster, a
+//! A [`TrainingRun`] pairs a GPT model with a
+//! [`ClusterSpec`](cluster::ClusterSpec), a
 //! [`ParallelConfig`](parallel::ParallelConfig), and
 //! [`TrainingOptions`] (schedule, scatter/gather, fusion, recomputation).
 //! [`TrainingRun::simulate`] then:
 //!
 //! 1. prices every pipeline stage's forward/backward work from the op lists
-//!    ([`model::ops`]) on the roofline GPU model (`megatron-cluster`),
+//!    ([`model::ops`]) on the roofline GPU model ([`cluster::GpuSpec`]),
 //!    including tensor-parallel all-reduces over the *actual* rank placement
 //!    ([`parallel::RankMapper`] + [`net::analytical`]) — so a tensor group
 //!    spilling out of a node automatically pays InfiniBand prices;
@@ -41,6 +44,7 @@
 //! time goes once failures enter is one [`goodput::Ledger`].
 
 mod checkpoint;
+pub mod cluster;
 mod costs;
 pub mod elastic;
 pub mod goodput;

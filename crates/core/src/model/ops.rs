@@ -3,10 +3,10 @@
 //! Mirrors §2.3 (tensor model parallelism) and §4.2 (computation
 //! optimizations): every GEMM, element-wise kernel, and tensor-parallel
 //! all-reduce a single tensor-parallel rank executes for one microbatch, in
-//! order. The compute substrate (`megatron-cluster`) prices the GEMM and
+//! order. The compute substrate ([`crate::cluster`]) prices the GEMM and
 //! element-wise ops; the network substrate prices the all-reduces.
 
-use megatron_cluster::{GpuSpec, KernelCost};
+use crate::cluster::{GpuSpec, KernelCost};
 
 use crate::model::{GptConfig, BYTES_FP16};
 
@@ -477,7 +477,7 @@ mod tests {
             tensor_parallel: 4,
             fused: true,
         };
-        let gpu = megatron_cluster::GpuSpec::a100_80gb();
+        let gpu = crate::cluster::GpuSpec::a100_80gb();
         let (cost, ar) = price_local(&layer_forward(&cfg, p), &gpu);
         assert!(cost.seconds > 0.0);
         assert_eq!(ar, 2 * 2 * cfg.seq_len * cfg.hidden_size * BYTES_FP16);

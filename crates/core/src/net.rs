@@ -23,7 +23,7 @@
 
 use std::cell::Cell;
 
-use megatron_cluster::{ClusterSpec, LinkClass};
+use crate::cluster::{ClusterSpec, LinkClass};
 use megatron_collective::{self as coll, Program, ReduceOp};
 use megatron_sim::{secs_to_time, DagSim, ResourceId, TaskId};
 
@@ -347,7 +347,7 @@ impl Network {
 /// simulation of every all-reduce chunk would be needlessly fine-grained
 /// (e.g. tensor-parallel all-reduces inside an aggregated stage time).
 pub mod analytical {
-    use megatron_cluster::{ClusterSpec, LinkClass};
+    use crate::cluster::{ClusterSpec, LinkClass};
 
     /// Slowest link class on the ring through `ranks` (in given order).
     fn bottleneck(cluster: &ClusterSpec, ranks: &[usize]) -> LinkClass {

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use megatron_cluster::ClusterSpec;
+use crate::cluster::ClusterSpec;
 use megatron_schedule::{Pass, PipelineSchedule, ScheduleKind};
 use megatron_sim::{secs_to_time, DagSim, ResourceId, SimResult, TaskId, Time};
 use megatron_telemetry::{RankTracer, Span, SpanArgs, SpanKind, TraceHub};
@@ -712,11 +712,11 @@ mod tests {
             seq_len: 8,
             vocab_size: 13,
         };
-        let node = megatron_cluster::NodeSpec {
+        let node = crate::cluster::NodeSpec {
             gpus_per_node: (pc.pipeline * pc.tensor * pc.data) as usize,
-            ..megatron_cluster::NodeSpec::dgx_a100()
+            ..crate::cluster::NodeSpec::dgx_a100()
         };
-        let gpu = megatron_cluster::GpuSpec::a100_80gb();
+        let gpu = crate::cluster::GpuSpec::a100_80gb();
         let options = TrainingOptions {
             schedule,
             recompute: false,

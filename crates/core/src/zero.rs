@@ -20,11 +20,11 @@
 //! Compute is priced by the same stage pricer as PTD-P: one stage at
 //! `p = t = 1` carrying embedding, logits and the recomputation forward.
 
-use megatron_cluster::ClusterSpec;
+use crate::cluster::ClusterSpec;
 
 use crate::costs;
 use crate::model::{memory, GptConfig, BYTES_FP16};
-use crate::parallel::ParallelConfig;
+use crate::parallel::{analysis, ParallelConfig};
 
 /// Which ZeRO optimization stage to model (Rajbhandari et al., the paper's
 /// §6 "Sharded Data Parallelism" related work).
@@ -134,12 +134,12 @@ impl ZeroRun {
         let compute_time = stage.forward * k as f64 + stage.backward * k as f64;
 
         // Communication per iteration per rank: each parameter-gather moves
-        // (n−1)/n of the fp16 model through the rank's own network port;
-        // DeepSpeed re-gathers in the backward pass and reduce-scatters
-        // fp16 gradients. The bottleneck link is InfiniBand as soon as the
-        // run spans nodes.
+        // one ring phase — half a ring all-reduce, (n−1)/n — of the fp16
+        // model through the rank's own network port; DeepSpeed re-gathers
+        // in the backward pass and reduce-scatters fp16 gradients. The
+        // bottleneck link is InfiniBand as soon as the run spans nodes.
         let p_bytes = (self.model.params_exact() * BYTES_FP16) as f64;
-        let frac = (n as f64 - 1.0) / n as f64;
+        let phase_bytes = analysis::ring_all_reduce_bytes(p_bytes, n) / 2.0;
         let bw = if self.cluster.n_nodes > 1 {
             self.cluster.node.ib_bandwidth
         } else {
@@ -159,7 +159,7 @@ impl ZeroRun {
             ZeroStage::One | ZeroStage::Two => 2.0,
             ZeroStage::Three | ZeroStage::Infinity => 3.0,
         };
-        let volume_time = volumes * p_bytes * frac / bw;
+        let volume_time = volumes * phase_bytes / bw;
         // Ring collectives pay latency steps per layer-granular call.
         let calls = match self.stage {
             ZeroStage::One => 1.0,

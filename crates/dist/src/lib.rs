@@ -44,9 +44,7 @@ pub use comm::{
     CollectiveKind, CollectiveOp, CommError, CommPanic, CommVolume, FaultProfile, Group,
     GroupMember, StallContext, TransportConfig, WireKind, BYTES_F32, DEFAULT_COMM_TIMEOUT,
 };
-pub use health::{
-    HealthMonitor, HealthReport, RankCondition, RankStats, StragglerReport, DEFAULT_SLOW_THRESHOLD,
-};
+pub use health::{HealthMonitor, HealthReport, RankCondition};
 pub use proc::{
     JobSpec, LaunchHandle, ProcBackend, ProcOutcome, RankOutput, SocketFault, SocketFaultPlan,
     WorkerExit,

@@ -102,7 +102,7 @@ impl ProcBackend {
                 return Some((IncidentCause::Exit(abnormal), killed));
             }
             if t0.elapsed() >= STARTUP_GRACE {
-                let health = handle.monitor().classify(a.cfg.slow_threshold);
+                let health = handle.monitor().classify();
                 let silent: Vec<usize> = (0..world)
                     .filter(|&r| exits[r].is_none() && health.ranks[r].1.is_dead())
                     .collect();

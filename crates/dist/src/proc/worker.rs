@@ -205,8 +205,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     let sink = job.trace.then(|| {
         megatron_telemetry::TelemetrySink::new(megatron_telemetry::SinkConfig {
             world,
-            flops_per_iteration: 0.0,
-            gpu: None,
+            ..Default::default()
         })
     });
 

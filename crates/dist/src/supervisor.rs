@@ -65,7 +65,7 @@ use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, Restored};
 use crate::comm::TransportConfig;
-use crate::health::{HealthMonitor, DEFAULT_SLOW_THRESHOLD};
+use crate::health::HealthMonitor;
 use crate::proc::WorkerExit;
 use crate::trainer::{KillSwitch, PtdpSpec, PtdpTrainer, RunControl, ThreadKey, TrainError};
 
@@ -86,12 +86,6 @@ pub struct SupervisorConfig {
     /// The collective timeout is halved on every retry attempt (repeat
     /// failures should be detected faster), but never below this floor.
     pub min_comm_timeout: Duration,
-    /// Straggler threshold handed to [`HealthMonitor::classify`] when a
-    /// failed attempt's ranks are triaged: a living rank whose mean beat
-    /// interval exceeds this multiple of the median counts as slow.
-    /// Defaults to [`DEFAULT_SLOW_THRESHOLD`]; raise it on noisy hosts to
-    /// avoid misreporting scheduler jitter as stragglers.
-    pub slow_threshold: f64,
 }
 
 impl Default for SupervisorConfig {
@@ -102,7 +96,6 @@ impl Default for SupervisorConfig {
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_secs(1),
             min_comm_timeout: Duration::from_millis(500),
-            slow_threshold: DEFAULT_SLOW_THRESHOLD,
         }
     }
 }
@@ -306,7 +299,7 @@ pub struct Attempt<'a> {
     pub epoch: usize,
     /// Where the attempt's ranks write their checkpoint shards.
     pub store: &'a Arc<CheckpointStore>,
-    /// Checkpoint cadence and straggler threshold.
+    /// The job's policy; a backend reads its checkpoint cadence.
     pub cfg: &'a SupervisorConfig,
     /// Sink the ranks trace into, when the backend can share one.
     pub telemetry: Option<&'a Arc<TelemetrySink>>,
@@ -830,7 +823,7 @@ impl JobBackend for ThreadBackend<'_> {
         );
         let failure = out.error.map(|e| AttemptFailure {
             dead_ranks: health.map_or_else(Vec::new, |mon| {
-                let dead = mon.classify(a.cfg.slow_threshold).dead();
+                let dead = mon.classify().dead();
                 dead.into_iter().map(|k| a.spec.flat_rank(k)).collect()
             }),
             // The kill iteration bounds what the attempt reached.

@@ -161,9 +161,8 @@ pub struct TrainLog {
     /// (GPipe stashes m microbatches, 1F1B at most p, recompute only the
     /// chunk inputs).
     pub peak_stash_floats: HashMap<ThreadKey, usize>,
-    /// Wall-clock step samples per thread, tagged (epoch, iteration) — the
-    /// raw material for straggler detection ([`crate::StragglerReport`])
-    /// and the supervisor's goodput accounting.
+    /// Wall-clock step samples per thread, tagged (epoch, iteration): which
+    /// iterations each rank executed, and in which incident epoch.
     pub step_times: HashMap<ThreadKey, Vec<StepSample>>,
     /// Communication volume per thread (threads that completed the run).
     pub comm_volumes: HashMap<ThreadKey, RankCommVolume>,
@@ -237,7 +236,7 @@ pub struct RunControl {
     pub transport: TransportConfig,
     /// Per-iteration beat hook, invoked with the flat rank once per
     /// completed iteration: a [`HealthMonitor`](crate::HealthMonitor)'s
-    /// `beat` in thread mode (dead-vs-slow classification), a heartbeat
+    /// `beat` in thread mode (dead-or-alive classification), a heartbeat
     /// frame over the launcher socket in process mode, so a monitor in
     /// *another* process can classify this rank.
     pub on_beat: Option<Arc<dyn Fn(usize) + Send + Sync>>,

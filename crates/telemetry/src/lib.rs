@@ -39,10 +39,6 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 pub use usage::{process_usage, rank_usage, thread_usage, RankUsage, ThreadUsage};
 
-// Re-exported so dependents can build a `SinkConfig` without naming
-// `megatron-cluster` directly.
-pub use megatron_cluster::GpuSpec;
-
 use megatron_sim::json::Json;
 use std::sync::{Arc, Mutex};
 
@@ -52,10 +48,8 @@ pub struct SinkConfig {
     /// World size (number of rank threads).
     pub world: usize,
     /// Model FLOPs per training iteration, whole cluster (e.g. from
-    /// `GptConfig::flops_per_iteration`). Zero disables TFLOPs/MFU gauges.
+    /// `GptConfig::flops_per_iteration`). Zero disables the TFLOPs gauge.
     pub flops_per_iteration: f64,
-    /// Roofline device the run is measured against; `None` disables MFU.
-    pub gpu: Option<GpuSpec>,
 }
 
 impl Default for SinkConfig {
@@ -63,7 +57,6 @@ impl Default for SinkConfig {
         SinkConfig {
             world: 1,
             flops_per_iteration: 0.0,
-            gpu: None,
         }
     }
 }
@@ -150,11 +143,6 @@ impl TelemetrySink {
             let per_gpu_flops = self.cfg.flops_per_iteration / self.cfg.world as f64;
             let tflops = per_gpu_flops / seconds / 1e12;
             self.metrics.gauge("achieved_tflops_per_gpu").set(tflops);
-            if let Some(gpu) = &self.cfg.gpu {
-                self.metrics
-                    .gauge("mfu")
-                    .set(gpu.mfu(per_gpu_flops, seconds));
-            }
         }
         self.metrics
             .gauge("bubble_fraction")
@@ -188,7 +176,6 @@ mod tests {
         let sink = TelemetrySink::new(SinkConfig {
             world: 8,
             flops_per_iteration: 8.0 * 156e12, // 156 TFLOP per GPU per iter
-            gpu: Some(GpuSpec::a100_80gb()),
         });
         // Simulate the trainer's per-iteration counter feed: 8 ranks, 1 s
         // steps, 0.125 s of bubble each.
@@ -208,11 +195,9 @@ mod tests {
         assert_eq!(first["iteration"].as_f64(), Some(0.0));
         assert_eq!(first["epoch"].as_f64(), Some(0.0));
         assert_eq!(first["seconds"].as_f64(), Some(1.0));
-        // 156e12 FLOPs in 1 s = 156 TFLOP/s = 50 % of A100 peak.
+        // 156e12 FLOPs in 1 s = 156 TFLOP/s.
         let tf = first["gauges"]["achieved_tflops_per_gpu"].as_f64().unwrap();
         assert!((tf - 156.0).abs() < 1e-9);
-        let mfu = first["gauges"]["mfu"].as_f64().unwrap();
-        assert!((mfu - 0.5).abs() < 1e-12);
         let bub = first["gauges"]["bubble_fraction"].as_f64().unwrap();
         assert!((bub - 0.125).abs() < 1e-12);
         // Second iteration: half the throughput.
@@ -233,6 +218,5 @@ mod tests {
         sink.record_iteration(0, 0, 0.5);
         let v = Json::parse(&sink.metrics_jsonl()).unwrap();
         assert!(v["gauges"]["achieved_tflops_per_gpu"].as_f64().is_none());
-        assert!(v["gauges"]["mfu"].as_f64().is_none());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example autotune`
 
-use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::cluster::ClusterSpec;
 use megatron_repro::core::model::zoo;
 use megatron_repro::core::parallel::{layouts, ParallelConfig};
 use megatron_repro::core::{heuristics, TrainingRun};

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example pipeline_gantt`
 
-use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::cluster::ClusterSpec;
 use megatron_repro::core::model::zoo;
 use megatron_repro::core::parallel::ParallelConfig;
 use megatron_repro::core::TrainingRun;

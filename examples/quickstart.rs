@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::cluster::ClusterSpec;
 use megatron_repro::core::model::zoo;
 use megatron_repro::core::parallel::ParallelConfig;
 use megatron_repro::core::TrainingRun;

@@ -8,20 +8,19 @@
 //! The sub-crates (each re-exported here as a module):
 //!
 //! - [`sim`]: deterministic discrete-event simulation kernel.
-//! - [`cluster`]: GPU/node/cluster hardware substrate with a roofline
-//!   compute-time model.
 //! - [`collective`]: transport-agnostic ring/hierarchical collective step
 //!   programs — the single definition both the real runtime and the
 //!   simulator execute.
 //! - [`schedule`]: pipeline schedules — GPipe, 1F1B, interleaved 1F1B.
 //! - [`data`]: synthetic corpus generation, document packing, sharded
 //!   data loading.
-//! - [`core`]: the §3 description of a job — GPT model descriptions
-//!   ([`core::model`]: Eq. 2 parameters, Eq. 3 FLOPs, per-layer op lists,
-//!   memory model), PTD-P `(p, t, d)` configurations with the rank
-//!   mapping, the one layout enumerator and the §3 closed forms
-//!   ([`core::parallel`]), and the simulated NVLink / InfiniBand network
-//!   that lowers [`collective`] programs onto discrete-event tasks
+//! - [`core`]: the §3 description of a job — the GPU / node / cluster
+//!   hardware with a roofline compute-time model ([`core::cluster`]), GPT
+//!   model descriptions ([`core::model`]: Eq. 2 parameters, Eq. 3 FLOPs,
+//!   per-layer op lists, memory model), PTD-P `(p, t, d)` configurations
+//!   with the rank mapping, the one layout enumerator and the §3 closed
+//!   forms ([`core::parallel`]), and the simulated NVLink / InfiniBand
+//!   network that lowers [`collective`] programs onto discrete-event tasks
 //!   ([`core::net`]) — plus the end-to-end training-iteration simulation
 //!   producing the paper's reported metrics, and everything priced with
 //!   it: the §3 configuration heuristics, the ZeRO-3 baseline (§5.2), and
@@ -36,7 +35,6 @@
 //! - [`telemetry`]: per-rank span tracing, metrics, shared Chrome-trace
 //!   export, and the cross-rank critical-path / time-attribution analyzer.
 
-pub use megatron_cluster as cluster;
 pub use megatron_collective as collective;
 pub use megatron_core as core;
 pub use megatron_data as data;

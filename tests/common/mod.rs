@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use megatron_repro::cluster::{ClusterSpec, GpuSpec, NodeSpec};
+use megatron_repro::core::cluster::{ClusterSpec, GpuSpec, NodeSpec};
 use megatron_repro::core::elastic::rank_layouts;
 use megatron_repro::core::model::GptConfig;
 use megatron_repro::core::parallel::ParallelConfig;

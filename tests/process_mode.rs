@@ -161,7 +161,7 @@ fn sigkilled_rank_process_classified_dead() {
     let victim_key = spec.thread_key(victim);
     let killed = Instant::now();
     let report = loop {
-        let report = monitor.classify(25.0);
+        let report = monitor.classify();
         if report.dead().contains(&victim_key) {
             break report;
         }

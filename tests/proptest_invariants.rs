@@ -2,7 +2,7 @@
 //! rests on. Each property draws its parameters from a seeded RNG over a
 //! fixed number of cases, so failures are exactly reproducible.
 
-use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::cluster::ClusterSpec;
 use megatron_repro::core::model::{memory, GptConfig};
 use megatron_repro::core::net::{analytical, Network};
 use megatron_repro::core::parallel::{analysis, RankMapper};

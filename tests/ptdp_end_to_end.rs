@@ -1,7 +1,7 @@
 //! Cross-crate integration: heuristic configuration → end-to-end simulated
 //! iteration → paper-band assertions.
 
-use megatron_repro::cluster::ClusterSpec;
+use megatron_repro::core::cluster::ClusterSpec;
 use megatron_repro::core::model::zoo;
 use megatron_repro::core::parallel::{ConfigError, ParallelConfig};
 use megatron_repro::core::{heuristics, RunError, TrainingOptions, TrainingRun};

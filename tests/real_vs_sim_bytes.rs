@@ -11,8 +11,8 @@
 
 use std::collections::HashMap;
 
-use megatron_repro::cluster::ClusterSpec;
 use megatron_repro::collective::Program;
+use megatron_repro::core::cluster::ClusterSpec;
 use megatron_repro::core::net::Network;
 use megatron_repro::dist::{CollectiveOp, PtdpSpec, PtdpTrainer, RankCommOps, ThreadKey, TrainLog};
 use megatron_repro::sim::DagSim;

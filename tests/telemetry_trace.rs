@@ -13,7 +13,7 @@ use megatron_core::parallel::analysis;
 use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl, BYTES_F32};
 use megatron_sim::json::Json;
 use megatron_telemetry::{
-    chrome_trace_json, rank_pid, rank_usage, GpuSpec, SinkConfig, SpanKind, TelemetrySink,
+    chrome_trace_json, rank_pid, rank_usage, SinkConfig, SpanKind, TelemetrySink,
 };
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
@@ -49,7 +49,6 @@ fn run(
     let sink = TelemetrySink::new(SinkConfig {
         world: spec.world(),
         flops_per_iteration: mirror().flops_per_iteration_eq3(batch as u64),
-        gpu: Some(GpuSpec::a100_80gb()),
     });
     let mut rng = StdRng::seed_from_u64(42);
     let master = GptModel::new(CFG, &mut rng);
@@ -151,7 +150,6 @@ fn jsonl_snapshots_report_throughput_and_bubble() {
         assert_eq!(v["epoch"].as_f64(), Some(0.0));
         assert!(v["seconds"].as_f64().unwrap() > 0.0);
         assert!(v["gauges"]["achieved_tflops_per_gpu"].as_f64().unwrap() > 0.0);
-        assert!(v["gauges"]["mfu"].as_f64().unwrap() > 0.0);
         let bub = v["gauges"]["bubble_fraction"].as_f64().unwrap();
         assert!((0.0..1.0).contains(&bub), "bubble fraction {bub}");
         assert_eq!(
