@@ -72,8 +72,8 @@ fn bytes_where(dag: &TraceDag, rank: usize, pred: impl Fn(&str) -> bool) -> f64 
 }
 
 /// Minor page faults, CPU time and context switches on each rank's thread
-/// per steady-state iteration (all but a launch's first), from the ranks'
-/// telemetry counters.
+/// and the system calls of its socket node per steady-state iteration (all
+/// but a launch's first), from the ranks' telemetry counters.
 fn usage_report(usage: &[RankUsage]) -> String {
     let mut table = Table::new([
         "rank",
@@ -83,23 +83,31 @@ fn usage_report(usage: &[RankUsage]) -> String {
         "CPU ms / iter",
         "vol. switches / iter",
         "invol. switches / iter",
+        "polls / iter",
+        "reads / iter",
+        "writes / iter",
     ]);
     for u in usage {
-        table.row([
-            u.rank.to_string(),
-            u.iterations.to_string(),
-            u.faults.to_string(),
-            format!("{:.1}", u.faults_per_iteration()),
-            format!("{:.2}", u.cpu_ms_per_iteration()),
-            format!("{:.1}", u.switches_per_iteration().0),
-            format!("{:.1}", u.switches_per_iteration().1),
-        ]);
+        table.row(
+            [
+                u.rank.to_string(),
+                u.iterations.to_string(),
+                u.faults.to_string(),
+                format!("{:.1}", u.faults_per_iteration()),
+                format!("{:.2}", u.cpu_ms_per_iteration()),
+                format!("{:.1}", u.switches_per_iteration().0),
+                format!("{:.1}", u.switches_per_iteration().1),
+            ]
+            .into_iter()
+            .chain(u.socket_calls_per_iteration().map(|c| format!("{c:.1}"))),
+        );
     }
     format!(
-        "minor page faults, CPU time (user + kernel) and context switches\n\
-         (voluntary: the thread blocked; involuntary: it was preempted) per\n\
-         steady-state iteration, by rank (every iteration after a launch's\n\
-         first):\n{}\n",
+        "minor page faults, CPU time (user + kernel), context switches\n\
+         (voluntary: the thread blocked; involuntary: it was preempted) and\n\
+         the socket node's poll(2)s, reads and writes (0 on mailbox ranks)\n\
+         per steady-state iteration, by rank (every iteration after a\n\
+         launch's first):\n{}\n",
         table.render()
     )
 }
@@ -109,8 +117,9 @@ fn usage_report(usage: &[RankUsage]) -> String {
 pub const USAGE: &str = "repro analyze --merge-traces DIR [--out PATH]
   merge a process-mode run's per-rank rank-R.trace.json files (written by
   `repro launch --trace`) into one Chrome trace; default output is
-  DIR/merged.trace.json, and print each rank's page faults, CPU ms and
-  context switches per iteration from its rank-R.metrics.json";
+  DIR/merged.trace.json, and print each rank's page faults, CPU ms,
+  context switches and socket polls, reads and writes per iteration from
+  its rank-R.metrics.json";
 
 /// CLI entry: `repro analyze --merge-traces DIR [--out PATH]`.
 pub fn run(args: &[String]) -> Result<String, String> {

@@ -30,6 +30,9 @@
 
 use std::fmt;
 
+pub mod codec;
+pub use codec::{f32s_from, put_f32s};
+
 pub mod reliable;
 pub use reliable::{
     mix_seed, FaultTally, FaultyTransport, PollTransport, ReliableTransport, RetransmitStore,
@@ -37,7 +40,7 @@ pub use reliable::{
 };
 
 pub mod socket;
-pub use socket::{SocketChannel, SocketError, SocketNode, WireAddr};
+pub use socket::{SocketCalls, SocketChannel, SocketError, SocketNode, WireAddr};
 
 /// A contiguous element range `[lo, hi)` of the collective's buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,6 +13,14 @@
 //! hello frame :=  MAGIC : u64 LE | channel : u64 LE | src : u64 LE | pid : u64 LE
 //! ```
 //!
+//! The floats cross through the crate's byte codec ([`crate::codec`]): a
+//! send copies each part of its message into the frame whole
+//! ([`put_f32s`]), one copy per part, and the reader turns each complete
+//! frame's payload back into a `Vec<f32>` with one copy ([`f32s_from`]).
+//! The bytes are those of one `to_le_bytes` per float, which is what an
+//! `f32` in memory is on the little-endian targets the codec builds for
+//! (it refuses to build for any other).
+//!
 //! One [`SocketNode`] per process owns the listener and every connection of
 //! every [`SocketChannel`] in the process; no thread runs behind it. All
 //! sockets are non-blocking. A `send` appends its frame to the peer's queue
@@ -39,6 +47,11 @@
 //! the next connection", not instant death: a *dead process* surfaces as a
 //! deadline expiry, while a transient disconnect heals invisibly.
 //!
+//! The node counts the system calls it makes on its connections —
+//! `poll(2)` waits, reads and writes ([`SocketNode::calls`]) — under the
+//! lock it holds for them anyway; a traced rank process records them per
+//! steady iteration beside its context switches.
+//!
 //! Failure-injection hooks ([`SocketChannel::sever_outbound_after`],
 //! [`SocketChannel::sever_outbound_after_lossy`]) cut a connection
 //! mid-frame so the retransmission machinery of
@@ -46,7 +59,7 @@
 //! short write instead of a simulated one.
 
 use crate::reliable::PollTransport;
-use crate::Transport;
+use crate::{f32s_from, put_f32s, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::ffi::{c_int, c_short, c_ulong};
 use std::fmt;
@@ -107,6 +120,31 @@ fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
 /// The first `N` bytes of `b`, for a little-endian decode.
 fn le<const N: usize>(b: &[u8]) -> [u8; N] {
     b[..N].try_into().expect("a slice of exactly N bytes")
+}
+
+/// System calls a [`SocketNode`] made on its connections since it was
+/// bound, counted under the node's lock: every thread that uses the node
+/// (a rank process's training thread and its heartbeat beacon) adds to
+/// them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SocketCalls {
+    /// `poll(2)` waits.
+    pub polls: u64,
+    /// Reads of connected streams, hellos included.
+    pub reads: u64,
+    /// Writes to connected streams, hellos included.
+    pub writes: u64,
+}
+
+impl SocketCalls {
+    /// The calls made between `earlier` and `self`.
+    pub fn since(self, earlier: SocketCalls) -> SocketCalls {
+        SocketCalls {
+            polls: self.polls - earlier.polls,
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+        }
+    }
 }
 
 fn retryable(e: &io::Error) -> bool {
@@ -249,7 +287,7 @@ impl Outbound {
     /// Write queued chunks until the queue is empty, the kernel stops
     /// taking bytes, or the connection breaks. Dials first when there is no
     /// connection; a failed dial leaves everything queued for a later try.
-    fn flush(&mut self) {
+    fn flush(&mut self, calls: &mut SocketCalls) {
         loop {
             let bytes = match self.queue.front() {
                 None => return,
@@ -265,8 +303,10 @@ impl Outbound {
                     Ok(s) => self.stream = Some(s),
                     Err(_) => return,
                 }
+                calls.writes += 1;
             }
             let stream = self.stream.as_mut().expect("dialled above");
+            calls.writes += 1;
             match stream.write(&bytes[self.offset..]) {
                 Ok(n) if self.offset + n == bytes.len() => {
                     self.offset = 0;
@@ -316,7 +356,7 @@ struct Inbound {
 
 impl Inbound {
     /// One read from the front connection; complete frames move to `ready`.
-    fn read(&mut self) {
+    fn read(&mut self, calls: &mut SocketCalls) {
         let Some(stream) = self.conns.front_mut() else {
             return;
         };
@@ -325,6 +365,7 @@ impl Inbound {
             let grown = (2 * self.buf.len()).max(self.filled + READ_CHUNK);
             self.buf.resize(grown, 0);
         }
+        calls.reads += 1;
         match stream.read(&mut self.buf[self.filled..]) {
             Ok(0) => self.next_connection(),
             Ok(n) => {
@@ -345,9 +386,7 @@ impl Inbound {
             if end > self.filled {
                 break;
             }
-            let payload = self.buf[at + 4..end].chunks_exact(4);
-            let frame = payload.map(|b| f32::from_le_bytes(le(b)));
-            self.ready.push_back(frame.collect());
+            self.ready.push_back(f32s_from(&self.buf[at + 4..end]));
             at = end;
         }
         self.buf.copy_within(at..self.filled, 0);
@@ -387,6 +426,7 @@ struct Io {
     greeting: Vec<Greeting>,
     inbound: HashMap<(u64, usize), Inbound>,
     out: HashMap<(u64, usize), Outbound>,
+    calls: SocketCalls,
 }
 
 impl Io {
@@ -398,6 +438,7 @@ impl Io {
     /// Read hellos; file complete ones, drop garbage.
     fn greet(&mut self) {
         for mut g in std::mem::take(&mut self.greeting) {
+            self.calls.reads += 1;
             match g.stream.read(&mut g.hello[g.got..]) {
                 Ok(0) => continue,
                 Ok(n) => g.got += n,
@@ -470,12 +511,12 @@ impl Io {
                 End::Greeting => {}
                 End::In(key) => {
                     if let Some(i) = self.inbound.get_mut(&key) {
-                        i.read();
+                        i.read(&mut self.calls);
                     }
                 }
                 End::Out(key) => {
                     if let Some(o) = self.out.get_mut(&key) {
-                        o.flush();
+                        o.flush(&mut self.calls);
                     }
                 }
             }
@@ -485,7 +526,7 @@ impl Io {
         }
         for o in self.out.values_mut() {
             if o.stream.is_none() && !o.queue.is_empty() {
-                o.flush();
+                o.flush(&mut self.calls);
             }
         }
     }
@@ -525,6 +566,7 @@ impl SocketNode {
             greeting: Vec::new(),
             inbound: HashMap::new(),
             out: HashMap::new(),
+            calls: SocketCalls::default(),
         };
         Ok(SocketNode {
             addr: actual,
@@ -539,6 +581,11 @@ impl SocketNode {
 
     fn io(&self) -> MutexGuard<'_, Io> {
         self.io.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The system calls the node has made on its connections so far.
+    pub fn calls(&self) -> SocketCalls {
+        self.io().calls
     }
 
     /// Move the node's bytes until `ready` finds what the caller waits for,
@@ -558,6 +605,7 @@ impl SocketNode {
                 return None;
             }
             let redial = io.poll_set(&mut fds, &mut ends);
+            io.calls.polls += 1;
             drop(io);
             let sleep = deadline - now;
             poll_fds(
@@ -578,6 +626,19 @@ impl Drop for SocketNode {
             let _ = std::fs::remove_file(p);
         }
     }
+}
+
+/// The data frame of `parts`, sent as one message: the element count, then
+/// each part's floats copied in whole.
+fn data_frame(parts: &[&[f32]]) -> Vec<u8> {
+    let elems: usize = parts.iter().map(|p| p.len()).sum();
+    assert!(elems <= u32::MAX as usize, "frame too large");
+    let mut frame = Vec::with_capacity(4 + 4 * elems);
+    frame.extend_from_slice(&(elems as u32).to_le_bytes());
+    for part in parts {
+        put_f32s(&mut frame, part);
+    }
+    frame
 }
 
 /// One-shot injected failure: cut the connection to `to` once cumulative
@@ -754,26 +815,19 @@ impl Drop for SocketChannel {
 impl Transport for SocketChannel {
     type Error = SocketError;
 
-    /// Frame the parts as one message — encoded straight into the frame —
-    /// queue it and write what the kernel takes now; the rest goes out
-    /// during the next wait on the node. Never blocks on the receiver.
+    /// Frame the parts as one message (`data_frame`), queue it and write
+    /// what the kernel takes now; the rest goes out during the next wait on
+    /// the node. Never blocks on the receiver.
     fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error> {
-        let elems: usize = parts.iter().map(|p| p.len()).sum();
-        assert!(elems <= u32::MAX as usize, "frame too large");
         if let Some(d) = self.send_delay {
             std::thread::sleep(d);
         }
-        let mut frame = Vec::with_capacity(4 + 4 * elems);
-        frame.extend_from_slice(&(elems as u32).to_le_bytes());
-        for part in parts {
-            for v in *part {
-                frame.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        let frame = data_frame(parts);
         let cut = self.sever.as_mut().filter(|p| p.to == to);
         let cut = cut.and_then(|p| p.cut(frame.len()));
         let mut io = self.node.io();
-        let out = io.out.entry((self.chan, to)).or_insert_with(|| {
+        let Io { out, calls, .. } = &mut *io;
+        let out = out.entry((self.chan, to)).or_insert_with(|| {
             let addr = self.peers[to].clone();
             let mut hello = [0u8; HELLO_LEN];
             hello[0..8].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
@@ -810,7 +864,7 @@ impl Transport for SocketChannel {
                 }
             }
         }
-        out.flush();
+        out.flush(calls);
         Ok(())
     }
 
@@ -1151,6 +1205,162 @@ mod tests {
             assert_eq!(frame, vec![1.0, 2.0, 3.0]);
             assert!(misses >= 1, "expected at least one soft miss");
         });
+    }
+
+    /// A test stream that hands out `bytes` in reads of the given sizes
+    /// (cycled), then reports "nothing yet".
+    #[derive(Debug)]
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let left = self.bytes.len() - self.at;
+            if left == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.sizes[self.reads % self.sizes.len()]
+                .min(left)
+                .min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl AsRawFd for Trickle {
+        fn as_raw_fd(&self) -> RawFd {
+            -1
+        }
+    }
+
+    /// The frame format, one `to_le_bytes` per field and per float.
+    fn per_float_frame(xs: &[f32]) -> Vec<u8> {
+        let mut b = (xs.len() as u32).to_le_bytes().to_vec();
+        for x in xs {
+            b.extend_from_slice(&x.to_le_bytes());
+        }
+        b
+    }
+
+    #[test]
+    fn frames_torn_across_any_reads_come_out_whole() {
+        let mut frames: Vec<Vec<f32>> = [5, 0, 1, 300, 3, 64]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| seeded(k, n))
+            .collect();
+        frames[3][..4].copy_from_slice(&[
+            f32::from_bits(0x7fc0_1234),
+            -0.0,
+            f32::from_bits(1),
+            f32::NEG_INFINITY,
+        ]);
+        // The sender's frame is the per-float encoding, even when it is
+        // sent in parts.
+        let mut stream = Vec::new();
+        for f in &frames {
+            let (a, b) = f.split_at(f.len() / 3);
+            let sent = data_frame(&[a, &[], b]);
+            assert!(sent == per_float_frame(f), "the frame format moved");
+            stream.extend_from_slice(&sent);
+        }
+        let starts: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                let start = *at;
+                *at += 4 + 4 * f.len();
+                Some(start)
+            })
+            .collect();
+        let mut x = 0x2545_f491u32;
+        let seeded_sizes: Vec<usize> = (0..97)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                1 + x as usize % 23
+            })
+            .collect();
+        for sizes in [vec![1], seeded_sizes] {
+            // Where the reads end, as an offset into the frame they end in.
+            let (mut ends, mut at) = (Vec::new(), 0);
+            for k in 0.. {
+                at += sizes[k % sizes.len()];
+                if at >= stream.len() {
+                    break;
+                }
+                let start = starts.iter().rev().find(|&&s| s <= at).unwrap();
+                ends.push(at - start);
+            }
+            assert!(
+                ends.iter().any(|e| (1..4).contains(e)),
+                "no read tears a header"
+            );
+            assert!(
+                ends.iter().any(|e| *e > 4 && e % 4 != 0),
+                "no read tears a float"
+            );
+            let mut inbound = Inbound::default();
+            inbound.conns.push_back(Box::new(Trickle {
+                bytes: stream.clone(),
+                at: 0,
+                sizes: sizes.clone(),
+                reads: 0,
+            }));
+            let mut calls = SocketCalls::default();
+            for _ in 0..=stream.len() {
+                inbound.read(&mut calls);
+            }
+            assert_eq!(calls.reads, stream.len() as u64 + 1);
+            assert_eq!(inbound.filled, 0, "a frame is left half read");
+            let got: Vec<Vec<f32>> = inbound.ready.into_iter().collect();
+            let bits = |fs: &[Vec<f32>]| {
+                let each = |f: &Vec<f32>| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                fs.iter().map(each).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&frames), "read sizes {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn the_node_counts_its_polls_reads_and_writes() {
+        let (nodes, addrs) = uds_world("calls", 2);
+        let before: Vec<SocketCalls> = nodes.iter().map(|n| n.calls()).collect();
+        assert_eq!(before, [SocketCalls::default(); 2]);
+        std::thread::scope(|s| {
+            for (rank, node) in nodes.iter().enumerate() {
+                let node = Arc::clone(node);
+                let peers = peers_for(rank, &addrs);
+                s.spawn(move || {
+                    let mut ch = SocketChannel::new(node, 4, rank, peers);
+                    ch.set_deadline(Instant::now() + Duration::from_secs(10));
+                    ch.send(1 - rank, &[&[rank as f32; 8]]).unwrap();
+                    assert_eq!(ch.recv(1 - rank).unwrap(), [(1 - rank) as f32; 8]);
+                });
+            }
+        });
+        for node in &nodes {
+            let c = node.calls();
+            // A hello and a frame out; a hello and a frame in, and a poll
+            // at least before the reads.
+            assert!(c.writes >= 2 && c.reads >= 2 && c.polls >= 1, "{c:?}");
+            assert_eq!(c.since(c), SocketCalls::default());
+        }
     }
 
     #[test]

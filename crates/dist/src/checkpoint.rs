@@ -3,14 +3,16 @@
 //! layout.
 //!
 //! Every rank serializes its [`ThreadState`] (parameters + Adam moments,
-//! exact f32 bits) to its own shard file under a *generation* directory
-//! `gen-<next_iter>`. Each file is written atomically: temp file with a
-//! CRC-32 footer → rename, so a crash mid-write leaves a temp file, never a
-//! torn shard. A generation *is* its shards: once every rank of the world
-//! has one in the directory, the rank whose shard completed the generation
-//! (or, in process mode, the launcher's sweep) commits it by writing a
-//! manifest that records the (p, t, d) topology, the model config and the
-//! iteration — and nothing else. The manifest is the commit record: a
+//! exact f32 bits, each vector copied whole by the little-endian byte
+//! codec the socket frames use, [`megatron_collective::codec`]) to its own
+//! shard file under a *generation* directory `gen-<next_iter>`. Each file
+//! is written atomically: temp file with a CRC-32 footer → rename, so a
+//! crash mid-write leaves a temp file, never a torn shard. A generation
+//! *is* its shards: once every rank of the world has one in the directory,
+//! the rank whose shard completed the generation (or, in process mode, the
+//! launcher's sweep) commits it by writing a manifest that records the
+//! (p, t, d) topology, the model config and the iteration — and nothing
+//! else. The manifest is the commit record: a
 //! generation without one is invisible to the loader.
 //!
 //! Restore ([`CheckpointStore::load_latest`]) scans generations newest
@@ -45,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use megatron_collective::{f32s_from, put_f32s};
 use megatron_tensor::gpt::TinyGptConfig;
 use megatron_tensor::AdamState;
 
@@ -609,7 +612,10 @@ fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Little-endian binary encoder with a trailing CRC-32 footer.
+/// Little-endian binary encoder with a trailing CRC-32 footer. An `f32`
+/// vector is copied in whole by the socket frames' codec
+/// ([`megatron_collective::put_f32s`]): the same bytes as one `to_le_bytes`
+/// per float, pinned by `shard_bytes_equal_the_per_float_encoding`.
 struct Enc {
     buf: Vec<u8>,
 }
@@ -629,12 +635,11 @@ impl Enc {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
+    /// A length-prefixed vector: `len : u64 LE | len × f32 LE`.
     fn f32s(&mut self, xs: &[f32]) {
         self.buf.reserve(8 + 4 * xs.len());
         self.u64(xs.len() as u64);
-        for x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
+        put_f32s(&mut self.buf, xs);
     }
 
     fn topology(&mut self, spec: &PtdpSpec) {
@@ -661,7 +666,8 @@ impl Enc {
     }
 }
 
-/// Checked little-endian decoder over a fully CRC-validated buffer.
+/// Checked little-endian decoder over a fully CRC-validated buffer; an
+/// `f32` vector comes out with one copy ([`megatron_collective::f32s_from`]).
 struct Dec {
     buf: Vec<u8>,
     pos: usize,
@@ -728,11 +734,7 @@ impl Dec {
                 "implausible vector length {n}"
             )));
         }
-        let bytes = self.take(n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(f32s_from(self.take(n * 4)?))
     }
 
     fn topology(&mut self) -> Result<Topology, CheckpointError> {
@@ -867,6 +869,75 @@ pub(crate) mod tests {
             assert_eq!(got.adam.v, want.adam.v, "{key:?} v");
         }
         assert_generation_is_its_shards(&store, 4, &spec);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    /// A shard as the per-float encoder wrote it before the f32 codec: every
+    /// field and every float its own `to_le_bytes`, then the CRC-32 footer.
+    fn per_float_shard(
+        spec: &PtdpSpec,
+        key: ThreadKey,
+        next_iter: usize,
+        st: &ThreadState,
+    ) -> Vec<u8> {
+        let mut b = SHARD_MAGIC.to_vec();
+        let t = Topology::of(spec);
+        for x in [t.p, t.t, t.d, t.chunks] {
+            b.extend_from_slice(&x.to_le_bytes());
+        }
+        b.push(t.vocab_parallel as u8);
+        b.push(FULL_MOMENTS);
+        for x in [key.0, key.1, key.2, next_iter] {
+            b.extend_from_slice(&(x as u64).to_le_bytes());
+        }
+        b.extend_from_slice(&st.adam.t.to_le_bytes());
+        for xs in [&st.params, &st.adam.m, &st.adam.v] {
+            b.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+            for x in xs {
+                b.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+        let crc = crc32_bitwise(&b);
+        b.extend_from_slice(&crc.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn shard_bytes_equal_the_per_float_encoding() {
+        let (root, store) = tmp_store("per-float");
+        let mut spec = PtdpSpec::new(2, 2, 1);
+        spec.vocab_parallel = true;
+        let mut threads = synthetic_states(cfg(), &spec, 5);
+        // The floats a byte codec can get wrong, in every vector.
+        let awkward = [
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            -0.0,
+            f32::from_bits(1),
+            f32::NEG_INFINITY,
+            f32::MAX,
+        ];
+        for st in threads.values_mut() {
+            for xs in [&mut st.params, &mut st.adam.m, &mut st.adam.v] {
+                xs[..awkward.len()].copy_from_slice(&awkward);
+            }
+        }
+        save_generation(&store, &spec, 2, &threads);
+        for (key, st) in &threads {
+            let written = fs::read(store.gen_dir(2).join(shard_name(*key))).unwrap();
+            assert!(
+                written == per_float_shard(&spec, *key, 2, st),
+                "{key:?}: the shard's bytes moved"
+            );
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let r = store.load_latest(&spec, cfg()).unwrap();
+        for (key, want) in &threads {
+            let got = &r.snapshot.threads[key];
+            assert_eq!(bits(&got.params), bits(&want.params), "{key:?} params");
+            assert_eq!(bits(&got.adam.m), bits(&want.adam.m), "{key:?} m");
+            assert_eq!(bits(&got.adam.v), bits(&want.adam.v), "{key:?} v");
+        }
         let _ = fs::remove_dir_all(root);
     }
 

@@ -55,6 +55,6 @@ pub use supervisor::{
     SupervisorReport, ThreadBackend,
 };
 pub use trainer::{
-    KillSwitch, PtdpSpec, PtdpTrainer, RankCommOps, RankCommVolume, RunControl, StepSample,
-    ThreadKey, ThreadState, TrainError, TrainLog, TrainOutcome, TrainSnapshot,
+    KillSwitch, PtdpSpec, PtdpTrainer, RankCommOps, RankCommVolume, RunControl, ThreadKey,
+    ThreadState, TrainError, TrainLog, TrainOutcome, TrainSnapshot,
 };

@@ -88,7 +88,7 @@ impl RankOutput {
             volume: outcome.volume,
             tape_bytes: outcome.ops.total_bytes(spec.tensor, ti, spec.data, di),
             peak_stash: outcome.peak_stash,
-            steps: outcome.steps.len(),
+            steps: outcome.steps,
         }
     }
 

@@ -272,6 +272,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
         dg,
         ep,
         generations: None,
+        node: Some(Arc::clone(&node)),
     };
     let schedule = spec.schedule.build(p, microbatches);
     let outcome = run_rank(

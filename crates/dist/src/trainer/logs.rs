@@ -2,7 +2,7 @@
 //! what one rank returns ([`RankOutcome`]) and the fold of a world of them
 //! into what a run produces ([`TrainLog`], [`TrainOutcome`]), checkpoint
 //! state ([`TrainSnapshot`]), and the per-thread instrumentation records
-//! (step timings, comm volumes, and the replayable comm-op tape).
+//! (iterations completed, comm volumes, and the replayable comm-op tape).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,21 +15,6 @@ use crate::checkpoint::CheckpointStore;
 use crate::comm::{CollectiveOp, CommError, CommVolume, StallContext, TransportConfig};
 
 use super::spec::ThreadKey;
-
-/// One timed training step of one thread. Samples are indexed by
-/// (incident `epoch`, absolute `iteration`), so a run resumed after a
-/// supervisor restart never interleaves its timings with the pre-failure
-/// attempt's — a plain `Vec<f64>` lost that provenance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepSample {
-    /// Supervisor incident epoch (attempt number; 0 for a clean run). Set
-    /// from [`RunControl::epoch`].
-    pub epoch: usize,
-    /// Absolute iteration index into the run's data.
-    pub iteration: usize,
-    /// Wall-clock seconds the step took on this thread.
-    pub seconds: f64,
-}
 
 /// Per-thread communication totals for one run: tensor-group and
 /// data-parallel-group collective volumes (measured transport bytes, f32)
@@ -107,8 +92,8 @@ pub(crate) struct RankOutcome {
     /// One slot per iteration of the run; non-zero where this rank owns the
     /// reported loss (last stage, tensor rank 0, replica 0) and got there.
     pub(crate) losses: Vec<f32>,
-    /// One sample per iteration completed.
-    pub(crate) steps: Vec<StepSample>,
+    /// Iterations completed.
+    pub(crate) steps: usize,
     /// Peak stashed-activation floats.
     pub(crate) peak_stash: usize,
     /// Transport-measured volume, comm-op tape and final parameters — read
@@ -161,9 +146,9 @@ pub struct TrainLog {
     /// (GPipe stashes m microbatches, 1F1B at most p, recompute only the
     /// chunk inputs).
     pub peak_stash_floats: HashMap<ThreadKey, usize>,
-    /// Wall-clock step samples per thread, tagged (epoch, iteration): which
-    /// iterations each rank executed, and in which incident epoch.
-    pub step_times: HashMap<ThreadKey, Vec<StepSample>>,
+    /// Iterations each thread completed in this run (a resumed run counts
+    /// from its restore point; a failed rank up to where it stopped).
+    pub steps: HashMap<ThreadKey, usize>,
     /// Communication volume per thread (threads that completed the run).
     pub comm_volumes: HashMap<ThreadKey, RankCommVolume>,
     /// Replayable comm-op tape per thread (threads that completed the
@@ -222,8 +207,8 @@ pub struct RunControl {
     /// commits it (writes the manifest).
     pub durable: Option<Arc<CheckpointStore>>,
     /// Incident epoch this run belongs to (the supervisor's attempt
-    /// counter). Tags every [`StepSample`] and telemetry span, so samples
-    /// from different restart attempts never interleave.
+    /// counter). Tags every telemetry span and iteration record, so those
+    /// of different restart attempts never interleave.
     pub epoch: usize,
     /// Telemetry sink: when set, every thread records per-microbatch
     /// fwd/bwd/comm/opt/checkpoint/bubble spans and the run feeds the
@@ -310,7 +295,7 @@ pub struct TrainOutcome {
 
 impl TrainOutcome {
     /// Fold a world of rank outcomes, in flat-rank order, into the run's
-    /// outcome. Losses, step samples and peak stash are kept from every
+    /// outcome. Losses, step counts and peak stash are kept from every
     /// rank, failed ones included — on a failed run they are the best
     /// record there is; volumes, tapes and parameters only from ranks that
     /// finished.
@@ -332,7 +317,7 @@ impl TrainOutcome {
         };
         for r in ranks {
             log.peak_stash_floats.insert(r.key, r.peak_stash);
-            log.step_times.insert(r.key, r.steps);
+            log.steps.insert(r.key, r.steps);
             if r.error.is_none() {
                 log.final_params.insert(r.key, r.params);
                 log.comm_volumes.insert(r.key, r.volume);

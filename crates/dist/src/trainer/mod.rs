@@ -45,8 +45,8 @@ mod worker;
 mod tests;
 
 pub use logs::{
-    KillSwitch, RankCommOps, RankCommVolume, RunControl, StepSample, ThreadState, TrainError,
-    TrainLog, TrainOutcome, TrainSnapshot,
+    KillSwitch, RankCommOps, RankCommVolume, RunControl, ThreadState, TrainError, TrainLog,
+    TrainOutcome, TrainSnapshot,
 };
 pub use spec::{PtdpSpec, ThreadKey};
 
@@ -185,6 +185,7 @@ impl PtdpTrainer {
                         dg: data_groups[&(pi, ti)].member(di),
                         ep: endpoints.remove(&key).unwrap(),
                         generations: Some(&generations),
+                        node: None,
                     };
                     let (master, schedule) = (&self.master, &schedule);
                     scope.spawn(move || run_rank(key, spec, master, schedule, data, wiring, ctl))

@@ -12,9 +12,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::Instant;
 
-use megatron_collective::{chunk_of, SocketChannel, Transport};
+use megatron_collective::{chunk_of, SocketCalls, SocketChannel, SocketNode, Transport};
 use megatron_schedule::{Pass, PipeOp, PipelineSchedule};
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
@@ -26,9 +27,7 @@ use crate::checkpoint::CheckpointError;
 use crate::comm::{CommPanic, CommVolume, GroupMember, StallContext, BYTES_F32};
 
 use super::generations::GenerationAssembler;
-use super::logs::{
-    RankCommOps, RankCommVolume, RankOutcome, RunControl, StepSample, ThreadState, TrainError,
-};
+use super::logs::{RankCommOps, RankCommVolume, RankOutcome, RunControl, ThreadState, TrainError};
 use super::model::{build_thread_model, ChunkCache, DLogits, HeadCache, HeadShard, ThreadModel};
 use super::spec::{PtdpSpec, ThreadKey};
 
@@ -151,6 +150,9 @@ pub(crate) struct Wiring<'a> {
     /// `None` in a rank process: it writes its own durable shard and the
     /// launcher, which sees every rank's, commits.
     pub(crate) generations: Option<&'a GenerationAssembler>,
+    /// A rank process's socket node, whose system calls the rank's
+    /// telemetry counts; `None` on a rank thread (mailbox wires).
+    pub(crate) node: Option<Arc<SocketNode>>,
 }
 
 /// Open a telemetry span that ends when the guard is closed or dropped
@@ -366,6 +368,7 @@ impl Rank<'_> {
         for (iter, (tokens, targets)) in data.iter().enumerate().skip(first) {
             let iter_start = Instant::now();
             let usage_at_start = ctl.telemetry.as_ref().and_then(|_| thread_usage());
+            let calls_at_start = self.socket_calls();
             if let Some(tracer) = &self.tracer {
                 tracer.set_iteration(iter, ctl.epoch);
             }
@@ -417,21 +420,15 @@ impl Rank<'_> {
                 // first time; the ones after it should take no fresh pages.
                 if iter > first {
                     if let (Some(a), Some(b)) = (usage_at_start, thread_usage()) {
-                        sink.record_rank_usage(flat_rank, b.since(a));
+                        let calls = self.socket_calls().since(calls_at_start);
+                        sink.record_rank_usage(flat_rank, b.since(a), calls);
                     }
                 }
                 if owns_loss && di == 0 {
                     sink.record_iteration(ctl.epoch, iter, seconds);
                 }
             }
-            // Samples carry (incident epoch, iteration) so a supervisor
-            // restart can't interleave its timings with the ones recorded
-            // before the fault.
-            self.out.steps.push(StepSample {
-                epoch: ctl.epoch,
-                iteration: iter,
-                seconds,
-            });
+            self.out.steps += 1;
             // Liveness beacon: one beat per completed iteration (the natural
             // heartbeat period of a training rank).
             if let Some(beat) = &ctl.on_beat {
@@ -477,6 +474,17 @@ impl Rank<'_> {
             ctx.identify(chan, lane_peer);
         }
         TrainError::PipelineBroken(ctx)
+    }
+
+    /// The system calls of the rank's socket node so far, when tracing (all
+    /// zero on a rank thread, or untraced).
+    fn socket_calls(&self) -> SocketCalls {
+        let node = self
+            .wiring
+            .node
+            .as_ref()
+            .filter(|_| self.ctl.telemetry.is_some());
+        node.map(|n| n.calls()).unwrap_or_default()
     }
 
     /// The deadline a socket lane operation started now gives up at: the

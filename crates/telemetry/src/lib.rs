@@ -9,9 +9,9 @@
 //!   step, checkpoint save, and pipeline-wait bubble;
 //! * **metrics** ([`MetricsRegistry`]): atomic counters / gauges /
 //!   log-bucket histograms with deterministic JSON snapshots — among them
-//!   each rank's minor page faults, CPU time and context switches per
-//!   steady-state iteration ([`thread_usage`], [`process_usage`],
-//!   [`rank_usage`]);
+//!   each rank's minor page faults, CPU time, context switches and socket
+//!   system calls per steady-state iteration ([`thread_usage`],
+//!   [`process_usage`], [`rank_usage`]);
 //! * **exporters** ([`chrome_trace_json`], [`TelemetrySink::metrics_jsonl`]):
 //!   Chrome/Perfetto trace JSON sharing `megatron-sim`'s event format so a
 //!   real run and its simulated twin open side by side, plus per-iteration
@@ -39,6 +39,7 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{OpenSpan, RankKey, RankTrace, RankTracer, Span, SpanArgs, SpanKind, TraceHub};
 pub use usage::{process_usage, rank_usage, thread_usage, RankUsage, ThreadUsage};
 
+use megatron_collective::SocketCalls;
 use megatron_sim::json::Json;
 use std::sync::{Arc, Mutex};
 
@@ -93,9 +94,19 @@ impl TelemetrySink {
     /// Counter name prefix: involuntary context switches of a rank's
     /// thread over the same iterations (`ivcsw.rank{r}`).
     pub const INVOLUNTARY_SWITCHES: &'static str = "ivcsw";
+    /// Counter name prefix: `poll(2)` waits of a rank process's socket
+    /// node over the same iterations (`socket_polls.rank{r}`; 0 on a rank
+    /// thread, whose wires are mailboxes).
+    pub const SOCKET_POLLS: &'static str = "socket_polls";
+    /// Counter name prefix: reads of the node's connections over the same
+    /// iterations (`socket_reads.rank{r}`).
+    pub const SOCKET_READS: &'static str = "socket_reads";
+    /// Counter name prefix: writes to the node's connections over the same
+    /// iterations (`socket_writes.rank{r}`).
+    pub const SOCKET_WRITES: &'static str = "socket_writes";
     /// Counter name prefix: the steady-state iterations behind
-    /// [`TelemetrySink::MINOR_FAULTS`], [`TelemetrySink::CPU_US`] and the
-    /// switch counters (`steady_iterations.rank{r}`).
+    /// [`TelemetrySink::MINOR_FAULTS`], [`TelemetrySink::CPU_US`], the
+    /// switch and the socket counters (`steady_iterations.rank{r}`).
     pub const STEADY_ITERATIONS: &'static str = "steady_iterations";
 
     /// A fresh sink.
@@ -124,13 +135,17 @@ impl TelemetrySink {
     }
 
     /// Add one steady-state iteration of flat rank `rank`, which took
-    /// `used` faults, CPU time and context switches on the rank's thread.
-    pub fn record_rank_usage(&self, rank: usize, used: ThreadUsage) {
+    /// `used` faults, CPU time and context switches on the rank's thread
+    /// and `calls` on its socket node.
+    pub fn record_rank_usage(&self, rank: usize, used: ThreadUsage, calls: SocketCalls) {
         let counter = |prefix: &str| self.metrics.counter(&format!("{prefix}.rank{rank}"));
         counter(Self::MINOR_FAULTS).add(used.minor_faults);
         counter(Self::CPU_US).add(used.cpu_us);
         counter(Self::VOLUNTARY_SWITCHES).add(used.voluntary_switches);
         counter(Self::INVOLUNTARY_SWITCHES).add(used.involuntary_switches);
+        counter(Self::SOCKET_POLLS).add(calls.polls);
+        counter(Self::SOCKET_READS).add(calls.reads);
+        counter(Self::SOCKET_WRITES).add(calls.writes);
         counter(Self::STEADY_ITERATIONS).inc();
     }
 

@@ -1,13 +1,17 @@
-//! Page faults, CPU time and context switches per rank iteration: how much
-//! of a step the kernel spent handing the process fresh memory, how much
-//! CPU the rank's thread burned on it, and how often the thread gave up
-//! its core (to wait) or had it taken away.
+//! Page faults, CPU time, context switches and socket system calls per rank
+//! iteration: how much of a step the kernel spent handing the process fresh
+//! memory, how much CPU the rank's thread burned on it, how often the
+//! thread gave up its core (to wait) or had it taken away, and how many
+//! `poll(2)`s, reads and writes a rank process's socket node made.
 //!
-//! A rank thread reads [`thread_usage`] around each iteration and adds the
-//! difference with [`TelemetrySink::record_rank_usage`]; the counters live
+//! A rank reads [`thread_usage`] and its node's
+//! [`SocketNode::calls`](megatron_collective::SocketNode::calls) around
+//! each iteration and adds the differences with
+//! [`TelemetrySink::record_rank_usage`]; the counters live
 //! in the run's metrics snapshot, so [`rank_usage`] reads them back from a
 //! live sink and from a rank process's `rank-R.metrics.json` alike.
 
+use megatron_collective::SocketCalls;
 use megatron_sim::json::Json;
 
 use crate::TelemetrySink;
@@ -90,8 +94,8 @@ fn getrusage(_who: std::ffi::c_int) -> Option<ThreadUsage> {
     None
 }
 
-/// One rank's steady-state page faults, CPU time and context switches, as
-/// its counters recorded them.
+/// One rank's steady-state page faults, CPU time, context switches and
+/// socket calls, as its counters recorded them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankUsage {
     /// Flat rank.
@@ -104,6 +108,9 @@ pub struct RankUsage {
     pub voluntary_switches: u64,
     /// Involuntary context switches of the rank's thread over them.
     pub involuntary_switches: u64,
+    /// System calls of the rank's socket node over them (all zero on a
+    /// rank thread).
+    pub socket: SocketCalls,
     /// Steady-state iterations the rank ran.
     pub iterations: u64,
 }
@@ -128,10 +135,17 @@ impl RankUsage {
             self.involuntary_switches as f64 / n,
         )
     }
+
+    /// Socket `poll(2)`s, reads and writes per steady-state iteration.
+    pub fn socket_calls_per_iteration(&self) -> [f64; 3] {
+        let n = self.iterations.max(1) as f64;
+        let c = self.socket;
+        [c.polls, c.reads, c.writes].map(|x| x as f64 / n)
+    }
 }
 
-/// Every rank's steady-state faults, CPU time and switches in a metrics
-/// snapshot ([`crate::MetricsRegistry::snapshot`]), by flat rank.
+/// Every rank's steady-state faults, CPU time, switches and socket calls in
+/// a metrics snapshot ([`crate::MetricsRegistry::snapshot`]), by flat rank.
 pub fn rank_usage(snapshot: &Json) -> Vec<RankUsage> {
     let Json::Obj(counters) = &snapshot["counters"] else {
         return Vec::new();
@@ -156,6 +170,11 @@ pub fn rank_usage(snapshot: &Json) -> Vec<RankUsage> {
             cpu_us: of(TelemetrySink::CPU_US, rank),
             voluntary_switches: of(TelemetrySink::VOLUNTARY_SWITCHES, rank),
             involuntary_switches: of(TelemetrySink::INVOLUNTARY_SWITCHES, rank),
+            socket: SocketCalls {
+                polls: of(TelemetrySink::SOCKET_POLLS, rank),
+                reads: of(TelemetrySink::SOCKET_READS, rank),
+                writes: of(TelemetrySink::SOCKET_WRITES, rank),
+            },
             iterations: of(TelemetrySink::STEADY_ITERATIONS, rank),
         })
         .collect()
@@ -169,12 +188,12 @@ mod tests {
     #[test]
     fn rank_usage_reads_back_what_ranks_recorded() {
         let sink = TelemetrySink::new(SinkConfig::default());
-        for (rank, faults, cpu_us, vcsw, ivcsw) in [
-            (10, 3, 900, 4, 1),
-            (2, 0, 50, 0, 0),
-            (10, 5, 2100, 6, 0),
-            (2, 0, 0, 2, 7),
-            (2, 1, 10, 1, 2),
+        for (rank, faults, cpu_us, vcsw, ivcsw, polls) in [
+            (10, 3, 900, 4, 1, 0),
+            (2, 0, 50, 0, 0, 5),
+            (10, 5, 2100, 6, 0, 0),
+            (2, 0, 0, 2, 7, 1),
+            (2, 1, 10, 1, 2, 3),
         ] {
             sink.record_rank_usage(
                 rank,
@@ -183,6 +202,11 @@ mod tests {
                     cpu_us,
                     voluntary_switches: vcsw,
                     involuntary_switches: ivcsw,
+                },
+                SocketCalls {
+                    polls,
+                    reads: 2 * polls,
+                    writes: polls + 1,
                 },
             );
         }
@@ -197,6 +221,11 @@ mod tests {
                     cpu_us: 60,
                     voluntary_switches: 3,
                     involuntary_switches: 9,
+                    socket: SocketCalls {
+                        polls: 9,
+                        reads: 18,
+                        writes: 12
+                    },
                     iterations: 3
                 },
                 RankUsage {
@@ -205,6 +234,11 @@ mod tests {
                     cpu_us: 3000,
                     voluntary_switches: 10,
                     involuntary_switches: 1,
+                    socket: SocketCalls {
+                        polls: 0,
+                        reads: 0,
+                        writes: 2
+                    },
                     iterations: 2
                 },
             ]
@@ -214,6 +248,8 @@ mod tests {
         assert_eq!(read[0].cpu_ms_per_iteration(), 0.02);
         assert_eq!(read[0].switches_per_iteration(), (1.0, 3.0));
         assert_eq!(read[1].switches_per_iteration(), (5.0, 0.5));
+        assert_eq!(read[0].socket_calls_per_iteration(), [3.0, 6.0, 4.0]);
+        assert_eq!(read[1].socket_calls_per_iteration(), [0.0, 0.0, 1.0]);
         assert!(
             rank_usage(&TelemetrySink::new(SinkConfig::default()).metrics.snapshot()).is_empty()
         );

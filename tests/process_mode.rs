@@ -92,7 +92,7 @@ fn processes_match_threads(job: &JobSpec, tag: &str) {
             "peak stash differs at {key:?}"
         );
         assert_eq!(o.steps, job.iters, "rank {key:?} finished every step");
-        assert_eq!(o.steps, log.step_times[key].len());
+        assert_eq!(o.steps, log.steps[key]);
         total_bytes += o.volume.total_bytes();
     }
     assert!(total_bytes > 0.0, "run moved no bytes — vacuous identity");

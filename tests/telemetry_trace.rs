@@ -169,13 +169,20 @@ fn every_rank_counts_faults_over_its_steady_state_iterations() {
     let usage = rank_usage(&sink.metrics.snapshot());
     // One row per rank; the first iteration is warm-up and not counted.
     // The fault counts are the allocator's business, not asserted; every
-    // rank computes, so every rank's thread used CPU time.
+    // rank computes, so every rank's thread used CPU time. Rank threads
+    // talk over mailboxes: no socket calls.
     let ranks: Vec<usize> = usage.iter().map(|u| u.rank).collect();
     assert_eq!(ranks, (0..spec.world()).collect::<Vec<_>>());
     assert!(
         usage
             .iter()
             .all(|u| u.iterations == iters as u64 - 1 && u.cpu_us > 0),
+        "{usage:?}"
+    );
+    assert!(
+        usage
+            .iter()
+            .all(|u| u.socket_calls_per_iteration() == [0.0; 3]),
         "{usage:?}"
     );
 }
