@@ -175,6 +175,21 @@ impl Program {
         self.rounds.len()
     }
 
+    /// Whether `rank`'s send in `round` may be lent ([`Transport::lend`]):
+    /// no recv of this rank, in that round or a later one, writes any
+    /// element of its range. Every round of a reduce-scatter, an
+    /// all-gather and a broadcast qualifies, and so does the all-gather
+    /// half of an all-reduce; its reduce-scatter half does not.
+    pub fn may_lend(&self, rank: usize, round: usize) -> bool {
+        let Some(snd) = self.rounds[round].steps[rank].send else {
+            return true;
+        };
+        self.rounds[round..]
+            .iter()
+            .filter_map(|r| r.steps[rank].recv)
+            .all(|rcv| !overlaps(snd.range, rcv.range))
+    }
+
     /// Structural soundness: every send pairs with exactly the recv of its
     /// destination rank in the same round (same range), every recv names a
     /// rank that sends to it, nobody sends to itself, and no rank's send
@@ -215,8 +230,7 @@ impl Program {
                     }
                 }
                 if let (Some(snd), Some(rcv)) = (step.send, step.recv) {
-                    let overlap = snd.range.lo < rcv.range.hi && rcv.range.lo < snd.range.hi;
-                    if overlap && !snd.range.is_empty() && !rcv.range.is_empty() {
+                    if overlaps(snd.range, rcv.range) {
                         return Err(format!("round {s}: rank {j} send/recv ranges overlap"));
                     }
                 }
@@ -224,6 +238,11 @@ impl Program {
         }
         Ok(())
     }
+}
+
+/// Whether two ranges share an element.
+fn overlaps(a: ChunkRange, b: ChunkRange) -> bool {
+    a.lo < b.hi && b.lo < a.hi && !a.is_empty() && !b.is_empty()
 }
 
 /// The exact ceil-partition: chunk `i` of `n` elements over `parts`.
@@ -484,6 +503,27 @@ pub fn hierarchical_all_reduce(r: usize, n: usize, local: usize, op: ReduceOp) -
     }
 }
 
+/// Messages of at least this many floats are lent, not copied: when a
+/// round's send range is final for its program ([`Program::may_lend`]),
+/// [`execute_segments`] hands the transport the sender's own slices
+/// ([`Transport::lend`]) and waits for the receiver to consume them before
+/// it returns. Smaller messages are copied.
+///
+/// The threshold is what that wait costs: the sender of a small message
+/// blocks at the end of its collective for a peer that may not be on a
+/// core. Measured with every message lent instead (2-vCPU AMX host), E36
+/// (`repro analyze`, four runs) read 30–33 voluntary context switches per
+/// rank and steady iteration (each run's mean over its 8 ranks) against
+/// 21–25 with this threshold, under which all of its messages are copied
+/// (involuntary ones: 4.3–6.7 against 3.6–5.4), and `ptd222_thread`, whose
+/// 4 Ki-float tensor-parallel messages it then lends, lost 7.5 % of its
+/// `tokens_per_s` (6 same-seed pairs, 0 of them better). Any value from
+/// 2¹³ to 2¹⁶ splits the benchmark's messages the same way: those
+/// tensor-parallel halves are copied; the ≈ 106 Ki-float data-parallel
+/// messages of the (2,2,2) job and the 1.7 Mi-float ones of `dp2_fat` are
+/// lent.
+pub const LEND_MIN: usize = 1 << 15;
+
 /// How a rank moves chunks: the pluggable wire under [`execute`]. `send`
 /// must not block on the receiver (the executor sends before it receives
 /// within a round, and round pacing comes from `recv` alone); `recv`
@@ -492,15 +532,38 @@ pub fn hierarchical_all_reduce(r: usize, n: usize, local: usize, op: ReduceOp) -
 /// Every wire holds this at any chunk size: the mailbox queue is
 /// unbounded, and the socket channel queues what the kernel does not take
 /// and writes it while its thread waits in a later `recv`.
+///
+/// A message travels as its parts (`&[&[f32]]`: a segmented collective's
+/// chunk of every segment), both ways. `send` copies them into whatever
+/// the wire carries; [`Transport::lend`] may instead queue the parts
+/// themselves. `recv` hands the received parts to the executor's combine,
+/// which reads each float once, straight from where the transport holds
+/// it.
 pub trait Transport {
     /// Transport failure (timeout, poisoned peer, closed channel, ...).
     type Error;
-    /// Enqueue one message for `to`: the concatenation of `parts` (a
-    /// segmented collective's chunks of every segment, copied once, into
-    /// the message itself).
+    /// Enqueue one message for `to`: the concatenation of `parts`, copied
+    /// before this returns.
     fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error>;
-    /// Dequeue the next message from `from`.
-    fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error>;
+    /// Enqueue one message for `to` that may refer to `parts` instead of a
+    /// copy of them. Only [`execute_segments`] calls this, for messages of
+    /// at least [`LEND_MIN`] floats. The default copies, through `send`;
+    /// the in-process mailbox lends.
+    ///
+    /// # Safety
+    /// Every slice of `parts` must stay valid and unwritten until the next
+    /// call of [`Transport::reclaim`] has returned.
+    unsafe fn lend(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error> {
+        self.send(to, parts)
+    }
+    /// Wait until the receivers have consumed every message lent since the
+    /// last call; revoke those still queued once the wait fails. Nothing
+    /// lent is referred to after this returns, `Ok` or `Err`.
+    fn reclaim(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// Dequeue the next message from `from` and hand its parts to `take`.
+    fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), Self::Error>;
 }
 
 /// A transport failure with the step context the ISSUE-grade diagnostics
@@ -555,15 +618,21 @@ pub fn execute<T: Transport>(
 /// Run `progs[k]` over segment `segs[k]`, every segment at once, as rank
 /// `rank` over `transport`. The programs must share their round structure
 /// (the same peers in every round — ring programs of any lengths do), so
-/// each round is **one** message: chunk `k`'s send range of every segment,
-/// concatenated, and one receive split back by the recv ranges. Every
+/// each round is **one** message: chunk `k`'s send range of every segment
+/// as its parts, and one receive split back by the recv ranges. Every
 /// element is combined exactly as running `progs[k]` over `segs[k]` alone
 /// would combine it, so the result equals the per-segment
 /// [`reference_run`]s bit for bit, and egress is their summed `sent_elems`.
 ///
 /// Within each round the rank first posts its send (non-blocking), then
-/// blocks on its recv and applies the combine rule. On a transport error
-/// the failing round and peer are reported via [`StepFailure`].
+/// blocks on its recv and applies the combine rule to the parts the
+/// transport hands over. A message of at least [`LEND_MIN`] floats whose
+/// ranges this rank does not write again ([`Program::may_lend`]) is lent
+/// ([`Transport::lend`]) instead of sent. Before this returns — with `Ok`,
+/// with `Err`, or by unwinding — it reclaims what it lent, so nothing
+/// refers to `segs` afterwards. On a transport error the failing round and
+/// peer are reported via [`StepFailure`]; a failed reclaim names the last
+/// round that lent and its peer.
 pub fn execute_segments<T: Transport>(
     progs: &[Program],
     rank: usize,
@@ -600,38 +669,160 @@ pub fn execute_segments<T: Transport>(
             error,
         }
     };
+    // From here on every access to the segments goes through these, so a
+    // range lent to a peer and a range this rank writes meanwhile are
+    // disjoint slices, never overlapping references.
+    let segs: Vec<Seg> = segs
+        .iter_mut()
+        .map(|seg| Seg {
+            base: seg.as_mut_ptr(),
+            len: seg.len(),
+        })
+        .collect();
+    let mut lender = Lender {
+        transport,
+        last_lend: None,
+    };
     for s in 0..rounds {
         // Peers agree, so every program has this step iff the lead does.
         let step = |prog: &Program| prog.rounds[s].steps[rank];
         if let Some(snd) = step(lead).send {
+            // SAFETY: nothing writes a send range while the message is
+            // read: a sent message is copied before `send` returns, and a
+            // lent one is covered below.
             let parts: Vec<&[f32]> = progs
                 .iter()
-                .zip(segs.iter())
-                .map(|(prog, seg)| {
-                    let range = step(prog).send.expect("peers agree").range;
-                    &seg[range.lo..range.hi]
-                })
+                .zip(&segs)
+                .map(|(prog, seg)| unsafe { seg.read(step(prog).send.expect("peers agree").range) })
                 .collect();
-            report.sent_elems += parts.iter().map(|part| part.len()).sum::<usize>();
-            transport.send(snd.to, &parts).map_err(fail(s, snd.to))?;
+            let elems: usize = parts.iter().map(|part| part.len()).sum();
+            report.sent_elems += elems;
+            let sent = if elems >= LEND_MIN && progs.iter().all(|prog| prog.may_lend(rank, s)) {
+                lender.last_lend = Some((s, snd.to));
+                // SAFETY: by `may_lend`, no recv of this rank from this
+                // round on writes these ranges, and `lender` reclaims them
+                // before this function returns or unwinds.
+                unsafe { lender.transport.lend(snd.to, &parts) }
+            } else {
+                lender.transport.send(snd.to, &parts)
+            };
+            sent.map_err(fail(s, snd.to))?;
         }
         if let Some(rcv) = step(lead).recv {
-            let data = transport.recv(rcv.from).map_err(fail(s, rcv.from))?;
-            let mut rest = &data[..];
-            for (prog, seg) in progs.iter().zip(segs.iter_mut()) {
-                let r = step(prog).recv.expect("peers agree");
-                assert!(
-                    rest.len() >= r.range.len(),
-                    "transport delivered a short message"
-                );
-                let chunk;
-                (chunk, rest) = rest.split_at(r.range.len());
-                r.combine.apply(&mut seg[r.range.lo..r.range.hi], chunk);
-            }
-            assert!(rest.is_empty(), "transport delivered a long message");
+            let combine = |parts: &[&[f32]]| {
+                let mut incoming = Incoming::new(parts);
+                for (prog, seg) in progs.iter().zip(&segs) {
+                    let r = step(prog).recv.expect("peers agree");
+                    // SAFETY: no range a peer may still read overlaps: a
+                    // lent one is never written from its round on, and a
+                    // sent one is not read after its send.
+                    incoming.combine_into(r.combine, unsafe { seg.write(r.range) });
+                }
+                incoming.finish();
+            };
+            lender
+                .transport
+                .recv(rcv.from, combine)
+                .map_err(fail(s, rcv.from))?;
         }
     }
+    if let Some((s, to)) = lender.last_lend.take() {
+        lender.transport.reclaim().map_err(fail(s, to))?;
+    }
     Ok(report)
+}
+
+/// A segment of [`execute_segments`] as a base pointer and a length.
+#[derive(Clone, Copy)]
+struct Seg {
+    base: *mut f32,
+    len: usize,
+}
+
+impl Seg {
+    fn check(self, range: ChunkRange) {
+        assert!(
+            range.lo <= range.hi && range.hi <= self.len,
+            "chunk range outside its segment"
+        );
+    }
+
+    /// `range` of the segment, to read.
+    ///
+    /// # Safety
+    /// Nothing may write `range` while the slice is in use.
+    unsafe fn read<'a>(self, range: ChunkRange) -> &'a [f32] {
+        self.check(range);
+        std::slice::from_raw_parts(self.base.add(range.lo), range.len())
+    }
+
+    /// `range` of the segment, to write.
+    ///
+    /// # Safety
+    /// Nothing else may read or write `range` while the slice is in use.
+    unsafe fn write<'a>(self, range: ChunkRange) -> &'a mut [f32] {
+        self.check(range);
+        std::slice::from_raw_parts_mut(self.base.add(range.lo), range.len())
+    }
+}
+
+/// Reclaims what `transport` lent when dropped, so no lent message
+/// outlives [`execute_segments`]'s borrow of the segments — also on an
+/// early error return and while unwinding.
+struct Lender<'t, T: Transport> {
+    transport: &'t mut T,
+    /// The round and peer of the last message lent and not yet reclaimed.
+    last_lend: Option<(usize, usize)>,
+}
+
+impl<T: Transport> Drop for Lender<'_, T> {
+    fn drop(&mut self) {
+        if self.last_lend.take().is_some() {
+            // The failure that ended the program is the one reported.
+            let _ = self.transport.reclaim();
+        }
+    }
+}
+
+/// A received message as one stream of floats: its parts in order, cut
+/// wherever the receiver's segments need.
+struct Incoming<'a> {
+    head: &'a [f32],
+    rest: std::slice::Iter<'a, &'a [f32]>,
+}
+
+impl<'a> Incoming<'a> {
+    fn new(parts: &'a [&'a [f32]]) -> Self {
+        Incoming {
+            head: &[],
+            rest: parts.iter(),
+        }
+    }
+
+    /// Combine the next `local.len()` floats into `local`.
+    fn combine_into(&mut self, combine: Combine, mut local: &mut [f32]) {
+        while !local.is_empty() {
+            if self.head.is_empty() {
+                self.head = self
+                    .rest
+                    .next()
+                    .expect("transport delivered a short message");
+                continue;
+            }
+            let n = self.head.len().min(local.len());
+            let (piece, head) = self.head.split_at(n);
+            let (into, tail) = std::mem::take(&mut local).split_at_mut(n);
+            combine.apply(into, piece);
+            (self.head, local) = (head, tail);
+        }
+    }
+
+    fn finish(mut self) {
+        assert!(
+            self.head.is_empty() && self.rest.all(|part| part.is_empty()),
+            "transport delivered a long message"
+        );
+    }
 }
 
 /// Serial reference interpreter: run `prog` over all ranks' buffers at
@@ -854,12 +1045,16 @@ mod tests {
                 edge.cv.notify_all();
                 Ok(())
             }
-            fn recv(&mut self, from: usize) -> Result<Vec<f32>, ()> {
+            fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), ()> {
                 let edge = &self.edges[self.rank * self.r + from];
                 let mut q = edge.q.lock().unwrap();
                 loop {
                     if let Some(data) = q.pop_front() {
-                        return Ok(data);
+                        // Cut where no segment boundary is: the executor
+                        // must stitch the pieces back together.
+                        let pieces: Vec<&[f32]> = data.chunks(3).collect();
+                        take(&pieces);
+                        return Ok(());
                     }
                     q = edge.cv.wait(q).unwrap();
                 }

@@ -265,8 +265,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         Ok(())
     }
 
-    fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error> {
-        self.inner.recv(from)
+    fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), Self::Error> {
+        self.inner.recv(from, take)
     }
 }
 
@@ -421,6 +421,54 @@ impl<'s, T: PollTransport> ReliableTransport<'s, T> {
             .next_expected += 1;
     }
 
+    /// The next payload from `from` in sequence order: off the wire, out
+    /// of the reorder store, or recovered from the retransmit store.
+    fn next_payload(&mut self, from: usize) -> Result<Vec<f32>, T::Error> {
+        let expected = self
+            .store
+            .edge(from, self.rank)
+            .lock()
+            .unwrap()
+            .next_expected;
+        if let Some(data) = self.pending[from].remove(&expected) {
+            self.advance(from);
+            return Ok(data);
+        }
+        let mut wait = self.policy.base_backoff;
+        loop {
+            match self.inner.recv_within(from, wait)? {
+                Some(frame) => {
+                    let (seq, data) = decode_frame(&frame);
+                    if seq < expected {
+                        // Duplicate of something already consumed (or
+                        // already recovered from the store).
+                        self.stats.duplicates_dropped += 1;
+                        continue;
+                    }
+                    if seq == expected {
+                        self.advance(from);
+                        return Ok(data.to_vec());
+                    }
+                    // Gap: `expected` was lost in flight. Stash this frame
+                    // and recover the missing one from the store (FIFO
+                    // guarantees the sender logged it before this frame).
+                    self.pending[from].insert(seq, data.to_vec());
+                    if let Some(data) = self.recover(from, expected) {
+                        return Ok(data);
+                    }
+                }
+                None => {
+                    // Poll miss: check the store, then back off.
+                    self.stats.retries += 1;
+                    if let Some(data) = self.recover(from, expected) {
+                        return Ok(data);
+                    }
+                    wait = (wait * 2).min(self.policy.max_backoff);
+                }
+            }
+        }
+    }
+
     /// Try to pull frame `expected` out of the shared store (budget
     /// permitting). On success the edge cursor is advanced atomically.
     fn recover(&mut self, from: usize, expected: u64) -> Option<Vec<f32>> {
@@ -465,50 +513,9 @@ impl<T: PollTransport> Transport for ReliableTransport<'_, T> {
         self.inner.send(to, &[&frame])
     }
 
-    fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error> {
-        let expected = self
-            .store
-            .edge(from, self.rank)
-            .lock()
-            .unwrap()
-            .next_expected;
-        if let Some(data) = self.pending[from].remove(&expected) {
-            self.advance(from);
-            return Ok(data);
-        }
-        let mut wait = self.policy.base_backoff;
-        loop {
-            match self.inner.recv_within(from, wait)? {
-                Some(frame) => {
-                    let (seq, data) = decode_frame(&frame);
-                    if seq < expected {
-                        // Duplicate of something already consumed (or
-                        // already recovered from the store).
-                        self.stats.duplicates_dropped += 1;
-                        continue;
-                    }
-                    if seq == expected {
-                        self.advance(from);
-                        return Ok(data.to_vec());
-                    }
-                    // Gap: `expected` was lost in flight. Stash this frame
-                    // and recover the missing one from the store (FIFO
-                    // guarantees the sender logged it before this frame).
-                    self.pending[from].insert(seq, data.to_vec());
-                    if let Some(data) = self.recover(from, expected) {
-                        return Ok(data);
-                    }
-                }
-                None => {
-                    // Poll miss: check the store, then back off.
-                    self.stats.retries += 1;
-                    if let Some(data) = self.recover(from, expected) {
-                        return Ok(data);
-                    }
-                    wait = (wait * 2).min(self.policy.max_backoff);
-                }
-            }
-        }
+    fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), Self::Error> {
+        take(&[&self.next_payload(from)?]);
+        Ok(())
     }
 }
 
@@ -569,10 +576,11 @@ mod tests {
             Ok(())
         }
 
-        fn recv(&mut self, from: usize) -> Result<Vec<f32>, ChanError> {
+        fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), ChanError> {
             loop {
                 if let Some(data) = self.recv_within(from, Duration::from_millis(5))? {
-                    return Ok(data);
+                    take(&[&data]);
+                    return Ok(());
                 }
             }
         }
@@ -940,7 +948,7 @@ mod tests {
             fn send(&mut self, _to: usize, _p: &[&[f32]]) -> Result<(), ()> {
                 Ok(())
             }
-            fn recv(&mut self, _from: usize) -> Result<Vec<f32>, ()> {
+            fn recv<F: FnOnce(&[&[f32]])>(&mut self, _from: usize, _take: F) -> Result<(), ()> {
                 unreachable!()
             }
         }

@@ -785,6 +785,14 @@ impl SocketChannel {
         self.send_delay = delay;
     }
 
+    /// The next frame from `from`, waiting until the deadline.
+    pub fn recv_frame(&mut self, from: usize) -> Result<Vec<f32>, SocketError> {
+        let key = (self.chan, from);
+        self.node
+            .wait(self.deadline, |io| io.take_frame(key))
+            .ok_or(SocketError::Deadline)
+    }
+
     /// The next frame from whichever peer has one first, as `(peer,
     /// frame)`, waiting until the deadline.
     pub fn recv_any(&mut self) -> Result<(usize, Vec<f32>), SocketError> {
@@ -868,11 +876,10 @@ impl Transport for SocketChannel {
         Ok(())
     }
 
-    fn recv(&mut self, from: usize) -> Result<Vec<f32>, Self::Error> {
-        let key = (self.chan, from);
-        self.node
-            .wait(self.deadline, |io| io.take_frame(key))
-            .ok_or(SocketError::Deadline)
+    /// Hand the next frame from `from`, as decoded, to `take`.
+    fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), Self::Error> {
+        take(&[&self.recv_frame(from)?]);
+        Ok(())
     }
 }
 
@@ -1020,7 +1027,7 @@ mod tests {
                         let (mut send_on, mut recv_on) =
                             (lane(20 + rank as u64), lane(21 - rank as u64));
                         send_on.send(1 - rank, &[big]).unwrap();
-                        recv_on.recv(1 - rank).unwrap()
+                        recv_on.recv_frame(1 - rank).unwrap()
                     })
                 })
                 .collect();
@@ -1058,7 +1065,9 @@ mod tests {
                 s.spawn(move || {
                     let mut ch = SocketChannel::new(node, 3, 1, peers);
                     ch.set_deadline(Instant::now() + Duration::from_secs(10));
-                    (0..3).map(|_| ch.recv(0).unwrap()).collect::<Vec<_>>()
+                    (0..3)
+                        .map(|_| ch.recv_frame(0).unwrap())
+                        .collect::<Vec<_>>()
                 })
             };
             sender.join().unwrap();
@@ -1168,7 +1177,7 @@ mod tests {
         let (nodes, addrs) = uds_world("dead", 2);
         let mut ch = SocketChannel::new(Arc::clone(&nodes[0]), 5, 0, peers_for(0, &addrs));
         ch.set_deadline(Instant::now() + Duration::from_millis(80));
-        assert_eq!(ch.recv(1), Err(SocketError::Deadline));
+        assert_eq!(ch.recv_frame(1), Err(SocketError::Deadline));
     }
 
     #[test]
@@ -1350,7 +1359,7 @@ mod tests {
                     let mut ch = SocketChannel::new(node, 4, rank, peers);
                     ch.set_deadline(Instant::now() + Duration::from_secs(10));
                     ch.send(1 - rank, &[&[rank as f32; 8]]).unwrap();
-                    assert_eq!(ch.recv(1 - rank).unwrap(), [(1 - rank) as f32; 8]);
+                    assert_eq!(ch.recv_frame(1 - rank).unwrap(), [(1 - rank) as f32; 8]);
                 });
             }
         });

@@ -10,7 +10,10 @@
 //! threads. Reduction work is spread across ranks — each combines its own
 //! incoming chunks — instead of serializing on one mutex per buffer, and
 //! every rank still ends bit-identical because the all-gather phase
-//! replicates the very chunks that were reduced.
+//! replicates the very chunks that were reduced. A message of at least
+//! [`LEND_MIN`](coll::LEND_MIN) floats is not even copied: the mailbox
+//! lends the sender's slices, and the receiver combines straight from them
+//! (`Transport::lend`).
 //!
 //! Per-member [`CommVolume`] tallies accumulate from the transport-level
 //! messages this rank actually sent, so "real bytes == simulated bytes" is
@@ -317,9 +320,54 @@ enum RawComm {
     Poisoned,
 }
 
+/// One message queued in a [`Mailbox`].
+enum Message {
+    /// A copy the queue owns.
+    Owned(Vec<f32>),
+    /// The sender's own slices ([`Transport::lend`]). The receiver reads
+    /// them under the mailbox lock, and the sender waits for them to leave
+    /// the queue — or takes them out — before its program returns.
+    Lent(Vec<LentPart>),
+}
+
+impl Message {
+    fn is_lent(&self) -> bool {
+        matches!(self, Message::Lent(_))
+    }
+
+    /// Hand the message's parts to `take`.
+    fn read<R>(&self, take: impl FnOnce(&[&[f32]]) -> R) -> R {
+        match self {
+            Message::Owned(data) => take(&[data]),
+            Message::Lent(parts) => {
+                // SAFETY: a lent message is read only while it is queued,
+                // under its mailbox's lock, and its sender keeps every part
+                // valid and unwritten until the message has left the queue
+                // (`Transport::lend`'s contract, kept by `reclaim`).
+                let parts: Vec<&[f32]> = parts
+                    .iter()
+                    .map(|p| unsafe { std::slice::from_raw_parts(p.ptr, p.len) })
+                    .collect();
+                take(&parts)
+            }
+        }
+    }
+}
+
+/// One slice of a lent message. A raw pointer, because the slice is
+/// borrowed from the sender's frame, not owned by the group.
+struct LentPart {
+    ptr: *const f32,
+    len: usize,
+}
+
+// SAFETY: the receiving thread dereferences a part only under the rules of
+// `Message::read`, while the sender keeps the floats alive and unwritten.
+unsafe impl Send for LentPart {}
+
 /// One directed point-to-point channel between two ranks of a group.
 struct Mailbox {
-    q: Mutex<VecDeque<Vec<f32>>>,
+    q: Mutex<VecDeque<Message>>,
     cv: Condvar,
 }
 
@@ -474,9 +522,10 @@ impl Group {
         }
     }
 
-    /// Enqueue one message — the concatenated `parts` — for `dst`
-    /// (non-blocking; mailboxes are unbounded).
-    fn post(&self, src: usize, dst: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
+    /// Enqueue `msg` for `dst` (non-blocking; mailboxes are unbounded). A
+    /// small message arrives here as the concatenation of its parts, a
+    /// large one as the sender's own slices (`MailTransport::lend`).
+    fn post(&self, src: usize, dst: usize, msg: Message) -> Result<(), RawComm> {
         if self.is_poisoned() {
             return Err(RawComm::Poisoned);
         }
@@ -484,32 +533,43 @@ impl Group {
         let Ok(mut q) = mb.q.lock() else {
             return Err(RawComm::Poisoned);
         };
-        q.push_back(parts.concat());
+        q.push_back(msg);
         mb.cv.notify_all();
         Ok(())
     }
 
-    /// Dequeue the next chunk sent from `src` to `dst`, waiting until
-    /// `deadline`. Queued data wins over poison (a completed send should
-    /// be consumable), and a deadline miss poisons the whole group. With a
-    /// `wait`, give up *softly* once it has passed: `Ok(None)` leaves the
-    /// group healthy so the reliable layer can recover the chunk from the
-    /// retransmit store and poll again.
-    fn fetch_within(
+    /// Dequeue the next message sent from `src` to `dst`, waiting until
+    /// `deadline`, and hand it to `take` — a lent one under the mailbox
+    /// lock, so that its sender, once it holds the lock and no longer sees
+    /// it queued, knows nobody reads it. Queued data wins over poison (a
+    /// completed send should be consumable), and a deadline miss poisons
+    /// the whole group. With a `wait`, give up *softly* once it has
+    /// passed: `Ok(None)` leaves the group healthy so the reliable layer
+    /// can recover the chunk from the retransmit store and poll again.
+    fn fetch_within<R>(
         &self,
         src: usize,
         dst: usize,
         wait: Option<Duration>,
         deadline: Instant,
-    ) -> Result<Option<Vec<f32>>, RawComm> {
+        take: impl FnOnce(&Message) -> R,
+    ) -> Result<Option<R>, RawComm> {
         let attempt_end = wait.map_or(deadline, |w| (Instant::now() + w).min(deadline));
         let mb = &self.mail[dst * self.size + src];
         let Ok(mut q) = mb.q.lock() else {
             return Err(RawComm::Poisoned);
         };
         loop {
-            if let Some(data) = q.pop_front() {
-                return Ok(Some(data));
+            if let Some(msg) = q.pop_front() {
+                if !msg.is_lent() {
+                    drop(q);
+                    return Ok(Some(take(&msg)));
+                }
+                let got = take(&msg);
+                drop(q);
+                // The sender may be waiting in `reclaim` for this message.
+                mb.cv.notify_all();
+                return Ok(Some(got));
             }
             if self.is_poisoned() {
                 return Err(RawComm::Poisoned);
@@ -527,6 +587,41 @@ impl Group {
                 Ok(pair) => pair.0,
                 Err(_) => return Err(RawComm::Poisoned),
             };
+        }
+    }
+
+    /// Wait until no message `src` lent is queued for `dst`. Once the group
+    /// is poisoned, `deadline` passes (which poisons it) or this thread
+    /// unwinds, take them out of the queue instead — at once, whatever
+    /// state the lock is in, so no lent part outlives the call.
+    fn reclaim(&self, src: usize, dst: usize, deadline: Instant) -> Result<(), RawComm> {
+        let mb = &self.mail[dst * self.size + src];
+        let mut q = mb.q.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if !q.iter().any(Message::is_lent) {
+                return Ok(());
+            }
+            let now = Instant::now();
+            let failure = if self.is_poisoned() || std::thread::panicking() {
+                Some(RawComm::Poisoned)
+            } else if now >= deadline {
+                Some(RawComm::Timeout)
+            } else {
+                None
+            };
+            if let Some(failure) = failure {
+                q.retain(|msg| !msg.is_lent());
+                drop(q);
+                if failure == RawComm::Timeout {
+                    self.poison_all();
+                }
+                return Err(failure);
+            }
+            q = mb
+                .cv
+                .wait_timeout(q, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 }
@@ -551,27 +646,74 @@ struct MailTransport<'a> {
     group: &'a Group,
     rank: usize,
     deadline: Instant,
+    /// Peers this rank lent a message to since the last reclaim.
+    lent_to: Vec<usize>,
+}
+
+impl<'a> MailTransport<'a> {
+    fn new(group: &'a Group, rank: usize, deadline: Instant) -> Self {
+        MailTransport {
+            group,
+            rank,
+            deadline,
+            lent_to: Vec::new(),
+        }
+    }
 }
 
 impl Transport for MailTransport<'_> {
     type Error = RawComm;
 
     fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
-        self.group.post(self.rank, to, parts)
+        self.group
+            .post(self.rank, to, Message::Owned(parts.concat()))
     }
 
-    fn recv(&mut self, from: usize) -> Result<Vec<f32>, RawComm> {
+    /// Queue the parts themselves: the receiver combines straight from
+    /// this rank's buffers.
+    unsafe fn lend(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
+        let parts = parts
+            .iter()
+            .map(|p| LentPart {
+                ptr: p.as_ptr(),
+                len: p.len(),
+            })
+            .collect();
+        self.group.post(self.rank, to, Message::Lent(parts))?;
+        if !self.lent_to.contains(&to) {
+            self.lent_to.push(to);
+        }
+        Ok(())
+    }
+
+    fn reclaim(&mut self) -> Result<(), RawComm> {
+        // Every peer's queue is cleared, whichever fails first.
+        let mut result = Ok(());
+        for to in std::mem::take(&mut self.lent_to) {
+            let reclaimed = self.group.reclaim(self.rank, to, self.deadline);
+            result = result.and(reclaimed);
+        }
+        result
+    }
+
+    fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), RawComm> {
         let got = self
             .group
-            .fetch_within(from, self.rank, None, self.deadline)?;
-        Ok(got.expect("an unbounded fetch ends with a chunk or an error"))
+            .fetch_within(from, self.rank, None, self.deadline, |msg| msg.read(take))?;
+        assert!(
+            got.is_some(),
+            "an unbounded fetch ends with a chunk or an error"
+        );
+        Ok(())
     }
 }
 
 impl PollTransport for MailTransport<'_> {
     fn recv_within(&mut self, from: usize, wait: Duration) -> Result<Option<Vec<f32>>, RawComm> {
         self.group
-            .fetch_within(from, self.rank, Some(wait), self.deadline)
+            .fetch_within(from, self.rank, Some(wait), self.deadline, |msg| {
+                msg.read(|parts| parts.concat())
+            })
     }
 }
 
@@ -594,8 +736,8 @@ impl Transport for SockTransport<'_> {
         self.chan.send(to, parts).map_err(raw_from_socket)
     }
 
-    fn recv(&mut self, from: usize) -> Result<Vec<f32>, RawComm> {
-        self.chan.recv(from).map_err(raw_from_socket)
+    fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), RawComm> {
+        self.chan.recv(from, take).map_err(raw_from_socket)
     }
 }
 
@@ -726,11 +868,8 @@ impl GroupMember {
             chan.set_deadline(Instant::now() + self.group.timeout);
             self.execute_wrapped(progs, segs, op_index, SockTransport { chan: &mut chan })
         } else {
-            let tp = MailTransport {
-                group: &self.group,
-                rank: self.rank,
-                deadline: Instant::now() + self.group.timeout,
-            };
+            let deadline = Instant::now() + self.group.timeout;
+            let tp = MailTransport::new(&self.group, self.rank, deadline);
             self.execute_wrapped(progs, segs, op_index, tp)
         };
         match result {
@@ -1344,6 +1483,109 @@ mod tests {
         for r in &results {
             assert_eq!(r, &vec![3.0, 6.0, 9.0, 12.0, 15.0]);
         }
+    }
+
+    #[test]
+    fn lending_rounds_are_the_ones_no_later_recv_writes() {
+        // Which rounds of the programs a group runs may lend: every round
+        // of a reduce-scatter, an all-gather and a broadcast, the
+        // all-gather half of an all-reduce and none of its reduce-scatter
+        // half. Every chunk is non-empty at these lengths.
+        // `lends[s][j]`: may rank `j` lend in round `s`?
+        let lends = |kind, r: usize| -> Vec<Vec<bool>> {
+            let prog = CollectiveOp {
+                kind,
+                elems: 7 * r + 3,
+            }
+            .program(r);
+            (0..prog.round_count())
+                .map(|s| (0..r).map(|j| prog.may_lend(j, s)).collect())
+                .collect()
+        };
+        for r in [2usize, 3, 5] {
+            let rounds = |n: usize, lend: bool| vec![vec![lend; r]; n];
+            for kind in [CollectiveKind::ReduceScatter, CollectiveKind::AllGather] {
+                assert_eq!(lends(kind, r), rounds(r - 1, true), "{kind:?} r={r}");
+            }
+            for root in 0..r {
+                let kind = CollectiveKind::Broadcast { root };
+                assert_eq!(lends(kind, r), rounds(2 * r - 2, true), "{kind:?} r={r}");
+            }
+            let mut all_reduce = rounds(r - 1, false);
+            all_reduce.extend(rounds(r - 1, true));
+            assert_eq!(lends(CollectiveKind::AllReduce, r), all_reduce, "r={r}");
+        }
+    }
+
+    /// Lent messages queued in any of `group`'s mailboxes.
+    fn lent_queued(group: &Group) -> usize {
+        let queued = |mb: &Mailbox| mb.q.lock().unwrap().iter().filter(|m| m.is_lent()).count();
+        group.mail.iter().map(queued).sum()
+    }
+
+    /// A broadcast of this length from rank 0 of two sends two lent
+    /// messages and receives none.
+    const LENT_BROADCAST: usize = 2 * coll::LEND_MIN;
+
+    #[test]
+    fn a_lender_whose_peer_never_receives_times_out_and_takes_its_messages_back() {
+        let group = Group::with_timeout(2, Duration::from_millis(100));
+        let root = group.member(0);
+        let _silent = group.member(1);
+        let mut buf = vec![1.0f32; LENT_BROADCAST];
+        let got = root.try_broadcast(&mut buf, 0);
+        let Err(CommError::Timeout(ctx)) = got else {
+            panic!("expected a timeout, got {got:?}");
+        };
+        assert_eq!((ctx.collective, ctx.peer), ("ring-broadcast", 1));
+        assert!(group.is_poisoned());
+        assert!(
+            group.mail[2].q.lock().unwrap().is_empty(),
+            "the peer's queue"
+        );
+        assert_eq!(lent_queued(&group), 0);
+    }
+
+    #[test]
+    fn a_lender_whose_peer_panics_mid_program_is_poisoned() {
+        // Rank 1 consumes the first lent message, then panics in its
+        // second receive; dropping its member poisons the group while rank
+        // 0 waits for that second message to be consumed.
+        struct PanicOnSecondRecv<'a>(MailTransport<'a>, usize);
+        impl Transport for PanicOnSecondRecv<'_> {
+            type Error = RawComm;
+            fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), RawComm> {
+                self.0.send(to, parts)
+            }
+            fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), RawComm> {
+                self.1 += 1;
+                assert!(self.1 < 2, "simulated failure mid-program");
+                self.0.recv(from, take)
+            }
+        }
+        let group = Group::with_timeout(2, Duration::from_secs(10));
+        let started = Instant::now();
+        let peer = {
+            let m = Arc::clone(&group).member(1);
+            thread::spawn(move || {
+                let deadline = started + Duration::from_secs(10);
+                let mut tp = PanicOnSecondRecv(MailTransport::new(&m.group, 1, deadline), 0);
+                let prog = coll::ring_broadcast(2, LENT_BROADCAST, 0);
+                let _ = coll::execute(&prog, 1, &mut vec![0.0; LENT_BROADCAST], &mut tp);
+                drop(m);
+            })
+        };
+        let mut buf = vec![1.0f32; LENT_BROADCAST];
+        assert_eq!(
+            group.member(0).try_broadcast(&mut buf, 0),
+            Err(CommError::Poisoned)
+        );
+        assert!(peer.join().is_err(), "rank 1 should have panicked");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "poisoned, not timed out"
+        );
+        assert_eq!(lent_queued(&group), 0);
     }
 
     fn run_group_cfg<T: Send>(

@@ -517,7 +517,7 @@ impl Rank<'_> {
                     self.spec.microbatch * self.master.cfg.seq,
                     self.master.cfg.hidden,
                 );
-                match chan.recv(0) {
+                match chan.recv_frame(0) {
                     Ok(data) if data.len() == shape.0 * shape.1 => {
                         Matrix::from_vec(shape.0, shape.1, data)
                     }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use megatron_repro::collective::{
     self as coll, chunk_of, reference_run, ReduceOp, RetryPolicy, SocketChannel, SocketNode,
-    TransientFaults, WireAddr,
+    TransientFaults, WireAddr, LEND_MIN,
 };
 use megatron_repro::core::parallel::analysis::ring_all_reduce_bytes;
 use megatron_repro::dist::{
@@ -295,9 +295,20 @@ fn segmented_data_parallel_step_matches_reference_bitwise() {
             .map(|s| s.iter().map(|x| x.to_bits()).collect())
             .collect()
     };
-    for mode in [Mode::Mailbox, Mode::Lossy, Mode::Socket] {
+    // The last pass adds a segment of `g · LEND_MIN` floats, so every
+    // message is lent: the mailbox queues the segments' own slices.
+    let passes = [
+        (Mode::Mailbox, false),
+        (Mode::Lossy, false),
+        (Mode::Socket, false),
+        (Mode::Mailbox, true),
+    ];
+    for (mode, lent) in passes {
         for g in [2, 3, 5, 7] {
-            let lens = [0, 1, g - 1, g + 1, 3 * g + 2, 16_411];
+            let mut lens = vec![0, 1, g - 1, g + 1, 3 * g + 2, 16_411];
+            if lent {
+                lens.push(g * LEND_MIN);
+            }
             let start = |r: usize| -> Vec<Vec<f32>> {
                 lens.iter()
                     .enumerate()
@@ -343,7 +354,7 @@ fn segmented_data_parallel_step_matches_reference_bitwise() {
                 (segs, means, step)
             });
             for (rank, (segs, means, vol)) in real.iter().enumerate() {
-                let at = format!("{mode:?} g={g} rank {rank}");
+                let at = format!("{mode:?} (lent: {lent}) g={g} rank {rank}");
                 assert_eq!(bits(segs), bits(&reference[rank]), "{at}: vs reference");
                 assert_eq!(bits(segs), bits(means), "{at}: vs all-reduce mean");
                 assert_eq!(
@@ -485,5 +496,77 @@ fn large_socket_all_reduce_matches_reference_bitwise() {
                 "{mode:?} g={g}: transport diverged from reference"
             );
         }
+    }
+}
+
+/// Run `prog` on a mailbox group of `prog.ranks` through `run`, from
+/// `start(rank)` on each rank, and compare every rank's buffer with
+/// `reference_run` bit for bit.
+fn mailbox_matches_reference(
+    name: &str,
+    prog: &coll::Program,
+    start: impl Fn(usize) -> Vec<f32> + Sync,
+    run: impl Fn(&GroupMember, &mut [f32]) + Sync,
+) {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let g = prog.ranks;
+    let mut reference: Vec<Vec<f32>> = (0..g).map(&start).collect();
+    reference_run(prog, &mut reference);
+    let same: Vec<bool> = with_group(Mode::Mailbox, g, |m| {
+        let mut buf = start(m.rank());
+        run(&m, &mut buf);
+        bits(&buf) == bits(&reference[m.rank()])
+    });
+    assert!(
+        same.iter().all(|&s| s),
+        "{name} g={g}: mailbox diverged from reference"
+    );
+}
+
+#[test]
+fn large_mailbox_collectives_match_reference_bitwise() {
+    // Every chunk here holds at least `LEND_MIN` floats, so the mailbox
+    // lends each round that may lend — all of a reduce-scatter, an
+    // all-gather and a broadcast, the all-gather half of an all-reduce and
+    // the last phase of a hierarchical one — and the receiver combines
+    // straight from the sender's buffer.
+    for g in SIZES {
+        // Non-divisible, and the shortest (last) chunk is exactly LEND_MIN.
+        let n = g * LEND_MIN + g - 1;
+        assert_eq!(chunk_of(n, g, g - 1).len(), LEND_MIN);
+        let seed = |r: usize| seeded(r, n);
+        let prog = coll::ring_all_reduce(g, n, ReduceOp::Sum);
+        mailbox_matches_reference("all-reduce sum", &prog, seed, |m, buf| {
+            m.try_all_reduce_sum(buf).unwrap()
+        });
+        let prog = coll::ring_all_reduce(g, n, ReduceOp::Max);
+        mailbox_matches_reference("all-reduce max", &prog, seed, |m, buf| {
+            m.try_all_reduce_max(buf).unwrap()
+        });
+        let prog = coll::ring_reduce_scatter(g, n, ReduceOp::Sum);
+        mailbox_matches_reference("reduce-scatter", &prog, seed, |m, buf| {
+            m.try_reduce_scatter_sum(&mut [buf]).unwrap()
+        });
+        let prog = coll::ring_all_gather(g, n);
+        let own = |r: usize| own_chunk_only(r, g, n);
+        mailbox_matches_reference("all-gather", &prog, own, |m, buf| {
+            m.try_all_gather(&mut [buf]).unwrap()
+        });
+        let prog = coll::ring_broadcast(g, n, g - 1);
+        mailbox_matches_reference("broadcast", &prog, seed, |m, buf| {
+            m.try_broadcast(buf, g - 1).unwrap()
+        });
+    }
+    // Hierarchical needs a composite group: 6 ranks as 3 nodes of 2 and 2
+    // nodes of 3, every sub-chunk at least LEND_MIN.
+    let n = 6 * LEND_MIN + 5;
+    for local in [2, 3] {
+        let prog = coll::hierarchical_all_reduce(6, n, local, ReduceOp::Sum);
+        mailbox_matches_reference(
+            "hierarchical",
+            &prog,
+            |r| seeded(r, n),
+            |m, buf| m.try_hierarchical_all_reduce_sum(buf, local).unwrap(),
+        );
     }
 }
