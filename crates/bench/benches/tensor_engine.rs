@@ -134,7 +134,6 @@ fn gemm_workload_shapes() {
         ("LM head, serial_wide (V=512)", 192, 256, 512),
         ("LM head dW, serial_wide", 256, 192, 512),
         ("qkv, dp2_fat (8 rows)", 8, 512, 1536),
-        ("decode, one row", 1, 256, 1024),
     ] {
         let mut rand = |r, c| Matrix::randn(r, c, 1.0, &mut rng);
         let (a, at, b, bt) = (rand(m, k), rand(k, m), rand(k, n), rand(n, k));

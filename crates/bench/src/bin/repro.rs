@@ -1,10 +1,10 @@
 //! Experiment driver: `repro <experiment>` regenerates one paper table or
 //! figure; `repro all` runs everything; `repro list` enumerates;
 //! `repro simulate ...` prices an arbitrary user configuration;
-//! `repro serving ...`, `launch`, `analyze` and `sentry` take flags.
+//! `launch`, `analyze` and `sentry` take flags.
 //! A registry experiment takes none: an extra argument is an error.
 
-use megatron_bench::{analyze, experiments, launch, sentry, serving, simulate_cli};
+use megatron_bench::{analyze, experiments, launch, sentry, simulate_cli};
 
 /// Print a report, or the error on stderr and exit 1.
 fn emit(result: Result<String, String>) {
@@ -37,13 +37,11 @@ fn main() {
                 println!("  {:<12} {}", e.name, e.paper_ref);
             }
             println!("\n{}", simulate_cli::USAGE);
-            println!("\n{}", serving::USAGE);
             println!("\n{}", launch::USAGE);
             println!("\n{}", analyze::USAGE);
             println!("\n{}", sentry::USAGE);
         }
         Some("sentry") => emit(sentry::run(&args[1..])),
-        Some("serving") if args.len() > 1 => emit(serving::run(&args[1..])),
         Some("launch") => emit(launch::run(&args[1..])),
         Some("analyze") if args.len() > 1 => emit(analyze::run(&args[1..])),
         Some("simulate") => emit(simulate_cli::run(&args[1..])),

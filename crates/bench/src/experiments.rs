@@ -175,11 +175,6 @@ pub fn all() -> Vec<Experiment> {
             run: crate::recovery::recovery,
         },
         Experiment {
-            name: "serving",
-            paper_ref: "E34: continuous-batched KV-cached serving over a real tensor group",
-            run: crate::serving::serving,
-        },
-        Experiment {
             name: "analyze",
             paper_ref: "E36: cross-rank critical path, time attribution, what-if bounds",
             run: || Ok(crate::analyze::analyze()),

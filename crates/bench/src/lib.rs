@@ -14,7 +14,6 @@ pub mod ledger;
 pub mod perf;
 pub mod recovery;
 pub mod sentry;
-pub mod serving;
 pub mod simulate_cli;
 pub mod table;
 pub mod timeline;

@@ -4,10 +4,10 @@
 //!
 //! ```json
 //! {
-//!   "bench": "serving",
+//!   "bench": "recovery",
 //!   "schema_version": 1,
-//!   "config": { "requests": 80, ... },
-//!   "metrics": { "tokens_per_sec": 41.2, ... }
+//!   "config": { "iters": 12, ... },
+//!   "metrics": { "thread_measured_goodput": 0.23, ... }
 //! }
 //! ```
 //!
@@ -56,7 +56,7 @@ mod tests {
     #[test]
     fn schema_roundtrips_and_sorts_keys() {
         let rec = bench_json(
-            "serving",
+            "recovery",
             vec![
                 ("requests".into(), Json::Num(80.0)),
                 ("tensor_parallel".into(), Json::Num(2.0)),
@@ -67,7 +67,7 @@ mod tests {
             ],
         );
         let parsed = Json::parse(&rec.to_string()).unwrap();
-        assert_eq!(parsed.get("bench").as_str(), Some("serving"));
+        assert_eq!(parsed.get("bench").as_str(), Some("recovery"));
         assert_eq!(
             parsed.get("schema_version").as_f64(),
             Some(BENCH_SCHEMA_VERSION)

@@ -313,7 +313,7 @@ mod tests {
 
     fn record(tput: f64, p99: f64) -> Json {
         bench_json(
-            "serving",
+            "recovery",
             vec![
                 ("requests".into(), Json::Num(80.0)),
                 ("tensor_parallel".into(), Json::Num(2.0)),
@@ -392,7 +392,7 @@ mod tests {
     fn missing_metric_is_a_regression() {
         let base = record(40.0, 0.25);
         let cur = bench_json(
-            "serving",
+            "recovery",
             vec![
                 ("requests".into(), Json::Num(80.0)),
                 ("tensor_parallel".into(), Json::Num(2.0)),

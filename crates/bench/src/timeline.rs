@@ -1,6 +1,6 @@
 //! The model and seeded data of the job `repro analyze` (E36) trains beside
 //! its simulator twin, and the one mapping from a trainer's job to the twin
-//! `megatron-core` prices (also used by E30 and serving).
+//! `megatron-core` prices (also used by E30).
 
 use megatron_core::cluster::{ClusterSpec, GpuSpec, NodeSpec};
 use megatron_core::model::GptConfig;

@@ -116,39 +116,6 @@ impl GptConfig {
         self.flops_per_iteration(batch, false)
     }
 
-    /// Inference FLOPs to decode one token with `context` tokens already in
-    /// the KV cache (the new token attends to `context + 1` positions).
-    /// Per layer: `24h²` dense work plus `4·(context+1)·h` attention
-    /// score/value work, then `2hV` for the logit row. Batch size 1 — the
-    /// per-row cost is what a serving scheduler multiplies by batch rows.
-    pub fn flops_per_decode_token(&self, context: u64) -> f64 {
-        let (l, h, v) = (
-            self.num_layers as f64,
-            self.hidden_size as f64,
-            self.vocab_size as f64,
-        );
-        let attended = (context + 1) as f64;
-        l * (24.0 * h * h + 4.0 * attended * h) + 2.0 * h * v
-    }
-
-    /// Inference FLOPs for a full prefill of `prompt` tokens followed by
-    /// sampling one token from the last position: the sum of
-    /// [`flops_per_decode_token`](Self::flops_per_decode_token) over each
-    /// position's context — causal attention makes prefill exactly the
-    /// batched union of the per-token decodes, except only one logit row is
-    /// computed.
-    pub fn flops_prefill(&self, prompt: u64) -> f64 {
-        let (l, h, v) = (
-            self.num_layers as f64,
-            self.hidden_size as f64,
-            self.vocab_size as f64,
-        );
-        let s = prompt as f64;
-        // Σ_{p=0..prompt-1} (p+1) = prompt(prompt+1)/2 attended positions.
-        let attended = s * (s + 1.0) / 2.0;
-        l * (24.0 * h * h * s + 4.0 * attended * h) + 2.0 * h * v
-    }
-
     /// Estimated end-to-end training time in seconds for `tokens` training
     /// tokens on `n_gpus` GPUs at `achieved_flops_per_gpu` (paper Eq. 4:
     /// `time ≈ 8TP/(nX)`).
@@ -250,45 +217,6 @@ mod tests {
         let cfg = GptConfig::paper("GPT 1T", 128, 25600, 160);
         let days = cfg.training_time_eq4(450e9, 3072.0, 163e12) / 86400.0;
         assert!((days - 84.0).abs() < 5.0, "got {days} days");
-    }
-
-    #[test]
-    fn prefill_is_sum_of_decodes_minus_extra_logits() {
-        let cfg = GptConfig::paper("m", 24, 2304, 24);
-        for prompt in [1u64, 7, 64, 2048] {
-            let decode_sum: f64 = (0..prompt).map(|p| cfg.flops_per_decode_token(p)).sum();
-            // Each decode step pays the 2hV logit row; prefill pays it once.
-            let extra_logits =
-                (prompt - 1) as f64 * 2.0 * cfg.hidden_size as f64 * cfg.vocab_size as f64;
-            let want = cfg.flops_prefill(prompt) + extra_logits;
-            assert!(
-                (decode_sum - want).abs() / want < 1e-12,
-                "prompt {prompt}: {decode_sum} vs {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn decode_flops_scale_with_context() {
-        let cfg = GptConfig::paper("m", 24, 2304, 24);
-        let short = cfg.flops_per_decode_token(0);
-        let long = cfg.flops_per_decode_token(2047);
-        assert!(long > short);
-        // The gap is exactly the extra attention reads: 4·Δctx·h per layer.
-        let want_gap = cfg.num_layers as f64 * 4.0 * 2047.0 * cfg.hidden_size as f64;
-        assert!(((long - short) - want_gap).abs() / want_gap < 1e-12);
-    }
-
-    #[test]
-    fn prefill_matches_training_forward_shape() {
-        // A full-seq prefill should cost on the order of one forward pass of
-        // the training formula at batch 1 (which counts all logit rows and
-        // both QKV-sized terms the same way).
-        let cfg = GptConfig::paper("m", 24, 2304, 24);
-        let prefill = cfg.flops_prefill(cfg.seq_len);
-        let train_fwd = cfg.flops_per_iteration(1, false) / 3.0;
-        let ratio = prefill / train_fwd;
-        assert!((0.5..=1.1).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! at each block entry) — the communication pattern the paper's §3.2 cost
 //! model charges for.
 
-use megatron_tensor::elementwise::causal_softmax_row;
-use megatron_tensor::gemm::{self, View};
 use megatron_tensor::gpt::Block;
 use megatron_tensor::layers::{
     bias_residual, gelu_backward, AttentionCache, AttentionCore, LayerNorm, LayerNormCache, Linear,
@@ -75,57 +73,7 @@ impl ParallelBlockCache {
     }
 }
 
-/// Per-sequence KV cache holding one block's local head shard: rows are
-/// token positions, columns are this rank's `heads_local · head_dim`
-/// key/value features. Appended to by [`ParallelBlock::forward_decode`];
-/// dropped wholesale when a sequence retires, freeing its slot.
-#[derive(Debug, Clone, Default)]
-pub struct BlockKv {
-    k: Vec<f32>,
-    v: Vec<f32>,
-    cols: usize,
-}
-
-impl BlockKv {
-    /// Empty cache for a shard with `cols = heads_local · head_dim`.
-    pub fn new(cols: usize) -> Self {
-        BlockKv {
-            k: Vec::new(),
-            v: Vec::new(),
-            cols,
-        }
-    }
-
-    /// Cached token positions.
-    pub fn len(&self) -> usize {
-        self.k.len().checked_div(self.cols).unwrap_or(0)
-    }
-
-    /// Whether any position is cached.
-    pub fn is_empty(&self) -> bool {
-        self.k.is_empty()
-    }
-
-    /// Total `f32` values held (KV-memory instrumentation).
-    pub fn float_count(&self) -> usize {
-        self.k.len() + self.v.len()
-    }
-
-    fn push(&mut self, krow: &[f32], vrow: &[f32]) {
-        debug_assert_eq!(krow.len(), self.cols);
-        self.k.extend_from_slice(krow);
-        self.v.extend_from_slice(vrow);
-    }
-}
-
 impl ParallelBlock {
-    /// Width of this rank's KV shard (`heads_local · head_dim`), i.e. the
-    /// column count of [`BlockKv`] caches fed to
-    /// [`forward_decode`](Self::forward_decode).
-    pub fn kv_cols(&self) -> usize {
-        self.heads_local * self.head_dim
-    }
-
     /// Extract rank `r` of `t`'s shard from a serial block with `heads`
     /// attention heads.
     pub fn from_serial(block: &Block, heads: usize, t: usize, r: usize) -> Self {
@@ -192,81 +140,6 @@ impl ParallelBlock {
                 g,
             },
         )
-    }
-
-    /// Incremental (KV-cached) forward for autoregressive decoding.
-    ///
-    /// `x` holds the new-token rows of several sequences concatenated:
-    /// `chunks[i] = (rows_i, cache_i)` says the next `rows_i` rows belong
-    /// to the sequence whose per-block cache (for *this* block) is
-    /// `cache_i`, already holding the sequence's earlier positions. Each
-    /// row's K/V shard is appended to the cache and its attention output
-    /// computed against the cached prefix **including itself** — the
-    /// causal row of the full-prefix computation.
-    ///
-    /// Bit-identity with [`forward`](Self::forward): every op here
-    /// replicates the training path's float-op order exactly — GEMM rows
-    /// are independent with a fixed k-order accumulation, LayerNorm /
-    /// bias / GeLU / residual are row-local, the attention below runs
-    /// `AttentionCore::forward`'s two products for a chunk's rows through
-    /// the same kernel on views of the cached rows (scores, then the same
-    /// scale + softmax row kernel over each row's causal prefix, then the
-    /// weighted value sum in position order), and a two-member all-reduce
-    /// is a plain commutative add. Hence for `t ∈ {1, 2}` decoding one
-    /// token at a time produces the same bits as re-running the whole
-    /// prefix.
-    pub fn forward_decode(
-        &self,
-        x: &Matrix,
-        chunks: &mut [(usize, &mut BlockKv)],
-        comm: &GroupMember,
-    ) -> Matrix {
-        let local = self.heads_local * self.head_dim;
-        debug_assert_eq!(x.rows(), chunks.iter().map(|c| c.0).sum::<usize>());
-        let (h1, _) = self.ln1.forward(x);
-        let qkv = self.qkv.forward(&h1);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut attn_out = Matrix::zeros(x.rows(), local);
-        let mut row0 = 0usize;
-        for (rows, kv) in chunks.iter_mut() {
-            debug_assert_eq!(kv.cols, local, "cache shard width mismatch");
-            // `first`: the position of the chunk's first row.
-            let (rows, first) = (*rows, kv.len());
-            if rows == 0 {
-                continue;
-            }
-            for r in row0..row0 + rows {
-                let (k_new, v_new) = qkv.row(r)[local..].split_at(local);
-                kv.push(k_new, v_new);
-            }
-            let live = kv.len();
-            for hs in (0..local).step_by(self.head_dim) {
-                // The chunk's rows of `AttentionCore::forward`'s two
-                // products, on this head's columns of the cached rows where
-                // they lie: row `i` is position `first + i`, its causal row
-                // the training path's, and the scores of later positions
-                // are masked to exactly 0.0, adding nothing to a finite sum.
-                let keys = View::new(&kv.k[hs..], live, self.head_dim, local, 1);
-                let values = View::new(&kv.v[hs..], live, self.head_dim, local, 1);
-                let q = qkv.block(row0, hs, rows, self.head_dim);
-                let mut scores = gemm::matmul_view(q, keys.t());
-                for i in 0..rows {
-                    causal_softmax_row(scores.row_mut(i), first + i + 1, scale);
-                }
-                let out = attn_out.block_mut(row0, hs, rows, self.head_dim);
-                gemm::matmul_to(scores.view(), values, out);
-            }
-            row0 += rows;
-        }
-        let mut x2 = self.proj.forward(&attn_out);
-        comm.all_reduce_sum(x2.as_mut_slice());
-        bias_residual(&mut x2, &self.proj_bias, x);
-        let (h2, _) = self.ln2.forward(&x2);
-        let (_, g) = self.fc1.forward_gelu(&h2);
-        let mut o = self.fc2.forward(&g);
-        comm.all_reduce_sum(o.as_mut_slice());
-        bias_residual(&mut o, &self.fc2_bias, &x2);
-        o
     }
 
     /// Backward pass; `dout` is replicated. Returns the (all-reduced,
@@ -367,107 +240,6 @@ mod tests {
                 assert!(d < 1e-4, "t={t} rank {ti}: diff {d}");
             }
         }
-    }
-
-    #[test]
-    fn cached_decode_bit_identical_to_full_forward() {
-        let mut r = rng();
-        // Odd sequence length and odd per-rank head count at t=2, so the
-        // all-reduce buffers and head splits are deliberately non-round.
-        let (h, heads, seq) = (12usize, 6usize, 5usize);
-        let block = Block::new(h, heads, &mut r);
-        let x = Matrix::randn(seq, h, 1.0, &mut r);
-        for t in [1usize, 2] {
-            let outs = with_group(t, |m| {
-                let pb = ParallelBlock::from_serial(&block, heads, t, m.rank());
-                let (full, _) = pb.forward(&x, 1, seq, &m);
-                // Incremental: one row at a time through the KV cache.
-                let mut kv = BlockKv::new(pb.kv_cols());
-                let mut parts = Vec::new();
-                for s in 0..seq {
-                    let xi = x.rows_slice(s, s + 1);
-                    let mut chunks = [(1usize, &mut kv)];
-                    parts.push(pb.forward_decode(&xi, &mut chunks, &m));
-                }
-                (full, Matrix::concat_rows(&parts))
-            });
-            for (rank, (full, inc)) in outs.iter().enumerate() {
-                assert_eq!(full.max_abs_diff(inc), 0.0, "t={t} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_decode_chunking_does_not_change_bits() {
-        let mut r = rng();
-        let (h, heads, seq) = (8usize, 4usize, 7usize);
-        let block = Block::new(h, heads, &mut r);
-        let x = Matrix::randn(seq, h, 1.0, &mut r);
-        let outs = with_group(2, |m| {
-            let pb = ParallelBlock::from_serial(&block, heads, 2, m.rank());
-            let run = |splits: &[usize]| {
-                let mut kv = BlockKv::new(pb.kv_cols());
-                let mut parts = Vec::new();
-                let mut at = 0;
-                for &n in splits {
-                    let xi = x.rows_slice(at, at + n);
-                    let mut chunks = [(n, &mut kv)];
-                    parts.push(pb.forward_decode(&xi, &mut chunks, &m));
-                    at += n;
-                }
-                Matrix::concat_rows(&parts)
-            };
-            (run(&[7]), run(&[3, 3, 1]), run(&[1; 7]))
-        });
-        for (whole, chunked, single) in &outs {
-            assert_eq!(whole.max_abs_diff(chunked), 0.0);
-            assert_eq!(whole.max_abs_diff(single), 0.0);
-        }
-    }
-
-    #[test]
-    fn cached_decode_rounds_each_attention_operand_to_bf16() {
-        // One head of width 2, every weight zero but the projection's
-        // identity: the new row's q, k and v are the QKV bias (LayerNorm
-        // with γ = 0 maps it to zero), and its output is its attention row.
-        let mut r = rng();
-        let mut block = Block::new(2, 1, &mut r);
-        block.ln1.gamma = vec![0.0; 2];
-        for lin in [&mut block.qkv, &mut block.fc1, &mut block.fc2] {
-            lin.w = Matrix::zeros(lin.w.rows(), lin.w.cols());
-            lin.b.as_mut().expect("bias").fill(0.0);
-        }
-        block.proj.w = Matrix::from_fn(2, 2, |i, j| f32::from(i == j));
-        block.proj.b.as_mut().expect("bias").fill(0.0);
-        // Scores: q and the three keys are ties that round to even — q to
-        // 2¹⁰, every key to 1 — so rounded, the three positions weigh ⅓
-        // each; in f32 they would score 1032, 1028 and 1026 before scaling.
-        // Values: ⅓ in bf16 is 171/512, so the attention row is
-        // 171/512 · (1 + 2⁻⁷ + 1 + 1) = 1 + 299/65536, exact in f32 and
-        // past the tie at 1 + 2⁻⁸ that the projection rounds it to 1 + 2⁻⁷;
-        // with ⅓ in f32 it would be 1.0026, rounded to 1.
-        let tie = 1.0 + 2f32.powi(-8);
-        let q = [1024.0 * tie, 0.0];
-        block.qkv.b = Some([q, [1.0 - 2f32.powi(-9), 0.0], [1.0, 0.0]].concat());
-        let mut kv = BlockKv::new(2);
-        kv.push(&[tie, 0.0], &[1.0 + 2f32.powi(-7), 0.0]);
-        kv.push(&[1.0, 0.0], &[1.0, 0.0]);
-        let m = Group::new(1).member(0);
-        let pb = ParallelBlock::from_serial(&block, 1, 1, 0);
-        let out = pb.forward_decode(&Matrix::zeros(1, 2), &mut [(1, &mut kv)], &m);
-        assert_eq!(out.as_slice(), [1.0 + 2f32.powi(-7), 0.0]);
-    }
-
-    #[test]
-    fn block_kv_accounting() {
-        let mut kv = BlockKv::new(4);
-        assert!(kv.is_empty());
-        kv.push(&[1.0; 4], &[2.0; 4]);
-        kv.push(&[3.0; 4], &[4.0; 4]);
-        assert_eq!(kv.len(), 2);
-        assert_eq!(kv.float_count(), 16);
-        assert_eq!(kv.k[4..], [3.0; 4]);
-        assert_eq!(kv.v[..4], [2.0; 4]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod supervisor;
 pub mod trainer;
 pub mod vocab;
 
-pub use block::{BlockKv, ParallelBlock, ParallelBlockCache};
+pub use block::{ParallelBlock, ParallelBlockCache};
 pub use checkpoint::{CheckpointError, CheckpointStore, Restored};
 pub use comm::{
     CollectiveKind, CollectiveOp, CommError, CommPanic, CommVolume, FaultProfile, Group,

@@ -10,7 +10,7 @@
 //! world runs; the relaunched world is pinned ([`JobSpec::resume_from`])
 //! to the generation the supervisor restored. A torn world usually reports
 //! nothing, so bit-identity is proven on the final parameters and stitched
-//! losses are complete only from the last resume on (DESIGN.md §15).
+//! losses are complete only from the last resume on (DESIGN.md §14).
 
 use std::path::{Path, PathBuf};
 use std::thread;

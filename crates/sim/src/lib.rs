@@ -11,14 +11,9 @@
 //! streams and network links to resources, and kernels / message transfers to
 //! tasks. Time is kept in integer nanoseconds so runs are exactly
 //! reproducible across platforms.
-//!
-//! The [`serving`] module holds the continuous-batching scheduler shared
-//! by the real inference engine (`megatron-serve`) and its discrete-event
-//! mirror, plus the calibrated step-cost model the mirror runs on.
 
 mod engine;
 pub mod json;
-pub mod serving;
 mod trace;
 
 pub use engine::{DagSim, ResourceId, ResourceStats, SimError, SimResult, TaskId, TaskSpan};

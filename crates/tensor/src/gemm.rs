@@ -27,7 +27,7 @@
 //!
 //! Every gate that compares two runs on one host therefore holds on either
 //! engine (pipelined == serial, process == thread, chaos == fault-free,
-//! incremental decode == recompute); bits differ between a host with AMX
+//! recompute == caching); bits differ between a host with AMX
 //! and one without, and only there. No flag picks the engine: CPUID and the
 //! operating system's grant of tile state do ([`crate::Isa::active`]).
 //!
@@ -134,8 +134,7 @@ const PAR_FLOPS: usize = 1 << 23;
 /// - Over `k` from 8 to 512 (1–32 rows, `n` of 16–512), it runs at
 ///   ×0.16–0.92 the packed rate for `k` of 8–64, ×0.87–2.2 for 128 and
 ///   ×0.96–3.4 from 256 on: a short `k` does not pay for a tile `NR` wide
-///   with `m` useful columns. Decode's per-head scores are such products.
-///   Hence the `KC` floor.
+///   with `m` useful columns. Hence the `KC` floor.
 const FEW_ROWS: usize = 32;
 /// Floats per page of memory, for touching an allocation once per page.
 const PAGE_FLOATS: usize = 4096 / std::mem::size_of::<f32>();
@@ -1281,8 +1280,9 @@ mod tests {
 
     #[test]
     fn rows_are_independent_of_the_rows_around_them() {
-        // Row i of A·B equals (row i of A)·B: what incremental decode ==
-        // full-prefix recompute rests on.
+        // Row i of A·B equals (row i of A)·B: an element's bits depend
+        // only on its row of A, its column of B and its initial value in C,
+        // never on the rows computed beside it.
         let a = rand_matrix(23, 70, 5);
         let b = rand_matrix(70, 50, 6);
         for isa in builds_exercised() {

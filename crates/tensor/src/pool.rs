@@ -18,10 +18,10 @@
 //!
 //! **The contention gate.** A job whose ranks share this host's cores holds
 //! a [`RankGuard`] for as long as they run (the thread trainer, a rank
-//! process, the serving engine). While the declared ranks fill the cores,
-//! no block is offered to a helper: each rank already has a core to itself
-//! at best, and a helper would only take time from another rank. With no
-//! guard live (the serial step, tools, tests) helpers are offered.
+//! process). While the declared ranks fill the cores, no block is offered
+//! to a helper: each rank already has a core to itself at best, and a
+//! helper would only take time from another rank. With no guard live (the
+//! serial step, tools, tests) helpers are offered.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

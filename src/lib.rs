@@ -29,9 +29,6 @@
 //! - [`dist`]: thread-per-GPU distributed runtime running real tensor /
 //!   pipeline / data parallel training, durable sharded checkpoints, and
 //!   the auto-recovery supervisor.
-//! - [`serve`]: tensor-parallel autoregressive inference — KV-cached
-//!   decoding over the real runtime with continuous batching, seeded
-//!   Poisson traffic, and a discrete-event scheduler mirror.
 //! - [`telemetry`]: per-rank span tracing, metrics, shared Chrome-trace
 //!   export, and the cross-rank critical-path / time-attribution analyzer.
 
@@ -40,7 +37,6 @@ pub use megatron_core as core;
 pub use megatron_data as data;
 pub use megatron_dist as dist;
 pub use megatron_schedule as schedule;
-pub use megatron_serve as serve;
 pub use megatron_sim as sim;
 pub use megatron_telemetry as telemetry;
 pub use megatron_tensor as tensor;
