@@ -12,7 +12,7 @@
 //! * comm bytes seen by the analyzer on rank `(p0,d0,t0)` equal the §3
 //!   closed-form volumes (f32 wire = 2× the fp16 formulas);
 //! * the sim trace's comm spans carry exactly the §3 fp16 volumes the
-//!   `CostModel` priced, and their durations sum to the simulator's own
+//!   `price_layer` priced, and their durations sum to the simulator's own
 //!   `TimeBreakdown` comm terms;
 //! * real-vs-sim per-phase shares agree within a drift bound;
 //! * exposed-comm on the sim path never exceeds the priced comm time.
@@ -363,7 +363,7 @@ pub fn analyze() -> String {
         2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;
     let grad_bytes_fp16 = log.final_params[&(0, 0, 0)].len() as u64 * BYTES_FP16;
     let expected_dp = 2.0 * analysis::data_parallel_bytes(grad_bytes_fp16, d as u64);
-    // Sim spans carry the fp16 volumes the CostModel actually priced.
+    // Sim spans carry the fp16 volumes `price_layer` actually priced.
     let sim_p2p_total: f64 = (0..p).map(|r| bytes_where(&sim_dag, r, is_p2p_send)).sum();
     let sim_expected_p2p =
         2.0 * m as f64 * analysis::pipeline_p2p_bytes(mirror, spec.microbatch as u64) as f64;
@@ -403,15 +403,15 @@ pub fn analyze() -> String {
         t3.render()
     ));
 
-    // --- CostModel pricing cross-check ---
-    // The sim trace's comm span durations are the CostModel's prices for
+    // --- price_layer pricing cross-check ---
+    // The sim trace's comm span durations are `price_layer`'s prices for
     // those §3 volumes; per device they must reproduce the simulator's own
     // TimeBreakdown, and the path can never expose more comm than exists.
     let sim_comm_per_dev = (0..p).map(|r| comm_seconds(&sim_dag, r)).sum::<f64>() / p as f64;
     let priced = report.breakdown.pipeline_comm + report.breakdown.data_parallel;
     assert!(
         (sim_comm_per_dev - priced).abs() <= 0.10 * priced.max(1e-12),
-        "sim comm spans sum to {sim_comm_per_dev:.6} s/device but the CostModel priced {priced:.6} s"
+        "sim comm spans sum to {sim_comm_per_dev:.6} s/device but price_layer priced {priced:.6} s"
     );
     let sim_comm_total: f64 = (0..p).map(|r| comm_seconds(&sim_dag, r)).sum();
     assert!(
@@ -420,7 +420,7 @@ pub fn analyze() -> String {
         sim_attr.exposed_comm_s
     );
     out_s.push_str(&format!(
-        "CostModel cross-check: sim comm spans {:.3} ms/device vs TimeBreakdown\n\
+        "price_layer cross-check: sim comm spans {:.3} ms/device vs TimeBreakdown\n\
          {:.3} ms; exposed on the sim path {:.3} ms of {:.3} ms total priced comm\n\n",
         1e3 * sim_comm_per_dev,
         1e3 * priced,

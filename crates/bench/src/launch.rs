@@ -19,7 +19,7 @@ use megatron_dist::{PtdpTrainer, WireKind};
 
 /// `repro launch` usage string.
 pub const USAGE: &str =
-    "repro launch [--ptd P,T,D] [--wire uds|tcp] [--iters N] [--reliable] [--trace] [--dir PATH]
+    "repro launch [--ptd P,T,D] [--wire uds|tcp] [--iters N] [--trace] [--dir PATH]
   E37: run the seeded job as P*T*D OS processes over sockets and check
   bit-identity against the in-process mailbox run; --trace keeps the
   scratch dir with per-rank Chrome traces for `repro analyze
@@ -30,7 +30,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let (mut p, mut t, mut d) = (2usize, 2usize, 2usize);
     let mut wire = WireKind::Uds;
     let mut iters: Option<usize> = None;
-    let mut reliable = false;
     let mut trace = false;
     let mut dir: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -68,7 +67,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                         .map_err(|e| format!("--iters: {e}\n{USAGE}"))?,
                 );
             }
-            "--reliable" => reliable = true,
             "--trace" => trace = true,
             "--dir" => {
                 dir = Some(PathBuf::from(
@@ -82,7 +80,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
     let mut job = JobSpec::canonical(p, t, d);
     job.wire = wire;
-    job.retry = reliable;
     job.trace = trace;
     if let Some(n) = iters {
         if n == 0 {

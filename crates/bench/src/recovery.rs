@@ -1,26 +1,22 @@
 //! E30: one recovery experiment over both backends (`repro recovery`).
 //!
-//! One seeded scenario — fatal rank kills drawn from a [`FaultPlan`], one
-//! capacity loss and its return, and a transient wire profile — runs on
-//! the in-process [`ThreadBackend`] and on the 8-process [`ProcBackend`].
-//! The same legs run on each, every one through the [`Supervisor`] or a
-//! single [`JobBackend::run_attempt`]:
+//! One seeded scenario — fatal rank kills drawn from a [`FaultPlan`], and
+//! one capacity loss and its return — runs on the in-process
+//! [`ThreadBackend`] and on the 8-process [`ProcBackend`]. The same legs
+//! run on each, every one through the [`Supervisor`] or a single
+//! [`JobBackend::run_attempt`]:
 //!
 //! - fault-free, and fault-free with durable checkpoints (the save cost);
-//! - transient-only: the wire faults alone, which must cost no restart
-//!   and leave the fault-free run's losses and final parameters;
-//! - chaos: the wire faults plus the fatal kills, which must cost exactly
-//!   one restart each and end on the fault-free run's final parameters;
+//! - chaos: the fatal kills, which must cost exactly one restart each and
+//!   end on the fault-free run's final parameters;
 //! - elastic: the capacity loss shrinks the job to the layout its
 //!   simulator twin ranks cheapest, the return grows it back at the next
 //!   checkpoint boundary, and each segment is replayed as a fresh launch
 //!   from the generation it started at (`CheckpointStore::load_pinned`),
 //!   losses and parameters both.
 //!
-//! Rank threads share the driver's address space, so two checks hold
-//! there only: a world a kill tore down still reports its losses, and the
-//! wire's fault and retry counters reach a telemetry sink, which shows
-//! the faulty wire really fired.
+//! Rank threads share the driver's address space, so one check holds
+//! there only: a world a kill tore down still reports its losses.
 //!
 //! Each backend's chaos and elastic runs are then priced: the goodput
 //! ledger measured term by term beside the finite run its own costs
@@ -36,50 +32,39 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use megatron_collective::{RetryPolicy, TransientFaults};
 use megatron_core::elastic::rank_layouts;
 use megatron_core::goodput::Ledger;
 use megatron_dist::{
-    Attempt, AttemptOutcome, CapacityEvent, CheckpointStore, FaultProfile, JobBackend, JobSpec,
-    KillSwitch, ProcBackend, PtdpSpec, ReconfigureDirection, Restored, SocketFaultPlan, Supervisor,
-    SupervisorConfig, SupervisorReport, ThreadBackend, ThreadKey, TransportConfig, WireKind,
+    Attempt, AttemptOutcome, CapacityEvent, CheckpointStore, JobBackend, JobSpec, KillSwitch,
+    ProcBackend, PtdpSpec, ReconfigureDirection, Restored, Supervisor, SupervisorConfig,
+    SupervisorReport, ThreadBackend, ThreadKey,
 };
 use megatron_sim::json::Json;
-use megatron_telemetry::{SinkConfig, TelemetrySink};
 use megatron_tensor::gpt::TinyGptConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault_plan::{FaultKind, FaultPlan, FaultRates};
+use crate::fault_plan::{FaultPlan, FaultRates};
 use crate::ledger;
 
-/// The scenario's seed: its plan draws two fatal kills and two link
-/// degradations.
+/// The scenario's seed: its plan draws two fatal kills.
 const SEED: u64 = 0xe34;
 /// Iterations of the job.
 const ITERS: usize = 12;
 /// Durable checkpoint interval in iterations.
 const CHECKPOINT_EVERY: usize = 2;
-/// Per-send probabilities of the thread backend's faulty mailbox wire.
-const DROP_PROB: f64 = 0.02;
-const DUPLICATE_PROB: f64 = 0.01;
-const DELAY_PROB: f64 = 0.02;
 
 /// Final parameters per rank.
 type Params = HashMap<ThreadKey, Vec<f32>>;
 
 /// One seeded scenario: the job both backends run and the faults it meets.
 struct Scenario {
-    /// Seeds the fault plan, the capacity victim and both wire profiles.
+    /// Seeds the fault plan and the capacity victim.
     seed: u64,
     /// The (2,2,2) job.
     job: JobSpec,
     /// One fatal kill per death in the plan, earliest first.
     kills: Vec<KillSwitch>,
-    /// Link degradations in the plan: transient, the wire absorbs them.
-    transient_events: usize,
-    /// Their mean factor, capped at 3: it multiplies real wire sleeps.
-    degrade_factor: f64,
     /// The capacity loss: this rank dies a third of the way in ...
     loss: KillSwitch,
     /// ... and its capacity returns at this iteration, two thirds in.
@@ -95,41 +80,29 @@ impl Scenario {
         job.model.seq = 8;
         job.model.hidden = 16;
         job.iters = ITERS;
-        job.retry = true; // the reliable transport and the socket replay log
         let spec = job.spec();
         let world = spec.world();
-        // One fictional second per iteration: deaths are fatal, link
-        // degradations transient.
+        // One fictional second per iteration; every death is fatal.
         let rates = FaultRates {
             gpu_death_mtbf_s: 8.0,
-            link_degrade_mtbf_s: 5.0,
             ..FaultRates::none()
         };
-        let mut kills = Vec::new();
-        let mut degrades = Vec::new();
-        for ev in FaultPlan::generate(seed, world, ITERS as f64, &rates).events {
-            match ev.kind {
-                FaultKind::LinkDegrade { factor, .. } => degrades.push(factor),
-                _ => kills.push(KillSwitch {
-                    thread: spec.thread_key(ev.gpu % world),
-                    // A kill needs an iteration before it and one after.
-                    iteration: (ev.at_s as usize).clamp(1, ITERS - 2),
-                }),
-            }
-        }
+        let plan = FaultPlan::generate(seed, world, ITERS as f64, &rates);
+        let mut kills: Vec<KillSwitch> = plan
+            .events
+            .iter()
+            .map(|ev| KillSwitch {
+                thread: spec.thread_key(ev.gpu % world),
+                // A kill needs an iteration before it and one after.
+                iteration: (ev.at_s as usize).clamp(1, ITERS - 2),
+            })
+            .collect();
         kills.sort_by_key(|k| (k.iteration, spec.flat_rank(k.thread)));
-        let degrade_factor = if degrades.is_empty() {
-            1.0
-        } else {
-            (degrades.iter().sum::<f64>() / degrades.len() as f64).min(3.0)
-        };
         let victim = StdRng::seed_from_u64(seed ^ 0xe1a5).gen_range(0..world);
         Scenario {
             seed,
             job,
             kills,
-            transient_events: degrades.len(),
-            degrade_factor,
             loss: KillSwitch {
                 thread: spec.thread_key(victim),
                 iteration: ITERS / 3,
@@ -157,8 +130,6 @@ impl Backend {
 
 /// What one backend's legs produced.
 struct Legs {
-    /// The transient wire, as the report names it.
-    wire: String,
     /// The fault-free run's final parameters.
     clean: Params,
     /// Each invariant and whether it held.
@@ -169,9 +140,7 @@ struct Legs {
     metrics: Vec<(&'static str, f64)>,
 }
 
-/// Run every leg of `sc` on `backend`. The transient wire is the one
-/// thing the backends do differently: a [`FaultProfile`] on the thread
-/// mailbox, a seeded [`SocketFaultPlan`] inside the rank processes.
+/// Run every leg of `sc` on `backend`.
 fn run_legs(backend: Backend, sc: &Scenario) -> Result<Legs, String> {
     let root = std::env::temp_dir().join(format!(
         "megatron-recovery-{}-{}",
@@ -181,48 +150,12 @@ fn run_legs(backend: Backend, sc: &Scenario) -> Result<Legs, String> {
     let _ = fs::remove_dir_all(&root);
     let legs = match backend {
         Backend::Thread => {
-            let faults = TransientFaults {
-                drop_prob: DROP_PROB,
-                duplicate_prob: DUPLICATE_PROB,
-                delay_prob: DELAY_PROB,
-                delay: Duration::from_micros(200),
-                degrade_factor: sc.degrade_factor,
-                ..TransientFaults::default()
-            };
-            let wire = TransportConfig {
-                wire: WireKind::Mailbox,
-                retry: Some(RetryPolicy::default()),
-                faults: Some(FaultProfile {
-                    seed: sc.seed,
-                    faults,
-                }),
-            };
             let data = sc.job.dataset();
-            let described = format!(
-                "mailbox, drop {:.1}%, duplicate {:.1}%, delay {:.1}%, degrade {:.2}x \
-                 (the mean of {} link degradations)",
-                100.0 * DROP_PROB,
-                100.0 * DUPLICATE_PROB,
-                100.0 * DELAY_PROB,
-                sc.degrade_factor,
-                sc.transient_events,
-            );
-            legs(sc, &root, described, true, |_, faulty| {
-                let b = ThreadBackend::new(sc.job.master(), sc.job.spec(), &data);
-                if faulty {
-                    b.with_transport(wire)
-                } else {
-                    b
-                }
+            legs(sc, &root, true, |_| {
+                ThreadBackend::new(sc.job.master(), sc.job.spec(), &data)
             })
         }
-        Backend::Process => {
-            let plan = SocketFaultPlan::seeded(sc.seed, sc.job.world());
-            let described = format!("UDS, socket faults {:?}", plan.faults);
-            legs(sc, &root, described, false, |dir, faulty| {
-                ProcBackend::new(&sc.job, dir, faulty.then(|| plan.clone()))
-            })
-        }
+        Backend::Process => legs(sc, &root, false, |dir| ProcBackend::new(&sc.job, dir)),
     };
     let _ = fs::remove_dir_all(&root);
     legs
@@ -331,30 +264,14 @@ fn yn(b: bool) -> &'static str {
     }
 }
 
-/// The wire's fault and retry counters in `sink`, and whether faults
-/// were injected and retried at all.
-fn wire_counters(sink: &TelemetrySink) -> (String, bool) {
-    let n = |name: &str| sink.metrics.counter(name).get();
-    let injected = n("transport_faults_injected");
-    let retries = n("transport_retries");
-    let line = format!(
-        "{injected} injected, {retries} retries, {} retransmits, {} duplicates dropped",
-        n("transport_retransmits"),
-        n("transport_duplicates_dropped"),
-    );
-    (line, injected > 0 && retries > 0)
-}
-
-/// The legs, once for any backend. `make(dir, faulty)` builds a backend
-/// whose scratch lives under `dir`, on the transient wire when `faulty`.
-/// `shared`: the ranks run in this address space, so a torn world still
-/// reports its losses and the wire counts its faults into a sink.
+/// The legs, once for any backend. `make(dir)` builds a backend whose
+/// scratch lives under `dir`. `shared`: the ranks run in this address
+/// space, so a torn world still reports its losses.
 fn legs<B: JobBackend>(
     sc: &Scenario,
     root: &Path,
-    wire: String,
     shared: bool,
-    make: impl Fn(&Path, bool) -> B,
+    make: impl Fn(&Path) -> B,
 ) -> Result<Legs, String> {
     let spec = sc.job.spec();
     let model = sc.job.model;
@@ -367,9 +284,9 @@ fn legs<B: JobBackend>(
     // Fault-free, without and with durable checkpoints. Their walls give
     // the clean iteration and the mean save.
     let ff = dir("fault-free");
-    let (clean, clean_wall) = attempt(&make(&ff, false), &fresh_store(&ff)?, spec, None, ITERS, 0)?;
+    let (clean, clean_wall) = attempt(&make(&ff), &fresh_store(&ff)?, spec, None, ITERS, 0)?;
     let ck = dir("checkpointed");
-    let (ckpt, ckpt_wall) = attempt(&make(&ck, false), &fresh_store(&ck)?, spec, None, ITERS, k)?;
+    let (ckpt, ckpt_wall) = attempt(&make(&ck), &fresh_store(&ck)?, spec, None, ITERS, k)?;
     check(
         "checkpointed fault-free params bit-identical to fault-free".into(),
         ckpt.final_params == clean.final_params,
@@ -378,50 +295,15 @@ fn legs<B: JobBackend>(
     let save_s = ckpt_wall - clean_wall;
     let mean_save = save_s / generations as f64;
 
-    let supervisor = |leg: &str, faulty: bool, kills: usize| -> Result<_, String> {
+    let supervisor = |leg: &str, kills: usize| -> Result<_, String> {
         let store = fresh_store(&dir(leg))?;
-        let sup = Supervisor::new(make(&dir(leg), faulty), Arc::clone(&store), policy(kills));
+        let sup = Supervisor::new(make(&dir(leg)), Arc::clone(&store), policy(kills));
         Ok((sup, store))
     };
-    let sink = || {
-        TelemetrySink::new(SinkConfig {
-            world: spec.world(),
-            ..SinkConfig::default()
-        })
-    };
 
-    // Transient-only: the wire alone never costs a restart.
-    let t_sink = sink();
-    let (sup, _) = supervisor("transient", true, 0)?;
-    let transient = completed(sup.with_telemetry(Arc::clone(&t_sink)).run(&[]))?;
-    check(
-        format!(
-            "transient-only run never restarts ({} restarts)",
-            transient.restarts
-        ),
-        transient.restarts == 0,
-    );
-    check(
-        "transient-only final params bit-identical to fault-free".into(),
-        transient.final_params.as_ref() == Some(&clean.final_params),
-    );
-    // No kill, so no torn world: every loss is reported on both backends.
-    check(
-        "transient-only losses bit-identical to fault-free".into(),
-        transient.losses == clean.losses,
-    );
-    if shared {
-        let (counts, fired) = wire_counters(&t_sink);
-        check(
-            format!("transient-only wire faults injected and retried ({counts})"),
-            fired,
-        );
-    }
-
-    // Chaos: the wire plus the fatal kills, one restart each.
-    let c_sink = sink();
-    let (sup, _) = supervisor("chaos", true, sc.kills.len())?;
-    let chaos = completed(sup.with_telemetry(Arc::clone(&c_sink)).run(&sc.kills))?;
+    // Chaos: the fatal kills, one restart each.
+    let (sup, _) = supervisor("chaos", sc.kills.len())?;
+    let chaos = completed(sup.run(&sc.kills))?;
     check(
         format!(
             "chaos run restarts once per fatal kill ({} restarts, {} kills)",
@@ -438,11 +320,6 @@ fn legs<B: JobBackend>(
         check(
             "chaos losses bit-identical to fault-free".into(),
             chaos.losses == clean.losses,
-        );
-        let (counts, fired) = wire_counters(&c_sink);
-        check(
-            format!("chaos wire faults injected and retried ({counts})"),
-            fired,
         );
     } else {
         // A torn process world reports no losses, so the stitched losses
@@ -465,7 +342,7 @@ fn legs<B: JobBackend>(
     // return, over the layouts the job's simulator twin ranks.
     let twin = crate::timeline::twin(model, &spec, sc.job.batch);
     let rank = |capacity| rank_layouts(&twin, capacity);
-    let (sup, elastic_store) = supervisor("elastic", false, 1)?;
+    let (sup, elastic_store) = supervisor("elastic", 1)?;
     let returned = CapacityEvent::Returned {
         iteration: sc.back_at,
         ranks: 1,
@@ -501,14 +378,7 @@ fn legs<B: JobBackend>(
     };
     let dd = dir("degraded");
     let (store, from) = seeded_store(&elastic_store, shrink.generation, &dd, &degraded, model)?;
-    let (replay, _) = attempt(
-        &make(&dd, false),
-        &store,
-        degraded,
-        Some(from),
-        grow.at_iter,
-        k,
-    )?;
+    let (replay, _) = attempt(&make(&dd), &store, degraded, Some(from), grow.at_iter, k)?;
     let _ = store.commit_complete_generations(&degraded, model);
     let at_grow = |s: &CheckpointStore| {
         s.load_pinned(&degraded, model, grow.generation)
@@ -532,7 +402,7 @@ fn legs<B: JobBackend>(
     );
     let rg = dir("regrown");
     let (store, from) = seeded_store(&elastic_store, grow.generation, &rg, &spec, model)?;
-    let (regrown, _) = attempt(&make(&rg, false), &store, spec, Some(from), ITERS, k)?;
+    let (regrown, _) = attempt(&make(&rg), &store, spec, Some(from), ITERS, k)?;
     check(
         format!(
             "post-grow segment bit-identical to fresh {full:?} launch from gen {}",
@@ -603,7 +473,6 @@ fn legs<B: JobBackend>(
     );
 
     Ok(Legs {
-        wire,
         clean: clean.final_params,
         checks,
         text,
@@ -655,7 +524,7 @@ pub fn recovery() -> Result<String, String> {
     for backend in [Backend::Thread, Backend::Process] {
         let name = backend.name();
         let legs = run_legs(backend, &sc).map_err(|e| format!("{out}{name} backend: {e}"))?;
-        out += &format!("{name} backend, transient wire: {}\n", legs.wire);
+        out += &format!("{name} backend:\n");
         for (line, held) in &legs.checks {
             out += &format!("  {name} {line}: {}\n", yn(*held));
             failed += usize::from(!held);
@@ -707,20 +576,15 @@ mod tests {
     }
 
     #[test]
-    fn scenario_split_is_deterministic_and_mixed() {
+    fn scenario_kills_are_deterministic_and_in_range() {
         let (a, b) = (Scenario::new(SEED), Scenario::new(SEED));
         assert_eq!(kills(&a), kills(&b));
-        assert_eq!(a.transient_events, b.transient_events);
-        assert_eq!(a.degrade_factor, b.degrade_factor);
         assert_eq!(a.loss.thread, b.loss.thread);
+        // The seed's plan, as `BENCH_recovery.json` records it.
+        assert_eq!(a.kills.len(), 2);
         for k in &a.kills {
             assert!((1..ITERS - 1).contains(&k.iteration), "{k:?}");
         }
-        assert!((1.0..=3.0).contains(&a.degrade_factor));
-        // At these rates, a small seed window draws both fault classes.
-        let window: Vec<Scenario> = (0..8).map(|i| Scenario::new(SEED + i)).collect();
-        assert!(window.iter().any(|s| !s.kills.is_empty()), "no fatal kill");
-        assert!(window.iter().any(|s| s.transient_events > 0), "no degrade");
     }
 
     /// The whole scenario on rank threads: every leg, every invariant.
@@ -730,7 +594,7 @@ mod tests {
         let sc = Scenario::new(SEED);
         assert!(!sc.kills.is_empty());
         let legs = run_legs(Backend::Thread, &sc).unwrap();
-        assert_eq!(legs.checks.len(), 13);
+        assert_eq!(legs.checks.len(), 8);
         for (line, held) in &legs.checks {
             assert!(held, "{line}");
         }

@@ -33,12 +33,6 @@ use std::fmt;
 pub mod codec;
 pub use codec::{f32s_from, put_f32s};
 
-pub mod reliable;
-pub use reliable::{
-    mix_seed, FaultTally, FaultyTransport, PollTransport, ReliableTransport, RetransmitStore,
-    RetryPolicy, RetryStats, TransientFaults, FRAME_HEADER_ELEMS,
-};
-
 pub mod socket;
 pub use socket::{SocketCalls, SocketChannel, SocketError, SocketNode, WireAddr};
 

@@ -1,12 +1,11 @@
 //! Real-socket [`Transport`]: length-prefixed f32 frames over Unix-domain
 //! or TCP-loopback sockets.
 //!
-//! This is the third wire under the step [`Program`](crate::Program)s, after
-//! the in-process mailbox and the seeded lossy channel: the same collectives
-//! cross a genuine kernel socket, with everything that implies — partial
-//! reads and writes, full socket buffers, torn frames on a severed
-//! connection, and peers that are whole other OS processes. The frame format
-//! is deliberately tiny:
+//! This is the second wire under the step [`Program`](crate::Program)s, after
+//! the in-process mailbox: the same collectives cross a genuine kernel
+//! socket, with everything that implies — partial reads and writes, full
+//! socket buffers, and peers that are whole other OS processes. The frame
+//! format is deliberately tiny:
 //!
 //! ```text
 //! data frame  :=  elem_count : u32 LE  |  elem_count × f32 LE
@@ -26,8 +25,8 @@
 //! sockets are non-blocking. A `send` appends its frame to the peer's queue
 //! and writes what the kernel accepts at once; what the kernel does not take
 //! stays queued in user space, so a send never waits for its receiver, at any
-//! frame size. Whatever call the thread blocks in next — a `recv`, a
-//! `recv_within`, a channel's drop, on *any* channel of the node — waits in
+//! frame size. Whatever call the thread blocks in next — a `recv` or a
+//! channel's drop, on *any* channel of the node — waits in
 //! one `poll(2)` over the whole node, and while it waits it accepts and
 //! identifies new connections, writes every queued byte toward every peer,
 //! and reads every readable stream into its channel's frame queue. Flushing
@@ -42,23 +41,19 @@
 //! lock is held for non-blocking calls only, never across the poll.
 //!
 //! Every inbound connection announces `(channel, src rank, pid)` in a hello
-//! frame and is filed under `(channel, src)`. Connections for one key are
-//! read in accept order, and a peer's EOF means "discard the torn tail, read
-//! the next connection", not instant death: a *dead process* surfaces as a
-//! deadline expiry, while a transient disconnect heals invisibly.
+//! frame and is filed under `(channel, src)`. A sender dials each peer of a
+//! channel once — retrying while the peer's listener is not up yet — and
+//! writes every frame on that one connection, so frames arrive in order.
+//! Like NCCL's, the wire is reliable or failed: a connection that breaks
+//! means its peer is gone. The sender drops what it queued for that peer,
+//! the receiver stops reading it, and the wait for the peer's next frame
+//! ends at the deadline, which the group above reports as a rank failure.
 //!
 //! The node counts the system calls it makes on its connections —
 //! `poll(2)` waits, reads and writes ([`SocketNode::calls`]) — under the
 //! lock it holds for them anyway; a traced rank process records them per
 //! steady iteration beside its context switches.
-//!
-//! Failure-injection hooks ([`SocketChannel::sever_outbound_after`],
-//! [`SocketChannel::sever_outbound_after_lossy`]) cut a connection
-//! mid-frame so the retransmission machinery of
-//! [`ReliableTransport`](crate::ReliableTransport) is tested against a real
-//! short write instead of a simulated one.
 
-use crate::reliable::PollTransport;
 use crate::{f32s_from, put_f32s, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::ffi::{c_int, c_short, c_ulong};
@@ -84,11 +79,6 @@ const DIAL_BACKOFF: Duration = Duration::from_millis(2);
 /// Least free room a read gets in a stream's receive buffer; the buffer
 /// doubles when less is left.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// Frames the sender-side replay log keeps per peer (matches the reliable
-/// layer's retransmit window: round-synchronous collectives keep at most a
-/// handful of frames in flight per edge).
-const REPLAY_WINDOW: usize = 64;
 
 /// `struct pollfd` of poll(2).
 #[repr(C)]
@@ -187,8 +177,8 @@ impl WireAddr {
 
 /// Hard socket-transport failure. Kept `Copy + Eq` so
 /// [`StepFailure`](crate::StepFailure) keeps its derives over this error.
-/// A broken connection is not one: the sender redials and resends, so a
-/// peer that is gone for good surfaces as the deadline.
+/// A broken connection is not one either: its peer is gone, and that
+/// surfaces as the deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SocketError {
     /// The channel's overall deadline expired (peer dead or wedged).
@@ -258,16 +248,6 @@ impl Listener {
     }
 }
 
-/// One step of an outbound queue.
-#[derive(Debug)]
-enum Chunk {
-    /// Bytes to write: a frame, or the head of one an injected sever cuts.
-    Bytes(Vec<u8>),
-    /// Injected sever: shut the connection down here; what follows goes on
-    /// a fresh one.
-    Sever,
-}
-
 /// Everything bound for one peer of one channel.
 #[derive(Debug)]
 struct Outbound {
@@ -275,29 +255,21 @@ struct Outbound {
     hello: [u8; HELLO_LEN],
     /// `None` until dialled, and again after the connection broke.
     stream: Option<Stream>,
-    /// Chunks not yet written, the front one up to `offset`.
-    queue: VecDeque<Chunk>,
+    /// Frames not yet written, the front one up to `offset`.
+    queue: VecDeque<Vec<u8>>,
     offset: usize,
-    /// The last [`REPLAY_WINDOW`] frames queued, once the replay log is
-    /// armed ([`SocketChannel::enable_replay`]).
-    replay: Option<VecDeque<Vec<u8>>>,
+    /// The connection broke: the peer is gone, and what is sent to it is
+    /// dropped.
+    broken: bool,
 }
 
 impl Outbound {
-    /// Write queued chunks until the queue is empty, the kernel stops
+    /// Write queued frames until the queue is empty, the kernel stops
     /// taking bytes, or the connection breaks. Dials first when there is no
-    /// connection; a failed dial leaves everything queued for a later try.
+    /// connection; a failed dial (the peer's listener is not up yet) leaves
+    /// everything queued for a later try.
     fn flush(&mut self, calls: &mut SocketCalls) {
-        loop {
-            let bytes = match self.queue.front() {
-                None => return,
-                Some(Chunk::Sever) => {
-                    self.stream = None;
-                    self.queue.pop_front();
-                    continue;
-                }
-                Some(Chunk::Bytes(b)) => b,
-            };
+        while let Some(bytes) = self.queue.front() {
             if self.stream.is_none() {
                 match dial(&self.addr, &self.hello) {
                     Ok(s) => self.stream = Some(s),
@@ -318,22 +290,14 @@ impl Outbound {
                     return;
                 }
                 Err(e) if retryable(&e) => return,
-                Err(_) => return self.tear(),
-            }
-        }
-    }
-
-    /// The connection broke: drop it and resend from the front chunk,
-    /// whole, on the next one — or, with the replay log armed, the whole
-    /// log, which covers frames the broken connection took but never
-    /// delivered. (The log holds the newest frames, so it covers the queue
-    /// unless the queue is the longer of the two.)
-    fn tear(&mut self) {
-        self.stream = None;
-        self.offset = 0;
-        if let Some(log) = &self.replay {
-            if self.queue.len() <= log.len() {
-                self.queue = log.iter().cloned().map(Chunk::Bytes).collect();
+                Err(_) => {
+                    // The peer is gone: nothing queued for it can arrive.
+                    self.stream = None;
+                    self.queue.clear();
+                    self.offset = 0;
+                    self.broken = true;
+                    return;
+                }
             }
         }
     }
@@ -342,9 +306,9 @@ impl Outbound {
 /// Everything received from one peer of one channel.
 #[derive(Debug, Default)]
 struct Inbound {
-    /// Accepted connections, read front first, in accept order: a sender
-    /// writes its frames on one connection before it dials the next.
-    conns: VecDeque<Stream>,
+    /// The peer's connection: `None` before its hello is read and after
+    /// the connection ends.
+    conn: Option<Stream>,
     /// Bytes of the frame being assembled: `buf[..filled]`.
     buf: Vec<u8>,
     filled: usize,
@@ -355,9 +319,9 @@ struct Inbound {
 }
 
 impl Inbound {
-    /// One read from the front connection; complete frames move to `ready`.
+    /// One read from the connection; complete frames move to `ready`.
     fn read(&mut self, calls: &mut SocketCalls) {
-        let Some(stream) = self.conns.front_mut() else {
+        let Some(stream) = self.conn.as_mut() else {
             return;
         };
         // Grow with the bytes that arrived, never with a length header.
@@ -367,13 +331,13 @@ impl Inbound {
         }
         calls.reads += 1;
         match stream.read(&mut self.buf[self.filled..]) {
-            Ok(0) => self.next_connection(),
-            Ok(n) => {
+            Ok(n) if n > 0 => {
                 self.filled += n;
                 self.split_frames();
             }
             Err(e) if retryable(&e) => {}
-            Err(_) => self.next_connection(),
+            // EOF, reset or any other read error: the peer is gone.
+            _ => self.conn = None,
         }
     }
 
@@ -391,14 +355,6 @@ impl Inbound {
         }
         self.buf.copy_within(at..self.filled, 0);
         self.filled -= at;
-    }
-
-    /// The front connection ended (EOF, reset, or any other read error).
-    /// Complete frames are already out; the tail is a torn frame its sender
-    /// resends whole on its next connection.
-    fn next_connection(&mut self) {
-        self.filled = 0;
-        self.conns.pop_front();
     }
 }
 
@@ -455,7 +411,7 @@ impl Io {
             }
             let slot = self.inbound.entry((word(1), word(2) as usize)).or_default();
             slot.pid = word(3) as u32;
-            slot.conns.push_back(g.stream);
+            slot.conn = Some(g.stream);
         }
     }
 
@@ -478,7 +434,7 @@ impl Io {
             add(g.stream.as_raw_fd(), POLLIN, End::Greeting);
         }
         for (key, i) in &self.inbound {
-            if let Some(s) = i.conns.front() {
+            if let Some(s) = &i.conn {
                 add(s.as_raw_fd(), POLLIN, End::In(*key));
             }
         }
@@ -641,53 +597,14 @@ fn data_frame(parts: &[&[f32]]) -> Vec<u8> {
     frame
 }
 
-/// One-shot injected failure: cut the connection to `to` once cumulative
-/// payload bytes cross `after_bytes`, mid-frame.
-#[derive(Debug)]
-struct SeverPlan {
-    to: usize,
-    after_bytes: u64,
-    /// Resend the severed frame on the new connection? `false` models a
-    /// genuinely lost frame and is only sound under `ReliableTransport`.
-    resend: bool,
-    /// Bytes queued toward `to` so far.
-    sent: u64,
-    done: bool,
-}
-
-impl SeverPlan {
-    fn new(to: usize, after_bytes: u64, resend: bool) -> SeverPlan {
-        SeverPlan {
-            to,
-            after_bytes,
-            resend,
-            sent: 0,
-            done: false,
-        }
-    }
-
-    /// Account a `len`-byte frame: `Some((cut, resend))` when this is the
-    /// frame the plan cuts, `cut` bytes in.
-    fn cut(&mut self, len: usize) -> Option<(usize, bool)> {
-        let sent = self.sent;
-        self.sent += len as u64;
-        if self.done || self.sent <= self.after_bytes {
-            return None;
-        }
-        self.done = true;
-        let cut = (self.after_bytes - sent) as usize;
-        Some((cut.min(len - 1), self.resend))
-    }
-}
-
-/// A group's socket endpoint: [`Transport`] + [`PollTransport`] over one
-/// logical channel of a [`SocketNode`].
+/// A group's socket endpoint: a [`Transport`] over one logical channel of
+/// a [`SocketNode`].
 ///
 /// `peers[r]` is where group rank `r` listens (`None` for self, and for a
-/// peer this member never sends to). Outbound connections are dialed on
-/// first use and redialed while queued frames wait, so no global connect
-/// ordering is needed. Exactly one channel id must map to one (group,
-/// member) pair per process.
+/// peer this member never sends to). Outbound connections are dialled on
+/// first use, and redialled while queued frames wait for a listener that
+/// is not up yet, so no global connect ordering is needed. Exactly one
+/// channel id must map to one (group, member) pair per process.
 ///
 /// Dropping a channel lets its queued frames out first — waiting until the
 /// deadline, unless a peer's connection breaks — then closes its
@@ -699,13 +616,6 @@ pub struct SocketChannel {
     rank: usize,
     peers: Vec<Option<WireAddr>>,
     deadline: Instant,
-    sever: Option<SeverPlan>,
-    /// Per-peer log of recently sent frames, armed by
-    /// [`SocketChannel::enable_replay`].
-    replay: bool,
-    /// Injected per-frame send delay (models a slow link from a fault
-    /// plan; applied before every send).
-    send_delay: Option<Duration>,
 }
 
 impl SocketChannel {
@@ -723,9 +633,6 @@ impl SocketChannel {
             rank,
             peers,
             deadline: Instant::now() + Duration::from_secs(30),
-            sever: None,
-            replay: false,
-            send_delay: None,
         }
     }
 
@@ -750,39 +657,6 @@ impl SocketChannel {
     /// Listener address of `peer`, if it has one.
     pub fn peer_addr(&self, peer: usize) -> Option<&WireAddr> {
         self.peers.get(peer).and_then(|a| a.as_ref())
-    }
-
-    /// Test hook: once cumulative payload bytes to `to` cross
-    /// `after_bytes`, write only the partial frame, shut the connection
-    /// down, reconnect, and resend the whole frame. The receiver sees a
-    /// genuine torn frame + EOF; no data is lost.
-    pub fn sever_outbound_after(&mut self, to: usize, after_bytes: u64) {
-        self.sever = Some(SeverPlan::new(to, after_bytes, true));
-    }
-
-    /// Test hook: like [`SocketChannel::sever_outbound_after`] but the
-    /// severed frame is *not* resent — it is genuinely lost mid-wire.
-    /// Only sound when a `ReliableTransport` sits on top to recover it.
-    pub fn sever_outbound_after_lossy(&mut self, to: usize, after_bytes: u64) {
-        self.sever = Some(SeverPlan::new(to, after_bytes, false));
-    }
-
-    /// Arm the sender-side replay log: every outbound frame is logged (last
-    /// [`REPLAY_WINDOW`] per peer) when it is queued, and the connection
-    /// that replaces a torn one starts by resending the whole log. This
-    /// makes recovery from a mid-frame sever correct even when sender and
-    /// receiver are in different OS processes, where the shared
-    /// [`RetransmitStore`](crate::RetransmitStore) is inert — the cost is
-    /// duplicate delivery of already-consumed frames, so only arm this
-    /// under a `ReliableTransport` whose sequence numbers discard them.
-    pub fn enable_replay(&mut self) {
-        self.replay = true;
-    }
-
-    /// Inject a per-frame send delay (a fault plan's slow-link model);
-    /// `None` restores full speed.
-    pub fn set_send_delay(&mut self, delay: Option<Duration>) {
-        self.send_delay = delay;
     }
 
     /// The next frame from `from`, waiting until the deadline.
@@ -825,14 +699,10 @@ impl Transport for SocketChannel {
 
     /// Frame the parts as one message (`data_frame`), queue it and write
     /// what the kernel takes now; the rest goes out during the next wait on
-    /// the node. Never blocks on the receiver.
+    /// the node. Never blocks on the receiver. A frame for a peer whose
+    /// connection broke is dropped.
     fn send(&mut self, to: usize, parts: &[&[f32]]) -> Result<(), Self::Error> {
-        if let Some(d) = self.send_delay {
-            std::thread::sleep(d);
-        }
         let frame = data_frame(parts);
-        let cut = self.sever.as_mut().filter(|p| p.to == to);
-        let cut = cut.and_then(|p| p.cut(frame.len()));
         let mut io = self.node.io();
         let Io { out, calls, .. } = &mut *io;
         let out = out.entry((self.chan, to)).or_insert_with(|| {
@@ -848,31 +718,13 @@ impl Transport for SocketChannel {
                 stream: None,
                 queue: VecDeque::new(),
                 offset: 0,
-                replay: None,
+                broken: false,
             }
         });
-        if self.replay {
-            let log = out.replay.get_or_insert_with(VecDeque::new);
-            log.push_back(frame.clone());
-            if log.len() > REPLAY_WINDOW {
-                log.pop_front();
-            }
+        if !out.broken {
+            out.queue.push_back(frame);
+            out.flush(calls);
         }
-        match cut {
-            None => out.queue.push_back(Chunk::Bytes(frame)),
-            Some((cut, resend)) => {
-                out.queue.push_back(Chunk::Bytes(frame[..cut].to_vec()));
-                out.queue.push_back(Chunk::Sever);
-                // With replay armed even a lossy sever heals: the frame is
-                // in the log the fresh connection starts with.
-                match &out.replay {
-                    Some(log) => out.queue.extend(log.iter().cloned().map(Chunk::Bytes)),
-                    None if resend => out.queue.push_back(Chunk::Bytes(frame)),
-                    None => {} // lost mid-wire
-                }
-            }
-        }
-        out.flush(calls);
         Ok(())
     }
 
@@ -883,28 +735,10 @@ impl Transport for SocketChannel {
     }
 }
 
-impl PollTransport for SocketChannel {
-    fn recv_within(
-        &mut self,
-        from: usize,
-        wait: Duration,
-    ) -> Result<Option<Vec<f32>>, Self::Error> {
-        let key = (self.chan, from);
-        let attempt = (Instant::now() + wait).min(self.deadline);
-        match self.node.wait(attempt, |io| io.take_frame(key)) {
-            None if Instant::now() >= self.deadline => Err(SocketError::Deadline),
-            got => Ok(got),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        execute, reference_run, ring_all_gather, ring_all_reduce, ReduceOp, ReliableTransport,
-        RetransmitStore, RetryPolicy,
-    };
+    use crate::{execute, reference_run, ring_all_gather, ring_all_reduce, ReduceOp};
 
     fn seeded(rank: usize, n: usize) -> Vec<f32> {
         (0..n)
@@ -945,7 +779,6 @@ mod tests {
         nodes: &[Arc<SocketNode>],
         addrs: &[WireAddr],
         chan: u64,
-        mut rig: impl FnMut(usize, &mut SocketChannel) + Copy + Send,
     ) -> Vec<Vec<f32>> {
         let g = prog.ranks;
         let mut bufs: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, prog.len)).collect();
@@ -959,7 +792,6 @@ mod tests {
                     s.spawn(move || {
                         let mut ch = SocketChannel::new(node, chan, rank, peers);
                         ch.set_deadline(Instant::now() + Duration::from_secs(20));
-                        rig(rank, &mut ch);
                         execute(prog, rank, buf, &mut ch).unwrap()
                     })
                 })
@@ -977,7 +809,7 @@ mod tests {
             let n = 4 * g + 3; // non-divisible length
             let prog = ring_all_reduce(g, n, ReduceOp::Sum);
             let (nodes, addrs) = uds_world(&format!("ar{g}"), g);
-            let got = run_over_sockets(&prog, &nodes, &addrs, 7, |_, _| {});
+            let got = run_over_sockets(&prog, &nodes, &addrs, 7);
             let mut want: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
             reference_run(&prog, &mut want);
             assert_eq!(got, want, "g={g}");
@@ -996,7 +828,7 @@ mod tests {
             })
             .collect();
         let addrs: Vec<WireAddr> = nodes.iter().map(|n| n.addr().clone()).collect();
-        let got = run_over_sockets(&prog, &nodes, &addrs, 9, |_, _| {});
+        let got = run_over_sockets(&prog, &nodes, &addrs, 9);
         let mut want: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, prog.len)).collect();
         reference_run(&prog, &mut want);
         assert_eq!(got, want);
@@ -1038,138 +870,35 @@ mod tests {
     }
 
     #[test]
-    fn torn_frame_on_severed_connection_is_resent_whole() {
-        // Rank 0 sends three frames to rank 1; the connection is cut in
-        // the middle of the second frame's bytes. The receiver must see
-        // exactly the three intact frames, in order.
-        let (nodes, addrs) = uds_world("sever", 2);
+    fn a_sender_dials_a_listener_that_binds_late() {
+        // Rank 0 sends before rank 1's listener exists: its dials are
+        // refused, the frames wait queued, and the wait for rank 1's
+        // reply redials until the listener is up.
+        let dir = tmp_dir("late");
+        let addrs = [0, 1].map(|r| WireAddr::Uds(dir.join(format!("r{r}.sock"))));
+        let sender = Arc::new(SocketNode::bind(&addrs[0]).unwrap());
         let payloads: Vec<Vec<f32>> = (0..3).map(|k| seeded(k, 64)).collect();
+        let (sent, bind) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            let sender = {
-                let node = Arc::clone(&nodes[0]);
-                let peers = peers_for(0, &addrs);
-                let payloads = payloads.clone();
-                s.spawn(move || {
-                    let mut ch = SocketChannel::new(node, 3, 0, peers);
-                    ch.set_deadline(Instant::now() + Duration::from_secs(10));
-                    // Frame = 4 + 64·4 = 260 bytes; sever mid-second-frame.
-                    ch.sever_outbound_after(1, 260 + 100);
-                    for p in &payloads {
-                        ch.send(1, &[p]).unwrap();
-                    }
-                })
-            };
-            let receiver = {
-                let node = Arc::clone(&nodes[1]);
-                let peers = peers_for(1, &addrs);
-                s.spawn(move || {
-                    let mut ch = SocketChannel::new(node, 3, 1, peers);
-                    ch.set_deadline(Instant::now() + Duration::from_secs(10));
-                    (0..3)
-                        .map(|_| ch.recv_frame(0).unwrap())
-                        .collect::<Vec<_>>()
-                })
-            };
-            sender.join().unwrap();
-            let got = receiver.join().unwrap();
-            assert_eq!(got, payloads);
-        });
-    }
-
-    #[test]
-    fn reliable_over_socket_survives_lossy_mid_stream_disconnect() {
-        // A ring all-reduce where rank 1's connection to rank 2 is severed
-        // mid-frame and the frame is NOT resent by the socket layer: the
-        // ReliableTransport on top must recover it from the shared store.
-        // This is the acceptance-criteria sever test: real torn frame,
-        // real EOF, real re-accept, no timeout surfacing.
-        let g = 3;
-        let n = 32;
-        let prog = ring_all_reduce(g, n, ReduceOp::Sum);
-        let (nodes, addrs) = uds_world("lossy", g);
-        let store = RetransmitStore::new(g);
-        let mut bufs: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
-        let mut stats = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = bufs
-                .iter_mut()
-                .enumerate()
-                .map(|(rank, buf)| {
-                    let node = Arc::clone(&nodes[rank]);
-                    let peers = peers_for(rank, &addrs);
-                    let store = &store;
-                    let prog = &prog;
-                    s.spawn(move || {
-                        let mut ch = SocketChannel::new(node, 11, rank, peers);
-                        ch.set_deadline(Instant::now() + Duration::from_secs(20));
-                        if rank == 1 {
-                            // Chunk frames are ≈ 4 + ⌈32/3⌉·4 + 8 bytes
-                            // (seq header adds 2 elems); cut inside the
-                            // second frame to rank 2 and drop it cold.
-                            ch.sever_outbound_after_lossy(2, 60 + 20);
-                        }
-                        let mut rel =
-                            ReliableTransport::new(ch, store, rank, RetryPolicy::default());
-                        let report = execute(prog, rank, buf, &mut rel).unwrap();
-                        (report, rel.stats())
-                    })
-                })
-                .collect();
-            for h in handles {
-                stats.push(h.join().unwrap());
+            let addrs = &addrs;
+            let receiver = s.spawn(move || {
+                bind.recv().unwrap();
+                let node = Arc::new(SocketNode::bind(&addrs[1]).unwrap());
+                let mut ch = SocketChannel::new(node, 8, 1, peers_for(1, addrs));
+                ch.set_deadline(Instant::now() + Duration::from_secs(10));
+                let got: Vec<Vec<f32>> = (0..3).map(|_| ch.recv_frame(0).unwrap()).collect();
+                ch.send(0, &[&[1.0]]).unwrap();
+                got
+            });
+            let mut ch = SocketChannel::new(sender, 8, 0, peers_for(0, addrs));
+            ch.set_deadline(Instant::now() + Duration::from_secs(10));
+            for p in &payloads {
+                ch.send(1, &[p]).unwrap();
             }
+            sent.send(()).unwrap();
+            assert_eq!(ch.recv_frame(1).unwrap(), [1.0]);
+            assert_eq!(receiver.join().unwrap(), payloads);
         });
-        let mut want: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
-        reference_run(&prog, &mut want);
-        assert_eq!(bufs, want, "lossy sever must not corrupt the reduction");
-        let recovered: u64 = stats.iter().map(|(_, st)| st.retransmits).sum();
-        assert!(
-            recovered >= 1,
-            "the severed frame must be recovered from the store (got {recovered})"
-        );
-    }
-
-    #[test]
-    fn replay_log_heals_lossy_sever_without_a_shared_store() {
-        // Same lossy mid-frame sever as above, but every rank owns a
-        // PRIVATE RetransmitStore — the true multi-process topology, where
-        // the receiver's store never saw the sender's frames and
-        // store-based recovery is inert. The sender-side replay log must
-        // resend the lost frame on reconnect, bit-exactly.
-        let g = 3;
-        let n = 32;
-        let prog = ring_all_reduce(g, n, ReduceOp::Sum);
-        let (nodes, addrs) = uds_world("replay", g);
-        let mut bufs: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = bufs
-                .iter_mut()
-                .enumerate()
-                .map(|(rank, buf)| {
-                    let node = Arc::clone(&nodes[rank]);
-                    let peers = peers_for(rank, &addrs);
-                    let prog = &prog;
-                    s.spawn(move || {
-                        let store = RetransmitStore::new(g); // private per "process"
-                        let mut ch = SocketChannel::new(node, 13, rank, peers);
-                        ch.set_deadline(Instant::now() + Duration::from_secs(20));
-                        ch.enable_replay();
-                        if rank == 1 {
-                            ch.sever_outbound_after_lossy(2, 60 + 20);
-                        }
-                        let mut rel =
-                            ReliableTransport::new(ch, &store, rank, RetryPolicy::default());
-                        execute(prog, rank, buf, &mut rel).unwrap();
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-        let mut want: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
-        reference_run(&prog, &mut want);
-        assert_eq!(bufs, want, "replayed sever must not corrupt the reduction");
     }
 
     #[test]
@@ -1178,42 +907,6 @@ mod tests {
         let mut ch = SocketChannel::new(Arc::clone(&nodes[0]), 5, 0, peers_for(0, &addrs));
         ch.set_deadline(Instant::now() + Duration::from_millis(80));
         assert_eq!(ch.recv_frame(1), Err(SocketError::Deadline));
-    }
-
-    #[test]
-    fn recv_within_soft_misses_then_delivers() {
-        let (nodes, addrs) = uds_world("poll", 2);
-        std::thread::scope(|s| {
-            let receiver = {
-                let node = Arc::clone(&nodes[1]);
-                let peers = peers_for(1, &addrs);
-                s.spawn(move || {
-                    let mut ch = SocketChannel::new(node, 6, 1, peers);
-                    ch.set_deadline(Instant::now() + Duration::from_secs(10));
-                    let mut misses = 0u32;
-                    loop {
-                        match ch.recv_within(0, Duration::from_millis(5)).unwrap() {
-                            Some(f) => return (misses, f),
-                            None => misses += 1,
-                        }
-                    }
-                })
-            };
-            let sender = {
-                let node = Arc::clone(&nodes[0]);
-                let peers = peers_for(0, &addrs);
-                s.spawn(move || {
-                    std::thread::sleep(Duration::from_millis(40));
-                    let mut ch = SocketChannel::new(node, 6, 0, peers);
-                    ch.set_deadline(Instant::now() + Duration::from_secs(10));
-                    ch.send(1, &[&[1.0, 2.0, 3.0]]).unwrap();
-                })
-            };
-            sender.join().unwrap();
-            let (misses, frame) = receiver.join().unwrap();
-            assert_eq!(frame, vec![1.0, 2.0, 3.0]);
-            assert!(misses >= 1, "expected at least one soft miss");
-        });
     }
 
     /// A test stream that hands out `bytes` in reads of the given sizes
@@ -1324,13 +1017,15 @@ mod tests {
                 ends.iter().any(|e| *e > 4 && e % 4 != 0),
                 "no read tears a float"
             );
-            let mut inbound = Inbound::default();
-            inbound.conns.push_back(Box::new(Trickle {
-                bytes: stream.clone(),
-                at: 0,
-                sizes: sizes.clone(),
-                reads: 0,
-            }));
+            let mut inbound = Inbound {
+                conn: Some(Box::new(Trickle {
+                    bytes: stream.clone(),
+                    at: 0,
+                    sizes: sizes.clone(),
+                    reads: 0,
+                })),
+                ..Inbound::default()
+            };
             let mut calls = SocketCalls::default();
             for _ in 0..=stream.len() {
                 inbound.read(&mut calls);

@@ -38,22 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use megatron_collective::{
-    self as coll, mix_seed, FaultTally, FaultyTransport, PollTransport, Program, ReduceOp,
-    ReliableTransport, RetransmitStore, RetryPolicy, RetryStats, SocketChannel, SocketError,
-    TransientFaults, Transport,
-};
-
-/// Seeded transient-fault profile for a group's wire: which faults to
-/// inject and the base seed the per-rank / per-collective streams derive
-/// from (see [`mix_seed`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultProfile {
-    /// Base seed; each (rank, collective) pair gets an independent stream.
-    pub seed: u64,
-    /// What to inject.
-    pub faults: TransientFaults,
-}
+use megatron_collective::{self as coll, Program, ReduceOp, SocketChannel, SocketError, Transport};
 
 /// Which wire a group's step programs execute over.
 ///
@@ -79,24 +64,14 @@ impl WireKind {
     }
 }
 
-/// Wire configuration of a [`Group`]: which wire carries the chunks,
-/// whether sends pass through a seeded fault injector, and whether the
-/// reliable retry/retransmit layer is armed to absorb those faults (see
-/// `megatron_collective::reliable`).
-///
-/// The default — mailbox wire, no faults, no retry — is byte-for-byte the
-/// plain mailbox path: no framing overhead, no behavior change.
+/// Wire configuration of a [`Group`]: which wire carries the chunks. The
+/// default is the mailbox.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransportConfig {
     /// Which wire the collectives run over. `Uds`/`Tcp` is declarative:
     /// the launcher reads it to decide process mode, and
     /// [`Group::with_socket`] supplies the actual channel.
     pub wire: WireKind,
-    /// Arm the reliable delivery layer with this policy.
-    pub retry: Option<RetryPolicy>,
-    /// Inject seeded transient faults under the reliable layer (a group
-    /// refuses faults without `retry`).
-    pub faults: Option<FaultProfile>,
 }
 
 /// Bytes per element of the real engine's `f32` payloads: counted
@@ -397,11 +372,6 @@ pub struct Group {
     mail: Vec<Mailbox>,
     poisoned: AtomicBool,
     timeout: Duration,
-    // The reliable layer: its policy and the shared sender-side frame log
-    // it recovers from (recovery reads the *sender's* log), armed together.
-    reliable: Option<(RetryPolicy, RetransmitStore)>,
-    // Seeded transient faults, injected only under the reliable layer.
-    faults: Option<FaultProfile>,
     // Process mode: the socket channel this process's member speaks over.
     socket: Option<SocketState>,
 }
@@ -416,62 +386,35 @@ impl Group {
 
     /// Like [`Group::new`] with an explicit collective timeout.
     pub fn with_timeout(size: usize, timeout: Duration) -> Arc<Group> {
-        Group::with_config(size, timeout, TransportConfig::default())
-    }
-
-    /// Like [`Group::with_timeout`] with an explicit wire configuration
-    /// (the reliable retry layer, and fault injection under it).
-    ///
-    /// # Panics
-    /// If `transport` injects faults without the retry layer to absorb
-    /// them.
-    pub fn with_config(size: usize, timeout: Duration, transport: TransportConfig) -> Arc<Group> {
         assert!(size > 0);
         Arc::new(Group {
             size,
             mail: (0..size * size).map(|_| Mailbox::new()).collect(),
             poisoned: AtomicBool::new(false),
             timeout,
-            reliable: reliable_layer(size, &transport),
-            faults: transport.faults,
             socket: None,
         })
     }
 
     /// A *process-mode* group: this `Group` instance hosts exactly one
     /// member — `channel.rank()` — and every collective executes over the
-    /// socket channel to peer processes. Peer death surfaces as
-    /// [`CommError::Timeout`] once the group timeout expires, never as
-    /// `Poisoned` (poison cannot cross an address space).
-    ///
-    /// A process's retransmit store only ever sees its own sends, so
-    /// store-based recovery is inert across processes. Instead, whenever
-    /// retry is armed the socket channel's sender-side *replay log* is
-    /// enabled: after a torn connection the reconnect resends the whole
-    /// recent frame window (covering frames lost or only partially written
-    /// when the wire broke), and the reliable layer's sequence numbers
-    /// discard the duplicates. Cross-process delivery is therefore
-    /// bit-exact under mid-frame severs too.
-    ///
-    /// # Panics
-    /// As [`Group::with_config`].
+    /// socket channel to peer processes. A peer's death, or a broken
+    /// connection to it, surfaces as [`CommError::Timeout`] once the group
+    /// timeout expires, never as `Poisoned` (poison cannot cross an address
+    /// space); the timeout poisons this group, so its next collective fails
+    /// at once. The channel is the wire: `_transport` is not read.
     pub fn with_socket(
         size: usize,
         timeout: Duration,
-        transport: TransportConfig,
-        mut channel: SocketChannel,
+        _transport: TransportConfig,
+        channel: SocketChannel,
     ) -> Arc<Group> {
         assert!(channel.rank() < size, "channel rank outside the group");
-        if transport.retry.is_some() {
-            channel.enable_replay();
-        }
         Arc::new(Group {
             size,
             mail: Vec::new(),
             poisoned: AtomicBool::new(false),
             timeout,
-            reliable: reliable_layer(size, &transport),
-            faults: transport.faults,
             socket: Some(SocketState {
                 rank: channel.rank(),
                 chan: Mutex::new(channel),
@@ -494,9 +437,6 @@ impl Group {
             rank,
             volume: Cell::new(CommVolume::default()),
             op_log: RefCell::new(Vec::new()),
-            programs_run: Cell::new(0),
-            retry_stats: Cell::new(RetryStats::default()),
-            fault_tally: Cell::new(FaultTally::default()),
         }
     }
 
@@ -543,18 +483,14 @@ impl Group {
     /// lock, so that its sender, once it holds the lock and no longer sees
     /// it queued, knows nobody reads it. Queued data wins over poison (a
     /// completed send should be consumable), and a deadline miss poisons
-    /// the whole group. With a `wait`, give up *softly* once it has
-    /// passed: `Ok(None)` leaves the group healthy so the reliable layer
-    /// can recover the chunk from the retransmit store and poll again.
-    fn fetch_within<R>(
+    /// the whole group.
+    fn fetch<R>(
         &self,
         src: usize,
         dst: usize,
-        wait: Option<Duration>,
         deadline: Instant,
         take: impl FnOnce(&Message) -> R,
-    ) -> Result<Option<R>, RawComm> {
-        let attempt_end = wait.map_or(deadline, |w| (Instant::now() + w).min(deadline));
+    ) -> Result<R, RawComm> {
         let mb = &self.mail[dst * self.size + src];
         let Ok(mut q) = mb.q.lock() else {
             return Err(RawComm::Poisoned);
@@ -563,13 +499,13 @@ impl Group {
             if let Some(msg) = q.pop_front() {
                 if !msg.is_lent() {
                     drop(q);
-                    return Ok(Some(take(&msg)));
+                    return Ok(take(&msg));
                 }
                 let got = take(&msg);
                 drop(q);
                 // The sender may be waiting in `reclaim` for this message.
                 mb.cv.notify_all();
-                return Ok(Some(got));
+                return Ok(got);
             }
             if self.is_poisoned() {
                 return Err(RawComm::Poisoned);
@@ -580,10 +516,7 @@ impl Group {
                 self.poison_all();
                 return Err(RawComm::Timeout);
             }
-            if now >= attempt_end {
-                return Ok(None);
-            }
-            q = match mb.cv.wait_timeout(q, attempt_end - now) {
+            q = match mb.cv.wait_timeout(q, deadline - now) {
                 Ok(pair) => pair.0,
                 Err(_) => return Err(RawComm::Poisoned),
             };
@@ -624,21 +557,6 @@ impl Group {
                 .0;
         }
     }
-}
-
-/// The reliable layer `transport` arms for a group of `size`: its policy
-/// and a retransmit store, allocated together so neither exists alone.
-fn reliable_layer(
-    size: usize,
-    transport: &TransportConfig,
-) -> Option<(RetryPolicy, RetransmitStore)> {
-    assert!(
-        transport.faults.is_none() || transport.retry.is_some(),
-        "injected faults need the retry layer: set `retry` with `faults`"
-    );
-    transport
-        .retry
-        .map(|policy| (policy, RetransmitStore::new(size)))
 }
 
 /// The mailbox-backed [`Transport`] one rank executes step programs over.
@@ -697,30 +615,15 @@ impl Transport for MailTransport<'_> {
     }
 
     fn recv<F: FnOnce(&[&[f32]])>(&mut self, from: usize, take: F) -> Result<(), RawComm> {
-        let got = self
-            .group
-            .fetch_within(from, self.rank, None, self.deadline, |msg| msg.read(take))?;
-        assert!(
-            got.is_some(),
-            "an unbounded fetch ends with a chunk or an error"
-        );
-        Ok(())
-    }
-}
-
-impl PollTransport for MailTransport<'_> {
-    fn recv_within(&mut self, from: usize, wait: Duration) -> Result<Option<Vec<f32>>, RawComm> {
         self.group
-            .fetch_within(from, self.rank, Some(wait), self.deadline, |msg| {
-                msg.read(|parts| parts.concat())
-            })
+            .fetch(from, self.rank, self.deadline, |msg| msg.read(take))
     }
 }
 
 /// The socket-backed [`Transport`] of a process-mode group: a thin error
-/// adapter over [`SocketChannel`]. Both a dead peer (deadline) and a hard
-/// I/O failure surface as [`RawComm::Timeout`] — from this rank's view the
-/// peer stopped moving, and the step context names it.
+/// adapter over [`SocketChannel`]. A dead peer and a broken connection both
+/// surface as the deadline, [`RawComm::Timeout`] — from this rank's view
+/// the peer stopped moving, and the step context names it.
 struct SockTransport<'a> {
     chan: &'a mut SocketChannel,
 }
@@ -741,12 +644,6 @@ impl Transport for SockTransport<'_> {
     }
 }
 
-impl PollTransport for SockTransport<'_> {
-    fn recv_within(&mut self, from: usize, wait: Duration) -> Result<Option<Vec<f32>>, RawComm> {
-        self.chan.recv_within(from, wait).map_err(raw_from_socket)
-    }
-}
-
 /// One rank's handle to a [`Group`]. Every collective must be called by all
 /// ranks of the group, in the same order.
 pub struct GroupMember {
@@ -756,11 +653,6 @@ pub struct GroupMember {
     // thread, so accounting costs a register copy, never a contended write.
     volume: Cell<CommVolume>,
     op_log: RefCell<Vec<CollectiveOp>>,
-    // Collectives started by this member: the per-operation word of the
-    // deterministic fault-stream seed.
-    programs_run: Cell<u64>,
-    retry_stats: Cell<RetryStats>,
-    fault_tally: Cell<FaultTally>,
 }
 
 impl GroupMember {
@@ -797,60 +689,11 @@ impl GroupMember {
         self.group.poison_all();
     }
 
-    /// Retry-layer counters accumulated by this member's collectives
-    /// (all zero unless the group was built with a retry policy).
-    pub fn retry_stats(&self) -> RetryStats {
-        self.retry_stats.get()
-    }
-
-    /// Transient faults injected into this member's sends (all zero unless
-    /// the group was built with a fault profile).
-    pub fn fault_tally(&self) -> FaultTally {
-        self.fault_tally.get()
-    }
-
-    /// Wrap `tp` per the group's [`TransportConfig`] and execute `progs`
-    /// over `segs`.
-    fn execute_wrapped<T: PollTransport<Error = RawComm>>(
-        &self,
-        progs: &[Program],
-        segs: &mut [&mut [f32]],
-        op_index: u64,
-        mut tp: T,
-    ) -> Result<coll::ExecReport, coll::StepFailure<RawComm>> {
-        let Some((policy, store)) = &self.group.reliable else {
-            return coll::execute_segments(progs, self.rank, segs, &mut tp);
-        };
-        let (faults, seed) = self
-            .group
-            .faults
-            .map_or((TransientFaults::default(), 0), |p| {
-                (
-                    p.faults,
-                    mix_seed(p.seed, (self.rank as u64) << 32 | op_index),
-                )
-            });
-        let faulty = FaultyTransport::new(tp, faults, seed);
-        let mut rel = ReliableTransport::new(faulty, store, self.rank, *policy);
-        let result = coll::execute_segments(progs, self.rank, segs, &mut rel);
-        let (faulty, stats) = rel.into_parts();
-        let (_, tally) = faulty.into_parts();
-        self.retry_stats.set(self.retry_stats.get().plus(&stats));
-        self.fault_tally.set(self.fault_tally.get().plus(&tally));
-        result
-    }
-
     /// Execute `progs[k]` over segment `segs[k]`, all segments as one
     /// collective (one message per round), over the group's wire —
     /// mailboxes, or the socket channel in process mode — tally the
     /// measured egress into `slot`, count one collective and record `ops`
     /// (one per segment) for replay.
-    ///
-    /// When the group carries a [`TransportConfig`], the wire is wrapped
-    /// accordingly: a seeded [`FaultyTransport`] plays adversary and a
-    /// [`ReliableTransport`] above it absorbs the faults, so transient
-    /// drops/duplicates/delays never surface as [`CommError::Timeout`]
-    /// while the retransmit budget lasts.
     fn run_programs(
         &self,
         progs: &[Program],
@@ -861,16 +704,19 @@ impl GroupMember {
         if self.group.is_poisoned() {
             return Err(CommError::Poisoned);
         }
-        let op_index = self.programs_run.get();
-        self.programs_run.set(op_index + 1);
+        let deadline = Instant::now() + self.group.timeout;
         let result = if let Some(sock) = &self.group.socket {
             let mut chan = sock.chan.lock().unwrap();
-            chan.set_deadline(Instant::now() + self.group.timeout);
-            self.execute_wrapped(progs, segs, op_index, SockTransport { chan: &mut chan })
+            chan.set_deadline(deadline);
+            coll::execute_segments(
+                progs,
+                self.rank,
+                segs,
+                &mut SockTransport { chan: &mut chan },
+            )
         } else {
-            let deadline = Instant::now() + self.group.timeout;
-            let tp = MailTransport::new(&self.group, self.rank, deadline);
-            self.execute_wrapped(progs, segs, op_index, tp)
+            let mut tp = MailTransport::new(&self.group, self.rank, deadline);
+            coll::execute_segments(progs, self.rank, segs, &mut tp)
         };
         match result {
             Ok(report) => {
@@ -884,7 +730,7 @@ impl GroupMember {
             Err(fail) => Err(match fail.error {
                 RawComm::Poisoned => CommError::Poisoned,
                 RawComm::Timeout => {
-                    // The mailbox path poisons inside `fetch_within`; the
+                    // The mailbox path poisons inside `Group::fetch`; the
                     // socket path poisons here so later calls fail fast too.
                     self.group.poison_all();
                     let mut ctx =
@@ -1588,168 +1434,62 @@ mod tests {
         assert_eq!(lent_queued(&group), 0);
     }
 
-    fn run_group_cfg<T: Send>(
-        size: usize,
-        cfg: TransportConfig,
-        f: impl Fn(GroupMember) -> T + Sync,
-    ) -> Vec<T> {
-        let group = Group::with_config(size, Duration::from_secs(10), cfg);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..size)
-                .map(|r| {
-                    let m = group.member(r);
-                    s.spawn(|| f(m))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
-    fn lossy_cfg(seed: u64, drop_prob: f64) -> TransportConfig {
-        TransportConfig {
-            wire: WireKind::Mailbox,
-            retry: Some(RetryPolicy {
-                base_backoff: Duration::from_micros(200),
-                ..RetryPolicy::default()
-            }),
-            faults: Some(FaultProfile {
-                seed,
-                faults: TransientFaults {
-                    drop_prob,
-                    ..TransientFaults::default()
-                },
-            }),
-        }
-    }
-
     #[test]
-    #[should_panic(expected = "injected faults need the retry layer")]
-    fn faults_without_the_retry_layer_are_refused() {
+    fn a_broken_socket_wire_is_a_rank_failure() {
+        // Two "processes" of one socket group, each with its own node. The
+        // peer plays round 1 of a two-rank ring all-reduce by hand, then
+        // its channel and node close: the survivor's round 2 can never
+        // complete.
+        use megatron_collective::{SocketNode, WireAddr};
+        let dir = std::env::temp_dir().join(format!("megatron-comm-broken-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let addrs: Vec<WireAddr> = (0..2)
+            .map(|r| WireAddr::Uds(dir.join(format!("r{r}.sock"))))
+            .collect();
+        let nodes: Vec<Arc<SocketNode>> = addrs
+            .iter()
+            .map(|a| Arc::new(SocketNode::bind(a).unwrap()))
+            .collect();
+        let peers: Vec<Option<WireAddr>> = addrs.iter().cloned().map(Some).collect();
+        let timeout = Duration::from_millis(300);
+        let chan = SocketChannel::new(Arc::clone(&nodes[0]), 9, 0, peers.clone());
         let cfg = TransportConfig {
-            retry: None,
-            ..lossy_cfg(1, 0.5)
+            wire: WireKind::Uds,
         };
-        Group::with_config(2, Duration::from_secs(1), cfg);
-    }
-
-    #[test]
-    fn retry_layer_alone_changes_nothing() {
-        let cfg = TransportConfig {
-            wire: WireKind::Mailbox,
-            retry: Some(RetryPolicy::default()),
-            faults: None,
+        let survivor = Group::with_socket(2, timeout, cfg, chan).member(0);
+        let peer = {
+            let mut chan = SocketChannel::new(Arc::clone(&nodes[1]), 9, 1, peers);
+            chan.set_deadline(Instant::now() + Duration::from_secs(10));
+            thread::spawn(move || {
+                // Round 1 of 2: send chunk 1, receive chunk 0.
+                chan.send(0, &[&[1.0, 1.0]]).unwrap();
+                chan.recv_frame(0).unwrap();
+            })
         };
-        let results = run_group_cfg(4, cfg, |m| {
-            let mut buf = vec![m.rank() as f32, 1.0];
-            m.all_reduce_sum(&mut buf);
-            (buf, m.retry_stats(), m.fault_tally())
-        });
-        for (buf, stats, tally) in &results {
-            assert_eq!(buf, &vec![6.0, 4.0]);
-            assert_eq!(stats.retransmits, 0);
-            assert_eq!(tally.total(), 0);
-        }
-    }
-
-    #[test]
-    fn dropped_chunks_in_ring_all_reduce_recover_without_timeout() {
-        // The acceptance criterion: a transient message drop during a ring
-        // all-reduce is absorbed by the retry layer — visible in the retry
-        // counters — and never surfaces as CommError::Timeout.
-        let results = run_group_cfg(4, lossy_cfg(0x5eed, 0.3), |m| {
-            let mut buf: Vec<f32> = (0..23).map(|i| (m.rank() * 23 + i) as f32).collect();
-            let r = m.try_all_reduce_sum(&mut buf);
-            (r, buf, m.retry_stats(), m.fault_tally())
-        });
-        let mut dropped = 0;
-        let mut recovered = 0;
-        for (r, buf, stats, tally) in &results {
-            assert_eq!(*r, Ok(()), "drops must be absorbed, not time out");
-            assert_eq!(buf, &results[0].1, "ranks must still agree bit-identically");
-            dropped += tally.dropped;
-            recovered += stats.retransmits;
-        }
-        assert!(dropped > 0, "a 30% drop rate must hit at least one send");
-        assert_eq!(recovered, dropped, "every drop recovered exactly once");
-    }
-
-    #[test]
-    fn lossy_wire_matches_clean_wire_bit_for_bit() {
-        // Mixed drop/duplicate/delay across several collectives: the final
-        // values must equal the fault-free run exactly.
-        let clean = run_group(3, |m| {
-            let mut buf = vec![(m.rank() as f32) * 0.25 - 1.0; 11];
-            m.all_reduce_sum(&mut buf);
-            let gathered = gather(&m, &buf[..3]);
-            m.broadcast(&mut buf, 2);
-            (buf, gathered)
-        });
-        let cfg = TransportConfig {
-            wire: WireKind::Mailbox,
-            retry: Some(RetryPolicy {
-                base_backoff: Duration::from_micros(200),
-                ..RetryPolicy::default()
-            }),
-            faults: Some(FaultProfile {
-                seed: 0xc4a05,
-                faults: TransientFaults {
-                    drop_prob: 0.2,
-                    duplicate_prob: 0.2,
-                    delay_prob: 0.1,
-                    delay: Duration::from_micros(300),
-                    ..TransientFaults::default()
-                },
-            }),
+        drop(nodes);
+        let started = Instant::now();
+        let mut buf = vec![1.0f32; 4];
+        let got = survivor.try_all_reduce_sum(&mut buf);
+        let waited = started.elapsed();
+        peer.join().unwrap();
+        let Err(CommError::Timeout(ctx)) = got else {
+            panic!("expected a timeout, got {got:?}");
         };
-        let lossy = run_group_cfg(3, cfg, |m| {
-            let mut buf = vec![(m.rank() as f32) * 0.25 - 1.0; 11];
-            m.all_reduce_sum(&mut buf);
-            let gathered = gather(&m, &buf[..3]);
-            m.broadcast(&mut buf, 2);
-            (buf, gathered)
-        });
-        assert_eq!(clean, lossy);
-    }
-
-    #[test]
-    fn exhausted_retransmit_budget_still_times_out() {
-        // A wire that drops everything with a budget of one recovery: the
-        // retry layer gives up and the hard timeout (with step context)
-        // must still fire, poisoning the group — dead peers stay fatal.
-        let cfg = TransportConfig {
-            wire: WireKind::Mailbox,
-            retry: Some(RetryPolicy {
-                base_backoff: Duration::from_micros(100),
-                max_backoff: Duration::from_millis(2),
-                retransmit_budget: 1,
-            }),
-            faults: Some(FaultProfile {
-                seed: 7,
-                faults: TransientFaults {
-                    drop_prob: 1.0,
-                    ..TransientFaults::default()
-                },
-            }),
-        };
-        let group = Group::with_config(2, Duration::from_millis(300), cfg);
-        let results: Vec<_> = thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|r| {
-                    let m = group.member(r);
-                    s.spawn(move || {
-                        let mut buf = vec![1.0f32; 8];
-                        m.try_all_reduce_sum(&mut buf)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        assert_eq!(ctx.collective, "ring-all-reduce");
+        assert_eq!((ctx.round, ctx.rounds, ctx.peer), (1, 2, 1), "{ctx}");
+        assert_eq!(ctx.peer_pid, Some(std::process::id()), "{ctx}");
+        assert_eq!(ctx.peer_addr, Some(addrs[1].to_string()), "{ctx}");
         assert!(
-            results
-                .iter()
-                .any(|r| matches!(r, Err(CommError::Timeout(_)))),
-            "budget exhaustion must surface the hard timeout: {results:?}"
+            waited >= timeout && waited < timeout + Duration::from_secs(2),
+            "the group timeout is the failure detector: {waited:?}"
         );
-        assert!(group.is_poisoned());
+        // The timeout poisoned the group: the next collective fails fast.
+        let started = Instant::now();
+        assert_eq!(
+            survivor.try_all_reduce_sum(&mut buf),
+            Err(CommError::Poisoned)
+        );
+        assert!(started.elapsed() < timeout / 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

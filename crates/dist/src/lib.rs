@@ -41,14 +41,11 @@ pub mod vocab;
 pub use block::{ParallelBlock, ParallelBlockCache};
 pub use checkpoint::{CheckpointError, CheckpointStore, Restored};
 pub use comm::{
-    CollectiveKind, CollectiveOp, CommError, CommPanic, CommVolume, FaultProfile, Group,
-    GroupMember, StallContext, TransportConfig, WireKind, BYTES_F32, DEFAULT_COMM_TIMEOUT,
+    CollectiveKind, CollectiveOp, CommError, CommPanic, CommVolume, Group, GroupMember,
+    StallContext, TransportConfig, WireKind, BYTES_F32, DEFAULT_COMM_TIMEOUT,
 };
 pub use health::{HealthMonitor, HealthReport, RankCondition};
-pub use proc::{
-    JobSpec, LaunchHandle, ProcBackend, ProcOutcome, RankOutput, SocketFault, SocketFaultPlan,
-    WorkerExit,
-};
+pub use proc::{JobSpec, LaunchHandle, ProcBackend, ProcOutcome, RankOutput, WorkerExit};
 pub use supervisor::{
     Attempt, AttemptFailure, AttemptOutcome, CapacityEvent, Incident, IncidentCause, JobBackend,
     JobShape, Reconfiguration, ReconfigureDirection, Supervisor, SupervisorConfig,

@@ -22,7 +22,7 @@ use crate::supervisor::{
 
 use super::launch::{launch_configured, LaunchHandle, WorkerExit};
 use super::rendezvous::RENDEZVOUS_TIMEOUT;
-use super::spec::{JobSpec, SocketFaultPlan};
+use super::spec::JobSpec;
 
 /// How long after launch heartbeat silence is forgiven: spawn and
 /// rendezvous take seconds, and a monitor counts never-beaten as dead.
@@ -37,19 +37,17 @@ const TEARDOWN_LIMIT: Duration = Duration::from_secs(10);
 pub struct ProcBackend {
     job: JobSpec,
     root: PathBuf,
-    faults: Option<SocketFaultPlan>,
 }
 
 impl ProcBackend {
     /// A backend for `job` with per-attempt scratch directories under
-    /// `root`; `faults` is armed by the first attempt's workers. Topology,
-    /// iteration count, checkpoint cadence, resume generation, epoch and
-    /// collective timeout are the supervisor's to set per attempt.
-    pub fn new(job: &JobSpec, root: &Path, faults: Option<SocketFaultPlan>) -> ProcBackend {
+    /// `root`. Topology, iteration count, checkpoint cadence, resume
+    /// generation, epoch and collective timeout are the supervisor's to set
+    /// per attempt.
+    pub fn new(job: &JobSpec, root: &Path) -> ProcBackend {
         ProcBackend {
             job: *job,
             root: root.to_path_buf(),
-            faults,
         }
     }
 
@@ -146,7 +144,6 @@ impl JobBackend for ProcBackend {
             &job,
             &self.root.join(format!("attempt-{}", a.epoch)),
             Some(a.store.root()),
-            self.faults.as_ref().filter(|_| a.epoch == 0),
         );
         let handle = match launched {
             Ok(h) => h,

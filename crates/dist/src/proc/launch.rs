@@ -18,7 +18,7 @@ use crate::trainer::{merge_losses, ThreadKey};
 
 use super::rendezvous::{clear_stale_rendezvous, publish, HEARTBEAT_CHAN, RENDEZVOUS_TIMEOUT};
 use super::report::{self, RankOutput};
-use super::spec::{JobSpec, SocketFaultPlan};
+use super::spec::JobSpec;
 
 // ---------------------------------------------------------------------------
 // Launcher
@@ -101,18 +101,16 @@ pub struct LaunchHandle {
 /// with `--proc-worker <dir> <rank>`, so the hosting binary must call
 /// [`maybe_worker`](super::maybe_worker) before anything else.
 pub fn launch(job: &JobSpec, dir: &Path) -> std::io::Result<LaunchHandle> {
-    launch_configured(job, dir, None, None)
+    launch_configured(job, dir, None)
 }
 
-/// [`launch`] with the supervisor-side extras: an explicit durable
-/// checkpoint root (published to workers as `ckpt.path`, so respawn
-/// attempts in fresh rendezvous dirs share one store) and a socket
-/// fault plan (written as `faults.json` for workers to arm).
+/// [`launch`] with an explicit durable checkpoint root (published to
+/// workers as `ckpt.path`, so respawn attempts in fresh rendezvous dirs
+/// share one store).
 pub fn launch_configured(
     job: &JobSpec,
     dir: &Path,
     ckpt_root: Option<&Path>,
-    faults: Option<&SocketFaultPlan>,
 ) -> std::io::Result<LaunchHandle> {
     assert!(job.wire.is_socket(), "process mode needs a socket wire");
     // Refuse a ragged batch here, before any worker is spawned.
@@ -124,9 +122,6 @@ pub fn launch_configured(
     fs::write(dir.join("job.json"), job.to_json())?;
     if let Some(root) = ckpt_root {
         publish(dir, "ckpt.path", &root.display().to_string());
-    }
-    if let Some(plan) = faults {
-        publish(dir, "faults.json", &plan.to_json());
     }
 
     let bind = match job.wire {

@@ -70,5 +70,5 @@ mod worker;
 pub use backend::ProcBackend;
 pub use launch::{launch, launch_configured, LaunchHandle, ProcOutcome, WorkerExit};
 pub use report::RankOutput;
-pub use spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
+pub use spec::JobSpec;
 pub use worker::{maybe_worker, worker_main};

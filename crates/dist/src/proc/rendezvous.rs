@@ -85,7 +85,6 @@ pub(super) fn clear_stale_rendezvous(dir: &Path) -> std::io::Result<()> {
         let entry = entry?;
         let name = entry.file_name().to_string_lossy().into_owned();
         let is_rendezvous = name == "job.json"
-            || name == "faults.json"
             || name == "ckpt.path"
             || name.starts_with("launcher.")
             || (name.starts_with("rank-")

@@ -1,5 +1,4 @@
-//! What every worker reads at startup: the job ([`JobSpec`], `job.json`)
-//! and the socket fault schedule ([`SocketFaultPlan`], `faults.json`).
+//! What every worker reads at startup: the job ([`JobSpec`], `job.json`).
 
 use std::time::Duration;
 
@@ -9,7 +8,7 @@ use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::comm::{TransportConfig, WireKind};
+use crate::comm::WireKind;
 use crate::trainer::PtdpSpec;
 
 /// A self-contained, serializable description of one process-mode job:
@@ -51,8 +50,6 @@ pub struct JobSpec {
     pub iters: usize,
     /// Socket flavor: must be [`WireKind::Uds`] or [`WireKind::Tcp`].
     pub wire: WireKind,
-    /// Arm the reliable retry layer on every group.
-    pub retry: bool,
     /// Write a per-rank Chrome trace (`rank-R.trace.json`) and metrics
     /// snapshot (`rank-R.metrics.json`).
     pub trace: bool,
@@ -109,7 +106,6 @@ impl JobSpec {
             batch: 8,
             iters: 2,
             wire: WireKind::Uds,
-            retry: false,
             trace: false,
             hb_period: Duration::from_millis(25),
             checkpoint_every: 0,
@@ -159,15 +155,6 @@ impl JobSpec {
             .collect()
     }
 
-    /// The transport config every worker arms its groups with.
-    pub fn transport(&self) -> TransportConfig {
-        TransportConfig {
-            wire: self.wire,
-            retry: self.retry.then(Default::default),
-            faults: None,
-        }
-    }
-
     /// Serialize to the `job.json` wire form. `f32` fields travel as
     /// their `u32` bit patterns and the 64-bit seeds as decimal strings (a
     /// JSON number is an `f64`: exact only below 2⁵³), so the round trip
@@ -213,7 +200,6 @@ impl JobSpec {
                     .to_string(),
                 ),
             ),
-            ("retry", Json::Bool(self.retry)),
             ("trace", Json::Bool(self.trace)),
             ("hb_period_ms", Json::Num(self.hb_period.as_millis() as f64)),
             ("checkpoint_every", n(self.checkpoint_every)),
@@ -288,7 +274,6 @@ impl JobSpec {
             batch: us("batch")?,
             iters: us("iters")?,
             wire,
-            retry: b("retry"),
             trace: b("trace"),
             hb_period: Duration::from_millis(us("hb_period_ms")? as u64),
             checkpoint_every: us0("checkpoint_every"),
@@ -302,213 +287,6 @@ impl JobSpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Socket fault plan
-// ---------------------------------------------------------------------------
-
-/// Which of a rank's group channels a socket fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultChan {
-    /// The rank's tensor-parallel group channel.
-    Tensor,
-    /// The rank's data-parallel group channel.
-    Data,
-}
-
-/// One launcher-injected socket-level fault, executed by the worker it
-/// names before training starts. Severs and slowdowns act on the rank's
-/// outbound connection toward its next ring neighbor in the chosen group
-/// (the edge every ring collective uses each iteration), so the fault is
-/// guaranteed to sit on a live traffic path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketFault {
-    /// Cut the connection mid-frame once `after_bytes` cumulative payload
-    /// bytes have been written. `lossy` drops the severed frame cold —
-    /// recovery is then entirely the reliable layer + replay log's job —
-    /// while `!lossy` has the socket layer resend it whole.
-    Sever {
-        /// Flat rank whose outbound connection is cut.
-        rank: usize,
-        /// Group channel carrying the fault.
-        chan: FaultChan,
-        /// Payload bytes before the cut.
-        after_bytes: u64,
-        /// Genuinely lose the severed frame?
-        lossy: bool,
-    },
-    /// Delay the rank's listener bind (and address publish) by `delay_ms`:
-    /// every peer that dials early is refused and must retry, exercising
-    /// the connect-retry path from the other side of the pipe.
-    Refuse {
-        /// Flat rank whose listener comes up late.
-        rank: usize,
-        /// Milliseconds of bind delay.
-        delay_ms: u64,
-    },
-    /// Slow every frame the rank sends on `chan` by `delay_us` — a
-    /// degraded link the health monitor should classify as Slow, not
-    /// Dead.
-    Slow {
-        /// Flat rank with the degraded link.
-        rank: usize,
-        /// Group channel carrying the fault.
-        chan: FaultChan,
-        /// Per-frame send delay in microseconds.
-        delay_us: u64,
-    },
-}
-
-/// A seeded schedule of socket faults for one process-mode job, written
-/// by the launcher as `faults.json` and read by every worker at startup
-/// (each applies only the entries naming its own rank). The process-mode
-/// analog of `TransientFaults`: these are *wire* faults — broken pipes,
-/// refused connections, slow links — across real address spaces.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SocketFaultPlan {
-    /// The faults, in no particular order.
-    pub faults: Vec<SocketFault>,
-}
-
-impl SocketFaultPlan {
-    /// A deterministic plan for a world of `world` ranks: one lossy
-    /// mid-frame sever, one refused-connection startup delay, and one
-    /// slow link, on ranks drawn from `seed`. The sever's byte offset is
-    /// drawn so it lands inside the first few iterations' traffic.
-    pub fn seeded(seed: u64, world: usize) -> SocketFaultPlan {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x50c4_e7fa);
-        let mut pick = |exclude: &[usize]| loop {
-            let r = rng.gen_range(0..world);
-            if !exclude.contains(&r) {
-                return r;
-            }
-        };
-        let a = pick(&[]);
-        let b = pick(&[a]);
-        let c = pick(&[a, b]);
-        let after_bytes = rng.gen_range(100..600);
-        let faults = vec![
-            SocketFault::Sever {
-                rank: a,
-                chan: FaultChan::Tensor,
-                after_bytes,
-                lossy: true,
-            },
-            SocketFault::Refuse {
-                rank: b,
-                delay_ms: rng.gen_range(20..120),
-            },
-            SocketFault::Slow {
-                rank: c,
-                chan: FaultChan::Data,
-                delay_us: rng.gen_range(100..800),
-            },
-        ];
-        SocketFaultPlan { faults }
-    }
-
-    /// The entries that name `rank`.
-    pub fn for_rank(&self, rank: usize) -> Vec<SocketFault> {
-        self.faults
-            .iter()
-            .copied()
-            .filter(|f| match f {
-                SocketFault::Sever { rank: r, .. }
-                | SocketFault::Refuse { rank: r, .. }
-                | SocketFault::Slow { rank: r, .. } => *r == rank,
-            })
-            .collect()
-    }
-
-    /// Serialize to the `faults.json` wire form.
-    pub fn to_json(&self) -> String {
-        let chan = |c: FaultChan| {
-            Json::Str(
-                match c {
-                    FaultChan::Tensor => "tensor",
-                    FaultChan::Data => "data",
-                }
-                .to_string(),
-            )
-        };
-        let n = |x: u64| Json::Num(x as f64);
-        Json::obj([(
-            "faults",
-            Json::Arr(
-                self.faults
-                    .iter()
-                    .map(|f| match *f {
-                        SocketFault::Sever {
-                            rank,
-                            chan: c,
-                            after_bytes,
-                            lossy,
-                        } => Json::obj([
-                            ("kind", Json::Str("sever".into())),
-                            ("rank", n(rank as u64)),
-                            ("chan", chan(c)),
-                            ("after_bytes", n(after_bytes)),
-                            ("lossy", Json::Bool(lossy)),
-                        ]),
-                        SocketFault::Refuse { rank, delay_ms } => Json::obj([
-                            ("kind", Json::Str("refuse".into())),
-                            ("rank", n(rank as u64)),
-                            ("delay_ms", n(delay_ms)),
-                        ]),
-                        SocketFault::Slow {
-                            rank,
-                            chan: c,
-                            delay_us,
-                        } => Json::obj([
-                            ("kind", Json::Str("slow".into())),
-                            ("rank", n(rank as u64)),
-                            ("chan", chan(c)),
-                            ("delay_us", n(delay_us)),
-                        ]),
-                    })
-                    .collect(),
-            ),
-        )])
-        .to_string()
-    }
-
-    /// Parse the `faults.json` wire form.
-    pub fn from_json(text: &str) -> Result<SocketFaultPlan, String> {
-        let j = Json::parse(text).map_err(|e| e.to_string())?;
-        let arr = j
-            .get("faults")
-            .as_array()
-            .ok_or("faults.json: missing `faults` array")?;
-        let mut faults = Vec::with_capacity(arr.len());
-        for f in arr {
-            let rank = f.get("rank").as_f64().ok_or("fault: missing rank")? as usize;
-            let chan = || match f.get("chan").as_str() {
-                Some("data") => FaultChan::Data,
-                _ => FaultChan::Tensor,
-            };
-            let u = |k: &str| f.get(k).as_f64().unwrap_or(0.0) as u64;
-            faults.push(match f.get("kind").as_str() {
-                Some("sever") => SocketFault::Sever {
-                    rank,
-                    chan: chan(),
-                    after_bytes: u("after_bytes"),
-                    lossy: matches!(f.get("lossy"), Json::Bool(true)),
-                },
-                Some("refuse") => SocketFault::Refuse {
-                    rank,
-                    delay_ms: u("delay_ms"),
-                },
-                Some("slow") => SocketFault::Slow {
-                    rank,
-                    chan: chan(),
-                    delay_us: u("delay_us"),
-                },
-                k => return Err(format!("fault: unknown kind {k:?}")),
-            });
-        }
-        Ok(SocketFaultPlan { faults })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,7 +295,6 @@ mod tests {
     fn job_spec_round_trips_through_json() {
         let mut job = JobSpec::canonical(2, 2, 2);
         job.wire = WireKind::Tcp;
-        job.retry = true;
         job.lr = 0.012_345_7;
         job.schedule = ScheduleKind::GPipe;
         let back = JobSpec::from_json(&job.to_json()).unwrap();
@@ -564,31 +341,5 @@ mod tests {
         assert_eq!(back.checkpoint_every, 0);
         assert_eq!(back.resume_from, 0);
         assert_eq!(back.epoch, 0);
-    }
-
-    #[test]
-    fn fault_plan_round_trips_through_json() {
-        let plan = SocketFaultPlan::seeded(0xfa117, 8);
-        assert!(!plan.faults.is_empty());
-        let back = SocketFaultPlan::from_json(&plan.to_json()).unwrap();
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn seeded_fault_plan_is_deterministic_and_in_range() {
-        let a = SocketFaultPlan::seeded(7, 8);
-        let b = SocketFaultPlan::seeded(7, 8);
-        assert_eq!(a, b);
-        for f in &a.faults {
-            let rank = match f {
-                SocketFault::Sever { rank, .. }
-                | SocketFault::Refuse { rank, .. }
-                | SocketFault::Slow { rank, .. } => *rank,
-            };
-            assert!(rank < 8);
-        }
-        // Per-rank filtering covers exactly the planned faults.
-        let total: usize = (0..8).map(|r| a.for_rank(r).len()).sum();
-        assert_eq!(total, a.faults.len());
     }
 }

@@ -7,12 +7,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use megatron_collective::{SocketChannel, SocketNode, WireAddr};
 use megatron_tensor::RankGuard;
 
-use crate::comm::{Group, WireKind};
+use crate::comm::{Group, TransportConfig, WireKind};
 use crate::trainer::{run_rank, Dir, Endpoints, Lane, RunControl, Wiring};
 
 use super::rendezvous::{
@@ -20,7 +20,7 @@ use super::rendezvous::{
     RENDEZVOUS_TIMEOUT, TENSOR_CHAN_BASE,
 };
 use super::report::{self, RankOutput};
-use super::spec::{FaultChan, JobSpec, SocketFault, SocketFaultPlan};
+use super::spec::JobSpec;
 
 // ---------------------------------------------------------------------------
 // Worker process
@@ -71,48 +71,6 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     let stages = p * v;
     let timeout = spec.comm_timeout;
 
-    // Launcher-injected socket faults for this rank, if a plan was
-    // published. A Refuse fault delays the bind below, so early-dialing
-    // peers get genuine connection refusals and have to retry.
-    let my_faults = fs::read_to_string(dir.join("faults.json"))
-        .ok()
-        .and_then(|s| SocketFaultPlan::from_json(&s).ok())
-        .map(|p| p.for_rank(rank))
-        .unwrap_or_default();
-    for f in &my_faults {
-        if let SocketFault::Refuse { delay_ms, .. } = f {
-            thread::sleep(Duration::from_millis(*delay_ms));
-        }
-    }
-    let arm = |chan: &mut SocketChannel, which: FaultChan| {
-        for f in &my_faults {
-            match *f {
-                SocketFault::Sever {
-                    chan: c,
-                    after_bytes,
-                    lossy,
-                    ..
-                } if c == which => {
-                    let size = if which == FaultChan::Tensor { t } else { d };
-                    if size > 1 {
-                        let to = (chan.rank() + 1) % size;
-                        if lossy {
-                            chan.sever_outbound_after_lossy(to, after_bytes);
-                        } else {
-                            chan.sever_outbound_after(to, after_bytes);
-                        }
-                    }
-                }
-                SocketFault::Slow {
-                    chan: c, delay_us, ..
-                } if c == which => {
-                    chan.set_send_delay(Some(Duration::from_micros(delay_us)));
-                }
-                _ => {}
-            }
-        }
-    };
-
     // Bind our listener and advertise it. UDS socket files live in the
     // rendezvous dir; TCP binds an ephemeral loopback port and publishes
     // the actual one.
@@ -131,7 +89,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
     let addrs = await_addrs(dir, world, deadline)?;
     let launcher_addr = read_addr(dir, "launcher.addr");
-    let transport = job.transport();
+    let transport = TransportConfig { wire: job.wire };
 
     // Group communicators: one socket channel per logical group, one
     // member (this process) per group.
@@ -141,8 +99,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
         let peers = (0..t)
             .map(|tj| Some(addrs[flat(pi, di, tj)].clone()))
             .collect();
-        let mut chan = SocketChannel::new(Arc::clone(&node), chan_id, ti, peers);
-        arm(&mut chan, FaultChan::Tensor);
+        let chan = SocketChannel::new(Arc::clone(&node), chan_id, ti, peers);
         Group::with_socket(t, timeout, transport, chan).member(ti)
     };
     let dg = {
@@ -150,8 +107,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
         let peers = (0..d)
             .map(|dj| Some(addrs[flat(pi, dj, ti)].clone()))
             .collect();
-        let mut chan = SocketChannel::new(Arc::clone(&node), chan_id, di, peers);
-        arm(&mut chan, FaultChan::Data);
+        let chan = SocketChannel::new(Arc::clone(&node), chan_id, di, peers);
         Group::with_socket(d, timeout, transport, chan).member(di)
     };
 

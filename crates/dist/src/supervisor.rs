@@ -64,7 +64,6 @@ use megatron_telemetry::{Span, SpanArgs, SpanKind, TelemetrySink};
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, Restored};
-use crate::comm::TransportConfig;
 use crate::health::HealthMonitor;
 use crate::proc::WorkerExit;
 use crate::trainer::{KillSwitch, PtdpSpec, PtdpTrainer, RunControl, ThreadKey, TrainError};
@@ -189,15 +188,11 @@ impl std::fmt::Display for IncidentCause {
     }
 }
 
-/// One failure → recovery cycle, as observed by the supervisor. Fatal by
-/// construction — the fault taxonomy is about who pays: transient faults
-/// (dropped/duplicated/delayed messages, a briefly degraded link) are
-/// absorbed inside the transport's retry layer (`comm::TransportConfig`),
-/// cost microseconds and show only in the `transport_*` telemetry
-/// counters; fatal ones (a dead rank, an exhausted retransmit budget)
-/// abort the attempt and cost a checkpoint restore plus the lost work since
-/// the last checkpoint (the `lost` and `restore` terms of
-/// `megatron_core::goodput::Ledger`).
+/// One failure → recovery cycle, as observed by the supervisor. Every
+/// fault is fatal: the wires are reliable or failed, so a dead rank and a
+/// broken connection alike abort the attempt and cost a checkpoint restore
+/// plus the lost work since the last checkpoint (the `lost` and `restore`
+/// terms of `megatron_core::goodput::Ledger`).
 #[derive(Debug, Clone)]
 pub struct Incident {
     /// Which attempt failed (0 = the initial run).
@@ -250,8 +245,7 @@ pub struct SupervisorReport {
     /// counts as a launch (it starts a new world) but not a restart.
     pub attempts: usize,
     /// Checkpoint restores actually paid. `repro recovery` asserts this
-    /// equals the number of *fatal* faults injected — transient faults
-    /// must leave it untouched.
+    /// equals the number of rank kills injected.
     pub restarts: usize,
     /// The cause that exhausted the budget, was classified as
     /// non-restartable, or left no capacity to run on, if the job did not
@@ -751,7 +745,6 @@ pub struct ThreadBackend<'a> {
     master: GptModel,
     spec: PtdpSpec,
     data: &'a [(Vec<usize>, Vec<usize>)],
-    transport: TransportConfig,
     health_period: Option<Duration>,
 }
 
@@ -765,18 +758,8 @@ impl<'a> ThreadBackend<'a> {
             master,
             spec,
             data,
-            transport: TransportConfig::default(),
             health_period: None,
         }
-    }
-
-    /// Wire configuration for every attempt's communicator groups: the
-    /// reliable retry layer and/or seeded transient-fault injection (the
-    /// recovery experiment's transient wire). Transient faults the retry layer absorbs
-    /// surface in the `transport_*` telemetry counters, not as restarts.
-    pub fn with_transport(mut self, transport: TransportConfig) -> Self {
-        self.transport = transport;
-        self
     }
 
     /// Enable heartbeat health monitoring: each attempt gets a fresh
@@ -813,7 +796,6 @@ impl JobBackend for ThreadBackend<'_> {
                 durable: Some(Arc::clone(a.store)),
                 epoch: a.epoch,
                 telemetry: a.telemetry.cloned(),
-                transport: self.transport,
                 on_beat: health
                     .clone()
                     .map(|mon| -> Arc<dyn Fn(usize) + Send + Sync> {
@@ -828,9 +810,8 @@ impl JobBackend for ThreadBackend<'_> {
             }),
             // The kill iteration bounds what the attempt reached.
             reached: a.kill.map_or(start, |kp| kp.iteration),
-            // Every error that reaches here is fatal (transient faults
-            // are absorbed by the transport's retry layer); this decides
-            // whether it is worth a checkpoint restore, or structural.
+            // Every error that reaches here is fatal; this decides whether
+            // it is worth a checkpoint restore, or structural.
             restartable: matches!(
                 e,
                 TrainError::Killed(_) | TrainError::Comm(_) | TrainError::PipelineBroken(_)

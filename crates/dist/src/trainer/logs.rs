@@ -12,7 +12,7 @@ use megatron_telemetry::TelemetrySink;
 use megatron_tensor::AdamState;
 
 use crate::checkpoint::CheckpointStore;
-use crate::comm::{CollectiveOp, CommError, CommVolume, StallContext, TransportConfig};
+use crate::comm::{CollectiveOp, CommError, CommVolume, StallContext};
 
 use super::spec::ThreadKey;
 
@@ -214,11 +214,6 @@ pub struct RunControl {
     /// fwd/bwd/comm/opt/checkpoint/bubble spans and the run feeds the
     /// metrics registry (iteration times, comm volume, bubble fraction).
     pub telemetry: Option<Arc<TelemetrySink>>,
-    /// Wire configuration for every communicator group of the run:
-    /// seeded transient-fault injection and/or the reliable retry layer
-    /// (see `comm::TransportConfig`). Each group derives its own fault
-    /// stream from the base seed, so runs stay deterministic.
-    pub transport: TransportConfig,
     /// Per-iteration beat hook, invoked with the flat rank once per
     /// completed iteration: a [`HealthMonitor`](crate::HealthMonitor)'s
     /// `beat` in thread mode (dead-or-alive classification), a heartbeat

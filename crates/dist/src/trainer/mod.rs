@@ -132,26 +132,15 @@ impl PtdpTrainer {
 
         // --- Process groups ---
         let timeout = ctl.comm_timeout.unwrap_or(spec.comm_timeout);
-        // `count` groups of `size` members per pipeline device. Each gets
-        // its own fault stream, derived deterministically from the base
-        // chaos seed and the group's coordinates (family word 1 = tensor,
-        // 2 = data), so two runs with the same seed see identical faults
-        // while no two groups share a stream.
-        let transport = ctl.transport;
-        let groups = |family: u64, size: usize, count: usize| {
-            let mut groups = HashMap::new();
-            for (pi, i) in (0..p).flat_map(|pi| (0..count).map(move |i| (pi, i))) {
-                let mut cfg = transport;
-                if let Some(fp) = &mut cfg.faults {
-                    let coords = family << 32 | (pi as u64) << 16 | i as u64;
-                    fp.seed = megatron_collective::mix_seed(fp.seed, coords);
-                }
-                groups.insert((pi, i), Group::with_config(size, timeout, cfg));
-            }
-            groups
+        // `count` groups of `size` members per pipeline device.
+        let groups = |size: usize, count: usize| -> HashMap<_, _> {
+            (0..p)
+                .flat_map(|pi| (0..count).map(move |i| (pi, i)))
+                .map(|key| (key, Group::with_timeout(size, timeout)))
+                .collect()
         };
-        let tensor_groups = groups(1, t, d);
-        let data_groups = groups(2, d, t);
+        let tensor_groups = groups(t, d);
+        let data_groups = groups(d, t);
 
         // --- Channels: per (di, ti) lane, one each way over every stage
         // boundary ---

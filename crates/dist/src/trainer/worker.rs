@@ -48,24 +48,6 @@ fn classify_panic(payload: &(dyn std::any::Any + Send)) -> TrainError {
     TrainError::ThreadPanicked(msg)
 }
 
-/// Publish the rank's transport retry/fault counters into the telemetry
-/// metrics — after a failed run too, so transient faults absorbed before a
-/// later fatal failure still show up.
-fn publish_transport_stats(tg: &GroupMember, dg: &GroupMember, sink: &TelemetrySink) {
-    let rs = tg.retry_stats().plus(&dg.retry_stats());
-    let ft = tg.fault_tally().plus(&dg.fault_tally());
-    for (name, n) in [
-        ("transport_retries", rs.retries),
-        ("transport_retransmits", rs.retransmits),
-        ("transport_duplicates_dropped", rs.duplicates_dropped),
-        ("transport_faults_injected", ft.total()),
-    ] {
-        if n > 0 {
-            sink.metrics.counter(name).add(n);
-        }
-    }
-}
-
 /// Which way a pipeline transfer goes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Dir {
@@ -240,9 +222,6 @@ pub(crate) fn run_rank(
     if out.error.is_some() {
         wiring.tg.poison();
         wiring.dg.poison();
-    }
-    if let Some(sink) = &ctl.telemetry {
-        publish_transport_stats(&wiring.tg, &wiring.dg, sink);
     }
     out
 }

@@ -35,8 +35,9 @@ pub struct Attribution {
     pub optimizer_s: f64,
     /// Checkpoint saves.
     pub checkpoint_s: f64,
-    /// Transport recovery overhead (carved out of exposed comm when the
-    /// reliable transport reports recovery wait; zero on a clean fabric).
+    /// Transport recovery overhead, carved out of exposed comm by
+    /// [`Attribution::carve_retransmission`]. No wire retransmits (a broken
+    /// one is a rank failure), so the trainer reports none: zero.
     pub retransmission_s: f64,
     /// Untraced overhead (scheduling gaps, dataloader).
     pub other_s: f64,

@@ -9,26 +9,22 @@
 //!
 //! The transport axis ([`Mode`]) covers:
 //! - **Mailbox** — the in-process per-edge mailboxes;
-//! - **Reliable** — mailbox wrapped in the sequence-numbered retry layer;
 //! - **Socket** — real Unix-domain sockets, one listener per rank, the
 //!   same process-mode wiring `repro launch` uses (length-prefixed
-//!   frames, reconnects, barriers riding the wire);
+//!   frames, dials retried until a peer's listener is up, barriers riding
+//!   the wire);
 //! - **Tcp** — the same wiring over loopback TCP, exercised by the
-//!   large-message test (ring chunks far beyond the kernel socket buffer);
-//! - **Lossy** — the reliable layer over a wire that drops and duplicates,
-//!   exercised by the segmented data-parallel step.
+//!   large-message test (ring chunks far beyond the kernel socket buffer).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use megatron_repro::collective::{
-    self as coll, chunk_of, reference_run, ReduceOp, RetryPolicy, SocketChannel, SocketNode,
-    TransientFaults, WireAddr, LEND_MIN,
+    self as coll, chunk_of, reference_run, ReduceOp, SocketChannel, SocketNode, WireAddr, LEND_MIN,
 };
 use megatron_repro::core::parallel::analysis::ring_all_reduce_bytes;
 use megatron_repro::dist::{
-    CommVolume, FaultProfile, Group, GroupMember, TransportConfig, WireKind, BYTES_F32,
-    DEFAULT_COMM_TIMEOUT,
+    CommVolume, Group, GroupMember, TransportConfig, WireKind, BYTES_F32, DEFAULT_COMM_TIMEOUT,
 };
 
 /// Per-rank bytes a ring all-reduce of `n` f32 elements sends over `g`
@@ -44,13 +40,11 @@ const SIZES: [usize; 3] = [3, 5, 7];
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Mailbox,
-    Reliable,
     Socket,
     Tcp,
-    Lossy,
 }
 
-const MODES: [Mode; 3] = [Mode::Mailbox, Mode::Reliable, Mode::Socket];
+const MODES: [Mode; 2] = [Mode::Mailbox, Mode::Socket];
 
 /// Deterministic per-rank input that differs across ranks and positions.
 fn seeded(rank: usize, n: usize) -> Vec<f32> {
@@ -65,33 +59,6 @@ fn with_group<R: Send>(mode: Mode, g: usize, f: impl Fn(GroupMember) -> R + Sync
     match mode {
         Mode::Mailbox => {
             let group = Group::new(g);
-            run_threads(g, &f, move |_| Arc::clone(&group))
-        }
-        Mode::Reliable => {
-            let cfg = TransportConfig {
-                retry: Some(Default::default()),
-                ..TransportConfig::default()
-            };
-            let group = Group::with_config(g, DEFAULT_COMM_TIMEOUT, cfg);
-            run_threads(g, &f, move |_| Arc::clone(&group))
-        }
-        Mode::Lossy => {
-            let cfg = TransportConfig {
-                retry: Some(RetryPolicy {
-                    base_backoff: std::time::Duration::from_micros(200),
-                    ..RetryPolicy::default()
-                }),
-                faults: Some(FaultProfile {
-                    seed: 0x5e9,
-                    faults: TransientFaults {
-                        drop_prob: 0.1,
-                        duplicate_prob: 0.1,
-                        ..TransientFaults::default()
-                    },
-                }),
-                ..TransportConfig::default()
-            };
-            let group = Group::with_config(g, DEFAULT_COMM_TIMEOUT, cfg);
             run_threads(g, &f, move |_| Arc::clone(&group))
         }
         Mode::Socket | Mode::Tcp => {
@@ -121,7 +88,6 @@ fn with_group<R: Send>(mode: Mode, g: usize, f: impl Fn(GroupMember) -> R + Sync
                 } else {
                     WireKind::Uds
                 },
-                ..TransportConfig::default()
             };
             let out = run_threads(g, &f, move |r| {
                 let chan = SocketChannel::new(Arc::clone(&nodes[r]), 7000, r, addrs.clone());
@@ -299,7 +265,6 @@ fn segmented_data_parallel_step_matches_reference_bitwise() {
     // message is lent: the mailbox queues the segments' own slices.
     let passes = [
         (Mode::Mailbox, false),
-        (Mode::Lossy, false),
         (Mode::Socket, false),
         (Mode::Mailbox, true),
     ];

@@ -208,7 +208,6 @@ fn params_of(out: ProcOutcome) -> common::Params {
 fn supervised_recovery_table_over_rank_processes() {
     let mut job = JobSpec::canonical(2, 2, 2);
     job.iters = common::ITERS;
-    job.retry = true;
     let world = job.world();
 
     let clean_dir = scratch("table-clean");
@@ -220,7 +219,7 @@ fn supervised_recovery_table_over_rank_processes() {
         |tag| {
             let root = scratch(&format!("table-{tag}"));
             let store = CheckpointStore::open(root.join("ckpt")).expect("store");
-            let backend = ProcBackend::new(&job, &root, None);
+            let backend = ProcBackend::new(&job, &root);
             roots.borrow_mut().push(root);
             (
                 Supervisor::new(backend, Arc::clone(&store), common::policy()),
@@ -234,7 +233,7 @@ fn supervised_recovery_table_over_rank_processes() {
             pinned.checkpoint_every = common::CHECKPOINT_EVERY;
             pinned.resume_from = generation;
             let dir = scratch("table-fresh");
-            let handle = launch_configured(&pinned, &dir, Some(store.root()), None)
+            let handle = launch_configured(&pinned, &dir, Some(store.root()))
                 .expect("launch pinned at the grow generation");
             roots.borrow_mut().push(dir);
             params_of(handle.wait())
