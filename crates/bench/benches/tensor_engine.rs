@@ -1,12 +1,12 @@
 //! Benches of the real CPU tensor engine: GEMM scaling, the element-wise
-//! kernels, and a full forward+backward of the tiny GPT used by the
-//! distributed runtime.
+//! kernels, attention's batched passes, and a full forward+backward of the
+//! tiny GPT used by the distributed runtime.
 
 use megatron_bench::harness::Bench;
 use megatron_tensor::elementwise as ew;
 use megatron_tensor::gemm;
 use megatron_tensor::gpt::{GptModel, TinyGptConfig};
-use megatron_tensor::layers::LayerNorm;
+use megatron_tensor::layers::{AttentionCore, LayerNorm};
 use megatron_tensor::{Isa, Matrix};
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -314,25 +314,42 @@ fn elementwise_workload_shapes() {
             what,
         );
 
+        // The rows as attention runs them: `seq` rows, row `r` keeping
+        // `r + 1` scores, four side by side; per live element.
+        let live = seq * (seq + 1) / 2;
         let softmax = |isa| {
             let mut scores = scores0.clone();
             let reset = |s: &mut Matrix| s.as_mut_slice().copy_from_slice(scores0.as_slice());
-            // Per live element: row `r` keeps `r + 1` scores.
-            Some(ns_per_element(
-                seq * (seq + 1) / 2,
-                &mut scores,
-                reset,
-                |s| {
-                    for r in 0..seq {
-                        ew::causal_softmax_row_with(isa, s.row_mut(r), r + 1, 0.125);
-                    }
-                },
-            ))
+            Some(ns_per_element(live, &mut scores, reset, |s| {
+                ew::causal_softmax_rows_with(isa, s.as_mut_slice(), (seq, seq), (1, seq), 0.125)
+            }))
         };
         row(
             "causal softmax rows",
             format!("{seq} x {seq}"),
             &softmax,
+            what,
+        );
+        let softmax_backward = |isa| {
+            let mut grads = scores0.clone();
+            let reset = |g: &mut Matrix| g.as_mut_slice().copy_from_slice(scores0.as_slice());
+            let shape = (seq, seq, seq);
+            Some(ns_per_element(live, &mut grads, reset, |g| {
+                let p = scores0.as_slice();
+                ew::causal_softmax_backward_rows_with(
+                    isa,
+                    p,
+                    g.as_mut_slice(),
+                    shape,
+                    (1, seq),
+                    0.125,
+                )
+            }))
+        };
+        row(
+            "causal softmax bwd rows",
+            format!("{seq} x {seq}"),
+            &softmax_backward,
             what,
         );
 
@@ -412,6 +429,54 @@ fn elementwise_workload_shapes() {
     }
 }
 
+/// Attention's forward and backward passes over every (batch, head) pair
+/// at the shapes the workloads run them at, on the active build: wall
+/// microseconds (best of 30 after a warm-up) and model GFLOP/s, counting
+/// the full `s × s` scores as the paper's model FLOPs do — `12·s²·d` per
+/// pair, four products of `2·s²·d` backward and two forward.
+fn attention_shapes() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    println!(
+        "group attention (fwd + bwd on {}, best of 30 after warm-up; model flops 12*s^2*d per pair)",
+        gemm::active_build()
+    );
+    println!(
+        "  {:<28} {:>9} {:>9}",
+        "batch x seq x heads x d", "us", "GFLOP/s"
+    );
+    for (what, batch, seq, heads, head_dim) in [
+        ("serial_wide", 3usize, 64usize, 8usize, 32usize),
+        ("ptd222_thread, proc222_uds rank (t=2)", 2, 32, 2, 32),
+    ] {
+        let core = AttentionCore {
+            batch,
+            seq,
+            heads,
+            head_dim,
+        };
+        let local = heads * head_dim;
+        let qkv = Matrix::randn(batch * seq, 3 * local, 1.0, &mut rng);
+        let dout = Matrix::randn(batch * seq, local, 1.0, &mut rng);
+        let best = (0..31)
+            .map(|_| {
+                let t0 = Instant::now();
+                let (out, cache) = core.forward(&qkv);
+                black_box(core.backward(&qkv, &cache, &dout));
+                black_box(out);
+                t0.elapsed().as_secs_f64()
+            })
+            .skip(1)
+            .fold(f64::INFINITY, f64::min);
+        let flops = 12.0 * (batch * heads * seq * seq * head_dim) as f64;
+        println!(
+            "  {:<28} {:>9.1} {:>9.1}   {what}",
+            format!("{batch} x {seq} x {heads} x {head_dim}"),
+            best * 1e6,
+            flops / best / 1e9
+        );
+    }
+}
+
 fn gpt_step() {
     let cfg = TinyGptConfig {
         vocab: 128,
@@ -437,5 +502,6 @@ fn main() {
     gemm_workload_shapes();
     weight_grad_shapes();
     elementwise_workload_shapes();
+    attention_shapes();
     gpt_step();
 }

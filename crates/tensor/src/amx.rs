@@ -22,15 +22,33 @@
 //! in place when 16 divides `m` and `n`, and through a staged copy
 //! otherwise; a product that writes `C` (`gemm::matmul_to`) zeroes the
 //! tiles instead (`tilezero`) and reads nothing of `C`, copying nothing
-//! into the staged copy. Every run of blocks configures the tiles on entry
-//! and releases them before it returns, so a thread — the caller or a pool
-//! helper — holds no tile state between products.
+//! into the staged copy. Every run of blocks — a product's, or one piece of
+//! attention's pairs — configures the tiles on entry and releases them
+//! before it returns, so a thread (the caller or a pool helper) holds no
+//! tile state between passes.
+//!
+//! **Attention.** A piece of attention's batched pass runs its (batch,
+//! head) pairs one after the other under one configuration, each pair's
+//! operands packed into per-thread buffers reused from pair to pair and
+//! call to call. Forward, block of 32 query rows by block: the score tiles
+//! on or below the diagonal (the block's top-right tile of its diagonal
+//! pair left out); the scale + mask + softmax of its rows, 16-aligned to
+//! the diagonal tile, while they are in cache; the probabilities copied
+//! to the f32 cache (masked entries `0.0`) and converted straight into the
+//! bf16 rows `probs·v` reads; then that product's tiles over chunks 0 to
+//! the block's own. Backward the same for `dP = dout·vᵀ` and `dS`
+//! (`dS·k` over the chunks up to the block's), the block's chunk of
+//! `probsᵀ` and `dSᵀ` turned as it goes; then `probsᵀ·dout` and `dSᵀ·q` by
+//! row block over the chunks from the block's own on. A block is 32 rows
+//! and a chunk 32 deep, both from 0, so a skipped chunk is all zeros for
+//! every row of the block.
 //!
 //! The tile instructions are written in `asm!`: rustc has no stable AMX
 //! target feature, and no Rust code of this crate touches a tile register
 //! between the blocks that use them.
 
-use crate::gemm::{View, ViewMut};
+use crate::elementwise::{causal_softmax_backward_rows, causal_softmax_rows};
+use crate::gemm::{HeadBwd, HeadFwd, View, ViewMut};
 use crate::pool::Pool;
 use std::arch::asm;
 use std::arch::x86_64::*;
@@ -123,28 +141,71 @@ impl Drop for Tiles {
     }
 }
 
+/// One product's packed operands: `A` as rows of `kp` bf16 ([`pack_a`]),
+/// whole row tiles of them, and `B` as panels of `16·kp` ([`pack_b`]).
+#[derive(Clone, Copy)]
+struct Packed<'a> {
+    a: &'a [u16],
+    b: &'a [u16],
+    kp: usize,
+}
+
+impl Packed<'_> {
+    /// Row tiles of `A`, column panels of `B`, chunks of `k`.
+    fn counts(&self) -> (usize, usize, usize) {
+        let tile = TILE * self.kp;
+        (self.a.len() / tile, self.b.len() / tile, self.kp / CHUNK)
+    }
+}
+
+/// Where tiles of `C` are stored: `rows × cols` floats from `c`, rows
+/// `stride` floats apart, every one of them writable and readable.
+#[derive(Clone, Copy)]
+struct Out {
+    c: *mut f32,
+    stride: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl Out {
+    /// `buf` as rows `w` floats wide.
+    fn rows_of(buf: &mut [f32], w: usize) -> Out {
+        Out {
+            c: buf.as_mut_ptr(),
+            stride: w,
+            rows: buf.len() / w,
+            cols: w,
+        }
+    }
+
+    /// The same rows from row `r` on.
+    ///
+    /// # Safety
+    /// `r <= rows`.
+    unsafe fn rows_from(self, r: usize) -> Out {
+        Out {
+            c: self.c.add(r * self.stride),
+            rows: self.rows - r,
+            ..self
+        }
+    }
+}
+
 /// One product as the blocks see it: packed operands, where `C` is and
 /// whether it is written or summed onto.
-struct Job {
-    /// Row tiles and column panels.
-    mt: usize,
-    nt: usize,
-    /// Chunks of `k`.
-    chunks: usize,
-    a: *const u16,
-    b: *const u16,
-    c: *mut f32,
-    /// `C`'s row stride in bytes.
-    c_stride: usize,
+struct Job<'a> {
+    ops: Packed<'a>,
+    c: Out,
     /// `C = A·B`: the accumulator tiles start at `+0.0`, not at `C`.
     write: bool,
 }
 
-// SAFETY: `a` and `b` are only read. `c` is written by `block` only in the
-// rows of the block it was given, and `product` hands out disjoint
+// SAFETY: the operands are only read. `c` is written by `block_row` only in
+// the rows of the block it was given, and `product` hands out disjoint
 // blocks of a `C` whose rows do not overlap while it holds its exclusive
 // borrow.
-unsafe impl Sync for Job {}
+unsafe impl Sync for Job<'_> {}
 
 /// `C = A·B` (`write`) or `C += A·B` on the matrix unit.
 ///
@@ -152,8 +213,8 @@ unsafe impl Sync for Job {}
 /// `Isa::Amx` must be active.
 pub(crate) unsafe fn product(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write: bool) {
     let ((_, m, k, _, _), (_, _, n, _, _)) = (a.parts(), b.parts());
-    let (mt, nt, chunks) = (m.div_ceil(TILE), n.div_ceil(TILE), k.div_ceil(CHUNK));
-    let kp = chunks * CHUNK;
+    let (mt, nt) = (m.div_ceil(TILE), n.div_ceil(TILE));
+    let kp = k.div_ceil(CHUNK) * CHUNK;
     let shared = crate::gemm::flops(m, k, n) >= PAR_FLOPS;
     let mut pa = PACKED_A.take();
     let mut pb = PACKED_B.take();
@@ -169,8 +230,14 @@ pub(crate) unsafe fn product(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write
         pack_b(b, kp, b_packed);
     }
     let in_place = m % TILE == 0 && n % TILE == 0;
-    let (cp, cp_rs) = if in_place {
-        c.as_mut_ptr()
+    let c_out = if in_place {
+        let (c, stride) = c.as_mut_ptr();
+        Out {
+            c,
+            stride,
+            rows: m,
+            cols: n,
+        }
     } else {
         // Padding rows and columns hold whatever the last product left:
         // an element's sum reads only its own row and column, and these
@@ -182,16 +249,12 @@ pub(crate) unsafe fn product(a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write
                 dst[..n].copy_from_slice(c.row(i));
             }
         }
-        (staged.as_mut_ptr(), w)
+        Out::rows_of(&mut staged, w)
     };
+    let (a, b) = (&*a_packed, &*b_packed);
     let job = Job {
-        mt,
-        nt,
-        chunks,
-        a: a_packed.as_ptr(),
-        b: b_packed.as_ptr(),
-        c: cp,
-        c_stride: 4 * cp_rs,
+        ops: Packed { a, b, kp },
+        c: c_out,
         write,
     };
     let blocks = m.div_ceil(BLOCK);
@@ -246,29 +309,84 @@ fn pack_shared(a: View<'_>, b: View<'_>, kp: usize, (a_dst, b_dst): (&mut [u16],
 /// writes these rows of `C` meanwhile.
 unsafe fn blocks_of(job: &Job, b0: usize, b1: usize) {
     let _tiles = Tiles::configure();
-    let a_stride = 2 * job.chunks * CHUNK;
-    let panel = job.chunks * TILE * ROW;
     for blk in b0..b1 {
-        let t0 = 2 * blk;
-        let rt = (job.mt - t0).min(2);
-        let a = job.a.add(t0 * TILE * job.chunks * CHUNK);
-        let c_row = job.c.byte_add(t0 * TILE * job.c_stride);
-        for p0 in (0..job.nt).step_by(2) {
-            let ct = (job.nt - p0).min(2);
-            let b = job.b.add(p0 * panel);
-            let c = c_row.add(p0 * TILE);
-            let shape = Shape {
-                a_stride,
-                b_next: panel,
-                c_stride: job.c_stride,
-                write: job.write,
-            };
-            match (rt, ct) {
-                (2, 2) => tile_block::<2, 2>(a, b, c, job.chunks, shape),
-                (2, _) => tile_block::<2, 1>(a, b, c, job.chunks, shape),
-                (_, 2) => tile_block::<1, 2>(a, b, c, job.chunks, shape),
-                _ => tile_block::<1, 1>(a, b, c, job.chunks, shape),
+        let c = job.c.rows_from(blk * BLOCK);
+        block_row(job.ops, blk, Span::All, c, job.write);
+    }
+}
+
+/// Which tiles of a row block, and which chunks of `k`, [`block_row`]
+/// computes: causal attention leaves out the tiles its mask discards and
+/// the chunks whose terms are all exact zeros. A block is 32 rows and a
+/// chunk 32 deep, both from 0, so block `b`'s diagonal falls in chunk `b`.
+#[derive(Clone, Copy, PartialEq)]
+enum Span {
+    /// Every tile, every chunk.
+    All,
+    /// The tiles on or below the diagonal of a square `C`, every chunk.
+    Lower,
+    /// Every tile, the chunks up to and including the block's own.
+    Prefix,
+    /// Every tile, the chunks from the block's own on.
+    Suffix,
+}
+
+/// Row block `blk` of `A·B` (`C`'s rows `32·blk..`, stored from the first
+/// row of `c`), its tiles and chunks as `span` says, under a tile
+/// configuration the caller holds. The extents every tile block reads and
+/// writes are asserted here, where the `asm!` of [`tile_block`] cannot be
+/// seen: `A`'s row tiles and `B`'s panels are counted from their buffers,
+/// and `C`'s tiles must lie inside `c`.
+///
+/// # Safety
+/// Tiles configured; `c` as [`Out`] says.
+unsafe fn block_row(ops: Packed<'_>, blk: usize, span: Span, c: Out, write: bool) {
+    let (mt, nt, all) = ops.counts();
+    let (t0, panel) = (2 * blk, TILE * ops.kp);
+    assert!(t0 < mt, "row block {blk} of {} tiles", mt);
+    let rt = (mt - t0).min(2);
+    let panels = match span {
+        Span::Lower => {
+            assert_eq!(mt, nt, "a lower block of a square product");
+            nt.min(t0 + 2)
+        }
+        _ => nt,
+    };
+    let chunks = match span {
+        Span::Prefix => 0..blk + 1,
+        Span::Suffix => blk..all,
+        _ => 0..all,
+    };
+    assert!(chunks.end <= all, "chunks of k past its packing");
+    assert!(
+        rt * TILE <= c.rows && panels * TILE <= c.cols,
+        "C's tiles past it"
+    );
+    let a = ops.a.as_ptr().add(t0 * panel + chunks.start * CHUNK);
+    let shape = Shape {
+        a_stride: 2 * ops.kp,
+        b_next: panel,
+        c_stride: 4 * c.stride,
+        write,
+    };
+    let n = chunks.len();
+    for p0 in (0..panels).step_by(2) {
+        let ct = (panels - p0).min(2);
+        let b = ops.b.as_ptr().add(p0 * panel + chunks.start * TILE * ROW);
+        let cp = c.c.add(p0 * TILE);
+        match (rt, ct) {
+            (2, 2) if span == Span::Lower && p0 == t0 => {
+                // The diagonal pair: its top-right tile is above the
+                // diagonal, so the second panel is the second row tile's
+                // alone.
+                tile_block::<2, 1>(a, b, cp, n, shape);
+                let (a1, c11) = (a.add(panel), cp.add(TILE * c.stride + TILE));
+                tile_block::<1, 1>(a1, b.add(panel), c11, n, shape);
             }
+            (2, 2) => tile_block::<2, 2>(a, b, cp, n, shape),
+            (2, _) => tile_block::<2, 1>(a, b, cp, n, shape),
+            (_, 2) => tile_block::<1, 2>(a, b, cp, n, shape),
+            _ => tile_block::<1, 1>(a, b, cp, n, shape),
         }
     }
 }
@@ -655,6 +773,255 @@ unsafe fn transpose_store(v: [__m512i; 16], dst: &mut [u16], stride: usize) {
         let hi = _mm512_shuffle_i32x4::<0xdd>(t[i], t[8 + i]);
         _mm512_storeu_si512(dst.as_mut_ptr().add(i * stride).cast(), lo);
         _mm512_storeu_si512(dst.as_mut_ptr().add((8 + i) * stride).cast(), hi);
+    }
+}
+
+/// One thread's buffers for attention's pairs, reused from pair to pair and
+/// call to call: packed operands, the f32 scores of one 32-row block and
+/// one staged block of an output.
+struct Scratch {
+    lines: [Vec<Line>; 8],
+    scores: Vec<f32>,
+    staged: Vec<f32>,
+}
+
+const NO_LINES: Vec<Line> = Vec::new();
+
+impl Scratch {
+    const EMPTY: Scratch = Scratch {
+        lines: [NO_LINES; 8],
+        scores: Vec::new(),
+        staged: Vec::new(),
+    };
+}
+
+thread_local! {
+    static ATTENTION: Cell<Scratch> = const { Cell::new(Scratch::EMPTY) };
+}
+
+/// The first `len` floats of `buf`, which grows to hold them.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// One attention pair's sizes: `s`; `k` in whole chunks along `d` (`kd`)
+/// and along `s` (`ks`); row tiles of `s` (`mt`) and panels of `d` (`dt`).
+struct Dims {
+    s: usize,
+    kd: usize,
+    ks: usize,
+    mt: usize,
+    dt: usize,
+}
+
+impl Dims {
+    fn of(q: View<'_>) -> Dims {
+        let (_, s, d, _, _) = q.parts();
+        Dims {
+            s,
+            kd: d.div_ceil(CHUNK) * CHUNK,
+            ks: s.div_ceil(CHUNK) * CHUNK,
+            mt: s.div_ceil(TILE),
+            dt: d.div_ceil(TILE),
+        }
+    }
+}
+
+/// `gemm::attention_forward` on the matrix unit: the pairs of `heads` one
+/// after the other under one tile configuration, in this thread's
+/// buffers.
+///
+/// # Safety
+/// `Isa::Amx` must be active.
+pub(crate) unsafe fn attention_forward(heads: &mut [HeadFwd<'_>], scale: f32) {
+    let mut buf = ATTENTION.replace(Scratch::EMPTY);
+    {
+        let _tiles = Tiles::configure();
+        for h in heads.iter_mut() {
+            forward_pair(h, scale, &mut buf);
+        }
+    }
+    ATTENTION.set(buf);
+}
+
+/// `gemm::attention_backward` on the matrix unit, as
+/// [`attention_forward`].
+///
+/// # Safety
+/// `Isa::Amx` must be active.
+pub(crate) unsafe fn attention_backward(heads: &mut [HeadBwd<'_>], scale: f32) {
+    let mut buf = ATTENTION.replace(Scratch::EMPTY);
+    {
+        let _tiles = Tiles::configure();
+        for h in heads.iter_mut() {
+            backward_pair(h, scale, &mut buf);
+        }
+    }
+    ATTENTION.set(buf);
+}
+
+/// One pair's forward pass, block of 32 rows by block: the score tiles on
+/// or below the diagonal into this thread's score rows, then each row's
+/// softmax while it is in cache, copied to `probs` and converted into
+/// `probs·v`'s `A`, then that product's tiles over the chunks up to the
+/// block's diagonal.
+///
+/// # Safety
+/// Tiles configured.
+unsafe fn forward_pair(h: &mut HeadFwd<'_>, scale: f32, buf: &mut Scratch) {
+    let Dims { s, kd, ks, mt, dt } = Dims::of(h.q);
+    assert_eq!(h.probs.dims(), (s, s), "probabilities are s × s");
+    let [qa, kb, vb, pa, ..] = &mut buf.lines;
+    let (qa, kb) = (lines(qa, mt * TILE * kd), lines(kb, mt * TILE * kd));
+    let (vb, pa) = (lines(vb, dt * TILE * ks), lines(pa, mt * TILE * ks));
+    pack_a(h.q, kd, qa);
+    pack_b(h.k.t(), kd, kb);
+    pack_b(h.v, ks, vb);
+    let scores = Packed {
+        a: qa,
+        b: kb,
+        kp: kd,
+    };
+    let (probs, _) = h.probs.as_mut_ptr();
+    let w = mt * TILE;
+    let staged = grown(&mut buf.scores, BLOCK * w);
+    for blk in 0..mt.div_ceil(2) {
+        let (r0, t0) = (blk * BLOCK, 2 * blk);
+        let rows = (s - r0).min(BLOCK);
+        block_row(scores, blk, Span::Lower, Out::rows_of(staged, w), true);
+        // A row's tiles end with its diagonal one, and its softmax runs
+        // over all of them: whole vectors, the entries past the diagonal
+        // masked.
+        for t in t0..(t0 + 2).min(mt) {
+            let (i0, count) = (t * TILE - r0, (s - t * TILE).min(TILE));
+            let (rows, live) = ((w, (t + 1) * TILE), (t * TILE + 1, count));
+            causal_softmax_rows(&mut staged[i0 * w..], rows, live, scale);
+        }
+        // `probs·v` reads the block's rows to the end of chunk `blk`.
+        let width = ((blk + 1) * CHUNK).min(s);
+        for (i, row) in staged.chunks_exact(w).take(rows).enumerate() {
+            let r = r0 + i;
+            let row = &row[..(r / TILE + 1) * TILE];
+            let (dst, len) = (probs.add(r * s), row.len().min(s));
+            std::ptr::copy_nonoverlapping(row.as_ptr(), dst, len);
+            dst.add(len).write_bytes(0, s - len);
+            let k = width.min(row.len());
+            convert_line(row.as_ptr(), k, &mut pa[r * ks..][..(blk + 1) * CHUNK]);
+        }
+        let pv = Packed {
+            a: pa,
+            b: vb,
+            kp: ks,
+        };
+        out_rows(&mut h.out, (r0, rows), &mut buf.staged, |c| {
+            block_row(pv, blk, Span::Prefix, c, true)
+        });
+    }
+}
+
+/// One pair's backward pass. Block of 32 rows by block: `dP` on or below
+/// the diagonal into the score rows, each row's `dS` while it is in cache,
+/// converted into `dS·k`'s `A`, that product's tiles over the chunks up to
+/// the block's diagonal, and the block's chunk of `probsᵀ` and `dSᵀ`. Then
+/// `probsᵀ·dout` and `dSᵀ·q` by row block, over the chunks from its
+/// diagonal on.
+///
+/// # Safety
+/// Tiles configured.
+unsafe fn backward_pair(h: &mut HeadBwd<'_>, scale: f32, buf: &mut Scratch) {
+    let Dims { s, kd, ks, mt, dt } = Dims::of(h.q);
+    assert_eq!(h.probs.len(), s * s, "probabilities are s × s");
+    let [doa, vtb, dob, kb, qb, pta, dsa, dsta] = &mut buf.lines;
+    let (doa, vtb) = (lines(doa, mt * TILE * kd), lines(vtb, mt * TILE * kd));
+    let [dob, kb, qb] = [dob, kb, qb].map(|l| lines(l, dt * TILE * ks));
+    let [pta, dsa, dsta] = [pta, dsa, dsta].map(|l| lines(l, mt * TILE * ks));
+    pack_a(h.dout, kd, doa);
+    pack_b(h.v.t(), kd, vtb);
+    pack_b(h.dout, ks, dob);
+    pack_b(h.k, ks, kb);
+    pack_b(h.q, ks, qb);
+    let grads = Packed {
+        a: doa,
+        b: vtb,
+        kp: kd,
+    };
+    let w = mt * TILE;
+    let ds = grown(&mut buf.scores, BLOCK * w);
+    let blocks = mt.div_ceil(2);
+    for blk in 0..blocks {
+        let (r0, t0) = (blk * BLOCK, 2 * blk);
+        let rows = (s - r0).min(BLOCK);
+        block_row(grads, blk, Span::Lower, Out::rows_of(ds, w), true);
+        // `dS·k` reads the block's rows to the end of chunk `blk`: `dS` past
+        // the diagonal is written as zeros up to there.
+        let width = ((blk + 1) * CHUNK).min(s);
+        let (rows_of, live) = ((s, w, width), (r0 + 1, rows));
+        causal_softmax_backward_rows(&h.probs[r0 * s..], ds, rows_of, live, scale);
+        for (i, d) in ds.chunks_exact(w).take(rows).enumerate() {
+            let r = r0 + i;
+            convert_line(d.as_ptr(), width, &mut dsa[r * ks..][..(blk + 1) * CHUNK]);
+        }
+        let dq = Packed {
+            a: dsa,
+            b: kb,
+            kp: ks,
+        };
+        out_rows(&mut h.dq, (r0, rows), &mut buf.staged, |c| {
+            block_row(dq, blk, Span::Prefix, c, true)
+        });
+        // Chunk `blk` of `probsᵀ` and `dSᵀ` (the block's rows as `k`), for
+        // the row tiles of `j` whose terms it holds.
+        for u in 0..(t0 + 2).min(mt) {
+            let (j0, at) = (u * TILE, u * TILE * ks + blk * CHUNK);
+            let cols = (s - j0).min(TILE);
+            let p = h.probs[r0 * s + j0..].as_ptr();
+            turn_a(p, cols, (0, rows, s), &mut pta[at..], ks);
+            turn_a(ds[j0..].as_ptr(), cols, (0, rows, w), &mut dsta[at..], ks);
+        }
+    }
+    for blk in 0..blocks {
+        let r0 = blk * BLOCK;
+        let rows = (s - r0).min(BLOCK);
+        for (a, b, out) in [(&*pta, &*dob, &mut h.dv), (&*dsta, &*qb, &mut h.dk)] {
+            let ops = Packed { a, b, kp: ks };
+            out_rows(out, (r0, rows), &mut buf.staged, |c| {
+                block_row(ops, blk, Span::Suffix, c, true)
+            });
+        }
+    }
+}
+
+/// `tiles` run on the `rows` rows of `out` from `r0` — stored in place when
+/// 16 divides `out`'s rows and columns, otherwise staged in `staged` and
+/// copied out.
+///
+/// # Safety
+/// `tiles` stores at most 32 rows of tiles and only the columns of `out`'s
+/// tiles.
+unsafe fn out_rows(
+    out: &mut ViewMut<'_>,
+    (r0, rows): (usize, usize),
+    staged: &mut Vec<f32>,
+    tiles: impl FnOnce(Out),
+) {
+    let (m, n) = out.dims();
+    if m % TILE == 0 && n % TILE == 0 {
+        let (c, stride) = out.as_mut_ptr();
+        return tiles(Out {
+            c: c.add(r0 * stride),
+            stride,
+            rows: m - r0,
+            cols: n,
+        });
+    }
+    let w = n.div_ceil(TILE) * TILE;
+    let staged = grown(staged, BLOCK * w);
+    tiles(Out::rows_of(staged, w));
+    for (i, src) in staged.chunks_exact(w).take(rows).enumerate() {
+        out.write_row(r0 + i, &src[..n]);
     }
 }
 

@@ -65,6 +65,23 @@
 //! judged or CI machine is such a processor; the AVX2 build (which requires
 //! FMA) is the floor there.
 //!
+//! **Attention** is one batched entry, [`attention_forward`] and
+//! [`attention_backward`], over the strided views of every (batch, head)
+//! pair of a fused QKV matrix (`HeadFwd`, `HeadBwd`; `layers::AttentionCore`
+//! is its caller). Its pieces on the pool are groups of pairs, a few per
+//! thread that can take one. Each engine has a body. The FMA builds run a
+//! pair as its products: scores, softmax rows, the product with `v`
+//! (backward: four products around the softmax backward rows). The AMX
+//! build runs a group under one tile configuration and computes only what
+//! the causal mask leaves (`crate::amx`). No bit moves: it skips whole
+//! 16×16 output tiles that the mask discards and whole chunks of 32 of `k`,
+//! cut from 0 as always, whose terms are all exact zeros of the
+//! probabilities or their gradients. A skipped chunk starts a sum's tiles
+//! at `+0.0` where the chunk would have left `+0.0`, or ends it where the
+//! chunk would have added zeros — which moves a sum only if it is exactly
+//! `−0.0`. The softmax rows and their backward (`crate::elementwise`) keep
+//! each row's sums sequential in index order.
+//!
 //! **Threads.** A product below `PAR_FLOPS` (the AMX build: its own, higher
 //! threshold) runs on the caller. A larger one is shared: its operand
 //! packing (the AMX build: groups of row tiles of `A` and of panels of `B`;
@@ -138,8 +155,9 @@ const PAR_FLOPS: usize = 1 << 23;
 const FEW_ROWS: usize = 32;
 /// Floats per page of memory, for touching an allocation once per page.
 const PAGE_FLOATS: usize = 4096 / std::mem::size_of::<f32>();
-/// Row blocks published per thread, so that a helper scheduled late leaves
-/// the caller most of the blocks rather than half the matrix to wait for.
+/// Row blocks (and groups of attention's pairs) published per thread, so
+/// that a helper scheduled late leaves the caller most of the blocks rather
+/// than half the matrix to wait for.
 const BLOCKS_PER_THREAD: usize = 4;
 
 /// A read-only `rows × cols` view: element `(i, j)` is
@@ -254,6 +272,55 @@ impl<'a> ViewMut<'a> {
         }
     }
 
+    /// `(rows, cols)`.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The same elements through a shorter borrow, for a product that takes
+    /// its `C` by value.
+    pub(crate) fn reborrow(&mut self) -> ViewMut<'_> {
+        ViewMut {
+            _elements: PhantomData,
+            ..*self
+        }
+    }
+
+    /// The elements as one slice, for a view whose rows are adjacent.
+    ///
+    /// # Safety
+    /// Every element has been written.
+    unsafe fn written_mut(&mut self) -> &mut [f32] {
+        assert!(self.rows <= 1 || self.rs == self.cols, "rows not adjacent");
+        std::slice::from_raw_parts_mut(self.data, self.rows * self.cols)
+    }
+
+    /// The elements as a read-only view, for a view whose rows are adjacent.
+    ///
+    /// # Safety
+    /// Every element has been written.
+    unsafe fn written(&self) -> View<'_> {
+        assert!(self.rows <= 1 || self.rs == self.cols, "rows not adjacent");
+        let data = std::slice::from_raw_parts(self.data, self.rows * self.cols);
+        View::new(data, self.rows, self.cols, self.cols, 1)
+    }
+
+    /// `buf`, cleared, with room for a `rows × cols` matrix, as a view of
+    /// that matrix whose elements hold no value yet: nothing fills them.
+    /// Once every element is written, `buf.set_len(rows · cols)` makes them
+    /// `buf`'s; with room enough ([`room`]) nothing is allocated.
+    pub(crate) fn spare(buf: &'a mut Vec<f32>, rows: usize, cols: usize) -> Self {
+        buf.clear();
+        buf.reserve(rows * cols);
+        ViewMut {
+            data: buf.as_mut_ptr(),
+            rows,
+            cols,
+            rs: cols,
+            _elements: PhantomData,
+        }
+    }
+
     /// Writes `+0.0` over every element.
     fn write_zeros(&mut self) {
         for i in 0..self.rows {
@@ -353,18 +420,10 @@ pub(crate) unsafe fn write_vec(
     cols: usize,
     write: impl FnOnce(ViewMut<'_>),
 ) {
-    let len = rows * cols;
-    buf.clear();
-    buf.reserve(len);
-    write(ViewMut {
-        data: buf.as_mut_ptr(),
-        rows,
-        cols,
-        rs: cols,
-        _elements: PhantomData,
-    });
-    // SAFETY: `write` wrote all `len` elements (the caller's contract).
-    buf.set_len(len);
+    write(ViewMut::spare(buf, rows, cols));
+    // SAFETY: `write` wrote all `rows · cols` elements (the caller's
+    // contract).
+    buf.set_len(rows * cols);
 }
 
 impl Matrix {
@@ -517,6 +576,8 @@ thread_local! {
     static ROUNDED: std::cell::Cell<(Vec<f32>, Vec<f32>)> =
         const { std::cell::Cell::new((Vec::new(), Vec::new())) };
     static PANELS: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+    /// The FMA builds' attention score gradients of one pair.
+    static SCORES: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// [`matmul_into`] on the build for `isa`, which this processor must run:
@@ -556,6 +617,136 @@ fn product(isa: Isa, a: View<'_>, b: View<'_>, mut c: ViewMut<'_>, write: bool) 
     );
     fma_product(isa, a, b, c, write);
     ROUNDED.set((ra, rb));
+}
+
+/// One (batch, head) pair of causal attention's forward pass as views:
+/// `q`, `k` and `v`, `s × d` each and read where they lie, and what the
+/// pass writes without reading — the pair's `s × s` probabilities (rows
+/// adjacent) and its `s × d` block of the output.
+pub(crate) struct HeadFwd<'a> {
+    pub(crate) q: View<'a>,
+    pub(crate) k: View<'a>,
+    pub(crate) v: View<'a>,
+    pub(crate) probs: ViewMut<'a>,
+    pub(crate) out: ViewMut<'a>,
+}
+
+/// One (batch, head) pair of causal attention's backward pass: the
+/// forward's `q`, `k`, `v` and probabilities (`s × s`, rows adjacent), the
+/// output's gradient `dout`, and the pair's blocks of `dq`, `dk` and `dv`,
+/// written without being read.
+pub(crate) struct HeadBwd<'a> {
+    pub(crate) q: View<'a>,
+    pub(crate) k: View<'a>,
+    pub(crate) v: View<'a>,
+    pub(crate) dout: View<'a>,
+    pub(crate) probs: &'a [f32],
+    pub(crate) dq: ViewMut<'a>,
+    pub(crate) dk: ViewMut<'a>,
+    pub(crate) dv: ViewMut<'a>,
+}
+
+/// Causal attention's forward products over a batch of heads, on the build
+/// for `isa`: per pair `probs = softmax(mask(q·kᵀ·scale))` row by row
+/// ([`causal_softmax_row`](crate::elementwise::causal_softmax_row)), its
+/// masked entries exactly `0.0`, and `out = probs·v`. The bits are those of
+/// the three steps run as two [`matmul_to`] calls around the softmax rows.
+/// The AMX build runs a pair as one pass under one tile configuration: only
+/// the score tiles on or below the diagonal, each 32-row block's
+/// probabilities computed as its tiles leave the unit and packed straight
+/// into `probs·v`'s operand, whose chunks of `k` past the block's diagonal
+/// (all zeros) it skips. The FMA builds run the two products and the rows
+/// per pair.
+pub(crate) fn attention_forward(isa: Isa, heads: &mut [HeadFwd<'_>], scale: f32) {
+    let per_head = heads.first().map_or(0, |h| h.q.rows * h.q.rows);
+    head_groups(isa, heads, per_head, |group| {
+        if isa == Isa::Amx {
+            // SAFETY: `Isa::Amx` is active (`head_groups` asserts it).
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { crate::amx::attention_forward(group, scale) };
+        }
+        for h in group {
+            fma_attention_forward(isa, h, scale);
+        }
+    });
+}
+
+/// Causal attention's backward products over a batch of heads, on the
+/// build for `isa`: per pair `dv = probsᵀ·dout`, `dP = dout·vᵀ`,
+/// `dS = probs ⊙ (dP − Σ dP ⊙ probs)·scale` row by row
+/// ([`causal_softmax_backward_row`](crate::elementwise::causal_softmax_backward_row)),
+/// `dq = dS·k` and `dk = dSᵀ·q`, with the bits of those [`matmul_to`]
+/// calls around the rows. The AMX build runs a pair as one pass under one
+/// tile configuration: `dP` only on or below the diagonal, each 32-row
+/// block's `dS` computed as its tiles leave the unit, and the chunks of
+/// `k` whose terms are all exact zeros of `probs` or `dS` skipped — past
+/// the diagonal in `dS·k`, before it in `probsᵀ·dout` and `dSᵀ·q`.
+pub(crate) fn attention_backward(isa: Isa, heads: &mut [HeadBwd<'_>], scale: f32) {
+    let per_head = heads.first().map_or(0, |h| h.q.rows * h.q.rows);
+    head_groups(isa, heads, per_head, |group| {
+        if isa == Isa::Amx {
+            // SAFETY: `Isa::Amx` is active (`head_groups` asserts it).
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { crate::amx::attention_backward(group, scale) };
+        }
+        let mut scores = SCORES.take();
+        for h in group {
+            fma_attention_backward(isa, h, scale, &mut scores);
+        }
+        SCORES.set(scores);
+    });
+}
+
+/// `run` over `heads` cut into groups, the pieces of one pass on the pool:
+/// a few per thread that can take one, or all of them at once on the
+/// caller. `isa` is the build `run` runs, which this processor must run.
+fn head_groups<H: Send>(isa: Isa, heads: &mut [H], per_head: usize, run: impl Fn(&mut [H]) + Sync) {
+    assert!(
+        isa <= Isa::active(),
+        "this processor does not run {}",
+        isa.name()
+    );
+    let values = heads.len() * per_head;
+    let threads = pool::threads_for(values, heads.len());
+    let size = heads.len().div_ceil(BLOCKS_PER_THREAD * threads).max(1);
+    let groups = heads.chunks_mut(size);
+    pool::each(values, groups.len(), groups, run);
+}
+
+/// One pair of [`attention_forward`] on an FMA build: the score product,
+/// the softmax rows in place, the product with `v`.
+fn fma_attention_forward(isa: Isa, h: &mut HeadFwd<'_>, scale: f32) {
+    product(isa, h.q, h.k.t(), h.probs.reborrow(), true);
+    let s = h.probs.rows;
+    // SAFETY: the product wrote every element.
+    let scores = unsafe { h.probs.written_mut() };
+    crate::elementwise::causal_softmax_rows_with(isa, scores, (s, s), (1, s), scale);
+    // SAFETY: as above.
+    let p = unsafe { h.probs.written() };
+    product(isa, p, h.v, h.out.reborrow(), true);
+}
+
+/// One pair of [`attention_backward`] on an FMA build, its score gradients
+/// in `scores`.
+fn fma_attention_backward(isa: Isa, h: &mut HeadBwd<'_>, scale: f32, scores: &mut Vec<f32>) {
+    let s = h.q.rows;
+    let p = View::new(h.probs, s, s, s, 1);
+    product(isa, p.t(), h.dout, h.dv.reborrow(), true);
+    // Every element is written by the product below; only growth fills.
+    scores.resize(s * s, 0.0);
+    product(isa, h.dout, h.v.t(), ViewMut::new(scores, s, s, s), true);
+    let rows = (s, s, s);
+    crate::elementwise::causal_softmax_backward_rows_with(
+        isa,
+        h.probs,
+        scores,
+        rows,
+        (1, s),
+        scale,
+    );
+    let ds = View::new(scores, s, s, s, 1);
+    product(isa, ds, h.k, h.dq.reborrow(), true);
+    product(isa, ds.t(), h.q, h.dk.reborrow(), true);
 }
 
 /// Floating-point operations of an `m × k` by `k × n` product.

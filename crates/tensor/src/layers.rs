@@ -1,14 +1,15 @@
 //! Neural-network layers with explicit forward caches and hand-written
-//! backward passes.
-
-use std::sync::Mutex;
+//! backward passes. Causal attention ([`AttentionCore`]) runs all its
+//! (batch, head) pairs as one batched pass of `gemm`, reading q, k and v
+//! where the fused QKV projection left them and caching each pair's
+//! probabilities as an `s × s` matrix, masked entries `0.0`.
 
 use rand::Rng;
 
 use crate::elementwise;
-use crate::gemm::{self, View};
+use crate::gemm::{self, HeadBwd, HeadFwd, View, ViewMut};
 use crate::pool::{self, PIECE};
-use crate::Matrix;
+use crate::{Isa, Matrix};
 
 /// Floats of whole rows `width` wide in one piece of a row pass.
 fn piece_len(width: usize) -> usize {
@@ -312,9 +313,9 @@ impl LayerNorm {
 /// (column-parallel) QKV projection as it stands — columns `q | k | v`, rows
 /// grouped by batch, then sequence position — so tensor-parallel ranks run
 /// this on their head shard without any communication (§2.3) and, the
-/// layout point of §4.2, without copying q, k or v out of it: every
-/// per-(batch, head) product reads its block of `qkv` in place, and the
-/// backward pass writes dq, dk and dv into the blocks of one `dqkv`.
+/// layout point of §4.2, without copying q, k or v out of it: the batched
+/// pass reads every pair's blocks of `qkv` in place as strided views, and
+/// the backward pass writes dq, dk and dv into the blocks of one `dqkv`.
 #[derive(Debug, Clone, Copy)]
 pub struct AttentionCore {
     /// Samples in the batch.
@@ -369,43 +370,48 @@ impl AttentionCore {
     }
 
     /// Forward pass: causal softmax(QKᵀ/√d)·V, `[batch·seq, heads·head_dim]`.
-    /// Each (batch, head) pair is one piece on the pool, writing its own
-    /// probabilities and its own block of the output; both are written by
-    /// their products (`gemm::matmul_to`), with no zero fill before.
+    /// All (batch, head) pairs are one batched pass (`gemm::attention_forward`),
+    /// shared on the pool in groups of pairs; each pair writes its own
+    /// probabilities and its own block of the output, with no zero fill
+    /// before.
     pub fn forward(&self, qkv: &Matrix) -> (Matrix, AttentionCache) {
+        self.forward_with(Isa::active(), qkv)
+    }
+
+    /// [`AttentionCore::forward`] on the build for `isa`.
+    pub(crate) fn forward_with(&self, isa: Isa, qkv: &Matrix) -> (Matrix, AttentionCache) {
         assert_eq!(qkv.rows(), self.batch * self.seq);
         assert_eq!(qkv.cols(), 3 * self.local());
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let (s, pairs) = (self.seq, self.batch * self.heads);
         let mut probs: Vec<Vec<f32>> = (0..pairs).map(|_| gemm::room(s * s)).collect();
         let mut out = gemm::room(qkv.rows() * self.local());
-        let write = |out: gemm::ViewMut<'_>| {
+        let write = |out: ViewMut<'_>| {
             // `out` has q's width: its head blocks sit where q's do.
             let items = probs.iter_mut().zip(out.blocks(s, self.head_dim));
-            pool::each(
-                pairs * s * s,
-                pairs,
-                items.enumerate(),
-                |(i, (p, [out]))| {
+            let mut heads: Vec<_> = (items.enumerate())
+                .map(|(i, (p, [out]))| {
                     let (bi, hi) = (i / self.heads, i % self.heads);
-                    let (q, k) = (
-                        self.head(qkv, Part::Q, bi, hi),
-                        self.head(qkv, Part::K, bi, hi),
-                    );
-                    // SAFETY: `matmul_to` writes every element and reads none.
-                    unsafe { gemm::write_vec(p, s, s, |p| gemm::matmul_to(q, k.t(), p)) };
-                    for (r, row) in p.chunks_exact_mut(s).enumerate() {
-                        elementwise::causal_softmax_row(row, r + 1, scale);
+                    HeadFwd {
+                        q: self.head(qkv, Part::Q, bi, hi),
+                        k: self.head(qkv, Part::K, bi, hi),
+                        v: self.head(qkv, Part::V, bi, hi),
+                        probs: ViewMut::spare(p, s, s),
+                        out,
                     }
-                    let p = View::new(p, s, s, s, 1);
-                    gemm::matmul_to(p, self.head(qkv, Part::V, bi, hi), out);
-                },
-            );
+                })
+                .collect();
+            gemm::attention_forward(isa, &mut heads, scale);
         };
-        // SAFETY: the head blocks cover `out`, and `matmul_to` writes every
-        // element of each and reads none.
+        // SAFETY: the head blocks cover `out`, and the pass writes every
+        // element of each and reads none it has not written.
         unsafe { gemm::write_vec(&mut out, qkv.rows(), self.local(), write) };
-        let probs = probs.into_iter().map(|p| Matrix::from_vec(s, s, p));
+        let probs = probs.into_iter().map(|mut p| {
+            // SAFETY: the pass wrote every element of each pair's
+            // probabilities.
+            unsafe { p.set_len(s * s) };
+            Matrix::from_vec(s, s, p)
+        });
         (
             Matrix::from_vec(qkv.rows(), self.local(), out),
             AttentionCache {
@@ -414,50 +420,46 @@ impl AttentionCore {
         )
     }
 
-    /// Backward pass: returns `dqkv`, columns `dq | dk | dv`. Each (batch,
-    /// head) pair is one piece on the pool, writing its own blocks of
-    /// `dqkv` by their products (`gemm::matmul_to`, no zero fill before);
-    /// its score gradients go to a scratch matrix of the caller's, one for
-    /// each thread that can run a piece at once.
+    /// Backward pass: returns `dqkv`, columns `dq | dk | dv`. All (batch,
+    /// head) pairs are one batched pass (`gemm::attention_backward`), shared
+    /// on the pool in groups of pairs; each pair writes its own blocks of
+    /// `dqkv`, with no zero fill before, and its score gradients go to
+    /// scratch of the thread that runs it.
     pub fn backward(&self, qkv: &Matrix, cache: &AttentionCache, dout: &Matrix) -> Matrix {
+        self.backward_with(Isa::active(), qkv, cache, dout)
+    }
+
+    /// [`AttentionCore::backward`] on the build for `isa`.
+    pub(crate) fn backward_with(
+        &self,
+        isa: Isa,
+        qkv: &Matrix,
+        cache: &AttentionCache,
+        dout: &Matrix,
+    ) -> Matrix {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let (s, pairs) = (self.seq, self.batch * self.heads);
-        let threads = pool::threads_for(pairs * s * s, pairs);
-        let scratch: Vec<Mutex<Matrix>> = (0..threads)
-            .map(|_| Mutex::new(Matrix::zeros(s, s)))
-            .collect();
+        let s = self.seq;
         let mut dqkv = gemm::room(qkv.len());
-        let write = |dqkv: gemm::ViewMut<'_>| {
+        let write = |dqkv: ViewMut<'_>| {
             let items = cache.probs.iter().zip(dqkv.blocks(s, self.head_dim));
-            pool::each(
-                pairs * s * s,
-                pairs,
-                items.enumerate(),
-                |(i, (probs, [dq, dk, dv]))| {
+            let mut heads: Vec<_> = (items.enumerate())
+                .map(|(i, (probs, [dq, dk, dv]))| {
                     let (bi, hi) = (i / self.heads, i % self.heads);
-                    let mut ds = (scratch.iter().find_map(|m| m.try_lock().ok()))
-                        .expect("no more pieces run at once than there are scratch matrices");
-                    let doh = self.head(dout, Part::Q, bi, hi);
-                    // dV = Pᵀ · dO ; dP = dO · Vᵀ.
-                    gemm::matmul_to(probs.view().t(), doh, dv);
-                    let v = self.head(qkv, Part::V, bi, hi);
-                    gemm::matmul_to(doh, v.t(), ds.view_mut());
-                    // Softmax backward row-wise: dS = P ⊙ (dP − Σ dP⊙P).
-                    for r in 0..s {
-                        let prow = probs.row(r);
-                        let drow = ds.row_mut(r);
-                        let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
-                        for (d, &p) in drow.iter_mut().zip(prow) {
-                            *d = p * (*d - dot) * scale;
-                        }
+                    HeadBwd {
+                        q: self.head(qkv, Part::Q, bi, hi),
+                        k: self.head(qkv, Part::K, bi, hi),
+                        v: self.head(qkv, Part::V, bi, hi),
+                        dout: self.head(dout, Part::Q, bi, hi),
+                        probs: probs.as_slice(),
+                        dq,
+                        dk,
+                        dv,
                     }
-                    // dQ = dS · K ; dK = dSᵀ · Q.
-                    gemm::matmul_to(ds.view(), self.head(qkv, Part::K, bi, hi), dq);
-                    gemm::matmul_to(ds.view().t(), self.head(qkv, Part::Q, bi, hi), dk);
-                },
-            );
+                })
+                .collect();
+            gemm::attention_backward(isa, &mut heads, scale);
         };
-        // SAFETY: the `[dq, dk, dv]` blocks cover `dqkv`, and `matmul_to`
+        // SAFETY: the `[dq, dk, dv]` blocks cover `dqkv`, and the pass
         // writes every element of each and reads none.
         unsafe { gemm::write_vec(&mut dqkv, qkv.rows(), qkv.cols(), write) };
         Matrix::from_vec(qkv.rows(), qkv.cols(), dqkv)
@@ -1004,6 +1006,113 @@ mod tests {
             shared == pool::on_the_caller(run),
             "pooled attention moved a bit"
         );
+    }
+
+    /// Attention computed one (batch, head) pair at a time on the build for
+    /// `isa`, as it was before the batched pass: each product written into
+    /// its block as `gemm::matmul_to` writes it (summed onto `+0.0`, the
+    /// same bits), the softmax rows in place over the whole score matrix,
+    /// and the softmax backward as the scalar loop over whole rows it was.
+    /// Returns the output, the probabilities and `dqkv`.
+    fn per_pair_attention(
+        isa: Isa,
+        core: &AttentionCore,
+        qkv: &Matrix,
+        dout: &Matrix,
+    ) -> (Matrix, Vec<Matrix>, Matrix) {
+        let (s, d, local) = (core.seq, core.head_dim, core.local());
+        let scale = 1.0 / (d as f32).sqrt();
+        let to =
+            |a: View<'_>, b: View<'_>, c: gemm::ViewMut<'_>| gemm::matmul_into_with(isa, a, b, c);
+        let product = |a: View<'_>, b: View<'_>| {
+            let mut c = Matrix::zeros(a.parts().1, b.parts().2);
+            to(a, b, c.view_mut());
+            c
+        };
+        let mut out = Matrix::zeros(qkv.rows(), local);
+        let mut dqkv = Matrix::zeros(qkv.rows(), 3 * local);
+        let mut probs = Vec::new();
+        for bi in 0..core.batch {
+            for hi in 0..core.heads {
+                let (q, k, v) = (
+                    core.head(qkv, Part::Q, bi, hi),
+                    core.head(qkv, Part::K, bi, hi),
+                    core.head(qkv, Part::V, bi, hi),
+                );
+                let mut p = product(q, k.t());
+                for r in 0..s {
+                    elementwise::causal_softmax_row_with(isa, p.row_mut(r), r + 1, scale);
+                }
+                let [(r0, cq), (_, ck), (_, cv)] =
+                    [Part::Q, Part::K, Part::V].map(|part| core.corner(part, bi, hi));
+                to(p.view(), v, out.block_mut(r0, cq, s, d));
+                let doh = core.head(dout, Part::Q, bi, hi);
+                to(p.view().t(), doh, dqkv.block_mut(r0, cv, s, d));
+                let mut ds = product(doh, v.t());
+                for r in 0..s {
+                    let (prow, drow) = (p.row(r), ds.row_mut(r));
+                    let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
+                    for (d, &p) in drow.iter_mut().zip(prow) {
+                        *d = p * (*d - dot) * scale;
+                    }
+                }
+                to(ds.view(), k, dqkv.block_mut(r0, cq, s, d));
+                to(ds.view().t(), q, dqkv.block_mut(r0, ck, s, d));
+                probs.push(p);
+            }
+        }
+        (out, probs, dqkv)
+    }
+
+    /// The batched pass has the bits of the per-pair computation it
+    /// replaced — output, probabilities and `dqkv` — on the active engine
+    /// and every FMA build this host runs, at the workloads' attention
+    /// shapes and ragged ones (sequences and head widths that 16 and 32 do
+    /// not divide, one token, an odd number of pairs); masked
+    /// probabilities are exactly `0.0`, and the cache holds `s × s` floats
+    /// per pair.
+    #[test]
+    fn batched_attention_equals_the_per_pair_computation_bitwise() {
+        let mut r = rng();
+        let workloads = [
+            (3, 64, 8, 32),
+            (2, 32, 2, 32),
+            (1, 8, 8, 32),
+            (2, 32, 4, 32),
+        ];
+        // Three pairs, as three samples of one head or one sample of three.
+        let ragged = [1, 5, 17, 33, 65].into_iter().flat_map(|seq| {
+            [(3, 1, 2), (1, 3, 8), (3, 1, 24), (1, 3, 40)].map(|(b, h, d)| (b, seq, h, d))
+        });
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (batch, seq, heads, head_dim) in workloads.into_iter().chain(ragged) {
+            let core = AttentionCore {
+                batch,
+                seq,
+                heads,
+                head_dim,
+            };
+            let rows = batch * seq;
+            let qkv = Matrix::randn(rows, 3 * core.local(), 1.0, &mut r);
+            let dout = Matrix::randn(rows, core.local(), 1.0, &mut r);
+            let what = format!("batch {batch}, seq {seq}, heads {heads}, head_dim {head_dim}");
+            for isa in crate::simd::builds_exercised() {
+                let (out, cache) = core.forward_with(isa, &qkv);
+                let dqkv = core.backward_with(isa, &qkv, &cache, &dout);
+                let (want_out, want_probs, want_dqkv) = per_pair_attention(isa, &core, &qkv, &dout);
+                let on = format!("{what} on {}", isa.name());
+                assert_eq!(bits(&out), bits(&want_out), "output, {on}");
+                assert_eq!(cache.probs.len(), want_probs.len(), "{on}");
+                for (p, want) in cache.probs.iter().zip(&want_probs) {
+                    assert_eq!(bits(p), bits(want), "probabilities, {on}");
+                    for row in 0..seq {
+                        assert!(p.row(row)[row + 1..].iter().all(|m| m.to_bits() == 0));
+                    }
+                }
+                assert_eq!(cache.float_count(), batch * heads * seq * seq, "{on}");
+                assert_eq!(bits(&dqkv), bits(&want_dqkv), "dqkv, {on}");
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,21 @@
 //! the naive loop on rounded operands bit for bit. On either engine an
 //! element's bits depend only on its row of `A`, its column of `B` and its
 //! initial value — not on tiling, row count, view, thread or helper split.
-//! The plain, `Aᵀ·B` and `A·Bᵀ` products and attention's per-head blocks
-//! are the same call with other strides. The widest build the processor
-//! runs is picked at run time; [`gemm::active_build`] names it,
-//! [`gemm::matmul_into_with`] runs a named one.
+//! The plain, `Aᵀ·B` and `A·Bᵀ` products are the same call with other
+//! strides. Attention's products are one batched entry over the strided
+//! views of every (batch, head) pair: on the matrix unit a pair is one pass
+//! under one tile configuration that computes only the score tiles on or
+//! below the diagonal, runs each row's softmax (and backward, its
+//! gradient) as the rows leave the tiles and skips the chunks of `k` whose
+//! terms are all exact zeros; the FMA builds run it pair by pair as
+//! products. The widest build the processor runs is picked at run time;
+//! [`gemm::active_build`] names it, [`gemm::matmul_into_with`] runs a
+//! named one.
 //! Every pass of a step whose bits cannot depend on the thread is shared
 //! with a process-wide set of parked helper threads (`pool`): the tile
 //! blocks and operand packing of large products, Adam, gradient zeroing
-//! ([`zero_grads`]), attention's (batch, head) pairs and the row passes
+//! ([`zero_grads`]), attention's (batch, head) pairs in groups and the row
+//! passes
 //! (bias+GeLU, its backward, bias+residual, LayerNorm forward,
 //! cross-entropy's rows). Each piece computes per element or per row
 //! exactly what the whole pass computes, into buffers the caller made. The
@@ -36,7 +43,8 @@
 //! freed instead of faulting fresh ones in.
 //!
 //! [`elementwise`] is the other half of a step, built the same way: GeLU,
-//! the Adam update, the causal softmax row, bias and residual adds and the
+//! the Adam update, the causal softmax rows and their backward, bias and
+//! residual adds and the
 //! in-crate `exp` they rest on are plain loops over zipped slices, compiled
 //! for the same three instruction sets (`name` dispatches, `name_with` runs
 //! a named build; the AMX build runs the AVX-512 one). Its contract is per-element IEEE arithmetic in source

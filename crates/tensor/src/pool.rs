@@ -3,8 +3,9 @@
 //!
 //! Any pass whose bits cannot depend on the thread runs here: the tile
 //! loops of large products and their operand packing, Adam, gradient
-//! zeroing, attention's (batch, head) pairs and the row passes. [`each`] is
-//! the entry point for a pass cut into pieces: every piece writes its own
+//! zeroing, attention's (batch, head) pairs in groups and the row passes.
+//! [`each`] is the entry point for a pass cut into pieces: every piece
+//! writes its own
 //! disjoint part of buffers the caller made before the job, so no piece
 //! allocates.
 //!
