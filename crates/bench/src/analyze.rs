@@ -22,6 +22,8 @@
 //! the `repro sentry` regression gate, and surfaces the per-rank
 //! `spans_dropped` counters so silent ring-buffer overflow is visible.
 
+use std::collections::BTreeMap;
+
 use megatron_core::model::BYTES_FP16;
 use megatron_core::parallel::analysis;
 use megatron_dist::{PtdpSpec, PtdpTrainer, RunControl};
@@ -179,14 +181,62 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let merged = megatron_telemetry::merge_chrome_traces(parts.iter().map(|(_, t)| t.as_str()))?;
     let out = out.unwrap_or_else(|| dir.join("merged.trace.json"));
     std::fs::write(&out, &merged).map_err(|e| format!("{}: {e}", out.display()))?;
+    let aligned = match iteration_alignment(&merged) {
+        Some((spread, median)) => format!(
+            "steady iterations start within {:.3} ms of each other across ranks \
+             (median iteration {:.3} ms): {}\n",
+            spread * 1e3,
+            median * 1e3,
+            if spread < median { "yes" } else { "NO" }
+        ),
+        None => String::new(),
+    };
     Ok(format!(
-        "merged {} rank traces (ranks {:?}) into {} ({} bytes)\n{}",
+        "merged {} rank traces (ranks {:?}) into {} ({} bytes)\n{aligned}{}",
         parts.len(),
         parts.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
         out.display(),
         merged.len(),
         usage_report(&usage)
     ))
+}
+
+/// How well a merged trace's ranks share one clock: the largest spread,
+/// over the steady iterations (every one after the first), of the ranks'
+/// first span starts, and the median of the ranks' iteration walls (first
+/// span's start to last span's end), both in seconds. `None` when the
+/// trace has no steady iteration.
+fn iteration_alignment(merged: &str) -> Option<(f64, f64)> {
+    let trace = Json::parse(merged).ok()?;
+    // (iteration, pid) → (first start, last end), µs.
+    let mut bounds: BTreeMap<(u64, u64), (f64, f64)> = BTreeMap::new();
+    for ev in trace.as_array()? {
+        let at = |key: &str| ev[key].as_f64();
+        let (Some(iteration), Some(pid), Some(ts), Some(dur)) = (
+            ev["args"]["iteration"].as_f64(),
+            at("pid"),
+            at("ts"),
+            at("dur"),
+        ) else {
+            continue;
+        };
+        if iteration >= 1.0 {
+            let b = bounds
+                .entry((iteration as u64, pid as u64))
+                .or_insert((ts, ts + dur));
+            *b = (b.0.min(ts), b.1.max(ts + dur));
+        }
+    }
+    let mut walls: Vec<f64> = bounds.values().map(|(start, end)| end - start).collect();
+    walls.sort_by(f64::total_cmp);
+    let median = *walls.get(walls.len() / 2)?;
+    let mut starts: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
+    for (&(iteration, _), &(start, _)) in &bounds {
+        let s = starts.entry(iteration).or_insert((start, start));
+        *s = (s.0.min(start), s.1.max(start));
+    }
+    let spread = starts.values().map(|(lo, hi)| hi - lo).fold(0.0, f64::max);
+    Some((spread / 1e6, median / 1e6))
 }
 
 /// E36 entry point (`repro analyze`).

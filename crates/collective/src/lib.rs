@@ -59,41 +59,63 @@ impl ChunkRange {
 }
 
 /// Element-wise reduction applied when a received chunk meets local data.
+/// Its two operands are ordered (see [`Combine`]); `Sum` gives the same
+/// bits either way for any operands but NaNs, `Max` on ties of ±0 does not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
-    /// `local + incoming`.
+    /// `a + b`.
     Sum,
-    /// `max(local, incoming)`.
+    /// The larger of `a` and `b`; a number beats a NaN, and of two equal
+    /// values (`+0.0` and `−0.0`) the first operand `a` wins.
     Max,
+}
+
+/// `max(a, b)` as [`ReduceOp::Max`] defines it. Spelled out rather than
+/// `f32::max`, whose choice between `±0` is left to the compiler: the two
+/// members of an exchange compute it with the operands in one order and
+/// must get the same bits.
+fn max_first(a: f32, b: f32) -> f32 {
+    if a < b || a.is_nan() {
+        b
+    } else {
+        a
+    }
 }
 
 /// How a received chunk combines into the local buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Combine {
-    /// Reduce element-wise with the local values (reduce-scatter phases).
+    /// Reduce element-wise, the local value first: `local ← op(local,
+    /// incoming)` (ring reduce-scatter phases; the lower member of a
+    /// two-member exchange).
     Reduce(ReduceOp),
+    /// Reduce element-wise, the incoming value first: `local ←
+    /// op(incoming, local)`. The higher member of a two-member exchange
+    /// combines so, and both members compute `op(x₀, x₁)`.
+    ReduceIncomingFirst(ReduceOp),
     /// Overwrite the local values (all-gather / broadcast phases).
     Replace,
 }
 
 impl Combine {
-    /// Apply the combine rule: `local[i] ← combine(local[i], incoming[i])`.
+    /// Apply the combine rule to every `local[i]` and `incoming[i]`.
     ///
     /// Both the real executor and the serial reference interpreter call
     /// this single definition, so their arithmetic is bit-identical by
     /// construction.
     pub fn apply(&self, local: &mut [f32], incoming: &[f32]) {
         debug_assert_eq!(local.len(), incoming.len());
-        match self {
-            Combine::Reduce(ReduceOp::Sum) => {
-                for (l, x) in local.iter_mut().zip(incoming) {
-                    *l += x;
-                }
+        fn each(local: &mut [f32], incoming: &[f32], f: impl Fn(f32, f32) -> f32) {
+            for (l, &x) in local.iter_mut().zip(incoming) {
+                *l = f(*l, x);
             }
-            Combine::Reduce(ReduceOp::Max) => {
-                for (l, x) in local.iter_mut().zip(incoming) {
-                    *l = l.max(*x);
-                }
+        }
+        match self {
+            Combine::Reduce(ReduceOp::Sum) => each(local, incoming, |l, x| l + x),
+            Combine::Reduce(ReduceOp::Max) => each(local, incoming, max_first),
+            Combine::ReduceIncomingFirst(ReduceOp::Sum) => each(local, incoming, |l, x| x + l),
+            Combine::ReduceIncomingFirst(ReduceOp::Max) => {
+                each(local, incoming, |l, x| max_first(x, l))
             }
             Combine::Replace => local.copy_from_slice(incoming),
         }
@@ -173,7 +195,9 @@ impl Program {
     /// no recv of this rank, in that round or a later one, writes any
     /// element of its range. Every round of a reduce-scatter, an
     /// all-gather and a broadcast qualifies, and so does the all-gather
-    /// half of an all-reduce; its reduce-scatter half does not.
+    /// half of a ring all-reduce; its reduce-scatter half does not, nor
+    /// does the one round of a two-member all-reduce, whose recv combines
+    /// into the range it sends.
     pub fn may_lend(&self, rank: usize, round: usize) -> bool {
         let Some(snd) = self.rounds[round].steps[rank].send else {
             return true;
@@ -186,9 +210,14 @@ impl Program {
 
     /// Structural soundness: every send pairs with exactly the recv of its
     /// destination rank in the same round (same range), every recv names a
-    /// rank that sends to it, nobody sends to itself, and no rank's send
-    /// range overlaps its recv range within a round (the executor sends
-    /// before receiving, so an overlap would forward half-updated data).
+    /// rank that sends to it, and nobody sends to itself.
+    ///
+    /// A rank's send range may overlap its recv range in the same round:
+    /// the send carries the range as it stood at the end of the previous
+    /// round, because the executor copies it into the wire before the recv
+    /// combines, and never lends a range a recv of that round or a later
+    /// one writes ([`Program::may_lend`]). A two-member all-reduce sends
+    /// and combines its whole buffer in one round.
     pub fn validate(&self) -> Result<(), String> {
         for (s, round) in self.rounds.iter().enumerate() {
             if round.steps.len() != self.ranks {
@@ -223,11 +252,6 @@ impl Program {
                         }
                     }
                 }
-                if let (Some(snd), Some(rcv)) = (step.send, step.recv) {
-                    if overlaps(snd.range, rcv.range) {
-                        return Err(format!("round {s}: rank {j} send/recv ranges overlap"));
-                    }
-                }
             }
         }
         Ok(())
@@ -245,15 +269,6 @@ pub fn chunk_of(n: usize, parts: usize, i: usize) -> ChunkRange {
     ChunkRange {
         lo: (i * c).min(n),
         hi: ((i + 1) * c).min(n),
-    }
-}
-
-/// Sub-chunk `i` over `parts` of an existing range (hierarchical phases).
-fn sub_chunk(range: ChunkRange, parts: usize, i: usize) -> ChunkRange {
-    let inner = chunk_of(range.len(), parts, i);
-    ChunkRange {
-        lo: range.lo + inner.lo,
-        hi: range.lo + inner.hi,
     }
 }
 
@@ -329,9 +344,36 @@ pub fn ring_all_gather(r: usize, n: usize) -> Program {
 /// `2(r−1)` in all. Per-rank egress is exactly the paper's `2(r−1)/r · n`
 /// for divisible `n` (§3.2's `(t−1)/t` factor) and emerges exactly from
 /// the chunk ranges otherwise.
+///
+/// Two ranks make one round instead of two: each sends its whole buffer
+/// and combines the whole of its partner's, rank 0's operand first on
+/// both ([`Combine::ReduceIncomingFirst`] on rank 1), so both end with
+/// `op(x₀, x₁)` bit for bit. The egress is the ring's, `n` per rank; the
+/// wait for the partner is paid once. A `Sum` has the two-round ring's
+/// bits for any operands but NaNs: the ring adds `x₀ + x₁` on chunk 0 and
+/// `x₁ + x₀` on chunk 1, and IEEE addition commutes.
 pub fn ring_all_reduce(r: usize, n: usize, op: ReduceOp) -> Program {
-    let mut rounds = ring_reduce_scatter(r, n, op).rounds;
-    rounds.extend(ring_all_gather(r, n).rounds);
+    let rounds = if r == 2 {
+        let all = ChunkRange { lo: 0, hi: n };
+        let swap = |to: usize, combine: Combine| RankStep {
+            send: Some(SendStep { to, range: all }),
+            recv: Some(RecvStep {
+                from: to,
+                range: all,
+                combine,
+            }),
+        };
+        vec![Round {
+            steps: vec![
+                swap(1, Combine::Reduce(op)),
+                swap(0, Combine::ReduceIncomingFirst(op)),
+            ],
+        }]
+    } else {
+        let mut rounds = ring_reduce_scatter(r, n, op).rounds;
+        rounds.extend(ring_all_gather(r, n).rounds);
+        rounds
+    };
     Program {
         kind: "ring-all-reduce",
         ranks: r,
@@ -383,11 +425,13 @@ pub fn ring_broadcast(r: usize, n: usize, root: usize) -> Program {
 
 /// Two-level hierarchical all-reduce (§5.9's multi-rail pattern): ranks
 /// form `r/local` "nodes" of `local` consecutive ranks. Phase 1
-/// reduce-scatters within each node; phase 2 runs one inter-node ring
-/// all-reduce per local position (each rail moving only its `1/local`
-/// shard — on real hardware each rail rides its own NIC); phase 3
-/// all-gathers within each node. Degenerates to a flat ring when there is
-/// one node or one rank per node.
+/// reduce-scatters within each node ([`ring_reduce_scatter`]); phase 2
+/// runs one inter-node [`ring_all_reduce`] per local position (each rail
+/// moving only its `1/local` shard — on real hardware each rail rides its
+/// own NIC; two nodes make it one exchange); phase 3 all-gathers within
+/// each node ([`ring_all_gather`]). Every node and every rail runs in the
+/// same rounds. Degenerates to a flat ring when there is one node or one
+/// rank per node.
 pub fn hierarchical_all_reduce(r: usize, n: usize, local: usize, op: ReduceOp) -> Program {
     assert!(
         local > 0 && r.is_multiple_of(local),
@@ -397,103 +441,54 @@ pub fn hierarchical_all_reduce(r: usize, n: usize, local: usize, op: ReduceOp) -
     if nodes == 1 || local == 1 {
         return ring_all_reduce(r, n, op);
     }
-    let mut rounds = Vec::with_capacity(2 * (local - 1) + 2 * (nodes - 1));
-
-    // Phase 1: intra-node reduce-scatter of the `local` node chunks, all
-    // nodes in parallel within each round.
-    for s in 0..local - 1 {
-        let mut round = Round {
-            steps: vec![RankStep::default(); r],
-        };
-        for k in 0..nodes {
-            for u in 0..local {
-                let j = k * local + u;
-                round.steps[j] = RankStep {
-                    send: Some(SendStep {
-                        to: k * local + (u + 1) % local,
-                        range: chunk_of(n, local, (u + local - 1 - s) % local),
-                    }),
-                    recv: Some(RecvStep {
-                        from: k * local + (u + local - 1) % local,
-                        range: chunk_of(n, local, (u + 2 * local - 2 - s) % local),
-                        combine: Combine::Reduce(op),
-                    }),
-                };
-            }
-        }
-        rounds.push(round);
+    let scatter = ring_reduce_scatter(local, n, op);
+    let gather = ring_all_gather(local, n);
+    let rails: Vec<(ChunkRange, Program)> = (0..local)
+        .map(|u| {
+            let rail = chunk_of(n, local, u);
+            (rail, ring_all_reduce(nodes, rail.len(), op))
+        })
+        .collect();
+    let inter = rails[0].1.rounds.len();
+    let mut rounds = empty_rounds(r, scatter.rounds.len() + inter + gather.rounds.len());
+    let (intra_rs, rest) = rounds.split_at_mut(scatter.rounds.len());
+    let (rail_ar, intra_ag) = rest.split_at_mut(inter);
+    for k in 0..nodes {
+        embed(intra_rs, &scatter, |u| k * local + u, 0);
+        embed(intra_ag, &gather, |u| k * local + u, 0);
     }
-
-    // Phase 2: per-rail inter-node ring all-reduce of each local chunk,
-    // all rails in parallel within each round.
-    for s in 0..2 * (nodes - 1) {
-        let mut round = Round {
-            steps: vec![RankStep::default(); r],
-        };
-        let rs_rounds = nodes - 1;
-        for u in 0..local {
-            let rail_range = chunk_of(n, local, u);
-            for k in 0..nodes {
-                let j = k * local + u;
-                let (send_chunk, recv_chunk, combine) = if s < rs_rounds {
-                    (
-                        (k + nodes - 1 - s) % nodes,
-                        (k + 2 * nodes - 2 - s) % nodes,
-                        Combine::Reduce(op),
-                    )
-                } else {
-                    let ag = s - rs_rounds;
-                    (
-                        (k + nodes - ag) % nodes,
-                        (k + 2 * nodes - 1 - ag) % nodes,
-                        Combine::Replace,
-                    )
-                };
-                round.steps[j] = RankStep {
-                    send: Some(SendStep {
-                        to: ((k + 1) % nodes) * local + u,
-                        range: sub_chunk(rail_range, nodes, send_chunk),
-                    }),
-                    recv: Some(RecvStep {
-                        from: ((k + nodes - 1) % nodes) * local + u,
-                        range: sub_chunk(rail_range, nodes, recv_chunk),
-                        combine,
-                    }),
-                };
-            }
-        }
-        rounds.push(round);
+    for (u, (rail, prog)) in rails.iter().enumerate() {
+        embed(rail_ar, prog, |k| k * local + u, rail.lo);
     }
-
-    // Phase 3: intra-node all-gather of the fully reduced node chunks.
-    for s in 0..local - 1 {
-        let mut round = Round {
-            steps: vec![RankStep::default(); r],
-        };
-        for k in 0..nodes {
-            for u in 0..local {
-                let j = k * local + u;
-                round.steps[j] = RankStep {
-                    send: Some(SendStep {
-                        to: k * local + (u + 1) % local,
-                        range: chunk_of(n, local, (u + local - s) % local),
-                    }),
-                    recv: Some(RecvStep {
-                        from: k * local + (u + local - 1) % local,
-                        range: chunk_of(n, local, (u + 2 * local - 1 - s) % local),
-                        combine: Combine::Replace,
-                    }),
-                };
-            }
-        }
-        rounds.push(round);
-    }
-
     Program {
         kind: "hierarchical-all-reduce",
         ranks: r,
         len: n,
         rounds,
+    }
+}
+
+/// Lay `prog`'s rounds onto `rounds`: its rank `j` is rank `rank(j)`
+/// here, and its element `i` is element `lo + i`.
+fn embed(rounds: &mut [Round], prog: &Program, rank: impl Fn(usize) -> usize, lo: usize) {
+    let shift = |c: ChunkRange| ChunkRange {
+        lo: lo + c.lo,
+        hi: lo + c.hi,
+    };
+    for (round, sub) in rounds.iter_mut().zip(&prog.rounds) {
+        for (j, step) in sub.steps.iter().enumerate() {
+            round.steps[rank(j)] = RankStep {
+                send: step.send.map(|snd| SendStep {
+                    to: rank(snd.to),
+                    range: shift(snd.range),
+                }),
+                recv: step.recv.map(|rcv| RecvStep {
+                    from: rank(rcv.from),
+                    range: shift(rcv.range),
+                    combine: rcv.combine,
+                }),
+            };
+        }
     }
 }
 
@@ -620,7 +615,9 @@ pub fn execute<T: Transport>(
 ///
 /// Within each round the rank first posts its send (non-blocking), then
 /// blocks on its recv and applies the combine rule to the parts the
-/// transport hands over. A message of at least [`LEND_MIN`] floats whose
+/// transport hands over. The send carries its ranges as they stood before
+/// that recv, which may combine into the same ranges (the one round of a
+/// two-member all-reduce). A message of at least [`LEND_MIN`] floats whose
 /// ranges this rank does not write again ([`Program::may_lend`]) is lent
 /// ([`Transport::lend`]) instead of sent. Before this returns — with `Ok`,
 /// with `Err`, or by unwinding — it reclaims what it lent, so nothing
@@ -1011,6 +1008,33 @@ mod tests {
             assert_eq!(prog.sent_elems(0), n);
             assert_eq!(prog.sent_elems(1), n);
         }
+    }
+
+    #[test]
+    fn two_members_exchange_whole_buffers_in_one_round() {
+        for n in [0usize, 1, 7] {
+            let prog = ring_all_reduce(2, n, ReduceOp::Max);
+            prog.validate().unwrap();
+            assert_eq!(prog.round_count(), 1);
+            for j in 0..2 {
+                assert_eq!(prog.sent_elems(j), n);
+                assert!(
+                    n == 0 || !prog.may_lend(j, 0),
+                    "its recv writes what it sends"
+                );
+            }
+        }
+        // Both members take rank 0's operand first: of ±0, rank 0's sign;
+        // a number beats a NaN on either side.
+        let prog = ring_all_reduce(2, 4, ReduceOp::Max);
+        let mut bufs = vec![
+            vec![0.0, -0.0, f32::NAN, 1.0],
+            vec![-0.0, 0.0, 2.0, f32::NAN],
+        ];
+        reference_run(&prog, &mut bufs);
+        let bits = |b: &[f32]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&bufs[0]), bits(&[0.0, -0.0, 2.0, 1.0]));
+        assert_eq!(bits(&bufs[1]), bits(&bufs[0]));
     }
 
     #[test]

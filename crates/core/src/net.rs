@@ -175,7 +175,8 @@ impl Network {
     }
 
     /// Ring all-reduce of `bytes` across `ranks` (reduce-scatter phase then
-    /// all-gather phase, `2(r−1)` steps of `bytes/r` chunks).
+    /// all-gather phase, `2(r−1)` steps of `bytes/r` chunks; two ranks
+    /// make one step, each sending the whole buffer).
     ///
     /// `deps[i]` (if provided, one entry per rank) gates rank *i*'s
     /// participation. Returns one completion task per rank.
@@ -366,12 +367,17 @@ pub mod analytical {
 
     /// Time for a ring all-reduce of `bytes` across `ranks`:
     /// `2(r−1) · (λ + bytes / (r · β))` with β the bottleneck-hop bandwidth.
+    /// Two ranks exchange their buffers in one step, `λ + bytes / β`: the
+    /// same bytes, one latency instead of two.
     pub fn ring_all_reduce_time(cluster: &ClusterSpec, ranks: &[usize], bytes: f64) -> f64 {
         let r = ranks.len();
         if r <= 1 {
             return 0.0;
         }
         let class = bottleneck(cluster, ranks);
+        if r == 2 {
+            return cluster.latency(class) + bytes / cluster.bandwidth(class);
+        }
         let steps = 2.0 * (r as f64 - 1.0);
         steps * (cluster.latency(class) + bytes / (r as f64 * cluster.bandwidth(class)))
     }

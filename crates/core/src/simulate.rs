@@ -46,7 +46,7 @@ fn twin_trace(result: &SimResult, labels: &[Label], pipeline_stages: usize) -> S
         epoch: 0,
         args,
     };
-    let hub = TraceHub::new();
+    let hub = TraceHub::unclocked();
     let tracers: Vec<RankTracer> = (0..pipeline_stages)
         .map(|d| hub.tracer(d, (d, 0, 0)))
         .collect();
@@ -754,10 +754,10 @@ mod tests {
             assert_eq!(a.other_s, 0.0, "twin {i}: {a:?}");
             assert_eq!(ns(a.measured_s), ns(report.iteration_time), "twin {i}");
             if i == 0 {
-                // `repro analyze`'s twin, in ns of its 980548 ns iteration.
-                assert_eq!(path.length_ns(), 980_548);
-                assert_eq!(path.total_ns(PathCat::Compute), 938_380);
-                assert_eq!(path.total_ns(PathCat::ExposedComm), 24_065);
+                // `repro analyze`'s twin, in ns of its 938548 ns iteration.
+                assert_eq!(path.length_ns(), 938_548);
+                assert_eq!(path.total_ns(PathCat::Compute), 898_380);
+                assert_eq!(path.total_ns(PathCat::ExposedComm), 22_065);
             }
         }
     }

@@ -782,9 +782,10 @@ impl GroupMember {
         self.run_programs(&progs, segs, &ops, slot)
     }
 
-    /// Fallible in-place sum all-reduce (ring). Every member ends with a
-    /// bit-identical buffer: the all-gather phase replicates the reduced
-    /// chunks themselves.
+    /// Fallible in-place sum all-reduce (ring; two members swap their
+    /// buffers in one round). Every member ends with a bit-identical buffer:
+    /// the ring's all-gather phase replicates the reduced chunks
+    /// themselves, and both members of a swap add rank 0's operand first.
     pub fn try_all_reduce_sum(&self, buf: &mut [f32]) -> Result<(), CommError> {
         let g = self.group.size;
         if g == 1 {
@@ -796,7 +797,10 @@ impl GroupMember {
         })
     }
 
-    /// Fallible in-place element-wise max all-reduce.
+    /// Fallible in-place element-wise max all-reduce (ring; two members
+    /// swap their buffers in one round). A number beats a NaN, and of
+    /// `+0.0` and `−0.0` the lower rank's wins ([`ReduceOp::Max`]); every
+    /// member ends with the same bits.
     pub fn try_all_reduce_max(&self, buf: &mut [f32]) -> Result<(), CommError> {
         let g = self.group.size;
         if g == 1 {
@@ -1335,8 +1339,9 @@ mod tests {
     fn lending_rounds_are_the_ones_no_later_recv_writes() {
         // Which rounds of the programs a group runs may lend: every round
         // of a reduce-scatter, an all-gather and a broadcast, the
-        // all-gather half of an all-reduce and none of its reduce-scatter
-        // half. Every chunk is non-empty at these lengths.
+        // all-gather half of a ring all-reduce and none of its
+        // reduce-scatter half, and not the one round of a two-member
+        // all-reduce. Every chunk is non-empty at these lengths.
         // `lends[s][j]`: may rank `j` lend in round `s`?
         let lends = |kind, r: usize| -> Vec<Vec<bool>> {
             let prog = CollectiveOp {
@@ -1357,8 +1362,13 @@ mod tests {
                 let kind = CollectiveKind::Broadcast { root };
                 assert_eq!(lends(kind, r), rounds(2 * r - 2, true), "{kind:?} r={r}");
             }
-            let mut all_reduce = rounds(r - 1, false);
-            all_reduce.extend(rounds(r - 1, true));
+            let all_reduce = if r == 2 {
+                rounds(1, false)
+            } else {
+                let mut ring = rounds(r - 1, false);
+                ring.extend(rounds(r - 1, true));
+                ring
+            };
             assert_eq!(lends(CollectiveKind::AllReduce, r), all_reduce, "r={r}");
         }
     }
@@ -1437,9 +1447,10 @@ mod tests {
     #[test]
     fn a_broken_socket_wire_is_a_rank_failure() {
         // Two "processes" of one socket group, each with its own node. The
-        // peer plays round 1 of a two-rank ring all-reduce by hand, then
-        // its channel and node close: the survivor's round 2 can never
-        // complete.
+        // peer plays a first two-rank all-reduce (one exchange) by hand,
+        // then takes the survivor's half of a second one and closes its
+        // channel and node without sending its own: that exchange can
+        // never complete.
         use megatron_collective::{SocketNode, WireAddr};
         let dir = std::env::temp_dir().join(format!("megatron-comm-broken-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1461,14 +1472,16 @@ mod tests {
             let mut chan = SocketChannel::new(Arc::clone(&nodes[1]), 9, 1, peers);
             chan.set_deadline(Instant::now() + Duration::from_secs(10));
             thread::spawn(move || {
-                // Round 1 of 2: send chunk 1, receive chunk 0.
-                chan.send(0, &[&[1.0, 1.0]]).unwrap();
+                chan.send(0, &[&[1.0; 4]]).unwrap();
+                chan.recv_frame(0).unwrap();
                 chan.recv_frame(0).unwrap();
             })
         };
         drop(nodes);
-        let started = Instant::now();
         let mut buf = vec![1.0f32; 4];
+        survivor.try_all_reduce_sum(&mut buf).unwrap();
+        assert_eq!(buf, [2.0; 4]);
+        let started = Instant::now();
         let got = survivor.try_all_reduce_sum(&mut buf);
         let waited = started.elapsed();
         peer.join().unwrap();
@@ -1476,7 +1489,7 @@ mod tests {
             panic!("expected a timeout, got {got:?}");
         };
         assert_eq!(ctx.collective, "ring-all-reduce");
-        assert_eq!((ctx.round, ctx.rounds, ctx.peer), (1, 2, 1), "{ctx}");
+        assert_eq!((ctx.round, ctx.rounds, ctx.peer), (0, 1, 1), "{ctx}");
         assert_eq!(ctx.peer_pid, Some(std::process::id()), "{ctx}");
         assert_eq!(ctx.peer_addr, Some(addrs[1].to_string()), "{ctx}");
         assert!(

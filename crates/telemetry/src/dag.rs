@@ -363,7 +363,7 @@ fn join_collectives(dag: &mut TraceDag) {
 /// buffer, computed by propagating per-element contributor sets through
 /// the program's rounds (sends read end-of-previous-round state, exactly
 /// the executor's semantics; `Replace` substitutes the sender's
-/// contributors, `Reduce` unions them).
+/// contributors, either `Reduce` unions them).
 pub fn dependency_closure(prog: &Program) -> Vec<Vec<bool>> {
     let r = prog.ranks;
     let n = prog.len;
@@ -380,7 +380,7 @@ pub fn dependency_closure(prog: &Program) -> Vec<Vec<bool>> {
             for e in rcv.range.lo..rcv.range.hi.min(n) {
                 match rcv.combine {
                     Combine::Replace => contrib[j][e].clone_from(&snapshot[rcv.from][e]),
-                    Combine::Reduce(_) => {
+                    Combine::Reduce(_) | Combine::ReduceIncomingFirst(_) => {
                         for c in 0..r {
                             contrib[j][e][c] |= snapshot[rcv.from][e][c];
                         }

@@ -11,7 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant, SystemTime};
 
 use crate::metrics::Counter;
 
@@ -121,6 +121,9 @@ pub struct RankTrace {
 #[derive(Debug)]
 pub struct TraceHub {
     epoch: Instant,
+    /// `epoch` on the host's wall clock, as time since the Unix epoch;
+    /// `None` for a hub whose spans are not timed on this host.
+    wall_epoch: Option<Duration>,
     ranks: Mutex<BTreeMap<usize, RankTrace>>,
 }
 
@@ -130,8 +133,21 @@ impl TraceHub {
 
     /// A fresh hub whose clock starts now.
     pub fn new() -> Arc<TraceHub> {
+        let wall = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH);
+        Self::stating(wall.ok())
+    }
+
+    /// A hub for spans whose times are not this host's (the simulator
+    /// twin's): it states no wall clock, so its traces stay deterministic
+    /// and merge unshifted.
+    pub fn unclocked() -> Arc<TraceHub> {
+        Self::stating(None)
+    }
+
+    fn stating(wall_epoch: Option<Duration>) -> Arc<TraceHub> {
         Arc::new(TraceHub {
             epoch: Instant::now(),
+            wall_epoch,
             ranks: Mutex::new(BTreeMap::new()),
         })
     }
@@ -139,6 +155,14 @@ impl TraceHub {
     /// Nanoseconds since the hub epoch.
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The hub epoch on the host's wall clock, as time since the Unix
+    /// epoch. Every process on the host reads that clock alike, so spans
+    /// that hubs of different processes stamped can be laid on one
+    /// timeline ([`merge_chrome_traces`](crate::merge_chrome_traces)).
+    pub fn wall_epoch(&self) -> Option<Duration> {
+        self.wall_epoch
     }
 
     /// Create the single-writer tracer for one rank.

@@ -438,6 +438,118 @@ fn size_two_all_reduce_is_exact_at_every_length() {
     }
 }
 
+/// Lengths of the two-member tests: empty, shorter than the two ring
+/// chunks, odd, a tensor-parallel all-reduce of the (2,2,2) job, and one
+/// past the mailbox's lending threshold.
+const PAIR_LENS: [usize; 5] = [0, 1, 3, 8192, LEND_MIN + 1];
+
+/// Rank `rank`'s input for the two-member tests: floats of both signs
+/// over sixteen binades, so sums round, and a signed zero every eleventh
+/// element (`+0.0` on rank 0, `−0.0` on rank 1).
+fn mixed(rank: usize, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            if i % 11 == 0 {
+                return if rank == 0 { 0.0 } else { -0.0 };
+            }
+            let h = ((rank * n + i) as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
+            (unit - 0.5) * 2f32.powi((h >> 8) as i32 % 16 - 8)
+        })
+        .collect()
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn two_member_sum_is_one_exchange_with_the_two_round_ring_bits() {
+    for mode in MODES {
+        for n in PAIR_LENS {
+            // The two-round ring the exchange replaces: a reduce-scatter,
+            // then an all-gather, over the two halves of the buffer.
+            let mut ring = coll::ring_reduce_scatter(2, n, ReduceOp::Sum);
+            ring.rounds.extend(coll::ring_all_gather(2, n).rounds);
+            let mut want: Vec<Vec<f32>> = (0..2).map(|r| mixed(r, n)).collect();
+            reference_run(&ring, &mut want);
+            assert_eq!(coll::ring_all_reduce(2, n, ReduceOp::Sum).round_count(), 1);
+
+            let real: Vec<(Vec<f32>, CommVolume)> = with_group(mode, 2, |m| {
+                let mut buf = mixed(m.rank(), n);
+                m.try_all_reduce_sum(&mut buf).unwrap();
+                (buf, m.comm_volume())
+            });
+            for (rank, (buf, vol)) in real.iter().enumerate() {
+                let at = format!("{mode:?} n={n} rank {rank}");
+                assert_eq!(bits(buf), bits(&want[rank]), "{at}: vs the two-round ring");
+                assert_eq!(vol.all_reduce_bytes, n as f64 * BYTES_F32, "{at}: egress");
+            }
+        }
+    }
+}
+
+#[test]
+fn two_member_max_agrees_on_signed_zeros_and_nans() {
+    // Element `i` by `i % 6`: +0 against −0, −0 against +0, a NaN on
+    // either side of a number, a NaN on both (different payloads), and two
+    // numbers.
+    let nan = [f32::from_bits(0x7fc0_0001), f32::from_bits(0xffc0_0002)];
+    let input = |rank: usize, n: usize| -> Vec<f32> {
+        let numbers = mixed(rank, n);
+        (0..n)
+            .map(|i| match i % 6 {
+                0 => [0.0, -0.0][rank],
+                1 => [-0.0, 0.0][rank],
+                2 if rank == 0 => f32::NAN,
+                3 if rank == 1 => f32::NAN,
+                4 => nan[rank],
+                _ => numbers[i],
+            })
+            .collect()
+    };
+    for mode in MODES {
+        for n in PAIR_LENS {
+            let prog = coll::ring_all_reduce(2, n, ReduceOp::Max);
+            let mut want: Vec<Vec<f32>> = (0..2).map(|r| input(r, n)).collect();
+            reference_run(&prog, &mut want);
+            let (x0, x1) = (input(0, n), input(1, n));
+            for i in 0..n {
+                let got = want[0][i];
+                match i % 6 {
+                    // Of two equal values, rank 0's.
+                    0 | 1 => assert_eq!(got.to_bits(), x0[i].to_bits(), "element {i}"),
+                    4 => assert!(got.is_nan(), "element {i}"),
+                    _ => {
+                        let larger = if x0[i].is_nan() || x0[i] < x1[i] {
+                            x1[i]
+                        } else {
+                            x0[i]
+                        };
+                        assert_eq!(got.to_bits(), larger.to_bits(), "element {i}");
+                    }
+                }
+            }
+
+            let real: Vec<Vec<f32>> = with_group(mode, 2, |m| {
+                let mut buf = input(m.rank(), n);
+                m.try_all_reduce_max(&mut buf).unwrap();
+                buf
+            });
+            assert_eq!(
+                bits(&real[0]),
+                bits(&real[1]),
+                "{mode:?} n={n}: members differ"
+            );
+            assert_eq!(
+                bits(&real[0]),
+                bits(&want[0]),
+                "{mode:?} n={n}: vs reference"
+            );
+        }
+    }
+}
+
 #[test]
 fn large_socket_all_reduce_matches_reference_bitwise() {
     // 2 M floats: every ring chunk (4 MiB at g = 2) is many times the
