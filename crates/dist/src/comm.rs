@@ -1,19 +1,27 @@
-//! Shared-memory collectives over thread groups.
+//! Collectives and point-to-point sends over communicator groups.
 //!
 //! A [`Group`] is the moral equivalent of an NCCL communicator: a fixed set
-//! of ranks that issue the *same sequence* of collective calls (SPMD).
-//! Collectives are no longer faked on a shared blackboard: each call builds
-//! the transport-agnostic step [`Program`] from `megatron-collective` (ring
-//! all-reduce / all-gather / reduce-scatter, pipelined ring broadcast,
-//! two-level hierarchical all-reduce) and executes it over per-rank
-//! point-to-point mailboxes, moving actual `f32` chunks between rank
-//! threads. Reduction work is spread across ranks — each combines its own
-//! incoming chunks — instead of serializing on one mutex per buffer, and
+//! of ranks that issue the *same sequence* of collective calls (SPMD). Its
+//! ranks are threads of one process, exchanging messages through per-rank
+//! point-to-point mailboxes, or OS processes, one member per process
+//! ([`Group::with_socket`]), exchanging frames over kernel sockets. Each
+//! collective builds the transport-agnostic step [`Program`] from
+//! `megatron-collective` (ring all-reduce / all-gather / reduce-scatter,
+//! pipelined ring broadcast, two-level hierarchical all-reduce) and
+//! executes it over that wire, moving actual `f32` chunks. Reduction work
+//! is spread across ranks — each combines its own incoming chunks — and
 //! every rank still ends bit-identical because the all-gather phase
 //! replicates the very chunks that were reduced. A message of at least
 //! [`LEND_MIN`](coll::LEND_MIN) floats is not even copied: the mailbox
 //! lends the sender's slices, and the receiver combines straight from them
 //! (`Transport::lend`).
+//!
+//! A two-member group also carries point-to-point transfers
+//! ([`GroupMember::try_send`], [`GroupMember::try_recv`]): every pipeline
+//! stage boundary is one, so an activation or a gradient crosses it under
+//! the same deadline, poison and egress tally as a collective. On the
+//! mailbox the sent buffer moves into the queue and out to the receiver
+//! without a copy.
 //!
 //! Per-member [`CommVolume`] tallies accumulate from the transport-level
 //! messages this rank actually sent, so "real bytes == simulated bytes" is
@@ -24,12 +32,12 @@
 //! Failure handling: a group is poisonable. When a member thread panics
 //! (its [`GroupMember`] is dropped mid-unwind) or a rank is deliberately
 //! killed via [`GroupMember::poison`], every peer blocked in — or later
-//! entering — a collective gets
-//! [`CommError::Poisoned`] instead of hanging. A rank that simply stops
-//! communicating trips [`CommError::Timeout`] in its peers after the
-//! group's configured timeout — now carrying a [`StallContext`] naming the
-//! collective, the step, and the peer that stalled — and poisons the group
-//! so the failure propagates.
+//! entering — a collective or a receive gets [`CommError::Poisoned`]
+//! instead of hanging. A rank that simply stops communicating trips
+//! [`CommError::Timeout`] in its peers after the group's configured timeout
+//! — carrying a [`StallContext`] naming the operation, the step, and the
+//! peer that stalled (with its pid and address in process mode) — and
+//! poisons the group so the failure propagates.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -94,17 +102,20 @@ pub struct CommVolume {
     pub reduce_scatter_bytes: f64,
     /// Bytes from broadcast calls.
     pub broadcast_bytes: f64,
-    /// Number of completed collectives (size-1 no-ops excluded).
+    /// Bytes from point-to-point sends ([`GroupMember::try_send`]).
+    pub send_bytes: f64,
+    /// Number of completed collectives and sends (size-1 no-ops excluded).
     pub ops: u64,
 }
 
 impl CommVolume {
-    /// Total bytes across all collective types.
+    /// Total bytes across all collective types and sends.
     pub fn total_bytes(&self) -> f64 {
         self.all_reduce_bytes
             + self.all_gather_bytes
             + self.reduce_scatter_bytes
             + self.broadcast_bytes
+            + self.send_bytes
     }
 
     /// Element-wise sum of two tallies.
@@ -115,17 +126,18 @@ impl CommVolume {
             all_gather_bytes: self.all_gather_bytes + other.all_gather_bytes,
             reduce_scatter_bytes: self.reduce_scatter_bytes + other.reduce_scatter_bytes,
             broadcast_bytes: self.broadcast_bytes + other.broadcast_bytes,
+            send_bytes: self.send_bytes + other.send_bytes,
             ops: self.ops + other.ops,
         }
     }
 }
 
-/// One collective this member completed, recorded for replay: feeding the
-/// same ops through `megatron_core::net::Network`'s lowering reproduces the
-/// byte flow the real transport just moved (the real-vs-sim identity test
-/// drives exactly this). A segmented collective is recorded as one op per segment: the
-/// same bytes per rank and per round as the one message per round that
-/// carried them all.
+/// One collective or send this member completed, recorded for replay:
+/// feeding the same ops through `megatron_core::net::Network`'s lowering
+/// reproduces the byte flow the real transport just moved (the real-vs-sim
+/// identity test drives exactly this). A segmented collective is recorded
+/// as one op per segment: the same bytes per rank and per round as the one
+/// message per round that carried them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectiveOp {
     /// Which algorithm ran.
@@ -153,6 +165,12 @@ pub enum CollectiveKind {
         /// Ranks per node.
         local: usize,
     },
+    /// The whole buffer from one member of a two-member group to the
+    /// other ([`GroupMember::try_send`]): a pipeline transfer.
+    Send {
+        /// Receiving member.
+        to: usize,
+    },
 }
 
 impl CollectiveOp {
@@ -168,6 +186,24 @@ impl CollectiveOp {
             CollectiveKind::HierarchicalAllReduce { local } => {
                 coll::hierarchical_all_reduce(ranks, self.elems, local, ReduceOp::Sum)
             }
+            CollectiveKind::Send { to } => {
+                assert_eq!(ranks, 2, "a send runs over a two-member group");
+                let (from, combine) = (1 - to, coll::Combine::Replace);
+                let range = coll::chunk_of(self.elems, 1, 0);
+                let mut steps = vec![coll::RankStep::default(); 2];
+                steps[from].send = Some(coll::SendStep { to, range });
+                steps[to].recv = Some(coll::RecvStep {
+                    from,
+                    range,
+                    combine,
+                });
+                Program {
+                    kind: "p2p-send",
+                    ranks,
+                    len: self.elems,
+                    rounds: vec![coll::Round { steps }],
+                }
+            }
         }
     }
 }
@@ -176,14 +212,14 @@ impl CollectiveOp {
 /// shared-memory collective takes, so it only fires on real failures.
 pub const DEFAULT_COMM_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Where a timed-out collective stalled: which algorithm, which of its
-/// steps, and which peer never delivered (or accepted) a chunk. In process
-/// mode the peer is further identified by its OS pid (from its hello
-/// frame) and listener address, so a stall is debuggable from one rank's
-/// log alone.
+/// Where a timed-out collective or transfer stalled: which operation,
+/// which of its steps, and which peer never delivered (or accepted) a
+/// chunk. In process mode the peer is further identified by its OS pid
+/// (from its hello frame) and listener address, so a stall is debuggable
+/// from one rank's log alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallContext {
-    /// Collective name (`Program::kind`).
+    /// Collective name (`Program::kind`), or `p2p-send` / `p2p-recv`.
     pub collective: &'static str,
     /// Zero-based step that stalled.
     pub round: usize,
@@ -218,16 +254,6 @@ impl StallContext {
         self.peer_pid = chan.peer_pid(peer);
         self.peer_addr = chan.peer_addr(peer).map(|a| a.to_string());
     }
-
-    /// ` (pid P, addr)`, or as much of it as is known.
-    pub(crate) fn write_identity(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (&self.peer_pid, &self.peer_addr) {
-            (Some(pid), Some(addr)) => write!(f, " (pid {pid}, {addr})"),
-            (Some(pid), None) => write!(f, " (pid {pid})"),
-            (None, Some(addr)) => write!(f, " ({addr})"),
-            (None, None) => Ok(()),
-        }
-    }
 }
 
 impl fmt::Display for StallContext {
@@ -240,11 +266,17 @@ impl fmt::Display for StallContext {
             self.rounds,
             self.peer
         )?;
-        self.write_identity(f)
+        // ` (pid P, addr)`, or as much of it as is known.
+        match (&self.peer_pid, &self.peer_addr) {
+            (Some(pid), Some(addr)) => write!(f, " (pid {pid}, {addr})"),
+            (Some(pid), None) => write!(f, " (pid {pid})"),
+            (None, Some(addr)) => write!(f, " ({addr})"),
+            (None, None) => Ok(()),
+        }
     }
 }
 
-/// A collective failed instead of hanging.
+/// A collective or a transfer failed instead of hanging.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A peer did not move within the group timeout; the context names the
@@ -297,7 +329,8 @@ enum RawComm {
 
 /// One message queued in a [`Mailbox`].
 enum Message {
-    /// A copy the queue owns.
+    /// A buffer the queue owns: a copy of a collective's parts, or a sent
+    /// buffer itself ([`GroupMember::try_send`]).
     Owned(Vec<f32>),
     /// The sender's own slices ([`Transport::lend`]). The receiver reads
     /// them under the mailbox lock, and the sender waits for them to leave
@@ -489,7 +522,7 @@ impl Group {
         src: usize,
         dst: usize,
         deadline: Instant,
-        take: impl FnOnce(&Message) -> R,
+        take: impl FnOnce(Message) -> R,
     ) -> Result<R, RawComm> {
         let mb = &self.mail[dst * self.size + src];
         let Ok(mut q) = mb.q.lock() else {
@@ -499,9 +532,9 @@ impl Group {
             if let Some(msg) = q.pop_front() {
                 if !msg.is_lent() {
                     drop(q);
-                    return Ok(take(&msg));
+                    return Ok(take(msg));
                 }
-                let got = take(&msg);
+                let got = take(msg);
                 drop(q);
                 // The sender may be waiting in `reclaim` for this message.
                 mb.cv.notify_all();
@@ -718,30 +751,101 @@ impl GroupMember {
             let mut tp = MailTransport::new(&self.group, self.rank, deadline);
             coll::execute_segments(progs, self.rank, segs, &mut tp)
         };
-        match result {
-            Ok(report) => {
-                let mut v = self.volume.get();
-                *slot(&mut v) += report.sent_elems as f64 * BYTES_F32;
-                v.ops += 1;
-                self.volume.set(v);
-                self.op_log.borrow_mut().extend_from_slice(ops);
-                Ok(())
-            }
-            Err(fail) => Err(match fail.error {
-                RawComm::Poisoned => CommError::Poisoned,
-                RawComm::Timeout => {
-                    // The mailbox path poisons inside `Group::fetch`; the
-                    // socket path poisons here so later calls fail fast too.
-                    self.group.poison_all();
-                    let mut ctx =
-                        StallContext::new(fail.collective, fail.round, fail.rounds, fail.peer);
-                    if let Some(sock) = &self.group.socket {
-                        ctx.identify(&sock.chan.lock().unwrap(), fail.peer);
-                    }
-                    CommError::Timeout(ctx)
+        let report = result.map_err(|fail| {
+            let ctx = StallContext::new(fail.collective, fail.round, fail.rounds, fail.peer);
+            self.failure(fail.error, ctx)
+        })?;
+        self.record(slot, report.sent_elems, ops);
+        Ok(())
+    }
+
+    /// Tally `elems` sent into `slot`, count one operation and record
+    /// `ops` for replay.
+    fn record(&self, slot: fn(&mut CommVolume) -> &mut f64, elems: usize, ops: &[CollectiveOp]) {
+        let mut v = self.volume.get();
+        *slot(&mut v) += elems as f64 * BYTES_F32;
+        v.ops += 1;
+        self.volume.set(v);
+        self.op_log.borrow_mut().extend_from_slice(ops);
+    }
+
+    /// The [`CommError`] of a transport failure at `ctx`. A timeout poisons
+    /// the group — the mailbox already has, in `Group::fetch`; a socket
+    /// group is poisoned here — so later calls fail fast too, and names
+    /// the peer's pid and address in process mode.
+    fn failure(&self, raw: RawComm, mut ctx: StallContext) -> CommError {
+        match raw {
+            RawComm::Poisoned => CommError::Poisoned,
+            RawComm::Timeout => {
+                self.group.poison_all();
+                if let Some(sock) = &self.group.socket {
+                    ctx.identify(&sock.chan.lock().unwrap(), ctx.peer);
                 }
-            }),
+                CommError::Timeout(ctx)
+            }
         }
+    }
+
+    /// The other member of a two-member group.
+    fn peer(&self) -> usize {
+        assert_eq!(
+            self.group.size, 2,
+            "a transfer runs over a two-member group"
+        );
+        1 - self.rank
+    }
+
+    /// Send `data` whole to the other member of this two-member group. On
+    /// the mailbox the buffer itself moves into the queue, never lent and
+    /// never copied; on a socket it leaves as one frame. Tallied as
+    /// [`CommVolume::send_bytes`] and recorded as a
+    /// [`CollectiveKind::Send`].
+    pub fn try_send(&self, data: Vec<f32>) -> Result<(), CommError> {
+        let to = self.peer();
+        if self.group.is_poisoned() {
+            return Err(CommError::Poisoned);
+        }
+        let elems = data.len();
+        let sent = match &self.group.socket {
+            Some(sock) => {
+                let mut chan = sock.chan.lock().unwrap();
+                chan.set_deadline(Instant::now() + self.group.timeout);
+                chan.send(to, &[&data]).map_err(raw_from_socket)
+            }
+            None => self.group.post(self.rank, to, Message::Owned(data)),
+        };
+        sent.map_err(|raw| self.failure(raw, StallContext::new("p2p-send", 0, 1, to)))?;
+        let op = CollectiveOp {
+            kind: CollectiveKind::Send { to },
+            elems,
+        };
+        self.record(|v| &mut v.send_bytes, elems, &[op]);
+        Ok(())
+    }
+
+    /// The next buffer the other member of this two-member group sent
+    /// ([`GroupMember::try_send`]), waiting up to the group timeout; on the
+    /// mailbox, the sender's buffer itself.
+    pub fn try_recv(&self) -> Result<Vec<f32>, CommError> {
+        let from = self.peer();
+        if self.group.is_poisoned() {
+            return Err(CommError::Poisoned);
+        }
+        let deadline = Instant::now() + self.group.timeout;
+        let got = match &self.group.socket {
+            Some(sock) => {
+                let mut chan = sock.chan.lock().unwrap();
+                chan.set_deadline(deadline);
+                chan.recv_frame(from).map_err(raw_from_socket)
+            }
+            None => self
+                .group
+                .fetch(from, self.rank, deadline, |msg| match msg {
+                    Message::Owned(data) => data,
+                    Message::Lent(_) => unreachable!("a send is never lent"),
+                }),
+        };
+        got.map_err(|raw| self.failure(raw, StallContext::new("p2p-recv", 0, 1, from)))
     }
 
     /// Run `prog` over the whole of `buf` as one collective of `kind`.
@@ -1307,16 +1411,30 @@ mod tests {
         let mut ctx = StallContext::new("ring-all-reduce", 0, 4, 2);
         ctx.peer_pid = Some(4242);
         ctx.peer_addr = Some("uds:/tmp/rv/r2.sock".to_string());
-        let msg = CommError::Timeout(ctx.clone()).to_string();
+        let msg = CommError::Timeout(ctx).to_string();
         assert!(msg.contains("rank 2"), "{msg}");
         assert!(msg.contains("pid 4242"), "{msg}");
         assert!(msg.contains("uds:/tmp/rv/r2.sock"), "{msg}");
-        // A process-mode pipeline lane names its stage peer the same way.
-        let msg = crate::TrainError::PipelineBroken(ctx).to_string();
-        assert!(
-            msg.contains("stage peer rank 2 (pid 4242, uds:/tmp/rv/r2.sock)"),
-            "{msg}"
-        );
+    }
+
+    #[test]
+    fn two_members_trade_whole_buffers_point_to_point() {
+        let results = run_group(2, |m| {
+            m.try_send(vec![m.rank() as f32; 3 + m.rank()]).unwrap();
+            (m.try_recv().unwrap(), m.comm_volume(), m.take_op_log())
+        });
+        for (rank, (got, vol, log)) in results.into_iter().enumerate() {
+            let (peer, elems) = (1 - rank, 3 + rank);
+            assert_eq!(got, vec![peer as f32; 3 + peer]);
+            assert_eq!(vol.send_bytes, elems as f64 * BYTES_F32);
+            assert_eq!((vol.total_bytes(), vol.ops), (vol.send_bytes, 1));
+            let kind = CollectiveKind::Send { to: peer };
+            assert_eq!(log, vec![CollectiveOp { kind, elems }]);
+            // The tape replays as the one-round transfer it was.
+            let prog = log[0].program(2);
+            prog.validate().unwrap();
+            assert_eq!((prog.sent_elems(rank), prog.sent_elems(peer)), (elems, 0));
+        }
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! [`SocketNode`], publishes `rank-R.addr` / `rank-R.pid` files
 //! (atomically: write-temp + rename), waits for every peer's address, and
 //! then calls the same per-rank function a rank thread runs
-//! (`trainer::run_rank`) — its tensor and data groups are process-mode
-//! [`Group`]s over [`SocketChannel`]s, and each of its pipeline lane ends
-//! is a [`SocketChannel`] the rank loop sends on and receives from on its
-//! own thread. All of a process's channels share its [`SocketNode`], so
-//! whichever socket call the training thread waits in also writes what
-//! every other channel queued (see `megatron_collective::socket`).
+//! (`trainer::run_rank`) — its tensor and data groups, and the two-member
+//! group of each pipeline stage boundary it sits on, are process-mode
+//! [`Group`]s over [`SocketChannel`]s. All of a process's channels share
+//! its [`SocketNode`], so whichever socket call the training thread waits
+//! in also writes what every other channel queued (see
+//! `megatron_collective::socket`).
 //!
 //! Determinism is the whole point: the collectives execute the exact same
 //! step programs with the exact same chunk routing as the mailbox
-//! transport, and the lanes carry activations byte-for-byte, so an
-//! N-process run produces **bit-identical** losses, final parameters, and
+//! transport, and the boundary groups carry activations byte-for-byte, so
+//! an N-process run produces **bit-identical** losses, final parameters, and
 //! per-rank byte counts to the in-process run (proven in
 //! `tests/process_mode.rs`). What a rank measured crosses the process
 //! boundary as a `rank-R.out.json` report (`report.rs` owns the format)
@@ -35,7 +35,7 @@
 //! |----|--------------|
 //! | `1000 + pi·d + di` | tensor group of `(pi, di)`, members `ti ∈ 0..t` |
 //! | `2000 + pi·t + ti` | data group of `(pi, ti)`, members `di ∈ 0..d` |
-//! | `3000 + 2·s + dir` | pipeline boundary `s` lane (2 ranks: sender 0, receiver 1) |
+//! | `3000 + s` | pipeline boundary between stages `s` and `s + 1`, both directions (2 ranks: stage `s` is 0) |
 //! | `4000` | heartbeats (`world + 1` ranks; the launcher is rank `world`) |
 //!
 //! ## Failure semantics
@@ -43,17 +43,18 @@
 //! A dead peer *process* cannot be poisoned (no shared memory), so every
 //! stall surfaces as [`CommError::Timeout`](crate::comm::CommError) after
 //! the group timeout — with the peer's **pid and socket address** attached
-//! to the [`StallContext`](crate::comm::StallContext). A pipeline lane
-//! uses the same convention: a receive that sees no frame for the comm
-//! timeout ends the rank with `PipelineBroken`, naming the stage neighbor
-//! with the same pid and address. Liveness is tracked out-of-band: each
-//! worker runs a beacon thread that sends a 1-element heartbeat frame to
-//! the launcher every [`JobSpec::hb_period`], and the per-iteration
-//! [`RunControl::on_beat`](crate::trainer::RunControl) hook beats too, so
-//! the launcher's [`HealthMonitor`] — fed by one reader thread waiting on
-//! every rank's heartbeat stream at once — classifies a SIGKILLed rank as
-//! dead while stalled survivors keep beating. A send never waits, so a
-//! beat never queues behind the training thread's socket waits.
+//! to the [`StallContext`](crate::comm::StallContext). A pipeline transfer
+//! is an operation of its boundary's group like any other: a receive that
+//! sees no frame within the timeout is a `Timeout` of `p2p-recv`, naming
+//! the stage neighbour by the same pid and address. Liveness is tracked
+//! out-of-band: each worker runs a beacon thread that sends a 1-element
+//! heartbeat frame to the launcher every [`JobSpec::hb_period`], and the
+//! per-iteration [`RunControl::on_beat`](crate::trainer::RunControl) hook
+//! beats too, so the launcher's [`HealthMonitor`] — fed by one reader
+//! thread waiting on every rank's heartbeat stream at once — classifies a
+//! SIGKILLed rank as dead while stalled survivors keep beating. A send
+//! never waits, so a beat never queues behind the training thread's
+//! socket waits.
 //!
 //! [`SocketNode`]: megatron_collective::SocketNode
 //! [`SocketChannel`]: megatron_collective::SocketChannel

@@ -59,6 +59,7 @@ fn volume_json(v: &CommVolume) -> Json {
         ("all_gather", Json::Num(v.all_gather_bytes)),
         ("reduce_scatter", Json::Num(v.reduce_scatter_bytes)),
         ("broadcast", Json::Num(v.broadcast_bytes)),
+        ("send", Json::Num(v.send_bytes)),
         ("ops", Json::Num(v.ops as f64)),
     ])
 }
@@ -70,6 +71,7 @@ fn volume_from(j: &Json) -> CommVolume {
         all_gather_bytes: num("all_gather"),
         reduce_scatter_bytes: num("reduce_scatter"),
         broadcast_bytes: num("broadcast"),
+        send_bytes: num("send"),
         ops: num("ops") as u64,
     }
 }
@@ -159,6 +161,7 @@ mod tests {
             all_gather_bytes: seed + 1.0,
             reduce_scatter_bytes: seed + 2.0,
             broadcast_bytes: seed + 3.0,
+            send_bytes: seed + 4.0,
             ops: seed as u64 * 1000 + 7,
         };
         let out = RankOutput {

@@ -36,7 +36,7 @@ pub struct JobSpec {
     pub recompute: bool,
     /// Vocab-parallel embedding + LM head.
     pub vocab_parallel: bool,
-    /// Collective (and pipeline-lane) timeout.
+    /// Timeout of every collective and pipeline transfer.
     pub comm_timeout: Duration,
     /// Model architecture; every worker rebuilds the same master.
     pub model: TinyGptConfig,
@@ -74,8 +74,9 @@ pub struct JobSpec {
     /// killed. Set by [`ProcBackend`](super::ProcBackend) for an armed
     /// [`KillSwitch`](crate::KillSwitch), so that the launcher's SIGKILL
     /// lands at that iteration however fast the job runs and however late
-    /// the watch loop polls.
-    pub(crate) hold: Option<(usize, usize)>,
+    /// the watch loop polls. A rank held with no kill to follow is a
+    /// neighbour that stalls alive: its beacon keeps beating.
+    pub hold: Option<(usize, usize)>,
 }
 
 impl JobSpec {

@@ -1,7 +1,8 @@
-//! One rank process: bind, rendezvous, wire socket groups and pipeline
-//! lanes, call the same `run_rank` a rank thread runs, report.
+//! One rank process: bind, rendezvous, wire socket groups (its stage
+//! boundaries' among them), call the same `run_rank` a rank thread runs,
+//! report.
 
-use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,7 +14,7 @@ use megatron_collective::{SocketChannel, SocketNode, WireAddr};
 use megatron_tensor::RankGuard;
 
 use crate::comm::{Group, TransportConfig, WireKind};
-use crate::trainer::{run_rank, Dir, Endpoints, Lane, RunControl, Wiring};
+use crate::trainer::{run_rank, RunControl, Wiring};
 
 use super::rendezvous::{
     await_addrs, publish, read_addr, DATA_CHAN_BASE, HEARTBEAT_CHAN, P2P_CHAN_BASE,
@@ -92,43 +93,27 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     let transport = TransportConfig { wire: job.wire };
 
     // Group communicators: one socket channel per logical group, one
-    // member (this process) per group.
+    // member (this process) per group; `ranks` maps group ranks to flat.
+    let member = |chan_id: u64, ranks: &[usize], rank: usize| {
+        let peers = ranks.iter().map(|&r| Some(addrs[r].clone())).collect();
+        let chan = SocketChannel::new(Arc::clone(&node), chan_id, rank, peers);
+        Group::with_socket(ranks.len(), timeout, transport, chan).member(rank)
+    };
     let flat = |pj: usize, dj: usize, tj: usize| spec.flat_rank((pj, dj, tj));
-    let tg = {
-        let chan_id = TENSOR_CHAN_BASE + (pi * d + di) as u64;
-        let peers = (0..t)
-            .map(|tj| Some(addrs[flat(pi, di, tj)].clone()))
-            .collect();
-        let chan = SocketChannel::new(Arc::clone(&node), chan_id, ti, peers);
-        Group::with_socket(t, timeout, transport, chan).member(ti)
-    };
-    let dg = {
-        let chan_id = DATA_CHAN_BASE + (pi * t + ti) as u64;
-        let peers = (0..d)
-            .map(|dj| Some(addrs[flat(pi, dj, ti)].clone()))
-            .collect();
-        let chan = SocketChannel::new(Arc::clone(&node), chan_id, di, peers);
-        Group::with_socket(d, timeout, transport, chan).member(di)
-    };
+    let tensor_ranks: Vec<usize> = (0..t).map(|tj| flat(pi, di, tj)).collect();
+    let tg = member(TENSOR_CHAN_BASE + (pi * d + di) as u64, &tensor_ranks, ti);
+    let data_ranks: Vec<usize> = (0..d).map(|dj| flat(pi, dj, ti)).collect();
+    let dg = member(DATA_CHAN_BASE + (pi * t + ti) as u64, &data_ranks, di);
 
-    // Pipeline lanes: for every stage boundary this device touches, a
-    // dedicated 2-rank channel per direction (sender = lane rank 0) that
-    // the rank loop sends on and receives from directly.
-    let mut ep = Endpoints::default();
-    for boundary in 0..stages.saturating_sub(1) {
-        for dir in Dir::BOTH {
-            let (from, to) = dir.ends(boundary);
-            let chan_id = P2P_CHAN_BASE + (boundary as u64) * 2 + u64::from(dir == Dir::Bwd);
-            let ends = [from, to].map(|stage| Some(addrs[flat(stage % p, di, ti)].clone()));
-            let lane = |lane_rank| {
-                let chan = SocketChannel::new(Arc::clone(&node), chan_id, lane_rank, ends.to_vec());
-                RefCell::new(chan)
-            };
-            if pi == from % p {
-                ep.tx.insert((dir, from), Lane::Socket(lane(0)));
-            }
-            if pi == to % p {
-                ep.rx.insert((dir, to), Lane::Socket(lane(1)));
+    // Stage boundaries: one two-member group each (the lower stage is
+    // member 0), carrying both directions over one channel.
+    let mut lanes = BTreeMap::new();
+    for s in 1..stages {
+        let ends = [s - 1, s].map(|stage| flat(stage % p, di, ti));
+        for (member_rank, (stage, neighbour)) in [(s - 1, s), (s, s - 1)].into_iter().enumerate() {
+            if stage % p == pi {
+                let lane = member(P2P_CHAN_BASE + (s - 1) as u64, &ends, member_rank);
+                lanes.insert((stage, neighbour), lane);
             }
         }
     }
@@ -226,7 +211,7 @@ fn run_worker(dir: &Path, rank: usize) -> Result<bool, String> {
     let wiring = Wiring {
         tg,
         dg,
-        ep,
+        lanes,
         generations: None,
         node: Some(Arc::clone(&node)),
     };

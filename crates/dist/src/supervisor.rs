@@ -812,10 +812,7 @@ impl JobBackend for ThreadBackend<'_> {
             reached: a.kill.map_or(start, |kp| kp.iteration),
             // Every error that reaches here is fatal; this decides whether
             // it is worth a checkpoint restore, or structural.
-            restartable: matches!(
-                e,
-                TrainError::Killed(_) | TrainError::Comm(_) | TrainError::PipelineBroken(_)
-            ),
+            restartable: matches!(e, TrainError::Killed(_) | TrainError::Comm(_)),
             cause: IncidentCause::Train(e),
         });
         AttemptOutcome {

@@ -12,13 +12,13 @@ use megatron_telemetry::TelemetrySink;
 use megatron_tensor::AdamState;
 
 use crate::checkpoint::CheckpointStore;
-use crate::comm::{CollectiveOp, CommError, CommVolume, StallContext};
+use crate::comm::{CollectiveOp, CommError, CommVolume};
 
 use super::spec::ThreadKey;
 
 /// Per-thread communication totals for one run: tensor-group and
-/// data-parallel-group collective volumes (measured transport bytes, f32)
-/// plus pipeline p2p activation/gradient sends.
+/// data-parallel-group collective volumes and pipeline activation/gradient
+/// sends, all measured transport egress (f32).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankCommVolume {
     /// Tensor-parallel group collectives (the §3.2 per-layer all-reduces).
@@ -26,7 +26,7 @@ pub struct RankCommVolume {
     /// Data-parallel group collectives (gradient averaging / ZeRO).
     pub data: CommVolume,
     /// Bytes this thread sent over pipeline stage boundaries (§3.2's
-    /// `bsh`-sized transfers).
+    /// `bsh`-sized transfers): the egress of its boundary groups' members.
     pub p2p_send_bytes: f64,
 }
 
@@ -39,7 +39,8 @@ impl RankCommVolume {
 
 /// The replayable communication tape of one thread: every collective it
 /// issued on its tensor and data groups (in issue order), plus each
-/// pipeline p2p send with its destination thread and f32 element count.
+/// pipeline p2p send with its destination thread and f32 element count
+/// (boundary by boundary, in issue order on each).
 ///
 /// Replaying the tape through [`CollectiveOp::program`] rebuilds the exact
 /// step programs the mailbox transport executed, so a simulator lowering
@@ -227,14 +228,9 @@ pub struct RunControl {
 pub enum TrainError {
     /// This rank was deliberately killed by a [`KillSwitch`].
     Killed(ThreadKey),
-    /// A collective failed (peer died or timed out).
+    /// A collective, or a pipeline transfer over a stage boundary's
+    /// two-member group, failed: a peer died or timed out.
     Comm(CommError),
-    /// A pipeline lane broke: the stage peer's thread exited early, or its
-    /// process fell silent for the comm timeout. The [`StallContext`] names
-    /// the boundary (as a pseudo-collective), the stage peer's flat rank
-    /// and, over a socket lane, its pid and address — mirroring
-    /// group-collective stalls.
-    PipelineBroken(StallContext),
     /// The restore snapshot has no state for this thread.
     MissingThreadState(ThreadKey),
     /// Writing a durable checkpoint shard or committing a generation
@@ -249,18 +245,7 @@ impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TrainError::Killed(k) => write!(f, "rank {k:?} was killed"),
-            TrainError::Comm(e) => write!(f, "collective failed: {e}"),
-            TrainError::PipelineBroken(ctx) => {
-                write!(
-                    f,
-                    "pipeline channel closed by a dead peer: {} at op {}/{}, stage peer rank {}",
-                    ctx.collective,
-                    ctx.round + 1,
-                    ctx.rounds,
-                    ctx.peer
-                )?;
-                ctx.write_identity(f)
-            }
+            TrainError::Comm(e) => write!(f, "communication failed: {e}"),
             TrainError::MissingThreadState(k) => {
                 write!(f, "snapshot has no state for thread {k:?}")
             }

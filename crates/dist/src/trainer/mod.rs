@@ -32,8 +32,8 @@
 //! - [`worker`](self) — `run_rank`, the per-rank training loop, the same
 //!   function for a rank thread here and a rank process in
 //!   [`proc`](crate::proc);
-//! - this file — the orchestrator that wires groups, channels, and threads
-//!   together.
+//! - this file — the orchestrator that wires the tensor, data and
+//!   stage-boundary groups to the rank threads.
 
 mod generations;
 mod logs;
@@ -52,8 +52,7 @@ pub use spec::{PtdpSpec, ThreadKey};
 
 pub(crate) use model::{build_thread_model, EmbedShard, HeadShard, ThreadModel};
 
-use std::collections::HashMap;
-use std::sync::mpsc::channel as unbounded;
+use std::collections::{BTreeMap, HashMap};
 
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::RankGuard;
@@ -62,7 +61,7 @@ use crate::comm::Group;
 
 use generations::GenerationAssembler;
 pub(crate) use logs::{merge_losses, RankOutcome};
-pub(crate) use worker::{run_rank, Dir, Endpoints, Lane, Wiring};
+pub(crate) use worker::{run_rank, Wiring};
 
 /// Real PTD-P training over threads.
 pub struct PtdpTrainer {
@@ -142,20 +141,16 @@ impl PtdpTrainer {
         let tensor_groups = groups(t, d);
         let data_groups = groups(d, t);
 
-        // --- Channels: per (di, ti) lane, one each way over every stage
-        // boundary ---
-        let mut endpoints: HashMap<ThreadKey, Endpoints> = (0..spec.world())
-            .map(|rank| (spec.thread_key(rank), Endpoints::default()))
-            .collect();
+        // Per (di, ti) replica, one two-member group over every stage
+        // boundary: the lower stage is member 0.
+        let mut lanes: HashMap<ThreadKey, BTreeMap<_, _>> = HashMap::new();
         for (di, ti) in (0..d).flat_map(|di| (0..t).map(move |ti| (di, ti))) {
-            for boundary in 0..stages.saturating_sub(1) {
-                for dir in Dir::BOTH {
-                    let (from, to) = dir.ends(boundary);
-                    let (tx, rx) = unbounded();
-                    let sender = endpoints.get_mut(&(from % p, di, ti)).unwrap();
-                    sender.tx.insert((dir, from), Lane::Thread(tx));
-                    let receiver = endpoints.get_mut(&(to % p, di, ti)).unwrap();
-                    receiver.rx.insert((dir, to), Lane::Thread(rx));
+            for s in 1..stages {
+                let group = Group::with_timeout(2, timeout);
+                for (member, (stage, neighbour)) in [(s - 1, s), (s, s - 1)].into_iter().enumerate()
+                {
+                    let rank = lanes.entry((stage % p, di, ti)).or_default();
+                    rank.insert((stage, neighbour), group.member(member));
                 }
             }
         }
@@ -172,7 +167,7 @@ impl PtdpTrainer {
                     let wiring = Wiring {
                         tg: tensor_groups[&(pi, di)].member(ti),
                         dg: data_groups[&(pi, ti)].member(di),
-                        ep: endpoints.remove(&key).unwrap(),
+                        lanes: lanes.remove(&key).unwrap_or_default(),
                         generations: Some(&generations),
                         node: None,
                     };

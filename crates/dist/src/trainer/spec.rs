@@ -36,8 +36,8 @@ pub struct PtdpSpec {
     /// dimension across the tensor group (Megatron's layout), with the
     /// distributed cross-entropy that never materializes full logits.
     pub vocab_parallel: bool,
-    /// Collective timeout for every process group of a run under this
-    /// spec. [`RunControl::comm_timeout`](crate::trainer::RunControl) can
+    /// Timeout of every collective and pipeline transfer of a run under
+    /// this spec. [`RunControl::comm_timeout`](crate::trainer::RunControl) can
     /// override it per run (the supervisor shortens it on retry attempts
     /// so repeat failures are detected faster).
     pub comm_timeout: Duration,

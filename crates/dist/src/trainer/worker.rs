@@ -8,14 +8,12 @@
 //! [`proc`](crate::proc) call it with different [`Wiring`] and get the same
 //! [`RankOutcome`] back by value.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use megatron_collective::{chunk_of, SocketCalls, SocketChannel, SocketNode, Transport};
+use megatron_collective::{chunk_of, SocketCalls, SocketNode};
 use megatron_schedule::{Pass, PipeOp, PipelineSchedule};
 use megatron_tensor::gpt::GptModel;
 use megatron_tensor::layers::cross_entropy;
@@ -24,7 +22,7 @@ use megatron_tensor::{Adam, AdamState, Matrix};
 use megatron_telemetry::{thread_usage, OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
 
 use crate::checkpoint::CheckpointError;
-use crate::comm::{CommPanic, CommVolume, GroupMember, StallContext, BYTES_F32};
+use crate::comm::{CommPanic, CommVolume, GroupMember, BYTES_F32};
 
 use super::generations::GenerationAssembler;
 use super::logs::{RankCommOps, RankCommVolume, RankOutcome, RunControl, ThreadState, TrainError};
@@ -49,8 +47,8 @@ fn classify_panic(payload: &(dyn std::any::Any + Send)) -> TrainError {
 }
 
 /// Which way a pipeline transfer goes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Dir {
+#[derive(Clone, Copy)]
+enum Dir {
     /// Activations, to the next stage.
     Fwd,
     /// Gradients, to the previous stage.
@@ -58,8 +56,6 @@ pub(crate) enum Dir {
 }
 
 impl Dir {
-    pub(crate) const BOTH: [Dir; 2] = [Dir::Fwd, Dir::Bwd];
-
     /// The stage a transfer leaving `stage` this way arrives at.
     fn next(self, stage: usize) -> usize {
         match self {
@@ -76,59 +72,25 @@ impl Dir {
         }
     }
 
-    /// The (sending, receiving) stages of the lane that crosses the
-    /// boundary between stages `boundary` and `boundary + 1` this way.
-    pub(crate) fn ends(self, boundary: usize) -> (usize, usize) {
-        let from = boundary + usize::from(self == Dir::Bwd);
-        (from, self.next(from))
-    }
-
-    /// Names of this direction's wait span, receive failure, send span and
-    /// send failure.
-    fn names(self) -> [&'static str; 4] {
+    /// Names of this direction's wait span and send span.
+    fn names(self) -> [&'static str; 2] {
         match self {
-            Dir::Fwd => [
-                "pipeline-wait-fwd",
-                "pipeline-recv-fwd",
-                "p2p-send-fwd",
-                "pipeline-send-fwd",
-            ],
-            Dir::Bwd => [
-                "pipeline-wait-bwd",
-                "pipeline-recv-bwd",
-                "p2p-send-bwd",
-                "pipeline-send-bwd",
-            ],
+            Dir::Fwd => ["pipeline-wait-fwd", "p2p-send-fwd"],
+            Dir::Bwd => ["pipeline-wait-bwd", "p2p-send-bwd"],
         }
     }
 }
 
-/// One end of a pipeline lane. Rank threads hand each other matrices over
-/// an in-process channel; a rank process sends on, and receives from, the
-/// lane's socket channel (sender lane rank 0, receiver lane rank 1)
-/// itself, and rebuilds the matrix from the activation shape both ends
-/// know. The wiring picks the variant; nothing else in the rank loop
-/// differs between the two modes.
-pub(crate) enum Lane<T> {
-    Thread(T),
-    Socket(RefCell<SocketChannel>),
-}
-
-/// Pipeline lane ends of one rank, keyed by direction and by the stage of
-/// this rank the lane ends at.
-#[derive(Default)]
-pub(crate) struct Endpoints {
-    pub(crate) rx: HashMap<(Dir, usize), Lane<Receiver<Matrix>>>,
-    pub(crate) tx: HashMap<(Dir, usize), Lane<Sender<Matrix>>>,
-}
-
 /// How one rank reaches the others: its tensor and data groups, its
-/// pipeline endpoints, and — where the world shares an address space — the
-/// checkpoint generations the ranks assemble together.
+/// pipeline boundary groups, and — where the world shares an address space
+/// — the checkpoint generations the ranks assemble together.
 pub(crate) struct Wiring<'a> {
     pub(crate) tg: GroupMember,
     pub(crate) dg: GroupMember,
-    pub(crate) ep: Endpoints,
+    /// This rank's members of the two-member groups of its stage
+    /// boundaries, keyed by (its stage, the neighbouring stage); the lower
+    /// stage of a boundary is member 0.
+    pub(crate) lanes: BTreeMap<(usize, usize), GroupMember>,
     /// `None` in a rank process: it writes its own durable shard and the
     /// launcher, which sees every rank's, commits.
     pub(crate) generations: Option<&'a GenerationAssembler>,
@@ -198,8 +160,9 @@ fn head_backward(head: &mut HeadShard, hc: &HeadCache, tg: &GroupMember) -> Matr
 /// Train one rank of the job to the end of `data` and return everything it
 /// measured. A failure — an `Err`, or an unwind out of an inner collective
 /// — is caught here and reported in the outcome beside whatever the rank
-/// recorded before it; the rank's groups are then poisoned so that peers
-/// blocked in a collective fail fast instead of sitting out the timeout.
+/// recorded before it; the rank's groups, its stage boundaries' included,
+/// are then poisoned so that peers blocked in a collective or a pipeline
+/// wait fail fast instead of sitting out the timeout.
 pub(crate) fn run_rank(
     key: ThreadKey,
     spec: PtdpSpec,
@@ -220,8 +183,11 @@ pub(crate) fn run_rank(
         Err(payload) => Some(classify_panic(&*payload)),
     };
     if out.error.is_some() {
-        wiring.tg.poison();
-        wiring.dg.poison();
+        let lanes = wiring.lanes.values();
+        [&wiring.tg, &wiring.dg]
+            .into_iter()
+            .chain(lanes)
+            .for_each(GroupMember::poison);
     }
     out
 }
@@ -244,8 +210,6 @@ struct Rank<'a> {
     lens: Vec<usize>,
     /// Adam over this rank's chunk of every parameter ([`own_chunks`]).
     adam: Adam,
-    p2p_send_bytes: f64,
-    p2p_sends: Vec<(ThreadKey, usize)>,
 }
 
 /// One iteration's pipeline state, from the first forward to the flush.
@@ -319,8 +283,6 @@ fn train(
         model,
         lens,
         adam,
-        p2p_send_bytes: 0.0,
-        p2p_sends: Vec::new(),
     };
     rank.run(data, start_iter, flat_rank)
 }
@@ -372,8 +334,8 @@ impl Rank<'_> {
                     return Err(TrainError::Killed(self.key));
                 }
                 match op.pass {
-                    Pass::Forward => self.forward(&mut flush, opi, op)?,
-                    Pass::Backward => self.backward(&mut flush, opi, op)?,
+                    Pass::Forward => self.forward(&mut flush, op)?,
+                    Pass::Backward => self.backward(&mut flush, op)?,
                 }
             }
             assert!(flush.stash.is_empty(), "flush left microbatches in flight");
@@ -415,44 +377,29 @@ impl Rank<'_> {
             }
         }
 
-        let (tg, dg) = (&self.wiring.tg, &self.wiring.dg);
+        let (tg, dg, lanes) = (&self.wiring.tg, &self.wiring.dg, &self.wiring.lanes);
+        let p = self.spec.pipeline;
         self.out.volume = RankCommVolume {
             tensor: tg.comm_volume(),
             data: dg.comm_volume(),
-            p2p_send_bytes: self.p2p_send_bytes,
+            p2p_send_bytes: lanes.values().map(|l| l.comm_volume().total_bytes()).sum(),
         };
         self.out.ops = RankCommOps {
             tensor: tg.take_op_log(),
             data: dg.take_op_log(),
-            p2p_sends: self.p2p_sends,
+            p2p_sends: lanes
+                .iter()
+                .flat_map(|(&(_, peer), l)| {
+                    let to = (peer % p, di, ti);
+                    l.take_op_log().into_iter().map(move |op| (to, op.elems))
+                })
+                .collect(),
         };
         // The optimizer state is done with: release it before the copy of
         // the parameters is made, so the end of the run is not its peak.
         drop(self.adam);
         self.out.params = self.model.flat_params();
         Ok(())
-    }
-
-    /// A pipeline lane broke under this rank. The failure carries the
-    /// same [`StallContext`] shape as a group collective's: the boundary as
-    /// a pseudo-collective, the schedule op as the step, and the stage
-    /// peer's flat rank — plus, over a socket lane (`(channel, lane rank of
-    /// the peer)`), its pid and address — so a stalled pipeline names
-    /// exactly which neighbor died, not just "a peer".
-    fn broken(
-        &self,
-        boundary: &'static str,
-        opi: usize,
-        peer_pi: usize,
-        socket: Option<(&SocketChannel, usize)>,
-    ) -> TrainError {
-        let (pi, di, ti) = self.key;
-        let peer = self.spec.flat_rank((peer_pi, di, ti));
-        let mut ctx = StallContext::new(boundary, opi, self.schedule.ops[pi].len(), peer);
-        if let Some((chan, lane_peer)) = socket {
-            ctx.identify(chan, lane_peer);
-        }
-        TrainError::PipelineBroken(ctx)
     }
 
     /// The system calls of the rank's socket node so far, when tracing (all
@@ -466,10 +413,10 @@ impl Rank<'_> {
         node.map(|n| n.calls()).unwrap_or_default()
     }
 
-    /// The deadline a socket lane operation started now gives up at: the
-    /// same timeout the rank's groups run under.
-    fn lane_deadline(&self) -> Instant {
-        Instant::now() + self.ctl.comm_timeout.unwrap_or(self.spec.comm_timeout)
+    /// This rank's member of the boundary group between `stage` and
+    /// `neighbour`.
+    fn lane(&self, stage: usize, neighbour: usize) -> &GroupMember {
+        &self.wiring.lanes[&(stage, neighbour)]
     }
 
     /// Wait for the neighbouring stage's activation or gradient; the wait
@@ -478,79 +425,29 @@ impl Rank<'_> {
         &self,
         dir: Dir,
         stage: usize,
-        opi: usize,
         mb: SpanArgs,
         bubble_ns: &mut u64,
     ) -> Result<Matrix, TrainError> {
-        let [wait_name, boundary, ..] = dir.names();
-        let peer_pi = dir.prev(stage) % self.spec.pipeline;
-        let wait = span(&self.tracer, SpanKind::Bubble, wait_name, mb);
-        let x = match &self.wiring.ep.rx[&(dir, stage)] {
-            Lane::Thread(rx) => rx
-                .recv()
-                .map_err(|_| self.broken(boundary, opi, peer_pi, None))?,
-            Lane::Socket(chan) => {
-                let mut chan = chan.borrow_mut();
-                chan.set_deadline(self.lane_deadline());
-                let shape = (
-                    self.spec.microbatch * self.master.cfg.seq,
-                    self.master.cfg.hidden,
-                );
-                match chan.recv_frame(0) {
-                    Ok(data) if data.len() == shape.0 * shape.1 => {
-                        Matrix::from_vec(shape.0, shape.1, data)
-                    }
-                    _ => return Err(self.broken(boundary, opi, peer_pi, Some((&chan, 0)))),
-                }
-            }
-        };
+        let wait = span(&self.tracer, SpanKind::Bubble, dir.names()[0], mb);
+        let lane = self.lane(stage, dir.prev(stage));
+        let data = lane.try_recv().map_err(TrainError::Comm)?;
         *bubble_ns += wait.close();
-        Ok(x)
+        let rows = self.spec.microbatch * self.master.cfg.seq;
+        Ok(Matrix::from_vec(rows, self.master.cfg.hidden, data))
     }
 
     /// Hand an activation or gradient to the neighbouring stage.
-    fn send(
-        &mut self,
-        dir: Dir,
-        stage: usize,
-        opi: usize,
-        mb: SpanArgs,
-        x: Matrix,
-    ) -> Result<(), TrainError> {
-        let [.., send_name, boundary] = dir.names();
-        let peer_pi = dir.next(stage) % self.spec.pipeline;
-        let elems = x.len();
-        let bytes = elems as f64 * BYTES_F32;
+    fn send(&self, dir: Dir, stage: usize, mb: SpanArgs, x: Matrix) -> Result<(), TrainError> {
         let args = SpanArgs {
-            bytes: Some(bytes),
+            bytes: Some(x.len() as f64 * BYTES_F32),
             ..mb
         };
-        let sending = span(&self.tracer, SpanKind::Comm, send_name, args);
-        match &self.wiring.ep.tx[&(dir, stage)] {
-            Lane::Thread(tx) => tx
-                .send(x)
-                .map_err(|_| self.broken(boundary, opi, peer_pi, None))?,
-            Lane::Socket(chan) => {
-                let mut chan = chan.borrow_mut();
-                chan.set_deadline(self.lane_deadline());
-                if chan.send(1, &[x.as_slice()]).is_err() {
-                    return Err(self.broken(boundary, opi, peer_pi, Some((&chan, 1))));
-                }
-            }
-        }
-        drop(sending);
-        self.p2p_send_bytes += bytes;
-        self.p2p_sends
-            .push(((peer_pi, self.key.1, self.key.2), elems));
-        Ok(())
+        let _sending = span(&self.tracer, SpanKind::Comm, dir.names()[1], args);
+        let lane = self.lane(stage, dir.next(stage));
+        lane.try_send(x.into_vec()).map_err(TrainError::Comm)
     }
 
-    fn forward(
-        &mut self,
-        flush: &mut Flush<'_>,
-        opi: usize,
-        op: &PipeOp,
-    ) -> Result<(), TrainError> {
+    fn forward(&mut self, flush: &mut Flush<'_>, op: &PipeOp) -> Result<(), TrainError> {
         let (spec, seq, tg) = (self.spec, self.master.cfg.seq, &self.wiring.tg);
         let b = spec.microbatch;
         let stage = self.schedule.stage_of(self.key.0, op.chunk);
@@ -567,7 +464,7 @@ impl Rank<'_> {
             let embed = self.model.embed.as_ref().expect("stage 0 owns embed");
             (embed.forward(toks, seq, tg), computing)
         } else {
-            let input = self.recv(Dir::Fwd, stage, opi, mb, &mut flush.bubble_ns)?;
+            let input = self.recv(Dir::Fwd, stage, mb, &mut flush.bubble_ns)?;
             (input, span(&self.tracer, SpanKind::Forward, "forward", mb))
         };
         let blocks = &self.model.chunks[op.chunk];
@@ -599,7 +496,7 @@ impl Rank<'_> {
             drop(computing);
         } else {
             drop(computing);
-            self.send(Dir::Fwd, stage, opi, mb, x)?;
+            self.send(Dir::Fwd, stage, mb, x)?;
         }
         flush.stash_floats += cache.float_count();
         self.out.peak_stash = self.out.peak_stash.max(flush.stash_floats);
@@ -607,12 +504,7 @@ impl Rank<'_> {
         Ok(())
     }
 
-    fn backward(
-        &mut self,
-        flush: &mut Flush<'_>,
-        opi: usize,
-        op: &PipeOp,
-    ) -> Result<(), TrainError> {
+    fn backward(&mut self, flush: &mut Flush<'_>, op: &PipeOp) -> Result<(), TrainError> {
         let (spec, seq, tg) = (self.spec, self.master.cfg.seq, &self.wiring.tg);
         let b = spec.microbatch;
         let stage = self.schedule.stage_of(self.key.0, op.chunk);
@@ -651,7 +543,7 @@ impl Rank<'_> {
             let head = self.model.head.as_mut().expect("head");
             (head_backward(head, hc, tg), computing)
         } else {
-            let dx = self.recv(Dir::Bwd, stage, opi, mb, &mut flush.bubble_ns)?;
+            let dx = self.recv(Dir::Bwd, stage, mb, &mut flush.bubble_ns)?;
             (dx, span(&self.tracer, SpanKind::Backward, "backward", mb))
         };
         let blocks = self.model.chunks[op.chunk].iter_mut();
@@ -660,7 +552,7 @@ impl Rank<'_> {
         }
         if stage > 0 {
             drop(computing);
-            self.send(Dir::Bwd, stage, opi, mb, dx)
+            self.send(Dir::Bwd, stage, mb, dx)
         } else {
             let toks = cache.tokens.as_ref().expect("stage-0 tokens");
             let embed = self.model.embed.as_mut().expect("stage 0 owns embed");

@@ -35,9 +35,8 @@ pub struct Attribution {
     pub optimizer_s: f64,
     /// Checkpoint saves.
     pub checkpoint_s: f64,
-    /// Transport recovery overhead, carved out of exposed comm by
-    /// [`Attribution::carve_retransmission`]. No wire retransmits (a broken
-    /// one is a rank failure), so the trainer reports none: zero.
+    /// Transport recovery overhead. No wire retransmits (a broken one is a
+    /// rank failure), so nothing is ever attributed here: always zero.
     pub retransmission_s: f64,
     /// Untraced overhead (scheduling gaps, dataloader).
     pub other_s: f64,
@@ -75,16 +74,6 @@ impl Attribution {
     /// `measured − accounted`: zero up to float rounding by construction.
     pub fn residual_s(&self) -> f64 {
         self.measured_s - self.accounted_s()
-    }
-
-    /// Move transport recovery time out of exposed comm into its own
-    /// category. Recovery (backoff polls, retransmit round trips) happens
-    /// *inside* comm spans, so the total is preserved; the estimate is
-    /// clamped to the exposed-comm time actually on the path.
-    pub fn carve_retransmission(&mut self, recovery_s: f64) {
-        let x = recovery_s.clamp(0.0, self.exposed_comm_s);
-        self.exposed_comm_s -= x;
-        self.retransmission_s += x;
     }
 
     /// Element-wise mean over per-iteration attributions.
@@ -239,23 +228,5 @@ mod tests {
         assert!(wi.zero_comm_s <= attr.measured_s + 1e-12);
         assert!(wi.perfect_overlap_s >= wi.zero_comm_s - 1e-12);
         assert!(wi.no_straggler_s <= attr.measured_s + 1e-12);
-    }
-
-    #[test]
-    fn carve_retransmission_preserves_total() {
-        let mut a = Attribution {
-            measured_s: 1.0,
-            exposed_comm_s: 0.3,
-            compute_s: 0.7,
-            ..Default::default()
-        };
-        a.carve_retransmission(0.1);
-        assert!((a.exposed_comm_s - 0.2).abs() < 1e-12);
-        assert!((a.retransmission_s - 0.1).abs() < 1e-12);
-        assert!(a.residual_s().abs() < 1e-12);
-        // Clamped: can't carve more than is exposed.
-        a.carve_retransmission(5.0);
-        assert!(a.exposed_comm_s.abs() < 1e-12);
-        assert!((a.retransmission_s - 0.3).abs() < 1e-12);
     }
 }

@@ -109,6 +109,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major buffer itself.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

@@ -19,16 +19,23 @@
 //!    world respawned, final parameters bit-identical to a fault-free run;
 //!    and SIGKILL → shrink → grow, the post-grow segment bit-identical to
 //!    a fresh launch pinned at the grow generation.
+//! 4. A pipeline stage whose neighbour stalls alive ends with the comm
+//!    deadline's timeout, on rank threads and on rank processes alike.
 
 mod common;
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use megatron_repro::dist::proc::{launch, launch_configured, maybe_worker, JobSpec, ProcOutcome};
-use megatron_repro::dist::{CheckpointStore, ProcBackend, PtdpTrainer, Supervisor};
+use megatron_repro::dist::{
+    CheckpointStore, CommError, ProcBackend, PtdpTrainer, RunControl, Supervisor, TrainError,
+};
 use megatron_repro::schedule::ScheduleKind;
+use megatron_repro::telemetry::{SinkConfig, TelemetrySink};
 use megatron_repro::tensor::gpt::TinyGptConfig;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -255,6 +262,92 @@ fn supervised_recovery_table_over_rank_processes() {
     println!("ok - supervised_recovery_table_over_rank_processes");
 }
 
+/// A (2,1,1) job whose stage 1 stalls after its first iteration but stays
+/// alive: stage 0 waits for the second iteration's first gradient on their
+/// boundary group and must give up at the comm deadline with a `Timeout`
+/// naming stage 1, not wait for it. On rank threads stage 1 sleeps in its
+/// per-iteration beat; as a rank process it parks there (`JobSpec::hold`)
+/// while its beacon keeps beating.
+fn a_neighbour_that_stalls_alive_times_out_the_waiting_stage() {
+    // Time a failed wait may take beyond the deadline: the waiter's
+    // wake-up, and for a rank process its report and exit and the
+    // launcher's polls.
+    const SLACK: Duration = Duration::from_secs(1);
+    let mut job = JobSpec::canonical(2, 1, 1);
+    job.iters = 4;
+    job.comm_timeout = Duration::from_millis(500);
+    let timeout = job.comm_timeout;
+
+    // Rank threads: the failed wait is stage 0's longest pipeline-wait span.
+    let sink = TelemetrySink::new(SinkConfig {
+        world: 2,
+        ..Default::default()
+    });
+    let slept = AtomicBool::new(false);
+    let ctl = RunControl {
+        comm_timeout: Some(timeout),
+        telemetry: Some(Arc::clone(&sink)),
+        on_beat: Some(Arc::new(move |rank| {
+            if rank == 1 && !slept.swap(true, Ordering::Relaxed) {
+                thread::sleep(timeout * 4);
+            }
+        })),
+        ..Default::default()
+    };
+    let out = PtdpTrainer::new(job.master(), job.spec()).train_with(&job.dataset(), ctl);
+    match &out.error {
+        Some(TrainError::Comm(CommError::Timeout(ctx))) => {
+            assert_eq!((ctx.collective, ctx.peer), ("p2p-recv", 1), "{ctx}");
+        }
+        other => panic!("stage 0 should time out on its boundary, got {other:?}"),
+    }
+    let traces = sink.hub.ranks();
+    let stage0 = traces.iter().find(|t| t.rank == 0).expect("stage 0 traced");
+    let waits = stage0
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("pipeline-wait"));
+    let waited = Duration::from_nanos(waits.map(|s| s.dur_ns).max().expect("a wait"));
+    assert!(
+        waited >= timeout && waited <= timeout + SLACK,
+        "thread stage 0 waited {waited:?} (deadline {timeout:?}, slack {SLACK:?})"
+    );
+
+    // Rank processes: from stage 1's last progress beat to stage 0's exit.
+    job.hold = Some((1, 1));
+    let dir = scratch("stall");
+    let handle = launch(&job, &dir).expect("launch 2 rank processes");
+    let t0 = Instant::now();
+    while handle.progress(1) < 1 {
+        assert!(t0.elapsed() < Duration::from_secs(60), "stage 1 never beat");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let held = Instant::now();
+    while handle.poll_exits()[0].is_none() {
+        assert!(
+            held.elapsed() < Duration::from_secs(30),
+            "stage 0 still waits"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    let waited = held.elapsed();
+    let pid = handle.pid(1).expect("stage 1 runs");
+    handle.kill_all();
+    let out = handle.wait();
+    let error = out.outputs[&(0, 0, 0)].error.clone();
+    let error = error.expect("stage 0 reports its failure");
+    assert!(
+        error.contains("p2p-recv timed out") && error.contains(&format!("pid {pid}")),
+        "{error}"
+    );
+    assert!(
+        waited >= timeout / 2 && waited <= timeout + SLACK,
+        "process stage 0 exited {waited:?} after stage 1 stalled (deadline {timeout:?}, slack {SLACK:?})"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("ok - a_neighbour_that_stalls_alive_times_out_the_waiting_stage");
+}
+
 fn main() {
     // Rank-worker re-entry: `--proc-worker <dir> <rank>` runs the worker
     // and exits, everything else falls through to the tests.
@@ -264,5 +357,6 @@ fn main() {
     interleaved_megabyte_lanes_bit_identical_to_in_process();
     sigkilled_rank_process_classified_dead();
     supervised_recovery_table_over_rank_processes();
+    a_neighbour_that_stalls_alive_times_out_the_waiting_stage();
     println!("process_mode: all tests passed");
 }

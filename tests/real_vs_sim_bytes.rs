@@ -7,17 +7,32 @@
 //! discrete-event links (`core::net::Network`) — the *same*
 //! `megatron-collective` step programs, lowered instead of executed — must
 //! reproduce every GPU's byte total exactly, because both sides count the
-//! identical transport-level messages.
+//! identical transport-level messages. The pipeline's share of it — the
+//! egress of each rank's stage-boundary groups — is also §3.2's closed
+//! form.
 
 use std::collections::HashMap;
 
 use megatron_repro::collective::Program;
 use megatron_repro::core::cluster::ClusterSpec;
+use megatron_repro::core::model::GptConfig;
 use megatron_repro::core::net::Network;
+use megatron_repro::core::parallel::analysis;
 use megatron_repro::dist::{CollectiveOp, PtdpSpec, PtdpTrainer, RankCommOps, ThreadKey, TrainLog};
 use megatron_repro::sim::DagSim;
 use megatron_repro::tensor::gpt::{GptModel, TinyGptConfig};
 use rand::{Rng, SeedableRng};
+
+const CFG: TinyGptConfig = TinyGptConfig {
+    vocab: 13,
+    seq: 6,
+    hidden: 8,
+    heads: 4,
+    layers: 2,
+};
+
+/// Iterations every run trains.
+const ITERS: usize = 2;
 
 fn make_data(cfg: TinyGptConfig, batch: usize, iters: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -134,17 +149,43 @@ fn assert_real_equals_sim(spec: &PtdpSpec, log: &TrainLog) {
     assert!(total > 0.0, "run moved no bytes — vacuous identity");
 }
 
-fn run(spec: PtdpSpec, batch: usize) -> TrainLog {
-    let cfg = TinyGptConfig {
-        vocab: 13,
-        seq: 6,
-        hidden: 8,
-        heads: 4,
-        layers: 2,
+/// Every rank's pipeline egress, as its stage-boundary groups measured
+/// it, is its tape's p2p sum and §3.2's closed form: `b·s·h` elements per
+/// microbatch over each boundary it sends across — forward from every
+/// stage but the last, backward from every stage but the first — at twice
+/// the fp16 bytes in f32.
+fn assert_p2p_egress_is_closed_form(spec: &PtdpSpec, log: &TrainLog, batch: usize) {
+    let mirror = GptConfig {
+        name: "real-vs-sim".to_string(),
+        num_layers: CFG.layers as u64,
+        hidden_size: CFG.hidden as u64,
+        num_heads: CFG.heads as u64,
+        seq_len: CFG.seq as u64,
+        vocab_size: CFG.vocab as u64,
     };
+    let (p, stages) = (spec.pipeline, spec.pipeline * spec.chunks);
+    let m = batch / (spec.data * spec.microbatch);
+    let transfer = 2 * analysis::pipeline_p2p_bytes(&mirror, spec.microbatch as u64);
+    for (key @ (pi, _, _), vol) in &log.comm_volumes {
+        let tape: usize = log.comm_ops[key].p2p_sends.iter().map(|(_, n)| n).sum();
+        assert_eq!(
+            vol.p2p_send_bytes,
+            tape as f64 * 4.0,
+            "{key:?}: egress != tape"
+        );
+        let sends_per_microbatch: usize = (0..spec.chunks)
+            .map(|c| c * p + pi)
+            .map(|s| usize::from(s + 1 < stages) + usize::from(s > 0))
+            .sum();
+        let closed = (ITERS * m * sends_per_microbatch) as u64 * transfer;
+        assert_eq!(vol.p2p_send_bytes, closed as f64, "{key:?}: egress != §3.2");
+    }
+}
+
+fn run(spec: PtdpSpec, batch: usize) -> TrainLog {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let master = GptModel::new(cfg, &mut rng);
-    let data = make_data(cfg, batch, 2);
+    let master = GptModel::new(CFG, &mut rng);
+    let data = make_data(CFG, batch, ITERS);
     PtdpTrainer::new(master, spec).train(&data)
 }
 
@@ -159,6 +200,7 @@ fn ptdp_222_bytes_match_simulator_exactly() {
     assert!(!ops.data.is_empty(), "no data collectives recorded");
     assert!(!ops.p2p_sends.is_empty(), "no p2p sends recorded");
     assert_real_equals_sim(&spec, &log);
+    assert_p2p_egress_is_closed_form(&spec, &log, 8);
 }
 
 #[test]
@@ -171,6 +213,7 @@ fn ptdp_213_bytes_match_simulator_exactly() {
     spec.microbatch = 1;
     let log = run(spec, 6);
     assert_real_equals_sim(&spec, &log);
+    assert_p2p_egress_is_closed_form(&spec, &log, 6);
 }
 
 #[test]
