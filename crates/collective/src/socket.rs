@@ -746,24 +746,42 @@ mod tests {
             .collect()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("megatron-sock-{tag}-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&d);
-        d
+    /// A test's directory for socket files, removed with whatever is left
+    /// in it when the guard drops: at the end of the test, pass or panic.
+    /// Bind it before the nodes that listen in it, so that they close
+    /// first.
+    struct TmpDir(PathBuf);
+
+    impl TmpDir {
+        fn join(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
     }
 
-    /// Bind one node per "process" (thread here) and return the nodes plus
-    /// the full address map.
-    fn uds_world(tag: &str, g: usize) -> (Vec<Arc<SocketNode>>, Vec<WireAddr>) {
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp_dir(tag: &str) -> TmpDir {
+        let d = std::env::temp_dir().join(format!("megatron-sock-{tag}-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&d);
+        TmpDir(d)
+    }
+
+    /// Bind one node per "process" (thread here) and return them with the
+    /// directory they listen in and the full address map.
+    fn uds_world(tag: &str, g: usize) -> (TmpDir, Vec<Arc<SocketNode>>, Vec<WireAddr>) {
         let dir = tmp_dir(tag);
         let nodes: Vec<Arc<SocketNode>> = (0..g)
             .map(|r| {
-                let addr = WireAddr::Uds(dir.join(format!("r{r}.sock")));
+                let addr = WireAddr::Uds(dir.join(&format!("r{r}.sock")));
                 Arc::new(SocketNode::bind(&addr).unwrap())
             })
             .collect();
         let addrs = nodes.iter().map(|n| n.addr().clone()).collect();
-        (nodes, addrs)
+        (dir, nodes, addrs)
     }
 
     fn peers_for(rank: usize, addrs: &[WireAddr]) -> Vec<Option<WireAddr>> {
@@ -808,7 +826,7 @@ mod tests {
         for g in [2, 3, 5] {
             let n = 4 * g + 3; // non-divisible length
             let prog = ring_all_reduce(g, n, ReduceOp::Sum);
-            let (nodes, addrs) = uds_world(&format!("ar{g}"), g);
+            let (_dir, nodes, addrs) = uds_world(&format!("ar{g}"), g);
             let got = run_over_sockets(&prog, &nodes, &addrs, 7);
             let mut want: Vec<Vec<f32>> = (0..g).map(|r| seeded(r, n)).collect();
             reference_run(&prog, &mut want);
@@ -841,7 +859,7 @@ mod tests {
         // 1F1B pattern of a stage that sends an activation and then waits
         // for a gradient. Only a wait that also flushes the *other*
         // channel's queue lets both frames through.
-        let (nodes, addrs) = uds_world("cross", 2);
+        let (_dir, nodes, addrs) = uds_world("cross", 2);
         let big = seeded(5, 1 << 20);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
@@ -875,7 +893,7 @@ mod tests {
         // refused, the frames wait queued, and the wait for rank 1's
         // reply redials until the listener is up.
         let dir = tmp_dir("late");
-        let addrs = [0, 1].map(|r| WireAddr::Uds(dir.join(format!("r{r}.sock"))));
+        let addrs = [0, 1].map(|r| WireAddr::Uds(dir.join(&format!("r{r}.sock"))));
         let sender = Arc::new(SocketNode::bind(&addrs[0]).unwrap());
         let payloads: Vec<Vec<f32>> = (0..3).map(|k| seeded(k, 64)).collect();
         let (sent, bind) = std::sync::mpsc::channel();
@@ -903,7 +921,7 @@ mod tests {
 
     #[test]
     fn recv_on_dead_peer_times_out_with_deadline() {
-        let (nodes, addrs) = uds_world("dead", 2);
+        let (_dir, nodes, addrs) = uds_world("dead", 2);
         let mut ch = SocketChannel::new(Arc::clone(&nodes[0]), 5, 0, peers_for(0, &addrs));
         ch.set_deadline(Instant::now() + Duration::from_millis(80));
         assert_eq!(ch.recv_frame(1), Err(SocketError::Deadline));
@@ -1043,7 +1061,7 @@ mod tests {
 
     #[test]
     fn the_node_counts_its_polls_reads_and_writes() {
-        let (nodes, addrs) = uds_world("calls", 2);
+        let (_dir, nodes, addrs) = uds_world("calls", 2);
         let before: Vec<SocketCalls> = nodes.iter().map(|n| n.calls()).collect();
         assert_eq!(before, [SocketCalls::default(); 2]);
         std::thread::scope(|s| {

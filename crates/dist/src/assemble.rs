@@ -8,11 +8,12 @@
 //! files when a restore asks for another (p, t, d).
 
 use megatron_tensor::gpt::{Block, GptModel, TinyGptConfig};
-use megatron_tensor::layers::Linear;
+use megatron_tensor::layers::{Embedding, LayerNorm, Linear};
 use megatron_tensor::Matrix;
 use rand::SeedableRng;
 
 use crate::trainer::{PtdpSpec, ThreadKey, TrainLog};
+use crate::vocab::{VocabParallelEmbedding, VocabParallelHead};
 
 /// Inverse of `shard::shard_columns`: concatenate column shards.
 fn unshard_columns(shards: &[&Linear]) -> Linear {
@@ -25,6 +26,20 @@ fn unshard_columns(shards: &[&Linear]) -> Linear {
             .collect::<Vec<f32>>()
     });
     Linear::from_parts(w, b)
+}
+
+/// Inverse of [`VocabParallelEmbedding::from_serial`]: stack the token
+/// tables' vocab shards; the position table is replicated.
+fn unshard_embedding(shards: &[&VocabParallelEmbedding]) -> Embedding {
+    let parts: Vec<Matrix> = shards.iter().map(|s| s.tokens.clone()).collect();
+    let tokens = Matrix::concat_rows(&parts);
+    let positions = shards[0].positions.clone();
+    Embedding {
+        gtokens: Matrix::zeros(tokens.rows(), tokens.cols()),
+        gpositions: Matrix::zeros(positions.rows(), positions.cols()),
+        tokens,
+        positions,
+    }
 }
 
 /// Inverse of `shard::shard_rows` / `shard_proj`: stack row shards; the
@@ -126,18 +141,17 @@ pub(crate) fn assemble_from_flat<'a>(
 
     // Embedding (stage 0, device 0) and head (last stage, device p−1).
     let embed = {
-        let shards: Vec<&crate::trainer::EmbedShard> = (0..t)
+        let shards: Vec<&VocabParallelEmbedding> = (0..t)
             .map(|ti| thread_models[&(0, ti)].embed.as_ref().expect("embed"))
             .collect();
-        crate::trainer::EmbedShard::assemble(&shards)
+        unshard_embedding(&shards)
     };
     let last_dev = (stages - 1) % p;
-    let (final_ln, lm_head) = {
-        let shards: Vec<&crate::trainer::HeadShard> = (0..t)
-            .map(|ti| thread_models[&(last_dev, ti)].head.as_ref().expect("head"))
-            .collect();
-        crate::trainer::HeadShard::assemble(&shards)
-    };
+    let heads: Vec<&(LayerNorm, VocabParallelHead)> = (0..t)
+        .map(|ti| thread_models[&(last_dev, ti)].head.as_ref().expect("head"))
+        .collect();
+    let final_ln = heads[0].0.clone();
+    let lm_head = unshard_columns(&heads.iter().map(|(_, lm)| &lm.w).collect::<Vec<_>>());
 
     Ok(GptModel {
         cfg,
@@ -237,13 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn assembled_vocab_parallel_model_matches_serial() {
+    fn assembled_four_way_tensor_model_matches_serial() {
         let c = cfg();
         let mut rng = rand::rngs::StdRng::seed_from_u64(89);
         let master = GptModel::new(c, &mut rng);
         let d = data(c, 4, 3);
-        let mut spec = PtdpSpec::new(2, 4, 1);
-        spec.vocab_parallel = true;
+        let spec = PtdpSpec::new(2, 4, 1);
         let mut serial = serial_train(&master, &d, spec.lr);
         let log = PtdpTrainer::new(master, spec).train(&d);
         let mut assembled = log.assemble(c, &spec);

@@ -39,6 +39,15 @@
 //! post-reconfiguration training bit-identical to a fresh launch at the
 //! new topology (see `tests/recovery.rs` and the round-trip property in
 //! `tests/proptest_invariants.rs`).
+//!
+//! The embedding and the LM head are vocab shards at every `t`
+//! ([`crate::vocab`]), cut by the collectives' ceil-partition: `t` need not
+//! divide the vocabulary, so a rank's shard may be shorter than its
+//! peers', or empty, and a reshard cuts the serial tables the same way.
+//! The files are `MGMANIF4` manifests and `MGSHARD2` shards since the
+//! replicated layout and its topology flag went; a generation in an older
+//! format, whose shards at `t > 1` may hold whole tables rather than vocab
+//! shards, is skipped with a note.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -54,17 +63,17 @@ use megatron_tensor::AdamState;
 use crate::assemble::assemble_from_flat;
 use crate::trainer::{build_thread_model, PtdpSpec, ThreadKey, ThreadState, TrainSnapshot};
 
-const SHARD_MAGIC: &[u8; 8] = b"MGSHARD1";
-/// The shard header byte after the topology: it flagged shards holding a
-/// `1/d` slice of the moments. Every shard now holds full moments and
-/// writes 0 there — the shard format is unchanged — and a shard with
-/// anything else is refused.
-const FULL_MOMENTS: u8 = 0;
+/// `MGSHARD1` shards carried a vocab-parallel flag in their topology and,
+/// after it, a byte that flagged a `1/d` slice of the moments; under a
+/// replicated-head topology at `t > 1` they hold whole embedding and head
+/// tables, not vocab shards. Such a shard fails the magic check.
+const SHARD_MAGIC: &[u8; 8] = b"MGSHARD2";
 /// `MGMANIF1` manifests also carried a canonical-layout flag and a shard
-/// count, `MGMANIF2` ones a flag for optimizer slices; a store written in
-/// either format fails the magic check and its generations are skipped with
-/// a note.
-const MANIFEST_MAGIC: &[u8; 8] = b"MGMANIF3";
+/// count, `MGMANIF2` ones a flag for optimizer slices, and `MGMANIF2` and
+/// `MGMANIF3` ones a vocab-parallel flag in their topology; a store written
+/// in any of them fails the magic check and its generations are skipped
+/// with a note.
+const MANIFEST_MAGIC: &[u8; 8] = b"MGMANIF4";
 const MANIFEST_NAME: &str = "MANIFEST.bin";
 
 /// Why a durable checkpoint operation failed.
@@ -192,7 +201,6 @@ impl CheckpointStore {
         fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io(e.to_string()))?;
         let mut enc = Enc::new(SHARD_MAGIC);
         enc.topology(spec);
-        enc.u8(FULL_MOMENTS);
         enc.u64(key.0 as u64);
         enc.u64(key.1 as u64);
         enc.u64(key.2 as u64);
@@ -472,8 +480,7 @@ fn missing_shard(dir: &Path, spec: &PtdpSpec) -> Option<ThreadKey> {
 }
 
 /// Read rank `key`'s shard file whole and check it: CRC-32 footer, magic,
-/// and a header that names this topology, full moments, rank and
-/// generation. The decoder is left at the Adam step count.
+/// and a header that names this topology, rank and generation. The decoder is left at the Adam step count.
 fn open_shard(
     dir: &Path,
     spec: &PtdpSpec,
@@ -482,15 +489,14 @@ fn open_shard(
 ) -> Result<Dec, CheckpointError> {
     let mut dec = Dec::read(&dir.join(shard_name(key)), SHARD_MAGIC)?;
     let topo = dec.topology()?;
-    let full_moments = dec.u8()? == FULL_MOMENTS;
     let stored_key = (
         dec.u64()? as usize,
         dec.u64()? as usize,
         dec.u64()? as usize,
     );
     let stored_iter = dec.u64()? as usize;
-    let header = (topo, full_moments, stored_key, stored_iter);
-    if header != (Topology::of(spec), true, key, next_iter) {
+    let header = (topo, stored_key, stored_iter);
+    if header != (Topology::of(spec), key, next_iter) {
         return Err(CheckpointError::Corrupt(format!(
             "shard {} header disagrees with its manifest",
             shard_name(key)
@@ -528,7 +534,6 @@ struct Topology {
     t: u64,
     d: u64,
     chunks: u64,
-    vocab_parallel: bool,
 }
 
 impl Topology {
@@ -539,7 +544,6 @@ impl Topology {
             tensor: self.t as usize,
             data: self.d as usize,
             chunks: self.chunks as usize,
-            vocab_parallel: self.vocab_parallel,
             ..*like
         }
     }
@@ -550,7 +554,6 @@ impl Topology {
             t: spec.tensor as u64,
             d: spec.data as u64,
             chunks: spec.chunks as u64,
-            vocab_parallel: spec.vocab_parallel,
         }
     }
 }
@@ -627,10 +630,6 @@ impl Enc {
         }
     }
 
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-
     fn u64(&mut self, x: u64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
@@ -648,7 +647,6 @@ impl Enc {
         self.u64(t.t);
         self.u64(t.d);
         self.u64(t.chunks);
-        self.u8(t.vocab_parallel as u8);
     }
 
     fn config(&mut self, cfg: TinyGptConfig) {
@@ -717,10 +715,6 @@ impl Dec {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
     fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -743,7 +737,6 @@ impl Dec {
             t: self.u64()?,
             d: self.u64()?,
             chunks: self.u64()?,
-            vocab_parallel: self.u8()? != 0,
         })
     }
 
@@ -850,8 +843,7 @@ pub(crate) mod tests {
     #[test]
     fn same_topology_roundtrip_is_bit_exact() {
         let (root, store) = tmp_store("roundtrip");
-        let mut spec = PtdpSpec::new(2, 2, 2);
-        spec.vocab_parallel = true;
+        let spec = PtdpSpec::new(2, 2, 2);
         let threads = synthetic_states(cfg(), &spec, 11);
         save_generation(&store, &spec, 4, &threads);
 
@@ -885,8 +877,6 @@ pub(crate) mod tests {
         for x in [t.p, t.t, t.d, t.chunks] {
             b.extend_from_slice(&x.to_le_bytes());
         }
-        b.push(t.vocab_parallel as u8);
-        b.push(FULL_MOMENTS);
         for x in [key.0, key.1, key.2, next_iter] {
             b.extend_from_slice(&(x as u64).to_le_bytes());
         }
@@ -905,8 +895,7 @@ pub(crate) mod tests {
     #[test]
     fn shard_bytes_equal_the_per_float_encoding() {
         let (root, store) = tmp_store("per-float");
-        let mut spec = PtdpSpec::new(2, 2, 1);
-        spec.vocab_parallel = true;
+        let spec = PtdpSpec::new(2, 2, 1);
         let mut threads = synthetic_states(cfg(), &spec, 5);
         // The floats a byte codec can get wrong, in every vector.
         let awkward = [
@@ -999,24 +988,28 @@ pub(crate) mod tests {
 
     #[test]
     fn cross_topology_restore_matches_cutting_the_serial_model() {
-        // Stored layout -> requested layout, as (p, t, d, chunks,
-        // vocab_parallel). The shards must come back equal to cutting the
-        // serial model directly for the new spec, and the moments must
-        // keep their elementwise relation to the parameters.
-        type Layout = (usize, usize, usize, usize, bool);
+        // Stored layout -> requested layout, as (p, t, d, chunks). The
+        // shards must come back equal to cutting the serial model directly
+        // for the new spec, and the moments must keep their elementwise
+        // relation to the parameters. A vocabulary of 13 gives uneven
+        // vocab shards at t = 2 and t = 4 on both sides of the trip.
+        type Layout = (usize, usize, usize, usize);
         let table: [(Layout, Layout); 7] = [
-            ((2, 2, 2, 1, false), (1, 2, 2, 1, false)),
-            ((1, 2, 2, 1, false), (1, 2, 1, 1, false)),
-            ((1, 1, 1, 1, false), (4, 4, 1, 1, false)),
-            ((2, 2, 1, 2, false), (1, 4, 2, 1, false)),
-            ((4, 1, 2, 1, false), (1, 2, 1, 2, true)),
-            ((2, 4, 1, 1, true), (2, 2, 2, 1, false)),
-            ((1, 2, 2, 1, true), (2, 4, 1, 2, true)),
+            ((2, 2, 2, 1), (1, 2, 2, 1)),
+            ((1, 2, 2, 1), (1, 2, 1, 1)),
+            ((1, 1, 1, 1), (4, 4, 1, 1)),
+            ((2, 2, 1, 2), (1, 4, 2, 1)),
+            ((4, 1, 2, 1), (1, 2, 1, 2)),
+            ((2, 4, 1, 1), (2, 2, 2, 1)),
+            ((1, 2, 2, 1), (2, 4, 1, 2)),
         ];
-        let cfg = TinyGptConfig { layers: 4, ..cfg() };
-        let layout = |(p, t, d, chunks, vocab_parallel): Layout| PtdpSpec {
+        let cfg = TinyGptConfig {
+            vocab: 13,
+            layers: 4,
+            ..cfg()
+        };
+        let layout = |(p, t, d, chunks): Layout| PtdpSpec {
             chunks,
-            vocab_parallel,
             ..PtdpSpec::new(p, t, d)
         };
         for (case, (from, to)) in table.into_iter().enumerate() {
@@ -1050,34 +1043,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_shard_flagged_as_holding_moment_slices_is_refused() {
-        let (root, store) = tmp_store("slices");
-        let spec = PtdpSpec::new(1, 1, 2);
-        let threads = synthetic_states(cfg(), &spec, 71);
-        save_generation(&store, &spec, 2, &threads);
-        // Set the byte after the topology and re-seal the CRC: a valid
-        // file whose header says its moments are a `1/d` slice.
-        let path = store.gen_dir(2).join(shard_name((0, 1, 0)));
-        let mut bytes = fs::read(&path).unwrap();
-        let flag = SHARD_MAGIC.len() + 4 * 8 + 1;
-        assert_eq!(bytes[flag], FULL_MOMENTS);
-        bytes[flag] = 1;
-        let body = bytes.len() - 4;
-        let crc = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
-        fs::write(&path, bytes).unwrap();
-
-        let err = store.load_pinned(&spec, cfg(), 2).unwrap_err();
-        assert!(
-            matches!(&err, CheckpointError::Corrupt(m) if m.contains("header")),
-            "{err}"
-        );
-        let err = store.load_latest(&spec, cfg()).unwrap_err();
-        assert_eq!(err, CheckpointError::NoneAvailable);
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
     fn commit_refuses_an_incomplete_world() {
         let (root, store) = tmp_store("incomplete");
         let spec = PtdpSpec::new(2, 1, 2);
@@ -1104,30 +1069,87 @@ pub(crate) mod tests {
         let _ = fs::remove_dir_all(root);
     }
 
-    #[test]
-    fn parent_format_manifest_is_skipped_with_a_note() {
-        let (root, store) = tmp_store("oldmanifest");
-        let spec = PtdpSpec::new(2, 1, 1);
-        let threads = synthetic_states(cfg(), &spec, 41);
-        save_generation(&store, &spec, 2, &threads);
-        save_generation(&store, &spec, 4, &threads);
-        // The manifest as written while optimizer slices had a flag: other
-        // magic, the flag after the topology.
-        let mut enc = Enc::new(b"MGMANIF2");
-        enc.topology(&spec);
-        enc.u8(0);
+    /// Rank `key`'s shard as `MGSHARD1` wrote it: the topology with its
+    /// vocab-parallel flag, then the moments flag (`1` for a `1/d` slice).
+    fn parent_shard(
+        spec: &PtdpSpec,
+        key: ThreadKey,
+        next_iter: usize,
+        st: &ThreadState,
+        moment_slices: bool,
+    ) -> Vec<u8> {
+        let mut enc = Enc::new(b"MGSHARD1");
+        enc.topology(spec);
+        enc.buf.extend([1, moment_slices as u8]);
+        for x in [key.0, key.1, key.2, next_iter] {
+            enc.u64(x as u64);
+        }
+        enc.u64(st.adam.t);
+        enc.f32s(&st.params);
+        enc.f32s(&st.adam.m);
+        enc.f32s(&st.adam.v);
+        enc.finish()
+    }
+
+    /// A manifest in an older format: `magic`, the topology with its
+    /// vocab-parallel flag, `MGMANIF2`'s optimizer-slices flag when
+    /// `slices` holds one, the config and the iteration.
+    fn parent_manifest(magic: &[u8; 8], spec: &PtdpSpec, slices: Option<u8>) -> Vec<u8> {
+        let mut enc = Enc::new(magic);
+        enc.topology(spec);
+        enc.buf.push(1);
+        enc.buf.extend(slices);
         enc.config(cfg());
         enc.u64(4);
-        fs::write(store.gen_dir(4).join(MANIFEST_NAME), enc.finish()).unwrap();
+        enc.finish()
+    }
 
-        for to in [spec, PtdpSpec::new(1, 1, 1)] {
-            let r = store.load_latest(&to, cfg()).unwrap();
-            assert_eq!(r.generation, 2);
-            assert_eq!(r.notes.len(), 1);
-            assert!(r.notes[0].contains("gen-00000004"), "{:?}", r.notes);
-            assert!(r.notes[0].contains("bad magic"), "{:?}", r.notes);
+    #[test]
+    fn parent_format_manifest_is_skipped_with_a_note() {
+        // Generation 4 is written in the current format, then one of its
+        // files is replaced by a valid file (its CRC sealed) of an older
+        // format: an `MGMANIF2` or `MGMANIF3` manifest, or an `MGSHARD1`
+        // shard, also one flagged as holding moment slices. Each must be
+        // refused by its magic, so the loader falls back to generation 2.
+        let spec = PtdpSpec::new(2, 1, 1);
+        let threads = synthetic_states(cfg(), &spec, 41);
+        let key = (1, 0, 0);
+        let manifest = MANIFEST_NAME.to_string();
+        let older: [(String, Vec<u8>); 4] = [
+            (
+                manifest.clone(),
+                parent_manifest(b"MGMANIF2", &spec, Some(0)),
+            ),
+            (manifest, parent_manifest(b"MGMANIF3", &spec, None)),
+            (
+                shard_name(key),
+                parent_shard(&spec, key, 4, &threads[&key], false),
+            ),
+            (
+                shard_name(key),
+                parent_shard(&spec, key, 4, &threads[&key], true),
+            ),
+        ];
+        for (case, (file, bytes)) in older.into_iter().enumerate() {
+            let (root, store) = tmp_store(&format!("oldformat-{case}"));
+            save_generation(&store, &spec, 2, &threads);
+            save_generation(&store, &spec, 4, &threads);
+            fs::write(store.gen_dir(4).join(&file), bytes).unwrap();
+
+            for to in [spec, PtdpSpec::new(1, 1, 1)] {
+                let r = store.load_latest(&to, cfg()).unwrap();
+                assert_eq!(r.generation, 2, "case {case}");
+                assert_eq!(r.notes.len(), 1, "case {case}");
+                assert!(r.notes[0].contains("gen-00000004"), "{:?}", r.notes);
+                assert!(r.notes[0].contains("bad magic"), "{:?}", r.notes);
+            }
+            let err = store.load_pinned(&spec, cfg(), 4).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Corrupt(m) if m.contains("bad magic")),
+                "case {case}: {err}"
+            );
+            let _ = fs::remove_dir_all(root);
         }
-        let _ = fs::remove_dir_all(root);
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct JobSpec {
     pub lr: f32,
     /// §3.5 activation recomputation.
     pub recompute: bool,
-    /// Vocab-parallel embedding + LM head.
-    pub vocab_parallel: bool,
     /// Timeout of every collective and pipeline transfer.
     pub comm_timeout: Duration,
     /// Model architecture; every worker rebuilds the same master.
@@ -93,7 +91,6 @@ impl JobSpec {
             schedule: spec.schedule,
             lr: spec.lr,
             recompute: spec.recompute,
-            vocab_parallel: spec.vocab_parallel,
             comm_timeout: spec.comm_timeout,
             model: TinyGptConfig {
                 vocab: 13,
@@ -124,7 +121,6 @@ impl JobSpec {
         s.schedule = self.schedule;
         s.lr = self.lr;
         s.recompute = self.recompute;
-        s.vocab_parallel = self.vocab_parallel;
         s.comm_timeout = self.comm_timeout;
         s
     }
@@ -176,7 +172,6 @@ impl JobSpec {
             ("schedule", Json::Str(schedule)),
             ("lr_bits", Json::Num(self.lr.to_bits() as f64)),
             ("recompute", Json::Bool(self.recompute)),
-            ("vocab_parallel", Json::Bool(self.vocab_parallel)),
             (
                 "comm_timeout_ms",
                 Json::Num(self.comm_timeout.as_millis() as f64),
@@ -261,7 +256,6 @@ impl JobSpec {
             schedule,
             lr: f32::from_bits(us("lr_bits")? as u32),
             recompute: b("recompute"),
-            vocab_parallel: b("vocab_parallel"),
             comm_timeout: Duration::from_millis(us("comm_timeout_ms")? as u64),
             model: TinyGptConfig {
                 vocab: us("vocab")?,

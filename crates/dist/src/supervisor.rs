@@ -339,23 +339,17 @@ pub trait JobBackend {
 /// [`Supervisor::run_elastic`] takes from its caller.
 type LayoutRanking<'a> = &'a dyn Fn(usize) -> Vec<(usize, usize, usize)>;
 
-/// The first of `ranked` the trainer accepts, as a full spec inheriting
-/// every non-topology knob from `base`. The trainer's one rule a pricer
-/// cannot see: vocab-parallel runs need `t | vocab`.
-fn first_accepted(
-    ranked: Vec<(usize, usize, usize)>,
-    base: &PtdpSpec,
-    model_cfg: TinyGptConfig,
-) -> Option<PtdpSpec> {
-    ranked
-        .into_iter()
-        .find(|&(_, t, _)| !base.vocab_parallel || model_cfg.vocab.is_multiple_of(t))
-        .map(|(p, t, d)| PtdpSpec {
-            pipeline: p,
-            tensor: t,
-            data: d,
-            ..*base
-        })
+/// The first of `ranked` as a full spec inheriting every non-topology
+/// knob from `base`: the trainer runs any layout a pricer ranks (its vocab
+/// shards need not divide the vocabulary).
+fn first_ranked(ranked: Vec<(usize, usize, usize)>, base: &PtdpSpec) -> Option<PtdpSpec> {
+    let (pipeline, tensor, data) = *ranked.first()?;
+    Some(PtdpSpec {
+        pipeline,
+        tensor,
+        data,
+        ..*base
+    })
 }
 
 fn dims(spec: &PtdpSpec) -> (usize, usize, usize) {
@@ -491,8 +485,8 @@ impl<B: JobBackend> Supervisor<B> {
     }
 
     /// Like [`Supervisor::run`], but elastic: fatal incidents shrink the
-    /// topology to the first layout of `rank(surviving capacity)` the
-    /// trainer accepts, and [`CapacityEvent::Returned`] grows it back at the
+    /// topology to the first layout of `rank(surviving capacity)`, and
+    /// [`CapacityEvent::Returned`] grows it back at the
     /// next checkpoint boundary. `capacity` is the seeded schedule of
     /// losses/repairs; `rank` lists the layouts fitting a capacity,
     /// cheapest first (`megatron_core::elastic::rank_layouts` over the
@@ -518,7 +512,7 @@ impl<B: JobBackend> Supervisor<B> {
         let k = self.cfg.checkpoint_every;
         let elastic = rank.is_some();
         let best_fit =
-            |capacity: usize| rank.and_then(|rank| first_accepted(rank(capacity), &launch, model));
+            |capacity: usize| rank.and_then(|rank| first_ranked(rank(capacity), &launch));
         let now_ns = || self.telemetry.as_ref().map_or(0, |s| s.hub.now_ns());
 
         let mut pending: Vec<KillSwitch> = kills.to_vec();
@@ -1120,31 +1114,17 @@ mod tests {
     }
 
     #[test]
-    fn first_accepted_skips_what_the_trainer_refuses_and_inherits_knobs() {
+    fn first_ranked_layout_wins_and_inherits_knobs() {
         let mut spec = PtdpSpec::new(2, 2, 2);
         spec.microbatch = 2;
         spec.lr = 0.042;
-        spec.vocab_parallel = true;
-        let vocab = cfg().vocab;
-        let refused = (1..=8).find(|t| !vocab.is_multiple_of(*t)).unwrap();
-        // Ranked first by the pricer, but a vocab-parallel trainer cannot
-        // shard the vocabulary `refused` ways.
-        let ranked = vec![(1, refused, 2), (1, 1, 4), (2, 1, 2)];
-        let best = first_accepted(ranked.clone(), &spec, cfg()).expect("a layout is accepted");
-        assert_eq!(dims(&best), (1, 1, 4), "the first the trainer accepts");
+        // A tensor size that divides no vocabulary the tests use still wins
+        // when it is ranked first: vocab shards may be uneven.
+        let ranked = vec![(1, 7, 2), (1, 1, 4), (2, 1, 2)];
+        let best = first_ranked(ranked, &spec).expect("a layout is ranked");
+        assert_eq!(dims(&best), (1, 7, 2), "the first ranked layout");
         assert_eq!(best.lr, 0.042, "non-topology knobs inherited");
         assert_eq!(best.microbatch, 2);
-        assert!(best.vocab_parallel);
-        spec.vocab_parallel = false;
-        let best = first_accepted(ranked, &spec, cfg()).unwrap();
-        assert_eq!(
-            dims(&best),
-            (1, refused, 2),
-            "without the rule, the ranking decides"
-        );
-        assert!(
-            first_accepted(Vec::new(), &spec, cfg()).is_none(),
-            "nothing ranked"
-        );
+        assert!(first_ranked(Vec::new(), &spec).is_none(), "nothing ranked");
     }
 }

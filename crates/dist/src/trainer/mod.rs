@@ -50,7 +50,7 @@ pub use logs::{
 };
 pub use spec::{PtdpSpec, ThreadKey};
 
-pub(crate) use model::{build_thread_model, EmbedShard, HeadShard, ThreadModel};
+pub(crate) use model::{build_thread_model, ThreadModel};
 
 use std::collections::{BTreeMap, HashMap};
 

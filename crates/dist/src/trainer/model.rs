@@ -1,126 +1,25 @@
-//! The model shard one thread owns — embedding / transformer chunks / LM
-//! head in their replicated or vocab-parallel layouts — plus the forward
-//! caches the schedule stashes between a microbatch's forward and
-//! backward passes.
+//! The model shard one thread owns — the embedding's vocab shard,
+//! transformer chunks, the final LayerNorm and the LM head's vocab shard —
+//! plus the forward caches the schedule stashes between a microbatch's
+//! forward and backward passes.
 
 use megatron_tensor::gpt::GptModel;
-use megatron_tensor::layers::{Embedding, LayerNorm, LayerNormCache, Linear, Visitor, Zeroing};
+use megatron_tensor::layers::{LayerNorm, LayerNormCache, Visitor, Zeroing};
 use megatron_tensor::Matrix;
 
 use crate::block::{ParallelBlock, ParallelBlockCache};
-use crate::comm::GroupMember;
-use crate::vocab::{VocabHeadCache, VocabParallelEmbedding, VocabParallelHead};
+use crate::vocab::{VocabParallelEmbedding, VocabParallelHead};
 
 use super::spec::PtdpSpec;
-
-/// Embedding owned by a first-stage thread: replicated or vocab-sharded.
-pub(crate) enum EmbedShard {
-    Replicated(Embedding),
-    VocabParallel(VocabParallelEmbedding),
-}
-
-impl EmbedShard {
-    pub(crate) fn forward(&self, toks: &[usize], seq: usize, tg: &GroupMember) -> Matrix {
-        match self {
-            EmbedShard::Replicated(e) => e.forward(toks, seq),
-            EmbedShard::VocabParallel(e) => e.forward(toks, seq, tg),
-        }
-    }
-
-    pub(crate) fn backward(&mut self, toks: &[usize], seq: usize, dx: &Matrix) {
-        match self {
-            EmbedShard::Replicated(e) => e.backward(toks, seq, dx),
-            EmbedShard::VocabParallel(e) => e.backward(toks, seq, dx),
-        }
-    }
-
-    fn visit(&mut self, f: &mut impl Visitor) {
-        match self {
-            EmbedShard::Replicated(e) => e.visit(f),
-            EmbedShard::VocabParallel(e) => e.visit(f),
-        }
-    }
-}
-
-impl EmbedShard {
-    /// Merge tensor-group shards back into a serial [`Embedding`].
-    pub(crate) fn assemble(shards: &[&EmbedShard]) -> Embedding {
-        match shards[0] {
-            EmbedShard::Replicated(e) => e.clone(),
-            EmbedShard::VocabParallel(_) => {
-                let parts: Vec<Matrix> = shards
-                    .iter()
-                    .map(|s| match s {
-                        EmbedShard::VocabParallel(e) => e.tokens.clone(),
-                        EmbedShard::Replicated(_) => unreachable!("mixed embed layouts"),
-                    })
-                    .collect();
-                let tokens = Matrix::concat_rows(&parts);
-                let positions = match shards[0] {
-                    EmbedShard::VocabParallel(e) => e.positions.clone(),
-                    EmbedShard::Replicated(_) => unreachable!(),
-                };
-                let (vr, vc) = (tokens.rows(), tokens.cols());
-                let (pr, pc) = (positions.rows(), positions.cols());
-                Embedding {
-                    tokens,
-                    positions,
-                    gtokens: Matrix::zeros(vr, vc),
-                    gpositions: Matrix::zeros(pr, pc),
-                }
-            }
-        }
-    }
-}
-
-/// LM head owned by a last-stage thread: replicated or vocab-sharded.
-pub(crate) enum HeadShard {
-    Replicated(LayerNorm, Linear),
-    VocabParallel(LayerNorm, VocabParallelHead),
-}
-
-impl HeadShard {
-    fn visit(&mut self, f: &mut impl Visitor) {
-        match self {
-            HeadShard::Replicated(ln, lm) => {
-                ln.visit(f);
-                lm.visit(f);
-            }
-            HeadShard::VocabParallel(ln, hd) => {
-                ln.visit(f);
-                hd.visit(f);
-            }
-        }
-    }
-}
-
-impl HeadShard {
-    /// Merge tensor-group shards back into the serial final LayerNorm + LM
-    /// head pair.
-    pub(crate) fn assemble(shards: &[&HeadShard]) -> (LayerNorm, Linear) {
-        match shards[0] {
-            HeadShard::Replicated(ln, lm) => (ln.clone(), lm.clone()),
-            HeadShard::VocabParallel(ln, _) => {
-                let parts: Vec<Matrix> = shards
-                    .iter()
-                    .map(|s| match s {
-                        HeadShard::VocabParallel(_, hd) => hd.w.w.clone(),
-                        HeadShard::Replicated(..) => unreachable!("mixed head layouts"),
-                    })
-                    .collect();
-                let w = Matrix::concat_cols(&parts);
-                (ln.clone(), Linear::from_parts(w, None))
-            }
-        }
-    }
-}
 
 /// The model shard owned by one thread.
 pub(crate) struct ThreadModel {
     /// Blocks per owned chunk (index = chunk id).
     pub(crate) chunks: Vec<Vec<ParallelBlock>>,
-    pub(crate) embed: Option<EmbedShard>,
-    pub(crate) head: Option<HeadShard>,
+    /// First stage: the token table's vocab shard and the position table.
+    pub(crate) embed: Option<VocabParallelEmbedding>,
+    /// Last stage: the final LayerNorm and the LM head's vocab shard.
+    pub(crate) head: Option<(LayerNorm, VocabParallelHead)>,
 }
 
 impl ThreadModel {
@@ -147,8 +46,9 @@ impl ThreadModel {
                 b.visit(f);
             }
         }
-        if let Some(h) = &mut self.head {
-            h.visit(f);
+        if let Some((ln, lm)) = &mut self.head {
+            ln.visit(f);
+            lm.visit(f);
         }
     }
 
@@ -214,22 +114,8 @@ impl ChunkCache {
 pub(super) struct HeadCache {
     pub(super) ln: LayerNormCache,
     pub(super) hidden_final: Matrix,
-    /// Replicated path: full dlogits; vocab-parallel path: the local shard.
-    pub(super) dlogits: DLogits,
-}
-
-pub(super) enum DLogits {
-    Full(Matrix),
-    Shard(VocabHeadCache),
-}
-
-impl DLogits {
-    pub(super) fn len(&self) -> usize {
-        match self {
-            DLogits::Full(m) => m.len(),
-            DLogits::Shard(c) => c.dlogits.len(),
-        }
-    }
+    /// This rank's columns of `∂loss/∂logits`.
+    pub(super) dlogits: Matrix,
 }
 
 /// Build the shard thread `(pi, ti)` owns from the master weights.
@@ -243,7 +129,6 @@ pub(crate) fn build_thread_model(
     let (p, t, v) = (spec.pipeline, spec.tensor, spec.chunks);
     let stages = p * v;
     let layers_per_stage = cfg.layers / stages;
-    let vocab_parallel = spec.vocab_parallel && t > 1;
     ThreadModel {
         chunks: (0..v)
             .map(|c| {
@@ -254,24 +139,12 @@ pub(crate) fn build_thread_model(
                     .collect()
             })
             .collect(),
-        embed: (pi == 0).then(|| {
-            if vocab_parallel {
-                EmbedShard::VocabParallel(VocabParallelEmbedding::from_serial(&master.embed, t, ti))
-            } else {
-                EmbedShard::Replicated(master.embed.clone())
-            }
-        }),
+        embed: (pi == 0).then(|| VocabParallelEmbedding::from_serial(&master.embed, t, ti)),
         // The last global stage (stages−1) lives on device (stages−1) % p,
         // which is p−1 (and chunk v−1).
         head: (pi == (stages - 1) % p).then(|| {
-            if vocab_parallel {
-                HeadShard::VocabParallel(
-                    master.final_ln.clone(),
-                    VocabParallelHead::from_serial(&master.lm_head, t, ti),
-                )
-            } else {
-                HeadShard::Replicated(master.final_ln.clone(), master.lm_head.clone())
-            }
+            let lm = VocabParallelHead::from_serial(&master.lm_head, t, ti);
+            (master.final_ln.clone(), lm)
         }),
     }
 }

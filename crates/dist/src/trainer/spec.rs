@@ -32,10 +32,6 @@ pub struct PtdpSpec {
     /// Numerically identical (the rebuilt caches are bit-equal); activation
     /// memory drops from full per-layer caches to one input tensor.
     pub recompute: bool,
-    /// Shard the token-embedding table and LM head over the vocabulary
-    /// dimension across the tensor group (Megatron's layout), with the
-    /// distributed cross-entropy that never materializes full logits.
-    pub vocab_parallel: bool,
     /// Timeout of every collective and pipeline transfer of a run under
     /// this spec. [`RunControl::comm_timeout`](crate::trainer::RunControl) can
     /// override it per run (the supervisor shortens it on retry attempts
@@ -55,7 +51,6 @@ impl PtdpSpec {
             schedule: ScheduleKind::OneFOneB,
             lr: 0.01,
             recompute: false,
-            vocab_parallel: false,
             comm_timeout: DEFAULT_COMM_TIMEOUT,
         }
     }

@@ -16,17 +16,18 @@ use std::time::Instant;
 use megatron_collective::{chunk_of, SocketCalls, SocketNode};
 use megatron_schedule::{Pass, PipeOp, PipelineSchedule};
 use megatron_tensor::gpt::GptModel;
-use megatron_tensor::layers::cross_entropy;
+use megatron_tensor::layers::LayerNorm;
 use megatron_tensor::{Adam, AdamState, Matrix};
 
 use megatron_telemetry::{thread_usage, OpenSpan, RankTracer, SpanArgs, SpanKind, TelemetrySink};
 
 use crate::checkpoint::CheckpointError;
 use crate::comm::{CommPanic, CommVolume, GroupMember, BYTES_F32};
+use crate::vocab::VocabParallelHead;
 
 use super::generations::GenerationAssembler;
 use super::logs::{RankCommOps, RankCommVolume, RankOutcome, RunControl, ThreadState, TrainError};
-use super::model::{build_thread_model, ChunkCache, DLogits, HeadCache, HeadShard, ThreadModel};
+use super::model::{build_thread_model, ChunkCache, HeadCache, ThreadModel};
 use super::spec::{PtdpSpec, ThreadKey};
 
 /// Map a worker panic to a [`TrainError`]. The inner tensor/vocab
@@ -110,26 +111,16 @@ fn span<'t>(
     OpenSpan::open(tracer.as_ref(), kind, name, args)
 }
 
-/// Final-LayerNorm → head → loss, for either head layout. Returns the
-/// (replicated) mean loss and the backward cache.
+/// Final LayerNorm → vocab-parallel head → distributed cross-entropy.
+/// Returns the (replicated) mean loss and the backward cache.
 fn head_forward(
-    head: &HeadShard,
+    (ln, lm): &(LayerNorm, VocabParallelHead),
     x: &Matrix,
     targets: &[usize],
     tg: &GroupMember,
 ) -> (f32, HeadCache) {
-    let (HeadShard::Replicated(ln, _) | HeadShard::VocabParallel(ln, _)) = head;
     let (hidden_final, ln) = ln.forward(x);
-    let (loss, dlogits) = match head {
-        HeadShard::Replicated(_, lm) => {
-            let (loss, dlogits) = cross_entropy(&lm.forward(&hidden_final), targets);
-            (loss, DLogits::Full(dlogits))
-        }
-        HeadShard::VocabParallel(_, hd) => {
-            let (loss, cache) = hd.forward_loss(&hidden_final, targets, tg);
-            (loss, DLogits::Shard(cache))
-        }
-    };
+    let (loss, dlogits) = lm.forward_loss(&hidden_final, targets, tg);
     let cache = HeadCache {
         ln,
         hidden_final,
@@ -138,23 +129,15 @@ fn head_forward(
     (loss, cache)
 }
 
-/// Head backward for either layout; returns the gradient entering the
-/// final LayerNorm's input.
-fn head_backward(head: &mut HeadShard, hc: &HeadCache, tg: &GroupMember) -> Matrix {
-    match (head, &hc.dlogits) {
-        (HeadShard::Replicated(ln, lm), DLogits::Full(dlogits)) => {
-            let dhf = lm.backward(&hc.hidden_final, dlogits);
-            ln.backward(&hc.ln, &dhf)
-        }
-        (HeadShard::VocabParallel(ln, hd), DLogits::Shard(cache)) => {
-            let mut dhf = hd.backward_partial(&hc.hidden_final, cache);
-            // f operator of the column-parallel head: all-reduce the
-            // partial hidden gradient.
-            tg.all_reduce_sum(dhf.as_mut_slice());
-            ln.backward(&hc.ln, &dhf)
-        }
-        _ => unreachable!("head layout and cache variant always match"),
-    }
+/// Head backward; returns the gradient entering the final LayerNorm's
+/// input.
+fn head_backward(
+    (ln, lm): &mut (LayerNorm, VocabParallelHead),
+    hc: &HeadCache,
+    tg: &GroupMember,
+) -> Matrix {
+    let dhf = lm.backward(&hc.hidden_final, &hc.dlogits, tg);
+    ln.backward(&hc.ln, &dhf)
 }
 
 /// Train one rank of the job to the end of `data` and return everything it

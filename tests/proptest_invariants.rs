@@ -534,7 +534,6 @@ fn job_spec_json_round_trips_extreme_floats() {
         };
         let coin = |rng: &mut StdRng| rng.gen_range(0u32..2) == 1;
         job.recompute = coin(rng);
-        job.vocab_parallel = coin(rng);
         job.trace = coin(rng);
         job.comm_timeout = Duration::from_millis(rng.gen_range(1u64..120_000));
         job.hb_period = Duration::from_millis(rng.gen_range(1u64..1_000));

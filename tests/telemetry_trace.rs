@@ -199,17 +199,35 @@ fn comm_counters_match_section3_formulas() {
 
     // Rank (0,0,0): first stage, no LM head, so the tensor group carries
     // exactly the 4 ring all-reduces of b·s·h per layer per microbatch the
-    // paper counts in §3.2 — in f32, i.e. 2× the fp16 formula.
+    // paper counts in §3.2 — in f32, i.e. 2× the fp16 formula — and the
+    // vocab-parallel embedding's one all-reduce of b·s·h per microbatch,
+    // which rebuilds the embedding from the ranks' vocabulary shards.
     let vol = log.comm_volumes[&(0, 0, 0)];
-    let want_tensor = 2.0
+    let layers = 2.0
         * iters as f64
         * m
         * layers_per_stage
         * analysis::tensor_parallel_bytes_per_layer(&mirror, spec.microbatch as u64, t);
+    // One all-reduce of `floats` f32 per microbatch of the run.
+    let per_microbatch = |floats: usize| {
+        iters as f64 * m * analysis::ring_all_reduce_bytes(floats as f64 * BYTES_F32, t)
+    };
+    let (bs, h) = (spec.microbatch * CFG.seq, CFG.hidden);
+    let want_tensor = layers + per_microbatch(bs * h);
     assert!(
         (vol.tensor.all_reduce_bytes - want_tensor).abs() < 1e-6,
         "tensor AR: counted {} want {want_tensor}",
         vol.tensor.all_reduce_bytes
+    );
+    // Rank (1,0,0): last stage, the same layers' all-reduces, and the
+    // vocab-parallel head's: the distributed cross-entropy's row maxima
+    // (b·s floats), then its sums of exponentials and target logits
+    // (2·b·s), and the head's input gradient (b·s·h).
+    let counted = log.comm_volumes[&(1, 0, 0)].tensor.all_reduce_bytes;
+    let want_last = layers + per_microbatch(bs) + per_microbatch(2 * bs) + per_microbatch(bs * h);
+    assert!(
+        (counted - want_last).abs() < 1e-6,
+        "last-stage tensor AR: counted {counted} want {want_last}"
     );
 
     // §3 pipeline p2p: b·s·h words per microbatch per boundary, forward
